@@ -13,7 +13,7 @@ from .landscape import (BUILTIN_NAMES, CriticalPoint, LeftBoxError, MaxFunction,
                         fd_gradient, make_builtin, min_norm_element,
                         refine_critical_point)
 from .reach import (GradLowerBound, ReachBudgets, ReachReport, StabilityEstimate,
-                    ball_grid_stats, edge_of_stability, grad_lower_bound,
+                    edge_of_stability, grad_lower_bound,
                     reach_continuous, reach_discrete, reach_general, stability_probe)
 from .reverse import (ReverseOrbit, ascent_prox, contraction_iteration_bound, prox,
                       prox_certificates, reverse_orbit)
@@ -28,7 +28,7 @@ __all__ = [
     "FlowSettings", "GradLowerBound", "Lcg64", "LeftBoxError", "MaxFunction",
     "NoCrossingError", "ObjectiveFunction", "ReachBudgets", "ReachReport",
     "ReverseOrbit", "StabilityEstimate", "State", "StepSchedule", "Trajectory",
-    "admissible", "ascent_prox", "ball_grid_stats", "cap", "check_length_bound",
+    "admissible", "ascent_prox", "cap", "check_length_bound",
     "clarke_generators", "classify_limit", "constant", "constant_objective",
     "contraction_iteration_bound", "descent_certificate_violations",
     "edge_of_stability", "fd_gradient", "gd_step", "grad_lower_bound", "integrate",

@@ -92,6 +92,16 @@ def output_dir(args, cfg):
     return out
 
 
+def resolve_point(cfg, key, f):
+    """cfg[key] as a finite point of the objective's dimension."""
+    x = np.atleast_1d(np.asarray(cfg[key], dtype=float))
+    if x.shape != (f.dim,):
+        raise ConfigError(f"{key}: needs {f.dim} coordinates for {f.name}, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise ConfigError(f"{key}: coordinates must be finite")
+    return x
+
+
 def resolve_target(cfg, f):
     target = cfg.get("target")
     if target is None:
@@ -101,7 +111,7 @@ def resolve_target(cfg, f):
             return f.critical_points[target].point
         except IndexError as exc:
             raise ConfigError(f"target: catalog index {target} out of range") from exc
-    return np.asarray(target, dtype=float)
+    return resolve_point(cfg, "target", f)
 
 
 def parse_point(text):
@@ -148,7 +158,10 @@ def cmd_run(args):
     f = parse_function(cfg["function"])
     if cfg["x0"] is None:
         raise ConfigError("x0: required for run")
-    x0 = np.asarray(cfg["x0"], dtype=float)
+    x0 = resolve_point(cfg, "x0", f)
+    if not f.in_box(x0):
+        raise ConfigError(f"x0: {x0.tolist()} lies outside the operating box "
+                          f"{f.box.tolist()}")
     out = output_dir(args, cfg)
     if cfg["procedure"] == "flow":
         traj = integrate(f, x0, cfg["direction"], flow_settings(cfg))
@@ -239,7 +252,7 @@ def cmd_eos(args):
     f = parse_function(cfg["function"])
     if cfg["alpha"] is None:
         raise ConfigError("alpha: required for eos")
-    x0 = np.ones(f.dim) if cfg["x0"] is None else np.asarray(cfg["x0"], dtype=float)
+    x0 = np.ones(f.dim) if cfg["x0"] is None else resolve_point(cfg, "x0", f)
     try:
         verdict = edge_of_stability(f, float(cfg["alpha"]), x0)
     except ValueError as exc:

@@ -5,6 +5,7 @@ capped dynamics.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,6 +203,8 @@ def make_builtin(name, params=()):
                  reproduces the same constant.
     """
     params = tuple(float(v) for v in params)
+    if not all(math.isfinite(v) for v in params):
+        raise ValueError(f"{name} parameters must be finite, got {params}")
     if name == "quad":
         if not params:
             raise ValueError("quad needs at least one eigenvalue")

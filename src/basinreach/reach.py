@@ -7,10 +7,12 @@ The discrete pipeline follows the reverse-orbit construction: pick an
 ascent seed a near the target with f(a) > f(target), climb backward by
 exact implicit ascent steps until the orbit first crosses an escape
 sphere, and replay forward under the full schedule.  The escape radius
-rho is chosen with rho + eta(rho) <= delta_hat, where eta bounds the
-one-step overshoot past the sphere and delta_hat is the probed stability
-radius, so the constructed x0 always lands inside the ball whose capture
-has been verified.
+is the closed form rho = delta_hat / (1 + 2aL/(1 - aL)), a = sup alpha:
+|grad f(x)| <= L |x - target| on the convex box, so one ascent step from
+B_rho lands within the probed stability radius delta_hat.  With a
+constant schedule x0 is the first orbit point outside B_rho.  Capture
+rests on the direct check |x0 - target| <= min(delta_hat, epsilon), not
+on that bound.
 """
 
 import itertools
@@ -82,7 +84,6 @@ class ReachBudgets:
     probe_gtol: float = 1e-8
     probe_bisect: int = 6
     delta_override: float = None
-    margin_grid: int = 41
     alpha_shrinks: int = 3
     scan_random: int = 64
     seed: int = 0
@@ -164,14 +165,6 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
     return StabilityEstimate(epsilon, lo, len(dirs), tuple(failures))
 
 
-def _ball_lattice(target, radius, n_grid):
-    axes = [np.linspace(t - radius, t + radius, n_grid) for t in target]
-    for pt in itertools.product(*axes):
-        x = np.array(pt)
-        if np.linalg.norm(x - target) <= radius:
-            yield x
-
-
 def grad_lower_bound(f, target, delta, level, n_grid=101):
     """zeta = min |grad f| over a lattice of B_delta(target) intersected
     with {f >= level}; requires level > f(target) and a nonempty
@@ -181,8 +174,10 @@ def grad_lower_bound(f, target, delta, level, n_grid=101):
         raise ValueError("level must exceed f(target)")
     zeta = np.inf
     found = False
-    for x in _ball_lattice(target, delta, n_grid):
-        if f.value(x) >= level:
+    axes = [np.linspace(t - delta, t + delta, n_grid) for t in target]
+    for pt in itertools.product(*axes):
+        x = np.array(pt)
+        if np.linalg.norm(x - target) <= delta and f.value(x) >= level:
             found = True
             zeta = min(zeta, f.grad_norm(x))
     if not found:
@@ -190,38 +185,13 @@ def grad_lower_bound(f, target, delta, level, n_grid=101):
     return GradLowerBound(float(level), float(delta), float(zeta))
 
 
-def ball_grid_stats(f, target, radius, level, n_grid=41):
-    """(max |grad f|, max f) over the lattice of the ball, restricted to
-    {f >= level}; used by the overshoot margin and escape-step bound."""
-    target = np.asarray(target, dtype=float)
-    gmax = 0.0
-    fmax = -np.inf
-    for x in _ball_lattice(target, radius, n_grid):
-        fx = f.value(x)
-        if fx >= level:
-            gmax = max(gmax, f.grad_norm(x))
-            fmax = max(fmax, fx)
-    return gmax, fmax
-
-
-def _overshoot_margin(f, target, rho, alpha_bar, level, n_grid):
-    """eta = 2 a/(1 - L a) * max{|grad f| : B_rho, f >= level}: the
-    step-length bound on how far one implicit ascent step can land past
-    the rho-sphere."""
-    coef = 2.0 * alpha_bar / (1.0 - f.lipschitz_L * alpha_bar)
-    gmax, _ = ball_grid_stats(f, target, rho, level, n_grid)
-    return coef * gmax
-
-
-def _escape_radius(f, target, delta_hat, alpha_bar, level, n_grid):
-    """Largest grid radius rho with rho + eta(rho) <= delta_hat, so the
-    first orbit point past the rho-sphere still lies inside the probed
-    stability ball."""
-    for frac in np.linspace(0.95, 0.05, 19):
-        rho = frac * delta_hat
-        if rho + _overshoot_margin(f, target, rho, alpha_bar, level, n_grid) <= delta_hat:
-            return rho
-    return None
+def _escape_radius(f, delta_hat, alpha_bar):
+    """delta_hat / (1 + 2aL/(1 - aL)), a = alpha_bar: from x in B_rho an
+    ascent step moves at most 2a/(1 - aL) |grad f(x)| <= 2aL rho/(1 - aL)
+    (``prox_certificates``), so the first crossing lands in B_delta_hat;
+    capture still rests on the caller's direct distance check."""
+    L = f.lipschitz_L
+    return delta_hat / (1.0 + 2.0 * alpha_bar * L / (1.0 - alpha_bar * L))
 
 
 def _ascent_candidates(f, target, seed_radius, level, n_random, seed, axis_first=True):
@@ -236,26 +206,31 @@ def _ascent_candidates(f, target, seed_radius, level, n_random, seed, axis_first
 
 
 def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
-    """Reverse orbit anchored at a whose root is the first backward
-    crossing of the rho-sphere.
+    """Reverse orbit anchored at a with root x0 outside B_rho(target),
+    accepted only when |x0 - target| <= cap (else None: callers then
+    shrink the step scale); a box exit or kbar_max also give None.
 
-    Searches for the smallest horizon whose orbit root leaves B_rho by
-    doubling plus bisection; every probed horizon rebuilds the orbit from
-    scratch with x_kbar = a, so the root keeps index 0 and the forward
-    replay consumes the schedule from index 0.  The accepted root must
-    also lie within the capture radius ``cap``; returns None when the box
-    or the horizon budget interferes, or when every escaping root
-    overshoots cap (callers then shrink the step scale).
+    A constant schedule marches back once, so x0 is the first crossing of
+    the rho-sphere.  A power schedule's step indices shift with the
+    horizon, so it is found by doubling plus bisection, each probed
+    horizon rebuilding the orbit with x_kbar = a; the root keeps index 0.
     """
-    def build(k):
-        orbit = reverse_orbit(f, a, s, k)
-        if orbit.status != "complete":
-            return orbit, True  # box exit: overshoot, search downward
-        return orbit, bool(np.linalg.norm(orbit.points[0] - target) > rho)
+    def outside(x):
+        return bool(np.linalg.norm(x - target) > rho)
 
     def usable(orbit):
-        return (orbit.status == "complete"
-                and np.linalg.norm(orbit.points[0] - target) <= cap * (1.0 + 1e-9))
+        root = orbit.points[0]
+        return (orbit.status == "complete" and outside(root)
+                and np.linalg.norm(root - target) <= cap * (1.0 + 1e-9))
+
+    if s.kind == "constant":
+        orbit = reverse_orbit(f, a, s, kbar_max, stop=outside)
+        return orbit if usable(orbit) else None
+
+    def build(k):
+        orbit = reverse_orbit(f, a, s, k)
+        # a box exit counts as an overshoot: search downward
+        return orbit, orbit.status != "complete" or outside(orbit.points[0])
 
     lo, hi, hi_orbit = 0, None, None
     kbar = 1
@@ -278,19 +253,17 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     return hi_orbit if usable(hi_orbit) else None
 
 
-def _failed(target, seed_radius, delta_used, status, ascent_seed=None,
-            reverse_part=None, forward_part=None, escape_radius=float("nan")):
+def _failed(target, seed_radius, delta_used, status):
     return ReachReport(
         target=np.asarray(target, dtype=float),
         x0=None,
-        reverse_part=reverse_part,
-        forward_part=forward_part,
+        reverse_part=None,
+        forward_part=None,
         final_distance=float("inf"),
         delta_used=float(delta_used),
-        ascent_seed=ascent_seed,
+        ascent_seed=None,
         status=status,
         seed_radius=float(seed_radius),
-        escape_radius=escape_radius,
     )
 
 
@@ -340,8 +313,8 @@ def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):
     cap = min(delta_hat, epsilon)
     s_cur = s
     for _ in range(b.alpha_shrinks + 1):
-        rho = _escape_radius(f, target, delta_hat, s_cur.sup_alpha, level, b.margin_grid)
-        if rho is not None and rho > seed_radius:
+        rho = _escape_radius(f, delta_hat, s_cur.sup_alpha)
+        if rho > seed_radius:
             for a in _ascent_candidates(f, target, seed_radius, level,
                                         b.scan_random, b.seed):
                 orbit = _first_crossing_orbit(f, a, s_cur, rho, cap, target, b.kbar_max)

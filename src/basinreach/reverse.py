@@ -121,7 +121,7 @@ def ascent_prox(f, xnext, a):
     return y
 
 
-def reverse_orbit(f, a, s, kbar):
+def reverse_orbit(f, a, s, kbar, stop=None):
     """Build x_kbar = a and x_k = ascent_prox(f, x_{k+1}, alpha_k) for
     k = kbar-1 down to 0.
 
@@ -129,33 +129,39 @@ def reverse_orbit(f, a, s, kbar):
     x_{k+1} = x_k - alpha_k grad(x_k) consumes the schedule from index 0.
     A box exit mid-construction returns the partial orbit with status
     'left_box' rather than raising.
+
+    With ``stop`` (constant schedules only) the march ends at the first
+    point x with stop(x), or after kbar steps; the K steps taken are
+    indexed K-1 down to 0.
     """
     anchor = np.asarray(a, dtype=float)
     if kbar < 0:
         raise ValueError("kbar must be nonnegative")
+    if stop is not None and s.kind != "constant":
+        raise ValueError("a stopping march needs a constant schedule")
     if not f.in_box(anchor):
         raise LeftBoxError(anchor, "orbit anchor outside the operating box")
     points = [anchor.copy()]
-    steps = []
     status = "complete"
-    start_index = 0
     for k in range(kbar - 1, -1, -1):
+        if stop is not None and stop(points[-1]):
+            break
         try:
-            prev = ascent_prox(f, points[0], s.alpha(k))
+            points.append(ascent_prox(f, points[-1], s.alpha(k)))
         except LeftBoxError:
             status = "left_box"
-            start_index = k + 1
             break
-        points.insert(0, prev)
-        steps.append(k)
+    points.reverse()
+    n_steps = len(points) - 1
+    start_index = 0 if stop is not None else kbar - n_steps
     residuals = []
-    for i in range(len(points) - 1):
+    for i in range(n_steps):
         k = start_index + i
         pred = points[i] - s.alpha(k) * f.gradient(points[i])
         residuals.append(float(np.linalg.norm(points[i + 1] - pred)))
     return ReverseOrbit(
         points=tuple(points),
-        steps_used=tuple(steps),
+        steps_used=tuple(range(start_index + n_steps - 1, start_index - 1, -1)),
         anchor=anchor.copy(),
         forward_residuals=tuple(residuals),
         status=status,

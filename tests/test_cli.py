@@ -171,3 +171,16 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
     assert main(["eos", "--function", "quad:1", "--alpha", "2.0"]) == 0
     assert "neutral" in capsys.readouterr().out
     assert os.path.exists(os.path.join(env_dir, "eos.json"))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--function", "quad:nan", "--x0", "1"], "must be finite"),
+    (["run", "--function", "quad:1,2", "--x0", "1"], "x0: needs 2 coordinates"),
+    (["reach", "--function", "quad:1,2", "--target", "0"], "target: needs 2 coordinates"),
+    (["run", "--function", "quad:1", "--x0", "20"], "outside the operating box"),
+], ids=["nonfinite-param", "x0-dimension", "target-dimension", "x0-outside-box"])
+def test_bad_input_is_a_config_error(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1

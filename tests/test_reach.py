@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import basinreach as br
+import basinreach.reverse as reverse_mod
 
 from conftest import make_saddle_quad
 
@@ -134,6 +137,13 @@ def test_reach_discrete_himmelblau(himmelblau):
     assert rep.status == "success" and rep.final_distance <= 1e-3
 
 
+def lattice_fmax(f, target, radius, n_grid):
+    """max f over the n_grid^dim lattice of the ball B_radius(target)."""
+    axes = [np.linspace(t - radius, t + radius, n_grid) for t in target]
+    return max(f.value(np.array(p)) for p in itertools.product(*axes)
+               if np.linalg.norm(np.array(p) - target) <= radius)
+
+
 def test_reach_discrete_escape_bound(dw, himmelblau):
     # with a constant schedule the orbit exits within
     # (f_max_on_ball - f(a)) * 2 / (alpha zeta^2) + 1 backsteps
@@ -146,11 +156,36 @@ def test_reach_discrete_escape_bound(dw, himmelblau):
         level = f.value(rep.ascent_seed)
         zeta = br.grad_lower_bound(f, np.array(target), rep.delta_used, level,
                                    n_grid=81).zeta
-        _, fmax = br.ball_grid_stats(f, np.array(target), rep.delta_used, level,
-                                     n_grid=81)
+        fmax = lattice_fmax(f, np.array(target), rep.delta_used, n_grid=81)
         kbar_used = len(rep.reverse_part.points) - 1
         assert zeta > 0.0
         assert kbar_used <= (fmax - level) * 2.0 / (alpha * zeta**2) + 1.0
+
+
+@pytest.mark.parametrize("name,params,target,eps", [
+    ("double_well", (), [1.0], 0.4),
+    ("himmelblau", (), [3.0, 2.0], 1.0),
+    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0),
+])
+def test_reach_discrete_first_crossing(monkeypatch, name, params, target, eps):
+    # constant schedule: x0 is the first backward crossing of the
+    # escape sphere, built with one ascent solve per orbit step
+    f = br.make_builtin(name, params)
+    calls = []
+    solve = reverse_mod.ascent_prox
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(reverse_mod, "ascent_prox", counted)
+    rep = br.reach_discrete(f, target, eps, br.constant(0.5 / f.lipschitz_L), 1e-3, 1e-3)
+    assert rep.status == "success"
+    points = rep.reverse_part.points
+    dist = [np.linalg.norm(p - rep.target) for p in points]
+    assert all(d <= rep.escape_radius for d in dist[1:])
+    assert rep.escape_radius < dist[0] <= min(rep.delta_used, eps)
+    assert len(calls) == len(points) - 1
 
 
 def test_reach_discrete_shrinking_seeds(dw):

@@ -119,6 +119,17 @@ def test_reverse_orbit_exact(quad1):
         assert abs(replay[0] - nxt[0]) <= 1e-12
 
 
+def test_reverse_orbit_stopping_march(quad1):
+    # the march stops at the first point past 0.5 and re-indexes from 0
+    orbit = br.reverse_orbit(quad1, [0.1], br.constant(0.5), 100,
+                             stop=lambda x: abs(x[0]) > 0.5)
+    assert [p[0] for p in orbit.points] == pytest.approx([0.8, 0.4, 0.2, 0.1], abs=1e-12)
+    assert orbit.start_index == 0 and orbit.steps_used == (2, 1, 0)
+    assert len(orbit.forward_residuals) == 3
+    with pytest.raises(ValueError):
+        br.reverse_orbit(quad1, [0.1], br.power(0.5, 0.5), 100, stop=lambda x: True)
+
+
 def test_reverse_orbit_trivial_cases(quad1, himmelblau):
     orbit = br.reverse_orbit(quad1, [0.3], br.constant(0.5), 0)
     assert len(orbit.points) == 1 and orbit.points[0][0] == 0.3
