@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .landscape import LeftBoxError
-from .sampling import Lcg64
+from .sampling import unit_directions
 from .schedule import admissible
 from .trajectory import State, Trajectory, emit
 
@@ -108,14 +108,7 @@ def classify_limit(f, x, tol=1e-6, n_sphere=64, seed=0):
         r = np.sqrt(tol)
         f0 = f.value(x)
         band = 1e-12 * (1.0 + abs(f0))
-        rng = Lcg64(seed)
-        dirs = []
-        for i in range(f.dim):
-            e = np.zeros(f.dim)
-            e[i] = 1.0
-            dirs += [e, -e]
-        dirs += [rng.direction(f.dim) for _ in range(n_sphere)]
-        for d in dirs:
+        for d in unit_directions(f.dim, n_sphere, seed):
             df = f.value(x + r * d) - f0
             if df > band:
                 has_pos = True

@@ -64,8 +64,11 @@ def _check_h(obj, settings):
         raise ValueError(f"h = {settings.h} exceeds the guard 0.1/L = {H_GUARD / L}")
 
 
-def _rk4_step(field, x, h):
-    k1 = field(x)
+def _rk4_step(field, x, h, k1=None):
+    """One classical RK4 step; pass ``k1 = field(x)`` when it is already
+    known.  Elementwise, so x may be a (B, dim) batch."""
+    if k1 is None:
+        k1 = field(x)
     k2 = field(x + 0.5 * h * k1)
     k3 = field(x + 0.5 * h * k2)
     k4 = field(x + h * k3)
@@ -85,7 +88,9 @@ def integrate(f, x0, direction, settings):
     sign = -1.0 if direction == "forward" else 1.0
     field = lambda y: sign * f.gradient(y)
 
-    gn = f.grad_norm(x)
+    # the gradient behind |grad f(x)| is the next step's k1
+    g = f.gradient(x)
+    gn = float(np.linalg.norm(g))
     states = [State(0, 0.0, x.copy(), f.value(x), gn)]
     status, limit = "budget_exhausted", None
     n_steps = int(round(settings.t_max / settings.h))
@@ -93,8 +98,9 @@ def integrate(f, x0, direction, settings):
         if direction == "forward" and gn < settings.gtol:
             status, limit = "converged", x.copy()
             break
-        x = _rk4_step(field, x, settings.h)
-        gn = f.grad_norm(x)
+        x = _rk4_step(field, x, settings.h, sign * g)
+        g = f.gradient(x)
+        gn = float(np.linalg.norm(g))
         states.append(State(k + 1, (k + 1) * settings.h, x.copy(), f.value(x), gn))
         if not f.in_box(x):
             status = "left_box"
@@ -168,16 +174,18 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings):
     sign = -1.0 if direction == "forward" else 1.0
     field = lambda y: sign * f.gradient(y)
 
-    gn = f.grad_norm(x)
+    g = f.gradient(x)
+    gn = float(np.linalg.norm(g))
     states = [State(0, 0.0, x.copy(), f.value(x), gn)]
     n_steps = int(round(settings.t_max / settings.h))
     for k in range(n_steps):
         if direction == "forward" and gn < settings.gtol:
             raise NoCrossingError(
                 "forward flow reached a stationary point inside the sphere")
-        x_prev = x
-        x = _rk4_step(field, x, settings.h)
-        gn = f.grad_norm(x)
+        x_prev, k1_prev = x, sign * g
+        x = _rk4_step(field, x, settings.h, k1_prev)
+        g = f.gradient(x)
+        gn = float(np.linalg.norm(g))
         states.append(State(k + 1, (k + 1) * settings.h, x.copy(), f.value(x), gn))
         if np.linalg.norm(x - center) >= delta:
             # bisect the substep length until the crossing point sits on the
@@ -190,7 +198,7 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings):
                 if r_err <= 1e-8 * delta and hi - lo <= settings.event_refine_tol:
                     break
                 mid = 0.5 * (lo + hi)
-                x_mid = _rk4_step(field, x_prev, mid)
+                x_mid = _rk4_step(field, x_prev, mid, k1_prev)
                 if np.linalg.norm(x_mid - center) >= delta:
                     hi, x_hi = mid, x_mid
                 else:

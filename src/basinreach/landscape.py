@@ -39,6 +39,11 @@ class ObjectiveFunction:
     first-class events.  ``lipschitz_L == 0`` is allowed for constant
     pieces used by :func:`cap`.  Instances are immutable; arrays are
     defensive copies and must be treated as read-only.
+
+    ``vectorized`` states that ``f`` and ``grad`` also take a (B, dim)
+    batch and return B values or a (B, dim) array of gradients, each row
+    bit-identical to the call on that row; :meth:`values` and
+    :meth:`gradients` then make one call per batch instead of one per row.
     """
 
     dim: int
@@ -50,6 +55,7 @@ class ObjectiveFunction:
     hessian: object = None
     name: str = ""
     params: tuple = ()
+    vectorized: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -69,6 +75,21 @@ class ObjectiveFunction:
 
     def gradient(self, x):
         return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float)
+
+    def values(self, X):
+        """f at each row of a (B, dim) batch, as a (B,) array."""
+        X = np.asarray(X, dtype=float)
+        if self.vectorized:
+            return np.asarray(self.f(X), dtype=float)
+        return np.array([self.value(x) for x in X])
+
+    def gradients(self, X):
+        """The gradient at each row of a (B, dim) batch, as a C-ordered
+        (B, dim) array."""
+        X = np.asarray(X, dtype=float)
+        if self.vectorized:
+            return np.ascontiguousarray(self.grad(X), dtype=float)
+        return np.array([self.gradient(x) for x in X]).reshape(X.shape)
 
     def hess(self, x):
         if self.hessian is None:
@@ -168,17 +189,40 @@ HIMMELBLAU_CRITICAL_POINTS = (
 BUILTIN_NAMES = ("quad", "double_well", "himmelblau")
 
 
+# The builtins' f and grad take a point (dim,) or a batch (B, dim): ``p.T``
+# unpacks coordinates as scalars or as columns, and the same arithmetic
+# runs either way.
+
+
+def _square(u):
+    """u ** 2 by the C library's pow, which is what np.float64 ** 2 calls;
+    an array's ** 2 multiplies instead and can differ in the last bit, so
+    a batch squares element by element to match its row-wise calls."""
+    if u.ndim == 0:
+        return u ** 2
+    return np.array([math.pow(v, 2.0) for v in u.tolist()])
+
+
 def _himmelblau_value(p):
-    x, y = p
-    return (x * x + y - 11.0) ** 2 + (x + y * y - 7.0) ** 2
+    x, y = p.T
+    return _square(x * x + y - 11.0) + _square(x + y * y - 7.0)
 
 
 def _himmelblau_grad(p):
-    x, y = p
-    return np.array([
-        4.0 * x * (x * x + y - 11.0) + 2.0 * (x + y * y - 7.0),
-        2.0 * (x * x + y - 11.0) + 4.0 * y * (x + y * y - 7.0),
-    ])
+    x, y = p.T
+    u = x * x + y - 11.0
+    v = x + y * y - 7.0
+    return np.array([4.0 * x * u + 2.0 * v, 2.0 * u + 4.0 * y * v]).T
+
+
+def _double_well_value(p):
+    (x,) = p.T
+    return _square(x * x - 1.0)
+
+
+def _double_well_grad(p):
+    (x,) = p.T
+    return np.array([4.0 * x * (x * x - 1.0)]).T
 
 
 def _himmelblau_hess(p):
@@ -216,7 +260,7 @@ def make_builtin(name, params=()):
         crit = (CriticalPoint(np.zeros(n), "local_min", 0.0),)
         return ObjectiveFunction(
             dim=n,
-            f=lambda x, lam=lam: 0.5 * float(lam @ (x * x)),
+            f=lambda x, lam=lam: 0.5 * np.vecdot(x * x, lam),
             grad=lambda x, lam=lam: lam * x,
             hessian=lambda x, lam=lam: np.diag(lam),
             lipschitz_L=float(lam.max()),
@@ -224,6 +268,7 @@ def make_builtin(name, params=()):
             critical_points=crit,
             name="quad",
             params=params,
+            vectorized=True,
         )
     if name == "double_well":
         b = params[0] if params else 1.5
@@ -237,14 +282,15 @@ def make_builtin(name, params=()):
         )
         return ObjectiveFunction(
             dim=1,
-            f=lambda x: float((x[0] * x[0] - 1.0) ** 2),
-            grad=lambda x: np.array([4.0 * x[0] * (x[0] * x[0] - 1.0)]),
+            f=_double_well_value,
+            grad=_double_well_grad,
             hessian=lambda x: np.array([[12.0 * x[0] * x[0] - 4.0]]),
             lipschitz_L=12.0 * b * b - 4.0,
             box=box,
             critical_points=crit,
             name="double_well",
             params=(b,),
+            vectorized=True,
         )
     if name == "himmelblau":
         if params:
@@ -253,7 +299,7 @@ def make_builtin(name, params=()):
         corners = [np.array(c, dtype=float) for c in itertools.product((-5.0, 5.0), repeat=2)]
         lip = max(float(np.linalg.norm(_himmelblau_hess(c), 2)) for c in corners)
         crit = tuple(
-            CriticalPoint(np.array(p), kind, _himmelblau_value(p))
+            CriticalPoint(np.array(p), kind, float(_himmelblau_value(np.array(p))))
             for p, kind in HIMMELBLAU_CRITICAL_POINTS
         )
         return ObjectiveFunction(
@@ -266,6 +312,7 @@ def make_builtin(name, params=()):
             critical_points=crit,
             name="himmelblau",
             params=(),
+            vectorized=True,
         )
     raise ValueError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
 

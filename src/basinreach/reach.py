@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import DIVERGENCE_FACTOR, classify_limit, run_gd
-from .flow import NoCrossingError, _sphere_exit_detail, integrate, integrate_minnorm
+from .flow import (NoCrossingError, _check_h, _rk4_step, _sphere_exit_detail, integrate,
+                   integrate_minnorm)
 from .landscape import LeftBoxError, cap
 from .reverse import reverse_orbit
-from .sampling import Lcg64
+from .sampling import unit_directions
 from .schedule import admissible, constant
 from .trajectory import State, Trajectory, emit
 
@@ -95,15 +96,98 @@ def _ball_fits_box(f, center, radius):
     return bool(np.all(center - radius >= lo - 1e-12) and np.all(center + radius <= hi + 1e-12))
 
 
-def _unit_directions(dim, n_random, seed, axis_first=True):
-    axis = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        axis += [e, -e]
-    rng = Lcg64(seed)
-    rand = [rng.direction(dim) for _ in range(n_random)]
-    return axis + rand if axis_first else rand + axis
+# The batched probe stacks its per-step arrays into one block at least every
+# RUN_STEPS steps: a small array per step costs about 100 bytes of header.
+RUN_STEPS = 1024
+
+
+def _row_norms(X):
+    """|x| of each row of a C-ordered (B, dim) array, by the dot product
+    np.linalg.norm takes on one point, so each value matches it bit for bit."""
+    return np.sqrt(np.vecdot(X, X))
+
+
+def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
+    """Run all probe starts of one radius as a (B, dim) batch; returns, per
+    start, whether it converged without leaving B_contain(target).
+
+    Each row takes the steps run_gd (discrete) or forward integrate
+    (continuous) takes from its start, bit for bit: a GD step, or an RK4
+    step whose k1 is the gradient already taken for |grad f|.  A row
+    leaves the batch when it converges or leaves the box, like those
+    loops, or when it leaves the ball: that decides its failure, so its
+    trajectory ends at its first outside state with provenance
+    stopped_on = "left_ball".  A row inside the ball is bounded, so
+    run_gd's divergence stop has no counterpart.  Steps are stored as
+    arrays, and one Trajectory per start is emitted at the end.
+    """
+    n = len(starts)
+    if mode == "discrete":
+        n_steps = max_iter
+        prov = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol, "unsafe": False}
+    else:
+        n_steps = int(round(settings.t_max / settings.h))
+        gtol = settings.gtol
+        prov = {"producer": "flow", "f": f, "direction": "forward", "settings": settings}
+        field = lambda Y: -1.0 * f.gradients(Y)
+
+    status = ["budget_exhausted"] * n
+    cut = [False] * n
+    rows, X = np.arange(n), starts
+    G = f.gradients(X)
+    GN = _row_norms(G)
+    # runs of at most RUN_STEPS steps over one set of live rows, each kept
+    # as (rows, t (s,), X (s, m, dim), f (s, m), |grad f| (s, m))
+    runs, steps = [], []
+    k, t = 0, 0.0
+    while True:
+        steps.append((t, X, f.values(X), GN))
+        out_box = ((X < f._box_lo) | (X > f._box_hi)).any(axis=1)
+        gone = ~(_row_norms(X - target) <= contain)
+        stop = out_box | gone | (GN < gtol)
+        any_stop = stop.any()
+        if any_stop or len(steps) == RUN_STEPS:
+            runs.append((rows, *map(np.array, zip(*steps))))
+            steps = []
+        if any_stop:
+            for j in np.flatnonzero(stop):
+                i = rows[j]
+                if out_box[j]:
+                    status[i] = "left_box"
+                elif gone[j]:
+                    cut[i] = True
+                else:
+                    status[i] = "converged"
+            live = ~stop
+            rows, X, G, GN = rows[live], X[live], G[live], GN[live]
+        if rows.size == 0 or k == n_steps:
+            break
+        if mode == "discrete":
+            a = s.alpha(k)
+            X = X - a * G
+            t += a
+        else:
+            X = _rk4_step(field, X, settings.h, -1.0 * G)
+            t = (k + 1) * settings.h
+        k += 1
+        G = f.gradients(X)
+        GN = _row_norms(G)
+    if steps:
+        runs.append((rows, *map(np.array, zip(*steps))))
+
+    for i in range(n):
+        parts = [(t_run, x_run[:, j], f_run[:, j], g_run[:, j])
+                 for ids, t_run, x_run, f_run, g_run in runs
+                 for j in np.flatnonzero(ids == i)]
+        ts, xs, fs, gns = map(np.concatenate, zip(*parts))
+        states = map(State, range(ts.size), ts.tolist(), xs, fs.tolist(), gns.tolist())
+        emit(Trajectory(
+            states=tuple(states),
+            terminal_status=status[i],
+            limit=xs[-1].copy() if status[i] == "converged" else None,
+            provenance=dict(prov, stopped_on="left_ball") if cut[i] else dict(prov),
+        ))
+    return [st == "converged" for st in status]
 
 
 def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
@@ -127,26 +211,18 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
         raise ValueError(f"unknown probe mode {mode!r}")
     if mode == "continuous" and settings is None:
         raise ValueError("continuous probe needs FlowSettings")
+    if mode == "continuous":
+        _check_h(f, settings)
     if mode == "discrete" and (s is None or not admissible(s, f, "stability")):
         raise ValueError("discrete probe needs a schedule with sup alpha < 2/L")
 
-    dirs = _unit_directions(f.dim, n_samples, seed)
+    dirs = unit_directions(f.dim, n_samples, seed)
     contain = epsilon * (1.0 + 1e-9)
 
     def trial(radius):
-        bad = []
-        for d in dirs:
-            start = target + radius * d
-            if mode == "discrete":
-                traj = run_gd(f, start, s, gtol=gtol, max_iter=max_iter)
-            else:
-                traj = integrate(f, start, "forward", settings)
-            ok = traj.terminal_status == "converged" and all(
-                np.linalg.norm(st.x - target) <= contain for st in traj.states
-            )
-            if not ok:
-                bad.append(start)
-        return bad
+        starts = target + radius * dirs
+        ok = _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter)
+        return [start for start, good in zip(starts, ok) if not good]
 
     failures = []
     bad = trial(epsilon)
@@ -199,7 +275,7 @@ def _ascent_candidates(f, target, seed_radius, level, n_random, seed, axis_first
     target value (floor 1e-12 * (1 + |level|)); axis directions first for
     minimum targets, quasi-random first for saddle targets."""
     floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
-    for d in _unit_directions(f.dim, n_random, seed, axis_first=axis_first):
+    for d in unit_directions(f.dim, n_random, seed, axis_first=axis_first):
         a = target + seed_radius * d
         if f.in_box(a) and f.value(a) > level + floor:
             yield a
@@ -540,8 +616,8 @@ def edge_of_stability(f, alpha, x0):
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(1000):
             x = x - alpha * (lam * x)
+        n1 = float(np.linalg.norm(x))
     n0 = float(np.linalg.norm(x0))
-    n1 = float(np.linalg.norm(x))
     threshold = max(10.0 * n0, DIVERGENCE_FACTOR * (1.0 + f.box_diameter()))
     empirical = None
     if not np.isfinite(n1) or n1 > threshold:

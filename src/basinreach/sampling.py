@@ -56,17 +56,18 @@ class Lcg64:
                 return z / n
 
 
+def unit_directions(dim, n_random, seed, axis_first=True):
+    """(2*dim + n_random, dim) unit directions: the axis pairs e_1, -e_1,
+    e_2, ... and n_random quasi-random ones, axis pairs first unless
+    ``axis_first`` is False."""
+    eye = np.eye(dim)
+    axis = np.stack([eye, -eye], axis=1).reshape(2 * dim, dim)
+    rng = Lcg64(seed)
+    rand = np.array([rng.direction(dim) for _ in range(n_random)]).reshape(n_random, dim)
+    return np.concatenate([axis, rand] if axis_first else [rand, axis])
+
+
 def sphere_points(center, radius, n_random, seed):
     """2*dim axis points plus n_random quasi-random points on the sphere."""
     center = np.asarray(center, dtype=float)
-    dim = center.size
-    rng = Lcg64(seed)
-    points = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        points.append(center + radius * e)
-        points.append(center - radius * e)
-    for _ in range(n_random):
-        points.append(center + radius * rng.direction(dim))
-    return points
+    return list(center + radius * unit_directions(center.size, n_random, seed))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,16 @@ def make_linear_1d(box_half=3.0):
         box=np.array([[-box_half, box_half]]),
         name="linear",
     )
+
+
+def counting(f):
+    """(copy of f whose f and grad count the points they evaluate, counts):
+    a call on a (B, dim) batch counts B points."""
+    counts = {"value": 0, "grad": 0}
+
+    def wrap(fn, key):
+        def call(x):
+            counts[key] += x.shape[0] if x.ndim == 2 else 1
+            return fn(x)
+        return call
+    return dataclasses.replace(f, f=wrap(f.f, "value"), grad=wrap(f.grad, "grad")), counts

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import basinreach as br
-from basinreach.reach import _unit_directions
+from basinreach.sampling import unit_directions
 from basinreach.trajectory import record_trajectories
 
 from conftest import make_saddle_quad
@@ -115,7 +115,7 @@ def test_A5_stability_radii():
         assert est.delta_hat >= 0.4
         # zero containment violations on re-run of every tested start
         target = np.array([1.0])
-        for d in _unit_directions(1, 8, seed=0):
+        for d in unit_directions(1, 8, seed=0):
             start = target + est.delta_hat * d
             traj = br.run_gd(dw, start, s, gtol=1e-8, max_iter=20000)
             assert traj.terminal_status == "converged"

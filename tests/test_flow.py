@@ -6,7 +6,7 @@ import pytest
 import basinreach as br
 from basinreach.landscape import LeftBoxError
 
-from conftest import make_linear_1d
+from conftest import counting, make_linear_1d
 
 
 def settings(h=0.01, t_max=1.0, gtol=1e-12, refine=None):
@@ -90,6 +90,16 @@ def test_flow_recurrence_recomputable(quad14):
     for a, b in zip(traj.states, traj.states[1:]):
         repl = _rk4_step(field, a.x, st.h)
         assert np.linalg.norm(repl - b.x) <= 1e-12 * (1.0 + np.linalg.norm(a.x))
+
+
+def test_flow_step_reuses_gradient_as_k1(quad14):
+    # RK4 needs k2, k3, k4 and the gradient at the new point, which is both
+    # its |grad f| and the next step's k1
+    f, counts = counting(quad14)
+    traj = br.integrate(f, [1.0, -0.5], "forward", settings(h=0.01, t_max=0.5))
+    steps = len(traj.states) - 1
+    assert steps == 50
+    assert counts == {"grad": 1 + 4 * steps, "value": 1 + steps}
 
 
 # --- min-norm flow -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -139,6 +140,39 @@ def test_himmelblau_lipschitz_is_grid_max(himmelblau):
     )
     assert worst <= himmelblau.lipschitz_L + 1e-9
     assert himmelblau.lipschitz_L == pytest.approx(326.79215610874223, abs=0.0)
+
+
+# --- batched evaluation ---------------------------------------------------------
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name,params", [("quad", (1.0, 4.0)), ("quad", (1.0, 2.0, 3.0)),
+                                         ("double_well", ()), ("himmelblau", ())])
+def test_batched_evaluation_matches_rowwise(name, params):
+    # B = 2 catches a batch unpacked by rows (x, y = p) instead of by
+    # columns; the large batch catches squares rounded unlike np.float64 ** 2
+    f = br.make_builtin(name, params)
+    assert f.vectorized
+    rng = np.random.default_rng(11)
+    for b in (1, 2, 7, 20000):
+        X = np.array(random_box_points(f, b, rng))
+        assert same_bits(f.values(X), np.array([f.value(x) for x in X]))
+        assert same_bits(f.gradients(X), np.array([f.gradient(x) for x in X]))
+
+
+def test_batched_evaluation_falls_back_row_by_row(himmelblau):
+    rng = np.random.default_rng(12)
+    X = np.array(random_box_points(himmelblau, 7, rng))
+    rowwise = dataclasses.replace(himmelblau, vectorized=False)
+    assert same_bits(rowwise.values(X), himmelblau.values(X))
+    assert same_bits(rowwise.gradients(X), himmelblau.gradients(X))
+    lin = make_linear_1d()  # scalar-only callables
+    X = np.array([[-1.0], [0.5], [2.0]])
+    assert not lin.vectorized
+    assert same_bits(lin.values(X), np.array([-1.0, 0.5, 2.0]))
+    assert same_bits(lin.gradients(X), np.ones((3, 1)))
 
 
 # --- cap -------------------------------------------------------------------

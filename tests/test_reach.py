@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 import basinreach as br
 import basinreach.reverse as reverse_mod
+from basinreach.trajectory import record_trajectories
 
-from conftest import make_saddle_quad
+from conftest import counting, make_saddle_quad
 
 
 FLOW = br.FlowSettings(h=1e-2, t_max=50.0, gtol=1e-6)
@@ -76,6 +78,124 @@ def test_probe_rerun_containment(dw):
         traj = br.run_gd(dw, start, s, gtol=1e-8, max_iter=20000)
         assert traj.terminal_status == "converged"
         assert all(abs(st.x[0] - 1.0) <= eps * (1 + 1e-9) for st in traj.states)
+
+
+# The probe advances all starts of a radius as one batch; these check it
+# against run_gd and integrate, state by state.
+
+def probe_runs(f, *args, **kwargs):
+    runs = []
+    with record_trajectories(runs):
+        est = br.stability_probe(f, *args, **kwargs)
+    return est, runs
+
+
+def same_states(a, b):
+    return len(a) == len(b) and all(
+        p.k == q.k and p.t == q.t and p.x.tobytes() == q.x.tobytes()
+        and p.f_value == q.f_value and p.grad_norm == q.grad_norm
+        for p, q in zip(a, b))
+
+
+def same_estimate(a, b):
+    return (a.delta_hat == b.delta_hat and a.samples == b.samples
+            and len(a.failures) == len(b.failures)
+            and all(p.tobytes() == q.tobytes() for p, q in zip(a.failures, b.failures)))
+
+
+WIDE_DW = br.make_builtin("double_well", (2.5,))
+
+
+@pytest.mark.parametrize("f,target,eps,frac", [
+    (br.make_builtin("double_well"), [1.0], 0.5, 0.2),
+    (br.make_builtin("himmelblau"), [3.0, 2.0], 1.0, 0.5),
+    (WIDE_DW, [1.0], 1.5, 0.5),
+])
+def test_probe_discrete_runs_match_run_gd(f, target, eps, frac):
+    s = br.constant(frac / f.lipschitz_L)
+    _, runs = probe_runs(f, target, eps, s, seed=0)
+    passing = [r for r in runs if r.terminal_status == "converged"]
+    assert passing
+    for r in passing:
+        ref = br.run_gd(f, r.initial_x, s, gtol=1e-8, max_iter=20_000)
+        assert ref.terminal_status == "converged"
+        assert same_states(r.states, ref.states)
+        assert r.limit.tobytes() == ref.limit.tobytes()
+        assert r.provenance["producer"] == "gd" and "stopped_on" not in r.provenance
+
+
+@pytest.mark.parametrize("f,target,eps,h", [
+    (br.make_builtin("double_well"), [-1.0], 0.4, 1e-3),
+    (br.make_builtin("quad", (1.0, 4.0)), [0.0, 0.0], 1.0, 1e-2),
+])
+def test_probe_continuous_runs_match_integrate(f, target, eps, h):
+    st = br.FlowSettings(h=h, t_max=20.0, gtol=1e-6)
+    _, runs = probe_runs(f, target, eps, None, mode="continuous", settings=st)
+    assert runs and all(r.terminal_status == "converged" for r in runs)
+    for r in runs:
+        ref = br.integrate(f, r.initial_x, "forward", st)
+        assert same_states(r.states, ref.states)
+        assert r.limit.tobytes() == ref.limit.tobytes()
+
+
+def two_wells():
+    """f(x, y) = (x^2 - 1)^2 + y^2 with row-by-row callables: starts with
+    x < 0 descend to (-1, 0)."""
+    return br.ObjectiveFunction(
+        dim=2, f=lambda p: float((p[0] * p[0] - 1.0) ** 2 + p[1] * p[1]),
+        grad=lambda p: np.array([4.0 * p[0] * (p[0] * p[0] - 1.0), 2.0 * p[1]]),
+        lipschitz_L=71.0, box=np.array([[-2.5, 2.5], [-2.5, 2.5]]),
+        critical_points=(br.CriticalPoint(np.array([1.0, 0.0]), "local_min", 0.0),),
+        name="two_wells")
+
+
+def test_probe_left_ball_stops_at_first_outside_state():
+    # distinct failing starts in 2-D, so the test sees their order
+    f, target, eps = two_wells(), np.array([1.0, 0.0]), 1.5
+    s = br.constant(0.9 / f.lipschitz_L)
+    est, runs = probe_runs(f, target, eps, s, n_samples=4, n_bisect=3)
+    contain = eps * (1.0 + 1e-9)
+    failed, n_cut = [], 0
+    for r in runs:
+        ref = br.run_gd(f, r.initial_x, s, gtol=1e-8, max_iter=20_000)
+        inside = [np.linalg.norm(st.x - target) <= contain for st in ref.states]
+        if not (ref.terminal_status == "converged" and all(inside)):
+            failed.append(r.initial_x)
+        if r.provenance.get("stopped_on") == "left_ball":
+            n_cut += 1
+            assert inside.index(False) == len(r.states) - 1
+            assert same_states(r.states, ref.states[:len(r.states)])
+    assert n_cut > 1
+    # the failures are the starts whose full run_gd fails, in probe order
+    assert [p.tobytes() for p in est.failures] == [p.tobytes() for p in failed]
+
+
+def test_probe_rowwise_objective_gives_same_estimate(quad14):
+    s = br.constant(0.5 / WIDE_DW.lipschitz_L)
+    rowwise = dataclasses.replace(WIDE_DW, vectorized=False)
+    a = br.stability_probe(WIDE_DW, [1.0], 1.5, s, seed=0)
+    assert a.failures
+    assert same_estimate(a, br.stability_probe(rowwise, [1.0], 1.5, s, seed=0))
+    st = br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6)
+    a = br.stability_probe(quad14, [0.0, 0.0], 1.0, None, mode="continuous", settings=st)
+    b = br.stability_probe(dataclasses.replace(quad14, vectorized=False), [0.0, 0.0], 1.0,
+                           None, mode="continuous", settings=st)
+    assert same_estimate(a, b)
+
+
+def test_probe_evaluation_counts(quad14):
+    # a continuous step reuses the gradient behind |grad f| as its RK4 k1:
+    # 4 gradient points and 1 value per step, plus 1 each at the start
+    f, counts = counting(quad14)
+    st = br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6)
+    _, runs = probe_runs(f, [0.0, 0.0], 1.0, None, mode="continuous", settings=st)
+    steps = sum(len(r.states) - 1 for r in runs)
+    assert steps > 0
+    assert counts == {"grad": len(runs) + 4 * steps, "value": len(runs) + steps}
+    f, counts = counting(WIDE_DW)
+    _, runs = probe_runs(f, [1.0], 1.5, br.constant(0.5 / f.lipschitz_L), seed=0)
+    states = sum(len(r.states) for r in runs)
+    assert counts == {"grad": states, "value": states}
 
 
 # --- gradient lower bound ------------------------------------------------------
