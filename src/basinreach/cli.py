@@ -4,7 +4,8 @@ Subcommands: bench, run, reach, probe, eos, check.  Configuration comes
 from ``--config file.json`` and/or inline flags (flags win); the resolved
 configuration is echoed verbatim into the output directory, and identical
 config + seed reproduce byte-identical CSV/JSON outputs.  Exit codes:
-0 success, 1 procedure failure status, 2 configuration error.
+0 success, 1 procedure failure (a failure status, or a LeftBoxError,
+NoCrossingError or ArithmeticError inside it), 2 configuration error.
 """
 
 import argparse
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import serialize
 from .descent import run_gd
-from .flow import FlowSettings, integrate
-from .landscape import BUILTIN_NAMES, make_builtin
+from .flow import FlowSettings, NoCrossingError, integrate
+from .landscape import BUILTIN_NAMES, LeftBoxError, make_builtin
 from .reach import (ReachBudgets, edge_of_stability, reach_continuous,
                     reach_discrete, reach_general, stability_probe)
 from .reverse import prox, prox_certificates
@@ -94,7 +95,10 @@ def output_dir(args, cfg):
 
 def resolve_point(cfg, key, f):
     """cfg[key] as a finite point of the objective's dimension."""
-    x = np.atleast_1d(np.asarray(cfg[key], dtype=float))
+    try:
+        x = np.atleast_1d(np.asarray(cfg[key], dtype=float))
+    except TypeError as exc:
+        raise ConfigError(f"{key}: not a point: {exc}") from exc
     if x.shape != (f.dim,):
         raise ConfigError(f"{key}: needs {f.dim} coordinates for {f.name}, got {x.size}")
     if not np.all(np.isfinite(x)):
@@ -372,9 +376,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, LeftBoxError, NoCrossingError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

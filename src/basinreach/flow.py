@@ -5,12 +5,13 @@ smoothness assumptions fail), sphere-crossing event detection, and
 path-length analytics.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import LeftBoxError, min_norm_element
-from .trajectory import State, Trajectory, emit
+from .landscape import LeftBoxError, min_norm_element, row_norms
+from .trajectory import recorded
 
 DIRECTIONS = ("forward", "reverse")
 H_GUARD = 0.1  # h <= 0.1 / L accuracy/stability guard
@@ -75,46 +76,44 @@ def _rk4_step(field, x, h, k1=None):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _start(f, x0, settings):
+    _check_h(f, settings)
+    x = np.array(x0, dtype=float)
+    if not f.in_box(x):
+        raise LeftBoxError(x, "x0 outside the operating box")
+    return x, int(round(settings.t_max / settings.h))
+
+
 def integrate(f, x0, direction, settings):
     """Classical RK4 with fixed step h on dx/dt = -grad f (forward) or
     +grad f (reverse).  Stops at t_max, at |grad| < gtol (forward only),
     or at box exit (expected for reverse flows)."""
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
-    _check_h(f, settings)
-    x = np.array(x0, dtype=float)
-    if not f.in_box(x):
-        raise LeftBoxError(x, "x0 outside the operating box")
+    x, n_steps = _start(f, x0, settings)
     sign = -1.0 if direction == "forward" else 1.0
     field = lambda y: sign * f.gradient(y)
+    gtol = settings.gtol if direction == "forward" else 0.0
 
     # the gradient behind |grad f(x)| is the next step's k1
     g = f.gradient(x)
-    gn = float(np.linalg.norm(g))
-    states = [State(0, 0.0, x.copy(), f.value(x), gn)]
+    gn = math.sqrt(g @ g)
+    steps = [(0.0, x, gn)]
     status, limit = "budget_exhausted", None
-    n_steps = int(round(settings.t_max / settings.h))
     for k in range(n_steps):
-        if direction == "forward" and gn < settings.gtol:
-            status, limit = "converged", x.copy()
+        if gn < gtol:
             break
         x = _rk4_step(field, x, settings.h, sign * g)
         g = f.gradient(x)
-        gn = float(np.linalg.norm(g))
-        states.append(State(k + 1, (k + 1) * settings.h, x.copy(), f.value(x), gn))
+        gn = math.sqrt(g @ g)
+        steps.append(((k + 1) * settings.h, x, gn))
         if not f.in_box(x):
             status = "left_box"
             break
-    else:
-        if direction == "forward" and gn < settings.gtol:
-            status, limit = "converged", x.copy()
-    return emit(Trajectory(
-        states=tuple(states),
-        terminal_status=status,
-        limit=limit,
-        provenance={"producer": "flow", "f": f, "direction": direction,
-                    "settings": settings},
-    ))
+    if status == "budget_exhausted" and gn < gtol:
+        status, limit = "converged", x.copy()
+    return recorded(f, steps, status, limit,
+                    {"producer": "flow", "f": f, "direction": direction, "settings": settings})
 
 
 def integrate_minnorm(g, x0, settings):
@@ -124,60 +123,46 @@ def integrate_minnorm(g, x0, settings):
     reaches a cap level both pieces are active, the element is 0, and the
     trajectory stalls there.  grad_norm records the element's norm.
     """
-    _check_h(g, settings)
-    x = np.array(x0, dtype=float)
-    if not g.in_box(x):
-        raise LeftBoxError(x, "x0 outside the operating box")
+    x, n_steps = _start(g, x0, settings)
 
     def speed(y):
         # evaluable anywhere; the box only bounds the certified region
         return min_norm_element([g.pieces[i].gradient(y) for i in g.active_indices(y)])
 
     v = speed(x)
-    vn = float(np.linalg.norm(v))
-    states = [State(0, 0.0, x.copy(), g.value(x), vn)]
+    vn = math.sqrt(v @ v)
+    steps = [(0.0, x, vn, g.value(x))]
     status, limit = "budget_exhausted", None
-    n_steps = int(round(settings.t_max / settings.h))
     for k in range(n_steps):
         if vn < settings.gtol:
-            status, limit = "converged", x.copy()
             break
         x = x - settings.h * v
         v = speed(x)
-        vn = float(np.linalg.norm(v))
-        states.append(State(k + 1, (k + 1) * settings.h, x.copy(), g.value(x), vn))
+        vn = math.sqrt(v @ v)
+        steps.append(((k + 1) * settings.h, x, vn, g.value(x)))
         if not g.in_box(x):
             status = "left_box"
             break
-    else:
-        if vn < settings.gtol:
-            status, limit = "converged", x.copy()
-    return emit(Trajectory(
-        states=tuple(states),
-        terminal_status=status,
-        limit=limit,
-        provenance={"producer": "minnorm", "g": g, "settings": settings},
-    ))
+    if status == "budget_exhausted" and vn < settings.gtol:
+        status, limit = "converged", x.copy()
+    return recorded(g, steps, status, limit,
+                    {"producer": "minnorm", "g": g, "settings": settings})
 
 
 def _sphere_exit_detail(f, x0, direction, center, delta, settings):
     """(t_exit, b, trajectory-so-far): first crossing of the delta-sphere."""
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
-    _check_h(f, settings)
     center = np.asarray(center, dtype=float)
-    x = np.array(x0, dtype=float)
-    if not np.linalg.norm(x - center) < delta:
+    if not np.linalg.norm(np.asarray(x0, dtype=float) - center) < delta:
         raise ValueError("sphere_exit requires |x0 - center| < delta")
-    if not f.in_box(x):
-        raise LeftBoxError(x, "x0 outside the operating box")
+    x, n_steps = _start(f, x0, settings)
     sign = -1.0 if direction == "forward" else 1.0
     field = lambda y: sign * f.gradient(y)
-
+    radius = lambda y: float(row_norms(y - center))
     g = f.gradient(x)
-    gn = float(np.linalg.norm(g))
-    states = [State(0, 0.0, x.copy(), f.value(x), gn)]
-    n_steps = int(round(settings.t_max / settings.h))
+    gn = math.sqrt(g @ g)
+    steps = [(0.0, x, gn)]
     for k in range(n_steps):
         if direction == "forward" and gn < settings.gtol:
             raise NoCrossingError(
@@ -185,38 +170,33 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings):
         x_prev, k1_prev = x, sign * g
         x = _rk4_step(field, x, settings.h, k1_prev)
         g = f.gradient(x)
-        gn = float(np.linalg.norm(g))
-        states.append(State(k + 1, (k + 1) * settings.h, x.copy(), f.value(x), gn))
-        if np.linalg.norm(x - center) >= delta:
+        gn = math.sqrt(g @ g)
+        if radius(x) >= delta:
             # bisect the substep length until the crossing point sits on the
             # sphere to 1e-8 * delta and the time bracket is within the
             # refinement tolerance
             lo, hi = 0.0, settings.h
             x_hi = x
             for _ in range(200):
-                r_err = abs(float(np.linalg.norm(x_hi - center)) - delta)
+                r_err = abs(radius(x_hi) - delta)
                 if r_err <= 1e-8 * delta and hi - lo <= settings.event_refine_tol:
                     break
                 mid = 0.5 * (lo + hi)
                 x_mid = _rk4_step(field, x_prev, mid, k1_prev)
-                if np.linalg.norm(x_mid - center) >= delta:
+                if radius(x_mid) >= delta:
                     hi, x_hi = mid, x_mid
                 else:
                     lo = mid
             else:
                 raise ArithmeticError("sphere-crossing refinement did not converge")
             t_exit = k * settings.h + hi
-            traj = Trajectory(
-                states=tuple(states[:-1] + [State(k + 1, t_exit, x_hi.copy(),
-                                                  f.value(x_hi), f.grad_norm(x_hi))]),
-                terminal_status="converged",
-                limit=x_hi.copy(),
-                provenance={"producer": "flow", "f": f, "direction": direction,
-                            "settings": settings, "event": "sphere_exit"},
-            )
-            return t_exit, x_hi.copy(), traj
+            steps.append((t_exit, x_hi, f.grad_norm(x_hi)))
+            return t_exit, x_hi.copy(), recorded(
+                f, steps, "converged", x_hi.copy(), {"producer": "flow", "f": f,
+                "direction": direction, "settings": settings, "event": "sphere_exit"})
         if not f.in_box(x):
             raise LeftBoxError(x, "flow left the operating box before crossing")
+        steps.append(((k + 1) * settings.h, x, gn))
     raise NoCrossingError(
         f"no crossing of the {delta}-sphere within t_max = {settings.t_max}")
 
@@ -234,11 +214,9 @@ def sphere_exit(f, x0, direction, center, delta, settings):
 def path_length(traj):
     """Polygonal length over recorded states; a lower bound of the true
     length, converging as h -> 0."""
-    if len(traj.states) < 2:
+    if len(traj) < 2:
         raise ValueError("path_length needs at least 2 states")
-    return float(sum(
-        np.linalg.norm(b.x - a.x) for a, b in zip(traj.states, traj.states[1:])
-    ))
+    return float(sum(row_norms(np.diff(traj.X, axis=0)).tolist()))
 
 
 def check_length_bound(traj, model, f=None):
@@ -248,6 +226,6 @@ def check_length_bound(traj, model, f=None):
     if f is not None:
         gap = f.value(traj.initial_x) - f.value(traj.final_x)
     else:
-        gap = traj.states[0].f_value - traj.states[-1].f_value
+        gap = float(traj.f[0] - traj.f[-1])
     rhs = model.psi(gap)
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-6) + 1e-9

@@ -101,7 +101,7 @@ class ObjectiveFunction:
 
     def in_box(self, x):
         x = np.asarray(x, dtype=float)
-        return not (np.any(x < self._box_lo) or np.any(x > self._box_hi))
+        return not ((x < self._box_lo) | (x > self._box_hi)).any()
 
     def box_diameter(self):
         return float(np.linalg.norm(self.box[:, 1] - self.box[:, 0]))
@@ -201,6 +201,12 @@ def _square(u):
     if u.ndim == 0:
         return u ** 2
     return np.array([math.pow(v, 2.0) for v in u.tolist()])
+
+
+def row_norms(X):
+    """|x| of each row of a C-ordered (B, dim) array, by the dot product
+    np.linalg.norm takes on one point, so each value matches it bit for bit."""
+    return np.sqrt(np.vecdot(X, X))
 
 
 def _himmelblau_value(p):

@@ -15,7 +15,7 @@ rests on the direct check |x0 - target| <= min(delta_hat, epsilon), not
 on that bound.
 """
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +23,11 @@ import numpy as np
 from .descent import DIVERGENCE_FACTOR, classify_limit, run_gd
 from .flow import (NoCrossingError, _check_h, _rk4_step, _sphere_exit_detail, integrate,
                    integrate_minnorm)
-from .landscape import LeftBoxError, cap
+from .landscape import LeftBoxError, cap, row_norms
 from .reverse import reverse_orbit
 from .sampling import unit_directions
 from .schedule import admissible, constant
-from .trajectory import State, Trajectory, emit
+from .trajectory import Trajectory, emit, recorded
 
 REACH_STATUSES = ("success", "no_escape", "no_converge")
 
@@ -101,12 +101,6 @@ def _ball_fits_box(f, center, radius):
 RUN_STEPS = 1024
 
 
-def _row_norms(X):
-    """|x| of each row of a C-ordered (B, dim) array, by the dot product
-    np.linalg.norm takes on one point, so each value matches it bit for bit."""
-    return np.sqrt(np.vecdot(X, X))
-
-
 def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
     """Run all probe starts of one radius as a (B, dim) batch; returns, per
     start, whether it converged without leaving B_contain(target).
@@ -135,7 +129,7 @@ def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
     cut = [False] * n
     rows, X = np.arange(n), starts
     G = f.gradients(X)
-    GN = _row_norms(G)
+    GN = row_norms(G)
     # runs of at most RUN_STEPS steps over one set of live rows, each kept
     # as (rows, t (s,), X (s, m, dim), f (s, m), |grad f| (s, m))
     runs, steps = [], []
@@ -143,7 +137,7 @@ def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
     while True:
         steps.append((t, X, f.values(X), GN))
         out_box = ((X < f._box_lo) | (X > f._box_hi)).any(axis=1)
-        gone = ~(_row_norms(X - target) <= contain)
+        gone = ~(row_norms(X - target) <= contain)
         stop = out_box | gone | (GN < gtol)
         any_stop = stop.any()
         if any_stop or len(steps) == RUN_STEPS:
@@ -171,7 +165,7 @@ def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
             t = (k + 1) * settings.h
         k += 1
         G = f.gradients(X)
-        GN = _row_norms(G)
+        GN = row_norms(G)
     if steps:
         runs.append((rows, *map(np.array, zip(*steps))))
 
@@ -180,13 +174,9 @@ def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
                  for ids, t_run, x_run, f_run, g_run in runs
                  for j in np.flatnonzero(ids == i)]
         ts, xs, fs, gns = map(np.concatenate, zip(*parts))
-        states = map(State, range(ts.size), ts.tolist(), xs, fs.tolist(), gns.tolist())
-        emit(Trajectory(
-            states=tuple(states),
-            terminal_status=status[i],
-            limit=xs[-1].copy() if status[i] == "converged" else None,
-            provenance=dict(prov, stopped_on="left_ball") if cut[i] else dict(prov),
-        ))
+        emit(Trajectory(ts, xs, fs, gns, status[i],
+                        xs[-1].copy() if status[i] == "converged" else None,
+                        dict(prov, stopped_on="left_ball") if cut[i] else dict(prov)))
     return [st == "converged" for st in status]
 
 
@@ -248,17 +238,13 @@ def grad_lower_bound(f, target, delta, level, n_grid=101):
     target = np.asarray(target, dtype=float)
     if not level > f.value(target):
         raise ValueError("level must exceed f(target)")
-    zeta = np.inf
-    found = False
     axes = [np.linspace(t - delta, t + delta, n_grid) for t in target]
-    for pt in itertools.product(*axes):
-        x = np.array(pt)
-        if np.linalg.norm(x - target) <= delta and f.value(x) >= level:
-            found = True
-            zeta = min(zeta, f.grad_norm(x))
-    if not found:
+    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dim)
+    X = X[row_norms(X - target) <= delta]
+    X = X[f.values(X) >= level]
+    if not len(X):
         raise ValueError("empty intersection: level too high for the ball")
-    return GradLowerBound(float(level), float(delta), float(zeta))
+    return GradLowerBound(float(level), float(delta), float(row_norms(f.gradients(X)).min()))
 
 
 def _escape_radius(f, delta_hat, alpha_bar):
@@ -456,13 +442,13 @@ def _run_to_level(f, x0, s, level, gtol, max_iter):
     The crossing is the linear interpolation between the last state above
     the level and the first at or below it, i.e. the point where the
     piecewise-linear interpolation of the iterates crosses the level set.
+    The run stops on leaving the box, so run_gd's divergence stop is moot.
     """
     x = np.array(x0, dtype=float)
     g = f.gradient(x)
-    gn = float(np.linalg.norm(g))
+    gn = math.sqrt(g @ g)
     fx = f.value(x)
-    states = [State(0, 0.0, x.copy(), fx, gn)]
-    div_thresh = DIVERGENCE_FACTOR * (1.0 + f.box_diameter())
+    steps = [(0.0, x, gn, fx)]
     t = 0.0
     status, crossing = "budget_exhausted", None
     for k in range(max_iter):
@@ -478,9 +464,9 @@ def _run_to_level(f, x0, s, level, gtol, max_iter):
         x = x - a * g
         t += a
         g = f.gradient(x)
-        gn = float(np.linalg.norm(g))
+        gn = math.sqrt(g @ g)
         fx = f.value(x)
-        states.append(State(k + 1, t, x.copy(), fx, gn))
+        steps.append((t, x, gn, fx))
         if fx <= level:
             theta = (f_prev - level) / (f_prev - fx) if f_prev > fx else 1.0
             status = "converged"
@@ -489,16 +475,9 @@ def _run_to_level(f, x0, s, level, gtol, max_iter):
         if not f.in_box(x):
             status = "left_box"
             break
-        if np.linalg.norm(x) > div_thresh:
-            status = "diverged"
-            break
-    traj = emit(Trajectory(
-        states=tuple(states),
-        terminal_status=status,
-        limit=crossing,
-        provenance={"producer": "gd", "f": f, "schedule": s, "gtol": gtol,
-                    "unsafe": False, "stopped_on": "level_crossing"},
-    ))
+    traj = recorded(f, steps, status, crossing,
+                    {"producer": "gd", "f": f, "schedule": s, "gtol": gtol,
+                     "unsafe": False, "stopped_on": "level_crossing"})
     return traj, crossing
 
 

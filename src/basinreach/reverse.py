@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import LeftBoxError
+from .landscape import LeftBoxError, row_norms
 
 FIXED_POINT_RTOL = 1e-13
 FORWARD_RESIDUAL_RTOL = 1e-10
@@ -49,7 +49,7 @@ def _picard(f, base, lam, sign, tol_scale):
     y = np.array(base, dtype=float)
     for it in range(1, _MAX_INNER_ITER + 1):
         y_next = base + step * grad(y)
-        if np.any(y_next < lo) or np.any(y_next > hi):
+        if ((y_next < lo) | (y_next > hi)).any():
             raise LeftBoxError(y_next, "fixed-point iterate left the operating box")
         d = y_next - y
         y = y_next
@@ -154,16 +154,14 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     points.reverse()
     n_steps = len(points) - 1
     start_index = 0 if stop is not None else kbar - n_steps
-    residuals = []
-    for i in range(n_steps):
-        k = start_index + i
-        pred = points[i] - s.alpha(k) * f.gradient(points[i])
-        residuals.append(float(np.linalg.norm(points[i + 1] - pred)))
+    P = np.array(points)
+    a = np.array([s.alpha(start_index + i) for i in range(n_steps)])
+    residuals = row_norms(P[1:] - (P[:-1] - a[:, None] * f.gradients(P[:-1])))
     return ReverseOrbit(
         points=tuple(points),
         steps_used=tuple(range(start_index + n_steps - 1, start_index - 1, -1)),
         anchor=anchor.copy(),
-        forward_residuals=tuple(residuals),
+        forward_residuals=tuple(residuals.tolist()),
         status=status,
         start_index=start_index,
     )

@@ -15,12 +15,12 @@ def _fmt(v):
 
 
 def trajectory_rows(traj):
-    dim = traj.states[0].x.size
+    dim = traj.X.shape[1]
     header = ["k", "t"] + [f"x_{i + 1}" for i in range(dim)] + ["f", "gnorm"]
     rows = [header]
-    for st in traj.states:
-        rows.append([str(st.k), _fmt(st.t)] + [_fmt(c) for c in st.x]
-                    + [_fmt(st.f_value), _fmt(st.grad_norm)])
+    columns = (traj.t.tolist(), traj.X.tolist(), traj.f.tolist(), traj.gnorm.tolist())
+    for k, (t, x, fv, gn) in enumerate(zip(*columns)):
+        rows.append([str(k), repr(t)] + [repr(c) for c in x] + [repr(fv), repr(gn)])
     return rows
 
 
@@ -81,7 +81,7 @@ def trajectory_summary(traj, events=()):
     last = traj.final_state
     out = {
         "status": traj.terminal_status,
-        "states": len(traj.states),
+        "states": len(traj),
         "final_x": _jsonable(last.x),
         "final_f": last.f_value,
         "final_gnorm": last.grad_norm,

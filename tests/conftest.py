@@ -57,6 +57,24 @@ def make_linear_1d(box_half=3.0):
     )
 
 
+def same_states(a, b):
+    return len(a) == len(b) and all(
+        p.k == q.k and p.t == q.t and p.x.tobytes() == q.x.tobytes()
+        and p.f_value == q.f_value and p.grad_norm == q.grad_norm
+        for p, q in zip(a, b))
+
+
+def two_wells():
+    """f(x, y) = (x^2 - 1)^2 + y^2 with row-by-row callables: starts with
+    x < 0 descend to (-1, 0)."""
+    return br.ObjectiveFunction(
+        dim=2, f=lambda p: float((p[0] * p[0] - 1.0) ** 2 + p[1] * p[1]),
+        grad=lambda p: np.array([4.0 * p[0] * (p[0] * p[0] - 1.0), 2.0 * p[1]]),
+        lipschitz_L=71.0, box=np.array([[-2.5, 2.5], [-2.5, 2.5]]),
+        critical_points=(br.CriticalPoint(np.array([1.0, 0.0]), "local_min", 0.0),),
+        name="two_wells")
+
+
 def counting(f):
     """(copy of f whose f and grad count the points they evaluate, counts):
     a call on a (B, dim) batch counts B points."""

@@ -3,7 +3,10 @@ import os
 
 import pytest
 
+import basinreach.cli as cli
 from basinreach.cli import main
+from basinreach.flow import NoCrossingError
+from basinreach.landscape import LeftBoxError
 
 
 def read(path):
@@ -184,3 +187,27 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1
+
+
+def test_unreadable_config_point_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": "quad:1", "x0": {"a": 1}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: x0: not a point") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [
+    LeftBoxError([7.0], "flow left the operating box before crossing"),
+    NoCrossingError("no crossing of the 0.4-sphere within t_max = 1"),
+    ArithmeticError("sphere-crossing refinement did not converge"),
+], ids=["left-box", "no-crossing", "arithmetic"])
+def test_procedure_breakdown_exits_1(tmp_path, capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "reach_discrete", broken)
+    argv = ["reach", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
+            "--schedule", "constant:0.021", "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {exc}\n"

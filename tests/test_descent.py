@@ -147,9 +147,8 @@ def test_descent_certificates(dw, himmelblau):
 def test_certificate_detects_forged_state(quad1):
     s = br.constant(0.5)
     traj = br.run_gd(quad1, [1.0], s, gtol=1e-8)
-    forged = br.Trajectory(
-        states=traj.states[:-1] + (br.State(
-            traj.states[-1].k, traj.states[-1].t, traj.states[-1].x + 0.1,
-            traj.states[-1].f_value, traj.states[-1].grad_norm),),
-        terminal_status="converged", limit=traj.limit)
+    X = traj.X.copy()
+    X[-1] += 0.1
+    forged = br.Trajectory(traj.t, X, traj.f, traj.gnorm,
+                           terminal_status="converged", limit=traj.limit)
     assert br.descent_certificate_violations(quad1, forged, s) != []

@@ -8,7 +8,7 @@ import basinreach as br
 import basinreach.reverse as reverse_mod
 from basinreach.trajectory import record_trajectories
 
-from conftest import counting, make_saddle_quad
+from conftest import counting, make_saddle_quad, same_states, two_wells
 
 
 FLOW = br.FlowSettings(h=1e-2, t_max=50.0, gtol=1e-6)
@@ -90,13 +90,6 @@ def probe_runs(f, *args, **kwargs):
     return est, runs
 
 
-def same_states(a, b):
-    return len(a) == len(b) and all(
-        p.k == q.k and p.t == q.t and p.x.tobytes() == q.x.tobytes()
-        and p.f_value == q.f_value and p.grad_norm == q.grad_norm
-        for p, q in zip(a, b))
-
-
 def same_estimate(a, b):
     return (a.delta_hat == b.delta_hat and a.samples == b.samples
             and len(a.failures) == len(b.failures)
@@ -136,17 +129,6 @@ def test_probe_continuous_runs_match_integrate(f, target, eps, h):
         ref = br.integrate(f, r.initial_x, "forward", st)
         assert same_states(r.states, ref.states)
         assert r.limit.tobytes() == ref.limit.tobytes()
-
-
-def two_wells():
-    """f(x, y) = (x^2 - 1)^2 + y^2 with row-by-row callables: starts with
-    x < 0 descend to (-1, 0)."""
-    return br.ObjectiveFunction(
-        dim=2, f=lambda p: float((p[0] * p[0] - 1.0) ** 2 + p[1] * p[1]),
-        grad=lambda p: np.array([4.0 * p[0] * (p[0] * p[0] - 1.0), 2.0 * p[1]]),
-        lipschitz_L=71.0, box=np.array([[-2.5, 2.5], [-2.5, 2.5]]),
-        critical_points=(br.CriticalPoint(np.array([1.0, 0.0]), "local_min", 0.0),),
-        name="two_wells")
 
 
 def test_probe_left_ball_stops_at_first_outside_state():

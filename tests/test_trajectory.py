@@ -1,0 +1,185 @@
+"""Columnar trajectories: the stepping loops against plain per-step
+reference loops that build one State per step, bit for bit."""
+
+import numpy as np
+import pytest
+
+import basinreach as br
+from basinreach.flow import _rk4_step, _sphere_exit_detail
+from basinreach.reach import _run_to_level
+from basinreach.trajectory import State
+
+from conftest import counting, make_saddle_quad, same_states, two_wells
+
+HB = br.make_builtin("himmelblau")
+DW = br.make_builtin("double_well")
+Q1 = br.make_builtin("quad", (1.0,))
+
+
+def ref_gd(f, x0, s, gtol, max_iter, level=None, unsafe=False):
+    """run_gd (and, with a level, _run_to_level up to its crossing), one
+    State per step."""
+    x = np.array(x0, dtype=float)
+    g = f.gradient(x)
+    states = [State(0, 0.0, x.copy(), f.value(x), float(np.linalg.norm(g)))]
+    t = 0.0
+    for k in range(max_iter):
+        if states[-1].grad_norm < gtol or (level is not None and states[-1].f_value <= level):
+            break
+        a = s.alpha(k)
+        x = x - a * g
+        t += a
+        g = f.gradient(x)
+        states.append(State(k + 1, t, x.copy(), f.value(x), float(np.linalg.norm(g))))
+        if level is not None and states[-1].f_value <= level:
+            break
+        if (not unsafe and not f.in_box(x)) or np.linalg.norm(x) > 1e3 * (1 + f.box_diameter()):
+            break
+    return states
+
+
+def ref_flow(f, x0, sign, h, n_steps, gtol=0.0, stop=None):
+    """Fixed-step RK4 on sign * grad f, one State per step, until gtol, a
+    box exit or ``stop(x)``."""
+    x = np.array(x0, dtype=float)
+    field = lambda y: sign * f.gradient(y)
+    states = [State(0, 0.0, x.copy(), f.value(x), f.grad_norm(x))]
+    for k in range(n_steps):
+        if states[-1].grad_norm < gtol:
+            break
+        x = _rk4_step(field, x, h)
+        states.append(State(k + 1, (k + 1) * h, x.copy(), f.value(x), f.grad_norm(x)))
+        if not f.in_box(x) or (stop is not None and stop(x)):
+            break
+    return states
+
+
+@pytest.mark.parametrize("f,x0,s,kw,status", [
+    (HB, [2.5, 1.5], br.power(0.5 / HB.lipschitz_L, 0.5), {"gtol": 1e-8}, "converged"),
+    (DW, [0.3], br.constant(0.05), {"max_iter": 50}, "budget_exhausted"),
+    (two_wells(), [-2.0, 1.0], br.constant(0.02), {}, "converged"),
+    (make_saddle_quad(), [0.5, 1e-3], br.constant(0.4), {}, "left_box"),
+    (Q1, [1.0], br.constant(2.1), {"unsafe": True}, "diverged"),
+], ids=["himmelblau-power", "budget", "rowwise", "left-box", "unsafe"])
+def test_run_gd_matches_reference(f, x0, s, kw, status):
+    traj = br.run_gd(f, x0, s, **kw)
+    assert traj.terminal_status == status
+    ref = ref_gd(f, x0, s, kw.get("gtol", 1e-10), kw.get("max_iter", 10**6),
+                 unsafe=kw.get("unsafe", False))
+    assert same_states(traj.states, ref)
+    if status == "converged":
+        assert traj.limit.tobytes() == ref[-1].x.tobytes()
+
+
+@pytest.mark.parametrize("f,x0,level", [
+    (HB, [2.5, 1.5], 1.0),
+    (make_saddle_quad(), [1.0, 1e-3], 0.0),
+], ids=["himmelblau", "rowwise-saddle"])
+def test_run_to_level_matches_reference(f, x0, level):
+    s = br.constant(0.5 / f.lipschitz_L)
+    traj, crossing = _run_to_level(f, x0, s, level, 1e-10, 10**5)
+    assert crossing is not None and traj.limit is crossing
+    ref = ref_gd(f, x0, s, 1e-10, 10**5, level=level)
+    assert same_states(traj.states, ref)
+
+
+@pytest.mark.parametrize("f,x0,direction,h", [
+    (DW, [0.5], "forward", 1e-3),
+    (HB, [3.2, 2.1], "reverse", 3e-4),
+    (two_wells(), [-1.5, 0.5], "forward", 1e-3),
+], ids=["forward", "reverse-left-box", "rowwise"])
+def test_integrate_matches_reference(f, x0, direction, h):
+    st = br.FlowSettings(h=h, t_max=3.0, gtol=1e-6)
+    traj = br.integrate(f, x0, direction, st)
+    sign = -1.0 if direction == "forward" else 1.0
+    gtol = st.gtol if direction == "forward" else 0.0
+    ref = ref_flow(f, x0, sign, h, int(round(st.t_max / h)), gtol)
+    assert same_states(traj.states, ref)
+
+
+@pytest.mark.parametrize("f,target,direction,delta,h", [
+    (HB, [3.0, 2.0], "reverse", 0.3, 3e-4),
+    (make_saddle_quad(), [0.0, 0.0], "forward", 0.5, 1e-2),
+], ids=["himmelblau-reverse", "rowwise-forward"])
+def test_sphere_exit_matches_reference(f, target, direction, delta, h):
+    st = br.FlowSettings(h=h, t_max=20.0, gtol=1e-8)
+    target = np.asarray(target)
+    x0 = target + np.array([1e-3, 2e-3])
+    t_exit, b, traj = _sphere_exit_detail(f, x0, direction, target, delta, st)
+    sign = -1.0 if direction == "forward" else 1.0
+    ref = ref_flow(f, x0, sign, h, 10**6,
+                   stop=lambda x: np.linalg.norm(x - target) >= delta)
+    # the last reference state overshoots the sphere; the run ends on it
+    assert same_states(traj.states[:-1], ref[:-1])
+    last = traj.states[-1]
+    assert last.k == len(ref) - 1 and last.t == t_exit and last.x.tobytes() == b.tobytes()
+    assert last.f_value == f.value(b) and last.grad_norm == f.grad_norm(b)
+
+
+def test_minnorm_matches_reference():
+    saddle = HB.critical_points[8]
+    g = br.cap(HB, saddle.f_value)
+    st = br.FlowSettings(h=3e-4, t_max=2.0, gtol=1e-6)
+    x0 = saddle.point + np.array([0.05, 0.03])
+    traj = br.integrate_minnorm(g, x0, st)
+    x = np.array(x0)
+    speed = lambda y: br.min_norm_element(br.clarke_generators(g, y))
+    v = speed(x)
+    ref = [State(0, 0.0, x.copy(), g.value(x), float(np.linalg.norm(v)))]
+    for k in range(int(round(st.t_max / st.h))):
+        if ref[-1].grad_norm < st.gtol:
+            break
+        x = x - st.h * v
+        v = speed(x)
+        ref.append(State(k + 1, (k + 1) * st.h, x.copy(), g.value(x), float(np.linalg.norm(v))))
+    assert traj.terminal_status == "converged"
+    assert same_states(traj.states, ref)
+
+
+def test_orbit_residuals_and_path_length_match_per_point():
+    s = br.constant(0.5 / HB.lipschitz_L)
+    orbit = br.reverse_orbit(HB, [3.001, 2.002], s, 40)
+    pts = orbit.points
+    res = [float(np.linalg.norm(b - (a - s.alpha(0) * HB.gradient(a))))
+           for a, b in zip(pts, pts[1:])]
+    assert orbit.forward_residuals == tuple(res)
+    traj = br.run_gd(HB, pts[0], s)
+    per_state = float(sum(np.linalg.norm(b.x - a.x)
+                          for a, b in zip(traj.states, traj.states[1:])))
+    assert br.path_length(traj) == per_state
+
+
+def test_columns_are_read_only_and_states_lazy():
+    traj = br.run_gd(DW, [0.3], br.constant(0.05), max_iter=20)
+    for column in (traj.t, traj.X, traj.f, traj.gnorm):
+        assert not column.flags.writeable
+    with pytest.raises(ValueError):
+        traj.X[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        traj.final_x[0] = 1.0
+    states = traj.states
+    assert len(states) == len(traj) == 21 and traj.X.shape == (21, 1)
+    assert isinstance(states[1:3], tuple) and [st.k for st in states[1:3]] == [1, 2]
+    assert states[-1].k == 20 and traj.final_state.x.tobytes() == traj.X[-1].tobytes()
+    assert [st.k for st in states] == list(range(21))
+    with pytest.raises(IndexError):
+        states[21]
+
+
+def test_run_gd_evaluates_each_state_once():
+    f, counts = counting(HB)
+    traj = br.run_gd(f, [2.5, 1.5], br.power(0.5 / HB.lipschitz_L, 0.5), gtol=1e-8)
+    assert counts == {"value": len(traj), "grad": len(traj)}
+
+
+def test_divergence_stop_is_measured_from_the_box_centre():
+    # a box far from the origin: |x| exceeds 1e3 * (1 + diameter) everywhere
+    f = br.ObjectiveFunction(
+        dim=1, f=lambda x: 0.5 * float((x[0] - 5000.5) ** 2),
+        grad=lambda x: np.array([x[0] - 5000.5]), lipschitz_L=1.0,
+        box=np.array([[5000.0, 5001.0]]), name="far_quad")
+    traj = br.run_gd(f, [5000.9], br.constant(0.5))
+    assert traj.terminal_status == "converged" and len(traj) > 2
+    assert abs(traj.limit[0] - 5000.5) < 1e-9
+    level_traj, crossing = _run_to_level(f, [5000.9], br.constant(0.5), 1e-6, 1e-10, 10**4)
+    assert level_traj.terminal_status == "converged" and crossing is not None
