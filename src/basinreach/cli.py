@@ -77,6 +77,12 @@ def resolve_config(args):
         for key, val in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"config: unknown field {key!r}")
+            default = CONFIG_DEFAULTS[key]
+            if isinstance(default, str) and not isinstance(val, str):
+                raise ConfigError(f"config: {key} must be a string, got {json.dumps(val)}")
+            if isinstance(default, (int, float)) and (
+                    isinstance(val, bool) or not isinstance(val, (int, float))):
+                raise ConfigError(f"config: {key} must be a number, got {json.dumps(val)}")
             cfg[key] = val
     for key in cfg:
         val = getattr(args, key, None)

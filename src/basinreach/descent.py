@@ -1,6 +1,5 @@
 """Forward explicit gradient descent with certified trajectories."""
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -8,7 +7,7 @@ import numpy as np
 from .landscape import LeftBoxError, row_norms
 from .sampling import unit_directions
 from .schedule import admissible
-from .trajectory import recorded
+from .trajectory import march, recorded
 
 DIVERGENCE_FACTOR = 1e3
 
@@ -32,6 +31,15 @@ def gd_step(f, x, a):
     return out
 
 
+def _gd_rule(s):
+    """The step of gradient descent under schedule s, for ``march``:
+    time advances by the step size."""
+    def step(k, t, x, g):
+        a = s.alpha(k)
+        return t + a, x - a * g
+    return step
+
+
 def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, unsafe=False):
     """Iterate x_{k+1} = x_k - alpha_k grad(x_k), recording every state.
 
@@ -52,28 +60,14 @@ def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, unsafe=False):
         )
     div_thresh = DIVERGENCE_FACTOR * (1.0 + f.box_diameter())
     center = f.box.mean(axis=1)
-    g = f.gradient(x)
-    gn = math.sqrt(g @ g)
-    steps = [(0.0, x, gn)]
-    status, limit, t = "budget_exhausted", None, 0.0
-    for k in range(max_iter):
-        if gn < gtol:
-            break
-        a = s.alpha(k)
-        x = x - a * g
-        t += a
-        g = f.gradient(x)
-        gn = math.sqrt(g @ g)
-        steps.append((t, x, gn))
-        if not unsafe and not f.in_box(x):
-            status = "left_box"
-            break
-        if unsafe and np.linalg.norm(x - center) > div_thresh:
-            status = "diverged"
-            break
-    if status == "budget_exhausted" and gn < gtol:
-        status, limit = "converged", x.copy()
-    return recorded(f, steps, status, limit,
+
+    def diverged(prev, t, x, fx):
+        if np.linalg.norm(x - center) > div_thresh:
+            return "diverged", None, t, x
+        return None
+
+    return recorded(f, *march(f, x, f.gradient, _gd_rule(s), max_iter, gtol, box=not unsafe,
+                              event=diverged if unsafe else None),
                     {"producer": "gd", "f": f, "schedule": s, "gtol": gtol, "unsafe": unsafe})
 
 

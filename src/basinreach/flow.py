@@ -3,15 +3,19 @@ RK4, the minimum-norm Clarke flow for max-functions by explicit Euler
 (the field is discontinuous at activity boundaries, where RK4's
 smoothness assumptions fail), sphere-crossing event detection, and
 path-length analytics.
+
+Each run is a :func:`~basinreach.trajectory.march` with an RK4 or Euler
+step rule; a sphere exit is its stop event, which tests the radius
+before the field is evaluated at the new point and bisects the last
+step onto the sphere.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .landscape import LeftBoxError, min_norm_element, row_norms
-from .trajectory import recorded
+from .trajectory import march, recorded
 
 DIRECTIONS = ("forward", "reverse")
 H_GUARD = 0.1  # h <= 0.1 / L accuracy/stability guard
@@ -84,35 +88,27 @@ def _start(f, x0, settings):
     return x, int(round(settings.t_max / settings.h))
 
 
+def _rk4_flow(grad, direction, settings):
+    """(field, step, gtol) of RK4 on dx/dt = -grad (forward) or +grad
+    (reverse) for :func:`march`; the step takes the field at x as its k1,
+    and only a forward flow stops on |grad| < gtol.  With grad =
+    f.gradients the field and step run on a (B, dim) batch."""
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}")
+    sign = -1.0 if direction == "forward" else 1.0
+    h = settings.h
+    field = lambda y: sign * grad(y)
+    step = lambda k, t, x, v: ((k + 1) * h, _rk4_step(field, x, h, v))
+    return field, step, settings.gtol if direction == "forward" else 0.0
+
+
 def integrate(f, x0, direction, settings):
     """Classical RK4 with fixed step h on dx/dt = -grad f (forward) or
     +grad f (reverse).  Stops at t_max, at |grad| < gtol (forward only),
     or at box exit (expected for reverse flows)."""
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
+    field, step, gtol = _rk4_flow(f.gradient, direction, settings)
     x, n_steps = _start(f, x0, settings)
-    sign = -1.0 if direction == "forward" else 1.0
-    field = lambda y: sign * f.gradient(y)
-    gtol = settings.gtol if direction == "forward" else 0.0
-
-    # the gradient behind |grad f(x)| is the next step's k1
-    g = f.gradient(x)
-    gn = math.sqrt(g @ g)
-    steps = [(0.0, x, gn)]
-    status, limit = "budget_exhausted", None
-    for k in range(n_steps):
-        if gn < gtol:
-            break
-        x = _rk4_step(field, x, settings.h, sign * g)
-        g = f.gradient(x)
-        gn = math.sqrt(g @ g)
-        steps.append(((k + 1) * settings.h, x, gn))
-        if not f.in_box(x):
-            status = "left_box"
-            break
-    if status == "budget_exhausted" and gn < gtol:
-        status, limit = "converged", x.copy()
-    return recorded(f, steps, status, limit,
+    return recorded(f, *march(f, x, field, step, n_steps, gtol),
                     {"producer": "flow", "f": f, "direction": direction, "settings": settings})
 
 
@@ -124,81 +120,57 @@ def integrate_minnorm(g, x0, settings):
     trajectory stalls there.  grad_norm records the element's norm.
     """
     x, n_steps = _start(g, x0, settings)
+    h = settings.h
 
     def speed(y):
         # evaluable anywhere; the box only bounds the certified region
         return min_norm_element([g.pieces[i].gradient(y) for i in g.active_indices(y)])
 
-    v = speed(x)
-    vn = math.sqrt(v @ v)
-    steps = [(0.0, x, vn, g.value(x))]
-    status, limit = "budget_exhausted", None
-    for k in range(n_steps):
-        if vn < settings.gtol:
-            break
-        x = x - settings.h * v
-        v = speed(x)
-        vn = math.sqrt(v @ v)
-        steps.append(((k + 1) * settings.h, x, vn, g.value(x)))
-        if not g.in_box(x):
-            status = "left_box"
-            break
-    if status == "budget_exhausted" and vn < settings.gtol:
-        status, limit = "converged", x.copy()
-    return recorded(g, steps, status, limit,
+    euler = lambda k, t, x, v: ((k + 1) * h, x - h * v)
+    return recorded(g, *march(g, x, speed, euler, n_steps, settings.gtol, value=g.value),
                     {"producer": "minnorm", "g": g, "settings": settings})
 
 
 def _sphere_exit_detail(f, x0, direction, center, delta, settings):
     """(t_exit, b, trajectory-so-far): first crossing of the delta-sphere."""
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
+    field, step, gtol = _rk4_flow(f.gradient, direction, settings)
     center = np.asarray(center, dtype=float)
     if not np.linalg.norm(np.asarray(x0, dtype=float) - center) < delta:
         raise ValueError("sphere_exit requires |x0 - center| < delta")
     x, n_steps = _start(f, x0, settings)
-    sign = -1.0 if direction == "forward" else 1.0
-    field = lambda y: sign * f.gradient(y)
     radius = lambda y: float(row_norms(y - center))
-    g = f.gradient(x)
-    gn = math.sqrt(g @ g)
-    steps = [(0.0, x, gn)]
-    for k in range(n_steps):
-        if direction == "forward" and gn < settings.gtol:
-            raise NoCrossingError(
-                "forward flow reached a stationary point inside the sphere")
-        x_prev, k1_prev = x, sign * g
-        x = _rk4_step(field, x, settings.h, k1_prev)
-        g = f.gradient(x)
-        gn = math.sqrt(g @ g)
-        if radius(x) >= delta:
-            # bisect the substep length until the crossing point sits on the
-            # sphere to 1e-8 * delta and the time bracket is within the
-            # refinement tolerance
-            lo, hi = 0.0, settings.h
-            x_hi = x
-            for _ in range(200):
-                r_err = abs(radius(x_hi) - delta)
-                if r_err <= 1e-8 * delta and hi - lo <= settings.event_refine_tol:
-                    break
-                mid = 0.5 * (lo + hi)
-                x_mid = _rk4_step(field, x_prev, mid, k1_prev)
-                if radius(x_mid) >= delta:
-                    hi, x_hi = mid, x_mid
-                else:
-                    lo = mid
+
+    def crossed(prev, t, x, fx):
+        if not radius(x) >= delta:
+            return None
+        # bisect the substep length until the crossing point sits on the
+        # sphere to 1e-8 * delta and the time bracket is within the
+        # refinement tolerance
+        t_prev, x_prev, k1_prev, _ = prev
+        lo, hi, x_hi = 0.0, settings.h, x
+        for _ in range(200):
+            r_err = abs(radius(x_hi) - delta)
+            if r_err <= 1e-8 * delta and hi - lo <= settings.event_refine_tol:
+                return "converged", x_hi.copy(), t_prev + hi, x_hi
+            mid = 0.5 * (lo + hi)
+            x_mid = _rk4_step(field, x_prev, mid, k1_prev)
+            if radius(x_mid) >= delta:
+                hi, x_hi = mid, x_mid
             else:
-                raise ArithmeticError("sphere-crossing refinement did not converge")
-            t_exit = k * settings.h + hi
-            steps.append((t_exit, x_hi, f.grad_norm(x_hi)))
-            return t_exit, x_hi.copy(), recorded(
-                f, steps, "converged", x_hi.copy(), {"producer": "flow", "f": f,
-                "direction": direction, "settings": settings, "event": "sphere_exit"})
-        if not f.in_box(x):
-            raise LeftBoxError(x, "flow left the operating box before crossing")
-        steps.append(((k + 1) * settings.h, x, gn))
-    raise NoCrossingError(
-        f"no crossing of the {delta}-sphere within t_max = {settings.t_max}")
+                lo = mid
+        raise ArithmeticError("sphere-crossing refinement did not converge")
+
+    steps, status, b = march(f, x, field, step, n_steps, gtol, event=crossed)
+    if status == "left_box":
+        raise LeftBoxError(steps[-1][1], "flow left the operating box before crossing")
+    if status == "budget_exhausted":
+        raise NoCrossingError(
+            f"no crossing of the {delta}-sphere within t_max = {settings.t_max}")
+    if radius(b) < delta:  # converged on |grad| < gtol, not on the sphere
+        raise NoCrossingError("forward flow reached a stationary point inside the sphere")
+    return steps[-1][0], b.copy(), recorded(
+        f, steps, status, b, {"producer": "flow", "f": f, "direction": direction,
+                              "settings": settings, "event": "sphere_exit"})
 
 
 def sphere_exit(f, x0, direction, center, delta, settings):

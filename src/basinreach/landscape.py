@@ -191,16 +191,9 @@ BUILTIN_NAMES = ("quad", "double_well", "himmelblau")
 
 # The builtins' f and grad take a point (dim,) or a batch (B, dim): ``p.T``
 # unpacks coordinates as scalars or as columns, and the same arithmetic
-# runs either way.
-
-
-def _square(u):
-    """u ** 2 by the C library's pow, which is what np.float64 ** 2 calls;
-    an array's ** 2 multiplies instead and can differ in the last bit, so
-    a batch squares element by element to match its row-wise calls."""
-    if u.ndim == 0:
-        return u ** 2
-    return np.array([math.pow(v, 2.0) for v in u.tolist()])
+# runs either way.  Squares are written u * u: np.float64 ** 2 calls the C
+# library's pow, which an array's ** 2 does not, and the two can differ in
+# the last bit.
 
 
 def row_norms(X):
@@ -211,7 +204,9 @@ def row_norms(X):
 
 def _himmelblau_value(p):
     x, y = p.T
-    return _square(x * x + y - 11.0) + _square(x + y * y - 7.0)
+    u = x * x + y - 11.0
+    v = x + y * y - 7.0
+    return u * u + v * v
 
 
 def _himmelblau_grad(p):
@@ -223,7 +218,8 @@ def _himmelblau_grad(p):
 
 def _double_well_value(p):
     (x,) = p.T
-    return _square(x * x - 1.0)
+    u = x * x - 1.0
+    return u * u
 
 
 def _double_well_grad(p):

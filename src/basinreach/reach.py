@@ -15,24 +15,27 @@ rests on the direct check |x0 - target| <= min(delta_hat, epsilon), not
 on that bound.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import DIVERGENCE_FACTOR, classify_limit, run_gd
-from .flow import (NoCrossingError, _check_h, _rk4_step, _sphere_exit_detail, integrate,
+from .descent import DIVERGENCE_FACTOR, _gd_rule, classify_limit, run_gd
+from .flow import (NoCrossingError, _check_h, _rk4_flow, _sphere_exit_detail, integrate,
                    integrate_minnorm)
 from .landscape import LeftBoxError, cap, row_norms
 from .reverse import reverse_orbit
 from .sampling import unit_directions
 from .schedule import admissible, constant
-from .trajectory import Trajectory, emit, recorded
+from .trajectory import Trajectory, emit, march, recorded
 
 REACH_STATUSES = ("success", "no_escape", "no_converge")
 
 # strictness floor for the ascent seed: f(a) > f(target) + floor
 SEED_FLOOR_RTOL = 1e-12
+# quasi-random ascent-seed directions scanned after (or before) the axes
+SCAN_RANDOM = 64
+# halvings of the step scale reach_discrete tries before giving up
+ALPHA_SHRINKS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,24 +72,17 @@ class ReachReport:
 class ReachBudgets:
     """Iteration and sampling budgets for the reach pipelines.
 
-    gtol defaults to min(1e-8, 1e-3 * tol); probe_epsilon (the
-    critical-value isolation ball of the stability probe) defaults to the
-    caller's epsilon; delta_override skips the probe and reuses a
-    previously estimated radius, which is legitimate because the
-    stability radius is uniform over admissible schedules.
+    gtol defaults to min(1e-8, 1e-3 * tol); probe_samples is the number
+    of quasi-random starts per probed radius; delta_override skips the
+    probe and reuses a previously estimated radius, which is legitimate
+    because the stability radius is uniform over admissible schedules.
     """
 
     max_iter: int = 200_000
     gtol: float = None
     kbar_max: int = 1 << 16
-    probe_epsilon: float = None
     probe_samples: int = 8
-    probe_max_iter: int = 20_000
-    probe_gtol: float = 1e-8
-    probe_bisect: int = 6
     delta_override: float = None
-    alpha_shrinks: int = 3
-    scan_random: int = 64
     seed: int = 0
 
 
@@ -106,29 +102,29 @@ def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
     start, whether it converged without leaving B_contain(target).
 
     Each row takes the steps run_gd (discrete) or forward integrate
-    (continuous) takes from its start, bit for bit: a GD step, or an RK4
-    step whose k1 is the gradient already taken for |grad f|.  A row
-    leaves the batch when it converges or leaves the box, like those
-    loops, or when it leaves the ball: that decides its failure, so its
-    trajectory ends at its first outside state with provenance
-    stopped_on = "left_ball".  A row inside the ball is bounded, so
-    run_gd's divergence stop has no counterpart.  Steps are stored as
-    arrays, and one Trajectory per start is emitted at the end.
+    (continuous) takes from its start, bit for bit, by the same step rule
+    applied to the batch: a GD step, or an RK4 step whose k1 is the field
+    already taken for |grad f|.  A row leaves the batch when it converges
+    or leaves the box, like those runs, or when it leaves the ball: that
+    decides its failure, so its trajectory ends at its first outside
+    state with provenance stopped_on = "left_ball".  A row inside the
+    ball is bounded, so run_gd's divergence stop has no counterpart.
+    Steps are stored as arrays, and one Trajectory per start is emitted
+    at the end.
     """
     n = len(starts)
     if mode == "discrete":
-        n_steps = max_iter
+        n_steps, field, step = max_iter, f.gradients, _gd_rule(s)
         prov = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol, "unsafe": False}
     else:
         n_steps = int(round(settings.t_max / settings.h))
-        gtol = settings.gtol
         prov = {"producer": "flow", "f": f, "direction": "forward", "settings": settings}
-        field = lambda Y: -1.0 * f.gradients(Y)
+        field, step, gtol = _rk4_flow(f.gradients, "forward", settings)
 
     status = ["budget_exhausted"] * n
     cut = [False] * n
     rows, X = np.arange(n), starts
-    G = f.gradients(X)
+    G = field(X)
     GN = row_norms(G)
     # runs of at most RUN_STEPS steps over one set of live rows, each kept
     # as (rows, t (s,), X (s, m, dim), f (s, m), |grad f| (s, m))
@@ -156,15 +152,9 @@ def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
             rows, X, G, GN = rows[live], X[live], G[live], GN[live]
         if rows.size == 0 or k == n_steps:
             break
-        if mode == "discrete":
-            a = s.alpha(k)
-            X = X - a * G
-            t += a
-        else:
-            X = _rk4_step(field, X, settings.h, -1.0 * G)
-            t = (k + 1) * settings.h
+        t, X = step(k, t, X, G)
         k += 1
-        G = f.gradients(X)
+        G = field(X)
         GN = row_norms(G)
     if steps:
         runs.append((rows, *map(np.array, zip(*steps))))
@@ -256,12 +246,12 @@ def _escape_radius(f, delta_hat, alpha_bar):
     return delta_hat / (1.0 + 2.0 * alpha_bar * L / (1.0 - alpha_bar * L))
 
 
-def _ascent_candidates(f, target, seed_radius, level, n_random, seed, axis_first=True):
+def _ascent_candidates(f, target, seed_radius, level, seed, axis_first=True):
     """Seeds a = target + seed_radius * d with f(a) strictly above the
     target value (floor 1e-12 * (1 + |level|)); axis directions first for
     minimum targets, quasi-random first for saddle targets."""
     floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
-    for d in unit_directions(f.dim, n_random, seed, axis_first=axis_first):
+    for d in unit_directions(f.dim, SCAN_RANDOM, seed, axis_first=axis_first):
         a = target + seed_radius * d
         if f.in_box(a) and f.value(a) > level + floor:
             yield a
@@ -332,14 +322,9 @@ def _failed(target, seed_radius, delta_used, status):
 def _probe_delta(f, target, epsilon, s, mode, settings, budgets):
     if budgets.delta_override is not None:
         return float(budgets.delta_override)
-    probe_eps = budgets.probe_epsilon if budgets.probe_epsilon is not None else epsilon
     est = stability_probe(
-        f, target, probe_eps,
-        constant(s.sup_alpha) if s is not None else None,
-        n_samples=budgets.probe_samples, mode=mode, settings=settings,
-        seed=budgets.seed, max_iter=budgets.probe_max_iter,
-        gtol=budgets.probe_gtol, n_bisect=budgets.probe_bisect,
-    )
+        f, target, epsilon, constant(s.sup_alpha) if s is not None else None,
+        n_samples=budgets.probe_samples, mode=mode, settings=settings, seed=budgets.seed)
     return est.delta_hat
 
 
@@ -374,11 +359,10 @@ def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):
     gtol = b.gtol if b.gtol is not None else min(1e-8, 1e-3 * tol)
     cap = min(delta_hat, epsilon)
     s_cur = s
-    for _ in range(b.alpha_shrinks + 1):
+    for _ in range(ALPHA_SHRINKS + 1):
         rho = _escape_radius(f, delta_hat, s_cur.sup_alpha)
         if rho > seed_radius:
-            for a in _ascent_candidates(f, target, seed_radius, level,
-                                        b.scan_random, b.seed):
+            for a in _ascent_candidates(f, target, seed_radius, level, b.seed):
                 orbit = _first_crossing_orbit(f, a, s_cur, rho, cap, target, b.kbar_max)
                 if orbit is None:
                     continue
@@ -418,7 +402,7 @@ def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=Non
             f"stability radius {delta_hat}")
 
     level = f.value(target)
-    for a in _ascent_candidates(f, target, seed_radius, level, b.scan_random, b.seed):
+    for a in _ascent_candidates(f, target, seed_radius, level, b.seed):
         try:
             _, bpt, rev = _sphere_exit_detail(f, a, "reverse", target, delta_hat, settings)
         except (NoCrossingError, LeftBoxError):
@@ -444,37 +428,19 @@ def _run_to_level(f, x0, s, level, gtol, max_iter):
     piecewise-linear interpolation of the iterates crosses the level set.
     The run stops on leaving the box, so run_gd's divergence stop is moot.
     """
-    x = np.array(x0, dtype=float)
-    g = f.gradient(x)
-    gn = math.sqrt(g @ g)
-    fx = f.value(x)
-    steps = [(0.0, x, gn, fx)]
-    t = 0.0
-    status, crossing = "budget_exhausted", None
-    for k in range(max_iter):
-        if fx <= level:
-            status = "converged"
-            crossing = x.copy()
-            break
-        if gn < gtol:
-            status = "converged"  # stalled at a critical point above the level
-            break
-        a = s.alpha(k)
-        x_prev, f_prev = x, fx
-        x = x - a * g
-        t += a
-        g = f.gradient(x)
-        gn = math.sqrt(g @ g)
-        fx = f.value(x)
-        steps.append((t, x, gn, fx))
-        if fx <= level:
-            theta = (f_prev - level) / (f_prev - fx) if f_prev > fx else 1.0
-            status = "converged"
-            crossing = x_prev + theta * (x - x_prev)
-            break
-        if not f.in_box(x):
-            status = "left_box"
-            break
+    def crossed(prev, t, x, fx):
+        if not fx <= level:
+            return None
+        if prev is None:
+            return "converged", x.copy(), t, x
+        _, x_prev, _, f_prev = prev
+        theta = (f_prev - level) / (f_prev - fx) if f_prev > fx else 1.0
+        return "converged", x_prev + theta * (x - x_prev), t, x
+
+    steps, status, limit = march(f, np.array(x0, dtype=float), f.gradient, _gd_rule(s),
+                                 max_iter, gtol, event=crossed, value=f.value)
+    # a run that ends above the level stalled at a critical point
+    crossing = limit if steps[-1][3] <= level else None
     traj = recorded(f, steps, status, crossing,
                     {"producer": "gd", "f": f, "schedule": s, "gtol": gtol,
                      "unsafe": False, "stopped_on": "level_crossing"})
@@ -512,8 +478,7 @@ def reach_general(f, target, epsilon, mode, seed_radius, tol=1e-2, delta=None,
         raise ValueError("need 0 < seed_radius < delta <= epsilon")
 
     level = f.value(target)
-    candidates = _ascent_candidates(f, target, seed_radius, level,
-                                    b.scan_random, b.seed, axis_first=False)
+    candidates = _ascent_candidates(f, target, seed_radius, level, b.seed, axis_first=False)
 
     if mode == "continuous":
         if settings is None:

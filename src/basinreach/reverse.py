@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import LeftBoxError, row_norms
+from .landscape import LeftBoxError
 
 FIXED_POINT_RTOL = 1e-13
 FORWARD_RESIDUAL_RTOL = 1e-10
@@ -105,11 +105,9 @@ def prox_certificates(f, x, lam, xplus, slack_rtol=1e-9):
     return dec_ok, step_ok
 
 
-def ascent_prox(f, xnext, a):
-    """argmax_y f(y) - |y - xnext|^2 / (2a): the exact preimage of an
-    explicit gradient step, solved as the fixed point of
-    y = xnext + a * grad(y) for a < 1/L.  The returned point replays
-    forward onto xnext to within 1e-10 * (1 + |result|)."""
+def _ascent_step(f, xnext, a):
+    """(y, r): the ascent preimage y of xnext and its forward residual
+    r = |(y - a grad(y)) - xnext|, certified to 1e-10 * (1 + |y|)."""
     xnext = np.asarray(xnext, dtype=float)
     _require_prox_regime(f, a)
     if not f.in_box(xnext):
@@ -118,7 +116,15 @@ def ascent_prox(f, xnext, a):
     residual = float(np.linalg.norm((y - a * f.gradient(y)) - xnext))
     if residual > FORWARD_RESIDUAL_RTOL * (1.0 + np.linalg.norm(y)):
         raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
-    return y
+    return y, residual
+
+
+def ascent_prox(f, xnext, a):
+    """argmax_y f(y) - |y - xnext|^2 / (2a): the exact preimage of an
+    explicit gradient step, solved as the fixed point of
+    y = xnext + a * grad(y) for a < 1/L.  The returned point replays
+    forward onto xnext to within 1e-10 * (1 + |result|)."""
+    return _ascent_step(f, xnext, a)[0]
 
 
 def reverse_orbit(f, a, s, kbar, stop=None):
@@ -141,27 +147,27 @@ def reverse_orbit(f, a, s, kbar, stop=None):
         raise ValueError("a stopping march needs a constant schedule")
     if not f.in_box(anchor):
         raise LeftBoxError(anchor, "orbit anchor outside the operating box")
-    points = [anchor.copy()]
+    points, residuals = [anchor.copy()], []
     status = "complete"
     for k in range(kbar - 1, -1, -1):
         if stop is not None and stop(points[-1]):
             break
         try:
-            points.append(ascent_prox(f, points[-1], s.alpha(k)))
+            y, residual = _ascent_step(f, points[-1], s.alpha(k))
         except LeftBoxError:
             status = "left_box"
             break
+        points.append(y)
+        residuals.append(residual)
     points.reverse()
-    n_steps = len(points) - 1
+    residuals.reverse()
+    n_steps = len(residuals)
     start_index = 0 if stop is not None else kbar - n_steps
-    P = np.array(points)
-    a = np.array([s.alpha(start_index + i) for i in range(n_steps)])
-    residuals = row_norms(P[1:] - (P[:-1] - a[:, None] * f.gradients(P[:-1])))
     return ReverseOrbit(
         points=tuple(points),
         steps_used=tuple(range(start_index + n_steps - 1, start_index - 1, -1)),
         anchor=anchor.copy(),
-        forward_residuals=tuple(residuals.tolist()),
+        forward_residuals=tuple(residuals),
         status=status,
         start_index=start_index,
     )

@@ -1,5 +1,12 @@
-"""Trajectory record shared by the discrete and continuous engines."""
+"""Trajectory record shared by the discrete and continuous engines, and
+``march``, the one stepping loop behind every single run: gradient
+descent (``run_gd``, ``reach._run_to_level``), RK4 flow (``integrate``,
+``_sphere_exit_detail``) and the Euler min-norm flow
+(``integrate_minnorm``).  Each of those passes in its step rule and its
+own stop event; the batched stability probe (``reach._probe_batch``) is
+the only other stepping loop."""
 
+import math
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -100,6 +107,50 @@ def emit(traj):
     if _sink is not None:
         _sink.append(traj)
     return traj
+
+
+def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None):
+    """The single-run stepping loop; returns (steps, status, limit) for
+    :func:`recorded`.
+
+    From the start x, each state is kept as (t, x, |v|) with v = field(x),
+    or (t, x, |v|, f(x)) when ``value`` takes f per state.  The next state
+    is (t, x) = step(k, t, x, v).  The run ends on the first of, tested at
+    each state in this order:
+
+    - ``event(prev, t, x, fx)`` returns (status, limit, t_end, x_end).  It
+      is asked before field(x) is evaluated; ``prev`` is the previous
+      state as (t, x, v, fx), None at the start, and fx is value(x) or
+      None.  The run ends on the state (t_end, x_end): x itself, or a
+      point the event located (then x is never evaluated);
+    - x outside f's box, when ``box`` (left_box);
+    - |v| < gtol (converged, limit x);
+    - n_steps steps (budget_exhausted).
+    """
+    t, prev, fx, k = 0.0, None, None, 0
+    steps = []
+    while True:
+        if value is not None:
+            fx = value(x)
+        hit = None if event is None else event(prev, t, x, fx)
+        if hit is not None:
+            status, limit, t, x_end = hit
+            if x_end is not x:
+                x, fx = x_end, None if value is None else value(x_end)
+        v = field(x)
+        vn = math.sqrt(v @ v)
+        steps.append((t, x, vn) if value is None else (t, x, vn, fx))
+        if hit is not None:
+            return steps, status, limit
+        if box and not f.in_box(x):
+            return steps, "left_box", None
+        if vn < gtol:
+            return steps, "converged", x.copy()
+        if k == n_steps:
+            return steps, "budget_exhausted", None
+        prev = (t, x, v, fx)
+        t, x = step(k, t, x, v)
+        k += 1
 
 
 def recorded(f, steps, status, limit, provenance):

@@ -181,8 +181,18 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
     (["run", "--function", "quad:1,2", "--x0", "1"], "x0: needs 2 coordinates"),
     (["reach", "--function", "quad:1,2", "--target", "0"], "target: needs 2 coordinates"),
     (["run", "--function", "quad:1", "--x0", "20"], "outside the operating box"),
-], ids=["nonfinite-param", "x0-dimension", "target-dimension", "x0-outside-box"])
+    (["reach", "--config", {"function": "double_well", "target": 1, "epsilon": {"a": 1}}],
+     'epsilon must be a number, got {"a": 1}'),
+    (["run", "--config", {"function": 3}], "function must be a string, got 3"),
+    (["run", "--config", {"function": "quad:1", "x0": [1.0], "max_iter": True}],
+     "max_iter must be a number, got true"),
+], ids=["nonfinite-param", "x0-dimension", "target-dimension", "x0-outside-box",
+        "config-object-for-number", "config-number-for-string", "config-bool-for-number"])
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, message):
+    if isinstance(argv[-1], dict):  # the contents of a config file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(cfg)]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err

@@ -152,6 +152,15 @@ def test_sphere_exit_no_crossing_forward(quad1):
                        settings(t_max=3.0, gtol=1e-8))
 
 
+@pytest.mark.parametrize("direction,delta,st,exc,message", [
+    ("forward", 2.0, settings(t_max=20.0, gtol=1e-3), br.NoCrossingError, "stationary point"),
+    ("reverse", 20.0, settings(t_max=5.0), LeftBoxError, "left the operating box"),
+], ids=["stationary", "left-box"])
+def test_sphere_exit_stops_inside_the_sphere(quad1, direction, delta, st, exc, message):
+    with pytest.raises(exc, match=message):
+        br.sphere_exit(quad1, [0.5], direction, [0.0], delta, st)
+
+
 def test_sphere_exit_postcondition_sweep(quad14):
     st = settings(t_max=10.0)
     rng = np.random.default_rng(31)

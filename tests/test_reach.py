@@ -274,13 +274,13 @@ def test_reach_discrete_first_crossing(monkeypatch, name, params, target, eps):
     # escape sphere, built with one ascent solve per orbit step
     f = br.make_builtin(name, params)
     calls = []
-    solve = reverse_mod.ascent_prox
+    solve = reverse_mod._ascent_step
 
     def counted(*args):
         calls.append(1)
         return solve(*args)
 
-    monkeypatch.setattr(reverse_mod, "ascent_prox", counted)
+    monkeypatch.setattr(reverse_mod, "_ascent_step", counted)
     rep = br.reach_discrete(f, target, eps, br.constant(0.5 / f.lipschitz_L), 1e-3, 1e-3)
     assert rep.status == "success"
     points = rep.reverse_part.points

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import basinreach as br
+import basinreach.reverse as reverse_mod
 from basinreach.reverse import _picard
+
+from conftest import counting
 
 
 BUILTINS = [("quad", (1.0, 4.0)), ("double_well", ()), ("himmelblau", ())]
@@ -163,6 +166,23 @@ def test_orbit_certificates(name, params, kbar):
     values = [f.value(p) for p in orbit.points]
     if f.grad_norm(orbit.points[-1]) > 0.0:
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_orbit_costs_its_picard_iterations_plus_one_gradient_per_point(monkeypatch):
+    # the inverse certificate's gradient is also the forward residual's
+    f, counts = counting(br.make_builtin("himmelblau"))
+    iters = []
+
+    def counted(*args):
+        y, it = _picard(*args)
+        iters.append(it)
+        return y, it
+
+    monkeypatch.setattr(reverse_mod, "_picard", counted)
+    orbit = br.reverse_orbit(f, [3.001, 2.002], br.constant(0.5 / f.lipschitz_L), 40)
+    m = len(orbit.points) - 1
+    assert m == 40 and len(iters) == m
+    assert counts == {"value": 0, "grad": sum(iters) + m}
 
 
 def test_orbit_power_schedule_alignment(dw):

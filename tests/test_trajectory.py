@@ -83,6 +83,17 @@ def test_run_to_level_matches_reference(f, x0, level):
     assert same_states(traj.states, ref)
 
 
+def test_run_to_level_start_below_level_and_stall():
+    s = br.constant(0.5)
+    traj, crossing = _run_to_level(Q1, [0.1], s, 1.0, 1e-10, 100)
+    assert traj.terminal_status == "converged" and len(traj) == 1
+    assert crossing.tobytes() == traj.X[0].tobytes()
+    # a level below the minimum is never crossed: the run stalls on gtol
+    traj, crossing = _run_to_level(Q1, [1.0], s, -1.0, 1e-6, 10**4)
+    assert traj.terminal_status == "converged" and traj.gnorm[-1] < 1e-6
+    assert crossing is None and traj.limit is None
+
+
 @pytest.mark.parametrize("f,x0,direction,h", [
     (DW, [0.5], "forward", 1e-3),
     (HB, [3.2, 2.1], "reverse", 3e-4),
@@ -114,6 +125,16 @@ def test_sphere_exit_matches_reference(f, target, direction, delta, h):
     last = traj.states[-1]
     assert last.k == len(ref) - 1 and last.t == t_exit and last.x.tobytes() == b.tobytes()
     assert last.f_value == f.value(b) and last.grad_norm == f.grad_norm(b)
+
+
+def test_sphere_exit_evaluates_no_gradient_past_the_sphere():
+    f, counts = counting(HB)
+    st = br.FlowSettings(h=3e-4, t_max=20.0, gtol=1e-8)
+    _sphere_exit_detail(f, [3.001, 2.002], "reverse", [3.0, 2.0], 0.3, st)
+    # 1 at the start, 4 per each of the 205 steps inside the sphere, 3 for
+    # the stages of the step that leaves it, 3 per each of 21 bisection
+    # substeps and 1 at the located crossing
+    assert counts["grad"] == 1 + 4 * 205 + 3 + 3 * 21 + 1 == 888
 
 
 def test_minnorm_matches_reference():
