@@ -121,13 +121,20 @@ def integrate_minnorm(g, x0, settings):
     """
     x, n_steps = _start(g, x0, settings)
     h = settings.h
+    vals = []
+
+    def value(y):
+        vals[:] = [p.value(y) for p in g.pieces]
+        return max(vals)
 
     def speed(y):
-        # evaluable anywhere; the box only bounds the certified region
-        return min_norm_element([g.pieces[i].gradient(y) for i in g.active_indices(y)])
+        # march takes value(y) just before speed(y), so vals are y's piece
+        # values, each evaluated once per state; evaluable anywhere, the
+        # box only bounds the certified region
+        return min_norm_element([g.pieces[i].gradient(y) for i in g._active(vals)])
 
     euler = lambda k, t, x, v: ((k + 1) * h, x - h * v)
-    return recorded(g, *march(g, x, speed, euler, n_steps, settings.gtol, value=g.value),
+    return recorded(g, *march(g, x, speed, euler, n_steps, settings.gtol, value=value),
                     {"producer": "minnorm", "g": g, "settings": settings})
 
 

@@ -156,7 +156,10 @@ class MaxFunction:
         return max(p.value(x) for p in self.pieces)
 
     def active_indices(self, x):
-        vals = [p.value(x) for p in self.pieces]
+        return self._active([p.value(x) for p in self.pieces])
+
+    def _active(self, vals):
+        """Indices of the active pieces, given every piece's value at x."""
         top = max(vals)
         band = self.activity_tol * (1.0 + abs(top))
         return [i for i, v in enumerate(vals) if v >= top - band]

@@ -3,16 +3,20 @@ descent or gradient flow converges to a designated target, estimate
 stability radii empirically, and run the step-size sharpness-exclusion
 experiment.
 
-The discrete pipeline follows the reverse-orbit construction: pick an
-ascent seed a near the target with f(a) > f(target), climb backward by
-exact implicit ascent steps until the orbit first crosses an escape
-sphere, and replay forward under the full schedule.  The escape radius
-is the closed form rho = delta_hat / (1 + 2aL/(1 - aL)), a = sup alpha:
-|grad f(x)| <= L |x - target| on the convex box, so one ascent step from
-B_rho lands within the probed stability radius delta_hat.  With a
-constant schedule x0 is the first orbit point outside B_rho.  Capture
-rests on the direct check |x0 - target| <= min(delta_hat, epsilon), not
-on that bound.
+Every reach runs one driver, ``_reach``: pick an ascent seed a near the
+target with f(a) > f(target), escape backward from a to x0 on a sphere
+around the target, run forward from x0 and measure the distance from the
+forward limit to the target.  The modes differ only in their escape and
+forward runs: reverse orbit and ``run_gd`` (``reach_discrete``), reverse
+and forward RK4 flow (``reach_continuous``), and for ``reach_general``
+reverse flow and the min-norm flow on cap(f, f(target)) (continuous) or
+reverse orbit and GD to the level crossing (discrete).  The discrete
+escape radius is the closed form rho = delta_hat / (1 + 2aL/(1 - aL)),
+a = sup alpha: |grad f(x)| <= L |x - target| on the convex box, so one
+ascent step from B_rho lands within the probed stability radius
+delta_hat, and with a constant schedule x0 is the first orbit point
+outside B_rho.  Capture rests on the direct check |x0 - target| <=
+min(delta_hat, epsilon), not on that bound.
 """
 
 from dataclasses import dataclass
@@ -246,21 +250,11 @@ def _escape_radius(f, delta_hat, alpha_bar):
     return delta_hat / (1.0 + 2.0 * alpha_bar * L / (1.0 - alpha_bar * L))
 
 
-def _ascent_candidates(f, target, seed_radius, level, seed, axis_first=True):
-    """Seeds a = target + seed_radius * d with f(a) strictly above the
-    target value (floor 1e-12 * (1 + |level|)); axis directions first for
-    minimum targets, quasi-random first for saddle targets."""
-    floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
-    for d in unit_directions(f.dim, SCAN_RANDOM, seed, axis_first=axis_first):
-        a = target + seed_radius * d
-        if f.in_box(a) and f.value(a) > level + floor:
-            yield a
-
-
 def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
-    """Reverse orbit anchored at a with root x0 outside B_rho(target),
-    accepted only when |x0 - target| <= cap (else None: callers then
-    shrink the step scale); a box exit or kbar_max also give None.
+    """(x0, orbit): the reverse orbit anchored at a whose root x0 lies
+    outside B_rho(target), accepted only when |x0 - target| <= cap (else
+    None: callers then shrink the step scale); a box exit or kbar_max
+    also give None.
 
     A constant schedule marches back once, so x0 is the first crossing of
     the rho-sphere.  A power schedule's step indices shift with the
@@ -277,7 +271,7 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
 
     if s.kind == "constant":
         orbit = reverse_orbit(f, a, s, kbar_max, stop=outside)
-        return orbit if usable(orbit) else None
+        return (orbit.points[0], orbit) if usable(orbit) else None
 
     def build(k):
         orbit = reverse_orbit(f, a, s, k)
@@ -302,41 +296,97 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
             hi, hi_orbit = mid, orbit
         else:
             lo = mid
-    return hi_orbit if usable(hi_orbit) else None
+    return (hi_orbit.points[0], hi_orbit) if usable(hi_orbit) else None
 
 
-def _failed(target, seed_radius, delta_used, status):
+def _flow_escape(f, a, target, delta, settings):
+    """escape(a) by reverse flow: (its delta-sphere crossing x0, the reverse
+    trajectory), or None when the flow leaves the box or never crosses."""
+    try:
+        _, x0, rev = _sphere_exit_detail(f, a, "reverse", target, delta, settings)
+    except (NoCrossingError, LeftBoxError):
+        return None
+    return x0, rev
+
+
+def _first_escape(f, target, seed_radius, level, seed, axis_first, tries):
+    """(a, escape radius, forward, (x0, reverse part)) of the first ascent
+    seed a that escapes, or None.  Seeds are a = target + seed_radius * d
+    with f(a) strictly above the target value (floor 1e-12 * (1 + |level|)),
+    axis directions first unless ``axis_first`` is False, scanned afresh
+    for each (escape radius, escape, forward) of ``tries`` in turn."""
+    floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
+    for rho, escape, forward in tries:
+        for d in unit_directions(f.dim, SCAN_RANDOM, seed, axis_first=axis_first):
+            a = target + seed_radius * d
+            if f.in_box(a) and f.value(a) > level + floor:
+                hit = escape(a)
+                if hit is not None:
+                    return a, rho, forward, hit
+    return None
+
+
+def _reach(f, target, seed_radius, tol, b, delta, tries, probe=None):
+    """The one reach pipeline: ascent seed, escape, forward run, report.
+
+    A minimum target passes ``probe`` = (mode, schedule, settings) and
+    delta = epsilon; delta becomes the probed stability radius delta_hat
+    (budgets.delta_override skips the probe; the constant schedule at the
+    same sup alpha is the fastest of the family the radius is uniform
+    over) capped at epsilon, which must hold the seed sphere well inside.
+    ``tries(delta, level, gtol)`` yields (escape radius, escape, forward)
+    per step scale: escape(a) gives (x0, reverse part) or None, and
+    forward(x0) runs from the first x0.  Success iff that run has a limit
+    (its convergence point or level crossing) within tol; the distance is
+    from the limit, else from the last state.  A saddle target (no probe)
+    reports the limit as its crossing and scans quasi-random directions
+    before the axes, which can lie on its stable manifold.
+    """
+    saddle = probe is None
+    if not saddle:
+        mode, s, settings = probe
+        if b.delta_override is None:
+            delta_hat = stability_probe(
+                f, target, delta, constant(s.sup_alpha) if s is not None else None,
+                n_samples=b.probe_samples, mode=mode, settings=settings, seed=b.seed).delta_hat
+        else:
+            delta_hat = float(b.delta_override)
+        delta = min(delta_hat, delta)
+        if delta > 0.0 and seed_radius > 0.5 * delta:
+            raise ValueError(
+                f"seed_radius {seed_radius} must be well inside the probed "
+                f"stability radius {delta}")
+    found = None
+    if delta > 0.0:
+        level = f.value(target)
+        gtol = b.gtol if b.gtol is not None else min(1e-8, 1e-3 * tol)
+        found = _first_escape(f, target, seed_radius, level, b.seed, not saddle,
+                              tries(delta, level, gtol))
+    if found is None:
+        a = x0 = rev = fwd = None
+        rho, dist, status = float("nan"), float("inf"), "no_escape"
+    else:
+        a, rho, forward, (x0, rev) = found
+        fwd = forward(x0)
+        end = fwd.limit if fwd.limit is not None else fwd.final_x
+        dist = float(np.linalg.norm(end - target))
+        status = "success" if fwd.limit is not None and dist <= tol else "no_converge"
     return ReachReport(
-        target=np.asarray(target, dtype=float),
-        x0=None,
-        reverse_part=None,
-        forward_part=None,
-        final_distance=float("inf"),
-        delta_used=float(delta_used),
-        ascent_seed=None,
-        status=status,
-        seed_radius=float(seed_radius),
-    )
-
-
-def _probe_delta(f, target, epsilon, s, mode, settings, budgets):
-    if budgets.delta_override is not None:
-        return float(budgets.delta_override)
-    est = stability_probe(
-        f, target, epsilon, constant(s.sup_alpha) if s is not None else None,
-        n_samples=budgets.probe_samples, mode=mode, settings=settings, seed=budgets.seed)
-    return est.delta_hat
+        target=target, x0=x0, reverse_part=rev, forward_part=fwd, final_distance=dist,
+        delta_used=float(delta), ascent_seed=a, status=status,
+        seed_radius=float(seed_radius), escape_radius=rho,
+        crossing=fwd.limit if saddle and fwd is not None else None)
 
 
 def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):
     """Construct x0 with |x0 - target| <= epsilon, x0 != target, from which
     gradient descent under the schedule converges back to the target.
 
-    Pipeline: probe the stability radius delta_hat (with the constant
-    schedule at the same sup alpha, the fastest member of the family the
-    radius is uniform over); pick an ascent seed on the seed_radius
-    sphere; escape the rho-sphere by reverse orbit; replay forward under
-    the full schedule.  Success iff the forward limit lands within tol.
+    Pipeline: probe the stability radius delta_hat; pick an ascent seed on
+    the seed_radius sphere; escape the rho-sphere by reverse orbit, halving
+    the step scale up to ALPHA_SHRINKS times while no seed escapes; replay
+    forward under that schedule.  Success iff the forward limit lands
+    within tol.
     """
     b = budgets or ReachBudgets()
     target = np.asarray(target, dtype=float)
@@ -347,38 +397,17 @@ def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):
     if not (epsilon > 0.0 and seed_radius > 0.0 and tol > 0.0):
         raise ValueError("epsilon, seed_radius and tol must be positive")
 
-    delta_hat = min(_probe_delta(f, target, epsilon, s, "discrete", None, b), epsilon)
-    if delta_hat <= 0.0:
-        return _failed(target, seed_radius, delta_hat, "no_escape")
-    if seed_radius > 0.5 * delta_hat:
-        raise ValueError(
-            f"seed_radius {seed_radius} must be well inside the probed "
-            f"stability radius {delta_hat}")
-
-    level = f.value(target)
-    gtol = b.gtol if b.gtol is not None else min(1e-8, 1e-3 * tol)
-    cap = min(delta_hat, epsilon)
-    s_cur = s
-    for _ in range(ALPHA_SHRINKS + 1):
-        rho = _escape_radius(f, delta_hat, s_cur.sup_alpha)
-        if rho > seed_radius:
-            for a in _ascent_candidates(f, target, seed_radius, level, b.seed):
-                orbit = _first_crossing_orbit(f, a, s_cur, rho, cap, target, b.kbar_max)
-                if orbit is None:
-                    continue
-                x0 = orbit.points[0]
-                traj = run_gd(f, x0, s_cur, gtol=gtol, max_iter=b.max_iter)
-                end = traj.limit if traj.limit is not None else traj.final_x
-                dist = float(np.linalg.norm(end - target))
-                ok = traj.terminal_status == "converged" and dist <= tol
-                return ReachReport(
-                    target=target, x0=x0, reverse_part=orbit, forward_part=traj,
-                    final_distance=dist, delta_used=delta_hat, ascent_seed=a,
-                    status="success" if ok else "no_converge",
-                    seed_radius=float(seed_radius), escape_radius=rho,
-                )
-        s_cur = s_cur.scaled(0.5)
-    return _failed(target, seed_radius, delta_hat, "no_escape")
+    def tries(delta_hat, level, gtol):
+        s_k = s
+        for _ in range(ALPHA_SHRINKS + 1):
+            rho = _escape_radius(f, delta_hat, s_k.sup_alpha)
+            if rho > seed_radius:
+                escape = lambda a, s_k=s_k, rho=rho: _first_crossing_orbit(
+                    f, a, s_k, rho, delta_hat, target, b.kbar_max)
+                forward = lambda x0, s_k=s_k: run_gd(f, x0, s_k, gtol=gtol, max_iter=b.max_iter)
+                yield rho, escape, forward
+            s_k = s_k.scaled(0.5)
+    return _reach(f, target, seed_radius, tol, b, epsilon, tries, probe=("discrete", s, None))
 
 
 def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=None):
@@ -391,33 +420,11 @@ def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=Non
         raise ValueError("target must be a cataloged local minimum")
     if not (epsilon > 0.0 and seed_radius > 0.0 and tol > 0.0):
         raise ValueError("epsilon, seed_radius and tol must be positive")
-
-    delta_hat = min(_probe_delta(f, target, epsilon, None, "continuous", settings, b),
-                    epsilon)
-    if delta_hat <= 0.0:
-        return _failed(target, seed_radius, delta_hat, "no_escape")
-    if seed_radius > 0.5 * delta_hat:
-        raise ValueError(
-            f"seed_radius {seed_radius} must be well inside the probed "
-            f"stability radius {delta_hat}")
-
-    level = f.value(target)
-    for a in _ascent_candidates(f, target, seed_radius, level, b.seed):
-        try:
-            _, bpt, rev = _sphere_exit_detail(f, a, "reverse", target, delta_hat, settings)
-        except (NoCrossingError, LeftBoxError):
-            continue
-        fwd = integrate(f, bpt, "forward", settings)
-        end = fwd.limit if fwd.limit is not None else fwd.final_x
-        dist = float(np.linalg.norm(end - target))
-        ok = fwd.terminal_status == "converged" and dist <= tol
-        return ReachReport(
-            target=target, x0=bpt, reverse_part=rev, forward_part=fwd,
-            final_distance=dist, delta_used=delta_hat, ascent_seed=a,
-            status="success" if ok else "no_converge",
-            seed_radius=float(seed_radius), escape_radius=delta_hat,
-        )
-    return _failed(target, seed_radius, delta_hat, "no_escape")
+    tries = lambda delta_hat, level, gtol: [(
+        delta_hat, lambda a: _flow_escape(f, a, target, delta_hat, settings),
+        lambda x0: integrate(f, x0, "forward", settings))]
+    return _reach(f, target, seed_radius, tol, b, epsilon, tries,
+                  probe=("continuous", None, settings))
 
 
 def _run_to_level(f, x0, s, level, gtol, max_iter):
@@ -458,10 +465,7 @@ def reach_general(f, target, epsilon, mode, seed_radius, tol=1e-2, delta=None,
     discrete: reverse orbit through {f > f(target)} on f itself, forward
     replay, and linear interpolation to the first crossing of the level
     f(target); the reported distance shrinks as seed_radius shrinks.
-
-    Axis directions are scanned after quasi-random ones here: for saddles
-    they can lie on the stable manifold, where the forward dynamics never
-    cross the level set.
+    Axis directions are scanned last: they can lie on the stable manifold.
     """
     b = budgets or ReachBudgets()
     target = np.asarray(target, dtype=float)
@@ -477,57 +481,19 @@ def reach_general(f, target, epsilon, mode, seed_radius, tol=1e-2, delta=None,
     if not (0.0 < seed_radius < delta <= epsilon):
         raise ValueError("need 0 < seed_radius < delta <= epsilon")
 
-    level = f.value(target)
-    candidates = _ascent_candidates(f, target, seed_radius, level, b.seed, axis_first=False)
-
     if mode == "continuous":
         if settings is None:
             raise ValueError("continuous mode needs FlowSettings")
-        g = cap(f, level)
-        for a in candidates:
-            try:
-                _, bpt, rev = _sphere_exit_detail(f, a, "reverse", target, delta, settings)
-            except (NoCrossingError, LeftBoxError):
-                continue
-            fwd = integrate_minnorm(g, bpt, settings)
-            stall = fwd.limit if fwd.limit is not None else fwd.final_x
-            dist = float(np.linalg.norm(stall - target))
-            ok = fwd.terminal_status == "converged" and dist <= tol
-            return ReachReport(
-                target=target, x0=bpt, reverse_part=rev, forward_part=fwd,
-                final_distance=dist, delta_used=float(delta), ascent_seed=a,
-                status="success" if ok else "no_converge",
-                seed_radius=float(seed_radius), escape_radius=float(delta),
-                crossing=stall,
-            )
-        return _failed(target, seed_radius, delta, "no_escape")
-
-    if s is None or not admissible(s, f, "prox"):
-        raise ValueError("discrete mode needs a schedule with sup alpha < 1/L")
-    gtol = b.gtol if b.gtol is not None else min(1e-8, 1e-3 * tol)
-    for a in candidates:
-        orbit = _first_crossing_orbit(f, a, s, delta, epsilon, target, b.kbar_max)
-        if orbit is None:
-            continue
-        x0 = orbit.points[0]
-        traj, crossing = _run_to_level(f, x0, s, level, gtol, b.max_iter)
-        if crossing is None:
-            end = traj.final_x
-            return ReachReport(
-                target=target, x0=x0, reverse_part=orbit, forward_part=traj,
-                final_distance=float(np.linalg.norm(end - target)),
-                delta_used=float(delta), ascent_seed=a, status="no_converge",
-                seed_radius=float(seed_radius), escape_radius=float(delta),
-            )
-        dist = float(np.linalg.norm(crossing - target))
-        return ReachReport(
-            target=target, x0=x0, reverse_part=orbit, forward_part=traj,
-            final_distance=dist, delta_used=float(delta), ascent_seed=a,
-            status="success" if dist <= tol else "no_converge",
-            seed_radius=float(seed_radius), escape_radius=float(delta),
-            crossing=crossing,
-        )
-    return _failed(target, seed_radius, delta, "no_escape")
+        tries = lambda delta, level, gtol: [(
+            delta, lambda a: _flow_escape(f, a, target, delta, settings),
+            lambda x0: integrate_minnorm(cap(f, level), x0, settings))]
+    else:
+        if s is None or not admissible(s, f, "prox"):
+            raise ValueError("discrete mode needs a schedule with sup alpha < 1/L")
+        tries = lambda delta, level, gtol: [(
+            delta, lambda a: _first_crossing_orbit(f, a, s, delta, epsilon, target, b.kbar_max),
+            lambda x0: _run_to_level(f, x0, s, level, gtol, b.max_iter)[0])]
+    return _reach(f, target, seed_radius, tol, b, float(delta), tries)
 
 
 def edge_of_stability(f, alpha, x0):

@@ -65,9 +65,3 @@ def unit_directions(dim, n_random, seed, axis_first=True):
     rng = Lcg64(seed)
     rand = np.array([rng.direction(dim) for _ in range(n_random)]).reshape(n_random, dim)
     return np.concatenate([axis, rand] if axis_first else [rand, axis])
-
-
-def sphere_points(center, radius, n_random, seed):
-    """2*dim axis points plus n_random quasi-random points on the sphere."""
-    center = np.asarray(center, dtype=float)
-    return list(center + radius * unit_directions(center.size, n_random, seed))

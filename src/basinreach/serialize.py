@@ -24,10 +24,14 @@ def trajectory_rows(traj):
     return rows
 
 
-def write_trajectory_csv(traj, path):
+def _write_rows(rows, path):
     with open(path, "w", newline="") as fh:
-        for row in trajectory_rows(traj):
+        for row in rows:
             fh.write(",".join(row) + "\n")
+
+
+def write_trajectory_csv(traj, path):
+    _write_rows(trajectory_rows(traj), path)
 
 
 def orbit_rows(orbit, f, s):
@@ -46,25 +50,17 @@ def orbit_rows(orbit, f, s):
     return rows
 
 
-def write_orbit_csv(orbit, f, s, path):
-    with open(path, "w", newline="") as fh:
-        for row in orbit_rows(orbit, f, s):
-            fh.write(",".join(row) + "\n")
-
-
 def write_reverse_part_csv(reverse_part, f, s, path):
     """A reach report's reverse part is an orbit (discrete) or a reverse
     trajectory (continuous); both export to the flagged CSV layout."""
     if hasattr(reverse_part, "anchor"):
-        write_orbit_csv(reverse_part, f, s, path)
-        return
-    rows = trajectory_rows(reverse_part)
-    rows[0].append("direction")
-    for row in rows[1:]:
-        row.append("reverse")
-    with open(path, "w", newline="") as fh:
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        rows = orbit_rows(reverse_part, f, s)
+    else:
+        rows = trajectory_rows(reverse_part)
+        rows[0].append("direction")
+        for row in rows[1:]:
+            row.append("reverse")
+    _write_rows(rows, path)
 
 
 def _jsonable(v):
@@ -77,9 +73,9 @@ def _jsonable(v):
     return v
 
 
-def trajectory_summary(traj, events=()):
+def trajectory_summary(traj):
     last = traj.final_state
-    out = {
+    return {
         "status": traj.terminal_status,
         "states": len(traj),
         "final_x": _jsonable(last.x),
@@ -88,9 +84,6 @@ def trajectory_summary(traj, events=()):
         "final_t": last.t,
         "limit": _jsonable(traj.limit) if traj.limit is not None else None,
     }
-    if events:
-        out["events"] = list(events)
-    return out
 
 
 def reach_report_json(report, forward_csv_path=None, reverse_csv_path=None):

@@ -9,6 +9,7 @@ the only other stepping loop."""
 import math
 from collections.abc import Sequence
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,24 +89,23 @@ class _States(Sequence):
 
 # Optional capture of every produced trajectory, used by the acceptance
 # suite to assert the descent certificates on everything the run touched.
-# Single-threaded use only.
-_sink = None
+# A context variable, so each thread (or task) records into its own list.
+_sink = ContextVar("trajectory_sink", default=None)
 
 
 @contextmanager
 def record_trajectories(into):
-    global _sink
-    previous = _sink
-    _sink = into
+    token = _sink.set(into)
     try:
         yield into
     finally:
-        _sink = previous
+        _sink.reset(token)
 
 
 def emit(traj):
-    if _sink is not None:
-        _sink.append(traj)
+    sink = _sink.get()
+    if sink is not None:
+        sink.append(traj)
     return traj
 
 

@@ -416,6 +416,17 @@ def test_reach_general_discrete_sweep(saddle_quad):
     assert dists[-1] <= 1e-2
 
 
+def test_reach_general_continuous_budget_exhausted(saddle_quad):
+    # the min-norm run stops on t_max before the level set: no limit, so
+    # no crossing, and the distance is from its last state
+    st = br.FlowSettings(h=1e-3, t_max=3.2, gtol=1e-6)
+    rep = br.reach_general(saddle_quad, [0.0, 0.0], 1.0, "continuous", 1e-3,
+                           tol=1e-2, delta=0.5, settings=st)
+    assert rep.forward_part.terminal_status == "budget_exhausted"
+    assert rep.status == "no_converge" and rep.crossing is None
+    assert rep.final_distance == np.linalg.norm(rep.forward_part.final_x)
+
+
 def test_reach_general_preconditions(saddle_quad, dw):
     with pytest.raises(ValueError):
         br.reach_general(dw, [1.0], 0.4, "discrete", 1e-3,

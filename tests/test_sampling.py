@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from basinreach.sampling import Lcg64, sphere_points
+from basinreach.sampling import Lcg64, unit_directions
 
 
 def test_lcg_recurrence_frozen():
@@ -31,12 +31,12 @@ def test_directions_are_unit():
             assert abs(np.linalg.norm(g.direction(dim)) - 1.0) <= 1e-12
 
 
-def test_sphere_points_layout():
-    pts = sphere_points([1.0, -1.0], 0.25, 4, seed=5)
-    assert len(pts) == 2 * 2 + 4
-    assert np.allclose(pts[0], [1.25, -1.0])
-    assert np.allclose(pts[3], [1.0, -1.25])
-    for p in pts:
-        assert abs(np.linalg.norm(np.asarray(p) - [1.0, -1.0]) - 0.25) <= 1e-12
-    again = sphere_points([1.0, -1.0], 0.25, 4, seed=5)
-    assert all(np.array_equal(a, b) for a, b in zip(pts, again))
+def test_unit_directions_layout():
+    dirs = unit_directions(2, 4, seed=5)
+    assert dirs.shape == (2 * 2 + 4, 2)
+    assert np.array_equal(dirs[:4], [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    assert np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= 1e-12)
+    last = unit_directions(2, 4, seed=5, axis_first=False)
+    assert np.array_equal(last, np.concatenate([dirs[4:], dirs[:4]]))
+    assert np.array_equal(unit_directions(2, 4, seed=5), dirs)
+    assert not np.array_equal(unit_directions(2, 4, seed=6), dirs)

@@ -1,13 +1,15 @@
 """Columnar trajectories: the stepping loops against plain per-step
 reference loops that build one State per step, bit for bit."""
 
+import threading
+
 import numpy as np
 import pytest
 
 import basinreach as br
 from basinreach.flow import _rk4_step, _sphere_exit_detail
 from basinreach.reach import _run_to_level
-from basinreach.trajectory import State
+from basinreach.trajectory import State, record_trajectories
 
 from conftest import counting, make_saddle_quad, same_states, two_wells
 
@@ -155,6 +157,38 @@ def test_minnorm_matches_reference():
         ref.append(State(k + 1, (k + 1) * st.h, x.copy(), g.value(x), float(np.linalg.norm(v))))
     assert traj.terminal_status == "converged"
     assert same_states(traj.states, ref)
+
+
+def test_minnorm_evaluates_each_state_once():
+    f, counts = counting(HB)
+    saddle = HB.critical_points[8]
+    st = br.FlowSettings(h=3e-4, t_max=2.0, gtol=1e-6)
+    traj = br.integrate_minnorm(br.cap(f, saddle.f_value), saddle.point + [0.05, 0.03], st)
+    # the recorded value and the active set share one evaluation per state
+    assert counts["value"] == len(traj) == 54
+
+
+def test_record_trajectories_is_per_thread():
+    barrier = threading.Barrier(2, timeout=30)
+    results = {}
+
+    def work(x0):
+        runs = []
+        with record_trajectories(runs):
+            barrier.wait()  # both threads record at once
+            traj = br.run_gd(DW, [x0], br.constant(0.05), max_iter=20)
+            barrier.wait()
+        results[x0] = runs, traj
+
+    threads = [threading.Thread(target=work, args=(x0,)) for x0 in (0.3, 1.4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+        assert not th.is_alive()
+    assert len(results) == 2
+    for runs, traj in results.values():
+        assert len(runs) == 1 and runs[0] is traj
 
 
 def test_orbit_residuals_and_path_length_match_per_point():
