@@ -250,6 +250,8 @@ def cmd_probe(args):
         "delta_hat": est.delta_hat,
         "samples": est.samples,
         "failures": [[float(c) for c in p] for p in est.failures],
+        "capture_level": est.capture_level,
+        "delta_cert": est.delta_cert,
     }, os.path.join(out, "probe.json"))
     serialize.write_json(cfg, os.path.join(out, "config.json"))
     print(f"probe: delta_hat={est.delta_hat:.6g} (epsilon={est.epsilon:.6g})")

@@ -19,6 +19,7 @@ outside B_rho.  Capture rests on the direct check |x0 - target| <=
 min(delta_hat, epsilon), not on that bound.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ class StabilityEstimate:
     delta_hat: float
     samples: int
     failures: tuple
+    capture_level: float = None
+    delta_cert: float = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,12 +99,41 @@ def _ball_fits_box(f, center, radius):
     return bool(np.all(center - radius >= lo - 1e-12) and np.all(center + radius <= hi + 1e-12))
 
 
+# points of the circle grid behind the 2-D capture certificate
+CAPTURE_GRID = 256
+# largest lattice grad_lower_bound builds
+LATTICE_MAX = 10**7
+
+
+def _capture_level(f, target, epsilon, f_star):
+    """c <= min f on the epsilon-sphere around target, or None.  quad: the
+    exact f* + lambda_min epsilon^2 / 2; 1-D: the smaller sphere value;
+    2-D: each of N = CAPTURE_GRID circle points y_i lies within the chord
+    d = 2 epsilon sin(pi/(2N)) of its arc, where f >= f(y_i) -
+    |grad f(y_i)| d - L d^2/2, less 1e-12 (1 + |f(y_i)|) for rounding."""
+    L = f.lipschitz_L
+    if not L > 0.0:
+        return None
+    if f.name == "quad":
+        return f_star + 0.5 * min(f.params) * epsilon * epsilon
+    if f.dim == 1:
+        return float(f.values(target + np.array([[-epsilon], [epsilon]])).min())
+    if f.dim != 2:
+        return None
+    theta = 2.0 * np.pi * np.arange(CAPTURE_GRID) / CAPTURE_GRID
+    Y = target + epsilon * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    d = 2.0 * epsilon * math.sin(math.pi / (2 * CAPTURE_GRID))
+    fy = f.values(Y)
+    bound = fy - row_norms(f.gradients(Y)) * d - 0.5 * L * d * d - 1e-12 * (1.0 + np.abs(fy))
+    return float(bound.min())
+
+
 # The batched probe stacks its per-step arrays into one block at least every
 # RUN_STEPS steps: a small array per step costs about 100 bytes of header.
 RUN_STEPS = 1024
 
 
-def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
+def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter, capture):
     """Run all probe starts of one radius as a (B, dim) batch; returns, per
     start, whether it converged without leaving B_contain(target).
 
@@ -111,10 +143,12 @@ def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
     already taken for |grad f|.  A row leaves the batch when it converges
     or leaves the box, like those runs, or when it leaves the ball: that
     decides its failure, so its trajectory ends at its first outside
-    state with provenance stopped_on = "left_ball".  A row inside the
-    ball is bounded, so run_gd's divergence stop has no counterpart.
-    Steps are stored as arrays, and one Trajectory per start is emitted
-    at the end.
+    state with provenance stopped_on = "left_ball".  A row in the ball
+    with f < ``capture`` (see stability_probe) passes: it stops as converged
+    with no limit and provenance stopped_on = "capture_set", capture_level.
+    A row inside the ball is bounded, so run_gd's divergence stop has no
+    counterpart.  Steps are stored as arrays, and one Trajectory per start
+    is emitted at the end.
     """
     n = len(starts)
     if mode == "discrete":
@@ -125,8 +159,9 @@ def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
         prov = {"producer": "flow", "f": f, "direction": "forward", "settings": settings}
         field, step, gtol = _rk4_flow(f.gradients, "forward", settings)
 
+    floor = -np.inf if capture is None else capture
     status = ["budget_exhausted"] * n
-    cut = [False] * n
+    stopped_on = [{}] * n
     rows, X = np.arange(n), starts
     G = field(X)
     GN = row_norms(G)
@@ -135,10 +170,11 @@ def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
     runs, steps = [], []
     k, t = 0, 0.0
     while True:
-        steps.append((t, X, f.values(X), GN))
+        F = f.values(X)
+        steps.append((t, X, F, GN))
         out_box = ((X < f._box_lo) | (X > f._box_hi)).any(axis=1)
         gone = ~(row_norms(X - target) <= contain)
-        stop = out_box | gone | (GN < gtol)
+        stop = out_box | gone | (GN < gtol) | (F < floor)
         any_stop = stop.any()
         if any_stop or len(steps) == RUN_STEPS:
             runs.append((rows, *map(np.array, zip(*steps))))
@@ -149,9 +185,11 @@ def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
                 if out_box[j]:
                     status[i] = "left_box"
                 elif gone[j]:
-                    cut[i] = True
+                    stopped_on[i] = {"stopped_on": "left_ball"}
                 else:
                     status[i] = "converged"
+                    if not GN[j] < gtol:
+                        stopped_on[i] = {"stopped_on": "capture_set", "capture_level": capture}
             live = ~stop
             rows, X, G, GN = rows[live], X[live], G[live], GN[live]
         if rows.size == 0 or k == n_steps:
@@ -169,8 +207,8 @@ def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter):
                  for j in np.flatnonzero(ids == i)]
         ts, xs, fs, gns = map(np.concatenate, zip(*parts))
         emit(Trajectory(ts, xs, fs, gns, status[i],
-                        xs[-1].copy() if status[i] == "converged" else None,
-                        dict(prov, stopped_on="left_ball") if cut[i] else dict(prov)))
+                        xs[-1].copy() if status[i] == "converged" and not stopped_on[i] else None,
+                        dict(prov, **stopped_on[i])))
     return [st == "converged" for st in status]
 
 
@@ -185,9 +223,22 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
     the largest tested radius with zero failures (0 when every tested
     radius failed, which signals that epsilon violates the locality
     requirement).  Deterministic given the seed.
+
+    Capture set: for quad, 1-D and 2-D objectives, ``capture_level`` c is
+    a certified lower bound of f on the epsilon-sphere, and a run passes
+    once it enters K = {x in B_epsilon : f(x) < c}.  With alpha < 2/L the
+    descent lemma gives f(x - t alpha g) <= f(x) < c for t in [0, 1], so a
+    GD step from K never crosses the sphere; the exact flow is monotone in
+    f (RK4 follows it to its accuracy).  In K, sum alpha_k (1 - alpha_k
+    L/2) |g_k|^2 < inf, so a nonsummable schedule forces liminf |g_k| = 0:
+    a captured run stays in B_epsilon and reaches gtol for all time, not
+    only within budget.  That its limit is the target is not claimed; the
+    full runs do not check it either.  Every start within ``delta_cert`` =
+    sqrt(2 (c - f*)/L) of the target lies in K.
     """
     target = np.asarray(target, dtype=float)
-    if f.catalog_entry(target, "local_min") is None:
+    entry = f.catalog_entry(target, "local_min")
+    if entry is None:
         raise ValueError("probe target must be a cataloged local minimum")
     if not _ball_fits_box(f, target, epsilon):
         raise ValueError("B_epsilon(target) must fit inside the operating box")
@@ -202,17 +253,18 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
 
     dirs = unit_directions(f.dim, n_samples, seed)
     contain = epsilon * (1.0 + 1e-9)
+    c = _capture_level(f, target, epsilon, entry.f_value)
+    delta_cert = None if c is None else math.sqrt(
+        2.0 * max(c - entry.f_value, 0.0) / f.lipschitz_L)
 
     def trial(radius):
         starts = target + radius * dirs
-        ok = _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter)
+        ok = _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter, c)
         return [start for start, good in zip(starts, ok) if not good]
 
-    failures = []
-    bad = trial(epsilon)
-    if not bad:
-        return StabilityEstimate(epsilon, epsilon, len(dirs), ())
-    failures.extend(bad)
+    failures = trial(epsilon)
+    if not failures:
+        return StabilityEstimate(epsilon, epsilon, len(dirs), (), c, delta_cert)
     lo, hi = 0.0, epsilon
     for _ in range(n_bisect):
         mid = 0.5 * (lo + hi)
@@ -222,14 +274,17 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
             hi = mid
         else:
             lo = mid
-    return StabilityEstimate(epsilon, lo, len(dirs), tuple(failures))
+    return StabilityEstimate(epsilon, lo, len(dirs), tuple(failures), c, delta_cert)
 
 
 def grad_lower_bound(f, target, delta, level, n_grid=101):
     """zeta = min |grad f| over a lattice of B_delta(target) intersected
-    with {f >= level}; requires level > f(target) and a nonempty
-    intersection."""
+    with {f >= level}; requires level > f(target), a nonempty
+    intersection and n_grid^dim <= LATTICE_MAX lattice points."""
     target = np.asarray(target, dtype=float)
+    if n_grid ** f.dim > LATTICE_MAX:
+        raise ValueError(f"a {n_grid}^{f.dim} lattice exceeds {LATTICE_MAX} points; "
+                         f"lower n_grid")
     if not level > f.value(target):
         raise ValueError("level must exceed f(target)")
     axes = [np.linspace(t - delta, t + delta, n_grid) for t in target]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -126,6 +127,16 @@ def test_probe_cli(tmp_path):
     assert rc == 0
     data = json.loads(read(os.path.join(out, "probe.json")))
     assert data["delta_hat"] >= 0.4
+    assert data["capture_level"] == 0.5625  # f(0.5), the floor of f on the sphere
+    assert data["delta_cert"] > 0.0
+    again = str(tmp_path / "again")
+    assert main(["probe", "--config", os.path.join(out, "config.json"), "--out", again]) == 0
+    assert read(os.path.join(out, "probe.json")) == read(os.path.join(again, "probe.json"))
+    rc = main(["probe", "--function", "quad:1,2,5", "--target", "0,0,0", "--epsilon", "1",
+               "--schedule", "constant:0.1", "--out", out])
+    assert rc == 0
+    data = json.loads(read(os.path.join(out, "probe.json")))
+    assert data["capture_level"] == 0.5 and data["delta_cert"] == math.sqrt(0.2)
 
 
 def test_eos_cli(tmp_path, capsys):

@@ -1,11 +1,15 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import basinreach as br
+import basinreach.reach as reach_mod
 import basinreach.reverse as reverse_mod
+from basinreach.landscape import row_norms
+from basinreach.sampling import unit_directions
 from basinreach.trajectory import record_trajectories
 
 from conftest import counting, make_saddle_quad, same_states, two_wells
@@ -62,11 +66,24 @@ def test_probe_preconditions(dw, quad1):
         br.stability_probe(quad1, [0.0], 1.0, None, mode="continuous")  # no settings
 
 
-def test_probe_all_radii_fail(dw):
-    # a 2-iteration budget converges nowhere: delta_hat = 0, failures listed
-    est = br.stability_probe(dw, [1.0], 0.5, br.constant(0.05), max_iter=2)
+def test_probe_all_radii_fail():
+    # a 3-D objective has no capture certificate, so a 2-iteration budget
+    # converges nowhere: delta_hat = 0, failures listed
+    f = dataclasses.replace(br.make_builtin("quad", (1.0, 2.0, 5.0)), name="bowl")
+    est = br.stability_probe(f, np.zeros(3), 1.0, br.constant(0.1), max_iter=2)
     assert est.delta_hat == 0.0
     assert len(est.failures) > 0
+    assert est.capture_level is None and est.delta_cert is None
+
+
+def test_probe_short_budget_passes_by_capture(dw):
+    # 2 GD steps take every start below c = f(0.5) = 0.5625, the floor of
+    # f on the 0.5-sphere around 1, which proves what a full run would show
+    est, runs = probe_runs(dw, [1.0], 0.5, br.constant(0.05), max_iter=2)
+    assert est.delta_hat == 0.5 and est.failures == ()
+    assert est.capture_level == 0.5625
+    assert est.delta_cert == math.sqrt(2.0 * 0.5625 / dw.lipschitz_L)
+    assert all(r.provenance["stopped_on"] == "capture_set" and r.limit is None for r in runs)
 
 
 def test_probe_rerun_containment(dw):
@@ -99,6 +116,25 @@ def same_estimate(a, b):
 WIDE_DW = br.make_builtin("double_well", (2.5,))
 
 
+def check_passing_row(row, ref, est, target, eps):
+    """A passing probe row against the full run from its start: the full
+    run converges without leaving B_eps; a captured row is its prefix up to
+    and including the first state with f < c, any other row all of it.
+    Returns whether the row was captured."""
+    assert ref.terminal_status == "converged"
+    assert (row_norms(ref.X - target) <= eps * (1 + 1e-9)).all()
+    if row.provenance.get("stopped_on") != "capture_set":
+        assert same_states(row.states, ref.states)
+        assert row.limit.tobytes() == ref.limit.tobytes()
+        assert "stopped_on" not in row.provenance
+        return False
+    c = est.capture_level
+    assert row.provenance["capture_level"] == c and row.limit is None
+    first = int(np.flatnonzero(ref.f < c)[0])
+    assert same_states(row.states, ref.states[:first + 1])
+    return True
+
+
 @pytest.mark.parametrize("f,target,eps,frac", [
     (br.make_builtin("double_well"), [1.0], 0.5, 0.2),
     (br.make_builtin("himmelblau"), [3.0, 2.0], 1.0, 0.5),
@@ -106,15 +142,15 @@ WIDE_DW = br.make_builtin("double_well", (2.5,))
 ])
 def test_probe_discrete_runs_match_run_gd(f, target, eps, frac):
     s = br.constant(frac / f.lipschitz_L)
-    _, runs = probe_runs(f, target, eps, s, seed=0)
+    est, runs = probe_runs(f, target, eps, s, seed=0)
     passing = [r for r in runs if r.terminal_status == "converged"]
     assert passing
+    captured = 0
     for r in passing:
         ref = br.run_gd(f, r.initial_x, s, gtol=1e-8, max_iter=20_000)
-        assert ref.terminal_status == "converged"
-        assert same_states(r.states, ref.states)
-        assert r.limit.tobytes() == ref.limit.tobytes()
-        assert r.provenance["producer"] == "gd" and "stopped_on" not in r.provenance
+        captured += check_passing_row(r, ref, est, target, eps)
+        assert r.provenance["producer"] == "gd"
+    assert captured > 0
 
 
 @pytest.mark.parametrize("f,target,eps,h", [
@@ -123,12 +159,13 @@ def test_probe_discrete_runs_match_run_gd(f, target, eps, frac):
 ])
 def test_probe_continuous_runs_match_integrate(f, target, eps, h):
     st = br.FlowSettings(h=h, t_max=20.0, gtol=1e-6)
-    _, runs = probe_runs(f, target, eps, None, mode="continuous", settings=st)
+    est, runs = probe_runs(f, target, eps, None, mode="continuous", settings=st)
     assert runs and all(r.terminal_status == "converged" for r in runs)
+    captured = 0
     for r in runs:
         ref = br.integrate(f, r.initial_x, "forward", st)
-        assert same_states(r.states, ref.states)
-        assert r.limit.tobytes() == ref.limit.tobytes()
+        captured += check_passing_row(r, ref, est, np.array(target), eps)
+    assert captured > 0
 
 
 def test_probe_left_ball_stops_at_first_outside_state():
@@ -165,19 +202,98 @@ def test_probe_rowwise_objective_gives_same_estimate(quad14):
     assert same_estimate(a, b)
 
 
-def test_probe_evaluation_counts(quad14):
+def test_probe_evaluation_counts(quad14, himmelblau):
     # a continuous step reuses the gradient behind |grad f| as its RK4 k1:
-    # 4 gradient points and 1 value per step, plus 1 each at the start
+    # 4 gradient points and 1 value per step, plus 1 each at the start; the
+    # quad certificate is a closed form and costs nothing
     f, counts = counting(quad14)
     st = br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6)
     _, runs = probe_runs(f, [0.0, 0.0], 1.0, None, mode="continuous", settings=st)
     steps = sum(len(r.states) - 1 for r in runs)
     assert steps > 0
     assert counts == {"grad": len(runs) + 4 * steps, "value": len(runs) + steps}
+    # a GD state costs one gradient and one value; the 1-D certificate takes
+    # the 2 sphere values, the 2-D one 256 values and 256 gradients
     f, counts = counting(WIDE_DW)
     _, runs = probe_runs(f, [1.0], 1.5, br.constant(0.5 / f.lipschitz_L), seed=0)
     states = sum(len(r.states) for r in runs)
-    assert counts == {"grad": states, "value": states}
+    assert counts == {"grad": states, "value": states + 2}
+    f, counts = counting(himmelblau)
+    _, runs = probe_runs(f, [3.0, 2.0], 1.0, br.constant(0.5 / f.lipschitz_L), seed=0)
+    states = sum(len(r.states) for r in runs)
+    assert counts == {"grad": states + 256, "value": states + 256}
+
+
+# --- capture certificate ---------------------------------------------------------
+
+HB_MINIMA = [cp.point for cp in br.make_builtin("himmelblau").critical_points
+             if cp.kind == "local_min"]
+# every target the benchmark and the acceptance suite probe, with its epsilon
+CERT_CASES = [
+    ("double_well", (), [-1.0], 0.4), ("double_well", (), [1.0], 0.4),
+    ("double_well", (), [1.0], 0.5), ("double_well", (2.5,), [1.0], 1.5),
+    ("quad", (1.0,), [0.0], 1.0), ("quad", (1.0, 4.0), [0.0, 0.0], 1.0),
+    ("quad", (1.0, 10.0), [0.0, 0.0], 1.0), ("quad", (1.0, 25.0), [0.0, 0.0], 1.0),
+] + [("himmelblau", (), p, 1.0) for p in HB_MINIMA]
+
+
+def certificate(name, params, target, eps):
+    f = br.make_builtin(name, params)
+    target = np.asarray(target, dtype=float)
+    return f, target, reach_mod._capture_level(f, target, eps, f.catalog_entry(target).f_value)
+
+
+def sphere_sample(f, target, eps):
+    """Both sphere points in 1-D, 20,000 evenly spaced ones in 2-D."""
+    if f.dim == 1:
+        return target + np.array([[-eps], [eps]])
+    theta = np.linspace(0.0, 2.0 * np.pi, 20_000, endpoint=False)
+    return target + eps * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+@pytest.mark.parametrize("name,params,target,eps", CERT_CASES)
+def test_capture_level_is_a_sphere_floor(name, params, target, eps):
+    f, target, c = certificate(name, params, target, eps)
+    Y = sphere_sample(f, target, eps)
+    fy = f.values(Y)
+    assert (fy >= c).all()
+    # the check is not vacuous: a level forged past the sampled minimum fails it
+    forged = fy.min() + 1e-9 * (1.0 + abs(fy.min()))
+    assert not (fy >= forged).all()
+    # quad and 1-D floors are exact; the 2-D grid gives up at most its remainder
+    d = 2.0 * eps * math.sin(math.pi / (2 * reach_mod.CAPTURE_GRID))
+    slack = 0.0 if name == "quad" or f.dim == 1 else (
+        row_norms(f.gradients(Y)).max() * d + 0.5 * f.lipschitz_L * d * d
+        + 1e-12 * (1.0 + np.abs(fy).max()))
+    assert fy.min() - c <= slack
+
+
+def test_capture_level_grid_on_renamed_quad(quad14):
+    # named otherwise, quad takes the 2-D grid: c lies below the exact floor
+    # 0.5 lambda_min eps^2 = 0.5 by at most the remainder |grad| d + L d^2/2
+    bowl = dataclasses.replace(quad14, name="bowl")
+    c = reach_mod._capture_level(bowl, np.zeros(2), 1.0, 0.0)
+    d = 2.0 * math.sin(math.pi / (2 * reach_mod.CAPTURE_GRID))
+    assert 0.5 - (4.0 * d + 2.0 * d * d + 1e-11) <= c <= 0.5
+    est = br.stability_probe(quad14, [0.0, 0.0], 1.0, br.constant(0.1))
+    assert est.capture_level == 0.5
+    assert est.delta_cert == 0.5  # eps sqrt(lambda_min / lambda_max)
+
+
+@pytest.mark.parametrize("name,params,target,eps", CERT_CASES)
+def test_runs_from_inside_delta_cert_stay_and_converge(name, params, target, eps):
+    f, target, _ = certificate(name, params, target, eps)
+    L = f.lipschitz_L
+    est = br.stability_probe(f, target, eps, br.constant(0.9 / L))
+    assert 0.0 < est.delta_cert <= eps
+    st = br.FlowSettings(h=0.1 / L, t_max=20.0, gtol=1e-6)
+    for d in unit_directions(f.dim, 2, seed=0):
+        x0 = target + 0.999 * est.delta_cert * d
+        assert f.value(x0) < est.capture_level
+        for run in (br.run_gd(f, x0, br.constant(1.9 / L), gtol=1e-8, max_iter=20_000),
+                    br.integrate(f, x0, "forward", st)):
+            assert run.terminal_status == "converged"
+            assert (row_norms(run.X - target) <= eps).all()
 
 
 # --- gradient lower bound ------------------------------------------------------
@@ -194,6 +310,13 @@ def test_grad_lower_bound_errors(quad1):
         br.grad_lower_bound(quad1, [0.0], 1.0, 10.0)  # level above max on ball
     with pytest.raises(ValueError):
         br.grad_lower_bound(quad1, [0.0], 1.0, -1.0)  # level <= f(target)
+
+
+def test_grad_lower_bound_rejects_huge_lattice():
+    # the default 101^4 lattice would take about 3.3 GB
+    f = br.make_builtin("quad", (1.0, 2.0, 3.0, 4.0))
+    with pytest.raises(ValueError, match="lattice exceeds"):
+        br.grad_lower_bound(f, np.zeros(4), 1.0, 0.1)
 
 
 def test_grad_lower_bound_double_well(dw):
