@@ -56,6 +56,24 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(v):
+    return isinstance(v, list) and all(map(_number, v))
+
+
+#: what each field whose default is None may hold besides null
+NULLABLE_FIELDS = {
+    "delta": (_number, "a number"), "event_refine_tol": (_number, "a number"),
+    "alpha": (_number, "a number"), "output_dir": (lambda v: isinstance(v, str), "a string"),
+    "target": (lambda v: type(v) is int or _numbers(v),
+               "a catalog index (int) or a list of numbers"),
+    "x0": (_numbers, "a list of numbers"),
+}
+
+
 def parse_function(text):
     """name or name:p1,p2,... e.g. quad:1,4 or double_well:2."""
     name, _, rest = text.partition(":")
@@ -78,11 +96,15 @@ def resolve_config(args):
             if key not in cfg:
                 raise ConfigError(f"config: unknown field {key!r}")
             default = CONFIG_DEFAULTS[key]
-            if isinstance(default, str) and not isinstance(val, str):
-                raise ConfigError(f"config: {key} must be a string, got {json.dumps(val)}")
-            if isinstance(default, (int, float)) and (
-                    isinstance(val, bool) or not isinstance(val, (int, float))):
-                raise ConfigError(f"config: {key} must be a number, got {json.dumps(val)}")
+            if default is None:
+                ok, what = NULLABLE_FIELDS[key]
+                ok, what = val is None or ok(val), what + " or null"
+            elif isinstance(default, str):
+                ok, what = isinstance(val, str), "a string"
+            else:
+                ok, what = _number(val), "a number"
+            if not ok:
+                raise ConfigError(f"config: {key} must be {what}, got {json.dumps(val)}")
             cfg[key] = val
     for key in cfg:
         val = getattr(args, key, None)
@@ -222,7 +244,8 @@ def cmd_reach(args):
         serialize.write_trajectory_csv(report.forward_part, os.path.join(out, forward_csv))
     if report.reverse_part is not None:
         reverse_csv = "reverse.csv"
-        s = parse_schedule(cfg["schedule"])
+        # the replay's schedule: reach_discrete may have halved the configured one
+        s = report.forward_part.provenance.get("schedule")
         serialize.write_reverse_part_csv(report.reverse_part, f, s,
                                          os.path.join(out, reverse_csv))
     serialize.write_json(serialize.reach_report_json(report, forward_csv, reverse_csv),

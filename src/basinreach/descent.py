@@ -31,12 +31,12 @@ def gd_step(f, x, a):
     return out
 
 
-def _gd_rule(s):
-    """The step of gradient descent under schedule s, for ``march``:
-    time advances by the step size."""
+def _gd_rule(s, axpy):
+    """The step of gradient descent under schedule s, for ``march``, on
+    points of a lane with ``axpy``: time advances by the step size."""
     def step(k, t, x, g):
         a = s.alpha(k)
-        return t + a, x - a * g
+        return t + a, axpy(x, -a, g)
     return step
 
 
@@ -66,8 +66,9 @@ def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, unsafe=False):
             return "diverged", None, t, x
         return None
 
-    return recorded(f, *march(f, x, f.gradient, _gd_rule(s), max_iter, gtol, box=not unsafe,
-                              event=diverged if unsafe else None),
+    lane = f._lane
+    return recorded(f, *march(f, lane.point(x), lane.grad, _gd_rule(s, lane.axpy), max_iter,
+                              gtol, box=not unsafe, event=diverged if unsafe else None),
                     {"producer": "gd", "f": f, "schedule": s, "gtol": gtol, "unsafe": unsafe})
 
 

@@ -6,7 +6,9 @@ capped dynamics.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +71,7 @@ class ObjectiveFunction:
         pad = 1e-12 * (1.0 + np.abs(box).max())
         object.__setattr__(self, "_box_lo", box[:, 0] - pad)
         object.__setattr__(self, "_box_hi", box[:, 1] + pad)
+        object.__setattr__(self, "_lane", _lane(self))
 
     def value(self, x):
         return float(self.f(np.asarray(x, dtype=float)))
@@ -97,7 +100,7 @@ class ObjectiveFunction:
         return np.asarray(self.hessian(np.asarray(x, dtype=float)), dtype=float)
 
     def grad_norm(self, x):
-        return float(np.linalg.norm(self.gradient(x)))
+        return norm(self.gradient(x))
 
     def in_box(self, x):
         x = np.asarray(x, dtype=float)
@@ -139,6 +142,9 @@ class MaxFunction:
         if self.activity_tol < 0:
             raise ValueError("activity_tol must be nonnegative")
         object.__setattr__(self, "pieces", tuple(self.pieces))
+        # march's box test only: max{f, c} has no gradient field to step along
+        object.__setattr__(self, "_lane", Lane(None, None, None, None,
+                                               self.pieces[0]._lane.inside))
 
     @property
     def dim(self):
@@ -172,6 +178,80 @@ class MaxFunction:
 
 
 # ---------------------------------------------------------------------------
+# norms and lanes
+
+
+def sumsq(v):
+    """|v|^2 of a point (array or sequence of floats): its squares summed
+    in index order up to the float lane's dims, where Python floats make
+    the same operations, and the dot product v @ v beyond.  With
+    :func:`row_norms`, the one definition of |.| in the program."""
+    if len(v) > FLOAT_LANE_DIMS:
+        return float(np.dot(v, v))
+    acc = 0.0
+    for c in v:
+        acc = acc + c * c
+    return acc
+
+
+def norm(v):
+    return math.sqrt(sumsq(v))
+
+
+def row_norms(X):
+    """|x| of each row of a C-ordered (B, dim) array, bit for bit as
+    :func:`norm` of that row: index order over the columns up to the
+    float lane's dims, the row-wise dot product np.vecdot beyond."""
+    X = np.asarray(X)
+    return np.sqrt(np.vecdot(X, X) if X.shape[-1] > FLOAT_LANE_DIMS else sumsq(X.T))
+
+
+# Points of the float lane (dim <= FLOAT_LANE_DIMS, the dims the benchmark
+# runs) are tuples of Python floats: numpy's per-call overhead on 1-2
+# element arrays is several times a step's arithmetic.
+FLOAT_LANE_DIMS = 2
+
+
+class Lane(NamedTuple):
+    """How the descent loop and the ascent solve hold points of one
+    objective: ``point`` converts a 1-D array, ``grad`` calls f.grad on a
+    1-D float array, ``axpy(x, c, v)`` is x + c v, ``sub(x, y)`` is x - y
+    and ``inside`` is in_box (NaN counts as inside).  Both lanes make the
+    same IEEE operations, bit for bit; the float lane's are written out
+    per dimension, as a loop over coordinates is slower."""
+
+    point: object
+    grad: object
+    axpy: object
+    sub: object
+    inside: object
+
+
+def _lane(f):
+    if f.dim > FLOAT_LANE_DIMS:
+        return Lane(lambda x: np.array(x, dtype=float), f.gradient, lambda x, c, v: x + c * v,
+                    operator.sub, f.in_box)
+    grad = f.grad
+    lo, hi = f._box_lo.tolist(), f._box_hi.tolist()
+    if f.dim == 1:
+        (l0,), (h0,) = lo, hi
+        axpy = lambda x, c, v: (x[0] + c * v[0],)
+        sub = lambda x, y: (x[0] - y[0],)
+        inside = lambda x: not (x[0] < l0 or x[0] > h0)
+    else:
+        (l0, l1), (h0, h1) = lo, hi
+        axpy = lambda x, c, v: (x[0] + c * v[0], x[1] + c * v[1])
+        sub = lambda x, y: (x[0] - y[0], x[1] - y[1])
+        inside = lambda x: not (x[0] < l0 or x[0] > h0 or x[1] < l1 or x[1] > h1)
+
+    def floats_grad(x):
+        g = grad(np.array(x))
+        return g if type(g) is list else np.asarray(g, dtype=float).tolist()
+    return Lane(lambda x: tuple(np.asarray(x, dtype=float).tolist()), floats_grad, axpy, sub,
+                inside)
+
+
+# ---------------------------------------------------------------------------
 # builtins
 
 # Himmelblau critical points, produced once by a Newton root-finding oracle
@@ -192,42 +272,38 @@ HIMMELBLAU_CRITICAL_POINTS = (
 BUILTIN_NAMES = ("quad", "double_well", "himmelblau")
 
 
-# The builtins' f and grad take a point (dim,) or a batch (B, dim): ``p.T``
-# unpacks coordinates as scalars or as columns, and the same arithmetic
-# runs either way.  Squares are written u * u: np.float64 ** 2 calls the C
-# library's pow, which an array's ** 2 does not, and the two can differ in
-# the last bit.
-
-
-def row_norms(X):
-    """|x| of each row of a C-ordered (B, dim) array, by the dot product
-    np.linalg.norm takes on one point, so each value matches it bit for bit."""
-    return np.sqrt(np.vecdot(X, X))
+# The builtins' f and grad take a point (dim,) or a batch (B, dim): a
+# point's coordinates are unpacked as Python floats, a batch's by ``p.T``
+# as columns, and the same arithmetic runs either way.  Squares are
+# written u * u: np.float64 ** 2 calls the C library's pow, which an
+# array's ** 2 does not, and the two can differ in the last bit.
 
 
 def _himmelblau_value(p):
-    x, y = p.T
+    x, y = p.tolist() if p.ndim == 1 else p.T
     u = x * x + y - 11.0
     v = x + y * y - 7.0
     return u * u + v * v
 
 
 def _himmelblau_grad(p):
-    x, y = p.T
+    x, y = p.tolist() if p.ndim == 1 else p.T
     u = x * x + y - 11.0
     v = x + y * y - 7.0
-    return np.array([4.0 * x * u + 2.0 * v, 2.0 * u + 4.0 * y * v]).T
+    g = [4.0 * x * u + 2.0 * v, 2.0 * u + 4.0 * y * v]
+    return g if p.ndim == 1 else np.array(g).T
 
 
 def _double_well_value(p):
-    (x,) = p.T
+    (x,) = p.tolist() if p.ndim == 1 else p.T
     u = x * x - 1.0
     return u * u
 
 
 def _double_well_grad(p):
-    (x,) = p.T
-    return np.array([4.0 * x * (x * x - 1.0)]).T
+    (x,) = p.tolist() if p.ndim == 1 else p.T
+    g = [4.0 * x * (x * x - 1.0)]
+    return g if p.ndim == 1 else np.array(g).T
 
 
 def _himmelblau_hess(p):
@@ -250,6 +326,10 @@ def make_builtin(name, params=()):
                  over the box corners; the Hessian entries are quadratics with
                  no interior stationary points, and a dense-grid cross-check
                  reproduces the same constant.
+
+    A builtin's ``grad`` returns a point's gradient as a list of floats
+    when dim <= FLOAT_LANE_DIMS, for the float lane to take as is; as
+    for every objective, ``gradient`` and ``gradients`` return arrays.
     """
     params = tuple(float(v) for v in params)
     if not all(math.isfinite(v) for v in params):
@@ -266,7 +346,9 @@ def make_builtin(name, params=()):
         return ObjectiveFunction(
             dim=n,
             f=lambda x, lam=lam: 0.5 * np.vecdot(x * x, lam),
-            grad=lambda x, lam=lam: lam * x,
+            grad=lambda x, lam=lam, ls=lam.tolist(): (
+                [li * xi for li, xi in zip(ls, x.tolist())]
+                if x.ndim == 1 and n <= FLOAT_LANE_DIMS else lam * x),
             hessian=lambda x, lam=lam: np.diag(lam),
             lipschitz_L=float(lam.max()),
             box=box,

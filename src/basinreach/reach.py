@@ -152,7 +152,7 @@ def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter, 
     """
     n = len(starts)
     if mode == "discrete":
-        n_steps, field, step = max_iter, f.gradients, _gd_rule(s)
+        n_steps, field, step = max_iter, f.gradients, _gd_rule(s, lambda X, c, G: X + c * G)
         prov = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol, "unsafe": False}
     else:
         n_steps = int(round(settings.t_max / settings.h))
@@ -494,12 +494,13 @@ def _run_to_level(f, x0, s, level, gtol, max_iter):
         if not fx <= level:
             return None
         if prev is None:
-            return "converged", x.copy(), t, x
+            return "converged", np.array(x), t, x
         _, x_prev, _, f_prev = prev
         theta = (f_prev - level) / (f_prev - fx) if f_prev > fx else 1.0
-        return "converged", x_prev + theta * (x - x_prev), t, x
+        return "converged", np.array(lane.axpy(x_prev, theta, lane.sub(x, x_prev))), t, x
 
-    steps, status, limit = march(f, np.array(x0, dtype=float), f.gradient, _gd_rule(s),
+    lane = f._lane
+    steps, status, limit = march(f, lane.point(x0), lane.grad, _gd_rule(s, lane.axpy),
                                  max_iter, gtol, event=crossed, value=f.value)
     # a run that ends above the level stalled at a critical point
     crossing = limit if steps[-1][3] <= level else None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import LeftBoxError
+from .landscape import LeftBoxError, norm, sumsq
 
 FIXED_POINT_RTOL = 1e-13
 FORWARD_RESIDUAL_RTOL = 1e-10
@@ -41,19 +41,19 @@ class ReverseOrbit:
 
 
 def _picard(f, base, lam, sign, tol_scale):
-    """Fixed point of y -> base + sign * lam * grad(y).  Returns (y, iters)."""
+    """Fixed point of y -> base + sign * lam * grad(y), with base and y
+    points of f's lane.  Returns (y, iters)."""
     tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
     step = sign * lam
-    grad = f.gradient
-    lo, hi = f._box_lo, f._box_hi
-    y = np.array(base, dtype=float)
+    grad, axpy, sub, inside = f._lane.grad, f._lane.axpy, f._lane.sub, f._lane.inside
+    y = base
     for it in range(1, _MAX_INNER_ITER + 1):
-        y_next = base + step * grad(y)
-        if ((y_next < lo) | (y_next > hi)).any():
+        y_next = axpy(base, step, grad(y))
+        if not inside(y_next):
             raise LeftBoxError(y_next, "fixed-point iterate left the operating box")
-        d = y_next - y
+        d = sub(y_next, y)
         y = y_next
-        if float(d @ d) <= tol_sq:
+        if sumsq(d) <= tol_sq:
             return y, it
     raise ArithmeticError("fixed-point iteration failed to contract")
 
@@ -83,8 +83,8 @@ def prox(f, x, lam):
     _require_prox_regime(f, lam)
     if not f.in_box(x):
         raise LeftBoxError(x, "prox called outside the operating box")
-    y, _ = _picard(f, x, lam, -1.0, float(np.linalg.norm(x)))
-    return y
+    y, _ = _picard(f, f._lane.point(x), lam, -1.0, norm(x))
+    return np.array(y)
 
 
 def prox_certificates(f, x, lam, xplus, slack_rtol=1e-9):
@@ -106,15 +106,14 @@ def prox_certificates(f, x, lam, xplus, slack_rtol=1e-9):
 
 
 def _ascent_step(f, xnext, a):
-    """(y, r): the ascent preimage y of xnext and its forward residual
-    r = |(y - a grad(y)) - xnext|, certified to 1e-10 * (1 + |y|)."""
-    xnext = np.asarray(xnext, dtype=float)
-    _require_prox_regime(f, a)
-    if not f.in_box(xnext):
-        raise LeftBoxError(xnext, "ascent_prox called outside the operating box")
-    y, _ = _picard(f, xnext, a, +1.0, float(np.linalg.norm(xnext)))
-    residual = float(np.linalg.norm((y - a * f.gradient(y)) - xnext))
-    if residual > FORWARD_RESIDUAL_RTOL * (1.0 + np.linalg.norm(y)):
+    """(y, r): the ascent preimage y of xnext, both points of f's lane, and
+    its forward residual r = |(y - a grad(y)) - xnext|, certified to
+    1e-10 * (1 + |y|).  The caller has checked the prox regime and that
+    xnext lies in the box."""
+    lane = f._lane
+    y, _ = _picard(f, xnext, a, +1.0, norm(xnext))
+    residual = norm(lane.sub(lane.axpy(y, -a, lane.grad(y)), xnext))
+    if residual > FORWARD_RESIDUAL_RTOL * (1.0 + norm(y)):
         raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
     return y, residual
 
@@ -124,7 +123,11 @@ def ascent_prox(f, xnext, a):
     explicit gradient step, solved as the fixed point of
     y = xnext + a * grad(y) for a < 1/L.  The returned point replays
     forward onto xnext to within 1e-10 * (1 + |result|)."""
-    return _ascent_step(f, xnext, a)[0]
+    xnext = np.asarray(xnext, dtype=float)
+    _require_prox_regime(f, a)
+    if not f.in_box(xnext):
+        raise LeftBoxError(xnext, "ascent_prox called outside the operating box")
+    return np.array(_ascent_step(f, f._lane.point(xnext), a)[0])
 
 
 def reverse_orbit(f, a, s, kbar, stop=None):
@@ -147,17 +150,21 @@ def reverse_orbit(f, a, s, kbar, stop=None):
         raise ValueError("a stopping march needs a constant schedule")
     if not f.in_box(anchor):
         raise LeftBoxError(anchor, "orbit anchor outside the operating box")
+    # checked once: every alpha_k is at most sup_alpha, and each later
+    # solve starts from a point its predecessor's Picard test kept in the box
+    _require_prox_regime(f, s.sup_alpha)
+    x = f._lane.point(anchor)
     points, residuals = [anchor.copy()], []
     status = "complete"
     for k in range(kbar - 1, -1, -1):
         if stop is not None and stop(points[-1]):
             break
         try:
-            y, residual = _ascent_step(f, points[-1], s.alpha(k))
+            x, residual = _ascent_step(f, x, s.alpha(k))
         except LeftBoxError:
             status = "left_box"
             break
-        points.append(y)
+        points.append(np.array(x))
         residuals.append(residual)
     points.reverse()
     residuals.reverse()

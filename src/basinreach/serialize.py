@@ -9,9 +9,7 @@ import json
 
 import numpy as np
 
-
-def _fmt(v):
-    return repr(float(v))
+from .landscape import row_norms
 
 
 def trajectory_rows(traj):
@@ -41,11 +39,12 @@ def orbit_rows(orbit, f, s):
     header = (["k", "t"] + [f"x_{i + 1}" for i in range(dim)]
               + ["f", "gnorm", "direction"])
     rows = [header]
+    P = np.array(orbit.points)
     t = 0.0
-    for i, x in enumerate(orbit.points):
+    columns = (P.tolist(), f.values(P).tolist(), row_norms(f.gradients(P)).tolist())
+    for i, (x, fv, gn) in enumerate(zip(*columns)):
         k = orbit.start_index + i
-        rows.append([str(k), _fmt(t)] + [_fmt(c) for c in x]
-                    + [_fmt(f.value(x)), _fmt(f.grad_norm(x)), "reverse"])
+        rows.append([str(k), repr(t)] + [repr(c) for c in x] + [repr(fv), repr(gn), "reverse"])
         t += s.alpha(k)
     return rows
 

@@ -4,15 +4,24 @@ descent (``run_gd``, ``reach._run_to_level``), RK4 flow (``integrate``,
 ``_sphere_exit_detail``) and the Euler min-norm flow
 (``integrate_minnorm``).  Each of those passes in its step rule and its
 own stop event; the batched stability probe (``reach._probe_batch``) is
-the only other stepping loop."""
+the only other stepping loop.
+
+Gradient descent runs in its objective's lane (``landscape.Lane``): for
+dim <= 2 a point is a tuple of Python floats, stepped by unrolled
+arithmetic, with each gradient still taken by f.grad on a 1-D array;
+larger dims, and the RK4 and Euler rules, keep ndarrays.  Either way the
+points and |v| (``landscape.norm``) are the same to the bit."""
 
 import math
 from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+
+from .landscape import sumsq
 
 TERMINAL_STATUSES = ("converged", "budget_exhausted", "left_box", "diverged")
 
@@ -113,8 +122,9 @@ def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None
     """The single-run stepping loop; returns (steps, status, limit) for
     :func:`recorded`.
 
-    From the start x, each state is kept as (t, x, |v|) with v = field(x),
-    or (t, x, |v|, f(x)) when ``value`` takes f per state.  The next state
+    From the start x, an ndarray or a point of f's lane, each state is
+    kept as (t, x, |v|) with v = field(x), or (t, x, |v|, f(x)) when
+    ``value`` takes f per state.  The next state
     is (t, x) = step(k, t, x, v).  The run ends on the first of, tested at
     each state in this order:
 
@@ -128,7 +138,9 @@ def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None
     - n_steps steps (budget_exhausted).
     """
     t, prev, fx, k = 0.0, None, None, 0
+    inside = f._lane.inside
     steps = []
+    keep = steps.append
     while True:
         if value is not None:
             fx = value(x)
@@ -138,14 +150,14 @@ def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None
             if x_end is not x:
                 x, fx = x_end, None if value is None else value(x_end)
         v = field(x)
-        vn = math.sqrt(v @ v)
-        steps.append((t, x, vn) if value is None else (t, x, vn, fx))
+        vn = math.sqrt(sumsq(v))
+        keep((t, x, vn) if value is None else (t, x, vn, fx))
         if hit is not None:
             return steps, status, limit
-        if box and not f.in_box(x):
+        if box and not inside(x):
             return steps, "left_box", None
         if vn < gtol:
-            return steps, "converged", x.copy()
+            return steps, "converged", np.array(x)
         if k == n_steps:
             return steps, "budget_exhausted", None
         prev = (t, x, v, fx)
@@ -158,6 +170,8 @@ def recorded(f, steps, status, limit, provenance):
     or (t, x, |g|, f(x)) when the run took the values itself; otherwise
     f is evaluated once over the stacked points."""
     ts, xs, gns, *fs = zip(*steps)
-    X = np.array(xs)
+    # on the float lane's tuples, several times faster than np.array(xs)
+    X = (np.fromiter(chain.from_iterable(xs), float).reshape(len(xs), -1)
+         if type(xs[0]) is tuple else np.array(xs))
     return emit(Trajectory(np.array(ts), X, np.array(fs[0]) if fs else f.values(X),
                            np.array(gns), status, limit, provenance))

@@ -5,7 +5,8 @@ import pytest
 
 import basinreach as br
 import basinreach.reverse as reverse_mod
-from basinreach.reverse import _picard
+from basinreach.landscape import norm, row_norms, sumsq
+from basinreach.reverse import FIXED_POINT_RTOL, _picard
 
 from conftest import counting
 
@@ -206,3 +207,76 @@ def test_orbit_partial_on_box_exit(quad1):
 def test_orbit_rejects_prox_violation(dw):
     with pytest.raises(ValueError):
         br.reverse_orbit(dw, [1.0], br.constant(0.05), 3)  # 0.05 > 1/23
+
+
+def test_ascent_solves_reject_a_capped_objective(dw):
+    # max{f, c} has no gradient field: no solve may fall back on f's
+    g = br.cap(dw, 0.5)
+    with pytest.raises(TypeError):
+        br.reverse_orbit(g, [1.2], br.constant(0.01), 3)
+    with pytest.raises(TypeError):
+        br.ascent_prox(g, [1.2], 0.01)
+    with pytest.raises(TypeError):
+        br.prox(g, [1.2], 0.01)
+
+
+# --- both lanes against plain ndarray arithmetic -------------------------------
+
+LANE_CASES = [("double_well", (), [1.0]), ("himmelblau", (), [3.0, 2.0]),
+              ("quad", (1.0, 5.0), [0.0, 0.0]), ("quad", (1.0, 2.0, 5.0), [0.0, 0.0, 0.0]),
+              ("quad", (1.0, 2.0, 5.0, 7.0), [0.0, 0.0, 0.0, 0.0])]
+
+
+def ref_ascent(f, xnext, a):
+    """(y, residual) of the ascent solve by Picard iteration on ndarrays."""
+    tol_sq = (FIXED_POINT_RTOL * (1.0 + norm(xnext))) ** 2
+    y = xnext.copy()
+    while True:
+        y_next = xnext + a * f.gradient(y)
+        d = y_next - y
+        y = y_next
+        if sumsq(d) <= tol_sq:
+            return y, norm((y - a * f.gradient(y)) - xnext)
+
+
+@pytest.mark.parametrize("name,params,target", LANE_CASES,
+                         ids=["double_well", "himmelblau", "quad-2d", "quad-3d", "quad-4d"])
+def test_orbit_matches_ndarray_picard(name, params, target):
+    f = br.make_builtin(name, params)
+    s = br.power(0.5 / f.lipschitz_L, 0.5)
+    anchor = np.asarray(target) + 1e-4 * np.arange(1.0, f.dim + 1.0)
+    orbit = br.reverse_orbit(f, anchor, s, 12)
+    assert orbit.status == "complete" and len(orbit.points) == 13
+    x, points, residuals = anchor, [anchor], []
+    for k in range(11, -1, -1):
+        x, r = ref_ascent(f, x, s.alpha(k))
+        points.append(x)
+        residuals.append(r)
+    assert [p.tobytes() for p in orbit.points] == [p.tobytes() for p in points[::-1]]
+    assert orbit.forward_residuals == tuple(residuals[::-1])
+    y = br.ascent_prox(f, anchor, s.alpha(0))
+    assert y.shape == (f.dim,) and y.tobytes() == ref_ascent(f, anchor, s.alpha(0))[0].tobytes()
+
+
+@pytest.mark.parametrize("params", [(1.0, 5.0), (1.0, 2.0, 5.0)], ids=["quad-2d", "quad-3d"])
+def test_orbit_box_exit_in_both_lanes(params):
+    f = br.make_builtin("quad", params)
+    a = 0.9 / f.lipschitz_L
+    orbit = br.reverse_orbit(f, np.full(f.dim, 1.0), br.constant(a), 60)
+    assert orbit.status == "left_box" and 0 < orbit.start_index < 60
+    assert all(type(p) is np.ndarray and p.shape == (f.dim,) and f.in_box(p)
+               for p in orbit.points)
+    with pytest.raises(br.LeftBoxError) as exc:
+        br.ascent_prox(f, orbit.points[0], a)
+    assert type(exc.value.point) is np.ndarray and exc.value.point.shape == (f.dim,)
+    assert not f.in_box(exc.value.point)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_lane_norm_is_row_norms(dim):
+    rng = np.random.default_rng(dim)
+    X = rng.standard_normal((2000, dim)) * 10.0 ** rng.uniform(-5, 5, (2000, 1))
+    assert [norm(tuple(x)) for x in X.tolist()] == row_norms(X).tolist()
+    assert [norm(x) for x in X] == row_norms(X).tolist()
+    f = br.make_builtin("quad", np.arange(1.0, dim + 1.0))
+    assert isinstance(f._lane.point(X[0]), tuple if dim <= 2 else np.ndarray)

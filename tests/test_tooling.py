@@ -1,12 +1,30 @@
 """perfbench/tracer.py wraps basinreach functions by module and name, so a
 refactor that drops or renames one breaks the traced benchmark.  These
-read the tracer's TARGETS table with ast, without importing the tracer."""
+read the tracer's TARGETS table with ast, without importing the tracer.
+The benchmark also counts evaluations by wrapping an objective's f and
+grad (perfbench/workloads.Counts), so every code path must evaluate
+through them."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import numpy as np
+import pytest
+
+import basinreach as br
+import basinreach.reverse as reverse_mod
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def tracer_targets():
@@ -24,3 +42,33 @@ def test_tracer_targets_exist():
     missing = [f"{module}.{name}" for module, name in targets
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+# one objective per lane: the float lane (dim <= 2) and the ndarray lane
+LANES = [("himmelblau", (), [2.5, 1.5], [3.001, 2.002]),
+         ("quad", (1.0, 2.0, 5.0, 7.0), [1.0, -2.0, 0.5, 3.0], [1e-3, 2e-3, 1e-3, 1e-3])]
+
+
+@pytest.mark.parametrize("name,params,x0,anchor", LANES, ids=["float-lane", "ndarray-lane"])
+def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
+    workloads = load_workloads()
+    counts = workloads.Counts()
+    f = counts.wrap(br.make_builtin(name, params))
+    s = br.constant(0.5 / f.lipschitz_L)
+    traj = br.run_gd(f, x0, s, gtol=1e-8)
+    assert len(traj) > 10 and counts.n[workloads.GRAD] == len(traj)
+
+    iters = []
+
+    def counted(*args):
+        y, it = picard(*args)
+        iters.append(it)
+        return y, it
+
+    picard = reverse_mod._picard
+    monkeypatch.setattr(reverse_mod, "_picard", counted)
+    snap = counts.snapshot()
+    orbit = br.reverse_orbit(f, np.array(anchor), s, 12)
+    solves = len(orbit.points) - 1
+    assert solves == 12 and len(iters) == solves
+    assert counts.since(snap)[workloads.GRAD] == sum(iters) + solves

@@ -8,6 +8,7 @@ import pytest
 
 import basinreach as br
 from basinreach.flow import _rk4_step, _sphere_exit_detail
+from basinreach.landscape import norm
 from basinreach.reach import _run_to_level
 from basinreach.trajectory import State, record_trajectories
 
@@ -16,6 +17,8 @@ from conftest import counting, make_saddle_quad, same_states, two_wells
 HB = br.make_builtin("himmelblau")
 DW = br.make_builtin("double_well")
 Q1 = br.make_builtin("quad", (1.0,))
+Q2 = br.make_builtin("quad", (1.0, 5.0))  # the float lane's largest dim
+Q3 = br.make_builtin("quad", (1.0, 2.0, 5.0))  # the ndarray lane's smallest
 
 
 def ref_gd(f, x0, s, gtol, max_iter, level=None, unsafe=False):
@@ -23,7 +26,7 @@ def ref_gd(f, x0, s, gtol, max_iter, level=None, unsafe=False):
     State per step."""
     x = np.array(x0, dtype=float)
     g = f.gradient(x)
-    states = [State(0, 0.0, x.copy(), f.value(x), float(np.linalg.norm(g)))]
+    states = [State(0, 0.0, x.copy(), f.value(x), norm(g))]
     t = 0.0
     for k in range(max_iter):
         if states[-1].grad_norm < gtol or (level is not None and states[-1].f_value <= level):
@@ -32,7 +35,7 @@ def ref_gd(f, x0, s, gtol, max_iter, level=None, unsafe=False):
         x = x - a * g
         t += a
         g = f.gradient(x)
-        states.append(State(k + 1, t, x.copy(), f.value(x), float(np.linalg.norm(g))))
+        states.append(State(k + 1, t, x.copy(), f.value(x), norm(g)))
         if level is not None and states[-1].f_value <= level:
             break
         if (not unsafe and not f.in_box(x)) or np.linalg.norm(x) > 1e3 * (1 + f.box_diameter()):
@@ -62,7 +65,9 @@ def ref_flow(f, x0, sign, h, n_steps, gtol=0.0, stop=None):
     (two_wells(), [-2.0, 1.0], br.constant(0.02), {}, "converged"),
     (make_saddle_quad(), [0.5, 1e-3], br.constant(0.4), {}, "left_box"),
     (Q1, [1.0], br.constant(2.1), {"unsafe": True}, "diverged"),
-], ids=["himmelblau-power", "budget", "rowwise", "left-box", "unsafe"])
+    (Q2, [1.0, -2.0], br.power(0.9 / Q2.lipschitz_L, 0.5), {"gtol": 1e-8}, "converged"),
+    (Q3, [1.0, -2.0, 0.5], br.constant(0.5 / Q3.lipschitz_L), {}, "converged"),
+], ids=["himmelblau-power", "budget", "rowwise", "left-box", "unsafe", "quad-2d", "quad-3d"])
 def test_run_gd_matches_reference(f, x0, s, kw, status):
     traj = br.run_gd(f, x0, s, **kw)
     assert traj.terminal_status == status
@@ -76,13 +81,26 @@ def test_run_gd_matches_reference(f, x0, s, kw, status):
 @pytest.mark.parametrize("f,x0,level", [
     (HB, [2.5, 1.5], 1.0),
     (make_saddle_quad(), [1.0, 1e-3], 0.0),
-], ids=["himmelblau", "rowwise-saddle"])
+    (Q2, [1.0, -2.0], 0.1),
+    (Q3, [1.0, -2.0, 0.5], 0.1),
+], ids=["himmelblau", "rowwise-saddle", "quad-2d", "quad-3d"])
 def test_run_to_level_matches_reference(f, x0, level):
     s = br.constant(0.5 / f.lipschitz_L)
     traj, crossing = _run_to_level(f, x0, s, level, 1e-10, 10**5)
     assert crossing is not None and traj.limit is crossing
     ref = ref_gd(f, x0, s, 1e-10, 10**5, level=level)
     assert same_states(traj.states, ref)
+
+
+@pytest.mark.parametrize("f,x0", [(HB, [2.5, 1.5]), (Q3, [1.0, -2.0, 3.0])],
+                         ids=["float-lane", "ndarray-lane"])
+def test_run_to_level_crossing_interpolates_the_last_step(f, x0):
+    traj, crossing = _run_to_level(f, x0, br.constant(0.5 / f.lipschitz_L), 1.0, 1e-10, 10**5)
+    (x_prev, x), (f_prev, fx) = traj.X[-2:], traj.f[-2:]
+    assert f_prev > 1.0 >= fx
+    theta = (f_prev - 1.0) / (f_prev - fx)
+    assert type(crossing) is np.ndarray
+    assert crossing.tobytes() == (x_prev + theta * (x - x_prev)).tobytes()
 
 
 def test_run_to_level_start_below_level_and_stall():
