@@ -139,10 +139,9 @@ def resolve_target(cfg, f):
     if target is None:
         raise ConfigError("target: required for this procedure")
     if isinstance(target, int):
-        try:
-            return f.critical_points[target].point
-        except IndexError as exc:
-            raise ConfigError(f"target: catalog index {target} out of range") from exc
+        if not 0 <= target < len(f.critical_points):
+            raise ConfigError(f"target: catalog index {target} out of range")
+        return f.critical_points[target].point
     return resolve_point(cfg, "target", f)
 
 

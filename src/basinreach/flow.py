@@ -7,14 +7,17 @@ path-length analytics.
 Each run is a :func:`~basinreach.trajectory.march` with an RK4 or Euler
 step rule; a sphere exit is its stop event, which tests the radius
 before the field is evaluated at the new point and bisects the last
-step onto the sphere.
+step onto the sphere.  RK4 has one rule, :func:`_rk4_step`, run on
+points of the objective's lane (``landscape.Lane``) and, by the batched
+probe, on arrays; only the Euler min-norm rule keeps ndarray points.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import LeftBoxError, min_norm_element, row_norms
+from .landscape import LeftBoxError, min_norm_element, norm, row_norms
 from .trajectory import march, recorded
 
 DIRECTIONS = ("forward", "reverse")
@@ -69,15 +72,16 @@ def _check_h(obj, settings):
         raise ValueError(f"h = {settings.h} exceeds the guard 0.1/L = {H_GUARD / L}")
 
 
-def _rk4_step(field, x, h, k1=None):
-    """One classical RK4 step; pass ``k1 = field(x)`` when it is already
-    known.  Elementwise, so x may be a (B, dim) batch."""
-    if k1 is None:
-        k1 = field(x)
-    k2 = field(x + 0.5 * h * k1)
-    k3 = field(x + 0.5 * h * k2)
-    k4 = field(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(grad, axpy, x, sh, g1):
+    """One classical RK4 step of signed length sh along dx/dt = grad(x),
+    from g1 = grad(x): x + (sh/6) (g1 + 2 g2 + 2 g3 + g4), with axpy(x, c,
+    v) = x + c v of a lane, or of arrays when x is a (B, dim) batch.  sh =
+    -h flows down f, sh = h up it; negation is exact, so these are the
+    IEEE operations of RK4 with step h on the signed field -+grad."""
+    g2 = grad(axpy(x, 0.5 * sh, g1))
+    g3 = grad(axpy(x, 0.5 * sh, g2))
+    g4 = grad(axpy(x, sh, g3))
+    return axpy(x, sh / 6.0, axpy(axpy(axpy(g1, 2.0, g2), 2.0, g3), 1.0, g4))
 
 
 def _start(f, x0, settings):
@@ -88,27 +92,28 @@ def _start(f, x0, settings):
     return x, int(round(settings.t_max / settings.h))
 
 
-def _rk4_flow(grad, direction, settings):
-    """(field, step, gtol) of RK4 on dx/dt = -grad (forward) or +grad
-    (reverse) for :func:`march`; the step takes the field at x as its k1,
-    and only a forward flow stops on |grad| < gtol.  With grad =
-    f.gradients the field and step run on a (B, dim) batch."""
+def _rk4_flow(grad, axpy, direction, settings):
+    """(step, sh, gtol) of RK4 on dx/dt = -grad (forward, sh = -h) or +grad
+    (reverse, sh = h) for :func:`march` with the field grad; the step takes
+    grad at x as its g1, and only a forward flow stops on |grad| < gtol.
+    With grad = f.gradients and array axpy the step runs on a (B, dim)
+    batch."""
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
-    sign = -1.0 if direction == "forward" else 1.0
     h = settings.h
-    field = lambda y: sign * grad(y)
-    step = lambda k, t, x, v: ((k + 1) * h, _rk4_step(field, x, h, v))
-    return field, step, settings.gtol if direction == "forward" else 0.0
+    sh = -h if direction == "forward" else h
+    step = lambda k, t, x, g: ((k + 1) * h, _rk4_step(grad, axpy, x, sh, g))
+    return step, sh, settings.gtol if direction == "forward" else 0.0
 
 
 def integrate(f, x0, direction, settings):
     """Classical RK4 with fixed step h on dx/dt = -grad f (forward) or
     +grad f (reverse).  Stops at t_max, at |grad| < gtol (forward only),
     or at box exit (expected for reverse flows)."""
-    field, step, gtol = _rk4_flow(f.gradient, direction, settings)
+    lane = f._lane
+    step, _, gtol = _rk4_flow(lane.grad, lane.axpy, direction, settings)
     x, n_steps = _start(f, x0, settings)
-    return recorded(f, *march(f, x, field, step, n_steps, gtol),
+    return recorded(f, *march(f, lane.point(x), lane.grad, step, n_steps, gtol),
                     {"producer": "flow", "f": f, "direction": direction, "settings": settings})
 
 
@@ -140,12 +145,13 @@ def integrate_minnorm(g, x0, settings):
 
 def _sphere_exit_detail(f, x0, direction, center, delta, settings):
     """(t_exit, b, trajectory-so-far): first crossing of the delta-sphere."""
-    field, step, gtol = _rk4_flow(f.gradient, direction, settings)
-    center = np.asarray(center, dtype=float)
-    if not np.linalg.norm(np.asarray(x0, dtype=float) - center) < delta:
+    lane = f._lane
+    step, sh, gtol = _rk4_flow(lane.grad, lane.axpy, direction, settings)
+    center = lane.point(center)
+    radius = lambda y: norm(lane.sub(y, center))
+    if not radius(lane.point(x0)) < delta:
         raise ValueError("sphere_exit requires |x0 - center| < delta")
     x, n_steps = _start(f, x0, settings)
-    radius = lambda y: float(row_norms(y - center))
 
     def crossed(prev, t, x, fx):
         if not radius(x) >= delta:
@@ -153,21 +159,21 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings):
         # bisect the substep length until the crossing point sits on the
         # sphere to 1e-8 * delta and the time bracket is within the
         # refinement tolerance
-        t_prev, x_prev, k1_prev, _ = prev
+        t_prev, x_prev, g_prev, _ = prev
         lo, hi, x_hi = 0.0, settings.h, x
         for _ in range(200):
             r_err = abs(radius(x_hi) - delta)
             if r_err <= 1e-8 * delta and hi - lo <= settings.event_refine_tol:
-                return "converged", x_hi.copy(), t_prev + hi, x_hi
+                return "converged", np.array(x_hi), t_prev + hi, x_hi
             mid = 0.5 * (lo + hi)
-            x_mid = _rk4_step(field, x_prev, mid, k1_prev)
+            x_mid = _rk4_step(lane.grad, lane.axpy, x_prev, math.copysign(mid, sh), g_prev)
             if radius(x_mid) >= delta:
                 hi, x_hi = mid, x_mid
             else:
                 lo = mid
         raise ArithmeticError("sphere-crossing refinement did not converge")
 
-    steps, status, b = march(f, x, field, step, n_steps, gtol, event=crossed)
+    steps, status, b = march(f, lane.point(x), lane.grad, step, n_steps, gtol, event=crossed)
     if status == "left_box":
         raise LeftBoxError(steps[-1][1], "flow left the operating box before crossing")
     if status == "budget_exhausted":

@@ -213,8 +213,9 @@ FLOAT_LANE_DIMS = 2
 
 
 class Lane(NamedTuple):
-    """How the descent loop and the ascent solve hold points of one
-    objective: ``point`` converts a 1-D array, ``grad`` calls f.grad on a
+    """How gradient descent, RK4 flow and the ascent solve hold points of
+    one objective (the Euler min-norm rule alone keeps ndarrays):
+    ``point`` converts a 1-D array, ``grad`` calls f.grad on a
     1-D float array, ``axpy(x, c, v)`` is x + c v, ``sub(x, y)`` is x - y
     and ``inside`` is in_box (NaN counts as inside).  Both lanes make the
     same IEEE operations, bit for bit; the float lane's are written out

@@ -150,14 +150,14 @@ def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter, 
     counterpart.  Steps are stored as arrays, and one Trajectory per start
     is emitted at the end.
     """
-    n = len(starts)
+    n, field, axpy = len(starts), f.gradients, lambda X, c, G: X + c * G
     if mode == "discrete":
-        n_steps, field, step = max_iter, f.gradients, _gd_rule(s, lambda X, c, G: X + c * G)
+        n_steps, step = max_iter, _gd_rule(s, axpy)
         prov = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol, "unsafe": False}
     else:
         n_steps = int(round(settings.t_max / settings.h))
         prov = {"producer": "flow", "f": f, "direction": "forward", "settings": settings}
-        field, step, gtol = _rk4_flow(f.gradients, "forward", settings)
+        step, _, gtol = _rk4_flow(field, axpy, "forward", settings)
 
     floor = -np.inf if capture is None else capture
     status = ["budget_exhausted"] * n

@@ -6,11 +6,12 @@ descent (``run_gd``, ``reach._run_to_level``), RK4 flow (``integrate``,
 own stop event; the batched stability probe (``reach._probe_batch``) is
 the only other stepping loop.
 
-Gradient descent runs in its objective's lane (``landscape.Lane``): for
-dim <= 2 a point is a tuple of Python floats, stepped by unrolled
-arithmetic, with each gradient still taken by f.grad on a 1-D array;
-larger dims, and the RK4 and Euler rules, keep ndarrays.  Either way the
-points and |v| (``landscape.norm``) are the same to the bit."""
+Gradient descent and RK4 run in their objective's lane
+(``landscape.Lane``): for dim <= 2 a point is a tuple of Python floats,
+stepped by unrolled arithmetic, with each gradient still taken by f.grad
+on a 1-D array; larger dims, and the Euler min-norm rule, keep ndarrays.
+Either way the points and |v| (``landscape.norm``) are the same to the
+bit."""
 
 import math
 from collections.abc import Sequence

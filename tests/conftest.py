@@ -75,6 +75,17 @@ def two_wells():
         name="two_wells")
 
 
+def rk4_step(field, x, h):
+    """One classical RK4 step on the signed field (sign * grad f) with
+    ndarray points: the reference for flow._rk4_step, which steps along
+    grad f by the signed length sign * h on either lane."""
+    k1 = field(x)
+    k2 = field(x + 0.5 * h * k1)
+    k3 = field(x + 0.5 * h * k2)
+    k4 = field(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def counting(f):
     """(copy of f whose f and grad count the points they evaluate, counts):
     a call on a (B, dim) batch counts B points."""

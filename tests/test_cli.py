@@ -220,8 +220,13 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
     (["run", "--config", {"function": 3}], "function must be a string, got 3"),
     (["run", "--config", {"function": "quad:1", "x0": [1.0], "max_iter": True}],
      "max_iter must be a number, got true"),
+    (["probe", "--function", "double_well", "--target-index", "-1", "--epsilon", "0.4",
+      "--schedule", "constant:0.02"], "target: catalog index -1 out of range"),
+    (["probe", "--config", {"function": "double_well", "target": -1, "epsilon": 0.4,
+                            "schedule": "constant:0.02"}], "target: catalog index -1 out of range"),
 ], ids=["nonfinite-param", "x0-dimension", "target-dimension", "x0-outside-box",
-        "config-object-for-number", "config-number-for-string", "config-bool-for-number"])
+        "config-object-for-number", "config-number-for-string", "config-bool-for-number",
+        "negative-target-index", "config-negative-target-index"])
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, message):
     if isinstance(argv[-1], dict):  # the contents of a config file
         cfg = tmp_path / "cfg.json"

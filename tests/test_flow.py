@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import basinreach as br
-from basinreach.landscape import LeftBoxError
+from basinreach.landscape import LeftBoxError, norm
 
-from conftest import counting, make_linear_1d
+from conftest import counting, make_linear_1d, rk4_step
 
 
 def settings(h=0.01, t_max=1.0, gtol=1e-12, refine=None):
@@ -83,13 +83,11 @@ def test_reverse_forward_mirror(quad14):
 
 
 def test_flow_recurrence_recomputable(quad14):
-    from basinreach.flow import _rk4_step
     st = settings(h=0.01, t_max=0.2)
     traj = br.integrate(quad14, [1.0, -0.5], "forward", st)
     field = lambda y: -quad14.gradient(y)
     for a, b in zip(traj.states, traj.states[1:]):
-        repl = _rk4_step(field, a.x, st.h)
-        assert np.linalg.norm(repl - b.x) <= 1e-12 * (1.0 + np.linalg.norm(a.x))
+        assert rk4_step(field, a.x, st.h).tobytes() == b.x.tobytes()
 
 
 def test_flow_step_reuses_gradient_as_k1(quad14):
@@ -176,6 +174,16 @@ def test_sphere_exit_postcondition_sweep(quad14):
 def test_sphere_exit_requires_interior_start(quad1):
     with pytest.raises(ValueError):
         br.sphere_exit(quad1, [1.5], "reverse", [0.0], 1.0, settings())
+
+
+def test_sphere_exit_start_on_the_sphere_by_its_own_radius(quad14):
+    # |x0| is delta by the index-order norm the crossing event measures, and
+    # 1 ulp below it by np.linalg.norm: the start check must use the former
+    x0 = [-0.049660633350713024, 0.29632427028729424]
+    delta = 0.30045673842683474
+    assert np.linalg.norm(x0) < delta <= norm(x0)
+    with pytest.raises(ValueError, match="requires"):
+        br.sphere_exit(quad14, x0, "reverse", [0.0, 0.0], delta, settings(h=1e-2, t_max=5.0))
 
 
 # --- path length and the KL bound ----------------------------------------------

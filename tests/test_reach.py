@@ -156,6 +156,7 @@ def test_probe_discrete_runs_match_run_gd(f, target, eps, frac):
 @pytest.mark.parametrize("f,target,eps,h", [
     (br.make_builtin("double_well"), [-1.0], 0.4, 1e-3),
     (br.make_builtin("quad", (1.0, 4.0)), [0.0, 0.0], 1.0, 1e-2),
+    (br.make_builtin("quad", (1.0, 2.0, 5.0)), [0.0, 0.0, 0.0], 1.0, 1e-2),
 ])
 def test_probe_continuous_runs_match_integrate(f, target, eps, h):
     st = br.FlowSettings(h=h, t_max=20.0, gtol=1e-6)

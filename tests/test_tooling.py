@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import basinreach as br
+import basinreach.flow as flow_mod
 import basinreach.reverse as reverse_mod
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -72,3 +73,25 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
     solves = len(orbit.points) - 1
     assert solves == 12 and len(iters) == solves
     assert counts.since(snap)[workloads.GRAD] == sum(iters) + solves
+
+    # RK4: one gradient per recorded state, 3 more per step or bisection
+    # substep; the flows' first catalog point is a minimum
+    rk4_calls = []
+
+    def counted_step(*args):
+        rk4_calls.append(args)
+        return rk4_step(*args)
+
+    rk4_step = flow_mod._rk4_step
+    monkeypatch.setattr(flow_mod, "_rk4_step", counted_step)
+    st = br.FlowSettings(h=0.05 / f.lipschitz_L, t_max=20.0, gtol=1e-8)
+    snap = counts.snapshot()
+    traj = br.integrate(f, x0, "forward", st)
+    assert len(traj) > 10 and len(rk4_calls) == len(traj) - 1
+    assert counts.since(snap)[workloads.GRAD] == len(traj) + 3 * len(rk4_calls)
+    rk4_calls.clear()
+    snap = counts.snapshot()
+    _, _, traj = flow_mod._sphere_exit_detail(f, anchor, "reverse", f.critical_points[0].point,
+                                              0.3, st)
+    assert len(rk4_calls) > len(traj) - 1 > 10  # bisection substeps ran
+    assert counts.since(snap)[workloads.GRAD] == len(traj) + 3 * len(rk4_calls)

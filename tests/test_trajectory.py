@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import basinreach as br
-from basinreach.flow import _rk4_step, _sphere_exit_detail
+from basinreach.flow import _sphere_exit_detail
 from basinreach.landscape import norm
 from basinreach.reach import _run_to_level
 from basinreach.trajectory import State, record_trajectories
 
-from conftest import counting, make_saddle_quad, same_states, two_wells
+from conftest import counting, make_saddle_quad, rk4_step, same_states, two_wells
 
 HB = br.make_builtin("himmelblau")
 DW = br.make_builtin("double_well")
@@ -52,7 +52,7 @@ def ref_flow(f, x0, sign, h, n_steps, gtol=0.0, stop=None):
     for k in range(n_steps):
         if states[-1].grad_norm < gtol:
             break
-        x = _rk4_step(field, x, h)
+        x = rk4_step(field, x, h)
         states.append(State(k + 1, (k + 1) * h, x.copy(), f.value(x), f.grad_norm(x)))
         if not f.in_box(x) or (stop is not None and stop(x)):
             break
@@ -116,9 +116,13 @@ def test_run_to_level_start_below_level_and_stall():
 
 @pytest.mark.parametrize("f,x0,direction,h", [
     (DW, [0.5], "forward", 1e-3),
+    (DW, [0.5], "reverse", 1e-3),
     (HB, [3.2, 2.1], "reverse", 3e-4),
     (two_wells(), [-1.5, 0.5], "forward", 1e-3),
-], ids=["forward", "reverse-left-box", "rowwise"])
+    (Q3, [1.0, -2.0, 0.5], "forward", 1e-2),
+    (Q3, [1.0, -2.0, 0.5], "reverse", 1e-2),
+], ids=["forward", "reverse-1d", "reverse-left-box", "rowwise", "quad-3d-forward",
+        "quad-3d-reverse"])
 def test_integrate_matches_reference(f, x0, direction, h):
     st = br.FlowSettings(h=h, t_max=3.0, gtol=1e-6)
     traj = br.integrate(f, x0, direction, st)
@@ -128,23 +132,39 @@ def test_integrate_matches_reference(f, x0, direction, h):
     assert same_states(traj.states, ref)
 
 
-@pytest.mark.parametrize("f,target,direction,delta,h", [
-    (HB, [3.0, 2.0], "reverse", 0.3, 3e-4),
-    (make_saddle_quad(), [0.0, 0.0], "forward", 0.5, 1e-2),
-], ids=["himmelblau-reverse", "rowwise-forward"])
-def test_sphere_exit_matches_reference(f, target, direction, delta, h):
+@pytest.mark.parametrize("f,target,offset,direction,delta,h", [
+    (HB, [3.0, 2.0], [1e-3, 2e-3], "reverse", 0.3, 3e-4),
+    (make_saddle_quad(), [0.0, 0.0], [1e-3, 2e-3], "forward", 0.5, 1e-2),
+    (DW, [1.0], [1e-3], "reverse", 0.3, 1e-3),
+    (DW, [0.0], [1e-3], "forward", 0.5, 1e-3),
+    (Q3, [0.0, 0.0, 0.0], [1e-3, 2e-3, 1e-3], "reverse", 0.5, 1e-2),
+    (Q3, [1.0, -1.0, 0.5], [1e-3, 2e-3, 1e-3], "forward", 0.3, 1e-2),
+], ids=["himmelblau-reverse", "rowwise-forward", "double-well-reverse", "double-well-forward",
+        "quad-3d-reverse", "quad-3d-forward"])
+def test_sphere_exit_matches_reference(f, target, offset, direction, delta, h):
     st = br.FlowSettings(h=h, t_max=20.0, gtol=1e-8)
     target = np.asarray(target)
-    x0 = target + np.array([1e-3, 2e-3])
+    x0 = target + np.array(offset)
     t_exit, b, traj = _sphere_exit_detail(f, x0, direction, target, delta, st)
     sign = -1.0 if direction == "forward" else 1.0
-    ref = ref_flow(f, x0, sign, h, 10**6,
-                   stop=lambda x: np.linalg.norm(x - target) >= delta)
+    ref = ref_flow(f, x0, sign, h, 10**6, stop=lambda x: norm(x - target) >= delta)
     # the last reference state overshoots the sphere; the run ends on it
     assert same_states(traj.states[:-1], ref[:-1])
     last = traj.states[-1]
     assert last.k == len(ref) - 1 and last.t == t_exit and last.x.tobytes() == b.tobytes()
     assert last.f_value == f.value(b) and last.grad_norm == f.grad_norm(b)
+    # the crossing: the step that overshoots, bisected by the reference rule
+    field = lambda y: sign * f.gradient(y)
+    lo, hi, x_hi = 0.0, h, ref[-1].x
+    while not (abs(norm(x_hi - target) - delta) <= 1e-8 * delta
+               and hi - lo <= st.event_refine_tol):
+        mid = 0.5 * (lo + hi)
+        x_mid = rk4_step(field, ref[-2].x, mid)
+        if norm(x_mid - target) >= delta:
+            hi, x_hi = mid, x_mid
+        else:
+            lo = mid
+    assert t_exit == ref[-2].t + hi and b.tobytes() == x_hi.tobytes()
 
 
 def test_sphere_exit_evaluates_no_gradient_past_the_sphere():
