@@ -20,6 +20,7 @@ min(delta_hat, epsilon), not on that bound.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,8 +314,17 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
 
     A constant schedule marches back once, so x0 is the first crossing of
     the rho-sphere.  A power schedule's step indices shift with the
-    horizon, so it is found by doubling plus bisection, each probed
-    horizon rebuilding the orbit with x_kbar = a; the root keeps index 0.
+    horizon K, so each K rebuilds the orbit with x_K = a (the root keeps
+    index 0).  An ascent step grows r = |x - target| by at most 1/(1 -
+    alpha_k L) <= exp(alpha_k L/(1 - cL)), c = sup alpha, so no K with
+    S(K) = alpha_0 + ... + alpha_{K-1} < ln(rho/r_a)(1 - cL)/L leaves
+    B_rho: the first K is the smallest past that bound.  The next comes
+    from a secant through the origin on ln(r_K/r_a) against S(K), aimed at
+    the annulus's geometric middle sqrt(rho cap); it is exact to first
+    order along an eigenvector of a quadratic.  A box exit or a root past
+    cap is an overshoot.  A guess outside the bracket falls back to
+    bisection, or to doubling S while nothing has overshot; the search
+    fails once the bracket closes or kbar_max is passed.
     """
     def outside(x):
         return bool(np.linalg.norm(x - target) > rho)
@@ -328,30 +338,34 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
         orbit = reverse_orbit(f, a, s, kbar_max, stop=outside)
         return (orbit.points[0], orbit) if usable(orbit) else None
 
-    def build(k):
-        orbit = reverse_orbit(f, a, s, k)
-        # a box exit counts as an overshoot: search downward
-        return orbit, orbit.status != "complete" or outside(orbit.points[0])
+    S = [0.0]  # S[K], extended as far as a horizon needs it
 
-    lo, hi, hi_orbit = 0, None, None
-    kbar = 1
-    while kbar <= kbar_max:
-        orbit, escaped = build(kbar)
-        if escaped:
-            hi, hi_orbit = kbar, orbit
-            break
-        lo = kbar
-        kbar *= 2
-    if hi is None:
-        return None
-    while hi - lo > 1 and not usable(hi_orbit):
-        mid = (lo + hi) // 2
-        orbit, escaped = build(mid)
-        if escaped:
-            hi, hi_orbit = mid, orbit
+    def horizon(target_sum):
+        """Smallest K <= kbar_max with S(K) >= target_sum, else kbar_max + 1."""
+        while S[-1] < target_sum and len(S) <= kbar_max:
+            S.append(S[-1] + s.alpha(len(S) - 1))
+        return bisect_left(S, target_sum)
+
+    L, r_a = f.lipschitz_L, float(np.linalg.norm(a - target))
+    bound = math.log(rho / r_a) * (1.0 - s.sup_alpha * L) / L if L > 0.0 else math.inf
+    # S(1) = alpha_0, so the first horizon is at least 1
+    lo, hi = horizon(max(bound, s.alpha(0))) - 1, kbar_max + 1
+    kbar = lo + 1
+    while lo < kbar < hi:
+        orbit = reverse_orbit(f, a, s, kbar)
+        r = float(np.linalg.norm(orbit.points[0] - target))
+        if orbit.status == "complete" and r <= rho:
+            lo = kbar
+        elif usable(orbit):
+            return orbit.points[0], orbit
         else:
-            lo = mid
-    return (hi_orbit.points[0], hi_orbit) if usable(hi_orbit) else None
+            hi = kbar
+        guess = (horizon(S[kbar] * math.log(math.sqrt(rho * cap) / r_a) / math.log(r / r_a))
+                 if orbit.status == "complete" and r > r_a else lo)
+        if not lo < guess < hi:
+            guess = (lo + hi) // 2 if hi <= kbar_max else min(horizon(2.0 * S[kbar]), kbar_max)
+        kbar = guess
+    return None
 
 
 def _flow_escape(f, a, target, delta, settings):

@@ -40,21 +40,23 @@ class ReverseOrbit:
     start_index: int = 0
 
 
-def _picard(f, base, lam, sign, tol_scale):
+def _picard(f, base, lam, sign, tol_scale, g=None):
     """Fixed point of y -> base + sign * lam * grad(y), with base and y
-    points of f's lane.  Returns (y, iters)."""
+    points of f's lane.  The first iterate needs grad(base): ``g``, when
+    the caller already has it.  Returns (y, iters)."""
     tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
     step = sign * lam
     grad, axpy, sub, inside = f._lane.grad, f._lane.axpy, f._lane.sub, f._lane.inside
-    y = base
+    y, g = base, grad(base) if g is None else g
     for it in range(1, _MAX_INNER_ITER + 1):
-        y_next = axpy(base, step, grad(y))
+        y_next = axpy(base, step, g)
         if not inside(y_next):
             raise LeftBoxError(y_next, "fixed-point iterate left the operating box")
         d = sub(y_next, y)
         y = y_next
         if sumsq(d) <= tol_sq:
             return y, it
+        g = grad(y)
     raise ArithmeticError("fixed-point iteration failed to contract")
 
 
@@ -105,17 +107,19 @@ def prox_certificates(f, x, lam, xplus, slack_rtol=1e-9):
     return dec_ok, step_ok
 
 
-def _ascent_step(f, xnext, a):
-    """(y, r): the ascent preimage y of xnext, both points of f's lane, and
-    its forward residual r = |(y - a grad(y)) - xnext|, certified to
-    1e-10 * (1 + |y|).  The caller has checked the prox regime and that
-    xnext lies in the box."""
+def _ascent_step(f, xnext, a, g=None):
+    """(y, r, grad(y)): the ascent preimage y of xnext, both points of f's
+    lane, its forward residual r = |(y - a grad(y)) - xnext|, certified to
+    1e-10 * (1 + |y|), and the gradient that residual took, which the next
+    solve from y starts with.  ``g`` is grad(xnext) when known.  The caller
+    has checked the prox regime and that xnext lies in the box."""
     lane = f._lane
-    y, _ = _picard(f, xnext, a, +1.0, norm(xnext))
-    residual = norm(lane.sub(lane.axpy(y, -a, lane.grad(y)), xnext))
+    y, _ = _picard(f, xnext, a, +1.0, norm(xnext), g)
+    gy = lane.grad(y)
+    residual = norm(lane.sub(lane.axpy(y, -a, gy), xnext))
     if residual > FORWARD_RESIDUAL_RTOL * (1.0 + norm(y)):
         raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
-    return y, residual
+    return y, residual, gy
 
 
 def ascent_prox(f, xnext, a):
@@ -141,7 +145,9 @@ def reverse_orbit(f, a, s, kbar, stop=None):
 
     With ``stop`` (constant schedules only) the march ends at the first
     point x with stop(x), or after kbar steps; the K steps taken are
-    indexed K-1 down to 0.
+    indexed K-1 down to 0.  Each solve starts from the gradient the
+    previous residual took at its base, so m solves cost their Picard
+    iterations plus one gradient.
     """
     anchor = np.asarray(a, dtype=float)
     if kbar < 0:
@@ -153,14 +159,14 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     # checked once: every alpha_k is at most sup_alpha, and each later
     # solve starts from a point its predecessor's Picard test kept in the box
     _require_prox_regime(f, s.sup_alpha)
-    x = f._lane.point(anchor)
+    x, g = f._lane.point(anchor), None
     points, residuals = [anchor.copy()], []
     status = "complete"
     for k in range(kbar - 1, -1, -1):
         if stop is not None and stop(points[-1]):
             break
         try:
-            x, residual = _ascent_step(f, x, s.alpha(k))
+            x, residual, g = _ascent_step(f, x, s.alpha(k), g)
         except LeftBoxError:
             status = "left_box"
             break

@@ -59,9 +59,12 @@ class Lcg64:
 def unit_directions(dim, n_random, seed, axis_first=True):
     """(2*dim + n_random, dim) unit directions: the axis pairs e_1, -e_1,
     e_2, ... and n_random quasi-random ones, axis pairs first unless
-    ``axis_first`` is False."""
+    ``axis_first`` is False.  In 1-D the axis pair is the whole sphere and
+    is all that is returned."""
     eye = np.eye(dim)
     axis = np.stack([eye, -eye], axis=1).reshape(2 * dim, dim)
+    if dim == 1:
+        return axis
     rng = Lcg64(seed)
     rand = np.array([rng.direction(dim) for _ in range(n_random)]).reshape(n_random, dim)
     return np.concatenate([axis, rand] if axis_first else [rand, axis])

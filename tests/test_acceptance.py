@@ -100,6 +100,11 @@ def test_A4_continuous_reachability():
         assert rep.status == "success"
         assert abs(abs(rep.x0[0]) - 1.0) <= 1e-8  # crossing lands on +-delta
         assert abs(rep.forward_part.limit[0]) <= 1e-6
+        # a 2-D target: its probe runs 2n + 8 distinct sphere starts, where
+        # the 1-D sphere has only two
+        quad2 = br.make_builtin("quad", (1.0, 4.0))
+        rep = br.reach_continuous(quad2, [0.0, 0.0], 1.0, st, 1e-3, 1e-6)
+        assert rep.status == "success" and rep.final_distance <= 1e-6
         dw = br.make_builtin("double_well")
         st = br.FlowSettings(h=1e-3, t_max=50.0, gtol=1e-4)
         rep = br.reach_continuous(dw, [-1.0], 0.4, st, 1e-3, 1e-3)

@@ -162,6 +162,17 @@ def test_probe_cli(tmp_path):
     assert data["capture_level"] == 0.5 and data["delta_cert"] == math.sqrt(0.2)
 
 
+def test_probe_cli_lists_each_1d_failure_once(tmp_path):
+    out = str(tmp_path / "probe")
+    rc = main(["probe", "--function", "double_well", "--target-index", "2", "--mode",
+               "continuous", "--epsilon", "0.4", "--h", "1e-3", "--t-max", "1e-4", "--out", out])
+    assert rc == 0
+    data = json.loads(read(os.path.join(out, "probe.json")))
+    assert data["samples"] == 2 and data["delta_hat"] == 0.275
+    failures = [tuple(p) for p in data["failures"]]
+    assert len(failures) > 2 and len(set(failures)) == len(failures)
+
+
 def test_eos_cli(tmp_path, capsys):
     out = str(tmp_path / "eos")
     assert main(["eos", "--function", "quad:1", "--alpha", "2.1", "--out", out]) == 0

@@ -29,7 +29,7 @@ def test_probe_quad_full_radius(quad1):
 def test_probe_double_well(dw):
     est = br.stability_probe(dw, [1.0], 0.5, br.constant(0.05), seed=0)
     assert est.delta_hat >= 0.4
-    assert est.samples == 2 + 8
+    assert est.samples == 2  # the 1-D sphere is the axis pair
 
 
 def test_probe_reports_basin_failures():
@@ -466,6 +466,99 @@ def test_reach_discrete_horizon_budget(dw):
     budgets = br.ReachBudgets(kbar_max=4)
     rep = br.reach_discrete(dw, [1.0], 0.4, s, 1e-3, 1e-4, budgets)
     assert rep.status == "no_escape"
+
+
+def test_reach_discrete_power_horizon_budget(dw):
+    s = br.power(0.5 / dw.lipschitz_L, 0.5)
+    budgets = br.ReachBudgets(kbar_max=4)
+    rep = br.reach_discrete(dw, [1.0], 0.4, s, 1e-3, 1e-4, budgets)
+    assert rep.status == "no_escape"
+
+
+def build_log(monkeypatch):
+    """The reverse orbits _first_crossing_orbit builds, in order."""
+    builds = []
+    build = reach_mod.reverse_orbit
+
+    def logged(*args, **kwargs):
+        builds.append(build(*args, **kwargs))
+        return builds[-1]
+
+    monkeypatch.setattr(reach_mod, "reverse_orbit", logged)
+    return builds
+
+
+def horizon(orbit):
+    return orbit.start_index + len(orbit.points) - 1
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.7, 0.9])
+def test_power_horizon_on_a_quadratic_axis_takes_two_builds(monkeypatch, frac):
+    # along an eigenvector the secant through the origin is exact to first
+    # order: the certified first horizon, then the secant's, which lands
+    f = br.make_builtin("quad", (1.0, 10.0))
+    s = br.power(frac / f.lipschitz_L, 0.5)
+    rho = reach_mod._escape_radius(f, 1.0, s.sup_alpha)
+    builds = build_log(monkeypatch)
+    for sign, seed_radius in itertools.product((1.0, -1.0), (5e-4, 2e-3)):
+        builds.clear()
+        a = np.array([sign * seed_radius, 0.0])
+        x0, orbit = reach_mod._first_crossing_orbit(f, a, s, rho, 1.0, np.zeros(2), 1 << 16)
+        assert len(builds) == 2 and builds[-1] is orbit
+        assert horizon(builds[0]) < horizon(orbit)
+        assert rho < np.linalg.norm(x0) <= 1.0
+
+
+def test_power_horizon_search_stops_at_kbar_max(monkeypatch):
+    # the secant asks for about 4,900 steps, past kbar_max: the search
+    # doubles the step sum instead, up to kbar_max, and gives up there
+    f = br.make_builtin("quad", (1.0, 10.0))
+    s = br.power(0.5 / f.lipschitz_L, 0.5)
+    rho = reach_mod._escape_radius(f, 1.0, s.sup_alpha)
+    builds = build_log(monkeypatch)
+    assert reach_mod._first_crossing_orbit(f, np.array([5e-4, 0.0]), s, rho, 1.0,
+                                           np.zeros(2), 1000) is None
+    ks = [horizon(o) for o in builds]
+    assert ks == sorted(ks) and ks[-1] == 1000 and len(ks) <= 5
+    assert all(o.status == "complete" and np.linalg.norm(o.points[0]) <= rho for o in builds)
+
+
+# the benchmark's minima_power targets: (builtin, params, local minimum index, epsilon)
+MINIMA_POWER = [("double_well", (), 0, 0.4), ("double_well", (), 1, 0.4),
+                *[("himmelblau", (), i, 1.0) for i in range(4)],
+                ("quad", (1.0, 4.0), 0, 1.0), ("quad", (1.0, 10.0), 0, 1.0)]
+
+
+@pytest.mark.parametrize("name,params,index,eps", MINIMA_POWER)
+def test_power_horizon_search_builds_at_most_three_orbits(monkeypatch, name, params, index, eps):
+    f = br.make_builtin(name, params)
+    target = [cp.point for cp in f.critical_points if cp.kind == "local_min"][index]
+    delta = br.stability_probe(f, target, eps, br.constant(0.9 / f.lipschitz_L)).delta_hat
+    builds = build_log(monkeypatch)
+    for frac, seed_radius in itertools.product((0.5, 0.9), (5e-4, 2e-3)):
+        builds.clear()
+        rep = br.reach_discrete(f, target, eps, br.power(frac / f.lipschitz_L, 0.5),
+                                seed_radius, 1e-4, br.ReachBudgets(delta_override=delta))
+        assert rep.status == "success" and 1 <= len(builds) <= 3
+        assert builds[-1] is rep.reverse_part
+        assert rep.escape_radius < np.linalg.norm(rep.x0 - target) <= delta
+
+
+def test_power_horizon_past_the_box_searches_down(monkeypatch):
+    # the secant aims at sqrt(5 * 100), outside the [-10, 10] box: that
+    # build leaves the box, and the search turns down to a root in (5, 100]
+    f = br.make_builtin("quad", (1.0,))
+    builds = build_log(monkeypatch)
+    x0, orbit = reach_mod._first_crossing_orbit(f, np.array([1e-3]), br.power(0.5, 0.5), 5.0,
+                                                100.0, np.zeros(1), 1 << 16)
+    assert 5.0 < abs(x0[0]) <= 100.0 and builds[-1] is orbit
+    exits = [i for i, o in enumerate(builds) if o.status == "left_box"]
+    assert exits and all(horizon(o) < horizon(builds[exits[0]]) for o in builds[exits[0] + 1:])
+    # with the whole annulus outside the box, the search fails, and stops
+    builds.clear()
+    assert reach_mod._first_crossing_orbit(f, np.array([1e-3]), br.power(0.9, 0.5), 12.0,
+                                           20.0, np.zeros(1), 1 << 16) is None
+    assert any(o.status == "left_box" for o in builds) and len(builds) < 10
 
 
 def test_reach_discrete_no_converge_reported(dw):

@@ -5,6 +5,7 @@ given seed.  These constants freeze the documented recurrence."""
 import math
 
 import numpy as np
+import pytest
 
 from basinreach.sampling import Lcg64, unit_directions
 
@@ -40,3 +41,9 @@ def test_unit_directions_layout():
     assert np.array_equal(last, np.concatenate([dirs[4:], dirs[:4]]))
     assert np.array_equal(unit_directions(2, 4, seed=5), dirs)
     assert not np.array_equal(unit_directions(2, 4, seed=6), dirs)
+
+
+@pytest.mark.parametrize("axis_first", [True, False])
+def test_unit_directions_1d_is_the_axis_pair(axis_first):
+    # the unit sphere of R^1 has two points, so no start is repeated
+    assert unit_directions(1, 8, seed=0, axis_first=axis_first).tolist() == [[1.0], [-1.0]]

@@ -15,6 +15,7 @@ import pytest
 
 import basinreach as br
 import basinreach.flow as flow_mod
+import basinreach.reach as reach_mod
 import basinreach.reverse as reverse_mod
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -72,7 +73,7 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
     orbit = br.reverse_orbit(f, np.array(anchor), s, 12)
     solves = len(orbit.points) - 1
     assert solves == 12 and len(iters) == solves
-    assert counts.since(snap)[workloads.GRAD] == sum(iters) + solves
+    assert counts.since(snap)[workloads.GRAD] == sum(iters) + 1
 
     # RK4: one gradient per recorded state, 3 more per step or bisection
     # substep; the flows' first catalog point is a minimum
@@ -95,3 +96,30 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
                                               0.3, st)
     assert len(rk4_calls) > len(traj) - 1 > 10  # bisection substeps ran
     assert counts.since(snap)[workloads.GRAD] == len(traj) + 3 * len(rk4_calls)
+
+
+def test_minima_power_round_builds_each_orbit_about_once(monkeypatch, tmp_path):
+    # a horizon search that falls back to doubling rebuilds each orbit
+    # several times, at 2 or more ascent solves per final orbit point
+    workloads = load_workloads()
+    counts = workloads.Counts()
+    workload = workloads.minima_power(0, counts, str(tmp_path))
+    solves = grads = points = 0
+    build = reach_mod.reverse_orbit
+
+    def counted(*args, **kwargs):
+        nonlocal solves, grads
+        snap = counts.snapshot()
+        orbit = build(*args, **kwargs)
+        grads += counts.since(snap)[workloads.GRAD]
+        solves += len(orbit.points) - 1 + (orbit.status == "left_box")
+        return orbit
+
+    monkeypatch.setattr(reach_mod, "reverse_orbit", counted)
+    for case in workload.make_round(0):
+        snap = counts.snapshot()
+        report = case.run()
+        assert case.check(report, counts.since(snap)[workloads.GRAD]) == []
+        points += len(report.reverse_part.points)
+    assert solves <= 1.2 * points
+    assert grads <= 8 * points
