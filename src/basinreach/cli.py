@@ -74,6 +74,11 @@ NULLABLE_FIELDS = {
 }
 
 
+#: the fields that, from a flag or a config file, hold a nonnegative integer;
+#: the seed may be any integer
+COUNT_FIELDS = ("max_iter", "kbar_max", "n_samples", "n_checks")
+
+
 def parse_function(text):
     """name or name:p1,p2,... e.g. quad:1,4 or double_well:2."""
     name, _, rest = text.partition(":")
@@ -110,6 +115,10 @@ def resolve_config(args):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    for key in COUNT_FIELDS + ("seed",):
+        if type(cfg[key]) is not int or (cfg[key] < 0 and key != "seed"):
+            what = "an integer" if key == "seed" else "a nonnegative integer"
+            raise ConfigError(f"{key} must be {what}, got {json.dumps(cfg[key])}")
     return cfg
 
 
@@ -198,7 +207,7 @@ def cmd_run(args):
         traj = integrate(f, x0, cfg["direction"], flow_settings(cfg))
     elif cfg["procedure"] == "gd":
         s = parse_schedule(cfg["schedule"])
-        traj = run_gd(f, x0, s, gtol=float(cfg["gtol"]), max_iter=int(cfg["max_iter"]))
+        traj = run_gd(f, x0, s, gtol=float(cfg["gtol"]), max_iter=cfg["max_iter"])
     else:
         raise ConfigError(f"procedure: {cfg['procedure']!r} is not a run procedure")
     serialize.write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
@@ -218,8 +227,8 @@ def cmd_reach(args):
     f = parse_function(cfg["function"])
     target = resolve_target(cfg, f)
     out = output_dir(args, cfg)
-    budgets = ReachBudgets(max_iter=int(cfg["max_iter"]), kbar_max=int(cfg["kbar_max"]),
-                           probe_samples=int(cfg["n_samples"]), seed=int(cfg["seed"]))
+    budgets = ReachBudgets(max_iter=cfg["max_iter"], kbar_max=cfg["kbar_max"],
+                           probe_samples=cfg["n_samples"], seed=cfg["seed"])
     mode = cfg["mode"]
     if cfg["procedure"] == "reach-general":
         report = reach_general(
@@ -263,9 +272,9 @@ def cmd_probe(args):
     est = stability_probe(
         f, target, float(cfg["epsilon"]),
         parse_schedule(cfg["schedule"]) if cfg["mode"] == "discrete" else None,
-        n_samples=int(cfg["n_samples"]), mode=cfg["mode"],
+        n_samples=cfg["n_samples"], mode=cfg["mode"],
         settings=flow_settings(cfg) if cfg["mode"] == "continuous" else None,
-        seed=int(cfg["seed"]), max_iter=min(int(cfg["max_iter"]), 100000),
+        seed=cfg["seed"], max_iter=min(cfg["max_iter"], 100000),
         gtol=max(float(cfg["gtol"]), 1e-10))
     serialize.write_json({
         "epsilon": est.epsilon,
@@ -304,10 +313,10 @@ def cmd_check(args):
     cfg["procedure"] = "prox-check"
     f = parse_function(cfg["function"])
     out = output_dir(args, cfg)
-    rng = Lcg64(int(cfg["seed"]))
+    rng = Lcg64(cfg["seed"])
     lo, hi = f.box[:, 0], f.box[:, 1]
     span = 0.8  # sample the inner 80% so prox iterates stay inside the box
-    n = int(cfg["n_checks"])
+    n = cfg["n_checks"]
     identity_fails = cert_fails = 0
     for _ in range(n):
         u = np.array([rng.uniform() for _ in range(f.dim)])

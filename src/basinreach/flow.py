@@ -8,8 +8,9 @@ Each run is a :func:`~basinreach.trajectory.march` with an RK4 or Euler
 step rule; a sphere exit is its stop event, which tests the radius
 before the field is evaluated at the new point and bisects the last
 step onto the sphere.  RK4 has one rule, :func:`_rk4_step`, run on
-points of the objective's lane (``landscape.Lane``) and, by the batched
-probe, on arrays; only the Euler min-norm rule keeps ndarray points.
+points of the objective's lane (``landscape.Lane``) by every flow,
+the continuous stability probe's included; only the Euler min-norm rule
+keeps ndarray points.
 """
 
 import math
@@ -72,12 +73,13 @@ def _check_h(obj, settings):
         raise ValueError(f"h = {settings.h} exceeds the guard 0.1/L = {H_GUARD / L}")
 
 
-def _rk4_step(grad, axpy, x, sh, g1):
+def _rk4_step(lane, x, sh, g1):
     """One classical RK4 step of signed length sh along dx/dt = grad(x),
-    from g1 = grad(x): x + (sh/6) (g1 + 2 g2 + 2 g3 + g4), with axpy(x, c,
-    v) = x + c v of a lane, or of arrays when x is a (B, dim) batch.  sh =
-    -h flows down f, sh = h up it; negation is exact, so these are the
-    IEEE operations of RK4 with step h on the signed field -+grad."""
+    from g1 = grad(x): x + (sh/6) (g1 + 2 g2 + 2 g3 + g4), on points of
+    the lane.  sh = -h flows down f, sh = h up it; negation is exact, so
+    these are the IEEE operations of RK4 with step h on the signed field
+    -+grad."""
+    grad, axpy = lane.grad, lane.axpy
     g2 = grad(axpy(x, 0.5 * sh, g1))
     g3 = grad(axpy(x, 0.5 * sh, g2))
     g4 = grad(axpy(x, sh, g3))
@@ -92,17 +94,16 @@ def _start(f, x0, settings):
     return x, int(round(settings.t_max / settings.h))
 
 
-def _rk4_flow(grad, axpy, direction, settings):
+def _rk4_flow(lane, direction, settings):
     """(step, sh, gtol) of RK4 on dx/dt = -grad (forward, sh = -h) or +grad
-    (reverse, sh = h) for :func:`march` with the field grad; the step takes
-    grad at x as its g1, and only a forward flow stops on |grad| < gtol.
-    With grad = f.gradients and array axpy the step runs on a (B, dim)
-    batch."""
+    (reverse, sh = h) for :func:`march` with the field lane.grad; the step
+    takes grad at x as its g1, and only a forward flow stops on |grad| <
+    gtol."""
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
     h = settings.h
     sh = -h if direction == "forward" else h
-    step = lambda k, t, x, g: ((k + 1) * h, _rk4_step(grad, axpy, x, sh, g))
+    step = lambda k, t, x, g: ((k + 1) * h, _rk4_step(lane, x, sh, g))
     return step, sh, settings.gtol if direction == "forward" else 0.0
 
 
@@ -111,7 +112,7 @@ def integrate(f, x0, direction, settings):
     +grad f (reverse).  Stops at t_max, at |grad| < gtol (forward only),
     or at box exit (expected for reverse flows)."""
     lane = f._lane
-    step, _, gtol = _rk4_flow(lane.grad, lane.axpy, direction, settings)
+    step, _, gtol = _rk4_flow(lane, direction, settings)
     x, n_steps = _start(f, x0, settings)
     return recorded(f, *march(f, lane.point(x), lane.grad, step, n_steps, gtol),
                     {"producer": "flow", "f": f, "direction": direction, "settings": settings})
@@ -146,7 +147,7 @@ def integrate_minnorm(g, x0, settings):
 def _sphere_exit_detail(f, x0, direction, center, delta, settings):
     """(t_exit, b, trajectory-so-far): first crossing of the delta-sphere."""
     lane = f._lane
-    step, sh, gtol = _rk4_flow(lane.grad, lane.axpy, direction, settings)
+    step, sh, gtol = _rk4_flow(lane, direction, settings)
     center = lane.point(center)
     radius = lambda y: norm(lane.sub(y, center))
     if not radius(lane.point(x0)) < delta:
@@ -166,7 +167,7 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings):
             if r_err <= 1e-8 * delta and hi - lo <= settings.event_refine_tol:
                 return "converged", np.array(x_hi), t_prev + hi, x_hi
             mid = 0.5 * (lo + hi)
-            x_mid = _rk4_step(lane.grad, lane.axpy, x_prev, math.copysign(mid, sh), g_prev)
+            x_mid = _rk4_step(lane, x_prev, math.copysign(mid, sh), g_prev)
             if radius(x_mid) >= delta:
                 hi, x_hi = mid, x_mid
             else:

@@ -28,11 +28,11 @@ import numpy as np
 from .descent import DIVERGENCE_FACTOR, _gd_rule, classify_limit, run_gd
 from .flow import (NoCrossingError, _check_h, _rk4_flow, _sphere_exit_detail, integrate,
                    integrate_minnorm)
-from .landscape import LeftBoxError, cap, row_norms
+from .landscape import LeftBoxError, cap, norm, row_norms
 from .reverse import reverse_orbit
 from .sampling import unit_directions
 from .schedule import admissible, constant
-from .trajectory import Trajectory, emit, march, recorded
+from .trajectory import march, recorded
 
 REACH_STATUSES = ("success", "no_escape", "no_converge")
 
@@ -129,90 +129,6 @@ def _capture_level(f, target, epsilon, f_star):
     return float(bound.min())
 
 
-# The batched probe stacks its per-step arrays into one block at least every
-# RUN_STEPS steps: a small array per step costs about 100 bytes of header.
-RUN_STEPS = 1024
-
-
-def _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter, capture):
-    """Run all probe starts of one radius as a (B, dim) batch; returns, per
-    start, whether it converged without leaving B_contain(target).
-
-    Each row takes the steps run_gd (discrete) or forward integrate
-    (continuous) takes from its start, bit for bit, by the same step rule
-    applied to the batch: a GD step, or an RK4 step whose k1 is the field
-    already taken for |grad f|.  A row leaves the batch when it converges
-    or leaves the box, like those runs, or when it leaves the ball: that
-    decides its failure, so its trajectory ends at its first outside
-    state with provenance stopped_on = "left_ball".  A row in the ball
-    with f < ``capture`` (see stability_probe) passes: it stops as converged
-    with no limit and provenance stopped_on = "capture_set", capture_level.
-    A row inside the ball is bounded, so run_gd's divergence stop has no
-    counterpart.  Steps are stored as arrays, and one Trajectory per start
-    is emitted at the end.
-    """
-    n, field, axpy = len(starts), f.gradients, lambda X, c, G: X + c * G
-    if mode == "discrete":
-        n_steps, step = max_iter, _gd_rule(s, axpy)
-        prov = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol, "unsafe": False}
-    else:
-        n_steps = int(round(settings.t_max / settings.h))
-        prov = {"producer": "flow", "f": f, "direction": "forward", "settings": settings}
-        step, _, gtol = _rk4_flow(field, axpy, "forward", settings)
-
-    floor = -np.inf if capture is None else capture
-    status = ["budget_exhausted"] * n
-    stopped_on = [{}] * n
-    rows, X = np.arange(n), starts
-    G = field(X)
-    GN = row_norms(G)
-    # runs of at most RUN_STEPS steps over one set of live rows, each kept
-    # as (rows, t (s,), X (s, m, dim), f (s, m), |grad f| (s, m))
-    runs, steps = [], []
-    k, t = 0, 0.0
-    while True:
-        F = f.values(X)
-        steps.append((t, X, F, GN))
-        out_box = ((X < f._box_lo) | (X > f._box_hi)).any(axis=1)
-        gone = ~(row_norms(X - target) <= contain)
-        stop = out_box | gone | (GN < gtol) | (F < floor)
-        any_stop = stop.any()
-        if any_stop or len(steps) == RUN_STEPS:
-            runs.append((rows, *map(np.array, zip(*steps))))
-            steps = []
-        if any_stop:
-            for j in np.flatnonzero(stop):
-                i = rows[j]
-                if out_box[j]:
-                    status[i] = "left_box"
-                elif gone[j]:
-                    stopped_on[i] = {"stopped_on": "left_ball"}
-                else:
-                    status[i] = "converged"
-                    if not GN[j] < gtol:
-                        stopped_on[i] = {"stopped_on": "capture_set", "capture_level": capture}
-            live = ~stop
-            rows, X, G, GN = rows[live], X[live], G[live], GN[live]
-        if rows.size == 0 or k == n_steps:
-            break
-        t, X = step(k, t, X, G)
-        k += 1
-        G = field(X)
-        GN = row_norms(G)
-    if steps:
-        runs.append((rows, *map(np.array, zip(*steps))))
-
-    for i in range(n):
-        parts = [(t_run, x_run[:, j], f_run[:, j], g_run[:, j])
-                 for ids, t_run, x_run, f_run, g_run in runs
-                 for j in np.flatnonzero(ids == i)]
-        ts, xs, fs, gns = map(np.concatenate, zip(*parts))
-        emit(Trajectory(ts, xs, fs, gns, status[i],
-                        xs[-1].copy() if status[i] == "converged" and not stopped_on[i] else None,
-                        dict(prov, **stopped_on[i])))
-    return [st == "converged" for st in status]
-
-
 def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
                     settings=None, seed=0, max_iter=20_000, gtol=1e-8, n_bisect=6):
     """Empirical stability radius around a cataloged local minimum.
@@ -224,6 +140,13 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
     the largest tested radius with zero failures (0 when every tested
     radius failed, which signals that epsilon violates the locality
     requirement).  Deterministic given the seed.
+
+    Each start is one :func:`march` run by the step rule of ``run_gd``
+    (discrete) or forward ``integrate`` (continuous), bit for bit, with
+    their stops (none for divergence: the ball bounds the run).  It also
+    stops at its first state outside the ball (a failure, stopped_on =
+    "left_ball") or in the capture set below (converged, no limit,
+    stopped_on = "capture_set", unless |grad f| < gtol there too).
 
     Capture set: for quad, 1-D and 2-D objectives, ``capture_level`` c is
     a certified lower bound of f on the epsilon-sphere, and a run passes
@@ -257,11 +180,40 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
     c = _capture_level(f, target, epsilon, entry.f_value)
     delta_cert = None if c is None else math.sqrt(
         2.0 * max(c - entry.f_value, 0.0) / f.lipschitz_L)
+    lane = f._lane
+    center = lane.point(target)
+    if mode == "discrete":
+        n_steps, step = max_iter, _gd_rule(s, lane.axpy)
+        prov = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol, "unsafe": False}
+    else:
+        n_steps = int(round(settings.t_max / settings.h))
+        step, _, gtol = _rk4_flow(lane, "forward", settings)
+        prov = {"producer": "flow", "f": f, "direction": "forward", "settings": settings}
+
+    def held(prev, t, x, fx):
+        # inside the box: the ball decides a failure, the capture set a pass
+        if lane.inside(x):
+            if not norm(lane.sub(x, center)) <= contain:
+                return "left_ball", None, t, x
+            if c is not None and fx < c:
+                return "capture_set", None, t, x
+        return None
+
+    def passes(start):
+        steps, status, limit = march(f, lane.point(start), lane.grad, step, n_steps, gtol,
+                                     event=held, value=f.value)
+        stopped_on = {}
+        if status == "capture_set" and steps[-1][2] < gtol:  # converged, as a full run
+            status, limit = "converged", np.array(steps[-1][1])
+        elif status == "capture_set":
+            status, stopped_on = "converged", {"stopped_on": status, "capture_level": c}
+        elif status == "left_ball":
+            status, stopped_on = "budget_exhausted", {"stopped_on": status}
+        recorded(f, steps, status, limit, dict(prov, **stopped_on))
+        return status == "converged"
 
     def trial(radius):
-        starts = target + radius * dirs
-        ok = _probe_batch(f, starts, target, contain, mode, s, settings, gtol, max_iter, c)
-        return [start for start, good in zip(starts, ok) if not good]
+        return [start for start in target + radius * dirs if not passes(start)]
 
     failures = trial(epsilon)
     if not failures:

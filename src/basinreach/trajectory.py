@@ -1,10 +1,10 @@
 """Trajectory record shared by the discrete and continuous engines, and
-``march``, the one stepping loop behind every single run: gradient
-descent (``run_gd``, ``reach._run_to_level``), RK4 flow (``integrate``,
-``_sphere_exit_detail``) and the Euler min-norm flow
+``march``, the one stepping loop in the program: gradient descent
+(``run_gd``, ``reach._run_to_level``, each start of the discrete
+stability probe), RK4 flow (``integrate``, ``_sphere_exit_detail``, each
+start of the continuous probe) and the Euler min-norm flow
 (``integrate_minnorm``).  Each of those passes in its step rule and its
-own stop event; the batched stability probe (``reach._probe_batch``) is
-the only other stepping loop.
+own stop event.
 
 Gradient descent and RK4 run in their objective's lane
 (``landscape.Lane``): for dim <= 2 a point is a tuple of Python floats,

@@ -235,9 +235,33 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
       "--schedule", "constant:0.02"], "target: catalog index -1 out of range"),
     (["probe", "--config", {"function": "double_well", "target": -1, "epsilon": 0.4,
                             "schedule": "constant:0.02"}], "target: catalog index -1 out of range"),
+    (["probe", "--function", "double_well", "--target-index", "2", "--epsilon", "0.4",
+      "--schedule", "constant:0.02", "--max-iter", "-5"],
+     "max_iter must be a nonnegative integer, got -5"),
+    (["run", "--function", "quad:1", "--x0", "1", "--max-iter", "-5"],
+     "max_iter must be a nonnegative integer, got -5"),
+    (["check", "--function", "quad:1", "--n-checks", "-3"],
+     "n_checks must be a nonnegative integer, got -3"),
+    (["reach", "--function", "double_well", "--target-index", "2", "--kbar-max", "-1"],
+     "kbar_max must be a nonnegative integer, got -1"),
+    (["probe", "--function", "double_well", "--target-index", "2", "--n-samples", "-1"],
+     "n_samples must be a nonnegative integer, got -1"),
+    (["probe", "--config", {"function": "double_well", "target": 2, "n_samples": 2.7}],
+     "n_samples must be a nonnegative integer, got 2.7"),
+    (["probe", "--config", {"function": "double_well", "target": 2, "seed": 1.9}],
+     "seed must be an integer, got 1.9"),
+    (["check", "--config", {"function": "quad:1", "n_checks": 5.0}],
+     "n_checks must be a nonnegative integer, got 5.0"),
+    (["run", "--config", {"function": "quad:1", "x0": [1.0], "max_iter": -5}],
+     "max_iter must be a nonnegative integer, got -5"),
+    (["reach", "--config", {"function": "double_well", "target": 2, "kbar_max": 1e3}],
+     "kbar_max must be a nonnegative integer, got 1000.0"),
 ], ids=["nonfinite-param", "x0-dimension", "target-dimension", "x0-outside-box",
         "config-object-for-number", "config-number-for-string", "config-bool-for-number",
-        "negative-target-index", "config-negative-target-index"])
+        "negative-target-index", "config-negative-target-index", "probe-negative-max-iter",
+        "run-negative-max-iter", "negative-n-checks", "negative-kbar-max",
+        "negative-n-samples", "config-fractional-n-samples", "config-fractional-seed",
+        "config-float-n-checks", "config-negative-max-iter", "config-float-kbar-max"])
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, message):
     if isinstance(argv[-1], dict):  # the contents of a config file
         cfg = tmp_path / "cfg.json"

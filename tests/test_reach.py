@@ -97,8 +97,9 @@ def test_probe_rerun_containment(dw):
         assert all(abs(st.x[0] - 1.0) <= eps * (1 + 1e-9) for st in traj.states)
 
 
-# The probe advances all starts of a radius as one batch; these check it
-# against run_gd and integrate, state by state.
+# Each probe start is one march run by the step rule of run_gd or forward
+# integrate; these check it against those runs, state by state, on both
+# lanes.
 
 def probe_runs(f, *args, **kwargs):
     runs = []
@@ -139,6 +140,7 @@ def check_passing_row(row, ref, est, target, eps):
     (br.make_builtin("double_well"), [1.0], 0.5, 0.2),
     (br.make_builtin("himmelblau"), [3.0, 2.0], 1.0, 0.5),
     (WIDE_DW, [1.0], 1.5, 0.5),
+    (br.make_builtin("quad", (1.0, 2.0, 5.0)), [0.0, 0.0, 0.0], 1.0, 0.5),
 ])
 def test_probe_discrete_runs_match_run_gd(f, target, eps, frac):
     s = br.constant(frac / f.lipschitz_L)
@@ -188,6 +190,16 @@ def test_probe_left_ball_stops_at_first_outside_state():
     assert n_cut > 1
     # the failures are the starts whose full run_gd fails, in probe order
     assert [p.tobytes() for p in est.failures] == [p.tobytes() for p in failed]
+
+
+def test_probe_state_in_capture_set_at_gtol_converges(quad1):
+    # f = c on the sphere; one step of 1/L lands on 0, inside the capture
+    # set with |grad f| = 0: converged with its limit, not a capture stop
+    est, runs = probe_runs(quad1, [0.0], 1.0, br.constant(1.0))
+    assert est.delta_hat == 1.0 and est.capture_level == 0.5 and len(runs) == 2
+    for r in runs:
+        assert r.terminal_status == "converged" and len(r) == 2
+        assert r.limit.tolist() == [0.0] and "stopped_on" not in r.provenance
 
 
 def test_probe_rowwise_objective_gives_same_estimate(quad14):

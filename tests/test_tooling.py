@@ -97,6 +97,22 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
     assert len(rk4_calls) > len(traj) - 1 > 10  # bisection substeps ran
     assert counts.since(snap)[workloads.GRAD] == len(traj) + 3 * len(rk4_calls)
 
+    # the probe: one gradient per recorded state, 3 more per RK4 step,
+    # beside what its capture certificate costs
+    target, eps = f.critical_points[0].point, 0.5
+    snap = counts.snapshot()
+    reach_mod._capture_level(f, target, eps, f.value(target))
+    certificate = counts.since(snap)[workloads.GRAD]
+    for mode, sched, settings in [("discrete", s, None), ("continuous", None, st)]:
+        rk4_calls.clear()
+        runs = []
+        snap = counts.snapshot()
+        with br.record_trajectories(runs):
+            br.stability_probe(f, target, eps, sched, mode=mode, settings=settings)
+        states = sum(map(len, runs))
+        assert len(runs) >= 2 * f.dim and (mode == "continuous") == (len(rk4_calls) > 0)
+        assert counts.since(snap)[workloads.GRAD] == certificate + states + 3 * len(rk4_calls)
+
 
 def test_minima_power_round_builds_each_orbit_about_once(monkeypatch, tmp_path):
     # a horizon search that falls back to doubling rebuilds each orbit
