@@ -39,7 +39,7 @@ CONFIG_DEFAULTS = {
     "tol": 1e-4,                 # reach success tolerance
     "delta": None,               # saddle-mode escape radius (default epsilon/2)
     "gtol": 1e-10,               # gradient stopping tolerance
-    "h": 1e-3,                   # flow integrator step
+    "h": 1e-3,                   # flow integrator's first trial step
     "t_max": 50.0,               # flow time budget
     "event_refine_tol": None,    # sphere-crossing refinement (default h/1000)
     "max_iter": 1000000,         # discrete iteration budget

@@ -8,14 +8,14 @@ target with f(a) > f(target), escape backward from a to x0 on a sphere
 around the target, run forward from x0 and measure the distance from the
 forward limit to the target.  The modes differ only in their escape and
 forward runs: reverse orbit and ``run_gd`` (``reach_discrete``), reverse
-and forward RK4 flow (``reach_continuous``), and for ``reach_general``
-reverse flow and the min-norm flow on cap(f, f(target)) (continuous) or
-reverse orbit and GD to the level crossing (discrete).  The discrete
-escape radius is the closed form rho = delta_hat / (1 + 2aL/(1 - aL)),
-a = sup alpha: |grad f(x)| <= L |x - target| on the convex box, so one
-ascent step from B_rho lands within the probed stability radius
-delta_hat, and with a constant schedule x0 is the first orbit point
-outside B_rho.  Capture rests on the direct check |x0 - target| <=
+and forward DP5 flow (``reach_continuous``), and for ``reach_general``
+reverse flow and forward flow to the level set f = f(target)
+(continuous) or reverse orbit and GD to the level crossing (discrete).
+The discrete escape radius is the closed form rho = delta_hat / (1 +
+2aL/(1 - aL)), a = sup alpha: |grad f(x)| <= L |x - target| on the
+convex box, so one ascent step from B_rho lands within the probed
+stability radius delta_hat, and with a constant schedule x0 is the first
+orbit point outside B_rho.  Capture rests on the direct check |x0 - target| <=
 min(delta_hat, epsilon), not on that bound.
 """
 
@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import DIVERGENCE_FACTOR, _gd_rule, classify_limit, run_gd
-from .flow import (NoCrossingError, _check_h, _rk4_flow, _sphere_exit_detail, integrate,
-                   integrate_minnorm)
-from .landscape import LeftBoxError, cap, norm, row_norms
+from .flow import NoCrossingError, _Flow, _sphere_exit_detail, integrate
+# not called here: the benchmark's tracer wraps reach.integrate_minnorm by name
+from .flow import integrate_minnorm  # noqa: F401
+from .landscape import LeftBoxError, norm, row_norms
 from .reverse import reverse_orbit
 from .sampling import unit_directions
 from .schedule import admissible, constant
@@ -153,7 +154,7 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
     once it enters K = {x in B_epsilon : f(x) < c}.  With alpha < 2/L the
     descent lemma gives f(x - t alpha g) <= f(x) < c for t in [0, 1], so a
     GD step from K never crosses the sphere; the exact flow is monotone in
-    f (RK4 follows it to its accuracy).  In K, sum alpha_k (1 - alpha_k
+    f (DP5 follows it to its accuracy).  In K, sum alpha_k (1 - alpha_k
     L/2) |g_k|^2 < inf, so a nonsummable schedule forces liminf |g_k| = 0:
     a captured run stays in B_epsilon and reaches gtol for all time, not
     only within budget.  That its limit is the target is not claimed; the
@@ -170,8 +171,6 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
         raise ValueError(f"unknown probe mode {mode!r}")
     if mode == "continuous" and settings is None:
         raise ValueError("continuous probe needs FlowSettings")
-    if mode == "continuous":
-        _check_h(f, settings)
     if mode == "discrete" and (s is None or not admissible(s, f, "stability")):
         raise ValueError("discrete probe needs a schedule with sup alpha < 2/L")
 
@@ -183,11 +182,13 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
     lane = f._lane
     center = lane.point(target)
     if mode == "discrete":
-        n_steps, step = max_iter, _gd_rule(s, lane.axpy)
+        rule = _gd_rule(s, lane.axpy)
+        run = lambda x: march(f, lane.point(x), lane.grad, rule, max_iter, gtol, event=held,
+                              value=f.value)
         prov = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol, "unsafe": False}
     else:
-        n_steps = int(round(settings.t_max / settings.h))
-        step, _, gtol = _rk4_flow(lane, "forward", settings)
+        gtol = settings.gtol
+        run = lambda x: _Flow(f, "forward", settings).march(f, x, event=held, value=f.value)
         prov = {"producer": "flow", "f": f, "direction": "forward", "settings": settings}
 
     def held(prev, t, x, fx):
@@ -200,8 +201,7 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
         return None
 
     def passes(start):
-        steps, status, limit = march(f, lane.point(start), lane.grad, step, n_steps, gtol,
-                                     event=held, value=f.value)
+        steps, status, limit = run(start)
         stopped_on = {}
         if status == "capture_set" and steps[-1][2] < gtol:  # converged, as a full run
             status, limit = "converged", np.array(steps[-1][1])
@@ -271,12 +271,15 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     alpha_k L) <= exp(alpha_k L/(1 - cL)), c = sup alpha, so no K with
     S(K) = alpha_0 + ... + alpha_{K-1} < ln(rho/r_a)(1 - cL)/L leaves
     B_rho: the first K is the smallest past that bound.  The next comes
-    from a secant through the origin on ln(r_K/r_a) against S(K), aimed at
-    the annulus's geometric middle sqrt(rho cap); it is exact to first
-    order along an eigenvector of a quadratic.  A box exit or a root past
-    cap is an overshoot.  A guess outside the bracket falls back to
-    bisection, or to doubling S while nothing has overshot; the search
-    fails once the bracket closes or kbar_max is passed.
+    from a secant on ln(r/r_a) against the step sum an orbit climbed from
+    a (S(K) when complete; a box exit reaches its last point in the box),
+    aimed at the annulus's geometric middle sqrt(rho cap): through the
+    origin after one build, exact to first order along an eigenvector of
+    a quadratic, and through the last two builds after that, which
+    follows an orbit that curves.  A box exit or a root past cap is an
+    overshoot.  A guess outside the bracket falls back to bisection, or to
+    doubling S while nothing has overshot; the search fails once the
+    bracket closes or kbar_max is passed.
     """
     def outside(x):
         return bool(np.linalg.norm(x - target) > rho)
@@ -302,7 +305,7 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     bound = math.log(rho / r_a) * (1.0 - s.sup_alpha * L) / L if L > 0.0 else math.inf
     # S(1) = alpha_0, so the first horizon is at least 1
     lo, hi = horizon(max(bound, s.alpha(0))) - 1, kbar_max + 1
-    kbar = lo + 1
+    kbar, aim, last = lo + 1, math.log(math.sqrt(rho * cap) / r_a), (0.0, 0.0)
     while lo < kbar < hi:
         orbit = reverse_orbit(f, a, s, kbar)
         r = float(np.linalg.norm(orbit.points[0] - target))
@@ -312,8 +315,12 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
             return orbit.points[0], orbit
         else:
             hi = kbar
-        guess = (horizon(S[kbar] * math.log(math.sqrt(rho * cap) / r_a) / math.log(r / r_a))
-                 if orbit.status == "complete" and r > r_a else lo)
+        # the step sum the orbit climbed from a and the ln(r/r_a) it reached;
+        # the secant runs through the last build, or the origin
+        climbed, y = S[kbar] - S[orbit.start_index], math.log(r / r_a)
+        slope = (y - last[1]) / (climbed - last[0]) if climbed != last[0] else 0.0
+        guess = horizon(climbed + (aim - y) / slope) if slope > 0.0 else lo
+        last = climbed, y
         if not lo < guess < hi:
             guess = (lo + hi) // 2 if hi <= kbar_max else min(horizon(2.0 * S[kbar]), kbar_max)
         kbar = guess
@@ -448,6 +455,22 @@ def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=Non
                   probe=("continuous", None, settings))
 
 
+def _to_level(f, level, locate, run, prov):
+    """(trajectory, crossing or None) of run(event), a march down to the
+    level set {f <= level} that ends on its first state x with f(x) <=
+    level; the crossing, its limit, is locate(prev, x, fx) on the step
+    that reached x, or the start itself.  A run that ends above the level
+    (it stalled at a critical point, or ran out of box or budget) has none."""
+    def crossed(prev, t, x, fx):
+        if not fx <= level:
+            return None
+        return "converged", np.array(x if prev is None else locate(prev, x, fx)), t, x
+
+    steps, status, limit = run(crossed)
+    crossing = limit if status == "converged" and steps[-1][3] <= level else None
+    return recorded(f, steps, status, crossing, dict(prov, stopped_on="level_crossing")), crossing
+
+
 def _run_to_level(f, x0, s, level, gtol, max_iter):
     """GD until f(x_k) <= level; returns (trajectory, crossing or None).
 
@@ -456,37 +479,46 @@ def _run_to_level(f, x0, s, level, gtol, max_iter):
     piecewise-linear interpolation of the iterates crosses the level set.
     The run stops on leaving the box, so run_gd's divergence stop is moot.
     """
-    def crossed(prev, t, x, fx):
-        if not fx <= level:
-            return None
-        if prev is None:
-            return "converged", np.array(x), t, x
+    def secant(prev, x, fx):
         _, x_prev, _, f_prev = prev
         theta = (f_prev - level) / (f_prev - fx) if f_prev > fx else 1.0
-        return "converged", np.array(lane.axpy(x_prev, theta, lane.sub(x, x_prev))), t, x
+        return lane.axpy(x_prev, theta, lane.sub(x, x_prev))
 
     lane = f._lane
-    steps, status, limit = march(f, lane.point(x0), lane.grad, _gd_rule(s, lane.axpy),
-                                 max_iter, gtol, event=crossed, value=f.value)
-    # a run that ends above the level stalled at a critical point
-    crossing = limit if steps[-1][3] <= level else None
-    traj = recorded(f, steps, status, crossing,
-                    {"producer": "gd", "f": f, "schedule": s, "gtol": gtol,
-                     "unsafe": False, "stopped_on": "level_crossing"})
-    return traj, crossing
+    run = lambda event: march(f, lane.point(x0), lane.grad, _gd_rule(s, lane.axpy), max_iter,
+                              gtol, event=event, value=f.value)
+    return _to_level(f, level, secant, run, {"producer": "gd", "f": f, "schedule": s,
+                                             "gtol": gtol, "unsafe": False})
+
+
+def _flow_to_level(f, x0, level, settings):
+    """Forward DP5 flow until f(x) <= level; returns (trajectory, crossing
+    or None), the crossing located where f meets the level on the last
+    step's dense output."""
+    flow = _Flow(f, "forward", settings)
+    phi = lambda y: level - f.value(y)
+    locate = lambda prev, x, fx: flow.cross(phi, level - prev[3], level - fx)[1]
+    run = lambda event: flow.march(f, x0, event=event, value=f.value)
+    return _to_level(f, level, locate, run, {"producer": "flow", "f": f, "direction": "forward",
+                                             "settings": settings})
 
 
 def reach_general(f, target, epsilon, mode, seed_radius, tol=1e-2, delta=None,
                   s=None, settings=None, budgets=None):
     """Reach a cataloged saddle (critical, neither local max nor min).
 
-    continuous: run the minimum-targeting pipeline on g = max{f, f(target)}
-    (the target is a local minimum of g but not a local maximum), with the
-    forward capture by the minimum-norm flow, which stalls on the level
-    set; the reported distance is from the stall point to the target.
+    continuous: reverse flow from the ascent seed to its crossing x0 of
+    the delta-sphere, then the forward flow from x0 stopped at the level
+    set f = c, c = f(target), located on the dense output.  That stopped
+    flow is the minimum-norm Clarke flow of g = max{f, c}, under which the
+    target is a local minimum of g: on {f > c} the only active piece is f,
+    so the minimum-norm element of the Clarke subdifferential is grad f;
+    on {f <= c} the constant piece is active and 0 is in the
+    subdifferential, so the flow stalls on reaching the level set.  The
+    reported distance is from that crossing to the target.
     discrete: reverse orbit through {f > f(target)} on f itself, forward
     replay, and linear interpolation to the first crossing of the level
-    f(target); the reported distance shrinks as seed_radius shrinks.
+    f(target).  In both modes the distance shrinks with seed_radius.
     Axis directions are scanned last: they can lie on the stable manifold.
     """
     b = budgets or ReachBudgets()
@@ -508,7 +540,7 @@ def reach_general(f, target, epsilon, mode, seed_radius, tol=1e-2, delta=None,
             raise ValueError("continuous mode needs FlowSettings")
         tries = lambda delta, level, gtol: [(
             delta, lambda a: _flow_escape(f, a, target, delta, settings),
-            lambda x0: integrate_minnorm(cap(f, level), x0, settings))]
+            lambda x0: _flow_to_level(f, x0, level, settings)[0])]
     else:
         if s is None or not admissible(s, f, "prox"):
             raise ValueError("discrete mode needs a schedule with sup alpha < 1/L")

@@ -1,12 +1,15 @@
 """Trajectory record shared by the discrete and continuous engines, and
 ``march``, the one stepping loop in the program: gradient descent
 (``run_gd``, ``reach._run_to_level``, each start of the discrete
-stability probe), RK4 flow (``integrate``, ``_sphere_exit_detail``, each
-start of the continuous probe) and the Euler min-norm flow
+stability probe), adaptive Dormand-Prince 5(4) flow (``integrate``,
+``_sphere_exit_detail``, each start of the continuous probe,
+``reach._flow_to_level``) and the Euler min-norm flow
 (``integrate_minnorm``).  Each of those passes in its step rule and its
-own stop event.
+own stop event; a crossing event locates its point on the step that
+reached it, by the linear interpolation of GD iterates or the flow's
+dense output.
 
-Gradient descent and RK4 run in their objective's lane
+Gradient descent and DP5 run in their objective's lane
 (``landscape.Lane``): for dim <= 2 a point is a tuple of Python floats,
 stepped by unrolled arithmetic, with each gradient still taken by f.grad
 on a 1-D array; larger dims, and the Euler min-norm rule, keep ndarrays.
@@ -119,7 +122,8 @@ def emit(traj):
     return traj
 
 
-def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None):
+def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None,
+          t_end=math.inf):
     """The single-run stepping loop; returns (steps, status, limit) for
     :func:`recorded`.
 
@@ -136,7 +140,7 @@ def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None
       point the event located (then x is never evaluated);
     - x outside f's box, when ``box`` (left_box);
     - |v| < gtol (converged, limit x);
-    - n_steps steps (budget_exhausted).
+    - n_steps steps (None: no step count), or time t_end (budget_exhausted).
     """
     t, prev, fx, k = 0.0, None, None, 0
     inside = f._lane.inside
@@ -159,7 +163,7 @@ def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None
             return steps, "left_box", None
         if vn < gtol:
             return steps, "converged", np.array(x)
-        if k == n_steps:
+        if k == n_steps or t >= t_end:
             return steps, "budget_exhausted", None
         prev = (t, x, v, fx)
         t, x = step(k, t, x, v)

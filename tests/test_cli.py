@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -59,7 +61,10 @@ def test_run_flow(tmp_path):
     assert rc == 0
     rows = read(os.path.join(out, "trajectory.csv")).splitlines()
     assert rows[0] == b"k,t,x_1,f,gnorm"
-    assert len(rows) > 100
+    assert len(rows) > 10
+    k, t, x = rows[-1].split(b",")[:3]
+    assert int(k) == len(rows) - 2 and float(t) == 2.0
+    assert abs(float(x) - math.exp(-2.0)) <= 1e-8
 
 
 def test_reach_from_config(tmp_path):
@@ -315,3 +320,26 @@ def test_procedure_breakdown_exits_1(tmp_path, capsys, monkeypatch, exc):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {exc}\n"
+
+
+def readme_commands():
+    """Each `basinreach ...` command of the README's "Command line" block,
+    its continuation lines joined and its comments dropped, as argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv:
+            assert argv[0] == "basinreach"
+            commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BASINREACH_OUT", str(tmp_path / "default"))
+    commands = readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        assert main(argv) == 0, argv

@@ -8,11 +8,12 @@ import pytest
 import basinreach as br
 import basinreach.reach as reach_mod
 import basinreach.reverse as reverse_mod
+from basinreach.flow import _sphere_exit_detail
 from basinreach.landscape import row_norms
 from basinreach.sampling import unit_directions
 from basinreach.trajectory import record_trajectories
 
-from conftest import counting, make_saddle_quad, same_states, two_wells
+from conftest import count_dp5_steps, counting, make_saddle_quad, same_states, two_wells
 
 
 FLOW = br.FlowSettings(h=1e-2, t_max=50.0, gtol=1e-6)
@@ -215,16 +216,18 @@ def test_probe_rowwise_objective_gives_same_estimate(quad14):
     assert same_estimate(a, b)
 
 
-def test_probe_evaluation_counts(quad14, himmelblau):
-    # a continuous step reuses the gradient behind |grad f| as its RK4 k1:
-    # 4 gradient points and 1 value per step, plus 1 each at the start; the
-    # quad certificate is a closed form and costs nothing
+def test_probe_evaluation_counts(monkeypatch, quad14, himmelblau):
+    # a continuous step reuses the gradient behind |grad f| as its DP5 k1:
+    # 6 gradient points per attempted step and 1 value per state, plus 1
+    # each at the start; the quad certificate is a closed form and costs
+    # nothing
     f, counts = counting(quad14)
+    calls = count_dp5_steps(monkeypatch)
     st = br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6)
     _, runs = probe_runs(f, [0.0, 0.0], 1.0, None, mode="continuous", settings=st)
     steps = sum(len(r.states) - 1 for r in runs)
-    assert steps > 0
-    assert counts == {"grad": len(runs) + 4 * steps, "value": len(runs) + steps}
+    assert 0 < steps <= len(calls)
+    assert counts == {"grad": len(runs) + 6 * len(calls), "value": len(runs) + steps}
     # a GD state costs one gradient and one value; the 1-D certificate takes
     # the 2 sphere values, the 2-D one 256 values and 256 gradients
     f, counts = counting(WIDE_DW)
@@ -556,6 +559,21 @@ def test_power_horizon_search_builds_at_most_three_orbits(monkeypatch, name, par
         assert rep.escape_radius < np.linalg.norm(rep.x0 - target) <= delta
 
 
+def test_power_horizon_secant_through_two_builds_follows_a_curving_orbit(monkeypatch):
+    # the orbit from (0, 1) curves onto the fast eigenvector: the secant
+    # through the origin overshoots out of the box, and the one through the
+    # short first orbit and the box exit's last point in the box lands;
+    # secants through the origin alone take 7 builds here
+    f = br.make_builtin("himmelblau")
+    target = f.critical_points[3].point
+    s = br.power(0.5 / f.lipschitz_L, 0.5)
+    builds = build_log(monkeypatch)
+    x0, orbit = reach_mod._first_crossing_orbit(f, target + [0.0, 2e-3], s, 1 / 3, 1.0,
+                                                target, 1 << 16)
+    assert len(builds) <= 3 and builds[-1] is orbit and orbit.status == "complete"
+    assert 1 / 3 < np.linalg.norm(x0 - target) <= 1.0
+
+
 def test_power_horizon_past_the_box_searches_down(monkeypatch):
     # the secant aims at sqrt(5 * 100), outside the [-10, 10] box: that
     # build leaves the box, and the search turns down to a root in (5, 100]
@@ -610,6 +628,30 @@ def test_reach_continuous_double_well(dw):
     assert rep.status == "success" and rep.final_distance <= 1e-3
 
 
+# the objectives of the benchmark's flow_minima workload at its step h:
+# attempted DP5 steps of the forward flow from x0 and of the reverse flow
+# to the sphere stay below these ceilings, with at most 2 rejections
+@pytest.mark.parametrize("name,params,target,eps,h,forward_max,reverse_max", [
+    ("double_well", (), [-1.0], 0.4, 1e-3, 120, 85),
+    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, 1e-2, 310, 200),
+    ("himmelblau", (), [3.0, 2.0], 1.0, 3e-4, 150, 90),
+], ids=["double_well", "quad", "himmelblau"])
+def test_flow_minima_step_ceilings(monkeypatch, name, params, target, eps, h, forward_max,
+                                   reverse_max):
+    f = br.make_builtin(name, params)
+    st = br.FlowSettings(h=h, t_max=20.0, gtol=1e-6)
+    rep = br.reach_continuous(f, target, eps, st, 1e-3, 1e-4)
+    assert rep.status == "success"
+    calls = count_dp5_steps(monkeypatch)
+    _, x0, rev = _sphere_exit_detail(f, rep.ascent_seed, "reverse", rep.target,
+                                     rep.delta_used, st)
+    assert x0.tobytes() == rep.x0.tobytes()
+    assert len(rev) - 1 <= len(calls) <= min(reverse_max, len(rev) + 1)
+    calls.clear()
+    fwd = br.integrate(f, x0, "forward", st)
+    assert len(fwd) - 1 <= len(calls) <= min(forward_max, len(fwd) + 1)
+
+
 def test_reach_continuous_rejects_max(dw):
     with pytest.raises(ValueError):
         br.reach_continuous(dw, [0.0], 0.4, FLOW, 1e-3, 1e-3)
@@ -646,7 +688,7 @@ def test_reach_general_discrete_sweep(saddle_quad):
 
 
 def test_reach_general_continuous_budget_exhausted(saddle_quad):
-    # the min-norm run stops on t_max before the level set: no limit, so
+    # the forward flow stops on t_max before the level set: no limit, so
     # no crossing, and the distance is from its last state
     st = br.FlowSettings(h=1e-3, t_max=3.2, gtol=1e-6)
     rep = br.reach_general(saddle_quad, [0.0, 0.0], 1.0, "continuous", 1e-3,
@@ -654,6 +696,41 @@ def test_reach_general_continuous_budget_exhausted(saddle_quad):
     assert rep.forward_part.terminal_status == "budget_exhausted"
     assert rep.status == "no_converge" and rep.crossing is None
     assert rep.final_distance == np.linalg.norm(rep.forward_part.final_x)
+
+
+HIMMELBLAU_SADDLES = (5, 6, 7, 8)
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.1])
+def test_reach_general_continuous_himmelblau_saddles(himmelblau, delta):
+    # the forward flow stopped at the level set retraces the reverse flow
+    # that built x0, so the crossing lands within a seed radius of the
+    # saddle; near saddle 6's stable manifold at delta 0.5, a forward run
+    # that drifts from that reverse flow by O(h) misses by 0.02
+    st = br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6)
+    for i in HIMMELBLAU_SADDLES:
+        target = himmelblau.critical_points[i].point
+        rep = br.reach_general(himmelblau, target, 1.0, "continuous", 1e-3, tol=1e-2,
+                               delta=delta, settings=st)
+        assert rep.status == "success" and rep.final_distance <= 1e-3
+        assert rep.crossing is not None and rep.forward_part.limit is rep.crossing
+        assert abs(himmelblau.value(rep.crossing) - himmelblau.value(target)) <= 1e-9
+        assert abs(np.linalg.norm(rep.x0 - target) - delta) <= 1e-8 * delta
+
+
+def test_flow_to_level_evaluation_counts(monkeypatch, himmelblau):
+    # 1 gradient at the start and 6 per attempted step, the run ending on
+    # the first state at or below the level; 1 value per state, and the
+    # crossing costs values only, on the last step's dense output
+    saddle = himmelblau.critical_points[8]
+    f, counts = counting(himmelblau)
+    calls = count_dp5_steps(monkeypatch)
+    st = br.FlowSettings(h=3e-4, t_max=5.0, gtol=1e-6)
+    traj, crossing = reach_mod._flow_to_level(f, saddle.point + [0.05, 0.03], saddle.f_value, st)
+    assert crossing is not None and traj.limit is crossing
+    assert traj.f[-2] > saddle.f_value >= traj.f[-1]
+    assert counts["grad"] == 1 + 6 * len(calls)
+    assert len(traj) < counts["value"] <= len(traj) + 10
 
 
 def test_reach_general_preconditions(saddle_quad, dw):

@@ -18,6 +18,8 @@ import basinreach.flow as flow_mod
 import basinreach.reach as reach_mod
 import basinreach.reverse as reverse_mod
 
+from conftest import count_dp5_steps
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
@@ -75,43 +77,38 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
     assert solves == 12 and len(iters) == solves
     assert counts.since(snap)[workloads.GRAD] == sum(iters) + 1
 
-    # RK4: one gradient per recorded state, 3 more per step or bisection
-    # substep; the flows' first catalog point is a minimum
-    rk4_calls = []
-
-    def counted_step(*args):
-        rk4_calls.append(args)
-        return rk4_step(*args)
-
-    rk4_step = flow_mod._rk4_step
-    monkeypatch.setattr(flow_mod, "_rk4_step", counted_step)
+    # DP5: one gradient at the start and 6 per attempted step, whose last
+    # stage is the new state's gradient; a sphere exit adds 1 at the
+    # crossing it locates on the dense output
+    calls = count_dp5_steps(monkeypatch)
     st = br.FlowSettings(h=0.05 / f.lipschitz_L, t_max=20.0, gtol=1e-8)
     snap = counts.snapshot()
     traj = br.integrate(f, x0, "forward", st)
-    assert len(traj) > 10 and len(rk4_calls) == len(traj) - 1
-    assert counts.since(snap)[workloads.GRAD] == len(traj) + 3 * len(rk4_calls)
-    rk4_calls.clear()
+    assert len(traj) > 10 and len(calls) >= len(traj) - 1
+    assert counts.since(snap)[workloads.GRAD] == 1 + 6 * len(calls)
+    calls.clear()
     snap = counts.snapshot()
     _, _, traj = flow_mod._sphere_exit_detail(f, anchor, "reverse", f.critical_points[0].point,
                                               0.3, st)
-    assert len(rk4_calls) > len(traj) - 1 > 10  # bisection substeps ran
-    assert counts.since(snap)[workloads.GRAD] == len(traj) + 3 * len(rk4_calls)
+    assert len(calls) >= len(traj) - 1 > 10
+    assert counts.since(snap)[workloads.GRAD] == 1 + 6 * len(calls) + 1
 
-    # the probe: one gradient per recorded state, 3 more per RK4 step,
-    # beside what its capture certificate costs
+    # the probe: one gradient per GD state, or 1 per flow start and 6 per
+    # attempted DP5 step, beside what its capture certificate costs
     target, eps = f.critical_points[0].point, 0.5
     snap = counts.snapshot()
     reach_mod._capture_level(f, target, eps, f.value(target))
     certificate = counts.since(snap)[workloads.GRAD]
     for mode, sched, settings in [("discrete", s, None), ("continuous", None, st)]:
-        rk4_calls.clear()
+        calls.clear()
         runs = []
         snap = counts.snapshot()
         with br.record_trajectories(runs):
             br.stability_probe(f, target, eps, sched, mode=mode, settings=settings)
         states = sum(map(len, runs))
-        assert len(runs) >= 2 * f.dim and (mode == "continuous") == (len(rk4_calls) > 0)
-        assert counts.since(snap)[workloads.GRAD] == certificate + states + 3 * len(rk4_calls)
+        assert len(runs) >= 2 * f.dim and (mode == "continuous") == (len(calls) > 0)
+        per_run = states if mode == "discrete" else len(runs) + 6 * len(calls)
+        assert counts.since(snap)[workloads.GRAD] == certificate + per_run
 
 
 def test_minima_power_round_builds_each_orbit_about_once(monkeypatch, tmp_path):

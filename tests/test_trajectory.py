@@ -12,7 +12,8 @@ from basinreach.landscape import norm
 from basinreach.reach import _run_to_level
 from basinreach.trajectory import State, record_trajectories
 
-from conftest import counting, make_saddle_quad, rk4_step, same_states, two_wells
+from conftest import (count_dp5_steps, counting, dp5_flow, make_saddle_quad, rk4_flow, same_states,
+                      two_wells)
 
 HB = br.make_builtin("himmelblau")
 DW = br.make_builtin("double_well")
@@ -39,22 +40,6 @@ def ref_gd(f, x0, s, gtol, max_iter, level=None, unsafe=False):
         if level is not None and states[-1].f_value <= level:
             break
         if (not unsafe and not f.in_box(x)) or np.linalg.norm(x) > 1e3 * (1 + f.box_diameter()):
-            break
-    return states
-
-
-def ref_flow(f, x0, sign, h, n_steps, gtol=0.0, stop=None):
-    """Fixed-step RK4 on sign * grad f, one State per step, until gtol, a
-    box exit or ``stop(x)``."""
-    x = np.array(x0, dtype=float)
-    field = lambda y: sign * f.gradient(y)
-    states = [State(0, 0.0, x.copy(), f.value(x), f.grad_norm(x))]
-    for k in range(n_steps):
-        if states[-1].grad_norm < gtol:
-            break
-        x = rk4_step(field, x, h)
-        states.append(State(k + 1, (k + 1) * h, x.copy(), f.value(x), f.grad_norm(x)))
-        if not f.in_box(x) or (stop is not None and stop(x)):
             break
     return states
 
@@ -128,8 +113,19 @@ def test_integrate_matches_reference(f, x0, direction, h):
     traj = br.integrate(f, x0, direction, st)
     sign = -1.0 if direction == "forward" else 1.0
     gtol = st.gtol if direction == "forward" else 0.0
-    ref = ref_flow(f, x0, sign, h, int(round(st.t_max / h)), gtol)
+    ref, _ = dp5_flow(f, x0, sign, h, st.t_max, gtol)
     assert same_states(traj.states, ref)
+
+
+def test_rejected_steps_are_retried_as_in_the_reference(monkeypatch):
+    # a rejected step is retried from the same state with the controller's
+    # smaller step; the run still matches the reference state for state
+    calls = count_dp5_steps(monkeypatch)
+    st = br.FlowSettings(h=1e-3, t_max=3.0, gtol=1e-6)
+    traj = br.integrate(DW, [0.5], "forward", st)
+    ref, attempts = dp5_flow(DW, [0.5], -1.0, st.h, st.t_max, st.gtol)
+    assert same_states(traj.states, ref)
+    assert len(calls) == attempts > len(traj) - 1
 
 
 @pytest.mark.parametrize("f,target,offset,direction,delta,h", [
@@ -147,34 +143,32 @@ def test_sphere_exit_matches_reference(f, target, offset, direction, delta, h):
     x0 = target + np.array(offset)
     t_exit, b, traj = _sphere_exit_detail(f, x0, direction, target, delta, st)
     sign = -1.0 if direction == "forward" else 1.0
-    ref = ref_flow(f, x0, sign, h, 10**6, stop=lambda x: norm(x - target) >= delta)
-    # the last reference state overshoots the sphere; the run ends on it
+    ref, _ = dp5_flow(f, x0, sign, h, st.t_max, stop=lambda x: norm(x - target) >= delta)
+    # the last reference state overshoots the sphere; the run ends on the
+    # crossing located on that step's dense output instead
     assert same_states(traj.states[:-1], ref[:-1])
     last = traj.states[-1]
     assert last.k == len(ref) - 1 and last.t == t_exit and last.x.tobytes() == b.tobytes()
     assert last.f_value == f.value(b) and last.grad_norm == f.grad_norm(b)
-    # the crossing: the step that overshoots, bisected by the reference rule
-    field = lambda y: sign * f.gradient(y)
-    lo, hi, x_hi = 0.0, h, ref[-1].x
-    while not (abs(norm(x_hi - target) - delta) <= 1e-8 * delta
-               and hi - lo <= st.event_refine_tol):
-        mid = 0.5 * (lo + hi)
-        x_mid = rk4_step(field, ref[-2].x, mid)
-        if norm(x_mid - target) >= delta:
-            hi, x_hi = mid, x_mid
-        else:
-            lo = mid
-    assert t_exit == ref[-2].t + hi and b.tobytes() == x_hi.tobytes()
+    assert ref[-2].t < t_exit <= ref[-1].t
+    assert abs(norm(b - target) - delta) <= 1e-8 * delta
+    # the crossing is the flow's point at t_exit: fine fixed-step RK4 from
+    # the step's start agrees to the integrator's accuracy
+    x_ref = rk4_flow(f, ref[-2].x, sign, 1e-3 * h, t_exit - ref[-2].t)
+    assert np.linalg.norm(b - x_ref) <= 1e-9 * (1.0 + norm(b))
 
 
-def test_sphere_exit_evaluates_no_gradient_past_the_sphere():
+def test_sphere_exit_evaluates_no_gradient_past_the_sphere(monkeypatch):
+    # 1 gradient at the start, 6 per attempted DP5 step (the 7th stage is
+    # the next state's gradient) and 1 at the located crossing: the step
+    # that leaves the sphere is the last, and locating the crossing on its
+    # dense output takes no gradient
     f, counts = counting(HB)
+    calls = count_dp5_steps(monkeypatch)
     st = br.FlowSettings(h=3e-4, t_max=20.0, gtol=1e-8)
-    _sphere_exit_detail(f, [3.001, 2.002], "reverse", [3.0, 2.0], 0.3, st)
-    # 1 at the start, 4 per each of the 205 steps inside the sphere, 3 for
-    # the stages of the step that leaves it, 3 per each of 21 bisection
-    # substeps and 1 at the located crossing
-    assert counts["grad"] == 1 + 4 * 205 + 3 + 3 * 21 + 1 == 888
+    _, _, traj = _sphere_exit_detail(f, [3.001, 2.002], "reverse", [3.0, 2.0], 0.3, st)
+    assert len(calls) == len(traj) - 1
+    assert counts["grad"] == 1 + 6 * len(calls) + 1
 
 
 def test_minnorm_matches_reference():
