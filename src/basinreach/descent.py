@@ -6,7 +6,7 @@ import numpy as np
 
 from .landscape import LeftBoxError, row_norms
 from .sampling import unit_directions
-from .schedule import admissible
+from .schedule import admissible, require_admissible
 from .trajectory import march, recorded
 
 DIVERGENCE_FACTOR = 1e3
@@ -53,11 +53,8 @@ def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, unsafe=False):
     x = np.array(x0, dtype=float)
     if not f.in_box(x):
         raise LeftBoxError(x, "x0 outside the operating box")
-    if not unsafe and not admissible(s, f, "stability"):
-        raise ValueError(
-            f"schedule sup_alpha={s.sup_alpha} inadmissible for stability regime "
-            f"(needs < 2/L = {2.0 / f.lipschitz_L})"
-        )
+    if not unsafe:
+        require_admissible(s, f, "stability", "run_gd")
     div_thresh = DIVERGENCE_FACTOR * (1.0 + f.box_diameter())
     center = f.box.mean(axis=1)
 

@@ -181,17 +181,19 @@ class MaxFunction:
 # norms and lanes
 
 
+def dot(u, v):
+    """u . v of two points (arrays or sequences of floats), the one inner
+    product in the program: products summed in index order up to the float
+    lane's dims, where Python floats make the same operations; np.dot beyond."""
+    n = len(u)
+    if n > FLOAT_LANE_DIMS:
+        return float(np.dot(u, v))
+    return u[0] * v[0] + u[1] * v[1] if n == 2 else u[0] * v[0]
+
+
 def sumsq(v):
-    """|v|^2 of a point (array or sequence of floats): its squares summed
-    in index order up to the float lane's dims, where Python floats make
-    the same operations, and the dot product v @ v beyond.  With
-    :func:`row_norms`, the one definition of |.| in the program."""
-    if len(v) > FLOAT_LANE_DIMS:
-        return float(np.dot(v, v))
-    acc = 0.0
-    for c in v:
-        acc = acc + c * c
-    return acc
+    """|v|^2 = dot(v, v); with :func:`row_norms`, the one definition of |.|."""
+    return dot(v, v)
 
 
 def norm(v):

@@ -32,7 +32,7 @@ from .flow import integrate_minnorm  # noqa: F401
 from .landscape import LeftBoxError, norm, row_norms
 from .reverse import reverse_orbit
 from .sampling import unit_directions
-from .schedule import admissible, constant
+from .schedule import constant, require_admissible
 from .trajectory import march, recorded
 
 REACH_STATUSES = ("success", "no_escape", "no_converge")
@@ -171,8 +171,8 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
         raise ValueError(f"unknown probe mode {mode!r}")
     if mode == "continuous" and settings is None:
         raise ValueError("continuous probe needs FlowSettings")
-    if mode == "discrete" and (s is None or not admissible(s, f, "stability")):
-        raise ValueError("discrete probe needs a schedule with sup alpha < 2/L")
+    if mode == "discrete":
+        require_admissible(s, f, "stability", "discrete probe")
 
     dirs = unit_directions(f.dim, n_samples, seed)
     contain = epsilon * (1.0 + 1e-9)
@@ -420,8 +420,7 @@ def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):
     target = np.asarray(target, dtype=float)
     if f.catalog_entry(target, "local_min") is None:
         raise ValueError("target must be a cataloged local minimum")
-    if not admissible(s, f, "prox"):
-        raise ValueError("reach_discrete needs sup alpha < 1/L (prox regime)")
+    require_admissible(s, f, "prox", "reach_discrete")
     if not (epsilon > 0.0 and seed_radius > 0.0 and tol > 0.0):
         raise ValueError("epsilon, seed_radius and tol must be positive")
 
@@ -542,8 +541,7 @@ def reach_general(f, target, epsilon, mode, seed_radius, tol=1e-2, delta=None,
             delta, lambda a: _flow_escape(f, a, target, delta, settings),
             lambda x0: _flow_to_level(f, x0, level, settings)[0])]
     else:
-        if s is None or not admissible(s, f, "prox"):
-            raise ValueError("discrete mode needs a schedule with sup alpha < 1/L")
+        require_admissible(s, f, "prox", "discrete mode")
         tries = lambda delta, level, gtol: [(
             delta, lambda a: _first_crossing_orbit(f, a, s, delta, epsilon, target, b.kbar_max),
             lambda x0: _run_to_level(f, x0, s, level, gtol, b.max_iter)[0])]
@@ -556,8 +554,8 @@ def edge_of_stability(f, alpha, x0):
     Spectral criterion on the eigendirections carrying x0: with
     r = max |1 - alpha * l_i| over components where x0 is nonzero, the
     verdict is converges (r < 1), diverges (r > 1) or neutral (r = 1).
-    Cross-checked by running 10^3 iterations and thresholding |x|; only a
-    clear contradiction raises.
+    Cross-checked by 10^3 steps of ``run_gd``'s rule without its box stop,
+    thresholding |x|; only a clear contradiction raises.
     """
     if f.name != "quad":
         raise ValueError("the exact spectral criterion applies to the quad builtin only")
@@ -576,11 +574,11 @@ def edge_of_stability(f, alpha, x0):
     else:
         verdict = "neutral"
 
-    x = x0.copy()
+    lane = f._lane
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(1000):
-            x = x - alpha * (lam * x)
-        n1 = float(np.linalg.norm(x))
+        steps, _, _ = march(f, lane.point(x0), lane.grad, _gd_rule(constant(alpha), lane.axpy),
+                            1000, box=False)
+        n1 = float(np.linalg.norm(steps[-1][1]))
     n0 = float(np.linalg.norm(x0))
     threshold = max(10.0 * n0, DIVERGENCE_FACTOR * (1.0 + f.box_diameter()))
     empirical = None

@@ -1,11 +1,13 @@
 """Exact reverse dynamics for gradient descent.
 
-The proximal mapping and its ascent counterpart are solved by Picard
-iteration on y -> x -/+ lambda * grad(y), a strict contraction with
-factor lambda * L < 1, so the unique fixed point coincides with the
-strongly convex (resp. concave) subproblem optimum and no inner line
-search is needed.  The inner tolerance is two orders tighter than the
-orbit certificates so residuals never need per-step retuning.
+The proximal mapping and its ascent counterpart are the fixed point of
+T(y) = x -/+ lambda * grad(y), a strict contraction with factor q =
+lambda * L < 1, so it is the strongly convex (resp. concave) subproblem
+optimum and no inner line search is needed.  Picard iteration on T is
+sped up by depth-2 Anderson mixing (Anderson 1965; GMRES-like on a
+linear map, Walker & Ni 2011), one gradient per iteration, under
+Picard's stop rule and certificate.  The inner tolerance is two orders
+tighter than the orbit certificates, so residuals need no retuning.
 """
 
 import math
@@ -13,11 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import LeftBoxError, norm, sumsq
+from .landscape import LeftBoxError, dot, norm, sumsq
+from .schedule import constant, require_admissible
 
 FIXED_POINT_RTOL = 1e-13
 FORWARD_RESIDUAL_RTOL = 1e-10
 _MAX_INNER_ITER = 200_000
+_ANDERSON_DEPTH = 2  # the residual differences _mix combines; its closed form needs <= 2
+_GRAM_RTOL = 1e-10  # depth 1 below this sin^2 of the angle between dr_1 and dr_2
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,48 +46,71 @@ class ReverseOrbit:
 
 
 def _picard(f, base, lam, sign, tol_scale, g=None):
-    """Fixed point of y -> base + sign * lam * grad(y), with base and y
-    points of f's lane.  The first iterate needs grad(base): ``g``, when
-    the caller already has it.  Returns (y, iters)."""
+    """Fixed point of T(y) = base + sign * lam * grad(y), base and y points
+    of f's lane: each iteration takes one gradient, for T(y), then moves to
+    :func:`_mix`'s point.  The first needs grad(base): ``g``, when known.
+    Returns (T(y), iters) at the first |T(y) - y| <= tol = FIXED_POINT_RTOL
+    * (1 + tol_scale); as T contracts by q = lam * L, T(y) lies within
+    q/(1 - q) * tol of the unique fixed point, however y was reached.
+    Raises LeftBoxError when T(y) leaves the box."""
     tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
+    q_sq = (lam * f.lipschitz_L) ** 2
     step = sign * lam
     grad, axpy, sub, inside = f._lane.grad, f._lane.axpy, f._lane.sub, f._lane.inside
     y, g = base, grad(base) if g is None else g
+    hist, last, mixed = [], None, False
     for it in range(1, _MAX_INNER_ITER + 1):
-        y_next = axpy(base, step, g)
-        if not inside(y_next):
-            raise LeftBoxError(y_next, "fixed-point iterate left the operating box")
-        d = sub(y_next, y)
-        y = y_next
-        if sumsq(d) <= tol_sq:
-            return y, it
+        t = axpy(base, step, g)
+        if not inside(t):
+            raise LeftBoxError(t, "fixed-point iterate left the operating box")
+        r = sub(t, y)
+        rr = sumsq(r)
+        if rr <= tol_sq:
+            return t, it
+        if mixed and not rr <= q_sq * last[2]:
+            hist = []  # the mixed iterate contracted less than a Picard step: restart
+        elif last is not None:
+            d = sub(r, last[0])
+            hist = [(d, sub(t, last[1]), dot(d, d))] + hist[:_ANDERSON_DEPTH - 1]
+        last, y = (r, t, rr), _mix(f._lane, t, r, hist)
+        mixed = y is not t
         g = grad(y)
     raise ArithmeticError("fixed-point iteration failed to contract")
 
 
+def _mix(lane, t, r, hist):
+    """t - c_1 dT_1 - c_2 dT_2 over hist's (dr_i, dT_i, |dr_i|^2), newest
+    first, c the least-squares fit of r by the dr_i (2x2 normal equations in
+    closed form; the newest alone when their Gram determinant is degenerate);
+    t itself when there is no usable history or the point leaves the box."""
+    if not hist or not hist[0][2] > 0.0:
+        return t
+    (d1, e1, a11), *older = hist
+    b1, deep = dot(d1, r), False
+    if older:
+        ((d2, e2, a22),) = older
+        a12, b2 = dot(d1, d2), dot(d2, r)
+        det = a11 * a22 - a12 * a12
+        deep = det > _GRAM_RTOL * a11 * a22
+    y = (lane.axpy(lane.axpy(t, (a12 * b2 - a22 * b1) / det, e1), (a12 * b1 - a11 * b2) / det, e2)
+         if deep else lane.axpy(t, -b1 / a11, e1))
+    return y if lane.inside(y) else t
+
+
 def contraction_iteration_bound(lam, L, tol=FIXED_POINT_RTOL):
-    """ln(tol)/ln(lam*L) + 2, the certified Picard iteration count."""
+    """ln(tol)/ln(lam*L) + 2, the certified count of plain Picard iterations;
+    for the Anderson-mixed solve a tested ceiling, not a certificate."""
     q = lam * L
     if not 0.0 < q < 1.0:
         raise ValueError("contraction bound needs lam * L in (0, 1)")
     return math.log(tol) / math.log(q) + 2.0
 
 
-def _require_prox_regime(f, lam):
-    if not lam > 0.0:
-        raise ValueError("lambda must be positive")
-    if f.lipschitz_L > 0.0 and not lam < 1.0 / f.lipschitz_L:
-        raise ValueError(
-            f"lambda {lam} is not below 1/L = {1.0 / f.lipschitz_L}: the implicit "
-            "step is neither a contraction nor a strongly convex subproblem"
-        )
-
-
 def prox(f, x, lam):
     """argmin_y f(y) + |y - x|^2 / (2 lam) via the implicit equation
     y = x - lam * grad(y), for lam < 1/L."""
     x = np.asarray(x, dtype=float)
-    _require_prox_regime(f, lam)
+    require_admissible(constant(lam), f, "prox", "prox")
     if not f.in_box(x):
         raise LeftBoxError(x, "prox called outside the operating box")
     y, _ = _picard(f, f._lane.point(x), lam, -1.0, norm(x))
@@ -128,7 +156,7 @@ def ascent_prox(f, xnext, a):
     y = xnext + a * grad(y) for a < 1/L.  The returned point replays
     forward onto xnext to within 1e-10 * (1 + |result|)."""
     xnext = np.asarray(xnext, dtype=float)
-    _require_prox_regime(f, a)
+    require_admissible(constant(a), f, "prox", "ascent_prox")
     if not f.in_box(xnext):
         raise LeftBoxError(xnext, "ascent_prox called outside the operating box")
     return np.array(_ascent_step(f, f._lane.point(xnext), a)[0])
@@ -146,7 +174,7 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     With ``stop`` (constant schedules only) the march ends at the first
     point x with stop(x), or after kbar steps; the K steps taken are
     indexed K-1 down to 0.  Each solve starts from the gradient the
-    previous residual took at its base, so m solves cost their Picard
+    previous residual took at its base, so m solves cost their
     iterations plus one gradient.
     """
     anchor = np.asarray(a, dtype=float)
@@ -158,7 +186,7 @@ def reverse_orbit(f, a, s, kbar, stop=None):
         raise LeftBoxError(anchor, "orbit anchor outside the operating box")
     # checked once: every alpha_k is at most sup_alpha, and each later
     # solve starts from a point its predecessor's Picard test kept in the box
-    _require_prox_regime(f, s.sup_alpha)
+    require_admissible(s, f, "prox", "reverse_orbit")
     x, g = f._lane.point(anchor), None
     points, residuals = [anchor.copy()], []
     status = "complete"

@@ -86,6 +86,16 @@ def admissible(s, f, regime):
     return s.sup_alpha < bound
 
 
+def require_admissible(s, f, regime, what):
+    """Raise ValueError, naming sup alpha and the bound, unless s is a
+    schedule admissible for f in ``regime``."""
+    if s is None or not admissible(s, f, regime):
+        n = 2 if regime == "stability" else 1
+        given = "no schedule given" if s is None else f"sup alpha = {s.sup_alpha}"
+        raise ValueError(f"{what} needs sup alpha < {n}/L ({regime} regime): {given}, "
+                         f"{n}/L = {n / f.lipschitz_L if f.lipschitz_L else math.inf}")
+
+
 def parse_schedule(text):
     """CLI grammar: 'constant:0.5' or 'power:1.0:0.5' (c then p)."""
     parts = text.split(":")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 import basinreach as br
 import basinreach.flow as flow
 from basinreach.flow import ATOL, H_STABLE, PI_ALPHA, PI_BETA, PI_MAX, PI_MIN, PI_SAFE, RTOL
-from basinreach.landscape import norm
+from basinreach.landscape import LeftBoxError, dot, norm, sumsq
+from basinreach.reverse import _GRAM_RTOL, FIXED_POINT_RTOL
 from basinreach.trajectory import State
 
 
@@ -190,3 +192,54 @@ def counting(f):
             return fn(x)
         return call
     return dataclasses.replace(f, f=wrap(f.f, "value"), grad=wrap(f.grad, "grad")), counts
+
+
+def picard_solve(f, base, lam, sign):
+    """(T(y), iters) of plain Picard iteration on ndarrays for the fixed
+    point of T(y) = base + sign lam grad(y), stopped as reverse._picard
+    stops: at |T(y) - y| <= FIXED_POINT_RTOL (1 + |base|), raising
+    LeftBoxError when T(y) leaves the box."""
+    tol_sq = (FIXED_POINT_RTOL * (1.0 + norm(base))) ** 2
+    y = base
+    for it in itertools.count(1):
+        t = base + sign * lam * f.gradient(y)
+        if not f.in_box(t):
+            raise LeftBoxError(t)
+        r, y = t - y, t
+        if sumsq(r) <= tol_sq:
+            return t, it
+
+
+def anderson_solve(f, base, lam, sign):
+    """(T(y), iters) of reverse._picard written on ndarrays: depth-2
+    Anderson mixing with the same arithmetic, fallbacks and restart, for
+    both lanes to match bit for bit."""
+    tol_sq = (FIXED_POINT_RTOL * (1.0 + norm(base))) ** 2
+    q_sq = (lam * f.lipschitz_L) ** 2
+    y, hist, last, mixed = base, [], None, False
+    for it in itertools.count(1):
+        t = base + sign * lam * f.gradient(y)
+        if not f.in_box(t):
+            raise LeftBoxError(t)
+        r = t - y
+        rr = sumsq(r)
+        if rr <= tol_sq:
+            return t, it
+        if mixed and not rr <= q_sq * last[2]:
+            hist = []
+        elif last is not None:
+            hist = [(r - last[0], t - last[1])] + hist[:1]
+        last, y = (r, t, rr), t
+        if hist and sumsq(hist[0][0]) > 0.0:
+            (d1, e1), a11 = hist[0], sumsq(hist[0][0])
+            b1 = dot(d1, r)
+            y = t - b1 / a11 * e1
+            if len(hist) == 2:
+                d2, e2 = hist[1]
+                a12, a22, b2 = dot(d1, d2), sumsq(d2), dot(d2, r)
+                det = a11 * a22 - a12 * a12
+                if det > _GRAM_RTOL * a11 * a22:
+                    y = t - (a22 * b1 - a12 * b2) / det * e1 - (a11 * b2 - a12 * b1) / det * e2
+        mixed = y is not t and f.in_box(y)
+        if not mixed:
+            y = t

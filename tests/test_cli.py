@@ -261,12 +261,22 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
      "max_iter must be a nonnegative integer, got -5"),
     (["reach", "--config", {"function": "double_well", "target": 2, "kbar_max": 1e3}],
      "kbar_max must be a nonnegative integer, got 1000.0"),
+    (["reach", "--function", "himmelblau", "--target-index", "0"],
+     "reach_discrete needs sup alpha < 1/L (prox regime): sup alpha = 0.02, 1/L = 0.00306"),
+    (["reach", "--general", "--function", "himmelblau", "--target-index", "6",
+      "--mode", "discrete"],
+     "discrete mode needs sup alpha < 1/L (prox regime): sup alpha = 0.02, 1/L = 0.00306"),
+    (["probe", "--function", "quad:1", "--target", "0", "--epsilon", "1",
+      "--schedule", "constant:2.5"],
+     "discrete probe needs sup alpha < 2/L (stability regime): sup alpha = 2.5, 2/L = 2.0"),
 ], ids=["nonfinite-param", "x0-dimension", "target-dimension", "x0-outside-box",
         "config-object-for-number", "config-number-for-string", "config-bool-for-number",
         "negative-target-index", "config-negative-target-index", "probe-negative-max-iter",
         "run-negative-max-iter", "negative-n-checks", "negative-kbar-max",
         "negative-n-samples", "config-fractional-n-samples", "config-fractional-seed",
-        "config-float-n-checks", "config-negative-max-iter", "config-float-kbar-max"])
+        "config-float-n-checks", "config-negative-max-iter", "config-float-kbar-max",
+        "reach-schedule-above-1-over-L", "general-schedule-above-1-over-L",
+        "probe-schedule-above-2-over-L"])
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, message):
     if isinstance(argv[-1], dict):  # the contents of a config file
         cfg = tmp_path / "cfg.json"

@@ -777,6 +777,34 @@ def test_eos_overflow_regime(quad1):
     assert br.edge_of_stability(quad1, 50.0, [1.0]) == "diverges"
 
 
+@pytest.mark.parametrize("params,alpha,x0,verdict", [
+    ((1.0,), 1.9, [1.0], "converges"), ((1.0,), 2.1, [1.0], "diverges"),
+    ((1.0,), 2.0, [1.0], "neutral"), ((1.0,), 50.0, [1.0], "diverges"),
+    ((1.0,), 1.9, [20.0], "converges"), ((0.1, 1.0), 2.5, [1.0, 1.0], "diverges"),
+    ((0.1, 1.0), 2.5, [1.0, 0.0], "converges"),
+    ((1.0, 2.0, 5.0), 0.3, [1.0, -2.0, 0.5], "converges"),
+    ((1.0, 2.0, 5.0), 50.0, [1.0, -2.0, 0.5], "diverges"),
+], ids=["1d-converges", "1d-diverges", "1d-neutral", "1d-overflow", "1d-x0-outside-box",
+        "2d-diverges", "2d-converges", "3d-converges", "3d-overflow"])
+def test_eos_cross_check_is_a_gd_march(monkeypatch, params, alpha, x0, verdict):
+    # the 10^3-step cross-check is run_gd's step rule marched without a box:
+    # its last iterate is the plain loop x - alpha (lam x), bit for bit, on
+    # both lanes and through overflow to inf and nan
+    ends, march = [], reach_mod.march
+
+    def spy(*args, **kwargs):
+        out = march(*args, **kwargs)
+        ends.append(np.array(out[0][-1][1]))
+        return out
+    monkeypatch.setattr(reach_mod, "march", spy)
+    assert br.edge_of_stability(br.make_builtin("quad", params), alpha, x0) == verdict
+    x, lam = np.array(x0), np.array(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(1000):
+            x = x - alpha * (lam * x)
+    assert ends[0].tobytes() == x.tobytes()
+
+
 def test_eos_rejects_non_quad(dw):
     with pytest.raises(ValueError):
         br.edge_of_stability(dw, 0.01, [0.5])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 import basinreach as br
 import basinreach.reverse as reverse_mod
-from basinreach.landscape import norm, row_norms, sumsq
+from basinreach.landscape import norm, row_norms
 from basinreach.reverse import FIXED_POINT_RTOL, _picard
 
-from conftest import counting
+from conftest import anderson_solve, counting, picard_solve
 
 
 BUILTINS = [("quad", (1.0, 4.0)), ("double_well", ()), ("himmelblau", ())]
@@ -108,6 +109,59 @@ def test_iteration_count_bound(name, params):
         assert iters <= br.contraction_iteration_bound(lam, L)
 
 
+SWEEP_BUILTINS = BUILTINS + [("quad", (1.0, 2.0, 5.0))]
+
+
+@pytest.mark.parametrize("name,params", SWEEP_BUILTINS,
+                         ids=["quad-2d", "double_well", "himmelblau", "quad-3d"])
+def test_solves_agree_with_plain_picard(name, params):
+    # both iterations stop at |T(y) - y| <= tol, so each result lies within
+    # q/(1 - q) tol of the unique fixed point; starts span the whole box, so
+    # some fixed points (or the iterates towards them) lie outside it
+    f = br.make_builtin(name, params)
+    rng = np.random.default_rng(31)
+    L, lo, hi = f.lipschitz_L, f.box[:, 0], f.box[:, 1]
+    exits = 0
+    for i in range(240):
+        q, sign = 0.05 + 0.9 * rng.random(), (1.0, -1.0)[i % 2]
+        x = lo + (hi - lo) * rng.random(f.dim)
+        try:
+            y_plain, _ = picard_solve(f, x, q / L, sign)
+        except br.LeftBoxError:
+            with pytest.raises(br.LeftBoxError):
+                _picard(f, f._lane.point(x), q / L, sign, norm(x))
+            with pytest.raises(br.LeftBoxError):
+                anderson_solve(f, x, q / L, sign)
+            exits += 1
+            continue
+        y, iters = _picard(f, f._lane.point(x), q / L, sign, norm(x))
+        y_ref, iters_ref = anderson_solve(f, x, q / L, sign)
+        assert np.array(y).tobytes() == y_ref.tobytes() and iters == iters_ref
+        tol = FIXED_POINT_RTOL * (1.0 + norm(x))
+        assert norm(np.array(y) - y_plain) <= 2.0 * q / (1.0 - q) * tol
+        assert iters <= br.contraction_iteration_bound(q / L, L)
+    assert 0 < exits < 120
+
+
+def test_mixing_restarts_when_a_mixed_iterate_does_not_contract(monkeypatch):
+    # a first gradient taken elsewhere than at base gives the history a
+    # residual difference that is no secant of T; the depth-1 iterate built
+    # on it contracts by less than q, so the history is cleared and the next
+    # iterate is T's plain image.  The fixed point is (8/7, 2).
+    f = br.make_builtin("quad", (1.0, 4.0))
+    lam, base = 0.125, (1.0, 1.0)
+    mixes, points = [], []
+    mix = reverse_mod._mix
+    monkeypatch.setattr(reverse_mod, "_mix", lambda *a: mixes.append(len(a[3])) or mix(*a))
+    spy = dataclasses.replace(f, grad=lambda x: points.append(tuple(x)) or f.grad(x))
+    y, iters = _picard(spy, base, lam, 1.0, norm(base), g=f.grad(np.array([-8.0, 8.0])))
+    assert mixes[:5] == [0, 1, 0, 1, 2]  # the history each iterate is mixed from
+    assert points[2] == spy._lane.axpy(base, lam, f.grad(np.array(points[1])))
+    q, tol = lam * f.lipschitz_L, FIXED_POINT_RTOL * (1.0 + norm(base))
+    assert norm(np.array(y) - [8.0 / 7.0, 2.0]) <= q / (1.0 - q) * tol
+    assert iters == len(points) + 1
+
+
 # --- reverse_orbit -----------------------------------------------------------
 
 def test_reverse_orbit_exact(quad1):
@@ -185,6 +239,7 @@ def test_orbit_costs_its_picard_iterations_plus_one_gradient(monkeypatch):
     m = len(orbit.points) - 1
     assert m == 40 and len(iters) == m
     assert counts == {"value": 0, "grad": sum(iters) + 1}
+    assert sum(iters) <= 5.5 * m  # Anderson mixing: 216; plain Picard took 511
 
 
 def test_orbit_power_schedule_alignment(dw):
@@ -200,7 +255,7 @@ def test_orbit_partial_on_box_exit(quad1):
     # climbing from 1.0 with doubling factor 2 leaves the [-10, 10] box
     orbit = br.reverse_orbit(quad1, [1.0], br.constant(0.5), 8)
     assert orbit.status == "left_box"
-    assert orbit.start_index > 0
+    assert orbit.start_index == 5  # 16 = x_4 would leave the box
     assert len(orbit.points) == 8 - orbit.start_index + 1
     assert all(quad1.in_box(p) for p in orbit.points)
 
@@ -229,15 +284,9 @@ LANE_CASES = [("double_well", (), [1.0]), ("himmelblau", (), [3.0, 2.0]),
 
 
 def ref_ascent(f, xnext, a):
-    """(y, residual) of the ascent solve by Picard iteration on ndarrays."""
-    tol_sq = (FIXED_POINT_RTOL * (1.0 + norm(xnext))) ** 2
-    y = xnext.copy()
-    while True:
-        y_next = xnext + a * f.gradient(y)
-        d = y_next - y
-        y = y_next
-        if sumsq(d) <= tol_sq:
-            return y, norm((y - a * f.gradient(y)) - xnext)
+    """(y, residual) of the ascent solve by the ndarray reference."""
+    y, _ = anderson_solve(f, xnext, a, 1.0)
+    return y, norm((y - a * f.gradient(y)) - xnext)
 
 
 @pytest.mark.parametrize("name,params,target", LANE_CASES,
