@@ -6,9 +6,12 @@ configuration is echoed verbatim into the output directory, and identical
 config + seed reproduce byte-identical CSV/JSON outputs.  Exit codes:
 0 success, 1 procedure failure (a failure status, or a LeftBoxError,
 NoCrossingError or ArithmeticError inside it), 2 configuration error.
+``main`` can be called repeatedly in one process; the parser is built on
+the first call and reused.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -348,7 +351,10 @@ def _add_common(p):
     p.add_argument("--max-iter", dest="max_iter", type=int)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: each parse makes a
+    fresh Namespace, so no state carries over between ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="basinreach",
         description="construct initial points from which gradient dynamics "

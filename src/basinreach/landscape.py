@@ -4,6 +4,7 @@ critical-point catalogs, plus the max-of-smooth-pieces machinery
 capped dynamics.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -112,8 +113,9 @@ class ObjectiveFunction:
     def catalog_entry(self, point, kind=None, tol=1e-8):
         """Catalog entry matching ``point`` (and ``kind`` if given), or None."""
         point = np.asarray(point, dtype=float)
+        radius = tol * (1.0 + np.linalg.norm(point))
         for cp in self.critical_points:
-            if np.linalg.norm(cp.point - point) <= tol * (1.0 + np.linalg.norm(point)):
+            if np.linalg.norm(cp.point - point) <= radius:
                 if kind is None or cp.kind == kind:
                     return cp
         return None
@@ -317,6 +319,15 @@ def _himmelblau_hess(p):
     ])
 
 
+@functools.cache
+def _himmelblau_constants():
+    """(L, catalog f-values) of himmelblau as plain floats, computed once
+    per process: L from the four corner-Hessian spectral norms."""
+    corners = [np.array(c, dtype=float) for c in itertools.product((-5.0, 5.0), repeat=2)]
+    lip = max(float(np.linalg.norm(_himmelblau_hess(c), 2)) for c in corners)
+    return lip, tuple(float(_himmelblau_value(np.array(p))) for p, _ in HIMMELBLAU_CRITICAL_POINTS)
+
+
 def make_builtin(name, params=()):
     """Construct a benchmark objective by name.
 
@@ -328,7 +339,9 @@ def make_builtin(name, params=()):
                  L = 326.79215610874223, the max spectral norm of the Hessian
                  over the box corners; the Hessian entries are quadratics with
                  no interior stationary points, and a dense-grid cross-check
-                 reproduces the same constant.
+                 reproduces the same constant.  L and the catalog's f-values
+                 are computed once per process; each call still builds its
+                 own box and critical-point arrays.
 
     A builtin's ``grad`` returns a point's gradient as a list of floats
     when dim <= FLOAT_LANE_DIMS, for the float lane to take as is; as
@@ -386,12 +399,9 @@ def make_builtin(name, params=()):
         if params:
             raise ValueError("himmelblau takes no parameters")
         box = np.array([[-5.0, 5.0], [-5.0, 5.0]])
-        corners = [np.array(c, dtype=float) for c in itertools.product((-5.0, 5.0), repeat=2)]
-        lip = max(float(np.linalg.norm(_himmelblau_hess(c), 2)) for c in corners)
-        crit = tuple(
-            CriticalPoint(np.array(p), kind, float(_himmelblau_value(np.array(p))))
-            for p, kind in HIMMELBLAU_CRITICAL_POINTS
-        )
+        lip, values = _himmelblau_constants()
+        crit = tuple(CriticalPoint(np.array(p), kind, v)
+                     for (p, kind), v in zip(HIMMELBLAU_CRITICAL_POINTS, values))
         return ObjectiveFunction(
             dim=2,
             f=_himmelblau_value,

@@ -31,7 +31,7 @@ from .flow import NoCrossingError, _Flow, _sphere_exit_detail, integrate
 from .flow import integrate_minnorm  # noqa: F401
 from .landscape import LeftBoxError, norm, row_norms
 from .reverse import reverse_orbit
-from .sampling import unit_directions
+from .sampling import directions, unit_directions
 from .schedule import constant, require_admissible
 from .trajectory import march, recorded
 
@@ -342,10 +342,11 @@ def _first_escape(f, target, seed_radius, level, seed, axis_first, tries):
     seed a that escapes, or None.  Seeds are a = target + seed_radius * d
     with f(a) strictly above the target value (floor 1e-12 * (1 + |level|)),
     axis directions first unless ``axis_first`` is False, scanned afresh
-    for each (escape radius, escape, forward) of ``tries`` in turn."""
+    for each (escape radius, escape, forward) of ``tries`` in turn; each
+    direction is drawn only when the scan reaches it."""
     floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
     for rho, escape, forward in tries:
-        for d in unit_directions(f.dim, SCAN_RANDOM, seed, axis_first=axis_first):
+        for d in directions(f.dim, SCAN_RANDOM, seed, axis_first):
             a = target + seed_radius * d
             if f.in_box(a) and f.value(a) > level + floor:
                 hit = escape(a)

@@ -56,15 +56,25 @@ class Lcg64:
                 return z / n
 
 
-def unit_directions(dim, n_random, seed, axis_first=True):
-    """(2*dim + n_random, dim) unit directions: the axis pairs e_1, -e_1,
-    e_2, ... and n_random quasi-random ones, axis pairs first unless
-    ``axis_first`` is False.  In 1-D the axis pair is the whole sphere and
-    is all that is returned."""
-    eye = np.eye(dim)
-    axis = np.stack([eye, -eye], axis=1).reshape(2 * dim, dim)
+def directions(dim, n_random, seed, axis_first=True):
+    """Yield 2*dim + n_random unit directions of R^dim: the axis pairs e_1,
+    -e_1, e_2, ... and n_random quasi-random ones, axis pairs first unless
+    ``axis_first`` is False.  Each quasi-random direction is drawn only
+    when asked for, so a scan that stops early draws no more.  In 1-D the
+    axis pair is the whole sphere and is all that is yielded."""
+    axis = [v for e in np.eye(dim) for v in (e, -e)]
+    if axis_first or dim == 1:
+        yield from axis
     if dim == 1:
-        return axis
+        return
     rng = Lcg64(seed)
-    rand = np.array([rng.direction(dim) for _ in range(n_random)]).reshape(n_random, dim)
-    return np.concatenate([axis, rand] if axis_first else [rand, axis])
+    for _ in range(n_random):
+        yield rng.direction(dim)
+    if not axis_first:
+        yield from axis
+
+
+def unit_directions(dim, n_random, seed, axis_first=True):
+    """The (2*dim + n_random, dim) array of :func:`directions`' rows (just
+    the axis pair in 1-D)."""
+    return np.array(list(directions(dim, n_random, seed, axis_first)))

@@ -103,6 +103,30 @@ def test_reach_config_roundtrip(tmp_path):
         assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
 
 
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # a --general call then a plain reach, and again in the opposite order:
+    # the flag does not stick, and each call writes the same bytes either way
+    saddle = ["reach", "--general", "--function", "himmelblau", "--target-index", "8",
+              "--epsilon", "1.0", "--schedule", "constant:0.0015", "--seed-radius", "1e-3",
+              "--tol", "1e-2"]
+    minimum = ["reach", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
+               "--schedule", "constant:0.021", "--seed-radius", "1e-3", "--tol", "1e-4"]
+    runs = {}
+    for order in ("ab", "ba"):
+        for name in order:
+            out = str(tmp_path / (order + name))
+            assert main((saddle if name == "a" else minimum) + ["--out", out]) == 0
+            cfg = json.loads(read(os.path.join(out, "config.json")))
+            assert cfg.pop("output_dir") == out
+            files = {f: read(os.path.join(out, f))
+                     for f in ("reach.json", "forward.csv", "reverse.csv")}
+            runs.setdefault(name, []).append((cfg, files, capsys.readouterr().out))
+    assert runs["a"][0][0]["procedure"] == "reach-general"
+    assert runs["b"][0][0]["procedure"] == runs["b"][1][0]["procedure"] == "reach"
+    assert runs["a"][0] == runs["a"][1] and runs["b"][0] == runs["b"][1]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_reach_continuous_cli(tmp_path):
     out = str(tmp_path / "cont")
     rc = main(["reach", "--function", "quad:1", "--target", "0",

@@ -142,6 +142,22 @@ def test_himmelblau_lipschitz_is_grid_max(himmelblau):
     assert himmelblau.lipschitz_L == pytest.approx(326.79215610874223, abs=0.0)
 
 
+def test_himmelblau_builtins_share_constants_not_arrays():
+    # L and the catalog values are computed once per process; each call
+    # still builds its own box and critical-point arrays
+    a, b = br.make_builtin("himmelblau"), br.make_builtin("himmelblau")
+    assert a.lipschitz_L == b.lipschitz_L == 326.79215610874223
+    assert [cp.f_value for cp in a.critical_points] == [cp.f_value for cp in b.critical_points]
+    assert a.critical_points[0].f_value == 0.0
+    a.box[0, 0] = 99.0
+    a.critical_points[3].point[1] = 99.0
+    c = br.make_builtin("himmelblau")
+    assert c.box.tolist() == [[-5.0, 5.0], [-5.0, 5.0]]
+    for cp, (point, kind) in zip(c.critical_points, HIMMELBLAU_CRITICAL_POINTS):
+        assert cp.point.tolist() == list(point) and cp.kind == kind
+        assert cp.f_value == float(c.f(np.array(point)))
+
+
 # --- batched evaluation ---------------------------------------------------------
 
 def same_bits(a, b):

@@ -10,7 +10,7 @@ import basinreach.reach as reach_mod
 import basinreach.reverse as reverse_mod
 from basinreach.flow import _sphere_exit_detail
 from basinreach.landscape import row_norms
-from basinreach.sampling import unit_directions
+from basinreach.sampling import Lcg64, unit_directions
 from basinreach.trajectory import record_trajectories
 
 from conftest import count_dp5_steps, counting, make_saddle_quad, same_states, two_wells
@@ -716,6 +716,27 @@ def test_reach_general_continuous_himmelblau_saddles(himmelblau, delta):
         assert rep.crossing is not None and rep.forward_part.limit is rep.crossing
         assert abs(himmelblau.value(rep.crossing) - himmelblau.value(target)) <= 1e-9
         assert abs(np.linalg.norm(rep.x0 - target) - delta) <= 1e-8 * delta
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_saddle_seed_scan_draws_directions_on_demand(monkeypatch, himmelblau, mode):
+    # saddle 8's first quasi-random seed escapes, so the scan draws one
+    # direction, not all 2d + SCAN_RANDOM of them
+    draws = []
+    direction = Lcg64.direction
+
+    def counted(rng, dim):
+        draws.append(dim)
+        return direction(rng, dim)
+
+    monkeypatch.setattr(Lcg64, "direction", counted)
+    target = himmelblau.critical_points[8].point
+    rep = br.reach_general(himmelblau, target, 1.0, mode, 1e-3, tol=1e-2, delta=0.1,
+                           s=br.constant(0.0015),
+                           settings=br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6))
+    assert rep.status == "success" and draws == [2]
+    first = direction(Lcg64(0), 2)
+    assert np.array_equal(rep.ascent_seed, target + 1e-3 * first)
 
 
 def test_flow_to_level_evaluation_counts(monkeypatch, himmelblau):

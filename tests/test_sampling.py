@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from basinreach.sampling import Lcg64, unit_directions
+from basinreach.sampling import Lcg64, directions, unit_directions
 
 
 def test_lcg_recurrence_frozen():
@@ -47,3 +47,30 @@ def test_unit_directions_layout():
 def test_unit_directions_1d_is_the_axis_pair(axis_first):
     # the unit sphere of R^1 has two points, so no start is repeated
     assert unit_directions(1, 8, seed=0, axis_first=axis_first).tolist() == [[1.0], [-1.0]]
+
+
+def stacked_directions(dim, n_random, seed, axis_first):
+    """The direction layout built as one array: the axis pairs of +-eye,
+    then (or after) n_random draws of Lcg64(seed).direction."""
+    eye = np.eye(dim)
+    axis = np.stack([eye, -eye], axis=1).reshape(2 * dim, dim)
+    if dim == 1:
+        return axis
+    rng = Lcg64(seed)
+    rand = np.array([rng.direction(dim) for _ in range(n_random)]).reshape(n_random, dim)
+    return np.concatenate([axis, rand] if axis_first else [rand, axis])
+
+
+@pytest.mark.parametrize("axis_first", [True, False])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_direction_generator_rows_are_the_stacked_array(dim, axis_first):
+    # bit for bit, signed zeros of the -e_i rows included
+    for seed in (0, 5, 7, 91, -3):
+        for n_random in (0, 1, 8):
+            ref = stacked_directions(dim, n_random, seed, axis_first)
+            rows = list(directions(dim, n_random, seed, axis_first))
+            assert len(rows) == len(ref)
+            for row, want in zip(rows, ref):
+                assert row.shape == (dim,) and row.tobytes() == want.tobytes()
+            got = unit_directions(dim, n_random, seed, axis_first=axis_first)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
