@@ -12,8 +12,7 @@ from .landscape import (BUILTIN_NAMES, CriticalPoint, LeftBoxError, MaxFunction,
                         ObjectiveFunction, cap, clarke_generators, constant_objective,
                         fd_gradient, make_builtin, min_norm_element,
                         refine_critical_point)
-from .reach import (GradLowerBound, ReachBudgets, ReachReport, StabilityEstimate,
-                    edge_of_stability, grad_lower_bound,
+from .reach import (ReachBudgets, ReachReport, StabilityEstimate, edge_of_stability,
                     reach_continuous, reach_discrete, reach_general, stability_probe)
 from .reverse import (ReverseOrbit, ascent_prox, contraction_iteration_bound, prox,
                       prox_certificates, reverse_orbit)
@@ -25,16 +24,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_NAMES", "Classification", "CriticalPoint", "DesingularizationModel",
-    "FlowSettings", "GradLowerBound", "Lcg64", "LeftBoxError", "MaxFunction",
-    "NoCrossingError", "ObjectiveFunction", "ReachBudgets", "ReachReport",
-    "ReverseOrbit", "StabilityEstimate", "State", "StepSchedule", "Trajectory",
-    "admissible", "ascent_prox", "cap", "check_length_bound",
-    "clarke_generators", "classify_limit", "constant", "constant_objective",
-    "contraction_iteration_bound", "descent_certificate_violations",
-    "edge_of_stability", "fd_gradient", "gd_step", "grad_lower_bound", "integrate",
-    "integrate_minnorm", "make_builtin", "min_norm_element", "parse_schedule",
-    "path_length", "power", "prox", "prox_certificates", "reach_continuous",
-    "reach_discrete", "reach_general", "record_trajectories",
+    "FlowSettings", "Lcg64", "LeftBoxError", "MaxFunction", "NoCrossingError",
+    "ObjectiveFunction", "ReachBudgets", "ReachReport", "ReverseOrbit",
+    "StabilityEstimate", "State", "StepSchedule", "Trajectory", "admissible",
+    "ascent_prox", "cap", "check_length_bound", "clarke_generators", "classify_limit",
+    "constant", "constant_objective", "contraction_iteration_bound",
+    "descent_certificate_violations", "edge_of_stability", "fd_gradient", "gd_step",
+    "integrate", "integrate_minnorm", "make_builtin", "min_norm_element",
+    "parse_schedule", "path_length", "power", "prox", "prox_certificates",
+    "reach_continuous", "reach_discrete", "reach_general", "record_trajectories",
     "refine_critical_point", "reverse_orbit", "run_gd", "sphere_exit",
     "stability_probe",
 ]

@@ -230,8 +230,9 @@ def cmd_reach(args):
     f = parse_function(cfg["function"])
     target = resolve_target(cfg, f)
     out = output_dir(args, cfg)
-    budgets = ReachBudgets(max_iter=cfg["max_iter"], kbar_max=cfg["kbar_max"],
-                           probe_samples=cfg["n_samples"], seed=cfg["seed"])
+    budgets = ReachBudgets(max_iter=cfg["max_iter"], gtol=float(cfg["gtol"]),
+                           kbar_max=cfg["kbar_max"], probe_samples=cfg["n_samples"],
+                           seed=cfg["seed"])
     mode = cfg["mode"]
     if cfg["procedure"] == "reach-general":
         report = reach_general(
@@ -351,6 +352,23 @@ def _add_common(p):
     p.add_argument("--max-iter", dest="max_iter", type=int)
 
 
+def _add_target(p, general=False):
+    p.add_argument("--mode", choices=["discrete", "continuous"])
+    if general:
+        p.add_argument("--general", action="store_true", help="saddle-targeting general case")
+    p.add_argument("--target", type=parse_point)
+    p.add_argument("--target-index", dest="target", type=int)
+    p.add_argument("--epsilon", type=float)
+
+
+def _add_flow(p, n_samples=False):
+    """The flow settings, after the probe's sample count when asked for."""
+    if n_samples:
+        p.add_argument("--n-samples", dest="n_samples", type=int)
+    p.add_argument("--h", type=float)
+    p.add_argument("--t-max", dest="t_max", type=float)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: each parse makes a
@@ -371,36 +389,23 @@ def build_parser():
     p.add_argument("--procedure", choices=["gd", "flow"])
     p.add_argument("--x0", type=parse_point)
     p.add_argument("--direction", choices=["forward", "reverse"])
-    p.add_argument("--h", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
+    _add_flow(p)
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("reach", help="construct x0 reaching a designated target")
     _add_common(p)
-    p.add_argument("--mode", choices=["discrete", "continuous"])
-    p.add_argument("--general", action="store_true",
-                   help="saddle-targeting general case")
-    p.add_argument("--target", type=parse_point)
-    p.add_argument("--target-index", dest="target", type=int)
-    p.add_argument("--epsilon", type=float)
+    _add_target(p, general=True)
     p.add_argument("--seed-radius", dest="seed_radius", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--kbar-max", dest="kbar_max", type=int)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--h", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
+    _add_flow(p, n_samples=True)
     p.set_defaults(handler=cmd_reach)
 
     p = sub.add_parser("probe", help="estimate a stability radius")
     _add_common(p)
-    p.add_argument("--mode", choices=["discrete", "continuous"])
-    p.add_argument("--target", type=parse_point)
-    p.add_argument("--target-index", dest="target", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--h", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
+    _add_target(p)
+    _add_flow(p, n_samples=True)
     p.set_defaults(handler=cmd_probe)
 
     p = sub.add_parser("eos", help="edge-of-stability verdict on the quad builtin")

@@ -9,7 +9,8 @@ from .sampling import unit_directions
 from .schedule import admissible, require_admissible
 from .trajectory import march, recorded
 
-DIVERGENCE_FACTOR = 1e3
+SPHERE_SAMPLES, SPHERE_SEED = 64, 0  # classify_limit's quasi-random directions after the axes
+CERTIFICATE_RTOL = 1e-12  # descent_certificate_violations' relative slack
 
 
 class Classification(NamedTuple):
@@ -40,36 +41,22 @@ def _gd_rule(s, axpy):
     return step
 
 
-def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, unsafe=False):
+def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6):
     """Iterate x_{k+1} = x_k - alpha_k grad(x_k), recording every state.
 
-    Stops on grad_norm < gtol (converged), k = max_iter (budget_exhausted),
-    box exit (left_box, not a fault) or |x - box centre| > 1e3 * (1 + box
-    diameter) (diverged).  ``unsafe=True`` lifts the sup alpha < 2/L
-    admissibility requirement and the box-exit stop; the divergence guard
-    remains, and only such a run can trip it.  Used by the
-    sharpness-exclusion experiment, where L stays globally valid.
+    Requires sup alpha < 2/L.  Stops on grad_norm < gtol (converged),
+    k = max_iter (budget_exhausted) or box exit (left_box, not a fault).
     """
     x = np.array(x0, dtype=float)
     if not f.in_box(x):
         raise LeftBoxError(x, "x0 outside the operating box")
-    if not unsafe:
-        require_admissible(s, f, "stability", "run_gd")
-    div_thresh = DIVERGENCE_FACTOR * (1.0 + f.box_diameter())
-    center = f.box.mean(axis=1)
-
-    def diverged(prev, t, x, fx):
-        if np.linalg.norm(x - center) > div_thresh:
-            return "diverged", None, t, x
-        return None
-
+    require_admissible(s, f, "stability", "run_gd")
     lane = f._lane
-    return recorded(f, *march(f, lane.point(x), lane.grad, _gd_rule(s, lane.axpy), max_iter,
-                              gtol, box=not unsafe, event=diverged if unsafe else None),
-                    {"producer": "gd", "f": f, "schedule": s, "gtol": gtol, "unsafe": unsafe})
+    steps = march(f, lane.point(x), lane.grad, _gd_rule(s, lane.axpy), max_iter, gtol)
+    return recorded(f, *steps, {"producer": "gd", "f": f, "schedule": s, "gtol": gtol})
 
 
-def classify_limit(f, x, tol=1e-6, n_sphere=64, seed=0):
+def classify_limit(f, x, tol=1e-6):
     """Classify a candidate limit point.
 
     non_stationary if |grad| >= tol; otherwise by Hessian eigenvalue signs,
@@ -94,7 +81,7 @@ def classify_limit(f, x, tol=1e-6, n_sphere=64, seed=0):
         r = np.sqrt(tol)
         f0 = f.value(x)
         band = 1e-12 * (1.0 + abs(f0))
-        for d in unit_directions(f.dim, n_sphere, seed):
+        for d in unit_directions(f.dim, SPHERE_SAMPLES, SPHERE_SEED):
             df = f.value(x + r * d) - f0
             if df > band:
                 has_pos = True
@@ -111,7 +98,7 @@ def classify_limit(f, x, tol=1e-6, n_sphere=64, seed=0):
     return Classification("local_min", True)
 
 
-def descent_certificate_violations(f, traj, s, rtol=1e-12):
+def descent_certificate_violations(f, traj, s):
     """Check the recurrence and descent inequalities along a discrete run.
 
     Returns a list of violation descriptions (empty when certified):
@@ -119,7 +106,7 @@ def descent_certificate_violations(f, traj, s, rtol=1e-12):
     sup alpha < 2/L; and, when sup alpha < 1/L, the quantified descent
     f_{k+1} <= f_k - a_k (1 - L a_k / 2) |g_k|^2 + rtol*(1 + |f_k|).
     """
-    L = f.lipschitz_L
+    L, rtol = f.lipschitz_L, CERTIFICATE_RTOL
     X, fv = traj.X, traj.f
     a = np.array([s.alpha(k) for k in range(len(traj) - 1)])
     step_err = row_norms(X[1:] - (X[:-1] - a[:, None] * f.gradients(X[:-1])))

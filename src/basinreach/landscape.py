@@ -29,7 +29,7 @@ class CriticalPoint:
     f_value: float
 
 
-CRITICAL_KINDS = ("local_min", "local_max", "saddle")
+CATALOG_RTOL = 1e-8  # catalog_entry's match radius, relative to 1 + |point|
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,14 +110,13 @@ class ObjectiveFunction:
     def box_diameter(self):
         return float(np.linalg.norm(self.box[:, 1] - self.box[:, 0]))
 
-    def catalog_entry(self, point, kind=None, tol=1e-8):
+    def catalog_entry(self, point, kind=None):
         """Catalog entry matching ``point`` (and ``kind`` if given), or None."""
         point = np.asarray(point, dtype=float)
-        radius = tol * (1.0 + np.linalg.norm(point))
+        radius = CATALOG_RTOL * (1.0 + np.linalg.norm(point))
         for cp in self.critical_points:
-            if np.linalg.norm(cp.point - point) <= radius:
-                if kind is None or cp.kind == kind:
-                    return cp
+            if np.linalg.norm(cp.point - point) <= radius and kind in (None, cp.kind):
+                return cp
         return None
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import DIVERGENCE_FACTOR, _gd_rule, classify_limit, run_gd
+from .descent import _gd_rule, classify_limit, run_gd
 from .flow import NoCrossingError, _Flow, _sphere_exit_detail, integrate
 # not called here: the benchmark's tracer wraps reach.integrate_minnorm by name
 from .flow import integrate_minnorm  # noqa: F401
@@ -35,14 +35,14 @@ from .sampling import directions, unit_directions
 from .schedule import constant, require_admissible
 from .trajectory import march, recorded
 
-REACH_STATUSES = ("success", "no_escape", "no_converge")
-
 # strictness floor for the ascent seed: f(a) > f(target) + floor
 SEED_FLOOR_RTOL = 1e-12
 # quasi-random ascent-seed directions scanned after (or before) the axes
 SCAN_RANDOM = 64
 # halvings of the step scale reach_discrete tries before giving up
 ALPHA_SHRINKS = 3
+PROBE_BISECTIONS = 6  # stability_probe's bisection steps on the radius
+DIVERGENCE_FACTOR = 1e3  # edge_of_stability: |x| > this * (1 + box diameter) diverged
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,13 +53,6 @@ class StabilityEstimate:
     failures: tuple
     capture_level: float = None
     delta_cert: float = None
-
-
-@dataclass(frozen=True, eq=False)
-class GradLowerBound:
-    level: float
-    region_radius: float
-    zeta: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +96,6 @@ def _ball_fits_box(f, center, radius):
 
 # points of the circle grid behind the 2-D capture certificate
 CAPTURE_GRID = 256
-# largest lattice grad_lower_bound builds
-LATTICE_MAX = 10**7
 
 
 def _capture_level(f, target, epsilon, f_star):
@@ -131,23 +122,24 @@ def _capture_level(f, target, epsilon, f_star):
 
 
 def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
-                    settings=None, seed=0, max_iter=20_000, gtol=1e-8, n_bisect=6):
+                    settings=None, seed=0, max_iter=20_000, gtol=1e-8):
     """Empirical stability radius around a cataloged local minimum.
 
-    Bisects on the radius delta in (0, epsilon]: each candidate runs
-    trajectories from the 2n axis points plus n_samples quasi-random
-    points on the delta-sphere, and fails if any trajectory leaves
-    B_epsilon(target) or does not converge within budget.  delta_hat is
-    the largest tested radius with zero failures (0 when every tested
-    radius failed, which signals that epsilon violates the locality
-    requirement).  Deterministic given the seed.
+    Bisects on the radius delta in (0, epsilon], PROBE_BISECTIONS times
+    once epsilon fails: each candidate runs trajectories from the 2n axis
+    points plus n_samples quasi-random points on the delta-sphere, and
+    fails if any trajectory leaves B_epsilon(target) or does not converge
+    within budget.  delta_hat is the largest tested radius with zero
+    failures (0 when every tested radius failed, which signals that
+    epsilon violates the locality requirement).  Deterministic given the
+    seed.
 
     Each start is one :func:`march` run by the step rule of ``run_gd``
     (discrete) or forward ``integrate`` (continuous), bit for bit, with
-    their stops (none for divergence: the ball bounds the run).  It also
-    stops at its first state outside the ball (a failure, stopped_on =
-    "left_ball") or in the capture set below (converged, no limit,
-    stopped_on = "capture_set", unless |grad f| < gtol there too).
+    their stops.  It also stops at its first state outside the ball (a
+    failure, stopped_on = "left_ball") or in the capture set below
+    (converged, no limit, stopped_on = "capture_set", unless |grad f| <
+    gtol there too).
 
     Capture set: for quad, 1-D and 2-D objectives, ``capture_level`` c is
     a certified lower bound of f on the epsilon-sphere, and a run passes
@@ -185,7 +177,7 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
         rule = _gd_rule(s, lane.axpy)
         run = lambda x: march(f, lane.point(x), lane.grad, rule, max_iter, gtol, event=held,
                               value=f.value)
-        prov = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol, "unsafe": False}
+        prov = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol}
     else:
         gtol = settings.gtol
         run = lambda x: _Flow(f, "forward", settings).march(f, x, event=held, value=f.value)
@@ -219,7 +211,7 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
     if not failures:
         return StabilityEstimate(epsilon, epsilon, len(dirs), (), c, delta_cert)
     lo, hi = 0.0, epsilon
-    for _ in range(n_bisect):
+    for _ in range(PROBE_BISECTIONS):
         mid = 0.5 * (lo + hi)
         bad = trial(mid)
         if bad:
@@ -228,25 +220,6 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
         else:
             lo = mid
     return StabilityEstimate(epsilon, lo, len(dirs), tuple(failures), c, delta_cert)
-
-
-def grad_lower_bound(f, target, delta, level, n_grid=101):
-    """zeta = min |grad f| over a lattice of B_delta(target) intersected
-    with {f >= level}; requires level > f(target), a nonempty
-    intersection and n_grid^dim <= LATTICE_MAX lattice points."""
-    target = np.asarray(target, dtype=float)
-    if n_grid ** f.dim > LATTICE_MAX:
-        raise ValueError(f"a {n_grid}^{f.dim} lattice exceeds {LATTICE_MAX} points; "
-                         f"lower n_grid")
-    if not level > f.value(target):
-        raise ValueError("level must exceed f(target)")
-    axes = [np.linspace(t - delta, t + delta, n_grid) for t in target]
-    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dim)
-    X = X[row_norms(X - target) <= delta]
-    X = X[f.values(X) >= level]
-    if not len(X):
-        raise ValueError("empty intersection: level too high for the ball")
-    return GradLowerBound(float(level), float(delta), float(row_norms(f.gradients(X)).min()))
 
 
 def _escape_radius(f, delta_hat, alpha_bar):
@@ -281,12 +254,12 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     doubling S while nothing has overshot; the search fails once the
     bracket closes or kbar_max is passed.
     """
-    def outside(x):
-        return bool(np.linalg.norm(x - target) > rho)
+    lane, center = f._lane, f._lane.point(target)
+    outside = lambda x: norm(lane.sub(x, center)) > rho  # x a point of f's lane
 
     def usable(orbit):
         root = orbit.points[0]
-        return (orbit.status == "complete" and outside(root)
+        return (orbit.status == "complete" and outside(lane.point(root))
                 and np.linalg.norm(root - target) <= cap * (1.0 + 1e-9))
 
     if s.kind == "constant":
@@ -474,10 +447,11 @@ def _to_level(f, level, locate, run, prov):
 def _run_to_level(f, x0, s, level, gtol, max_iter):
     """GD until f(x_k) <= level; returns (trajectory, crossing or None).
 
-    The crossing is the linear interpolation between the last state above
-    the level and the first at or below it, i.e. the point where the
-    piecewise-linear interpolation of the iterates crosses the level set.
-    The run stops on leaving the box, so run_gd's divergence stop is moot.
+    The crossing is x_prev + theta (x_k - x_prev), theta = (f_prev -
+    level) / (f_prev - f_k), on the step from the last state above the
+    level to the first at or below it: the secant in f-values, where the
+    linear interpolation of the two f-values meets the level.  f(crossing)
+    misses the level by the curvature of f along the step.
     """
     def secant(prev, x, fx):
         _, x_prev, _, f_prev = prev
@@ -488,7 +462,7 @@ def _run_to_level(f, x0, s, level, gtol, max_iter):
     run = lambda event: march(f, lane.point(x0), lane.grad, _gd_rule(s, lane.axpy), max_iter,
                               gtol, event=event, value=f.value)
     return _to_level(f, level, secant, run, {"producer": "gd", "f": f, "schedule": s,
-                                             "gtol": gtol, "unsafe": False})
+                                             "gtol": gtol})
 
 
 def _flow_to_level(f, x0, level, settings):

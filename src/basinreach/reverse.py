@@ -20,6 +20,7 @@ from .schedule import constant, require_admissible
 
 FIXED_POINT_RTOL = 1e-13
 FORWARD_RESIDUAL_RTOL = 1e-10
+PROX_SLACK_RTOL = 1e-9  # prox_certificates' slack, relative to 1 + |f(x)|
 _MAX_INNER_ITER = 200_000
 _ANDERSON_DEPTH = 2  # the residual differences _mix combines; its closed form needs <= 2
 _GRAM_RTOL = 1e-10  # depth 1 below this sin^2 of the angle between dr_1 and dr_2
@@ -97,13 +98,13 @@ def _mix(lane, t, r, hist):
     return y if lane.inside(y) else t
 
 
-def contraction_iteration_bound(lam, L, tol=FIXED_POINT_RTOL):
-    """ln(tol)/ln(lam*L) + 2, the certified count of plain Picard iterations;
-    for the Anderson-mixed solve a tested ceiling, not a certificate."""
+def contraction_iteration_bound(lam, L):
+    """ln(FIXED_POINT_RTOL)/ln(lam*L) + 2, the certified count of plain Picard
+    iterations; for the Anderson-mixed solve a tested ceiling, not a certificate."""
     q = lam * L
     if not 0.0 < q < 1.0:
         raise ValueError("contraction bound needs lam * L in (0, 1)")
-    return math.log(tol) / math.log(q) + 2.0
+    return math.log(FIXED_POINT_RTOL) / math.log(q) + 2.0
 
 
 def prox(f, x, lam):
@@ -117,18 +118,18 @@ def prox(f, x, lam):
     return np.array(y)
 
 
-def prox_certificates(f, x, lam, xplus, slack_rtol=1e-9):
+def prox_certificates(f, x, lam, xplus):
     """The two certified inequalities of the proximal step:
 
     dec_ok : f(x) - f(x+) >= (lam/2) |grad(x+)|^2
     step_ok: |x+ - x| <= 2 lam / (1 - L lam) |grad(x)|
 
-    both with slack slack_rtol * (1 + |f(x)|).
+    both with slack PROX_SLACK_RTOL * (1 + |f(x)|).
     """
     x = np.asarray(x, dtype=float)
     xplus = np.asarray(xplus, dtype=float)
     fx = f.value(x)
-    slack = slack_rtol * (1.0 + abs(fx))
+    slack = PROX_SLACK_RTOL * (1.0 + abs(fx))
     dec_ok = fx - f.value(xplus) >= 0.5 * lam * f.grad_norm(xplus) ** 2 - slack
     bound = 2.0 * lam / (1.0 - f.lipschitz_L * lam) * f.grad_norm(x)
     step_ok = float(np.linalg.norm(xplus - x)) <= bound + slack
@@ -172,10 +173,10 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     'left_box' rather than raising.
 
     With ``stop`` (constant schedules only) the march ends at the first
-    point x with stop(x), or after kbar steps; the K steps taken are
-    indexed K-1 down to 0.  Each solve starts from the gradient the
-    previous residual took at its base, so m solves cost their
-    iterations plus one gradient.
+    point x, a point of f's lane, with stop(x), or after kbar steps; the K
+    steps taken are indexed K-1 down to 0.  Each solve starts from the
+    gradient the previous residual took at its base, so m solves cost
+    their iterations plus one gradient.
     """
     anchor = np.asarray(a, dtype=float)
     if kbar < 0:
@@ -191,7 +192,7 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     points, residuals = [anchor.copy()], []
     status = "complete"
     for k in range(kbar - 1, -1, -1):
-        if stop is not None and stop(points[-1]):
+        if stop is not None and stop(x):
             break
         try:
             x, residual, g = _ascent_step(f, x, s.alpha(k), g)

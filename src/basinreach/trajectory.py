@@ -27,7 +27,7 @@ import numpy as np
 
 from .landscape import sumsq
 
-TERMINAL_STATUSES = ("converged", "budget_exhausted", "left_box", "diverged")
+TERMINAL_STATUSES = ("converged", "budget_exhausted", "left_box")
 
 
 @dataclass(frozen=True, eq=False)

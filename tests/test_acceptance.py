@@ -250,7 +250,7 @@ def test_A10_descent_certificates_everywhere():
         discrete = flows = 0
         for traj in RECORDED:
             prov = traj.provenance
-            if prov.get("producer") == "gd" and not prov.get("unsafe"):
+            if prov.get("producer") == "gd":
                 violations = br.descent_certificate_violations(
                     prov["f"], traj, prov["schedule"])
                 assert violations == [], violations[:3]

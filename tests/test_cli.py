@@ -103,6 +103,24 @@ def test_reach_config_roundtrip(tmp_path):
         assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
 
 
+def test_reach_replays_to_the_configured_gtol(tmp_path):
+    # the replay of a discrete reach stops once |grad f| < gtol: a looser
+    # --gtol ends it earlier, on a prefix of the default run's rows
+    argv = ["reach", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
+            "--schedule", "constant:0.021", "--seed-radius", "1e-3", "--tol", "1e-4"]
+    rows = {}
+    for gtol in ("1e-10", "1e-6"):
+        out = str(tmp_path / gtol)
+        extra = [] if gtol == "1e-10" else ["--gtol", gtol]  # 1e-10 is the default
+        assert main(argv + extra + ["--out", out]) == 0
+        assert json.loads(read(os.path.join(out, "config.json")))["gtol"] == float(gtol)
+        rows[gtol] = read(os.path.join(out, "forward.csv")).splitlines()[1:]
+        gnorms = [float(row.split(b",")[-1]) for row in rows[gtol][-2:]]
+        assert gnorms[0] >= float(gtol) > gnorms[1]
+    loose = rows["1e-6"]
+    assert len(loose) < len(rows["1e-10"]) and rows["1e-10"][:len(loose)] == loose
+
+
 def test_main_reuses_one_parser(tmp_path, capsys):
     # a --general call then a plain reach, and again in the opposite order:
     # the flag does not stick, and each call writes the same bytes either way

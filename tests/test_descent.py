@@ -69,13 +69,6 @@ def test_run_gd_left_box():
     assert not f.in_box(traj.final_x)
 
 
-def test_run_gd_diverges_unsafe(quad1):
-    traj = br.run_gd(quad1, [1.0], br.constant(2.1), gtol=1e-12,
-                     max_iter=10**5, unsafe=True)
-    assert traj.terminal_status == "diverged"
-    assert np.linalg.norm(traj.final_x) > 1e3
-
-
 def test_run_gd_rejects_inadmissible(quad1):
     with pytest.raises(ValueError):
         br.run_gd(quad1, [1.0], br.constant(2.1))

@@ -172,11 +172,12 @@ def test_probe_continuous_runs_match_integrate(f, target, eps, h):
     assert captured > 0
 
 
-def test_probe_left_ball_stops_at_first_outside_state():
+def test_probe_left_ball_stops_at_first_outside_state(monkeypatch):
     # distinct failing starts in 2-D, so the test sees their order
     f, target, eps = two_wells(), np.array([1.0, 0.0]), 1.5
     s = br.constant(0.9 / f.lipschitz_L)
-    est, runs = probe_runs(f, target, eps, s, n_samples=4, n_bisect=3)
+    monkeypatch.setattr(reach_mod, "PROBE_BISECTIONS", 3)
+    est, runs = probe_runs(f, target, eps, s, n_samples=4)
     contain = eps * (1.0 + 1e-9)
     failed, n_cut = [], 0
     for r in runs:
@@ -312,34 +313,6 @@ def test_runs_from_inside_delta_cert_stay_and_converge(name, params, target, eps
             assert (row_norms(run.X - target) <= eps).all()
 
 
-# --- gradient lower bound ------------------------------------------------------
-
-def test_grad_lower_bound_quad(quad1):
-    # |grad| = |x| on {0.5 x^2 >= 0.125}: minimum 0.5 attained at |x| = 0.5
-    glb = br.grad_lower_bound(quad1, [0.0], 1.0, 0.125, n_grid=201)
-    assert glb.zeta == pytest.approx(0.5, abs=1e-12)
-    assert glb.level == 0.125 and glb.region_radius == 1.0
-
-
-def test_grad_lower_bound_errors(quad1):
-    with pytest.raises(ValueError):
-        br.grad_lower_bound(quad1, [0.0], 1.0, 10.0)  # level above max on ball
-    with pytest.raises(ValueError):
-        br.grad_lower_bound(quad1, [0.0], 1.0, -1.0)  # level <= f(target)
-
-
-def test_grad_lower_bound_rejects_huge_lattice():
-    # the default 101^4 lattice would take about 3.3 GB
-    f = br.make_builtin("quad", (1.0, 2.0, 3.0, 4.0))
-    with pytest.raises(ValueError, match="lattice exceeds"):
-        br.grad_lower_bound(f, np.zeros(4), 1.0, 0.1)
-
-
-def test_grad_lower_bound_double_well(dw):
-    glb = br.grad_lower_bound(dw, [1.0], 0.4, dw.value([1.2]), n_grid=161)
-    assert glb.zeta > 0.0
-
-
 # --- discrete reachability ------------------------------------------------------
 
 def test_reach_discrete_double_well(dw):
@@ -385,6 +358,17 @@ def lattice_fmax(f, target, radius, n_grid):
                if np.linalg.norm(np.array(p) - target) <= radius)
 
 
+def lattice_grad_min(f, target, radius, level, n_grid):
+    """min |grad f| over the n_grid^dim lattice of B_radius(target) intersected
+    with {f >= level}."""
+    axes = [np.linspace(t - radius, t + radius, n_grid) for t in target]
+    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dim)
+    X = X[row_norms(X - target) <= radius]
+    X = X[f.values(X) >= level]
+    assert len(X)
+    return float(row_norms(f.gradients(X)).min())
+
+
 def test_reach_discrete_escape_bound(dw, himmelblau):
     # with a constant schedule the orbit exits within
     # (f_max_on_ball - f(a)) * 2 / (alpha zeta^2) + 1 backsteps
@@ -395,8 +379,7 @@ def test_reach_discrete_escape_bound(dw, himmelblau):
         rep = br.reach_discrete(f, np.array(target), eps, s, 1e-3, 1e-3)
         assert rep.status == "success"
         level = f.value(rep.ascent_seed)
-        zeta = br.grad_lower_bound(f, np.array(target), rep.delta_used, level,
-                                   n_grid=81).zeta
+        zeta = lattice_grad_min(f, np.array(target), rep.delta_used, level, n_grid=81)
         fmax = lattice_fmax(f, np.array(target), rep.delta_used, n_grid=81)
         kbar_used = len(rep.reverse_part.points) - 1
         assert zeta > 0.0
@@ -699,6 +682,23 @@ def test_reach_general_continuous_budget_exhausted(saddle_quad):
 
 
 HIMMELBLAU_SADDLES = (5, 6, 7, 8)
+
+
+@pytest.mark.parametrize("i", HIMMELBLAU_SADDLES)
+def test_reach_general_discrete_crossing_is_the_f_secant(himmelblau, i):
+    # the crossing is x_prev + theta (x_k - x_prev), theta = (f_prev - c) /
+    # (f_prev - f_k), on the replay's last step; f there misses c by at
+    # most the step's drop in f
+    target = himmelblau.critical_points[i].point
+    s = br.constant(0.5 / himmelblau.lipschitz_L)
+    rep = br.reach_general(himmelblau, target, 1.0, "discrete", 1e-3, tol=1e-2, s=s)
+    assert rep.status == "success"
+    c, fwd = himmelblau.value(target), rep.forward_part
+    (x_prev, x_k), (f_prev, f_k) = fwd.X[-2:], fwd.f[-2:].tolist()
+    assert f_prev > c >= f_k
+    theta = (f_prev - c) / (f_prev - f_k)
+    assert rep.crossing.tobytes() == (x_prev + theta * (x_k - x_prev)).tobytes()
+    assert abs(himmelblau.value(rep.crossing) - c) <= f_prev - f_k
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.1])

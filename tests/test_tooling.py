@@ -20,7 +20,8 @@ import basinreach.reverse as reverse_mod
 
 from conftest import count_dp5_steps
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
 
@@ -46,6 +47,21 @@ def test_tracer_targets_exist():
     missing = [f"{module}.{name}" for module, name in targets
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+def test_all_is_exactly_what_init_imports():
+    # the export list has no duplicates, each entry resolves, and it names
+    # every name the package imports from its modules and nothing else
+    tree = ast.parse((ROOT / "src" / "basinreach" / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"])
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(br, name)] == []
+    assert set(exported) == imported
+    assert br.__all__ == exported
 
 
 # one objective per lane: the float lane (dim <= 2) and the ndarray lane
