@@ -41,18 +41,22 @@ def _gd_rule(s, axpy):
     return step
 
 
-def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6):
+def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, event=None):
     """Iterate x_{k+1} = x_k - alpha_k grad(x_k), recording every state.
 
     Requires sup alpha < 2/L.  Stops on grad_norm < gtol (converged),
     k = max_iter (budget_exhausted) or box exit (left_box, not a fault).
+    ``event`` is a :func:`march` stop event, asked at each state before
+    those tests (its fx is None); a minimum reach ends the run with it on
+    the first state in its certified ball.
     """
     x = np.array(x0, dtype=float)
     if not f.in_box(x):
         raise LeftBoxError(x, "x0 outside the operating box")
     require_admissible(s, f, "stability", "run_gd")
     lane = f._lane
-    steps = march(f, lane.point(x), lane.grad, _gd_rule(s, lane.axpy), max_iter, gtol)
+    steps = march(f, lane.point(x), lane.grad, _gd_rule(s, lane.axpy), max_iter, gtol,
+                  event=event)
     return recorded(f, *steps, {"producer": "gd", "f": f, "schedule": s, "gtol": gtol})
 
 

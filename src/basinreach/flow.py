@@ -198,11 +198,14 @@ class _Flow:
         raise ArithmeticError("crossing location did not converge")
 
 
-def integrate(f, x0, direction, settings):
+def integrate(f, x0, direction, settings, event=None):
     """Adaptive Dormand-Prince 5(4) on dx/dt = -grad f (forward) or +grad
     f (reverse), from the first trial step h.  Stops at t_max, at |grad| <
-    gtol (forward only), or at box exit (expected for reverse flows)."""
-    return recorded(f, *_Flow(f, direction, settings).march(f, x0),
+    gtol (forward only), or at box exit (expected for reverse flows).
+    ``event`` is a :func:`march` stop event, asked at each state the
+    steps reach before those tests (its fx is None); a minimum reach ends
+    the forward flow with it on the first state in its certified ball."""
+    return recorded(f, *_Flow(f, direction, settings).march(f, x0, event=event),
                     {"producer": "flow", "f": f, "direction": direction, "settings": settings})
 
 

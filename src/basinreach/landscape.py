@@ -47,6 +47,11 @@ class ObjectiveFunction:
     batch and return B values or a (B, dim) array of gradients, each row
     bit-identical to the call on that row; :meth:`values` and
     :meth:`gradients` then make one call per batch instead of one per row.
+
+    ``hessian_lipschitz`` is a Lipschitz constant M of the Hessian on
+    ``box``, |hess(x) - hess(y)| <= M |x - y| in the spectral norm, or None
+    when unknown; a minimum reach ends its forward run in the strongly
+    convex ball it certifies (``reach``), and without it runs to gtol.
     """
 
     dim: int
@@ -59,12 +64,16 @@ class ObjectiveFunction:
     name: str = ""
     params: tuple = ()
     vectorized: bool = False
+    hessian_lipschitz: float = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
         if self.lipschitz_L < 0:
             raise ValueError("lipschitz_L must be nonnegative")
+        M = self.hessian_lipschitz
+        if M is not None and not 0.0 <= M < math.inf:
+            raise ValueError(f"hessian_lipschitz must be finite and nonnegative, got {M!r}")
         box = np.array(self.box, dtype=float)
         if box.shape != (self.dim, 2) or np.any(box[:, 0] >= box[:, 1]):
             raise ValueError("box must be (dim, 2) with lower < upper")
@@ -173,9 +182,6 @@ class MaxFunction:
 
     def in_box(self, x):
         return self.pieces[0].in_box(x)
-
-    def box_diameter(self):
-        return self.pieces[0].box_diameter()
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +348,20 @@ def make_builtin(name, params=()):
                  are computed once per process; each call still builds its
                  own box and critical-point arrays.
 
+    ``hessian_lipschitz`` M bounds |D^3 f(x)[h]| <= M |h| (spectral norm)
+    on the box, so it is a Hessian Lipschitz constant there (the box is
+    convex):
+    quad:        M = 0, the Hessian is constant.
+    double_well: M = 24 b, since f''' = 24 x.
+    himmelblau:  M = sqrt(15440) ~ 124.26.  D^3 f[h] = [[24x h1 + 4 h2,
+                 4 h1 + 4 h2], [4 h1 + 4 h2, 4 h1 + 24y h2]]; its squared
+                 Frobenius norm, which bounds the squared spectral norm, is
+                 h^T Q h with Q = [[576x^2 + 48, 96(x + y) + 32],
+                 [96(x + y) + 32, 576y^2 + 48]].  lambda_max(Q) grows with
+                 each diagonal entry and with |Q_12|, all largest on
+                 [-5, 5]^2 at x = y = 5, where Q = [[14448, 992], [992,
+                 14448]] and lambda_max = 15440.
+
     A builtin's ``grad`` returns a point's gradient as a list of floats
     when dim <= FLOAT_LANE_DIMS, for the float lane to take as is; as
     for every objective, ``gradient`` and ``gradients`` return arrays.
@@ -371,6 +391,7 @@ def make_builtin(name, params=()):
             name="quad",
             params=params,
             vectorized=True,
+            hessian_lipschitz=0.0,
         )
     if name == "double_well":
         b = params[0] if params else 1.5
@@ -393,6 +414,7 @@ def make_builtin(name, params=()):
             name="double_well",
             params=(b,),
             vectorized=True,
+            hessian_lipschitz=24.0 * b,
         )
     if name == "himmelblau":
         if params:
@@ -412,6 +434,7 @@ def make_builtin(name, params=()):
             name="himmelblau",
             params=(),
             vectorized=True,
+            hessian_lipschitz=math.sqrt(15440.0),
         )
     raise ValueError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
 

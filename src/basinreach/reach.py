@@ -17,16 +17,37 @@ convex box, so one ascent step from B_rho lands within the probed
 stability radius delta_hat, and with a constant schedule x0 is the first
 orbit point outside B_rho.  Capture rests on the direct check |x0 - target| <=
 min(delta_hat, epsilon), not on that bound.
+
+A minimum reach stops its forward run at its certificate, the first state
+in the certified ball B_s, s = min(tol, epsilon, lambda_min / (2M)) (no
+third term when M = 0), with lambda_min = lambda_min(hess f(target)) > 0
+and M the objective's ``hessian_lipschitz``; B_s must fit in the box.  On
+B_s every Hessian has its spectrum in [mu_s, L], mu_s = lambda_min - M s
+>= lambda_min / 2 (Nesterov & Polyak 2006, Math. Program. 108, Lemma 1).
+A GD step gives x_{k+1} - x* = (I - alpha_k H_k)(x_k - x*), H_k the mean
+Hessian on the segment from x* to x_k, so with sup alpha < 1/L |x_{k+1} -
+x*| <= (1 - alpha_k mu_s) |x_k - x*|: B_s is invariant and a nonsummable
+schedule drives the iterates to the target itself.  The exact flow has
+d/dt |x - x*|^2 <= -2 mu_s |x - x*|^2; DP5 follows it to its accuracy,
+the standard the probe's capture set rests on too.  The run ends there as
+converged, the limit that state, with provenance stopped_on =
+"certified_ball" and a ``certificate``: s, mu_s, distance_bound = |x_m -
+x*| and, for GD, length_bound = the measured prefix + (L / mu_s) |x_m -
+x*|, as the tail sum_k alpha_k |grad f(x_k)| <= L sum_k alpha_k |x_k -
+x*| telescopes against the contraction.  Saddle targets, objectives
+without M and the run, probe and eos procedures keep running to gtol.
 """
 
+import dataclasses
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .descent import _gd_rule, classify_limit, run_gd
-from .flow import NoCrossingError, _Flow, _sphere_exit_detail, integrate
+from .flow import NoCrossingError, _Flow, _sphere_exit_detail, integrate, path_length
 # not called here: the benchmark's tracer wraps reach.integrate_minnorm by name
 from .flow import integrate_minnorm  # noqa: F401
 from .landscape import LeftBoxError, norm, row_norms
@@ -328,6 +349,52 @@ def _first_escape(f, target, seed_radius, level, seed, axis_first, tries):
     return None
 
 
+class _Ball(NamedTuple):
+    """The certified ball B_s around a minimum (the module docstring): its
+    radius, mu_s, and the stop event for ``run_gd`` or ``integrate``,
+    which ends a run as converged on its first state within s."""
+
+    s: float
+    mu: float
+    event: object
+
+
+def _certified_ball(f, target, tol, epsilon):
+    """The _Ball around a minimum target, or None without a Hessian
+    Lipschitz constant, a positive definite Hessian there or room for B_s
+    in the box."""
+    M = f.hessian_lipschitz
+    if M is None or f.hessian is None:
+        return None
+    lam = float(np.linalg.eigvalsh(f.hess(target))[0])
+    if not lam > 0.0:
+        return None
+    s = min(tol, epsilon, lam / (2.0 * M) if M > 0.0 else math.inf)
+    if not _ball_fits_box(f, target, s):
+        return None
+    lane = f._lane
+    center = lane.point(target)
+
+    def reached(prev, t, x, fx):
+        if norm(lane.sub(x, center)) <= s:
+            return "converged", np.array(x), t, x
+        return None
+    return _Ball(s, lam - M * s, reached)
+
+
+def _ball_certificate(f, traj, ball, dist):
+    """traj, stopped in the ball at distance dist, with its provenance
+    naming the ball and carrying its certificate; a GD run's length bound
+    is its measured length plus the (L / mu_s) dist tail, a flow's is None."""
+    length = None
+    if traj.provenance["producer"] == "gd":
+        length = (path_length(traj) if len(traj) > 1 else 0.0) + f.lipschitz_L / ball.mu * dist
+    cert = {"name": "certified_ball", "s": ball.s, "mu_s": ball.mu, "distance_bound": dist,
+            "length_bound": length}
+    return dataclasses.replace(traj, provenance=dict(
+        traj.provenance, stopped_on="certified_ball", certificate=cert))
+
+
 def _reach(f, target, seed_radius, tol, b, delta, tries, probe=None):
     """The one reach pipeline: ascent seed, escape, forward run, report.
 
@@ -336,15 +403,19 @@ def _reach(f, target, seed_radius, tol, b, delta, tries, probe=None):
     (budgets.delta_override skips the probe; the constant schedule at the
     same sup alpha is the fastest of the family the radius is uniform
     over) capped at epsilon, which must hold the seed sphere well inside.
-    ``tries(delta, level, gtol)`` yields (escape radius, escape, forward)
-    per step scale: escape(a) gives (x0, reverse part) or None, and
-    forward(x0) runs from the first x0.  Success iff that run has a limit
-    (its convergence point or level crossing) within tol; the distance is
-    from the limit, else from the last state.  A saddle target (no probe)
-    reports the limit as its crossing and scans quasi-random directions
-    before the axes, which can lie on its stable manifold.
+    ``tries(delta, level, gtol, event)`` yields (escape radius, escape,
+    forward) per step scale: escape(a) gives (x0, reverse part) or None,
+    and forward(x0) runs from the first x0, a minimum's run with the
+    certified ball's stop ``event`` (None without the ball).  Success iff
+    that run has a limit (its convergence point or level crossing) within
+    tol; the distance is from the limit, else from the last state, and
+    with the ball it is measured by the ball's own norm, so a run stopped
+    in B_s reports at most s.  A saddle target (no probe) reports the
+    limit as its crossing and scans quasi-random directions before the
+    axes, which can lie on its stable manifold.
     """
     saddle = probe is None
+    ball = None if saddle else _certified_ball(f, target, tol, delta)
     if not saddle:
         mode, s, settings = probe
         if b.delta_override is None:
@@ -363,7 +434,7 @@ def _reach(f, target, seed_radius, tol, b, delta, tries, probe=None):
         level = f.value(target)
         gtol = b.gtol if b.gtol is not None else min(1e-8, 1e-3 * tol)
         found = _first_escape(f, target, seed_radius, level, b.seed, not saddle,
-                              tries(delta, level, gtol))
+                              tries(delta, level, gtol, ball.event if ball else None))
     if found is None:
         a = x0 = rev = fwd = None
         rho, dist, status = float("nan"), float("inf"), "no_escape"
@@ -371,7 +442,13 @@ def _reach(f, target, seed_radius, tol, b, delta, tries, probe=None):
         a, rho, forward, (x0, rev) = found
         fwd = forward(x0)
         end = fwd.limit if fwd.limit is not None else fwd.final_x
-        dist = float(np.linalg.norm(end - target))
+        if ball is None:
+            dist = float(np.linalg.norm(end - target))
+        else:
+            dist = norm(end - target)
+            # the event is asked before the gtol test: converged within s is its stop
+            if fwd.terminal_status == "converged" and dist <= ball.s:
+                fwd = _ball_certificate(f, fwd, ball, dist)
         status = "success" if fwd.limit is not None and dist <= tol else "no_converge"
     return ReachReport(
         target=target, x0=x0, reverse_part=rev, forward_part=fwd, final_distance=dist,
@@ -398,14 +475,15 @@ def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):
     if not (epsilon > 0.0 and seed_radius > 0.0 and tol > 0.0):
         raise ValueError("epsilon, seed_radius and tol must be positive")
 
-    def tries(delta_hat, level, gtol):
+    def tries(delta_hat, level, gtol, event):
         s_k = s
         for _ in range(ALPHA_SHRINKS + 1):
             rho = _escape_radius(f, delta_hat, s_k.sup_alpha)
             if rho > seed_radius:
                 escape = lambda a, s_k=s_k, rho=rho: _first_crossing_orbit(
                     f, a, s_k, rho, delta_hat, target, b.kbar_max)
-                forward = lambda x0, s_k=s_k: run_gd(f, x0, s_k, gtol=gtol, max_iter=b.max_iter)
+                forward = lambda x0, s_k=s_k: run_gd(f, x0, s_k, gtol=gtol, max_iter=b.max_iter,
+                                                     event=event)
                 yield rho, escape, forward
             s_k = s_k.scaled(0.5)
     return _reach(f, target, seed_radius, tol, b, epsilon, tries, probe=("discrete", s, None))
@@ -421,9 +499,9 @@ def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=Non
         raise ValueError("target must be a cataloged local minimum")
     if not (epsilon > 0.0 and seed_radius > 0.0 and tol > 0.0):
         raise ValueError("epsilon, seed_radius and tol must be positive")
-    tries = lambda delta_hat, level, gtol: [(
+    tries = lambda delta_hat, level, gtol, event: [(
         delta_hat, lambda a: _flow_escape(f, a, target, delta_hat, settings),
-        lambda x0: integrate(f, x0, "forward", settings))]
+        lambda x0: integrate(f, x0, "forward", settings, event=event))]
     return _reach(f, target, seed_radius, tol, b, epsilon, tries,
                   probe=("continuous", None, settings))
 
@@ -512,12 +590,12 @@ def reach_general(f, target, epsilon, mode, seed_radius, tol=1e-2, delta=None,
     if mode == "continuous":
         if settings is None:
             raise ValueError("continuous mode needs FlowSettings")
-        tries = lambda delta, level, gtol: [(
+        tries = lambda delta, level, gtol, _: [(
             delta, lambda a: _flow_escape(f, a, target, delta, settings),
             lambda x0: _flow_to_level(f, x0, level, settings)[0])]
     else:
         require_admissible(s, f, "prox", "discrete mode")
-        tries = lambda delta, level, gtol: [(
+        tries = lambda delta, level, gtol, _: [(
             delta, lambda a: _first_crossing_orbit(f, a, s, delta, epsilon, target, b.kbar_max),
             lambda x0: _run_to_level(f, x0, s, level, gtol, b.max_iter)[0])]
     return _reach(f, target, seed_radius, tol, b, float(delta), tries)

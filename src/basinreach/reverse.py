@@ -30,8 +30,8 @@ _GRAM_RTOL = 1e-10  # depth 1 below this sin^2 of the angle between dr_1 and dr_
 class ReverseOrbit:
     """Backward-constructed points x_start..x_kbar with x_kbar = anchor.
 
-    ``points[i]`` is x_{start_index + i}; ``steps_used`` records the
-    consumed alpha indices (kbar-1 down to start_index).  ``status`` is
+    ``points[i]`` is x_{start_index + i}, so the orbit consumed the alpha
+    indices start_index to start_index + len(points) - 2.  ``status`` is
     'left_box' when the construction escaped the operating box early and
     the orbit is partial; that exit is a legitimate escape event for the
     reachability pipeline.  forward_residuals[i] certifies
@@ -39,7 +39,6 @@ class ReverseOrbit:
     """
 
     points: tuple
-    steps_used: tuple
     anchor: np.ndarray
     forward_residuals: tuple
     status: str = "complete"
@@ -203,13 +202,10 @@ def reverse_orbit(f, a, s, kbar, stop=None):
         residuals.append(residual)
     points.reverse()
     residuals.reverse()
-    n_steps = len(residuals)
-    start_index = 0 if stop is not None else kbar - n_steps
     return ReverseOrbit(
         points=tuple(points),
-        steps_used=tuple(range(start_index + n_steps - 1, start_index - 1, -1)),
         anchor=anchor.copy(),
         forward_residuals=tuple(residuals),
         status=status,
-        start_index=start_index,
+        start_index=0 if stop is not None else kbar - len(residuals),
     )

@@ -86,7 +86,9 @@ def trajectory_summary(traj):
 
 
 def reach_report_json(report, forward_csv_path=None, reverse_csv_path=None):
-    return {
+    """The report's fields, and the certificate that stopped its forward
+    run when one did."""
+    out = {
         "target": _jsonable(report.target),
         "x0": _jsonable(report.x0) if report.x0 is not None else None,
         "delta_used": _jsonable(report.delta_used),
@@ -96,6 +98,10 @@ def reach_report_json(report, forward_csv_path=None, reverse_csv_path=None):
         "forward_csv_path": forward_csv_path,
         "reverse_csv_path": reverse_csv_path,
     }
+    fwd = report.forward_part
+    if fwd is not None and "certificate" in fwd.provenance:
+        out["certificate"] = fwd.provenance["certificate"]
+    return out
 
 
 def write_json(obj, path):

@@ -104,21 +104,30 @@ def test_reach_config_roundtrip(tmp_path):
 
 
 def test_reach_replays_to_the_configured_gtol(tmp_path):
-    # the replay of a discrete reach stops once |grad f| < gtol: a looser
-    # --gtol ends it earlier, on a prefix of the default run's rows
+    # at the README's tol the replay of a discrete reach ends on its first
+    # row within s = tol of the target; at a tol below the distance gtol
+    # reaches, it runs on until |grad f| < gtol, and the tol run is a
+    # shorter prefix of that one
     argv = ["reach", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
-            "--schedule", "constant:0.021", "--seed-radius", "1e-3", "--tol", "1e-4"]
+            "--schedule", "constant:0.021", "--seed-radius", "1e-3"]
     rows = {}
-    for gtol in ("1e-10", "1e-6"):
-        out = str(tmp_path / gtol)
+    for tol, gtol, rc in (("1e-4", "1e-10", 0), ("1e-12", "1e-6", 1)):
+        out = str(tmp_path / tol)
         extra = [] if gtol == "1e-10" else ["--gtol", gtol]  # 1e-10 is the default
-        assert main(argv + extra + ["--out", out]) == 0
+        assert main(argv + ["--tol", tol] + extra + ["--out", out]) == rc
         assert json.loads(read(os.path.join(out, "config.json")))["gtol"] == float(gtol)
-        rows[gtol] = read(os.path.join(out, "forward.csv")).splitlines()[1:]
-        gnorms = [float(row.split(b",")[-1]) for row in rows[gtol][-2:]]
-        assert gnorms[0] >= float(gtol) > gnorms[1]
-    loose = rows["1e-6"]
-    assert len(loose) < len(rows["1e-10"]) and rows["1e-10"][:len(loose)] == loose
+        rows[tol] = read(os.path.join(out, "forward.csv")).splitlines()[1:]
+        last = [[float(c) for c in row.split(b",")] for row in rows[tol][-2:]]
+        report = json.loads(read(os.path.join(out, "reach.json")))
+        if tol == "1e-4":
+            distances = [abs(row[2] - 1.0) for row in last]
+            assert distances[0] > float(tol) >= distances[1] == report["final_distance"]
+            assert report["certificate"]["s"] == float(tol)
+        else:
+            assert last[0][-1] >= float(gtol) > last[1][-1]
+            assert report["status"] == "no_converge" and "certificate" not in report
+    stopped = rows["1e-4"]
+    assert len(stopped) < len(rows["1e-12"]) and rows["1e-12"][:len(stopped)] == stopped
 
 
 def test_main_reuses_one_parser(tmp_path, capsys):

@@ -9,8 +9,9 @@ import basinreach as br
 import basinreach.reach as reach_mod
 import basinreach.reverse as reverse_mod
 from basinreach.flow import _sphere_exit_detail
-from basinreach.landscape import row_norms
+from basinreach.landscape import norm, row_norms
 from basinreach.sampling import Lcg64, unit_directions
+from basinreach.serialize import reach_report_json
 from basinreach.trajectory import record_trajectories
 
 from conftest import count_dp5_steps, counting, make_saddle_quad, same_states, two_wells
@@ -594,6 +595,147 @@ def test_reach_discrete_power_schedule(dw):
     for i in range(len(orbit.points) - 1):
         x = x - s.alpha(i) * dw.gradient(x)
         assert np.linalg.norm(x - orbit.points[i + 1]) <= 1e-8
+
+
+# --- the certified ball -----------------------------------------------------------
+
+# every builtin minimum: (builtin, params, local minimum index, epsilon)
+BUILTIN_MINIMA = [("quad", (1.0, 4.0), 0, 1.0), ("quad", (1.0, 25.0), 0, 1.0),
+                  ("double_well", (), 0, 0.4), ("double_well", (), 1, 0.4),
+                  *[("himmelblau", (), i, 1.0) for i in range(4)]]
+
+
+@dataclasses.dataclass(frozen=True)
+class Shifted:
+    """The schedule s from step m on: alpha_k = s.alpha(m + k)."""
+
+    s: object
+    m: int
+
+    @property
+    def sup_alpha(self):
+        return self.s.sup_alpha
+
+    def alpha(self, k):
+        return self.s.alpha(self.m + k)
+
+
+def ball_radius(f, target, tol, eps):
+    """(s, mu_s) recomputed from the module docstring's formula."""
+    lam = float(np.linalg.eigvalsh(f.hess(target))[0])
+    M = f.hessian_lipschitz
+    s = min(tol, eps, lam / (2.0 * M) if M > 0.0 else math.inf)
+    return s, lam - M * s
+
+
+@pytest.mark.parametrize("kind", ["constant", "power"])
+@pytest.mark.parametrize("name,params,index,eps", BUILTIN_MINIMA)
+def test_replay_stops_in_the_certified_ball(name, params, index, eps, kind):
+    f = br.make_builtin(name, params)
+    target = [cp.point for cp in f.critical_points if cp.kind == "local_min"][index]
+    c = 0.5 / f.lipschitz_L
+    s = br.constant(c) if kind == "constant" else br.power(c, 0.5)
+    tol = 1e-4
+    rep = br.reach_discrete(f, target, eps, s, 1e-3, tol)
+    stopped = rep.forward_part
+    cert = stopped.provenance["certificate"]
+    assert rep.status == "success" and stopped.provenance["stopped_on"] == "certified_ball"
+    assert cert["name"] == "certified_ball"
+    assert (cert["s"], cert["mu_s"]) == ball_radius(f, target, tol, eps)
+    ball, mu = cert["s"], cert["mu_s"]
+    assert mu >= 0.5 * float(np.linalg.eigvalsh(f.hess(target))[0]) > 0.0
+    r = row_norms(stopped.X - target)
+    assert (r[:-1] > ball).all() and r[-1] <= ball
+    assert rep.final_distance == cert["distance_bound"] == r[-1]
+
+    # the run without the stop, as before it (up to m + 100 steps): the
+    # stopped rows are its prefix
+    s_used, gtol = stopped.provenance["schedule"], stopped.provenance["gtol"]
+    m = len(stopped) - 1
+    full = br.run_gd(f, rep.x0, s_used, gtol=gtol, max_iter=m + 100)
+    assert len(full) > m + 1
+    for col in ("t", "X", "f", "gnorm"):
+        assert getattr(full, col)[:m + 1].tobytes() == getattr(stopped, col).tobytes()
+
+    # continued to gtol under the shifted schedule, the same iterates: it
+    # stays in B_s and contracts by (1 - alpha_k mu_s) per step, as the
+    # certificate claims of exact steps; a stored iterate is rounded to
+    # within half a spacing per coordinate, which the bound's own margin
+    # alpha_k M s r_k does not cover once r_k is near 1e-9
+    rest = br.run_gd(f, stopped.final_x, Shifted(s_used, m), gtol=gtol, max_iter=200_000)
+    assert rest.terminal_status == "converged"
+    assert rest.X[:len(full) - m].tobytes() == full.X[m:].tobytes()
+    r = row_norms(rest.X - target)
+    a = np.array([s_used.alpha(m + k) for k in range(len(rest) - 1)])
+    rounding = math.sqrt(f.dim) * np.spacing(np.abs(rest.X[1:])).max(axis=1)
+    assert (r <= ball).all()
+    assert (r[1:] <= (1.0 - a * mu) * r[:-1] * (1.0 + 1e-12) + rounding).all()
+    # the length bound: the measured prefix plus a tail at least as long as
+    # the continued run's
+    prefix = br.path_length(stopped) if m else 0.0
+    assert cert["length_bound"] == prefix + f.lipschitz_L / mu * r[0]
+    assert prefix + br.path_length(rest) <= cert["length_bound"]
+
+
+@pytest.mark.parametrize("name,params,target,eps,h", [
+    ("double_well", (), [-1.0], 0.4, 1e-3),
+    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, 1e-2),
+    ("himmelblau", (), [3.0, 2.0], 1.0, 3e-4),
+], ids=["double_well", "quad", "himmelblau"])
+def test_forward_flow_stops_in_the_certified_ball(name, params, target, eps, h):
+    # the stopped flow is a prefix of the flow to gtol, whose later states
+    # stay in B_s and draw nearer the target; flows carry no length bound
+    f = br.make_builtin(name, params)
+    st = br.FlowSettings(h=h, t_max=20.0, gtol=1e-6)
+    rep = br.reach_continuous(f, target, eps, st, 1e-3, 1e-4)
+    stopped = rep.forward_part
+    cert = stopped.provenance["certificate"]
+    assert rep.status == "success" and stopped.provenance["stopped_on"] == "certified_ball"
+    assert cert["length_bound"] is None
+    assert rep.final_distance == cert["distance_bound"] <= cert["s"] == 1e-4
+    full = br.integrate(f, rep.x0, "forward", st)
+    m = len(stopped) - 1
+    assert full.X[:m + 1].tobytes() == stopped.X.tobytes()
+    r = row_norms(full.X[m:] - np.array(target))
+    assert (r <= cert["s"]).all() and (np.diff(r) <= 0.0).all()
+
+
+def test_objective_without_hessian_lipschitz_replays_to_gtol(himmelblau):
+    # a user objective without M: the replay runs to gtol, bit for bit the
+    # plain run_gd from x0, and the distance is measured as before
+    f = dataclasses.replace(himmelblau, name="user")
+    assert f.hessian_lipschitz is not None
+    f = dataclasses.replace(f, hessian_lipschitz=None)
+    target = np.array([3.0, 2.0])
+    s = br.constant(0.5 / f.lipschitz_L)
+    rep = br.reach_discrete(f, target, 1.0, s, 1e-3, 1e-4)
+    fwd = rep.forward_part
+    assert rep.status == "success" and "stopped_on" not in fwd.provenance
+    full = br.run_gd(f, rep.x0, s, gtol=1e-8, max_iter=200_000)
+    assert fwd.X.tobytes() == full.X.tobytes() and fwd.gnorm[-1] < 1e-8 <= fwd.gnorm[-2]
+    assert rep.final_distance == float(np.linalg.norm(fwd.limit - target))
+    assert "certificate" not in reach_report_json(rep)
+
+
+def test_final_distance_is_the_stop_event_s_norm(himmelblau):
+    # the stop event and the report measure |x - target| by the same
+    # landscape.norm, so a state the event accepts is reported within s =
+    # tol, never one rounding bit past it (np.linalg.norm can differ there)
+    lane = himmelblau._lane
+    for i, seed_radius in itertools.product(range(4), (5e-4, 1e-3, 2e-3)):
+        target = [cp.point for cp in himmelblau.critical_points if cp.kind == "local_min"][i]
+        rep = br.reach_discrete(himmelblau, target, 1.0, br.constant(0.5 / himmelblau.lipschitz_L),
+                                seed_radius, 1e-4)
+        x = rep.forward_part.final_x
+        d = norm(lane.sub(lane.point(x), lane.point(target)))
+        assert rep.status == "success" and rep.final_distance == d <= 1e-4
+        assert rep.forward_part.provenance["certificate"]["distance_bound"] == d
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_hessian_lipschitz_must_be_finite_and_nonnegative(himmelblau, bad):
+    with pytest.raises(ValueError, match="hessian_lipschitz"):
+        dataclasses.replace(himmelblau, hessian_lipschitz=bad)
 
 
 # --- continuous reachability ----------------------------------------------------
