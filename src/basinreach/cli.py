@@ -21,7 +21,7 @@ import numpy as np
 from . import serialize
 from .descent import run_gd
 from .flow import FlowSettings, NoCrossingError, integrate
-from .landscape import BUILTIN_NAMES, LeftBoxError, make_builtin
+from .landscape import BUILTIN_NAMES, LeftBoxError, make_builtin, norm
 from .reach import (ReachBudgets, edge_of_stability, reach_continuous,
                     reach_discrete, reach_general, stability_probe)
 from .reverse import prox, prox_certificates
@@ -327,8 +327,8 @@ def cmd_check(args):
         x = lo + (0.5 * (1 - span) + span * u) * (hi - lo)
         lam = (0.05 + 0.85 * rng.uniform()) / max(f.lipschitz_L, 1e-12)
         xp = prox(f, x, lam)
-        residual = float(np.linalg.norm(xp - (x - lam * f.gradient(xp))))
-        if residual > 1e-10 * (1.0 + np.linalg.norm(x)):
+        residual = norm(xp - (x - lam * f.gradient(xp)))
+        if residual > 1e-10 * (1.0 + norm(x)):
             identity_fails += 1
         dec_ok, step_ok = prox_certificates(f, x, lam, xp)
         if not (dec_ok and step_ok):

@@ -117,14 +117,14 @@ class ObjectiveFunction:
         return not ((x < self._box_lo) | (x > self._box_hi)).any()
 
     def box_diameter(self):
-        return float(np.linalg.norm(self.box[:, 1] - self.box[:, 0]))
+        return norm(self.box[:, 1] - self.box[:, 0])
 
     def catalog_entry(self, point, kind=None):
         """Catalog entry matching ``point`` (and ``kind`` if given), or None."""
         point = np.asarray(point, dtype=float)
-        radius = CATALOG_RTOL * (1.0 + np.linalg.norm(point))
+        radius = CATALOG_RTOL * (1.0 + norm(point))
         for cp in self.critical_points:
-            if np.linalg.norm(cp.point - point) <= radius and kind in (None, cp.kind):
+            if norm(cp.point - point) <= radius and kind in (None, cp.kind):
                 return cp
         return None
 
@@ -444,7 +444,7 @@ def refine_critical_point(f, x0, tol=1e-12, max_iter=100):
     x = np.asarray(x0, dtype=float)
     for _ in range(max_iter):
         g = f.gradient(x)
-        if np.linalg.norm(g) <= tol:
+        if norm(g) <= tol:
             try:
                 x = x - np.linalg.solve(f.hess(x), f.gradient(x))  # one polish step
             except np.linalg.LinAlgError:

@@ -281,7 +281,7 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     def usable(orbit):
         root = orbit.points[0]
         return (orbit.status == "complete" and outside(lane.point(root))
-                and np.linalg.norm(root - target) <= cap * (1.0 + 1e-9))
+                and norm(root - target) <= cap * (1.0 + 1e-9))
 
     if s.kind == "constant":
         orbit = reverse_orbit(f, a, s, kbar_max, stop=outside)
@@ -295,14 +295,14 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
             S.append(S[-1] + s.alpha(len(S) - 1))
         return bisect_left(S, target_sum)
 
-    L, r_a = f.lipschitz_L, float(np.linalg.norm(a - target))
+    L, r_a = f.lipschitz_L, norm(a - target)
     bound = math.log(rho / r_a) * (1.0 - s.sup_alpha * L) / L if L > 0.0 else math.inf
     # S(1) = alpha_0, so the first horizon is at least 1
     lo, hi = horizon(max(bound, s.alpha(0))) - 1, kbar_max + 1
     kbar, aim, last = lo + 1, math.log(math.sqrt(rho * cap) / r_a), (0.0, 0.0)
     while lo < kbar < hi:
         orbit = reverse_orbit(f, a, s, kbar)
-        r = float(np.linalg.norm(orbit.points[0] - target))
+        r = norm(orbit.points[0] - target)
         if orbit.status == "complete" and r <= rho:
             lo = kbar
         elif usable(orbit):
@@ -442,13 +442,10 @@ def _reach(f, target, seed_radius, tol, b, delta, tries, probe=None):
         a, rho, forward, (x0, rev) = found
         fwd = forward(x0)
         end = fwd.limit if fwd.limit is not None else fwd.final_x
-        if ball is None:
-            dist = float(np.linalg.norm(end - target))
-        else:
-            dist = norm(end - target)
-            # the event is asked before the gtol test: converged within s is its stop
-            if fwd.terminal_status == "converged" and dist <= ball.s:
-                fwd = _ball_certificate(f, fwd, ball, dist)
+        dist = norm(end - target)
+        # the event is asked before the gtol test: converged within s is its stop
+        if ball is not None and fwd.terminal_status == "converged" and dist <= ball.s:
+            fwd = _ball_certificate(f, fwd, ball, dist)
         status = "success" if fwd.limit is not None and dist <= tol else "no_converge"
     return ReachReport(
         target=target, x0=x0, reverse_part=rev, forward_part=fwd, final_distance=dist,
@@ -631,8 +628,8 @@ def edge_of_stability(f, alpha, x0):
     with np.errstate(over="ignore", invalid="ignore"):
         steps, _, _ = march(f, lane.point(x0), lane.grad, _gd_rule(constant(alpha), lane.axpy),
                             1000, box=False)
-        n1 = float(np.linalg.norm(steps[-1][1]))
-    n0 = float(np.linalg.norm(x0))
+        n1 = norm(steps[-1][1])
+    n0 = norm(x0)
     threshold = max(10.0 * n0, DIVERGENCE_FACTOR * (1.0 + f.box_diameter()))
     empirical = None
     if not np.isfinite(n1) or n1 > threshold:

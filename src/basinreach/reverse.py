@@ -5,9 +5,16 @@ T(y) = x -/+ lambda * grad(y), a strict contraction with factor q =
 lambda * L < 1, so it is the strongly convex (resp. concave) subproblem
 optimum and no inner line search is needed.  Picard iteration on T is
 sped up by depth-2 Anderson mixing (Anderson 1965; GMRES-like on a
-linear map, Walker & Ni 2011), one gradient per iteration, under
-Picard's stop rule and certificate.  The inner tolerance is two orders
-tighter than the orbit certificates, so residuals need no retuning.
+linear map, Walker & Ni 2011), one gradient per tested iterate, under
+Picard's stop rule.  The solve returns the iterate y it tested, within
+|T(y) - y|/(1 - q) of the fixed point, with the gradient the test took
+there, so an ascent step's forward residual y - a grad(y) - x_{k+1} =
+y - T(y) costs no further gradient.  ``reverse_orbit`` seeds each
+solve's mixing history with the secants of its last two steps, the
+multisecant view of Anderson mixing (Fang & Saad 2009): in 2-D they
+span the plane, so the first mixed iterate is a quasi-Newton step.  The
+inner tolerance is three orders tighter than the orbit certificates,
+so residuals need no retuning.
 """
 
 import math
@@ -45,20 +52,23 @@ class ReverseOrbit:
     start_index: int = 0
 
 
-def _picard(f, base, lam, sign, tol_scale, g=None):
+def _picard(f, base, lam, sign, tol_scale, g=None, seeds=()):
     """Fixed point of T(y) = base + sign * lam * grad(y), base and y points
-    of f's lane: each iteration takes one gradient, for T(y), then moves to
-    :func:`_mix`'s point.  The first needs grad(base): ``g``, when known.
-    Returns (T(y), iters) at the first |T(y) - y| <= tol = FIXED_POINT_RTOL
-    * (1 + tol_scale); as T contracts by q = lam * L, T(y) lies within
-    q/(1 - q) * tol of the unique fixed point, however y was reached.
-    Raises LeftBoxError when T(y) leaves the box."""
+    of f's lane: each iteration tests y by one T(y), then moves to
+    :func:`_mix`'s point and takes its gradient.  The first y is base, with
+    gradient ``g`` when known; ``seeds`` (newest first, at most two) start
+    the mixing history.  Returns (y, grad(y), iters) at the first |T(y) -
+    y| <= tol = FIXED_POINT_RTOL * (1 + tol_scale); as T contracts by q =
+    lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so y lies within
+    |T(y) - y|/(1 - q) <= tol/(1 - q) of the unique fixed point y*,
+    however it was reached.  Raises LeftBoxError when T(y) leaves the box;
+    y itself never does."""
     tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     step = sign * lam
     grad, axpy, sub, inside = f._lane.grad, f._lane.axpy, f._lane.sub, f._lane.inside
     y, g = base, grad(base) if g is None else g
-    hist, last, mixed = [], None, False
+    hist, last, mixed = list(seeds), None, False
     for it in range(1, _MAX_INNER_ITER + 1):
         t = axpy(base, step, g)
         if not inside(t):
@@ -66,12 +76,12 @@ def _picard(f, base, lam, sign, tol_scale, g=None):
         r = sub(t, y)
         rr = sumsq(r)
         if rr <= tol_sq:
-            return t, it
+            return y, g, it
         if mixed and not rr <= q_sq * last[2]:
             hist = []  # the mixed iterate contracted less than a Picard step: restart
         elif last is not None:
             d = sub(r, last[0])
-            hist = [(d, sub(t, last[1]), dot(d, d))] + hist[:_ANDERSON_DEPTH - 1]
+            hist = [(d, sub(t, last[1]), 1.0, dot(d, d))] + hist[:_ANDERSON_DEPTH - 1]
         last, y = (r, t, rr), _mix(f._lane, t, r, hist)
         mixed = y is not t
         g = grad(y)
@@ -79,27 +89,46 @@ def _picard(f, base, lam, sign, tol_scale, g=None):
 
 
 def _mix(lane, t, r, hist):
-    """t - c_1 dT_1 - c_2 dT_2 over hist's (dr_i, dT_i, |dr_i|^2), newest
-    first, c the least-squares fit of r by the dr_i (2x2 normal equations in
-    closed form; the newest alone when their Gram determinant is degenerate);
-    t itself when there is no usable history or the point leaves the box."""
-    if not hist or not hist[0][2] > 0.0:
+    """t - c_1 dT_1 - c_2 dT_2 over hist's (dr_i, v_i, w_i, |dr_i|^2), newest
+    first, with dT_i = w_i v_i (w = 1 for the solve's own secants) and c
+    the least-squares fit of r by the dr_i (2x2 normal equations in closed
+    form; the newest alone when their Gram determinant is degenerate, as
+    in 1-D or for collinear secants); t itself when there is no usable
+    history or the point leaves the box."""
+    if not hist or not hist[0][3] > 0.0:
         return t
-    (d1, e1, a11), *older = hist
+    (d1, e1, w1, a11), *older = hist
     b1, deep = dot(d1, r), False
     if older:
-        ((d2, e2, a22),) = older
+        ((d2, e2, w2, a22),) = older
         a12, b2 = dot(d1, d2), dot(d2, r)
         det = a11 * a22 - a12 * a12
         deep = det > _GRAM_RTOL * a11 * a22
-    y = (lane.axpy(lane.axpy(t, (a12 * b2 - a22 * b1) / det, e1), (a12 * b1 - a11 * b2) / det, e2)
-         if deep else lane.axpy(t, -b1 / a11, e1))
+    y = (lane.axpy(lane.axpy(t, (a12 * b2 - a22 * b1) / det * w1, e1),
+                   (a12 * b1 - a11 * b2) / det * w2, e2)
+         if deep else lane.axpy(t, -b1 / a11 * w1, e1))
     return y if lane.inside(y) else t
+
+
+def _orbit_seeds(lane, pairs, step):
+    """The orbit's secant pairs as history entries of a solve whose T has
+    step ``step``: the pair (x - y, dg) of an orbit step from x back to y,
+    with dg = grad(y) - grad(x), gives dT = step dg (never formed: w =
+    step, v = dg) and dr = dT - (y - x); T's base cancels, so a pair
+    serves any step.  Each pair keeps its last conversion, so under a
+    constant schedule it is converted once for the two solves it seeds."""
+    for i, (neg_dx, dg, entry) in enumerate(pairs):
+        if entry is None or entry[2] != step:
+            dr = lane.axpy(neg_dx, step, dg)
+            pairs[i] = neg_dx, dg, (dr, dg, step, dot(dr, dr))
+    return [entry for _, _, entry in pairs]
 
 
 def contraction_iteration_bound(lam, L):
     """ln(FIXED_POINT_RTOL)/ln(lam*L) + 2, the certified count of plain Picard
-    iterations; for the Anderson-mixed solve a tested ceiling, not a certificate."""
+    iterations, each one test of |T(y) - y| (the returned y is the last
+    one tested); for the Anderson-mixed solve, seeded or not, a tested
+    ceiling, not a certificate."""
     q = lam * L
     if not 0.0 < q < 1.0:
         raise ValueError("contraction bound needs lam * L in (0, 1)")
@@ -113,8 +142,7 @@ def prox(f, x, lam):
     require_admissible(constant(lam), f, "prox", "prox")
     if not f.in_box(x):
         raise LeftBoxError(x, "prox called outside the operating box")
-    y, _ = _picard(f, f._lane.point(x), lam, -1.0, norm(x))
-    return np.array(y)
+    return np.array(_picard(f, f._lane.point(x), lam, -1.0, norm(x))[0])
 
 
 def prox_certificates(f, x, lam, xplus):
@@ -131,19 +159,21 @@ def prox_certificates(f, x, lam, xplus):
     slack = PROX_SLACK_RTOL * (1.0 + abs(fx))
     dec_ok = fx - f.value(xplus) >= 0.5 * lam * f.grad_norm(xplus) ** 2 - slack
     bound = 2.0 * lam / (1.0 - f.lipschitz_L * lam) * f.grad_norm(x)
-    step_ok = float(np.linalg.norm(xplus - x)) <= bound + slack
+    step_ok = norm(xplus - x) <= bound + slack
     return dec_ok, step_ok
 
 
-def _ascent_step(f, xnext, a, g=None):
+def _ascent_step(f, xnext, a, g=None, seeds=()):
     """(y, r, grad(y)): the ascent preimage y of xnext, both points of f's
     lane, its forward residual r = |(y - a grad(y)) - xnext|, certified to
-    1e-10 * (1 + |y|), and the gradient that residual took, which the next
-    solve from y starts with.  ``g`` is grad(xnext) when known.  The caller
+    1e-10 * (1 + |y|), and the gradient the solve's last test took, which
+    that residual reuses and the next solve from y starts with.  For the
+    ascent map y - a grad(y) - xnext = y - T(y), so r is the tested
+    residual, 1e-13 (1 + |xnext|) up to rounding.  ``g`` is grad(xnext)
+    when known and ``seeds`` start the solve's mixing history.  The caller
     has checked the prox regime and that xnext lies in the box."""
     lane = f._lane
-    y, _ = _picard(f, xnext, a, +1.0, norm(xnext), g)
-    gy = lane.grad(y)
+    y, gy, _ = _picard(f, xnext, a, +1.0, norm(xnext), g, seeds)
     residual = norm(lane.sub(lane.axpy(y, -a, gy), xnext))
     if residual > FORWARD_RESIDUAL_RTOL * (1.0 + norm(y)):
         raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
@@ -173,9 +203,11 @@ def reverse_orbit(f, a, s, kbar, stop=None):
 
     With ``stop`` (constant schedules only) the march ends at the first
     point x, a point of f's lane, with stop(x), or after kbar steps; the K
-    steps taken are indexed K-1 down to 0.  Each solve starts from the
-    gradient the previous residual took at its base, so m solves cost
-    their iterations plus one gradient.
+    steps taken are indexed K-1 down to 0.  The anchor's gradient is taken
+    once, after the first stop test; each later solve starts from the
+    gradient its predecessor returned, and its mixing history from the
+    secant pairs of the last two steps, so m solves cost one gradient plus
+    their iterations less one each.
     """
     anchor = np.asarray(a, dtype=float)
     if kbar < 0:
@@ -187,17 +219,23 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     # checked once: every alpha_k is at most sup_alpha, and each later
     # solve starts from a point its predecessor's Picard test kept in the box
     require_admissible(s, f, "prox", "reverse_orbit")
-    x, g = f._lane.point(anchor), None
+    lane = f._lane
+    x, g, pairs = lane.point(anchor), None, []
     points, residuals = [anchor.copy()], []
     status = "complete"
     for k in range(kbar - 1, -1, -1):
         if stop is not None and stop(x):
             break
+        alpha = s.alpha(k)
+        if g is None:
+            g = lane.grad(x)
         try:
-            x, residual, g = _ascent_step(f, x, s.alpha(k), g)
+            y, residual, gy = _ascent_step(f, x, alpha, g, _orbit_seeds(lane, pairs, alpha))
         except LeftBoxError:
             status = "left_box"
             break
+        pairs = [(lane.sub(x, y), lane.sub(gy, g), None)] + pairs[:_ANDERSON_DEPTH - 1]
+        x, g = y, gy
         points.append(np.array(x))
         residuals.append(residual)
     points.reverse()

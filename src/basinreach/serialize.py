@@ -3,9 +3,12 @@
 Trajectory CSV columns: k,t,x_1..x_n,f,gnorm (header mandatory, one row
 per recorded state).  Reverse orbits use the same layout plus a direction
 flag column.  Floats are written with repr (shortest round-trip form).
+Every output file is created afresh: an existing file at the path is
+unlinked first, so a symlink there is replaced, not written through.
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -22,8 +25,19 @@ def trajectory_rows(traj):
     return rows
 
 
+def _create(path, **kwargs):
+    """Open a new file at path for writing, unlinking any file there first:
+    a fresh inode is much cheaper than truncating and rewriting one in
+    place on file systems that flush a truncated file's replacement."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w", **kwargs)
+
+
 def _write_rows(rows, path):
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         for row in rows:
             fh.write(",".join(row) + "\n")
 
@@ -105,6 +119,6 @@ def reach_report_json(report, forward_csv_path=None, reverse_csv_path=None):
 
 
 def write_json(obj, path):
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

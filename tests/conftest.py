@@ -194,12 +194,12 @@ def counting(f):
     return dataclasses.replace(f, f=wrap(f.f, "value"), grad=wrap(f.grad, "grad")), counts
 
 
-def picard_solve(f, base, lam, sign):
+def picard_solve(f, base, lam, sign, rtol=FIXED_POINT_RTOL):
     """(T(y), iters) of plain Picard iteration on ndarrays for the fixed
     point of T(y) = base + sign lam grad(y), stopped as reverse._picard
-    stops: at |T(y) - y| <= FIXED_POINT_RTOL (1 + |base|), raising
-    LeftBoxError when T(y) leaves the box."""
-    tol_sq = (FIXED_POINT_RTOL * (1.0 + norm(base))) ** 2
+    stops: at |T(y) - y| <= rtol (1 + |base|), raising LeftBoxError when
+    T(y) leaves the box."""
+    tol_sq = (rtol * (1.0 + norm(base))) ** 2
     y = base
     for it in itertools.count(1):
         t = base + sign * lam * f.gradient(y)
@@ -210,36 +210,58 @@ def picard_solve(f, base, lam, sign):
             return t, it
 
 
-def anderson_solve(f, base, lam, sign):
-    """(T(y), iters) of reverse._picard written on ndarrays: depth-2
-    Anderson mixing with the same arithmetic, fallbacks and restart, for
-    both lanes to match bit for bit."""
+def anderson_solve(f, base, lam, sign, g=None, seeds=()):
+    """(y, grad(y), iters) of reverse._picard written on ndarrays: depth-2
+    Anderson mixing with the same arithmetic, seeding, fallbacks, restart
+    and return, for both lanes to match bit for bit.  A history entry is
+    (dr, v, w) with dT = w v; ``seeds`` start the history, newest first."""
     tol_sq = (FIXED_POINT_RTOL * (1.0 + norm(base))) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
-    y, hist, last, mixed = base, [], None, False
+    y, g = base, f.gradient(base) if g is None else g
+    hist, last, mixed = list(seeds), None, False
     for it in itertools.count(1):
-        t = base + sign * lam * f.gradient(y)
+        t = base + sign * lam * g
         if not f.in_box(t):
             raise LeftBoxError(t)
         r = t - y
         rr = sumsq(r)
         if rr <= tol_sq:
-            return t, it
+            return y, g, it
         if mixed and not rr <= q_sq * last[2]:
             hist = []
         elif last is not None:
-            hist = [(r - last[0], t - last[1])] + hist[:1]
+            hist = [(r - last[0], t - last[1], 1.0)] + hist[:1]
         last, y = (r, t, rr), t
         if hist and sumsq(hist[0][0]) > 0.0:
-            (d1, e1), a11 = hist[0], sumsq(hist[0][0])
+            (d1, e1, w1), a11 = hist[0], sumsq(hist[0][0])
             b1 = dot(d1, r)
-            y = t - b1 / a11 * e1
+            y = t - b1 / a11 * w1 * e1
             if len(hist) == 2:
-                d2, e2 = hist[1]
+                d2, e2, w2 = hist[1]
                 a12, a22, b2 = dot(d1, d2), sumsq(d2), dot(d2, r)
                 det = a11 * a22 - a12 * a12
                 if det > _GRAM_RTOL * a11 * a22:
-                    y = t - (a22 * b1 - a12 * b2) / det * e1 - (a11 * b2 - a12 * b1) / det * e2
+                    y = (t - (a22 * b1 - a12 * b2) / det * w1 * e1
+                         - (a11 * b2 - a12 * b1) / det * w2 * e2)
         mixed = y is not t and f.in_box(y)
         if not mixed:
             y = t
+        g = f.gradient(y)
+
+
+def anderson_orbit(f, anchor, alphas):
+    """(points, forward residuals) of reverse_orbit written on ndarrays,
+    from the anchor back through the steps ``alphas`` (alpha_{K-1} first):
+    each solve starts from the gradient the last one returned, its history
+    from the secant pairs (x - y, grad(y) - grad(x)) of the last two orbit
+    steps x -> y, converted to (dr, v, w) = ((x - y) + a dg, dg, a)."""
+    x = np.asarray(anchor, dtype=float)
+    g, pairs, points, residuals = f.gradient(x), [], [x], []
+    for a in alphas:
+        seeds = [(neg_dx + a * dg, dg, a) for neg_dx, dg in pairs]
+        y, gy, _ = anderson_solve(f, x, a, 1.0, g, seeds)
+        residuals.append(norm((y - a * gy) - x))
+        pairs = [(x - y, gy - g)] + pairs[:1]
+        x, g = y, gy
+        points.append(x)
+    return points, residuals

@@ -103,6 +103,25 @@ def test_reach_config_roundtrip(tmp_path):
         assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
 
 
+def test_rerun_into_its_own_directory_replaces_each_file(tmp_path):
+    # each output is created afresh: a file there is replaced with the same
+    # bytes, and a symlink is replaced, not written through
+    out = str(tmp_path / "a")
+    argv = ["reach", "--function", "double_well", "--target", "1", "--schedule",
+            "constant:0.021", "--epsilon", "0.4", "--seed-radius", "0.001", "--tol", "1e-4"]
+    assert main(argv + ["--out", out]) == 0
+    names = ("config.json", "reach.json", "forward.csv", "reverse.csv")
+    before = {name: read(os.path.join(out, name)) for name in names}
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"not an output\n")
+    os.replace(os.path.join(out, "forward.csv"), tmp_path / "moved.csv")
+    os.symlink(kept, os.path.join(out, "forward.csv"))
+    assert main(["reach", "--config", os.path.join(out, "config.json"), "--out", out]) == 0
+    assert {name: read(os.path.join(out, name)) for name in names} == before
+    assert not os.path.islink(os.path.join(out, "forward.csv"))
+    assert kept.read_bytes() == b"not an output\n"
+
+
 def test_reach_replays_to_the_configured_gtol(tmp_path):
     # at the README's tol the replay of a discrete reach ends on its first
     # row within s = tol of the target; at a tol below the distance gtol

@@ -702,7 +702,7 @@ def test_forward_flow_stops_in_the_certified_ball(name, params, target, eps, h):
 
 def test_objective_without_hessian_lipschitz_replays_to_gtol(himmelblau):
     # a user objective without M: the replay runs to gtol, bit for bit the
-    # plain run_gd from x0, and the distance is measured as before
+    # plain run_gd from x0, and the distance is landscape.norm's, as with M
     f = dataclasses.replace(himmelblau, name="user")
     assert f.hessian_lipschitz is not None
     f = dataclasses.replace(f, hessian_lipschitz=None)
@@ -713,7 +713,7 @@ def test_objective_without_hessian_lipschitz_replays_to_gtol(himmelblau):
     assert rep.status == "success" and "stopped_on" not in fwd.provenance
     full = br.run_gd(f, rep.x0, s, gtol=1e-8, max_iter=200_000)
     assert fwd.X.tobytes() == full.X.tobytes() and fwd.gnorm[-1] < 1e-8 <= fwd.gnorm[-2]
-    assert rep.final_distance == float(np.linalg.norm(fwd.limit - target))
+    assert rep.final_distance == norm(fwd.limit - target)
     assert "certificate" not in reach_report_json(rep)
 
 
@@ -820,7 +820,7 @@ def test_reach_general_continuous_budget_exhausted(saddle_quad):
                            tol=1e-2, delta=0.5, settings=st)
     assert rep.forward_part.terminal_status == "budget_exhausted"
     assert rep.status == "no_converge" and rep.crossing is None
-    assert rep.final_distance == np.linalg.norm(rep.forward_part.final_x)
+    assert rep.final_distance == norm(rep.forward_part.final_x)
 
 
 HIMMELBLAU_SADDLES = (5, 6, 7, 8)

@@ -9,7 +9,7 @@ import basinreach.reverse as reverse_mod
 from basinreach.landscape import norm, row_norms
 from basinreach.reverse import FIXED_POINT_RTOL, _picard
 
-from conftest import anderson_solve, counting, picard_solve
+from conftest import anderson_orbit, anderson_solve, counting, picard_solve
 
 
 BUILTINS = [("quad", (1.0, 4.0)), ("double_well", ()), ("himmelblau", ())]
@@ -105,7 +105,7 @@ def test_iteration_count_bound(name, params):
     for _ in range(50):
         x = interior_points(f, 1, rng)[0]
         lam = (0.1 + 0.8 * rng.random()) / L
-        _, iters = _picard(f, x, lam, -1.0, float(np.linalg.norm(x)))
+        _, _, iters = _picard(f, x, lam, -1.0, norm(x))
         assert iters <= br.contraction_iteration_bound(lam, L)
 
 
@@ -115,9 +115,10 @@ SWEEP_BUILTINS = BUILTINS + [("quad", (1.0, 2.0, 5.0))]
 @pytest.mark.parametrize("name,params", SWEEP_BUILTINS,
                          ids=["quad-2d", "double_well", "himmelblau", "quad-3d"])
 def test_solves_agree_with_plain_picard(name, params):
-    # both iterations stop at |T(y) - y| <= tol, so each result lies within
-    # q/(1 - q) tol of the unique fixed point; starts span the whole box, so
-    # some fixed points (or the iterates towards them) lie outside it
+    # both iterations stop at |T(y) - y| <= tol; plain Picard returns T(y),
+    # within q/(1 - q) tol of the unique fixed point, the mixed solve the
+    # tested y, within tol/(1 - q); starts span the whole box, so some fixed
+    # points (or the iterates towards them) lie outside it
     f = br.make_builtin(name, params)
     rng = np.random.default_rng(31)
     L, lo, hi = f.lipschitz_L, f.box[:, 0], f.box[:, 1]
@@ -134,11 +135,12 @@ def test_solves_agree_with_plain_picard(name, params):
                 anderson_solve(f, x, q / L, sign)
             exits += 1
             continue
-        y, iters = _picard(f, f._lane.point(x), q / L, sign, norm(x))
-        y_ref, iters_ref = anderson_solve(f, x, q / L, sign)
+        y, g, iters = _picard(f, f._lane.point(x), q / L, sign, norm(x))
+        y_ref, g_ref, iters_ref = anderson_solve(f, x, q / L, sign)
         assert np.array(y).tobytes() == y_ref.tobytes() and iters == iters_ref
+        assert np.array(g).tobytes() == g_ref.tobytes() == f.gradient(y_ref).tobytes()
         tol = FIXED_POINT_RTOL * (1.0 + norm(x))
-        assert norm(np.array(y) - y_plain) <= 2.0 * q / (1.0 - q) * tol
+        assert norm(np.array(y) - y_plain) <= (1.0 + q) / (1.0 - q) * tol
         assert iters <= br.contraction_iteration_bound(q / L, L)
     assert 0 < exits < 120
 
@@ -154,12 +156,67 @@ def test_mixing_restarts_when_a_mixed_iterate_does_not_contract(monkeypatch):
     mix = reverse_mod._mix
     monkeypatch.setattr(reverse_mod, "_mix", lambda *a: mixes.append(len(a[3])) or mix(*a))
     spy = dataclasses.replace(f, grad=lambda x: points.append(tuple(x)) or f.grad(x))
-    y, iters = _picard(spy, base, lam, 1.0, norm(base), g=f.grad(np.array([-8.0, 8.0])))
+    y, g, iters = _picard(spy, base, lam, 1.0, norm(base), g=f.grad(np.array([-8.0, 8.0])))
     assert mixes[:5] == [0, 1, 0, 1, 2]  # the history each iterate is mixed from
     assert points[2] == spy._lane.axpy(base, lam, f.grad(np.array(points[1])))
+    # the tested y and the gradient its test took, the last one evaluated
+    assert y == points[-1] and g == f._lane.grad(y)
     q, tol = lam * f.lipschitz_L, FIXED_POINT_RTOL * (1.0 + norm(base))
-    assert norm(np.array(y) - [8.0 / 7.0, 2.0]) <= q / (1.0 - q) * tol
+    assert norm(np.array(y) - [8.0 / 7.0, 2.0]) <= tol / (1.0 - q)
     assert iters == len(points) + 1
+
+
+@pytest.mark.parametrize("name,params", SWEEP_BUILTINS,
+                         ids=["quad-2d", "double_well", "himmelblau", "quad-3d"])
+def test_tested_iterate_lies_within_its_residual_bound(name, params):
+    # |y - y*| <= |r|/(1 - q) for the tested y and r = T(y) - y, unseeded and
+    # seeded (an orbit's points); y* by plain Picard to 1e-15, itself within
+    # q/(1 - q) 1e-15 (1 + |base|) of the fixed point
+    f = br.make_builtin(name, params)
+    rng = np.random.default_rng(37)
+    L, lane = f.lipschitz_L, f._lane
+    cases = []
+    for i in range(60):
+        q, sign = 0.05 + 0.9 * rng.random(), (1.0, -1.0)[i % 2]
+        x = interior_points(f, 1, rng, span=0.5 * (1.0 - q))[0]
+        y, g, _ = _picard(f, lane.point(x), q / L, sign, norm(x))
+        r = norm(np.subtract(lane.axpy(lane.point(x), sign * q / L, g), y))
+        cases.append((x, np.array(y), r, q, sign))
+    s = br.power(0.9 / L, 0.5)
+    cp = next(c for c in f.critical_points if c.kind == "local_min")
+    orbit = br.reverse_orbit(f, cp.point + 1e-3, s, 40)
+    for i, (y, x) in enumerate(zip(orbit.points, orbit.points[1:])):
+        a = s.alpha(orbit.start_index + i)
+        cases.append((x, y, orbit.forward_residuals[i], a * L, 1.0))
+    assert len(cases) > 80
+    for x, y, r, q, sign in cases:
+        tol = 1e-15 * (1.0 + norm(x))
+        y_star, _ = picard_solve(f, x, q / L, sign, rtol=1e-15)
+        assert norm(y - y_star) <= (r + tol) / (1.0 - q)
+
+
+@pytest.mark.parametrize("name,params,points", [
+    ("double_well", (), [[1.2], [1.25], [1.31]]),
+    ("quad", (1.0, 4.0), [[0.1, 0.0], [0.15, 0.0], [0.22, 0.0]]),  # collinear secants
+])
+def test_degenerate_seeds_fall_back_to_the_newest(monkeypatch, name, params, points):
+    # two secants in 1-D, or collinear ones, have a degenerate Gram
+    # determinant: the first mixed iterate uses the newest alone, and the
+    # solve matches the one seeded with it bit for bit
+    f = br.make_builtin(name, params)
+    lane, a = f._lane, 0.5 / f.lipschitz_L
+    p = [lane.point(np.array(x)) for x in points]
+    g = [lane.grad(x) for x in p]
+    pairs = [(lane.sub(p[1], p[2]), lane.sub(g[2], g[1]), None),
+             (lane.sub(p[0], p[1]), lane.sub(g[1], g[0]), None)]
+    seeds = reverse_mod._orbit_seeds(lane, pairs, a)
+    mixes = []
+    mix = reverse_mod._mix
+    monkeypatch.setattr(reverse_mod, "_mix", lambda *args: mixes.append(len(args[3])) or mix(*args))
+    both = _picard(f, p[2], a, 1.0, norm(p[2]), g[2], seeds)
+    newest = _picard(f, p[2], a, 1.0, norm(p[2]), g[2], seeds[:1])
+    assert mixes[0] == 2 and both == newest
+    assert norm(np.subtract(both[0], anderson_solve(f, np.array(p[2]), a, 1.0)[0])) <= 1e-12
 
 
 # --- reverse_orbit -----------------------------------------------------------
@@ -223,23 +280,55 @@ def test_orbit_certificates(name, params, kbar):
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_orbit_costs_its_picard_iterations_plus_one_gradient(monkeypatch):
-    # the inverse certificate's gradient is also the forward residual's, and
-    # the residual's gradient at a point is the next solve's first iterate's
+def test_orbit_takes_one_gradient_per_tested_iterate(monkeypatch):
+    # a solve's first tested iterate is its base, whose gradient the last
+    # solve's test took (the anchor's is taken once); the forward residual
+    # reuses the gradient of the last tested iterate
     f, counts = counting(br.make_builtin("himmelblau"))
     iters = []
 
     def counted(*args):
-        y, it = _picard(*args)
-        iters.append(it)
-        return y, it
+        out = _picard(*args)
+        iters.append(out[2])
+        return out
 
     monkeypatch.setattr(reverse_mod, "_picard", counted)
     orbit = br.reverse_orbit(f, [3.001, 2.002], br.constant(0.5 / f.lipschitz_L), 40)
     m = len(orbit.points) - 1
     assert m == 40 and len(iters) == m
-    assert counts == {"value": 0, "grad": sum(iters) + 1}
-    assert sum(iters) <= 5.5 * m  # Anderson mixing: 216; plain Picard took 511
+    assert counts == {"value": 0, "grad": 1 + sum(it - 1 for it in iters)}
+    # seeded Anderson mixing: 178; unseeded: 216; plain Picard took 511
+    assert sum(iters) <= 4.5 * m
+
+
+def test_power_orbit_takes_under_two_gradients_per_point():
+    # the secants of the last two orbit steps make each solve's first mixed
+    # iterate a quasi-Newton step: 1.73 gradients per point here, 3.5
+    # without the seeds and the reused residual gradient
+    f, counts = counting(br.make_builtin("himmelblau"))
+    orbit = br.reverse_orbit(f, [3.001, 2.002], br.power(0.5 / f.lipschitz_L, 0.5), 150)
+    assert orbit.status == "complete" and len(orbit.points) == 151
+    assert counts["grad"] <= 2.0 * 150
+
+
+@pytest.mark.parametrize("name,params", BUILTINS)
+@pytest.mark.parametrize("kind", ["constant", "power"])
+def test_every_orbit_residual_recomputed_with_numpy(name, params, kind):
+    # the residual is the solve's tested one, not a fresh evaluation: recompute
+    # each with plain numpy from the stored points
+    f = br.make_builtin(name, params)
+    a = 0.5 / f.lipschitz_L
+    s = br.constant(a) if kind == "constant" else br.power(a, 0.5)
+    cp = next(c for c in f.critical_points if c.kind == "local_min")
+    anchor = cp.point + 1e-3 * np.arange(1.0, f.dim + 1.0)
+    orbit = br.reverse_orbit(f, anchor, s, 60)
+    assert len(orbit.points) > 10
+    for i, (x, xnext) in enumerate(zip(orbit.points, orbit.points[1:])):
+        g = np.asarray(f.grad(np.array(x)), dtype=float)
+        r = float(np.linalg.norm(x - s.alpha(orbit.start_index + i) * g - xnext))
+        # the solve's tolerance 1e-13 (1 + |xnext|), up to a few roundings
+        bound = 1.01 * FIXED_POINT_RTOL * (1.0 + float(np.linalg.norm(xnext)))
+        assert r <= bound and orbit.forward_residuals[i] <= bound
 
 
 def test_orbit_power_schedule_alignment(dw):
@@ -283,12 +372,6 @@ LANE_CASES = [("double_well", (), [1.0]), ("himmelblau", (), [3.0, 2.0]),
               ("quad", (1.0, 2.0, 5.0, 7.0), [0.0, 0.0, 0.0, 0.0])]
 
 
-def ref_ascent(f, xnext, a):
-    """(y, residual) of the ascent solve by the ndarray reference."""
-    y, _ = anderson_solve(f, xnext, a, 1.0)
-    return y, norm((y - a * f.gradient(y)) - xnext)
-
-
 @pytest.mark.parametrize("name,params,target", LANE_CASES,
                          ids=["double_well", "himmelblau", "quad-2d", "quad-3d", "quad-4d"])
 def test_orbit_matches_ndarray_picard(name, params, target):
@@ -297,15 +380,12 @@ def test_orbit_matches_ndarray_picard(name, params, target):
     anchor = np.asarray(target) + 1e-4 * np.arange(1.0, f.dim + 1.0)
     orbit = br.reverse_orbit(f, anchor, s, 12)
     assert orbit.status == "complete" and len(orbit.points) == 13
-    x, points, residuals = anchor, [anchor], []
-    for k in range(11, -1, -1):
-        x, r = ref_ascent(f, x, s.alpha(k))
-        points.append(x)
-        residuals.append(r)
+    points, residuals = anderson_orbit(f, anchor, [s.alpha(k) for k in range(11, -1, -1)])
     assert [p.tobytes() for p in orbit.points] == [p.tobytes() for p in points[::-1]]
     assert orbit.forward_residuals == tuple(residuals[::-1])
     y = br.ascent_prox(f, anchor, s.alpha(0))
-    assert y.shape == (f.dim,) and y.tobytes() == ref_ascent(f, anchor, s.alpha(0))[0].tobytes()
+    assert y.shape == (f.dim,)
+    assert y.tobytes() == anderson_solve(f, anchor, s.alpha(0), 1.0)[0].tobytes()
 
 
 @pytest.mark.parametrize("params", [(1.0, 5.0), (1.0, 2.0, 5.0)], ids=["quad-2d", "quad-3d"])

@@ -78,12 +78,14 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
     traj = br.run_gd(f, x0, s, gtol=1e-8)
     assert len(traj) > 10 and counts.n[workloads.GRAD] == len(traj)
 
+    # an orbit takes the anchor's gradient, then one per tested iterate
+    # beyond each solve's first, whose gradient the last solve returned
     iters = []
 
     def counted(*args):
-        y, it = picard(*args)
-        iters.append(it)
-        return y, it
+        out = picard(*args)
+        iters.append(out[2])
+        return out
 
     picard = reverse_mod._picard
     monkeypatch.setattr(reverse_mod, "_picard", counted)
@@ -91,7 +93,7 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
     orbit = br.reverse_orbit(f, np.array(anchor), s, 12)
     solves = len(orbit.points) - 1
     assert solves == 12 and len(iters) == solves
-    assert counts.since(snap)[workloads.GRAD] == sum(iters) + 1
+    assert counts.since(snap)[workloads.GRAD] == 1 + sum(it - 1 for it in iters)
 
     # DP5: one gradient at the start and 6 per attempted step, whose last
     # stage is the new state's gradient; a sphere exit adds 1 at the

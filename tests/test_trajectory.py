@@ -225,12 +225,10 @@ def test_orbit_residuals_and_path_length_match_per_point():
     s = br.constant(0.5 / HB.lipschitz_L)
     orbit = br.reverse_orbit(HB, [3.001, 2.002], s, 40)
     pts = orbit.points
-    res = [float(np.linalg.norm(b - (a - s.alpha(0) * HB.gradient(a))))
-           for a, b in zip(pts, pts[1:])]
+    res = [norm((a - s.alpha(0) * HB.gradient(a)) - b) for a, b in zip(pts, pts[1:])]
     assert orbit.forward_residuals == tuple(res)
     traj = br.run_gd(HB, pts[0], s)
-    per_state = float(sum(np.linalg.norm(b.x - a.x)
-                          for a, b in zip(traj.states, traj.states[1:])))
+    per_state = sum(norm(b.x - a.x) for a, b in zip(traj.states, traj.states[1:]))
     assert br.path_length(traj) == per_state
 
 
