@@ -167,6 +167,16 @@ def flow_settings(cfg):
                         event_refine_tol=cfg["event_refine_tol"])
 
 
+def resolve_dynamics(cfg):
+    """The reach and probe dynamics of cfg's mode: its schedule (gradient
+    descent) for discrete, its flow settings for continuous."""
+    if cfg["mode"] == "discrete":
+        return parse_schedule(cfg["schedule"])
+    if cfg["mode"] == "continuous":
+        return flow_settings(cfg)
+    raise ConfigError(f"mode: {cfg['mode']!r} is not discrete or continuous")
+
+
 def catalog_json(f):
     return {
         "name": f.name,
@@ -229,26 +239,19 @@ def cmd_reach(args):
         cfg["procedure"] = "reach"
     f = parse_function(cfg["function"])
     target = resolve_target(cfg, f)
+    dynamics = resolve_dynamics(cfg)
     out = output_dir(args, cfg)
     budgets = ReachBudgets(max_iter=cfg["max_iter"], gtol=float(cfg["gtol"]),
                            kbar_max=cfg["kbar_max"], probe_samples=cfg["n_samples"],
                            seed=cfg["seed"])
-    mode = cfg["mode"]
+    given = (f, target, float(cfg["epsilon"]), dynamics, float(cfg["seed_radius"]),
+             float(cfg["tol"]))
+    minimum = reach_continuous if cfg["mode"] == "continuous" else reach_discrete
     if cfg["procedure"] == "reach-general":
-        report = reach_general(
-            f, target, float(cfg["epsilon"]), mode, float(cfg["seed_radius"]),
-            tol=float(cfg["tol"]),
-            delta=None if cfg["delta"] is None else float(cfg["delta"]),
-            s=parse_schedule(cfg["schedule"]) if mode == "discrete" else None,
-            settings=flow_settings(cfg) if mode == "continuous" else None,
-            budgets=budgets)
-    elif mode == "continuous":
-        report = reach_continuous(f, target, float(cfg["epsilon"]), flow_settings(cfg),
-                                  float(cfg["seed_radius"]), float(cfg["tol"]), budgets)
+        delta = None if cfg["delta"] is None else float(cfg["delta"])
+        report = reach_general(*given, delta=delta, budgets=budgets)
     else:
-        report = reach_discrete(f, target, float(cfg["epsilon"]),
-                                parse_schedule(cfg["schedule"]),
-                                float(cfg["seed_radius"]), float(cfg["tol"]), budgets)
+        report = minimum(*given, budgets)
 
     forward_csv = reverse_csv = None
     if report.forward_part is not None:
@@ -272,12 +275,10 @@ def cmd_probe(args):
     cfg["procedure"] = "probe"
     f = parse_function(cfg["function"])
     target = resolve_target(cfg, f)
+    dynamics = resolve_dynamics(cfg)
     out = output_dir(args, cfg)
     est = stability_probe(
-        f, target, float(cfg["epsilon"]),
-        parse_schedule(cfg["schedule"]) if cfg["mode"] == "discrete" else None,
-        n_samples=cfg["n_samples"], mode=cfg["mode"],
-        settings=flow_settings(cfg) if cfg["mode"] == "continuous" else None,
+        f, target, float(cfg["epsilon"]), dynamics, n_samples=cfg["n_samples"],
         seed=cfg["seed"], max_iter=min(cfg["max_iter"], 100000),
         gtol=max(float(cfg["gtol"]), 1e-10))
     serialize.write_json({

@@ -6,11 +6,11 @@ experiment.
 Every reach runs one driver, ``_reach``: pick an ascent seed a near the
 target with f(a) > f(target), escape backward from a to x0 on a sphere
 around the target, run forward from x0 and measure the distance from the
-forward limit to the target.  The modes differ only in their escape and
-forward runs: reverse orbit and ``run_gd`` (``reach_discrete``), reverse
-and forward DP5 flow (``reach_continuous``), and for ``reach_general``
-reverse flow and forward flow to the level set f = f(target)
-(continuous) or reverse orbit and GD to the level crossing (discrete).
+forward limit to the target.  One dynamics argument picks the path, as
+in the probe: a StepSchedule means reverse orbit and ``run_gd``,
+FlowSettings reverse and forward DP5 flow, and a saddle target's forward
+run stops at the level set f = f(target) (``_run_to_level``,
+``_flow_to_level``).
 The discrete escape radius is the closed form rho = delta_hat / (1 +
 2aL/(1 - aL)), a = sup alpha: |grad f(x)| <= L |x - target| on the
 convex box, so one ascent step from B_rho lands within the probed
@@ -47,20 +47,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .descent import _gd_rule, classify_limit, run_gd
-from .flow import NoCrossingError, _Flow, _sphere_exit_detail, integrate, path_length
+from .flow import FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail, integrate, path_length
 # not called here: the benchmark's tracer wraps reach.integrate_minnorm by name
 from .flow import integrate_minnorm  # noqa: F401
 from .landscape import LeftBoxError, norm, row_norms
 from .reverse import reverse_orbit
 from .sampling import directions, unit_directions
-from .schedule import constant, require_admissible
+from .schedule import StepSchedule, constant, require_admissible
 from .trajectory import march, recorded
 
 # strictness floor for the ascent seed: f(a) > f(target) + floor
 SEED_FLOOR_RTOL = 1e-12
 # quasi-random ascent-seed directions scanned after (or before) the axes
 SCAN_RANDOM = 64
-# halvings of the step scale reach_discrete tries before giving up
+# halvings of a minimum reach's step scale while no seed escapes
 ALPHA_SHRINKS = 3
 PROBE_BISECTIONS = 6  # stability_probe's bisection steps on the radius
 DIVERGENCE_FACTOR = 1e3  # edge_of_stability: |x| > this * (1 + box diameter) diverged
@@ -120,16 +120,16 @@ CAPTURE_GRID = 256
 
 
 def _capture_level(f, target, epsilon, f_star):
-    """c <= min f on the epsilon-sphere around target, or None.  quad: the
-    exact f* + lambda_min epsilon^2 / 2; 1-D: the smaller sphere value;
-    2-D: each of N = CAPTURE_GRID circle points y_i lies within the chord
-    d = 2 epsilon sin(pi/(2N)) of its arc, where f >= f(y_i) -
-    |grad f(y_i)| d - L d^2/2, less 1e-12 (1 + |f(y_i)|) for rounding."""
+    """c <= min f on the epsilon-sphere around target, or None.  Exactly
+    quadratic (M = 0): f* + lambda_min(hess f) epsilon^2 / 2; 1-D: the
+    smaller sphere value; 2-D: each of N = CAPTURE_GRID circle points y_i
+    lies within the chord d = 2 epsilon sin(pi/(2N)) of its arc, where f >=
+    f(y_i) - |grad f(y_i)| d - L d^2/2, less 1e-12 (1 + |f(y_i)|)."""
     L = f.lipschitz_L
     if not L > 0.0:
         return None
-    if f.name == "quad":
-        return f_star + 0.5 * min(f.params) * epsilon * epsilon
+    if f.hessian_lipschitz == 0.0 and f.hessian is not None:
+        return f_star + 0.5 * float(np.linalg.eigvalsh(f.hess(target))[0]) * epsilon * epsilon
     if f.dim == 1:
         return float(f.values(target + np.array([[-epsilon], [epsilon]])).min())
     if f.dim != 2:
@@ -142,8 +142,17 @@ def _capture_level(f, target, epsilon, f_star):
     return float(bound.min())
 
 
-def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
-                    settings=None, seed=0, max_iter=20_000, gtol=1e-8):
+def _descends(dynamics, what):
+    """True for a StepSchedule (gradient descent), False for FlowSettings
+    (DP5 gradient flow); anything else is a ValueError."""
+    if isinstance(dynamics, (StepSchedule, FlowSettings)):
+        return isinstance(dynamics, StepSchedule)
+    raise ValueError(f"{what} needs a StepSchedule (gradient descent) or FlowSettings "
+                     f"(gradient flow), got {type(dynamics).__name__}")
+
+
+def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=20_000,
+                    gtol=1e-8):
     """Empirical stability radius around a cataloged local minimum.
 
     Bisects on the radius delta in (0, epsilon], PROBE_BISECTIONS times
@@ -156,36 +165,34 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
     seed.
 
     Each start is one :func:`march` run by the step rule of ``run_gd``
-    (discrete) or forward ``integrate`` (continuous), bit for bit, with
-    their stops.  It also stops at its first state outside the ball (a
-    failure, stopped_on = "left_ball") or in the capture set below
-    (converged, no limit, stopped_on = "capture_set", unless |grad f| <
-    gtol there too).
+    under a StepSchedule or forward ``integrate`` under FlowSettings (whose
+    gtol replaces ``gtol``), bit for bit, with their stops.  It also stops
+    at its first state outside the ball (a failure, stopped_on =
+    "left_ball") or in the capture set below (converged, no limit,
+    stopped_on = "capture_set", unless |grad f| < gtol there too).
 
-    Capture set: for quad, 1-D and 2-D objectives, ``capture_level`` c is
-    a certified lower bound of f on the epsilon-sphere, and a run passes
-    once it enters K = {x in B_epsilon : f(x) < c}.  With alpha < 2/L the
-    descent lemma gives f(x - t alpha g) <= f(x) < c for t in [0, 1], so a
-    GD step from K never crosses the sphere; the exact flow is monotone in
-    f (DP5 follows it to its accuracy).  In K, sum alpha_k (1 - alpha_k
-    L/2) |g_k|^2 < inf, so a nonsummable schedule forces liminf |g_k| = 0:
-    a captured run stays in B_epsilon and reaches gtol for all time, not
-    only within budget.  That its limit is the target is not claimed; the
-    full runs do not check it either.  Every start within ``delta_cert`` =
-    sqrt(2 (c - f*)/L) of the target lies in K.
+    Capture set: for exactly quadratic, 1-D and 2-D objectives,
+    ``capture_level`` c is a certified lower bound of f on the
+    epsilon-sphere, and a run passes once it enters K = {x in B_epsilon :
+    f(x) < c}.  With alpha < 2/L the descent lemma gives f(x - t alpha g)
+    <= f(x) < c for t in [0, 1], so a GD step from K never crosses the
+    sphere; the exact flow is monotone in f (DP5 follows it to its
+    accuracy).  In K, sum alpha_k (1 - alpha_k L/2) |g_k|^2 < inf, so a
+    nonsummable schedule forces liminf |g_k| = 0: a captured run stays in
+    B_epsilon and reaches gtol for all time, not only within budget.  That
+    its limit is the target is not claimed; the full runs do not check it
+    either.  Every start within ``delta_cert`` = sqrt(2 (c - f*)/L) of the
+    target lies in K.
     """
+    descent = _descends(dynamics, "stability_probe")
     target = np.asarray(target, dtype=float)
     entry = f.catalog_entry(target, "local_min")
     if entry is None:
         raise ValueError("probe target must be a cataloged local minimum")
     if not _ball_fits_box(f, target, epsilon):
         raise ValueError("B_epsilon(target) must fit inside the operating box")
-    if mode not in ("discrete", "continuous"):
-        raise ValueError(f"unknown probe mode {mode!r}")
-    if mode == "continuous" and settings is None:
-        raise ValueError("continuous probe needs FlowSettings")
-    if mode == "discrete":
-        require_admissible(s, f, "stability", "discrete probe")
+    if descent:
+        require_admissible(dynamics, f, "stability", "discrete probe")
 
     dirs = unit_directions(f.dim, n_samples, seed)
     contain = epsilon * (1.0 + 1e-9)
@@ -194,15 +201,15 @@ def stability_probe(f, target, epsilon, s, n_samples=8, mode="discrete",
         2.0 * max(c - entry.f_value, 0.0) / f.lipschitz_L)
     lane = f._lane
     center = lane.point(target)
-    if mode == "discrete":
-        rule = _gd_rule(s, lane.axpy)
+    if descent:
+        rule = _gd_rule(dynamics, lane.axpy)
         run = lambda x: march(f, lane.point(x), lane.grad, rule, max_iter, gtol, event=held,
                               value=f.value)
-        prov = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol}
+        prov = {"producer": "gd", "f": f, "schedule": dynamics, "gtol": gtol}
     else:
-        gtol = settings.gtol
-        run = lambda x: _Flow(f, "forward", settings).march(f, x, event=held, value=f.value)
-        prov = {"producer": "flow", "f": f, "direction": "forward", "settings": settings}
+        gtol = dynamics.gtol
+        run = lambda x: _Flow(f, "forward", dynamics).march(f, x, event=held, value=f.value)
+        prov = {"producer": "flow", "f": f, "direction": "forward", "settings": dynamics}
 
     def held(prev, t, x, fx):
         # inside the box: the ball decides a failure, the capture set a pass
@@ -321,32 +328,42 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     return None
 
 
-def _flow_escape(f, a, target, delta, settings):
-    """escape(a) by reverse flow: (its delta-sphere crossing x0, the reverse
-    trajectory), or None when the flow leaves the box or never crosses."""
-    try:
-        _, x0, rev = _sphere_exit_detail(f, a, "reverse", target, delta, settings)
-    except (NoCrossingError, LeftBoxError):
-        return None
-    return x0, rev
-
-
-def _first_escape(f, target, seed_radius, level, seed, axis_first, tries):
-    """(a, escape radius, forward, (x0, reverse part)) of the first ascent
-    seed a that escapes, or None.  Seeds are a = target + seed_radius * d
-    with f(a) strictly above the target value (floor 1e-12 * (1 + |level|)),
+def _first_escape(f, target, seed_radius, level, seed, axis_first, scales, cap, kbar_max):
+    """(a, rho, dynamics, (x0, reverse part)) of the first ascent seed a
+    that escapes, or None.  Seeds are a = target + seed_radius * d with
+    f(a) strictly above the target value (floor 1e-12 * (1 + |level|)),
     axis directions first unless ``axis_first`` is False, scanned afresh
-    for each (escape radius, escape, forward) of ``tries`` in turn; each
-    direction is drawn only when the scan reaches it."""
+    for each (escape radius rho, dynamics) of ``scales`` in turn; each
+    direction is drawn only when the scan reaches it.  Under a schedule a
+    escapes by the reverse orbit whose root x0 lies outside B_rho and
+    within cap; under flow settings by the reverse flow to its crossing x0
+    of the rho-sphere, unless that flow leaves the box or never crosses."""
     floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
-    for rho, escape, forward in tries:
+    for rho, dynamics in scales:
         for d in directions(f.dim, SCAN_RANDOM, seed, axis_first):
             a = target + seed_radius * d
-            if f.in_box(a) and f.value(a) > level + floor:
-                hit = escape(a)
-                if hit is not None:
-                    return a, rho, forward, hit
+            if not (f.in_box(a) and f.value(a) > level + floor):
+                continue
+            if isinstance(dynamics, StepSchedule):
+                hit = _first_crossing_orbit(f, a, dynamics, rho, cap, target, kbar_max)
+            else:
+                try:
+                    hit = _sphere_exit_detail(f, a, "reverse", target, rho, dynamics)[1:]
+                except (NoCrossingError, LeftBoxError):
+                    hit = None
+            if hit is not None:
+                return a, rho, dynamics, hit
     return None
+
+
+def _halvings(f, s, delta_hat, seed_radius):
+    """(escape radius, schedule) for s and its ALPHA_SHRINKS halvings, each
+    radius computed as the scan reaches it, skipped unless > seed_radius."""
+    for _ in range(ALPHA_SHRINKS + 1):
+        rho = _escape_radius(f, delta_hat, s.sup_alpha)
+        if rho > seed_radius:
+            yield rho, s
+        s = s.scaled(0.5)
 
 
 class _Ball(NamedTuple):
@@ -382,70 +399,88 @@ def _certified_ball(f, target, tol, epsilon):
     return _Ball(s, lam - M * s, reached)
 
 
-def _ball_certificate(f, traj, ball, dist):
+def _ball_certificate(f, traj, ball, dist, descent):
     """traj, stopped in the ball at distance dist, with its provenance
     naming the ball and carrying its certificate; a GD run's length bound
     is its measured length plus the (L / mu_s) dist tail, a flow's is None."""
-    length = None
-    if traj.provenance["producer"] == "gd":
-        length = (path_length(traj) if len(traj) > 1 else 0.0) + f.lipschitz_L / ball.mu * dist
+    length = ((path_length(traj) if len(traj) > 1 else 0.0) + f.lipschitz_L / ball.mu * dist
+              if descent else None)
     cert = {"name": "certified_ball", "s": ball.s, "mu_s": ball.mu, "distance_bound": dist,
             "length_bound": length}
     return dataclasses.replace(traj, provenance=dict(
         traj.provenance, stopped_on="certified_ball", certificate=cert))
 
 
-def _reach(f, target, seed_radius, tol, b, delta, tries, probe=None):
-    """The one reach pipeline: ascent seed, escape, forward run, report.
-
-    A minimum target passes ``probe`` = (mode, schedule, settings) and
-    delta = epsilon; delta becomes the probed stability radius delta_hat
+def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
+    """The one reach pipeline: checks, ascent seed, escape, forward run and
+    report, by gradient descent under a StepSchedule or DP5 flow under
+    FlowSettings.  A saddle target passes its escape radius ``delta``; a
+    minimum's is the probed stability radius delta_hat capped at epsilon
     (budgets.delta_override skips the probe; the constant schedule at the
     same sup alpha is the fastest of the family the radius is uniform
-    over) capped at epsilon, which must hold the seed sphere well inside.
-    ``tries(delta, level, gtol, event)`` yields (escape radius, escape,
-    forward) per step scale: escape(a) gives (x0, reverse part) or None,
-    and forward(x0) runs from the first x0, a minimum's run with the
-    certified ball's stop ``event`` (None without the ball).  Success iff
-    that run has a limit (its convergence point or level crossing) within
-    tol; the distance is from the limit, else from the last state, and
-    with the ball it is measured by the ball's own norm, so a run stopped
-    in B_s reports at most s.  A saddle target (no probe) reports the
-    limit as its crossing and scans quasi-random directions before the
-    axes, which can lie on its stable manifold.
+    over), which must hold the seed sphere well inside, and its schedule is
+    halved up to ALPHA_SHRINKS times while no seed escapes.  Success iff
+    the forward run has a limit (its convergence point or level crossing)
+    within tol; the distance is from the limit, else from the last state,
+    and with the ball it is measured by the ball's own norm, so a run
+    stopped in B_s reports at most s.  A saddle target reports the limit as
+    its crossing and scans quasi-random directions before the axes, which
+    can lie on its stable manifold.
     """
-    saddle = probe is None
-    ball = None if saddle else _certified_ball(f, target, tol, delta)
+    saddle = delta is not None
+    name = "reach_general" if saddle else "reach_discrete"
+    descent = _descends(dynamics, name)
+    b = budgets or ReachBudgets()
+    target = np.asarray(target, dtype=float)
+    if f.catalog_entry(target, "saddle" if saddle else "local_min") is None:
+        raise ValueError(f"target must be a cataloged {'saddle' if saddle else 'local minimum'}")
+    if saddle and (kind := classify_limit(f, target).kind) != "saddle":
+        raise ValueError(f"classify_limit disagrees with the catalog: {kind}")
+    if not (epsilon > 0.0 and seed_radius > 0.0 and tol > 0.0):
+        raise ValueError("epsilon, seed_radius and tol must be positive")
+    if saddle and not seed_radius < delta <= epsilon:
+        raise ValueError("need 0 < seed_radius < delta <= epsilon")
+    if descent:
+        require_admissible(dynamics, f, "prox", name)
+
+    ball = None if saddle else _certified_ball(f, target, tol, epsilon)
     if not saddle:
-        mode, s, settings = probe
         if b.delta_override is None:
-            delta_hat = stability_probe(
-                f, target, delta, constant(s.sup_alpha) if s is not None else None,
-                n_samples=b.probe_samples, mode=mode, settings=settings, seed=b.seed).delta_hat
+            probed = constant(dynamics.sup_alpha) if descent else dynamics
+            delta_hat = stability_probe(f, target, epsilon, probed, b.probe_samples,
+                                        b.seed).delta_hat
         else:
             delta_hat = float(b.delta_override)
-        delta = min(delta_hat, delta)
+        delta = min(delta_hat, epsilon)
         if delta > 0.0 and seed_radius > 0.5 * delta:
-            raise ValueError(
-                f"seed_radius {seed_radius} must be well inside the probed "
-                f"stability radius {delta}")
+            raise ValueError(f"seed_radius {seed_radius} must be well inside the probed "
+                             f"stability radius {delta}")
     found = None
     if delta > 0.0:
         level = f.value(target)
         gtol = b.gtol if b.gtol is not None else min(1e-8, 1e-3 * tol)
-        found = _first_escape(f, target, seed_radius, level, b.seed, not saddle,
-                              tries(delta, level, gtol, ball.event if ball else None))
+        scales = (_halvings(f, dynamics, delta, seed_radius) if descent and not saddle
+                  else [(delta, dynamics)])
+        found = _first_escape(f, target, seed_radius, level, b.seed, not saddle, scales,
+                              epsilon if saddle else delta, b.kbar_max)
     if found is None:
         a = x0 = rev = fwd = None
         rho, dist, status = float("nan"), float("inf"), "no_escape"
     else:
-        a, rho, forward, (x0, rev) = found
-        fwd = forward(x0)
+        a, rho, dyn, (x0, rev) = found
+        event = ball.event if ball else None
+        if saddle:
+            fwd = (_run_to_level(f, x0, dyn, level, gtol, b.max_iter) if descent
+                   else _flow_to_level(f, x0, level, dyn))[0]
+        elif descent:
+            fwd = run_gd(f, x0, dyn, gtol=gtol, max_iter=b.max_iter, event=event)
+        else:
+            fwd = integrate(f, x0, "forward", dyn, event=event)
         end = fwd.limit if fwd.limit is not None else fwd.final_x
         dist = norm(end - target)
         # the event is asked before the gtol test: converged within s is its stop
         if ball is not None and fwd.terminal_status == "converged" and dist <= ball.s:
-            fwd = _ball_certificate(f, fwd, ball, dist)
+            fwd = _ball_certificate(f, fwd, ball, dist, descent)
         status = "success" if fwd.limit is not None and dist <= tol else "no_converge"
     return ReachReport(
         target=target, x0=x0, reverse_part=rev, forward_part=fwd, final_distance=dist,
@@ -456,51 +491,23 @@ def _reach(f, target, seed_radius, tol, b, delta, tries, probe=None):
 
 def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):
     """Construct x0 with |x0 - target| <= epsilon, x0 != target, from which
-    gradient descent under the schedule converges back to the target.
-
-    Pipeline: probe the stability radius delta_hat; pick an ascent seed on
-    the seed_radius sphere; escape the rho-sphere by reverse orbit, halving
-    the step scale up to ALPHA_SHRINKS times while no seed escapes; replay
-    forward under that schedule.  Success iff the forward limit lands
-    within tol.
-    """
-    b = budgets or ReachBudgets()
-    target = np.asarray(target, dtype=float)
-    if f.catalog_entry(target, "local_min") is None:
-        raise ValueError("target must be a cataloged local minimum")
-    require_admissible(s, f, "prox", "reach_discrete")
-    if not (epsilon > 0.0 and seed_radius > 0.0 and tol > 0.0):
-        raise ValueError("epsilon, seed_radius and tol must be positive")
-
-    def tries(delta_hat, level, gtol, event):
-        s_k = s
-        for _ in range(ALPHA_SHRINKS + 1):
-            rho = _escape_radius(f, delta_hat, s_k.sup_alpha)
-            if rho > seed_radius:
-                escape = lambda a, s_k=s_k, rho=rho: _first_crossing_orbit(
-                    f, a, s_k, rho, delta_hat, target, b.kbar_max)
-                forward = lambda x0, s_k=s_k: run_gd(f, x0, s_k, gtol=gtol, max_iter=b.max_iter,
-                                                     event=event)
-                yield rho, escape, forward
-            s_k = s_k.scaled(0.5)
-    return _reach(f, target, seed_radius, tol, b, epsilon, tries, probe=("discrete", s, None))
+    gradient descent under the schedule s converges back to the target:
+    probe the stability radius delta_hat, escape its rho-sphere by reverse
+    orbit from an ascent seed on the seed_radius sphere (halving s up to
+    ALPHA_SHRINKS times while no seed escapes) and replay forward under
+    that schedule.  Success iff the forward limit lands within tol."""
+    if not isinstance(s, StepSchedule):
+        raise ValueError(f"reach_discrete needs a StepSchedule, got {type(s).__name__}")
+    return _reach(f, target, epsilon, s, seed_radius, tol, budgets)
 
 
 def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=None):
     """Continuous counterpart: reverse flow from the ascent seed to its
     first crossing of the delta_hat-sphere (the crossing is located on
     the sphere, so no overshoot margin is needed), then forward flow."""
-    b = budgets or ReachBudgets()
-    target = np.asarray(target, dtype=float)
-    if f.catalog_entry(target, "local_min") is None:
-        raise ValueError("target must be a cataloged local minimum")
-    if not (epsilon > 0.0 and seed_radius > 0.0 and tol > 0.0):
-        raise ValueError("epsilon, seed_radius and tol must be positive")
-    tries = lambda delta_hat, level, gtol, event: [(
-        delta_hat, lambda a: _flow_escape(f, a, target, delta_hat, settings),
-        lambda x0: integrate(f, x0, "forward", settings, event=event))]
-    return _reach(f, target, seed_radius, tol, b, epsilon, tries,
-                  probe=("continuous", None, settings))
+    if not isinstance(settings, FlowSettings):
+        raise ValueError(f"reach_continuous needs FlowSettings, got {type(settings).__name__}")
+    return _reach(f, target, epsilon, settings, seed_radius, tol, budgets)
 
 
 def _to_level(f, level, locate, run, prov):
@@ -552,84 +559,63 @@ def _flow_to_level(f, x0, level, settings):
                                              "settings": settings})
 
 
-def reach_general(f, target, epsilon, mode, seed_radius, tol=1e-2, delta=None,
-                  s=None, settings=None, budgets=None):
+def reach_general(f, target, epsilon, dynamics, seed_radius, tol=1e-2, delta=None,
+                  budgets=None):
     """Reach a cataloged saddle (critical, neither local max nor min).
 
-    continuous: reverse flow from the ascent seed to its crossing x0 of
-    the delta-sphere, then the forward flow from x0 stopped at the level
-    set f = c, c = f(target), located on the dense output.  That stopped
+    FlowSettings: reverse flow from the ascent seed to its crossing x0 of
+    the delta-sphere (delta = epsilon / 2 by default), then the forward
+    flow from x0 stopped at the level set f = c, c = f(target), located on
+    the dense output.  That stopped
     flow is the minimum-norm Clarke flow of g = max{f, c}, under which the
     target is a local minimum of g: on {f > c} the only active piece is f,
     so the minimum-norm element of the Clarke subdifferential is grad f;
     on {f <= c} the constant piece is active and 0 is in the
     subdifferential, so the flow stalls on reaching the level set.  The
     reported distance is from that crossing to the target.
-    discrete: reverse orbit through {f > f(target)} on f itself, forward
+    StepSchedule: reverse orbit through {f > f(target)} on f itself, forward
     replay, and linear interpolation to the first crossing of the level
-    f(target).  In both modes the distance shrinks with seed_radius.
+    f(target).  Under both the distance shrinks with seed_radius.
     Axis directions are scanned last: they can lie on the stable manifold.
     """
-    b = budgets or ReachBudgets()
-    target = np.asarray(target, dtype=float)
-    if f.catalog_entry(target, "saddle") is None:
-        raise ValueError("target must be a cataloged saddle")
-    cls = classify_limit(f, target)
-    if cls.kind != "saddle":
-        raise ValueError(f"classify_limit disagrees with the catalog: {cls.kind}")
-    if mode not in ("discrete", "continuous"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if delta is None:
-        delta = 0.5 * epsilon
-    if not (0.0 < seed_radius < delta <= epsilon):
-        raise ValueError("need 0 < seed_radius < delta <= epsilon")
-
-    if mode == "continuous":
-        if settings is None:
-            raise ValueError("continuous mode needs FlowSettings")
-        tries = lambda delta, level, gtol, _: [(
-            delta, lambda a: _flow_escape(f, a, target, delta, settings),
-            lambda x0: _flow_to_level(f, x0, level, settings)[0])]
-    else:
-        require_admissible(s, f, "prox", "discrete mode")
-        tries = lambda delta, level, gtol, _: [(
-            delta, lambda a: _first_crossing_orbit(f, a, s, delta, epsilon, target, b.kbar_max),
-            lambda x0: _run_to_level(f, x0, s, level, gtol, b.max_iter)[0])]
-    return _reach(f, target, seed_radius, tol, b, float(delta), tries)
+    return _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets,
+                  float(0.5 * epsilon if delta is None else delta))
 
 
 def edge_of_stability(f, alpha, x0):
-    """Exact convergence verdict for gradient descent on the quad builtin.
+    """Exact convergence verdict for gradient descent on an exactly quadratic
+    objective: ``hessian_lipschitz`` 0, a Hessian, and its one critical
+    point x* cataloged.
 
-    Spectral criterion on the eigendirections carrying x0: with
-    r = max |1 - alpha * l_i| over components where x0 is nonzero, the
-    verdict is converges (r < 1), diverges (r > 1) or neutral (r = 1).
-    Cross-checked by 10^3 steps of ``run_gd``'s rule without its box stop,
-    thresholding |x|; only a clear contradiction raises.
+    There x_k - x* = (I - alpha H)^k (x0 - x*), H the constant Hessian, so
+    the spectral criterion on the eigendirections carrying x0 - x* decides:
+    with r = max |1 - alpha * l_i| over the eigenpairs (l_i, v_i) of H with
+    v_i . (x0 - x*) nonzero, the verdict is converges (r < 1), diverges (r
+    > 1) or neutral (r = 1).  Cross-checked by 10^3 steps of ``run_gd``'s
+    rule without its box stop, thresholding |x - x*|; only a clear
+    contradiction raises.
     """
-    if f.name != "quad":
-        raise ValueError("the exact spectral criterion applies to the quad builtin only")
+    if not (f.hessian_lipschitz == 0.0 and f.hessian is not None
+            and len(f.critical_points) == 1):
+        raise ValueError("the exact spectral criterion needs an exactly quadratic objective: "
+                         "hessian_lipschitz 0, a Hessian and one cataloged critical point")
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    lam = np.array(f.params)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (f.dim,):
         raise ValueError(f"x0 must have dimension {f.dim}")
-    supported = np.abs(x0) > 0.0
+    star = f.critical_points[0].point
+    lam, V = np.linalg.eigh(f.hess(star))
+    supported = np.abs(V.T @ (x0 - star)) > 0.0
     r = float(np.abs(1.0 - alpha * lam)[supported].max()) if supported.any() else 0.0
-    if r < 1.0:
-        verdict = "converges"
-    elif r > 1.0:
-        verdict = "diverges"
-    else:
-        verdict = "neutral"
+    verdict = "converges" if r < 1.0 else "diverges" if r > 1.0 else "neutral"
 
     lane = f._lane
     with np.errstate(over="ignore", invalid="ignore"):
         steps, _, _ = march(f, lane.point(x0), lane.grad, _gd_rule(constant(alpha), lane.axpy),
                             1000, box=False)
-        n1 = norm(steps[-1][1])
-    n0 = norm(x0)
+        n1 = norm(lane.sub(steps[-1][1], lane.point(star)))
+    n0 = norm(x0 - star)
     threshold = max(10.0 * n0, DIVERGENCE_FACTOR * (1.0 + f.box_diameter()))
     empirical = None
     if not np.isfinite(n1) or n1 > threshold:

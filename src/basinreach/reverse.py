@@ -163,21 +163,22 @@ def prox_certificates(f, x, lam, xplus):
     return dec_ok, step_ok
 
 
-def _ascent_step(f, xnext, a, g=None, seeds=()):
-    """(y, r, grad(y)): the ascent preimage y of xnext, both points of f's
-    lane, its forward residual r = |(y - a grad(y)) - xnext|, certified to
-    1e-10 * (1 + |y|), and the gradient the solve's last test took, which
-    that residual reuses and the next solve from y starts with.  For the
-    ascent map y - a grad(y) - xnext = y - T(y), so r is the tested
-    residual, 1e-13 (1 + |xnext|) up to rounding.  ``g`` is grad(xnext)
-    when known and ``seeds`` start the solve's mixing history.  The caller
-    has checked the prox regime and that xnext lies in the box."""
+def _ascent_step(f, xnext, a, g=None, seeds=(), xnorm=None):
+    """(y, r, grad(y), |y|): the ascent preimage y of xnext, both points of
+    f's lane, its forward residual r = |(y - a grad(y)) - xnext|, certified
+    to 1e-10 * (1 + |y|), and the gradient the solve's last test took,
+    which that residual reuses and the next solve from y starts with, as
+    it does |y|.  For the ascent map y - a grad(y) - xnext = y - T(y), so r
+    is the tested residual, 1e-13 (1 + |xnext|) up to rounding.  ``g`` is
+    grad(xnext) and ``xnorm`` |xnext| when known, and ``seeds`` start the
+    solve's mixing history.  The caller has checked the prox regime and
+    that xnext lies in the box."""
     lane = f._lane
-    y, gy, _ = _picard(f, xnext, a, +1.0, norm(xnext), g, seeds)
-    residual = norm(lane.sub(lane.axpy(y, -a, gy), xnext))
-    if residual > FORWARD_RESIDUAL_RTOL * (1.0 + norm(y)):
+    y, gy, _ = _picard(f, xnext, a, +1.0, norm(xnext) if xnorm is None else xnorm, g, seeds)
+    residual, ynorm = norm(lane.sub(lane.axpy(y, -a, gy), xnext)), norm(y)
+    if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
         raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
-    return y, residual, gy
+    return y, residual, gy, ynorm
 
 
 def ascent_prox(f, xnext, a):
@@ -205,9 +206,9 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     point x, a point of f's lane, with stop(x), or after kbar steps; the K
     steps taken are indexed K-1 down to 0.  The anchor's gradient is taken
     once, after the first stop test; each later solve starts from the
-    gradient its predecessor returned, and its mixing history from the
-    secant pairs of the last two steps, so m solves cost one gradient plus
-    their iterations less one each.
+    gradient and the norm its predecessor returned, and its mixing history
+    from the secant pairs of the last two steps, so m solves cost one
+    gradient plus their iterations less one each, and 2m + 1 norms.
     """
     anchor = np.asarray(a, dtype=float)
     if kbar < 0:
@@ -220,7 +221,7 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     # solve starts from a point its predecessor's Picard test kept in the box
     require_admissible(s, f, "prox", "reverse_orbit")
     lane = f._lane
-    x, g, pairs = lane.point(anchor), None, []
+    x, g, xnorm, pairs = lane.point(anchor), None, None, []
     points, residuals = [anchor.copy()], []
     status = "complete"
     for k in range(kbar - 1, -1, -1):
@@ -230,12 +231,13 @@ def reverse_orbit(f, a, s, kbar, stop=None):
         if g is None:
             g = lane.grad(x)
         try:
-            y, residual, gy = _ascent_step(f, x, alpha, g, _orbit_seeds(lane, pairs, alpha))
+            y, residual, gy, ynorm = _ascent_step(f, x, alpha, g,
+                                                  _orbit_seeds(lane, pairs, alpha), xnorm)
         except LeftBoxError:
             status = "left_box"
             break
         pairs = [(lane.sub(x, y), lane.sub(gy, g), None)] + pairs[:_ANDERSON_DEPTH - 1]
-        x, g = y, gy
+        x, g, xnorm = y, gy, ynorm
         points.append(np.array(x))
         residuals.append(residual)
     points.reverse()

@@ -104,3 +104,8 @@ def parse_schedule(text):
     if parts[0] == "power" and len(parts) == 3:
         return power(float(parts[1]), float(parts[2]))
     raise ValueError(f"bad schedule {text!r}; use constant:C or power:C:P")
+
+
+def format_schedule(s):
+    """s in the CLI grammar, parse_schedule's inverse (repr round-trips)."""
+    return f"{s.kind}:{float(s.c)!r}" + (f":{float(s.p)!r}" if s.kind == "power" else "")

@@ -13,6 +13,7 @@ import os
 import numpy as np
 
 from .landscape import row_norms
+from .schedule import format_schedule
 
 
 def trajectory_rows(traj):
@@ -100,8 +101,9 @@ def trajectory_summary(traj):
 
 
 def reach_report_json(report, forward_csv_path=None, reverse_csv_path=None):
-    """The report's fields, and the certificate that stopped its forward
-    run when one did."""
+    """The report's fields, the schedule its forward run replayed (in the
+    CLI grammar; null for a flow or when nothing escaped), and the
+    certificate that stopped its forward run when one did."""
     out = {
         "target": _jsonable(report.target),
         "x0": _jsonable(report.x0) if report.x0 is not None else None,
@@ -113,6 +115,8 @@ def reach_report_json(report, forward_csv_path=None, reverse_csv_path=None):
         "reverse_csv_path": reverse_csv_path,
     }
     fwd = report.forward_part
+    s = fwd.provenance.get("schedule") if fwd is not None else None
+    out["schedule"] = format_schedule(s) if s is not None else None
     if fwd is not None and "certificate" in fwd.provenance:
         out["certificate"] = fwd.provenance["certificate"]
     return out

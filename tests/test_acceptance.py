@@ -165,11 +165,9 @@ def test_A8_general_saddle_case():
         st = br.FlowSettings(h=1e-3, t_max=50.0, gtol=1e-6)
         cont, disc = [], []
         for seed_radius in (1e-1, 1e-2, 1e-3):
-            rep = br.reach_general(f, target, 1.0, "continuous", seed_radius,
-                                   tol=1e-2, settings=st)
+            rep = br.reach_general(f, target, 1.0, st, seed_radius, tol=1e-2)
             cont.append(rep.final_distance)
-            rep = br.reach_general(f, target, 1.0, "discrete", seed_radius,
-                                   tol=1e-2, s=br.constant(0.25))
+            rep = br.reach_general(f, target, 1.0, br.constant(0.25), seed_radius, tol=1e-2)
             disc.append(rep.final_distance)
         assert cont[0] > cont[1] > cont[2] and cont[2] <= 1e-2
         assert disc[0] > disc[1] > disc[2] and disc[2] <= 1e-2

@@ -11,6 +11,7 @@ import basinreach.cli as cli
 from basinreach.cli import main
 from basinreach.flow import NoCrossingError
 from basinreach.landscape import LeftBoxError
+from basinreach.schedule import parse_schedule
 
 
 def read(path):
@@ -181,7 +182,7 @@ def test_reach_continuous_cli(tmp_path):
                "--h", "0.01", "--t-max", "60", "--gtol", "1e-6", "--out", out])
     assert rc == 0
     report = json.loads(read(os.path.join(out, "reach.json")))
-    assert report["status"] == "success"
+    assert report["status"] == "success" and report["schedule"] is None
     assert abs(abs(report["x0"][0]) - 1.0) <= 1e-8
     rev = read(os.path.join(out, "reverse.csv")).splitlines()
     assert rev[0] == b"k,t,x_1,f,gnorm,direction"
@@ -201,6 +202,11 @@ def test_reverse_csv_columns_follow_the_replay(tmp_path):
         rows = read(os.path.join(out, name)).decode().splitlines()[1:]
         columns[name] = [float(row.split(",")[1]) for row in rows]
     assert columns["forward.csv"][1] == columns["reverse.csv"][1] == 0.0413 / 2
+    # reach.json names the schedule the replay ran, config.json the one asked for
+    report = json.loads(read(os.path.join(out, "reach.json")))
+    assert report["schedule"] == "constant:0.02065"
+    assert parse_schedule(report["schedule"]) == parse_schedule("constant:0.0413").scaled(0.5)
+    assert json.loads(read(os.path.join(out, "config.json")))["schedule"] == "constant:0.0413"
     n = len(columns["reverse.csv"])
     assert n > 2 and columns["reverse.csv"] == columns["forward.csv"][:n]
     # the batched f and |grad f| columns match each orbit point's own
@@ -335,10 +341,14 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
      "reach_discrete needs sup alpha < 1/L (prox regime): sup alpha = 0.02, 1/L = 0.00306"),
     (["reach", "--general", "--function", "himmelblau", "--target-index", "6",
       "--mode", "discrete"],
-     "discrete mode needs sup alpha < 1/L (prox regime): sup alpha = 0.02, 1/L = 0.00306"),
+     "reach_general needs sup alpha < 1/L (prox regime): sup alpha = 0.02, 1/L = 0.00306"),
     (["probe", "--function", "quad:1", "--target", "0", "--epsilon", "1",
       "--schedule", "constant:2.5"],
      "discrete probe needs sup alpha < 2/L (stability regime): sup alpha = 2.5, 2/L = 2.0"),
+    (["reach", "--config", {"function": "double_well", "target": 2, "mode": "foo"}],
+     "mode: 'foo' is not discrete or continuous"),
+    (["probe", "--config", {"function": "double_well", "target": 2, "mode": "foo"}],
+     "mode: 'foo' is not discrete or continuous"),
 ], ids=["nonfinite-param", "x0-dimension", "target-dimension", "x0-outside-box",
         "config-object-for-number", "config-number-for-string", "config-bool-for-number",
         "negative-target-index", "config-negative-target-index", "probe-negative-max-iter",
@@ -346,7 +356,7 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
         "negative-n-samples", "config-fractional-n-samples", "config-fractional-seed",
         "config-float-n-checks", "config-negative-max-iter", "config-float-kbar-max",
         "reach-schedule-above-1-over-L", "general-schedule-above-1-over-L",
-        "probe-schedule-above-2-over-L"])
+        "probe-schedule-above-2-over-L", "reach-unknown-mode", "probe-unknown-mode"])
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, message):
     if isinstance(argv[-1], dict):  # the contents of a config file
         cfg = tmp_path / "cfg.json"

@@ -53,7 +53,7 @@ def test_probe_deterministic(dw):
 
 def test_probe_continuous_mode(dw):
     st = br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6)
-    est = br.stability_probe(dw, [-1.0], 0.4, None, mode="continuous", settings=st)
+    est = br.stability_probe(dw, [-1.0], 0.4, st)
     assert est.delta_hat == 0.4
 
 
@@ -64,14 +64,15 @@ def test_probe_preconditions(dw, quad1):
         br.stability_probe(dw, [1.0], 1.0, br.constant(0.05))  # ball exceeds box
     with pytest.raises(ValueError):
         br.stability_probe(quad1, [0.0], 1.0, br.constant(2.5))  # inadmissible
-    with pytest.raises(ValueError):
-        br.stability_probe(quad1, [0.0], 1.0, None, mode="continuous")  # no settings
+    with pytest.raises(ValueError, match="StepSchedule .*FlowSettings"):
+        br.stability_probe(quad1, [0.0], 1.0, None)  # neither schedule nor flow settings
 
 
 def test_probe_all_radii_fail():
-    # a 3-D objective has no capture certificate, so a 2-iteration budget
-    # converges nowhere: delta_hat = 0, failures listed
-    f = dataclasses.replace(br.make_builtin("quad", (1.0, 2.0, 5.0)), name="bowl")
+    # a 3-D objective not known to be quadratic (no hessian_lipschitz) has
+    # no capture certificate, so a 2-iteration budget converges nowhere:
+    # delta_hat = 0, failures listed
+    f = dataclasses.replace(br.make_builtin("quad", (1.0, 2.0, 5.0)), hessian_lipschitz=None)
     est = br.stability_probe(f, np.zeros(3), 1.0, br.constant(0.1), max_iter=2)
     assert est.delta_hat == 0.0
     assert len(est.failures) > 0
@@ -164,7 +165,7 @@ def test_probe_discrete_runs_match_run_gd(f, target, eps, frac):
 ])
 def test_probe_continuous_runs_match_integrate(f, target, eps, h):
     st = br.FlowSettings(h=h, t_max=20.0, gtol=1e-6)
-    est, runs = probe_runs(f, target, eps, None, mode="continuous", settings=st)
+    est, runs = probe_runs(f, target, eps, st)
     assert runs and all(r.terminal_status == "converged" for r in runs)
     captured = 0
     for r in runs:
@@ -212,9 +213,8 @@ def test_probe_rowwise_objective_gives_same_estimate(quad14):
     assert a.failures
     assert same_estimate(a, br.stability_probe(rowwise, [1.0], 1.5, s, seed=0))
     st = br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6)
-    a = br.stability_probe(quad14, [0.0, 0.0], 1.0, None, mode="continuous", settings=st)
-    b = br.stability_probe(dataclasses.replace(quad14, vectorized=False), [0.0, 0.0], 1.0,
-                           None, mode="continuous", settings=st)
+    a = br.stability_probe(quad14, [0.0, 0.0], 1.0, st)
+    b = br.stability_probe(dataclasses.replace(quad14, vectorized=False), [0.0, 0.0], 1.0, st)
     assert same_estimate(a, b)
 
 
@@ -226,7 +226,7 @@ def test_probe_evaluation_counts(monkeypatch, quad14, himmelblau):
     f, counts = counting(quad14)
     calls = count_dp5_steps(monkeypatch)
     st = br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6)
-    _, runs = probe_runs(f, [0.0, 0.0], 1.0, None, mode="continuous", settings=st)
+    _, runs = probe_runs(f, [0.0, 0.0], 1.0, st)
     steps = sum(len(r.states) - 1 for r in runs)
     assert 0 < steps <= len(calls)
     assert counts == {"grad": len(runs) + 6 * len(calls), "value": len(runs) + steps}
@@ -243,6 +243,23 @@ def test_probe_evaluation_counts(monkeypatch, quad14, himmelblau):
 
 
 # --- capture certificate ---------------------------------------------------------
+
+def misnamed_quad(eigenvalues, params):
+    """The quad builtin on ``eigenvalues`` carrying other ``params``, as a
+    user objective named "quad" may."""
+    return dataclasses.replace(br.make_builtin("quad", eigenvalues), params=params)
+
+
+@pytest.mark.parametrize("eigenvalues,params", [((1.0,), (4.0,)), ((1.0, 4.0), (9.0, 16.0))])
+def test_capture_level_reads_the_hessian_not_the_name(eigenvalues, params):
+    # x^2/2 (and x^2/2 + 2 y^2) with params (4,) (and (9, 16)): the floor of
+    # f on the unit sphere is 0.5, not 2 (4.5), and delta_cert stays in B_eps
+    f = misnamed_quad(eigenvalues, params)
+    est = br.stability_probe(f, np.zeros(f.dim), 1.0, br.constant(0.5 / f.lipschitz_L))
+    assert est.capture_level == 0.5
+    assert est.delta_cert == math.sqrt(1.0 / f.lipschitz_L) <= est.epsilon
+
+
 
 HB_MINIMA = [cp.point for cp in br.make_builtin("himmelblau").critical_points
              if cp.kind == "local_min"]
@@ -287,9 +304,10 @@ def test_capture_level_is_a_sphere_floor(name, params, target, eps):
 
 
 def test_capture_level_grid_on_renamed_quad(quad14):
-    # named otherwise, quad takes the 2-D grid: c lies below the exact floor
-    # 0.5 lambda_min eps^2 = 0.5 by at most the remainder |grad| d + L d^2/2
-    bowl = dataclasses.replace(quad14, name="bowl")
+    # not known to be quadratic (no hessian_lipschitz), quad takes the 2-D
+    # grid: c lies below the exact floor 0.5 lambda_min eps^2 = 0.5 by at
+    # most the remainder |grad| d + L d^2/2
+    bowl = dataclasses.replace(quad14, name="bowl", hessian_lipschitz=None)
     c = reach_mod._capture_level(bowl, np.zeros(2), 1.0, 0.0)
     d = 2.0 * math.sin(math.pi / (2 * reach_mod.CAPTURE_GRID))
     assert 0.5 - (4.0 * d + 2.0 * d * d + 1e-11) <= c <= 0.5
@@ -423,6 +441,31 @@ def test_reach_discrete_shrinking_seeds(dw):
         assert rep.status == "success" and rep.final_distance <= 1e-4
         assert np.linalg.norm(rep.x0 - rep.target) <= eps
         delta = rep.delta_used
+
+
+def test_dynamics_must_be_a_schedule_or_flow_settings(dw, saddle_quad):
+    st = br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6)
+    with pytest.raises(ValueError, match="reach_discrete needs a StepSchedule, got FlowSettings"):
+        br.reach_discrete(dw, [1.0], 0.4, st, 1e-3, 1e-4)
+    with pytest.raises(ValueError, match="reach_continuous needs FlowSettings, got StepSchedule"):
+        br.reach_continuous(dw, [1.0], 0.4, br.constant(0.01), 1e-3, 1e-4)
+    for name, call in (("stability_probe", lambda d: br.stability_probe(dw, [1.0], 0.4, d)),
+                       ("reach_general",
+                        lambda d: br.reach_general(saddle_quad, [0.0, 0.0], 1.0, d, 1e-3))):
+        with pytest.raises(ValueError, match=f"{name} needs a StepSchedule .*FlowSettings"):
+            call("discrete")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan])
+def test_every_reach_rejects_a_nonpositive_tol(dw, saddle_quad, tol):
+    st = br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6)
+    for call in (lambda: br.reach_discrete(dw, [1.0], 0.4, br.constant(0.01), 1e-3, tol),
+                 lambda: br.reach_continuous(dw, [1.0], 0.4, st, 1e-3, tol),
+                 lambda: br.reach_general(saddle_quad, [0.0, 0.0], 1.0, br.constant(0.25), 1e-3,
+                                          tol),
+                 lambda: br.reach_general(saddle_quad, [0.0, 0.0], 1.0, st, 1e-3, tol)):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            call()
 
 
 def test_reach_discrete_preconditions(dw):
@@ -788,8 +831,7 @@ def test_reach_general_continuous_sweep(saddle_quad):
     st = br.FlowSettings(h=1e-3, t_max=50.0, gtol=1e-6)
     dists = []
     for seed_radius in (1e-1, 1e-2, 1e-3):
-        rep = br.reach_general(saddle_quad, [0.0, 0.0], 1.0, "continuous",
-                               seed_radius, tol=1e-2, settings=st)
+        rep = br.reach_general(saddle_quad, [0.0, 0.0], 1.0, st, seed_radius, tol=1e-2)
         assert rep.status in ("success", "no_converge")
         assert rep.crossing is not None
         dists.append(rep.final_distance)
@@ -801,8 +843,7 @@ def test_reach_general_discrete_sweep(saddle_quad):
     s = br.constant(0.25)
     dists = []
     for seed_radius in (1e-1, 1e-2, 1e-3):
-        rep = br.reach_general(saddle_quad, [0.0, 0.0], 1.0, "discrete",
-                               seed_radius, tol=1e-2, s=s)
+        rep = br.reach_general(saddle_quad, [0.0, 0.0], 1.0, s, seed_radius, tol=1e-2)
         assert rep.crossing is not None
         # the interpolated crossing sits on the level set up to the quadratic
         # interpolation error, which scales with the squared step length
@@ -816,8 +857,7 @@ def test_reach_general_continuous_budget_exhausted(saddle_quad):
     # the forward flow stops on t_max before the level set: no limit, so
     # no crossing, and the distance is from its last state
     st = br.FlowSettings(h=1e-3, t_max=3.2, gtol=1e-6)
-    rep = br.reach_general(saddle_quad, [0.0, 0.0], 1.0, "continuous", 1e-3,
-                           tol=1e-2, delta=0.5, settings=st)
+    rep = br.reach_general(saddle_quad, [0.0, 0.0], 1.0, st, 1e-3, tol=1e-2, delta=0.5)
     assert rep.forward_part.terminal_status == "budget_exhausted"
     assert rep.status == "no_converge" and rep.crossing is None
     assert rep.final_distance == norm(rep.forward_part.final_x)
@@ -833,7 +873,7 @@ def test_reach_general_discrete_crossing_is_the_f_secant(himmelblau, i):
     # most the step's drop in f
     target = himmelblau.critical_points[i].point
     s = br.constant(0.5 / himmelblau.lipschitz_L)
-    rep = br.reach_general(himmelblau, target, 1.0, "discrete", 1e-3, tol=1e-2, s=s)
+    rep = br.reach_general(himmelblau, target, 1.0, s, 1e-3, tol=1e-2)
     assert rep.status == "success"
     c, fwd = himmelblau.value(target), rep.forward_part
     (x_prev, x_k), (f_prev, f_k) = fwd.X[-2:], fwd.f[-2:].tolist()
@@ -852,8 +892,7 @@ def test_reach_general_continuous_himmelblau_saddles(himmelblau, delta):
     st = br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6)
     for i in HIMMELBLAU_SADDLES:
         target = himmelblau.critical_points[i].point
-        rep = br.reach_general(himmelblau, target, 1.0, "continuous", 1e-3, tol=1e-2,
-                               delta=delta, settings=st)
+        rep = br.reach_general(himmelblau, target, 1.0, st, 1e-3, tol=1e-2, delta=delta)
         assert rep.status == "success" and rep.final_distance <= 1e-3
         assert rep.crossing is not None and rep.forward_part.limit is rep.crossing
         assert abs(himmelblau.value(rep.crossing) - himmelblau.value(target)) <= 1e-9
@@ -873,9 +912,9 @@ def test_saddle_seed_scan_draws_directions_on_demand(monkeypatch, himmelblau, mo
 
     monkeypatch.setattr(Lcg64, "direction", counted)
     target = himmelblau.critical_points[8].point
-    rep = br.reach_general(himmelblau, target, 1.0, mode, 1e-3, tol=1e-2, delta=0.1,
-                           s=br.constant(0.0015),
-                           settings=br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6))
+    dynamics = (br.constant(0.0015) if mode == "discrete"
+                else br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6))
+    rep = br.reach_general(himmelblau, target, 1.0, dynamics, 1e-3, tol=1e-2, delta=0.1)
     assert rep.status == "success" and draws == [2]
     first = direction(Lcg64(0), 2)
     assert np.array_equal(rep.ascent_seed, target + 1e-3 * first)
@@ -898,19 +937,16 @@ def test_flow_to_level_evaluation_counts(monkeypatch, himmelblau):
 
 def test_reach_general_preconditions(saddle_quad, dw):
     with pytest.raises(ValueError):
-        br.reach_general(dw, [1.0], 0.4, "discrete", 1e-3,
-                         s=br.constant(0.01))  # not a saddle
-    with pytest.raises(ValueError):
-        br.reach_general(saddle_quad, [0.0, 0.0], 1.0, "discrete", 1e-3)  # no schedule
-    with pytest.raises(ValueError):
-        br.reach_general(saddle_quad, [0.0, 0.0], 1.0, "continuous", 1e-3)  # no settings
+        br.reach_general(dw, [1.0], 0.4, br.constant(0.01), 1e-3)  # not a saddle
+    with pytest.raises(ValueError, match="StepSchedule .*FlowSettings"):
+        br.reach_general(saddle_quad, [0.0, 0.0], 1.0, None, 1e-3)  # no dynamics
     bogus = br.ObjectiveFunction(
         dim=2, f=saddle_quad.f, grad=saddle_quad.grad, hessian=saddle_quad.hessian,
         lipschitz_L=2.0, box=saddle_quad.box,
         critical_points=(br.CriticalPoint(np.array([0.5, 0.5]), "saddle", 0.0),))
     with pytest.raises(ValueError):
         # cataloged point is not critical: classification disagreement
-        br.reach_general(bogus, [0.5, 0.5], 1.0, "discrete", 1e-3, s=br.constant(0.25))
+        br.reach_general(bogus, [0.5, 0.5], 1.0, br.constant(0.25), 1e-3)
 
 
 def test_capped_saddle_is_minimum(saddle_quad):
@@ -966,6 +1002,34 @@ def test_eos_cross_check_is_a_gd_march(monkeypatch, params, alpha, x0, verdict):
         for _ in range(1000):
             x = x - alpha * (lam * x)
     assert ends[0].tobytes() == x.tobytes()
+
+
+def test_eos_reads_the_hessian_not_the_name():
+    # x^2/2 with params (4,): alpha = 0.6 contracts by 0.4 and the run
+    # converges, where the params' |1 - 0.6 * 4| = 1.4 would say diverges
+    assert br.edge_of_stability(misnamed_quad((1.0,), (4.0,)), 0.6, [1.0]) == "converges"
+
+
+def rotated_quad(center):
+    """f = (x - c)^T H (x - c) / 2 with H = [[2, 1], [1, 2]] (eigenvalues 1
+    and 3, eigenvectors (1, -1) and (1, 1)), exactly quadratic."""
+    c, H = np.array(center, dtype=float), np.array([[2.0, 1.0], [1.0, 2.0]])
+    return br.ObjectiveFunction(
+        dim=2, f=lambda x: 0.5 * (x - c) @ H @ (x - c), grad=lambda x: H @ (x - c),
+        hessian=lambda x: H, lipschitz_L=3.0, box=np.array([[-10.0, 10.0]] * 2),
+        critical_points=(br.CriticalPoint(c, "local_min", 0.0),), hessian_lipschitz=0.0)
+
+
+@pytest.mark.parametrize("alpha,offset,verdict", [
+    (0.5, [1.0, 1.0], "converges"), (0.9, [1.0, 1.0], "diverges"),
+    (2.0 / 3.0 * 0.999, [0.5, 0.2], "converges"), (0.8, [0.5, 0.2], "diverges"),
+    (0.9, [0.0, 0.0], "converges"),
+])
+def test_eos_on_a_rotated_shifted_quadratic(alpha, offset, verdict):
+    # the eigenvalues of the Hessian at the cataloged x* = (3, -2) decide on
+    # the components of x0 - x*, and the cross-check's distances are from x*
+    f = rotated_quad([3.0, -2.0])
+    assert br.edge_of_stability(f, alpha, np.array([3.0, -2.0]) + offset) == verdict
 
 
 def test_eos_rejects_non_quad(dw):

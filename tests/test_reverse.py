@@ -301,6 +301,23 @@ def test_orbit_takes_one_gradient_per_tested_iterate(monkeypatch):
     assert sum(iters) <= 4.5 * m
 
 
+def test_orbit_takes_two_norms_per_point(monkeypatch):
+    # each solve takes |residual| and |y|; its |x_{k+1}| is the |y| of the
+    # solve before it, so only the anchor's is taken afresh
+    f = br.make_builtin("himmelblau")
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return norm(v)
+
+    monkeypatch.setattr(reverse_mod, "norm", counted)
+    for s in (br.constant(0.5 / f.lipschitz_L), br.power(0.5 / f.lipschitz_L, 0.5)):
+        calls.clear()
+        orbit = br.reverse_orbit(f, [3.001, 2.002], s, 40)
+        assert len(orbit.points) == 41 and len(calls) == 2 * 40 + 1
+
+
 def test_power_orbit_takes_under_two_gradients_per_point():
     # the secants of the last two orbit steps make each solve's first mixed
     # iterate a quasi-Newton step: 1.73 gradients per point here, 3.5

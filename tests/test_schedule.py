@@ -1,6 +1,7 @@
 import pytest
 
 import basinreach as br
+from basinreach.schedule import format_schedule
 
 
 def test_alpha_examples():
@@ -71,3 +72,12 @@ def test_parse_schedule_grammar():
     for bad in ("constant", "power:1.0", "linear:0.1", "constant:0.5:0.5"):
         with pytest.raises(ValueError):
             br.parse_schedule(bad)
+
+
+@pytest.mark.parametrize("s,text", [
+    (br.constant(0.5), "constant:0.5"), (br.constant(0.0413 / 2), "constant:0.02065"),
+    (br.constant(1e-300), "constant:1e-300"), (br.power(2.0, 0.0), "power:2.0:0.0"),
+    (br.power(0.1 / 3.0, 0.5), "power:0.03333333333333333:0.5"), (br.power(0.3, 1.0), "power:0.3:1.0"),
+])
+def test_format_schedule_round_trips(s, text):
+    assert format_schedule(s) == text and br.parse_schedule(text) == s

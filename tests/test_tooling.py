@@ -117,15 +117,16 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
     snap = counts.snapshot()
     reach_mod._capture_level(f, target, eps, f.value(target))
     certificate = counts.since(snap)[workloads.GRAD]
-    for mode, sched, settings in [("discrete", s, None), ("continuous", None, st)]:
+    for dynamics in (s, st):
         calls.clear()
         runs = []
         snap = counts.snapshot()
         with br.record_trajectories(runs):
-            br.stability_probe(f, target, eps, sched, mode=mode, settings=settings)
+            br.stability_probe(f, target, eps, dynamics)
         states = sum(map(len, runs))
-        assert len(runs) >= 2 * f.dim and (mode == "continuous") == (len(calls) > 0)
-        per_run = states if mode == "discrete" else len(runs) + 6 * len(calls)
+        flow = dynamics is st
+        assert len(runs) >= 2 * f.dim and flow == (len(calls) > 0)
+        per_run = len(runs) + 6 * len(calls) if flow else states
         assert counts.since(snap)[workloads.GRAD] == certificate + per_run
 
 
