@@ -1,19 +1,20 @@
 """Continuous-time dynamics: forward/reverse gradient flow by the
-embedded Dormand-Prince 5(4) pair with step-size control and dense output
-(Dormand & Prince 1980, J. Comput. Appl. Math. 6:19-26; Hairer, Norsett &
-Wanner, Solving ODEs I, II.4-II.6), the minimum-norm Clarke flow for
-max-functions by explicit Euler (the field is discontinuous at activity
-boundaries, where the pair's smoothness assumptions fail), crossing
-events located on the dense output, and path-length analytics.
+explicit Runge-Kutta pair DOP853 of order 8(5,3) with step-size control
+and a 7th-order dense output (Prince & Dormand 1981, J. Comput. Appl.
+Math. 7:67-75; Hairer, Norsett & Wanner, Solving ODEs I, II.10), the
+minimum-norm Clarke flow for max-functions by explicit Euler (the field
+is discontinuous at activity boundaries, where the pair's smoothness
+assumptions fail), crossing events located on the dense output, and
+path-length analytics.
 
-Each run is a :func:`~basinreach.trajectory.march` with a DP5 or Euler
-step rule.  DP5 has one rule, :func:`_dp5_step`, run on points of the
-objective's lane (``landscape.Lane``) by every flow: ``integrate``,
-sphere exits, each start of the continuous stability probe and the
-capped saddle run to its level set; only the Euler min-norm rule keeps
-ndarray points.  A crossing is a stop event: it tests the state a step
-reached and locates the crossing on that step's interpolant, which costs
-no gradient.
+Each run is a :func:`~basinreach.trajectory.march` with a DOP853 or
+Euler step rule.  DOP853 has one rule, :func:`_dop853_step`, run on
+points of the objective's lane (``landscape.Lane``) by every flow:
+``integrate``, sphere exits, each start of the continuous stability
+probe and the capped saddle run to its level set; only the Euler
+min-norm rule keeps ndarray points.  A crossing is a stop event: it
+tests the state a step reached and locates the crossing on that step's
+interpolant, whose three extra stages are the only gradients it costs.
 """
 
 import math
@@ -21,34 +22,94 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import LeftBoxError, min_norm_element, norm, row_norms
+from .landscape import LeftBoxError, min_norm_element, norm, row_norms, sumsq
 from .trajectory import march, recorded
 
 DIRECTIONS = ("forward", "reverse")
-H_GUARD = 0.1  # h <= 0.1 / L guard on the first trial step
-# a DP5 step passes when its error estimate e has |e| <= ATOL + RTOL max(|x|,
-# |x_new|); no step exceeds H_STABLE / L, inside DP5's real stability interval
-# [-3.31, 0], so no mode of -grad f (whose Jacobian's eigenvalues lie in [-L, L])
-# chatters at the stability boundary, held there at the tolerance
-RTOL, ATOL, H_STABLE = 1e-10, 1e-13, 3.0
-# Hairer's PI step controller (DOPRI5): exponents, safety factor, bounds on h_new / h
-PI_ALPHA, PI_BETA, PI_SAFE, PI_MIN, PI_MAX = 0.17, 0.04, 0.9, 0.2, 10.0
-# Dormand-Prince 5(4): the rows of A give stages 2-7, the last one the 5th-order
-# point, whose gradient is so stage 7 (first same as last); E weighs the stages
-# into the error estimate and P into the dense output x + sh sum_i P_i(theta) k_i
-_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-      (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-      (0.0,) * 4,
-      (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-      (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-      (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-       701980252875 / 199316789632),
-      (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-      (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+# the adaptive flow clamps its first trial step to H_GUARD / L; the Euler
+# min-norm flow, whose every step is h, requires h <= H_GUARD / L
+H_GUARD = 0.1
+# a DOP853 step passes when its error estimate err = |e5|^2 / sqrt(|e5|^2 +
+# 0.01 |e3|^2) (Hairer's combination of the 5th- and 3rd-order estimates) has
+# err <= ATOL + RTOL max(|x|, |x_new|); no step exceeds H_STABLE / L, inside
+# DOP853's real stability interval [-6.39, 0], so no mode of -grad f (whose
+# Jacobian's eigenvalues lie in [-L, L]) chatters at the stability boundary,
+# held there at the tolerance
+RTOL, ATOL, H_STABLE = 1e-10, 1e-13, 6.0
+# the PI step controller of Hairer's codes: h_new = h PI_SAFE err^-PI_ALPHA
+# err_old^PI_BETA with h_new / h in [PI_MIN, PI_MAX], the exponent in DOPRI5's
+# form 1/q - 0.75 beta at the order q = 8
+PI_BETA, PI_SAFE, PI_MIN, PI_MAX = 0.04, 0.9, 0.333, 6.0
+PI_ALPHA = 1.0 / 8.0 - 0.75 * PI_BETA
+# DOP853, the explicit Runge-Kutta pair of order 8(5,3) with dense output of
+# order 7 (Prince & Dormand 1981, J. Comput. Appl. Math. 7:67-75; Hairer,
+# Norsett & Wanner, Solving ODEs I, II.10): the coefficients of Hairer's
+# dop853.f, as listed in scipy's BSD-licensed dop853_coefficients.py, rounded
+# to the nearest double.  The rows of _A give stages 2-12 and then the
+# 8th-order point, whose gradient is stage 13 (first same as last: the next
+# step's k1); _X gives the dense output's stages 14-16 from stages 1-15
+_A = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259))
+_X = (
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+     0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987))
+# _E5 weighs stages 1-12 into the 5th-order error estimate; the 3rd-order
+# one weighs them by the 8th-order weights less _BHH on stages 1, 9 and 12
+_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+       1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+       -0.022355307863886294)
+_BHH = {0: 0.2440944881889764, 8: 0.7338466882816118, 11: 0.022058823529411766}
+_E3 = tuple(b - _BHH.get(i, 0.0) for i, b in enumerate(_A[-1]))
+# the dense output is x + sh sum_i w_i(theta) k_i over the 16 stages, w_i =
+# theta (p0 + (1 - theta) (p1 + theta (p2 + (1 - theta) (p3 + theta (p4 + (1 -
+# theta) (p5 + theta p6)))))) with p0 = b_i, p1 = [i = 1] - b_i, p2 = 2 b_i -
+# [i = 1] - [i = 13] and p3-p6 the four rows of _D (Hairer's contd8)
+_D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564))
+_P = tuple((b, (i == 0) - b, 2.0 * b - (i == 0) - (i == 12), *d)
+           for i, (b, *d) in enumerate(zip(_A[-1] + (0.0,) * 4, *_D)))
 
 
 class NoCrossingError(RuntimeError):
@@ -58,9 +119,11 @@ class NoCrossingError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowSettings:
-    """h is the first trial step, at most 0.1/L; a run ends at time t_max,
-    a forward run also once |grad f| < gtol; a crossing is located to a
-    time bracket of event_refine_tol (1e-3 h by default)."""
+    """h is the adaptive flow's first trial step, clamped to 0.1/L, and
+    the Euler min-norm flow's step, which must not exceed 0.1/L; a run
+    ends at time t_max, a forward run also once |grad f| < gtol; a
+    crossing is located to a time bracket of event_refine_tol (1e-3 h by
+    default)."""
 
     h: float
     t_max: float
@@ -105,23 +168,21 @@ def _comb(axpy, y, sh, weights, ks):
     return y
 
 
-def _dp5_step(lane, x, sh, g1):
-    """One Dormand-Prince 5(4) step of signed length sh along dx/dt =
-    grad(x), from g1 = grad(x), on points of the lane: (x_new, ks, err)
-    with x_new the 5th-order point, ks the seven stage gradients (ks[6] =
-    grad(x_new), the next step's g1) and err the embedded error estimate.
-    sh = -h flows down f, sh = h up it."""
+def _dop853_step(lane, x, sh, g1):
+    """One DOP853 step of signed length sh along dx/dt = grad(x), from g1 =
+    grad(x), on points of the lane: (x_new, ks, e5, e3) with x_new the
+    8th-order point, ks the 13 stage gradients (ks[12] = grad(x_new), the
+    next step's g1) and e5, e3 the embedded 5th- and 3rd-order error
+    estimates.  sh = -h flows down f, sh = h up it."""
     ks = [g1]
     for row in _A:
         y = _comb(lane.axpy, x, sh, row, ks)
         ks.append(lane.grad(y))
-    return y, ks, _comb(lane.axpy, lane.sub(x, x), sh, _E, ks)
+    zero = lane.sub(x, x)
+    return y, ks, _comb(lane.axpy, zero, sh, _E5, ks), _comb(lane.axpy, zero, sh, _E3, ks)
 
 
-def _start(f, x0, settings):
-    L = f.lipschitz_L
-    if L > 0.0 and settings.h > H_GUARD / L:
-        raise ValueError(f"h = {settings.h} exceeds the guard 0.1/L = {H_GUARD / L}")
+def _start(f, x0):
     x = np.array(x0, dtype=float)
     if not f.in_box(x):
         raise LeftBoxError(x, "x0 outside the operating box")
@@ -129,12 +190,13 @@ def _start(f, x0, settings):
 
 
 class _Flow:
-    """One adaptive DP5 run on dx/dt = -grad f (forward) or +grad f
+    """One adaptive DOP853 run on dx/dt = -grad f (forward) or +grad f
     (reverse) for :func:`march`: ``step`` retries a rejected step with a
-    smaller one and keeps its own step size, settings.h the first, clamping
-    the step that would pass t_max onto it; ``field`` hands back stage 7 as
-    the gradient at the state a step reached; ``cross`` locates an event on
-    the last step's dense output ``at``."""
+    smaller one and keeps its own step size, the first min(settings.h,
+    H_GUARD / L), clamping the step that would pass t_max onto it;
+    ``field`` hands back stage 13 as the gradient at the state a step
+    reached; ``cross`` locates an event on the last step's dense output
+    ``at``."""
 
     def __init__(self, f, direction, settings):
         if direction not in DIRECTIONS:
@@ -142,28 +204,32 @@ class _Flow:
         self.lane, self.settings = f._lane, settings
         self.sign = -1.0 if direction == "forward" else 1.0
         self.gtol = settings.gtol if direction == "forward" else 0.0
-        self.h, self.err_old, self.x_new = settings.h, 1e-4, None
-        self.h_max = H_STABLE / f.lipschitz_L if f.lipschitz_L > 0.0 else math.inf
+        L = f.lipschitz_L
+        self.h = min(settings.h, H_GUARD / L) if L > 0.0 else settings.h
+        self.h_max = H_STABLE / L if L > 0.0 else math.inf
+        self.err_old, self.x_new = 1e-4, None
 
     def march(self, f, x0, event=None, value=None):
-        x = self.lane.point(_start(f, x0, self.settings))
+        x = self.lane.point(_start(f, x0))
         return march(f, x, self.field, self.step, None, self.gtol, event=event, value=value,
                      t_end=self.settings.t_max)
 
     def field(self, x):
-        return self.ks[6] if x is self.x_new else self.lane.grad(x)
+        return self.ks[12] if x is self.x_new else self.lane.grad(x)
 
     def step(self, k, t, x, g):
         t_max, h, rejected = self.settings.t_max, self.h, False
         while True:
             dt = min(h, t_max - t)
-            x_new, ks, e = _dp5_step(self.lane, x, self.sign * dt, g)
-            err = norm(e) / (ATOL + RTOL * max(norm(x), norm(x_new)))
+            x_new, ks, e5, e3 = _dop853_step(self.lane, x, self.sign * dt, g)
+            e5sq = sumsq(e5)
+            err = ((e5sq / math.sqrt(e5sq + 0.01 * sumsq(e3)) if e5sq else 0.0)
+                   / (ATOL + RTOL * max(norm(x), norm(x_new))))
             if err <= 1.0:
                 break
             h, rejected = dt / min(1.0 / PI_MIN, err ** PI_ALPHA / PI_SAFE), True
             if not t + h > t:
-                raise ArithmeticError(f"DP5 step size underflow at t = {t}")
+                raise ArithmeticError(f"DOP853 step size underflow at t = {t}")
         fac = err ** PI_ALPHA / self.err_old ** PI_BETA / PI_SAFE
         h = min(dt / max(1.0 / PI_MAX, min(1.0 / PI_MIN, fac)), self.h_max)
         self.h, self.err_old = min(h, dt) if rejected else h, max(err, 1e-4)
@@ -171,9 +237,17 @@ class _Flow:
         return (t_max if dt == t_max - t else t + dt), x_new
 
     def at(self, theta):
-        """The dense output of the last step at theta in [0, 1] of it."""
-        w = [theta * (p0 + theta * (p1 + theta * (p2 + theta * p3))) for p0, p1, p2, p3 in _P]
-        return _comb(self.lane.axpy, self.x, self.sign * self.dt, w, self.ks)
+        """The dense output of the last step at theta in [0, 1] of it: x at
+        0 and x_new at 1, bit for bit.  The first call on a step takes its
+        stages 14-16."""
+        sh, axpy, ks = self.sign * self.dt, self.lane.axpy, self.ks
+        if len(ks) == 13:
+            for row in _X:
+                ks.append(self.lane.grad(_comb(axpy, self.x, sh, row, ks)))
+        t, u = theta, 1.0 - theta
+        w = [t * (p0 + u * (p1 + t * (p2 + u * (p3 + t * (p4 + u * (p5 + t * p6))))))
+             for p0, p1, p2, p3, p4, p5, p6 in _P]
+        return _comb(axpy, self.x, sh, w, ks)
 
     def cross(self, phi, p_lo, p_hi, tol=math.inf):
         """(t, point) where phi meets 0 on the last step's dense output,
@@ -199,8 +273,8 @@ class _Flow:
 
 
 def integrate(f, x0, direction, settings, event=None):
-    """Adaptive Dormand-Prince 5(4) on dx/dt = -grad f (forward) or +grad
-    f (reverse), from the first trial step h.  Stops at t_max, at |grad| <
+    """Adaptive DOP853 on dx/dt = -grad f (forward) or +grad f (reverse),
+    from the first trial step min(h, 0.1/L).  Stops at t_max, at |grad| <
     gtol (forward only), or at box exit (expected for reverse flows).
     ``event`` is a :func:`march` stop event, asked at each state the
     steps reach before those tests (its fx is None); a minimum reach ends
@@ -216,7 +290,10 @@ def integrate_minnorm(g, x0, settings):
     reaches a cap level both pieces are active, the element is 0, and the
     trajectory stalls there.  grad_norm records the element's norm.
     """
-    x, h = _start(g, x0, settings), settings.h
+    L, h = g.lipschitz_L, settings.h
+    if L > 0.0 and h > H_GUARD / L:
+        raise ValueError(f"h = {h} exceeds the guard 0.1/L = {H_GUARD / L}")
+    x = _start(g, x0)
     vals = []
 
     def value(y):

@@ -222,7 +222,7 @@ FLOAT_LANE_DIMS = 2
 
 
 class Lane(NamedTuple):
-    """How gradient descent, DP5 flow and the ascent solve hold points of
+    """How gradient descent, DOP853 flow and the ascent solve hold points of
     one objective (the Euler min-norm rule alone keeps ndarrays):
     ``point`` converts a 1-D array, ``grad`` calls f.grad on a
     1-D float array, ``axpy(x, c, v)`` is x + c v, ``sub(x, y)`` is x - y

@@ -8,7 +8,7 @@ target with f(a) > f(target), escape backward from a to x0 on a sphere
 around the target, run forward from x0 and measure the distance from the
 forward limit to the target.  One dynamics argument picks the path, as
 in the probe: a StepSchedule means reverse orbit and ``run_gd``,
-FlowSettings reverse and forward DP5 flow, and a saddle target's forward
+FlowSettings reverse and forward DOP853 flow, and a saddle target's forward
 run stops at the level set f = f(target) (``_run_to_level``,
 ``_flow_to_level``).
 The discrete escape radius is the closed form rho = delta_hat / (1 +
@@ -28,7 +28,7 @@ A GD step gives x_{k+1} - x* = (I - alpha_k H_k)(x_k - x*), H_k the mean
 Hessian on the segment from x* to x_k, so with sup alpha < 1/L |x_{k+1} -
 x*| <= (1 - alpha_k mu_s) |x_k - x*|: B_s is invariant and a nonsummable
 schedule drives the iterates to the target itself.  The exact flow has
-d/dt |x - x*|^2 <= -2 mu_s |x - x*|^2; DP5 follows it to its accuracy,
+d/dt |x - x*|^2 <= -2 mu_s |x - x*|^2; DOP853 follows it to its accuracy,
 the standard the probe's capture set rests on too.  The run ends there as
 converged, the limit that state, with provenance stopped_on =
 "certified_ball" and a ``certificate``: s, mu_s, distance_bound = |x_m -
@@ -119,17 +119,24 @@ def _ball_fits_box(f, center, radius):
 CAPTURE_GRID = 256
 
 
-def _capture_level(f, target, epsilon, f_star):
+def _lambda_min(f, target):
+    """The smallest eigenvalue of hess f(target)."""
+    return float(np.linalg.eigvalsh(f.hess(target))[0])
+
+
+def _capture_level(f, target, epsilon, f_star, lam=None):
     """c <= min f on the epsilon-sphere around target, or None.  Exactly
-    quadratic (M = 0): f* + lambda_min(hess f) epsilon^2 / 2; 1-D: the
-    smaller sphere value; 2-D: each of N = CAPTURE_GRID circle points y_i
-    lies within the chord d = 2 epsilon sin(pi/(2N)) of its arc, where f >=
-    f(y_i) - |grad f(y_i)| d - L d^2/2, less 1e-12 (1 + |f(y_i)|)."""
+    quadratic (M = 0): f* + lambda_min(hess f) epsilon^2 / 2, with lam that
+    eigenvalue when the caller has it; 1-D: the smaller sphere value; 2-D:
+    each of N = CAPTURE_GRID circle points y_i lies within the chord d = 2
+    epsilon sin(pi/(2N)) of its arc, where f >= f(y_i) - |grad f(y_i)| d -
+    L d^2/2, less 1e-12 (1 + |f(y_i)|)."""
     L = f.lipschitz_L
     if not L > 0.0:
         return None
     if f.hessian_lipschitz == 0.0 and f.hessian is not None:
-        return f_star + 0.5 * float(np.linalg.eigvalsh(f.hess(target))[0]) * epsilon * epsilon
+        lam = _lambda_min(f, target) if lam is None else lam
+        return f_star + 0.5 * lam * epsilon * epsilon
     if f.dim == 1:
         return float(f.values(target + np.array([[-epsilon], [epsilon]])).min())
     if f.dim != 2:
@@ -144,7 +151,7 @@ def _capture_level(f, target, epsilon, f_star):
 
 def _descends(dynamics, what):
     """True for a StepSchedule (gradient descent), False for FlowSettings
-    (DP5 gradient flow); anything else is a ValueError."""
+    (DOP853 gradient flow); anything else is a ValueError."""
     if isinstance(dynamics, (StepSchedule, FlowSettings)):
         return isinstance(dynamics, StepSchedule)
     raise ValueError(f"{what} needs a StepSchedule (gradient descent) or FlowSettings "
@@ -152,7 +159,7 @@ def _descends(dynamics, what):
 
 
 def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=20_000,
-                    gtol=1e-8):
+                    gtol=1e-8, *, _lam=None):
     """Empirical stability radius around a cataloged local minimum.
 
     Bisects on the radius delta in (0, epsilon], PROBE_BISECTIONS times
@@ -176,13 +183,14 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     epsilon-sphere, and a run passes once it enters K = {x in B_epsilon :
     f(x) < c}.  With alpha < 2/L the descent lemma gives f(x - t alpha g)
     <= f(x) < c for t in [0, 1], so a GD step from K never crosses the
-    sphere; the exact flow is monotone in f (DP5 follows it to its
+    sphere; the exact flow is monotone in f (DOP853 follows it to its
     accuracy).  In K, sum alpha_k (1 - alpha_k L/2) |g_k|^2 < inf, so a
     nonsummable schedule forces liminf |g_k| = 0: a captured run stays in
     B_epsilon and reaches gtol for all time, not only within budget.  That
     its limit is the target is not claimed; the full runs do not check it
     either.  Every start within ``delta_cert`` = sqrt(2 (c - f*)/L) of the
-    target lies in K.
+    target lies in K.  (``_lam``, private: lambda_min(hess f(target)) when
+    a reach has taken it already.)
     """
     descent = _descends(dynamics, "stability_probe")
     target = np.asarray(target, dtype=float)
@@ -196,7 +204,7 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
 
     dirs = unit_directions(f.dim, n_samples, seed)
     contain = epsilon * (1.0 + 1e-9)
-    c = _capture_level(f, target, epsilon, entry.f_value)
+    c = _capture_level(f, target, epsilon, entry.f_value, _lam)
     delta_cert = None if c is None else math.sqrt(
         2.0 * max(c - entry.f_value, 0.0) / f.lipschitz_L)
     lane = f._lane
@@ -368,11 +376,13 @@ def _halvings(f, s, delta_hat, seed_radius):
 
 class _Ball(NamedTuple):
     """The certified ball B_s around a minimum (the module docstring): its
-    radius, mu_s, and the stop event for ``run_gd`` or ``integrate``,
-    which ends a run as converged on its first state within s."""
+    radius, mu_s, lambda_min, and the stop event for ``run_gd`` or
+    ``integrate``, which ends a run as converged on its first state within
+    s."""
 
     s: float
     mu: float
+    lam: float
     event: object
 
 
@@ -383,7 +393,7 @@ def _certified_ball(f, target, tol, epsilon):
     M = f.hessian_lipschitz
     if M is None or f.hessian is None:
         return None
-    lam = float(np.linalg.eigvalsh(f.hess(target))[0])
+    lam = _lambda_min(f, target)
     if not lam > 0.0:
         return None
     s = min(tol, epsilon, lam / (2.0 * M) if M > 0.0 else math.inf)
@@ -396,7 +406,7 @@ def _certified_ball(f, target, tol, epsilon):
         if norm(lane.sub(x, center)) <= s:
             return "converged", np.array(x), t, x
         return None
-    return _Ball(s, lam - M * s, reached)
+    return _Ball(s, lam - M * s, lam, reached)
 
 
 def _ball_certificate(f, traj, ball, dist, descent):
@@ -413,7 +423,7 @@ def _ball_certificate(f, traj, ball, dist, descent):
 
 def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     """The one reach pipeline: checks, ascent seed, escape, forward run and
-    report, by gradient descent under a StepSchedule or DP5 flow under
+    report, by gradient descent under a StepSchedule or DOP853 flow under
     FlowSettings.  A saddle target passes its escape radius ``delta``; a
     minimum's is the probed stability radius delta_hat capped at epsilon
     (budgets.delta_override skips the probe; the constant schedule at the
@@ -447,8 +457,8 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     if not saddle:
         if b.delta_override is None:
             probed = constant(dynamics.sup_alpha) if descent else dynamics
-            delta_hat = stability_probe(f, target, epsilon, probed, b.probe_samples,
-                                        b.seed).delta_hat
+            delta_hat = stability_probe(f, target, epsilon, probed, b.probe_samples, b.seed,
+                                        _lam=ball.lam if ball else None).delta_hat
         else:
             delta_hat = float(b.delta_override)
         delta = min(delta_hat, epsilon)
@@ -548,7 +558,7 @@ def _run_to_level(f, x0, s, level, gtol, max_iter):
 
 
 def _flow_to_level(f, x0, level, settings):
-    """Forward DP5 flow until f(x) <= level; returns (trajectory, crossing
+    """Forward DOP853 flow until f(x) <= level; returns (trajectory, crossing
     or None), the crossing located where f meets the level on the last
     step's dense output."""
     flow = _Flow(f, "forward", settings)

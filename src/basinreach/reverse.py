@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import LeftBoxError, dot, norm, sumsq
+from .landscape import LeftBoxError, dot, norm, row_norms, sumsq
 from .schedule import constant, require_admissible
 
 FIXED_POINT_RTOL = 1e-13
@@ -42,7 +42,9 @@ class ReverseOrbit:
     'left_box' when the construction escaped the operating box early and
     the orbit is partial; that exit is a legitimate escape event for the
     reachability pipeline.  forward_residuals[i] certifies
-    |x_{k+1} - (x_k - alpha_k grad(x_k))| for consecutive points.
+    |x_{k+1} - (x_k - alpha_k grad(x_k))| for consecutive points, and
+    gradients[i] is grad f(points[i]) as the construction took it, a point
+    of f's lane (``landscape.Lane``).
     """
 
     points: tuple
@@ -50,6 +52,12 @@ class ReverseOrbit:
     forward_residuals: tuple
     status: str = "complete"
     start_index: int = 0
+    gradients: tuple = ()
+
+    @property
+    def grad_norms(self):
+        """|grad f| at each point, taken row-wise over the kept gradients."""
+        return row_norms(np.array(self.gradients)).tolist()
 
 
 def _picard(f, base, lam, sign, tol_scale, g=None, seeds=()):
@@ -205,10 +213,11 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     With ``stop`` (constant schedules only) the march ends at the first
     point x, a point of f's lane, with stop(x), or after kbar steps; the K
     steps taken are indexed K-1 down to 0.  The anchor's gradient is taken
-    once, after the first stop test; each later solve starts from the
-    gradient and the norm its predecessor returned, and its mixing history
-    from the secant pairs of the last two steps, so m solves cost one
-    gradient plus their iterations less one each, and 2m + 1 norms.
+    once, after the first stop test (or at the end, when no step is
+    taken); each later solve starts from the gradient and the norm its
+    predecessor returned, and its mixing history from the secant pairs of
+    the last two steps, so m solves cost one gradient plus their iterations
+    less one each, and 2m + 1 norms.  The orbit keeps the gradients.
     """
     anchor = np.asarray(a, dtype=float)
     if kbar < 0:
@@ -222,7 +231,7 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     require_admissible(s, f, "prox", "reverse_orbit")
     lane = f._lane
     x, g, xnorm, pairs = lane.point(anchor), None, None, []
-    points, residuals = [anchor.copy()], []
+    points, residuals, grads = [anchor.copy()], [], []
     status = "complete"
     for k in range(kbar - 1, -1, -1):
         if stop is not None and stop(x):
@@ -230,6 +239,7 @@ def reverse_orbit(f, a, s, kbar, stop=None):
         alpha = s.alpha(k)
         if g is None:
             g = lane.grad(x)
+            grads.append(g)
         try:
             y, residual, gy, ynorm = _ascent_step(f, x, alpha, g,
                                                   _orbit_seeds(lane, pairs, alpha), xnorm)
@@ -240,6 +250,9 @@ def reverse_orbit(f, a, s, kbar, stop=None):
         x, g, xnorm = y, gy, ynorm
         points.append(np.array(x))
         residuals.append(residual)
+        grads.append(gy)
+    if g is None:
+        grads.append(lane.grad(x))
     points.reverse()
     residuals.reverse()
     return ReverseOrbit(
@@ -248,4 +261,5 @@ def reverse_orbit(f, a, s, kbar, stop=None):
         forward_residuals=tuple(residuals),
         status=status,
         start_index=0 if stop is not None else kbar - len(residuals),
+        gradients=tuple(grads[::-1]),
     )

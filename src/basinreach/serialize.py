@@ -12,7 +12,6 @@ import os
 
 import numpy as np
 
-from .landscape import row_norms
 from .schedule import format_schedule
 
 
@@ -49,14 +48,15 @@ def write_trajectory_csv(traj, path):
 
 def orbit_rows(orbit, f, s):
     """Orbit points in index order; t is the cumulative step sum, matching
-    the piecewise-linear interpolation parameterization of the iterates."""
+    the piecewise-linear interpolation parameterization of the iterates;
+    gnorm is the norm of the gradient the orbit kept at each point."""
     dim = orbit.anchor.size
     header = (["k", "t"] + [f"x_{i + 1}" for i in range(dim)]
               + ["f", "gnorm", "direction"])
     rows = [header]
     P = np.array(orbit.points)
     t = 0.0
-    columns = (P.tolist(), f.values(P).tolist(), row_norms(f.gradients(P)).tolist())
+    columns = (P.tolist(), f.values(P).tolist(), orbit.grad_norms)
     for i, (x, fv, gn) in enumerate(zip(*columns)):
         k = orbit.start_index + i
         rows.append([str(k), repr(t)] + [repr(c) for c in x] + [repr(fv), repr(gn), "reverse"])

@@ -1,7 +1,7 @@
 """Trajectory record shared by the discrete and continuous engines, and
 ``march``, the one stepping loop in the program: gradient descent
 (``run_gd``, ``reach._run_to_level``, each start of the discrete
-stability probe), adaptive Dormand-Prince 5(4) flow (``integrate``,
+stability probe), adaptive DOP853 flow (``integrate``,
 ``_sphere_exit_detail``, each start of the continuous probe,
 ``reach._flow_to_level``) and the Euler min-norm flow
 (``integrate_minnorm``).  Each of those passes in its step rule and its
@@ -9,7 +9,7 @@ own stop event; a crossing event locates its point on the step that
 reached it, by the linear interpolation of GD iterates or the flow's
 dense output.
 
-Gradient descent and DP5 run in their objective's lane
+Gradient descent and DOP853 run in their objective's lane
 (``landscape.Lane``): for dim <= 2 a point is a tuple of Python floats,
 stepped by unrolled arithmetic, with each gradient still taken by f.grad
 on a 1-D array; larger dims, and the Euler min-norm rule, keep ndarrays.

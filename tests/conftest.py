@@ -7,7 +7,8 @@ import pytest
 
 import basinreach as br
 import basinreach.flow as flow
-from basinreach.flow import ATOL, H_STABLE, PI_ALPHA, PI_BETA, PI_MAX, PI_MIN, PI_SAFE, RTOL
+from basinreach.flow import (ATOL, H_GUARD, H_STABLE, PI_ALPHA, PI_BETA, PI_MAX, PI_MIN, PI_SAFE,
+                            RTOL)
 from basinreach.landscape import LeftBoxError, dot, norm, sumsq
 from basinreach.reverse import _GRAM_RTOL, FIXED_POINT_RTOL
 from basinreach.trajectory import State
@@ -104,56 +105,53 @@ def rk4_flow(f, x0, sign, h, t_end):
     return rk4_step(field, x, t_end - n * h) if t_end > n * h else x
 
 
-# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5):
-# stage rows, the last one the 5th-order solution, and the error weights
-DP5_A = ((1 / 5,),
-         (3 / 40, 9 / 40),
-         (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
-DP5_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-
-def dp5_step(field, x, h):
-    """One Dormand-Prince 5(4) step on the signed field with ndarray
-    points: (x_new, the seven stages, error estimate), the stage sums
-    added term by term in order: the reference for flow._dp5_step, which
-    steps along grad f by the signed length sign * h on either lane."""
+def dop853_step(field, x, h):
+    """One DOP853 step on the signed field with ndarray points: (x_new, the
+    13 stages, the 5th- and 3rd-order error estimates), each sum added term
+    by term in order: the reference for flow._dop853_step, which steps
+    along grad f by the signed length sign * h on either lane.  It reads
+    flow's tables, which the tableau tests check on their own."""
     ks = [field(x)]
-    for row in DP5_A:
+    for row in flow._A:
         y = x
         for a, k in zip(row, ks):
             if a:
                 y = y + (h * a) * k
         ks.append(field(y))
-    err = x - x
-    for e, k in zip(DP5_E, ks):
-        if e:
-            err = err + (h * e) * k
-    return y, ks, err
+    errs = []
+    for weights in (flow._E5, flow._E3):
+        err = x - x
+        for e, k in zip(weights, ks):
+            if e:
+                err = err + (h * e) * k
+        errs.append(err)
+    return (y, ks, *errs)
 
 
-def dp5_flow(f, x0, sign, h, t_max, gtol=0.0, stop=None):
-    """Adaptive DP5 on sign * grad f with ndarray points, one State per
-    accepted step, until gtol, t_max, a box exit or ``stop(x)``.  A step is
-    accepted when |err| <= ATOL + RTOL max(|x|, |x_new|); the next trial
-    step follows Hairer's PI controller, never growing right after a
-    rejection nor past H_STABLE / L, and the step that would pass t_max is
-    clamped onto it."""
+def dop853_flow(f, x0, sign, h, t_max, gtol=0.0, stop=None):
+    """Adaptive DOP853 on sign * grad f with ndarray points, one State per
+    accepted step, until gtol, t_max, a box exit or ``stop(x)``.  The first
+    trial step is min(h, 0.1/L); a step is accepted when |e5|^2 / sqrt(|e5|^2
+    + 0.01 |e3|^2) <= ATOL + RTOL max(|x|, |x_new|); the next trial step
+    follows the PI controller, never growing right after a rejection nor
+    past H_STABLE / L, and the step that would pass t_max is clamped onto
+    it."""
     x = np.array(x0, dtype=float)
     field = lambda y: sign * f.gradient(y)
     g = field(x)
     states = [State(0, 0.0, x.copy(), f.value(x), norm(g))]
     t, err_old, k, attempts = 0.0, 1e-4, 0, 0
-    h_max = H_STABLE / f.lipschitz_L if f.lipschitz_L > 0.0 else math.inf
+    L = f.lipschitz_L
+    h, h_max = (min(h, H_GUARD / L), H_STABLE / L) if L > 0.0 else (h, math.inf)
     while states[-1].grad_norm >= gtol and t < t_max:
         rejected = False
         while True:
             dt = min(h, t_max - t)
-            x_new, ks, e = dp5_step(field, x, dt)
+            x_new, ks, e5, e3 = dop853_step(field, x, dt)
             attempts += 1
-            err = norm(e) / (ATOL + RTOL * max(norm(x), norm(x_new)))
+            e5sq = sumsq(e5)
+            err = ((e5sq / math.sqrt(e5sq + 0.01 * sumsq(e3)) if e5sq else 0.0)
+                   / (ATOL + RTOL * max(norm(x), norm(x_new))))
             if err <= 1.0:
                 break
             h, rejected = dt / min(1.0 / PI_MIN, err ** PI_ALPHA / PI_SAFE), True
@@ -161,23 +159,23 @@ def dp5_flow(f, x0, sign, h, t_max, gtol=0.0, stop=None):
         h = min(dt / max(1.0 / PI_MAX, min(1.0 / PI_MIN, fac)), h_max)
         h, err_old = min(h, dt) if rejected else h, max(err, 1e-4)
         t = t_max if dt == t_max - t else t + dt
-        x, g, k = x_new, ks[6], k + 1
+        x, g, k = x_new, ks[12], k + 1
         states.append(State(k, t, x.copy(), f.value(x), norm(g)))
         if not f.in_box(x) or (stop is not None and stop(x)):
             break
     return states, attempts
 
 
-def count_dp5_steps(monkeypatch):
-    """Record each attempted DP5 step: flow._dp5_step is patched for the
-    test, and the returned list gets (arguments, result) of every call."""
+def count_flow_steps(monkeypatch):
+    """Record each attempted DOP853 step: flow._dop853_step is patched for
+    the test, and the returned list gets (arguments, result) of every call."""
     calls = []
-    step = flow._dp5_step
+    step = flow._dop853_step
 
     def counted(*args):
         calls.append((args, step(*args)))
         return calls[-1][1]
-    monkeypatch.setattr(flow, "_dp5_step", counted)
+    monkeypatch.setattr(flow, "_dop853_step", counted)
     return calls
 
 

@@ -68,6 +68,18 @@ def test_run_flow(tmp_path):
     assert abs(float(x) - math.exp(-2.0)) <= 1e-8
 
 
+def test_run_flow_clamps_the_default_first_step(tmp_path):
+    # the default h = 1e-3 exceeds himmelblau's 0.1/L = 3.06e-4; the
+    # adaptive flow starts from 0.1/L instead of rejecting the config
+    out = str(tmp_path / "flow")
+    assert main(["run", "--procedure", "flow", "--function", "himmelblau", "--x0", "0,0",
+                 "--out", out]) == 0
+    summary = json.loads(read(os.path.join(out, "summary.json")))
+    assert summary["status"] == "converged"
+    rows = read(os.path.join(out, "trajectory.csv")).splitlines()
+    assert float(rows[2].split(b",")[1]) == 0.1 / 326.79215610874223
+
+
 def test_reach_from_config(tmp_path):
     cfg_path = tmp_path / "dw.json"
     cfg_path.write_text(json.dumps({

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import basinreach as br
+import basinreach.flow as flow
 from basinreach.landscape import LeftBoxError, norm
 
-from conftest import count_dp5_steps, counting, dp5_step, make_linear_1d, rk4_flow
+from conftest import (count_flow_steps, counting, dop853_step, make_linear_1d, rk4_flow,
+                      same_states)
 
 
 def settings(h=0.01, t_max=1.0, gtol=1e-12, refine=None):
@@ -24,9 +26,20 @@ def test_settings_validation():
     assert st.event_refine_tol == pytest.approx(1e-5)
 
 
-def test_h_guard(dw):
-    with pytest.raises(ValueError):
-        br.integrate(dw, [0.5], "forward", settings(h=0.01))  # 0.01 > 0.1/23
+def test_minnorm_h_guard(dw):
+    # the Euler min-norm flow steps by h itself: h > 0.1/L raises
+    with pytest.raises(ValueError, match="guard"):
+        br.integrate_minnorm(br.cap(dw, 0.0), [0.5], settings(h=0.01))  # 0.01 > 0.1/23
+
+
+def test_first_trial_step_clamped_to_the_guard(dw):
+    # the adaptive flow takes min(h, 0.1/L) as its first trial step: any
+    # larger h runs as h = 0.1/L does, state for state
+    clamped = br.integrate(dw, [0.5], "forward", settings(h=0.1 / dw.lipschitz_L))
+    for h in (0.01, 1.0):
+        traj = br.integrate(dw, [0.5], "forward", settings(h=h))
+        assert same_states(traj.states, clamped.states)
+    assert clamped.t[1] == 0.1 / dw.lipschitz_L
 
 
 def test_model_validation():
@@ -67,7 +80,7 @@ def test_energy_dissipation_quantified(quad1):
     # spread over its steps; f falls along the flow
     for h in (0.01, 0.005):
         traj = br.integrate(quad1, [1.0], "forward", settings(h=h))
-        assert traj.t[-1] == 1.0 and len(traj) > 10
+        assert traj.t[-1] == 1.0 and len(traj) > 5
         for a, b in zip(traj.states, traj.states[1:]):
             dt = b.t - a.t
             assert b.f_value <= a.f_value + 1e-12
@@ -91,34 +104,188 @@ LANES = [(br.make_builtin("quad", (1.0, 4.0)), [1.0, -0.5]),
 
 def test_flow_recurrence_recomputable(monkeypatch):
     # on both lanes, every attempted step, accepted or not, is the
-    # reference DP5 step on ndarrays bit for bit, and each state is the
+    # reference DOP853 step on ndarrays bit for bit, and each state is the
     # step it accepted
     for f, x0 in LANES:
-        calls = count_dp5_steps(monkeypatch)
+        calls = count_flow_steps(monkeypatch)
         traj = br.integrate(f, x0, "forward", settings(h=0.01, t_max=2.0))
         field = lambda y: -f.gradient(y)
         assert len(calls) >= len(traj) - 1 > 10
-        for (_, x, sh, _), (x_new, _, err) in calls:
-            ref, _, ref_err = dp5_step(field, np.array(x), -sh)
+        for (_, x, sh, _), (x_new, _, e5, e3) in calls:
+            ref, _, ref_e5, ref_e3 = dop853_step(field, np.array(x), -sh)
             assert ref.tobytes() == np.array(x_new).tobytes()
-            assert ref_err.tobytes() == np.array(err).tobytes()
+            assert ref_e5.tobytes() == np.array(e5).tobytes()
+            assert ref_e3.tobytes() == np.array(e3).tobytes()
         accepted = {np.array(out[0]).tobytes() for _, out in calls}
         assert all(x.tobytes() in accepted for x in traj.X[1:])
         monkeypatch.undo()
 
 
 def test_flow_step_reuses_gradient_as_k1(monkeypatch):
-    # a DP5 step takes 6 new gradients; its 7th stage is the gradient at
-    # the new point, which is both its |grad f| and the next step's k1
-    # (first same as last), so a run takes 1 + 6 per attempted step
+    # a DOP853 step takes 12 new gradients; its 13th stage is the gradient
+    # at the new point, which is both its |grad f| and the next step's k1
+    # (first same as last), so a run takes 1 + 12 per attempted step
     for f, x0 in LANES:
         f, counts = counting(f)
-        calls = count_dp5_steps(monkeypatch)
+        calls = count_flow_steps(monkeypatch)
         traj = br.integrate(f, x0, "forward", settings(h=0.01, t_max=0.5))
         steps = len(traj.states) - 1
         assert steps == len(calls) > 1 and traj.t[-1] == 0.5
-        assert counts == {"grad": 1 + 6 * steps, "value": 1 + steps}
+        assert counts == {"grad": 1 + 12 * steps, "value": 1 + steps}
         monkeypatch.undo()
+
+
+# --- the DOP853 tableau ------------------------------------------------------------
+
+# the nodes c_2..c_16 of DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.10): stages 2-12, the 8th-order point and the dense output's stages
+# 14-16; each row of the tableau sums to its node
+S6 = math.sqrt(6.0)
+NODES = ((12.0 - 2.0 * S6) / 135.0, (6.0 - S6) / 45.0, (6.0 - S6) / 30.0, (6.0 + S6) / 30.0,
+         1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0, 1.0, 0.1, 0.2, 7 / 9)
+
+
+def test_tableau_rows_sum_to_their_nodes():
+    rows = flow._A + flow._X
+    assert [len(row) for row in rows] == list(range(1, 16)) and len(NODES) == 15
+    for row, c in zip(rows, NODES):
+        assert abs(math.fsum(row) - c) <= 4e-16 * math.fsum(map(abs, row))
+    # both error estimates vanish on a constant field
+    for weights in (flow._E5, flow._E3):
+        assert len(weights) == 12
+        assert abs(math.fsum(weights)) <= 4e-16 * math.fsum(map(abs, weights))
+
+
+def test_weights_meet_their_quadrature_conditions():
+    # the weights w_i(theta) the dense output gives the 16 stages integrate
+    # t^(k-1) over [0, theta] exactly for k = 1..7 (order 7), and not for
+    # k = 8; the error weights vanish on t^(k-1) for k up to the order of
+    # their embedded method, 5 and 3
+    c = np.array((0.0,) + NODES)
+    f = br.make_builtin("quad", tuple(range(1, 17)))
+    fl = flow._Flow(f, "reverse", settings())
+    # the stages are unit vectors from the origin over unit time: at(theta) is w
+    fl.x, fl.dt, fl.ks = np.zeros(16), 1.0, list(np.eye(16))
+    for theta in (0.1, 0.5, 0.9):
+        w = fl.at(theta)
+        moments = [w @ c ** (k - 1) - theta ** k / k for k in range(1, 9)]
+        assert np.all(np.abs(moments[:7]) <= 1e-14) and abs(moments[7]) > 1e-6
+    for weights, order in ((flow._E5, 5), (flow._E3, 3)):
+        moments = [np.array(weights) @ c[:12] ** (k - 1) for k in range(1, order + 2)]
+        assert np.all(np.abs(moments[:order]) <= 1e-14) and abs(moments[order]) > 1e-4
+
+
+def stability_coefficients():
+    """The coefficients r_k = b^T A^(k-1) 1 of z^k in the stability function
+    R(z) of the 12-stage tableau, r_0 = 1."""
+    A = np.zeros((12, 12))
+    for i, row in enumerate(flow._A[:-1], 1):
+        A[i, :i] = row
+    b, v, out = np.array(flow._A[-1]), np.ones(12), [1.0]
+    for _ in range(12):
+        out.append(float(b @ v))
+        v = A @ v
+    return out
+
+
+def lane_R(f, z):
+    """R(z) as the DOP853 step makes it on f's lane, once per eigenvalue mu
+    of the quad f: the step of signed length z / mu along dx/dt = grad f(x)
+    from x = 1 in every coordinate, read in mu's coordinate."""
+    lane = f._lane
+    x = lane.point(np.ones(f.dim))
+    return [np.array(flow._dop853_step(lane, x, z / mu, lane.grad(x))[0])[i]
+            for i, mu in enumerate(f.params)]
+
+
+def test_stability_function_matches_exp_to_order_8():
+    # R(z) - e^z = O(z^9): the coefficients of z^0..z^8 are 1/k!, that of
+    # z^9 is not, and on both lanes the step makes R(z) with an error
+    # against e^z that falls by 2^9 as z halves
+    r = stability_coefficients()
+    for k in range(9):
+        assert r[k] == pytest.approx(1.0 / math.factorial(k), rel=1e-13)
+    assert r[9] != pytest.approx(1.0 / math.factorial(9), rel=1e-3)
+    R = np.polynomial.Polynomial(r)
+    for f, _ in LANES:
+        for z in (-1.0, -0.5, 0.5):
+            assert lane_R(f, z) == pytest.approx([R(z)] * f.dim, rel=1e-14)
+        err = [np.array(lane_R(f, z)) - math.exp(z) for z in (-0.5, -0.25)]
+        assert np.all((2.0 ** 8.5 <= err[0] / err[1]) & (err[0] / err[1] <= 2.0 ** 9.5))
+
+
+def test_stability_interval_holds_the_step_cap():
+    # |R(z)| <= 1 on [-H_STABLE, 0], on both lanes; the real stability
+    # interval ends just past it, at -6.39
+    R = np.polynomial.Polynomial(stability_coefficients())
+    for f, _ in LANES:
+        for z in np.linspace(-flow.H_STABLE, 0.0, 241):
+            assert max(map(abs, lane_R(f, z))) <= 1.0
+    assert abs(R(-6.39)) <= 1.0 < abs(R(-6.40))
+
+
+def test_dense_output_ends_on_the_step():
+    # on both lanes the dense output is the step's start at theta = 0 and
+    # its end at theta = 1, bit for bit; its first use on a step takes the
+    # 3 extra stages, and later uses none
+    for f, x0 in LANES:
+        f, counts = counting(f)
+        fl = flow._Flow(f, "forward", settings(h=0.05))
+        x = f._lane.point(x0)
+        _, x_new = fl.step(0, 0.0, x, f._lane.grad(x))
+        before = counts["grad"]
+        assert fl.at(0.0) is x
+        assert np.array(fl.at(1.0)).tobytes() == np.array(x_new).tobytes()
+        fl.at(0.5)
+        assert counts["grad"] == before + 3
+
+
+def rotated_quartic(dim):
+    """f(x) = u^4/4 + 3/2 (v^2 + w^2) in coordinates (u, v, w) = Qx, Q a
+    rotation by 0.5 rad in the first plane, and the exact flow of -grad f:
+    u(t) = u0 / sqrt(1 + 2 u0^2 t), v(t) = v0 e^(-3t)."""
+    c, s = math.cos(0.5), math.sin(0.5)
+    Q = np.eye(dim)
+    Q[:2, :2] = [[c, s], [-s, c]]
+
+    def grad(x):
+        g = 3.0 * (Q @ x)
+        g[0] = (Q @ x)[0] ** 3
+        return Q.T @ g
+
+    def exact(x0, t):
+        y = Q @ x0
+        out = y * math.exp(-3.0 * t)
+        out[0] = y[0] / math.sqrt(1.0 + 2.0 * y[0] ** 2 * t)
+        return Q.T @ out
+    def value(x):
+        y = Q @ x
+        return float(0.25 * y[0] ** 4 + 1.5 * np.dot(y[1:], y[1:]))
+    f = br.ObjectiveFunction(dim=dim, f=value, grad=grad, lipschitz_L=30.0,
+                             box=[[-3.0, 3.0]] * dim)
+    return f, exact
+
+
+@pytest.mark.parametrize("dim", [2, 3], ids=["float-lane", "ndarray-lane"])
+def test_local_errors_fall_at_their_orders(dim):
+    # one step of h and of h/2 from the same point of a smooth nonlinear
+    # field against its exact flow: the step's error falls by >= 2^8 (order
+    # 8, local error O(h^9)), the 5th- and 3rd-order estimates by >= 2^5 and
+    # 2^3, and the dense output's at theta = 1/4, 1/2, 3/4 by >= 2^7
+    f, exact = rotated_quartic(dim)
+    x0 = np.full(dim, 0.5)
+    lane, errors = f._lane, []
+    for h in (0.25, 0.125):
+        x = lane.point(x0)
+        x_new, ks, e5, e3 = flow._dop853_step(lane, x, -h, lane.grad(x))
+        fl = flow._Flow(f, "forward", settings(h=h))
+        fl.t, fl.x, fl.dt, fl.x_new, fl.ks = 0.0, x, h, x_new, ks  # as _Flow.step keeps it
+        dense = max(norm(np.array(fl.at(th)) - exact(x0, th * h)) for th in (0.25, 0.5, 0.75))
+        errors.append((norm(np.array(x_new) - exact(x0, h)), norm(e5), norm(e3), dense))
+    (step, est5, est3, dense), halved = errors
+    assert step >= 2.0 ** 8 * halved[0] and halved[0] > 1e-13
+    assert est5 >= 2.0 ** 5 * halved[1] and est3 >= 2.0 ** 3 * halved[2]
+    assert dense >= 2.0 ** 7 * halved[3]
 
 
 # --- min-norm flow -------------------------------------------------------------
@@ -260,7 +427,7 @@ def test_length_bound_zero_length(quad1):
     assert ok and lhs == 0.0 and rhs == 0.0
 
 
-# --- adaptive DP5 against fixed-step RK4 -------------------------------------------
+# --- adaptive DOP853 against fixed-step RK4 ----------------------------------------
 
 HB = br.make_builtin("himmelblau")
 DW = br.make_builtin("double_well")
@@ -284,15 +451,15 @@ def test_end_points_match_fine_fixed_step_rk4(f, x0, direction, t_end):
 
 
 def test_forward_flow_reaches_a_small_gtol_off_the_origin(monkeypatch):
-    # near (3, 2) the steps reach the stability boundary of the Hessian's
-    # larger eigenvalue; uncapped, that mode chatters at the tolerance,
-    # rtol |x| ~ 4e-10, holding |grad f| near 1.4e-8 until t_max with
-    # about 1,360 steps
-    calls = count_dp5_steps(monkeypatch)
+    # near (3, 2), where |x| ~ 3.6 sets the tolerance rtol |x| ~ 4e-10, the
+    # flow reaches |grad f| < 1e-9 within 80 attempted steps (960 gradient
+    # points), none longer than the cap H_STABLE / L = 6 / L, which keeps
+    # every mode of the Hessian inside the stability interval
+    calls = count_flow_steps(monkeypatch)
     traj = br.integrate(HB, [3.3, 2.4], "forward", br.FlowSettings(h=3e-4, t_max=50.0,
                                                                    gtol=1e-9))
     assert traj.terminal_status == "converged" and traj.gnorm[-1] < 1e-9
-    assert len(calls) <= 200 and np.diff(traj.t).max() <= 3.0 / HB.lipschitz_L * (1 + 1e-12)
+    assert len(calls) <= 80 and np.diff(traj.t).max() <= 6.0 / HB.lipschitz_L * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("f", [br.make_builtin("quad", (1.0, 4.0)), Q3, HB],

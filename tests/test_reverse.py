@@ -8,6 +8,7 @@ import basinreach as br
 import basinreach.reverse as reverse_mod
 from basinreach.landscape import norm, row_norms
 from basinreach.reverse import FIXED_POINT_RTOL, _picard
+from basinreach.serialize import write_reverse_part_csv
 
 from conftest import anderson_orbit, anderson_solve, counting, picard_solve
 
@@ -403,6 +404,29 @@ def test_orbit_matches_ndarray_picard(name, params, target):
     y = br.ascent_prox(f, anchor, s.alpha(0))
     assert y.shape == (f.dim,)
     assert y.tobytes() == anderson_solve(f, anchor, s.alpha(0), 1.0)[0].tobytes()
+
+
+@pytest.mark.parametrize("name,params,target", LANE_CASES,
+                         ids=["double_well", "himmelblau", "quad-2d", "quad-3d", "quad-4d"])
+def test_orbit_keeps_the_gradient_norms_of_its_points(name, params, target, tmp_path):
+    # the orbit keeps the gradient the construction took at each point: its
+    # norms are those of the batch over the points, bit for bit, on a
+    # complete, a stopped and a one-point orbit; writing the orbit takes no
+    # gradient
+    f, counts = counting(br.make_builtin(name, params))
+    s = br.constant(0.5 / f.lipschitz_L)
+    anchor = np.asarray(target) + 1e-4 * np.arange(1.0, f.dim + 1.0)
+    orbits = [br.reverse_orbit(f, anchor, s, 12),
+              br.reverse_orbit(f, anchor, s, 100, stop=lambda x: norm(x - anchor) > 1e-3),
+              br.reverse_orbit(f, anchor, s, 0)]
+    for orbit in orbits:
+        P = np.array(orbit.points)
+        assert orbit.grad_norms == row_norms(f.gradients(P)).tolist()
+    assert [len(orbits[0].points), len(orbits[2].points)] == [13, 1]
+    assert len(orbits[1].points) > 1
+    grads = counts["grad"]
+    write_reverse_part_csv(orbits[0], f, s, str(tmp_path / "reverse.csv"))
+    assert counts["grad"] == grads
 
 
 @pytest.mark.parametrize("params", [(1.0, 5.0), (1.0, 2.0, 5.0)], ids=["quad-2d", "quad-3d"])

@@ -18,7 +18,7 @@ import basinreach.flow as flow_mod
 import basinreach.reach as reach_mod
 import basinreach.reverse as reverse_mod
 
-from conftest import count_dp5_steps
+from conftest import count_flow_steps
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -95,24 +95,25 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
     assert solves == 12 and len(iters) == solves
     assert counts.since(snap)[workloads.GRAD] == 1 + sum(it - 1 for it in iters)
 
-    # DP5: one gradient at the start and 6 per attempted step, whose last
-    # stage is the new state's gradient; a sphere exit adds 1 at the
-    # crossing it locates on the dense output
-    calls = count_dp5_steps(monkeypatch)
+    # DOP853: one gradient at the start and 12 per attempted step, whose
+    # last stage is the new state's gradient; a sphere exit adds the 3
+    # extra stages of the dense output it locates the crossing on, and 1
+    # at the crossing
+    calls = count_flow_steps(monkeypatch)
     st = br.FlowSettings(h=0.05 / f.lipschitz_L, t_max=20.0, gtol=1e-8)
     snap = counts.snapshot()
     traj = br.integrate(f, x0, "forward", st)
     assert len(traj) > 10 and len(calls) >= len(traj) - 1
-    assert counts.since(snap)[workloads.GRAD] == 1 + 6 * len(calls)
+    assert counts.since(snap)[workloads.GRAD] == 1 + 12 * len(calls)
     calls.clear()
     snap = counts.snapshot()
     _, _, traj = flow_mod._sphere_exit_detail(f, anchor, "reverse", f.critical_points[0].point,
                                               0.3, st)
     assert len(calls) >= len(traj) - 1 > 10
-    assert counts.since(snap)[workloads.GRAD] == 1 + 6 * len(calls) + 1
+    assert counts.since(snap)[workloads.GRAD] == 1 + 12 * len(calls) + 3 + 1
 
-    # the probe: one gradient per GD state, or 1 per flow start and 6 per
-    # attempted DP5 step, beside what its capture certificate costs
+    # the probe: one gradient per GD state, or 1 per flow start and 12 per
+    # attempted DOP853 step, beside what its capture certificate costs
     target, eps = f.critical_points[0].point, 0.5
     snap = counts.snapshot()
     reach_mod._capture_level(f, target, eps, f.value(target))
@@ -126,7 +127,7 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
         states = sum(map(len, runs))
         flow = dynamics is st
         assert len(runs) >= 2 * f.dim and flow == (len(calls) > 0)
-        per_run = len(runs) + 6 * len(calls) if flow else states
+        per_run = len(runs) + 12 * len(calls) if flow else states
         assert counts.since(snap)[workloads.GRAD] == certificate + per_run
 
 
