@@ -47,7 +47,8 @@ PI_ALPHA = 1.0 / 8.0 - 0.75 * PI_BETA
 # dop853.f, as listed in scipy's BSD-licensed dop853_coefficients.py, rounded
 # to the nearest double.  The rows of _A give stages 2-12 and then the
 # 8th-order point, whose gradient is stage 13 (first same as last: the next
-# step's k1); _X gives the dense output's stages 14-16 from stages 1-15
+# step's k1), taken only once the step is accepted; _X gives the dense
+# output's stages 14-16 from stages 1-15
 _A = (
     (0.05260015195876773,),
     (0.0197250569845379, 0.0591751709536137),
@@ -171,15 +172,15 @@ def _comb(axpy, y, sh, weights, ks):
 def _dop853_step(lane, x, sh, g1):
     """One DOP853 step of signed length sh along dx/dt = grad(x), from g1 =
     grad(x), on points of the lane: (x_new, ks, e5, e3) with x_new the
-    8th-order point, ks the 13 stage gradients (ks[12] = grad(x_new), the
-    next step's g1) and e5, e3 the embedded 5th- and 3rd-order error
-    estimates.  sh = -h flows down f, sh = h up it."""
+    8th-order point, ks the 12 stage gradients the error estimates weigh
+    and e5, e3 the embedded 5th- and 3rd-order error estimates.  Stage 13,
+    grad(x_new), is left to the caller, which takes it only for a step it
+    accepts.  sh = -h flows down f, sh = h up it."""
     ks = [g1]
-    for row in _A:
-        y = _comb(lane.axpy, x, sh, row, ks)
-        ks.append(lane.grad(y))
-    zero = lane.sub(x, x)
-    return y, ks, _comb(lane.axpy, zero, sh, _E5, ks), _comb(lane.axpy, zero, sh, _E3, ks)
+    for row in _A[:-1]:
+        ks.append(lane.grad(_comb(lane.axpy, x, sh, row, ks)))
+    x_new, zero = _comb(lane.axpy, x, sh, _A[-1], ks), lane.sub(x, x)
+    return x_new, ks, _comb(lane.axpy, zero, sh, _E5, ks), _comb(lane.axpy, zero, sh, _E3, ks)
 
 
 def _start(f, x0):
@@ -193,10 +194,10 @@ class _Flow:
     """One adaptive DOP853 run on dx/dt = -grad f (forward) or +grad f
     (reverse) for :func:`march`: ``step`` retries a rejected step with a
     smaller one and keeps its own step size, the first min(settings.h,
-    H_GUARD / L), clamping the step that would pass t_max onto it;
-    ``field`` hands back stage 13 as the gradient at the state a step
-    reached; ``cross`` locates an event on the last step's dense output
-    ``at``."""
+    H_GUARD / L), clamping the step that would pass t_max onto it, and
+    takes stage 13, the gradient at the state a step reached, only once
+    the step is accepted; ``field`` hands that stage back; ``cross``
+    locates an event on the last step's dense output ``at``."""
 
     def __init__(self, f, direction, settings):
         if direction not in DIRECTIONS:
@@ -233,6 +234,7 @@ class _Flow:
         fac = err ** PI_ALPHA / self.err_old ** PI_BETA / PI_SAFE
         h = min(dt / max(1.0 / PI_MAX, min(1.0 / PI_MIN, fac)), self.h_max)
         self.h, self.err_old = min(h, dt) if rejected else h, max(err, 1e-4)
+        ks.append(self.lane.grad(x_new))
         self.t, self.x, self.dt, self.x_new, self.ks = t, x, dt, x_new, ks
         return (t_max if dt == t_max - t else t + dt), x_new
 

@@ -42,6 +42,7 @@ import dataclasses
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -119,9 +120,14 @@ def _ball_fits_box(f, center, radius):
 CAPTURE_GRID = 256
 
 
-def _lambda_min(f, target):
-    """The smallest eigenvalue of hess f(target)."""
-    return float(np.linalg.eigvalsh(f.hess(target))[0])
+def _spectrum(f, target):
+    """(lambda_min, v_max) of hess f(target) from one eigh: its smallest
+    eigenvalue and a unit eigenvector of its largest, signed so that its
+    largest-magnitude component (the first on ties) is positive, whatever
+    sign the LAPACK build returns."""
+    lam, V = np.linalg.eigh(f.hess(target))
+    v = V[:, -1]
+    return float(lam[0]), (v if v[np.argmax(np.abs(v))] > 0.0 else -v)
 
 
 def _capture_level(f, target, epsilon, f_star, lam=None):
@@ -135,7 +141,7 @@ def _capture_level(f, target, epsilon, f_star, lam=None):
     if not L > 0.0:
         return None
     if f.hessian_lipschitz == 0.0 and f.hessian is not None:
-        lam = _lambda_min(f, target) if lam is None else lam
+        lam = _spectrum(f, target)[0] if lam is None else lam
         return f_star + 0.5 * lam * epsilon * epsilon
     if f.dim == 1:
         return float(f.values(target + np.array([[-epsilon], [epsilon]])).min())
@@ -336,19 +342,22 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     return None
 
 
-def _first_escape(f, target, seed_radius, level, seed, axis_first, scales, cap, kbar_max):
+def _first_escape(f, target, seed_radius, level, seed, axis_first, lead, scales, cap, kbar_max):
     """(a, rho, dynamics, (x0, reverse part)) of the first ascent seed a
     that escapes, or None.  Seeds are a = target + seed_radius * d with
     f(a) strictly above the target value (floor 1e-12 * (1 + |level|)),
-    axis directions first unless ``axis_first`` is False, scanned afresh
-    for each (escape radius rho, dynamics) of ``scales`` in turn; each
-    direction is drawn only when the scan reaches it.  Under a schedule a
-    escapes by the reverse orbit whose root x0 lies outside B_rho and
-    within cap; under flow settings by the reverse flow to its crossing x0
-    of the rho-sphere, unless that flow leaves the box or never crosses."""
+    the directions ``lead`` first, then the axis directions and the
+    quasi-random ones, axes first unless ``axis_first`` is False, less any
+    direction equal to one of ``lead``; the scan starts afresh for each
+    (escape radius rho, dynamics) of ``scales`` in turn, and each direction
+    is drawn only when the scan reaches it.  Under a schedule a escapes by
+    the reverse orbit whose root x0 lies outside B_rho and within cap;
+    under flow settings by the reverse flow to its crossing x0 of the
+    rho-sphere, unless that flow leaves the box or never crosses."""
     floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
+    fresh = lambda d: not any(np.array_equal(d, v) for v in lead)
     for rho, dynamics in scales:
-        for d in directions(f.dim, SCAN_RANDOM, seed, axis_first):
+        for d in chain(lead, filter(fresh, directions(f.dim, SCAN_RANDOM, seed, axis_first))):
             a = target + seed_radius * d
             if not (f.in_box(a) and f.value(a) > level + floor):
                 continue
@@ -376,25 +385,20 @@ def _halvings(f, s, delta_hat, seed_radius):
 
 class _Ball(NamedTuple):
     """The certified ball B_s around a minimum (the module docstring): its
-    radius, mu_s, lambda_min, and the stop event for ``run_gd`` or
-    ``integrate``, which ends a run as converged on its first state within
-    s."""
+    radius, mu_s and the stop event for ``run_gd`` or ``integrate``, which
+    ends a run as converged on its first state within s."""
 
     s: float
     mu: float
-    lam: float
     event: object
 
 
-def _certified_ball(f, target, tol, epsilon):
-    """The _Ball around a minimum target, or None without a Hessian
-    Lipschitz constant, a positive definite Hessian there or room for B_s
-    in the box."""
+def _certified_ball(f, target, tol, epsilon, lam):
+    """The _Ball around a minimum target whose Hessian there has smallest
+    eigenvalue lam, or None without a Hessian Lipschitz constant, with lam
+    <= 0 or without room for B_s in the box."""
     M = f.hessian_lipschitz
-    if M is None or f.hessian is None:
-        return None
-    lam = _lambda_min(f, target)
-    if not lam > 0.0:
+    if M is None or not lam > 0.0:
         return None
     s = min(tol, epsilon, lam / (2.0 * M) if M > 0.0 else math.inf)
     if not _ball_fits_box(f, target, s):
@@ -406,7 +410,7 @@ def _certified_ball(f, target, tol, epsilon):
         if norm(lane.sub(x, center)) <= s:
             return "converged", np.array(x), t, x
         return None
-    return _Ball(s, lam - M * s, lam, reached)
+    return _Ball(s, lam - M * s, reached)
 
 
 def _ball_certificate(f, traj, ball, dist, descent):
@@ -433,9 +437,15 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     the forward run has a limit (its convergence point or level crossing)
     within tol; the distance is from the limit, else from the last state,
     and with the ball it is measured by the ball's own norm, so a run
-    stopped in B_s reports at most s.  A saddle target reports the limit as
-    its crossing and scans quasi-random directions before the axes, which
-    can lie on its stable manifold.
+    stopped in B_s reports at most s.  A minimum whose objective has a
+    Hessian takes one eigh of it at the target (``_spectrum``): lambda_min
+    sizes the certified ball and the probe's quadratic capture level, and
+    the seed scan leads with +-v_max, along which an ascent step grows
+    |x - target| by 1/(1 - alpha lambda_max) and f(a) - f* ~ lambda_max
+    r^2/2 > 0, so the orbit's length does not grow with the condition
+    number; the axes follow, then the quasi-random directions.  A saddle
+    target reports the limit as its crossing and scans quasi-random
+    directions before the axes, which can lie on its stable manifold.
     """
     saddle = delta is not None
     name = "reach_general" if saddle else "reach_discrete"
@@ -453,12 +463,13 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     if descent:
         require_admissible(dynamics, f, "prox", name)
 
-    ball = None if saddle else _certified_ball(f, target, tol, epsilon)
+    lam, v_max = (None, None) if saddle or f.hessian is None else _spectrum(f, target)
+    ball = None if lam is None else _certified_ball(f, target, tol, epsilon, lam)
     if not saddle:
         if b.delta_override is None:
             probed = constant(dynamics.sup_alpha) if descent else dynamics
             delta_hat = stability_probe(f, target, epsilon, probed, b.probe_samples, b.seed,
-                                        _lam=ball.lam if ball else None).delta_hat
+                                        _lam=lam).delta_hat
         else:
             delta_hat = float(b.delta_override)
         delta = min(delta_hat, epsilon)
@@ -471,7 +482,8 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
         gtol = b.gtol if b.gtol is not None else min(1e-8, 1e-3 * tol)
         scales = (_halvings(f, dynamics, delta, seed_radius) if descent and not saddle
                   else [(delta, dynamics)])
-        found = _first_escape(f, target, seed_radius, level, b.seed, not saddle, scales,
+        lead = () if v_max is None else (v_max, -v_max)
+        found = _first_escape(f, target, seed_radius, level, b.seed, not saddle, lead, scales,
                               epsilon if saddle else delta, b.kbar_max)
     if found is None:
         a = x0 = rev = fwd = None
@@ -587,6 +599,9 @@ def reach_general(f, target, epsilon, dynamics, seed_radius, tol=1e-2, delta=Non
     replay, and linear interpolation to the first crossing of the level
     f(target).  Under both the distance shrinks with seed_radius.
     Axis directions are scanned last: they can lie on the stable manifold.
+    No eigenvector leads the scan, as +-v_max does at a minimum: a
+    saddle's top eigenvector is tangent to its stable manifold, from which
+    the forward run creeps back to the saddle above the level it stops at.
     """
     return _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets,
                   float(0.5 * epsilon if delta is None else delta))

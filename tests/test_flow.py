@@ -122,9 +122,10 @@ def test_flow_recurrence_recomputable(monkeypatch):
 
 
 def test_flow_step_reuses_gradient_as_k1(monkeypatch):
-    # a DOP853 step takes 12 new gradients; its 13th stage is the gradient
-    # at the new point, which is both its |grad f| and the next step's k1
-    # (first same as last), so a run takes 1 + 12 per attempted step
+    # a DOP853 step takes 11 new gradients for its stages 2-12, and an
+    # accepted one a 12th: its stage 13, the gradient at the new point, which
+    # is both its |grad f| and the next step's k1 (first same as last), so a
+    # run without rejections takes 1 + 12 per step
     for f, x0 in LANES:
         f, counts = counting(f)
         calls = count_flow_steps(monkeypatch)
@@ -279,7 +280,8 @@ def test_local_errors_fall_at_their_orders(dim):
         x = lane.point(x0)
         x_new, ks, e5, e3 = flow._dop853_step(lane, x, -h, lane.grad(x))
         fl = flow._Flow(f, "forward", settings(h=h))
-        fl.t, fl.x, fl.dt, fl.x_new, fl.ks = 0.0, x, h, x_new, ks  # as _Flow.step keeps it
+        # as _Flow.step keeps an accepted step, with its stage 13
+        fl.t, fl.x, fl.dt, fl.x_new, fl.ks = 0.0, x, h, x_new, ks + [lane.grad(x_new)]
         dense = max(norm(np.array(fl.at(th)) - exact(x0, th * h)) for th in (0.25, 0.5, 0.75))
         errors.append((norm(np.array(x_new) - exact(x0, h)), norm(e5), norm(e3), dense))
     (step, est5, est3, dense), halved = errors
@@ -452,8 +454,8 @@ def test_end_points_match_fine_fixed_step_rk4(f, x0, direction, t_end):
 
 def test_forward_flow_reaches_a_small_gtol_off_the_origin(monkeypatch):
     # near (3, 2), where |x| ~ 3.6 sets the tolerance rtol |x| ~ 4e-10, the
-    # flow reaches |grad f| < 1e-9 within 80 attempted steps (960 gradient
-    # points), none longer than the cap H_STABLE / L = 6 / L, which keeps
+    # flow reaches |grad f| < 1e-9 within 80 attempted steps (at most 960
+    # gradient points), none longer than the cap H_STABLE / L = 6 / L, which keeps
     # every mode of the Hessian inside the stability interval
     calls = count_flow_steps(monkeypatch)
     traj = br.integrate(HB, [3.3, 2.4], "forward", br.FlowSettings(h=3e-4, t_max=50.0,

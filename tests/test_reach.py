@@ -220,16 +220,17 @@ def test_probe_rowwise_objective_gives_same_estimate(quad14):
 
 def test_probe_evaluation_counts(monkeypatch, quad14, himmelblau):
     # a continuous step reuses the gradient behind |grad f| as its DOP853
-    # k1: 12 gradient points per attempted step and 1 value per state, plus
-    # 1 each at the start; the quad certificate is a closed form and costs
-    # nothing
+    # k1: 12 gradient points per accepted step, 11 per rejected one and 1
+    # value per state, plus 1 each at the start; the quad certificate is a
+    # closed form and costs nothing
     f, counts = counting(quad14)
     calls = count_flow_steps(monkeypatch)
     st = br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6)
     _, runs = probe_runs(f, [0.0, 0.0], 1.0, st)
     steps = sum(len(r.states) - 1 for r in runs)
     assert 0 < steps <= len(calls)
-    assert counts == {"grad": len(runs) + 12 * len(calls), "value": len(runs) + steps}
+    assert counts == {"grad": len(runs) + 12 * steps + 11 * (len(calls) - steps),
+                      "value": len(runs) + steps}
     # a GD state costs one gradient and one value; the 1-D certificate takes
     # the 2 sphere values, the 2-D one 256 values and 256 gradients
     f, counts = counting(WIDE_DW)
@@ -368,6 +369,87 @@ def test_reach_discrete_himmelblau(himmelblau):
     s = br.constant(0.5 / himmelblau.lipschitz_L)
     rep = br.reach_discrete(himmelblau, [3.0, 2.0], 1.0, s, 1e-3, 1e-3)
     assert rep.status == "success" and rep.final_distance <= 1e-3
+
+
+# --- ascent seeds -----------------------------------------------------------------
+
+def test_seed_does_not_depend_on_the_eigenvector_sign(monkeypatch, himmelblau):
+    # the first seed lies along v_max, the top eigenvector of the target's
+    # Hessian, signed so that its largest-magnitude component is positive:
+    # (0.924, 0.383) at (3, 2), whichever sign eigh returns, so a flipped
+    # factorisation gives the same seed, x0 and replay, byte for byte
+    target = np.array([3.0, 2.0])
+    s = br.constant(0.5 / himmelblau.lipschitz_L)
+    run = lambda: br.reach_discrete(himmelblau, target, 1.0, s, 1e-3, 1e-3)
+    rep = run()
+    v = np.linalg.eigh(himmelblau.hess(target))[1][:, -1]
+    v = v if v[0] > 0.0 else -v
+    assert v[0] > abs(v[1]) and np.array_equal(rep.ascent_seed, target + 1e-3 * v)
+    eigh = np.linalg.eigh
+
+    def flipped_eigh(H):
+        w, V = eigh(H)
+        return w, -V
+
+    monkeypatch.setattr(np.linalg, "eigh", flipped_eigh)
+    flipped = run()
+    assert rep.status == flipped.status == "success"
+    for name in ("ascent_seed", "x0", "final_distance"):
+        assert np.array(getattr(flipped, name)).tobytes() == np.array(getattr(rep, name)).tobytes()
+    assert flipped.forward_part.X.tobytes() == rep.forward_part.X.tobytes()
+
+
+def test_no_escape_scan_tries_each_direction_once_per_scale(monkeypatch, quad14):
+    # quad:1,4's top eigenvector is the axis e_2: the scan leads with +-e_2
+    # and skips that axis pair after it, so where no orbit escapes (kbar_max
+    # = 1) each scale tries its 2 dim + SCAN_RANDOM distinct seeds once
+    tried = []
+    crossing = reach_mod._first_crossing_orbit
+
+    def logged(f, a, s, rho, *rest):
+        tried.append((rho, a.tobytes()))
+        return crossing(f, a, s, rho, *rest)
+
+    monkeypatch.setattr(reach_mod, "_first_crossing_orbit", logged)
+    rep = br.reach_discrete(quad14, [0.0, 0.0], 1.0, br.constant(0.5 / quad14.lipschitz_L),
+                            1e-3, 1e-4, br.ReachBudgets(kbar_max=1))
+    assert rep.status == "no_escape"
+    scales = [rho for rho, _ in itertools.groupby(tried, key=lambda t: t[0])]
+    assert len(scales) == len(set(scales)) == reach_mod.ALPHA_SHRINKS + 1
+    for rho in scales:
+        seeds = [a for r, a in tried if r == rho]
+        assert len(seeds) == len(set(seeds)) == 2 * 2 + reach_mod.SCAN_RANDOM
+        assert seeds[:2] == [np.array([0.0, 1e-3]).tobytes(), np.array([0.0, -1e-3]).tobytes()]
+
+
+@pytest.mark.parametrize("kind,ceiling", [("constant", 150), ("power", 300)])
+def test_minimum_reach_cost_does_not_grow_with_the_condition_number(kind, ceiling):
+    # along the top eigenvector an ascent step at alpha = 0.5/L doubles the
+    # distance to the target whatever kappa is: with the probe skipped,
+    # quad:1,kappa costs the same gradient points at every kappa, and with
+    # it stays under the ceiling (axis first, the e_1 seed took 131,185 and
+    # 229,229 at kappa = 1e4)
+    grads = {}
+    for kappa, override in itertools.product((4.0, 1e2, 1e4), (1.0, None)):
+        f, counts = counting(br.make_builtin("quad", (1.0, kappa)))
+        alpha = 0.5 / f.lipschitz_L
+        s = br.constant(alpha) if kind == "constant" else br.power(alpha, 0.5)
+        rep = br.reach_discrete(f, [0.0, 0.0], 1.0, s, 1e-3, 1e-4,
+                                br.ReachBudgets(delta_override=override))
+        assert rep.status == "success" and rep.final_distance <= 1e-4
+        grads[kappa, override] = counts["grad"]
+    assert len({grads[kappa, 1.0] for kappa in (4.0, 1e2, 1e4)}) == 1
+    assert max(grads[kappa, None] for kappa in (4.0, 1e2, 1e4)) < ceiling
+
+
+def test_objective_without_hessian_seeds_along_the_first_axis(quad14):
+    # no Hessian, no v_max: the scan starts at e_1, where with the Hessian
+    # it starts at quad:1,4's top eigenvector e_2
+    s = br.constant(0.5 / quad14.lipschitz_L)
+    for f, first in ((dataclasses.replace(quad14, hessian=None), [1e-3, 0.0]),
+                     (quad14, [0.0, 1e-3])):
+        rep = br.reach_discrete(f, [0.0, 0.0], 1.0, s, 1e-3, 1e-4)
+        assert rep.status == "success" and np.array_equal(rep.ascent_seed, first)
 
 
 def lattice_fmax(f, target, radius, n_grid):
@@ -815,8 +897,8 @@ def test_reach_continuous_double_well(dw):
 
 # the objectives of the benchmark's flow_minima workload at its step h:
 # attempted DOP853 steps of the forward flow from x0 and of the reverse flow
-# to the sphere, 12 gradient points each, stay below these ceilings, with at
-# most max_rejected rejected in either run
+# to the sphere, at most 12 gradient points each, stay below these ceilings,
+# with at most max_rejected rejected in either run
 @pytest.mark.parametrize("name,params,target,eps,h,forward_max,reverse_max,max_rejected", [
     ("double_well", (), [-1.0], 0.4, 1e-3, 40, 25, 2),
     ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, 1e-2, 60, 35, 2),
@@ -940,10 +1022,10 @@ def test_saddle_seed_scan_draws_directions_on_demand(monkeypatch, himmelblau, mo
 
 
 def test_flow_to_level_evaluation_counts(monkeypatch, himmelblau):
-    # 1 gradient at the start and 12 per attempted step, the run ending on
-    # the first state at or below the level; 1 value per state, and the
-    # crossing, located on the last step's dense output, costs values and
-    # that output's 3 extra stages
+    # 1 gradient at the start, 12 per accepted step and 11 per rejected one,
+    # the run ending on the first state at or below the level; 1 value per
+    # state, and the crossing, located on the last step's dense output,
+    # costs values and that output's 3 extra stages
     saddle = himmelblau.critical_points[8]
     f, counts = counting(himmelblau)
     calls = count_flow_steps(monkeypatch)
@@ -951,7 +1033,8 @@ def test_flow_to_level_evaluation_counts(monkeypatch, himmelblau):
     traj, crossing = reach_mod._flow_to_level(f, saddle.point + [0.05, 0.03], saddle.f_value, st)
     assert crossing is not None and traj.limit is crossing
     assert traj.f[-2] > saddle.f_value >= traj.f[-1]
-    assert counts["grad"] == 1 + 12 * len(calls) + 3
+    accepted = len(traj) - 1
+    assert counts["grad"] == 1 + 12 * accepted + 11 * (len(calls) - accepted) + 3
     assert len(traj) < counts["value"] <= len(traj) + 10
 
 

@@ -95,8 +95,8 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
     assert solves == 12 and len(iters) == solves
     assert counts.since(snap)[workloads.GRAD] == 1 + sum(it - 1 for it in iters)
 
-    # DOP853: one gradient at the start and 12 per attempted step, whose
-    # last stage is the new state's gradient; a sphere exit adds the 3
+    # DOP853: one gradient at the start, 12 per accepted step, whose last
+    # stage is the new state's gradient, and 11 per rejected one; a sphere exit adds the 3
     # extra stages of the dense output it locates the crossing on, and 1
     # at the crossing
     calls = count_flow_steps(monkeypatch)
@@ -104,16 +104,19 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
     snap = counts.snapshot()
     traj = br.integrate(f, x0, "forward", st)
     assert len(traj) > 10 and len(calls) >= len(traj) - 1
-    assert counts.since(snap)[workloads.GRAD] == 1 + 12 * len(calls)
+    accepted = len(traj) - 1
+    assert counts.since(snap)[workloads.GRAD] == 1 + 12 * accepted + 11 * (len(calls) - accepted)
     calls.clear()
     snap = counts.snapshot()
     _, _, traj = flow_mod._sphere_exit_detail(f, anchor, "reverse", f.critical_points[0].point,
                                               0.3, st)
     assert len(calls) >= len(traj) - 1 > 10
-    assert counts.since(snap)[workloads.GRAD] == 1 + 12 * len(calls) + 3 + 1
+    accepted = len(traj) - 1
+    assert counts.since(snap)[workloads.GRAD] == (1 + 12 * accepted + 11 * (len(calls) - accepted)
+                                                  + 3 + 1)
 
-    # the probe: one gradient per GD state, or 1 per flow start and 12 per
-    # attempted DOP853 step, beside what its capture certificate costs
+    # the probe: one gradient per GD state, or 1 per flow start, 12 per
+    # accepted DOP853 step and 11 per rejected one, beside what its capture certificate costs
     target, eps = f.critical_points[0].point, 0.5
     snap = counts.snapshot()
     reach_mod._capture_level(f, target, eps, f.value(target))
@@ -127,7 +130,8 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
         states = sum(map(len, runs))
         flow = dynamics is st
         assert len(runs) >= 2 * f.dim and flow == (len(calls) > 0)
-        per_run = len(runs) + 12 * len(calls) if flow else states
+        accepted = states - len(runs)
+        per_run = len(runs) + 12 * accepted + 11 * (len(calls) - accepted) if flow else states
         assert counts.since(snap)[workloads.GRAD] == certificate + per_run
 
 

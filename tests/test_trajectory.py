@@ -118,12 +118,16 @@ def test_integrate_matches_reference(f, x0, direction, h):
 def test_rejected_steps_are_retried_as_in_the_reference(monkeypatch):
     # a rejected step is retried from the same state with the controller's
     # smaller step; the run still matches the reference state for state
+    # and costs its 11 stages 2-12: stage 13 waits for an accepted step
+    f, counts = counting(DW)
     calls = count_flow_steps(monkeypatch)
     st = br.FlowSettings(h=1e-3, t_max=3.0, gtol=1e-6)
-    traj = br.integrate(DW, [0.5], "forward", st)
+    traj = br.integrate(f, [0.5], "forward", st)
     ref, attempts = dop853_flow(DW, [0.5], -1.0, st.h, st.t_max, st.gtol)
     assert same_states(traj.states, ref)
-    assert len(calls) == attempts > len(traj) - 1
+    accepted = len(traj) - 1
+    assert len(calls) == attempts > accepted
+    assert counts["grad"] == 1 + 12 * accepted + 11 * (len(calls) - accepted)
 
 
 @pytest.mark.parametrize("f,target,offset,direction,delta,h", [
@@ -157,8 +161,8 @@ def test_sphere_exit_matches_reference(f, target, offset, direction, delta, h):
 
 
 def test_sphere_exit_evaluates_no_gradient_past_the_sphere(monkeypatch):
-    # 1 gradient at the start, 12 per attempted DOP853 step, rejected or not
-    # (the 13th stage is the next state's gradient), 3 for the dense
+    # 1 gradient at the start, 12 per accepted DOP853 step (the 13th stage
+    # is the next state's gradient) and 11 per rejected one, 3 for the dense
     # output's extra stages on the step that leaves the sphere and 1 at the
     # located crossing: that step is the last, and locating the crossing
     # takes no further gradient
@@ -166,8 +170,9 @@ def test_sphere_exit_evaluates_no_gradient_past_the_sphere(monkeypatch):
     calls = count_flow_steps(monkeypatch)
     st = br.FlowSettings(h=3e-4, t_max=20.0, gtol=1e-8)
     _, _, traj = _sphere_exit_detail(f, [3.001, 2.002], "reverse", [3.0, 2.0], 0.3, st)
-    assert len(calls) >= len(traj) - 1
-    assert counts["grad"] == 1 + 12 * len(calls) + 3 + 1
+    accepted = len(traj) - 1
+    assert len(calls) > accepted
+    assert counts["grad"] == 1 + 12 * accepted + 11 * (len(calls) - accepted) + 3 + 1
 
 
 def test_minnorm_matches_reference():
