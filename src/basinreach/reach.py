@@ -32,10 +32,14 @@ d/dt |x - x*|^2 <= -2 mu_s |x - x*|^2; DOP853 follows it to its accuracy,
 the standard the probe's capture set rests on too.  The run ends there as
 converged, the limit that state, with provenance stopped_on =
 "certified_ball" and a ``certificate``: s, mu_s, distance_bound = |x_m -
-x*| and, for GD, length_bound = the measured prefix + (L / mu_s) |x_m -
-x*|, as the tail sum_k alpha_k |grad f(x_k)| <= L sum_k alpha_k |x_k -
-x*| telescopes against the contraction.  Saddle targets, objectives
-without M and the run, probe and eos procedures keep running to gtol.
+x*| and, for GD, length_bound = the measured prefix + (L_s / mu_s) |x_m
+- x*|, L_s = min(L, lambda_max + M s) >= the top of every Hessian's
+spectrum on B_s (lambda_max = lambda_max(hess f(target)); the Hessian
+moves by at most M s there), as the tail sum_k alpha_k |grad f(x_k)| <=
+L_s sum_k alpha_k |x_k - x*| telescopes against the contraction.  The
+stability probe passes a start on its first state in the same ball at
+tol = inf, r = min(epsilon, lambda_min / (2M)).  Saddle targets,
+objectives without M and the run and eos procedures keep running to gtol.
 """
 
 import dataclasses
@@ -121,28 +125,23 @@ CAPTURE_GRID = 256
 
 
 def _spectrum(f, target):
-    """(lambda_min, v_max) of hess f(target) from one eigh: its smallest
-    eigenvalue and a unit eigenvector of its largest, signed so that its
-    largest-magnitude component (the first on ties) is positive, whatever
-    sign the LAPACK build returns."""
+    """(lambda_min, lambda_max, v_max) of hess f(target) from one eigh: its
+    extreme eigenvalues and a unit eigenvector of the largest, signed so
+    that its largest-magnitude component (the first on ties) is positive,
+    whatever sign the LAPACK build returns."""
     lam, V = np.linalg.eigh(f.hess(target))
     v = V[:, -1]
-    return float(lam[0]), (v if v[np.argmax(np.abs(v))] > 0.0 else -v)
+    return float(lam[0]), float(lam[-1]), (v if v[np.argmax(np.abs(v))] > 0.0 else -v)
 
 
-def _capture_level(f, target, epsilon, f_star, lam=None):
-    """c <= min f on the epsilon-sphere around target, or None.  Exactly
-    quadratic (M = 0): f* + lambda_min(hess f) epsilon^2 / 2, with lam that
-    eigenvalue when the caller has it; 1-D: the smaller sphere value; 2-D:
-    each of N = CAPTURE_GRID circle points y_i lies within the chord d = 2
-    epsilon sin(pi/(2N)) of its arc, where f >= f(y_i) - |grad f(y_i)| d -
-    L d^2/2, less 1e-12 (1 + |f(y_i)|)."""
+def _capture_level(f, target, epsilon):
+    """c <= min f on the epsilon-sphere around target, or None.  1-D: the
+    smaller sphere value; 2-D: each of N = CAPTURE_GRID circle points y_i
+    lies within the chord d = 2 epsilon sin(pi/(2N)) of its arc, where f >=
+    f(y_i) - |grad f(y_i)| d - L d^2/2, less 1e-12 (1 + |f(y_i)|)."""
     L = f.lipschitz_L
     if not L > 0.0:
         return None
-    if f.hessian_lipschitz == 0.0 and f.hessian is not None:
-        lam = _spectrum(f, target)[0] if lam is None else lam
-        return f_star + 0.5 * lam * epsilon * epsilon
     if f.dim == 1:
         return float(f.values(target + np.array([[-epsilon], [epsilon]])).min())
     if f.dim != 2:
@@ -181,22 +180,38 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     under a StepSchedule or forward ``integrate`` under FlowSettings (whose
     gtol replaces ``gtol``), bit for bit, with their stops.  It also stops
     at its first state outside the ball (a failure, stopped_on =
-    "left_ball") or in the capture set below (converged, no limit,
-    stopped_on = "capture_set", unless |grad f| < gtol there too).
+    "left_ball"), in the certified ball B_r below (converged, the target
+    its limit, stopped_on = "certified_ball", with r as ``s`` and mu_r as
+    ``mu_s``) or in the capture set K below (converged, no limit,
+    stopped_on = "capture_set"); a stop where |grad f| < gtol is reported
+    as the full run would report it.  A run stops on its first state in K
+    or B_r; a state in both is reported as in B_r, the stronger claim.
 
-    Capture set: for exactly quadratic, 1-D and 2-D objectives,
-    ``capture_level`` c is a certified lower bound of f on the
-    epsilon-sphere, and a run passes once it enters K = {x in B_epsilon :
-    f(x) < c}.  With alpha < 2/L the descent lemma gives f(x - t alpha g)
-    <= f(x) < c for t in [0, 1], so a GD step from K never crosses the
-    sphere; the exact flow is monotone in f (DOP853 follows it to its
-    accuracy).  In K, sum alpha_k (1 - alpha_k L/2) |g_k|^2 < inf, so a
-    nonsummable schedule forces liminf |g_k| = 0: a captured run stays in
-    B_epsilon and reaches gtol for all time, not only within budget.  That
-    its limit is the target is not claimed; the full runs do not check it
-    either.  Every start within ``delta_cert`` = sqrt(2 (c - f*)/L) of the
-    target lies in K.  (``_lam``, private: lambda_min(hess f(target)) when
-    a reach has taken it already.)
+    Certified ball: B_r is the reach's certified ball at tol = inf (the
+    module docstring), r = min(epsilon, lambda_min / (2M)), epsilon when M
+    = 0; on it the Hessian spectrum lies in [mu_r, L].  A GD step with
+    alpha < 2/L multiplies |x - x*| by at most max(1 - alpha mu_r, alpha L
+    - 1) < 1 and the exact flow by exp(-mu_r t), so a run that enters B_r
+    converges to the target itself (DOP853 follows the flow to its
+    accuracy).  A state counts as in B_r up to the containment test's
+    rounding slack, a relative 1e-9, which lowers mu_r by at most 1e-9 M
+    r: a sphere start at radius r = epsilon passes at once.  Without a
+    Hessian or M there is no B_r.  (``_lam``, private: lambda_min when a
+    reach has taken it already; else the probe takes one eigh itself.)
+
+    Capture set: for 1-D and 2-D objectives ``capture_level`` c is a
+    certified lower bound of f on the epsilon-sphere, and a run passes
+    once it enters K = {x in B_epsilon : f(x) < c}.  With alpha < 2/L the
+    descent lemma gives f(x - t alpha g) <= f(x) < c for t in [0, 1], so a
+    GD step from K never crosses the sphere; the exact flow is monotone in
+    f (DOP853 follows it to its accuracy).  In K, sum alpha_k (1 - alpha_k
+    L/2) |g_k|^2 < inf, so a nonsummable schedule forces liminf |g_k| = 0:
+    a captured run stays in B_epsilon and reaches gtol for all time, not
+    only within budget.  That its limit is the target is not claimed for
+    K; the full runs do not check it either.  c is not taken when B_r is
+    all of B_epsilon (as when M = 0), where K adds nothing.  Every start
+    within ``delta_cert`` = max(sqrt(2 (c - f*)/L), r) of the target lies
+    in K or B_r (r alone without c, None without either).
     """
     descent = _descends(dynamics, "stability_probe")
     target = np.asarray(target, dtype=float)
@@ -210,9 +225,16 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
 
     dirs = unit_directions(f.dim, n_samples, seed)
     contain = epsilon * (1.0 + 1e-9)
-    c = _capture_level(f, target, epsilon, entry.f_value, _lam)
-    delta_cert = None if c is None else math.sqrt(
-        2.0 * max(c - entry.f_value, 0.0) / f.lipschitz_L)
+    lam = _lam
+    if lam is None and f.hessian is not None and f.hessian_lipschitz is not None:
+        lam = _spectrum(f, target)[0]
+    ball = None if lam is None else _certified_ball(f, target, math.inf, epsilon, lam)
+    inner = -1.0 if ball is None else ball.s * (1.0 + 1e-9)
+    c = None if ball is not None and ball.s >= epsilon else _capture_level(f, target, epsilon)
+    radii = [] if ball is None else [ball.s]
+    if c is not None:
+        radii.append(math.sqrt(2.0 * max(c - entry.f_value, 0.0) / f.lipschitz_L))
+    delta_cert = max(radii, default=None)
     lane = f._lane
     center = lane.point(target)
     if descent:
@@ -226,10 +248,13 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
         prov = {"producer": "flow", "f": f, "direction": "forward", "settings": dynamics}
 
     def held(prev, t, x, fx):
-        # inside the box: the ball decides a failure, the capture set a pass
+        # inside the box: the epsilon-ball decides a failure, B_r or K a pass
         if lane.inside(x):
-            if not norm(lane.sub(x, center)) <= contain:
+            dist = norm(lane.sub(x, center))
+            if not dist <= contain:
                 return "left_ball", None, t, x
+            if dist <= inner:
+                return "certified_ball", np.array(target), t, x
             if c is not None and fx < c:
                 return "capture_set", None, t, x
         return None
@@ -237,10 +262,12 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     def passes(start):
         steps, status, limit = run(start)
         stopped_on = {}
-        if status == "capture_set" and steps[-1][2] < gtol:  # converged, as a full run
-            status, limit = "converged", np.array(steps[-1][1])
+        if status in ("capture_set", "certified_ball") and steps[-1][2] < gtol:
+            status, limit = "converged", np.array(steps[-1][1])  # as a full run
         elif status == "capture_set":
             status, stopped_on = "converged", {"stopped_on": status, "capture_level": c}
+        elif status == "certified_ball":
+            status, stopped_on = "converged", {"stopped_on": status, "s": ball.s, "mu_s": ball.mu}
         elif status == "left_ball":
             status, stopped_on = "budget_exhausted", {"stopped_on": status}
         recorded(f, steps, status, limit, dict(prov, **stopped_on))
@@ -385,18 +412,19 @@ def _halvings(f, s, delta_hat, seed_radius):
 
 class _Ball(NamedTuple):
     """The certified ball B_s around a minimum (the module docstring): its
-    radius, mu_s and the stop event for ``run_gd`` or ``integrate``, which
-    ends a run as converged on its first state within s."""
+    radius, mu_s, L_s and the stop event for ``run_gd`` or ``integrate``,
+    which ends a run as converged on its first state within s."""
 
     s: float
     mu: float
+    L: float
     event: object
 
 
-def _certified_ball(f, target, tol, epsilon, lam):
-    """The _Ball around a minimum target whose Hessian there has smallest
-    eigenvalue lam, or None without a Hessian Lipschitz constant, with lam
-    <= 0 or without room for B_s in the box."""
+def _certified_ball(f, target, tol, epsilon, lam, lam_max=math.inf):
+    """The _Ball around a minimum target whose Hessian there has extreme
+    eigenvalues lam and lam_max, or None without a Hessian Lipschitz
+    constant, with lam <= 0 or without room for B_s in the box."""
     M = f.hessian_lipschitz
     if M is None or not lam > 0.0:
         return None
@@ -410,14 +438,14 @@ def _certified_ball(f, target, tol, epsilon, lam):
         if norm(lane.sub(x, center)) <= s:
             return "converged", np.array(x), t, x
         return None
-    return _Ball(s, lam - M * s, reached)
+    return _Ball(s, lam - M * s, min(f.lipschitz_L, lam_max + M * s), reached)
 
 
 def _ball_certificate(f, traj, ball, dist, descent):
     """traj, stopped in the ball at distance dist, with its provenance
     naming the ball and carrying its certificate; a GD run's length bound
-    is its measured length plus the (L / mu_s) dist tail, a flow's is None."""
-    length = ((path_length(traj) if len(traj) > 1 else 0.0) + f.lipschitz_L / ball.mu * dist
+    is its measured length plus the (L_s / mu_s) dist tail, a flow's is None."""
+    length = ((path_length(traj) if len(traj) > 1 else 0.0) + ball.L / ball.mu * dist
               if descent else None)
     cert = {"name": "certified_ball", "s": ball.s, "mu_s": ball.mu, "distance_bound": dist,
             "length_bound": length}
@@ -439,7 +467,7 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     and with the ball it is measured by the ball's own norm, so a run
     stopped in B_s reports at most s.  A minimum whose objective has a
     Hessian takes one eigh of it at the target (``_spectrum``): lambda_min
-    sizes the certified ball and the probe's quadratic capture level, and
+    sizes the certified ball and the probe's, lambda_max the ball's L_s, and
     the seed scan leads with +-v_max, along which an ascent step grows
     |x - target| by 1/(1 - alpha lambda_max) and f(a) - f* ~ lambda_max
     r^2/2 > 0, so the orbit's length does not grow with the condition
@@ -463,8 +491,8 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     if descent:
         require_admissible(dynamics, f, "prox", name)
 
-    lam, v_max = (None, None) if saddle or f.hessian is None else _spectrum(f, target)
-    ball = None if lam is None else _certified_ball(f, target, tol, epsilon, lam)
+    lam, lam_max, v_max = (None,) * 3 if saddle or f.hessian is None else _spectrum(f, target)
+    ball = None if lam is None else _certified_ball(f, target, tol, epsilon, lam, lam_max)
     if not saddle:
         if b.delta_override is None:
             probed = constant(dynamics.sup_alpha) if descent else dynamics

@@ -252,7 +252,8 @@ def test_probe_cli(tmp_path):
                "--schedule", "constant:0.1", "--out", out])
     assert rc == 0
     data = json.loads(read(os.path.join(out, "probe.json")))
-    assert data["capture_level"] == 0.5 and data["delta_cert"] == math.sqrt(0.2)
+    # M = 0: B_r is all of B_eps, so no capture level and delta_cert = r = eps
+    assert data["capture_level"] is None and data["delta_cert"] == 1.0
 
 
 def test_probe_cli_lists_each_1d_failure_once(tmp_path):

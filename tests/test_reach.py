@@ -122,20 +122,33 @@ WIDE_DW = br.make_builtin("double_well", (2.5,))
 
 def check_passing_row(row, ref, est, target, eps):
     """A passing probe row against the full run from its start: the full
-    run converges without leaving B_eps; a captured row is its prefix up to
-    and including the first state with f < c, any other row all of it.
-    Returns whether the row was captured."""
+    run converges without leaving B_eps; a row stopped in the certified
+    ball is its prefix up to and including the first state within r (up
+    to the probe's 1e-9 rounding slack), with the target as its limit and
+    the full run's limit near it; a captured row is its prefix up to and
+    including the first state with f < c; any other row all of it.
+    Returns whether the row was stopped by either certificate."""
     assert ref.terminal_status == "converged"
     assert (row_norms(ref.X - target) <= eps * (1 + 1e-9)).all()
-    if row.provenance.get("stopped_on") != "capture_set":
+    stopped_on = row.provenance.get("stopped_on")
+    if stopped_on not in ("capture_set", "certified_ball"):
         assert same_states(row.states, ref.states)
         assert row.limit.tobytes() == ref.limit.tobytes()
-        assert "stopped_on" not in row.provenance
+        assert stopped_on is None
         return False
+    r, mu = ball_radius(row.provenance["f"], target, math.inf, eps)
+    inside = row_norms(ref.X - target) <= r * (1.0 + 1e-9)
     c = est.capture_level
-    assert row.provenance["capture_level"] == c and row.limit is None
-    first = int(np.flatnonzero(ref.f < c)[0])
+    below = ref.f < c if c is not None else np.zeros(len(ref), bool)
+    first = int(np.flatnonzero(inside | below)[0])
     assert same_states(row.states, ref.states[:first + 1])
+    if stopped_on == "certified_ball":
+        assert inside[first] and row.limit.tobytes() == target.tobytes()
+        assert (row.provenance["s"], row.provenance["mu_s"]) == (r, mu)
+        assert norm(ref.limit - target) <= 1e-6
+    else:
+        assert below[first] and not inside[first]
+        assert row.provenance["capture_level"] == c and row.limit is None
     return True
 
 
@@ -153,7 +166,7 @@ def test_probe_discrete_runs_match_run_gd(f, target, eps, frac):
     captured = 0
     for r in passing:
         ref = br.run_gd(f, r.initial_x, s, gtol=1e-8, max_iter=20_000)
-        captured += check_passing_row(r, ref, est, target, eps)
+        captured += check_passing_row(r, ref, est, np.array(target), eps)
         assert r.provenance["producer"] == "gd"
     assert captured > 0
 
@@ -196,14 +209,23 @@ def test_probe_left_ball_stops_at_first_outside_state(monkeypatch):
     assert [p.tobytes() for p in est.failures] == [p.tobytes() for p in failed]
 
 
-def test_probe_state_in_capture_set_at_gtol_converges(quad1):
-    # f = c on the sphere; one step of 1/L lands on 0, inside the capture
-    # set with |grad f| = 0: converged with its limit, not a capture stop
-    est, runs = probe_runs(quad1, [0.0], 1.0, br.constant(1.0))
-    assert est.delta_hat == 1.0 and est.capture_level == 0.5 and len(runs) == 2
+def test_probe_state_in_capture_set_at_gtol_converges(dw):
+    # c = f(0.7) = 0.2601 on the 0.3-sphere around 1 and r = 8 / 72: one
+    # step of 0.08 takes 1.3 to 1.013 in B_r, |grad f| = 0.11, and 0.7 to
+    # 0.814 in K outside B_r, |grad f| = 1.10; with gtol 1.4 both rows end
+    # converged with their limit, as the full runs do, not as stops
+    target, eps, s = np.array([1.0]), 0.3, br.constant(0.08)
+    est, runs = probe_runs(dw, target, eps, s, gtol=1.4)
+    assert est.delta_hat == eps and est.capture_level == 0.2601 and len(runs) == 2
+    r_ball = ball_radius(dw, target, math.inf, eps)[0]
+    inside, captured = sorted(runs, key=lambda r: abs(r.final_x[0] - 1.0))
+    assert abs(inside.final_x[0] - 1.0) <= r_ball < abs(captured.final_x[0] - 1.0)
+    assert captured.f[-1] < est.capture_level
     for r in runs:
-        assert r.terminal_status == "converged" and len(r) == 2
-        assert r.limit.tolist() == [0.0] and "stopped_on" not in r.provenance
+        ref = br.run_gd(dw, r.initial_x, s, gtol=1.4)
+        assert r.terminal_status == "converged" and same_states(r.states, ref.states)
+        assert len(r) == 2 and r.limit.tobytes() == r.final_x.tobytes()
+        assert "stopped_on" not in r.provenance
 
 
 def test_probe_rowwise_objective_gives_same_estimate(quad14):
@@ -218,19 +240,25 @@ def test_probe_rowwise_objective_gives_same_estimate(quad14):
     assert same_estimate(a, b)
 
 
-def test_probe_evaluation_counts(monkeypatch, quad14, himmelblau):
+def test_probe_evaluation_counts(monkeypatch, dw, quad14, himmelblau):
     # a continuous step reuses the gradient behind |grad f| as its DOP853
     # k1: 12 gradient points per accepted step, 11 per rejected one and 1
-    # value per state, plus 1 each at the start; the quad certificate is a
-    # closed form and costs nothing
-    f, counts = counting(quad14)
+    # value per state, plus 1 each at the start; the 1-D certificate takes
+    # the 2 sphere values
+    f, counts = counting(dw)
     calls = count_flow_steps(monkeypatch)
-    st = br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6)
-    _, runs = probe_runs(f, [0.0, 0.0], 1.0, st)
+    _, runs = probe_runs(f, [1.0], 0.4, br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6))
     steps = sum(len(r.states) - 1 for r in runs)
     assert 0 < steps <= len(calls)
     assert counts == {"grad": len(runs) + 12 * steps + 11 * (len(calls) - steps),
-                      "value": len(runs) + steps}
+                      "value": len(runs) + steps + 2}
+    # M = 0 makes B_r all of B_eps: each of the 2n + 8 starts passes at its
+    # first state, for 1 gradient and 1 value, under the flow and under GD
+    for dynamics in (br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6), br.constant(0.1)):
+        calls.clear()
+        f, counts = counting(quad14)
+        _, runs = probe_runs(f, [0.0, 0.0], 1.0, dynamics)
+        assert len(runs) == 12 and calls == [] and counts == {"grad": 12, "value": 12}
     # a GD state costs one gradient and one value; the 1-D certificate takes
     # the 2 sphere values, the 2-D one 256 values and 256 gradients
     f, counts = counting(WIDE_DW)
@@ -243,6 +271,51 @@ def test_probe_evaluation_counts(monkeypatch, quad14, himmelblau):
     assert counts == {"grad": states + 256, "value": states + 256}
 
 
+@pytest.mark.parametrize("dynamics", [br.constant(0.2), br.FlowSettings(h=1e-2, t_max=20.0)],
+                         ids=["gd", "flow"])
+def test_probe_passes_every_quadratic_start_in_the_certified_ball(dynamics):
+    # quad:1,2,4 has M = 0, so B_r = B_eps: each of the 2n + 8 starts
+    # stops at its first state with the target as its limit, for one
+    # gradient point each; no capture level is taken
+    f, counts = counting(br.make_builtin("quad", (1.0, 2.0, 4.0)))
+    target = np.zeros(3)
+    est, runs = probe_runs(f, target, 1.0, dynamics)
+    assert est.delta_hat == 1.0 and est.failures == () and est.capture_level is None
+    assert len(runs) == 2 * 3 + 8 and counts["grad"] == len(runs)
+    for r in runs:
+        assert r.terminal_status == "converged" and len(r) == 1
+        assert r.provenance["stopped_on"] == "certified_ball"
+        assert (r.provenance["s"], r.provenance["mu_s"]) == (1.0, 1.0)
+        assert r.limit.tobytes() == target.tobytes()
+
+
+def test_probe_claims_the_limit_in_the_certified_ball_not_in_the_capture_set(himmelblau):
+    # B_2(3, 2) holds saddle 8, (3.385, 0.074): K rows claim no limit, rows
+    # stopped in B_r, r = 0.103, claim the target, and a run to gtol from
+    # such a row's start converges to it; these starts reach B_r in one
+    # step of 1.9/L from outside K
+    f, target, eps = himmelblau, np.array([3.0, 2.0]), 2.0
+    saddle = f.critical_points[8]
+    assert saddle.kind == "saddle" and norm(saddle.point - target) < eps
+    s = br.constant(1.9 / f.lipschitz_L)
+    est, runs = probe_runs(f, target, eps, s, seed=4)
+    r_ball, mu = ball_radius(f, target, math.inf, eps)
+    kinds = {}
+    for r in runs:
+        kinds.setdefault(r.provenance.get("stopped_on"), []).append(r)
+    assert sorted(kinds) == ["capture_set", "certified_ball", "left_ball"]
+    for r in kinds["capture_set"]:
+        assert r.terminal_status == "converged" and r.limit is None
+        assert r.f[-1] < est.capture_level and norm(r.final_x - target) > r_ball
+    for r in kinds["certified_ball"]:
+        assert r.terminal_status == "converged" and r.limit.tobytes() == target.tobytes()
+        assert (r.provenance["s"], r.provenance["mu_s"]) == (r_ball, mu)
+        assert norm(r.final_x - target) <= r_ball and r.f[-2] >= est.capture_level
+        full = br.run_gd(f, r.initial_x, s, gtol=1e-10, max_iter=20_000)
+        assert full.terminal_status == "converged" and norm(full.limit - target) <= 1e-10
+        assert (row_norms(full.X[len(r) - 1:] - target) <= r_ball).all()
+
+
 # --- capture certificate ---------------------------------------------------------
 
 def misnamed_quad(eigenvalues, params):
@@ -253,12 +326,18 @@ def misnamed_quad(eigenvalues, params):
 
 @pytest.mark.parametrize("eigenvalues,params", [((1.0,), (4.0,)), ((1.0, 4.0), (9.0, 16.0))])
 def test_capture_level_reads_the_hessian_not_the_name(eigenvalues, params):
-    # x^2/2 (and x^2/2 + 2 y^2) with params (4,) (and (9, 16)): the floor of
-    # f on the unit sphere is 0.5, not 2 (4.5), and delta_cert stays in B_eps
+    # x^2/2 (and x^2/2 + 2 y^2) with params (4,) (and (9, 16)): M = 0 makes
+    # B_r all of B_eps, so no capture level is taken and delta_cert = r =
+    # eps; every start stops in B_r at once with mu_r = lambda_min(hess f) =
+    # 1, not 4 (9)
     f = misnamed_quad(eigenvalues, params)
-    est = br.stability_probe(f, np.zeros(f.dim), 1.0, br.constant(0.5 / f.lipschitz_L))
-    assert est.capture_level == 0.5
-    assert est.delta_cert == math.sqrt(1.0 / f.lipschitz_L) <= est.epsilon
+    est, runs = probe_runs(f, np.zeros(f.dim), 1.0, br.constant(0.5 / f.lipschitz_L))
+    assert est.capture_level is None and est.delta_cert == est.epsilon == 1.0
+    assert len(runs) == est.samples
+    for r in runs:
+        assert len(r) == 1 and r.provenance["stopped_on"] == "certified_ball"
+        assert (r.provenance["s"], r.provenance["mu_s"]) == (1.0, 1.0)
+        assert r.limit.tolist() == [0.0] * f.dim
 
 
 
@@ -276,7 +355,7 @@ CERT_CASES = [
 def certificate(name, params, target, eps):
     f = br.make_builtin(name, params)
     target = np.asarray(target, dtype=float)
-    return f, target, reach_mod._capture_level(f, target, eps, f.catalog_entry(target).f_value)
+    return f, target, reach_mod._capture_level(f, target, eps)
 
 
 def sphere_sample(f, target, eps):
@@ -296,9 +375,10 @@ def test_capture_level_is_a_sphere_floor(name, params, target, eps):
     # the check is not vacuous: a level forged past the sampled minimum fails it
     forged = fy.min() + 1e-9 * (1.0 + abs(fy.min()))
     assert not (fy >= forged).all()
-    # quad and 1-D floors are exact; the 2-D grid gives up at most its remainder
+    # 1-D floors are exact; the 2-D grid, quad's too, gives up at most its
+    # remainder
     d = 2.0 * eps * math.sin(math.pi / (2 * reach_mod.CAPTURE_GRID))
-    slack = 0.0 if name == "quad" or f.dim == 1 else (
+    slack = 0.0 if f.dim == 1 else (
         row_norms(f.gradients(Y)).max() * d + 0.5 * f.lipschitz_L * d * d
         + 1e-12 * (1.0 + np.abs(fy).max()))
     assert fy.min() - c <= slack
@@ -307,26 +387,35 @@ def test_capture_level_is_a_sphere_floor(name, params, target, eps):
 def test_capture_level_grid_on_renamed_quad(quad14):
     # not known to be quadratic (no hessian_lipschitz), quad takes the 2-D
     # grid: c lies below the exact floor 0.5 lambda_min eps^2 = 0.5 by at
-    # most the remainder |grad| d + L d^2/2
+    # most the remainder |grad| d + L d^2/2, and the probe has no B_r
     bowl = dataclasses.replace(quad14, name="bowl", hessian_lipschitz=None)
-    c = reach_mod._capture_level(bowl, np.zeros(2), 1.0, 0.0)
+    c = reach_mod._capture_level(bowl, np.zeros(2), 1.0)
     d = 2.0 * math.sin(math.pi / (2 * reach_mod.CAPTURE_GRID))
     assert 0.5 - (4.0 * d + 2.0 * d * d + 1e-11) <= c <= 0.5
+    est = br.stability_probe(bowl, [0.0, 0.0], 1.0, br.constant(0.1))
+    assert est.capture_level == c and est.delta_cert == math.sqrt(2.0 * c / bowl.lipschitz_L)
+    # with M = 0, B_r is all of B_eps: no grid, and delta_cert = r = eps
     est = br.stability_probe(quad14, [0.0, 0.0], 1.0, br.constant(0.1))
-    assert est.capture_level == 0.5
-    assert est.delta_cert == 0.5  # eps sqrt(lambda_min / lambda_max)
+    assert est.capture_level is None
+    assert est.delta_cert == 1.0
 
 
 @pytest.mark.parametrize("name,params,target,eps", CERT_CASES)
 def test_runs_from_inside_delta_cert_stay_and_converge(name, params, target, eps):
+    # delta_cert is the larger of r and the radius sqrt(2 (c - f*) / L)
+    # inside K; quad (M = 0) has r = eps and no c
     f, target, _ = certificate(name, params, target, eps)
     L = f.lipschitz_L
     est = br.stability_probe(f, target, eps, br.constant(0.9 / L))
-    assert 0.0 < est.delta_cert <= eps
+    r = ball_radius(f, target, math.inf, eps)[0]
+    c = est.capture_level
+    assert (c is None) == (r == eps)
+    k = 0.0 if c is None else math.sqrt(2.0 * (c - f.value(target)) / L)
+    assert 0.0 < est.delta_cert == max(r, k) <= eps
     st = br.FlowSettings(h=0.1 / L, t_max=20.0, gtol=1e-6)
     for d in unit_directions(f.dim, 2, seed=0):
         x0 = target + 0.999 * est.delta_cert * d
-        assert f.value(x0) < est.capture_level
+        assert norm(x0 - target) <= r or f.value(x0) < c
         for run in (br.run_gd(f, x0, br.constant(1.9 / L), gtol=1e-8, max_iter=20_000),
                     br.integrate(f, x0, "forward", st)):
             assert run.terminal_status == "converged"
@@ -795,10 +884,16 @@ def test_replay_stops_in_the_certified_ball(name, params, index, eps, kind):
     rounding = math.sqrt(f.dim) * np.spacing(np.abs(rest.X[1:])).max(axis=1)
     assert (r <= ball).all()
     assert (r[1:] <= (1.0 - a * mu) * r[:-1] * (1.0 + 1e-12) + rounding).all()
-    # the length bound: the measured prefix plus a tail at least as long as
-    # the continued run's
+    # the length bound: the measured prefix plus a tail (L_s / mu_s) r_m at
+    # least as long as the continued run's, L_s = min(L, lambda_max + M s)
+    # the top of the Hessian spectrum on B_s: L itself on quad, 2.4-4.1x
+    # below it on himmelblau
     prefix = br.path_length(stopped) if m else 0.0
-    assert cert["length_bound"] == prefix + f.lipschitz_L / mu * r[0]
+    lam_max = float(np.linalg.eigvalsh(f.hess(target))[-1])
+    L_s = min(f.lipschitz_L, lam_max + f.hessian_lipschitz * ball)
+    assert (L_s == f.lipschitz_L) == (name == "quad")
+    assert cert["length_bound"] == prefix + L_s / mu * r[0]
+    assert br.path_length(rest) <= L_s / mu * r[0]
     assert prefix + br.path_length(rest) <= cert["length_bound"]
 
 
@@ -878,8 +973,8 @@ def test_reach_continuous_quad_exact(quad1):
     ("double_well", (), [1.0], 0.4, br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6)),
 ], ids=["quad-discrete", "quad-continuous", "double-well-continuous"])
 def test_minimum_reach_takes_the_hessian_once(name, params, target, eps, dynamics):
-    # the certified ball and, on an exactly quadratic objective, the
-    # probe's capture level share one lambda_min(hess f(target))
+    # the reach's certified ball and the probe's B_r share one eigh of
+    # hess f(target)
     f = br.make_builtin(name, params)
     calls = []
     f = dataclasses.replace(f, hessian=lambda x, hess=f.hessian: calls.append(1) or hess(x))
