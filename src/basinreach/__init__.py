@@ -8,10 +8,8 @@ from .descent import Classification, classify_limit, descent_certificate_violati
 from .flow import (DesingularizationModel, FlowSettings, NoCrossingError,
                    check_length_bound, integrate, integrate_minnorm, path_length,
                    sphere_exit)
-from .landscape import (BUILTIN_NAMES, CriticalPoint, LeftBoxError, MaxFunction,
-                        ObjectiveFunction, cap, clarke_generators, constant_objective,
-                        fd_gradient, make_builtin, min_norm_element,
-                        refine_critical_point)
+from .landscape import (BUILTIN_NAMES, CriticalPoint, LeftBoxError, ObjectiveFunction,
+                        fd_gradient, make_builtin, min_norm_element, refine_critical_point)
 from .reach import (ReachBudgets, ReachReport, StabilityEstimate, edge_of_stability,
                     reach_continuous, reach_discrete, reach_general, stability_probe)
 from .reverse import (ReverseOrbit, ascent_prox, contraction_iteration_bound, prox,
@@ -24,15 +22,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_NAMES", "Classification", "CriticalPoint", "DesingularizationModel",
-    "FlowSettings", "Lcg64", "LeftBoxError", "MaxFunction", "NoCrossingError",
-    "ObjectiveFunction", "ReachBudgets", "ReachReport", "ReverseOrbit",
-    "StabilityEstimate", "State", "StepSchedule", "Trajectory", "admissible",
-    "ascent_prox", "cap", "check_length_bound", "clarke_generators", "classify_limit",
-    "constant", "constant_objective", "contraction_iteration_bound",
+    "FlowSettings", "Lcg64", "LeftBoxError", "NoCrossingError", "ObjectiveFunction",
+    "ReachBudgets", "ReachReport", "ReverseOrbit", "StabilityEstimate", "State",
+    "StepSchedule", "Trajectory", "admissible", "ascent_prox", "check_length_bound",
+    "classify_limit", "constant", "contraction_iteration_bound",
     "descent_certificate_violations", "edge_of_stability", "fd_gradient", "gd_step",
-    "integrate", "integrate_minnorm", "make_builtin", "min_norm_element",
-    "parse_schedule", "path_length", "power", "prox", "prox_certificates",
-    "reach_continuous", "reach_discrete", "reach_general", "record_trajectories",
-    "refine_critical_point", "reverse_orbit", "run_gd", "sphere_exit",
-    "stability_probe",
+    "integrate", "integrate_minnorm", "make_builtin", "min_norm_element", "parse_schedule",
+    "path_length", "power", "prox", "prox_certificates", "reach_continuous",
+    "reach_discrete", "reach_general", "record_trajectories", "refine_critical_point",
+    "reverse_orbit", "run_gd", "sphere_exit", "stability_probe",
 ]

@@ -2,19 +2,16 @@
 explicit Runge-Kutta pair DOP853 of order 8(5,3) with step-size control
 and a 7th-order dense output (Prince & Dormand 1981, J. Comput. Appl.
 Math. 7:67-75; Hairer, Norsett & Wanner, Solving ODEs I, II.10), the
-minimum-norm Clarke flow for max-functions by explicit Euler (the field
-is discontinuous at activity boundaries, where the pair's smoothness
-assumptions fail), crossing events located on the dense output, and
-path-length analytics.
+minimum-norm Clarke flow of the capped function max{f, level}, crossing
+events located on the dense output, and path-length analytics.
 
-Each run is a :func:`~basinreach.trajectory.march` with a DOP853 or
-Euler step rule.  DOP853 has one rule, :func:`_dop853_step`, run on
-points of the objective's lane (``landscape.Lane``) by every flow:
-``integrate``, sphere exits, each start of the continuous stability
-probe and the capped saddle run to its level set; only the Euler
-min-norm rule keeps ndarray points.  A crossing is a stop event: it
-tests the state a step reached and locates the crossing on that step's
-interpolant, whose three extra stages are the only gradients it costs.
+Each run is a :func:`~basinreach.trajectory.march` with the one DOP853
+step rule, :func:`_dop853_step`, on points of the objective's lane
+(``landscape.Lane``): ``integrate``, sphere exits, each start of the
+continuous stability probe and ``integrate_minnorm``.  A crossing is a
+stop event: it tests the state a step reached and locates the crossing
+on that step's interpolant, whose three extra stages are the only
+gradients it costs.
 """
 
 import math
@@ -22,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import LeftBoxError, min_norm_element, norm, row_norms, sumsq
-from .trajectory import march, recorded
+from .landscape import LeftBoxError, norm, row_norms, sumsq
+# not called here: the benchmark's tracer wraps flow.min_norm_element by name
+from .landscape import min_norm_element  # noqa: F401
+from .trajectory import _to_level, march, recorded
 
 DIRECTIONS = ("forward", "reverse")
-# the adaptive flow clamps its first trial step to H_GUARD / L; the Euler
-# min-norm flow, whose every step is h, requires h <= H_GUARD / L
+# the adaptive flow clamps its first trial step to H_GUARD / L
 H_GUARD = 0.1
 # a DOP853 step passes when its error estimate err = |e5|^2 / sqrt(|e5|^2 +
 # 0.01 |e3|^2) (Hairer's combination of the 5th- and 3rd-order estimates) has
@@ -120,8 +118,7 @@ class NoCrossingError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowSettings:
-    """h is the adaptive flow's first trial step, clamped to 0.1/L, and
-    the Euler min-norm flow's step, which must not exceed 0.1/L; a run
+    """h is the adaptive flow's first trial step, clamped to 0.1/L; a run
     ends at time t_max, a forward run also once |grad f| < gtol; a
     crossing is located to a time bracket of event_refine_tol (1e-3 h by
     default)."""
@@ -183,13 +180,6 @@ def _dop853_step(lane, x, sh, g1):
     return x_new, ks, _comb(lane.axpy, zero, sh, _E5, ks), _comb(lane.axpy, zero, sh, _E3, ks)
 
 
-def _start(f, x0):
-    x = np.array(x0, dtype=float)
-    if not f.in_box(x):
-        raise LeftBoxError(x, "x0 outside the operating box")
-    return x
-
-
 class _Flow:
     """One adaptive DOP853 run on dx/dt = -grad f (forward) or +grad f
     (reverse) for :func:`march`: ``step`` retries a rejected step with a
@@ -211,9 +201,11 @@ class _Flow:
         self.err_old, self.x_new = 1e-4, None
 
     def march(self, f, x0, event=None, value=None):
-        x = self.lane.point(_start(f, x0))
-        return march(f, x, self.field, self.step, None, self.gtol, event=event, value=value,
-                     t_end=self.settings.t_max)
+        x = np.array(x0, dtype=float)
+        if not f.in_box(x):
+            raise LeftBoxError(x, "x0 outside the operating box")
+        return march(f, self.lane.point(x), self.field, self.step, None, self.gtol, event=event,
+                     value=value, t_end=self.settings.t_max)
 
     def field(self, x):
         return self.ks[12] if x is self.x_new else self.lane.grad(x)
@@ -285,33 +277,23 @@ def integrate(f, x0, direction, settings, event=None):
                     {"producer": "flow", "f": f, "direction": direction, "settings": settings})
 
 
-def integrate_minnorm(g, x0, settings):
-    """Explicit Euler on dx/dt = -min_norm_element(generators(g, x)).
-
-    Stops when the minimum-norm element falls below gtol; once the value
-    reaches a cap level both pieces are active, the element is 0, and the
-    trajectory stalls there.  grad_norm records the element's norm.
-    """
-    L, h = g.lipschitz_L, settings.h
-    if L > 0.0 and h > H_GUARD / L:
-        raise ValueError(f"h = {h} exceeds the guard 0.1/L = {H_GUARD / L}")
-    x = _start(g, x0)
-    vals = []
-
-    def value(y):
-        vals[:] = [p.value(y) for p in g.pieces]
-        return max(vals)
-
-    def speed(y):
-        # march takes value(y) just before speed(y), so vals are y's piece
-        # values, each evaluated once per state; evaluable anywhere, the
-        # box only bounds the certified region
-        return min_norm_element([g.pieces[i].gradient(y) for i in g._active(vals)])
-
-    euler = lambda k, t, x, v: ((k + 1) * h, x - h * v)
-    return recorded(g, *march(g, x, speed, euler, int(round(settings.t_max / h)), settings.gtol,
-                              value=value),
-                    {"producer": "minnorm", "g": g, "settings": settings})
+def integrate_minnorm(f, x0, level, settings):
+    """The minimum-norm Clarke flow of g = max{f, level}: forward DOP853
+    flow on f until f(x) <= level, its limit the crossing located where f
+    meets the level on the last step's dense output.  Above the level the
+    only active piece of g is f, so the minimum-norm element of g's Clarke
+    subdifferential is grad f; on {f <= level} the constant piece is
+    active, 0 is in the subdifferential and the flow stalls there.  A
+    start at or below the level is its own limit; a run that ends above
+    the level (at gtol, t_max or the box) has none."""
+    if not math.isfinite(level):
+        raise ValueError(f"level must be finite, got {level!r}")
+    flow = _Flow(f, "forward", settings)
+    phi = lambda y: level - f.value(y)
+    locate = lambda prev, x, fx: flow.cross(phi, level - prev[3], level - fx)[1]
+    run = lambda event: flow.march(f, x0, event=event, value=f.value)
+    return _to_level(f, level, locate, run, {"producer": "flow", "f": f, "direction": "forward",
+                                             "settings": settings})[0]
 
 
 def _sphere_exit_detail(f, x0, direction, center, delta, settings):
@@ -340,7 +322,7 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings):
         raise NoCrossingError("forward flow reached a stationary point inside the sphere")
     return steps[-1][0], b.copy(), recorded(
         f, steps, status, b, {"producer": "flow", "f": f, "direction": direction,
-                              "settings": settings, "event": "sphere_exit"})
+                              "settings": settings, "stopped_on": "sphere_exit"})
 
 
 def sphere_exit(f, x0, direction, center, delta, settings):

@@ -1,14 +1,16 @@
 """Benchmark objectives with exact gradients, Lipschitz data and
-critical-point catalogs, plus the max-of-smooth-pieces machinery
-(generator sets and minimum-norm element) used by the nonsmooth
-capped dynamics.
+critical-point catalogs, the lanes the dynamics hold their points in,
+and the minimum-norm element of a generator set (Wolfe's algorithm).
+The capped function max{f, level} of a saddle reach is not built as an
+object: its minimum-norm Clarke flow is the flow on f stopped at the
+level set (``flow.integrate_minnorm``).
 """
 
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +41,9 @@ class ObjectiveFunction:
     ``lipschitz_L`` is a gradient Lipschitz constant valid on ``box``
     (shape (dim, 2), rows are [lower, upper]).  Iterating outside the
     box voids every certificate, so the dynamics modules treat exits as
-    first-class events.  ``lipschitz_L == 0`` is allowed for constant
-    pieces used by :func:`cap`.  Instances are immutable; arrays are
-    defensive copies and must be treated as read-only.
+    first-class events.  ``lipschitz_L == 0`` is allowed (an affine
+    objective).  Instances are immutable; arrays are defensive copies and
+    must be treated as read-only.
 
     ``vectorized`` states that ``f`` and ``grad`` also take a (B, dim)
     batch and return B values or a (B, dim) array of gradients, each row
@@ -129,61 +131,6 @@ class ObjectiveFunction:
         return None
 
 
-@dataclass(frozen=True, eq=False)
-class MaxFunction:
-    """Pointwise maximum of smooth pieces sharing dim and box.
-
-    ``activity_tol`` is a relative coefficient: piece i is active at x
-    iff piece_i(x) >= value(x) - activity_tol * (1 + |value(x)|).  Exact
-    ties are measure-zero in floating point, hence the relative band.
-    """
-
-    pieces: tuple
-    activity_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not self.pieces:
-            raise ValueError("MaxFunction needs at least one piece")
-        dim = self.pieces[0].dim
-        box = self.pieces[0].box
-        for p in self.pieces:
-            if p.dim != dim or not np.array_equal(p.box, box):
-                raise ValueError("pieces must share dim and box")
-        if self.activity_tol < 0:
-            raise ValueError("activity_tol must be nonnegative")
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        # march's box test only: max{f, c} has no gradient field to step along
-        object.__setattr__(self, "_lane", Lane(None, None, None, None,
-                                               self.pieces[0]._lane.inside))
-
-    @property
-    def dim(self):
-        return self.pieces[0].dim
-
-    @property
-    def box(self):
-        return self.pieces[0].box
-
-    @property
-    def lipschitz_L(self):
-        return max(p.lipschitz_L for p in self.pieces)
-
-    def value(self, x):
-        return max(p.value(x) for p in self.pieces)
-
-    def active_indices(self, x):
-        return self._active([p.value(x) for p in self.pieces])
-
-    def _active(self, vals):
-        """Indices of the active pieces, given every piece's value at x."""
-        top = max(vals)
-        band = self.activity_tol * (1.0 + abs(top))
-        return [i for i, v in enumerate(vals) if v >= top - band]
-
-    def in_box(self, x):
-        return self.pieces[0].in_box(x)
-
-
 # ---------------------------------------------------------------------------
 # norms and lanes
 
@@ -223,8 +170,7 @@ FLOAT_LANE_DIMS = 2
 
 class Lane(NamedTuple):
     """How gradient descent, DOP853 flow and the ascent solve hold points of
-    one objective (the Euler min-norm rule alone keeps ndarrays):
-    ``point`` converts a 1-D array, ``grad`` calls f.grad on a
+    one objective: ``point`` converts a 1-D array, ``grad`` calls f.grad on a
     1-D float array, ``axpy(x, c, v)`` is x + c v, ``sub(x, y)`` is x - y
     and ``inside`` is in_box (NaN counts as inside).  Both lanes make the
     same IEEE operations, bit for bit; the float lane's are written out
@@ -468,41 +414,7 @@ def fd_gradient(f, x, rel_step=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# capped construction and Clarke machinery
-
-
-def constant_objective(dim, level, box, name=None):
-    level = float(level)
-    return ObjectiveFunction(
-        dim=dim,
-        f=lambda x, c=level: c,
-        grad=lambda x, n=dim: np.zeros(n),
-        hessian=lambda x, n=dim: np.zeros((n, n)),
-        lipschitz_L=0.0,
-        box=box,
-        name=name if name is not None else f"const({level!r})",
-    )
-
-
-def cap(f, level):
-    """max{f, level}: the capped function whose minima include every
-    non-maximum critical point of f at value ``level``."""
-    level = float(level)
-    if not np.isfinite(level):
-        raise ValueError("cap level must be finite")
-    const = constant_objective(f.dim, level, f.box)
-    return MaxFunction(pieces=(f, const))
-
-
-def clarke_generators(g, x):
-    """Gradients of the pieces active at x, in piece-index order.
-
-    Their convex hull is the Clarke subdifferential of the max-function.
-    """
-    x = np.asarray(x, dtype=float)
-    if not g.in_box(x):
-        raise LeftBoxError(x, "generator query outside the operating box")
-    return [g.pieces[i].gradient(x) for i in g.active_indices(x)]
+# minimum-norm element
 
 
 def _affine_min_norm_weights(points):

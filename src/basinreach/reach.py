@@ -9,8 +9,8 @@ around the target, run forward from x0 and measure the distance from the
 forward limit to the target.  One dynamics argument picks the path, as
 in the probe: a StepSchedule means reverse orbit and ``run_gd``,
 FlowSettings reverse and forward DOP853 flow, and a saddle target's forward
-run stops at the level set f = f(target) (``_run_to_level``,
-``_flow_to_level``).
+run stops at the level set f = f(target) (``_run_to_level``, or
+``integrate_minnorm``, the minimum-norm Clarke flow of max{f, f(target)}).
 The discrete escape radius is the closed form rho = delta_hat / (1 +
 2aL/(1 - aL)), a = sup alpha: |grad f(x)| <= L |x - target| on the
 convex box, so one ascent step from B_rho lands within the probed
@@ -52,14 +52,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .descent import _gd_rule, classify_limit, run_gd
-from .flow import FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail, integrate, path_length
-# not called here: the benchmark's tracer wraps reach.integrate_minnorm by name
-from .flow import integrate_minnorm  # noqa: F401
+from .flow import (FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail, integrate,
+                   integrate_minnorm, path_length)
 from .landscape import LeftBoxError, norm, row_norms
 from .reverse import reverse_orbit
 from .sampling import directions, unit_directions
 from .schedule import StepSchedule, constant, require_admissible
-from .trajectory import march, recorded
+from .trajectory import _to_level, march, recorded
 
 # strictness floor for the ascent seed: f(a) > f(target) + floor
 SEED_FLOOR_RTOL = 1e-12
@@ -520,8 +519,8 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
         a, rho, dyn, (x0, rev) = found
         event = ball.event if ball else None
         if saddle:
-            fwd = (_run_to_level(f, x0, dyn, level, gtol, b.max_iter) if descent
-                   else _flow_to_level(f, x0, level, dyn))[0]
+            fwd = (_run_to_level(f, x0, dyn, level, gtol, b.max_iter)[0] if descent
+                   else integrate_minnorm(f, x0, level, dyn))
         elif descent:
             fwd = run_gd(f, x0, dyn, gtol=gtol, max_iter=b.max_iter, event=event)
         else:
@@ -560,22 +559,6 @@ def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=Non
     return _reach(f, target, epsilon, settings, seed_radius, tol, budgets)
 
 
-def _to_level(f, level, locate, run, prov):
-    """(trajectory, crossing or None) of run(event), a march down to the
-    level set {f <= level} that ends on its first state x with f(x) <=
-    level; the crossing, its limit, is locate(prev, x, fx) on the step
-    that reached x, or the start itself.  A run that ends above the level
-    (it stalled at a critical point, or ran out of box or budget) has none."""
-    def crossed(prev, t, x, fx):
-        if not fx <= level:
-            return None
-        return "converged", np.array(x if prev is None else locate(prev, x, fx)), t, x
-
-    steps, status, limit = run(crossed)
-    crossing = limit if status == "converged" and steps[-1][3] <= level else None
-    return recorded(f, steps, status, crossing, dict(prov, stopped_on="level_crossing")), crossing
-
-
 def _run_to_level(f, x0, s, level, gtol, max_iter):
     """GD until f(x_k) <= level; returns (trajectory, crossing or None).
 
@@ -597,32 +580,17 @@ def _run_to_level(f, x0, s, level, gtol, max_iter):
                                              "gtol": gtol})
 
 
-def _flow_to_level(f, x0, level, settings):
-    """Forward DOP853 flow until f(x) <= level; returns (trajectory, crossing
-    or None), the crossing located where f meets the level on the last
-    step's dense output."""
-    flow = _Flow(f, "forward", settings)
-    phi = lambda y: level - f.value(y)
-    locate = lambda prev, x, fx: flow.cross(phi, level - prev[3], level - fx)[1]
-    run = lambda event: flow.march(f, x0, event=event, value=f.value)
-    return _to_level(f, level, locate, run, {"producer": "flow", "f": f, "direction": "forward",
-                                             "settings": settings})
-
-
 def reach_general(f, target, epsilon, dynamics, seed_radius, tol=1e-2, delta=None,
                   budgets=None):
     """Reach a cataloged saddle (critical, neither local max nor min).
 
     FlowSettings: reverse flow from the ascent seed to its crossing x0 of
-    the delta-sphere (delta = epsilon / 2 by default), then the forward
-    flow from x0 stopped at the level set f = c, c = f(target), located on
-    the dense output.  That stopped
-    flow is the minimum-norm Clarke flow of g = max{f, c}, under which the
-    target is a local minimum of g: on {f > c} the only active piece is f,
-    so the minimum-norm element of the Clarke subdifferential is grad f;
-    on {f <= c} the constant piece is active and 0 is in the
-    subdifferential, so the flow stalls on reaching the level set.  The
-    reported distance is from that crossing to the target.
+    the delta-sphere (delta = epsilon / 2 by default), then
+    ``integrate_minnorm`` from x0, the minimum-norm Clarke flow of g =
+    max{f, c}, c = f(target), under which the target is a local minimum
+    of g: the forward flow on f, stalled where it meets the level set f =
+    c, located on the dense output.  The reported distance is from that
+    crossing to the target.
     StepSchedule: reverse orbit through {f > f(target)} on f itself, forward
     replay, and linear interpolation to the first crossing of the level
     f(target).  Under both the distance shrinks with seed_radius.

@@ -1,20 +1,20 @@
 """Trajectory record shared by the discrete and continuous engines, and
 ``march``, the one stepping loop in the program: gradient descent
 (``run_gd``, ``reach._run_to_level``, each start of the discrete
-stability probe), adaptive DOP853 flow (``integrate``,
-``_sphere_exit_detail``, each start of the continuous probe,
-``reach._flow_to_level``) and the Euler min-norm flow
-(``integrate_minnorm``).  Each of those passes in its step rule and its
-own stop event; a crossing event locates its point on the step that
-reached it, by the linear interpolation of GD iterates or the flow's
-dense output.
+stability probe) and adaptive DOP853 flow (``integrate``,
+``_sphere_exit_detail``, each start of the continuous probe and
+``integrate_minnorm``, the minimum-norm Clarke flow of max{f, level}).
+Each of those passes in its step rule and its own stop event; a crossing
+event locates its point on the step that reached it, by the linear
+interpolation of GD iterates or the flow's dense output.  ``_to_level``
+is the stop at a level set that ``reach._run_to_level`` and
+``integrate_minnorm`` share.
 
-Gradient descent and DOP853 run in their objective's lane
-(``landscape.Lane``): for dim <= 2 a point is a tuple of Python floats,
-stepped by unrolled arithmetic, with each gradient still taken by f.grad
-on a 1-D array; larger dims, and the Euler min-norm rule, keep ndarrays.
-Either way the points and |v| (``landscape.norm``) are the same to the
-bit."""
+Every run steps on points of its objective's lane (``landscape.Lane``):
+for dim <= 2 a point is a tuple of Python floats, stepped by unrolled
+arithmetic, with each gradient still taken by f.grad on a 1-D array;
+larger dims keep ndarrays.  Either way the points and |v|
+(``landscape.norm``) are the same to the bit."""
 
 import math
 from collections.abc import Sequence
@@ -127,11 +127,10 @@ def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None
     """The single-run stepping loop; returns (steps, status, limit) for
     :func:`recorded`.
 
-    From the start x, an ndarray or a point of f's lane, each state is
-    kept as (t, x, |v|) with v = field(x), or (t, x, |v|, f(x)) when
-    ``value`` takes f per state.  The next state
-    is (t, x) = step(k, t, x, v).  The run ends on the first of, tested at
-    each state in this order:
+    From the start x, a point of f's lane, each state is kept as (t, x,
+    |v|) with v = field(x), or (t, x, |v|, f(x)) when ``value`` takes f
+    per state.  The next state is (t, x) = step(k, t, x, v).  The run
+    ends on the first of, tested at each state in this order:
 
     - ``event(prev, t, x, fx)`` returns (status, limit, t_end, x_end).  It
       is asked before field(x) is evaluated; ``prev`` is the previous
@@ -168,6 +167,26 @@ def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None
         prev = (t, x, v, fx)
         t, x = step(k, t, x, v)
         k += 1
+
+
+def _to_level(f, level, locate, run, prov):
+    """(trajectory, crossing or None) of run(event), a march down to the
+    level set {f <= level} that ends on its first state x with f(x) <=
+    level; the crossing, its limit, is locate(prev, x, fx) on the step
+    that reached x, or the start itself.  A run that ends above the level
+    (it stalled at a critical point, or ran out of box or budget) has none,
+    and only a run that crossed names the crossing as its stop
+    (provenance stopped_on = "level_crossing")."""
+    def crossed(prev, t, x, fx):
+        if not fx <= level:
+            return None
+        return "converged", np.array(x if prev is None else locate(prev, x, fx)), t, x
+
+    steps, status, limit = run(crossed)
+    crossing = limit if status == "converged" and steps[-1][3] <= level else None
+    if crossing is not None:
+        prov = dict(prov, stopped_on="level_crossing")
+    return recorded(f, steps, status, crossing, prov), crossing
 
 
 def recorded(f, steps, status, limit, provenance):

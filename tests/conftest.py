@@ -166,6 +166,34 @@ def dop853_flow(f, x0, sign, h, t_max, gtol=0.0, stop=None):
     return states, attempts
 
 
+def minnorm_euler(f, x0, level, h, t_max, gtol, activity_tol=1e-9):
+    """Explicit Euler on the minimum-norm Clarke flow of g = max{f, level},
+    one State per step, g's value recorded: the speed is grad f where f
+    alone is active, 0 where the constant alone is, and min_norm_element
+    of {grad f, 0} where both lie within activity_tol (1 + |g|) of g.  The
+    run ends once the speed's norm falls below gtol, stalled on the level
+    set, or at t_max: the fixed-step reference whose stall point
+    integrate_minnorm's located crossing is the h -> 0 limit of."""
+    def speed(y):
+        fy = f.value(y)
+        top = max(fy, level)
+        band = activity_tol * (1.0 + abs(top))
+        gens = [f.gradient(y)] if fy >= top - band else []
+        gens += [np.zeros(f.dim)] if level >= top - band else []
+        return top, br.min_norm_element(gens)
+
+    x = np.array(x0, dtype=float)
+    g, v = speed(x)
+    states = [State(0, 0.0, x.copy(), g, norm(v))]
+    for k in range(int(round(t_max / h))):
+        if states[-1].grad_norm < gtol:
+            break
+        x = x - h * v
+        g, v = speed(x)
+        states.append(State(k + 1, (k + 1) * h, x.copy(), g, norm(v)))
+    return states
+
+
 def count_flow_steps(monkeypatch):
     """Record each attempted DOP853 step: flow._dop853_step is patched for
     the test, and the returned list gets (arguments, result) of every call."""

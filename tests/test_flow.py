@@ -7,8 +7,8 @@ import basinreach as br
 import basinreach.flow as flow
 from basinreach.landscape import LeftBoxError, norm
 
-from conftest import (count_flow_steps, counting, dop853_step, make_linear_1d, rk4_flow,
-                      same_states)
+from conftest import (count_flow_steps, counting, dop853_step, make_linear_1d, minnorm_euler,
+                      rk4_flow, same_states)
 
 
 def settings(h=0.01, t_max=1.0, gtol=1e-12, refine=None):
@@ -24,12 +24,6 @@ def test_settings_validation():
         br.FlowSettings(h=0.01, t_max=1.0, event_refine_tol=0.02)
     st = br.FlowSettings(h=0.01, t_max=1.0)
     assert st.event_refine_tol == pytest.approx(1e-5)
-
-
-def test_minnorm_h_guard(dw):
-    # the Euler min-norm flow steps by h itself: h > 0.1/L raises
-    with pytest.raises(ValueError, match="guard"):
-        br.integrate_minnorm(br.cap(dw, 0.0), [0.5], settings(h=0.01))  # 0.01 > 0.1/23
 
 
 def test_first_trial_step_clamped_to_the_guard(dw):
@@ -293,32 +287,66 @@ def test_local_errors_fall_at_their_orders(dim):
 # --- min-norm flow -------------------------------------------------------------
 
 def test_minnorm_matches_smooth_above_cap(quad1):
-    # at each state of the smooth flow, the Euler min-norm polygon lies
-    # within 2 h (t + h) of it, h the Euler step
-    g = br.cap(quad1, 0.0)
-    st = br.FlowSettings(h=1e-3, t_max=2.0, gtol=1e-12)
-    capped = br.integrate_minnorm(g, [1.0], st)
+    # above the level, the min-norm flow of max{f, level} is the flow on f:
+    # its states are a prefix of integrate's, bit for bit
+    st = br.FlowSettings(h=1e-3, t_max=3.0, gtol=1e-12)
+    capped = br.integrate_minnorm(quad1, [1.0], 0.1, st)
     smooth = br.integrate(quad1, [1.0], "forward", st)
-    assert len(smooth) > 10 and smooth.t[-1] <= capped.t[-1]
-    for b in smooth.states:
-        a = np.interp(b.t, capped.t, capped.X[:, 0])
-        assert abs(a - b.x[0]) <= 2.0 * st.h * (b.t + st.h)
+    assert 2 < len(capped) < len(smooth)
+    assert same_states(capped.states, smooth.states[:len(capped)])
+    assert capped.f[-2] > 0.1 >= capped.f[-1]
 
 
 def test_minnorm_stalls_immediately_below():
-    lin = make_linear_1d()
-    g = br.MaxFunction(pieces=(lin, br.constant_objective(1, 0.0, lin.box)))
-    traj = br.integrate_minnorm(g, [-1.0], br.FlowSettings(h=1e-3, t_max=2.0, gtol=1e-10))
-    assert traj.terminal_status == "converged" and len(traj) == 1
+    # a start at or below the level is its own limit
+    for x0 in (-1.0, 0.0):
+        traj = br.integrate_minnorm(make_linear_1d(), [x0], 0.0,
+                                    br.FlowSettings(h=1e-3, t_max=2.0, gtol=1e-10))
+        assert traj.terminal_status == "converged" and len(traj) == 1
+        assert traj.limit.tobytes() == traj.X[0].tobytes() == np.array([x0]).tobytes()
 
 
 def test_minnorm_unit_speed_until_kink():
-    lin = make_linear_1d()
-    g = br.MaxFunction(pieces=(lin, br.constant_objective(1, 0.0, lin.box)))
-    traj = br.integrate_minnorm(g, [1.0], br.FlowSettings(h=1e-3, t_max=3.0, gtol=1e-10))
+    # f(x) = x flows at unit speed: from x0 = 1 the level 0 is met at x = 0,
+    # t = 1, on the last step
+    st = br.FlowSettings(h=1e-3, t_max=3.0, gtol=1e-10)
+    traj = br.integrate_minnorm(make_linear_1d(), [1.0], 0.0, st)
     assert traj.terminal_status == "converged"
-    assert abs(traj.final_state.t - 1.0) <= 2e-3  # stalls at x = 0 at t ~ 1
-    assert abs(traj.final_x[0]) <= 1e-9
+    assert traj.t[-2] < 1.0 <= traj.t[-1] and traj.X[-1, 0] <= 0.0 < traj.X[-2, 0]
+    assert abs(traj.limit[0]) <= st.event_refine_tol
+
+
+@pytest.mark.parametrize("t_max,status", [(100.0, "converged"), (0.5, "budget_exhausted")],
+                         ids=["stalled", "budget"])
+def test_minnorm_ending_above_the_level_has_no_limit(quad1, t_max, status):
+    # a level below the minimum is never met: the run stalls on gtol or
+    # runs out of time above it
+    traj = br.integrate_minnorm(quad1, [1.0], -1.0, br.FlowSettings(h=0.1, t_max=t_max,
+                                                                    gtol=1e-6))
+    assert traj.terminal_status == status and traj.limit is None
+    assert (traj.gnorm[-1] < 1e-6) == (status == "converged")
+
+
+def test_minnorm_rejects_nonfinite_level(quad1):
+    for level in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            br.integrate_minnorm(quad1, [1.0], level, settings())
+
+
+def test_minnorm_euler_stall_approaches_the_crossing(himmelblau):
+    # the explicit Euler rule on the min-norm element stalls within about
+    # one step of the located crossing; the overshoot saws with h, so the
+    # ratio to h is bounded, not monotone
+    saddle = himmelblau.critical_points[8]
+    x0 = saddle.point + np.array([0.05, 0.03])
+    st = br.FlowSettings(h=3e-4, t_max=2.0, gtol=1e-6)
+    crossing = br.integrate_minnorm(himmelblau, x0, saddle.f_value, st).limit
+    assert crossing is not None
+    for j in range(5):
+        h = 3e-4 * 2.0 ** -j
+        ref = minnorm_euler(himmelblau, x0, saddle.f_value, h, st.t_max, st.gtol)
+        assert ref[-1].grad_norm < st.gtol and ref[-1].f_value == saddle.f_value
+        assert norm(ref[-1].x - crossing) <= 1.5 * h
 
 
 # --- sphere exit ---------------------------------------------------------------

@@ -191,64 +191,6 @@ def test_batched_evaluation_falls_back_row_by_row(himmelblau):
     assert same_bits(lin.gradients(X), np.ones((3, 1)))
 
 
-# --- cap -------------------------------------------------------------------
-
-def test_cap_linear_examples():
-    lin = make_linear_1d()
-    g = br.cap(lin, 0.0)
-    assert g.value([-1.0]) == 0.0
-    assert g.value([2.0]) == 2.0
-
-
-def test_cap_double_well(dw):
-    g = br.cap(dw, dw.value([0.0]))
-    for x in np.linspace(-1.4, 1.4, 41):
-        fx = dw.value([x])
-        assert g.value([x]) == (fx if fx >= 1.0 else 1.0)
-        if fx > 1.0:
-            assert g.value([x]) == fx  # coincidence above the cap level
-
-
-def test_cap_quad_generators_at_origin(quad1):
-    g = br.cap(quad1, 0.0)
-    gens = br.clarke_generators(g, [0.0])
-    assert len(gens) == 2
-    for v in gens:
-        assert np.all(v == 0.0)
-
-
-def test_cap_rejects_nonfinite(quad1):
-    with pytest.raises(ValueError):
-        br.cap(quad1, float("inf"))
-
-
-# --- clarke generators -----------------------------------------------------
-
-def test_generators_max_linear_zero():
-    lin = make_linear_1d()
-    g = br.MaxFunction(pieces=(lin, br.constant_objective(1, 0.0, lin.box)))
-    at0 = br.clarke_generators(g, [0.0])
-    assert [v[0] for v in at0] == [1.0, 0.0]  # piece-index order
-    at5 = br.clarke_generators(g, [2.5])
-    assert [v[0] for v in at5] == [1.0]
-
-
-def test_generators_two_parabolas():
-    box = np.array([[-3.0, 3.0]])
-    left = br.ObjectiveFunction(1, lambda x: 0.5 * float((x[0] - 1) ** 2),
-                                lambda x: np.array([x[0] - 1.0]), 1.0, box)
-    right = br.ObjectiveFunction(1, lambda x: 0.5 * float((x[0] + 1) ** 2),
-                                 lambda x: np.array([x[0] + 1.0]), 1.0, box)
-    g = br.MaxFunction(pieces=(left, right))
-    gens = br.clarke_generators(g, [0.0])
-    assert [v[0] for v in gens] == [-1.0, 1.0]
-
-
-def test_max_function_requires_shared_box(quad1, dw):
-    with pytest.raises(ValueError):
-        br.MaxFunction(pieces=(quad1, dw))
-
-
 # --- min-norm element ------------------------------------------------------
 
 def test_min_norm_examples():

@@ -1125,8 +1125,8 @@ def test_flow_to_level_evaluation_counts(monkeypatch, himmelblau):
     f, counts = counting(himmelblau)
     calls = count_flow_steps(monkeypatch)
     st = br.FlowSettings(h=3e-4, t_max=5.0, gtol=1e-6)
-    traj, crossing = reach_mod._flow_to_level(f, saddle.point + [0.05, 0.03], saddle.f_value, st)
-    assert crossing is not None and traj.limit is crossing
+    traj = br.integrate_minnorm(f, saddle.point + [0.05, 0.03], saddle.f_value, st)
+    assert traj.limit is not None
     assert traj.f[-2] > saddle.f_value >= traj.f[-1]
     accepted = len(traj) - 1
     assert counts["grad"] == 1 + 12 * accepted + 11 * (len(calls) - accepted) + 3
@@ -1145,12 +1145,6 @@ def test_reach_general_preconditions(saddle_quad, dw):
     with pytest.raises(ValueError):
         # cataloged point is not critical: classification disagreement
         br.reach_general(bogus, [0.5, 0.5], 1.0, br.constant(0.25), 1e-3)
-
-
-def test_capped_saddle_is_minimum(saddle_quad):
-    g = br.cap(saddle_quad, 0.0)
-    m = br.min_norm_element(br.clarke_generators(g, [0.0, 0.0]))
-    assert np.linalg.norm(m) == 0.0
 
 
 # --- edge of stability ------------------------------------------------------------

@@ -372,17 +372,6 @@ def test_orbit_rejects_prox_violation(dw):
         br.reverse_orbit(dw, [1.0], br.constant(0.05), 3)  # 0.05 > 1/23
 
 
-def test_ascent_solves_reject_a_capped_objective(dw):
-    # max{f, c} has no gradient field: no solve may fall back on f's
-    g = br.cap(dw, 0.5)
-    with pytest.raises(TypeError):
-        br.reverse_orbit(g, [1.2], br.constant(0.01), 3)
-    with pytest.raises(TypeError):
-        br.ascent_prox(g, [1.2], 0.01)
-    with pytest.raises(TypeError):
-        br.prox(g, [1.2], 0.01)
-
-
 # --- both lanes against plain ndarray arithmetic -------------------------------
 
 LANE_CASES = [("double_well", (), [1.0]), ("himmelblau", (), [3.0, 2.0]),

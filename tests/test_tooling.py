@@ -49,6 +49,22 @@ def test_tracer_targets_exist():
     assert not missing
 
 
+def test_continuous_saddle_reach_runs_integrate_minnorm_through_reach(monkeypatch, himmelblau):
+    # the tracer's flow.minnorm span wraps reach.integrate_minnorm: a
+    # continuous saddle reach must make its level run through that name
+    runs = []
+    minnorm = reach_mod.integrate_minnorm
+
+    def counted(*args):
+        runs.append(minnorm(*args))
+        return runs[-1]
+    monkeypatch.setattr(reach_mod, "integrate_minnorm", counted)
+    target = himmelblau.critical_points[8].point
+    rep = br.reach_general(himmelblau, target, 1.0, br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6),
+                           1e-3, tol=1e-2, delta=0.1)
+    assert rep.status == "success" and len(runs) == 1 and rep.forward_part is runs[0]
+
+
 def test_all_is_exactly_what_init_imports():
     # the export list has no duplicates, each entry resolves, and it names
     # every name the package imports from its modules and nothing else

@@ -176,32 +176,58 @@ def test_sphere_exit_evaluates_no_gradient_past_the_sphere(monkeypatch):
 
 
 def test_minnorm_matches_reference():
+    # the min-norm flow of max{f, c} is the DOP853 flow on f up to its first
+    # state at or below c; its limit, located on the last step, meets c
     saddle = HB.critical_points[8]
-    g = br.cap(HB, saddle.f_value)
     st = br.FlowSettings(h=3e-4, t_max=2.0, gtol=1e-6)
     x0 = saddle.point + np.array([0.05, 0.03])
-    traj = br.integrate_minnorm(g, x0, st)
-    x = np.array(x0)
-    speed = lambda y: br.min_norm_element(br.clarke_generators(g, y))
-    v = speed(x)
-    ref = [State(0, 0.0, x.copy(), g.value(x), float(np.linalg.norm(v)))]
-    for k in range(int(round(st.t_max / st.h))):
-        if ref[-1].grad_norm < st.gtol:
-            break
-        x = x - st.h * v
-        v = speed(x)
-        ref.append(State(k + 1, (k + 1) * st.h, x.copy(), g.value(x), float(np.linalg.norm(v))))
+    traj = br.integrate_minnorm(HB, x0, saddle.f_value, st)
+    ref, _ = dop853_flow(HB, x0, -1.0, st.h, st.t_max, st.gtol,
+                         stop=lambda x: HB.value(x) <= saddle.f_value)
     assert traj.terminal_status == "converged"
     assert same_states(traj.states, ref)
+    assert abs(HB.value(traj.limit) - saddle.f_value) <= 1e-9
+    assert norm(traj.limit - traj.X[-2]) <= norm(traj.X[-1] - traj.X[-2])
 
 
 def test_minnorm_evaluates_each_state_once():
+    # a run that never meets its level (here below every value of f) takes
+    # one value per state and none to locate a crossing
     f, counts = counting(HB)
     saddle = HB.critical_points[8]
     st = br.FlowSettings(h=3e-4, t_max=2.0, gtol=1e-6)
-    traj = br.integrate_minnorm(br.cap(f, saddle.f_value), saddle.point + [0.05, 0.03], st)
-    # the recorded value and the active set share one evaluation per state
-    assert counts["value"] == len(traj) == 54
+    traj = br.integrate_minnorm(f, saddle.point + [0.05, 0.03], -1.0, st)
+    assert traj.limit is None and len(traj) > 10
+    assert counts["value"] == len(traj)
+
+
+def level_run(dynamics, level, budget):
+    """A level run of each dynamics on quad:1 from x0 = 1 with gtol 1e-6:
+    _run_to_level under alpha = 0.5 for budget steps, or integrate_minnorm
+    for time budget."""
+    if dynamics == "gd":
+        return _run_to_level(Q1, [1.0], br.constant(0.5), level, 1e-6, budget)[0]
+    return br.integrate_minnorm(Q1, [1.0], level, br.FlowSettings(h=0.1, t_max=budget,
+                                                                  gtol=1e-6))
+
+
+@pytest.mark.parametrize("dynamics", ["gd", "flow"])
+@pytest.mark.parametrize("level,budgets,status,stop", [
+    (0.1, (10**4, 100.0), "converged", "level_crossing"),
+    (-1.0, (10**4, 100.0), "converged", None),
+    (-1.0, (5, 0.5), "budget_exhausted", None),
+], ids=["crossed", "stalled", "budget"])
+def test_level_run_names_its_stop_only_when_it_crossed(dynamics, level, budgets, status, stop):
+    traj = level_run(dynamics, level, budgets[dynamics == "flow"])
+    assert traj.terminal_status == status
+    assert (traj.limit is not None) == (stop is not None)
+    assert traj.provenance.get("stopped_on") == stop
+
+
+def test_sphere_exit_names_its_stop():
+    _, _, traj = _sphere_exit_detail(Q1, [0.5], "reverse", [0.0], 1.0,
+                                     br.FlowSettings(h=1e-2, t_max=5.0))
+    assert traj.provenance["stopped_on"] == "sphere_exit" and "event" not in traj.provenance
 
 
 def test_record_trajectories_is_per_thread():
