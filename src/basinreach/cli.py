@@ -21,7 +21,7 @@ import numpy as np
 from . import serialize
 from .descent import run_gd
 from .flow import FlowSettings, NoCrossingError, integrate
-from .landscape import BUILTIN_NAMES, LeftBoxError, make_builtin, norm
+from .landscape import LeftBoxError, make_builtin, norm
 from .reach import (ReachBudgets, edge_of_stability, reach_continuous,
                     reach_discrete, reach_general, stability_probe)
 from .reverse import prox, prox_certificates

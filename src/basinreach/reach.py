@@ -119,8 +119,17 @@ def _ball_fits_box(f, center, radius):
     return bool(np.all(center - radius >= lo - 1e-12) and np.all(center + radius <= hi + 1e-12))
 
 
-# points of the circle grid behind the 2-D capture certificate
+# points of the circle grid behind the 2-D capture certificate, and the
+# stride of its coarse pass
 CAPTURE_GRID = 256
+CAPTURE_STRIDE = 8
+# the unit circle grid laid out by steps past a coarse point: _CIRCLE[s, k]
+# is grid point k CAPTURE_STRIDE + s, so _CIRCLE[0] is the coarse pass; and
+# _CHORD[s - 1] = 2 sin(pi s/N), the unit chord of s grid steps
+_THETA = 2.0 * np.pi * np.arange(CAPTURE_GRID) / CAPTURE_GRID
+_CIRCLE = np.ascontiguousarray(np.stack([np.cos(_THETA), np.sin(_THETA)], axis=1)
+                               .reshape(-1, CAPTURE_STRIDE, 2).transpose(1, 0, 2))
+_CHORD = 2.0 * np.sin(np.pi * np.arange(1, CAPTURE_STRIDE) / CAPTURE_GRID)[:, None]
 
 
 def _spectrum(f, target):
@@ -137,7 +146,21 @@ def _capture_level(f, target, epsilon):
     """c <= min f on the epsilon-sphere around target, or None.  1-D: the
     smaller sphere value; 2-D: each of N = CAPTURE_GRID circle points y_i
     lies within the chord d = 2 epsilon sin(pi/(2N)) of its arc, where f >=
-    f(y_i) - |grad f(y_i)| d - L d^2/2, less 1e-12 (1 + |f(y_i)|)."""
+    b_i = f(y_i) - |grad f(y_i)| d - L d^2/2 - 1e-12 (1 + |f(y_i)|), and c is
+    the least b_i, taken in two batched passes.
+
+    The coarse pass evaluates every CAPTURE_STRIDE-th grid point, c_1 the
+    least of their b_i.  A grid point y_j s steps from a coarse y_i lies at
+    the chord D = 2 epsilon sin(pi s/N), and on that chord, inside
+    B_epsilon and so in the box, f(y_j) >= f_i - |g_i| D - L D^2/2,
+    |g_j| <= |g_i| + L D and |f(y_j)| <= |f_i| + |g_i| D + L D^2/2, so
+    b_j >= f_i - |g_i| (D + d) - L (D + d)^2/2 - 1e-12 (1 + |f_i| +
+    |g_i| D + L D^2/2), the larger of this bound from the coarse points on
+    either side.  The fill pass evaluates every grid point whose bound is
+    not above c_1 + 1e-12 (1 + |c_1|), the margin for rounding in the bound
+    and in f, and c is the least b over both passes.  A skipped point has
+    b_j > c_1 >= c, so c is the least b_i over the whole grid, bit for bit:
+    each b_i comes from the same floats as in one pass over the grid."""
     L = f.lipschitz_L
     if not L > 0.0:
         return None
@@ -145,12 +168,26 @@ def _capture_level(f, target, epsilon):
         return float(f.values(target + np.array([[-epsilon], [epsilon]])).min())
     if f.dim != 2:
         return None
-    theta = 2.0 * np.pi * np.arange(CAPTURE_GRID) / CAPTURE_GRID
-    Y = target + epsilon * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    Y = target + epsilon * _CIRCLE
     d = 2.0 * epsilon * math.sin(math.pi / (2 * CAPTURE_GRID))
-    fy = f.values(Y)
-    bound = fy - row_norms(f.gradients(Y)) * d - 0.5 * L * d * d - 1e-12 * (1.0 + np.abs(fy))
-    return float(bound.min())
+
+    def floor(rows):  # (f, |grad f|, b) at each row
+        fy = f.values(rows)
+        gy = row_norms(f.gradients(rows))
+        return fy, gy, fy - gy * d - 0.5 * L * d * d - 1e-12 * (1.0 + np.abs(fy))
+
+    fc, gc, bc = floor(Y[0])
+    c1 = bc.min()
+    # bound[s - 1, k]: the floor of b on Y[s, k] from the coarse point s
+    # steps before it, Y[0, k]; then the larger with the floor from the one
+    # CAPTURE_STRIDE - s steps after it, Y[0, k + 1]
+    D = epsilon * _CHORD
+    A = D + d
+    bound = (fc - 1e-12 * (1.0 + np.abs(fc)) - gc * (A + 1e-12 * D)
+             - L * (0.5 * A * A + 0.5e-12 * D * D))
+    bound = np.maximum(bound, np.concatenate((bound[::-1, 1:], bound[::-1, :1]), axis=1))
+    fill = Y[1:][bound <= c1 + 1e-12 * (1.0 + abs(c1))]
+    return float(min(c1, floor(fill)[2].min()))
 
 
 def _descends(dynamics, what):
@@ -199,18 +236,21 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     reach has taken it already; else the probe takes one eigh itself.)
 
     Capture set: for 1-D and 2-D objectives ``capture_level`` c is a
-    certified lower bound of f on the epsilon-sphere, and a run passes
-    once it enters K = {x in B_epsilon : f(x) < c}.  With alpha < 2/L the
-    descent lemma gives f(x - t alpha g) <= f(x) < c for t in [0, 1], so a
-    GD step from K never crosses the sphere; the exact flow is monotone in
-    f (DOP853 follows it to its accuracy).  In K, sum alpha_k (1 - alpha_k
-    L/2) |g_k|^2 < inf, so a nonsummable schedule forces liminf |g_k| = 0:
-    a captured run stays in B_epsilon and reaches gtol for all time, not
-    only within budget.  That its limit is the target is not claimed for
-    K; the full runs do not check it either.  c is not taken when B_r is
-    all of B_epsilon (as when M = 0), where K adds nothing.  Every start
-    within ``delta_cert`` = max(sqrt(2 (c - f*)/L), r) of the target lies
-    in K or B_r (r alone without c, None without either).
+    certified lower bound of f on the epsilon-sphere (``_capture_level``:
+    in 2-D the Lipschitz floor of a circle grid, taken in a coarse and a
+    fill pass that evaluate only the grid points a Lipschitz bound cannot
+    rule out), and a run passes once it enters K = {x in B_epsilon : f(x) <
+    c}.  With alpha < 2/L the descent lemma gives f(x - t alpha g) <= f(x)
+    < c for t in [0, 1], so a GD step from K never crosses the sphere; the
+    exact flow is monotone in f (DOP853 follows it to its accuracy).  In K,
+    sum alpha_k (1 - alpha_k L/2) |g_k|^2 < inf, so a nonsummable schedule
+    forces liminf |g_k| = 0: a captured run stays in B_epsilon and reaches
+    gtol for all time, not only within budget.  That its limit is the
+    target is not claimed for K; the full runs do not check it either.  c
+    is not taken when B_r is all of B_epsilon (as when M = 0), where K adds
+    nothing.  Every start within ``delta_cert`` = max(sqrt(2 (c - f*)/L),
+    r) of the target lies in K or B_r (r alone without c, None without
+    either).
     """
     descent = _descends(dynamics, "stability_probe")
     target = np.asarray(target, dtype=float)

@@ -9,7 +9,8 @@ import basinreach as br
 import basinreach.flow as flow
 from basinreach.flow import (ATOL, H_GUARD, H_STABLE, PI_ALPHA, PI_BETA, PI_MAX, PI_MIN, PI_SAFE,
                             RTOL)
-from basinreach.landscape import LeftBoxError, dot, norm, sumsq
+from basinreach.landscape import LeftBoxError, dot, norm, row_norms, sumsq
+from basinreach.reach import CAPTURE_GRID
 from basinreach.reverse import _GRAM_RTOL, FIXED_POINT_RTOL
 from basinreach.trajectory import State
 
@@ -192,6 +193,26 @@ def minnorm_euler(f, x0, level, h, t_max, gtol, activity_tol=1e-9):
         g, v = speed(x)
         states.append(State(k + 1, (k + 1) * h, x.copy(), g, norm(v)))
     return states
+
+
+def capture_level_full_grid(f, target, epsilon):
+    """reach._capture_level in one pass over the whole grid: the smaller
+    sphere value in 1-D; in 2-D the least b_i = f(y_i) - |grad f(y_i)| d -
+    L d^2/2 - 1e-12 (1 + |f(y_i)|) over all N = CAPTURE_GRID circle points,
+    d = 2 epsilon sin(pi/(2N)): the reference the two-pass level equals."""
+    L = f.lipschitz_L
+    if not L > 0.0:
+        return None
+    if f.dim == 1:
+        return float(f.values(target + np.array([[-epsilon], [epsilon]])).min())
+    if f.dim != 2:
+        return None
+    theta = 2.0 * np.pi * np.arange(CAPTURE_GRID) / CAPTURE_GRID
+    Y = target + epsilon * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    d = 2.0 * epsilon * math.sin(math.pi / (2 * CAPTURE_GRID))
+    fy = f.values(Y)
+    bound = fy - row_norms(f.gradients(Y)) * d - 0.5 * L * d * d - 1e-12 * (1.0 + np.abs(fy))
+    return float(bound.min())
 
 
 def count_flow_steps(monkeypatch):

@@ -14,7 +14,8 @@ from basinreach.sampling import Lcg64, unit_directions
 from basinreach.serialize import reach_report_json
 from basinreach.trajectory import record_trajectories
 
-from conftest import count_flow_steps, counting, make_saddle_quad, same_states, two_wells
+from conftest import (capture_level_full_grid, count_flow_steps, counting, make_saddle_quad,
+                      same_states, two_wells)
 
 
 FLOW = br.FlowSettings(h=1e-2, t_max=50.0, gtol=1e-6)
@@ -260,7 +261,8 @@ def test_probe_evaluation_counts(monkeypatch, dw, quad14, himmelblau):
         _, runs = probe_runs(f, [0.0, 0.0], 1.0, dynamics)
         assert len(runs) == 12 and calls == [] and counts == {"grad": 12, "value": 12}
     # a GD state costs one gradient and one value; the 1-D certificate takes
-    # the 2 sphere values, the 2-D one 256 values and 256 gradients
+    # the 2 sphere values, the 2-D one here 49 of its 256 grid points, each
+    # a value and a gradient: 32 in the coarse pass, 17 in the fill
     f, counts = counting(WIDE_DW)
     _, runs = probe_runs(f, [1.0], 1.5, br.constant(0.5 / f.lipschitz_L), seed=0)
     states = sum(len(r.states) for r in runs)
@@ -268,7 +270,7 @@ def test_probe_evaluation_counts(monkeypatch, dw, quad14, himmelblau):
     f, counts = counting(himmelblau)
     _, runs = probe_runs(f, [3.0, 2.0], 1.0, br.constant(0.5 / f.lipschitz_L), seed=0)
     states = sum(len(r.states) for r in runs)
-    assert counts == {"grad": states + 256, "value": states + 256}
+    assert counts == {"grad": states + 49, "value": states + 49}
 
 
 @pytest.mark.parametrize("dynamics", [br.constant(0.2), br.FlowSettings(h=1e-2, t_max=20.0)],
@@ -398,6 +400,61 @@ def test_capture_level_grid_on_renamed_quad(quad14):
     est = br.stability_probe(quad14, [0.0, 0.0], 1.0, br.constant(0.1))
     assert est.capture_level is None
     assert est.delta_cert == 1.0
+
+
+def test_two_pass_capture_level_is_the_full_grid_floor(quad14):
+    # the coarse and fill passes give the full grid's floor bit for bit on
+    # every certificate case, each himmelblau minimum at each epsilon whose
+    # ball fits the box, and the renamed quad without M; a himmelblau
+    # minimum at epsilon = 1 evaluates at most 70 of the 256 grid points
+    hb = br.make_builtin("himmelblau")
+    cases = [(br.make_builtin(name, params), np.asarray(target, dtype=float), eps)
+             for name, params, target, eps in CERT_CASES]
+    cases += [(hb, p, eps) for p in HB_MINIMA for eps in (0.1, 0.25, 0.5, 1.0, 1.5, 2.0)
+              if reach_mod._ball_fits_box(hb, p, eps)]
+    cases.append((dataclasses.replace(quad14, name="bowl", hessian_lipschitz=None),
+                  np.zeros(2), 1.0))
+    assert len(cases) == 32
+    for f, target, eps in cases:
+        counted, counts = counting(f)
+        c = reach_mod._capture_level(counted, target, eps)
+        assert c == capture_level_full_grid(f, target, eps), (f.name, target, eps)
+        if f.name == "himmelblau" and eps == 1.0:
+            assert 0 < counts["grad"] <= 70 and 0 < counts["value"] <= 70, counts
+
+
+def test_two_pass_capture_level_evaluates_a_dip_between_coarse_points():
+    # |x|^2/2 less a Gaussian dip of depth a and width sig centred on grid
+    # point 100 of the unit circle, 4 steps from the coarse points 96 and
+    # 104: the dip's Hessian has spectral norm at most a/sig^2, so L = 1 +
+    # a/sig^2 holds on the box.  The coarse pass misses the dip, which
+    # holds the sphere floor; the fill pass must evaluate point 100
+    a, sig, j = 0.01, 0.02, 100
+    assert j % reach_mod.CAPTURE_STRIDE == reach_mod.CAPTURE_STRIDE // 2
+    theta = 2.0 * np.pi * np.arange(reach_mod.CAPTURE_GRID) / reach_mod.CAPTURE_GRID
+    Y = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    p, seen = Y[j], []
+
+    def bump(x):
+        return a * math.exp(-float((x - p) @ (x - p)) / (2.0 * sig * sig))
+
+    def value(x):
+        seen.append(x.tobytes())
+        return 0.5 * float(x @ x) - bump(x)
+
+    def grad(x):
+        return x + bump(x) / (sig * sig) * (x - p)
+
+    dip = br.ObjectiveFunction(dim=2, f=value, grad=grad, lipschitz_L=1.0 + a / (sig * sig),
+                               box=np.array([[-2.0, 2.0], [-2.0, 2.0]]), name="dip")
+    # L is honest on sampled pairs near the dip
+    rng = np.random.default_rng(0)
+    for x, y in p + 3.0 * sig * rng.standard_normal((200, 2, 2)):
+        assert norm(grad(x) - grad(y)) <= dip.lipschitz_L * norm(x - y)
+    c = reach_mod._capture_level(dip, np.zeros(2), 1.0)
+    assert p.tobytes() in seen
+    assert c < dip.value(p) < dip.values(Y[::reach_mod.CAPTURE_STRIDE]).min() - 0.9 * a
+    assert c == capture_level_full_grid(dip, np.zeros(2), 1.0)
 
 
 @pytest.mark.parametrize("name,params,target,eps", CERT_CASES)
