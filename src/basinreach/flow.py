@@ -8,10 +8,12 @@ events located on the dense output, and path-length analytics.
 Each run is a :func:`~basinreach.trajectory.march` with the one DOP853
 step rule, :func:`_dop853_step`, on points of the objective's lane
 (``landscape.Lane``): ``integrate``, sphere exits, each start of the
-continuous stability probe and ``integrate_minnorm``.  A crossing is a
-stop event: it tests the state a step reached and locates the crossing
-on that step's interpolant, whose three extra stages are the only
-gradients it costs.
+continuous stability probe and ``integrate_minnorm``.  Every sum of
+stages, a step's or the dense output's, is one ``lane.comb`` call over
+the nonzero pairs of its table row, precomputed at import: 14 calls a
+step for its 12 gradients.  A crossing is a stop event: it tests the
+state a step reached and locates the crossing on that step's
+interpolant, whose three extra stages are the only gradients it costs.
 """
 
 import math
@@ -109,6 +111,13 @@ _D = (
      -149.72683625798564))
 _P = tuple((b, (i == 0) - b, 2.0 * b - (i == 0) - (i == 12), *d)
            for i, (b, *d) in enumerate(zip(_A[-1] + (0.0,) * 4, *_D)))
+# each sum as lane.comb takes it: the nonzero (stage index, weight) pairs of
+# the rows of _A (stages 2-12, then the 8th-order point), _X, _E5 and _E3, and
+# the nonzero rows of _P with their stage indices
+_terms = lambda row: tuple((i, w) for i, w in enumerate(row) if w)
+*_STAGES, _POINT = map(_terms, _A)
+_DENSE_STAGES, _E5_TERMS, _E3_TERMS = tuple(map(_terms, _X)), _terms(_E5), _terms(_E3)
+_P_ROWS = tuple((i, p) for i, p in enumerate(_P) if any(p))
 
 
 class NoCrossingError(RuntimeError):
@@ -158,26 +167,20 @@ class DesingularizationModel:
         return self.coeff * max(float(s), 0.0) ** self.exponent
 
 
-def _comb(axpy, y, sh, weights, ks):
-    """y + (sh w_1) k_1 + (sh w_2) k_2 + ..., added in order, zero weights skipped."""
-    for w, k in zip(weights, ks):
-        if w:
-            y = axpy(y, sh * w, k)
-    return y
-
-
 def _dop853_step(lane, x, sh, g1):
     """One DOP853 step of signed length sh along dx/dt = grad(x), from g1 =
     grad(x), on points of the lane: (x_new, ks, e5, e3) with x_new the
     8th-order point, ks the 12 stage gradients the error estimates weigh
     and e5, e3 the embedded 5th- and 3rd-order error estimates.  Stage 13,
     grad(x_new), is left to the caller, which takes it only for a step it
-    accepts.  sh = -h flows down f, sh = h up it."""
-    ks = [g1]
-    for row in _A[:-1]:
-        ks.append(lane.grad(_comb(lane.axpy, x, sh, row, ks)))
-    x_new, zero = _comb(lane.axpy, x, sh, _A[-1], ks), lane.sub(x, x)
-    return x_new, ks, _comb(lane.axpy, zero, sh, _E5, ks), _comb(lane.axpy, zero, sh, _E3, ks)
+    accepts.  sh = -h flows down f, sh = h up it.  Each of the 11 stage
+    sums, the point and the two estimates is one ``lane.comb`` call."""
+    comb, ks = lane.comb, [g1]
+    for terms in _STAGES:
+        ks.append(lane.grad(comb(x, sh, terms, ks)))
+    zero = lane.sub(x, x)
+    return (comb(x, sh, _POINT, ks), ks, comb(zero, sh, _E5_TERMS, ks),
+            comb(zero, sh, _E3_TERMS, ks))
 
 
 class _Flow:
@@ -198,7 +201,7 @@ class _Flow:
         L = f.lipschitz_L
         self.h = min(settings.h, H_GUARD / L) if L > 0.0 else settings.h
         self.h_max = H_STABLE / L if L > 0.0 else math.inf
-        self.err_old, self.x_new = 1e-4, None
+        self.err_old, self.x_new, self.norm_new = 1e-4, None, None
 
     def march(self, f, x0, event=None, value=None):
         x = np.array(x0, dtype=float)
@@ -212,12 +215,13 @@ class _Flow:
 
     def step(self, k, t, x, g):
         t_max, h, rejected = self.settings.t_max, self.h, False
+        norm_x = self.norm_new if x is self.x_new else norm(x)
         while True:
             dt = min(h, t_max - t)
             x_new, ks, e5, e3 = _dop853_step(self.lane, x, self.sign * dt, g)
-            e5sq = sumsq(e5)
+            e5sq, norm_new = sumsq(e5), norm(x_new)
             err = ((e5sq / math.sqrt(e5sq + 0.01 * sumsq(e3)) if e5sq else 0.0)
-                   / (ATOL + RTOL * max(norm(x), norm(x_new))))
+                   / (ATOL + RTOL * max(norm_x, norm_new)))
             if err <= 1.0:
                 break
             h, rejected = dt / min(1.0 / PI_MIN, err ** PI_ALPHA / PI_SAFE), True
@@ -228,20 +232,22 @@ class _Flow:
         self.h, self.err_old = min(h, dt) if rejected else h, max(err, 1e-4)
         ks.append(self.lane.grad(x_new))
         self.t, self.x, self.dt, self.x_new, self.ks = t, x, dt, x_new, ks
+        self.norm_new = norm_new
         return (t_max if dt == t_max - t else t + dt), x_new
 
     def at(self, theta):
         """The dense output of the last step at theta in [0, 1] of it: x at
-        0 and x_new at 1, bit for bit.  The first call on a step takes its
-        stages 14-16."""
-        sh, axpy, ks = self.sign * self.dt, self.lane.axpy, self.ks
+        0 and x_new at 1, bit for bit, as one ``lane.comb`` over the stages
+        whose weight at theta is nonzero.  The first call on a step takes
+        its stages 14-16, one ``lane.comb`` each."""
+        sh, comb, ks = self.sign * self.dt, self.lane.comb, self.ks
         if len(ks) == 13:
-            for row in _X:
-                ks.append(self.lane.grad(_comb(axpy, self.x, sh, row, ks)))
+            for terms in _DENSE_STAGES:
+                ks.append(self.lane.grad(comb(self.x, sh, terms, ks)))
         t, u = theta, 1.0 - theta
-        w = [t * (p0 + u * (p1 + t * (p2 + u * (p3 + t * (p4 + u * (p5 + t * p6))))))
-             for p0, p1, p2, p3, p4, p5, p6 in _P]
-        return _comb(axpy, self.x, sh, w, ks)
+        terms = [(i, w) for i, (p0, p1, p2, p3, p4, p5, p6) in _P_ROWS if (
+            w := t * (p0 + u * (p1 + t * (p2 + u * (p3 + t * (p4 + u * (p5 + t * p6)))))))]
+        return comb(self.x, sh, terms, ks)
 
     def cross(self, phi, p_lo, p_hi, tol=math.inf):
         """(t, point) where phi meets 0 on the last step's dense output,

@@ -171,22 +171,53 @@ FLOAT_LANE_DIMS = 2
 class Lane(NamedTuple):
     """How gradient descent, DOP853 flow and the ascent solve hold points of
     one objective: ``point`` converts a 1-D array, ``grad`` calls f.grad on a
-    1-D float array, ``axpy(x, c, v)`` is x + c v, ``sub(x, y)`` is x - y
-    and ``inside`` is in_box (NaN counts as inside).  Both lanes make the
-    same IEEE operations, bit for bit; the float lane's are written out
-    per dimension, as a loop over coordinates is slower."""
+    1-D float array, ``axpy(x, c, v)`` is x + c v, ``sub(x, y)`` is x - y,
+    ``inside`` is in_box (NaN counts as inside) and ``comb(x, s, terms,
+    vs)`` is the chain of axpy(x, s w, vs[i]) over the (i, w) pairs of
+    ``terms`` in order, x itself when terms is empty: one DOP853 stage sum
+    in one call.  Both lanes make the same IEEE operations, bit for bit;
+    the float lane's are written out per dimension, as a loop over
+    coordinates is slower."""
 
     point: object
     grad: object
     axpy: object
     sub: object
     inside: object
+    comb: object
+
+
+def _ndarray_comb(x, s, terms, vs):
+    for i, w in terms:
+        x = x + (s * w) * vs[i]
+    return x
+
+
+def _comb1(x, s, terms, vs):
+    if not terms:
+        return x
+    (x0,) = x
+    for i, w in terms:
+        x0 += (s * w) * vs[i][0]
+    return (x0,)
+
+
+def _comb2(x, s, terms, vs):
+    if not terms:
+        return x
+    x0, x1 = x
+    for i, w in terms:
+        c = s * w
+        v0, v1 = vs[i]
+        x0 += c * v0
+        x1 += c * v1
+    return (x0, x1)
 
 
 def _lane(f):
     if f.dim > FLOAT_LANE_DIMS:
         return Lane(lambda x: np.array(x, dtype=float), f.gradient, lambda x, c, v: x + c * v,
-                    operator.sub, f.in_box)
+                    operator.sub, f.in_box, _ndarray_comb)
     grad = f.grad
     lo, hi = f._box_lo.tolist(), f._box_hi.tolist()
     if f.dim == 1:
@@ -194,17 +225,19 @@ def _lane(f):
         axpy = lambda x, c, v: (x[0] + c * v[0],)
         sub = lambda x, y: (x[0] - y[0],)
         inside = lambda x: not (x[0] < l0 or x[0] > h0)
+        comb = _comb1
     else:
         (l0, l1), (h0, h1) = lo, hi
         axpy = lambda x, c, v: (x[0] + c * v[0], x[1] + c * v[1])
         sub = lambda x, y: (x[0] - y[0], x[1] - y[1])
         inside = lambda x: not (x[0] < l0 or x[0] > h0 or x[1] < l1 or x[1] > h1)
+        comb = _comb2
 
     def floats_grad(x):
         g = grad(np.array(x))
         return g if type(g) is list else np.asarray(g, dtype=float).tolist()
     return Lane(lambda x: tuple(np.asarray(x, dtype=float).tolist()), floats_grad, axpy, sub,
-                inside)
+                inside, comb)
 
 
 # ---------------------------------------------------------------------------

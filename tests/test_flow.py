@@ -235,6 +235,33 @@ def test_dense_output_ends_on_the_step():
         assert counts["grad"] == before + 3
 
 
+def test_dop853_sums_are_one_lane_comb_each():
+    # on both lanes a DOP853 step makes each of its 11 stage sums, its
+    # 8th-order point and its two error estimates in one lane.comb call and
+    # calls no axpy; the first dense output on a step makes 4 (its 3 extra
+    # stages and the point), a later one only the point
+    for f, x0 in LANES:
+        calls = {"comb": 0, "axpy": 0}
+
+        def counted(name, op):
+            def op_counted(*args):
+                calls[name] += 1
+                return op(*args)
+            return op_counted
+        lane = f._lane._replace(comb=counted("comb", f._lane.comb),
+                                axpy=counted("axpy", f._lane.axpy))
+        x = lane.point(x0)
+        flow._dop853_step(lane, x, -0.01, lane.grad(x))
+        assert calls == {"comb": 14, "axpy": 0}
+        fl = flow._Flow(f, "forward", settings(h=0.05))
+        fl.lane = lane
+        fl.step(0, 0.0, x, lane.grad(x))
+        for theta, made in ((0.3, 4), (0.6, 1), (0.9, 1)):
+            calls["comb"] = 0
+            fl.at(theta)
+            assert calls == {"comb": made, "axpy": 0}
+
+
 def rotated_quartic(dim):
     """f(x) = u^4/4 + 3/2 (v^2 + w^2) in coordinates (u, v, w) = Qx, Q a
     rotation by 0.5 rad in the first plane, and the exact flow of -grad f:

@@ -191,6 +191,36 @@ def test_batched_evaluation_falls_back_row_by_row(himmelblau):
     assert same_bits(lin.gradients(X), np.ones((3, 1)))
 
 
+# --- lanes ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("params", [(1.0,), (1.0, 4.0), (1.0, 2.0, 5.0)],
+                         ids=["1-d-float-lane", "2-d-float-lane", "ndarray-lane"])
+def test_lane_comb_is_the_chained_axpy(params):
+    # comb(x, s, terms, vs) is axpy(x, s w, vs[i]) chained over the (i, w)
+    # of terms in order, bit for bit, for either sign of s and from a start
+    # of -0.0 (terms over the signed zeros among the vs make zero sums
+    # whose sign depends on where the start is added); it leaves its start
+    # as it was, and with no terms hands it back
+    lane, dim = br.make_builtin("quad", params)._lane, len(params)
+    rng = np.random.default_rng(13)
+    vs = [lane.point(v) for v in rng.standard_normal((14, dim))]
+    vs += [lane.point(np.zeros(dim)), lane.point(np.full(dim, -0.0))]
+    for s in (0.37, -1.25e-3):
+        draws = [tuple(zip(rng.integers(0, 16, n).tolist(), rng.standard_normal(n).tolist()))
+                 for n in (1, 2, 5, 16)]
+        for terms in draws + [((15, 1.0),), ((15, 2.0), (14, -1.0))]:
+            for start in (lane.point(np.full(dim, -0.0)), lane.point(rng.standard_normal(dim))):
+                before, chained = np.array(start).tobytes(), start
+                for i, w in terms:
+                    chained = lane.axpy(chained, s * w, vs[i])
+                out = lane.comb(start, s, terms, vs)
+                assert type(out) is type(start)
+                assert np.array(out).tobytes() == np.array(chained).tobytes()
+                assert np.array(start).tobytes() == before
+        x = lane.point(rng.standard_normal(dim))
+        assert lane.comb(x, s, (), vs) is x
+
+
 # --- min-norm element ------------------------------------------------------
 
 def test_min_norm_examples():
