@@ -9,11 +9,10 @@ from .flow import (DesingularizationModel, FlowSettings, NoCrossingError,
                    check_length_bound, integrate, integrate_minnorm, path_length,
                    sphere_exit)
 from .landscape import (BUILTIN_NAMES, CriticalPoint, LeftBoxError, ObjectiveFunction,
-                        fd_gradient, make_builtin, min_norm_element, refine_critical_point)
+                        make_builtin, min_norm_element, refine_critical_point)
 from .reach import (ReachBudgets, ReachReport, StabilityEstimate, edge_of_stability,
                     reach_continuous, reach_discrete, reach_general, stability_probe)
-from .reverse import (ReverseOrbit, ascent_prox, contraction_iteration_bound, prox,
-                      prox_certificates, reverse_orbit)
+from .reverse import ReverseOrbit, ascent_prox, prox, prox_certificates, reverse_orbit
 from .sampling import Lcg64
 from .schedule import StepSchedule, admissible, constant, parse_schedule, power
 from .trajectory import State, Trajectory, record_trajectories
@@ -25,10 +24,9 @@ __all__ = [
     "FlowSettings", "Lcg64", "LeftBoxError", "NoCrossingError", "ObjectiveFunction",
     "ReachBudgets", "ReachReport", "ReverseOrbit", "StabilityEstimate", "State",
     "StepSchedule", "Trajectory", "admissible", "ascent_prox", "check_length_bound",
-    "classify_limit", "constant", "contraction_iteration_bound",
-    "descent_certificate_violations", "edge_of_stability", "fd_gradient", "gd_step",
-    "integrate", "integrate_minnorm", "make_builtin", "min_norm_element", "parse_schedule",
-    "path_length", "power", "prox", "prox_certificates", "reach_continuous",
-    "reach_discrete", "reach_general", "record_trajectories", "refine_critical_point",
-    "reverse_orbit", "run_gd", "sphere_exit", "stability_probe",
+    "classify_limit", "constant", "descent_certificate_violations", "edge_of_stability",
+    "gd_step", "integrate", "integrate_minnorm", "make_builtin", "min_norm_element",
+    "parse_schedule", "path_length", "power", "prox", "prox_certificates",
+    "reach_continuous", "reach_discrete", "reach_general", "record_trajectories",
+    "refine_critical_point", "reverse_orbit", "run_gd", "sphere_exit", "stability_probe",
 ]

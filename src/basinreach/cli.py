@@ -3,11 +3,12 @@
 Subcommands: bench, run, reach, probe, eos, check.  Configuration comes
 from ``--config file.json`` and/or inline flags (flags win); the resolved
 configuration is echoed verbatim into the output directory, and identical
-config + seed reproduce byte-identical CSV/JSON outputs.  Exit codes:
-0 success, 1 procedure failure (a failure status, or a LeftBoxError,
-NoCrossingError or ArithmeticError inside it), 2 configuration error.
-``main`` can be called repeatedly in one process; the parser is built on
-the first call and reused.
+config + seed reproduce byte-identical CSV/JSON outputs.  Each field is
+declared once, in ``FIELDS``, and each subcommand takes one ``--flag`` per
+field it reads (``COMMAND_FIELDS``).  Exit codes: 0 success, 1 procedure
+failure (a failure status, or a LeftBoxError, NoCrossingError or
+ArithmeticError inside it), 2 configuration error.  ``main`` can be called
+repeatedly in one process; the parser is built on the first call and reused.
 """
 
 import argparse
@@ -28,31 +29,49 @@ from .reverse import prox, prox_certificates
 from .sampling import Lcg64
 from .schedule import parse_schedule
 
-#: every config field and its documented default
-CONFIG_DEFAULTS = {
-    "function": "double_well",   # name or name:p1,p2,...
-    "schedule": "constant:0.02", # constant:C or power:C:P
-    "procedure": "gd",           # gd | flow | reach | reach-general | probe | eos | prox-check
-    "target": None,              # point [..] or catalog index (int)
-    "x0": None,                  # start point for gd/flow/eos
-    "direction": "forward",      # flow direction
-    "mode": "discrete",          # reach/probe mode: discrete | continuous
-    "epsilon": 0.4,              # reach/probe ball radius
-    "seed_radius": 1e-3,         # ascent-seed sphere radius
-    "tol": 1e-4,                 # reach success tolerance
-    "delta": None,               # saddle-mode escape radius (default epsilon/2)
-    "gtol": 1e-10,               # gradient stopping tolerance
-    "h": 1e-3,                   # flow integrator's first trial step
-    "t_max": 50.0,               # flow time budget
-    "event_refine_tol": None,    # sphere-crossing refinement (default h/1000)
-    "max_iter": 1000000,         # discrete iteration budget
-    "kbar_max": 65536,           # reverse-orbit horizon budget
-    "n_samples": 8,              # probe quasi-random starts per radius
-    "alpha": None,               # eos step size
-    "n_checks": 500,             # prox-check sample count
-    "seed": 0,                   # quasi-random generator seed
-    "output_dir": None,          # default: $BASINREACH_OUT or ./basinreach_out
+#: every config field: name -> (default, kind, help); a None default means
+#: the field may also be null
+FIELDS = {
+    "function": ("double_well", "str", "builtin, e.g. quad:1,4 or double_well:1.5"),
+    "schedule": ("constant:0.02", "str", "step schedule: constant:C or power:C:P"),
+    "procedure": ("gd", "str", "run's dynamics, gd or flow; other subcommands set their own"),
+    "target": (None, "target", "target point x1,x2,... (or a catalog index in a config file)"),
+    "x0": (None, "point", "start point x1,x2,... (eos defaults to all ones)"),
+    "direction": ("forward", "str", "flow direction"),
+    "mode": ("discrete", "str", "reach/probe dynamics: discrete is descent, continuous is flow"),
+    "epsilon": (0.4, "number", "reach/probe ball radius"),
+    "seed_radius": (1e-3, "number", "ascent-seed sphere radius"),
+    "tol": (1e-4, "number", "reach success tolerance"),
+    "delta": (None, "number", "saddle-mode escape radius (default epsilon/2)"),
+    "gtol": (1e-10, "number", "gradient stopping tolerance"),
+    "h": (1e-3, "number", "flow integrator's first trial step"),
+    "t_max": (50.0, "number", "flow time budget"),
+    "event_refine_tol": (None, "number", "sphere-crossing refinement (default h/1000)"),
+    "max_iter": (1000000, "count", "discrete iteration budget"),
+    "kbar_max": (65536, "count", "reverse-orbit horizon budget"),
+    "n_samples": (8, "count", "probe quasi-random starts per radius"),
+    "alpha": (None, "number", "eos step size"),
+    "n_checks": (500, "count", "prox-check sample count"),
+    "seed": (0, "int", "quasi-random generator seed"),
+    "output_dir": (None, "str", "output directory after --out and $BASINREACH_OUT, "
+                                "else ./basinreach_out"),
 }
+
+#: the fields each subcommand reads, each one a --flag; procedure (reach),
+#: event_refine_tol and output_dir are read from a config file only
+COMMAND_FIELDS = {
+    "run": ("function", "procedure", "x0", "schedule", "gtol", "max_iter", "direction",
+            "h", "t_max"),
+    "reach": ("function", "mode", "target", "epsilon", "schedule", "seed_radius", "tol",
+              "delta", "gtol", "max_iter", "kbar_max", "n_samples", "seed", "h", "t_max"),
+    "probe": ("function", "mode", "target", "epsilon", "schedule", "gtol", "max_iter",
+              "n_samples", "seed", "h", "t_max"),
+    "eos": ("function", "alpha", "x0"),
+    "check": ("function", "n_checks", "seed"),
+}
+
+CHOICES = {"procedure": ("gd", "flow"), "direction": ("forward", "reverse"),
+           "mode": ("discrete", "continuous")}
 
 
 class ConfigError(ValueError):
@@ -67,33 +86,35 @@ def _numbers(v):
     return isinstance(v, list) and all(map(_number, v))
 
 
-#: what each field whose default is None may hold besides null
-NULLABLE_FIELDS = {
-    "delta": (_number, "a number"), "event_refine_tol": (_number, "a number"),
-    "alpha": (_number, "a number"), "output_dir": (lambda v: isinstance(v, str), "a string"),
+def parse_point(text):
+    return [float(v) for v in text.split(",")]
+
+
+#: kind -> (the test a config-file value must pass, its phrase in messages,
+#: the flag's type); counts and the seed must also be integers once merged
+KINDS = {
+    "str": (lambda v: isinstance(v, str), "a string", str),
+    "number": (_number, "a number", float),
+    "count": (_number, "a number", int),
+    "int": (_number, "a number", int),
+    "point": (_numbers, "a list of numbers", parse_point),
     "target": (lambda v: type(v) is int or _numbers(v),
-               "a catalog index (int) or a list of numbers"),
-    "x0": (_numbers, "a list of numbers"),
+               "a catalog index (int) or a list of numbers", parse_point),
 }
-
-
-#: the fields that, from a flag or a config file, hold a nonnegative integer;
-#: the seed may be any integer
-COUNT_FIELDS = ("max_iter", "kbar_max", "n_samples", "n_checks")
 
 
 def parse_function(text):
     """name or name:p1,p2,... e.g. quad:1,4 or double_well:2."""
     name, _, rest = text.partition(":")
-    params = tuple(float(v) for v in rest.split(",")) if rest else ()
     try:
+        params = tuple(float(v) for v in rest.split(",")) if rest else ()
         return make_builtin(name, params)
     except ValueError as exc:
         raise ConfigError(f"function: {exc}") from exc
 
 
 def resolve_config(args):
-    cfg = dict(CONFIG_DEFAULTS)
+    cfg = {key: default for key, (default, _, _) in FIELDS.items()}
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -103,25 +124,21 @@ def resolve_config(args):
         for key, val in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"config: unknown field {key!r}")
-            default = CONFIG_DEFAULTS[key]
-            if default is None:
-                ok, what = NULLABLE_FIELDS[key]
-                ok, what = val is None or ok(val), what + " or null"
-            elif isinstance(default, str):
-                ok, what = isinstance(val, str), "a string"
-            else:
-                ok, what = _number(val), "a number"
-            if not ok:
+            default, kind, _ = FIELDS[key]
+            ok, what, _ = KINDS[kind]
+            if not (ok(val) or default is None and val is None):
+                what += " or null" if default is None else ""
                 raise ConfigError(f"config: {key} must be {what}, got {json.dumps(val)}")
             cfg[key] = val
     for key in cfg:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    for key in COUNT_FIELDS + ("seed",):
-        if type(cfg[key]) is not int or (cfg[key] < 0 and key != "seed"):
-            what = "an integer" if key == "seed" else "a nonnegative integer"
-            raise ConfigError(f"{key} must be {what}, got {json.dumps(cfg[key])}")
+    for key, (_, kind, _) in FIELDS.items():
+        val = cfg[key]
+        if kind in ("count", "int") and (type(val) is not int or kind == "count" and val < 0):
+            what = "an integer" if kind == "int" else "a nonnegative integer"
+            raise ConfigError(f"{key} must be {what}, got {json.dumps(val)}")
     return cfg
 
 
@@ -155,10 +172,6 @@ def resolve_target(cfg, f):
             raise ConfigError(f"target: catalog index {target} out of range")
         return f.critical_points[target].point
     return resolve_point(cfg, "target", f)
-
-
-def parse_point(text):
-    return [float(v) for v in text.split(",")]
 
 
 def flow_settings(cfg):
@@ -343,33 +356,6 @@ def cmd_check(args):
     return 0 if identity_fails == 0 and cert_fails == 0 else 1
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", help="output directory (BASINREACH_OUT overrides the default)")
-    p.add_argument("--function", help="builtin, e.g. quad:1,4 or double_well:1.5")
-    p.add_argument("--schedule", help="constant:C or power:C:P")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gtol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-
-
-def _add_target(p, general=False):
-    p.add_argument("--mode", choices=["discrete", "continuous"])
-    if general:
-        p.add_argument("--general", action="store_true", help="saddle-targeting general case")
-    p.add_argument("--target", type=parse_point)
-    p.add_argument("--target-index", dest="target", type=int)
-    p.add_argument("--epsilon", type=float)
-
-
-def _add_flow(p, n_samples=False):
-    """The flow settings, after the probe's sample count when asked for."""
-    if n_samples:
-        p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--h", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-
-
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: each parse makes a
@@ -382,44 +368,29 @@ def build_parser():
 
     p = sub.add_parser("bench", help="list the benchmark catalog")
     p.add_argument("what", choices=["list"])
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help="print the catalog as JSON")
     p.set_defaults(handler=cmd_bench)
 
-    p = sub.add_parser("run", help="emit a trajectory CSV + summary JSON")
-    _add_common(p)
-    p.add_argument("--procedure", choices=["gd", "flow"])
-    p.add_argument("--x0", type=parse_point)
-    p.add_argument("--direction", choices=["forward", "reverse"])
-    _add_flow(p)
-    p.set_defaults(handler=cmd_run)
-
-    p = sub.add_parser("reach", help="construct x0 reaching a designated target")
-    _add_common(p)
-    _add_target(p, general=True)
-    p.add_argument("--seed-radius", dest="seed_radius", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--kbar-max", dest="kbar_max", type=int)
-    _add_flow(p, n_samples=True)
-    p.set_defaults(handler=cmd_reach)
-
-    p = sub.add_parser("probe", help="estimate a stability radius")
-    _add_common(p)
-    _add_target(p)
-    _add_flow(p, n_samples=True)
-    p.set_defaults(handler=cmd_probe)
-
-    p = sub.add_parser("eos", help="edge-of-stability verdict on the quad builtin")
-    _add_common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--x0", type=parse_point)
-    p.set_defaults(handler=cmd_eos)
-
-    p = sub.add_parser("check", help="proximal identity and certificate sweep")
-    _add_common(p)
-    p.add_argument("--n-checks", dest="n_checks", type=int)
-    p.set_defaults(handler=cmd_check)
-
+    for name, handler, text in (
+            ("run", cmd_run, "emit a trajectory CSV + summary JSON"),
+            ("reach", cmd_reach, "construct x0 reaching a designated target"),
+            ("probe", cmd_probe, "estimate a stability radius"),
+            ("eos", cmd_eos, "edge-of-stability verdict on the quad builtin"),
+            ("check", cmd_check, "proximal identity and certificate sweep")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help="output directory (BASINREACH_OUT overrides the default)")
+        if name == "reach":
+            p.add_argument("--general", action="store_true", help="saddle-targeting general case")
+        for key in COMMAND_FIELDS[name]:
+            default, kind, doc = FIELDS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=KINDS[kind][2],
+                           choices=CHOICES.get(key),
+                           help=doc if default is None else f"{doc} (default {default})")
+            if key == "target":
+                p.add_argument("--target-index", dest="target", type=int, metavar="INDEX",
+                               help="the target's index in the catalog of bench list")
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from .landscape import LeftBoxError, row_norms
 from .sampling import unit_directions
-from .schedule import admissible, require_admissible
+from .schedule import admissible, constant, require_admissible
 from .trajectory import march, recorded
 
 SPHERE_SAMPLES, SPHERE_SEED = 64, 0  # classify_limit's quasi-random directions after the axes
@@ -19,11 +19,10 @@ class Classification(NamedTuple):
 
 
 def gd_step(f, x, a):
-    """x - a * grad(x).  Requires a < 2/L and x in the box; a result
+    """x - a * grad(x).  Requires 0 < a < 2/L and x in the box; a result
     outside the box raises LeftBoxError carrying the offending point."""
     x = np.asarray(x, dtype=float)
-    if f.lipschitz_L > 0.0 and not a < 2.0 / f.lipschitz_L:
-        raise ValueError(f"step {a} is not below 2/L = {2.0 / f.lipschitz_L}")
+    require_admissible(constant(a), f, "stability", "gd_step")
     if not f.in_box(x):
         raise LeftBoxError(x, "gd_step called outside the operating box")
     out = x - a * f.gradient(x)

@@ -433,19 +433,6 @@ def refine_critical_point(f, x0, tol=1e-12, max_iter=100):
     raise RuntimeError(f"Newton refinement did not reach |grad| <= {tol} from {x0}")
 
 
-def fd_gradient(f, x, rel_step=1e-6):
-    """Central-difference gradient, the independent check on analytic gradients."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        h = rel_step * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f.value(xp) - f.value(xm)) / (2.0 * h)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # minimum-norm element
 

@@ -17,7 +17,6 @@ inner tolerance is three orders tighter than the orbit certificates,
 so residuals need no retuning.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,17 +129,6 @@ def _orbit_seeds(lane, pairs, step):
             dr = lane.axpy(neg_dx, step, dg)
             pairs[i] = neg_dx, dg, (dr, dg, step, dot(dr, dr))
     return [entry for _, _, entry in pairs]
-
-
-def contraction_iteration_bound(lam, L):
-    """ln(FIXED_POINT_RTOL)/ln(lam*L) + 2, the certified count of plain Picard
-    iterations, each one test of |T(y) - y| (the returned y is the last
-    one tested); for the Anderson-mixed solve, seeded or not, a tested
-    ceiling, not a certificate."""
-    q = lam * L
-    if not 0.0 < q < 1.0:
-        raise ValueError("contraction bound needs lam * L in (0, 1)")
-    return math.log(FIXED_POINT_RTOL) / math.log(q) + 2.0
 
 
 def prox(f, x, lam):

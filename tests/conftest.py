@@ -35,6 +35,19 @@ def himmelblau():
     return br.make_builtin("himmelblau")
 
 
+def fd_gradient(f, x, rel_step=1e-6):
+    """Central-difference gradient, the independent check on analytic gradients."""
+    x = np.asarray(x, dtype=float)
+    g = np.zeros_like(x)
+    for i in range(x.size):
+        h = rel_step * (1.0 + abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        g[i] = (f.value(xp) - f.value(xm)) / (2.0 * h)
+    return g
+
+
 def make_saddle_quad(box_half=5.0):
     """f(x, y) = x^2 - y^2 with its saddle at the origin; L = 2."""
     return br.ObjectiveFunction(
@@ -239,6 +252,17 @@ def counting(f):
             return fn(x)
         return call
     return dataclasses.replace(f, f=wrap(f.f, "value"), grad=wrap(f.grad, "grad")), counts
+
+
+def contraction_iteration_bound(lam, L):
+    """ln(FIXED_POINT_RTOL)/ln(lam*L) + 2, the certified count of plain Picard
+    iterations, each one test of |T(y) - y| (the returned y is the last
+    one tested); for the Anderson-mixed solve, seeded or not, a tested
+    ceiling, not a certificate."""
+    q = lam * L
+    if not 0.0 < q < 1.0:
+        raise ValueError("contraction bound needs lam * L in (0, 1)")
+    return math.log(FIXED_POINT_RTOL) / math.log(q) + 2.0
 
 
 def picard_solve(f, base, lam, sign, rtol=FIXED_POINT_RTOL):

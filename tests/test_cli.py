@@ -317,6 +317,8 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["run", "--function", "quad:nan", "--x0", "1"], "must be finite"),
+    (["run", "--function", "quad:a", "--x0", "1"],
+     "function: could not convert string to float: 'a'"),
     (["run", "--function", "quad:1,2", "--x0", "1"], "x0: needs 2 coordinates"),
     (["reach", "--function", "quad:1,2", "--target", "0"], "target: needs 2 coordinates"),
     (["run", "--function", "quad:1", "--x0", "20"], "outside the operating box"),
@@ -362,8 +364,8 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
      "mode: 'foo' is not discrete or continuous"),
     (["probe", "--config", {"function": "double_well", "target": 2, "mode": "foo"}],
      "mode: 'foo' is not discrete or continuous"),
-], ids=["nonfinite-param", "x0-dimension", "target-dimension", "x0-outside-box",
-        "config-object-for-number", "config-number-for-string", "config-bool-for-number",
+], ids=["nonfinite-param", "non-numeric-param", "x0-dimension", "target-dimension",
+        "x0-outside-box", "config-object-for-number", "config-number-for-string", "config-bool-for-number",
         "negative-target-index", "config-negative-target-index", "probe-negative-max-iter",
         "run-negative-max-iter", "negative-n-checks", "negative-kbar-max",
         "negative-n-samples", "config-fractional-n-samples", "config-fractional-seed",
@@ -423,6 +425,65 @@ def test_procedure_breakdown_exits_1(tmp_path, capsys, monkeypatch, exc):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {exc}\n"
+
+
+class RecordingConfig(dict):
+    """A resolved config that records each field a subcommand reads."""
+
+    def __init__(self, cfg, reads):
+        super().__init__(cfg)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
+
+
+def test_each_subcommand_flags_exactly_the_fields_it_reads(tmp_path, monkeypatch, capsys):
+    # every flag is read by a run of its subcommand, and the only fields read
+    # without a flag are output_dir (after --out and BASINREACH_OUT, neither
+    # given here), event_refine_tol (config only) and reach's procedure
+    # (--general sets it)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BASINREACH_OUT", raising=False)
+    reads = {}
+    resolve = cli.resolve_config
+
+    def recording(args):
+        return RecordingConfig(resolve(args), reads.setdefault(args.command, set()))
+    monkeypatch.setattr(cli, "resolve_config", recording)
+    runs = [
+        ["run", "--function", "quad:1", "--x0", "1", "--schedule", "constant:0.5",
+         "--max-iter", "50"],
+        ["run", "--procedure", "flow", "--function", "quad:1", "--x0", "1", "--h", "0.01",
+         "--t-max", "0.5"],
+        ["reach", "--function", "double_well", "--target", "1", "--schedule", "constant:0.021"],
+        ["reach", "--function", "quad:1", "--target", "0", "--mode", "continuous", "--epsilon",
+         "1.0", "--h", "0.01", "--t-max", "60", "--gtol", "1e-6", "--tol", "1e-5"],
+        ["reach", "--general", "--function", "himmelblau", "--target-index", "8", "--epsilon",
+         "1.0", "--schedule", "constant:0.0015", "--tol", "1e-2"],
+        ["probe", "--function", "double_well", "--target", "1", "--epsilon", "0.5",
+         "--schedule", "constant:0.05", "--n-samples", "2"],
+        ["probe", "--function", "double_well", "--target-index", "2", "--mode", "continuous",
+         "--h", "1e-3", "--t-max", "1e-4"],
+        ["eos", "--function", "quad:1", "--alpha", "2.1", "--x0", "0.5"],
+        ["check", "--function", "double_well", "--n-checks", "5"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    fields = set(json.loads(read(os.path.join("basinreach_out", "config.json"))))
+    unflagged = {"run": {"event_refine_tol"}, "reach": {"event_refine_tol", "procedure"},
+                 "probe": {"event_refine_tol"}, "eos": set(), "check": set()}
+    assert set(reads) == set(unflagged)
+    for command, read_fields in reads.items():
+        flags = fields & set(vars(cli.build_parser().parse_args([command])))
+        assert flags - read_fields == set(), command
+        assert read_fields - flags == unflagged[command] | {"output_dir"}, command
 
 
 def readme_commands():

@@ -26,8 +26,11 @@ def test_gd_step_examples(quad1, himmelblau):
 
 
 def test_gd_step_preconditions(quad1):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"gd_step needs sup alpha < 2/L .*2/L = 2\.0"):
         br.gd_step(quad1, [1.0], 2.0)  # a >= 2/L
+    for a in (-0.5, 0.0, -0.0):  # an ascent step, and no step
+        with pytest.raises(ValueError, match="must be positive"):
+            br.gd_step(quad1, [1.0], a)
     with pytest.raises(LeftBoxError):
         br.gd_step(quad1, [11.0], 0.5)  # x outside box
     exc = None

@@ -7,7 +7,7 @@ import pytest
 import basinreach as br
 from basinreach.landscape import HIMMELBLAU_CRITICAL_POINTS
 
-from conftest import make_linear_1d
+from conftest import fd_gradient, make_linear_1d
 
 
 def random_box_points(f, n, rng):
@@ -60,7 +60,7 @@ def test_fd_gradient_agreement(name, params):
     rng = np.random.default_rng(42)
     for x in random_box_points(f, 100, rng):
         g = f.gradient(x)
-        fd = br.fd_gradient(f, x)
+        fd = fd_gradient(f, x)
         assert np.linalg.norm(fd - g) <= 1e-5 * (1.0 + np.linalg.norm(g))
 
 

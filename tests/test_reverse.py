@@ -10,7 +10,8 @@ from basinreach.landscape import norm, row_norms
 from basinreach.reverse import FIXED_POINT_RTOL, _picard
 from basinreach.serialize import write_reverse_part_csv
 
-from conftest import anderson_orbit, anderson_solve, counting, picard_solve
+from conftest import (anderson_orbit, anderson_solve, contraction_iteration_bound, counting,
+                      picard_solve)
 
 
 BUILTINS = [("quad", (1.0, 4.0)), ("double_well", ()), ("himmelblau", ())]
@@ -107,7 +108,7 @@ def test_iteration_count_bound(name, params):
         x = interior_points(f, 1, rng)[0]
         lam = (0.1 + 0.8 * rng.random()) / L
         _, _, iters = _picard(f, x, lam, -1.0, norm(x))
-        assert iters <= br.contraction_iteration_bound(lam, L)
+        assert iters <= contraction_iteration_bound(lam, L)
 
 
 SWEEP_BUILTINS = BUILTINS + [("quad", (1.0, 2.0, 5.0))]
@@ -142,7 +143,7 @@ def test_solves_agree_with_plain_picard(name, params):
         assert np.array(g).tobytes() == g_ref.tobytes() == f.gradient(y_ref).tobytes()
         tol = FIXED_POINT_RTOL * (1.0 + norm(x))
         assert norm(np.array(y) - y_plain) <= (1.0 + q) / (1.0 - q) * tol
-        assert iters <= br.contraction_iteration_bound(q / L, L)
+        assert iters <= contraction_iteration_bound(q / L, L)
     assert 0 < exits < 120
 
 

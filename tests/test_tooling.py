@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import basinreach as br
+import basinreach.cli as cli
 import basinreach.flow as flow_mod
 import basinreach.reach as reach_mod
 import basinreach.reverse as reverse_mod
@@ -63,6 +64,22 @@ def test_continuous_saddle_reach_runs_integrate_minnorm_through_reach(monkeypatc
     rep = br.reach_general(himmelblau, target, 1.0, br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6),
                            1e-3, tol=1e-2, delta=0.1)
     assert rep.status == "success" and len(runs) == 1 and rep.forward_part is runs[0]
+
+
+def test_saddles_cli_replacements_reach_the_cli(monkeypatch, tmp_path):
+    # saddles_cli counts the CLI's evaluations and keeps its reports by
+    # replacing cli.make_builtin and cli.reach_general for the process, so
+    # the CLI must look both names up at call time; setting them here first
+    # restores the originals at teardown
+    monkeypatch.setattr(cli, "make_builtin", cli.make_builtin)
+    monkeypatch.setattr(cli, "reach_general", cli.reach_general)
+    workloads = load_workloads()
+    counts = workloads.Counts()
+    case = workloads.saddles_cli(0, counts, str(tmp_path)).make_round(0)[0]
+    snap = counts.snapshot()
+    result = case.run()
+    grads = counts.since(snap)[workloads.GRAD]
+    assert case.check(result, grads) == [] and grads > 0
 
 
 def test_all_is_exactly_what_init_imports():
