@@ -5,17 +5,25 @@ from ``--config file.json`` and/or inline flags (flags win); the resolved
 configuration is echoed verbatim into the output directory, and identical
 config + seed reproduce byte-identical CSV/JSON outputs.  Each field is
 declared once, in ``FIELDS``, and each subcommand takes one ``--flag`` per
-field it reads (``COMMAND_FIELDS``).  Exit codes: 0 success, 1 procedure
-failure (a failure status, or a LeftBoxError, NoCrossingError or
-ArithmeticError inside it), 2 configuration error.  ``main`` can be called
-repeatedly in one process; the parser is built on the first call and reused.
+field it reads (``COMMAND_FIELDS``).
+
+Each subcommand but bench is a handler ``cmd_*(cfg, f)`` of the resolved
+config and objective that does no I/O: it returns ``(outputs, line, ok)``,
+its output files by name (each a function of the file's path that writes
+it), its one stdout line and whether it succeeded.  ``main`` alone creates
+the output directory, writes each output and ``config.json``, prints and
+picks the exit code, and only once the handler has returned: a run that
+fails writes no directory.  Exit codes: 0 success, 1 procedure failure (a
+failure status, or a LeftBoxError, NoCrossingError or ArithmeticError
+inside it), 2 configuration error.  ``main`` can be called repeatedly in
+one process; the parser is built on the first call and reused.
 """
 
 import argparse
-import functools
 import json
 import os
 import sys
+from functools import cache, partial
 
 import numpy as np
 
@@ -134,6 +142,8 @@ def resolve_config(args):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    if getattr(args, "general", False):
+        cfg["procedure"] = "reach-general"
     for key, (_, kind, _) in FIELDS.items():
         val = cfg[key]
         if kind in ("count", "int") and (type(val) is not int or kind == "count" and val < 0):
@@ -142,20 +152,9 @@ def resolve_config(args):
     return cfg
 
 
-def output_dir(args, cfg):
-    out = getattr(args, "out", None) or os.environ.get("BASINREACH_OUT") \
-        or cfg.get("output_dir") or "basinreach_out"
-    os.makedirs(out, exist_ok=True)
-    cfg["output_dir"] = out
-    return out
-
-
 def resolve_point(cfg, key, f):
     """cfg[key] as a finite point of the objective's dimension."""
-    try:
-        x = np.atleast_1d(np.asarray(cfg[key], dtype=float))
-    except TypeError as exc:
-        raise ConfigError(f"{key}: not a point: {exc}") from exc
+    x = np.atleast_1d(np.asarray(cfg[key], dtype=float))
     if x.shape != (f.dim,):
         raise ConfigError(f"{key}: needs {f.dim} coordinates for {f.name}, got {x.size}")
     if not np.all(np.isfinite(x)):
@@ -204,31 +203,29 @@ def catalog_json(f):
     }
 
 
-def cmd_bench(args):
+def cmd_bench(as_json):
+    """The catalog of bench list, as text or as JSON."""
     functions = [make_builtin("quad", (1.0,)), make_builtin("double_well"),
                  make_builtin("himmelblau")]
-    if args.json:
-        print(json.dumps([catalog_json(f) for f in functions], indent=2, sort_keys=True))
-        return 0
+    if as_json:
+        return json.dumps([catalog_json(f) for f in functions], indent=2, sort_keys=True)
+    lines = []
     for f in functions:
-        print(f"{f.name}  dim={f.dim}  L={f.lipschitz_L:.6g}  "
-              f"box={[list(map(float, b)) for b in f.box]}")
+        lines.append(f"{f.name}  dim={f.dim}  L={f.lipschitz_L:.6g}  "
+                     f"box={[list(map(float, b)) for b in f.box]}")
         for i, cp in enumerate(f.critical_points):
             pt = ", ".join(f"{c:.12g}" for c in cp.point)
-            print(f"  [{i}] ({pt})  {cp.kind}  f={cp.f_value:.12g}")
-    return 0
+            lines.append(f"  [{i}] ({pt})  {cp.kind}  f={cp.f_value:.12g}")
+    return "\n".join(lines)
 
 
-def cmd_run(args):
-    cfg = resolve_config(args)
-    f = parse_function(cfg["function"])
+def cmd_run(cfg, f):
     if cfg["x0"] is None:
         raise ConfigError("x0: required for run")
     x0 = resolve_point(cfg, "x0", f)
     if not f.in_box(x0):
         raise ConfigError(f"x0: {x0.tolist()} lies outside the operating box "
                           f"{f.box.tolist()}")
-    out = output_dir(args, cfg)
     if cfg["procedure"] == "flow":
         traj = integrate(f, x0, cfg["direction"], flow_settings(cfg))
     elif cfg["procedure"] == "gd":
@@ -236,24 +233,18 @@ def cmd_run(args):
         traj = run_gd(f, x0, s, gtol=float(cfg["gtol"]), max_iter=cfg["max_iter"])
     else:
         raise ConfigError(f"procedure: {cfg['procedure']!r} is not a run procedure")
-    serialize.write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
-    serialize.write_json(serialize.trajectory_summary(traj),
-                         os.path.join(out, "summary.json"))
-    serialize.write_json(cfg, os.path.join(out, "config.json"))
-    print(f"{cfg['procedure']}: {traj.terminal_status} after {len(traj) - 1} steps")
-    return 0
+    outputs = {"trajectory.csv": partial(serialize.write_trajectory_csv, traj),
+               "summary.json": partial(serialize.write_json,
+                                       serialize.trajectory_summary(traj))}
+    line = f"{cfg['procedure']}: {traj.terminal_status} after {len(traj) - 1} steps"
+    return outputs, line, True
 
 
-def cmd_reach(args):
-    cfg = resolve_config(args)
-    if args.general:
-        cfg["procedure"] = "reach-general"
-    elif cfg["procedure"] != "reach-general":
+def cmd_reach(cfg, f):
+    if cfg["procedure"] != "reach-general":
         cfg["procedure"] = "reach"
-    f = parse_function(cfg["function"])
     target = resolve_target(cfg, f)
     dynamics = resolve_dynamics(cfg)
-    out = output_dir(args, cfg)
     budgets = ReachBudgets(max_iter=cfg["max_iter"], gtol=float(cfg["gtol"]),
                            kbar_max=cfg["kbar_max"], probe_samples=cfg["n_samples"],
                            seed=cfg["seed"])
@@ -266,71 +257,52 @@ def cmd_reach(args):
     else:
         report = minimum(*given, budgets)
 
-    forward_csv = reverse_csv = None
+    outputs = {}
     if report.forward_part is not None:
-        forward_csv = "forward.csv"
-        serialize.write_trajectory_csv(report.forward_part, os.path.join(out, forward_csv))
+        outputs["forward.csv"] = partial(serialize.write_trajectory_csv, report.forward_part)
     if report.reverse_part is not None:
-        reverse_csv = "reverse.csv"
         # the replay's schedule: reach_discrete may have halved the configured one
         s = report.forward_part.provenance.get("schedule")
-        serialize.write_reverse_part_csv(report.reverse_part, f, s,
-                                         os.path.join(out, reverse_csv))
-    serialize.write_json(serialize.reach_report_json(report, forward_csv, reverse_csv),
-                         os.path.join(out, "reach.json"))
-    serialize.write_json(cfg, os.path.join(out, "config.json"))
-    print(f"reach: {report.status}, final_distance={report.final_distance:.6g}")
-    return 0 if report.status == "success" else 1
+        outputs["reverse.csv"] = partial(serialize.write_reverse_part_csv,
+                                         report.reverse_part, f, s)
+    csv_paths = [name if name in outputs else None for name in ("forward.csv", "reverse.csv")]
+    outputs["reach.json"] = partial(serialize.write_json,
+                                    serialize.reach_report_json(report, *csv_paths))
+    line = f"reach: {report.status}, final_distance={report.final_distance:.6g}"
+    return outputs, line, report.status == "success"
 
 
-def cmd_probe(args):
-    cfg = resolve_config(args)
+def cmd_probe(cfg, f):
     cfg["procedure"] = "probe"
-    f = parse_function(cfg["function"])
-    target = resolve_target(cfg, f)
-    dynamics = resolve_dynamics(cfg)
-    out = output_dir(args, cfg)
     est = stability_probe(
-        f, target, float(cfg["epsilon"]), dynamics, n_samples=cfg["n_samples"],
-        seed=cfg["seed"], max_iter=min(cfg["max_iter"], 100000),
+        f, resolve_target(cfg, f), float(cfg["epsilon"]), resolve_dynamics(cfg),
+        n_samples=cfg["n_samples"], seed=cfg["seed"], max_iter=min(cfg["max_iter"], 100000),
         gtol=max(float(cfg["gtol"]), 1e-10))
-    serialize.write_json({
+    probe = {
         "epsilon": est.epsilon,
         "delta_hat": est.delta_hat,
         "samples": est.samples,
         "failures": [[float(c) for c in p] for p in est.failures],
         "capture_level": est.capture_level,
         "delta_cert": est.delta_cert,
-    }, os.path.join(out, "probe.json"))
-    serialize.write_json(cfg, os.path.join(out, "config.json"))
-    print(f"probe: delta_hat={est.delta_hat:.6g} (epsilon={est.epsilon:.6g})")
-    return 0 if est.delta_hat > 0.0 else 1
+    }
+    return ({"probe.json": partial(serialize.write_json, probe)},
+            f"probe: delta_hat={est.delta_hat:.6g} (epsilon={est.epsilon:.6g})",
+            est.delta_hat > 0.0)
 
 
-def cmd_eos(args):
-    cfg = resolve_config(args)
+def cmd_eos(cfg, f):
     cfg["procedure"] = "eos"
-    f = parse_function(cfg["function"])
     if cfg["alpha"] is None:
         raise ConfigError("alpha: required for eos")
     x0 = np.ones(f.dim) if cfg["x0"] is None else resolve_point(cfg, "x0", f)
-    try:
-        verdict = edge_of_stability(f, float(cfg["alpha"]), x0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = output_dir(args, cfg)
-    serialize.write_json({"alpha": float(cfg["alpha"]), "x0": [float(c) for c in x0],
-                          "verdict": verdict}, os.path.join(out, "eos.json"))
-    serialize.write_json(cfg, os.path.join(out, "config.json"))
-    print(f"eos: {verdict}")
-    return 0
+    verdict = edge_of_stability(f, float(cfg["alpha"]), x0)
+    eos = {"alpha": float(cfg["alpha"]), "x0": [float(c) for c in x0], "verdict": verdict}
+    return {"eos.json": partial(serialize.write_json, eos)}, f"eos: {verdict}", True
 
 
-def cmd_check(args):
-    cfg = resolve_config(args)
+def cmd_check(cfg, f):
     cfg["procedure"] = "prox-check"
-    f = parse_function(cfg["function"])
-    out = output_dir(args, cfg)
     rng = Lcg64(cfg["seed"])
     lo, hi = f.box[:, 0], f.box[:, 1]
     span = 0.8  # sample the inner 80% so prox iterates stay inside the box
@@ -347,16 +319,14 @@ def cmd_check(args):
         dec_ok, step_ok = prox_certificates(f, x, lam, xp)
         if not (dec_ok and step_ok):
             cert_fails += 1
-    serialize.write_json({"n": n, "identity_failures": identity_fails,
-                          "certificate_failures": cert_fails},
-                         os.path.join(out, "check.json"))
-    serialize.write_json(cfg, os.path.join(out, "config.json"))
-    print(f"check: {n} samples, {identity_fails} identity failures, "
-          f"{cert_fails} certificate failures")
-    return 0 if identity_fails == 0 and cert_fails == 0 else 1
+    check = {"n": n, "identity_failures": identity_fails, "certificate_failures": cert_fails}
+    return ({"check.json": partial(serialize.write_json, check)},
+            f"check: {n} samples, {identity_fails} identity failures, "
+            f"{cert_fails} certificate failures",
+            identity_fails == 0 and cert_fails == 0)
 
 
-@functools.cache
+@cache
 def build_parser():
     """The argument parser, built once per process: each parse makes a
     fresh Namespace, so no state carries over between ``main`` calls."""
@@ -369,7 +339,6 @@ def build_parser():
     p = sub.add_parser("bench", help="list the benchmark catalog")
     p.add_argument("what", choices=["list"])
     p.add_argument("--json", action="store_true", help="print the catalog as JSON")
-    p.set_defaults(handler=cmd_bench)
 
     for name, handler, text in (
             ("run", cmd_run, "emit a trajectory CSV + summary JSON"),
@@ -395,12 +364,26 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; returns its exit code."""
     args = build_parser().parse_args(argv)
+    if args.command == "bench":
+        print(cmd_bench(args.json))
+        return 0
     try:
-        return args.handler(args)
+        cfg = resolve_config(args)
+        outputs, line, ok = args.handler(cfg, parse_function(cfg["function"]))
     except (ValueError, LeftBoxError, NoCrossingError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
+    out = args.out or os.environ.get("BASINREACH_OUT") or cfg.get("output_dir") \
+        or "basinreach_out"
+    cfg["output_dir"] = out
+    os.makedirs(out, exist_ok=True)
+    for name, write in outputs.items():
+        write(os.path.join(out, name))
+    serialize.write_json(cfg, os.path.join(out, "config.json"))
+    print(line)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -43,12 +43,16 @@ def _gd_rule(s, axpy):
 def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, event=None):
     """Iterate x_{k+1} = x_k - alpha_k grad(x_k), recording every state.
 
-    Requires sup alpha < 2/L.  Stops on grad_norm < gtol (converged),
+    Requires sup alpha < 2/L, gtol >= 0 and max_iter >= 0.  Stops on grad_norm < gtol (converged),
     k = max_iter (budget_exhausted) or box exit (left_box, not a fault).
     ``event`` is a :func:`march` stop event, asked at each state before
     those tests (its fx is None); a minimum reach ends the run with it on
     the first state in its certified ball.
     """
+    if not gtol >= 0.0:
+        raise ValueError(f"gtol must be nonnegative, got {gtol}")
+    if not max_iter >= 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     x = np.array(x0, dtype=float)
     if not f.in_box(x):
         raise LeftBoxError(x, "x0 outside the operating box")

@@ -138,8 +138,10 @@ class FlowSettings:
     event_refine_tol: float = None
 
     def __post_init__(self):
-        if not self.h > 0.0 or not self.t_max > 0.0 or not self.gtol > 0.0:
-            raise ValueError("h, t_max and gtol must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
+        if not self.t_max > 0.0 or not self.gtol > 0.0:
+            raise ValueError("t_max and gtol must be positive")
         if self.event_refine_tol is None:
             object.__setattr__(self, "event_refine_tol", 1e-3 * self.h)
         if not 0.0 < self.event_refine_tol < self.h:

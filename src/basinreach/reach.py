@@ -257,6 +257,8 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     entry = f.catalog_entry(target, "local_min")
     if entry is None:
         raise ValueError("probe target must be a cataloged local minimum")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not _ball_fits_box(f, target, epsilon):
         raise ValueError("B_epsilon(target) must fit inside the operating box")
     if descent:

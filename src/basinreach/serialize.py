@@ -9,20 +9,26 @@ unlinked first, so a symlink there is replaced, not written through.
 
 import json
 import os
+from itertools import accumulate, count
 
 import numpy as np
 
 from .schedule import format_schedule
 
 
-def trajectory_rows(traj):
-    dim = traj.X.shape[1]
-    header = ["k", "t"] + [f"x_{i + 1}" for i in range(dim)] + ["f", "gnorm"]
-    rows = [header]
-    columns = (traj.t.tolist(), traj.X.tolist(), traj.f.tolist(), traj.gnorm.tolist())
-    for k, (t, x, fv, gn) in enumerate(zip(*columns)):
-        rows.append([str(k), repr(t)] + [repr(c) for c in x] + [repr(fv), repr(gn)])
+def _rows(k0, t, X, fv, gnorm, direction=None):
+    """The CSV rows of a sampled path: the header, then k, t, x_1..x_n, f,
+    gnorm (and ``direction``, when given) per point, k counting from k0."""
+    flag = [] if direction is None else [direction]
+    rows = [["k", "t"] + [f"x_{i + 1}" for i in range(X.shape[1])] + ["f", "gnorm"]
+            + (["direction"] if flag else [])]
+    for k, (tk, x, fk, gk) in enumerate(zip(t, X.tolist(), fv, gnorm), k0):
+        rows.append([str(k), repr(tk)] + [repr(c) for c in x] + [repr(fk), repr(gk)] + flag)
     return rows
+
+
+def _trajectory_rows(traj, direction=None):
+    return _rows(0, traj.t.tolist(), traj.X, traj.f.tolist(), traj.gnorm.tolist(), direction)
 
 
 def _create(path, **kwargs):
@@ -43,37 +49,21 @@ def _write_rows(rows, path):
 
 
 def write_trajectory_csv(traj, path):
-    _write_rows(trajectory_rows(traj), path)
-
-
-def orbit_rows(orbit, f, s):
-    """Orbit points in index order; t is the cumulative step sum, matching
-    the piecewise-linear interpolation parameterization of the iterates;
-    gnorm is the norm of the gradient the orbit kept at each point."""
-    dim = orbit.anchor.size
-    header = (["k", "t"] + [f"x_{i + 1}" for i in range(dim)]
-              + ["f", "gnorm", "direction"])
-    rows = [header]
-    P = np.array(orbit.points)
-    t = 0.0
-    columns = (P.tolist(), f.values(P).tolist(), orbit.grad_norms)
-    for i, (x, fv, gn) in enumerate(zip(*columns)):
-        k = orbit.start_index + i
-        rows.append([str(k), repr(t)] + [repr(c) for c in x] + [repr(fv), repr(gn), "reverse"])
-        t += s.alpha(k)
-    return rows
+    _write_rows(_trajectory_rows(traj), path)
 
 
 def write_reverse_part_csv(reverse_part, f, s, path):
     """A reach report's reverse part is an orbit (discrete) or a reverse
-    trajectory (continuous); both export to the flagged CSV layout."""
+    trajectory (continuous); both export to the flagged CSV layout.  An
+    orbit's t is the cumulative step sum, matching the piecewise-linear
+    interpolation parameterization of the iterates, and its gnorm the norm
+    of the gradient the orbit kept at each point."""
     if hasattr(reverse_part, "anchor"):
-        rows = orbit_rows(reverse_part, f, s)
+        P, k0 = np.array(reverse_part.points), reverse_part.start_index
+        t = accumulate(map(s.alpha, count(k0)), initial=0.0)
+        rows = _rows(k0, t, P, f.values(P).tolist(), reverse_part.grad_norms, "reverse")
     else:
-        rows = trajectory_rows(reverse_part)
-        rows[0].append("direction")
-        for row in rows[1:]:
-            row.append("reverse")
+        rows = _trajectory_rows(reverse_part, "reverse")
     _write_rows(rows, path)
 
 

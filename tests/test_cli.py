@@ -364,6 +364,21 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
      "mode: 'foo' is not discrete or continuous"),
     (["probe", "--config", {"function": "double_well", "target": 2, "mode": "foo"}],
      "mode: 'foo' is not discrete or continuous"),
+    (["probe", "--function", "double_well", "--target", "1", "--schedule", "constant:0.05",
+      "--epsilon", "-0.5"], "epsilon must be positive and finite, got -0.5"),
+    (["probe", "--function", "double_well", "--target", "1", "--schedule", "constant:0.05",
+      "--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
+    (["reach", "--mode", "continuous", "--function", "double_well", "--target", "1",
+      "--h", "inf"], "h must be positive and finite, got inf"),
+    (["run", "--function", "quad:1", "--x0", "1", "--gtol", "nan"],
+     "gtol must be nonnegative, got nan"),
+    (["run", "--function", "quad:1", "--x0", "1", "--gtol", "-1"],
+     "gtol must be nonnegative, got -1.0"),
+    (["reach", "--function", "double_well"], "target: required for this procedure"),
+    (["eos", "--function", "quad:1"], "alpha: required for eos"),
+    (["run", "--function", "quad:1", "--x0", "inf"], "x0: coordinates must be finite"),
+    (["run", "--config", {"function": "quad:1", "x0": [1.0], "procedure": "reach"}],
+     "procedure: 'reach' is not a run procedure"),
 ], ids=["nonfinite-param", "non-numeric-param", "x0-dimension", "target-dimension",
         "x0-outside-box", "config-object-for-number", "config-number-for-string", "config-bool-for-number",
         "negative-target-index", "config-negative-target-index", "probe-negative-max-iter",
@@ -371,7 +386,10 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
         "negative-n-samples", "config-fractional-n-samples", "config-fractional-seed",
         "config-float-n-checks", "config-negative-max-iter", "config-float-kbar-max",
         "reach-schedule-above-1-over-L", "general-schedule-above-1-over-L",
-        "probe-schedule-above-2-over-L", "reach-unknown-mode", "probe-unknown-mode"])
+        "probe-schedule-above-2-over-L", "reach-unknown-mode", "probe-unknown-mode",
+        "probe-negative-epsilon", "probe-nan-epsilon", "flow-infinite-h", "run-nan-gtol",
+        "run-negative-gtol", "reach-no-target", "eos-no-alpha", "run-infinite-x0",
+        "run-config-reach-procedure"])
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, message):
     if isinstance(argv[-1], dict):  # the contents of a config file
         cfg = tmp_path / "cfg.json"
@@ -425,6 +443,37 @@ def test_procedure_breakdown_exits_1(tmp_path, capsys, monkeypatch, exc):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {exc}\n"
+
+
+def test_no_escape_reach_writes_only_its_report(tmp_path, capsys):
+    # with a one-step horizon no ascent seed leaves the ball: a procedure
+    # failure, reported with nothing to replay
+    out = tmp_path / "o"
+    assert main(["reach", "--function", "double_well", "--target", "1", "--schedule",
+                 "constant:0.021", "--kbar-max", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "reach: no_escape, final_distance=inf\n"
+    assert sorted(os.listdir(out)) == ["config.json", "reach.json"]
+    report = json.loads(read(out / "reach.json"))
+    assert report["status"] == "no_escape"
+    assert report["final_distance"] is None
+    assert report["forward_csv_path"] is None and report["reverse_csv_path"] is None
+
+
+@pytest.mark.parametrize("rc,broken", [
+    (2, None), (1, LeftBoxError([7.0], "flow left the operating box before crossing")),
+], ids=["config-error", "procedure-breakdown"])
+def test_failed_run_writes_no_directory(tmp_path, capsys, monkeypatch, rc, broken):
+    # the seed radius is rejected inside the reach, after its objective and
+    # dynamics were resolved; a breakdown is raised from inside it
+    if broken is not None:
+        def reach(*args, **kwargs):
+            raise broken
+        monkeypatch.setattr(cli, "reach_discrete", reach)
+    out = tmp_path / "o"
+    assert main(["reach", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
+                 "--seed-radius", "0.3", "--out", str(out)]) == rc
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 class RecordingConfig(dict):

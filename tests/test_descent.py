@@ -77,6 +77,19 @@ def test_run_gd_rejects_inadmissible(quad1):
         br.run_gd(quad1, [1.0], br.constant(2.1))
 
 
+@pytest.mark.parametrize("gtol,max_iter,message", [
+    (float("nan"), 10, "gtol must be nonnegative, got nan"),
+    (-1.0, 10, "gtol must be nonnegative, got -1.0"),
+    (0.0, -1, "max_iter must be nonnegative, got -1"),
+], ids=["nan-gtol", "negative-gtol", "negative-max-iter"])
+def test_run_gd_rejects_bad_stops(himmelblau, gtol, max_iter, message):
+    # each would run to no stop: |g| < gtol never holds, k never reaches -1
+    with pytest.raises(ValueError, match=message):
+        br.run_gd(himmelblau, [0.0, 0.0], br.constant(0.001), gtol=gtol, max_iter=max_iter)
+    traj = br.run_gd(himmelblau, [0.0, 0.0], br.constant(0.001), gtol=0.0, max_iter=0)
+    assert traj.terminal_status == "budget_exhausted" and len(traj) == 1
+
+
 def test_run_gd_budget(quad1):
     traj = br.run_gd(quad1, [1.0], br.constant(0.5), gtol=1e-10, max_iter=3)
     assert traj.terminal_status == "budget_exhausted"

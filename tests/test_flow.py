@@ -26,6 +26,15 @@ def test_settings_validation():
     assert st.event_refine_tol == pytest.approx(1e-5)
 
 
+def test_settings_reject_an_infinite_first_step():
+    # h is checked before the refinement tolerance 1e-3 h is derived from
+    # it; an unbounded time budget stays allowed
+    for h in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            br.FlowSettings(h=h, t_max=1.0)
+    assert br.FlowSettings(h=0.01, t_max=math.inf).event_refine_tol == pytest.approx(1e-5)
+
+
 def test_first_trial_step_clamped_to_the_guard(dw):
     # the adaptive flow takes min(h, 0.1/L) as its first trial step: any
     # larger h runs as h = 0.1/L does, state for state

@@ -419,6 +419,26 @@ def test_orbit_keeps_the_gradient_norms_of_its_points(name, params, target, tmp_
     assert counts["grad"] == grads
 
 
+def test_partial_orbit_csv_counts_from_its_start_index(tmp_path):
+    # a partial orbit's rows are x_k from its start index on, and t sums
+    # the steps alpha_k from there, added one at a time
+    f = br.make_builtin("quad", (1.0, 5.0))
+    s = br.power(0.9 / f.lipschitz_L, 0.5)
+    orbit = br.reverse_orbit(f, np.full(2, 1.0), s, 60)
+    assert orbit.status == "left_box" and orbit.start_index > 0
+    path = tmp_path / "reverse.csv"
+    write_reverse_part_csv(orbit, f, s, str(path))
+    rows = [row.split(",") for row in path.read_text().splitlines()]
+    assert rows[0] == ["k", "t", "x_1", "x_2", "f", "gnorm", "direction"]
+    t = 0.0
+    for i, row in enumerate(rows[1:]):
+        k = orbit.start_index + i
+        assert int(row[0]) == k and float(row[1]) == t and row[-1] == "reverse"
+        assert [float(c) for c in row[2:4]] == orbit.points[i].tolist()
+        t += s.alpha(k)
+    assert len(rows) == len(orbit.points) + 1
+
+
 @pytest.mark.parametrize("params", [(1.0, 5.0), (1.0, 2.0, 5.0)], ids=["quad-2d", "quad-3d"])
 def test_orbit_box_exit_in_both_lanes(params):
     f = br.make_builtin("quad", params)
