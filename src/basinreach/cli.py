@@ -277,7 +277,7 @@ def cmd_probe(cfg, f):
     est = stability_probe(
         f, resolve_target(cfg, f), float(cfg["epsilon"]), resolve_dynamics(cfg),
         n_samples=cfg["n_samples"], seed=cfg["seed"], max_iter=min(cfg["max_iter"], 100000),
-        gtol=max(float(cfg["gtol"]), 1e-10))
+        gtol=float(cfg["gtol"]))
     probe = {
         "epsilon": est.epsilon,
         "delta_hat": est.delta_hat,

@@ -31,13 +31,44 @@ def gd_step(f, x, a):
     return out
 
 
-def _gd_rule(s, axpy):
-    """The step of gradient descent under schedule s, for ``march``, on
-    points of a lane with ``axpy``: time advances by the step size."""
-    def step(k, t, x, g):
-        a = s.alpha(k)
-        return t + a, axpy(x, -a, g)
-    return step
+def require_nonnegative(**values):
+    """ValueError naming the first of the values that is not >= 0 (NaN
+    included)."""
+    for name, v in values.items():
+        if not v >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {v}")
+
+
+class _Descent:
+    """The gradient-descent runner under schedule s, shaped like
+    ``flow._Flow``: ``march`` from a start in the box stops at |grad| <
+    gtol, max_iter steps or the box; ``step`` advances time by the step
+    size.  Requires gtol >= 0 and max_iter >= 0."""
+
+    def __init__(self, f, s, max_iter, gtol):
+        require_nonnegative(gtol=gtol, max_iter=max_iter)
+        self.f, self.lane, self.s, self.max_iter, self.gtol = f, f._lane, s, max_iter, gtol
+        self.provenance = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol}
+
+    def march(self, x0, event=None, value=None):
+        x = np.array(x0, dtype=float)
+        if not self.f.in_box(x):
+            raise LeftBoxError(x, "x0 outside the operating box")
+        return march(self.f, self.lane.point(x), self.lane.grad, self.step, self.max_iter,
+                     self.gtol, event=event, value=value)
+
+    def step(self, k, t, x, g):
+        a = self.s.alpha(k)
+        return t + a, self.lane.axpy(x, -a, g)
+
+    def locate(self, level, prev, x, fx):
+        """x_prev + theta (x - x_prev), theta = (f_prev - level) / (f_prev -
+        fx), on the step from prev, the last state above the level, to x:
+        the secant in f-values.  f there misses the level by the curvature
+        of f along the step."""
+        _, x_prev, _, f_prev = prev
+        theta = (f_prev - level) / (f_prev - fx) if f_prev > fx else 1.0
+        return self.lane.axpy(x_prev, theta, self.lane.sub(x, x_prev))
 
 
 def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, event=None):
@@ -49,18 +80,9 @@ def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, event=None):
     those tests (its fx is None); a minimum reach ends the run with it on
     the first state in its certified ball.
     """
-    if not gtol >= 0.0:
-        raise ValueError(f"gtol must be nonnegative, got {gtol}")
-    if not max_iter >= 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    x = np.array(x0, dtype=float)
-    if not f.in_box(x):
-        raise LeftBoxError(x, "x0 outside the operating box")
+    runner = _Descent(f, s, max_iter, gtol)
     require_admissible(s, f, "stability", "run_gd")
-    lane = f._lane
-    steps = march(f, lane.point(x), lane.grad, _gd_rule(s, lane.axpy), max_iter, gtol,
-                  event=event)
-    return recorded(f, *steps, {"producer": "gd", "f": f, "schedule": s, "gtol": gtol})
+    return recorded(f, *runner.march(x0, event=event), runner.provenance)
 
 
 def classify_limit(f, x, tol=1e-6):

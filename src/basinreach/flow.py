@@ -5,13 +5,13 @@ Math. 7:67-75; Hairer, Norsett & Wanner, Solving ODEs I, II.10), the
 minimum-norm Clarke flow of the capped function max{f, level}, crossing
 events located on the dense output, and path-length analytics.
 
-Each run is a :func:`~basinreach.trajectory.march` with the one DOP853
-step rule, :func:`_dop853_step`, on points of the objective's lane
-(``landscape.Lane``): ``integrate``, sphere exits, each start of the
-continuous stability probe and ``integrate_minnorm``.  Every sum of
-stages, a step's or the dense output's, is one ``lane.comb`` call over
-the nonzero pairs of its table row, precomputed at import: 14 calls a
-step for its 12 gradients.  A crossing is a stop event: it tests the
+Each run is a :func:`~basinreach.trajectory.march` of the one runner,
+``_Flow``, whose step rule is :func:`_dop853_step`, on points of the
+objective's lane (``landscape.Lane``): ``integrate``, sphere exits, each
+start of the continuous stability probe and ``integrate_minnorm``.
+Every sum of stages, a step's or the dense output's, is one ``lane.comb``
+call over the nonzero pairs of its table row, precomputed at import: 14
+calls a step for its 12 gradients.  A crossing is a stop event: it tests the
 state a step reached and locates the crossing on that step's
 interpolant, whose three extra stages are the only gradients it costs.
 """
@@ -186,31 +186,34 @@ def _dop853_step(lane, x, sh, g1):
 
 
 class _Flow:
-    """One adaptive DOP853 run on dx/dt = -grad f (forward) or +grad f
-    (reverse) for :func:`march`: ``step`` retries a rejected step with a
-    smaller one and keeps its own step size, the first min(settings.h,
-    H_GUARD / L), clamping the step that would pass t_max onto it, and
-    takes stage 13, the gradient at the state a step reached, only once
-    the step is accepted; ``field`` hands that stage back; ``cross``
-    locates an event on the last step's dense output ``at``."""
+    """The adaptive DOP853 runner on dx/dt = -grad f (forward) or +grad f
+    (reverse): each ``march`` starts from the step size min(settings.h,
+    H_GUARD / L); ``step`` retries a rejected step with a smaller one and
+    keeps its own step size, clamping the step that would pass t_max onto
+    it, and takes stage 13 only once the step is accepted; ``field`` hands
+    that stage back; ``cross`` locates an event on the last step's dense
+    output ``at``, ``locate`` a level crossing."""
 
     def __init__(self, f, direction, settings):
         if direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-        self.lane, self.settings = f._lane, settings
+        self.f, self.lane, self.settings = f, f._lane, settings
         self.sign = -1.0 if direction == "forward" else 1.0
         self.gtol = settings.gtol if direction == "forward" else 0.0
+        self.provenance = {"producer": "flow", "f": f, "direction": direction,
+                           "settings": settings}
         L = f.lipschitz_L
-        self.h = min(settings.h, H_GUARD / L) if L > 0.0 else settings.h
+        self.h0 = min(settings.h, H_GUARD / L) if L > 0.0 else settings.h
         self.h_max = H_STABLE / L if L > 0.0 else math.inf
-        self.err_old, self.x_new, self.norm_new = 1e-4, None, None
+        self.h, self.err_old, self.x_new, self.norm_new = self.h0, 1e-4, None, None
 
-    def march(self, f, x0, event=None, value=None):
+    def march(self, x0, event=None, value=None):
         x = np.array(x0, dtype=float)
-        if not f.in_box(x):
+        if not self.f.in_box(x):
             raise LeftBoxError(x, "x0 outside the operating box")
-        return march(f, self.lane.point(x), self.field, self.step, None, self.gtol, event=event,
-                     value=value, t_end=self.settings.t_max)
+        self.h, self.err_old, self.x_new = self.h0, 1e-4, None  # no state from an earlier run
+        return march(self.f, self.lane.point(x), self.field, self.step, None, self.gtol,
+                     event=event, value=value, t_end=self.settings.t_max)
 
     def field(self, x):
         return self.ks[12] if x is self.x_new else self.lane.grad(x)
@@ -273,6 +276,10 @@ class _Flow:
                 w_hi, side = w_hi * 0.5 if side == -1 else w_hi, -1
         raise ArithmeticError("crossing location did not converge")
 
+    def locate(self, level, prev, x, fx):
+        value = self.f.value
+        return self.cross(lambda y: level - value(y), level - prev[3], level - fx)[1]
+
 
 def integrate(f, x0, direction, settings, event=None):
     """Adaptive DOP853 on dx/dt = -grad f (forward) or +grad f (reverse),
@@ -281,8 +288,8 @@ def integrate(f, x0, direction, settings, event=None):
     ``event`` is a :func:`march` stop event, asked at each state the
     steps reach before those tests (its fx is None); a minimum reach ends
     the forward flow with it on the first state in its certified ball."""
-    return recorded(f, *_Flow(f, direction, settings).march(f, x0, event=event),
-                    {"producer": "flow", "f": f, "direction": direction, "settings": settings})
+    flow = _Flow(f, direction, settings)
+    return recorded(f, *flow.march(x0, event=event), flow.provenance)
 
 
 def integrate_minnorm(f, x0, level, settings):
@@ -296,12 +303,7 @@ def integrate_minnorm(f, x0, level, settings):
     the level (at gtol, t_max or the box) has none."""
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level!r}")
-    flow = _Flow(f, "forward", settings)
-    phi = lambda y: level - f.value(y)
-    locate = lambda prev, x, fx: flow.cross(phi, level - prev[3], level - fx)[1]
-    run = lambda event: flow.march(f, x0, event=event, value=f.value)
-    return _to_level(f, level, locate, run, {"producer": "flow", "f": f, "direction": "forward",
-                                             "settings": settings})[0]
+    return _to_level(f, level, _Flow(f, "forward", settings), x0)[0]
 
 
 def _sphere_exit_detail(f, x0, direction, center, delta, settings):
@@ -318,19 +320,17 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings):
         if not r >= 0.0:
             return None
         t_b, b = flow.cross(past, past(prev[1]), r, 1e-8 * delta)
-        return "converged", np.array(b), t_b, b
+        return "converged", np.array(b), t_b, b, {"stopped_on": "sphere_exit"}
 
-    steps, status, b = flow.march(f, x0, event=crossed)
-    if status == "left_box":
-        raise LeftBoxError(steps[-1][1], "flow left the operating box before crossing")
-    if status == "budget_exhausted":
-        raise NoCrossingError(
-            f"no crossing of the {delta}-sphere within t_max = {settings.t_max}")
-    if past(b) < 0.0:  # converged on |grad| < gtol, not on the sphere
+    steps, status, b, stop = flow.march(x0, event=crossed)
+    if stop is None:
+        if status == "left_box":
+            raise LeftBoxError(steps[-1][1], "flow left the operating box before crossing")
+        if status == "budget_exhausted":
+            raise NoCrossingError(
+                f"no crossing of the {delta}-sphere within t_max = {settings.t_max}")
         raise NoCrossingError("forward flow reached a stationary point inside the sphere")
-    return steps[-1][0], b.copy(), recorded(
-        f, steps, status, b, {"producer": "flow", "f": f, "direction": direction,
-                              "settings": settings, "stopped_on": "sphere_exit"})
+    return steps[-1][0], b.copy(), recorded(f, steps, status, b, stop, flow.provenance)
 
 
 def sphere_exit(f, x0, direction, center, delta, settings):

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .descent import _gd_rule, classify_limit, run_gd
+from .descent import _Descent, classify_limit, require_nonnegative, run_gd
 from .flow import (FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail, integrate,
                    integrate_minnorm, path_length)
 from .landscape import LeftBoxError, norm, row_norms
@@ -103,6 +103,7 @@ class ReachBudgets:
     of quasi-random starts per probed radius; delta_override skips the
     probe and reuses a previously estimated radius, which is legitimate
     because the stability radius is uniform over admissible schedules.
+    The counts and a given gtol must be nonnegative.
     """
 
     max_iter: int = 200_000
@@ -111,6 +112,10 @@ class ReachBudgets:
     probe_samples: int = 8
     delta_override: float = None
     seed: int = 0
+
+    def __post_init__(self):
+        require_nonnegative(max_iter=self.max_iter, gtol=0.0 if self.gtol is None else self.gtol,
+                            kbar_max=self.kbar_max, probe_samples=self.probe_samples)
 
 
 def _ball_fits_box(f, center, radius):
@@ -212,16 +217,17 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     epsilon violates the locality requirement).  Deterministic given the
     seed.
 
-    Each start is one :func:`march` run by the step rule of ``run_gd``
-    under a StepSchedule or forward ``integrate`` under FlowSettings (whose
-    gtol replaces ``gtol``), bit for bit, with their stops.  It also stops
-    at its first state outside the ball (a failure, stopped_on =
-    "left_ball"), in the certified ball B_r below (converged, the target
-    its limit, stopped_on = "certified_ball", with r as ``s`` and mu_r as
-    ``mu_s``) or in the capture set K below (converged, no limit,
-    stopped_on = "capture_set"); a stop where |grad f| < gtol is reported
-    as the full run would report it.  A run stops on its first state in K
-    or B_r; a state in both is reported as in B_r, the stronger claim.
+    One runner marches every start: ``run_gd``'s ``_Descent`` under a
+    StepSchedule or forward ``integrate``'s ``_Flow`` under FlowSettings
+    (whose gtol replaces ``gtol``), bit for bit, with their stops.  A
+    start also stops at its first state outside the ball (a failure,
+    stopped_on = "left_ball"), in the certified ball B_r below (converged,
+    the target its limit, stopped_on = "certified_ball", with r as ``s``
+    and mu_r as ``mu_s``) or in the capture set K below (converged, no
+    limit, stopped_on = "capture_set"), each named by the event that
+    ended it; a stop where |grad f| < gtol is reported as the full run
+    would report it.  A run stops on its first state in K or B_r; a state
+    in both is reported as in B_r, the stronger claim.
 
     Certified ball: B_r is the reach's certified ball at tol = inf (the
     module docstring), r = min(epsilon, lambda_min / (2M)), epsilon when M
@@ -263,6 +269,7 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
         raise ValueError("B_epsilon(target) must fit inside the operating box")
     if descent:
         require_admissible(dynamics, f, "stability", "discrete probe")
+    runner = _Descent(f, dynamics, max_iter, gtol) if descent else _Flow(f, "forward", dynamics)
 
     dirs = unit_directions(f.dim, n_samples, seed)
     contain = epsilon * (1.0 + 1e-9)
@@ -278,40 +285,25 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     delta_cert = max(radii, default=None)
     lane = f._lane
     center = lane.point(target)
-    if descent:
-        rule = _gd_rule(dynamics, lane.axpy)
-        run = lambda x: march(f, lane.point(x), lane.grad, rule, max_iter, gtol, event=held,
-                              value=f.value)
-        prov = {"producer": "gd", "f": f, "schedule": dynamics, "gtol": gtol}
-    else:
-        gtol = dynamics.gtol
-        run = lambda x: _Flow(f, "forward", dynamics).march(f, x, event=held, value=f.value)
-        prov = {"producer": "flow", "f": f, "direction": "forward", "settings": dynamics}
 
     def held(prev, t, x, fx):
         # inside the box: the epsilon-ball decides a failure, B_r or K a pass
         if lane.inside(x):
             dist = norm(lane.sub(x, center))
             if not dist <= contain:
-                return "left_ball", None, t, x
+                return "budget_exhausted", None, t, x, {"stopped_on": "left_ball"}
             if dist <= inner:
-                return "certified_ball", np.array(target), t, x
+                return "converged", np.array(target), t, x, {
+                    "stopped_on": "certified_ball", "s": ball.s, "mu_s": ball.mu}
             if c is not None and fx < c:
-                return "capture_set", None, t, x
+                return "converged", None, t, x, {"stopped_on": "capture_set", "capture_level": c}
         return None
 
     def passes(start):
-        steps, status, limit = run(start)
-        stopped_on = {}
-        if status in ("capture_set", "certified_ball") and steps[-1][2] < gtol:
-            status, limit = "converged", np.array(steps[-1][1])  # as a full run
-        elif status == "capture_set":
-            status, stopped_on = "converged", {"stopped_on": status, "capture_level": c}
-        elif status == "certified_ball":
-            status, stopped_on = "converged", {"stopped_on": status, "s": ball.s, "mu_s": ball.mu}
-        elif status == "left_ball":
-            status, stopped_on = "budget_exhausted", {"stopped_on": status}
-        recorded(f, steps, status, limit, dict(prov, **stopped_on))
+        steps, status, limit, stop = runner.march(start, event=held, value=f.value)
+        if status == "converged" and stop and steps[-1][2] < runner.gtol:
+            limit, stop = np.array(steps[-1][1]), None  # at gtol: as the full run reports it
+        recorded(f, steps, status, limit, stop, runner.provenance)
         return status == "converged"
 
     def trial(radius):
@@ -454,7 +446,8 @@ def _halvings(f, s, delta_hat, seed_radius):
 class _Ball(NamedTuple):
     """The certified ball B_s around a minimum (the module docstring): its
     radius, mu_s, L_s and the stop event for ``run_gd`` or ``integrate``,
-    which ends a run as converged on its first state within s."""
+    which ends a run as converged on its first state within s and names
+    the ball (stopped_on = "certified_ball")."""
 
     s: float
     mu: float
@@ -477,21 +470,20 @@ def _certified_ball(f, target, tol, epsilon, lam, lam_max=math.inf):
 
     def reached(prev, t, x, fx):
         if norm(lane.sub(x, center)) <= s:
-            return "converged", np.array(x), t, x
+            return "converged", np.array(x), t, x, {"stopped_on": "certified_ball"}
         return None
     return _Ball(s, lam - M * s, min(f.lipschitz_L, lam_max + M * s), reached)
 
 
 def _ball_certificate(f, traj, ball, dist, descent):
     """traj, stopped in the ball at distance dist, with its provenance
-    naming the ball and carrying its certificate; a GD run's length bound
-    is its measured length plus the (L_s / mu_s) dist tail, a flow's is None."""
+    carrying the ball's certificate; a GD run's length bound is its
+    measured length plus the (L_s / mu_s) dist tail, a flow's is None."""
     length = ((path_length(traj) if len(traj) > 1 else 0.0) + ball.L / ball.mu * dist
               if descent else None)
     cert = {"name": "certified_ball", "s": ball.s, "mu_s": ball.mu, "distance_bound": dist,
             "length_bound": length}
-    return dataclasses.replace(traj, provenance=dict(
-        traj.provenance, stopped_on="certified_ball", certificate=cert))
+    return dataclasses.replace(traj, provenance=dict(traj.provenance, certificate=cert))
 
 
 def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
@@ -569,8 +561,7 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
             fwd = integrate(f, x0, "forward", dyn, event=event)
         end = fwd.limit if fwd.limit is not None else fwd.final_x
         dist = norm(end - target)
-        # the event is asked before the gtol test: converged within s is its stop
-        if ball is not None and fwd.terminal_status == "converged" and dist <= ball.s:
+        if fwd.provenance.get("stopped_on") == "certified_ball":
             fwd = _ball_certificate(f, fwd, ball, dist, descent)
         status = "success" if fwd.limit is not None and dist <= tol else "no_converge"
     return ReachReport(
@@ -602,24 +593,10 @@ def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=Non
 
 
 def _run_to_level(f, x0, s, level, gtol, max_iter):
-    """GD until f(x_k) <= level; returns (trajectory, crossing or None).
-
-    The crossing is x_prev + theta (x_k - x_prev), theta = (f_prev -
-    level) / (f_prev - f_k), on the step from the last state above the
-    level to the first at or below it: the secant in f-values, where the
-    linear interpolation of the two f-values meets the level.  f(crossing)
-    misses the level by the curvature of f along the step.
-    """
-    def secant(prev, x, fx):
-        _, x_prev, _, f_prev = prev
-        theta = (f_prev - level) / (f_prev - fx) if f_prev > fx else 1.0
-        return lane.axpy(x_prev, theta, lane.sub(x, x_prev))
-
-    lane = f._lane
-    run = lambda event: march(f, lane.point(x0), lane.grad, _gd_rule(s, lane.axpy), max_iter,
-                              gtol, event=event, value=f.value)
-    return _to_level(f, level, secant, run, {"producer": "gd", "f": f, "schedule": s,
-                                             "gtol": gtol})
+    """GD until f(x_k) <= level; returns (trajectory, crossing or None),
+    the crossing the secant of ``_Descent.locate`` on the step that reached
+    the level."""
+    return _to_level(f, level, _Descent(f, s, max_iter, gtol), x0)
 
 
 def reach_general(f, target, epsilon, dynamics, seed_radius, tol=1e-2, delta=None,
@@ -675,8 +652,8 @@ def edge_of_stability(f, alpha, x0):
 
     lane = f._lane
     with np.errstate(over="ignore", invalid="ignore"):
-        steps, _, _ = march(f, lane.point(x0), lane.grad, _gd_rule(constant(alpha), lane.axpy),
-                            1000, box=False)
+        steps = march(f, lane.point(x0), lane.grad, _Descent(f, constant(alpha), 1000, 0.0).step,
+                      1000, box=False)[0]
         n1 = norm(lane.sub(steps[-1][1], lane.point(star)))
     n0 = norm(x0 - star)
     threshold = max(10.0 * n0, DIVERGENCE_FACTOR * (1.0 + f.box_diameter()))

@@ -1,14 +1,15 @@
 """Trajectory record shared by the discrete and continuous engines, and
-``march``, the one stepping loop in the program: gradient descent
-(``run_gd``, ``reach._run_to_level``, each start of the discrete
-stability probe) and adaptive DOP853 flow (``integrate``,
-``_sphere_exit_detail``, each start of the continuous probe and
-``integrate_minnorm``, the minimum-norm Clarke flow of max{f, level}).
-Each of those passes in its step rule and its own stop event; a crossing
-event locates its point on the step that reached it, by the linear
-interpolation of GD iterates or the flow's dense output.  ``_to_level``
-is the stop at a level set that ``reach._run_to_level`` and
-``integrate_minnorm`` share.
+``march``, the one stepping loop in the program.
+
+Each dynamics has one runner, ``descent._Descent`` for gradient descent
+and ``flow._Flow`` for adaptive DOP853 flow, holding its lane, step rule,
+``provenance`` and ``locate(level, prev, x, fx)``, where f meets a level
+on the last step (the secant of two iterates' f-values, or the dense
+output).  ``run_gd``, ``integrate``, each probe start, both level runs
+(``_to_level``) and the sphere exit call ``runner.march`` with their own
+stop event.  Every stop names itself: the event hands ``march`` the
+provenance entries that name it (stopped_on = ...), which ``recorded``
+merges, so no caller works out from the final state why a run ended.
 
 Every run steps on points of its objective's lane (``landscape.Lane``):
 for dim <= 2 a point is a tuple of Python floats, stepped by unrolled
@@ -124,22 +125,26 @@ def emit(traj):
 
 def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None,
           t_end=math.inf):
-    """The single-run stepping loop; returns (steps, status, limit) for
-    :func:`recorded`.
+    """The single-run stepping loop; returns (steps, status, limit, stop)
+    for :func:`recorded`.
 
     From the start x, a point of f's lane, each state is kept as (t, x,
     |v|) with v = field(x), or (t, x, |v|, f(x)) when ``value`` takes f
     per state.  The next state is (t, x) = step(k, t, x, v).  The run
     ends on the first of, tested at each state in this order:
 
-    - ``event(prev, t, x, fx)`` returns (status, limit, t_end, x_end).  It
-      is asked before field(x) is evaluated; ``prev`` is the previous
-      state as (t, x, v, fx), None at the start, and fx is value(x) or
-      None.  The run ends on the state (t_end, x_end): x itself, or a
-      point the event located (then x is never evaluated);
+    - ``event(prev, t, x, fx)`` returns (status, limit, t_end, x_end,
+      stop): a terminal status and the provenance entries ``stop`` that
+      name the event.  It is asked before field(x) is evaluated; ``prev``
+      is the previous state as (t, x, v, fx), None at the start, and fx is
+      value(x) or None.  The run ends on the state (t_end, x_end): x
+      itself, or a point the event located (then x is never evaluated);
     - x outside f's box, when ``box`` (left_box);
     - |v| < gtol (converged, limit x);
     - n_steps steps (None: no step count), or time t_end (budget_exhausted).
+
+    ``stop`` is the event's entries, None when the box, gtol or the budget
+    ended the run.
     """
     t, prev, fx, k = 0.0, None, None, 0
     inside = f._lane.inside
@@ -150,52 +155,51 @@ def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None
             fx = value(x)
         hit = None if event is None else event(prev, t, x, fx)
         if hit is not None:
-            status, limit, t, x_end = hit
+            status, limit, t, x_end, stop = hit
             if x_end is not x:
                 x, fx = x_end, None if value is None else value(x_end)
         v = field(x)
         vn = math.sqrt(sumsq(v))
         keep((t, x, vn) if value is None else (t, x, vn, fx))
         if hit is not None:
-            return steps, status, limit
+            return steps, status, limit, stop
         if box and not inside(x):
-            return steps, "left_box", None
+            return steps, "left_box", None, None
         if vn < gtol:
-            return steps, "converged", np.array(x)
+            return steps, "converged", np.array(x), None
         if k == n_steps or t >= t_end:
-            return steps, "budget_exhausted", None
+            return steps, "budget_exhausted", None, None
         prev = (t, x, v, fx)
         t, x = step(k, t, x, v)
         k += 1
 
 
-def _to_level(f, level, locate, run, prov):
-    """(trajectory, crossing or None) of run(event), a march down to the
-    level set {f <= level} that ends on its first state x with f(x) <=
-    level; the crossing, its limit, is locate(prev, x, fx) on the step
-    that reached x, or the start itself.  A run that ends above the level
-    (it stalled at a critical point, or ran out of box or budget) has none,
-    and only a run that crossed names the crossing as its stop
-    (provenance stopped_on = "level_crossing")."""
+def _to_level(f, level, runner, x0):
+    """(trajectory, crossing or None) of runner's march from x0 down to the
+    level set {f <= level}, which ends on its first state x with f(x) <=
+    level; the crossing, its limit, is runner.locate(level, prev, x, fx)
+    on the step that reached x, or the start itself, and names its stop
+    (stopped_on = "level_crossing").  A run that ends above the level (it
+    stalled at a critical point, or ran out of box or budget) has none."""
     def crossed(prev, t, x, fx):
         if not fx <= level:
             return None
-        return "converged", np.array(x if prev is None else locate(prev, x, fx)), t, x
+        crossing = x if prev is None else runner.locate(level, prev, x, fx)
+        return "converged", np.array(crossing), t, x, {"stopped_on": "level_crossing"}
 
-    steps, status, limit = run(crossed)
-    crossing = limit if status == "converged" and steps[-1][3] <= level else None
-    if crossing is not None:
-        prov = dict(prov, stopped_on="level_crossing")
-    return recorded(f, steps, status, crossing, prov), crossing
+    steps, status, limit, stop = runner.march(x0, event=crossed, value=f.value)
+    crossing = None if stop is None else limit
+    return recorded(f, steps, status, crossing, stop, runner.provenance), crossing
 
 
-def recorded(f, steps, status, limit, provenance):
+def recorded(f, steps, status, limit, stop, provenance):
     """Emit the Trajectory of a run kept as per-step tuples (t, x, |g|),
-    or (t, x, |g|, f(x)) when the run took the values itself; otherwise
-    f is evaluated once over the stacked points."""
+    or (t, x, |g|, f(x)) when the run took the values itself (otherwise f
+    is evaluated once over the stacked points), its provenance merged
+    with the entries of the stop that ended it, if any."""
     ts, xs, gns, *fs = zip(*steps)
     # on the float lane's tuples, several times faster than np.array(xs)
     X = (np.fromiter(chain.from_iterable(xs), float).reshape(len(xs), -1)
          if type(xs[0]) is tuple else np.array(xs))
     return emit(Trajectory(np.array(ts), X, np.array(fs[0]) if fs else f.values(X),
-                           np.array(gns), status, limit, provenance))
+                           np.array(gns), status, limit, dict(provenance, **(stop or {}))))

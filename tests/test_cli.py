@@ -374,6 +374,10 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
      "gtol must be nonnegative, got nan"),
     (["run", "--function", "quad:1", "--x0", "1", "--gtol", "-1"],
      "gtol must be nonnegative, got -1.0"),
+    (["probe", "--function", "double_well", "--target", "1", "--schedule", "constant:0.05",
+      "--epsilon", "0.5", "--gtol", "nan"], "gtol must be nonnegative, got nan"),
+    (["probe", "--function", "double_well", "--target", "1", "--schedule", "constant:0.05",
+      "--epsilon", "0.5", "--gtol", "-1"], "gtol must be nonnegative, got -1.0"),
     (["reach", "--function", "double_well"], "target: required for this procedure"),
     (["eos", "--function", "quad:1"], "alpha: required for eos"),
     (["run", "--function", "quad:1", "--x0", "inf"], "x0: coordinates must be finite"),
@@ -388,8 +392,8 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
         "reach-schedule-above-1-over-L", "general-schedule-above-1-over-L",
         "probe-schedule-above-2-over-L", "reach-unknown-mode", "probe-unknown-mode",
         "probe-negative-epsilon", "probe-nan-epsilon", "flow-infinite-h", "run-nan-gtol",
-        "run-negative-gtol", "reach-no-target", "eos-no-alpha", "run-infinite-x0",
-        "run-config-reach-procedure"])
+        "run-negative-gtol", "probe-nan-gtol", "probe-negative-gtol", "reach-no-target",
+        "eos-no-alpha", "run-infinite-x0", "run-config-reach-procedure"])
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, message):
     if isinstance(argv[-1], dict):  # the contents of a config file
         cfg = tmp_path / "cfg.json"
@@ -473,6 +477,19 @@ def test_failed_run_writes_no_directory(tmp_path, capsys, monkeypatch, rc, broke
     assert main(["reach", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
                  "--seed-radius", "0.3", "--out", str(out)]) == rc
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gtol", ["nan", "-1"])
+def test_saddle_reach_rejects_a_bad_gtol_before_it_runs(tmp_path, capsys, gtol):
+    # a saddle reach's level run never passes through run_gd: its budgets
+    # check gtol, so the reach exits 2 and writes no directory, let alone a
+    # config.json holding NaN
+    out = tmp_path / "o"
+    assert main(["reach", "--general", "--function", "himmelblau", "--target-index", "8",
+                 "--epsilon", "1.0", "--schedule", "constant:0.0015", "--seed-radius", "1e-3",
+                 "--tol", "1e-2", "--gtol", gtol, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: gtol must be nonnegative, got ")
     assert not out.exists()
 
 

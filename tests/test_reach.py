@@ -696,6 +696,18 @@ def test_every_reach_rejects_a_nonpositive_tol(dw, saddle_quad, tol):
             call()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("gtol", math.nan), ("gtol", -1.0), ("max_iter", -1), ("kbar_max", -1),
+    ("probe_samples", -1)])
+def test_reach_budgets_reject_a_bad_gtol_or_count(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be nonnegative, got {value}$"):
+        br.ReachBudgets(**{field: value})
+
+
+def test_reach_budgets_allow_a_default_or_zero_gtol():
+    assert br.ReachBudgets().gtol is None and br.ReachBudgets(gtol=0.0).gtol == 0.0
+
+
 def test_reach_discrete_preconditions(dw):
     good = br.constant(0.5 / dw.lipschitz_L)
     with pytest.raises(ValueError):

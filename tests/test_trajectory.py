@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import basinreach as br
-from basinreach.flow import _sphere_exit_detail
+from basinreach.descent import _Descent
+from basinreach.flow import _Flow, _sphere_exit_detail
 from basinreach.landscape import norm
 from basinreach.reach import _run_to_level
-from basinreach.trajectory import State, record_trajectories
+from basinreach.trajectory import State, record_trajectories, recorded
 
 from conftest import (count_flow_steps, counting, dop853_flow, make_saddle_quad, rk4_flow,
                       same_states, two_wells)
@@ -228,6 +229,60 @@ def test_sphere_exit_names_its_stop():
     _, _, traj = _sphere_exit_detail(Q1, [0.5], "reverse", [0.0], 1.0,
                                      br.FlowSettings(h=1e-2, t_max=5.0))
     assert traj.provenance["stopped_on"] == "sphere_exit" and "event" not in traj.provenance
+
+
+def step_bytes(steps):
+    return [(t, np.array(x).tobytes(), vn) for t, x, vn in steps]
+
+
+@pytest.mark.parametrize("f,x0", [(HB, [2.5, 1.5]), (Q3, [1.0, -2.0, 0.5])],
+                         ids=["float-lane", "ndarray-lane"])
+def test_one_flow_marched_twice_gives_the_same_steps(f, x0):
+    # the probe marches one runner from every start: no step size or error
+    # estimate carries over from one march to the next
+    st = br.FlowSettings(h=1e-2, t_max=2.0, gtol=1e-8)
+    flow = _Flow(f, "forward", st)
+    first, second = (step_bytes(flow.march(x0)[0]) for _ in range(2))
+    assert len(first) > 10 and first == second
+    assert step_bytes(_Flow(f, "forward", st).march(x0)[0]) == first
+
+
+SADDLE = make_saddle_quad()
+HALF_WAY = {"stopped_on": "half_way", "mark": 0.5}
+
+
+def half_way(prev, t, x, fx):
+    # ends a run on its first state with x_1 <= 0.5, naming itself
+    return ("converged", None, t, x, HALF_WAY) if x[0] <= 0.5 else None
+
+
+@pytest.mark.parametrize("runner,x0,event,status", [
+    (lambda: _Descent(Q1, br.constant(0.5), 10**4, 1e-8), [1.0], half_way, "converged"),
+    (lambda: _Descent(Q1, br.constant(0.5), 10**4, 1e-8), [1.0], None, "converged"),
+    (lambda: _Descent(Q1, br.constant(0.5), 3, 1e-8), [1.0], None, "budget_exhausted"),
+    (lambda: _Descent(SADDLE, br.constant(0.4), 10**4, 1e-8), [0.5, 1e-3], None, "left_box"),
+    (lambda: _Flow(Q1, "forward", br.FlowSettings(h=0.1, t_max=50.0, gtol=1e-8)), [1.0],
+     half_way, "converged"),
+    (lambda: _Flow(Q1, "forward", br.FlowSettings(h=0.1, t_max=50.0, gtol=1e-8)), [1.0], None,
+     "converged"),
+    (lambda: _Flow(Q1, "forward", br.FlowSettings(h=0.1, t_max=0.5)), [1.0], None,
+     "budget_exhausted"),
+    (lambda: _Flow(Q1, "reverse", br.FlowSettings(h=0.1, t_max=50.0)), [0.5], None, "left_box"),
+], ids=["gd-event", "gd-gtol", "gd-budget", "gd-box", "flow-event", "flow-gtol", "flow-budget",
+        "flow-box"])
+def test_march_returns_the_stop_that_ended_it(runner, x0, event, status):
+    # an event's stop entries come back from march and name the run in its
+    # provenance; a run that the box, gtol or its budget ended has none
+    runner = runner()
+    steps, got, limit, stop = runner.march(x0, event=event)
+    assert got == status
+    traj = recorded(runner.f, steps, got, limit, stop, runner.provenance)
+    if event is None:
+        assert stop is None and "stopped_on" not in traj.provenance
+        assert traj.provenance == runner.provenance
+    else:
+        assert stop is HALF_WAY and steps[-1][1][0] <= 0.5 < steps[-2][1][0]
+        assert traj.provenance == dict(runner.provenance, **HALF_WAY)
 
 
 def test_record_trajectories_is_per_thread():
