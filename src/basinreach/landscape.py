@@ -177,7 +177,10 @@ class Lane(NamedTuple):
     ``terms`` in order, x itself when terms is empty: one DOP853 stage sum
     in one call.  Both lanes make the same IEEE operations, bit for bit;
     the float lane's are written out per dimension, as a loop over
-    coordinates is slower."""
+    coordinates is slower.  The float lane's ``bounds`` are the padded box
+    ``inside`` tests against, (lower, upper) lists of floats, for loops
+    written out over local floats (``reverse._picard1``); None on the
+    ndarray lane."""
 
     point: object
     grad: object
@@ -185,6 +188,7 @@ class Lane(NamedTuple):
     sub: object
     inside: object
     comb: object
+    bounds: tuple = None
 
 
 def _ndarray_comb(x, s, terms, vs):
@@ -237,7 +241,7 @@ def _lane(f):
         g = grad(np.array(x))
         return g if type(g) is list else np.asarray(g, dtype=float).tolist()
     return Lane(lambda x: tuple(np.asarray(x, dtype=float).tolist()), floats_grad, axpy, sub,
-                inside, comb)
+                inside, comb, (lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,8 @@ class ReachBudgets:
     of quasi-random starts per probed radius; delta_override skips the
     probe and reuses a previously estimated radius, which is legitimate
     because the stability radius is uniform over admissible schedules.
-    The counts and a given gtol must be nonnegative.
+    The counts and a given gtol must be nonnegative, and so must a given
+    delta_override: 0, a radius the probe can return, is allowed.
     """
 
     max_iter: int = 200_000
@@ -115,7 +116,9 @@ class ReachBudgets:
 
     def __post_init__(self):
         require_nonnegative(max_iter=self.max_iter, gtol=0.0 if self.gtol is None else self.gtol,
-                            kbar_max=self.kbar_max, probe_samples=self.probe_samples)
+                            kbar_max=self.kbar_max, probe_samples=self.probe_samples,
+                            delta_override=(0.0 if self.delta_override is None
+                                            else self.delta_override))
 
 
 def _ball_fits_box(f, center, radius):
@@ -219,7 +222,8 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
 
     One runner marches every start: ``run_gd``'s ``_Descent`` under a
     StepSchedule or forward ``integrate``'s ``_Flow`` under FlowSettings
-    (whose gtol replaces ``gtol``), bit for bit, with their stops.  A
+    (whose gtol and budgets replace ``gtol`` and ``max_iter``, which
+    must still be nonnegative), bit for bit, with their stops.  A
     start also stops at its first state outside the ball (a failure,
     stopped_on = "left_ball"), in the certified ball B_r below (converged,
     the target its limit, stopped_on = "certified_ball", with r as ``s``
@@ -259,6 +263,7 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     either).
     """
     descent = _descends(dynamics, "stability_probe")
+    require_nonnegative(gtol=gtol, max_iter=max_iter)
     target = np.asarray(target, dtype=float)
     entry = f.catalog_entry(target, "local_min")
     if entry is None:

@@ -15,13 +15,22 @@ multisecant view of Anderson mixing (Fang & Saad 2009): in 2-D they
 span the plane, so the first mixed iterate is a quasi-Newton step.  The
 inner tolerance is three orders tighter than the orbit certificates,
 so residuals need no retuning.
+
+The ndarray lane (dim > 2) runs the loop on lane ops and
+``landscape.dot``.  On the float lane each solve is that loop written
+out over local Python floats, one function per dimension (``_picard1``,
+``_picard2``), as are an ascent step's residual and norms and the
+conversion of an orbit's secant pairs: the same IEEE operations in the
+same order, so points, residuals, gradients and counts are the loop's
+bit for bit, at a fraction of its calls.
 """
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
-from .landscape import LeftBoxError, dot, norm, row_norms, sumsq
+from .landscape import FLOAT_LANE_DIMS, LeftBoxError, dot, norm, row_norms, sumsq
 from .schedule import constant, require_admissible
 
 FIXED_POINT_RTOL = 1e-13
@@ -69,7 +78,10 @@ def _picard(f, base, lam, sign, tol_scale, g=None, seeds=()):
     lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so y lies within
     |T(y) - y|/(1 - q) <= tol/(1 - q) of the unique fixed point y*,
     however it was reached.  Raises LeftBoxError when T(y) leaves the box;
-    y itself never does."""
+    y itself never does.  The float lane's solve is this loop written out
+    per dimension (:func:`_picard1`, :func:`_picard2`)."""
+    if f.dim <= FLOAT_LANE_DIMS:
+        return (_picard1 if f.dim == 1 else _picard2)(f, base, lam, sign, tol_scale, g, seeds)
     tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     step = sign * lam
@@ -117,17 +129,130 @@ def _mix(lane, t, r, hist):
     return y if lane.inside(y) else t
 
 
-def _orbit_seeds(lane, pairs, step):
+def _picard1(f, base, lam, sign, tol_scale, g, seeds):
+    """:func:`_picard` on the 1-D float lane in one frame: T(y), the
+    residual, the restart test, the depth-2 history (newest d, e, w, a11;
+    older dd, ee, ww, a22), :func:`_mix`'s normal equations, its
+    degenerate-Gram fallback and its box test, over local floats.  Each is
+    the same IEEE operation, in the same order, as the lane ops and
+    ``dot`` make, so every iterate, gradient and count is the loop's."""
+    tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
+    q_sq = (lam * f.lipschitz_L) ** 2
+    step = sign * lam
+    grad, ((l0,), (h0,)) = f._lane.grad, f._lane.bounds
+    (x0,) = y = base
+    (g0,) = g = grad(base) if g is None else g
+    y0, n, mixed = x0, len(seeds), False
+    if n:
+        (d0,), (e0,), w, a11 = seeds[0]
+        if n == 2:
+            (dd0,), (ee0,), ww, a22 = seeds[1]
+    for it in range(1, _MAX_INNER_ITER + 1):
+        t0 = x0 + step * g0
+        if t0 < l0 or t0 > h0:
+            raise LeftBoxError((t0,), "fixed-point iterate left the operating box")
+        r0 = t0 - y0
+        rr = r0 * r0
+        if rr <= tol_sq:
+            return y, g, it
+        if mixed and not rr <= q_sq * last_rr:
+            n = 0  # the mixed iterate contracted less than a Picard step: restart
+        elif it > 1:
+            if n:
+                dd0, ee0, ww, a22 = d0, e0, w, a11
+            d0, e0 = r0 - last_r0, t0 - last_t0
+            w, a11, n = 1.0, d0 * d0, 2 if n else 1
+        last_r0, last_t0, last_rr = r0, t0, rr
+        mixed = False
+        if n and a11 > 0.0:
+            b1, deep = d0 * r0, False
+            if n == 2:
+                a12, b2 = d0 * dd0, dd0 * r0
+                det = a11 * a22 - a12 * a12
+                deep = det > _GRAM_RTOL * a11 * a22
+            if deep:
+                c, cc = (a12 * b2 - a22 * b1) / det * w, (a12 * b1 - a11 * b2) / det * ww
+                m0 = (t0 + c * e0) + cc * ee0
+            else:
+                c = -b1 / a11 * w
+                m0 = t0 + c * e0
+            mixed = not (m0 < l0 or m0 > h0)
+        (y0,) = y = (m0,) if mixed else (t0,)
+        (g0,) = g = grad(y)
+    raise ArithmeticError("fixed-point iteration failed to contract")
+
+
+def _picard2(f, base, lam, sign, tol_scale, g, seeds):
+    """:func:`_picard1` on the 2-D float lane: each sum over coordinates is
+    ``dot``'s, index order."""
+    tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
+    q_sq = (lam * f.lipschitz_L) ** 2
+    step = sign * lam
+    grad, ((l0, l1), (h0, h1)) = f._lane.grad, f._lane.bounds
+    x0, x1 = y = base
+    g0, g1 = g = grad(base) if g is None else g
+    y0, y1, n, mixed = x0, x1, len(seeds), False
+    if n:
+        (d0, d1), (e0, e1), w, a11 = seeds[0]
+        if n == 2:
+            (dd0, dd1), (ee0, ee1), ww, a22 = seeds[1]
+    for it in range(1, _MAX_INNER_ITER + 1):
+        t0 = x0 + step * g0
+        t1 = x1 + step * g1
+        if t0 < l0 or t0 > h0 or t1 < l1 or t1 > h1:
+            raise LeftBoxError((t0, t1), "fixed-point iterate left the operating box")
+        r0, r1 = t0 - y0, t1 - y1
+        rr = r0 * r0 + r1 * r1
+        if rr <= tol_sq:
+            return y, g, it
+        if mixed and not rr <= q_sq * last_rr:
+            n = 0  # the mixed iterate contracted less than a Picard step: restart
+        elif it > 1:
+            if n:
+                dd0, dd1, ee0, ee1, ww, a22 = d0, d1, e0, e1, w, a11
+            d0, d1, e0, e1 = r0 - last_r0, r1 - last_r1, t0 - last_t0, t1 - last_t1
+            w, a11, n = 1.0, d0 * d0 + d1 * d1, 2 if n else 1
+        last_r0, last_r1, last_t0, last_t1, last_rr = r0, r1, t0, t1, rr
+        mixed = False
+        if n and a11 > 0.0:
+            b1, deep = d0 * r0 + d1 * r1, False
+            if n == 2:
+                a12, b2 = d0 * dd0 + d1 * dd1, dd0 * r0 + dd1 * r1
+                det = a11 * a22 - a12 * a12
+                deep = det > _GRAM_RTOL * a11 * a22
+            if deep:
+                c, cc = (a12 * b2 - a22 * b1) / det * w, (a12 * b1 - a11 * b2) / det * ww
+                m0, m1 = (t0 + c * e0) + cc * ee0, (t1 + c * e1) + cc * ee1
+            else:
+                c = -b1 / a11 * w
+                m0, m1 = t0 + c * e0, t1 + c * e1
+            mixed = not (m0 < l0 or m0 > h0 or m1 < l1 or m1 > h1)
+        y0, y1 = y = (m0, m1) if mixed else (t0, t1)
+        g0, g1 = g = grad(y)
+    raise ArithmeticError("fixed-point iteration failed to contract")
+
+
+def _orbit_seeds(f, pairs, step):
     """The orbit's secant pairs as history entries of a solve whose T has
     step ``step``: the pair (x - y, dg) of an orbit step from x back to y,
     with dg = grad(y) - grad(x), gives dT = step dg (never formed: w =
     step, v = dg) and dr = dT - (y - x); T's base cancels, so a pair
     serves any step.  Each pair keeps its last conversion, so under a
-    constant schedule it is converted once for the two solves it seeds."""
+    constant schedule it is converted once for the two solves it seeds.
+    The float lane's dr and |dr|^2 are written out per dimension."""
+    dim = f.dim
     for i, (neg_dx, dg, entry) in enumerate(pairs):
         if entry is None or entry[2] != step:
-            dr = lane.axpy(neg_dx, step, dg)
-            pairs[i] = neg_dx, dg, (dr, dg, step, dot(dr, dr))
+            if dim > FLOAT_LANE_DIMS:
+                dr = f._lane.axpy(neg_dx, step, dg)
+                entry = dr, dg, step, dot(dr, dr)
+            elif dim == 1:
+                dr0 = neg_dx[0] + step * dg[0]
+                entry = (dr0,), dg, step, dr0 * dr0
+            else:
+                dr0, dr1 = neg_dx[0] + step * dg[0], neg_dx[1] + step * dg[1]
+                entry = (dr0, dr1), dg, step, dr0 * dr0 + dr1 * dr1
+            pairs[i] = neg_dx, dg, entry
     return [entry for _, _, entry in pairs]
 
 
@@ -168,10 +293,20 @@ def _ascent_step(f, xnext, a, g=None, seeds=(), xnorm=None):
     is the tested residual, 1e-13 (1 + |xnext|) up to rounding.  ``g`` is
     grad(xnext) and ``xnorm`` |xnext| when known, and ``seeds`` start the
     solve's mixing history.  The caller has checked the prox regime and
-    that xnext lies in the box."""
-    lane = f._lane
+    that xnext lies in the box.  On the float lane r and |y| are written
+    out per dimension, ``norm``'s operations in its order."""
     y, gy, _ = _picard(f, xnext, a, +1.0, norm(xnext) if xnorm is None else xnorm, g, seeds)
-    residual, ynorm = norm(lane.sub(lane.axpy(y, -a, gy), xnext)), norm(y)
+    if f.dim > FLOAT_LANE_DIMS:
+        lane = f._lane
+        residual, ynorm = norm(lane.sub(lane.axpy(y, -a, gy), xnext)), norm(y)
+    elif f.dim == 1:
+        (y0,), (g0,), (x0,) = y, gy, xnext
+        u0 = (y0 + -a * g0) - x0
+        residual, ynorm = sqrt(u0 * u0), sqrt(y0 * y0)
+    else:
+        (y0, y1), (g0, g1), (x0, x1) = y, gy, xnext
+        u0, u1 = (y0 + -a * g0) - x0, (y1 + -a * g1) - x1
+        residual, ynorm = sqrt(u0 * u0 + u1 * u1), sqrt(y0 * y0 + y1 * y1)
     if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
         raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
     return y, residual, gy, ynorm
@@ -230,7 +365,7 @@ def reverse_orbit(f, a, s, kbar, stop=None):
             grads.append(g)
         try:
             y, residual, gy, ynorm = _ascent_step(f, x, alpha, g,
-                                                  _orbit_seeds(lane, pairs, alpha), xnorm)
+                                                  _orbit_seeds(f, pairs, alpha), xnorm)
         except LeftBoxError:
             status = "left_box"
             break

@@ -281,11 +281,15 @@ def picard_solve(f, base, lam, sign, rtol=FIXED_POINT_RTOL):
             return t, it
 
 
-def anderson_solve(f, base, lam, sign, g=None, seeds=()):
+def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None):
     """(y, grad(y), iters) of reverse._picard written on ndarrays: depth-2
     Anderson mixing with the same arithmetic, seeding, fallbacks, restart
     and return, for both lanes to match bit for bit.  A history entry is
-    (dr, v, w) with dT = w v; ``seeds`` start the history, newest first."""
+    (dr, v, w) with dT = w v; ``seeds`` start the history, newest first.
+    ``mixes``, when given, gets one (history length, mixed point) pair per
+    iterate after the first, the mixed point None when the history gives
+    none and kept even when it lies outside the box, where the solve
+    falls back to T's plain image."""
     tol_sq = (FIXED_POINT_RTOL * (1.0 + norm(base))) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     y, g = base, f.gradient(base) if g is None else g
@@ -302,7 +306,7 @@ def anderson_solve(f, base, lam, sign, g=None, seeds=()):
             hist = []
         elif last is not None:
             hist = [(r - last[0], t - last[1], 1.0)] + hist[:1]
-        last, y = (r, t, rr), t
+        last, y, mix = (r, t, rr), t, None
         if hist and sumsq(hist[0][0]) > 0.0:
             (d1, e1, w1), a11 = hist[0], sumsq(hist[0][0])
             b1 = dot(d1, r)
@@ -314,6 +318,9 @@ def anderson_solve(f, base, lam, sign, g=None, seeds=()):
                 if det > _GRAM_RTOL * a11 * a22:
                     y = (t - (a22 * b1 - a12 * b2) / det * w1 * e1
                          - (a11 * b2 - a12 * b1) / det * w2 * e2)
+            mix = y
+        if mixes is not None:
+            mixes.append((len(hist), mix))
         mixed = y is not t and f.in_box(y)
         if not mixed:
             y = t

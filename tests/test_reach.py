@@ -69,6 +69,16 @@ def test_probe_preconditions(dw, quad1):
         br.stability_probe(quad1, [0.0], 1.0, None)  # neither schedule nor flow settings
 
 
+@pytest.mark.parametrize("field,value", [("gtol", math.nan), ("gtol", -1.0), ("max_iter", -1)])
+def test_probe_rejects_a_bad_gtol_or_max_iter_under_either_dynamics(dw, field, value):
+    # FlowSettings carry their own gtol and budgets, so the probe's are
+    # unused under them, but a bad one is still an error, as under a
+    # StepSchedule, and is named before any start runs
+    for dynamics in (br.constant(0.01), br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6)):
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative, got {value}$"):
+            br.stability_probe(dw, [1.0], 0.4, dynamics, **{field: value})
+
+
 def test_probe_all_radii_fail():
     # a 3-D objective not known to be quadratic (no hessian_lipschitz) has
     # no capture certificate, so a 2-iteration budget converges nowhere:
@@ -706,6 +716,21 @@ def test_reach_budgets_reject_a_bad_gtol_or_count(field, value):
 
 def test_reach_budgets_allow_a_default_or_zero_gtol():
     assert br.ReachBudgets().gtol is None and br.ReachBudgets(gtol=0.0).gtol == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0])
+def test_reach_budgets_reject_a_nan_or_negative_delta_override(value):
+    with pytest.raises(ValueError, match=f"^delta_override must be nonnegative, got {value}$"):
+        br.ReachBudgets(delta_override=value)
+
+
+def test_reach_budgets_allow_no_or_a_zero_delta_override(dw):
+    # the probe returns 0 when every radius fails, and a reach handed that
+    # radius ends in no_escape as its own probe would have it
+    assert br.ReachBudgets().delta_override is None
+    rep = br.reach_discrete(dw, [1.0], 0.4, br.constant(0.021), 1e-3, 1e-4,
+                            br.ReachBudgets(delta_override=0.0))
+    assert rep.status == "no_escape" and rep.delta_used == 0.0
 
 
 def test_reach_discrete_preconditions(dw):

@@ -147,25 +147,77 @@ def test_solves_agree_with_plain_picard(name, params):
     assert 0 < exits < 120
 
 
-def test_mixing_restarts_when_a_mixed_iterate_does_not_contract(monkeypatch):
+def solve_as_reference(f, base, lam, sign, g, seeds=()):
+    """(_picard's (y, g, iters), the points it took gradients at, the
+    reference's (history length, mixed point) per iterate) for a solve from
+    ``base`` with first gradient ``g``, both arrays, and ``seeds`` as
+    _orbit_seeds makes them, after checking that the solve and
+    conftest.anderson_solve take their gradients at the same points and
+    return the same y, gradient and count, bit for bit."""
+    points = []
+    spy = dataclasses.replace(f, grad=lambda x: points.append(np.array(x)) or f.grad(x))
+    lane = spy._lane
+    out = _picard(spy, lane.point(base), lam, sign, norm(base), lane.point(g), seeds)
+    taken, mixes = points[:], []
+    points.clear()
+    ref = anderson_solve(spy, base, lam, sign, g,
+                         [(np.array(dr), np.array(v), w) for dr, v, w, _ in seeds], mixes)
+    assert [p.tobytes() for p in taken] == [p.tobytes() for p in points]
+    assert [np.array(v).tobytes() for v in out[:2]] == [v.tobytes() for v in ref[:2]]
+    assert out[2] == ref[2]
+    return out, taken, mixes
+
+
+RESTART_CASES = [  # (eigenvalues, base, where the first gradient is taken, history lengths)
+    ((4.0,), [1.0], [-8.0], [0, 1, 0, 1]),
+    ((1.0, 4.0), [1.0, 1.0], [-8.0, 8.0], [0, 1, 0, 1, 2]),
+    ((1.0, 4.0, 6.0), [1.0, 1.0, 1.0], [-8.0, 8.0, -3.0], [0, 1, 2, 0, 1, 2]),
+]
+
+
+def test_mixing_restarts_when_a_mixed_iterate_does_not_contract():
     # a first gradient taken elsewhere than at base gives the history a
-    # residual difference that is no secant of T; the depth-1 iterate built
-    # on it contracts by less than q, so the history is cleared and the next
-    # iterate is T's plain image.  The fixed point is (8/7, 2).
-    f = br.make_builtin("quad", (1.0, 4.0))
-    lam, base = 0.125, (1.0, 1.0)
-    mixes, points = [], []
-    mix = reverse_mod._mix
-    monkeypatch.setattr(reverse_mod, "_mix", lambda *a: mixes.append(len(a[3])) or mix(*a))
-    spy = dataclasses.replace(f, grad=lambda x: points.append(tuple(x)) or f.grad(x))
-    y, g, iters = _picard(spy, base, lam, 1.0, norm(base), g=f.grad(np.array([-8.0, 8.0])))
-    assert mixes[:5] == [0, 1, 0, 1, 2]  # the history each iterate is mixed from
-    assert points[2] == spy._lane.axpy(base, lam, f.grad(np.array(points[1])))
-    # the tested y and the gradient its test took, the last one evaluated
-    assert y == points[-1] and g == f._lane.grad(y)
-    q, tol = lam * f.lipschitz_L, FIXED_POINT_RTOL * (1.0 + norm(base))
-    assert norm(np.array(y) - [8.0 / 7.0, 2.0]) <= tol / (1.0 - q)
-    assert iters == len(points) + 1
+    # residual difference that is no secant of T; the iterate mixed from it
+    # contracts by less than q, so the history is cleared and the next
+    # iterate is T's plain image.  On each lane (1-D, 2-D, ndarray) the
+    # solve takes the reference's gradient points, whose history lengths
+    # are listed; the fixed point is base_i / (1 - lam l_i)
+    lam = 0.125
+    for params, base, elsewhere, lengths in RESTART_CASES:
+        f = br.make_builtin("quad", params)
+        base = np.array(base)
+        (y, g, iters), points, mixes = solve_as_reference(f, base, lam, 1.0,
+                                                          f.gradient(elsewhere))
+        assert [n for n, _ in mixes[:len(lengths)]] == lengths
+        restart = lengths.index(0, 1)
+        assert points[restart].tobytes() == (base + lam * f.gradient(points[restart - 1])).tobytes()
+        # the tested y and the gradient its test took, the last one evaluated
+        assert np.array(y).tobytes() == points[-1].tobytes()
+        assert np.array(g).tobytes() == np.array(f._lane.grad(y)).tobytes()
+        q, tol = lam * f.lipschitz_L, FIXED_POINT_RTOL * (1.0 + norm(base))
+        assert norm(np.array(y) - base / (1.0 - lam * np.array(params))) <= tol / (1.0 - q)
+        assert iters == len(points) + 1
+
+
+@pytest.mark.parametrize("name,params,base,elsewhere", [
+    ("double_well", (), [1.2], [-0.75]),  # fixed point 1.2665, face 1.5
+    ("himmelblau", (), [4.5, 2.0], None),  # fixed point (4.9985, 2.0787), face x = 5
+])
+def test_a_mixed_point_outside_the_box_falls_back_to_t(name, params, base, elsewhere):
+    # an ascent solve near a box face whose mixed iterate lands past it:
+    # the solve moves to T's plain image t instead and goes on mixing.  In
+    # 1-D the overshoot comes from a first gradient taken elsewhere than at
+    # base, as in the restart test
+    f = br.make_builtin(name, params)
+    base, lam = np.array(base), 0.5 / f.lipschitz_L
+    g = f.gradient(base if elsewhere is None else elsewhere)
+    _, points, mixes = solve_as_reference(f, base, lam, 1.0, g)
+    out = [i for i, (_, m) in enumerate(mixes) if m is not None and not f.in_box(m)]
+    assert out and all(f.in_box(p) for p in points)
+    for i in out:
+        before = g if i == 0 else f.gradient(points[i - 1])
+        assert points[i].tobytes() == (base + lam * before).tobytes()
+    assert any(m is not None and f.in_box(m) for _, m in mixes[out[-1] + 1:])
 
 
 @pytest.mark.parametrize("name,params", SWEEP_BUILTINS,
@@ -200,25 +252,26 @@ def test_tested_iterate_lies_within_its_residual_bound(name, params):
 @pytest.mark.parametrize("name,params,points", [
     ("double_well", (), [[1.2], [1.25], [1.31]]),
     ("quad", (1.0, 4.0), [[0.1, 0.0], [0.15, 0.0], [0.22, 0.0]]),  # collinear secants
+    ("quad", (1.0, 2.0, 5.0), [[0.1, 0.0, 0.0], [0.15, 0.0, 0.0], [0.22, 0.0, 0.0]]),
 ])
-def test_degenerate_seeds_fall_back_to_the_newest(monkeypatch, name, params, points):
+def test_degenerate_seeds_fall_back_to_the_newest(name, params, points):
     # two secants in 1-D, or collinear ones, have a degenerate Gram
-    # determinant: the first mixed iterate uses the newest alone, and the
-    # solve matches the one seeded with it bit for bit
+    # determinant: the first iterate is mixed from both seeds, as the
+    # reference's history shows, uses the newest alone, and the solve
+    # matches the one seeded with the newest alone bit for bit
     f = br.make_builtin(name, params)
     lane, a = f._lane, 0.5 / f.lipschitz_L
     p = [lane.point(np.array(x)) for x in points]
     g = [lane.grad(x) for x in p]
     pairs = [(lane.sub(p[1], p[2]), lane.sub(g[2], g[1]), None),
              (lane.sub(p[0], p[1]), lane.sub(g[1], g[0]), None)]
-    seeds = reverse_mod._orbit_seeds(lane, pairs, a)
-    mixes = []
-    mix = reverse_mod._mix
-    monkeypatch.setattr(reverse_mod, "_mix", lambda *args: mixes.append(len(args[3])) or mix(*args))
-    both = _picard(f, p[2], a, 1.0, norm(p[2]), g[2], seeds)
-    newest = _picard(f, p[2], a, 1.0, norm(p[2]), g[2], seeds[:1])
-    assert mixes[0] == 2 and both == newest
-    assert norm(np.subtract(both[0], anderson_solve(f, np.array(p[2]), a, 1.0)[0])) <= 1e-12
+    seeds = reverse_mod._orbit_seeds(f, pairs, a)
+    base, g2 = np.array(points[2], dtype=float), np.array(g[2])
+    both, _, mixes = solve_as_reference(f, base, a, 1.0, g2, seeds)
+    newest, _, _ = solve_as_reference(f, base, a, 1.0, g2, seeds[:1])
+    assert mixes[0][0] == 2
+    assert [np.array(v).tobytes() for v in both] == [np.array(v).tobytes() for v in newest]
+    assert norm(np.subtract(both[0], anderson_solve(f, base, a, 1.0)[0])) <= 1e-12
 
 
 # --- reverse_orbit -----------------------------------------------------------
@@ -305,19 +358,18 @@ def test_orbit_takes_one_gradient_per_tested_iterate(monkeypatch):
 
 def test_orbit_takes_two_norms_per_point(monkeypatch):
     # each solve takes |residual| and |y|; its |x_{k+1}| is the |y| of the
-    # solve before it, so only the anchor's is taken afresh
-    f = br.make_builtin("himmelblau")
+    # solve before it, so only the anchor's is taken afresh: counted as the
+    # norm calls and the square roots of the norms the float lane writes out
     calls = []
-
-    def counted(v):
-        calls.append(1)
-        return norm(v)
-
-    monkeypatch.setattr(reverse_mod, "norm", counted)
-    for s in (br.constant(0.5 / f.lipschitz_L), br.power(0.5 / f.lipschitz_L, 0.5)):
-        calls.clear()
-        orbit = br.reverse_orbit(f, [3.001, 2.002], s, 40)
-        assert len(orbit.points) == 41 and len(calls) == 2 * 40 + 1
+    monkeypatch.setattr(reverse_mod, "norm", lambda v: calls.append(1) or norm(v))
+    monkeypatch.setattr(reverse_mod, "sqrt", lambda v: calls.append(1) or math.sqrt(v))
+    for f, anchor in [(br.make_builtin("double_well"), [1.0 + 1e-8]),
+                      (br.make_builtin("himmelblau"), [3.001, 2.002]),
+                      (br.make_builtin("quad", (1.0, 2.0, 5.0)), [1e-12, 2e-12, 3e-12])]:
+        for s in (br.constant(0.5 / f.lipschitz_L), br.power(0.5 / f.lipschitz_L, 0.5)):
+            calls.clear()
+            orbit = br.reverse_orbit(f, anchor, s, 40)
+            assert len(orbit.points) == 41 and len(calls) == 2 * 40 + 1
 
 
 def test_power_orbit_takes_under_two_gradients_per_point():
