@@ -7,7 +7,7 @@ import numpy as np
 from .landscape import LeftBoxError, row_norms
 from .sampling import unit_directions
 from .schedule import admissible, constant, require_admissible
-from .trajectory import march, recorded
+from .trajectory import march, recorded, start
 
 SPHERE_SAMPLES, SPHERE_SEED = 64, 0  # classify_limit's quasi-random directions after the axes
 CERTIFICATE_RTOL = 1e-12  # descent_certificate_violations' relative slack
@@ -41,9 +41,9 @@ def require_nonnegative(**values):
 
 class _Descent:
     """The gradient-descent runner under schedule s, shaped like
-    ``flow._Flow``: ``march`` from a start in the box stops at |grad| <
-    gtol, max_iter steps or the box; ``step`` advances time by the step
-    size.  Requires gtol >= 0 and max_iter >= 0."""
+    ``flow._Flow``: ``march`` from a start x0 (``trajectory.start``)
+    stops at |grad| < gtol, max_iter steps or the box; ``step`` advances
+    time by the step size.  Requires gtol >= 0 and max_iter >= 0."""
 
     def __init__(self, f, s, max_iter, gtol):
         require_nonnegative(gtol=gtol, max_iter=max_iter)
@@ -51,10 +51,7 @@ class _Descent:
         self.provenance = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol}
 
     def march(self, x0, event=None, value=None):
-        x = np.array(x0, dtype=float)
-        if not self.f.in_box(x):
-            raise LeftBoxError(x, "x0 outside the operating box")
-        return march(self.f, self.lane.point(x), self.lane.grad, self.step, self.max_iter,
+        return march(self.f, start(self.f, x0), self.lane.grad, self.step, self.max_iter,
                      self.gtol, event=event, value=value)
 
     def step(self, k, t, x, g):

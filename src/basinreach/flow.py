@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landscape import LeftBoxError, norm, row_norms, sumsq
+from .landscape import LeftBoxError, row_norms, sumsq
 # not called here: the benchmark's tracer wraps flow.min_norm_element by name
 from .landscape import min_norm_element  # noqa: F401
-from .trajectory import _to_level, march, recorded
+from .trajectory import _to_level, march, recorded, start
 
 DIRECTIONS = ("forward", "reverse")
 # the adaptive flow clamps its first trial step to H_GUARD / L
@@ -208,11 +208,9 @@ class _Flow:
         self.h, self.err_old, self.x_new, self.norm_new = self.h0, 1e-4, None, None
 
     def march(self, x0, event=None, value=None):
-        x = np.array(x0, dtype=float)
-        if not self.f.in_box(x):
-            raise LeftBoxError(x, "x0 outside the operating box")
+        x = start(self.f, x0)
         self.h, self.err_old, self.x_new = self.h0, 1e-4, None  # no state from an earlier run
-        return march(self.f, self.lane.point(x), self.field, self.step, None, self.gtol,
+        return march(self.f, x, self.field, self.step, None, self.gtol,
                      event=event, value=value, t_end=self.settings.t_max)
 
     def field(self, x):
@@ -220,6 +218,7 @@ class _Flow:
 
     def step(self, k, t, x, g):
         t_max, h, rejected = self.settings.t_max, self.h, False
+        norm = self.lane.norm
         norm_x = self.norm_new if x is self.x_new else norm(x)
         while True:
             dt = min(h, t_max - t)
@@ -311,8 +310,9 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings):
     lane = f._lane
     flow = _Flow(f, direction, settings)
     center = lane.point(center)
-    past = lambda y: norm(lane.sub(y, center)) - delta  # signed distance past the sphere
-    if not past(lane.point(x0)) < 0.0:
+    past = lambda y: lane.norm(lane.sub(y, center)) - delta  # signed distance past the sphere
+    x0 = start(f, x0)
+    if not past(x0) < 0.0:
         raise ValueError("sphere_exit requires |x0 - center| < delta")
 
     def crossed(prev, t, x, fx):

@@ -175,12 +175,13 @@ class Lane(NamedTuple):
     ``inside`` is in_box (NaN counts as inside) and ``comb(x, s, terms,
     vs)`` is the chain of axpy(x, s w, vs[i]) over the (i, w) pairs of
     ``terms`` in order, x itself when terms is empty: one DOP853 stage sum
-    in one call.  Both lanes make the same IEEE operations, bit for bit;
-    the float lane's are written out per dimension, as a loop over
-    coordinates is slower.  The float lane's ``bounds`` are the padded box
-    ``inside`` tests against, (lower, upper) lists of floats, for loops
-    written out over local floats (``reverse._picard1``); None on the
-    ndarray lane."""
+    in one call, and ``norm`` is |v| of a point or a gradient,
+    :func:`norm` itself on the ndarray lane.  Both lanes make the same
+    IEEE operations, bit for bit; the float lane's are written out per
+    dimension, as a loop over coordinates is slower.  The float lane's
+    ``bounds`` are the padded box ``inside`` tests against, (lower, upper)
+    lists of floats, for loops written out over local floats
+    (``reverse._picard1``); None on the ndarray lane."""
 
     point: object
     grad: object
@@ -188,6 +189,7 @@ class Lane(NamedTuple):
     sub: object
     inside: object
     comb: object
+    norm: object
     bounds: tuple = None
 
 
@@ -221,7 +223,7 @@ def _comb2(x, s, terms, vs):
 def _lane(f):
     if f.dim > FLOAT_LANE_DIMS:
         return Lane(lambda x: np.array(x, dtype=float), f.gradient, lambda x, c, v: x + c * v,
-                    operator.sub, f.in_box, _ndarray_comb)
+                    operator.sub, f.in_box, _ndarray_comb, norm)
     grad = f.grad
     lo, hi = f._box_lo.tolist(), f._box_hi.tolist()
     if f.dim == 1:
@@ -230,18 +232,20 @@ def _lane(f):
         sub = lambda x, y: (x[0] - y[0],)
         inside = lambda x: not (x[0] < l0 or x[0] > h0)
         comb = _comb1
+        vnorm = lambda v: math.sqrt(v[0] * v[0])
     else:
         (l0, l1), (h0, h1) = lo, hi
         axpy = lambda x, c, v: (x[0] + c * v[0], x[1] + c * v[1])
         sub = lambda x, y: (x[0] - y[0], x[1] - y[1])
         inside = lambda x: not (x[0] < l0 or x[0] > h0 or x[1] < l1 or x[1] > h1)
         comb = _comb2
+        vnorm = lambda v: math.sqrt(v[0] * v[0] + v[1] * v[1])
 
     def floats_grad(x):
         g = grad(np.array(x))
         return g if type(g) is list else np.asarray(g, dtype=float).tolist()
     return Lane(lambda x: tuple(np.asarray(x, dtype=float).tolist()), floats_grad, axpy, sub,
-                inside, comb, (lo, hi))
+                inside, comb, vnorm, (lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from .landscape import LeftBoxError, norm, row_norms
 from .reverse import reverse_orbit
 from .sampling import directions, unit_directions
 from .schedule import StepSchedule, constant, require_admissible
-from .trajectory import _to_level, march, recorded
+from .trajectory import _to_level, march, recorded, recording
 
 # strictness floor for the ascent seed: f(a) > f(target) + floor
 SEED_FLOOR_RTOL = 1e-12
@@ -294,7 +294,7 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     def held(prev, t, x, fx):
         # inside the box: the epsilon-ball decides a failure, B_r or K a pass
         if lane.inside(x):
-            dist = norm(lane.sub(x, center))
+            dist = lane.norm(lane.sub(x, center))
             if not dist <= contain:
                 return "budget_exhausted", None, t, x, {"stopped_on": "left_ball"}
             if dist <= inner:
@@ -306,9 +306,10 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
 
     def passes(start):
         steps, status, limit, stop = runner.march(start, event=held, value=f.value)
-        if status == "converged" and stop and steps[-1][2] < runner.gtol:
-            limit, stop = np.array(steps[-1][1]), None  # at gtol: as the full run reports it
-        recorded(f, steps, status, limit, stop, runner.provenance)
+        if recording():
+            if status == "converged" and stop and steps[-1][2] < runner.gtol:
+                limit, stop = np.array(steps[-1][1]), None  # at gtol: as the full run reports it
+            recorded(f, steps, status, limit, stop, runner.provenance)
         return status == "converged"
 
     def trial(radius):
@@ -362,7 +363,7 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     bracket closes or kbar_max is passed.
     """
     lane, center = f._lane, f._lane.point(target)
-    outside = lambda x: norm(lane.sub(x, center)) > rho  # x a point of f's lane
+    outside = lambda x: lane.norm(lane.sub(x, center)) > rho  # x a point of f's lane
 
     def usable(orbit):
         root = orbit.points[0]
@@ -474,7 +475,7 @@ def _certified_ball(f, target, tol, epsilon, lam, lam_max=math.inf):
     center = lane.point(target)
 
     def reached(prev, t, x, fx):
-        if norm(lane.sub(x, center)) <= s:
+        if lane.norm(lane.sub(x, center)) <= s:
             return "converged", np.array(x), t, x, {"stopped_on": "certified_ball"}
         return None
     return _Ball(s, lam - M * s, min(f.lipschitz_L, lam_max + M * s), reached)

@@ -340,7 +340,8 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     taken); each later solve starts from the gradient and the norm its
     predecessor returned, and its mixing history from the secant pairs of
     the last two steps, so m solves cost one gradient plus their iterations
-    less one each, and 2m + 1 norms.  The orbit keeps the gradients.
+    less one each, and 2m + 1 norms.  The orbit keeps the gradients.  On
+    the float lane each secant pair is written out per dimension.
     """
     anchor = np.asarray(a, dtype=float)
     if kbar < 0:
@@ -352,7 +353,7 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     # checked once: every alpha_k is at most sup_alpha, and each later
     # solve starts from a point its predecessor's Picard test kept in the box
     require_admissible(s, f, "prox", "reverse_orbit")
-    lane = f._lane
+    lane, dim = f._lane, f.dim
     x, g, xnorm, pairs = lane.point(anchor), None, None, []
     points, residuals, grads = [anchor.copy()], [], []
     status = "complete"
@@ -369,7 +370,13 @@ def reverse_orbit(f, a, s, kbar, stop=None):
         except LeftBoxError:
             status = "left_box"
             break
-        pairs = [(lane.sub(x, y), lane.sub(gy, g), None)] + pairs[:_ANDERSON_DEPTH - 1]
+        if dim > FLOAT_LANE_DIMS:
+            pair = lane.sub(x, y), lane.sub(gy, g), None
+        elif dim == 1:
+            pair = (x[0] - y[0],), (gy[0] - g[0],), None
+        else:
+            pair = (x[0] - y[0], x[1] - y[1]), (gy[0] - g[0], gy[1] - g[1]), None
+        pairs = [pair] + pairs[:_ANDERSON_DEPTH - 1]
         x, g, xnorm = y, gy, ynorm
         points.append(np.array(x))
         residuals.append(residual)

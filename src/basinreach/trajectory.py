@@ -10,12 +10,15 @@ output).  ``run_gd``, ``integrate``, each probe start, both level runs
 stop event.  Every stop names itself: the event hands ``march`` the
 provenance entries that name it (stopped_on = ...), which ``recorded``
 merges, so no caller works out from the final state why a run ended.
+A runner's ``march`` checks its start with :func:`start`, and a caller
+that only wants the run's outcome, as each probe start does, builds no
+Trajectory unless :func:`recording` says a recorder is listening.
 
 Every run steps on points of its objective's lane (``landscape.Lane``):
 for dim <= 2 a point is a tuple of Python floats, stepped by unrolled
 arithmetic, with each gradient still taken by f.grad on a 1-D array;
-larger dims keep ndarrays.  Either way the points and |v|
-(``landscape.norm``) are the same to the bit."""
+larger dims keep ndarrays.  Either way the points and |v| (``lane.norm``,
+``landscape.norm``'s operations) are the same to the bit."""
 
 import math
 from collections.abc import Sequence
@@ -26,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from .landscape import sumsq
+from .landscape import LeftBoxError
 
 TERMINAL_STATUSES = ("converged", "budget_exhausted", "left_box")
 
@@ -116,11 +119,30 @@ def record_trajectories(into):
         _sink.reset(token)
 
 
+def recording():
+    """True while :func:`record_trajectories` is listening: a run whose
+    Trajectory nothing else reads builds one only then."""
+    return _sink.get() is not None
+
+
 def emit(traj):
     sink = _sink.get()
     if sink is not None:
         sink.append(traj)
     return traj
+
+
+def start(f, x0):
+    """x0 as a point of f's lane, where a run starts: a ValueError unless
+    its shape is (dim,), a LeftBoxError outside the box (NaN counts as
+    inside, as at every state of :func:`march`)."""
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (f.dim,):
+        raise ValueError(f"x0 must have shape ({f.dim},) for dim = {f.dim}, got shape {x.shape}")
+    x = f._lane.point(x)
+    if not f._lane.inside(x):
+        raise LeftBoxError(x, "x0 outside the operating box")
+    return x
 
 
 def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None,
@@ -147,7 +169,7 @@ def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None
     ended the run.
     """
     t, prev, fx, k = 0.0, None, None, 0
-    inside = f._lane.inside
+    inside, norm = f._lane.inside, f._lane.norm
     steps = []
     keep = steps.append
     while True:
@@ -159,7 +181,7 @@ def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None
             if x_end is not x:
                 x, fx = x_end, None if value is None else value(x_end)
         v = field(x)
-        vn = math.sqrt(sumsq(v))
+        vn = norm(v)
         keep((t, x, vn) if value is None else (t, x, vn, fx))
         if hit is not None:
             return steps, status, limit, stop

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import basinreach as br
-from basinreach.landscape import HIMMELBLAU_CRITICAL_POINTS
+from basinreach.landscape import HIMMELBLAU_CRITICAL_POINTS, norm
 
 from conftest import fd_gradient, make_linear_1d
 
@@ -219,6 +220,30 @@ def test_lane_comb_is_the_chained_axpy(params):
                 assert np.array(start).tobytes() == before
         x = lane.point(rng.standard_normal(dim))
         assert lane.comb(x, s, (), vs) is x
+
+
+@pytest.mark.parametrize("params", [(1.0,), (1.0, 4.0), (1.0, 2.0, 5.0)],
+                         ids=["1-d-float-lane", "2-d-float-lane", "ndarray-lane"])
+def test_lane_norm_is_landscape_norm(params):
+    # lane.norm(v) is landscape.norm(v) bit for bit, for points and for
+    # gradients as the lane takes them: on random points, +-0.0, 1e200
+    # (whose square overflows to inf), subnormals (whose squares underflow)
+    # and NaN, alone and mixed across coordinates
+    f = br.make_builtin("quad", params)
+    lane, dim = f._lane, f.dim
+    if dim > 2:
+        assert lane.norm is norm
+    rng = np.random.default_rng(14)
+    specials = [0.0, -0.0, 1e200, -1e200, 5e-324, -2.5e-310, math.nan]
+    points = list(rng.standard_normal((20, dim))) + [np.full(dim, v) for v in specials]
+    points += [rng.choice(specials, dim) for _ in range(40)]
+    for p in points:
+        x = lane.point(p)
+        for v in (x, lane.grad(x)):
+            with np.errstate(over="ignore"):  # np.dot's, on the ndarray lane
+                got, want = lane.norm(v), norm(v)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # --- min-norm element ------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from basinreach.flow import _sphere_exit_detail
 from basinreach.landscape import norm, row_norms
 from basinreach.sampling import Lcg64, unit_directions
 from basinreach.serialize import reach_report_json
-from basinreach.trajectory import record_trajectories
+from basinreach.trajectory import record_trajectories, recorded
 
 from conftest import (capture_level_full_grid, count_flow_steps, counting, make_saddle_quad,
                       same_states, two_wells)
@@ -196,6 +197,30 @@ def test_probe_continuous_runs_match_integrate(f, target, eps, h):
         ref = br.integrate(f, r.initial_x, "forward", st)
         captured += check_passing_row(r, ref, est, np.array(target), eps)
     assert captured > 0
+
+
+@pytest.mark.parametrize("f,target,eps,dynamics,seed", [
+    (WIDE_DW, [1.0], 1.5, br.constant(0.5 / WIDE_DW.lipschitz_L), 0),
+    (WIDE_DW, [1.0], 1.5, br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6), 0),
+    (br.make_builtin("himmelblau"), [3.0, 2.0], 2.0, br.constant(0.0058), 4),
+    (br.make_builtin("himmelblau"), [3.0, 2.0], 2.0, br.FlowSettings(h=1e-2, t_max=20.0), 4),
+    (br.make_builtin("quad", (1.0, 2.0, 5.0)), [0.0, 0.0, 0.0], 1.0, br.constant(0.1), 0),
+], ids=["1-d-gd", "1-d-flow", "2-d-gd", "2-d-flow", "3-d-gd"])
+def test_probe_records_its_starts_only_for_a_recorder(monkeypatch, f, target, eps, dynamics,
+                                                      seed):
+    # with no recorder listening the probe builds no Trajectory and returns
+    # the same estimate, bit for bit, as under one, which records one run
+    # per start: every sphere start at epsilon and, once one fails, at each
+    # bisected radius
+    calls = []
+    monkeypatch.setattr(reach_mod, "recorded",
+                        lambda *args: calls.append(1) or recorded(*args))
+    alone = br.stability_probe(f, target, eps, dynamics, seed=seed)
+    assert calls == []
+    heard, runs = probe_runs(f, target, eps, dynamics, seed=seed)
+    assert pickle.dumps(alone) == pickle.dumps(heard)
+    trials = 1 + (reach_mod.PROBE_BISECTIONS if heard.failures else 0)
+    assert len(calls) == len(runs) == heard.samples * trials
 
 
 def test_probe_left_ball_stops_at_first_outside_state(monkeypatch):

@@ -1,6 +1,7 @@
 """Columnar trajectories: the stepping loops against plain per-step
 reference loops that build one State per step, bit for bit."""
 
+import re
 import threading
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import basinreach as br
 from basinreach.descent import _Descent
 from basinreach.flow import _Flow, _sphere_exit_detail
-from basinreach.landscape import norm
+from basinreach.landscape import LeftBoxError, norm
 from basinreach.reach import _run_to_level
 from basinreach.trajectory import State, record_trajectories, recorded
 
@@ -354,3 +355,53 @@ def test_divergence_stop_is_measured_from_the_box_centre():
     assert abs(traj.limit[0] - 5000.5) < 1e-9
     level_traj, crossing = _run_to_level(f, [5000.9], br.constant(0.5), 1e-6, 1e-10, 10**4)
     assert level_traj.terminal_status == "converged" and crossing is not None
+
+
+RUNNERS = {
+    "gd": lambda f, x0: br.run_gd(f, x0, br.constant(0.1), max_iter=10),
+    "flow": lambda f, x0: br.integrate(f, x0, "forward", br.FlowSettings(h=0.1, t_max=1.0)),
+}
+
+
+@pytest.mark.parametrize("f", [Q1, Q2, Q3], ids=["1-d-float-lane", "2-d-float-lane",
+                                                 "ndarray-lane"])
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_a_start_of_another_shape_is_a_value_error(runner, f):
+    # a start of shape other than (dim,) is refused before anything runs,
+    # with dim and the shape it had: fewer or more coordinates, a row or a
+    # column of the right count, or a scalar
+    n = f.dim
+    for x0 in ([1.0] * (n + 1), [0.5] * (n - 1), [[1.0] * n], [[1.0]] * n, 1.0):
+        shape = np.shape(x0)
+        if shape == (n,):
+            continue
+        with pytest.raises(ValueError, match=re.escape(f"dim = {n}, got shape {shape}")):
+            RUNNERS[runner](f, x0)
+    assert len(RUNNERS[runner](f, [0.5] * n)) > 1
+
+
+@pytest.mark.parametrize("f", [Q1, Q2, Q3], ids=["1-d-float-lane", "2-d-float-lane",
+                                                 "ndarray-lane"])
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_a_start_outside_the_box_is_a_left_box_error(runner, f):
+    # the start is tested on the lane against the padded box: just outside
+    # it is a LeftBoxError carrying the start, on the box's edge a run
+    x0 = [10.0] * (f.dim - 1) + [10.0 + 1e-9]
+    with pytest.raises(LeftBoxError, match="^x0 outside the operating box$") as exc:
+        RUNNERS[runner](f, x0)
+    assert exc.value.point.tobytes() == np.array(x0).tobytes()
+    assert RUNNERS[runner](f, [10.0] * f.dim).initial_x.tolist() == [10.0] * f.dim
+
+
+@pytest.mark.parametrize("f", [Q1, Q2, Q3], ids=["1-d-float-lane", "2-d-float-lane",
+                                                 "ndarray-lane"])
+def test_sphere_exit_checks_its_start_before_the_sphere(f):
+    # the sphere test takes x0 as the runner's start check gives it
+    n, center, st = f.dim, np.zeros(f.dim), br.FlowSettings(h=0.1, t_max=50.0)
+    for x0 in ([0.5] * (n + 1), [[0.5] * n], [0.5] * (n - 1)):
+        with pytest.raises(ValueError, match=re.escape(f"dim = {n}, got shape {np.shape(x0)}")):
+            br.sphere_exit(f, x0, "reverse", center, 9.0, st)
+    with pytest.raises(LeftBoxError, match="^x0 outside the operating box$"):
+        br.sphere_exit(f, [10.0] * (n - 1) + [10.0 + 1e-9], "reverse", center, 20.0, st)
+    _, b = br.sphere_exit(f, [0.5] * n, "reverse", center, 9.0, st)
+    assert abs(norm(b) - 9.0) <= 1e-8 * 9.0
