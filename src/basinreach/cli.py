@@ -278,14 +278,8 @@ def cmd_probe(cfg, f):
         f, resolve_target(cfg, f), float(cfg["epsilon"]), resolve_dynamics(cfg),
         n_samples=cfg["n_samples"], seed=cfg["seed"], max_iter=min(cfg["max_iter"], 100000),
         gtol=float(cfg["gtol"]))
-    probe = {
-        "epsilon": est.epsilon,
-        "delta_hat": est.delta_hat,
-        "samples": est.samples,
-        "failures": [[float(c) for c in p] for p in est.failures],
-        "capture_level": est.capture_level,
-        "delta_cert": est.delta_cert,
-    }
+    # probe.json: the estimate's fields, each failing start as a list
+    probe = dict(vars(est), failures=[[float(c) for c in p] for p in est.failures])
     return ({"probe.json": partial(serialize.write_json, probe)},
             f"probe: delta_hat={est.delta_hat:.6g} (epsilon={est.epsilon:.6g})",
             est.delta_hat > 0.0)

@@ -11,12 +11,12 @@ in the probe: a StepSchedule means reverse orbit and ``run_gd``,
 FlowSettings reverse and forward DOP853 flow, and a saddle target's forward
 run stops at the level set f = f(target) (``_run_to_level``, or
 ``integrate_minnorm``, the minimum-norm Clarke flow of max{f, f(target)}).
-The discrete escape radius is the closed form rho = delta_hat / (1 +
-2aL/(1 - aL)), a = sup alpha: |grad f(x)| <= L |x - target| on the
-convex box, so one ascent step from B_rho lands within the probed
-stability radius delta_hat, and with a constant schedule x0 is the first
-orbit point outside B_rho.  Capture rests on the direct check |x0 - target| <=
-min(delta_hat, epsilon), not on that bound.
+A minimum reach runs on delta = min(delta_cert, epsilon), the radius the
+probe certifies, and probes only without one.  The escape radius of GD
+is rho = delta / (1 + 2aL/(1 - aL)), a = sup alpha: |grad f(x)| <= L |x -
+target| on the convex box, so one ascent step from B_rho lands in B_delta,
+and with a constant schedule x0 is the first orbit point outside B_rho;
+capture rests on the direct check |x0 - target| <= delta, not on that bound.
 
 A minimum reach stops its forward run at its certificate, the first state
 in the certified ball B_s, s = min(tol, epsilon, lambda_min / (2M)) (no
@@ -36,10 +36,9 @@ x*| and, for GD, length_bound = the measured prefix + (L_s / mu_s) |x_m
 - x*|, L_s = min(L, lambda_max + M s) >= the top of every Hessian's
 spectrum on B_s (lambda_max = lambda_max(hess f(target)); the Hessian
 moves by at most M s there), as the tail sum_k alpha_k |grad f(x_k)| <=
-L_s sum_k alpha_k |x_k - x*| telescopes against the contraction.  The
-stability probe passes a start on its first state in the same ball at
-tol = inf, r = min(epsilon, lambda_min / (2M)).  Saddle targets,
-objectives without M and the run and eos procedures keep running to gtol.
+L_s sum_k alpha_k |x_k - x*| telescopes against the contraction; the
+probe's B_r is this ball at tol = inf.  Saddle targets, objectives
+without M and the run and eos procedures keep running to gtol.
 """
 
 import dataclasses
@@ -88,6 +87,7 @@ class ReachReport:
     forward_part: object
     final_distance: float
     delta_used: float
+    delta_source: str
     ascent_seed: np.ndarray
     status: str
     seed_radius: float
@@ -100,9 +100,9 @@ class ReachBudgets:
     """Iteration and sampling budgets for the reach pipelines.
 
     gtol defaults to min(1e-8, 1e-3 * tol); probe_samples is the number
-    of quasi-random starts per probed radius; delta_override skips the
-    probe and reuses a previously estimated radius, which is legitimate
-    because the stability radius is uniform over admissible schedules.
+    of starts per radius of the probe run where no radius is certified;
+    delta_override reuses a radius found before, legitimate as the
+    stability radius is uniform over admissible schedules.
     The counts and a given gtol must be nonnegative, and so must a given
     delta_override: 0, a radius the probe can return, is allowed.
     """
@@ -198,6 +198,23 @@ def _capture_level(f, target, epsilon):
     return float(min(c1, floor(fill)[2].min()))
 
 
+def _certified_radius(f, target, epsilon, lam=None):
+    """(B_r, c, delta_cert) of ``stability_probe`` around a minimum, each
+    None where there is none; lam, lambda_min(hess f(target)), is taken
+    here unless given.  A ValueError unless B_epsilon(target) is in the box."""
+    if not _ball_fits_box(f, target, epsilon):
+        raise ValueError("B_epsilon(target) must fit inside the operating box")
+    if lam is None and f.hessian is not None and f.hessian_lipschitz is not None:
+        lam = _spectrum(f, target)[0]
+    ball = None if lam is None else _certified_ball(f, target, math.inf, epsilon, lam)
+    c = None if ball is not None and ball.s >= epsilon else _capture_level(f, target, epsilon)
+    radii = [] if ball is None else [ball.s]
+    if c is not None:
+        f_star = f.catalog_entry(target, "local_min").f_value
+        radii.append(math.sqrt(2.0 * max(c - f_star, 0.0) / f.lipschitz_L))
+    return ball, c, max(radii, default=None)
+
+
 def _descends(dynamics, what):
     """True for a StepSchedule (gradient descent), False for FlowSettings
     (DOP853 gradient flow); anything else is a ValueError."""
@@ -208,7 +225,7 @@ def _descends(dynamics, what):
 
 
 def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=20_000,
-                    gtol=1e-8, *, _lam=None):
+                    gtol=1e-8):
     """Empirical stability radius around a cataloged local minimum.
 
     Bisects on the radius delta in (0, epsilon], PROBE_BISECTIONS times
@@ -242,8 +259,7 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     accuracy).  A state counts as in B_r up to the containment test's
     rounding slack, a relative 1e-9, which lowers mu_r by at most 1e-9 M
     r: a sphere start at radius r = epsilon passes at once.  Without a
-    Hessian or M there is no B_r.  (``_lam``, private: lambda_min when a
-    reach has taken it already; else the probe takes one eigh itself.)
+    Hessian or M there is no B_r.
 
     Capture set: for 1-D and 2-D objectives ``capture_level`` c is a
     certified lower bound of f on the epsilon-sphere (``_capture_level``:
@@ -265,29 +281,18 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     descent = _descends(dynamics, "stability_probe")
     require_nonnegative(gtol=gtol, max_iter=max_iter)
     target = np.asarray(target, dtype=float)
-    entry = f.catalog_entry(target, "local_min")
-    if entry is None:
+    if f.catalog_entry(target, "local_min") is None:
         raise ValueError("probe target must be a cataloged local minimum")
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not _ball_fits_box(f, target, epsilon):
-        raise ValueError("B_epsilon(target) must fit inside the operating box")
+    ball, c, delta_cert = _certified_radius(f, target, epsilon)
     if descent:
         require_admissible(dynamics, f, "stability", "discrete probe")
     runner = _Descent(f, dynamics, max_iter, gtol) if descent else _Flow(f, "forward", dynamics)
 
     dirs = unit_directions(f.dim, n_samples, seed)
     contain = epsilon * (1.0 + 1e-9)
-    lam = _lam
-    if lam is None and f.hessian is not None and f.hessian_lipschitz is not None:
-        lam = _spectrum(f, target)[0]
-    ball = None if lam is None else _certified_ball(f, target, math.inf, epsilon, lam)
     inner = -1.0 if ball is None else ball.s * (1.0 + 1e-9)
-    c = None if ball is not None and ball.s >= epsilon else _capture_level(f, target, epsilon)
-    radii = [] if ball is None else [ball.s]
-    if c is not None:
-        radii.append(math.sqrt(2.0 * max(c - entry.f_value, 0.0) / f.lipschitz_L))
-    delta_cert = max(radii, default=None)
     lane = f._lane
     center = lane.point(target)
 
@@ -322,21 +327,18 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     for _ in range(PROBE_BISECTIONS):
         mid = 0.5 * (lo + hi)
         bad = trial(mid)
-        if bad:
-            failures.extend(bad)
-            hi = mid
-        else:
-            lo = mid
+        failures.extend(bad)
+        lo, hi = (lo, mid) if bad else (mid, hi)
     return StabilityEstimate(epsilon, lo, len(dirs), tuple(failures), c, delta_cert)
 
 
-def _escape_radius(f, delta_hat, alpha_bar):
-    """delta_hat / (1 + 2aL/(1 - aL)), a = alpha_bar: from x in B_rho an
+def _escape_radius(f, delta, alpha_bar):
+    """delta / (1 + 2aL/(1 - aL)), a = alpha_bar: from x in B_rho an
     ascent step moves at most 2a/(1 - aL) |grad f(x)| <= 2aL rho/(1 - aL)
-    (``prox_certificates``), so the first crossing lands in B_delta_hat;
+    (``prox_certificates``), so the first crossing lands in B_delta;
     capture still rests on the caller's direct distance check."""
     L = f.lipschitz_L
-    return delta_hat / (1.0 + 2.0 * alpha_bar * L / (1.0 - alpha_bar * L))
+    return delta / (1.0 + 2.0 * alpha_bar * L / (1.0 - alpha_bar * L))
 
 
 def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
@@ -439,11 +441,11 @@ def _first_escape(f, target, seed_radius, level, seed, axis_first, lead, scales,
     return None
 
 
-def _halvings(f, s, delta_hat, seed_radius):
+def _halvings(f, s, delta, seed_radius):
     """(escape radius, schedule) for s and its ALPHA_SHRINKS halvings, each
     radius computed as the scan reaches it, skipped unless > seed_radius."""
     for _ in range(ALPHA_SHRINKS + 1):
-        rho = _escape_radius(f, delta_hat, s.sup_alpha)
+        rho = _escape_radius(f, delta, s.sup_alpha)
         if rho > seed_radius:
             yield rho, s
         s = s.scaled(0.5)
@@ -496,23 +498,23 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     """The one reach pipeline: checks, ascent seed, escape, forward run and
     report, by gradient descent under a StepSchedule or DOP853 flow under
     FlowSettings.  A saddle target passes its escape radius ``delta``; a
-    minimum's is the probed stability radius delta_hat capped at epsilon
-    (budgets.delta_override skips the probe; the constant schedule at the
-    same sup alpha is the fastest of the family the radius is uniform
-    over), which must hold the seed sphere well inside, and its schedule is
-    halved up to ALPHA_SHRINKS times while no seed escapes.  Success iff
-    the forward run has a limit (its convergence point or level crossing)
-    within tol; the distance is from the limit, else from the last state,
-    and with the ball it is measured by the ball's own norm, so a run
-    stopped in B_s reports at most s.  A minimum whose objective has a
-    Hessian takes one eigh of it at the target (``_spectrum``): lambda_min
-    sizes the certified ball and the probe's, lambda_max the ball's L_s, and
-    the seed scan leads with +-v_max, along which an ascent step grows
-    |x - target| by 1/(1 - alpha lambda_max) and f(a) - f* ~ lambda_max
-    r^2/2 > 0, so the orbit's length does not grow with the condition
-    number; the axes follow, then the quasi-random directions.  A saddle
-    target reports the limit as its crossing and scans quasi-random
-    directions before the axes, which can lie on its stable manifold.
+    minimum's is budgets.delta_override, else delta_cert, else the probed
+    delta_hat (under the constant schedule at the same sup alpha, the fastest
+    of the family the radius is uniform over), capped at epsilon; delta_source
+    names it ("given", "override", "certified", "probe").  seed_radius must
+    be at most delta/2, and the schedule is halved up to ALPHA_SHRINKS times while
+    no seed escapes.  Success iff the forward run has a limit (its convergence
+    point or level crossing) within tol; the distance is from the limit, else
+    from the last state, and with the ball it is measured by the ball's own
+    norm, so a run stopped in B_s reports at most s.  A minimum whose objective
+    has a Hessian takes one eigh of it at the target (``_spectrum``):
+    lambda_min sizes the certified ball and B_r, lambda_max the ball's L_s, and
+    the seed scan leads with +-v_max, along which an ascent step grows |x -
+    target| by 1/(1 - alpha lambda_max) and f(a) - f* ~ lambda_max r^2/2 > 0,
+    so the orbit's length does not grow with the condition number; the axes
+    follow, then the quasi-random directions.  A saddle target reports the
+    limit as its crossing and scans quasi-random directions before the axes,
+    which can lie on its stable manifold.
     """
     saddle = delta is not None
     name = "reach_general" if saddle else "reach_discrete"
@@ -532,16 +534,18 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
 
     lam, lam_max, v_max = (None,) * 3 if saddle or f.hessian is None else _spectrum(f, target)
     ball = None if lam is None else _certified_ball(f, target, tol, epsilon, lam, lam_max)
+    source = "given"
     if not saddle:
-        if b.delta_override is None:
+        delta, source = b.delta_override, "override"
+        if delta is None:
+            delta, source = _certified_radius(f, target, epsilon, lam)[2], "certified"
+        if delta is None:
             probed = constant(dynamics.sup_alpha) if descent else dynamics
-            delta_hat = stability_probe(f, target, epsilon, probed, b.probe_samples, b.seed,
-                                        _lam=lam).delta_hat
-        else:
-            delta_hat = float(b.delta_override)
-        delta = min(delta_hat, epsilon)
+            delta = stability_probe(f, target, epsilon, probed, b.probe_samples, b.seed).delta_hat
+            source = "probe"
+        delta = min(float(delta), epsilon)
         if delta > 0.0 and seed_radius > 0.5 * delta:
-            raise ValueError(f"seed_radius {seed_radius} must be well inside the probed "
+            raise ValueError(f"seed_radius {seed_radius} must be at most half the {source} "
                              f"stability radius {delta}")
     found = None
     if delta > 0.0:
@@ -572,7 +576,7 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
         status = "success" if fwd.limit is not None and dist <= tol else "no_converge"
     return ReachReport(
         target=target, x0=x0, reverse_part=rev, forward_part=fwd, final_distance=dist,
-        delta_used=float(delta), ascent_seed=a, status=status,
+        delta_used=float(delta), delta_source=source, ascent_seed=a, status=status,
         seed_radius=float(seed_radius), escape_radius=rho,
         crossing=fwd.limit if saddle and fwd is not None else None)
 
@@ -580,10 +584,10 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
 def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):
     """Construct x0 with |x0 - target| <= epsilon, x0 != target, from which
     gradient descent under the schedule s converges back to the target:
-    probe the stability radius delta_hat, escape its rho-sphere by reverse
-    orbit from an ascent seed on the seed_radius sphere (halving s up to
-    ALPHA_SHRINKS times while no seed escapes) and replay forward under
-    that schedule.  Success iff the forward limit lands within tol."""
+    escape the rho-sphere inside the stability radius delta (``_reach``) by
+    reverse orbit from an ascent seed on the seed_radius sphere (halving s
+    up to ALPHA_SHRINKS times while no seed escapes) and replay forward
+    under that schedule.  Success iff the forward limit lands within tol."""
     if not isinstance(s, StepSchedule):
         raise ValueError(f"reach_discrete needs a StepSchedule, got {type(s).__name__}")
     return _reach(f, target, epsilon, s, seed_radius, tol, budgets)
@@ -591,8 +595,8 @@ def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):
 
 def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=None):
     """Continuous counterpart: reverse flow from the ascent seed to its
-    first crossing of the delta_hat-sphere (the crossing is located on
-    the sphere, so no overshoot margin is needed), then forward flow."""
+    first crossing of the delta-sphere (located on the sphere, so no
+    overshoot margin is needed), then forward flow."""
     if not isinstance(settings, FlowSettings):
         raise ValueError(f"reach_continuous needs FlowSettings, got {type(settings).__name__}")
     return _reach(f, target, epsilon, settings, seed_radius, tol, budgets)

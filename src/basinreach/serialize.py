@@ -98,6 +98,7 @@ def reach_report_json(report, forward_csv_path=None, reverse_csv_path=None):
         "target": _jsonable(report.target),
         "x0": _jsonable(report.x0) if report.x0 is not None else None,
         "delta_used": _jsonable(report.delta_used),
+        "delta_source": report.delta_source,
         "seed_radius": report.seed_radius,
         "final_distance": _jsonable(report.final_distance),
         "status": report.status,

@@ -100,8 +100,7 @@ def test_A4_continuous_reachability():
         assert rep.status == "success"
         assert abs(abs(rep.x0[0]) - 1.0) <= 1e-8  # crossing lands on +-delta
         assert abs(rep.forward_part.limit[0]) <= 1e-6
-        # a 2-D target: its probe runs 2n + 8 distinct sphere starts, where
-        # the 1-D sphere has only two
+        # a 2-D target, whose escape crosses a circle rather than two points
         quad2 = br.make_builtin("quad", (1.0, 4.0))
         rep = br.reach_continuous(quad2, [0.0, 0.0], 1.0, st, 1e-3, 1e-6)
         assert rep.status == "success" and rep.final_distance <= 1e-6
@@ -241,6 +240,37 @@ def test_A9_min_norm_oracle():
             for g in gens:
                 assert float(mn @ (g - mn)) >= -1e-8
             assert v_grid >= v_solver - (1e-6 + 1e-8 / max(v_solver, 1e-3))
+
+
+# (objective, epsilon, the certified radius at each cataloged minimum in
+# catalog order): the radius a minimum reach runs on
+CERTIFIED_RADII = [
+    (("double_well", ()), 0.4, (0.18873, 0.18873)),
+    (("himmelblau", ()), 1.0, (0.21309, 0.36431, 0.39916, 0.21713)),
+    (("quad", (1.0,)), 1.0, (1.0,)),
+    (("quad", (1.0, 4.0)), 1.0, (1.0,)),
+    (("quad", (1.0, 25.0)), 1.0, (1.0,)),
+]
+
+
+def test_A11_probe_cross_checks_the_certified_radius():
+    # defined before A10, so that A10 re-validates every run its probes record
+    with criterion("A11 (sampled stability radius >= certified radius at every minimum)"):
+        for (name, params), eps, radii in CERTIFIED_RADII:
+            f = br.make_builtin(name, params)
+            minima = [cp.point for cp in f.critical_points if cp.kind == "local_min"]
+            assert len(minima) == len(radii)
+            for target, radius in zip(minima, radii):
+                rep = br.reach_discrete(f, target, eps, br.constant(0.5 / f.lipschitz_L), 1e-3,
+                                        1e-4)
+                assert rep.status == "success" and rep.delta_source == "certified"
+                assert rep.delta_used == pytest.approx(radius, abs=1e-5)
+                for dynamics in (br.constant(0.25 / f.lipschitz_L),
+                                 br.constant(0.9 / f.lipschitz_L),
+                                 br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6)):
+                    est = br.stability_probe(f, target, eps, dynamics)
+                    assert est.delta_cert == rep.delta_used
+                    assert est.delta_hat >= est.delta_cert
 
 
 def test_A10_descent_certificates_everywhere():

@@ -97,6 +97,12 @@ def test_reach_from_config(tmp_path):
     assert report["status"] == "success"
     assert report["final_distance"] <= 1e-4
     assert report["x0"] != [1.0]
+    # the radius is the certified one that the probe reports as delta_cert
+    probe = str(tmp_path / "probe")
+    assert main(["probe", "--config", str(cfg_path), "--out", probe]) == 0
+    assert report["delta_source"] == "certified"
+    certified = json.loads(read(os.path.join(probe, "probe.json")))["delta_cert"]
+    assert report["delta_used"] == certified == 0.18872570387826834
     assert os.path.exists(os.path.join(out, report["forward_csv_path"]))
     assert os.path.exists(os.path.join(out, report["reverse_csv_path"]))
     rev = read(os.path.join(out, "reverse.csv")).splitlines()
@@ -183,6 +189,9 @@ def test_main_reuses_one_parser(tmp_path, capsys):
     assert runs["a"][0][0]["procedure"] == "reach-general"
     assert runs["b"][0][0]["procedure"] == runs["b"][1][0]["procedure"] == "reach"
     assert runs["a"][0] == runs["a"][1] and runs["b"][0] == runs["b"][1]
+    # a saddle reach runs on the delta it was given, epsilon / 2 by default
+    saddle_report = json.loads(runs["a"][0][1]["reach.json"])
+    assert saddle_report["delta_source"] == "given" and saddle_report["delta_used"] == 0.5
     assert cli.build_parser() is cli.build_parser()
 
 
@@ -195,6 +204,7 @@ def test_reach_continuous_cli(tmp_path):
     assert rc == 0
     report = json.loads(read(os.path.join(out, "reach.json")))
     assert report["status"] == "success" and report["schedule"] is None
+    assert report["delta_source"] == "certified" and report["delta_used"] == 1.0
     assert abs(abs(report["x0"][0]) - 1.0) <= 1e-8
     rev = read(os.path.join(out, "reverse.csv")).splitlines()
     assert rev[0] == b"k,t,x_1,f,gnorm,direction"
@@ -379,6 +389,10 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
     (["probe", "--function", "double_well", "--target", "1", "--schedule", "constant:0.05",
       "--epsilon", "0.5", "--gtol", "-1"], "gtol must be nonnegative, got -1.0"),
     (["reach", "--function", "double_well"], "target: required for this procedure"),
+    (["reach", "--function", "double_well", "--target", "1", "--epsilon", "1.0"],
+     "B_epsilon(target) must fit inside the operating box"),
+    (["reach", "--mode", "continuous", "--function", "double_well", "--target", "1",
+      "--epsilon", "1.0"], "B_epsilon(target) must fit inside the operating box"),
     (["eos", "--function", "quad:1"], "alpha: required for eos"),
     (["run", "--function", "quad:1", "--x0", "inf"], "x0: coordinates must be finite"),
     (["run", "--config", {"function": "quad:1", "x0": [1.0], "procedure": "reach"}],
@@ -393,6 +407,7 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
         "probe-schedule-above-2-over-L", "reach-unknown-mode", "probe-unknown-mode",
         "probe-negative-epsilon", "probe-nan-epsilon", "flow-infinite-h", "run-nan-gtol",
         "run-negative-gtol", "probe-nan-gtol", "probe-negative-gtol", "reach-no-target",
+        "reach-ball-outside-box", "flow-reach-ball-outside-box",
         "eos-no-alpha", "run-infinite-x0", "run-config-reach-procedure"])
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, message):
     if isinstance(argv[-1], dict):  # the contents of a config file

@@ -755,7 +755,7 @@ def test_reach_budgets_allow_no_or_a_zero_delta_override(dw):
     assert br.ReachBudgets().delta_override is None
     rep = br.reach_discrete(dw, [1.0], 0.4, br.constant(0.021), 1e-3, 1e-4,
                             br.ReachBudgets(delta_override=0.0))
-    assert rep.status == "no_escape" and rep.delta_used == 0.0
+    assert rep.status == "no_escape" and rep.delta_used == 0.0 and rep.delta_source == "override"
 
 
 def test_reach_discrete_preconditions(dw):
@@ -766,6 +766,63 @@ def test_reach_discrete_preconditions(dw):
         br.reach_discrete(dw, [1.0], 0.4, br.constant(0.05), 1e-3, 1e-4)  # > 1/L
     with pytest.raises(ValueError):
         br.reach_discrete(dw, [1.0], 0.4, good, 0.3, 1e-4)  # seed not << delta
+    # the certified radius is 0.1887, so a seed radius of 0.095 is too large
+    with pytest.raises(ValueError, match="^seed_radius 0.095 must be at most half the certified "
+                                         "stability radius 0.1887"):
+        br.reach_discrete(dw, [1.0], 0.4, good, 0.095, 1e-4)
+    assert br.reach_discrete(dw, [1.0], 0.4, good, 0.094, 1e-4).status == "success"
+
+
+def builtin_minima():
+    """(f, target, epsilon) at every cataloged minimum of the builtins."""
+    for name, params, eps in (("double_well", (), 0.4), ("himmelblau", (), 1.0),
+                              ("quad", (1.0,), 1.0), ("quad", (1.0, 4.0), 1.0),
+                              ("quad", (1.0, 25.0), 1.0)):
+        f = br.make_builtin(name, params)
+        for cp in f.critical_points:
+            if cp.kind == "local_min":
+                yield f, cp.point, eps
+
+
+def test_minimum_reaches_run_on_the_certified_radius_without_a_probe(monkeypatch):
+    def probe(*args, **kwargs):
+        raise AssertionError("a reach with a certified radius ran the probe")
+
+    monkeypatch.setattr(reach_mod, "stability_probe", probe)
+    for f, target, eps in builtin_minima():
+        radius = reach_mod._certified_radius(f, target, eps)[2]
+        for rep in (br.reach_discrete(f, target, eps, br.constant(0.5 / f.lipschitz_L), 1e-3,
+                                      1e-4),
+                    br.reach_continuous(f, target, eps, FLOW, 1e-3, 1e-4)):
+            assert rep.status == "success" and rep.final_distance <= 1e-4
+            assert rep.delta_source == "certified" and rep.delta_used == min(radius, eps)
+            assert 0.0 < norm(rep.x0 - target) <= radius * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("reach,dynamics,x0", [
+    (br.reach_discrete, br.constant(0.1), [0.0, 0.0, 0.512]),
+    (br.reach_continuous, br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6),
+     [0.0, 0.0, 1.0000000000135627]),
+], ids=["discrete", "continuous"])
+def test_a_reach_without_a_certified_radius_probes_as_before(monkeypatch, reach, dynamics, x0):
+    # in 3-D without M there is neither B_r nor a capture level: the reach
+    # probes, and its radius and start are pinned to those it had when every
+    # minimum reach probed
+    f = dataclasses.replace(br.make_builtin("quad", (1.0, 2.0, 5.0)), hessian_lipschitz=None)
+    assert reach_mod._certified_radius(f, np.zeros(3), 1.0) == (None, None, None)
+    calls = []
+    probe = reach_mod.stability_probe
+    monkeypatch.setattr(reach_mod, "stability_probe", lambda *args: calls.append(1) or probe(*args))
+    rep = reach(f, np.zeros(3), 1.0, dynamics, 1e-3, 1e-4)
+    assert calls == [1] and rep.status == "success"
+    assert rep.delta_source == "probe" and rep.delta_used == 1.0 and rep.x0.tolist() == x0
+
+
+@pytest.mark.parametrize("reach,dynamics", [
+    (br.reach_discrete, br.constant(0.021)), (br.reach_continuous, FLOW)])
+def test_minimum_reach_needs_its_epsilon_ball_in_the_box(dw, reach, dynamics):
+    with pytest.raises(ValueError, match=r"^B_epsilon\(target\) must fit inside the operating"):
+        reach(dw, [1.0], 1.0, dynamics, 1e-3, 1e-4)
 
 
 def flat_valley():
