@@ -71,7 +71,7 @@ COMMAND_FIELDS = {
     "run": ("function", "procedure", "x0", "schedule", "gtol", "max_iter", "direction",
             "h", "t_max"),
     "reach": ("function", "mode", "target", "epsilon", "schedule", "seed_radius", "tol",
-              "delta", "gtol", "max_iter", "kbar_max", "n_samples", "seed", "h", "t_max"),
+              "delta", "gtol", "max_iter", "kbar_max", "seed", "h", "t_max"),
     "probe": ("function", "mode", "target", "epsilon", "schedule", "gtol", "max_iter",
               "n_samples", "seed", "h", "t_max"),
     "eos": ("function", "alpha", "x0"),
@@ -246,8 +246,7 @@ def cmd_reach(cfg, f):
     target = resolve_target(cfg, f)
     dynamics = resolve_dynamics(cfg)
     budgets = ReachBudgets(max_iter=cfg["max_iter"], gtol=float(cfg["gtol"]),
-                           kbar_max=cfg["kbar_max"], probe_samples=cfg["n_samples"],
-                           seed=cfg["seed"])
+                           kbar_max=cfg["kbar_max"], seed=cfg["seed"])
     given = (f, target, float(cfg["epsilon"]), dynamics, float(cfg["seed_radius"]),
              float(cfg["tol"]))
     minimum = reach_continuous if cfg["mode"] == "continuous" else reach_discrete

@@ -1,5 +1,6 @@
 """Forward explicit gradient descent with certified trajectories."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +38,14 @@ def require_nonnegative(**values):
     for name, v in values.items():
         if not v >= 0:
             raise ValueError(f"{name} must be nonnegative, got {v}")
+
+
+def require_positive_finite(**values):
+    """ValueError naming the first of the values that is not in (0, inf)
+    (NaN included)."""
+    for name, v in values.items():
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 class _Descent:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .descent import require_positive_finite
 from .landscape import LeftBoxError, row_norms, sumsq
 # not called here: the benchmark's tracer wraps flow.min_norm_element by name
 from .landscape import min_norm_element  # noqa: F401
@@ -138,8 +139,7 @@ class FlowSettings:
     event_refine_tol: float = None
 
     def __post_init__(self):
-        if not 0.0 < self.h < math.inf:
-            raise ValueError(f"h must be positive and finite, got {self.h}")
+        require_positive_finite(h=self.h)
         if not self.t_max > 0.0 or not self.gtol > 0.0:
             raise ValueError("t_max and gtol must be positive")
         if self.event_refine_tol is None:

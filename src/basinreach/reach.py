@@ -50,7 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .descent import _Descent, classify_limit, require_nonnegative, run_gd
+from .descent import (_Descent, classify_limit, require_nonnegative, require_positive_finite,
+                      run_gd)
 from .flow import (FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail, integrate,
                    integrate_minnorm, path_length)
 from .landscape import LeftBoxError, norm, row_norms
@@ -127,6 +128,13 @@ def _ball_fits_box(f, center, radius):
     return bool(np.all(center - radius >= lo - 1e-12) and np.all(center + radius <= hi + 1e-12))
 
 
+def _require_ball_in_box(f, target, epsilon):
+    """The one check of every minimum reach and probe, made before either
+    picks a radius, so each ball they certify inside B_epsilon fits too."""
+    if not _ball_fits_box(f, target, epsilon):
+        raise ValueError("B_epsilon(target) must fit inside the operating box")
+
+
 # points of the circle grid behind the 2-D capture certificate, and the
 # stride of its coarse pass
 CAPTURE_GRID = 256
@@ -201,9 +209,8 @@ def _capture_level(f, target, epsilon):
 def _certified_radius(f, target, epsilon, lam=None):
     """(B_r, c, delta_cert) of ``stability_probe`` around a minimum, each
     None where there is none; lam, lambda_min(hess f(target)), is taken
-    here unless given.  A ValueError unless B_epsilon(target) is in the box."""
-    if not _ball_fits_box(f, target, epsilon):
-        raise ValueError("B_epsilon(target) must fit inside the operating box")
+    here unless given.  The caller has checked that B_epsilon(target) is in
+    the box (``_require_ball_in_box``)."""
     if lam is None and f.hessian is not None and f.hessian_lipschitz is not None:
         lam = _spectrum(f, target)[0]
     ball = None if lam is None else _certified_ball(f, target, math.inf, epsilon, lam)
@@ -283,8 +290,8 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     target = np.asarray(target, dtype=float)
     if f.catalog_entry(target, "local_min") is None:
         raise ValueError("probe target must be a cataloged local minimum")
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    require_positive_finite(epsilon=epsilon)
+    _require_ball_in_box(f, target, epsilon)
     ball, c, delta_cert = _certified_radius(f, target, epsilon)
     if descent:
         require_admissible(dynamics, f, "stability", "discrete probe")
@@ -466,13 +473,12 @@ class _Ball(NamedTuple):
 def _certified_ball(f, target, tol, epsilon, lam, lam_max=math.inf):
     """The _Ball around a minimum target whose Hessian there has extreme
     eigenvalues lam and lam_max, or None without a Hessian Lipschitz
-    constant, with lam <= 0 or without room for B_s in the box."""
+    constant or with lam <= 0.  B_s lies in B_epsilon, which the caller has
+    checked lies in the box."""
     M = f.hessian_lipschitz
     if M is None or not lam > 0.0:
         return None
     s = min(tol, epsilon, lam / (2.0 * M) if M > 0.0 else math.inf)
-    if not _ball_fits_box(f, target, s):
-        return None
     lane = f._lane
     center = lane.point(target)
 
@@ -501,7 +507,8 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     minimum's is budgets.delta_override, else delta_cert, else the probed
     delta_hat (under the constant schedule at the same sup alpha, the fastest
     of the family the radius is uniform over), capped at epsilon; delta_source
-    names it ("given", "override", "certified", "probe").  seed_radius must
+    names it ("given", "override", "certified", "probe"), and B_epsilon(target)
+    must lie in the box whichever it is.  seed_radius must
     be at most delta/2, and the schedule is halved up to ALPHA_SHRINKS times while
     no seed escapes.  Success iff the forward run has a limit (its convergence
     point or level crossing) within tol; the distance is from the limit, else
@@ -525,12 +532,13 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
         raise ValueError(f"target must be a cataloged {'saddle' if saddle else 'local minimum'}")
     if saddle and (kind := classify_limit(f, target).kind) != "saddle":
         raise ValueError(f"classify_limit disagrees with the catalog: {kind}")
-    if not (epsilon > 0.0 and seed_radius > 0.0 and tol > 0.0):
-        raise ValueError("epsilon, seed_radius and tol must be positive")
+    require_positive_finite(epsilon=epsilon, seed_radius=seed_radius, tol=tol)
     if saddle and not seed_radius < delta <= epsilon:
         raise ValueError("need 0 < seed_radius < delta <= epsilon")
     if descent:
         require_admissible(dynamics, f, "prox", name)
+    if not saddle:
+        _require_ball_in_box(f, target, epsilon)
 
     lam, lam_max, v_max = (None,) * 3 if saddle or f.hessian is None else _spectrum(f, target)
     ball = None if lam is None else _certified_ball(f, target, tol, epsilon, lam, lam_max)

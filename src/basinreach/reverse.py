@@ -9,20 +9,21 @@ linear map, Walker & Ni 2011), one gradient per tested iterate, under
 Picard's stop rule.  The solve returns the iterate y it tested, within
 |T(y) - y|/(1 - q) of the fixed point, with the gradient the test took
 there, so an ascent step's forward residual y - a grad(y) - x_{k+1} =
-y - T(y) costs no further gradient.  ``reverse_orbit`` seeds each
-solve's mixing history with the secants of its last two steps, the
-multisecant view of Anderson mixing (Fang & Saad 2009): in 2-D they
-span the plane, so the first mixed iterate is a quasi-Newton step.  The
-inner tolerance is three orders tighter than the orbit certificates,
-so residuals need no retuning.
+y - T(y), which it also returns with |y|, costs no further gradient.
+``reverse_orbit`` hands each solve its last two steps as they are, and
+the solve turns each into a secant of its own T to seed its mixing
+history, the multisecant view of Anderson mixing (Fang & Saad 2009): in
+2-D they span the plane, so the first mixed iterate is a quasi-Newton
+step; in 1-D two secants are collinear, so only the newest acts and the
+solve is the secant method.  The inner tolerance is three orders tighter
+than the orbit certificates, so residuals need no retuning.
 
 The ndarray lane (dim > 2) runs the loop on lane ops and
 ``landscape.dot``.  On the float lane each solve is that loop written
 out over local Python floats, one function per dimension (``_picard1``,
-``_picard2``), as are an ascent step's residual and norms and the
-conversion of an orbit's secant pairs: the same IEEE operations in the
-same order, so points, residuals, gradients and counts are the loop's
-bit for bit, at a fraction of its calls.
+``_picard2``), the only code here that knows the lane's layout: the
+same IEEE operations in the same order, so points, residuals, gradients
+and counts are the loop's bit for bit, at a fraction of its calls.
 """
 
 from dataclasses import dataclass
@@ -68,26 +69,35 @@ class ReverseOrbit:
         return row_norms(np.array(self.gradients)).tolist()
 
 
-def _picard(f, base, lam, sign, tol_scale, g=None, seeds=()):
+def _picard(f, base, lam, sign, tol_scale, g=None, steps=()):
     """Fixed point of T(y) = base + sign * lam * grad(y), base and y points
     of f's lane: each iteration tests y by one T(y), then moves to
     :func:`_mix`'s point and takes its gradient.  The first y is base, with
-    gradient ``g`` when known; ``seeds`` (newest first, at most two) start
-    the mixing history.  Returns (y, grad(y), iters) at the first |T(y) -
-    y| <= tol = FIXED_POINT_RTOL * (1 + tol_scale); as T contracts by q =
-    lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so y lies within
-    |T(y) - y|/(1 - q) <= tol/(1 - q) of the unique fixed point y*,
-    however it was reached.  Raises LeftBoxError when T(y) leaves the box;
-    y itself never does.  The float lane's solve is this loop written out
+    gradient ``g`` when known.  Each of ``steps`` (newest first, at most
+    two), an orbit step (x, z, grad(x), grad(z)) back from x to z, starts
+    the mixing history as T's secant from x to z, whose base cancels: dr
+    = (x - z) + step dg and dT = step dg, dg = grad(z) - grad(x) and step
+    = sign * lam (dT never formed: w = step, v = dg).  Returns (y,
+    grad(y), iters, |(y - step grad(y)) - base|, |y|) at the first |T(y)
+    - y| <= tol = FIXED_POINT_RTOL * (1 + tol_scale), the fourth an ascent
+    step's forward residual |y - T(y)| up to rounding.  As T contracts by
+    q = lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so y lies within
+    |T(y) - y|/(1 - q) <= tol/(1 - q) of the unique fixed point y*, however
+    it was reached.  Raises LeftBoxError when T(y) leaves the box; y
+    itself never does.  The float lane's solve is this loop written out
     per dimension (:func:`_picard1`, :func:`_picard2`)."""
     if f.dim <= FLOAT_LANE_DIMS:
-        return (_picard1 if f.dim == 1 else _picard2)(f, base, lam, sign, tol_scale, g, seeds)
+        return (_picard1 if f.dim == 1 else _picard2)(f, base, lam, sign, tol_scale, g, steps)
     tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     step = sign * lam
     grad, axpy, sub, inside = f._lane.grad, f._lane.axpy, f._lane.sub, f._lane.inside
     y, g = base, grad(base) if g is None else g
-    hist, last, mixed = list(seeds), None, False
+    hist, last, mixed = [], None, False
+    for x, z, gx, gz in steps:
+        dg = sub(gz, gx)
+        dr = axpy(sub(x, z), step, dg)
+        hist.append((dr, dg, step, dot(dr, dr)))
     for it in range(1, _MAX_INNER_ITER + 1):
         t = axpy(base, step, g)
         if not inside(t):
@@ -95,7 +105,7 @@ def _picard(f, base, lam, sign, tol_scale, g=None, seeds=()):
         r = sub(t, y)
         rr = sumsq(r)
         if rr <= tol_sq:
-            return y, g, it
+            return y, g, it, norm(sub(axpy(y, -step, g), base)), norm(y)
         if mixed and not rr <= q_sq * last[2]:
             hist = []  # the mixed iterate contracted less than a Picard step: restart
         elif last is not None:
@@ -129,24 +139,27 @@ def _mix(lane, t, r, hist):
     return y if lane.inside(y) else t
 
 
-def _picard1(f, base, lam, sign, tol_scale, g, seeds):
-    """:func:`_picard` on the 1-D float lane in one frame: T(y), the
-    residual, the restart test, the depth-2 history (newest d, e, w, a11;
-    older dd, ee, ww, a22), :func:`_mix`'s normal equations, its
-    degenerate-Gram fallback and its box test, over local floats.  Each is
-    the same IEEE operation, in the same order, as the lane ops and
-    ``dot`` make, so every iterate, gradient and count is the loop's."""
+def _picard1(f, base, lam, sign, tol_scale, g, steps):
+    """:func:`_picard` on the 1-D float lane in one frame: the newest
+    step's secant, T(y), the residual, the restart test, the history (d,
+    e, w, a11), :func:`_mix`'s fit, its box test and the returned norms,
+    over local floats, each the same IEEE operation in the same order as
+    the lane ops, ``dot`` and ``norm`` make.  Two 1-D secants are
+    collinear, so their Gram determinant is rounding and :func:`_mix`
+    takes the newest alone: the history holds only it, and the solve is
+    the secant method, its every iterate, gradient and count the loop's."""
     tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     step = sign * lam
     grad, ((l0,), (h0,)) = f._lane.grad, f._lane.bounds
     (x0,) = y = base
     (g0,) = g = grad(base) if g is None else g
-    y0, n, mixed = x0, len(seeds), False
-    if n:
-        (d0,), (e0,), w, a11 = seeds[0]
-        if n == 2:
-            (dd0,), (ee0,), ww, a22 = seeds[1]
+    y0, n, mixed = x0, 0, False
+    if steps:
+        (p0,), (z0,), (gp0,), (gz0,) = steps[0]
+        e0 = gz0 - gp0
+        d0, w, n = (p0 - z0) + step * e0, step, 1
+        a11 = d0 * d0
     for it in range(1, _MAX_INNER_ITER + 1):
         t0 = x0 + step * g0
         if t0 < l0 or t0 > h0:
@@ -154,48 +167,42 @@ def _picard1(f, base, lam, sign, tol_scale, g, seeds):
         r0 = t0 - y0
         rr = r0 * r0
         if rr <= tol_sq:
-            return y, g, it
+            u0 = (y0 + -step * g0) - x0
+            return y, g, it, sqrt(u0 * u0), sqrt(y0 * y0)
         if mixed and not rr <= q_sq * last_rr:
             n = 0  # the mixed iterate contracted less than a Picard step: restart
         elif it > 1:
-            if n:
-                dd0, ee0, ww, a22 = d0, e0, w, a11
             d0, e0 = r0 - last_r0, t0 - last_t0
-            w, a11, n = 1.0, d0 * d0, 2 if n else 1
+            w, a11, n = 1.0, d0 * d0, 1
         last_r0, last_t0, last_rr = r0, t0, rr
         mixed = False
         if n and a11 > 0.0:
-            b1, deep = d0 * r0, False
-            if n == 2:
-                a12, b2 = d0 * dd0, dd0 * r0
-                det = a11 * a22 - a12 * a12
-                deep = det > _GRAM_RTOL * a11 * a22
-            if deep:
-                c, cc = (a12 * b2 - a22 * b1) / det * w, (a12 * b1 - a11 * b2) / det * ww
-                m0 = (t0 + c * e0) + cc * ee0
-            else:
-                c = -b1 / a11 * w
-                m0 = t0 + c * e0
+            m0 = t0 + -(d0 * r0) / a11 * w * e0
             mixed = not (m0 < l0 or m0 > h0)
         (y0,) = y = (m0,) if mixed else (t0,)
         (g0,) = g = grad(y)
     raise ArithmeticError("fixed-point iteration failed to contract")
 
 
-def _picard2(f, base, lam, sign, tol_scale, g, seeds):
-    """:func:`_picard1` on the 2-D float lane: each sum over coordinates is
-    ``dot``'s, index order."""
+def _picard2(f, base, lam, sign, tol_scale, g, steps):
+    """:func:`_picard1` on the 2-D float lane, with the depth-2 history
+    (newest d, e, w, a11; older dd, ee, ww, a22) and :func:`_mix`'s normal
+    equations: ``steps`` enter the history oldest first, as the loop's own
+    secants do, and each sum over coordinates is ``dot``'s, index
+    order."""
     tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     step = sign * lam
     grad, ((l0, l1), (h0, h1)) = f._lane.grad, f._lane.bounds
     x0, x1 = y = base
     g0, g1 = g = grad(base) if g is None else g
-    y0, y1, n, mixed = x0, x1, len(seeds), False
-    if n:
-        (d0, d1), (e0, e1), w, a11 = seeds[0]
-        if n == 2:
-            (dd0, dd1), (ee0, ee1), ww, a22 = seeds[1]
+    y0, y1, n, mixed = x0, x1, 0, False
+    for (p0, p1), (z0, z1), (gp0, gp1), (gz0, gz1) in reversed(steps):
+        if n:
+            dd0, dd1, ee0, ee1, ww, a22 = d0, d1, e0, e1, w, a11
+        e0, e1 = gz0 - gp0, gz1 - gp1
+        d0, d1 = (p0 - z0) + step * e0, (p1 - z1) + step * e1
+        w, a11, n = step, d0 * d0 + d1 * d1, 2 if n else 1
     for it in range(1, _MAX_INNER_ITER + 1):
         t0 = x0 + step * g0
         t1 = x1 + step * g1
@@ -204,7 +211,8 @@ def _picard2(f, base, lam, sign, tol_scale, g, seeds):
         r0, r1 = t0 - y0, t1 - y1
         rr = r0 * r0 + r1 * r1
         if rr <= tol_sq:
-            return y, g, it
+            u0, u1 = (y0 + -step * g0) - x0, (y1 + -step * g1) - x1
+            return y, g, it, sqrt(u0 * u0 + u1 * u1), sqrt(y0 * y0 + y1 * y1)
         if mixed and not rr <= q_sq * last_rr:
             n = 0  # the mixed iterate contracted less than a Picard step: restart
         elif it > 1:
@@ -230,30 +238,6 @@ def _picard2(f, base, lam, sign, tol_scale, g, seeds):
         y0, y1 = y = (m0, m1) if mixed else (t0, t1)
         g0, g1 = g = grad(y)
     raise ArithmeticError("fixed-point iteration failed to contract")
-
-
-def _orbit_seeds(f, pairs, step):
-    """The orbit's secant pairs as history entries of a solve whose T has
-    step ``step``: the pair (x - y, dg) of an orbit step from x back to y,
-    with dg = grad(y) - grad(x), gives dT = step dg (never formed: w =
-    step, v = dg) and dr = dT - (y - x); T's base cancels, so a pair
-    serves any step.  Each pair keeps its last conversion, so under a
-    constant schedule it is converted once for the two solves it seeds.
-    The float lane's dr and |dr|^2 are written out per dimension."""
-    dim = f.dim
-    for i, (neg_dx, dg, entry) in enumerate(pairs):
-        if entry is None or entry[2] != step:
-            if dim > FLOAT_LANE_DIMS:
-                dr = f._lane.axpy(neg_dx, step, dg)
-                entry = dr, dg, step, dot(dr, dr)
-            elif dim == 1:
-                dr0 = neg_dx[0] + step * dg[0]
-                entry = (dr0,), dg, step, dr0 * dr0
-            else:
-                dr0, dr1 = neg_dx[0] + step * dg[0], neg_dx[1] + step * dg[1]
-                entry = (dr0, dr1), dg, step, dr0 * dr0 + dr1 * dr1
-            pairs[i] = neg_dx, dg, entry
-    return [entry for _, _, entry in pairs]
 
 
 def prox(f, x, lam):
@@ -284,29 +268,18 @@ def prox_certificates(f, x, lam, xplus):
     return dec_ok, step_ok
 
 
-def _ascent_step(f, xnext, a, g=None, seeds=(), xnorm=None):
+def _ascent_step(f, xnext, a, g=None, steps=(), xnorm=None):
     """(y, r, grad(y), |y|): the ascent preimage y of xnext, both points of
     f's lane, its forward residual r = |(y - a grad(y)) - xnext|, certified
     to 1e-10 * (1 + |y|), and the gradient the solve's last test took,
     which that residual reuses and the next solve from y starts with, as
-    it does |y|.  For the ascent map y - a grad(y) - xnext = y - T(y), so r
-    is the tested residual, 1e-13 (1 + |xnext|) up to rounding.  ``g`` is
-    grad(xnext) and ``xnorm`` |xnext| when known, and ``seeds`` start the
-    solve's mixing history.  The caller has checked the prox regime and
-    that xnext lies in the box.  On the float lane r and |y| are written
-    out per dimension, ``norm``'s operations in its order."""
-    y, gy, _ = _picard(f, xnext, a, +1.0, norm(xnext) if xnorm is None else xnorm, g, seeds)
-    if f.dim > FLOAT_LANE_DIMS:
-        lane = f._lane
-        residual, ynorm = norm(lane.sub(lane.axpy(y, -a, gy), xnext)), norm(y)
-    elif f.dim == 1:
-        (y0,), (g0,), (x0,) = y, gy, xnext
-        u0 = (y0 + -a * g0) - x0
-        residual, ynorm = sqrt(u0 * u0), sqrt(y0 * y0)
-    else:
-        (y0, y1), (g0, g1), (x0, x1) = y, gy, xnext
-        u0, u1 = (y0 + -a * g0) - x0, (y1 + -a * g1) - x1
-        residual, ynorm = sqrt(u0 * u0 + u1 * u1), sqrt(y0 * y0 + y1 * y1)
+    it does |y|; the solve returns r and |y|, r the tested residual y -
+    T(y), 1e-13 (1 + |xnext|) up to rounding.  ``g`` is grad(xnext) and
+    ``xnorm`` |xnext| when known, and ``steps`` seed the solve's mixing
+    history.  The caller has checked the prox regime and that xnext lies
+    in the box."""
+    y, gy, _, residual, ynorm = _picard(f, xnext, a, +1.0,
+                                        norm(xnext) if xnorm is None else xnorm, g, steps)
     if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
         raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
     return y, residual, gy, ynorm
@@ -338,10 +311,10 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     steps taken are indexed K-1 down to 0.  The anchor's gradient is taken
     once, after the first stop test (or at the end, when no step is
     taken); each later solve starts from the gradient and the norm its
-    predecessor returned, and its mixing history from the secant pairs of
-    the last two steps, so m solves cost one gradient plus their iterations
-    less one each, and 2m + 1 norms.  The orbit keeps the gradients.  On
-    the float lane each secant pair is written out per dimension.
+    predecessor returned, and its mixing history from the last two steps,
+    kept as they are, (x_{k+1}, x_k, grad(x_{k+1}), grad(x_k)) newest
+    first, so m solves cost one gradient plus their iterations less one
+    each, and 2m + 1 norms.  The orbit keeps the gradients.
     """
     anchor = np.asarray(a, dtype=float)
     if kbar < 0:
@@ -353,8 +326,8 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     # checked once: every alpha_k is at most sup_alpha, and each later
     # solve starts from a point its predecessor's Picard test kept in the box
     require_admissible(s, f, "prox", "reverse_orbit")
-    lane, dim = f._lane, f.dim
-    x, g, xnorm, pairs = lane.point(anchor), None, None, []
+    lane = f._lane
+    x, g, xnorm, steps = lane.point(anchor), None, None, []
     points, residuals, grads = [anchor.copy()], [], []
     status = "complete"
     for k in range(kbar - 1, -1, -1):
@@ -365,18 +338,11 @@ def reverse_orbit(f, a, s, kbar, stop=None):
             g = lane.grad(x)
             grads.append(g)
         try:
-            y, residual, gy, ynorm = _ascent_step(f, x, alpha, g,
-                                                  _orbit_seeds(f, pairs, alpha), xnorm)
+            y, residual, gy, ynorm = _ascent_step(f, x, alpha, g, steps, xnorm)
         except LeftBoxError:
             status = "left_box"
             break
-        if dim > FLOAT_LANE_DIMS:
-            pair = lane.sub(x, y), lane.sub(gy, g), None
-        elif dim == 1:
-            pair = (x[0] - y[0],), (gy[0] - g[0],), None
-        else:
-            pair = (x[0] - y[0], x[1] - y[1]), (gy[0] - g[0], gy[1] - g[1]), None
-        pairs = [pair] + pairs[:_ANDERSON_DEPTH - 1]
+        steps = [(x, y, g, gy)] + steps[:_ANDERSON_DEPTH - 1]
         x, g, xnorm = y, gy, ynorm
         points.append(np.array(x))
         residuals.append(residual)

@@ -380,6 +380,9 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
       "--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
     (["reach", "--mode", "continuous", "--function", "double_well", "--target", "1",
       "--h", "inf"], "h must be positive and finite, got inf"),
+    (["reach", "--general", "--function", "himmelblau", "--target-index", "8", "--epsilon",
+      "1.0", "--schedule", "constant:0.0015", "--seed-radius", "0.3", "--tol", "inf"],
+     "tol must be positive and finite, got inf"),
     (["run", "--function", "quad:1", "--x0", "1", "--gtol", "nan"],
      "gtol must be nonnegative, got nan"),
     (["run", "--function", "quad:1", "--x0", "1", "--gtol", "-1"],
@@ -405,7 +408,8 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
         "config-float-n-checks", "config-negative-max-iter", "config-float-kbar-max",
         "reach-schedule-above-1-over-L", "general-schedule-above-1-over-L",
         "probe-schedule-above-2-over-L", "reach-unknown-mode", "probe-unknown-mode",
-        "probe-negative-epsilon", "probe-nan-epsilon", "flow-infinite-h", "run-nan-gtol",
+        "probe-negative-epsilon", "probe-nan-epsilon", "flow-infinite-h", "general-infinite-tol",
+        "run-nan-gtol",
         "run-negative-gtol", "probe-nan-gtol", "probe-negative-gtol", "reach-no-target",
         "reach-ball-outside-box", "flow-reach-ball-outside-box",
         "eos-no-alpha", "run-infinite-x0", "run-config-reach-procedure"])
@@ -565,6 +569,15 @@ def test_each_subcommand_flags_exactly_the_fields_it_reads(tmp_path, monkeypatch
         flags = fields & set(vars(cli.build_parser().parse_args([command])))
         assert flags - read_fields == set(), command
         assert read_fields - flags == unflagged[command] | {"output_dir"}, command
+
+
+def test_reach_takes_no_n_samples_flag(capsys):
+    # every CLI objective certifies a minimum reach's radius, so no CLI
+    # reach probes; the probe keeps the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["reach", "--function", "double_well", "--target", "1", "--n-samples", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-samples 2" in capsys.readouterr().err
 
 
 def readme_commands():

@@ -22,6 +22,9 @@ def test_settings_validation():
         br.FlowSettings(h=0.0, t_max=1.0)
     with pytest.raises(ValueError):
         br.FlowSettings(h=0.01, t_max=1.0, event_refine_tol=0.02)
+    for t_max, gtol in ((0.0, 1e-8), (1.0, -1e-8)):
+        with pytest.raises(ValueError, match="^t_max and gtol must be positive$"):
+            br.FlowSettings(h=0.01, t_max=t_max, gtol=gtol)
     st = br.FlowSettings(h=0.01, t_max=1.0)
     assert st.event_refine_tol == pytest.approx(1e-5)
 
@@ -43,6 +46,11 @@ def test_first_trial_step_clamped_to_the_guard(dw):
         traj = br.integrate(dw, [0.5], "forward", settings(h=h))
         assert same_states(traj.states, clamped.states)
     assert clamped.t[1] == 0.1 / dw.lipschitz_L
+
+
+def test_integrate_rejects_an_unknown_direction(quad1):
+    with pytest.raises(ValueError, match="^direction must be one of "):
+        br.integrate(quad1, [0.5], "sideways", settings())
 
 
 def test_model_validation():

@@ -51,6 +51,22 @@ def test_builtin_errors():
         br.make_builtin("himmelblau", (1.0,))
 
 
+@pytest.mark.parametrize("changes,message", [
+    ({"dim": 0}, "^dim must be a positive integer$"),
+    ({"lipschitz_L": -1.0}, "^lipschitz_L must be nonnegative$"),
+    ({"box": np.array([[1.0, -1.0]])}, r"^box must be \(dim, 2\) with lower < upper$"),
+], ids=["dim", "lipschitz-L", "box"])
+def test_objective_function_rejects_a_bad_declaration(changes, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(br.make_builtin("quad", (1.0,)), **changes)
+
+
+def test_hess_needs_a_hessian():
+    f = dataclasses.replace(br.make_builtin("quad", (1.0,)), hessian=None)
+    with pytest.raises(ValueError, match="^objective 'quad' has no Hessian$"):
+        f.hess([0.0])
+
+
 # --- declared-data invariants ---------------------------------------------
 
 @pytest.mark.parametrize("name,params", [

@@ -719,16 +719,22 @@ def test_dynamics_must_be_a_schedule_or_flow_settings(dw, saddle_quad):
             call("discrete")
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
 def test_every_reach_rejects_a_nonpositive_tol(dw, saddle_quad, tol):
+    # and the same value as epsilon or seed_radius: each is named
     st = br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6)
-    for call in (lambda: br.reach_discrete(dw, [1.0], 0.4, br.constant(0.01), 1e-3, tol),
-                 lambda: br.reach_continuous(dw, [1.0], 0.4, st, 1e-3, tol),
-                 lambda: br.reach_general(saddle_quad, [0.0, 0.0], 1.0, br.constant(0.25), 1e-3,
-                                          tol),
-                 lambda: br.reach_general(saddle_quad, [0.0, 0.0], 1.0, st, 1e-3, tol)):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            call()
+    for field in ("epsilon", "seed_radius", "tol"):
+        def given(eps):
+            return {"epsilon": eps, "seed_radius": 1e-3, "tol": 1e-4, field: tol}
+        for call in (lambda: br.reach_discrete(dw, [1.0], s=br.constant(0.01), **given(0.4)),
+                     lambda: br.reach_continuous(dw, [1.0], settings=st, **given(0.4)),
+                     lambda: br.reach_general(saddle_quad, [0.0, 0.0],
+                                              dynamics=br.constant(0.25), **given(1.0)),
+                     lambda: br.reach_general(saddle_quad, [0.0, 0.0], dynamics=st,
+                                              **given(1.0))):
+            with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got "
+                                                 f"{tol}$"):
+                call()
 
 
 @pytest.mark.parametrize("field,value", [
@@ -821,8 +827,11 @@ def test_a_reach_without_a_certified_radius_probes_as_before(monkeypatch, reach,
 @pytest.mark.parametrize("reach,dynamics", [
     (br.reach_discrete, br.constant(0.021)), (br.reach_continuous, FLOW)])
 def test_minimum_reach_needs_its_epsilon_ball_in_the_box(dw, reach, dynamics):
-    with pytest.raises(ValueError, match=r"^B_epsilon\(target\) must fit inside the operating"):
-        reach(dw, [1.0], 1.0, dynamics, 1e-3, 1e-4)
+    # [0, 2] leaves the box [-1.5, 1.5], also when the radius is given
+    for budgets in (None, br.ReachBudgets(delta_override=0.3)):
+        with pytest.raises(ValueError, match=r"^B_epsilon\(target\) must fit inside the "
+                                             r"operating"):
+            reach(dw, [1.0], 1.0, dynamics, 1e-3, 1e-4, budgets)
 
 
 def flat_valley():
@@ -1321,6 +1330,10 @@ def test_reach_general_preconditions(saddle_quad, dw):
     with pytest.raises(ValueError):
         # cataloged point is not critical: classification disagreement
         br.reach_general(bogus, [0.5, 0.5], 1.0, br.constant(0.25), 1e-3)
+    for seed_radius, delta in ((0.5, 0.5), (1e-3, 1.5)):  # seed_radius >= delta, delta > epsilon
+        with pytest.raises(ValueError, match="^need 0 < seed_radius < delta <= epsilon$"):
+            br.reach_general(saddle_quad, [0.0, 0.0], 1.0, br.constant(0.25), seed_radius,
+                             delta=delta)
 
 
 # --- edge of stability ------------------------------------------------------------
@@ -1403,3 +1416,11 @@ def test_eos_on_a_rotated_shifted_quadratic(alpha, offset, verdict):
 def test_eos_rejects_non_quad(dw):
     with pytest.raises(ValueError):
         br.edge_of_stability(dw, 0.01, [0.5])
+
+
+@pytest.mark.parametrize("alpha,x0,message", [
+    (0.0, [1.0], "^alpha must be positive$"), (-1.0, [1.0], "^alpha must be positive$"),
+    (1.0, [1.0, 1.0], "^x0 must have dimension 1$")])
+def test_eos_rejects_a_bad_alpha_or_x0(quad1, alpha, x0, message):
+    with pytest.raises(ValueError, match=message):
+        br.edge_of_stability(quad1, alpha, x0)

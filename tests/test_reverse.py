@@ -107,7 +107,7 @@ def test_iteration_count_bound(name, params):
     for _ in range(50):
         x = interior_points(f, 1, rng)[0]
         lam = (0.1 + 0.8 * rng.random()) / L
-        _, _, iters = _picard(f, x, lam, -1.0, norm(x))
+        iters = _picard(f, x, lam, -1.0, norm(x))[2]
         assert iters <= contraction_iteration_bound(lam, L)
 
 
@@ -137,9 +137,12 @@ def test_solves_agree_with_plain_picard(name, params):
                 anderson_solve(f, x, q / L, sign)
             exits += 1
             continue
-        y, g, iters = _picard(f, f._lane.point(x), q / L, sign, norm(x))
+        y, g, iters, residual, ynorm = _picard(f, f._lane.point(x), q / L, sign, norm(x))
         y_ref, g_ref, iters_ref = anderson_solve(f, x, q / L, sign)
         assert np.array(y).tobytes() == y_ref.tobytes() and iters == iters_ref
+        # the returned |(y - sign lam g) - x| and |y|, from the floats the solve holds
+        assert residual == norm((y_ref + (-sign * (q / L)) * g_ref) - x)
+        assert ynorm == norm(y_ref)
         assert np.array(g).tobytes() == g_ref.tobytes() == f.gradient(y_ref).tobytes()
         tol = FIXED_POINT_RTOL * (1.0 + norm(x))
         assert norm(np.array(y) - y_plain) <= (1.0 + q) / (1.0 - q) * tol
@@ -147,21 +150,25 @@ def test_solves_agree_with_plain_picard(name, params):
     assert 0 < exits < 120
 
 
-def solve_as_reference(f, base, lam, sign, g, seeds=()):
-    """(_picard's (y, g, iters), the points it took gradients at, the
-    reference's (history length, mixed point) per iterate) for a solve from
-    ``base`` with first gradient ``g``, both arrays, and ``seeds`` as
-    _orbit_seeds makes them, after checking that the solve and
-    conftest.anderson_solve take their gradients at the same points and
-    return the same y, gradient and count, bit for bit."""
+def solve_as_reference(f, base, lam, sign, g, steps=()):
+    """(_picard's (y, g, iters, residual, |y|), the points it took gradients
+    at, the reference's (history length, mixed point) per iterate) for a
+    solve from ``base`` with first gradient ``g``, both arrays, and
+    ``steps`` (x, z, grad(x), grad(z)) of f's lane, newest first, seeding
+    the reference as their secants ((x - z) + step dg, dg, step), after
+    checking that the solve and conftest.anderson_solve take their
+    gradients at the same points and return the same y, gradient and
+    count, bit for bit."""
     points = []
     spy = dataclasses.replace(f, grad=lambda x: points.append(np.array(x)) or f.grad(x))
     lane = spy._lane
-    out = _picard(spy, lane.point(base), lam, sign, norm(base), lane.point(g), seeds)
+    out = _picard(spy, lane.point(base), lam, sign, norm(base), lane.point(g), steps)
     taken, mixes = points[:], []
     points.clear()
-    ref = anderson_solve(spy, base, lam, sign, g,
-                         [(np.array(dr), np.array(v), w) for dr, v, w, _ in seeds], mixes)
+    step = sign * lam
+    seeds = [(np.subtract(x, z) + step * np.subtract(gz, gx), np.subtract(gz, gx), step)
+             for x, z, gx, gz in steps]
+    ref = anderson_solve(spy, base, lam, sign, g, seeds, mixes)
     assert [p.tobytes() for p in taken] == [p.tobytes() for p in points]
     assert [np.array(v).tobytes() for v in out[:2]] == [v.tobytes() for v in ref[:2]]
     assert out[2] == ref[2]
@@ -186,8 +193,8 @@ def test_mixing_restarts_when_a_mixed_iterate_does_not_contract():
     for params, base, elsewhere, lengths in RESTART_CASES:
         f = br.make_builtin("quad", params)
         base = np.array(base)
-        (y, g, iters), points, mixes = solve_as_reference(f, base, lam, 1.0,
-                                                          f.gradient(elsewhere))
+        (y, g, iters, _, _), points, mixes = solve_as_reference(f, base, lam, 1.0,
+                                                                f.gradient(elsewhere))
         assert [n for n, _ in mixes[:len(lengths)]] == lengths
         restart = lengths.index(0, 1)
         assert points[restart].tobytes() == (base + lam * f.gradient(points[restart - 1])).tobytes()
@@ -233,7 +240,7 @@ def test_tested_iterate_lies_within_its_residual_bound(name, params):
     for i in range(60):
         q, sign = 0.05 + 0.9 * rng.random(), (1.0, -1.0)[i % 2]
         x = interior_points(f, 1, rng, span=0.5 * (1.0 - q))[0]
-        y, g, _ = _picard(f, lane.point(x), q / L, sign, norm(x))
+        y, g = _picard(f, lane.point(x), q / L, sign, norm(x))[:2]
         r = norm(np.subtract(lane.axpy(lane.point(x), sign * q / L, g), y))
         cases.append((x, np.array(y), r, q, sign))
     s = br.power(0.9 / L, 0.5)
@@ -256,19 +263,17 @@ def test_tested_iterate_lies_within_its_residual_bound(name, params):
 ])
 def test_degenerate_seeds_fall_back_to_the_newest(name, params, points):
     # two secants in 1-D, or collinear ones, have a degenerate Gram
-    # determinant: the first iterate is mixed from both seeds, as the
-    # reference's history shows, uses the newest alone, and the solve
-    # matches the one seeded with the newest alone bit for bit
+    # determinant: the first iterate is mixed from both steps' secants, as
+    # the reference's history shows, uses the newest alone, and the solve
+    # matches the one seeded with the newest step alone bit for bit
     f = br.make_builtin(name, params)
     lane, a = f._lane, 0.5 / f.lipschitz_L
     p = [lane.point(np.array(x)) for x in points]
     g = [lane.grad(x) for x in p]
-    pairs = [(lane.sub(p[1], p[2]), lane.sub(g[2], g[1]), None),
-             (lane.sub(p[0], p[1]), lane.sub(g[1], g[0]), None)]
-    seeds = reverse_mod._orbit_seeds(f, pairs, a)
+    steps = [(p[1], p[2], g[1], g[2]), (p[0], p[1], g[0], g[1])]
     base, g2 = np.array(points[2], dtype=float), np.array(g[2])
-    both, _, mixes = solve_as_reference(f, base, a, 1.0, g2, seeds)
-    newest, _, _ = solve_as_reference(f, base, a, 1.0, g2, seeds[:1])
+    both, _, mixes = solve_as_reference(f, base, a, 1.0, g2, steps)
+    newest, _, _ = solve_as_reference(f, base, a, 1.0, g2, steps[:1])
     assert mixes[0][0] == 2
     assert [np.array(v).tobytes() for v in both] == [np.array(v).tobytes() for v in newest]
     assert norm(np.subtract(both[0], anderson_solve(f, base, a, 1.0)[0])) <= 1e-12
@@ -423,6 +428,13 @@ def test_orbit_partial_on_box_exit(quad1):
 def test_orbit_rejects_prox_violation(dw):
     with pytest.raises(ValueError):
         br.reverse_orbit(dw, [1.0], br.constant(0.05), 3)  # 0.05 > 1/23
+
+
+def test_orbit_rejects_a_negative_horizon_or_an_anchor_outside_the_box(dw):
+    with pytest.raises(ValueError, match="^kbar must be nonnegative$"):
+        br.reverse_orbit(dw, [1.0], br.constant(0.02), -1)
+    with pytest.raises(br.LeftBoxError, match="^orbit anchor outside the operating box$"):
+        br.reverse_orbit(dw, [1.6], br.constant(0.02), 3)
 
 
 # --- both lanes against plain ndarray arithmetic -------------------------------

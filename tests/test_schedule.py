@@ -51,6 +51,8 @@ def test_summable_rejected():
         br.constant(0.0)
     with pytest.raises(ValueError):
         br.StepSchedule("geometric", 1.0)
+    with pytest.raises(ValueError, match="^K must be nonnegative$"):
+        br.constant(0.5).partial_sum(-1)
 
 
 def test_admissible_examples(quad1):

@@ -320,6 +320,11 @@ def test_orbit_residuals_and_path_length_match_per_point():
     assert br.path_length(traj) == per_state
 
 
+def test_trajectory_rejects_a_bad_terminal_status():
+    with pytest.raises(ValueError, match="^bad terminal status 'done'$"):
+        br.Trajectory(t=[0.0], X=[[0.0]], f=[0.0], gnorm=[0.0], terminal_status="done")
+
+
 def test_columns_are_read_only_and_states_lazy():
     traj = br.run_gd(DW, [0.3], br.constant(0.05), max_iter=20)
     for column in (traj.t, traj.X, traj.f, traj.gnorm):
