@@ -152,13 +152,16 @@ def resolve_config(args):
     return cfg
 
 
-def resolve_point(cfg, key, f):
-    """cfg[key] as a finite point of the objective's dimension."""
+def resolve_point(cfg, key, f, in_box=True):
+    """cfg[key] as a finite point of the objective's dimension, in its box
+    unless ``in_box`` is False."""
     x = np.atleast_1d(np.asarray(cfg[key], dtype=float))
     if x.shape != (f.dim,):
         raise ConfigError(f"{key}: needs {f.dim} coordinates for {f.name}, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ConfigError(f"{key}: coordinates must be finite")
+    if in_box and not f.in_box(x):
+        raise ConfigError(f"{key}: {x.tolist()} lies outside the operating box {f.box.tolist()}")
     return x
 
 
@@ -223,9 +226,6 @@ def cmd_run(cfg, f):
     if cfg["x0"] is None:
         raise ConfigError("x0: required for run")
     x0 = resolve_point(cfg, "x0", f)
-    if not f.in_box(x0):
-        raise ConfigError(f"x0: {x0.tolist()} lies outside the operating box "
-                          f"{f.box.tolist()}")
     if cfg["procedure"] == "flow":
         traj = integrate(f, x0, cfg["direction"], flow_settings(cfg))
     elif cfg["procedure"] == "gd":
@@ -288,7 +288,7 @@ def cmd_eos(cfg, f):
     cfg["procedure"] = "eos"
     if cfg["alpha"] is None:
         raise ConfigError("alpha: required for eos")
-    x0 = np.ones(f.dim) if cfg["x0"] is None else resolve_point(cfg, "x0", f)
+    x0 = np.ones(f.dim) if cfg["x0"] is None else resolve_point(cfg, "x0", f, in_box=False)
     verdict = edge_of_stability(f, float(cfg["alpha"]), x0)
     eos = {"alpha": float(cfg["alpha"]), "x0": [float(c) for c in x0], "verdict": verdict}
     return {"eos.json": partial(serialize.write_json, eos)}, f"eos: {verdict}", True

@@ -1,11 +1,11 @@
-"""Forward explicit gradient descent with certified trajectories."""
+"""Forward explicit gradient descent with certified trajectories; its
+numbers are checked by ``landscape``'s rules, its points by ``start``."""
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .landscape import LeftBoxError, row_norms
+from .landscape import LeftBoxError, require_nonnegative_finite, row_norms
 from .sampling import unit_directions
 from .schedule import admissible, constant, require_admissible
 from .trajectory import march, recorded, start
@@ -20,42 +20,25 @@ class Classification(NamedTuple):
 
 
 def gd_step(f, x, a):
-    """x - a * grad(x).  Requires 0 < a < 2/L and x in the box; a result
-    outside the box raises LeftBoxError carrying the offending point."""
-    x = np.asarray(x, dtype=float)
+    """x - a * grad(x).  Requires 0 < a < 2/L and x a start (``start``); a
+    result outside the box raises LeftBoxError carrying the offending point."""
     require_admissible(constant(a), f, "stability", "gd_step")
-    if not f.in_box(x):
-        raise LeftBoxError(x, "gd_step called outside the operating box")
-    out = x - a * f.gradient(x)
-    if not f.in_box(out):
+    lane = f._lane
+    x = start(f, x, "x")
+    out = lane.axpy(x, -a, lane.grad(x))
+    if not lane.inside(out):
         raise LeftBoxError(out)
-    return out
-
-
-def require_nonnegative(**values):
-    """ValueError naming the first of the values that is not >= 0 (NaN
-    included)."""
-    for name, v in values.items():
-        if not v >= 0:
-            raise ValueError(f"{name} must be nonnegative, got {v}")
-
-
-def require_positive_finite(**values):
-    """ValueError naming the first of the values that is not in (0, inf)
-    (NaN included)."""
-    for name, v in values.items():
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {v}")
+    return np.array(out)
 
 
 class _Descent:
     """The gradient-descent runner under schedule s, shaped like
     ``flow._Flow``: ``march`` from a start x0 (``trajectory.start``)
     stops at |grad| < gtol, max_iter steps or the box; ``step`` advances
-    time by the step size.  Requires gtol >= 0 and max_iter >= 0."""
+    time by the step size.  Requires gtol and max_iter in [0, inf)."""
 
     def __init__(self, f, s, max_iter, gtol):
-        require_nonnegative(gtol=gtol, max_iter=max_iter)
+        require_nonnegative_finite(gtol=gtol, max_iter=max_iter)
         self.f, self.lane, self.s, self.max_iter, self.gtol = f, f._lane, s, max_iter, gtol
         self.provenance = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol}
 
@@ -80,8 +63,9 @@ class _Descent:
 def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, event=None):
     """Iterate x_{k+1} = x_k - alpha_k grad(x_k), recording every state.
 
-    Requires sup alpha < 2/L, gtol >= 0 and max_iter >= 0.  Stops on grad_norm < gtol (converged),
-    k = max_iter (budget_exhausted) or box exit (left_box, not a fault).
+    Requires sup alpha < 2/L and gtol and max_iter in [0, inf).  Stops on
+    grad_norm < gtol (converged), k = max_iter (budget_exhausted) or box
+    exit (left_box, not a fault).
     ``event`` is a :func:`march` stop event, asked at each state before
     those tests (its fx is None); a minimum reach ends the run with it on
     the first state in its certified ball.

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import require_positive_finite
-from .landscape import LeftBoxError, row_norms, sumsq
+from .landscape import LeftBoxError, require_positive_finite, row_norms, sumsq
 # not called here: the benchmark's tracer wraps flow.min_norm_element by name
 from .landscape import min_norm_element  # noqa: F401
 from .trajectory import _to_level, march, recorded, start
@@ -131,7 +130,7 @@ class FlowSettings:
     """h is the adaptive flow's first trial step, clamped to 0.1/L; a run
     ends at time t_max, a forward run also once |grad f| < gtol; a
     crossing is located to a time bracket of event_refine_tol (1e-3 h by
-    default)."""
+    default).  h and gtol must be positive and finite, t_max positive."""
 
     h: float
     t_max: float
@@ -139,9 +138,9 @@ class FlowSettings:
     event_refine_tol: float = None
 
     def __post_init__(self):
-        require_positive_finite(h=self.h)
-        if not self.t_max > 0.0 or not self.gtol > 0.0:
-            raise ValueError("t_max and gtol must be positive")
+        require_positive_finite(h=self.h, gtol=self.gtol)
+        if not self.t_max > 0.0:  # an infinite time budget is allowed
+            raise ValueError(f"t_max must be positive, got {self.t_max}")
         if self.event_refine_tol is None:
             object.__setattr__(self, "event_refine_tol", 1e-3 * self.h)
         if not 0.0 < self.event_refine_tol < self.h:
@@ -160,8 +159,7 @@ class DesingularizationModel:
     exponent: float
 
     def __post_init__(self):
-        if not self.coeff > 0.0:
-            raise ValueError("coeff must be positive")
+        require_positive_finite(coeff=self.coeff)
         if not 0.0 < self.exponent <= 1.0:
             raise ValueError("exponent must lie in (0, 1]")
 

@@ -3,7 +3,10 @@ critical-point catalogs, the lanes the dynamics hold their points in,
 and the minimum-norm element of a generator set (Wolfe's algorithm).
 The capped function max{f, level} of a saddle reach is not built as an
 object: its minimum-norm Clarke flow is the flow on f stopped at the
-level set (``flow.integrate_minnorm``).
+level set (``flow.integrate_minnorm``).  Every module imports this one:
+its two rules below are the one test of a number that must be positive,
+or nonnegative, and finite (a flow's ``t_max`` may be infinite and has
+its own), as ``trajectory.start`` is the one test of a point.
 """
 
 import functools
@@ -32,6 +35,20 @@ class CriticalPoint:
 
 
 CATALOG_RTOL = 1e-8  # catalog_entry's match radius, relative to 1 + |point|
+
+
+def require_positive_finite(**values):
+    """ValueError naming the first value not in (0, inf), NaN included."""
+    for name, v in values.items():
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+
+
+def require_nonnegative_finite(**values):
+    """ValueError naming the first value not in [0, inf), NaN included."""
+    for name, v in values.items():
+        if not 0.0 <= v < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {v}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +88,9 @@ class ObjectiveFunction:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.lipschitz_L < 0:
-            raise ValueError("lipschitz_L must be nonnegative")
-        M = self.hessian_lipschitz
-        if M is not None and not 0.0 <= M < math.inf:
-            raise ValueError(f"hessian_lipschitz must be finite and nonnegative, got {M!r}")
+        require_nonnegative_finite(lipschitz_L=self.lipschitz_L)
+        if self.hessian_lipschitz is not None:
+            require_nonnegative_finite(hessian_lipschitz=self.hessian_lipschitz)
         box = np.array(self.box, dtype=float)
         if box.shape != (self.dim, 2) or np.any(box[:, 0] >= box[:, 1]):
             raise ValueError("box must be (dim, 2) with lower < upper")

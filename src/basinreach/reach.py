@@ -50,15 +50,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .descent import (_Descent, classify_limit, require_nonnegative, require_positive_finite,
-                      run_gd)
+from .descent import _Descent, classify_limit, run_gd
 from .flow import (FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail, integrate,
                    integrate_minnorm, path_length)
-from .landscape import LeftBoxError, norm, row_norms
+from .landscape import (LeftBoxError, norm, require_nonnegative_finite, require_positive_finite,
+                        row_norms)
 from .reverse import reverse_orbit
 from .sampling import directions, unit_directions
 from .schedule import StepSchedule, constant, require_admissible
-from .trajectory import _to_level, march, recorded, recording
+from .trajectory import _to_level, march, recorded, recording, start
 
 # strictness floor for the ascent seed: f(a) > f(target) + floor
 SEED_FLOOR_RTOL = 1e-12
@@ -104,8 +104,8 @@ class ReachBudgets:
     of starts per radius of the probe run where no radius is certified;
     delta_override reuses a radius found before, legitimate as the
     stability radius is uniform over admissible schedules.
-    The counts and a given gtol must be nonnegative, and so must a given
-    delta_override: 0, a radius the probe can return, is allowed.
+    The counts, a given gtol and a given delta_override must be
+    nonnegative and finite: 0, a radius the probe can return, is allowed.
     """
 
     max_iter: int = 200_000
@@ -116,10 +116,10 @@ class ReachBudgets:
     seed: int = 0
 
     def __post_init__(self):
-        require_nonnegative(max_iter=self.max_iter, gtol=0.0 if self.gtol is None else self.gtol,
-                            kbar_max=self.kbar_max, probe_samples=self.probe_samples,
-                            delta_override=(0.0 if self.delta_override is None
-                                            else self.delta_override))
+        require_nonnegative_finite(
+            max_iter=self.max_iter, gtol=0.0 if self.gtol is None else self.gtol,
+            kbar_max=self.kbar_max, probe_samples=self.probe_samples,
+            delta_override=0.0 if self.delta_override is None else self.delta_override)
 
 
 def _ball_fits_box(f, center, radius):
@@ -286,8 +286,9 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     either).
     """
     descent = _descends(dynamics, "stability_probe")
-    require_nonnegative(gtol=gtol, max_iter=max_iter)
+    require_nonnegative_finite(gtol=gtol, max_iter=max_iter)
     target = np.asarray(target, dtype=float)
+    center = start(f, target, "target")
     if f.catalog_entry(target, "local_min") is None:
         raise ValueError("probe target must be a cataloged local minimum")
     require_positive_finite(epsilon=epsilon)
@@ -301,7 +302,6 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     contain = epsilon * (1.0 + 1e-9)
     inner = -1.0 if ball is None else ball.s * (1.0 + 1e-9)
     lane = f._lane
-    center = lane.point(target)
 
     def held(prev, t, x, fx):
         # inside the box: the epsilon-ball decides a failure, B_r or K a pass
@@ -528,6 +528,7 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     descent = _descends(dynamics, name)
     b = budgets or ReachBudgets()
     target = np.asarray(target, dtype=float)
+    start(f, target, "target")
     if f.catalog_entry(target, "saddle" if saddle else "local_min") is None:
         raise ValueError(f"target must be a cataloged {'saddle' if saddle else 'local minimum'}")
     if saddle and (kind := classify_limit(f, target).kind) != "saddle":
@@ -657,10 +658,9 @@ def edge_of_stability(f, alpha, x0):
             and len(f.critical_points) == 1):
         raise ValueError("the exact spectral criterion needs an exactly quadratic objective: "
                          "hessian_lipschitz 0, a Hessian and one cataloged critical point")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    require_positive_finite(alpha=alpha)
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (f.dim,):
+    if x0.shape != (f.dim,):  # not ``start``: x0 may lie outside the box
         raise ValueError(f"x0 must have dimension {f.dim}")
     star = f.critical_points[0].point
     lam, V = np.linalg.eigh(f.hess(star))

@@ -31,8 +31,10 @@ from math import sqrt
 
 import numpy as np
 
-from .landscape import FLOAT_LANE_DIMS, LeftBoxError, dot, norm, row_norms, sumsq
+from .landscape import (FLOAT_LANE_DIMS, LeftBoxError, dot, norm, require_nonnegative_finite,
+                        row_norms, sumsq)
 from .schedule import constant, require_admissible
+from .trajectory import start
 
 FIXED_POINT_RTOL = 1e-13
 FORWARD_RESIDUAL_RTOL = 1e-10
@@ -242,12 +244,10 @@ def _picard2(f, base, lam, sign, tol_scale, g, steps):
 
 def prox(f, x, lam):
     """argmin_y f(y) + |y - x|^2 / (2 lam) via the implicit equation
-    y = x - lam * grad(y), for lam < 1/L."""
-    x = np.asarray(x, dtype=float)
+    y = x - lam * grad(y), for lam < 1/L and x a start (``start``)."""
     require_admissible(constant(lam), f, "prox", "prox")
-    if not f.in_box(x):
-        raise LeftBoxError(x, "prox called outside the operating box")
-    return np.array(_picard(f, f._lane.point(x), lam, -1.0, norm(x))[0])
+    x = start(f, x, "x")
+    return np.array(_picard(f, x, lam, -1.0, norm(x))[0])
 
 
 def prox_certificates(f, x, lam, xplus):
@@ -288,13 +288,11 @@ def _ascent_step(f, xnext, a, g=None, steps=(), xnorm=None):
 def ascent_prox(f, xnext, a):
     """argmax_y f(y) - |y - xnext|^2 / (2a): the exact preimage of an
     explicit gradient step, solved as the fixed point of
-    y = xnext + a * grad(y) for a < 1/L.  The returned point replays
-    forward onto xnext to within 1e-10 * (1 + |result|)."""
-    xnext = np.asarray(xnext, dtype=float)
+    y = xnext + a * grad(y) for a < 1/L and xnext a start (``start``).
+    The returned point replays forward onto xnext to within 1e-10 * (1 +
+    |result|)."""
     require_admissible(constant(a), f, "prox", "ascent_prox")
-    if not f.in_box(xnext):
-        raise LeftBoxError(xnext, "ascent_prox called outside the operating box")
-    return np.array(_ascent_step(f, f._lane.point(xnext), a)[0])
+    return np.array(_ascent_step(f, start(f, xnext, "xnext"), a)[0])
 
 
 def reverse_orbit(f, a, s, kbar, stop=None):
@@ -317,17 +315,15 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     each, and 2m + 1 norms.  The orbit keeps the gradients.
     """
     anchor = np.asarray(a, dtype=float)
-    if kbar < 0:
-        raise ValueError("kbar must be nonnegative")
+    require_nonnegative_finite(kbar=kbar)
     if stop is not None and s.kind != "constant":
         raise ValueError("a stopping march needs a constant schedule")
-    if not f.in_box(anchor):
-        raise LeftBoxError(anchor, "orbit anchor outside the operating box")
+    x = start(f, anchor, "anchor")
     # checked once: every alpha_k is at most sup_alpha, and each later
     # solve starts from a point its predecessor's Picard test kept in the box
     require_admissible(s, f, "prox", "reverse_orbit")
     lane = f._lane
-    x, g, xnorm, steps = lane.point(anchor), None, None, []
+    g, xnorm, steps = None, None, []
     points, residuals, grads = [anchor.copy()], [], []
     status = "complete"
     for k in range(kbar - 1, -1, -1):

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .landscape import require_nonnegative_finite, require_positive_finite
+
 SCHEDULE_KINDS = ("constant", "power")
 
 
@@ -26,8 +28,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not self.c > 0.0:
-            raise ValueError("step scale c must be positive")
+        require_positive_finite(c=self.c)
         if self.kind == "power" and not 0.0 <= self.p <= 1.0:
             raise ValueError("power exponent must lie in [0, 1] (nonsummable)")
 
@@ -42,8 +43,7 @@ class StepSchedule:
 
     def partial_sum(self, K):
         """sum_{k=0}^{K-1} alpha_k."""
-        if K < 0:
-            raise ValueError("K must be nonnegative")
+        require_nonnegative_finite(K=K)
         if self.kind == "constant":
             return self.c * K
         return self.c * float(np.sum((np.arange(K) + 1.0) ** -self.p))

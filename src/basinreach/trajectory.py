@@ -132,16 +132,21 @@ def emit(traj):
     return traj
 
 
-def start(f, x0):
-    """x0 as a point of f's lane, where a run starts: a ValueError unless
-    its shape is (dim,), a LeftBoxError outside the box (NaN counts as
-    inside, as at every state of :func:`march`)."""
+def start(f, x0, what="x0"):
+    """x0 as a point of f's lane, checked as every run's start, the point
+    of ``gd_step``, ``prox`` and ``ascent_prox``, an orbit's anchor and a
+    probe's or reach's target are: a ValueError naming ``what`` unless its
+    shape is (dim,) and its coordinates are finite, a LeftBoxError outside
+    the box.  Only later states of :func:`march` count NaN as inside."""
     x = np.asarray(x0, dtype=float)
     if x.shape != (f.dim,):
-        raise ValueError(f"x0 must have shape ({f.dim},) for dim = {f.dim}, got shape {x.shape}")
+        raise ValueError(f"{what} must have shape ({f.dim},) for dim = {f.dim}, "
+                         f"got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite, got {x.tolist()}")
     x = f._lane.point(x)
     if not f._lane.inside(x):
-        raise LeftBoxError(x, "x0 outside the operating box")
+        raise LeftBoxError(x, f"{what} outside the operating box")
     return x
 
 

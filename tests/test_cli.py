@@ -2,12 +2,15 @@ import argparse
 import json
 import math
 import os
+import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import basinreach.cli as cli
+from basinreach import serialize
 from basinreach.cli import main
 from basinreach.flow import NoCrossingError
 from basinreach.landscape import LeftBoxError
@@ -384,13 +387,13 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
       "1.0", "--schedule", "constant:0.0015", "--seed-radius", "0.3", "--tol", "inf"],
      "tol must be positive and finite, got inf"),
     (["run", "--function", "quad:1", "--x0", "1", "--gtol", "nan"],
-     "gtol must be nonnegative, got nan"),
+     "gtol must be nonnegative and finite, got nan"),
     (["run", "--function", "quad:1", "--x0", "1", "--gtol", "-1"],
-     "gtol must be nonnegative, got -1.0"),
+     "gtol must be nonnegative and finite, got -1.0"),
     (["probe", "--function", "double_well", "--target", "1", "--schedule", "constant:0.05",
-      "--epsilon", "0.5", "--gtol", "nan"], "gtol must be nonnegative, got nan"),
+      "--epsilon", "0.5", "--gtol", "nan"], "gtol must be nonnegative and finite, got nan"),
     (["probe", "--function", "double_well", "--target", "1", "--schedule", "constant:0.05",
-      "--epsilon", "0.5", "--gtol", "-1"], "gtol must be nonnegative, got -1.0"),
+      "--epsilon", "0.5", "--gtol", "-1"], "gtol must be nonnegative and finite, got -1.0"),
     (["reach", "--function", "double_well"], "target: required for this procedure"),
     (["reach", "--function", "double_well", "--target", "1", "--epsilon", "1.0"],
      "B_epsilon(target) must fit inside the operating box"),
@@ -400,6 +403,8 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
     (["run", "--function", "quad:1", "--x0", "inf"], "x0: coordinates must be finite"),
     (["run", "--config", {"function": "quad:1", "x0": [1.0], "procedure": "reach"}],
      "procedure: 'reach' is not a run procedure"),
+    (["reach", "--function", "quad:1", "--target", "20"],
+     "target: [20.0] lies outside the operating box [[-10.0, 10.0]]"),
 ], ids=["nonfinite-param", "non-numeric-param", "x0-dimension", "target-dimension",
         "x0-outside-box", "config-object-for-number", "config-number-for-string", "config-bool-for-number",
         "negative-target-index", "config-negative-target-index", "probe-negative-max-iter",
@@ -412,7 +417,8 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
         "run-nan-gtol",
         "run-negative-gtol", "probe-nan-gtol", "probe-negative-gtol", "reach-no-target",
         "reach-ball-outside-box", "flow-reach-ball-outside-box",
-        "eos-no-alpha", "run-infinite-x0", "run-config-reach-procedure"])
+        "eos-no-alpha", "run-infinite-x0", "run-config-reach-procedure",
+        "reach-target-outside-box"])
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, message):
     if isinstance(argv[-1], dict):  # the contents of a config file
         cfg = tmp_path / "cfg.json"
@@ -422,6 +428,48 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1
+
+
+# one command per subcommand and dynamics, with the number flags it reads;
+# the first three are run, probe and reach commands that once took gtol = inf
+NUMBER_FLAGS = {
+    "run": (["run", "--function", "himmelblau", "--x0", "0,0", "--schedule", "constant:0.001"],
+            ("gtol",)),
+    "probe": (["probe", "--function", "himmelblau", "--target-index", "0", "--epsilon", "2.0",
+               "--seed", "4", "--schedule", "constant:0.0058"], ("epsilon", "gtol")),
+    "reach-flow": (["reach", "--mode", "continuous", "--function", "double_well", "--target",
+                    "1", "--epsilon", "0.4"],
+                   ("epsilon", "seed_radius", "tol", "gtol", "h", "t_max")),
+    "run-flow": (["run", "--procedure", "flow", "--function", "quad:1", "--x0", "1"],
+                 ("gtol", "h", "t_max")),
+    "probe-flow": (["probe", "--mode", "continuous", "--function", "double_well", "--target",
+                    "1", "--epsilon", "0.4"], ("gtol", "h", "t_max")),
+    "reach": (["reach", "--function", "double_well", "--target", "1", "--schedule",
+               "constant:0.021"], ("epsilon", "seed_radius", "tol", "gtol")),
+    "reach-general": (["reach", "--general", "--function", "himmelblau", "--target-index", "8",
+                       "--epsilon", "1.0", "--schedule", "constant:0.0015", "--seed-radius",
+                       "1e-3", "--tol", "1e-2"], ("delta",)),
+    "eos": (["eos", "--function", "quad:1"], ("alpha",)),
+}
+NUMBER_CASES = [(command, field, value) for command, (_, fields) in NUMBER_FLAGS.items()
+                for field in fields for value in ("inf", "nan")]
+
+
+@pytest.mark.parametrize("command,field,value", NUMBER_CASES,
+                         ids=["-".join(case) for case in NUMBER_CASES])
+def test_every_number_flag_rejects_inf_and_nan(tmp_path, capsys, command, field, value):
+    # exit 2 with one error line naming the field and no directory; an
+    # infinite time budget alone is legal, and the run it ends succeeds
+    out = tmp_path / "o"
+    argv = NUMBER_FLAGS[command][0] + ["--" + field.replace("_", "-"), value, "--out", str(out)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    if (field, value) == ("t_max", "inf"):
+        assert rc == 0 and err == ""
+        return
+    assert rc == 2 and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(rf"\b{field}\b", err)
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -442,6 +490,18 @@ def test_config_fields_defaulting_to_null_are_type_checked(tmp_path, capsys, fie
     assert capsys.readouterr().err == f"error: {message}\n"
     cfg.write_text(json.dumps({"function": "double_well", field: None}))
     assert cli.resolve_config(argparse.Namespace(config=str(cfg)))[field] is None
+
+
+@pytest.mark.parametrize("value,expected", [
+    (np.array([0.5, -1.0]), [0.5, -1.0]), (np.float64(0.25), 0.25), (np.int64(3), 3.0),
+    (math.inf, None), (math.nan, None), (0.5, 0.5), ("success", "success"),
+], ids=["array", "numpy-float", "numpy-int", "inf", "nan", "float", "str"])
+def test_report_values_become_plain_json(value, expected):
+    # numpy values become Python floats, a non-finite float null
+    out = serialize._jsonable(value)
+    assert out == expected and type(out) is type(expected)
+    if isinstance(out, list):
+        assert all(type(c) is float for c in out)
 
 
 def test_unreadable_config_point_is_a_config_error(tmp_path, capsys):
@@ -508,7 +568,7 @@ def test_saddle_reach_rejects_a_bad_gtol_before_it_runs(tmp_path, capsys, gtol):
     assert main(["reach", "--general", "--function", "himmelblau", "--target-index", "8",
                  "--epsilon", "1.0", "--schedule", "constant:0.0015", "--seed-radius", "1e-3",
                  "--tol", "1e-2", "--gtol", gtol, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: gtol must be nonnegative, got ")
+    assert capsys.readouterr().err == f"error: gtol must be nonnegative and finite, got {float(gtol)}\n"
     assert not out.exists()
 
 

@@ -78,12 +78,14 @@ def test_run_gd_rejects_inadmissible(quad1):
 
 
 @pytest.mark.parametrize("gtol,max_iter,message", [
-    (float("nan"), 10, "gtol must be nonnegative, got nan"),
-    (-1.0, 10, "gtol must be nonnegative, got -1.0"),
-    (0.0, -1, "max_iter must be nonnegative, got -1"),
-], ids=["nan-gtol", "negative-gtol", "negative-max-iter"])
+    (float("nan"), 10, "^gtol must be nonnegative and finite, got nan$"),
+    (-1.0, 10, "^gtol must be nonnegative and finite, got -1.0$"),
+    (0.0, -1, "^max_iter must be nonnegative and finite, got -1$"),
+    (float("inf"), 10, "^gtol must be nonnegative and finite, got inf$"),
+], ids=["nan-gtol", "negative-gtol", "negative-max-iter", "infinite-gtol"])
 def test_run_gd_rejects_bad_stops(himmelblau, gtol, max_iter, message):
-    # each would run to no stop: |g| < gtol never holds, k never reaches -1
+    # each would run to no stop: |g| < gtol never holds, k never reaches -1;
+    # gtol = inf would stop at once, converged at a point that is not critical
     with pytest.raises(ValueError, match=message):
         br.run_gd(himmelblau, [0.0, 0.0], br.constant(0.001), gtol=gtol, max_iter=max_iter)
     traj = br.run_gd(himmelblau, [0.0, 0.0], br.constant(0.001), gtol=0.0, max_iter=0)
@@ -125,6 +127,30 @@ def test_classify_without_hessian():
     assert cls.kind == "local_min" and cls.low_confidence
 
 
+def flat(dim):
+    return br.ObjectiveFunction(dim=dim, f=lambda x: 0.0, grad=lambda x: np.zeros(dim),
+                                hessian=lambda x: np.zeros((dim, dim)), lipschitz_L=0.0,
+                                box=np.array([[-1.0, 1.0]] * dim))
+
+
+NEG_QUARTIC = br.ObjectiveFunction(  # -x^4: a zero Hessian at a strict maximum
+    dim=1, f=lambda x: -float(x[0]) ** 4, grad=lambda x: np.array([-4.0 * x[0] ** 3]),
+    hessian=lambda x: np.array([[-12.0 * x[0] ** 2]]), lipschitz_L=12.0,
+    box=np.array([[-1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("f,tol,expected", [
+    (NEG_QUARTIC, 1e-4, ("local_max", False)),
+    (flat(1), 1e-6, ("local_min", True)),
+    (flat(2), 1e-6, ("local_min", True)),
+], ids=["negative-quartic", "flat-1-d", "flat-2-d"])
+def test_classify_by_sphere_samples_where_the_hessian_is_flat(f, tol, expected):
+    # the samples at radius sqrt(tol) decide where every eigenvalue is
+    # within tol of 0; none above or below f's value is a weak minimum at
+    # best, flagged low-confidence
+    assert tuple(br.classify_limit(f, np.zeros(f.dim), tol=tol)) == expected
+
+
 def test_converged_limits_are_critical(quad14, dw, himmelblau):
     # Every converged run lands on a classified critical point; random
     # starts are expected to find minima, which we do not assert per-start.
@@ -161,3 +187,21 @@ def test_certificate_detects_forged_state(quad1):
     forged = br.Trajectory(traj.t, X, traj.f, traj.gnorm,
                            terminal_status="converged", limit=traj.limit)
     assert br.descent_certificate_violations(quad1, forged, s) != []
+
+
+@pytest.mark.parametrize("c,rise,expected", [
+    (0.5, 0.0, ["descent inequality violated at k=0"]),
+    (1.5, 1.0, ["f increased at k=0: 0.5 -> 1.5"]),
+    (0.5, 1.0, ["f increased at k=0: 0.5 -> 1.5", "descent inequality violated at k=0"]),
+], ids=["no-decrease-under-1-over-L", "rise-under-2-over-L", "rise-under-1-over-L"])
+def test_certificate_names_a_tampered_value(quad1, c, rise, expected):
+    # f(x_1) set to f(x_0) + rise: a rise breaks monotonicity whenever sup
+    # alpha < 2/L, and no decrease breaks the descent inequality, checked
+    # only when sup alpha < 1/L; the points still satisfy the recurrence
+    s = br.constant(c)
+    traj = br.run_gd(quad1, [1.0], s, gtol=1e-8)
+    fv = traj.f.copy()
+    fv[1] = fv[0] + rise
+    tampered = br.Trajectory(traj.t, traj.X, fv, traj.gnorm,
+                             terminal_status="converged", limit=traj.limit)
+    assert br.descent_certificate_violations(quad1, tampered, s) == expected

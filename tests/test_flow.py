@@ -22,8 +22,10 @@ def test_settings_validation():
         br.FlowSettings(h=0.0, t_max=1.0)
     with pytest.raises(ValueError):
         br.FlowSettings(h=0.01, t_max=1.0, event_refine_tol=0.02)
-    for t_max, gtol in ((0.0, 1e-8), (1.0, -1e-8)):
-        with pytest.raises(ValueError, match="^t_max and gtol must be positive$"):
+    for t_max, gtol, message in ((0.0, 1e-8, "^t_max must be positive, got 0.0$"),
+                                 (1.0, -1e-8, "^gtol must be positive and finite, got -1e-08$"),
+                                 (1.0, math.inf, "^gtol must be positive and finite, got inf$")):
+        with pytest.raises(ValueError, match=message):
             br.FlowSettings(h=0.01, t_max=t_max, gtol=gtol)
     st = br.FlowSettings(h=0.01, t_max=1.0)
     assert st.event_refine_tol == pytest.approx(1e-5)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,9 +54,10 @@ def test_builtin_errors():
 
 @pytest.mark.parametrize("changes,message", [
     ({"dim": 0}, "^dim must be a positive integer$"),
-    ({"lipschitz_L": -1.0}, "^lipschitz_L must be nonnegative$"),
+    ({"lipschitz_L": -1.0}, "^lipschitz_L must be nonnegative and finite, got -1.0$"),
     ({"box": np.array([[1.0, -1.0]])}, r"^box must be \(dim, 2\) with lower < upper$"),
-], ids=["dim", "lipschitz-L", "box"])
+    ({"lipschitz_L": math.nan}, "^lipschitz_L must be nonnegative and finite, got nan$"),
+], ids=["dim", "lipschitz-L", "box", "nan-lipschitz-L"])
 def test_objective_function_rejects_a_bad_declaration(changes, message):
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(br.make_builtin("quad", (1.0,)), **changes)
@@ -146,6 +148,12 @@ def test_himmelblau_regeneration(himmelblau):
     assert kinds.count("local_min") == 4
     assert kinds.count("local_max") == 1
     assert kinds.count("saddle") == 4
+
+
+def test_refinement_that_does_not_converge_raises(himmelblau):
+    with pytest.raises(RuntimeError, match=re.escape(
+            "Newton refinement did not reach |grad| <= 1e-12 from [2.5, 1.5]")):
+        br.refine_critical_point(himmelblau, [2.5, 1.5], max_iter=2)
 
 
 def test_himmelblau_lipschitz_is_grid_max(himmelblau):

@@ -70,13 +70,15 @@ def test_probe_preconditions(dw, quad1):
         br.stability_probe(quad1, [0.0], 1.0, None)  # neither schedule nor flow settings
 
 
-@pytest.mark.parametrize("field,value", [("gtol", math.nan), ("gtol", -1.0), ("max_iter", -1)])
+@pytest.mark.parametrize("field,value", [("gtol", math.nan), ("gtol", -1.0), ("max_iter", -1),
+                                         ("gtol", math.inf)])
 def test_probe_rejects_a_bad_gtol_or_max_iter_under_either_dynamics(dw, field, value):
     # FlowSettings carry their own gtol and budgets, so the probe's are
     # unused under them, but a bad one is still an error, as under a
     # StepSchedule, and is named before any start runs
     for dynamics in (br.constant(0.01), br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6)):
-        with pytest.raises(ValueError, match=f"^{field} must be nonnegative, got {value}$"):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be nonnegative and finite, got {value}$"):
             br.stability_probe(dw, [1.0], 0.4, dynamics, **{field: value})
 
 
@@ -421,6 +423,13 @@ def test_capture_level_is_a_sphere_floor(name, params, target, eps):
     assert fy.min() - c <= slack
 
 
+def test_capture_level_needs_a_positive_lipschitz_constant():
+    # L = 0 (an affine objective) has no minimum to capture: no level
+    f = br.ObjectiveFunction(dim=1, f=lambda x: float(x[0]), grad=lambda x: np.ones(1),
+                             lipschitz_L=0.0, box=np.array([[-1.0, 1.0]]))
+    assert reach_mod._capture_level(f, np.zeros(1), 0.5) is None
+
+
 def test_capture_level_grid_on_renamed_quad(quad14):
     # not known to be quadratic (no hessian_lipschitz), quad takes the 2-D
     # grid: c lies below the exact floor 0.5 lambda_min eps^2 = 0.5 by at
@@ -739,9 +748,9 @@ def test_every_reach_rejects_a_nonpositive_tol(dw, saddle_quad, tol):
 
 @pytest.mark.parametrize("field,value", [
     ("gtol", math.nan), ("gtol", -1.0), ("max_iter", -1), ("kbar_max", -1),
-    ("probe_samples", -1)])
+    ("probe_samples", -1), ("gtol", math.inf)])
 def test_reach_budgets_reject_a_bad_gtol_or_count(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be nonnegative, got {value}$"):
+    with pytest.raises(ValueError, match=f"^{field} must be nonnegative and finite, got {value}$"):
         br.ReachBudgets(**{field: value})
 
 
@@ -749,9 +758,10 @@ def test_reach_budgets_allow_a_default_or_zero_gtol():
     assert br.ReachBudgets().gtol is None and br.ReachBudgets(gtol=0.0).gtol == 0.0
 
 
-@pytest.mark.parametrize("value", [math.nan, -1.0])
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
 def test_reach_budgets_reject_a_nan_or_negative_delta_override(value):
-    with pytest.raises(ValueError, match=f"^delta_override must be nonnegative, got {value}$"):
+    with pytest.raises(ValueError,
+                       match=f"^delta_override must be nonnegative and finite, got {value}$"):
         br.ReachBudgets(delta_override=value)
 
 
@@ -1419,8 +1429,10 @@ def test_eos_rejects_non_quad(dw):
 
 
 @pytest.mark.parametrize("alpha,x0,message", [
-    (0.0, [1.0], "^alpha must be positive$"), (-1.0, [1.0], "^alpha must be positive$"),
-    (1.0, [1.0, 1.0], "^x0 must have dimension 1$")])
+    (0.0, [1.0], "^alpha must be positive and finite, got 0.0$"),
+    (-1.0, [1.0], "^alpha must be positive and finite, got -1.0$"),
+    (1.0, [1.0, 1.0], "^x0 must have dimension 1$"),
+    (math.inf, [1.0], "^alpha must be positive and finite, got inf$")])
 def test_eos_rejects_a_bad_alpha_or_x0(quad1, alpha, x0, message):
     with pytest.raises(ValueError, match=message):
         br.edge_of_stability(quad1, alpha, x0)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import basinreach as br
@@ -51,8 +52,22 @@ def test_summable_rejected():
         br.constant(0.0)
     with pytest.raises(ValueError):
         br.StepSchedule("geometric", 1.0)
-    with pytest.raises(ValueError, match="^K must be nonnegative$"):
+    with pytest.raises(ValueError, match="^K must be nonnegative and finite, got -1$"):
         br.constant(0.5).partial_sum(-1)
+
+
+@pytest.mark.parametrize("s", [br.constant(0.5), br.power(1.0, 1.0), br.power(2.0, 0.5)])
+@pytest.mark.parametrize("M", [0.0, -1.0])
+def test_index_reaching_a_nonpositive_sum_is_one(s, M):
+    assert s.index_reaching(M) == 1 and s.partial_sum(1) > M
+
+
+def test_every_schedule_is_admissible_on_an_affine_objective():
+    # L = 0: no step bound, in either regime
+    f = br.ObjectiveFunction(dim=1, f=lambda x: float(x[0]), grad=lambda x: np.ones(1),
+                             lipschitz_L=0.0, box=np.array([[-1.0, 1.0]]))
+    for regime in ("stability", "prox"):
+        assert br.admissible(br.constant(1e6), f, regime)
 
 
 def test_admissible_examples(quad1):

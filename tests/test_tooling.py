@@ -195,3 +195,24 @@ def test_minima_power_round_builds_each_orbit_about_once(monkeypatch, tmp_path):
         points += len(report.reverse_part.points)
     assert solves <= 1.2 * points
     assert grads <= 8 * points
+
+
+@pytest.mark.parametrize("name", ["minima_const", "minima_power", "flow_minima"])
+def test_workload_round_repeats_its_counts_and_passes_its_checks(tmp_path, name):
+    # a traced benchmark run passes over round 0 more than once and is
+    # judged incorrect when a reach fails its checks or when a case's
+    # counts differ between passes, as any state kept between reach calls
+    # (a cache keyed on the objective or the target) would make them
+    workloads = load_workloads()
+    counts = workloads.Counts()
+    cases = workloads.build(name, 0, counts, str(tmp_path)).make_round(0)
+    passes = []
+    for _ in range(2):
+        evals = []
+        for case in cases:
+            snap = counts.snapshot()
+            result = case.run()
+            evals.append(counts.since(snap))
+            assert case.check(result, evals[-1][workloads.GRAD]) == [], case.label
+        passes.append(evals)
+    assert passes[0] == passes[1]

@@ -410,3 +410,41 @@ def test_sphere_exit_checks_its_start_before_the_sphere(f):
         br.sphere_exit(f, [10.0] * (n - 1) + [10.0 + 1e-9], "reverse", center, 20.0, st)
     _, b = br.sphere_exit(f, [0.5] * n, "reverse", center, 9.0, st)
     assert abs(norm(b) - 9.0) <= 1e-8 * 9.0
+
+
+# every entry point that takes a point checks it with start, by its own name
+POINT_ENTRIES = {
+    "gd_step": ("x", lambda f, x: br.gd_step(f, x, 0.1)),
+    "prox": ("x", lambda f, x: br.prox(f, x, 0.1)),
+    "ascent_prox": ("xnext", lambda f, x: br.ascent_prox(f, x, 0.1)),
+    "reverse_orbit": ("anchor", lambda f, x: br.reverse_orbit(f, x, br.constant(0.1), 3)),
+    "run_gd": ("x0", RUNNERS["gd"]),
+    "integrate": ("x0", RUNNERS["flow"]),
+    "stability_probe": ("target", lambda f, x: br.stability_probe(f, x, 1.0, br.constant(0.1))),
+    "reach_discrete": ("target", lambda f, x: br.reach_discrete(f, x, 1.0, br.constant(0.1),
+                                                                1e-3, 1e-4)),
+    "reach_continuous": ("target", lambda f, x: br.reach_continuous(
+        f, x, 1.0, br.FlowSettings(h=0.1, t_max=1.0), 1e-3, 1e-4)),
+    "reach_general": ("target", lambda f, x: br.reach_general(f, x, 1.0, br.constant(0.1),
+                                                              1e-3)),
+}
+
+
+@pytest.mark.parametrize("f", [Q1, Q2, Q3], ids=["1-d-float-lane", "2-d-float-lane",
+                                                 "ndarray-lane"])
+@pytest.mark.parametrize("entry", sorted(POINT_ENTRIES))
+def test_every_point_is_checked_by_start(entry, f):
+    # a point of another shape or with a NaN or infinite coordinate is a
+    # ValueError naming it, one outside the box a LeftBoxError; each comes
+    # before anything runs
+    what, call = POINT_ENTRIES[entry]
+    n = f.dim
+    with pytest.raises(ValueError, match=re.escape(
+            f"{what} must have shape ({n},) for dim = {n}, got shape ({n + 1},)")):
+        call(f, [0.5] * (n + 1))
+    for bad in (np.nan, np.inf, -np.inf):
+        x = [0.5] * (n - 1) + [bad]
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be finite, got {x}")):
+            call(f, x)
+    with pytest.raises(LeftBoxError, match=f"^{what} outside the operating box$"):
+        call(f, [0.5] * (n - 1) + [10.0 + 1e-9])
