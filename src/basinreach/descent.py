@@ -1,5 +1,5 @@
 """Forward explicit gradient descent with certified trajectories; its
-numbers are checked by ``landscape``'s rules, its points by ``start``."""
+numbers are checked by ``landscape``'s rules, its points by ``start`` or ``finite_point``."""
 
 from typing import NamedTuple
 
@@ -8,7 +8,7 @@ import numpy as np
 from .landscape import LeftBoxError, require_nonnegative_finite, row_norms
 from .sampling import unit_directions
 from .schedule import admissible, constant, require_admissible
-from .trajectory import march, recorded, start
+from .trajectory import finite_point, march, recorded, start
 
 SPHERE_SAMPLES, SPHERE_SEED = 64, 0  # classify_limit's quasi-random directions after the axes
 CERTIFICATE_RTOL = 1e-12  # descent_certificate_violations' relative slack
@@ -81,9 +81,10 @@ def classify_limit(f, x, tol=1e-6):
     non_stationary if |grad| >= tol; otherwise by Hessian eigenvalue signs,
     with eigenvalues within tol of zero resolved by sampling f on a sphere
     of radius sqrt(tol).  Without a Hessian the sampling is the only
-    evidence and the result is flagged low-confidence.
+    evidence and the result is flagged low-confidence.  x is checked by
+    ``finite_point``, not ``start``: a limit may sit on the box edge.
     """
-    x = np.asarray(x, dtype=float)
+    x = finite_point(f, x)
     if f.grad_norm(x) >= tol:
         return Classification("non_stationary", False)
 

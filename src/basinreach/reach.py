@@ -18,27 +18,31 @@ target| on the convex box, so one ascent step from B_rho lands in B_delta,
 and with a constant schedule x0 is the first orbit point outside B_rho;
 capture rests on the direct check |x0 - target| <= delta, not on that bound.
 
-A minimum reach stops its forward run at its certificate, the first state
-in the certified ball B_s, s = min(tol, epsilon, lambda_min / (2M)) (no
-third term when M = 0), with lambda_min = lambda_min(hess f(target)) > 0
-and M the objective's ``hessian_lipschitz``; B_s must fit in the box.  On
-B_s every Hessian has its spectrum in [mu_s, L], mu_s = lambda_min - M s
->= lambda_min / 2 (Nesterov & Polyak 2006, Math. Program. 108, Lemma 1).
+A minimum reach stops its forward run on its first state in the certified
+ball B_r, r = min(epsilon, lambda_min / (2M)) (epsilon when M = 0), with
+lambda_min = lambda_min(hess f(target)) > 0 and M the objective's
+``hessian_lipschitz``; B_r lies in B_epsilon, which must fit in the box.
+On B_r every Hessian has its spectrum in [mu_r, L], mu_r = lambda_min - M
+r >= lambda_min / 2 (Nesterov & Polyak 2006, Math. Program. 108, Lemma 1).
 A GD step gives x_{k+1} - x* = (I - alpha_k H_k)(x_k - x*), H_k the mean
 Hessian on the segment from x* to x_k, so with sup alpha < 1/L |x_{k+1} -
-x*| <= (1 - alpha_k mu_s) |x_k - x*|: B_s is invariant and a nonsummable
+x*| <= (1 - alpha_k mu_r) |x_k - x*|: B_r is invariant and a nonsummable
 schedule drives the iterates to the target itself.  The exact flow has
-d/dt |x - x*|^2 <= -2 mu_s |x - x*|^2; DOP853 follows it to its accuracy,
-the standard the probe's capture set rests on too.  The run ends there as
-converged, the limit that state, with provenance stopped_on =
-"certified_ball" and a ``certificate``: s, mu_s, distance_bound = |x_m -
-x*| and, for GD, length_bound = the measured prefix + (L_s / mu_s) |x_m
-- x*|, L_s = min(L, lambda_max + M s) >= the top of every Hessian's
-spectrum on B_s (lambda_max = lambda_max(hess f(target)); the Hessian
-moves by at most M s there), as the tail sum_k alpha_k |grad f(x_k)| <=
-L_s sum_k alpha_k |x_k - x*| telescopes against the contraction; the
-probe's B_r is this ball at tol = inf.  Saddle targets, objectives
-without M and the run and eos procedures keep running to gtol.
+d/dt |x - x*|^2 <= -2 mu_r |x - x*|^2; DOP853 follows it to its accuracy,
+the standard the probe's capture set rests on too.  So the run ends there
+as converged, its limit the target by proof rather than by a tolerance,
+final_distance 0, with provenance stopped_on = "certified_ball", s = r,
+mu_s = mu_r and a ``certificate``: s, mu_s,
+distance_bound = |x_m - x*| <= s, observed on the stopping state x_m,
+and, for GD, length_bound = the measured prefix + (L_r / mu_r) |x_m -
+x*|, L_r = min(L, lambda_max + M r) >= the top of every Hessian's
+spectrum on B_r (lambda_max = lambda_max(hess f(target)); the Hessian
+moves by at most M r there), as the tail sum_k alpha_k |grad f(x_k)| <=
+L_r sum_k alpha_k |x_k - x*| telescopes against the contraction.  The
+probe's starts stop by the same test with a relative rounding slack
+PROBE_SLACK on r; the reach's has none, so distance_bound <= s exactly.
+Saddle targets, objectives without M and the run and eos procedures keep
+running to gtol.
 """
 
 import dataclasses
@@ -58,7 +62,7 @@ from .landscape import (LeftBoxError, norm, require_nonnegative_finite, require_
 from .reverse import reverse_orbit
 from .sampling import directions, unit_directions
 from .schedule import StepSchedule, constant, require_admissible
-from .trajectory import _to_level, march, recorded, recording, start
+from .trajectory import _to_level, finite_point, march, recorded, recording, start
 
 # strictness floor for the ascent seed: f(a) > f(target) + floor
 SEED_FLOOR_RTOL = 1e-12
@@ -68,6 +72,7 @@ SCAN_RANDOM = 64
 ALPHA_SHRINKS = 3
 PROBE_BISECTIONS = 6  # stability_probe's bisection steps on the radius
 DIVERGENCE_FACTOR = 1e3  # edge_of_stability: |x| > this * (1 + box diameter) diverged
+PROBE_SLACK = 1e-9  # stability_probe's relative rounding slack on its ball tests
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,12 +213,12 @@ def _capture_level(f, target, epsilon):
 
 def _certified_radius(f, target, epsilon, lam=None):
     """(B_r, c, delta_cert) of ``stability_probe`` around a minimum, each
-    None where there is none; lam, lambda_min(hess f(target)), is taken
-    here unless given.  The caller has checked that B_epsilon(target) is in
-    the box (``_require_ball_in_box``)."""
+    None where there is none, B_r's stop with the probe's slack; lam,
+    lambda_min(hess f(target)), is taken here unless given.  The caller has
+    checked that B_epsilon(target) is in the box (``_require_ball_in_box``)."""
     if lam is None and f.hessian is not None and f.hessian_lipschitz is not None:
         lam = _spectrum(f, target)[0]
-    ball = None if lam is None else _certified_ball(f, target, math.inf, epsilon, lam)
+    ball = None if lam is None else _certified_ball(f, target, epsilon, lam, slack=PROBE_SLACK)
     c = None if ball is not None and ball.s >= epsilon else _capture_level(f, target, epsilon)
     radii = [] if ball is None else [ball.s]
     if c is not None:
@@ -257,9 +262,10 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     would report it.  A run stops on its first state in K or B_r; a state
     in both is reported as in B_r, the stronger claim.
 
-    Certified ball: B_r is the reach's certified ball at tol = inf (the
-    module docstring), r = min(epsilon, lambda_min / (2M)), epsilon when M
-    = 0; on it the Hessian spectrum lies in [mu_r, L].  A GD step with
+    Certified ball: B_r is the reach's certified ball (the module
+    docstring), r = min(epsilon, lambda_min / (2M)), epsilon when M = 0,
+    and a start stops in it by the reach's own stop; on it the Hessian
+    spectrum lies in [mu_r, L].  A GD step with
     alpha < 2/L multiplies |x - x*| by at most max(1 - alpha mu_r, alpha L
     - 1) < 1 and the exact flow by exp(-mu_r t), so a run that enters B_r
     converges to the target itself (DOP853 follows the flow to its
@@ -286,7 +292,7 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     either).
     """
     descent = _descends(dynamics, "stability_probe")
-    require_nonnegative_finite(gtol=gtol, max_iter=max_iter)
+    require_nonnegative_finite(gtol=gtol, max_iter=max_iter, n_samples=n_samples)
     target = np.asarray(target, dtype=float)
     center = start(f, target, "target")
     if f.catalog_entry(target, "local_min") is None:
@@ -299,8 +305,7 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     runner = _Descent(f, dynamics, max_iter, gtol) if descent else _Flow(f, "forward", dynamics)
 
     dirs = unit_directions(f.dim, n_samples, seed)
-    contain = epsilon * (1.0 + 1e-9)
-    inner = -1.0 if ball is None else ball.s * (1.0 + 1e-9)
+    contain = epsilon * (1.0 + PROBE_SLACK)
     lane = f._lane
 
     def held(prev, t, x, fx):
@@ -309,9 +314,8 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
             dist = lane.norm(lane.sub(x, center))
             if not dist <= contain:
                 return "budget_exhausted", None, t, x, {"stopped_on": "left_ball"}
-            if dist <= inner:
-                return "converged", np.array(target), t, x, {
-                    "stopped_on": "certified_ball", "s": ball.s, "mu_s": ball.mu}
+            if ball is not None and (hit := ball.stop(t, x, dist)) is not None:
+                return hit
             if c is not None and fx < c:
                 return "converged", None, t, x, {"stopped_on": "capture_set", "capture_level": c}
         return None
@@ -459,40 +463,43 @@ def _halvings(f, s, delta, seed_radius):
 
 
 class _Ball(NamedTuple):
-    """The certified ball B_s around a minimum (the module docstring): its
-    radius, mu_s, L_s and the stop event for ``run_gd`` or ``integrate``,
-    which ends a run as converged on its first state within s and names
-    the ball (stopped_on = "certified_ball")."""
+    """The certified ball B_r around a minimum (the module docstring): its
+    radius s = r, mu_r, L_r and its one stop, shared by the probe's starts
+    and a reach's forward run: ``stop(t, x, dist)`` ends a run on a state
+    within s (1 + slack) of the target as converged, the target its limit,
+    naming the ball (stopped_on = "certified_ball", s, mu_s); ``event`` is
+    that stop as a ``march`` event, dist the lane's norm."""
 
     s: float
     mu: float
     L: float
+    stop: object
     event: object
 
 
-def _certified_ball(f, target, tol, epsilon, lam, lam_max=math.inf):
+def _certified_ball(f, target, epsilon, lam, lam_max=math.inf, slack=0.0):
     """The _Ball around a minimum target whose Hessian there has extreme
     eigenvalues lam and lam_max, or None without a Hessian Lipschitz
-    constant or with lam <= 0.  B_s lies in B_epsilon, which the caller has
-    checked lies in the box."""
+    constant or with lam <= 0; its stop takes a state within s (1 + slack).
+    B_r lies in B_epsilon, which the caller has checked lies in the box."""
     M = f.hessian_lipschitz
     if M is None or not lam > 0.0:
         return None
-    s = min(tol, epsilon, lam / (2.0 * M) if M > 0.0 else math.inf)
-    lane = f._lane
-    center = lane.point(target)
+    s = min(epsilon, lam / (2.0 * M) if M > 0.0 else math.inf)
+    mu, inner, lane = lam - M * s, s * (1.0 + slack), f._lane
+    center, named = lane.point(target), {"stopped_on": "certified_ball", "s": s, "mu_s": mu}
 
-    def reached(prev, t, x, fx):
-        if lane.norm(lane.sub(x, center)) <= s:
-            return "converged", np.array(x), t, x, {"stopped_on": "certified_ball"}
-        return None
-    return _Ball(s, lam - M * s, min(f.lipschitz_L, lam_max + M * s), reached)
+    def stop(t, x, dist):
+        return ("converged", np.array(target), t, x, named) if dist <= inner else None
+    return _Ball(s, mu, min(f.lipschitz_L, lam_max + M * s), stop,
+                 lambda prev, t, x, fx: stop(t, x, lane.norm(lane.sub(x, center))))
 
 
-def _ball_certificate(f, traj, ball, dist, descent):
-    """traj, stopped in the ball at distance dist, with its provenance
-    carrying the ball's certificate; a GD run's length bound is its
-    measured length plus the (L_s / mu_s) dist tail, a flow's is None."""
+def _ball_certificate(traj, ball, target, descent):
+    """traj, stopped in the ball at distance dist from the target, with its
+    provenance carrying the ball's certificate; a GD run's length bound is
+    its measured length plus the (L_r / mu_r) dist tail, a flow's is None."""
+    dist = norm(traj.final_x - target)
     length = ((path_length(traj) if len(traj) > 1 else 0.0) + ball.L / ball.mu * dist
               if descent else None)
     cert = {"name": "certified_ball", "s": ball.s, "mu_s": ball.mu, "distance_bound": dist,
@@ -512,11 +519,11 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     be at most delta/2, and the schedule is halved up to ALPHA_SHRINKS times while
     no seed escapes.  Success iff the forward run has a limit (its convergence
     point or level crossing) within tol; the distance is from the limit, else
-    from the last state, and with the ball it is measured by the ball's own
-    norm, so a run stopped in B_s reports at most s.  A minimum whose objective
-    has a Hessian takes one eigh of it at the target (``_spectrum``):
-    lambda_min sizes the certified ball and B_r, lambda_max the ball's L_s, and
-    the seed scan leads with +-v_max, along which an ascent step grows |x -
+    from the last state.  A run stopped in the certified ball B_r has the
+    target as its limit (the module docstring), so it reports 0.  A minimum
+    whose objective has a Hessian takes one eigh of it at the target
+    (``_spectrum``): lambda_min sizes B_r, lambda_max its L_r, and the seed
+    scan leads with +-v_max, along which an ascent step grows |x -
     target| by 1/(1 - alpha lambda_max) and f(a) - f* ~ lambda_max r^2/2 > 0,
     so the orbit's length does not grow with the condition number; the axes
     follow, then the quasi-random directions.  A saddle target reports the
@@ -542,7 +549,7 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
         _require_ball_in_box(f, target, epsilon)
 
     lam, lam_max, v_max = (None,) * 3 if saddle or f.hessian is None else _spectrum(f, target)
-    ball = None if lam is None else _certified_ball(f, target, tol, epsilon, lam, lam_max)
+    ball = None if lam is None else _certified_ball(f, target, epsilon, lam, lam_max)
     source = "given"
     if not saddle:
         delta, source = b.delta_override, "override"
@@ -581,7 +588,7 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
         end = fwd.limit if fwd.limit is not None else fwd.final_x
         dist = norm(end - target)
         if fwd.provenance.get("stopped_on") == "certified_ball":
-            fwd = _ball_certificate(f, fwd, ball, dist, descent)
+            fwd = _ball_certificate(fwd, ball, target, descent)
         status = "success" if fwd.limit is not None and dist <= tol else "no_converge"
     return ReachReport(
         target=target, x0=x0, reverse_part=rev, forward_part=fwd, final_distance=dist,
@@ -662,6 +669,7 @@ def edge_of_stability(f, alpha, x0):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (f.dim,):  # not ``start``: x0 may lie outside the box
         raise ValueError(f"x0 must have dimension {f.dim}")
+    x0 = finite_point(f, x0, "x0")
     star = f.critical_points[0].point
     lam, V = np.linalg.eigh(f.hess(star))
     supported = np.abs(V.T @ (x0 - star)) > 0.0

@@ -132,19 +132,25 @@ def emit(traj):
     return traj
 
 
-def start(f, x0, what="x0"):
-    """x0 as a point of f's lane, checked as every run's start, the point
-    of ``gd_step``, ``prox`` and ``ascent_prox``, an orbit's anchor and a
-    probe's or reach's target are: a ValueError naming ``what`` unless its
-    shape is (dim,) and its coordinates are finite, a LeftBoxError outside
-    the box.  Only later states of :func:`march` count NaN as inside."""
-    x = np.asarray(x0, dtype=float)
+def finite_point(f, x, what="x"):
+    """x as a float array: a ValueError naming ``what`` unless its shape
+    is (dim,) and its coordinates are finite; :func:`start` adds the box."""
+    x = np.asarray(x, dtype=float)
     if x.shape != (f.dim,):
         raise ValueError(f"{what} must have shape ({f.dim},) for dim = {f.dim}, "
                          f"got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite, got {x.tolist()}")
-    x = f._lane.point(x)
+    return x
+
+
+def start(f, x0, what="x0"):
+    """x0 as a point of f's lane, checked as every run's start, the point
+    of ``gd_step``, ``prox`` and ``ascent_prox``, an orbit's anchor and a
+    probe's or reach's target are: :func:`finite_point`, and a
+    LeftBoxError outside the box.  Only later states of :func:`march`
+    count NaN as inside."""
+    x = f._lane.point(finite_point(f, x0, what))
     if not f._lane.inside(x):
         raise LeftBoxError(x, f"{what} outside the operating box")
     return x

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 import basinreach.cli as cli
 from basinreach import serialize
 from basinreach.cli import main
+from basinreach.descent import run_gd
 from basinreach.flow import NoCrossingError
 from basinreach.landscape import LeftBoxError
 from basinreach.schedule import parse_schedule
@@ -145,30 +147,70 @@ def test_rerun_into_its_own_directory_replaces_each_file(tmp_path):
 
 
 def test_reach_replays_to_the_configured_gtol(tmp_path):
-    # at the README's tol the replay of a discrete reach ends on its first
-    # row within s = tol of the target; at a tol below the distance gtol
-    # reaches, it runs on until |grad f| < gtol, and the tol run is a
-    # shorter prefix of that one
+    # the replay of a discrete reach ends on its first row within s = r =
+    # 8/72 of the target, the certified ball's radius, whatever tol: at the
+    # README's tol and at 1e-12 it writes the same rows and reports distance
+    # 0.  A gtol the replay meets before B_r ends it there instead, on a
+    # shorter prefix whose last row is its limit, so the reach fails
     argv = ["reach", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
-            "--schedule", "constant:0.021", "--seed-radius", "1e-3"]
+            "--schedule", "constant:0.002", "--seed-radius", "1e-3"]
     rows = {}
-    for tol, gtol, rc in (("1e-4", "1e-10", 0), ("1e-12", "1e-6", 1)):
-        out = str(tmp_path / tol)
+    for tol, gtol, rc in (("1e-4", "1e-10", 0), ("1e-12", "1e-6", 0), ("1e-4", "1.5", 1)):
+        out = str(tmp_path / gtol)
         extra = [] if gtol == "1e-10" else ["--gtol", gtol]  # 1e-10 is the default
         assert main(argv + ["--tol", tol] + extra + ["--out", out]) == rc
         assert json.loads(read(os.path.join(out, "config.json")))["gtol"] == float(gtol)
-        rows[tol] = read(os.path.join(out, "forward.csv")).splitlines()[1:]
-        last = [[float(c) for c in row.split(b",")] for row in rows[tol][-2:]]
+        rows[gtol] = read(os.path.join(out, "forward.csv")).splitlines()[1:]
+        last = [[float(c) for c in row.split(b",")] for row in rows[gtol][-2:]]
+        distances = [abs(row[2] - 1.0) for row in last]
         report = json.loads(read(os.path.join(out, "reach.json")))
-        if tol == "1e-4":
-            distances = [abs(row[2] - 1.0) for row in last]
-            assert distances[0] > float(tol) >= distances[1] == report["final_distance"]
-            assert report["certificate"]["s"] == float(tol)
+        if rc == 0:
+            cert = report["certificate"]
+            assert cert["s"] == 8.0 / 72.0 > float(tol) and report["final_distance"] == 0.0
+            assert distances[0] > cert["s"] >= distances[1] == cert["distance_bound"]
         else:
-            assert last[0][-1] >= float(gtol) > last[1][-1]
+            assert last[0][-1] >= float(gtol) > last[1][-1] and distances[1] > 8.0 / 72.0
             assert report["status"] == "no_converge" and "certificate" not in report
-    stopped = rows["1e-4"]
-    assert len(stopped) < len(rows["1e-12"]) and rows["1e-12"][:len(stopped)] == stopped
+    stopped, early = rows["1e-10"], rows["1.5"]
+    assert rows["1e-6"] == stopped and len(early) < len(stopped) == 24
+    assert stopped[:len(early)] == early
+
+
+# sha256 of outputs that no minimum replay writes, recorded before minimum
+# replays stopped in B_r: both saddle modes' CSVs and the CI's probes
+SADDLE = ["reach", "--general", "--function", "himmelblau", "--target-index", "8",
+          "--epsilon", "1.0", "--seed-radius", "1e-3", "--tol", "1e-2"]
+UNMOVED = {
+    "saddle-discrete": (SADDLE + ["--schedule", "constant:0.0015"], {
+        "forward.csv": "e25477c5bacdc9ec3190b2d416b7b65ad9b9ec122f5cd72af412b4c799250236",
+        "reverse.csv": "39a15a325a65145dad08eb37c93f3fc10a4f9b455c0048f64eaebfb134e4cb19"}),
+    "saddle-continuous": (SADDLE + ["--mode", "continuous", "--h", "3e-4", "--t-max", "50",
+                                    "--gtol", "1e-6", "--delta", "0.1"], {
+        "forward.csv": "09df40d7cab5169bc7df24aad3b0f7d799a4730f220435d62b49d95f25c3ebc6",
+        "reverse.csv": "d3aa8ef878e01544b3ec1d42cbf30bef9128c5ae52039649914009a548928a0f"}),
+    "dw-probe": (["probe", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
+                  "--schedule", "constant:0.021"], {
+        "probe.json": "a8534633bbe07b69c0d3e6460e8f3c2b816ccddd237fc59a7e65679ab5a2845f"}),
+    "readme-probe": (["probe", "--function", "double_well", "--target", "1", "--epsilon", "0.5",
+                      "--schedule", "constant:0.05"], {
+        "probe.json": "db041d44eb39c619c792982572d32bb48a3b199c83bf96c94e6edcdb4d86d056"}),
+    "hb-probe": (["probe", "--function", "himmelblau", "--target-index", "0", "--epsilon", "1.0",
+                  "--schedule", "constant:0.0015"], {
+        "probe.json": "22353110829aae7c312879c1411399b90dd15498f5a4a6ed299d819c537d1fbf"}),
+    "hb-flow-probe": (["probe", "--mode", "continuous", "--function", "himmelblau",
+                       "--target-index", "0", "--epsilon", "2.0", "--seed", "4", "--h", "1e-2",
+                       "--t-max", "20", "--gtol", "1e-6"], {
+        "probe.json": "f50c032bb55afb935fc75655529ff5f4b7323be9f0975b4d8bf184498168b3d3"}),
+}
+
+
+@pytest.mark.parametrize("name", UNMOVED)
+def test_the_ball_stop_moves_no_other_output(tmp_path, name):
+    argv, digests = UNMOVED[name]
+    out = str(tmp_path / name)
+    assert main(argv + ["--out", out]) == 0
+    for file, digest in digests.items():
+        assert hashlib.sha256(read(os.path.join(out, file))).hexdigest() == digest, file
 
 
 def test_main_reuses_one_parser(tmp_path, capsys):
@@ -216,7 +258,8 @@ def test_reach_continuous_cli(tmp_path):
 
 def test_reverse_csv_columns_follow_the_replay(tmp_path):
     # no seed escapes at the configured step; the orbit and the replay run
-    # at the halved one, and both CSVs step t by it
+    # at the halved one, by which reverse.csv steps t; the replay stops on
+    # x0, in B_r, and run on under reach.json's schedule it steps t the same
     out = str(tmp_path / "halved")
     rc = main(["reach", "--function", "double_well", "--target-index", "2",
                "--epsilon", "0.4", "--seed-radius", "0.02",
@@ -226,16 +269,17 @@ def test_reverse_csv_columns_follow_the_replay(tmp_path):
     for name in ("forward.csv", "reverse.csv"):
         rows = read(os.path.join(out, name)).decode().splitlines()[1:]
         columns[name] = [float(row.split(",")[1]) for row in rows]
-    assert columns["forward.csv"][1] == columns["reverse.csv"][1] == 0.0413 / 2
+    assert columns["forward.csv"] == [0.0] and columns["reverse.csv"][1] == 0.0413 / 2
     # reach.json names the schedule the replay ran, config.json the one asked for
     report = json.loads(read(os.path.join(out, "reach.json")))
     assert report["schedule"] == "constant:0.02065"
     assert parse_schedule(report["schedule"]) == parse_schedule("constant:0.0413").scaled(0.5)
     assert json.loads(read(os.path.join(out, "config.json")))["schedule"] == "constant:0.0413"
     n = len(columns["reverse.csv"])
-    assert n > 2 and columns["reverse.csv"] == columns["forward.csv"][:n]
-    # the batched f and |grad f| columns match each orbit point's own
     f = cli.make_builtin("double_well")
+    full = run_gd(f, report["x0"], parse_schedule(report["schedule"]), gtol=0.0, max_iter=n - 1)
+    assert n > 2 and columns["reverse.csv"] == full.t.tolist()
+    # the batched f and |grad f| columns match each orbit point's own
     for row in read(os.path.join(out, "reverse.csv")).decode().splitlines()[1:]:
         _, _, x, fx, gnorm, _ = row.split(",")
         assert float(fx) == f.value([float(x)]) and float(gnorm) == f.grad_norm([float(x)])

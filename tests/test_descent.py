@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -113,6 +116,20 @@ def test_classify_examples(quad1, dw):
     assert br.classify_limit(quad1, [0.0]).kind == "local_min"
     assert br.classify_limit(dw, [0.0]).kind == "local_max"  # f''(0) = -4
     assert br.classify_limit(dw, [0.5]).kind == "non_stationary"  # f'(0.5) = -1.5
+
+
+@pytest.mark.parametrize("x,message", [
+    ([math.nan], "x must be finite, got [nan]"),
+    ([1.0, 2.0], "x must have shape (1,) for dim = 1, got shape (2,)")])
+def test_classify_rejects_a_bad_point(quad1, x, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        br.classify_limit(quad1, x)
+
+
+def test_classify_takes_a_point_past_the_box(quad1):
+    # limits may sit on the padded box edge, so no box check: a finite point
+    # past the edge is classified, here by its gradient
+    assert br.classify_limit(quad1, quad1.box[:, 1] + 1.0).kind == "non_stationary"
 
 
 def test_classify_saddle(saddle_quad):

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +84,11 @@ def test_probe_rejects_a_bad_gtol_or_max_iter_under_either_dynamics(dw, field, v
             br.stability_probe(dw, [1.0], 0.4, dynamics, **{field: value})
 
 
+def test_probe_rejects_a_negative_n_samples(dw):
+    with pytest.raises(ValueError, match="^n_samples must be nonnegative and finite, got -5$"):
+        br.stability_probe(dw, [1.0], 0.4, br.constant(0.01), n_samples=-5)
+
+
 def test_probe_all_radii_fail():
     # a 3-D objective not known to be quadratic (no hessian_lipschitz) has
     # no capture certificate, so a 2-iteration budget converges nowhere:
@@ -150,7 +157,7 @@ def check_passing_row(row, ref, est, target, eps):
         assert row.limit.tobytes() == ref.limit.tobytes()
         assert stopped_on is None
         return False
-    r, mu = ball_radius(row.provenance["f"], target, math.inf, eps)
+    r, mu = ball_radius(row.provenance["f"], target, eps)
     inside = row_norms(ref.X - target) <= r * (1.0 + 1e-9)
     c = est.capture_level
     below = ref.f < c if c is not None else np.zeros(len(ref), bool)
@@ -255,7 +262,7 @@ def test_probe_state_in_capture_set_at_gtol_converges(dw):
     target, eps, s = np.array([1.0]), 0.3, br.constant(0.08)
     est, runs = probe_runs(dw, target, eps, s, gtol=1.4)
     assert est.delta_hat == eps and est.capture_level == 0.2601 and len(runs) == 2
-    r_ball = ball_radius(dw, target, math.inf, eps)[0]
+    r_ball = ball_radius(dw, target, eps)[0]
     inside, captured = sorted(runs, key=lambda r: abs(r.final_x[0] - 1.0))
     assert abs(inside.final_x[0] - 1.0) <= r_ball < abs(captured.final_x[0] - 1.0)
     assert captured.f[-1] < est.capture_level
@@ -338,7 +345,7 @@ def test_probe_claims_the_limit_in_the_certified_ball_not_in_the_capture_set(him
     assert saddle.kind == "saddle" and norm(saddle.point - target) < eps
     s = br.constant(1.9 / f.lipschitz_L)
     est, runs = probe_runs(f, target, eps, s, seed=4)
-    r_ball, mu = ball_radius(f, target, math.inf, eps)
+    r_ball, mu = ball_radius(f, target, eps)
     kinds = {}
     for r in runs:
         kinds.setdefault(r.provenance.get("stopped_on"), []).append(r)
@@ -508,7 +515,7 @@ def test_runs_from_inside_delta_cert_stay_and_converge(name, params, target, eps
     f, target, _ = certificate(name, params, target, eps)
     L = f.lipschitz_L
     est = br.stability_probe(f, target, eps, br.constant(0.9 / L))
-    r = ball_radius(f, target, math.inf, eps)[0]
+    r = ball_radius(f, target, eps)[0]
     c = est.capture_level
     assert (c is None) == (r == eps)
     k = 0.0 if c is None else math.sqrt(2.0 * (c - f.value(target)) / L)
@@ -536,12 +543,17 @@ def test_reach_discrete_double_well(dw):
 
 
 def test_reach_discrete_replay_consistency(dw):
+    # the replay stops in B_r before the orbit ends; plain run_gd from x0,
+    # of which it is the prefix, follows the whole orbit
     s = br.constant(0.5 / dw.lipschitz_L)
     rep = br.reach_discrete(dw, [1.0], 0.4, s, 1e-3, 1e-4)
     orbit, traj = rep.reverse_part, rep.forward_part
-    assert orbit.start_index == 0
+    assert orbit.start_index == 0 and len(traj) < len(orbit.points)
+    full = br.run_gd(dw, rep.x0, traj.provenance["schedule"], gtol=0.0,
+                     max_iter=len(orbit.points) - 1)
+    assert full.X[:len(traj)].tobytes() == traj.X.tobytes()
     for i, p in enumerate(orbit.points):
-        assert np.linalg.norm(traj.states[i].x - p) <= 1e-8 * (1 + np.linalg.norm(p))
+        assert np.linalg.norm(full.states[i].x - p) <= 1e-8 * (1 + np.linalg.norm(p))
 
 
 def test_reach_discrete_quad_geometric(quad1):
@@ -985,10 +997,13 @@ def test_power_horizon_past_the_box_searches_down(monkeypatch):
 
 
 def test_reach_discrete_no_converge_reported(dw):
-    # an unreachable tolerance: the limit and its distance are still reported
-    s = br.constant(0.5 / dw.lipschitz_L)
+    # an unreachable tolerance: the limit and its distance are still
+    # reported; without M there is no certified ball, so the replay runs to
+    # gtol and its limit is that state, not the target
+    f = dataclasses.replace(dw, hessian_lipschitz=None)
+    s = br.constant(0.5 / f.lipschitz_L)
     budgets = br.ReachBudgets(gtol=1e-6)
-    rep = br.reach_discrete(dw, [1.0], 0.4, s, 1e-3, 1e-12, budgets)
+    rep = br.reach_discrete(f, [1.0], 0.4, s, 1e-3, 1e-12, budgets)
     assert rep.status == "no_converge"
     assert rep.forward_part.terminal_status == "converged"
     assert 1e-12 < rep.final_distance < 1e-5
@@ -1029,11 +1044,11 @@ class Shifted:
         return self.s.alpha(self.m + k)
 
 
-def ball_radius(f, target, tol, eps):
-    """(s, mu_s) recomputed from the module docstring's formula."""
+def ball_radius(f, target, eps):
+    """(s, mu_s) of B_r recomputed from the module docstring's formula."""
     lam = float(np.linalg.eigvalsh(f.hess(target))[0])
     M = f.hessian_lipschitz
-    s = min(tol, eps, lam / (2.0 * M) if M > 0.0 else math.inf)
+    s = min(eps, lam / (2.0 * M) if M > 0.0 else math.inf)
     return s, lam - M * s
 
 
@@ -1050,12 +1065,16 @@ def test_replay_stops_in_the_certified_ball(name, params, index, eps, kind):
     cert = stopped.provenance["certificate"]
     assert rep.status == "success" and stopped.provenance["stopped_on"] == "certified_ball"
     assert cert["name"] == "certified_ball"
-    assert (cert["s"], cert["mu_s"]) == ball_radius(f, target, tol, eps)
+    assert (cert["s"], cert["mu_s"]) == ball_radius(f, target, eps)
+    assert (stopped.provenance["s"], stopped.provenance["mu_s"]) == (cert["s"], cert["mu_s"])
     ball, mu = cert["s"], cert["mu_s"]
-    assert mu >= 0.5 * float(np.linalg.eigvalsh(f.hess(target))[0]) > 0.0
+    assert ball > tol and mu >= 0.5 * float(np.linalg.eigvalsh(f.hess(target))[0]) > 0.0
     r = row_norms(stopped.X - target)
     assert (r[:-1] > ball).all() and r[-1] <= ball
-    assert rep.final_distance == cert["distance_bound"] == r[-1]
+    # the limit is the target by the contraction proof: the report's
+    # distance is 0, the certificate's the stopping state's
+    assert stopped.limit.tobytes() == target.tobytes()
+    assert rep.final_distance == 0.0 and cert["distance_bound"] == r[-1]
 
     # the run without the stop, as before it (up to m + 100 steps): the
     # stopped rows are its prefix
@@ -1081,8 +1100,8 @@ def test_replay_stops_in_the_certified_ball(name, params, index, eps, kind):
     assert (r[1:] <= (1.0 - a * mu) * r[:-1] * (1.0 + 1e-12) + rounding).all()
     # the length bound: the measured prefix plus a tail (L_s / mu_s) r_m at
     # least as long as the continued run's, L_s = min(L, lambda_max + M s)
-    # the top of the Hessian spectrum on B_s: L itself on quad, 2.4-4.1x
-    # below it on himmelblau
+    # the top of the Hessian spectrum on B_s: L itself on quad, 1.9x below
+    # it on double_well and 1.9-3.5x on himmelblau
     prefix = br.path_length(stopped) if m else 0.0
     lam_max = float(np.linalg.eigvalsh(f.hess(target))[-1])
     L_s = min(f.lipschitz_L, lam_max + f.hessian_lipschitz * ball)
@@ -1099,15 +1118,17 @@ def test_replay_stops_in_the_certified_ball(name, params, index, eps, kind):
 ], ids=["double_well", "quad", "himmelblau"])
 def test_forward_flow_stops_in_the_certified_ball(name, params, target, eps, h):
     # the stopped flow is a prefix of the flow to gtol, whose later states
-    # stay in B_s and draw nearer the target; flows carry no length bound
+    # stay in B_r and draw nearer the target; flows carry no length bound
     f = br.make_builtin(name, params)
     st = br.FlowSettings(h=h, t_max=20.0, gtol=1e-6)
     rep = br.reach_continuous(f, target, eps, st, 1e-3, 1e-4)
     stopped = rep.forward_part
     cert = stopped.provenance["certificate"]
     assert rep.status == "success" and stopped.provenance["stopped_on"] == "certified_ball"
-    assert cert["length_bound"] is None
-    assert rep.final_distance == cert["distance_bound"] <= cert["s"] == 1e-4
+    assert cert["length_bound"] is None and cert["s"] == ball_radius(f, target, eps)[0]
+    assert stopped.limit.tolist() == target and rep.final_distance == 0.0
+    r = row_norms(stopped.X - np.array(target))
+    assert (r[:-1] > cert["s"]).all() and cert["distance_bound"] == r[-1] <= cert["s"]
     full = br.integrate(f, rep.x0, "forward", st)
     m = len(stopped) - 1
     assert full.X[:m + 1].tobytes() == stopped.X.tobytes()
@@ -1132,10 +1153,11 @@ def test_objective_without_hessian_lipschitz_replays_to_gtol(himmelblau):
     assert "certificate" not in reach_report_json(rep)
 
 
-def test_final_distance_is_the_stop_event_s_norm(himmelblau):
-    # the stop event and the report measure |x - target| by the same
-    # landscape.norm, so a state the event accepts is reported within s =
-    # tol, never one rounding bit past it (np.linalg.norm can differ there)
+def test_distance_bound_is_the_stop_event_s_norm(himmelblau):
+    # the stop event and the certificate measure |x - target| by the same
+    # landscape.norm, so the state the event accepts is certified within s,
+    # never one rounding bit past it (np.linalg.norm can differ there); the
+    # report's distance is from the limit, the target itself
     lane = himmelblau._lane
     for i, seed_radius in itertools.product(range(4), (5e-4, 1e-3, 2e-3)):
         target = [cp.point for cp in himmelblau.critical_points if cp.kind == "local_min"][i]
@@ -1143,8 +1165,56 @@ def test_final_distance_is_the_stop_event_s_norm(himmelblau):
                                 seed_radius, 1e-4)
         x = rep.forward_part.final_x
         d = norm(lane.sub(lane.point(x), lane.point(target)))
-        assert rep.status == "success" and rep.final_distance == d <= 1e-4
-        assert rep.forward_part.provenance["certificate"]["distance_bound"] == d
+        cert = rep.forward_part.provenance["certificate"]
+        assert rep.status == "success" and rep.final_distance == 0.0
+        assert cert["distance_bound"] == d <= cert["s"]
+
+
+@pytest.mark.parametrize("name,params,target,eps,dynamics,n", [
+    ("double_well", (), [1.0], 0.4, br.constant(0.002), 24),
+    ("double_well", (), [-1.0], 0.4, br.power(0.004, 0.5), None),
+    ("himmelblau", (), [3.0, 2.0], 1.0, br.power(0.5 / br.make_builtin("himmelblau").lipschitz_L,
+                                                 0.5), 2),
+    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, br.power(0.1, 0.5), 1),
+    ("quad", (1.0, 25.0), [0.0, 0.0], 1.0, br.constant(0.02), 1),
+    ("double_well", (), [-1.0], 0.4, br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6), None),
+    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6), 2),
+    ("himmelblau", (), [3.0, 2.0], 1.0, br.FlowSettings(h=3e-4, t_max=20.0, gtol=1e-6), None),
+], ids=["dw-constant", "dw-power", "himmelblau-power", "quad-power", "quad-constant",
+        "dw-flow", "quad-flow", "himmelblau-flow"])
+def test_the_stop_comes_as_early_as_the_proof_allows(name, params, target, eps, dynamics, n):
+    # every state before the stop lies outside r, the last within it, and
+    # the limit is the target.  A quad replay (M = 0, so r = eps >= delta)
+    # stops on x0; the quad flow's x0 lies on the eps-sphere up to its
+    # location, just outside r, and one step takes it in
+    f = br.make_builtin(name, params)
+    target = np.array(target)
+    r = ball_radius(f, target, eps)[0]
+    reach = br.reach_continuous if isinstance(dynamics, br.FlowSettings) else br.reach_discrete
+    for seed_radius in (5e-4, 1e-3, 2e-3):
+        rep = reach(f, target, eps, dynamics, seed_radius, 1e-4)
+        fwd = rep.forward_part
+        d = row_norms(fwd.X - target)
+        assert (d[:-1] > r).all() and d[-1] <= r and len(fwd) == (n or len(fwd))
+        assert rep.final_distance == 0.0 and fwd.limit.tobytes() == target.tobytes()
+
+
+# the replay of the reach below, recorded before minimum replays stopped in B_r
+NO_M_ROWS, NO_M_DISTANCE = 157, 3.415138032045799e-10
+NO_M_DIGEST = "8343ab402ecf5a05bffcf886c670dc727e4fff3fd6b32127f07238e13f3ecd9d"
+
+
+def test_an_objective_without_m_reaches_as_before(himmelblau):
+    # no certified ball, so the tol and gtol stops of the replay are as
+    # they were before the ball stop came: the same rows and limit, bit
+    # for bit (sha256 of its columns and limit)
+    f = dataclasses.replace(himmelblau, hessian_lipschitz=None)
+    rep = br.reach_discrete(f, [3.0, 2.0], 1.0, br.constant(0.5 / f.lipschitz_L), 1e-3, 1e-4)
+    fwd = rep.forward_part
+    columns = b"".join(getattr(fwd, c).tobytes() for c in ("t", "X", "f", "gnorm"))
+    digest = hashlib.sha256(columns + fwd.limit.tobytes()).hexdigest()
+    assert (len(fwd), rep.final_distance) == (NO_M_ROWS, NO_M_DISTANCE)
+    assert digest == NO_M_DIGEST
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
@@ -1436,3 +1506,11 @@ def test_eos_rejects_non_quad(dw):
 def test_eos_rejects_a_bad_alpha_or_x0(quad1, alpha, x0, message):
     with pytest.raises(ValueError, match=message):
         br.edge_of_stability(quad1, alpha, x0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_eos_rejects_a_non_finite_x0(quad1, bad):
+    # an input error, named as such, not a contradiction between the
+    # spectral verdict and the iteration check
+    with pytest.raises(ValueError, match=re.escape(f"x0 must be finite, got [{bad}]")):
+        br.edge_of_stability(quad1, 0.5, [bad])
