@@ -6,8 +6,7 @@ reachability, path-length and sharpness-exclusion experiments around it.
 
 from .descent import Classification, classify_limit, descent_certificate_violations, gd_step, run_gd
 from .flow import (DesingularizationModel, FlowSettings, NoCrossingError,
-                   check_length_bound, integrate, integrate_minnorm, path_length,
-                   sphere_exit)
+                   check_length_bound, integrate, integrate_minnorm, path_length)
 from .landscape import (BUILTIN_NAMES, CriticalPoint, LeftBoxError, ObjectiveFunction,
                         make_builtin, min_norm_element, refine_critical_point)
 from .reach import (ReachBudgets, ReachReport, StabilityEstimate, edge_of_stability,
@@ -28,5 +27,5 @@ __all__ = [
     "gd_step", "integrate", "integrate_minnorm", "make_builtin", "min_norm_element",
     "parse_schedule", "path_length", "power", "prox", "prox_certificates",
     "reach_continuous", "reach_discrete", "reach_general", "record_trajectories",
-    "refine_critical_point", "reverse_orbit", "run_gd", "sphere_exit", "stability_probe",
+    "refine_critical_point", "reverse_orbit", "run_gd", "stability_probe",
 ]

@@ -304,14 +304,18 @@ def integrate_minnorm(f, x0, level, settings):
 
 
 def _sphere_exit_detail(f, x0, direction, center, delta, settings):
-    """(t_exit, b, trajectory-so-far): first crossing of the delta-sphere."""
+    """(t_exit, b, trajectory-so-far): the flow from x0, inside the
+    delta-sphere around center, to its first crossing b of that sphere,
+    located on the dense output with | |b - center| - delta | <= 1e-8
+    delta.  NoCrossingError when it stops inside (t_max, or a stationary
+    point), LeftBoxError when it leaves the box first."""
     lane = f._lane
     flow = _Flow(f, direction, settings)
     center = lane.point(center)
     past = lambda y: lane.norm(lane.sub(y, center)) - delta  # signed distance past the sphere
     x0 = start(f, x0)
     if not past(x0) < 0.0:
-        raise ValueError("sphere_exit requires |x0 - center| < delta")
+        raise ValueError("a sphere exit requires |x0 - center| < delta")
 
     def crossed(prev, t, x, fx):
         r = past(x)
@@ -329,15 +333,6 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings):
                 f"no crossing of the {delta}-sphere within t_max = {settings.t_max}")
         raise NoCrossingError("forward flow reached a stationary point inside the sphere")
     return steps[-1][0], b.copy(), recorded(f, steps, status, b, stop, flow.provenance)
-
-
-def sphere_exit(f, x0, direction, center, delta, settings):
-    """Integrate until |x(t) - center| >= delta, then locate the crossing.
-
-    Returns (t_exit, b) with | |b - center| - delta | <= 1e-8 * delta.
-    Raises NoCrossingError when t_max is exhausted first.
-    """
-    return _sphere_exit_detail(f, x0, direction, center, delta, settings)[:2]
 
 
 def path_length(traj):

@@ -18,19 +18,33 @@ target| on the convex box, so one ascent step from B_rho lands in B_delta,
 and with a constant schedule x0 is the first orbit point outside B_rho;
 capture rests on the direct check |x0 - target| <= delta, not on that bound.
 
-A minimum reach stops its forward run on its first state in the certified
-ball B_r, r = min(epsilon, lambda_min / (2M)) (epsilon when M = 0), with
-lambda_min = lambda_min(hess f(target)) > 0 and M the objective's
-``hessian_lipschitz``; B_r lies in B_epsilon, which must fit in the box.
-On B_r every Hessian has its spectrum in [mu_r, L], mu_r = lambda_min - M
-r >= lambda_min / 2 (Nesterov & Polyak 2006, Math. Program. 108, Lemma 1).
-A GD step gives x_{k+1} - x* = (I - alpha_k H_k)(x_k - x*), H_k the mean
-Hessian on the segment from x* to x_k, so with sup alpha < 1/L |x_{k+1} -
-x*| <= (1 - alpha_k mu_r) |x_k - x*|: B_r is invariant and a nonsummable
-schedule drives the iterates to the target itself.  The exact flow has
-d/dt |x - x*|^2 <= -2 mu_r |x - x*|^2; DOP853 follows it to its accuracy,
-the standard the probe's capture set rests on too.  So the run ends there
-as converged, its limit the target by proof rather than by a tolerance,
+The certificate of a minimum (``_Basin``, built once by each probe and
+each minimum reach) has two sets.  The certified ball B_r, r = min(epsilon,
+lambda_min / (2M)) (epsilon when M = 0), with lambda_min = lambda_min(hess
+f(target)) > 0 and M the objective's ``hessian_lipschitz``; B_r lies in
+B_epsilon, which must fit in the box.  On B_r every Hessian has its
+spectrum in [mu_r, L], mu_r = lambda_min - M r >= lambda_min / 2
+(Nesterov & Polyak 2006, Math. Program. 108, Lemma 1).  A GD step gives
+x_{k+1} - x* = (I - alpha_k H_k)(x_k - x*), H_k the mean Hessian on the
+segment from x* to x_k, so with alpha_k < 2/L |x_{k+1} - x*| <= max(1 -
+alpha_k mu_r, alpha_k L - 1) |x_k - x*|, (1 - alpha_k mu_r) |x_k - x*|
+once alpha_k < 1/L: B_r is invariant and a nonsummable schedule drives the
+iterates to the target itself.  The exact flow has d/dt |x - x*|^2 <= -2
+mu_r |x - x*|^2; DOP853 follows it to its accuracy.  Without a Hessian or
+M there is no B_r.  The capture set K = {x in B_epsilon : f(x) < c}, for
+1-D and 2-D objectives whose B_r is not all of B_epsilon (where K would
+add nothing), c a certified lower bound of f on the epsilon-sphere
+(``_capture_level``).  With alpha < 2/L the descent lemma gives f(x - t
+alpha g) <= f(x) < c for t in [0, 1], so a GD step from K never crosses
+the sphere; the exact flow is monotone in f.  In K, sum alpha_k (1 -
+alpha_k L/2) |g_k|^2 < inf, so a nonsummable schedule forces liminf |g_k|
+= 0: a captured run stays in B_epsilon and reaches any gtol; its limit is
+not claimed.  As f(x) <= f* + L |x - x*|^2 / 2, every start within
+delta_cert = max(sqrt(2 (c - f*)/L), r) of the target lies in K or B_r;
+delta_cert is None where neither certifies a positive radius.
+
+A minimum reach stops its forward run on its first state in B_r as
+converged, its limit the target by proof rather than by a tolerance,
 final_distance 0, with provenance stopped_on = "certified_ball", s = r,
 mu_s = mu_r and a ``certificate``: s, mu_s,
 distance_bound = |x_m - x*| <= s, observed on the stopping state x_m,
@@ -40,17 +54,17 @@ spectrum on B_r (lambda_max = lambda_max(hess f(target)); the Hessian
 moves by at most M r there), as the tail sum_k alpha_k |grad f(x_k)| <=
 L_r sum_k alpha_k |x_k - x*| telescopes against the contraction.  The
 probe's starts stop by the same test with a relative rounding slack
-PROBE_SLACK on r; the reach's has none, so distance_bound <= s exactly.
-Saddle targets, objectives without M and the run and eos procedures keep
-running to gtol.
+PROBE_SLACK on r, and in K; the reach's has none, so distance_bound <= s
+exactly.  Saddle targets, objectives without M and the run and eos
+procedures keep running to gtol.
 """
 
 import dataclasses
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,19 +141,6 @@ class ReachBudgets:
             delta_override=0.0 if self.delta_override is None else self.delta_override)
 
 
-def _ball_fits_box(f, center, radius):
-    lo = f.box[:, 0]
-    hi = f.box[:, 1]
-    return bool(np.all(center - radius >= lo - 1e-12) and np.all(center + radius <= hi + 1e-12))
-
-
-def _require_ball_in_box(f, target, epsilon):
-    """The one check of every minimum reach and probe, made before either
-    picks a radius, so each ball they certify inside B_epsilon fits too."""
-    if not _ball_fits_box(f, target, epsilon):
-        raise ValueError("B_epsilon(target) must fit inside the operating box")
-
-
 # points of the circle grid behind the 2-D capture certificate, and the
 # stride of its coarse pass
 CAPTURE_GRID = 256
@@ -211,20 +212,74 @@ def _capture_level(f, target, epsilon):
     return float(min(c1, floor(fill)[2].min()))
 
 
-def _certified_radius(f, target, epsilon, lam=None):
-    """(B_r, c, delta_cert) of ``stability_probe`` around a minimum, each
-    None where there is none, B_r's stop with the probe's slack; lam,
-    lambda_min(hess f(target)), is taken here unless given.  The caller has
-    checked that B_epsilon(target) is in the box (``_require_ball_in_box``)."""
-    if lam is None and f.hessian is not None and f.hessian_lipschitz is not None:
-        lam = _spectrum(f, target)[0]
-    ball = None if lam is None else _certified_ball(f, target, epsilon, lam, slack=PROBE_SLACK)
-    c = None if ball is not None and ball.s >= epsilon else _capture_level(f, target, epsilon)
-    radii = [] if ball is None else [ball.s]
-    if c is not None:
-        f_star = f.catalog_entry(target, "local_min").f_value
-        radii.append(math.sqrt(2.0 * max(c - f_star, 0.0) / f.lipschitz_L))
-    return ball, c, max(radii, default=None)
+class _Basin:
+    """The certificate around a cataloged local minimum (the module
+    docstring), built once per probe and per minimum reach.  Building it
+    makes the checks both share, in this order: the target as a start, its
+    catalog entry (``what`` names the target in that message), epsilon, and
+    B_epsilon inside the box.  Each part is taken on first use, so an
+    unread one costs nothing: ``spectrum``, the one eigh of hess f(target)
+    (``_spectrum``, None without a Hessian); ``ball``, (s, mu_s, L_s) of
+    B_r, s = r, None without M or a Hessian or with lambda_min <= 0; and
+    ``certificate``, (c, delta_cert), the capture grid's only caller.
+
+    ``hit(t, x)`` ends a run on a state x in B_r as converged, the target
+    its limit, naming the ball (stopped_on = "certified_ball", s, mu_s);
+    ``event`` is the reach's stop as a ``march`` event, at |x - target| <=
+    s by the lane's norm; ``certify(traj, descent)`` adds the certificate to
+    a run it stopped: a GD run's length bound is its measured length plus
+    the (L_s / mu_s) |x_m - x*| tail, a flow's is None."""
+
+    def __init__(self, f, target, epsilon, what):
+        self.center = start(f, target, "target")
+        entry = f.catalog_entry(target, "local_min")
+        if entry is None:
+            raise ValueError(f"{what} must be a cataloged local minimum")
+        require_positive_finite(epsilon=epsilon)
+        if not (np.all(target - epsilon >= f.box[:, 0] - 1e-12)
+                and np.all(target + epsilon <= f.box[:, 1] + 1e-12)):
+            raise ValueError("B_epsilon(target) must fit inside the operating box")
+        self.f, self.target, self.epsilon, self.f_star = f, target, epsilon, entry.f_value
+
+    @cached_property
+    def spectrum(self):
+        return None if self.f.hessian is None else _spectrum(self.f, self.target)
+
+    @cached_property
+    def ball(self):
+        M = self.f.hessian_lipschitz
+        if M is None or self.spectrum is None or not self.spectrum[0] > 0.0:
+            return None
+        lam, lam_max, _ = self.spectrum
+        s = min(self.epsilon, lam / (2.0 * M) if M > 0.0 else math.inf)
+        return s, lam - M * s, min(self.f.lipschitz_L, lam_max + M * s)
+
+    @cached_property
+    def certificate(self):
+        # c only where B_r is not all of B_epsilon; a zero radius is none
+        r = self.ball[0] if self.ball else 0.0
+        c = None if r >= self.epsilon else _capture_level(self.f, self.target, self.epsilon)
+        if c is not None:
+            r = max(r, math.sqrt(2.0 * max(c - self.f_star, 0.0) / self.f.lipschitz_L))
+        return c, r or None
+
+    def hit(self, t, x):
+        s, mu, _ = self.ball
+        return ("converged", np.array(self.target), t, x,
+                {"stopped_on": "certified_ball", "s": s, "mu_s": mu})
+
+    def event(self, prev, t, x, fx):
+        lane = self.f._lane
+        return self.hit(t, x) if lane.norm(lane.sub(x, self.center)) <= self.ball[0] else None
+
+    def certify(self, traj, descent):
+        s, mu, L = self.ball
+        dist = norm(traj.final_x - self.target)
+        length = ((path_length(traj) if len(traj) > 1 else 0.0) + L / mu * dist
+                  if descent else None)
+        cert = {"name": "certified_ball", "s": s, "mu_s": mu, "distance_bound": dist,
+                "length_bound": length}
+        return dataclasses.replace(traj, provenance=dict(traj.provenance, certificate=cert))
 
 
 def _descends(dynamics, what):
@@ -262,51 +317,31 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     would report it.  A run stops on its first state in K or B_r; a state
     in both is reported as in B_r, the stronger claim.
 
-    Certified ball: B_r is the reach's certified ball (the module
-    docstring), r = min(epsilon, lambda_min / (2M)), epsilon when M = 0,
-    and a start stops in it by the reach's own stop; on it the Hessian
-    spectrum lies in [mu_r, L].  A GD step with
-    alpha < 2/L multiplies |x - x*| by at most max(1 - alpha mu_r, alpha L
-    - 1) < 1 and the exact flow by exp(-mu_r t), so a run that enters B_r
-    converges to the target itself (DOP853 follows the flow to its
-    accuracy).  A state counts as in B_r up to the containment test's
-    rounding slack, a relative 1e-9, which lowers mu_r by at most 1e-9 M
-    r: a sphere start at radius r = epsilon passes at once.  Without a
-    Hessian or M there is no B_r.
-
-    Capture set: for 1-D and 2-D objectives ``capture_level`` c is a
-    certified lower bound of f on the epsilon-sphere (``_capture_level``:
-    in 2-D the Lipschitz floor of a circle grid, taken in a coarse and a
-    fill pass that evaluate only the grid points a Lipschitz bound cannot
-    rule out), and a run passes once it enters K = {x in B_epsilon : f(x) <
-    c}.  With alpha < 2/L the descent lemma gives f(x - t alpha g) <= f(x)
-    < c for t in [0, 1], so a GD step from K never crosses the sphere; the
-    exact flow is monotone in f (DOP853 follows it to its accuracy).  In K,
-    sum alpha_k (1 - alpha_k L/2) |g_k|^2 < inf, so a nonsummable schedule
-    forces liminf |g_k| = 0: a captured run stays in B_epsilon and reaches
-    gtol for all time, not only within budget.  That its limit is the
-    target is not claimed for K; the full runs do not check it either.  c
-    is not taken when B_r is all of B_epsilon (as when M = 0), where K adds
-    nothing.  Every start within ``delta_cert`` = max(sqrt(2 (c - f*)/L),
-    r) of the target lies in K or B_r (r alone without c, None without
-    either).
+    B_r and K are the certificate of the module docstring (``_Basin``):
+    a run that enters B_r converges to the target itself, one that enters
+    K stays in B_epsilon and reaches gtol for all time, not only within
+    budget; that its limit is the target is not claimed for K, and the
+    full runs do not check it either.  The probe's starts stop in B_r by
+    the reach's own test with a relative rounding slack PROBE_SLACK, as
+    its B_epsilon test has, which lowers mu_r by at most PROBE_SLACK M r:
+    a sphere start at radius r = epsilon passes at once.  The estimate
+    reports c as ``capture_level`` and ``delta_cert``, each None where
+    there is none.
     """
     descent = _descends(dynamics, "stability_probe")
     require_nonnegative_finite(gtol=gtol, max_iter=max_iter, n_samples=n_samples)
     target = np.asarray(target, dtype=float)
-    center = start(f, target, "target")
-    if f.catalog_entry(target, "local_min") is None:
-        raise ValueError("probe target must be a cataloged local minimum")
-    require_positive_finite(epsilon=epsilon)
-    _require_ball_in_box(f, target, epsilon)
-    ball, c, delta_cert = _certified_radius(f, target, epsilon)
+    basin = _Basin(f, target, epsilon, "probe target")
     if descent:
         require_admissible(dynamics, f, "stability", "discrete probe")
     runner = _Descent(f, dynamics, max_iter, gtol) if descent else _Flow(f, "forward", dynamics)
 
     dirs = unit_directions(f.dim, n_samples, seed)
+    lane, center = f._lane, basin.center
+    c, delta_cert = basin.certificate
+    # B_epsilon and B_r (-inf: none) with the rounding slack
     contain = epsilon * (1.0 + PROBE_SLACK)
-    lane = f._lane
+    inner = basin.ball[0] * (1.0 + PROBE_SLACK) if basin.ball else -math.inf
 
     def held(prev, t, x, fx):
         # inside the box: the epsilon-ball decides a failure, B_r or K a pass
@@ -314,8 +349,8 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
             dist = lane.norm(lane.sub(x, center))
             if not dist <= contain:
                 return "budget_exhausted", None, t, x, {"stopped_on": "left_ball"}
-            if ball is not None and (hit := ball.stop(t, x, dist)) is not None:
-                return hit
+            if dist <= inner:
+                return basin.hit(t, x)
             if c is not None and fx < c:
                 return "converged", None, t, x, {"stopped_on": "capture_set", "capture_level": c}
         return None
@@ -462,51 +497,6 @@ def _halvings(f, s, delta, seed_radius):
         s = s.scaled(0.5)
 
 
-class _Ball(NamedTuple):
-    """The certified ball B_r around a minimum (the module docstring): its
-    radius s = r, mu_r, L_r and its one stop, shared by the probe's starts
-    and a reach's forward run: ``stop(t, x, dist)`` ends a run on a state
-    within s (1 + slack) of the target as converged, the target its limit,
-    naming the ball (stopped_on = "certified_ball", s, mu_s); ``event`` is
-    that stop as a ``march`` event, dist the lane's norm."""
-
-    s: float
-    mu: float
-    L: float
-    stop: object
-    event: object
-
-
-def _certified_ball(f, target, epsilon, lam, lam_max=math.inf, slack=0.0):
-    """The _Ball around a minimum target whose Hessian there has extreme
-    eigenvalues lam and lam_max, or None without a Hessian Lipschitz
-    constant or with lam <= 0; its stop takes a state within s (1 + slack).
-    B_r lies in B_epsilon, which the caller has checked lies in the box."""
-    M = f.hessian_lipschitz
-    if M is None or not lam > 0.0:
-        return None
-    s = min(epsilon, lam / (2.0 * M) if M > 0.0 else math.inf)
-    mu, inner, lane = lam - M * s, s * (1.0 + slack), f._lane
-    center, named = lane.point(target), {"stopped_on": "certified_ball", "s": s, "mu_s": mu}
-
-    def stop(t, x, dist):
-        return ("converged", np.array(target), t, x, named) if dist <= inner else None
-    return _Ball(s, mu, min(f.lipschitz_L, lam_max + M * s), stop,
-                 lambda prev, t, x, fx: stop(t, x, lane.norm(lane.sub(x, center))))
-
-
-def _ball_certificate(traj, ball, target, descent):
-    """traj, stopped in the ball at distance dist from the target, with its
-    provenance carrying the ball's certificate; a GD run's length bound is
-    its measured length plus the (L_r / mu_r) dist tail, a flow's is None."""
-    dist = norm(traj.final_x - target)
-    length = ((path_length(traj) if len(traj) > 1 else 0.0) + ball.L / ball.mu * dist
-              if descent else None)
-    cert = {"name": "certified_ball", "s": ball.s, "mu_s": ball.mu, "distance_bound": dist,
-            "length_bound": length}
-    return dataclasses.replace(traj, provenance=dict(traj.provenance, certificate=cert))
-
-
 def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     """The one reach pipeline: checks, ascent seed, escape, forward run and
     report, by gradient descent under a StepSchedule or DOP853 flow under
@@ -522,7 +512,7 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     from the last state.  A run stopped in the certified ball B_r has the
     target as its limit (the module docstring), so it reports 0.  A minimum
     whose objective has a Hessian takes one eigh of it at the target
-    (``_spectrum``): lambda_min sizes B_r, lambda_max its L_r, and the seed
+    (``_Basin.spectrum``): lambda_min sizes B_r, lambda_max its L_r, and the seed
     scan leads with +-v_max, along which an ascent step grows |x -
     target| by 1/(1 - alpha lambda_max) and f(a) - f* ~ lambda_max r^2/2 > 0,
     so the orbit's length does not grow with the condition number; the axes
@@ -535,26 +525,24 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     descent = _descends(dynamics, name)
     b = budgets or ReachBudgets()
     target = np.asarray(target, dtype=float)
-    start(f, target, "target")
-    if f.catalog_entry(target, "saddle" if saddle else "local_min") is None:
-        raise ValueError(f"target must be a cataloged {'saddle' if saddle else 'local minimum'}")
-    if saddle and (kind := classify_limit(f, target).kind) != "saddle":
-        raise ValueError(f"classify_limit disagrees with the catalog: {kind}")
+    if saddle:
+        start(f, target, "target")
+        if f.catalog_entry(target, "saddle") is None:
+            raise ValueError("target must be a cataloged saddle")
+        if (kind := classify_limit(f, target).kind) != "saddle":
+            raise ValueError(f"classify_limit disagrees with the catalog: {kind}")
+    basin = None if saddle else _Basin(f, target, epsilon, "target")
     require_positive_finite(epsilon=epsilon, seed_radius=seed_radius, tol=tol)
     if saddle and not seed_radius < delta <= epsilon:
         raise ValueError("need 0 < seed_radius < delta <= epsilon")
     if descent:
         require_admissible(dynamics, f, "prox", name)
-    if not saddle:
-        _require_ball_in_box(f, target, epsilon)
 
-    lam, lam_max, v_max = (None,) * 3 if saddle or f.hessian is None else _spectrum(f, target)
-    ball = None if lam is None else _certified_ball(f, target, epsilon, lam, lam_max)
     source = "given"
     if not saddle:
         delta, source = b.delta_override, "override"
         if delta is None:
-            delta, source = _certified_radius(f, target, epsilon, lam)[2], "certified"
+            delta, source = basin.certificate[1], "certified"
         if delta is None:
             probed = constant(dynamics.sup_alpha) if descent else dynamics
             delta = stability_probe(f, target, epsilon, probed, b.probe_samples, b.seed).delta_hat
@@ -569,7 +557,8 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
         gtol = b.gtol if b.gtol is not None else min(1e-8, 1e-3 * tol)
         scales = (_halvings(f, dynamics, delta, seed_radius) if descent and not saddle
                   else [(delta, dynamics)])
-        lead = () if v_max is None else (v_max, -v_max)
+        spectrum = basin and basin.spectrum
+        lead = (spectrum[2], -spectrum[2]) if spectrum else ()
         found = _first_escape(f, target, seed_radius, level, b.seed, not saddle, lead, scales,
                               epsilon if saddle else delta, b.kbar_max)
     if found is None:
@@ -577,7 +566,7 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
         rho, dist, status = float("nan"), float("inf"), "no_escape"
     else:
         a, rho, dyn, (x0, rev) = found
-        event = ball.event if ball else None
+        event = basin.event if basin and basin.ball else None
         if saddle:
             fwd = (_run_to_level(f, x0, dyn, level, gtol, b.max_iter)[0] if descent
                    else integrate_minnorm(f, x0, level, dyn))
@@ -588,7 +577,7 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
         end = fwd.limit if fwd.limit is not None else fwd.final_x
         dist = norm(end - target)
         if fwd.provenance.get("stopped_on") == "certified_ball":
-            fwd = _ball_certificate(fwd, ball, target, descent)
+            fwd = basin.certify(fwd, descent)
         status = "success" if fwd.limit is not None and dist <= tol else "no_converge"
     return ReachReport(
         target=target, x0=x0, reverse_part=rev, forward_part=fwd, final_distance=dist,

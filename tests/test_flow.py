@@ -398,23 +398,24 @@ def test_minnorm_euler_stall_approaches_the_crossing(himmelblau):
 # --- sphere exit ---------------------------------------------------------------
 
 def test_sphere_exit_exact(quad1):
-    t_exit, b = br.sphere_exit(quad1, [0.5], "reverse", [0.0], 1.0,
-                               settings(t_max=5.0))
+    t_exit, b = flow._sphere_exit_detail(quad1, [0.5], "reverse", [0.0], 1.0,
+                                         settings(t_max=5.0))[:2]
     assert abs(t_exit - math.log(2.0)) <= 1e-6
     assert abs(abs(b[0]) - 1.0) <= 1e-8
 
 
 def test_sphere_exit_boundary_start(quad1):
     r = 1.0 - 1e-12
-    t_exit, b = br.sphere_exit(quad1, [r], "reverse", [0.0], 1.0, settings(t_max=5.0))
+    t_exit, b = flow._sphere_exit_detail(quad1, [r], "reverse", [0.0], 1.0,
+                                         settings(t_max=5.0))[:2]
     assert 0.0 <= t_exit <= 1e-3
     assert abs(abs(b[0]) - 1.0) <= 1e-8
 
 
 def test_sphere_exit_no_crossing_forward(quad1):
     with pytest.raises(br.NoCrossingError):
-        br.sphere_exit(quad1, [0.5], "forward", [0.0], 2.0,
-                       settings(t_max=3.0, gtol=1e-8))
+        flow._sphere_exit_detail(quad1, [0.5], "forward", [0.0], 2.0,
+                                 settings(t_max=3.0, gtol=1e-8))
 
 
 @pytest.mark.parametrize("direction,delta,st,exc,message", [
@@ -423,7 +424,7 @@ def test_sphere_exit_no_crossing_forward(quad1):
 ], ids=["stationary", "left-box"])
 def test_sphere_exit_stops_inside_the_sphere(quad1, direction, delta, st, exc, message):
     with pytest.raises(exc, match=message):
-        br.sphere_exit(quad1, [0.5], direction, [0.0], delta, st)
+        flow._sphere_exit_detail(quad1, [0.5], direction, [0.0], delta, st)
 
 
 def test_sphere_exit_postcondition_sweep(quad14):
@@ -434,13 +435,13 @@ def test_sphere_exit_postcondition_sweep(quad14):
         delta = rng.uniform(0.5, 2.0)
         if np.linalg.norm(x0) >= delta:
             continue
-        _, b = br.sphere_exit(quad14, x0, "reverse", [0.0, 0.0], delta, st)
+        _, b = flow._sphere_exit_detail(quad14, x0, "reverse", [0.0, 0.0], delta, st)[:2]
         assert abs(np.linalg.norm(b) - delta) <= 1e-8 * delta
 
 
 def test_sphere_exit_requires_interior_start(quad1):
     with pytest.raises(ValueError):
-        br.sphere_exit(quad1, [1.5], "reverse", [0.0], 1.0, settings())
+        flow._sphere_exit_detail(quad1, [1.5], "reverse", [0.0], 1.0, settings())
 
 
 def test_sphere_exit_start_on_the_sphere_by_its_own_radius(quad14):
@@ -450,7 +451,8 @@ def test_sphere_exit_start_on_the_sphere_by_its_own_radius(quad14):
     delta = 0.30045673842683474
     assert np.linalg.norm(x0) < delta <= norm(x0)
     with pytest.raises(ValueError, match="requires"):
-        br.sphere_exit(quad14, x0, "reverse", [0.0, 0.0], delta, settings(h=1e-2, t_max=5.0))
+        flow._sphere_exit_detail(quad14, x0, "reverse", [0.0, 0.0], delta,
+                                 settings(h=1e-2, t_max=5.0))
 
 
 # --- path length and the KL bound ----------------------------------------------
@@ -556,6 +558,6 @@ def test_sphere_crossings_land_on_the_sphere(f):
             else:  # down to the minimum, which lies outside the sphere
                 x0 = center + rng.uniform(0.6, 1.0) * delta * d
                 c = x0 + 0.5 * delta * d
-            t_exit, b = br.sphere_exit(f, x0, direction, c, delta, st)
+            t_exit, b = flow._sphere_exit_detail(f, x0, direction, c, delta, st)[:2]
             assert t_exit > 0.0
             assert abs(np.linalg.norm(b - c) - delta) <= 1e-8 * delta

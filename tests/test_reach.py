@@ -462,7 +462,7 @@ def test_two_pass_capture_level_is_the_full_grid_floor(quad14):
     cases = [(br.make_builtin(name, params), np.asarray(target, dtype=float), eps)
              for name, params, target, eps in CERT_CASES]
     cases += [(hb, p, eps) for p in HB_MINIMA for eps in (0.1, 0.25, 0.5, 1.0, 1.5, 2.0)
-              if reach_mod._ball_fits_box(hb, p, eps)]
+              if hb.in_box(p - eps) and hb.in_box(p + eps)]
     cases.append((dataclasses.replace(quad14, name="bowl", hessian_lipschitz=None),
                   np.zeros(2), 1.0))
     assert len(cases) == 32
@@ -818,7 +818,7 @@ def test_minimum_reaches_run_on_the_certified_radius_without_a_probe(monkeypatch
 
     monkeypatch.setattr(reach_mod, "stability_probe", probe)
     for f, target, eps in builtin_minima():
-        radius = reach_mod._certified_radius(f, target, eps)[2]
+        radius = reach_mod._Basin(f, target, eps, "target").certificate[1]
         for rep in (br.reach_discrete(f, target, eps, br.constant(0.5 / f.lipschitz_L), 1e-3,
                                       1e-4),
                     br.reach_continuous(f, target, eps, FLOW, 1e-3, 1e-4)):
@@ -837,13 +837,75 @@ def test_a_reach_without_a_certified_radius_probes_as_before(monkeypatch, reach,
     # probes, and its radius and start are pinned to those it had when every
     # minimum reach probed
     f = dataclasses.replace(br.make_builtin("quad", (1.0, 2.0, 5.0)), hessian_lipschitz=None)
-    assert reach_mod._certified_radius(f, np.zeros(3), 1.0) == (None, None, None)
+    basin = reach_mod._Basin(f, np.zeros(3), 1.0, "target")
+    assert (basin.ball, basin.certificate) == (None, (None, None))
     calls = []
     probe = reach_mod.stability_probe
     monkeypatch.setattr(reach_mod, "stability_probe", lambda *args: calls.append(1) or probe(*args))
     rep = reach(f, np.zeros(3), 1.0, dynamics, 1e-3, 1e-4)
     assert calls == [1] and rep.status == "success"
     assert rep.delta_source == "probe" and rep.delta_used == 1.0 and rep.x0.tolist() == x0
+
+
+def ring():
+    """f(x) = (|x|^2 - 1)^2 on [-2, 2]^2, whose minima form the unit circle:
+    hess f(1, 0) = diag(8, 0) is singular, so there is no B_r, and every
+    sphere around (1, 0) meets the circle, so no capture level lies above
+    f* = 0.  L = 92 and M = 24 sqrt(8) bound the Hessian and its change on
+    the box."""
+    def val(x):
+        return (x @ x - 1.0) ** 2
+
+    def grad(x):
+        return 4.0 * (x @ x - 1.0) * x
+
+    def hess(x):
+        return 4.0 * (x @ x - 1.0) * np.eye(2) + 8.0 * np.outer(x, x)
+
+    return br.ObjectiveFunction(
+        dim=2, f=val, grad=grad, lipschitz_L=92.0, box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
+        critical_points=(br.CriticalPoint(np.array([1.0, 0.0]), "local_min", 0.0),
+                         br.CriticalPoint(np.zeros(2), "local_max", 1.0)),
+        hessian=hess, name="ring", hessian_lipschitz=24.0 * math.sqrt(8.0))
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.5])
+def test_a_zero_radius_is_no_certificate(eps):
+    # a capture level at or below f* certifies no radius: delta_cert is
+    # None, not 0, and both reaches probe rather than end in no_escape on a
+    # radius of 0 (whether they then succeed, a symmetry accident of the
+    # ring, is not pinned)
+    f, target, s = ring(), [1.0, 0.0], br.constant(0.5 / 92.0)
+    est = br.stability_probe(f, target, eps, s)
+    assert est.capture_level <= 0.0 and est.delta_cert is None
+    for rep in (br.reach_discrete(f, target, eps, s, 1e-3, 1e-4),
+                br.reach_continuous(f, target, eps, FLOW, 1e-3, 1e-4)):
+        assert rep.delta_source == "probe" and rep.delta_used > 0.0
+
+
+HB_SADDLE = [cp.point for cp in br.make_builtin("himmelblau").critical_points
+             if cp.kind == "saddle"][0]
+
+
+@pytest.mark.parametrize("target,eps,exc,message", [
+    (HB_SADDLE, 1.0, ValueError, "{what} must be a cataloged local minimum"),
+    ([6.0, 2.0], 1.0, br.LeftBoxError, "target outside the operating box"),
+    ([3.0, 2.0], math.nan, ValueError, "epsilon must be positive and finite, got nan"),
+    ([3.0, 2.0], math.inf, ValueError, "epsilon must be positive and finite, got inf"),
+    ([3.0, 2.0], 0.0, ValueError, "epsilon must be positive and finite, got 0.0"),
+    ([3.0, 2.0], -1.0, ValueError, "epsilon must be positive and finite, got -1.0"),
+    ([3.0, 2.0], 2.5, ValueError, "B_epsilon(target) must fit inside the operating box"),
+], ids=["saddle", "off-box", "nan", "inf", "zero", "negative", "ball-crosses-box"])
+@pytest.mark.parametrize("what", ["probe", "discrete", "continuous"])
+def test_the_probe_and_the_reaches_check_a_minimum_alike(himmelblau, what, target, eps, exc,
+                                                         message):
+    s = br.constant(0.5 / himmelblau.lipschitz_L)
+    run = {"probe": lambda: br.stability_probe(himmelblau, target, eps, s),
+           "discrete": lambda: br.reach_discrete(himmelblau, target, eps, s, 1e-3, 1e-4),
+           "continuous": lambda: br.reach_continuous(himmelblau, target, eps, FLOW, 1e-3, 1e-4)}
+    message = message.format(what="probe target" if what == "probe" else "target")
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        run[what]()
 
 
 @pytest.mark.parametrize("reach,dynamics", [
@@ -1238,8 +1300,9 @@ def test_reach_continuous_quad_exact(quad1):
     ("double_well", (), [1.0], 0.4, br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6)),
 ], ids=["quad-discrete", "quad-continuous", "double-well-continuous"])
 def test_minimum_reach_takes_the_hessian_once(name, params, target, eps, dynamics):
-    # the reach's certified ball and the probe's B_r share one eigh of
-    # hess f(target)
+    # the reach's certified ball, its certified radius and its seed share
+    # one eigh of hess f(target); so do the probe's B_r and radius, and a
+    # probe without M, which has no B_r, takes none
     f = br.make_builtin(name, params)
     calls = []
     f = dataclasses.replace(f, hessian=lambda x, hess=f.hessian: calls.append(1) or hess(x))
@@ -1247,6 +1310,29 @@ def test_minimum_reach_takes_the_hessian_once(name, params, target, eps, dynamic
     rep = reach(f, target, eps, dynamics, 1e-3, 1e-4)
     assert rep.status == "success" and "certificate" in rep.forward_part.provenance
     assert len(calls) == 1
+    calls.clear()
+    assert br.stability_probe(f, target, eps, dynamics).delta_cert == rep.delta_used
+    assert len(calls) == 1
+    calls.clear()
+    br.stability_probe(dataclasses.replace(f, hessian_lipschitz=None), target, eps, dynamics)
+    assert calls == []
+
+
+@pytest.mark.parametrize("reach,dynamics", [
+    (br.reach_discrete, br.constant(0.5 / br.make_builtin("himmelblau").lipschitz_L)),
+    (br.reach_continuous, br.FlowSettings(h=3e-4, t_max=20.0, gtol=1e-6))],
+    ids=["discrete", "continuous"])
+def test_a_given_radius_takes_no_capture_level(monkeypatch, himmelblau, reach, dynamics):
+    # the capture grid is evaluated only for delta_cert, which a reach on
+    # delta_override never reads (himmelblau's B_r is smaller than eps, so
+    # delta_cert would take the grid)
+    def grid(*args):
+        raise AssertionError("a reach on a given radius took the capture level")
+
+    monkeypatch.setattr(reach_mod, "_capture_level", grid)
+    rep = reach(himmelblau, [3.0, 2.0], 1.0, dynamics, 1e-3, 1e-4,
+                br.ReachBudgets(delta_override=0.2))
+    assert rep.status == "success" and (rep.delta_source, rep.delta_used) == ("override", 0.2)
 
 
 def test_reach_continuous_double_well(dw):

@@ -405,10 +405,10 @@ def test_sphere_exit_checks_its_start_before_the_sphere(f):
     n, center, st = f.dim, np.zeros(f.dim), br.FlowSettings(h=0.1, t_max=50.0)
     for x0 in ([0.5] * (n + 1), [[0.5] * n], [0.5] * (n - 1)):
         with pytest.raises(ValueError, match=re.escape(f"dim = {n}, got shape {np.shape(x0)}")):
-            br.sphere_exit(f, x0, "reverse", center, 9.0, st)
+            _sphere_exit_detail(f, x0, "reverse", center, 9.0, st)
     with pytest.raises(LeftBoxError, match="^x0 outside the operating box$"):
-        br.sphere_exit(f, [10.0] * (n - 1) + [10.0 + 1e-9], "reverse", center, 20.0, st)
-    _, b = br.sphere_exit(f, [0.5] * n, "reverse", center, 9.0, st)
+        _sphere_exit_detail(f, [10.0] * (n - 1) + [10.0 + 1e-9], "reverse", center, 20.0, st)
+    _, b = _sphere_exit_detail(f, [0.5] * n, "reverse", center, 9.0, st)[:2]
     assert abs(norm(b) - 9.0) <= 1e-8 * 9.0
 
 
