@@ -14,6 +14,9 @@ call over the nonzero pairs of its table row, precomputed at import: 14
 calls a step for its 12 gradients.  A crossing is a stop event: it tests the
 state a step reached and locates the crossing on that step's
 interpolant, whose three extra stages are the only gradients it costs.
+Every run steps at the relative tolerance RTOL, except a minimum reach's
+reverse flow to its sphere, which steps at REVERSE_RTOL; the comment at
+the constants says why.
 """
 
 import math
@@ -36,6 +39,15 @@ H_GUARD = 0.1
 # Jacobian's eigenvalues lie in [-L, L]) chatters at the stability boundary,
 # held there at the tolerance
 RTOL, ATOL, H_STABLE = 1e-10, 1e-13, 6.0
+# a minimum reach's reverse flow, from the ascent seed to the sphere, runs at
+# REVERSE_RTOL, as a tolerance is the accuracy its caller needs (Hairer,
+# Norsett & Wanner, II.4): the reach's result rests on the forward run from
+# x0 alone (the B_r proof, or the run observed to gtol and tol), and x0 is
+# located on the sphere by the dense output whatever the tolerance, so how
+# accurately the flow found it does not enter that result.  A saddle's
+# forward Clarke flow must retrace its reverse flow to the level near the
+# saddle, so a saddle reach, like every other run, keeps RTOL
+REVERSE_RTOL = 1e-7
 # the PI step controller of Hairer's codes: h_new = h PI_SAFE err^-PI_ALPHA
 # err_old^PI_BETA with h_new / h in [PI_MIN, PI_MAX], the exponent in DOPRI5's
 # form 1/q - 0.75 beta at the order q = 8
@@ -185,17 +197,18 @@ def _dop853_step(lane, x, sh, g1):
 
 class _Flow:
     """The adaptive DOP853 runner on dx/dt = -grad f (forward) or +grad f
-    (reverse): each ``march`` starts from the step size min(settings.h,
-    H_GUARD / L); ``step`` retries a rejected step with a smaller one and
-    keeps its own step size, clamping the step that would pass t_max onto
-    it, and takes stage 13 only once the step is accepted; ``field`` hands
-    that stage back; ``cross`` locates an event on the last step's dense
-    output ``at``, ``locate`` a level crossing."""
+    (reverse) at the relative tolerance rtol: each ``march`` starts from
+    the step size min(settings.h, H_GUARD / L); ``step`` retries a
+    rejected step with a smaller one and keeps its own step size, clamping
+    the step that would pass t_max onto it, and takes stage 13 only once
+    the step is accepted; ``field`` hands that stage back; ``cross``
+    locates an event on the last step's dense output ``at``, ``locate`` a
+    level crossing."""
 
-    def __init__(self, f, direction, settings):
+    def __init__(self, f, direction, settings, rtol=RTOL):
         if direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-        self.f, self.lane, self.settings = f, f._lane, settings
+        self.f, self.lane, self.settings, self.rtol = f, f._lane, settings, rtol
         self.sign = -1.0 if direction == "forward" else 1.0
         self.gtol = settings.gtol if direction == "forward" else 0.0
         self.provenance = {"producer": "flow", "f": f, "direction": direction,
@@ -215,7 +228,7 @@ class _Flow:
         return self.ks[12] if x is self.x_new else self.lane.grad(x)
 
     def step(self, k, t, x, g):
-        t_max, h, rejected = self.settings.t_max, self.h, False
+        t_max, h, rejected, rtol = self.settings.t_max, self.h, False, self.rtol
         norm = self.lane.norm
         norm_x = self.norm_new if x is self.x_new else norm(x)
         while True:
@@ -223,7 +236,7 @@ class _Flow:
             x_new, ks, e5, e3 = _dop853_step(self.lane, x, self.sign * dt, g)
             e5sq, norm_new = sumsq(e5), norm(x_new)
             err = ((e5sq / math.sqrt(e5sq + 0.01 * sumsq(e3)) if e5sq else 0.0)
-                   / (ATOL + RTOL * max(norm_x, norm_new)))
+                   / (ATOL + rtol * max(norm_x, norm_new)))
             if err <= 1.0:
                 break
             h, rejected = dt / min(1.0 / PI_MIN, err ** PI_ALPHA / PI_SAFE), True
@@ -303,16 +316,20 @@ def integrate_minnorm(f, x0, level, settings):
     return _to_level(f, level, _Flow(f, "forward", settings), x0)[0]
 
 
-def _sphere_exit_detail(f, x0, direction, center, delta, settings):
+def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False):
     """(t_exit, b, trajectory-so-far): the flow from x0, inside the
     delta-sphere around center, to its first crossing b of that sphere,
     located on the dense output with | |b - center| - delta | <= 1e-8
     delta.  NoCrossingError when it stops inside (t_max, or a stationary
-    point), LeftBoxError when it leaves the box first."""
+    point), LeftBoxError when it leaves the box first.  A minimum reach's
+    exit (``minimum``) flows at REVERSE_RTOL and takes b on the inner
+    side: the crossing of the sphere of radius delta (1 - 5e-9), located to
+    4e-9 delta, so delta (1 - 5e-9) <= |b - center| <= delta (1 - 1e-9)."""
     lane = f._lane
-    flow = _Flow(f, direction, settings)
+    flow = _Flow(f, direction, settings, REVERSE_RTOL if minimum else RTOL)
+    radius, tol = (delta * (1.0 - 5e-9), 4e-9 * delta) if minimum else (delta, 1e-8 * delta)
     center = lane.point(center)
-    past = lambda y: lane.norm(lane.sub(y, center)) - delta  # signed distance past the sphere
+    past = lambda y: lane.norm(lane.sub(y, center)) - radius  # signed distance past the sphere
     x0 = start(f, x0)
     if not past(x0) < 0.0:
         raise ValueError("a sphere exit requires |x0 - center| < delta")
@@ -321,7 +338,7 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings):
         r = past(x)
         if not r >= 0.0:
             return None
-        t_b, b = flow.cross(past, past(prev[1]), r, 1e-8 * delta)
+        t_b, b = flow.cross(past, past(prev[1]), r, tol)
         return "converged", np.array(b), t_b, b, {"stopped_on": "sphere_exit"}
 
     steps, status, b, stop = flow.march(x0, event=crossed)

@@ -456,22 +456,24 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     return None
 
 
-def _first_escape(f, target, seed_radius, level, seed, axis_first, lead, scales, cap, kbar_max):
+def _first_escape(f, target, seed_radius, level, seed, minimum, lead, scales, cap, kbar_max):
     """(a, rho, dynamics, (x0, reverse part)) of the first ascent seed a
     that escapes, or None.  Seeds are a = target + seed_radius * d with
     f(a) strictly above the target value (floor 1e-12 * (1 + |level|)),
     the directions ``lead`` first, then the axis directions and the
-    quasi-random ones, axes first unless ``axis_first`` is False, less any
+    quasi-random ones, axes first for a ``minimum`` target, less any
     direction equal to one of ``lead``; the scan starts afresh for each
     (escape radius rho, dynamics) of ``scales`` in turn, and each direction
     is drawn only when the scan reaches it.  Under a schedule a escapes by
     the reverse orbit whose root x0 lies outside B_rho and within cap;
     under flow settings by the reverse flow to its crossing x0 of the
-    rho-sphere, unless that flow leaves the box or never crosses."""
+    rho-sphere, unless that flow leaves the box or never crosses: for a
+    minimum at REVERSE_RTOL with x0 inside the sphere
+    (``_sphere_exit_detail``)."""
     floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
     fresh = lambda d: not any(np.array_equal(d, v) for v in lead)
     for rho, dynamics in scales:
-        for d in chain(lead, filter(fresh, directions(f.dim, SCAN_RANDOM, seed, axis_first))):
+        for d in chain(lead, filter(fresh, directions(f.dim, SCAN_RANDOM, seed, minimum))):
             a = target + seed_radius * d
             if not (f.in_box(a) and f.value(a) > level + floor):
                 continue
@@ -479,7 +481,8 @@ def _first_escape(f, target, seed_radius, level, seed, axis_first, lead, scales,
                 hit = _first_crossing_orbit(f, a, dynamics, rho, cap, target, kbar_max)
             else:
                 try:
-                    hit = _sphere_exit_detail(f, a, "reverse", target, rho, dynamics)[1:]
+                    hit = _sphere_exit_detail(f, a, "reverse", target, rho, dynamics,
+                                              minimum=minimum)[1:]
                 except (NoCrossingError, LeftBoxError):
                     hit = None
             if hit is not None:
@@ -599,9 +602,10 @@ def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):
 
 
 def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=None):
-    """Continuous counterpart: reverse flow from the ascent seed to its
-    first crossing of the delta-sphere (located on the sphere, so no
-    overshoot margin is needed), then forward flow."""
+    """Continuous counterpart: reverse flow from the ascent seed, at the
+    looser REVERSE_RTOL of ``flow``, to its first crossing of the
+    delta-sphere, located on the dense output just inside it, so that x0
+    lies in B_delta with no overshoot margin; then forward flow."""
     if not isinstance(settings, FlowSettings):
         raise ValueError(f"reach_continuous needs FlowSettings, got {type(settings).__name__}")
     return _reach(f, target, epsilon, settings, seed_radius, tol, budgets)

@@ -830,12 +830,13 @@ def test_minimum_reaches_run_on_the_certified_radius_without_a_probe(monkeypatch
 @pytest.mark.parametrize("reach,dynamics,x0", [
     (br.reach_discrete, br.constant(0.1), [0.0, 0.0, 0.512]),
     (br.reach_continuous, br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6),
-     [0.0, 0.0, 1.0000000000135627]),
+     [0.0, 0.0, 0.999999995000001]),
 ], ids=["discrete", "continuous"])
 def test_a_reach_without_a_certified_radius_probes_as_before(monkeypatch, reach, dynamics, x0):
     # in 3-D without M there is neither B_r nor a capture level: the reach
-    # probes, and its radius and start are pinned to those it had when every
-    # minimum reach probed
+    # probes, and its radius is pinned to the one it had when every minimum
+    # reach probed; its start to the orbit's root, or to the inner side of
+    # that sphere, where the reverse flow at REVERSE_RTOL crosses it
     f = dataclasses.replace(br.make_builtin("quad", (1.0, 2.0, 5.0)), hessian_lipschitz=None)
     basin = reach_mod._Basin(f, np.zeros(3), 1.0, "target")
     assert (basin.ball, basin.certificate) == (None, (None, None))
@@ -1240,15 +1241,15 @@ def test_distance_bound_is_the_stop_event_s_norm(himmelblau):
     ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, br.power(0.1, 0.5), 1),
     ("quad", (1.0, 25.0), [0.0, 0.0], 1.0, br.constant(0.02), 1),
     ("double_well", (), [-1.0], 0.4, br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6), None),
-    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6), 2),
+    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6), 1),
     ("himmelblau", (), [3.0, 2.0], 1.0, br.FlowSettings(h=3e-4, t_max=20.0, gtol=1e-6), None),
 ], ids=["dw-constant", "dw-power", "himmelblau-power", "quad-power", "quad-constant",
         "dw-flow", "quad-flow", "himmelblau-flow"])
 def test_the_stop_comes_as_early_as_the_proof_allows(name, params, target, eps, dynamics, n):
     # every state before the stop lies outside r, the last within it, and
-    # the limit is the target.  A quad replay (M = 0, so r = eps >= delta)
-    # stops on x0; the quad flow's x0 lies on the eps-sphere up to its
-    # location, just outside r, and one step takes it in
+    # the limit is the target.  A quad reach (M = 0, so r = eps >= delta)
+    # stops on x0: a replay's x0 lies within delta, and a flow's is located
+    # on the inner side of the delta-sphere
     f = br.make_builtin(name, params)
     target = np.array(target)
     r = ball_radius(f, target, eps)[0]
@@ -1343,12 +1344,13 @@ def test_reach_continuous_double_well(dw):
 
 # the objectives of the benchmark's flow_minima workload at its step h:
 # attempted DOP853 steps of the forward flow from x0 and of the reverse flow
-# to the sphere, at most 12 gradient points each, stay below these ceilings,
-# with at most max_rejected rejected in either run
+# to the sphere (a minimum reach's, at REVERSE_RTOL), at most 12 gradient
+# points each, stay below these ceilings, with at most max_rejected rejected
+# in either run
 @pytest.mark.parametrize("name,params,target,eps,h,forward_max,reverse_max,max_rejected", [
-    ("double_well", (), [-1.0], 0.4, 1e-3, 40, 25, 2),
-    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, 1e-2, 60, 35, 2),
-    ("himmelblau", (), [3.0, 2.0], 1.0, 3e-4, 60, 30, 6),
+    ("double_well", (), [-1.0], 0.4, 1e-3, 40, 17, 2),
+    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, 1e-2, 60, 21, 2),
+    ("himmelblau", (), [3.0, 2.0], 1.0, 3e-4, 60, 23, 6),
 ], ids=["double_well", "quad", "himmelblau"])
 def test_flow_minima_step_ceilings(monkeypatch, name, params, target, eps, h, forward_max,
                                    reverse_max, max_rejected):
@@ -1358,12 +1360,36 @@ def test_flow_minima_step_ceilings(monkeypatch, name, params, target, eps, h, fo
     assert rep.status == "success"
     calls = count_flow_steps(monkeypatch)
     _, x0, rev = _sphere_exit_detail(f, rep.ascent_seed, "reverse", rep.target,
-                                     rep.delta_used, st)
+                                     rep.delta_used, st, minimum=True)
     assert x0.tobytes() == rep.x0.tobytes()
     assert len(rev) - 1 <= len(calls) <= min(reverse_max, len(rev) - 1 + max_rejected)
     calls.clear()
     fwd = br.integrate(f, x0, "forward", st)
     assert len(fwd) - 1 <= len(calls) <= min(forward_max, len(fwd) - 1 + max_rejected)
+
+
+def test_a_saddle_reach_keeps_the_full_reverse_accuracy(himmelblau):
+    # the forward Clarke flow retraces the reverse flow near the saddle, so
+    # a saddle's reverse flow runs at RTOL: its x0 and reverse part are the
+    # direct sphere exit's, bit for bit, and a minimum reach's exit is not
+    st = br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6)
+    target = himmelblau.critical_points[8].point
+    rep = br.reach_general(himmelblau, target, 1.0, st, 1e-3, tol=1e-2, delta=0.1)
+    assert rep.status == "success"
+    leg = lambda **kw: _sphere_exit_detail(himmelblau, rep.ascent_seed, "reverse", target,
+                                           0.1, st, **kw)
+    _, x0, rev = leg()
+    assert x0.tobytes() == rep.x0.tobytes() and rev.X.tobytes() == rep.reverse_part.X.tobytes()
+    assert leg(minimum=True)[1].tobytes() != x0.tobytes()
+
+
+def test_every_continuous_minimum_reach_starts_inside_its_radius():
+    # x0 is located on the inner side of the delta-sphere
+    for (f, target, eps), seed_radius in itertools.product(builtin_minima(),
+                                                           (5e-4, 1e-3, 2e-3)):
+        rep = br.reach_continuous(f, target, eps, FLOW, seed_radius, 1e-4)
+        assert rep.status == "success"
+        assert 0.0 < norm(rep.x0 - target) <= rep.delta_used
 
 
 def test_reach_continuous_rejects_max(dw):
