@@ -33,7 +33,7 @@ from .flow import FlowSettings, NoCrossingError, integrate
 from .landscape import LeftBoxError, make_builtin, norm
 from .reach import (ReachBudgets, edge_of_stability, reach_continuous,
                     reach_discrete, reach_general, stability_probe)
-from .reverse import prox, prox_certificates
+from .reverse import FORWARD_RESIDUAL_RTOL, prox, prox_certificates
 from .sampling import Lcg64
 from .schedule import parse_schedule
 
@@ -307,7 +307,7 @@ def cmd_check(cfg, f):
         lam = (0.05 + 0.85 * rng.uniform()) / max(f.lipschitz_L, 1e-12)
         xp = prox(f, x, lam)
         residual = norm(xp - (x - lam * f.gradient(xp)))
-        if residual > 1e-10 * (1.0 + norm(x)):
+        if residual > FORWARD_RESIDUAL_RTOL * (1.0 + norm(x)):
             identity_fails += 1
         dec_ok, step_ok = prox_certificates(f, x, lam, xp)
         if not (dec_ok and step_ok):

@@ -73,7 +73,7 @@ from .flow import (FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail, in
                    integrate_minnorm, path_length)
 from .landscape import (LeftBoxError, norm, require_nonnegative_finite, require_positive_finite,
                         row_norms)
-from .reverse import FIXED_POINT_RTOL, MINIMUM_FIXED_POINT_RTOL, reverse_orbit
+from .reverse import reverse_orbit
 from .sampling import directions, unit_directions
 from .schedule import StepSchedule, constant, require_admissible
 from .trajectory import _to_level, finite_point, march, recorded, recording, start
@@ -387,13 +387,11 @@ def _escape_radius(f, delta, alpha_bar):
     return delta / (1.0 + 2.0 * alpha_bar * L / (1.0 - alpha_bar * L))
 
 
-def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max, minimum=False):
+def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     """(x0, orbit): the reverse orbit anchored at a whose root x0 lies
     outside B_rho(target), accepted only when |x0 - target| <= cap (else
     None: callers then shrink the step scale); a box exit or kbar_max
-    also give None.  A ``minimum`` target's orbit is solved at
-    MINIMUM_FIXED_POINT_RTOL (the reason is at that constant), a saddle's
-    at FIXED_POINT_RTOL.
+    also give None.
 
     A constant schedule marches back once, so x0 is the first crossing of
     the rho-sphere.  A power schedule's step indices shift with the
@@ -413,7 +411,6 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max, minimum=False):
     bracket closes or kbar_max is passed.
     """
     lane, center = f._lane, f._lane.point(target)
-    rtol = MINIMUM_FIXED_POINT_RTOL if minimum else FIXED_POINT_RTOL
     outside = lambda x: lane.norm(lane.sub(x, center)) > rho  # x a point of f's lane
 
     def usable(orbit):
@@ -422,7 +419,7 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max, minimum=False):
                 and norm(root - target) <= cap * (1.0 + 1e-9))
 
     if s.kind == "constant":
-        orbit = reverse_orbit(f, a, s, kbar_max, stop=outside, rtol=rtol)
+        orbit = reverse_orbit(f, a, s, kbar_max, stop=outside)
         return (orbit.points[0], orbit) if usable(orbit) else None
 
     S = [0.0]  # S[K], extended as far as a horizon needs it
@@ -439,7 +436,7 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max, minimum=False):
     lo, hi = horizon(max(bound, s.alpha(0))) - 1, kbar_max + 1
     kbar, aim, last = lo + 1, math.log(math.sqrt(rho * cap) / r_a), (0.0, 0.0)
     while lo < kbar < hi:
-        orbit = reverse_orbit(f, a, s, kbar, rtol=rtol)
+        orbit = reverse_orbit(f, a, s, kbar)
         r = norm(orbit.points[0] - target)
         if orbit.status == "complete" and r <= rho:
             lo = kbar
@@ -468,8 +465,7 @@ def _first_escape(f, target, seed_radius, level, seed, minimum, lead, scales, ca
     direction equal to one of ``lead``; the scan starts afresh for each
     (escape radius rho, dynamics) of ``scales`` in turn, and each direction
     is drawn only when the scan reaches it.  Under a schedule a escapes by
-    the reverse orbit whose root x0 lies outside B_rho and within cap, for
-    a minimum solved at MINIMUM_FIXED_POINT_RTOL (``_first_crossing_orbit``);
+    the reverse orbit whose root x0 lies outside B_rho and within cap;
     under flow settings by the reverse flow to its crossing x0 of the
     rho-sphere, unless that flow leaves the box or never crosses: for a
     minimum at REVERSE_RTOL with x0 inside the sphere
@@ -482,7 +478,7 @@ def _first_escape(f, target, seed_radius, level, seed, minimum, lead, scales, ca
             if not (f.in_box(a) and f.value(a) > level + floor):
                 continue
             if isinstance(dynamics, StepSchedule):
-                hit = _first_crossing_orbit(f, a, dynamics, rho, cap, target, kbar_max, minimum)
+                hit = _first_crossing_orbit(f, a, dynamics, rho, cap, target, kbar_max)
             else:
                 try:
                     hit = _sphere_exit_detail(f, a, "reverse", target, rho, dynamics,

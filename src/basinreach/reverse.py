@@ -15,11 +15,9 @@ the solve turns each into a secant of its own T to seed its mixing
 history, the multisecant view of Anderson mixing (Fang & Saad 2009): in
 2-D they span the plane, so the first mixed iterate is a quasi-Newton
 step; in 1-D two secants are collinear, so only the newest acts and the
-solve is the secant method.  A solve stops at |T(y) - y| <=
-FIXED_POINT_RTOL (1 + |base|), 1e-13, three orders below the 1e-10
-forward-residual certificate, so an orbit or a proximal point is exact to
-near rounding; a minimum reach's orbit is solved at
-MINIMUM_FIXED_POINT_RTOL, 1e-11, whose reason is at the constants.
+solve is the secant method.  Every solve stops at |T(y) - y| <=
+FIXED_POINT_RTOL (1 + |base|), 1e-11, for the reason given at the
+constant.
 
 The ndarray lane (dim > 2) runs the loop on lane ops and
 ``landscape.dot``.  On the float lane each solve is that loop written
@@ -35,20 +33,17 @@ from math import sqrt
 import numpy as np
 
 from .landscape import (FLOAT_LANE_DIMS, LeftBoxError, dot, norm, require_nonnegative_finite,
-                        require_positive_finite, row_norms, sumsq)
+                        row_norms, sumsq)
 from .schedule import constant, require_admissible
 from .trajectory import start
 
-FIXED_POINT_RTOL = 1e-13
+# every ascent and proximal solve stops at FIXED_POINT_RTOL, ten times inside
+# the FORWARD_RESIDUAL_RTOL certificate its result is checked against; a
+# reach's result rests on the forward run from x0 alone (for a minimum the
+# B_r stop, for a saddle the level crossing observed within tol), and x0 is
+# the orbit's root at its measured distance, so no tighter solve enters it
+FIXED_POINT_RTOL = 1e-11
 FORWARD_RESIDUAL_RTOL = 1e-10
-# a minimum reach's orbit is solved at MINIMUM_FIXED_POINT_RTOL: the reach's
-# result rests on the forward run from x0 alone (the B_r proof, or the run
-# observed to gtol and tol), and x0 is the orbit's root at its measured
-# distance, so how exactly the orbit was solved does not enter that result.
-# Ten times below FORWARD_RESIDUAL_RTOL, every ascent step still passes its
-# certificate.  A saddle's forward replay retraces its orbit, so a saddle
-# reach, like every other solve, keeps FIXED_POINT_RTOL
-MINIMUM_FIXED_POINT_RTOL = 1e-11
 PROX_SLACK_RTOL = 1e-9  # prox_certificates' slack, relative to 1 + |f(x)|
 _MAX_INNER_ITER = 200_000
 _ANDERSON_DEPTH = 2  # the residual differences _mix combines; its closed form needs <= 2
@@ -82,7 +77,7 @@ class ReverseOrbit:
         return row_norms(np.array(self.gradients)).tolist()
 
 
-def _picard(f, base, lam, sign, tol_scale, g=None, steps=(), *, rtol=FIXED_POINT_RTOL):
+def _picard(f, base, lam, sign, tol_scale, g=None, steps=()):
     """Fixed point of T(y) = base + sign * lam * grad(y), base and y points
     of f's lane: each iteration tests y by one T(y), then moves to
     :func:`_mix`'s point and takes its gradient.  The first y is base, with
@@ -92,17 +87,16 @@ def _picard(f, base, lam, sign, tol_scale, g=None, steps=(), *, rtol=FIXED_POINT
     = (x - z) + step dg and dT = step dg, dg = grad(z) - grad(x) and step
     = sign * lam (dT never formed: w = step, v = dg).  Returns (y,
     grad(y), iters, |(y - step grad(y)) - base|, |y|) at the first |T(y)
-    - y| <= tol = rtol * (1 + tol_scale), rtol 1e-13 unless given, the
-    fourth an ascent step's forward residual |y - T(y)| up to rounding.
-    As T contracts by q = lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so
-    y lies within |T(y) - y|/(1 - q) <= tol/(1 - q) of the unique fixed
-    point y*, however it was reached.  Raises LeftBoxError when T(y)
-    leaves the box; y itself never does.  The float lane's solve is this
-    loop written out per dimension (:func:`_picard1`, :func:`_picard2`)."""
+    - y| <= tol = FIXED_POINT_RTOL * (1 + tol_scale), the fourth an ascent
+    step's forward residual |y - T(y)| up to rounding.  As T contracts by
+    q = lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so y lies within
+    |T(y) - y|/(1 - q) <= tol/(1 - q) of the unique fixed point y*,
+    however it was reached.  Raises LeftBoxError when T(y) leaves the box;
+    y itself never does.  The float lane's solve is this loop written out
+    per dimension (:func:`_picard1`, :func:`_picard2`)."""
     if f.dim <= FLOAT_LANE_DIMS:
-        return (_picard1 if f.dim == 1 else _picard2)(f, base, lam, sign, tol_scale, g, steps,
-                                                      rtol=rtol)
-    tol_sq = (rtol * (1.0 + tol_scale)) ** 2
+        return (_picard1 if f.dim == 1 else _picard2)(f, base, lam, sign, tol_scale, g, steps)
+    tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     step = sign * lam
     grad, axpy, sub, inside = f._lane.grad, f._lane.axpy, f._lane.sub, f._lane.inside
@@ -153,7 +147,7 @@ def _mix(lane, t, r, hist):
     return y if lane.inside(y) else t
 
 
-def _picard1(f, base, lam, sign, tol_scale, g, steps, *, rtol):
+def _picard1(f, base, lam, sign, tol_scale, g, steps):
     """:func:`_picard` on the 1-D float lane in one frame: the newest
     step's secant, T(y), the residual, the restart test, the history (d,
     e, w, a11), :func:`_mix`'s fit, its box test and the returned norms,
@@ -162,7 +156,7 @@ def _picard1(f, base, lam, sign, tol_scale, g, steps, *, rtol):
     collinear, so their Gram determinant is rounding and :func:`_mix`
     takes the newest alone: the history holds only it, and the solve is
     the secant method, its every iterate, gradient and count the loop's."""
-    tol_sq = (rtol * (1.0 + tol_scale)) ** 2
+    tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     step = sign * lam
     grad, ((l0,), (h0,)) = f._lane.grad, f._lane.bounds
@@ -198,13 +192,13 @@ def _picard1(f, base, lam, sign, tol_scale, g, steps, *, rtol):
     raise ArithmeticError("fixed-point iteration failed to contract")
 
 
-def _picard2(f, base, lam, sign, tol_scale, g, steps, *, rtol):
+def _picard2(f, base, lam, sign, tol_scale, g, steps):
     """:func:`_picard1` on the 2-D float lane, with the depth-2 history
     (newest d, e, w, a11; older dd, ee, ww, a22) and :func:`_mix`'s normal
     equations: ``steps`` enter the history oldest first, as the loop's own
     secants do, and each sum over coordinates is ``dot``'s, index
     order."""
-    tol_sq = (rtol * (1.0 + tol_scale)) ** 2
+    tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     step = sign * lam
     grad, ((l0, l1), (h0, h1)) = f._lane.grad, f._lane.bounds
@@ -280,19 +274,18 @@ def prox_certificates(f, x, lam, xplus):
     return dec_ok, step_ok
 
 
-def _ascent_step(f, xnext, a, g=None, steps=(), xnorm=None, *, rtol=FIXED_POINT_RTOL):
+def _ascent_step(f, xnext, a, g=None, steps=(), xnorm=None):
     """(y, r, grad(y), |y|): the ascent preimage y of xnext, both points of
     f's lane, its forward residual r = |(y - a grad(y)) - xnext|, certified
     to 1e-10 * (1 + |y|), and the gradient the solve's last test took,
     which that residual reuses and the next solve from y starts with, as
     it does |y|; the solve returns r and |y|, r the tested residual y -
-    T(y), rtol (1 + |xnext|) up to rounding, rtol 1e-13 unless given.
-    ``g`` is grad(xnext) and ``xnorm`` |xnext| when known, and ``steps``
-    seed the solve's mixing history.  The caller has checked the prox
-    regime and that xnext lies in the box."""
+    T(y), 1e-11 (1 + |xnext|) up to rounding.  ``g`` is grad(xnext) and
+    ``xnorm`` |xnext| when known, and ``steps`` seed the solve's mixing
+    history.  The caller has checked the prox regime and that xnext lies
+    in the box."""
     y, gy, _, residual, ynorm = _picard(f, xnext, a, +1.0,
-                                        norm(xnext) if xnorm is None else xnorm, g, steps,
-                                        rtol=rtol)
+                                        norm(xnext) if xnorm is None else xnorm, g, steps)
     if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
         raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
     return y, residual, gy, ynorm
@@ -308,7 +301,7 @@ def ascent_prox(f, xnext, a):
     return np.array(_ascent_step(f, start(f, xnext, "xnext"), a)[0])
 
 
-def reverse_orbit(f, a, s, kbar, stop=None, *, rtol=FIXED_POINT_RTOL):
+def reverse_orbit(f, a, s, kbar, stop=None):
     """Build x_kbar = a and x_k = ascent_prox(f, x_{k+1}, alpha_k) for
     k = kbar-1 down to 0.
 
@@ -327,14 +320,12 @@ def reverse_orbit(f, a, s, kbar, stop=None, *, rtol=FIXED_POINT_RTOL):
     first, so m solves cost one gradient plus their iterations less one
     each, and 2m + 1 norms.  The orbit keeps the gradients.
 
-    Each solve stops at |T(y) - y| <= ``rtol`` (1 + |x_{k+1}|), by
-    default FIXED_POINT_RTOL; a minimum reach passes
-    MINIMUM_FIXED_POINT_RTOL.  Every step must still pass its 1e-10
-    forward-residual certificate, else ArithmeticError.
+    Each solve stops at |T(y) - y| <= FIXED_POINT_RTOL (1 + |x_{k+1}|),
+    1e-11, and every step must pass its 1e-10 forward-residual
+    certificate, else ArithmeticError.
     """
     anchor = np.asarray(a, dtype=float)
     require_nonnegative_finite(kbar=kbar)
-    require_positive_finite(rtol=rtol)
     if stop is not None and s.kind != "constant":
         raise ValueError("a stopping march needs a constant schedule")
     x = start(f, anchor, "anchor")
@@ -353,7 +344,7 @@ def reverse_orbit(f, a, s, kbar, stop=None, *, rtol=FIXED_POINT_RTOL):
             g = lane.grad(x)
             grads.append(g)
         try:
-            y, residual, gy, ynorm = _ascent_step(f, x, alpha, g, steps, xnorm, rtol=rtol)
+            y, residual, gy, ynorm = _ascent_step(f, x, alpha, g, steps, xnorm)
         except LeftBoxError:
             status = "left_box"
             break

@@ -281,17 +281,16 @@ def picard_solve(f, base, lam, sign, rtol=FIXED_POINT_RTOL):
             return t, it
 
 
-def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None, rtol=FIXED_POINT_RTOL):
+def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None):
     """(y, grad(y), iters) of reverse._picard written on ndarrays: depth-2
     Anderson mixing with the same arithmetic, seeding, fallbacks, restart
-    and return, stopped at |T(y) - y| <= rtol (1 + |base|), for both lanes
-    to match bit for bit.  A history entry is
+    and return, for both lanes to match bit for bit.  A history entry is
     (dr, v, w) with dT = w v; ``seeds`` start the history, newest first.
     ``mixes``, when given, gets one (history length, mixed point) pair per
     iterate after the first, the mixed point None when the history gives
     none and kept even when it lies outside the box, where the solve
     falls back to T's plain image."""
-    tol_sq = (rtol * (1.0 + norm(base))) ** 2
+    tol_sq = (FIXED_POINT_RTOL * (1.0 + norm(base))) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     y, g = base, f.gradient(base) if g is None else g
     hist, last, mixed = list(seeds), None, False
@@ -328,18 +327,17 @@ def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None, rtol=FIXED_
         g = f.gradient(y)
 
 
-def anderson_orbit(f, anchor, alphas, rtol=FIXED_POINT_RTOL):
-    """(points, forward residuals) of reverse_orbit written on ndarrays, its
-    solves stopped at ``rtol``, from the anchor back through the steps
-    ``alphas`` (alpha_{K-1} first): each solve starts from the gradient the
-    last one returned, its history
+def anderson_orbit(f, anchor, alphas):
+    """(points, forward residuals) of reverse_orbit written on ndarrays,
+    from the anchor back through the steps ``alphas`` (alpha_{K-1} first):
+    each solve starts from the gradient the last one returned, its history
     from the secant pairs (x - y, grad(y) - grad(x)) of the last two orbit
     steps x -> y, converted to (dr, v, w) = ((x - y) + a dg, dg, a)."""
     x = np.asarray(anchor, dtype=float)
     g, pairs, points, residuals = f.gradient(x), [], [x], []
     for a in alphas:
         seeds = [(neg_dx + a * dg, dg, a) for neg_dx, dg in pairs]
-        y, gy, _ = anderson_solve(f, x, a, 1.0, g, seeds, rtol=rtol)
+        y, gy, _ = anderson_solve(f, x, a, 1.0, g, seeds)
         residuals.append(norm((y - a * gy) - x))
         pairs = [(x - y, gy - g)] + pairs[:1]
         x, g = y, gy

@@ -177,13 +177,14 @@ def test_reach_replays_to_the_configured_gtol(tmp_path):
 
 
 # sha256 of outputs that no minimum replay writes, recorded before minimum
-# replays stopped in B_r: both saddle modes' CSVs and the CI's probes
+# replays stopped in B_r: both saddle modes' CSVs and the CI's probes; the
+# discrete saddle's re-recorded when every ascent solve came to stop at 1e-11
 SADDLE = ["reach", "--general", "--function", "himmelblau", "--target-index", "8",
           "--epsilon", "1.0", "--seed-radius", "1e-3", "--tol", "1e-2"]
 UNMOVED = {
     "saddle-discrete": (SADDLE + ["--schedule", "constant:0.0015"], {
-        "forward.csv": "e25477c5bacdc9ec3190b2d416b7b65ad9b9ec122f5cd72af412b4c799250236",
-        "reverse.csv": "39a15a325a65145dad08eb37c93f3fc10a4f9b455c0048f64eaebfb134e4cb19"}),
+        "forward.csv": "ce5bb9854b53d3836990838aeb27815f40df977ded8758905b8a06ec8b0e2cab",
+        "reverse.csv": "b037d585fdda4e20a26ee51b81dd27d224a22d9617309f1a90551ccf51742767"}),
     "saddle-continuous": (SADDLE + ["--mode", "continuous", "--h", "3e-4", "--t-max", "50",
                                     "--gtol", "1e-6", "--delta", "0.1"], {
         "forward.csv": "09df40d7cab5169bc7df24aad3b0f7d799a4730f220435d62b49d95f25c3ebc6",

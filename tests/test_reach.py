@@ -701,9 +701,9 @@ def test_reach_discrete_first_crossing(monkeypatch, name, params, target, eps):
     calls = []
     solve = reverse_mod._ascent_step
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return solve(*args, **kwargs)
+        return solve(*args)
 
     monkeypatch.setattr(reverse_mod, "_ascent_step", counted)
     rep = br.reach_discrete(f, target, eps, br.constant(0.5 / f.lipschitz_L), 1e-3, 1e-3)
@@ -1262,8 +1262,7 @@ def test_the_stop_comes_as_early_as_the_proof_allows(name, params, target, eps, 
         assert rep.final_distance == 0.0 and fwd.limit.tobytes() == target.tobytes()
 
 
-# the replay of the reach below, from the x0 of its orbit solved at
-# MINIMUM_FIXED_POINT_RTOL
+# the replay of the reach below, from the x0 of its orbit solved at 1e-11
 NO_M_ROWS, NO_M_DISTANCE = 157, 3.412217338655042e-10
 NO_M_DIGEST = "98d431357713385eec5d6b070fe3a2246d39011fa46b764b9601eba036992076"
 
@@ -1271,8 +1270,7 @@ NO_M_DIGEST = "98d431357713385eec5d6b070fe3a2246d39011fa46b764b9601eba036992076"
 def test_an_objective_without_m_reaches_as_before(himmelblau):
     # no certified ball, so the replay stops by tol and gtol as it did
     # before the ball stop came: the same 157 rows, its columns and limit
-    # pinned bit for bit (sha256) from the x0 of the orbit solved at
-    # MINIMUM_FIXED_POINT_RTOL
+    # pinned bit for bit (sha256) from the x0 of the orbit solved at 1e-11
     f = dataclasses.replace(himmelblau, hessian_lipschitz=None)
     rep = br.reach_discrete(f, [3.0, 2.0], 1.0, br.constant(0.5 / f.lipschitz_L), 1e-3, 1e-4)
     fwd = rep.forward_part
@@ -1386,27 +1384,11 @@ def test_a_saddle_reach_keeps_the_full_reverse_accuracy(himmelblau):
 
 
 # sha256 of prox and ascent_prox over a sweep of points and steps, recorded
-# before a minimum reach's orbit was solved at MINIMUM_FIXED_POINT_RTOL
-PROX_DIGEST = "131f1c7a2695f693571e8ed7bb5fa4fa4a5b5075d5ec74add27e9090e6949b20"
+# when every solve came to stop at FIXED_POINT_RTOL = 1e-11
+PROX_DIGEST = "827cf6c251ae8ade8a148ff2d402f1660a4e0ec941c1240a18fbbd36eae23a8e"
 
 
-def test_a_discrete_saddle_reach_keeps_the_tight_solve(himmelblau):
-    # a saddle's forward replay retraces its orbit, so a saddle reach
-    # solves it at FIXED_POINT_RTOL: its reverse part is reverse_orbit's at
-    # the default tolerance, bit for bit, which MINIMUM_FIXED_POINT_RTOL
-    # would move; prox and ascent_prox solve as before
-    saddles = [cp.point for cp in himmelblau.critical_points if cp.kind == "saddle"]
-    for s, target in itertools.product((br.constant(0.0015), br.power(0.0015, 0.5)), saddles):
-        rep = br.reach_general(himmelblau, target, 1.0, s, 1e-3, tol=1e-2)
-        orbit = rep.reverse_part
-        assert rep.status == "success" and orbit.status == "complete"
-        build = lambda **kw: br.reverse_orbit(himmelblau, orbit.anchor, s,
-                                              len(orbit.points) - 1, **kw)
-        again = build()
-        assert np.array(again.points).tobytes() == np.array(orbit.points).tobytes()
-        assert again.forward_residuals == orbit.forward_residuals
-        loose = build(rtol=reverse_mod.MINIMUM_FIXED_POINT_RTOL)
-        assert np.array(loose.points).tobytes() != np.array(orbit.points).tobytes()
+def test_prox_and_ascent_prox_sweep_is_pinned():
     rng, digest = np.random.default_rng(5), hashlib.sha256()
     for name, params in (("quad", (1.0, 4.0)), ("double_well", ()), ("himmelblau", ()),
                          ("quad", (1.0, 2.0, 5.0))):
@@ -1432,31 +1414,36 @@ def test_every_continuous_minimum_reach_starts_inside_its_radius():
         assert 0.0 < norm(rep.x0 - target) <= rep.delta_used
 
 
-def test_every_discrete_minimum_reach_solves_its_orbit_only_as_tightly_as_needed(monkeypatch):
-    # a minimum reach's orbit is solved at MINIMUM_FIXED_POINT_RTOL: every
-    # step, recomputed with numpy, still passes its forward-residual
-    # certificate, x0 lies within delta_used, and no reach takes more
-    # gradient points than at FIXED_POINT_RTOL, fewer in all
-    loose = tight = 0
-    for (f, target, eps), kind, seed_radius in itertools.product(
-            builtin_minima(), ("constant", "power"), (5e-4, 1e-3, 2e-3)):
+def test_every_discrete_reach_solves_its_orbit_as_reverse_orbit_does():
+    # minima and saddles alike: the reach's reverse part is a direct
+    # reverse_orbit of its anchor, schedule and horizon, bit for bit, and
+    # every step, recomputed with numpy, passes its forward-residual
+    # certificate; a minimum's x0 lies within delta_used, a saddle's replay
+    # crosses the level within tol
+    hb = br.make_builtin("himmelblau")
+    targets = [(f, target, eps, False) for f, target, eps in builtin_minima()]
+    targets += [(hb, cp.point, 1.0, True) for cp in hb.critical_points if cp.kind == "saddle"]
+    assert len(targets) == 9 + 4
+    for (f, target, eps, saddle), kind, seed_radius in itertools.product(
+            targets, ("constant", "power"), (5e-4, 1e-3, 2e-3)):
         a = 0.5 / f.lipschitz_L
         s = br.constant(a) if kind == "constant" else br.power(a, 0.5)
-        g, counts = counting(f)
-        rep = br.reach_discrete(g, target, eps, s, seed_radius, 1e-4)
-        assert rep.status == "success" and 0.0 < norm(rep.x0 - target) <= rep.delta_used
-        orbit, alpha = rep.reverse_part, rep.forward_part.provenance["schedule"].alpha
+        rep = (br.reach_general(f, target, eps, s, seed_radius, tol=1e-2) if saddle
+               else br.reach_discrete(f, target, eps, s, seed_radius, 1e-4))
+        orbit = rep.reverse_part
+        assert rep.status == "success" and orbit.status == "complete"
+        if saddle:
+            assert rep.final_distance <= 1e-2
+        else:
+            assert 0.0 < norm(rep.x0 - target) <= rep.delta_used
         for i, (x, xnext) in enumerate(zip(orbit.points, orbit.points[1:])):
-            r = np.linalg.norm(x - alpha(orbit.start_index + i) * f.gradient(x) - xnext)
+            r = np.linalg.norm(x - s.alpha(orbit.start_index + i) * f.gradient(x) - xnext)
             bound = reverse_mod.FORWARD_RESIDUAL_RTOL * (1.0 + np.linalg.norm(x))
             assert r <= bound and orbit.forward_residuals[i] <= bound
-        n = counts["grad"]
-        with monkeypatch.context() as m:
-            m.setattr(reach_mod, "MINIMUM_FIXED_POINT_RTOL", reverse_mod.FIXED_POINT_RTOL)
-            br.reach_discrete(g, target, eps, s, seed_radius, 1e-4)
-        assert n <= counts["grad"] - n
-        loose, tight = loose + n, tight + counts["grad"] - n
-    assert loose < tight
+        again = br.reverse_orbit(f, orbit.anchor, s, len(orbit.points) - 1)
+        assert np.array(again.points).tobytes() == np.array(orbit.points).tobytes()
+        assert again.forward_residuals == orbit.forward_residuals
+        assert again.start_index == orbit.start_index == 0
 
 
 def test_reach_continuous_rejects_max(dw):

@@ -115,8 +115,8 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
     # beyond each solve's first, whose gradient the last solve returned
     iters = []
 
-    def counted(*args, **kwargs):
-        out = picard(*args, **kwargs)
+    def counted(*args):
+        out = picard(*args)
         iters.append(out[2])
         return out
 
