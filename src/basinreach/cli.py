@@ -54,7 +54,6 @@ FIELDS = {
     "gtol": (1e-10, "number", "gradient stopping tolerance"),
     "h": (1e-3, "number", "flow integrator's first trial step"),
     "t_max": (50.0, "number", "flow time budget"),
-    "event_refine_tol": (None, "number", "sphere-crossing refinement (default h/1000)"),
     "max_iter": (1000000, "count", "discrete iteration budget"),
     "kbar_max": (65536, "count", "reverse-orbit horizon budget"),
     "n_samples": (8, "count", "probe quasi-random starts per radius"),
@@ -65,8 +64,8 @@ FIELDS = {
                                 "else ./basinreach_out"),
 }
 
-#: the fields each subcommand reads, each one a --flag; procedure (reach),
-#: event_refine_tol and output_dir are read from a config file only
+#: the fields each subcommand reads, each one a --flag; procedure (reach)
+#: and output_dir are read from a config file only
 COMMAND_FIELDS = {
     "run": ("function", "procedure", "x0", "schedule", "gtol", "max_iter", "direction",
             "h", "t_max"),
@@ -177,9 +176,7 @@ def resolve_target(cfg, f):
 
 
 def flow_settings(cfg):
-    return FlowSettings(h=float(cfg["h"]), t_max=float(cfg["t_max"]),
-                        gtol=float(cfg["gtol"]),
-                        event_refine_tol=cfg["event_refine_tol"])
+    return FlowSettings(h=float(cfg["h"]), t_max=float(cfg["t_max"]), gtol=float(cfg["gtol"]))
 
 
 def resolve_dynamics(cfg):

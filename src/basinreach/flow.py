@@ -3,7 +3,8 @@ explicit Runge-Kutta pair DOP853 of order 8(5,3) with step-size control
 and a 7th-order dense output (Prince & Dormand 1981, J. Comput. Appl.
 Math. 7:67-75; Hairer, Norsett & Wanner, Solving ODEs I, II.10), the
 minimum-norm Clarke flow of the capped function max{f, level}, crossing
-events located on the dense output, and path-length analytics.
+events located on the dense output, each to its own tolerance on the
+function it locates, and path-length analytics.
 
 Each run is a :func:`~basinreach.trajectory.march` of the one runner,
 ``_Flow``, whose step rule is :func:`_dop853_step`, on points of the
@@ -39,6 +40,10 @@ H_GUARD = 0.1
 # Jacobian's eigenvalues lie in [-L, L]) chatters at the stability boundary,
 # held there at the tolerance
 RTOL, ATOL, H_STABLE = 1e-10, 1e-13, 6.0
+# the resolution at which a reach tells an f-value from a level: its ascent
+# seed lies more than SEED_FLOOR_RTOL (1 + |level|) above the target's value,
+# and a level crossing on the dense output lies at most that far below it
+SEED_FLOOR_RTOL = 1e-12
 # a minimum reach's reverse flow, from the ascent seed to the sphere, runs at
 # REVERSE_RTOL, as a tolerance is the accuracy its caller needs (Hairer,
 # Norsett & Wanner, II.4): the reach's result rests on the forward run from
@@ -140,23 +145,18 @@ class NoCrossingError(RuntimeError):
 @dataclass(frozen=True)
 class FlowSettings:
     """h is the adaptive flow's first trial step, clamped to 0.1/L; a run
-    ends at time t_max, a forward run also once |grad f| < gtol; a
-    crossing is located to a time bracket of event_refine_tol (1e-3 h by
-    default).  h and gtol must be positive and finite, t_max positive."""
+    ends at time t_max, a forward run also once |grad f| < gtol; each
+    crossing is located to its own tolerance on the function it locates.
+    h and gtol must be positive and finite, t_max positive."""
 
     h: float
     t_max: float
     gtol: float = 1e-8
-    event_refine_tol: float = None
 
     def __post_init__(self):
         require_positive_finite(h=self.h, gtol=self.gtol)
         if not self.t_max > 0.0:  # an infinite time budget is allowed
             raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.event_refine_tol is None:
-            object.__setattr__(self, "event_refine_tol", 1e-3 * self.h)
-        if not 0.0 < self.event_refine_tol < self.h:
-            raise ValueError("event_refine_tol must lie in (0, h)")
 
 
 @dataclass(frozen=True)
@@ -264,15 +264,14 @@ class _Flow:
             w := t * (p0 + u * (p1 + t * (p2 + u * (p3 + t * (p4 + u * (p5 + t * p6)))))))]
         return comb(self.x, sh, terms, ks)
 
-    def cross(self, phi, p_lo, p_hi, tol=math.inf):
+    def cross(self, phi, p_lo, p_hi, tol):
         """(t, point) where phi meets 0 on the last step's dense output,
         given phi = p_lo < 0 at the step's start and p_hi >= 0 at its end:
-        Illinois regula falsi keeps phi >= 0 at the upper end, until phi
-        there is within tol and the time bracket within event_refine_tol."""
+        Illinois regula falsi (Dowell & Jarratt 1971) keeps phi >= 0 at the
+        upper end, until phi there is at most tol."""
         lo, hi, y_hi, w_lo, w_hi, side = 0.0, 1.0, self.x_new, p_lo, p_hi, 0
-        width = self.settings.event_refine_tol / self.dt
         for _ in range(200):
-            if p_hi <= tol and hi - lo <= width:
+            if p_hi <= tol:
                 return self.t + hi * self.dt, y_hi
             theta = hi - w_hi * (hi - lo) / (w_hi - w_lo)
             theta = theta if lo < theta < hi else 0.5 * (lo + hi)
@@ -287,8 +286,8 @@ class _Flow:
         raise ArithmeticError("crossing location did not converge")
 
     def locate(self, level, prev, x, fx):
-        value = self.f.value
-        return self.cross(lambda y: level - value(y), level - prev[3], level - fx)[1]
+        value, tol = self.f.value, SEED_FLOOR_RTOL * (1.0 + abs(level))
+        return self.cross(lambda y: level - value(y), level - prev[3], level - fx, tol)[1]
 
 
 def integrate(f, x0, direction, settings, event=None):
@@ -305,7 +304,8 @@ def integrate(f, x0, direction, settings, event=None):
 def integrate_minnorm(f, x0, level, settings):
     """The minimum-norm Clarke flow of g = max{f, level}: forward DOP853
     flow on f until f(x) <= level, its limit the crossing located where f
-    meets the level on the last step's dense output.  Above the level the
+    meets the level on the last step's dense output, with level -
+    SEED_FLOOR_RTOL (1 + |level|) <= f <= level there.  Above the level the
     only active piece of g is f, so the minimum-norm element of g's Clarke
     subdifferential is grad f; on {f <= level} the constant piece is
     active, 0 is in the subdifferential and the flow stalls there.  A

@@ -69,8 +69,8 @@ from itertools import chain
 import numpy as np
 
 from .descent import _Descent, classify_limit, run_gd
-from .flow import (FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail, integrate,
-                   integrate_minnorm, path_length)
+from .flow import (SEED_FLOOR_RTOL, FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail,
+                   integrate, integrate_minnorm, path_length)
 from .landscape import (LeftBoxError, norm, require_nonnegative_finite, require_positive_finite,
                         row_norms)
 from .reverse import reverse_orbit
@@ -78,8 +78,6 @@ from .sampling import directions, unit_directions
 from .schedule import StepSchedule, constant, require_admissible
 from .trajectory import _to_level, finite_point, march, recorded, recording, start
 
-# strictness floor for the ascent seed: f(a) > f(target) + floor
-SEED_FLOOR_RTOL = 1e-12
 # quasi-random ascent-seed directions scanned after (or before) the axes
 SCAN_RANDOM = 64
 # halvings of a minimum reach's step scale while no seed escapes
@@ -459,7 +457,7 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
 def _first_escape(f, target, seed_radius, level, seed, minimum, lead, scales, cap, kbar_max):
     """(a, rho, dynamics, (x0, reverse part)) of the first ascent seed a
     that escapes, or None.  Seeds are a = target + seed_radius * d with
-    f(a) strictly above the target value (floor 1e-12 * (1 + |level|)),
+    f(a) strictly above the target value (floor SEED_FLOOR_RTOL (1 + |level|)),
     the directions ``lead`` first, then the axis directions and the
     quasi-random ones, axes first for a ``minimum`` target, less any
     direction equal to one of ``lead``; the scan starts afresh for each
@@ -659,10 +657,7 @@ def edge_of_stability(f, alpha, x0):
         raise ValueError("the exact spectral criterion needs an exactly quadratic objective: "
                          "hessian_lipschitz 0, a Hessian and one cataloged critical point")
     require_positive_finite(alpha=alpha)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (f.dim,):  # not ``start``: x0 may lie outside the box
-        raise ValueError(f"x0 must have dimension {f.dim}")
-    x0 = finite_point(f, x0, "x0")
+    x0 = finite_point(f, x0, "x0")  # not ``start``: x0 may lie outside the box
     star = f.critical_points[0].point
     lam, V = np.linalg.eigh(f.hess(star))
     supported = np.abs(V.T @ (x0 - star)) > 0.0

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -343,6 +344,19 @@ def test_check_cli(tmp_path):
     assert data["identity_failures"] == 0 and data["certificate_failures"] == 0
 
 
+def test_check_counts_its_failures_and_exits_1(tmp_path, monkeypatch, capsys):
+    # a prox that returns every second point unmoved fails both the identity
+    # and the decrease certificate there; check.json counts each failure
+    calls, prox = itertools.count(), cli.prox
+    monkeypatch.setattr(cli, "prox", lambda f, x, lam: x if next(calls) % 2 else prox(f, x, lam))
+    out = tmp_path / "check"
+    assert main(["check", "--function", "double_well", "--n-checks", "5", "--out", str(out)]) == 1
+    line = capsys.readouterr().out
+    assert line == "check: 5 samples, 2 identity failures, 2 certificate failures\n"
+    data = json.loads(read(out / "check.json"))
+    assert data == {"n": 5, "identity_failures": 2, "certificate_failures": 2}
+
+
 def test_config_errors(tmp_path, capsys):
     assert main(["run", "--function", "nope", "--x0", "1",
                  "--out", str(tmp_path / "x")]) == 2
@@ -356,11 +370,13 @@ def test_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "z")]) == 2
-    # unknown config field
+    # unknown config fields, the retired event_refine_tol among them even as null
     bad2 = tmp_path / "bad2.json"
-    bad2.write_text(json.dumps({"stepsize": 0.1}))
-    assert main(["run", "--config", str(bad2), "--out", str(tmp_path / "w")]) == 2
-    assert "stepsize" in capsys.readouterr().err
+    capsys.readouterr()
+    for field, value in (("stepsize", 0.1), ("event_refine_tol", None)):
+        bad2.write_text(json.dumps({field: value}))
+        assert main(["run", "--config", str(bad2), "--out", str(tmp_path / "w")]) == 2
+        assert capsys.readouterr().err == f"error: config: unknown field {field!r}\n"
     # missing required field
     assert main(["run", "--function", "quad:1", "--out", str(tmp_path / "v")]) == 2
 
@@ -519,13 +535,12 @@ def test_every_number_flag_rejects_inf_and_nan(tmp_path, capsys, command, field,
 
 @pytest.mark.parametrize("field,value,message", [
     ("delta", "x", 'config: delta must be a number or null, got "x"'),
-    ("event_refine_tol", "x", 'config: event_refine_tol must be a number or null, got "x"'),
     ("alpha", [0.1], "config: alpha must be a number or null, got [0.1]"),
     ("output_dir", 3, "config: output_dir must be a string or null, got 3"),
     ("target", True, "config: target must be a catalog index (int) or a list of numbers "
                      "or null, got true"),
     ("x0", [1.0, "2"], 'config: x0 must be a list of numbers or null, got [1.0, "2"]'),
-], ids=["delta", "event_refine_tol", "alpha", "output_dir", "target", "x0"])
+], ids=["delta", "alpha", "output_dir", "target", "x0"])
 def test_config_fields_defaulting_to_null_are_type_checked(tmp_path, capsys, field, value,
                                                            message):
     cfg = tmp_path / "cfg.json"
@@ -636,8 +651,7 @@ class RecordingConfig(dict):
 def test_each_subcommand_flags_exactly_the_fields_it_reads(tmp_path, monkeypatch, capsys):
     # every flag is read by a run of its subcommand, and the only fields read
     # without a flag are output_dir (after --out and BASINREACH_OUT, neither
-    # given here), event_refine_tol (config only) and reach's procedure
-    # (--general sets it)
+    # given here) and reach's procedure (--general sets it)
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("BASINREACH_OUT", raising=False)
     reads = {}
@@ -667,8 +681,8 @@ def test_each_subcommand_flags_exactly_the_fields_it_reads(tmp_path, monkeypatch
         assert main(argv) == 0, argv
     capsys.readouterr()
     fields = set(json.loads(read(os.path.join("basinreach_out", "config.json"))))
-    unflagged = {"run": {"event_refine_tol"}, "reach": {"event_refine_tol", "procedure"},
-                 "probe": {"event_refine_tol"}, "eos": set(), "check": set()}
+    unflagged = {"run": set(), "reach": {"procedure"}, "probe": set(), "eos": set(),
+                 "check": set()}
     assert set(reads) == set(unflagged)
     for command, read_fields in reads.items():
         flags = fields & set(vars(cli.build_parser().parse_args([command])))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from conftest import (count_flow_steps, counting, dop853_step, make_linear_1d, m
                       rk4_flow, same_states)
 
 
-def settings(h=0.01, t_max=1.0, gtol=1e-12, refine=None):
-    return br.FlowSettings(h=h, t_max=t_max, gtol=gtol, event_refine_tol=refine)
+def settings(h=0.01, t_max=1.0, gtol=1e-12):
+    return br.FlowSettings(h=h, t_max=t_max, gtol=gtol)
 
 
 # --- settings and model validation ------------------------------------------
@@ -20,24 +21,21 @@ def settings(h=0.01, t_max=1.0, gtol=1e-12, refine=None):
 def test_settings_validation():
     with pytest.raises(ValueError):
         br.FlowSettings(h=0.0, t_max=1.0)
-    with pytest.raises(ValueError):
-        br.FlowSettings(h=0.01, t_max=1.0, event_refine_tol=0.02)
     for t_max, gtol, message in ((0.0, 1e-8, "^t_max must be positive, got 0.0$"),
                                  (1.0, -1e-8, "^gtol must be positive and finite, got -1e-08$"),
                                  (1.0, math.inf, "^gtol must be positive and finite, got inf$")):
         with pytest.raises(ValueError, match=message):
             br.FlowSettings(h=0.01, t_max=t_max, gtol=gtol)
-    st = br.FlowSettings(h=0.01, t_max=1.0)
-    assert st.event_refine_tol == pytest.approx(1e-5)
+    # h, t_max and gtol are the only settings: a crossing's tolerance is its own
+    assert [f.name for f in dataclasses.fields(br.FlowSettings)] == ["h", "t_max", "gtol"]
 
 
 def test_settings_reject_an_infinite_first_step():
-    # h is checked before the refinement tolerance 1e-3 h is derived from
-    # it; an unbounded time budget stays allowed
+    # an unbounded time budget stays allowed
     for h in (math.inf, math.nan):
         with pytest.raises(ValueError, match="h must be positive and finite"):
             br.FlowSettings(h=h, t_max=1.0)
-    assert br.FlowSettings(h=0.01, t_max=math.inf).event_refine_tol == pytest.approx(1e-5)
+    assert br.FlowSettings(h=0.01, t_max=math.inf).t_max == math.inf
 
 
 def test_first_trial_step_clamped_to_the_guard(dw):
@@ -254,6 +252,26 @@ def test_dense_output_ends_on_the_step():
         assert counts["grad"] == before + 3
 
 
+def test_cross_stops_on_its_tolerance_alone(quad1):
+    # Illinois regula falsi on the dense output stops once phi at the upper
+    # end is within tol, however wide the bracket: a tolerance met at the
+    # step's end takes that end, a tighter one a point on the step with 0 <=
+    # phi <= tol; a phi that jumps from -1 to 1 inside the step is never
+    # within tol, so its bracket collapses onto the jump and the 200
+    # iterations run out
+    fl = flow._Flow(quad1, "forward", settings(h=0.05))
+    x = quad1._lane.point([1.0])
+    _, (x_new,) = fl.step(0, 0.0, x, quad1._lane.grad(x))
+    c = 0.5 * (1.0 + x_new)
+    phi = lambda y: c - y[0]
+    assert fl.cross(phi, phi(x), phi(fl.x_new), math.inf) == (fl.dt, fl.x_new)
+    t, y = fl.cross(phi, phi(x), phi(fl.x_new), 1e-12)
+    assert 0.0 < t < fl.dt and 0.0 <= phi(y) <= 1e-12
+    jump = lambda y: -1.0 if y[0] > c else 1.0
+    with pytest.raises(ArithmeticError, match="^crossing location did not converge$"):
+        fl.cross(jump, -1.0, 1.0, 0.5)
+
+
 def test_dop853_sums_are_one_lane_comb_each():
     # on both lanes a DOP853 step makes each of its 11 stage sums, its
     # 8th-order point and its two error estimates in one lane.comb call and
@@ -354,12 +372,13 @@ def test_minnorm_stalls_immediately_below():
 
 def test_minnorm_unit_speed_until_kink():
     # f(x) = x flows at unit speed: from x0 = 1 the level 0 is met at x = 0,
-    # t = 1, on the last step
+    # t = 1, on the last step, located with f within the level's tolerance
+    # SEED_FLOOR_RTOL (1 + |0|) below it
     st = br.FlowSettings(h=1e-3, t_max=3.0, gtol=1e-10)
     traj = br.integrate_minnorm(make_linear_1d(), [1.0], 0.0, st)
     assert traj.terminal_status == "converged"
     assert traj.t[-2] < 1.0 <= traj.t[-1] and traj.X[-1, 0] <= 0.0 < traj.X[-2, 0]
-    assert abs(traj.limit[0]) <= st.event_refine_tol
+    assert 0.0 <= -traj.limit[0] <= flow.SEED_FLOOR_RTOL
 
 
 @pytest.mark.parametrize("t_max,status", [(100.0, "converged"), (0.5, "budget_exhausted")],

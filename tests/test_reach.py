@@ -1526,6 +1526,21 @@ def test_reach_general_continuous_himmelblau_saddles(himmelblau, delta):
         assert abs(np.linalg.norm(rep.x0 - target) - delta) <= 1e-8 * delta
 
 
+@pytest.mark.parametrize("h", [3e-4, 1e-3, 1e-2, 5e-2])
+def test_saddle_crossing_accuracy_does_not_follow_h(himmelblau, h):
+    # the level crossing is located on the dense output to the level's own
+    # tolerance, at most 1e-12 (1 + |f*|) below f* = f(target), whatever
+    # the first trial step h
+    st = br.FlowSettings(h=h, t_max=50.0, gtol=1e-6)
+    for i, delta, seed_radius in itertools.product(HIMMELBLAU_SADDLES, (0.5, 0.1), (1e-3, 1e-4)):
+        target = himmelblau.critical_points[i].point
+        level = himmelblau.value(target)
+        rep = br.reach_general(himmelblau, target, 1.0, st, seed_radius, tol=1e-2, delta=delta)
+        assert rep.status == "success", (i, delta, seed_radius)
+        gap = level - himmelblau.value(rep.crossing)
+        assert 0.0 <= gap <= 1e-12 * (1.0 + abs(level)), (i, delta, seed_radius, gap)
+
+
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
 def test_saddle_seed_scan_draws_directions_on_demand(monkeypatch, himmelblau, mode):
     # saddle 8's first quasi-random seed escapes, so the scan draws one
@@ -1667,7 +1682,8 @@ def test_eos_rejects_non_quad(dw):
 @pytest.mark.parametrize("alpha,x0,message", [
     (0.0, [1.0], "^alpha must be positive and finite, got 0.0$"),
     (-1.0, [1.0], "^alpha must be positive and finite, got -1.0$"),
-    (1.0, [1.0, 1.0], "^x0 must have dimension 1$"),
+    pytest.param(1.0, [1.0, 1.0], r"^x0 must have shape \(1,\) for dim = 1, got shape \(2,\)$",
+                 id="1.0-x02-shape"),
     (math.inf, [1.0], "^alpha must be positive and finite, got inf$")])
 def test_eos_rejects_a_bad_alpha_or_x0(quad1, alpha, x0, message):
     with pytest.raises(ValueError, match=message):

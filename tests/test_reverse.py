@@ -279,6 +279,30 @@ def test_degenerate_seeds_fall_back_to_the_newest(name, params, points):
     assert norm(np.subtract(both[0], anderson_solve(f, base, a, 1.0)[0])) <= 1e-12
 
 
+@pytest.mark.parametrize("name,params,x", [
+    ("quad", (1.0, 2.0, 5.0), [0.3, -0.2, 0.1]),
+    ("double_well", (), [0.5]),
+    ("himmelblau", (), [1.0, 1.0]),
+], ids=["picard-dim3", "picard1", "picard2"])
+def test_a_solve_out_of_iterations_raises(monkeypatch, name, params, x):
+    # one iteration allowed and a first test that fails: each of the three
+    # loops (the lane loop, and the float lane's 1-D and 2-D ones) runs out
+    f = br.make_builtin(name, params)
+    monkeypatch.setattr(reverse_mod, "_MAX_INNER_ITER", 1)
+    for solve in (br.prox, br.ascent_prox):
+        with pytest.raises(ArithmeticError, match="^fixed-point iteration failed to contract$"):
+            solve(f, x, 0.5 / f.lipschitz_L)
+
+
+def test_an_ascent_step_short_of_its_certificate_raises(monkeypatch, dw):
+    # a solve stopping at FIXED_POINT_RTOL = 1 stops on its first test, at
+    # y = xnext, whose forward residual a |grad f(xnext)| is far above the
+    # 1e-10 (1 + |y|) certificate
+    monkeypatch.setattr(reverse_mod, "FIXED_POINT_RTOL", 1.0)
+    with pytest.raises(ArithmeticError, match="^ascent step failed its inverse certificate: "):
+        br.ascent_prox(dw, [0.5], 0.5 / dw.lipschitz_L)
+
+
 # --- reverse_orbit -----------------------------------------------------------
 
 def test_reverse_orbit_exact(quad1):
