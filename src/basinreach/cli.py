@@ -272,7 +272,7 @@ def cmd_probe(cfg, f):
     cfg["procedure"] = "probe"
     est = stability_probe(
         f, resolve_target(cfg, f), float(cfg["epsilon"]), resolve_dynamics(cfg),
-        n_samples=cfg["n_samples"], seed=cfg["seed"], max_iter=min(cfg["max_iter"], 100000),
+        n_samples=cfg["n_samples"], seed=cfg["seed"], max_iter=cfg["max_iter"],
         gtol=float(cfg["gtol"]))
     # probe.json: the estimate's fields, each failing start as a list
     probe = dict(vars(est), failures=[[float(c) for c in p] for p in est.failures])

@@ -159,26 +159,6 @@ class FlowSettings:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
 
 
-@dataclass(frozen=True)
-class DesingularizationModel:
-    """psi(s) = coeff * s**exponent: concave, increasing, psi(0) = 0.
-
-    Supplied by the caller for analytically solvable cases only; nothing
-    here estimates psi from data.
-    """
-
-    coeff: float
-    exponent: float
-
-    def __post_init__(self):
-        require_positive_finite(coeff=self.coeff)
-        if not 0.0 < self.exponent <= 1.0:
-            raise ValueError("exponent must lie in (0, 1]")
-
-    def psi(self, s):
-        return self.coeff * max(float(s), 0.0) ** self.exponent
-
-
 def _dop853_step(lane, x, sh, g1):
     """One DOP853 step of signed length sh along dx/dt = grad(x), from g1 =
     grad(x), on points of the lane: (x_new, ks, e5, e3) with x_new the
@@ -359,14 +339,3 @@ def path_length(traj):
         raise ValueError("path_length needs at least 2 states")
     return float(sum(row_norms(np.diff(traj.X, axis=0)).tolist()))
 
-
-def check_length_bound(traj, model, f=None):
-    """lhs = path length, rhs = psi(f(first) - f(last));
-    ok iff lhs <= rhs * (1 + 1e-6) + 1e-9."""
-    lhs = path_length(traj)
-    if f is not None:
-        gap = f.value(traj.initial_x) - f.value(traj.final_x)
-    else:
-        gap = float(traj.f[0] - traj.f[-1])
-    rhs = model.psi(gap)
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-6) + 1e-9

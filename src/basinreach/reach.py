@@ -110,32 +110,29 @@ class ReachReport:
     status: str
     seed_radius: float
     escape_radius: float = float("nan")
-    crossing: np.ndarray = None
 
 
 @dataclass(frozen=True)
 class ReachBudgets:
     """Iteration and sampling budgets for the reach pipelines.
 
-    gtol defaults to min(1e-8, 1e-3 * tol); probe_samples is the number
-    of starts per radius of the probe run where no radius is certified;
-    delta_override reuses a radius found before, legitimate as the
-    stability radius is uniform over admissible schedules.
-    The counts, a given gtol and a given delta_override must be
-    nonnegative and finite: 0, a radius the probe can return, is allowed.
+    gtol defaults to min(1e-8, 1e-3 * tol); delta_override reuses a
+    radius found before, legitimate as the stability radius is uniform
+    over admissible schedules.  The counts, a given gtol and a given
+    delta_override must be nonnegative and finite: 0, a radius the probe
+    can return, is allowed.
     """
 
     max_iter: int = 200_000
     gtol: float = None
     kbar_max: int = 1 << 16
-    probe_samples: int = 8
     delta_override: float = None
     seed: int = 0
 
     def __post_init__(self):
         require_nonnegative_finite(
             max_iter=self.max_iter, gtol=0.0 if self.gtol is None else self.gtol,
-            kbar_max=self.kbar_max, probe_samples=self.probe_samples,
+            kbar_max=self.kbar_max,
             delta_override=0.0 if self.delta_override is None else self.delta_override)
 
 
@@ -517,8 +514,8 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     scan leads with +-v_max, along which an ascent step grows |x -
     target| by 1/(1 - alpha lambda_max) and f(a) - f* ~ lambda_max r^2/2 > 0,
     so the orbit's length does not grow with the condition number; the axes
-    follow, then the quasi-random directions.  A saddle target reports the
-    limit as its crossing and scans quasi-random directions before the axes,
+    follow, then the quasi-random directions.  A saddle target's limit is
+    the level crossing; it scans quasi-random directions before the axes,
     which can lie on its stable manifold.
     """
     saddle = delta is not None
@@ -546,7 +543,7 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
             delta, source = basin.certificate[1], "certified"
         if delta is None:
             probed = constant(dynamics.sup_alpha) if descent else dynamics
-            delta = stability_probe(f, target, epsilon, probed, b.probe_samples, b.seed).delta_hat
+            delta = stability_probe(f, target, epsilon, probed, seed=b.seed).delta_hat
             source = "probe"
         delta = min(float(delta), epsilon)
         if delta > 0.0 and seed_radius > 0.5 * delta:
@@ -583,8 +580,7 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     return ReachReport(
         target=target, x0=x0, reverse_part=rev, forward_part=fwd, final_distance=dist,
         delta_used=float(delta), delta_source=source, ascent_seed=a, status=status,
-        seed_radius=float(seed_radius), escape_radius=rho,
-        crossing=fwd.limit if saddle and fwd is not None else None)
+        seed_radius=float(seed_radius), escape_radius=rho)
 
 
 def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):

@@ -74,7 +74,7 @@ def directions(dim, n_random, seed, axis_first=True):
         yield from axis
 
 
-def unit_directions(dim, n_random, seed, axis_first=True):
-    """The (2*dim + n_random, dim) array of :func:`directions`' rows (just
-    the axis pair in 1-D)."""
-    return np.array(list(directions(dim, n_random, seed, axis_first)))
+def unit_directions(dim, n_random, seed):
+    """The (2*dim + n_random, dim) array of :func:`directions`' rows, axis
+    pairs first (just the axis pair in 1-D)."""
+    return np.array(list(directions(dim, n_random, seed)))

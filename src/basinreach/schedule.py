@@ -5,9 +5,7 @@ made checkable.  Only nonsummable families are constructible.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .landscape import require_nonnegative_finite, require_positive_finite
+from .landscape import require_positive_finite
 
 SCHEDULE_KINDS = ("constant", "power")
 
@@ -16,9 +14,11 @@ SCHEDULE_KINDS = ("constant", "power")
 class StepSchedule:
     """alpha_k = c (constant) or c / (k+1)^p with p in [0, 1] (power).
 
-    p > 1 would make the sequence summable and is rejected: every
-    reachability and stability statement assumes a divergent step sum.
-    sup_alpha = c for both kinds.
+    Both kinds are nonsummable: for p <= 1, sum_{k<K} c / (k+1)^p >=
+    sum_{k<K} c / (k+1) >= c ln(K+1), which passes every bound.  p > 1
+    would make the sequence summable and is rejected: every reachability
+    and stability statement assumes a divergent step sum.  sup_alpha = c
+    for both kinds.
     """
 
     kind: str
@@ -40,26 +40,6 @@ class StepSchedule:
         if self.kind == "constant":
             return self.c
         return self.c / (k + 1.0) ** self.p
-
-    def partial_sum(self, K):
-        """sum_{k=0}^{K-1} alpha_k."""
-        require_nonnegative_finite(K=K)
-        if self.kind == "constant":
-            return self.c * K
-        return self.c * float(np.sum((np.arange(K) + 1.0) ** -self.p))
-
-    def index_reaching(self, M):
-        """An explicit K with partial_sum(K) > M (witness of nonsummability)."""
-        if M <= 0.0:
-            return 1
-        if self.kind == "constant":
-            return int(math.ceil(M / self.c)) + 1
-        if self.p == 1.0:
-            # sum >= c * ln(K + 1)
-            return int(math.ceil(math.exp(M / self.c)))
-        # sum >= c * ((K + 1)^(1-p) - 1) / (1 - p)
-        q = 1.0 - self.p
-        return int(math.ceil((M * q / self.c + 1.0) ** (1.0 / q))) + 1
 
     def scaled(self, factor):
         """Same family with c scaled; used when shrinking sup_alpha."""

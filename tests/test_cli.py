@@ -315,6 +315,20 @@ def test_probe_cli(tmp_path):
     assert data["capture_level"] is None and data["delta_cert"] == 1.0
 
 
+def test_probe_runs_on_the_max_iter_its_config_records(tmp_path, monkeypatch):
+    seen, probe = [], cli.stability_probe
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["max_iter"])
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "stability_probe", spy)
+    out = str(tmp_path / "probe")
+    assert main(["probe", "--function", "double_well", "--target", "1", "--epsilon", "0.5",
+                 "--schedule", "constant:0.05", "--out", out]) == 0
+    assert seen == [json.loads(read(os.path.join(out, "config.json")))["max_iter"]]
+
+
 def test_probe_cli_lists_each_1d_failure_once(tmp_path):
     out = str(tmp_path / "probe")
     rc = main(["probe", "--function", "double_well", "--target-index", "2", "--mode",

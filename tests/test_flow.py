@@ -53,15 +53,6 @@ def test_integrate_rejects_an_unknown_direction(quad1):
         br.integrate(quad1, [0.5], "sideways", settings())
 
 
-def test_model_validation():
-    with pytest.raises(ValueError):
-        br.DesingularizationModel(coeff=1.0, exponent=1.5)
-    with pytest.raises(ValueError):
-        br.DesingularizationModel(coeff=-1.0, exponent=0.5)
-    m = br.DesingularizationModel(coeff=math.sqrt(2.0), exponent=0.5)
-    assert m.psi(0.0) == 0.0 and m.psi(2.0) == pytest.approx(2.0)
-
-
 # --- smooth integration -------------------------------------------------------
 
 def test_forward_flow_exponential(quad1):
@@ -497,11 +488,19 @@ def test_path_length_constant_trajectory(quad1):
         br.path_length(single)
 
 
+def length_bound(traj, f):
+    """(lhs, rhs, ok) of the KL length bound with psi(s) = sqrt(2 s): lhs
+    the path length, rhs = psi(f(first) - f(last)), ok iff lhs <= rhs (1 +
+    1e-6) + 1e-9."""
+    lhs = br.path_length(traj)
+    rhs = math.sqrt(2.0 * max(f.value(traj.initial_x) - f.value(traj.final_x), 0.0))
+    return lhs, rhs, lhs <= rhs * (1.0 + 1e-6) + 1e-9
+
+
 def test_length_bound_equality_witness(quad1):
     # |x0| = sqrt(2 f(x0)) exactly for 0.5 x^2, so psi(s) = sqrt(2 s) is tight
-    model = br.DesingularizationModel(coeff=math.sqrt(2.0), exponent=0.5)
     traj = br.integrate(quad1, [2.0], "forward", settings(t_max=40.0, gtol=1e-6))
-    lhs, rhs, ok = br.check_length_bound(traj, model, quad1)
+    lhs, rhs, ok = length_bound(traj, quad1)
     assert ok
     assert lhs == pytest.approx(2.0, abs=1e-4)
     assert rhs == pytest.approx(2.0, abs=1e-6)
@@ -509,18 +508,16 @@ def test_length_bound_equality_witness(quad1):
 
 def test_length_bound_on_axis(quad14):
     # motion from (1, 0) stays on the x1-axis by symmetry
-    model = br.DesingularizationModel(coeff=math.sqrt(2.0), exponent=0.5)
     traj = br.integrate(quad14, [1.0, 0.0], "forward",
                         br.FlowSettings(h=0.01, t_max=40.0, gtol=1e-6))
     assert all(st.x[1] == 0.0 for st in traj.states)
-    lhs, rhs, ok = br.check_length_bound(traj, model, quad14)
+    lhs, rhs, ok = length_bound(traj, quad14)
     assert ok and lhs == pytest.approx(1.0, abs=1e-4) and rhs == pytest.approx(1.0, abs=1e-6)
 
 
 def test_length_bound_zero_length(quad1):
     traj = br.integrate(quad1, [0.0], "reverse", settings(t_max=0.05))
-    lhs, rhs, ok = br.check_length_bound(
-        traj, br.DesingularizationModel(coeff=1.0, exponent=0.5))
+    lhs, rhs, ok = length_bound(traj, quad1)
     assert ok and lhs == 0.0 and rhs == 0.0
 
 

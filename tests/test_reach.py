@@ -760,7 +760,7 @@ def test_every_reach_rejects_a_nonpositive_tol(dw, saddle_quad, tol):
 
 @pytest.mark.parametrize("field,value", [
     ("gtol", math.nan), ("gtol", -1.0), ("max_iter", -1), ("kbar_max", -1),
-    ("probe_samples", -1), ("gtol", math.inf)])
+    ("gtol", math.inf)])
 def test_reach_budgets_reject_a_bad_gtol_or_count(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be nonnegative and finite, got {value}$"):
         br.ReachBudgets(**{field: value})
@@ -842,7 +842,8 @@ def test_a_reach_without_a_certified_radius_probes_as_before(monkeypatch, reach,
     assert (basin.ball, basin.certificate) == (None, (None, None))
     calls = []
     probe = reach_mod.stability_probe
-    monkeypatch.setattr(reach_mod, "stability_probe", lambda *args: calls.append(1) or probe(*args))
+    monkeypatch.setattr(reach_mod, "stability_probe",
+                        lambda *args, **kwargs: calls.append(1) or probe(*args, **kwargs))
     rep = reach(f, np.zeros(3), 1.0, dynamics, 1e-3, 1e-4)
     assert calls == [1] and rep.status == "success"
     assert rep.delta_source == "probe" and rep.delta_used == 1.0 and rep.x0.tolist() == x0
@@ -1459,7 +1460,7 @@ def test_reach_general_continuous_sweep(saddle_quad):
     for seed_radius in (1e-1, 1e-2, 1e-3):
         rep = br.reach_general(saddle_quad, [0.0, 0.0], 1.0, st, seed_radius, tol=1e-2)
         assert rep.status in ("success", "no_converge")
-        assert rep.crossing is not None
+        assert rep.forward_part.limit is not None
         dists.append(rep.final_distance)
     assert dists[0] > dists[1] > dists[2]
     assert dists[-1] <= 1e-2
@@ -1470,10 +1471,10 @@ def test_reach_general_discrete_sweep(saddle_quad):
     dists = []
     for seed_radius in (1e-1, 1e-2, 1e-3):
         rep = br.reach_general(saddle_quad, [0.0, 0.0], 1.0, s, seed_radius, tol=1e-2)
-        assert rep.crossing is not None
+        assert rep.forward_part.limit is not None
         # the interpolated crossing sits on the level set up to the quadratic
         # interpolation error, which scales with the squared step length
-        assert abs(saddle_quad.value(rep.crossing)) <= seed_radius**2
+        assert abs(saddle_quad.value(rep.forward_part.limit)) <= seed_radius**2
         dists.append(rep.final_distance)
     assert dists[0] > dists[1] > dists[2]
     assert dists[-1] <= 1e-2
@@ -1485,7 +1486,7 @@ def test_reach_general_continuous_budget_exhausted(saddle_quad):
     st = br.FlowSettings(h=1e-3, t_max=3.2, gtol=1e-6)
     rep = br.reach_general(saddle_quad, [0.0, 0.0], 1.0, st, 1e-3, tol=1e-2, delta=0.5)
     assert rep.forward_part.terminal_status == "budget_exhausted"
-    assert rep.status == "no_converge" and rep.crossing is None
+    assert rep.status == "no_converge" and rep.forward_part.limit is None
     assert rep.final_distance == norm(rep.forward_part.final_x)
 
 
@@ -1505,8 +1506,8 @@ def test_reach_general_discrete_crossing_is_the_f_secant(himmelblau, i):
     (x_prev, x_k), (f_prev, f_k) = fwd.X[-2:], fwd.f[-2:].tolist()
     assert f_prev > c >= f_k
     theta = (f_prev - c) / (f_prev - f_k)
-    assert rep.crossing.tobytes() == (x_prev + theta * (x_k - x_prev)).tobytes()
-    assert abs(himmelblau.value(rep.crossing) - c) <= f_prev - f_k
+    assert fwd.limit.tobytes() == (x_prev + theta * (x_k - x_prev)).tobytes()
+    assert abs(himmelblau.value(fwd.limit) - c) <= f_prev - f_k
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.1])
@@ -1521,8 +1522,8 @@ def test_reach_general_continuous_himmelblau_saddles(himmelblau, delta):
         rep = br.reach_general(himmelblau, target, 1.0, st, seed_radius, tol=1e-2, delta=delta)
         bound = 2.1 * seed_radius if (i, delta) == (6, 0.5) else seed_radius
         assert rep.status == "success" and rep.final_distance <= bound
-        assert rep.crossing is not None and rep.forward_part.limit is rep.crossing
-        assert abs(himmelblau.value(rep.crossing) - himmelblau.value(target)) <= 1e-9
+        assert rep.forward_part.limit is not None
+        assert abs(himmelblau.value(rep.forward_part.limit) - himmelblau.value(target)) <= 1e-9
         assert abs(np.linalg.norm(rep.x0 - target) - delta) <= 1e-8 * delta
 
 
@@ -1537,7 +1538,7 @@ def test_saddle_crossing_accuracy_does_not_follow_h(himmelblau, h):
         level = himmelblau.value(target)
         rep = br.reach_general(himmelblau, target, 1.0, st, seed_radius, tol=1e-2, delta=delta)
         assert rep.status == "success", (i, delta, seed_radius)
-        gap = level - himmelblau.value(rep.crossing)
+        gap = level - himmelblau.value(rep.forward_part.limit)
         assert 0.0 <= gap <= 1e-12 * (1.0 + abs(level)), (i, delta, seed_radius, gap)
 
 
