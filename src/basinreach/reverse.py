@@ -13,11 +13,18 @@ y - T(y), which it also returns with |y|, costs no further gradient.
 ``reverse_orbit`` hands each solve its last two steps as they are, and
 the solve turns each into a secant of its own T to seed its mixing
 history, the multisecant view of Anderson mixing (Fang & Saad 2009): in
-2-D they span the plane, so the first mixed iterate is a quasi-Newton
+2-D they span the plane, so the first mixed iterate m is a quasi-Newton
 step; in 1-D two secants are collinear, so only the newest acts and the
-solve is the secant method.  Every solve stops at |T(y) - y| <=
+solve is the secant method.  The miss y - m of a solve's answer y is
+second order in the step, set by how grad's Jacobian changes across it,
+so it changes little from one orbit step to the next: each solve hands
+the next its miss and l = |m - base|^2, and the next moves its own m by
+that miss scaled by l/l', the squared ratio of the two first steps'
+lengths, as a second-order term scales, before the box test.  Only the
+starting point moves.  Every solve stops at |T(y) - y| <=
 FIXED_POINT_RTOL (1 + |base|), 1e-11, for the reason given at the
-constant.
+constant, and returns the iterate it tested, so the certificate holds
+however y was reached.
 
 The ndarray lane (dim > 2) runs the loop on lane ops and
 ``landscape.dot``.  On the float lane each solve is that loop written
@@ -77,7 +84,7 @@ class ReverseOrbit:
         return row_norms(np.array(self.gradients)).tolist()
 
 
-def _picard(f, base, lam, sign, tol_scale, g=None, steps=()):
+def _picard(f, base, lam, sign, tol_scale, g=None, steps=(), miss=None):
     """Fixed point of T(y) = base + sign * lam * grad(y), base and y points
     of f's lane: each iteration tests y by one T(y), then moves to
     :func:`_mix`'s point and takes its gradient.  The first y is base, with
@@ -85,23 +92,29 @@ def _picard(f, base, lam, sign, tol_scale, g=None, steps=()):
     two), an orbit step (x, z, grad(x), grad(z)) back from x to z, starts
     the mixing history as T's secant from x to z, whose base cancels: dr
     = (x - z) + step dg and dT = step dg, dg = grad(z) - grad(x) and step
-    = sign * lam (dT never formed: w = step, v = dg).  Returns (y,
-    grad(y), iters, |(y - step grad(y)) - base|, |y|) at the first |T(y)
-    - y| <= tol = FIXED_POINT_RTOL * (1 + tol_scale), the fourth an ascent
-    step's forward residual |y - T(y)| up to rounding.  As T contracts by
-    q = lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so y lies within
-    |T(y) - y|/(1 - q) <= tol/(1 - q) of the unique fixed point y*,
-    however it was reached.  Raises LeftBoxError when T(y) leaves the box;
-    y itself never does.  The float lane's solve is this loop written out
-    per dimension (:func:`_picard1`, :func:`_picard2`)."""
+    = sign * lam (dT never formed: w = step, v = dg).  The first mixed
+    point m, the steps' quasi-Newton step, moves by the last solve's
+    ``miss`` = (y' - m', l') scaled by l/l', l = |m - base|^2, and then
+    takes :func:`_mix`'s box test.  Returns (y, grad(y), iters, |(y - step
+    grad(y)) - base|, |y|, miss) at the first |T(y) - y| <= tol =
+    FIXED_POINT_RTOL * (1 + tol_scale), the fourth an ascent step's
+    forward residual |y - T(y)| up to rounding and the last this solve's
+    (y - m, l), None without an m or when l = 0.  As T contracts by q =
+    lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so y lies within |T(y)
+    - y|/(1 - q) <= tol/(1 - q) of the unique fixed point y*, however it
+    was reached, the shift included.  Raises LeftBoxError when T(y)
+    leaves the box; y itself never does.  The float lane's solve is this
+    loop written out per dimension (:func:`_picard1`,
+    :func:`_picard2`)."""
     if f.dim <= FLOAT_LANE_DIMS:
-        return (_picard1 if f.dim == 1 else _picard2)(f, base, lam, sign, tol_scale, g, steps)
+        return (_picard1 if f.dim == 1 else _picard2)(f, base, lam, sign, tol_scale, g, steps,
+                                                       miss)
     tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     step = sign * lam
     grad, axpy, sub, inside = f._lane.grad, f._lane.axpy, f._lane.sub, f._lane.inside
     y, g = base, grad(base) if g is None else g
-    hist, last, mixed = [], None, False
+    hist, last, mixed, ell = [], None, False, 0.0
     for x, z, gx, gz in steps:
         dg = sub(gz, gx)
         dr = axpy(sub(x, z), step, dg)
@@ -113,13 +126,20 @@ def _picard(f, base, lam, sign, tol_scale, g=None, steps=()):
         r = sub(t, y)
         rr = sumsq(r)
         if rr <= tol_sq:
-            return y, g, it, norm(sub(axpy(y, -step, g), base)), norm(y)
+            return (y, g, it, norm(sub(axpy(y, -step, g), base)), norm(y),
+                    (sub(y, first), ell) if ell > 0.0 else None)
         if mixed and not rr <= q_sq * last[2]:
             hist = []  # the mixed iterate contracted less than a Picard step: restart
         elif last is not None:
             d = sub(r, last[0])
             hist = [(d, sub(t, last[1]), 1.0, dot(d, d))] + hist[:_ANDERSON_DEPTH - 1]
         last, y = (r, t, rr), _mix(f._lane, t, r, hist)
+        if it == 1 and y is not t:
+            first, ell = y, sumsq(sub(y, base))
+            if miss is not None:
+                y = axpy(y, ell / miss[1], miss[0])
+        if y is not t and not inside(y):
+            y = t
         mixed = y is not t
         g = grad(y)
     raise ArithmeticError("fixed-point iteration failed to contract")
@@ -131,7 +151,8 @@ def _mix(lane, t, r, hist):
     the least-squares fit of r by the dr_i (2x2 normal equations in closed
     form; the newest alone when their Gram determinant is degenerate, as
     in 1-D or for collinear secants); t itself when there is no usable
-    history or the point leaves the box."""
+    history.  The caller shifts the solve's first such point and keeps it
+    only inside the box, t otherwise."""
     if not hist or not hist[0][3] > 0.0:
         return t
     (d1, e1, w1, a11), *older = hist
@@ -141,18 +162,18 @@ def _mix(lane, t, r, hist):
         a12, b2 = dot(d1, d2), dot(d2, r)
         det = a11 * a22 - a12 * a12
         deep = det > _GRAM_RTOL * a11 * a22
-    y = (lane.axpy(lane.axpy(t, (a12 * b2 - a22 * b1) / det * w1, e1),
-                   (a12 * b1 - a11 * b2) / det * w2, e2)
-         if deep else lane.axpy(t, -b1 / a11 * w1, e1))
-    return y if lane.inside(y) else t
+    return (lane.axpy(lane.axpy(t, (a12 * b2 - a22 * b1) / det * w1, e1),
+                      (a12 * b1 - a11 * b2) / det * w2, e2)
+            if deep else lane.axpy(t, -b1 / a11 * w1, e1))
 
 
-def _picard1(f, base, lam, sign, tol_scale, g, steps):
+def _picard1(f, base, lam, sign, tol_scale, g, steps, miss):
     """:func:`_picard` on the 1-D float lane in one frame: the newest
     step's secant, T(y), the residual, the restart test, the history (d,
-    e, w, a11), :func:`_mix`'s fit, its box test and the returned norms,
-    over local floats, each the same IEEE operation in the same order as
-    the lane ops, ``dot`` and ``norm`` make.  Two 1-D secants are
+    e, w, a11), :func:`_mix`'s fit, the shift, the box test and the
+    returned norms and miss, over local floats, each the same IEEE
+    operation in the same order as the lane ops, ``dot`` and ``norm``
+    make.  Two 1-D secants are
     collinear, so their Gram determinant is rounding and :func:`_mix`
     takes the newest alone: the history holds only it, and the solve is
     the secant method, its every iterate, gradient and count the loop's."""
@@ -162,7 +183,7 @@ def _picard1(f, base, lam, sign, tol_scale, g, steps):
     grad, ((l0,), (h0,)) = f._lane.grad, f._lane.bounds
     (x0,) = y = base
     (g0,) = g = grad(base) if g is None else g
-    y0, n, mixed = x0, 0, False
+    y0, n, mixed, ell = x0, 0, False, 0.0
     if steps:
         (p0,), (z0,), (gp0,), (gz0,) = steps[0]
         e0 = gz0 - gp0
@@ -176,7 +197,8 @@ def _picard1(f, base, lam, sign, tol_scale, g, steps):
         rr = r0 * r0
         if rr <= tol_sq:
             u0 = (y0 + -step * g0) - x0
-            return y, g, it, sqrt(u0 * u0), sqrt(y0 * y0)
+            return (y, g, it, sqrt(u0 * u0), sqrt(y0 * y0),
+                    ((y0 - f0,), ell) if ell > 0.0 else None)
         if mixed and not rr <= q_sq * last_rr:
             n = 0  # the mixed iterate contracted less than a Picard step: restart
         elif it > 1:
@@ -186,13 +208,19 @@ def _picard1(f, base, lam, sign, tol_scale, g, steps):
         mixed = False
         if n and a11 > 0.0:
             m0 = t0 + -(d0 * r0) / a11 * w * e0
+            if it == 1:
+                v0 = m0 - x0
+                f0, ell = m0, v0 * v0
+                if miss is not None:
+                    (c0,), ell_p = miss
+                    m0 = m0 + ell / ell_p * c0
             mixed = not (m0 < l0 or m0 > h0)
         (y0,) = y = (m0,) if mixed else (t0,)
         (g0,) = g = grad(y)
     raise ArithmeticError("fixed-point iteration failed to contract")
 
 
-def _picard2(f, base, lam, sign, tol_scale, g, steps):
+def _picard2(f, base, lam, sign, tol_scale, g, steps, miss):
     """:func:`_picard1` on the 2-D float lane, with the depth-2 history
     (newest d, e, w, a11; older dd, ee, ww, a22) and :func:`_mix`'s normal
     equations: ``steps`` enter the history oldest first, as the loop's own
@@ -204,7 +232,7 @@ def _picard2(f, base, lam, sign, tol_scale, g, steps):
     grad, ((l0, l1), (h0, h1)) = f._lane.grad, f._lane.bounds
     x0, x1 = y = base
     g0, g1 = g = grad(base) if g is None else g
-    y0, y1, n, mixed = x0, x1, 0, False
+    y0, y1, n, mixed, ell = x0, x1, 0, False, 0.0
     for (p0, p1), (z0, z1), (gp0, gp1), (gz0, gz1) in reversed(steps):
         if n:
             dd0, dd1, ee0, ee1, ww, a22 = d0, d1, e0, e1, w, a11
@@ -220,7 +248,8 @@ def _picard2(f, base, lam, sign, tol_scale, g, steps):
         rr = r0 * r0 + r1 * r1
         if rr <= tol_sq:
             u0, u1 = (y0 + -step * g0) - x0, (y1 + -step * g1) - x1
-            return y, g, it, sqrt(u0 * u0 + u1 * u1), sqrt(y0 * y0 + y1 * y1)
+            return (y, g, it, sqrt(u0 * u0 + u1 * u1), sqrt(y0 * y0 + y1 * y1),
+                    ((y0 - f0, y1 - f1), ell) if ell > 0.0 else None)
         if mixed and not rr <= q_sq * last_rr:
             n = 0  # the mixed iterate contracted less than a Picard step: restart
         elif it > 1:
@@ -242,6 +271,13 @@ def _picard2(f, base, lam, sign, tol_scale, g, steps):
             else:
                 c = -b1 / a11 * w
                 m0, m1 = t0 + c * e0, t1 + c * e1
+            if it == 1:
+                v0, v1 = m0 - x0, m1 - x1
+                f0, f1, ell = m0, m1, v0 * v0 + v1 * v1
+                if miss is not None:
+                    (c0, c1), ell_p = miss
+                    c = ell / ell_p
+                    m0, m1 = m0 + c * c0, m1 + c * c1
             mixed = not (m0 < l0 or m0 > h0 or m1 < l1 or m1 > h1)
         y0, y1 = y = (m0, m1) if mixed else (t0, t1)
         g0, g1 = g = grad(y)
@@ -274,21 +310,23 @@ def prox_certificates(f, x, lam, xplus):
     return dec_ok, step_ok
 
 
-def _ascent_step(f, xnext, a, g=None, steps=(), xnorm=None):
-    """(y, r, grad(y), |y|): the ascent preimage y of xnext, both points of
-    f's lane, its forward residual r = |(y - a grad(y)) - xnext|, certified
-    to 1e-10 * (1 + |y|), and the gradient the solve's last test took,
-    which that residual reuses and the next solve from y starts with, as
-    it does |y|; the solve returns r and |y|, r the tested residual y -
-    T(y), 1e-11 (1 + |xnext|) up to rounding.  ``g`` is grad(xnext) and
-    ``xnorm`` |xnext| when known, and ``steps`` seed the solve's mixing
-    history.  The caller has checked the prox regime and that xnext lies
-    in the box."""
-    y, gy, _, residual, ynorm = _picard(f, xnext, a, +1.0,
-                                        norm(xnext) if xnorm is None else xnorm, g, steps)
+def _ascent_step(f, xnext, a, g=None, steps=(), xnorm=None, miss=None):
+    """(y, r, grad(y), |y|, miss): the ascent preimage y of xnext, both
+    points of f's lane, its forward residual r = |(y - a grad(y)) -
+    xnext|, certified to 1e-10 * (1 + |y|), and the gradient the solve's
+    last test took, which that residual reuses and the next solve from y
+    starts with, as it does |y| and the solve's miss; the solve returns r
+    and |y|, r the tested residual y - T(y), 1e-11 (1 + |xnext|) up to
+    rounding.  ``g`` is grad(xnext) and ``xnorm`` |xnext| when known,
+    ``steps`` seed the solve's mixing history and ``miss``, the last
+    solve's, shifts its first mixed point (:func:`_picard`).  The caller
+    has checked the prox regime and that xnext lies in the box."""
+    y, gy, _, residual, ynorm, miss = _picard(f, xnext, a, +1.0,
+                                              norm(xnext) if xnorm is None else xnorm, g,
+                                              steps, miss)
     if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
         raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
-    return y, residual, gy, ynorm
+    return y, residual, gy, ynorm, miss
 
 
 def ascent_prox(f, xnext, a):
@@ -318,7 +356,9 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     predecessor returned, and its mixing history from the last two steps,
     kept as they are, (x_{k+1}, x_k, grad(x_{k+1}), grad(x_k)) newest
     first, so m solves cost one gradient plus their iterations less one
-    each, and 2m + 1 norms.  The orbit keeps the gradients.
+    each, and 2m + 1 norms.  Each solve also starts its first mixed point
+    from the miss its predecessor returned (:func:`_picard`), which only
+    moves where the iteration starts.  The orbit keeps the gradients.
 
     Each solve stops at |T(y) - y| <= FIXED_POINT_RTOL (1 + |x_{k+1}|),
     1e-11, and every step must pass its 1e-10 forward-residual
@@ -333,7 +373,7 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     # solve starts from a point its predecessor's Picard test kept in the box
     require_admissible(s, f, "prox", "reverse_orbit")
     lane = f._lane
-    g, xnorm, steps = None, None, []
+    g, xnorm, steps, miss = None, None, [], None
     points, residuals, grads = [anchor.copy()], [], []
     status = "complete"
     for k in range(kbar - 1, -1, -1):
@@ -344,7 +384,7 @@ def reverse_orbit(f, a, s, kbar, stop=None):
             g = lane.grad(x)
             grads.append(g)
         try:
-            y, residual, gy, ynorm = _ascent_step(f, x, alpha, g, steps, xnorm)
+            y, residual, gy, ynorm, miss = _ascent_step(f, x, alpha, g, steps, xnorm, miss)
         except LeftBoxError:
             status = "left_box"
             break

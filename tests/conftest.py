@@ -281,19 +281,23 @@ def picard_solve(f, base, lam, sign, rtol=FIXED_POINT_RTOL):
             return t, it
 
 
-def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None):
-    """(y, grad(y), iters) of reverse._picard written on ndarrays: depth-2
-    Anderson mixing with the same arithmetic, seeding, fallbacks, restart
-    and return, for both lanes to match bit for bit.  A history entry is
-    (dr, v, w) with dT = w v; ``seeds`` start the history, newest first.
-    ``mixes``, when given, gets one (history length, mixed point) pair per
-    iterate after the first, the mixed point None when the history gives
-    none and kept even when it lies outside the box, where the solve
-    falls back to T's plain image."""
+def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None, miss=None):
+    """(y, grad(y), iters, miss) of reverse._picard written on ndarrays:
+    depth-2 Anderson mixing with the same arithmetic, seeding, shift,
+    fallbacks, restart and return, for both lanes to match bit for bit.  A
+    history entry is (dr, v, w) with dT = w v; ``seeds`` start the
+    history, newest first.  The first mixed point m, when there is one,
+    moves by the last solve's ``miss`` = (y' - m', l') rescaled by l/l', l
+    = |m - base|^2, and the returned miss is (y - m, l), None when there
+    was no m or l = 0.  ``mixes``, when given, gets one (history length,
+    mixed point) pair per iterate after the first, the mixed point (after
+    the shift) None when the history gives none and kept even when it
+    lies outside the box, where the solve falls back to T's plain
+    image."""
     tol_sq = (FIXED_POINT_RTOL * (1.0 + norm(base))) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     y, g = base, f.gradient(base) if g is None else g
-    hist, last, mixed = list(seeds), None, False
+    hist, last, mixed, first, ell = list(seeds), None, False, None, 0.0
     for it in itertools.count(1):
         t = base + sign * lam * g
         if not f.in_box(t):
@@ -301,7 +305,7 @@ def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None):
         r = t - y
         rr = sumsq(r)
         if rr <= tol_sq:
-            return y, g, it
+            return y, g, it, (y - first, ell) if ell > 0.0 else None
         if mixed and not rr <= q_sq * last[2]:
             hist = []
         elif last is not None:
@@ -318,6 +322,10 @@ def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None):
                 if det > _GRAM_RTOL * a11 * a22:
                     y = (t - (a22 * b1 - a12 * b2) / det * w1 * e1
                          - (a11 * b2 - a12 * b1) / det * w2 * e2)
+            if it == 1:
+                first, ell = y, sumsq(y - base)
+                if miss is not None:
+                    y = y + ell / miss[1] * miss[0]
             mix = y
         if mixes is not None:
             mixes.append((len(hist), mix))
@@ -332,12 +340,13 @@ def anderson_orbit(f, anchor, alphas):
     from the anchor back through the steps ``alphas`` (alpha_{K-1} first):
     each solve starts from the gradient the last one returned, its history
     from the secant pairs (x - y, grad(y) - grad(x)) of the last two orbit
-    steps x -> y, converted to (dr, v, w) = ((x - y) + a dg, dg, a)."""
+    steps x -> y, converted to (dr, v, w) = ((x - y) + a dg, dg, a), and
+    its first mixed point shifted by the miss the last one returned."""
     x = np.asarray(anchor, dtype=float)
-    g, pairs, points, residuals = f.gradient(x), [], [x], []
+    g, pairs, points, residuals, miss = f.gradient(x), [], [x], [], None
     for a in alphas:
         seeds = [(neg_dx + a * dg, dg, a) for neg_dx, dg in pairs]
-        y, gy, _ = anderson_solve(f, x, a, 1.0, g, seeds)
+        y, gy, _, miss = anderson_solve(f, x, a, 1.0, g, seeds, miss=miss)
         residuals.append(norm((y - a * gy) - x))
         pairs = [(x - y, gy - g)] + pairs[:1]
         x, g = y, gy

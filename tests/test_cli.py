@@ -180,12 +180,13 @@ def test_reach_replays_to_the_configured_gtol(tmp_path):
 # sha256 of outputs that no minimum replay writes, recorded before minimum
 # replays stopped in B_r: both saddle modes' CSVs and the CI's probes; the
 # discrete saddle's re-recorded when every ascent solve came to stop at 1e-11
+# and again when each orbit solve came to start from the last one's miss
 SADDLE = ["reach", "--general", "--function", "himmelblau", "--target-index", "8",
           "--epsilon", "1.0", "--seed-radius", "1e-3", "--tol", "1e-2"]
 UNMOVED = {
     "saddle-discrete": (SADDLE + ["--schedule", "constant:0.0015"], {
-        "forward.csv": "ce5bb9854b53d3836990838aeb27815f40df977ded8758905b8a06ec8b0e2cab",
-        "reverse.csv": "b037d585fdda4e20a26ee51b81dd27d224a22d9617309f1a90551ccf51742767"}),
+        "forward.csv": "a58c9c5db86d624213d4bb07223a2c3ef4ca8bab4ddea2743995f3e44f881f71",
+        "reverse.csv": "e37727dee3836ec9da617e03de54c9140f0475de04947cd239cdfd2405448dff"}),
     "saddle-continuous": (SADDLE + ["--mode", "continuous", "--h", "3e-4", "--t-max", "50",
                                     "--gtol", "1e-6", "--delta", "0.1"], {
         "forward.csv": "09df40d7cab5169bc7df24aad3b0f7d799a4730f220435d62b49d95f25c3ebc6",

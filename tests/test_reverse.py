@@ -6,7 +6,7 @@ import pytest
 
 import basinreach as br
 import basinreach.reverse as reverse_mod
-from basinreach.landscape import norm, row_norms
+from basinreach.landscape import norm, row_norms, sumsq
 from basinreach.reverse import FIXED_POINT_RTOL, _picard
 from basinreach.serialize import write_reverse_part_csv
 
@@ -137,8 +137,9 @@ def test_solves_agree_with_plain_picard(name, params):
                 anderson_solve(f, x, q / L, sign)
             exits += 1
             continue
-        y, g, iters, residual, ynorm = _picard(f, f._lane.point(x), q / L, sign, norm(x))
-        y_ref, g_ref, iters_ref = anderson_solve(f, x, q / L, sign)
+        y, g, iters, residual, ynorm, miss = _picard(f, f._lane.point(x), q / L, sign, norm(x))
+        y_ref, g_ref, iters_ref, miss_ref = anderson_solve(f, x, q / L, sign)
+        assert miss is miss_ref is None  # an unseeded first iterate is T's plain image
         assert np.array(y).tobytes() == y_ref.tobytes() and iters == iters_ref
         # the returned |(y - sign lam g) - x| and |y|, from the floats the solve holds
         assert residual == norm((y_ref + (-sign * (q / L)) * g_ref) - x)
@@ -150,29 +151,39 @@ def test_solves_agree_with_plain_picard(name, params):
     assert 0 < exits < 120
 
 
-def solve_as_reference(f, base, lam, sign, g, steps=()):
-    """(_picard's (y, g, iters, residual, |y|), the points it took gradients
-    at, the reference's (history length, mixed point) per iterate) for a
-    solve from ``base`` with first gradient ``g``, both arrays, and
-    ``steps`` (x, z, grad(x), grad(z)) of f's lane, newest first, seeding
-    the reference as their secants ((x - z) + step dg, dg, step), after
-    checking that the solve and conftest.anderson_solve take their
-    gradients at the same points and return the same y, gradient and
-    count, bit for bit."""
+def solve_as_reference(f, base, lam, sign, g, steps=(), miss=None):
+    """(_picard's (y, g, iters, residual, |y|, miss), the points it took
+    gradients at, the reference's (history length, mixed point) per
+    iterate) for a solve from ``base`` with first gradient ``g``, both
+    arrays, ``steps`` (x, z, grad(x), grad(z)) of f's lane, newest first,
+    seeding the reference as their secants ((x - z) + step dg, dg, step),
+    and the last solve's ``miss`` (an array, its l), after checking that
+    the solve and conftest.anderson_solve take their gradients at the same
+    points and return the same y, gradient, count and miss, bit for
+    bit."""
     points = []
     spy = dataclasses.replace(f, grad=lambda x: points.append(np.array(x)) or f.grad(x))
     lane = spy._lane
-    out = _picard(spy, lane.point(base), lam, sign, norm(base), lane.point(g), steps)
+    out = _picard(spy, lane.point(base), lam, sign, norm(base), lane.point(g), steps,
+                  None if miss is None else (lane.point(miss[0]), miss[1]))
     taken, mixes = points[:], []
     points.clear()
     step = sign * lam
     seeds = [(np.subtract(x, z) + step * np.subtract(gz, gx), np.subtract(gz, gx), step)
              for x, z, gx, gz in steps]
-    ref = anderson_solve(spy, base, lam, sign, g, seeds, mixes)
+    ref = anderson_solve(spy, base, lam, sign, g, seeds, mixes, miss)
     assert [p.tobytes() for p in taken] == [p.tobytes() for p in points]
     assert [np.array(v).tobytes() for v in out[:2]] == [v.tobytes() for v in ref[:2]]
     assert out[2] == ref[2]
+    assert same_miss(out[5], ref[3])
     return out, taken, mixes
+
+
+def same_miss(a, b):
+    """Whether two misses (y - m, l), or None, are equal bit for bit."""
+    if a is None or b is None:
+        return a is b
+    return np.array(a[0]).tobytes() == np.array(b[0]).tobytes() and a[1] == b[1]
 
 
 RESTART_CASES = [  # (eigenvalues, base, where the first gradient is taken, history lengths)
@@ -193,8 +204,8 @@ def test_mixing_restarts_when_a_mixed_iterate_does_not_contract():
     for params, base, elsewhere, lengths in RESTART_CASES:
         f = br.make_builtin("quad", params)
         base = np.array(base)
-        (y, g, iters, _, _), points, mixes = solve_as_reference(f, base, lam, 1.0,
-                                                                f.gradient(elsewhere))
+        (y, g, iters, _, _, _), points, mixes = solve_as_reference(f, base, lam, 1.0,
+                                                                   f.gradient(elsewhere))
         assert [n for n, _ in mixes[:len(lengths)]] == lengths
         restart = lengths.index(0, 1)
         assert points[restart].tobytes() == (base + lam * f.gradient(points[restart - 1])).tobytes()
@@ -204,6 +215,39 @@ def test_mixing_restarts_when_a_mixed_iterate_does_not_contract():
         q, tol = lam * f.lipschitz_L, FIXED_POINT_RTOL * (1.0 + norm(base))
         assert norm(np.array(y) - base / (1.0 - lam * np.array(params))) <= tol / (1.0 - q)
         assert iters == len(points) + 1
+
+
+@pytest.mark.parametrize("name,params,anchor", [
+    ("double_well", (), [1.0 + 1e-3]),
+    ("himmelblau", (), [3.001, 2.002]),
+    ("quad", (1.0, 2.0, 5.0), [1e-3, 2e-3, 3e-3]),
+], ids=["picard1", "picard2", "picard-dim3"])
+def test_a_shifted_point_outside_the_box_falls_back_to_t(name, params, anchor):
+    # an orbit's next solve, seeded by its last two steps, with a last miss
+    # whose rescaled shift carries the first mixed point m past the box:
+    # the solve moves to T's plain image t instead, as for a mixed point
+    # outside the box, stops within its tolerance and returns its miss from
+    # m itself, not from the shifted point
+    f = br.make_builtin(name, params)
+    lane, a = f._lane, 0.5 / f.lipschitz_L
+    orbit = br.reverse_orbit(f, anchor, br.constant(a), 2)
+    p, g = [lane.point(x) for x in orbit.points], orbit.gradients
+    steps = [(p[1], p[0], g[1], g[0]), (p[2], p[1], g[2], g[1])]
+    base, g0 = orbit.points[0], np.array(g[0])
+    plain, _, mixes = solve_as_reference(f, base, a, 1.0, g0, steps)
+    m, width = mixes[0][1], f.box[:, 1] - f.box[:, 0]
+    assert m is not None and f.in_box(m)
+    ell = sumsq(m - base)
+    miss = (width, ell)  # l/l' = 1: the shift is the box's own width
+    (y, _, _, residual, _, out), points, mixes = solve_as_reference(f, base, a, 1.0, g0, steps,
+                                                                    miss)
+    assert not f.in_box(mixes[0][1]) and mixes[0][1].tobytes() == (m + width).tobytes()
+    assert points[0].tobytes() == (base + a * g0).tobytes()
+    # both tested iterates lie within tol/(1 - q) = 2 tol of the fixed point,
+    # so within 4 tol of each other
+    tol = FIXED_POINT_RTOL * (1.0 + norm(base))
+    assert norm(np.subtract(y, plain[0])) <= 4.0 * tol and residual <= 1.01 * tol
+    assert np.array(out[0]).tobytes() == (np.array(y) - m).tobytes() and out[1] == ell
 
 
 @pytest.mark.parametrize("name,params,base,elsewhere", [
@@ -275,7 +319,8 @@ def test_degenerate_seeds_fall_back_to_the_newest(name, params, points):
     both, _, mixes = solve_as_reference(f, base, a, 1.0, g2, steps)
     newest, _, _ = solve_as_reference(f, base, a, 1.0, g2, steps[:1])
     assert mixes[0][0] == 2
-    assert [np.array(v).tobytes() for v in both] == [np.array(v).tobytes() for v in newest]
+    assert [np.array(v).tobytes() for v in both[:5]] == [np.array(v).tobytes() for v in newest[:5]]
+    assert same_miss(both[5], newest[5])
     assert norm(np.subtract(both[0], anderson_solve(f, base, a, 1.0)[0])) <= 1e-12
 
 
@@ -381,7 +426,8 @@ def test_orbit_takes_one_gradient_per_tested_iterate(monkeypatch):
     m = len(orbit.points) - 1
     assert m == 40 and len(iters) == m
     assert counts == {"value": 0, "grad": 1 + sum(it - 1 for it in iters)}
-    # seeded Anderson mixing: 178; unseeded: 216; plain Picard took 511
+    # seeded Anderson mixing from the shifted first point: 146 (160 unshifted);
+    # unseeded: 216; plain Picard took 511
     assert sum(iters) <= 4.5 * m
 
 
@@ -403,12 +449,16 @@ def test_orbit_takes_two_norms_per_point(monkeypatch):
 
 def test_power_orbit_takes_under_two_gradients_per_point():
     # the secants of the last two orbit steps make each solve's first mixed
-    # iterate a quasi-Newton step: 1.73 gradients per point here, 3.5
-    # without the seeds and the reused residual gradient
-    f, counts = counting(br.make_builtin("himmelblau"))
-    orbit = br.reverse_orbit(f, [3.001, 2.002], br.power(0.5 / f.lipschitz_L, 0.5), 150)
-    assert orbit.status == "complete" and len(orbit.points) == 151
-    assert counts["grad"] <= 2.0 * 150
+    # iterate a quasi-Newton step, and the last solve's rescaled miss moves
+    # it to within third order: 172 gradients over 150 himmelblau steps
+    # (185 with the secants alone, 3.5 per point without them and the
+    # reused residual gradient), 217 over 150 double_well steps (293)
+    for name, anchor, ceiling in [("himmelblau", [3.001, 2.002], 1.2),
+                                  ("double_well", [1.0 + 1e-3], 1.5)]:
+        f, counts = counting(br.make_builtin(name))
+        orbit = br.reverse_orbit(f, anchor, br.power(0.5 / f.lipschitz_L, 0.5), 150)
+        assert orbit.status == "complete" and len(orbit.points) == 151
+        assert counts["grad"] <= ceiling * 150
 
 
 @pytest.mark.parametrize("name,params", BUILTINS)
