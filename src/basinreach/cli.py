@@ -41,7 +41,8 @@ from .schedule import parse_schedule
 #: the field may also be null
 FIELDS = {
     "function": ("double_well", "str", "builtin, e.g. quad:1,4 or double_well:1.5"),
-    "schedule": ("constant:0.02", "str", "step schedule: constant:C or power:C:P"),
+    "schedule": ("constant:0.02", "str",
+                 "step schedule: constant:C or power:C:P (power:C:0 is constant:C)"),
     "procedure": ("gd", "str", "run's dynamics, gd or flow; other subcommands set their own"),
     "target": (None, "target", "target point x1,x2,... (or a catalog index in a config file)"),
     "x0": (None, "point", "start point x1,x2,... (eos defaults to all ones)"),

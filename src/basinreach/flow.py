@@ -31,8 +31,6 @@ from .landscape import min_norm_element  # noqa: F401
 from .trajectory import _to_level, march, recorded, start
 
 DIRECTIONS = ("forward", "reverse")
-# the adaptive flow clamps its first trial step to H_GUARD / L
-H_GUARD = 0.1
 # a DOP853 step passes when its error estimate err = |e5|^2 / sqrt(|e5|^2 +
 # 0.01 |e3|^2) (Hairer's combination of the 5th- and 3rd-order estimates) has
 # err <= ATOL + RTOL max(|x|, |x_new|); no step exceeds H_STABLE / L, inside
@@ -144,10 +142,10 @@ class NoCrossingError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowSettings:
-    """h is the adaptive flow's first trial step, clamped to 0.1/L; a run
-    ends at time t_max, a forward run also once |grad f| < gtol; each
-    crossing is located to its own tolerance on the function it locates.
-    h and gtol must be positive and finite, t_max positive."""
+    """h is the adaptive flow's first trial step, capped at H_STABLE/L;
+    a run ends at time t_max, a forward run also once |grad f| < gtol;
+    each crossing is located to its own tolerance on the function it
+    locates.  h and gtol must be positive and finite, t_max positive."""
 
     h: float
     t_max: float
@@ -178,12 +176,12 @@ def _dop853_step(lane, x, sh, g1):
 class _Flow:
     """The adaptive DOP853 runner on dx/dt = -grad f (forward) or +grad f
     (reverse) at the relative tolerance rtol: each ``march`` starts from
-    the step size min(settings.h, H_GUARD / L); ``step`` retries a
-    rejected step with a smaller one and keeps its own step size, clamping
-    the step that would pass t_max onto it, and takes stage 13 only once
-    the step is accepted; ``field`` hands that stage back; ``cross``
-    locates an event on the last step's dense output ``at``, ``locate`` a
-    level crossing."""
+    the step size min(settings.h, h_max), h_max = H_STABLE / L the cap on
+    every step; ``step`` retries a rejected step with a smaller one and
+    keeps its own step size, clamping the step that would pass t_max onto
+    it, and takes stage 13 only once the step is accepted; ``field`` hands
+    that stage back; ``cross`` locates an event on the last step's dense
+    output ``at``, ``locate`` a level crossing."""
 
     def __init__(self, f, direction, settings, rtol=RTOL):
         if direction not in DIRECTIONS:
@@ -194,8 +192,8 @@ class _Flow:
         self.provenance = {"producer": "flow", "f": f, "direction": direction,
                            "settings": settings}
         L = f.lipschitz_L
-        self.h0 = min(settings.h, H_GUARD / L) if L > 0.0 else settings.h
         self.h_max = H_STABLE / L if L > 0.0 else math.inf
+        self.h0 = min(settings.h, self.h_max)
         self.h, self.err_old, self.x_new, self.norm_new = self.h0, 1e-4, None, None
 
     def march(self, x0, event=None, value=None):
@@ -272,11 +270,12 @@ class _Flow:
 
 def integrate(f, x0, direction, settings, event=None):
     """Adaptive DOP853 on dx/dt = -grad f (forward) or +grad f (reverse),
-    from the first trial step min(h, 0.1/L).  Stops at t_max, at |grad| <
-    gtol (forward only), or at box exit (expected for reverse flows).
-    ``event`` is a :func:`march` stop event, asked at each state the
-    steps reach before those tests (its fx is None); a minimum reach ends
-    the forward flow with it on the first state in its certified ball."""
+    from the first trial step min(h, H_STABLE/L), the cap on every step.
+    Stops at t_max, at |grad| < gtol (forward only), or at box exit
+    (expected for reverse flows).  ``event`` is a :func:`march` stop event,
+    asked at each state the steps reach before those tests (its fx is
+    None); a minimum reach ends the forward flow with it on the first
+    state in its certified ball."""
     flow = _Flow(f, direction, settings)
     return recorded(f, *flow.march(x0, event=event), flow.provenance)
 

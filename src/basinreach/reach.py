@@ -76,7 +76,7 @@ from .landscape import (LeftBoxError, norm, require_nonnegative_finite, require_
 from .reverse import reverse_orbit
 from .sampling import directions, unit_directions
 from .schedule import StepSchedule, constant, require_admissible
-from .trajectory import _to_level, finite_point, march, recorded, recording, start
+from .trajectory import _to_level, finite_point, march, recorded, start
 
 # quasi-random ascent-seed directions scanned after (or before) the axes
 SCAN_RANDOM = 64
@@ -352,10 +352,9 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
 
     def passes(start):
         steps, status, limit, stop = runner.march(start, event=held, value=f.value)
-        if recording():
-            if status == "converged" and stop and steps[-1][2] < runner.gtol:
-                limit, stop = np.array(steps[-1][1]), None  # at gtol: as the full run reports it
-            recorded(f, steps, status, limit, stop, runner.provenance)
+        if status == "converged" and stop and steps[-1][2] < runner.gtol:
+            limit, stop = np.array(steps[-1][1]), None  # at gtol: as the full run reports it
+        recorded(f, steps, status, limit, stop, runner.provenance)
         return status == "converged"
 
     def trial(radius):
@@ -388,8 +387,8 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     None: callers then shrink the step scale); a box exit or kbar_max
     also give None.
 
-    A constant schedule marches back once, so x0 is the first crossing of
-    the rho-sphere.  A power schedule's step indices shift with the
+    A constant schedule, p = 0, marches back once, so x0 is the first
+    crossing of the rho-sphere.  For p > 0 the step indices shift with the
     horizon K, so each K rebuilds the orbit with x_K = a (the root keeps
     index 0).  An ascent step grows r = |x - target| by at most 1/(1 -
     alpha_k L) <= exp(alpha_k L/(1 - cL)), c = sup alpha, so no K with
@@ -413,7 +412,7 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
         return (orbit.status == "complete" and outside(lane.point(root))
                 and norm(root - target) <= cap * (1.0 + 1e-9))
 
-    if s.kind == "constant":
+    if not s.p:
         orbit = reverse_orbit(f, a, s, kbar_max, stop=outside)
         return (orbit.points[0], orbit) if usable(orbit) else None
 

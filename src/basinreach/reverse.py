@@ -348,7 +348,7 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     A box exit mid-construction returns the partial orbit with status
     'left_box' rather than raising.
 
-    With ``stop`` (constant schedules only) the march ends at the first
+    With ``stop`` (constant, p = 0, only) the march ends at the first
     point x, a point of f's lane, with stop(x), or after kbar steps; the K
     steps taken are indexed K-1 down to 0.  The anchor's gradient is taken
     once, after the first stop test (or at the end, when no step is
@@ -366,8 +366,8 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     """
     anchor = np.asarray(a, dtype=float)
     require_nonnegative_finite(kbar=kbar)
-    if stop is not None and s.kind != "constant":
-        raise ValueError("a stopping march needs a constant schedule")
+    if stop is not None and s.p:
+        raise ValueError("a stopping march needs a constant schedule (p = 0)")
     x = start(f, anchor, "anchor")
     # checked once: every alpha_k is at most sup_alpha, and each later
     # solve starts from a point its predecessor's Picard test kept in the box

@@ -7,29 +7,24 @@ from dataclasses import dataclass
 
 from .landscape import require_positive_finite
 
-SCHEDULE_KINDS = ("constant", "power")
-
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """alpha_k = c (constant) or c / (k+1)^p with p in [0, 1] (power).
+    """alpha_k = c / (k+1)^p with p in [0, 1]; p = 0 is the constant
+    schedule alpha_k = c, and ``alpha`` returns c itself there.
 
-    Both kinds are nonsummable: for p <= 1, sum_{k<K} c / (k+1)^p >=
+    Every member is nonsummable: for p <= 1, sum_{k<K} c / (k+1)^p >=
     sum_{k<K} c / (k+1) >= c ln(K+1), which passes every bound.  p > 1
     would make the sequence summable and is rejected: every reachability
-    and stability statement assumes a divergent step sum.  sup_alpha = c
-    for both kinds.
+    and stability statement assumes a divergent step sum.  sup_alpha = c.
     """
 
-    kind: str
     c: float
     p: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         require_positive_finite(c=self.c)
-        if self.kind == "power" and not 0.0 <= self.p <= 1.0:
+        if not 0.0 <= self.p <= 1.0:
             raise ValueError("power exponent must lie in [0, 1] (nonsummable)")
 
     @property
@@ -37,21 +32,19 @@ class StepSchedule:
         return self.c
 
     def alpha(self, k):
-        if self.kind == "constant":
-            return self.c
-        return self.c / (k + 1.0) ** self.p
+        return self.c / (k + 1.0) ** self.p if self.p else self.c
 
     def scaled(self, factor):
         """Same family with c scaled; used when shrinking sup_alpha."""
-        return StepSchedule(self.kind, self.c * factor, self.p)
+        return StepSchedule(self.c * factor, self.p)
 
 
 def constant(c):
-    return StepSchedule("constant", c)
+    return StepSchedule(c)
 
 
 def power(c, p):
-    return StepSchedule("power", c, p)
+    return StepSchedule(c, p)
 
 
 def admissible(s, f, regime):
@@ -77,7 +70,8 @@ def require_admissible(s, f, regime, what):
 
 
 def parse_schedule(text):
-    """CLI grammar: 'constant:0.5' or 'power:1.0:0.5' (c then p)."""
+    """CLI grammar: 'constant:0.5' or 'power:1.0:0.5' (c then p);
+    'power:C:0' is 'constant:C'."""
     parts = text.split(":")
     if parts[0] == "constant" and len(parts) == 2:
         return constant(float(parts[1]))
@@ -87,5 +81,6 @@ def parse_schedule(text):
 
 
 def format_schedule(s):
-    """s in the CLI grammar, parse_schedule's inverse (repr round-trips)."""
-    return f"{s.kind}:{float(s.c)!r}" + (f":{float(s.p)!r}" if s.kind == "power" else "")
+    """s in the CLI grammar, parse_schedule's inverse (repr round-trips):
+    constant:C for p = 0, else power:C:P."""
+    return f"power:{float(s.c)!r}:{float(s.p)!r}" if s.p else f"constant:{float(s.c)!r}"

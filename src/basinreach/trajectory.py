@@ -10,9 +10,8 @@ output).  ``run_gd``, ``integrate``, each probe start, both level runs
 stop event.  Every stop names itself: the event hands ``march`` the
 provenance entries that name it (stopped_on = ...), which ``recorded``
 merges, so no caller works out from the final state why a run ended.
-A runner's ``march`` checks its start with :func:`start`, and a caller
-that only wants the run's outcome, as each probe start does, builds no
-Trajectory unless :func:`recording` says a recorder is listening.
+A runner's ``march`` checks its start with :func:`start`, and every
+run, a probe start included, ends in one :func:`recorded` Trajectory.
 
 Every run steps on points of its objective's lane (``landscape.Lane``):
 for dim <= 2 a point is a tuple of Python floats, stepped by unrolled
@@ -117,12 +116,6 @@ def record_trajectories(into):
         yield into
     finally:
         _sink.reset(token)
-
-
-def recording():
-    """True while :func:`record_trajectories` is listening: a run whose
-    Trajectory nothing else reads builds one only then."""
-    return _sink.get() is not None
 
 
 def emit(traj):

@@ -7,7 +7,7 @@ import pytest
 
 import basinreach as br
 import basinreach.flow as flow
-from basinreach.flow import (ATOL, H_GUARD, H_STABLE, PI_ALPHA, PI_BETA, PI_MAX, PI_MIN, PI_SAFE,
+from basinreach.flow import (ATOL, H_STABLE, PI_ALPHA, PI_BETA, PI_MAX, PI_MIN, PI_SAFE,
                             RTOL)
 from basinreach.landscape import LeftBoxError, dot, norm, row_norms, sumsq
 from basinreach.reach import CAPTURE_GRID
@@ -144,19 +144,20 @@ def dop853_step(field, x, h):
 
 def dop853_flow(f, x0, sign, h, t_max, gtol=0.0, stop=None):
     """Adaptive DOP853 on sign * grad f with ndarray points, one State per
-    accepted step, until gtol, t_max, a box exit or ``stop(x)``.  The first
-    trial step is min(h, 0.1/L); a step is accepted when |e5|^2 / sqrt(|e5|^2
-    + 0.01 |e3|^2) <= ATOL + RTOL max(|x|, |x_new|); the next trial step
-    follows the PI controller, never growing right after a rejection nor
-    past H_STABLE / L, and the step that would pass t_max is clamped onto
-    it."""
+    accepted step, until gtol, t_max, a box exit or ``stop(x)``.  No trial
+    step, the first, min(h, H_STABLE / L), included, exceeds H_STABLE / L;
+    a step is accepted when |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2) <= ATOL +
+    RTOL max(|x|, |x_new|); the next trial step follows the PI controller,
+    never growing right after a rejection, and the step that would pass
+    t_max is clamped onto it."""
     x = np.array(x0, dtype=float)
     field = lambda y: sign * f.gradient(y)
     g = field(x)
     states = [State(0, 0.0, x.copy(), f.value(x), norm(g))]
     t, err_old, k, attempts = 0.0, 1e-4, 0, 0
     L = f.lipschitz_L
-    h, h_max = (min(h, H_GUARD / L), H_STABLE / L) if L > 0.0 else (h, math.inf)
+    h_max = H_STABLE / L if L > 0.0 else math.inf
+    h = min(h, h_max)
     while states[-1].grad_norm >= gtol and t < t_max:
         rejected = False
         while True:

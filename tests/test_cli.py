@@ -74,16 +74,21 @@ def test_run_flow(tmp_path):
     assert abs(float(x) - math.exp(-2.0)) <= 1e-8
 
 
-def test_run_flow_clamps_the_default_first_step(tmp_path):
-    # the default h = 1e-3 exceeds himmelblau's 0.1/L = 3.06e-4; the
-    # adaptive flow starts from 0.1/L instead of rejecting the config
-    out = str(tmp_path / "flow")
-    assert main(["run", "--procedure", "flow", "--function", "himmelblau", "--x0", "0,0",
-                 "--out", out]) == 0
-    summary = json.loads(read(os.path.join(out, "summary.json")))
-    assert summary["status"] == "converged"
-    rows = read(os.path.join(out, "trajectory.csv")).splitlines()
-    assert float(rows[2].split(b",")[1]) == 0.1 / 326.79215610874223
+def test_run_flow_takes_the_default_first_step(tmp_path):
+    # the default h = 1e-3 lies under himmelblau's step cap 6/L = 1.84e-2:
+    # the adaptive flow takes it as its first step and converges; an h past
+    # the cap is clamped onto it, as every step is, not rejected
+    rows = {}
+    for h in ([], ["--h", "1.0"], ["--h", repr(6.0 / 326.79215610874223)]):
+        out = str(tmp_path / f"flow{len(rows)}")
+        assert main(["run", "--procedure", "flow", "--function", "himmelblau", "--x0", "0,0",
+                     "--out", out] + h) == 0
+        summary = json.loads(read(os.path.join(out, "summary.json")))
+        assert summary["status"] == "converged"
+        rows[tuple(h)] = read(os.path.join(out, "trajectory.csv")).splitlines()
+    assert float(rows[()][2].split(b",")[1]) == 1e-3
+    capped, at_cap = list(rows.values())[1:]
+    assert capped == at_cap and capped != rows[()]
 
 
 def test_reach_from_config(tmp_path):

@@ -38,14 +38,28 @@ def test_settings_reject_an_infinite_first_step():
     assert br.FlowSettings(h=0.01, t_max=math.inf).t_max == math.inf
 
 
-def test_first_trial_step_clamped_to_the_guard(dw):
-    # the adaptive flow takes min(h, 0.1/L) as its first trial step: any
-    # larger h runs as h = 0.1/L does, state for state
-    clamped = br.integrate(dw, [0.5], "forward", settings(h=0.1 / dw.lipschitz_L))
-    for h in (0.01, 1.0):
-        traj = br.integrate(dw, [0.5], "forward", settings(h=h))
-        assert same_states(traj.states, clamped.states)
-    assert clamped.t[1] == 0.1 / dw.lipschitz_L
+def test_first_trial_step_clamped_to_the_step_cap(dw, himmelblau):
+    # the adaptive flow takes min(h, H_STABLE/L) as its first trial step,
+    # under the cap every later step obeys: any larger h runs as h =
+    # H_STABLE/L does, state for state
+    for f, x0 in ((dw, [0.5]), (himmelblau, [0.0, 0.0])):
+        cap = flow.H_STABLE / f.lipschitz_L
+        clamped = br.integrate(f, x0, "forward", settings(h=cap))
+        assert 0.0 < clamped.t[1] <= cap
+        for h in (math.nextafter(cap, math.inf), 1.0, 1e3):
+            traj = br.integrate(f, x0, "forward", settings(h=h))
+            assert same_states(traj.states, clamped.states)
+
+
+@pytest.mark.parametrize("name,x0,h", [("himmelblau", [0.0, 0.0], 1e-3),
+                                       ("double_well", [0.5], 1e-2)])
+def test_first_trial_step_is_h_below_the_cap(name, x0, h):
+    # 0.1/L < h <= H_STABLE/L (himmelblau: 3.06e-4 < 1e-3 <= 1.84e-2;
+    # double_well: 4.35e-3 < 1e-2 <= 0.26): the first trial step is h
+    # itself, and the error test accepts it
+    f = br.make_builtin(name)
+    assert 0.1 / f.lipschitz_L < h <= flow.H_STABLE / f.lipschitz_L
+    assert br.integrate(f, x0, "forward", settings(h=h)).t[1] == h
 
 
 def test_integrate_rejects_an_unknown_direction(quad1):

@@ -217,19 +217,19 @@ def test_probe_continuous_runs_match_integrate(f, target, eps, h):
 ], ids=["1-d-gd", "1-d-flow", "2-d-gd", "2-d-flow", "3-d-gd"])
 def test_probe_records_its_starts_only_for_a_recorder(monkeypatch, f, target, eps, dynamics,
                                                       seed):
-    # with no recorder listening the probe builds no Trajectory and returns
-    # the same estimate, bit for bit, as under one, which records one run
-    # per start: every sphere start at epsilon and, once one fails, at each
-    # bisected radius
+    # the probe ends each start in one recorded Trajectory, as every run
+    # ends, but only a listening recorder keeps them: one run per start,
+    # every sphere start at epsilon and, once one fails, at each bisected
+    # radius; the estimate is the same, bit for bit, with or without one
     calls = []
     monkeypatch.setattr(reach_mod, "recorded",
                         lambda *args: calls.append(1) or recorded(*args))
     alone = br.stability_probe(f, target, eps, dynamics, seed=seed)
-    assert calls == []
+    unheard = len(calls)
     heard, runs = probe_runs(f, target, eps, dynamics, seed=seed)
     assert pickle.dumps(alone) == pickle.dumps(heard)
     trials = 1 + (reach_mod.PROBE_BISECTIONS if heard.failures else 0)
-    assert len(calls) == len(runs) == heard.samples * trials
+    assert unheard == len(calls) - unheard == len(runs) == heard.samples * trials
 
 
 def test_probe_left_ball_stops_at_first_outside_state(monkeypatch):
@@ -642,6 +642,31 @@ def test_minimum_reach_cost_does_not_grow_with_the_condition_number(kind, ceilin
         grads[kappa, override] = counts["grad"]
     assert len({grads[kappa, 1.0] for kappa in (4.0, 1e2, 1e4)}) == 1
     assert max(grads[kappa, None] for kappa in (4.0, 1e2, 1e4)) < ceiling
+
+
+@pytest.mark.parametrize("name,params,target,eps", [
+    ("himmelblau", (), [3.0, 2.0], 1.0), ("double_well", (), [1.0], 0.4),
+    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0)])
+def test_power_schedule_at_p_zero_is_the_constant_reach(monkeypatch, name, params, target, eps):
+    # power(c, 0) is constant(c): the reach marches its orbit back once, as
+    # the constant reach does, and is the constant reach bit for bit
+    reports = []
+    for s in (br.constant, lambda c: br.power(c, 0.0)):
+        f, counts = counting(br.make_builtin(name, params))
+        builds = []
+        monkeypatch.setattr(reach_mod, "reverse_orbit",
+                            lambda *args, **kw: builds.append(args[3]) or
+                            reverse_mod.reverse_orbit(*args, **kw))
+        rep = br.reach_discrete(f, target, eps, s(0.5 / f.lipschitz_L), 1e-3, 1e-4)
+        assert rep.status == "success" and len(builds) == 1
+        reports.append((rep, counts))
+    (a, a_counts), (b, b_counts) = reports
+    assert a_counts == b_counts and a.x0.tobytes() == b.x0.tobytes()
+    assert pickle.dumps(a.reverse_part) == pickle.dumps(b.reverse_part)
+    assert same_states(a.forward_part.states, b.forward_part.states)
+    assert a.forward_part.provenance["schedule"] == b.forward_part.provenance["schedule"]
+    assert reach_report_json(a) == reach_report_json(b)
+    assert reach_report_json(b)["schedule"].startswith("constant:")
 
 
 def test_objective_without_hessian_seeds_along_the_first_axis(quad14):

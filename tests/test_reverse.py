@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -370,7 +371,11 @@ def test_reverse_orbit_stopping_march(quad1):
     assert [p[0] for p in orbit.points] == pytest.approx([0.8, 0.4, 0.2, 0.1], abs=1e-12)
     assert orbit.start_index == 0 and len(orbit.points) == 4
     assert len(orbit.forward_residuals) == 3
-    with pytest.raises(ValueError):
+    # p = 0 is the constant schedule, whichever constructor made it
+    same = br.reverse_orbit(quad1, [0.1], br.power(0.5, 0.0), 100,
+                            stop=lambda x: abs(x[0]) > 0.5)
+    assert pickle.dumps(same) == pickle.dumps(orbit)
+    with pytest.raises(ValueError, match="constant schedule"):
         br.reverse_orbit(quad1, [0.1], br.power(0.5, 0.5), 100, stop=lambda x: True)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ def test_alpha_examples():
     p = br.power(1.0, 1.0)
     assert p.alpha(0) == 1.0 and p.alpha(1) == 0.5
     assert br.power(2.0, 0.5).alpha(3) == 1.0
+    assert br.power(0.3, 0.0).alpha(9) == br.constant(0.3).alpha(9) == 0.3
 
 
 @pytest.mark.parametrize("s", [br.constant(0.5), br.power(1.0, 1.0),
@@ -45,8 +47,6 @@ def test_summable_rejected():
         br.power(1.0, -0.1)
     with pytest.raises(ValueError):
         br.constant(0.0)
-    with pytest.raises(ValueError):
-        br.StepSchedule("geometric", 1.0)
 
 
 def test_every_schedule_is_admissible_on_an_affine_objective():
@@ -70,9 +70,12 @@ def test_admissible_examples(quad1):
 
 def test_parse_schedule_grammar():
     s = br.parse_schedule("constant:0.5")
-    assert s.kind == "constant" and s.c == 0.5
+    assert s.p == 0.0 and s.c == 0.5
     s = br.parse_schedule("power:1.0:0.5")
-    assert s.kind == "power" and s.c == 1.0 and s.p == 0.5
+    assert s.p == 0.5 and s.c == 1.0
+    # p = 0 is the constant schedule, whichever way it is written
+    assert br.parse_schedule("power:0.5:0") == br.parse_schedule("constant:0.5") == br.constant(0.5)
+    assert [f.name for f in dataclasses.fields(br.StepSchedule)] == ["c", "p"]
     for bad in ("constant", "power:1.0", "linear:0.1", "constant:0.5:0.5"):
         with pytest.raises(ValueError):
             br.parse_schedule(bad)
@@ -80,7 +83,7 @@ def test_parse_schedule_grammar():
 
 @pytest.mark.parametrize("s,text", [
     (br.constant(0.5), "constant:0.5"), (br.constant(0.0413 / 2), "constant:0.02065"),
-    (br.constant(1e-300), "constant:1e-300"), (br.power(2.0, 0.0), "power:2.0:0.0"),
+    (br.constant(1e-300), "constant:1e-300"), (br.power(2.0, 0.0), "constant:2.0"),
     (br.power(0.1 / 3.0, 0.5), "power:0.03333333333333333:0.5"), (br.power(0.3, 1.0), "power:0.3:1.0"),
 ])
 def test_format_schedule_round_trips(s, text):
