@@ -34,9 +34,12 @@ mu_r |x - x*|^2; DOP853 follows it to its accuracy.  Without a Hessian or
 M there is no B_r.  The capture set K = {x in B_epsilon : f(x) < c}, for
 1-D and 2-D objectives whose B_r is not all of B_epsilon (where K would
 add nothing), c a certified lower bound of f on the epsilon-sphere
-(``_capture_level``).  With alpha < 2/L the descent lemma gives f(x - t
-alpha g) <= f(x) < c for t in [0, 1], so a GD step from K never crosses
-the sphere; the exact flow is monotone in f.  In K, sum alpha_k (1 -
+(``_capture_level``; in 2-D the floor of a circle grid, with f evaluated
+only where first-order minorants from a coarse pass leave a point in
+play, and grad f only where the point's value still does).  With alpha <
+2/L the descent lemma gives f(x - t alpha g) <= f(x) < c for t in [0, 1],
+so a GD step from K never crosses the sphere; the exact flow is monotone
+in f.  In K, sum alpha_k (1 -
 alpha_k L/2) |g_k|^2 < inf, so a nonsummable schedule forces liminf |g_k|
 = 0: a captured run stays in B_epsilon and reaches any gtol; its limit is
 not claimed.  As f(x) <= f* + L |x - x*|^2 / 2, every start within
@@ -139,14 +142,38 @@ class ReachBudgets:
 # points of the circle grid behind the 2-D capture certificate, and the
 # stride of its coarse pass
 CAPTURE_GRID = 256
-CAPTURE_STRIDE = 8
-# the unit circle grid laid out by steps past a coarse point: _CIRCLE[s, k]
-# is grid point k CAPTURE_STRIDE + s, so _CIRCLE[0] is the coarse pass; and
-# _CHORD[s - 1] = 2 sin(pi s/N), the unit chord of s grid steps
+CAPTURE_STRIDE = 16
+# the unit circle grid: _COARSE[k] is grid point k CAPTURE_STRIDE, at angle
+# theta_k, and _FILL[k (CAPTURE_STRIDE - 1) + s - 1] is grid point k
+# CAPTURE_STRIDE + s, 0 < s < CAPTURE_STRIDE; _TURN[k] = exp(-i theta_k)
+# turns a gradient at _COARSE[k], as a complex number, into its radial and
+# tangential parts
 _THETA = 2.0 * np.pi * np.arange(CAPTURE_GRID) / CAPTURE_GRID
-_CIRCLE = np.ascontiguousarray(np.stack([np.cos(_THETA), np.sin(_THETA)], axis=1)
-                               .reshape(-1, CAPTURE_STRIDE, 2).transpose(1, 0, 2))
-_CHORD = 2.0 * np.sin(np.pi * np.arange(1, CAPTURE_STRIDE) / CAPTURE_GRID)[:, None]
+_UNIT = np.stack([np.cos(_THETA), np.sin(_THETA)], axis=1).reshape(-1, CAPTURE_STRIDE, 2)
+_COARSE = np.ascontiguousarray(_UNIT[:, 0])
+_FILL = np.ascontiguousarray(_UNIT[:, 1:].reshape(-1, 2))
+_TURN = np.exp(-1j * _THETA[::CAPTURE_STRIDE])
+# grid point k CAPTURE_STRIDE + s lies n = s steps after its coarse
+# neighbour on side 0, _COARSE[k], and n = CAPTURE_STRIDE - s steps before
+# the one on side 1, _COARSE[k + 1].  The unit chord from that neighbour
+# to it is _TANGENT e_perp - _HALF_SQ e, indexed [side, s - 1], with e the
+# neighbour's radial unit vector and e_perp that turned by pi/2: its length
+# is _CHORD = 2 sin(pi n/N), _HALF_SQ = _CHORD^2/2 = 1 - cos(2 pi n/N) and
+# _TANGENT = +-sin(2 pi n/N), + on side 0
+_STEPS = np.stack([np.arange(1, CAPTURE_STRIDE), CAPTURE_STRIDE - np.arange(1, CAPTURE_STRIDE)])
+_CHORD = 2.0 * np.sin(np.pi * _STEPS / CAPTURE_GRID)
+_HALF_SQ = 0.5 * _CHORD * _CHORD
+_TANGENT = np.array([[1.0], [-1.0]]) * np.sin(2.0 * np.pi * _STEPS / CAPTURE_GRID)
+# column (side, s - 1) of _BOUNDS weighs a coarse neighbour's (f_i,
+# epsilon r_i, epsilon t_i, epsilon |g_i|, L epsilon^2), r_i and t_i the
+# radial and tangential parts of its gradient, into the fill point's
+# minorant less d times its ceiling (``_capture_level``), d = epsilon
+# _DELTA; the next 2 (CAPTURE_STRIDE - 1) columns into d times the ceiling
+_DELTA = 2.0 * math.sin(math.pi / (2 * CAPTURE_GRID))
+_BOUNDS = np.concatenate([
+    np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, 5) for cols in (
+        (1.0, -_HALF_SQ, _TANGENT, -_DELTA, -(_HALF_SQ + _DELTA * _CHORD)),
+        (0.0, 0.0, 0.0, _DELTA, _DELTA * _CHORD))]).T
 
 
 def _spectrum(f, target):
@@ -164,20 +191,46 @@ def _capture_level(f, target, epsilon):
     smaller sphere value; 2-D: each of N = CAPTURE_GRID circle points y_i
     lies within the chord d = 2 epsilon sin(pi/(2N)) of its arc, where f >=
     b_i = f(y_i) - |grad f(y_i)| d - L d^2/2 - 1e-12 (1 + |f(y_i)|), and c is
-    the least b_i, taken in two batched passes.
+    the least b_i, the float one pass over the grid gives, from far fewer
+    evaluations.
 
-    The coarse pass evaluates every CAPTURE_STRIDE-th grid point, c_1 the
-    least of their b_i.  A grid point y_j s steps from a coarse y_i lies at
-    the chord D = 2 epsilon sin(pi s/N), and on that chord, inside
-    B_epsilon and so in the box, f(y_j) >= f_i - |g_i| D - L D^2/2,
-    |g_j| <= |g_i| + L D and |f(y_j)| <= |f_i| + |g_i| D + L D^2/2, so
-    b_j >= f_i - |g_i| (D + d) - L (D + d)^2/2 - 1e-12 (1 + |f_i| +
-    |g_i| D + L D^2/2), the larger of this bound from the coarse points on
-    either side.  The fill pass evaluates every grid point whose bound is
-    not above c_1 + 1e-12 (1 + |c_1|), the margin for rounding in the bound
-    and in f, and c is the least b over both passes.  A skipped point has
-    b_j > c_1 >= c, so c is the least b_i over the whole grid, bit for bit:
-    each b_i comes from the same floats as in one pass over the grid."""
+    The coarse pass takes f and grad f at every CAPTURE_STRIDE-th grid
+    point, c_1 the least of their b_i.  A fill point y_j lies n grid steps
+    from a coarse neighbour y_i on either side, y_j - y_i = epsilon u with
+    u the tabled unit chord (beside ``_COARSE``), |u| = 2 sin(pi n/N) <= 2.
+    The chord lies in B_epsilon and so in the box, where grad f is
+    L-Lipschitz, so f(y_j) >= f_i + epsilon <g_i, u> - L epsilon^2 |u|^2/2,
+    the first-order minorant of Breiman & Cutler's global optimisation
+    (1993, Math. Program. 58:179-199), and |grad f(y_j)| <= |g_i| + L
+    epsilon |u|, the ceiling.  One matrix product gives both at every fill
+    point from each side, from f_i, the radial and tangential parts of g_i
+    and |g_i|.  A fill point is skipped where a lower bound of its b_j,
+    less L d^2/2 and its own 1e-12 (1 + |f(y_j)|), is above c_1 + mu:
+    - with no evaluation, where on both sides its minorant less d times
+      its ceiling is;
+    - with its value alone, where f(y_j) less d times the smaller ceiling
+      is;
+    and the rest take a gradient and their b_j.  c is the least b of the
+    points with a gradient, c_1 among them.  No call has an empty batch.
+
+    The margin is mu = 1e-12 (1 + |c_1| + 2 Phi), Phi = 1 + max |f_i| +
+    (max |g_i| + 4 L epsilon) (4 epsilon + |target|_inf) over the coarse
+    pass, which bounds every term of both tests and of a skipped b_j (as
+    |f(y_j)| <= |f_i| + 2 epsilon |g_i| + 2 L epsilon^2).  So mu holds the
+    term 1e-12 (1 + |f(y_j)|) <= 1e-12 Phi that the tests leave out.  A
+    float point target + epsilon * (unit point) lies within 2^-53
+    (|target|_inf + 3 epsilon) of its ideal point in each coordinate, so
+    the float chord y_j - y_i differs from epsilon u by less than 2e-15
+    (|target|_inf + epsilon), which moves a minorant or a ceiling by less
+    than 3e-15 Phi; the float arithmetic of a test or of b_j, a few dozen
+    roundings, errs by less than 1e-14 Phi.  More than 1e-12 (1 + |c_1| +
+    Phi/2) of mu is left, the allowance for rounding in f and grad f
+    themselves, between which the Lipschitz bounds hold.  So a skipped
+    point's float b_j is above c_1 >= c, and c is the least b_i over the
+    whole grid, bit for bit: each b_i comes from the same point, value and
+    gradient norm, by the same float expression, as in one pass over the
+    grid.  An objective that is not ``vectorized`` takes the same points one
+    row at a time, and so gives the same c from the same counts."""
     L = f.lipschitz_L
     if not L > 0.0:
         return None
@@ -185,26 +238,38 @@ def _capture_level(f, target, epsilon):
         return float(f.values(target + np.array([[-epsilon], [epsilon]])).min())
     if f.dim != 2:
         return None
-    Y = target + epsilon * _CIRCLE
     d = 2.0 * epsilon * math.sin(math.pi / (2 * CAPTURE_GRID))
-
-    def floor(rows):  # (f, |grad f|, b) at each row
-        fy = f.values(rows)
-        gy = row_norms(f.gradients(rows))
-        return fy, gy, fy - gy * d - 0.5 * L * d * d - 1e-12 * (1.0 + np.abs(fy))
-
-    fc, gc, bc = floor(Y[0])
-    c1 = bc.min()
-    # bound[s - 1, k]: the floor of b on Y[s, k] from the coarse point s
-    # steps before it, Y[0, k]; then the larger with the floor from the one
-    # CAPTURE_STRIDE - s steps after it, Y[0, k + 1]
-    D = epsilon * _CHORD
-    A = D + d
-    bound = (fc - 1e-12 * (1.0 + np.abs(fc)) - gc * (A + 1e-12 * D)
-             - L * (0.5 * A * A + 0.5e-12 * D * D))
-    bound = np.maximum(bound, np.concatenate((bound[::-1, 1:], bound[::-1, :1]), axis=1))
-    fill = Y[1:][bound <= c1 + 1e-12 * (1.0 + abs(c1))]
-    return float(min(c1, floor(fill)[2].min()))
+    half_ld2 = 0.5 * L * d * d
+    K, m = CAPTURE_GRID // CAPTURE_STRIDE, CAPTURE_STRIDE - 1
+    rows = target + epsilon * _COARSE
+    fc, gc = f.values(rows), f.gradients(rows)
+    ac, afc = row_norms(gc), np.abs(fc)
+    c1 = float((fc - ac * d - half_ld2 - 1e-12 * (1.0 + afc)).min())
+    t0, t1 = target.tolist()
+    phi = 1.0 + max(afc.tolist()) + (max(ac.tolist()) + 4.0 * L * epsilon) * (
+        4.0 * epsilon + max(abs(t0), abs(t1)))
+    level = c1 + 1e-12 * (1.0 + abs(c1) + 2.0 * phi) + half_ld2
+    # each coarse point's (f_i, eps r_i, eps t_i, eps |g_i|, L eps^2), the
+    # first one again after the last, the side-1 neighbour of the last fill points
+    V = np.empty((K + 1, 5))
+    V[:K, 0] = fc
+    V[:K, 1:3] = (gc.view(complex)[:, 0] * (epsilon * _TURN)).view(float).reshape(K, 2)
+    V[:K, 3] = epsilon * ac
+    V[:, 4] = L * epsilon * epsilon
+    V[K] = V[0]
+    Q = V @ _BOUNDS
+    play = np.flatnonzero(np.maximum(Q[:K, :m], Q[1:, m:2 * m]) <= level)
+    if not play.size:
+        return c1
+    dceil = np.minimum(Q[:K, 2 * m:3 * m], Q[1:, 3 * m:]).ravel()[play]
+    rows = target + epsilon * _FILL.take(play, axis=0)
+    fy = f.values(rows)
+    left = fy - dceil <= level
+    fy = fy[left]
+    if not fy.size:
+        return c1
+    b = fy - row_norms(f.gradients(rows[left])) * d - half_ld2 - 1e-12 * (1.0 + np.abs(fy))
+    return min(c1, float(b.min()))
 
 
 class _Basin:

@@ -209,6 +209,13 @@ UNMOVED = {
                        "--target-index", "0", "--epsilon", "2.0", "--seed", "4", "--h", "1e-2",
                        "--t-max", "20", "--gtol", "1e-6"], {
         "probe.json": "f50c032bb55afb935fc75655529ff5f4b7323be9f0975b4d8bf184498168b3d3"}),
+    # the other himmelblau minima's capture levels, as CI pins them
+    **{f"hb-probe-{i}": (["probe", "--function", "himmelblau", "--target-index", str(i),
+                          "--epsilon", "1.0", "--schedule", "constant:0.0015"],
+                         {"probe.json": digest}) for i, digest in (
+        (1, "f078460ec87e4382a1e526661e6889a2470062b6505999f96f83670266d48cd1"),
+        (2, "8ed5ac898335f6e8ecfd7bad32e9b766f0758deefe3f0154df1d76625421aea4"),
+        (3, "0b8c8580da7f0e08b2e29250a75a13fb2c41f33ccc0fb7cf50d2ee463042723d"))},
 }
 
 

@@ -305,8 +305,10 @@ def test_probe_evaluation_counts(monkeypatch, dw, quad14, himmelblau):
         _, runs = probe_runs(f, [0.0, 0.0], 1.0, dynamics)
         assert len(runs) == 12 and calls == [] and counts == {"grad": 12, "value": 12}
     # a GD state costs one gradient and one value; the 1-D certificate takes
-    # the 2 sphere values, the 2-D one here 49 of its 256 grid points, each
-    # a value and a gradient: 32 in the coarse pass, 17 in the fill
+    # the 2 sphere values, the 2-D one here 42 values and 28 gradients on its
+    # 256 grid points: both at the 16 coarse points, a value at the 26 fill
+    # points the minorants leave in play and a gradient at the 12 of them
+    # that their values leave in play
     f, counts = counting(WIDE_DW)
     _, runs = probe_runs(f, [1.0], 1.5, br.constant(0.5 / f.lipschitz_L), seed=0)
     states = sum(len(r.states) for r in runs)
@@ -314,7 +316,7 @@ def test_probe_evaluation_counts(monkeypatch, dw, quad14, himmelblau):
     f, counts = counting(himmelblau)
     _, runs = probe_runs(f, [3.0, 2.0], 1.0, br.constant(0.5 / f.lipschitz_L), seed=0)
     states = sum(len(r.states) for r in runs)
-    assert counts == {"grad": states + 49, "value": states + 49}
+    assert counts == {"grad": states + 28, "value": states + 42}
 
 
 @pytest.mark.parametrize("dynamics", [br.constant(0.2), br.FlowSettings(h=1e-2, t_max=20.0)],
@@ -453,59 +455,236 @@ def test_capture_level_grid_on_renamed_quad(quad14):
     assert est.delta_cert == 1.0
 
 
-def test_two_pass_capture_level_is_the_full_grid_floor(quad14):
-    # the coarse and fill passes give the full grid's floor bit for bit on
-    # every certificate case, each himmelblau minimum at each epsilon whose
-    # ball fits the box, and the renamed quad without M; a himmelblau
-    # minimum at epsilon = 1 evaluates at most 70 of the 256 grid points
+def capture_grid_cases():
+    """Every certificate case, each himmelblau minimum at each epsilon whose
+    ball fits the box, and quad:1,4 renamed without M."""
     hb = br.make_builtin("himmelblau")
     cases = [(br.make_builtin(name, params), np.asarray(target, dtype=float), eps)
              for name, params, target, eps in CERT_CASES]
     cases += [(hb, p, eps) for p in HB_MINIMA for eps in (0.1, 0.25, 0.5, 1.0, 1.5, 2.0)
               if hb.in_box(p - eps) and hb.in_box(p + eps)]
-    cases.append((dataclasses.replace(quad14, name="bowl", hessian_lipschitz=None),
-                  np.zeros(2), 1.0))
-    assert len(cases) == 32
-    for f, target, eps in cases:
+    cases.append((dataclasses.replace(br.make_builtin("quad", (1.0, 4.0)), name="bowl",
+                                      hessian_lipschitz=None), np.zeros(2), 1.0))
+    return cases
+
+
+# the grid points of each capture_grid_cases() case that the earlier
+# two-pass grid evaluated (stride 8; a value and a gradient at every point
+# that its cone bound f_j >= f_i - |g_i| D - L D^2/2 left in play); the 1-D
+# cases take their 2 sphere values and no gradient
+TWO_PASS_POINTS = [0] * 5 + [64, 52, 52, 49, 67, 61, 49, 68, 61, 52, 49, 47, 44, 144, 114, 83, 67,
+                             57, 85, 74, 66, 61, 66, 58, 51, 49, 64]
+
+
+def test_two_pass_capture_level_is_the_full_grid_floor():
+    # the coarse pass and the fill give the full grid's floor bit for bit on
+    # every case, from no more gradients or values than the two-pass grid
+    # took; a himmelblau minimum at epsilon = 1 takes at most 28 gradients
+    # and 51 values of the 256 grid points
+    cases = capture_grid_cases()
+    assert len(cases) == len(TWO_PASS_POINTS) == 32
+    for (f, target, eps), before in zip(cases, TWO_PASS_POINTS):
         counted, counts = counting(f)
         c = reach_mod._capture_level(counted, target, eps)
         assert c == capture_level_full_grid(f, target, eps), (f.name, target, eps)
+        assert counts["grad"] <= before and counts["value"] <= max(before, 2), (target, eps)
         if f.name == "himmelblau" and eps == 1.0:
-            assert 0 < counts["grad"] <= 70 and 0 < counts["value"] <= 70, counts
+            assert 0 < counts["grad"] <= 28 and 0 < counts["value"] <= 51, counts
+
+
+def test_capture_level_row_by_row_is_the_vectorized_level():
+    # an objective that is not vectorized takes the same points one row at
+    # a time: the same c from the same counts
+    for f, target, eps in capture_grid_cases():
+        rows = dataclasses.replace(f, vectorized=False)
+        (vf, vc), (rf, rc) = counting(f), counting(rows)
+        c = reach_mod._capture_level(vf, target, eps)
+        assert reach_mod._capture_level(rf, target, eps) == c
+        assert rc == vc, (f.name, target, eps)
+
+
+def grid_spy(f):
+    """(copy of f, values, gradients): the copy records the bytes of every
+    point at which it takes f or grad f, batch rows one by one."""
+    seen = {"value": [], "grad": []}
+
+    def wrap(fn, key):
+        def call(x):
+            seen[key] += [row.tobytes() for row in np.atleast_2d(x)]
+            return fn(x)
+        return call
+    return dataclasses.replace(f, f=wrap(f.f, "value"), grad=wrap(f.grad, "grad")), seen
+
+
+def unit_grid():
+    theta = 2.0 * np.pi * np.arange(reach_mod.CAPTURE_GRID) / reach_mod.CAPTURE_GRID
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
 def test_two_pass_capture_level_evaluates_a_dip_between_coarse_points():
     # |x|^2/2 less a Gaussian dip of depth a and width sig centred on grid
-    # point 100 of the unit circle, 4 steps from the coarse points 96 and
-    # 104: the dip's Hessian has spectral norm at most a/sig^2, so L = 1 +
-    # a/sig^2 holds on the box.  The coarse pass misses the dip, which
-    # holds the sphere floor; the fill pass must evaluate point 100
-    a, sig, j = 0.01, 0.02, 100
-    assert j % reach_mod.CAPTURE_STRIDE == reach_mod.CAPTURE_STRIDE // 2
-    theta = 2.0 * np.pi * np.arange(reach_mod.CAPTURE_GRID) / reach_mod.CAPTURE_GRID
-    Y = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    p, seen = Y[j], []
+    # point j of the unit circle: the dip's Hessian has spectral norm at
+    # most a/sig^2, so L = 1 + a/sig^2 holds on the box.  The coarse pass
+    # misses the dip, which holds the sphere floor; the fill must take
+    # point j's value and gradient.  j is 4 steps from a coarse point,
+    # midway between two, and one step from one, where a narrower dip
+    # leaves the coarse point its value
+    S, a = reach_mod.CAPTURE_STRIDE, 0.01
+    Y = unit_grid()
+    for j, sig in ((100, 0.02), (6 * S + S // 2, 0.02), (6 * S + 1, 0.005)):
+        assert j % S and min(j % S, S - j % S) * 2.0 * np.pi / reach_mod.CAPTURE_GRID > 4.0 * sig
+        p = Y[j]
+
+        def bump(x, p=p, sig=sig):
+            return a * math.exp(-float((x - p) @ (x - p)) / (2.0 * sig * sig))
+
+        def value(x, bump=bump):
+            return 0.5 * float(x @ x) - bump(x)
+
+        def grad(x, bump=bump, p=p, sig=sig):
+            return x + bump(x) / (sig * sig) * (x - p)
+
+        dip = br.ObjectiveFunction(dim=2, f=value, grad=grad, lipschitz_L=1.0 + a / (sig * sig),
+                                   box=np.array([[-2.0, 2.0], [-2.0, 2.0]]), name="dip")
+        # L is honest on sampled pairs near the dip
+        rng = np.random.default_rng(0)
+        for x, y in p + 3.0 * sig * rng.standard_normal((200, 2, 2)):
+            assert norm(grad(x) - grad(y)) <= dip.lipschitz_L * norm(x - y)
+        spied, seen = grid_spy(dip)
+        c = reach_mod._capture_level(spied, np.zeros(2), 1.0)
+        assert p.tobytes() in seen["value"] and p.tobytes() in seen["grad"], j
+        assert c < dip.value(p) < dip.values(Y[::S]).min() - 0.9 * a
+        assert c == capture_level_full_grid(dip, np.zeros(2), 1.0)
+
+
+def test_capture_level_takes_the_gradient_where_b_is_least_not_f():
+    # the least b_i = f(y_i) - |grad f(y_i)| d - ... on the grid sits where
+    # a steep narrow ripple's slope, not f, is large, on |x|^2/2 + t x_1:
+    # - a sin(k x_2), with L = 1 + a k^2;
+    # - a <x - p, tau> exp(-|x - p|^2/(2 sig^2)) at grid point p midway
+    #   between coarse points, tau the tangent there, with L = 1 + 2 a/sig
+    #   (its Hessian's spectral norm is at most 1.5 a/sig).
+    # The fill may skip gradients elsewhere but must take that point's
+    S, Y = reach_mod.CAPTURE_STRIDE, unit_grid()
+    p = Y[6 * S + S // 2]
+    tau = np.array([-p[1], p[0]])
+
+    def ripple(a, k):
+        def value(X):
+            X = np.asarray(X)
+            return 0.5 * (X * X).sum(axis=-1) + X[..., 0] + a * np.sin(k * X[..., 1])
+
+        def grad(X):
+            G = np.array(X, dtype=float)
+            G[..., 0] += 1.0
+            G[..., 1] += a * k * np.cos(k * G[..., 1])
+            return G
+        return br.ObjectiveFunction(dim=2, f=value, grad=grad, lipschitz_L=1.0 + a * k * k,
+                                    box=np.array([[-2.0, 2.0], [-2.0, 2.0]]), vectorized=True,
+                                    name="ripple")
+
+    def spike(a, sig):
+        def bend(x):
+            z = x - p
+            return float(z @ tau), math.exp(-float(z @ z) / (2.0 * sig * sig)), z
+
+        def value(x):
+            w, e, _ = bend(x)
+            return 0.5 * float(x @ x) + 0.3 * x[0] + a * w * e
+
+        def grad(x):
+            w, e, z = bend(x)
+            return x + np.array([0.3, 0.0]) + a * e * (tau - w / (sig * sig) * z)
+        return br.ObjectiveFunction(dim=2, f=value, grad=grad, lipschitz_L=1.0 + 2.0 * a / sig,
+                                    box=np.array([[-2.0, 2.0], [-2.0, 2.0]]), name="spike")
+
+    d = 2.0 * math.sin(math.pi / (2 * reach_mod.CAPTURE_GRID))
+    rng = np.random.default_rng(0)
+    for f, skips in ((ripple(0.05, 90.0), True), (spike(30.0, 0.01), False)):
+        # L is honest on sampled pairs near the ripple
+        for x, y in p + 0.03 * rng.standard_normal((200, 2, 2)):
+            assert norm(f.gradient(x) - f.gradient(y)) <= f.lipschitz_L * norm(x - y)
+        fy = f.values(Y)
+        j = int(np.argmin(fy - row_norms(f.gradients(Y)) * d))
+        assert fy[j] > fy.min()
+        spied, seen = grid_spy(f)
+        c = reach_mod._capture_level(spied, np.zeros(2), 1.0)
+        assert c == capture_level_full_grid(f, np.zeros(2), 1.0), f.name
+        assert Y[j].tobytes() in seen["grad"], f.name
+        assert (len(seen["grad"]) < len(seen["value"]) < reach_mod.CAPTURE_GRID) == skips
+
+
+def test_capture_level_evaluates_a_dip_on_a_crest():
+    # |x|^2/2 + beta <x, p> less a Gaussian dip of depth a and width sig at
+    # grid point p midway between coarse points: f rises along the circle
+    # from both coarse neighbours to p, so a linear extrapolation from
+    # either passes over the dip, which holds the sphere floor; only the
+    # minorant's curvature term L epsilon^2 |u|^2/2 leaves p in play
+    S, Y = reach_mod.CAPTURE_STRIDE, unit_grid()
+    a, sig, beta = 0.2, 0.07, 0.08
+    p = Y[6 * S + S // 2]
 
     def bump(x):
         return a * math.exp(-float((x - p) @ (x - p)) / (2.0 * sig * sig))
 
-    def value(x):
-        seen.append(x.tobytes())
-        return 0.5 * float(x @ x) - bump(x)
+    crest = br.ObjectiveFunction(
+        dim=2, f=lambda x: 0.5 * float(x @ x) + beta * float(x @ p) - bump(x),
+        grad=lambda x: x + beta * p + bump(x) / (sig * sig) * (x - p),
+        lipschitz_L=1.0 + a / (sig * sig), box=np.array([[-2.0, 2.0], [-2.0, 2.0]]), name="crest")
+    spied, seen = grid_spy(crest)
+    c = reach_mod._capture_level(spied, np.zeros(2), 1.0)
+    assert p.tobytes() in seen["grad"]
+    assert c < crest.value(p) < crest.values(Y[::S]).min()
+    assert c == capture_level_full_grid(crest, np.zeros(2), 1.0)
 
-    def grad(x):
-        return x + bump(x) / (sig * sig) * (x - p)
 
-    dip = br.ObjectiveFunction(dim=2, f=value, grad=grad, lipschitz_L=1.0 + a / (sig * sig),
-                               box=np.array([[-2.0, 2.0], [-2.0, 2.0]]), name="dip")
-    # L is honest on sampled pairs near the dip
-    rng = np.random.default_rng(0)
-    for x, y in p + 3.0 * sig * rng.standard_normal((200, 2, 2)):
-        assert norm(grad(x) - grad(y)) <= dip.lipschitz_L * norm(x - y)
-    c = reach_mod._capture_level(dip, np.zeros(2), 1.0)
-    assert p.tobytes() in seen
-    assert c < dip.value(p) < dip.values(Y[::reach_mod.CAPTURE_STRIDE]).min() - 0.9 * a
-    assert c == capture_level_full_grid(dip, np.zeros(2), 1.0)
+@pytest.mark.parametrize("shift", [1e6, 1e9])
+def test_capture_level_far_from_the_origin(shift):
+    # himmelblau moved by (shift, -shift): the float chords between grid
+    # points differ from epsilon times the unit ones by about 1e-16 shift,
+    # which the margins hold; the level is still the full grid's
+    hb = br.make_builtin("himmelblau")
+    s = np.array([shift, -shift])
+    far = br.ObjectiveFunction(dim=2, f=lambda X: hb.f(np.asarray(X) - s),
+                               grad=lambda X: hb.grad(np.asarray(X) - s),
+                               lipschitz_L=hb.lipschitz_L, box=hb.box + s[:, None],
+                               vectorized=True, name="far")
+    for p in HB_MINIMA:
+        for eps in (0.5, 1.0):
+            counted, counts = counting(far)
+            c = reach_mod._capture_level(counted, p + s, eps)
+            assert c == capture_level_full_grid(far, p + s, eps), (p, eps)
+            assert counts["grad"] < counts["value"] < reach_mod.CAPTURE_GRID
+
+
+def test_capture_level_never_calls_an_empty_batch(himmelblau):
+    # a vectorized objective that refuses a batch of no rows: the fill leaves
+    # no point in play (a steep tilt), leaves values but no gradient in play
+    # (a gentler one), or takes both (himmelblau)
+    def refusing(f):
+        def wrap(fn):
+            def call(x):
+                if np.ndim(x) == 2 and len(x) == 0:
+                    raise ValueError("empty batch")
+                return fn(x)
+            return call
+        return dataclasses.replace(f, f=wrap(f.f), grad=wrap(f.grad))
+
+    def tilted(t):
+        return br.ObjectiveFunction(
+            dim=2, f=lambda X: 0.5 * (np.asarray(X) ** 2).sum(axis=-1) + t * np.asarray(X)[..., 0],
+            grad=lambda X: np.asarray(X) + np.array([t, 0.0]), lipschitz_L=1.0,
+            box=np.array([[-2.0, 2.0], [-2.0, 2.0]]), vectorized=True, name="tilted")
+
+    taken = []
+    for f, target in ((tilted(10.0), np.zeros(2)), (tilted(2.0), np.zeros(2)),
+                      (himmelblau, HB_MINIMA[0])):
+        counted, counts = counting(refusing(f))
+        assert reach_mod._capture_level(counted, target, 1.0) == capture_level_full_grid(
+            f, target, 1.0)
+        taken.append((counts["value"], counts["grad"]))
+    S = reach_mod.CAPTURE_GRID // reach_mod.CAPTURE_STRIDE
+    assert taken[0] == (S, S) and taken[1][0] > taken[1][1] == S and taken[2][1] > S, taken
 
 
 @pytest.mark.parametrize("name,params,target,eps", CERT_CASES)
