@@ -51,7 +51,7 @@ FIELDS = {
     "epsilon": (0.4, "number", "reach/probe ball radius"),
     "seed_radius": (1e-3, "number", "ascent-seed sphere radius"),
     "tol": (1e-4, "number", "reach success tolerance"),
-    "delta": (None, "number", "saddle-mode escape radius (default epsilon/2)"),
+    "delta": (None, "number", "saddle reach (--general) escape radius (default epsilon/2)"),
     "gtol": (1e-10, "number", "gradient stopping tolerance"),
     "h": (1e-3, "number", "flow integrator's first trial step"),
     "t_max": (50.0, "number", "flow time budget"),
@@ -241,6 +241,8 @@ def cmd_run(cfg, f):
 def cmd_reach(cfg, f):
     if cfg["procedure"] != "reach-general":
         cfg["procedure"] = "reach"
+        if cfg["delta"] is not None:
+            raise ConfigError("delta: only a saddle reach (--general) takes delta")
     target = resolve_target(cfg, f)
     dynamics = resolve_dynamics(cfg)
     budgets = ReachBudgets(max_iter=cfg["max_iter"], gtol=float(cfg["gtol"]),

@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .landscape import LeftBoxError, require_nonnegative_finite, row_norms
+from .landscape import LeftBoxError, require_count, require_nonnegative_finite, row_norms
 from .sampling import unit_directions
 from .schedule import admissible, constant, require_admissible
 from .trajectory import finite_point, march, recorded, start
@@ -35,10 +35,11 @@ class _Descent:
     """The gradient-descent runner under schedule s, shaped like
     ``flow._Flow``: ``march`` from a start x0 (``trajectory.start``)
     stops at |grad| < gtol, max_iter steps or the box; ``step`` advances
-    time by the step size.  Requires gtol and max_iter in [0, inf)."""
+    time by the step size.  Requires gtol in [0, inf), max_iter a count."""
 
     def __init__(self, f, s, max_iter, gtol):
-        require_nonnegative_finite(gtol=gtol, max_iter=max_iter)
+        require_nonnegative_finite(gtol=gtol)
+        require_count(max_iter=max_iter)
         self.f, self.lane, self.s, self.max_iter, self.gtol = f, f._lane, s, max_iter, gtol
         self.provenance = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol}
 
@@ -63,9 +64,9 @@ class _Descent:
 def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, event=None):
     """Iterate x_{k+1} = x_k - alpha_k grad(x_k), recording every state.
 
-    Requires sup alpha < 2/L and gtol and max_iter in [0, inf).  Stops on
-    grad_norm < gtol (converged), k = max_iter (budget_exhausted) or box
-    exit (left_box, not a fault).
+    Requires sup alpha < 2/L, gtol in [0, inf) and max_iter a nonnegative
+    integer.  Stops on grad_norm < gtol (converged), k = max_iter
+    (budget_exhausted) or box exit (left_box, not a fault).
     ``event`` is a :func:`march` stop event, asked at each state before
     those tests (its fx is None); a minimum reach ends the run with it on
     the first state in its certified ball.

@@ -4,9 +4,9 @@ and the minimum-norm element of a generator set (Wolfe's algorithm).
 The capped function max{f, level} of a saddle reach is not built as an
 object: its minimum-norm Clarke flow is the flow on f stopped at the
 level set (``flow.integrate_minnorm``).  Every module imports this one:
-its two rules below are the one test of a number that must be positive,
-or nonnegative, and finite (a flow's ``t_max`` may be infinite and has
-its own), as ``trajectory.start`` is the one test of a point.
+its rules below are the one test of a number that must be positive, or
+nonnegative, and finite (a flow's ``t_max`` may be infinite and has its
+own), and of a count, as ``trajectory.start`` is the one test of a point.
 """
 
 import functools
@@ -49,6 +49,18 @@ def require_nonnegative_finite(**values):
     for name, v in values.items():
         if not 0.0 <= v < math.inf:
             raise ValueError(f"{name} must be nonnegative and finite, got {v}")
+
+
+def require_count(**values):
+    """ValueError naming the first value that is not a nonnegative integer
+    by ``operator.index``, which numpy integers are."""
+    for name, v in values.items():
+        try:
+            ok = operator.index(v) >= 0
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be a nonnegative integer, got {v}")
 
 
 @dataclass(frozen=True, eq=False)

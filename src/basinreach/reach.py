@@ -74,8 +74,8 @@ import numpy as np
 from .descent import _Descent, classify_limit, run_gd
 from .flow import (SEED_FLOOR_RTOL, FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail,
                    integrate, integrate_minnorm, path_length)
-from .landscape import (LeftBoxError, norm, require_nonnegative_finite, require_positive_finite,
-                        row_norms)
+from .landscape import (LeftBoxError, norm, require_count, require_nonnegative_finite,
+                        require_positive_finite, row_norms)
 from .reverse import reverse_orbit
 from .sampling import directions, unit_directions
 from .schedule import StepSchedule, constant, require_admissible
@@ -121,9 +121,9 @@ class ReachBudgets:
 
     gtol defaults to min(1e-8, 1e-3 * tol); delta_override reuses a
     radius found before, legitimate as the stability radius is uniform
-    over admissible schedules.  The counts, a given gtol and a given
-    delta_override must be nonnegative and finite: 0, a radius the probe
-    can return, is allowed.
+    over admissible schedules.  The counts must be nonnegative integers,
+    a given gtol and a given delta_override nonnegative and finite: 0, a
+    radius the probe can return, is allowed.
     """
 
     max_iter: int = 200_000
@@ -133,9 +133,9 @@ class ReachBudgets:
     seed: int = 0
 
     def __post_init__(self):
+        require_count(max_iter=self.max_iter, kbar_max=self.kbar_max)
         require_nonnegative_finite(
-            max_iter=self.max_iter, gtol=0.0 if self.gtol is None else self.gtol,
-            kbar_max=self.kbar_max,
+            gtol=0.0 if self.gtol is None else self.gtol,
             delta_override=0.0 if self.delta_override is None else self.delta_override)
 
 
@@ -143,37 +143,20 @@ class ReachBudgets:
 # stride of its coarse pass
 CAPTURE_GRID = 256
 CAPTURE_STRIDE = 16
-# the unit circle grid: _COARSE[k] is grid point k CAPTURE_STRIDE, at angle
-# theta_k, and _FILL[k (CAPTURE_STRIDE - 1) + s - 1] is grid point k
-# CAPTURE_STRIDE + s, 0 < s < CAPTURE_STRIDE; _TURN[k] = exp(-i theta_k)
-# turns a gradient at _COARSE[k], as a complex number, into its radial and
-# tangential parts
+# the unit circle grid: _COARSE[k] is grid point k CAPTURE_STRIDE and
+# _FILL[k (CAPTURE_STRIDE - 1) + s - 1] is grid point k CAPTURE_STRIDE + s,
+# 0 < s < CAPTURE_STRIDE, whose coarse neighbours _COARSE[_SIDES[:, k]] lie
+# n = s steps back (side 0) and n = CAPTURE_STRIDE - s steps on (side 1;
+# grid point 0 after the last arc).  _CHORDS[side, k, s - 1] is the unit
+# chord u from that neighbour to it, |u|^2 = _CHORD_SQ and |u| = _CHORD_LEN
 _THETA = 2.0 * np.pi * np.arange(CAPTURE_GRID) / CAPTURE_GRID
 _UNIT = np.stack([np.cos(_THETA), np.sin(_THETA)], axis=1).reshape(-1, CAPTURE_STRIDE, 2)
 _COARSE = np.ascontiguousarray(_UNIT[:, 0])
 _FILL = np.ascontiguousarray(_UNIT[:, 1:].reshape(-1, 2))
-_TURN = np.exp(-1j * _THETA[::CAPTURE_STRIDE])
-# grid point k CAPTURE_STRIDE + s lies n = s steps after its coarse
-# neighbour on side 0, _COARSE[k], and n = CAPTURE_STRIDE - s steps before
-# the one on side 1, _COARSE[k + 1].  The unit chord from that neighbour
-# to it is _TANGENT e_perp - _HALF_SQ e, indexed [side, s - 1], with e the
-# neighbour's radial unit vector and e_perp that turned by pi/2: its length
-# is _CHORD = 2 sin(pi n/N), _HALF_SQ = _CHORD^2/2 = 1 - cos(2 pi n/N) and
-# _TANGENT = +-sin(2 pi n/N), + on side 0
-_STEPS = np.stack([np.arange(1, CAPTURE_STRIDE), CAPTURE_STRIDE - np.arange(1, CAPTURE_STRIDE)])
-_CHORD = 2.0 * np.sin(np.pi * _STEPS / CAPTURE_GRID)
-_HALF_SQ = 0.5 * _CHORD * _CHORD
-_TANGENT = np.array([[1.0], [-1.0]]) * np.sin(2.0 * np.pi * _STEPS / CAPTURE_GRID)
-# column (side, s - 1) of _BOUNDS weighs a coarse neighbour's (f_i,
-# epsilon r_i, epsilon t_i, epsilon |g_i|, L epsilon^2), r_i and t_i the
-# radial and tangential parts of its gradient, into the fill point's
-# minorant less d times its ceiling (``_capture_level``), d = epsilon
-# _DELTA; the next 2 (CAPTURE_STRIDE - 1) columns into d times the ceiling
-_DELTA = 2.0 * math.sin(math.pi / (2 * CAPTURE_GRID))
-_BOUNDS = np.concatenate([
-    np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, 5) for cols in (
-        (1.0, -_HALF_SQ, _TANGENT, -_DELTA, -(_HALF_SQ + _DELTA * _CHORD)),
-        (0.0, 0.0, 0.0, _DELTA, _DELTA * _CHORD))]).T
+_SIDES = np.add.outer(np.arange(2), np.arange(len(_COARSE))) % len(_COARSE)
+_CHORDS = _UNIT[:, 1:] - _COARSE[_SIDES][:, :, None]
+_CHORD_SQ = (_CHORDS * _CHORDS).sum(axis=-1)
+_CHORD_LEN = np.sqrt(_CHORD_SQ)
 
 
 def _spectrum(f, target):
@@ -197,15 +180,16 @@ def _capture_level(f, target, epsilon):
     The coarse pass takes f and grad f at every CAPTURE_STRIDE-th grid
     point, c_1 the least of their b_i.  A fill point y_j lies n grid steps
     from a coarse neighbour y_i on either side, y_j - y_i = epsilon u with
-    u the tabled unit chord (beside ``_COARSE``), |u| = 2 sin(pi n/N) <= 2.
-    The chord lies in B_epsilon and so in the box, where grad f is
-    L-Lipschitz, so f(y_j) >= f_i + epsilon <g_i, u> - L epsilon^2 |u|^2/2,
-    the first-order minorant of Breiman & Cutler's global optimisation
-    (1993, Math. Program. 58:179-199), and |grad f(y_j)| <= |g_i| + L
-    epsilon |u|, the ceiling.  One matrix product gives both at every fill
-    point from each side, from f_i, the radial and tangential parts of g_i
-    and |g_i|.  A fill point is skipped where a lower bound of its b_j,
-    less L d^2/2 and its own 1e-12 (1 + |f(y_j)|), is above c_1 + mu:
+    u the tabled unit chord (``_CHORDS``), |u| = 2 sin(pi n/N) <= 2.  The
+    chord lies in B_epsilon and so in the box, where grad f is L-Lipschitz,
+    so f(y_j) >= f_i + epsilon <g_i, u> - L epsilon^2 |u|^2/2, the
+    first-order minorant of Breiman & Cutler's global optimisation (1993,
+    Math. Program. 58:179-199), and |grad f(y_j)| <= |g_i| + L epsilon |u|,
+    the ceiling.  From each side, over the whole table at once, a fill point
+    gets its minorant less d times its ceiling, f_i + epsilon <g_i, u> - L
+    epsilon^2 |u|^2/2 - d (|g_i| + L epsilon |u|), and d times the ceiling.
+    A fill point is skipped where a lower bound of its b_j, less L d^2/2
+    and its own 1e-12 (1 + |f(y_j)|), is above c_1 + mu:
     - with no evaluation, where on both sides its minorant less d times
       its ceiling is;
     - with its value alone, where f(y_j) less d times the smaller ceiling
@@ -219,18 +203,20 @@ def _capture_level(f, target, epsilon):
     |f(y_j)| <= |f_i| + 2 epsilon |g_i| + 2 L epsilon^2).  So mu holds the
     term 1e-12 (1 + |f(y_j)|) <= 1e-12 Phi that the tests leave out.  A
     float point target + epsilon * (unit point) lies within 2^-53
-    (|target|_inf + 3 epsilon) of its ideal point in each coordinate, so
-    the float chord y_j - y_i differs from epsilon u by less than 2e-15
-    (|target|_inf + epsilon), which moves a minorant or a ceiling by less
-    than 3e-15 Phi; the float arithmetic of a test or of b_j, a few dozen
-    roundings, errs by less than 1e-14 Phi.  More than 1e-12 (1 + |c_1| +
-    Phi/2) of mu is left, the allowance for rounding in f and grad f
-    themselves, between which the Lipschitz bounds hold.  So a skipped
-    point's float b_j is above c_1 >= c, and c is the least b_i over the
-    whole grid, bit for bit: each b_i comes from the same point, value and
-    gradient norm, by the same float expression, as in one pass over the
-    grid.  An objective that is not ``vectorized`` takes the same points one
-    row at a time, and so gives the same c from the same counts."""
+    (|target|_inf + 3 epsilon) of its ideal point in each coordinate, and a
+    tabled chord u, the float difference of two unit points, within 1e-15
+    of its ideal chord, so the float chord y_j - y_i differs from epsilon u
+    by less than 2e-15 (|target|_inf + epsilon), which moves a minorant or
+    a ceiling by less than 3e-15 Phi; the float arithmetic of a test or of
+    b_j, a few dozen roundings, errs by less than 1e-14 Phi.  More than
+    1e-12 (1 + |c_1| + Phi/2) of mu is left, the allowance for rounding in
+    f and grad f themselves, between which the Lipschitz bounds hold.  So
+    a skipped point's float b_j is above c_1 >= c, and c is the least b_i
+    over the whole grid, bit for bit: each b_i comes from the same point,
+    value and gradient norm, by the same float expression, as in one pass
+    over the grid.  An objective that is not ``vectorized`` takes the same
+    points one row at a time, and so gives the same c from the same
+    counts."""
     L = f.lipschitz_L
     if not L > 0.0:
         return None
@@ -240,7 +226,6 @@ def _capture_level(f, target, epsilon):
         return None
     d = 2.0 * epsilon * math.sin(math.pi / (2 * CAPTURE_GRID))
     half_ld2 = 0.5 * L * d * d
-    K, m = CAPTURE_GRID // CAPTURE_STRIDE, CAPTURE_STRIDE - 1
     rows = target + epsilon * _COARSE
     fc, gc = f.values(rows), f.gradients(rows)
     ac, afc = row_norms(gc), np.abs(fc)
@@ -249,19 +234,15 @@ def _capture_level(f, target, epsilon):
     phi = 1.0 + max(afc.tolist()) + (max(ac.tolist()) + 4.0 * L * epsilon) * (
         4.0 * epsilon + max(abs(t0), abs(t1)))
     level = c1 + 1e-12 * (1.0 + abs(c1) + 2.0 * phi) + half_ld2
-    # each coarse point's (f_i, eps r_i, eps t_i, eps |g_i|, L eps^2), the
-    # first one again after the last, the side-1 neighbour of the last fill points
-    V = np.empty((K + 1, 5))
-    V[:K, 0] = fc
-    V[:K, 1:3] = (gc.view(complex)[:, 0] * (epsilon * _TURN)).view(float).reshape(K, 2)
-    V[:K, 3] = epsilon * ac
-    V[:, 4] = L * epsilon * epsilon
-    V[K] = V[0]
-    Q = V @ _BOUNDS
-    play = np.flatnonzero(np.maximum(Q[:K, :m], Q[1:, m:2 * m]) <= level)
+    # d times each fill point's ceiling, and its minorant less that, from
+    # its coarse neighbour on each side
+    dceil = (d * ac)[_SIDES, None] + (L * epsilon * d) * _CHORD_LEN
+    low = (fc[_SIDES, None] + (_CHORDS @ (epsilon * gc)[_SIDES, :, None])[..., 0]
+           - (0.5 * L * epsilon * epsilon) * _CHORD_SQ - dceil)
+    play = np.flatnonzero(np.maximum(*low) <= level)
     if not play.size:
         return c1
-    dceil = np.minimum(Q[:K, 2 * m:3 * m], Q[1:, 3 * m:]).ravel()[play]
+    dceil = np.minimum(*dceil).ravel()[play]
     rows = target + epsilon * _FILL.take(play, axis=0)
     fy = f.values(rows)
     left = fy - dceil <= level
@@ -389,7 +370,8 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     there is none.
     """
     descent = _descends(dynamics, "stability_probe")
-    require_nonnegative_finite(gtol=gtol, max_iter=max_iter, n_samples=n_samples)
+    require_nonnegative_finite(gtol=gtol)
+    require_count(max_iter=max_iter, n_samples=n_samples)
     target = np.asarray(target, dtype=float)
     basin = _Basin(f, target, epsilon, "probe target")
     if descent:

@@ -39,8 +39,8 @@ from math import sqrt
 
 import numpy as np
 
-from .landscape import (FLOAT_LANE_DIMS, LeftBoxError, dot, norm, require_nonnegative_finite,
-                        row_norms, sumsq)
+from .landscape import (FLOAT_LANE_DIMS, LeftBoxError, dot, norm, require_count, row_norms,
+                        sumsq)
 from .schedule import constant, require_admissible
 from .trajectory import start
 
@@ -365,7 +365,7 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     certificate, else ArithmeticError.
     """
     anchor = np.asarray(a, dtype=float)
-    require_nonnegative_finite(kbar=kbar)
+    require_count(kbar=kbar)
     if stop is not None and s.p:
         raise ValueError("a stopping march needs a constant schedule (p = 0)")
     x = start(f, anchor, "anchor")

@@ -133,6 +133,32 @@ def test_reach_config_roundtrip(tmp_path):
         assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
 
 
+
+def test_only_a_saddle_reach_takes_delta(tmp_path, capsys):
+    # a minimum reach runs on its certified radius, so a given delta would
+    # be recorded in config.json and ignored: exit 2, no directory, whether
+    # the flag or a config file gives it
+    out = tmp_path / "o"
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps({"function": "double_well", "target": [1.0], "delta": 0.05}))
+    for argv in (["--function", "double_well", "--target-index", "2", "--delta", "0.05"],
+                 ["--function", "double_well", "--target", "1", "--epsilon", "0.4", "--delta",
+                  "0.05", "--mode", "continuous"],
+                 ["--config", str(given)]):
+        assert main(["reach", *argv, "--out", str(out)]) == 2, argv
+        assert capsys.readouterr().err == (
+            "error: delta: only a saddle reach (--general) takes delta\n")
+        assert not out.exists()
+    # a saddle reach runs on it, and re-runs from the config.json recording it
+    first, again = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(SADDLE + ["--schedule", "constant:0.0015", "--delta", "0.3", "--out", first]) == 0
+    assert json.loads(read(os.path.join(first, "config.json")))["delta"] == 0.3
+    assert main(["reach", "--config", os.path.join(first, "config.json"), "--out", again]) == 0
+    report = json.loads(read(os.path.join(again, "reach.json")))
+    assert report["delta_source"] == "given" and report["delta_used"] == 0.3
+    for name in ("reach.json", "forward.csv", "reverse.csv"):
+        assert read(os.path.join(first, name)) == read(os.path.join(again, name))
+
 def test_rerun_into_its_own_directory_replaces_each_file(tmp_path):
     # each output is created afresh: a file there is replaced with the same
     # bytes, and a symlink is replaced, not written through

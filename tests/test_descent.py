@@ -83,7 +83,7 @@ def test_run_gd_rejects_inadmissible(quad1):
 @pytest.mark.parametrize("gtol,max_iter,message", [
     (float("nan"), 10, "^gtol must be nonnegative and finite, got nan$"),
     (-1.0, 10, "^gtol must be nonnegative and finite, got -1.0$"),
-    (0.0, -1, "^max_iter must be nonnegative and finite, got -1$"),
+    (0.0, -1, "^max_iter must be a nonnegative integer, got -1$"),
     (float("inf"), 10, "^gtol must be nonnegative and finite, got inf$"),
 ], ids=["nan-gtol", "negative-gtol", "negative-max-iter", "infinite-gtol"])
 def test_run_gd_rejects_bad_stops(himmelblau, gtol, max_iter, message):

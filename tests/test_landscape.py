@@ -63,6 +63,37 @@ def test_objective_function_rejects_a_bad_declaration(changes, message):
         dataclasses.replace(br.make_builtin("quad", (1.0,)), **changes)
 
 
+
+def count_runs():
+    """field -> a run of the library given that count, as bytes."""
+    quad1, dw, hb = (br.make_builtin(*spec) for spec in (("quad", (1.0,)), ("double_well",),
+                                                         ("himmelblau",)))
+    return {
+        "max_iter": lambda n: br.run_gd(quad1, [1.0], br.constant(0.5), gtol=1e-300,
+                                        max_iter=n).X.tobytes(),
+        "kbar_max": lambda n: br.reach_discrete(
+            dw, [1.0], 0.4, br.constant(0.021), 1e-3, 1e-4,
+            br.ReachBudgets(kbar_max=n)).x0.tobytes(),
+        "kbar": lambda n: np.array(br.reverse_orbit(dw, [1.05], br.constant(0.02),
+                                                    n).points).tobytes(),
+        "n_samples": lambda n: repr(vars(br.stability_probe(hb, [3.0, 2.0], 0.5,
+                                                            br.constant(0.0015),
+                                                            n_samples=n))).encode(),
+    }
+
+
+@pytest.mark.parametrize("field,good", [("max_iter", 10), ("kbar_max", 1 << 16), ("kbar", 5),
+                                        ("n_samples", 2)])
+def test_a_count_is_a_nonnegative_integer(field, good):
+    # a float budget, even a whole one, is refused by name (k == 10.5 never
+    # holds, and range(3.0) fails deep inside a run); a numpy integer runs
+    # bit for bit as the int it equals
+    run = count_runs()[field]
+    for bad in (good + 0.5, float(good), -1):
+        with pytest.raises(ValueError, match=f"^{field} must be a nonnegative integer, got {bad}$"):
+            run(bad)
+    assert run(np.int64(good)) == run(good)
+
 def test_hess_needs_a_hessian():
     f = dataclasses.replace(br.make_builtin("quad", (1.0,)), hessian=None)
     with pytest.raises(ValueError, match="^objective 'quad' has no Hessian$"):

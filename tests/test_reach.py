@@ -78,14 +78,14 @@ def test_probe_rejects_a_bad_gtol_or_max_iter_under_either_dynamics(dw, field, v
     # FlowSettings carry their own gtol and budgets, so the probe's are
     # unused under them, but a bad one is still an error, as under a
     # StepSchedule, and is named before any start runs
+    what = "a nonnegative integer" if field == "max_iter" else "nonnegative and finite"
     for dynamics in (br.constant(0.01), br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6)):
-        with pytest.raises(ValueError,
-                           match=f"^{field} must be nonnegative and finite, got {value}$"):
+        with pytest.raises(ValueError, match=f"^{field} must be {what}, got {value}$"):
             br.stability_probe(dw, [1.0], 0.4, dynamics, **{field: value})
 
 
 def test_probe_rejects_a_negative_n_samples(dw):
-    with pytest.raises(ValueError, match="^n_samples must be nonnegative and finite, got -5$"):
+    with pytest.raises(ValueError, match="^n_samples must be a nonnegative integer, got -5$"):
         br.stability_probe(dw, [1.0], 0.4, br.constant(0.01), n_samples=-5)
 
 
@@ -520,6 +520,27 @@ def unit_grid():
     theta = 2.0 * np.pi * np.arange(reach_mod.CAPTURE_GRID) / reach_mod.CAPTURE_GRID
     return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
+
+
+def test_capture_chords_run_from_the_coarse_neighbours_they_name():
+    # fill point j = k S + s has its side-0 neighbour s grid steps back and
+    # its side-1 neighbour S - s steps on, grid point 0 after the last arc;
+    # each tabled chord is the fill point less that neighbour, bit for bit,
+    # of length 2 sin(pi n/N) over its n steps, up to the 1e-15 the
+    # capture level's margin allows a chord
+    N, S, Y = reach_mod.CAPTURE_GRID, reach_mod.CAPTURE_STRIDE, unit_grid()
+    K = N // S
+    assert reach_mod._CHORDS.shape == (2, K, S - 1, 2)
+    assert reach_mod._SIDES[1, K - 1] == 0
+    for side, k, s in itertools.product((0, 1), range(K), range(1, S)):
+        j, i, n = k * S + s, (k + side) * S % N, S - s if side else s
+        assert np.array_equal(reach_mod._FILL[j - k - 1], Y[j])
+        assert np.array_equal(reach_mod._COARSE[reach_mod._SIDES[side, k]], Y[i])
+        assert np.array_equal(reach_mod._CHORDS[side, k, s - 1], Y[j] - Y[i]), (side, k, s)
+        assert reach_mod._CHORD_LEN[side, k, s - 1] == pytest.approx(
+            2.0 * math.sin(math.pi * n / N), rel=0.0, abs=1e-15)
+        assert reach_mod._CHORD_SQ[side, k, s - 1] == pytest.approx(
+            reach_mod._CHORD_LEN[side, k, s - 1] ** 2, rel=1e-15, abs=0.0)
 
 def test_two_pass_capture_level_evaluates_a_dip_between_coarse_points():
     # |x|^2/2 less a Gaussian dip of depth a and width sig centred on grid
@@ -966,7 +987,8 @@ def test_every_reach_rejects_a_nonpositive_tol(dw, saddle_quad, tol):
     ("gtol", math.nan), ("gtol", -1.0), ("max_iter", -1), ("kbar_max", -1),
     ("gtol", math.inf)])
 def test_reach_budgets_reject_a_bad_gtol_or_count(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be nonnegative and finite, got {value}$"):
+    what = "nonnegative and finite" if field == "gtol" else "a nonnegative integer"
+    with pytest.raises(ValueError, match=f"^{field} must be {what}, got {value}$"):
         br.ReachBudgets(**{field: value})
 
 

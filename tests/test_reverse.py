@@ -510,7 +510,7 @@ def test_orbit_rejects_prox_violation(dw):
 
 
 def test_orbit_rejects_a_negative_horizon_or_an_anchor_outside_the_box(dw):
-    with pytest.raises(ValueError, match="^kbar must be nonnegative and finite, got -1$"):
+    with pytest.raises(ValueError, match="^kbar must be a nonnegative integer, got -1$"):
         br.reverse_orbit(dw, [1.0], br.constant(0.02), -1)
     with pytest.raises(br.LeftBoxError, match="^anchor outside the operating box$"):
         br.reverse_orbit(dw, [1.6], br.constant(0.02), 3)
