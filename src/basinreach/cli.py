@@ -260,7 +260,8 @@ def cmd_reach(cfg, f):
     if report.forward_part is not None:
         outputs["forward.csv"] = partial(serialize.write_trajectory_csv, report.forward_part)
     if report.reverse_part is not None:
-        # the replay's schedule: reach_discrete may have halved the configured one
+        # the replay's schedule: reach_discrete halves the configured one where its
+        # escape radius would not clear the seed radius
         s = report.forward_part.provenance.get("schedule")
         outputs["reverse.csv"] = partial(serialize.write_reverse_part_csv,
                                          report.reverse_part, f, s)

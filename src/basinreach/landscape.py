@@ -6,7 +6,8 @@ object: its minimum-norm Clarke flow is the flow on f stopped at the
 level set (``flow.integrate_minnorm``).  Every module imports this one:
 its rules below are the one test of a number that must be positive, or
 nonnegative, and finite (a flow's ``t_max`` may be infinite and has its
-own), and of a count, as ``trajectory.start`` is the one test of a point.
+own), of an integer (a seed) and of a count, as ``trajectory.start`` is
+the one test of a point.
 """
 
 import functools
@@ -51,13 +52,25 @@ def require_nonnegative_finite(**values):
             raise ValueError(f"{name} must be nonnegative and finite, got {v}")
 
 
-def require_count(**values):
-    """ValueError naming the first value that is not a nonnegative integer
-    by ``operator.index``, which numpy integers are."""
+def require_integer(**values):
+    """ValueError naming the first value that is not an integer by
+    ``operator.index``, which numpy integers are and no float is, 2.0
+    included.  A seed may be negative, so there is no sign test."""
     for name, v in values.items():
         try:
-            ok = operator.index(v) >= 0
+            operator.index(v)
         except TypeError:
+            raise ValueError(f"{name} must be an integer, got {v}") from None
+
+
+def require_count(**values):
+    """ValueError naming the first value that is not a nonnegative integer:
+    an integer by ``require_integer``, and not negative."""
+    for name, v in values.items():
+        try:
+            require_integer(**{name: v})
+            ok = v >= 0
+        except ValueError:
             ok = False
         if not ok:
             raise ValueError(f"{name} must be a nonnegative integer, got {v}")

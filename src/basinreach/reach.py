@@ -21,10 +21,11 @@ capture rests on the direct check |x0 - target| <= delta, not on that bound.
 The certificate of a minimum (``_Basin``, built once by each probe and
 each minimum reach) has two sets.  The certified ball B_r, r = min(epsilon,
 lambda_min / (2M)) (epsilon when M = 0), with lambda_min = lambda_min(hess
-f(target)) > 0 and M the objective's ``hessian_lipschitz``; B_r lies in
-B_epsilon, which must fit in the box.  On B_r every Hessian has its
-spectrum in [mu_r, L], mu_r = lambda_min - M r >= lambda_min / 2
-(Nesterov & Polyak 2006, Math. Program. 108, Lemma 1).  A GD step gives
+f(target)) > 0 by a rounding margin (``_Basin``) and M the objective's
+``hessian_lipschitz``; B_r lies in B_epsilon, which must fit in the box.
+On B_r every Hessian has its spectrum in [mu_r, L], mu_r = lambda_min -
+M r >= lambda_min / 2 (Nesterov & Polyak 2006, Math. Program. 108,
+Lemma 1).  A GD step gives
 x_{k+1} - x* = (I - alpha_k H_k)(x_k - x*), H_k the mean Hessian on the
 segment from x* to x_k, so with alpha_k < 2/L |x_{k+1} - x*| <= max(1 -
 alpha_k mu_r, alpha_k L - 1) |x_k - x*|, (1 - alpha_k mu_r) |x_k - x*|
@@ -74,8 +75,8 @@ import numpy as np
 from .descent import _Descent, classify_limit, run_gd
 from .flow import (SEED_FLOOR_RTOL, FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail,
                    integrate, integrate_minnorm, path_length)
-from .landscape import (LeftBoxError, norm, require_count, require_nonnegative_finite,
-                        require_positive_finite, row_norms)
+from .landscape import (LeftBoxError, norm, require_count, require_integer,
+                        require_nonnegative_finite, require_positive_finite, row_norms)
 from .reverse import reverse_orbit
 from .sampling import directions, unit_directions
 from .schedule import StepSchedule, constant, require_admissible
@@ -83,11 +84,11 @@ from .trajectory import _to_level, finite_point, march, recorded, start
 
 # quasi-random ascent-seed directions scanned after (or before) the axes
 SCAN_RANDOM = 64
-# halvings of a minimum reach's step scale while no seed escapes
-ALPHA_SHRINKS = 3
 PROBE_BISECTIONS = 6  # stability_probe's bisection steps on the radius
 DIVERGENCE_FACTOR = 1e3  # edge_of_stability: |x| > this * (1 + box diameter) diverged
 PROBE_SLACK = 1e-9  # stability_probe's relative rounding slack on its ball tests
+# _Basin.ball's rounding margin on lambda_min, per dimension and per |H|_2: 16 u
+SPECTRUM_RTOL = 16.0 * 2.0 ** -53
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,8 +123,9 @@ class ReachBudgets:
     gtol defaults to min(1e-8, 1e-3 * tol); delta_override reuses a
     radius found before, legitimate as the stability radius is uniform
     over admissible schedules.  The counts must be nonnegative integers,
-    a given gtol and a given delta_override nonnegative and finite: 0, a
-    radius the probe can return, is allowed.
+    the seed an integer (a float is refused, not truncated), a given gtol
+    and a given delta_override nonnegative and finite: 0, a radius the
+    probe can return, is allowed.
     """
 
     max_iter: int = 200_000
@@ -134,6 +136,7 @@ class ReachBudgets:
 
     def __post_init__(self):
         require_count(max_iter=self.max_iter, kbar_max=self.kbar_max)
+        require_integer(seed=self.seed)
         require_nonnegative_finite(
             gtol=0.0 if self.gtol is None else self.gtol,
             delta_override=0.0 if self.delta_override is None else self.delta_override)
@@ -261,15 +264,34 @@ class _Basin:
     B_epsilon inside the box.  Each part is taken on first use, so an
     unread one costs nothing: ``spectrum``, the one eigh of hess f(target)
     (``_spectrum``, None without a Hessian); ``ball``, (s, mu_s, L_s) of
-    B_r, s = r, None without M or a Hessian or with lambda_min <= 0; and
-    ``certificate``, (c, delta_cert), the capture grid's only caller.
+    B_r, s = r, None without M or a Hessian or where lambda_min does not
+    clear its rounding margin; and ``certificate``, (c, delta_cert), the
+    capture grid's only caller.
 
     ``hit(t, x)`` ends a run on a state x in B_r as converged, the target
     its limit, naming the ball (stopped_on = "certified_ball", s, mu_s);
     ``event`` is the reach's stop as a ``march`` event, at |x - target| <=
     s by the lane's norm; ``certify(traj, descent)`` adds the certificate to
     a run it stopped: a GD run's length bound is its measured length plus
-    the (L_s / mu_s) |x_m - x*| tail, a flow's is None."""
+    the (L_s / mu_s) |x_m - x*| tail, a flow's is None.
+
+    The margin belongs to the proof: B_r needs the exact lambda_min > 0,
+    and eigh returns a float one.  The float Hessian H' = ``hess(target)``
+    differs from the exact H by Delta: each entry is a few roundings of
+    terms within a small multiple of |H|_2 (true of the builtins' formulas
+    at their minima), so within 8 u |H|_2 of the exact entry, u = 2^-53,
+    and |Delta|_2 <= |Delta|_F <= 8 n u |H|_2 in dimension n.  eigh
+    (LAPACK's syevd: Householder tridiagonalisation, then divide and
+    conquer) is backward stable: its eigenvalues are exact for H' + E,
+    |E|_2 <= p(n) u |H'|_2 with p a modest function of n (Golub & Van Loan,
+    Matrix Computations, 4th ed., sec. 8.3), taken as 8 n.  By Weyl's
+    inequality each computed eigenvalue is within |Delta|_2 + |E|_2 <= 16 n
+    u |H|_2 of the exact one, so ``ball`` asks lambda_min > SPECTRUM_RTOL n
+    max(|lambda_min|, |lambda_max|), 16 n u times the computed |H|_2, which
+    is the exact one to first order in u.  At a degenerate minimum, where
+    eigh can return a lambda_min of rounding size for an exact 0, there is
+    then no B_r, and the reach probes.  The radius and mu_s still come from
+    the computed lambda_min."""
 
     def __init__(self, f, target, epsilon, what):
         self.center = start(f, target, "target")
@@ -289,9 +311,11 @@ class _Basin:
     @cached_property
     def ball(self):
         M = self.f.hessian_lipschitz
-        if M is None or self.spectrum is None or not self.spectrum[0] > 0.0:
+        if M is None or self.spectrum is None:
             return None
         lam, lam_max, _ = self.spectrum
+        if not lam > SPECTRUM_RTOL * self.f.dim * max(abs(lam), abs(lam_max)):
+            return None
         s = min(self.epsilon, lam / (2.0 * M) if M > 0.0 else math.inf)
         return s, lam - M * s, min(self.f.lipschitz_L, lam_max + M * s)
 
@@ -343,7 +367,8 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     within budget.  delta_hat is the largest tested radius with zero
     failures (0 when every tested radius failed, which signals that
     epsilon violates the locality requirement).  Deterministic given the
-    seed.
+    seed, an integer: a float is refused, as in 1-D, where no quasi-random
+    direction is drawn, the generator never sees it.
 
     One runner marches every start: ``run_gd``'s ``_Descent`` under a
     StepSchedule or forward ``integrate``'s ``_Flow`` under FlowSettings
@@ -372,6 +397,7 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     descent = _descends(dynamics, "stability_probe")
     require_nonnegative_finite(gtol=gtol)
     require_count(max_iter=max_iter, n_samples=n_samples)
+    require_integer(seed=seed)
     target = np.asarray(target, dtype=float)
     basin = _Basin(f, target, epsilon, "probe target")
     if descent:
@@ -431,7 +457,7 @@ def _escape_radius(f, delta, alpha_bar):
 def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     """(x0, orbit): the reverse orbit anchored at a whose root x0 lies
     outside B_rho(target), accepted only when |x0 - target| <= cap (else
-    None: callers then shrink the step scale); a box exit or kbar_max
+    None: the caller tries its next ascent seed); a box exit or kbar_max
     also give None.
 
     A constant schedule, p = 0, marches back once, so x0 is the first
@@ -497,48 +523,36 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     return None
 
 
-def _first_escape(f, target, seed_radius, level, seed, minimum, lead, scales, cap, kbar_max):
-    """(a, rho, dynamics, (x0, reverse part)) of the first ascent seed a
-    that escapes, or None.  Seeds are a = target + seed_radius * d with
-    f(a) strictly above the target value (floor SEED_FLOOR_RTOL (1 + |level|)),
-    the directions ``lead`` first, then the axis directions and the
-    quasi-random ones, axes first for a ``minimum`` target, less any
-    direction equal to one of ``lead``; the scan starts afresh for each
-    (escape radius rho, dynamics) of ``scales`` in turn, and each direction
-    is drawn only when the scan reaches it.  Under a schedule a escapes by
-    the reverse orbit whose root x0 lies outside B_rho and within cap;
-    under flow settings by the reverse flow to its crossing x0 of the
-    rho-sphere, unless that flow leaves the box or never crosses: for a
-    minimum at REVERSE_RTOL with x0 inside the sphere
-    (``_sphere_exit_detail``)."""
+def _first_escape(f, target, seed_radius, level, seed, minimum, lead, rho, dynamics, cap,
+                  kbar_max):
+    """(a, (x0, reverse part)) of the first ascent seed a that escapes B_rho
+    under ``dynamics``, or None.  Seeds are a = target + seed_radius * d
+    with f(a) strictly above the target value (floor SEED_FLOOR_RTOL (1 +
+    |level|)), the directions ``lead`` first, then the axis directions and
+    the quasi-random ones, axes first for a ``minimum`` target, less any
+    direction equal to one of ``lead``, each tried once and drawn only when
+    the scan reaches it.  Under a schedule a escapes by the reverse orbit
+    whose root x0 lies outside B_rho and within cap; under flow settings by
+    the reverse flow to its crossing x0 of the rho-sphere, unless that flow
+    leaves the box or never crosses: for a minimum at REVERSE_RTOL with x0
+    inside the sphere (``_sphere_exit_detail``)."""
     floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
     fresh = lambda d: not any(np.array_equal(d, v) for v in lead)
-    for rho, dynamics in scales:
-        for d in chain(lead, filter(fresh, directions(f.dim, SCAN_RANDOM, seed, minimum))):
-            a = target + seed_radius * d
-            if not (f.in_box(a) and f.value(a) > level + floor):
-                continue
-            if isinstance(dynamics, StepSchedule):
-                hit = _first_crossing_orbit(f, a, dynamics, rho, cap, target, kbar_max)
-            else:
-                try:
-                    hit = _sphere_exit_detail(f, a, "reverse", target, rho, dynamics,
-                                              minimum=minimum)[1:]
-                except (NoCrossingError, LeftBoxError):
-                    hit = None
-            if hit is not None:
-                return a, rho, dynamics, hit
+    for d in chain(lead, filter(fresh, directions(f.dim, SCAN_RANDOM, seed, minimum))):
+        a = target + seed_radius * d
+        if not (f.in_box(a) and f.value(a) > level + floor):
+            continue
+        if isinstance(dynamics, StepSchedule):
+            hit = _first_crossing_orbit(f, a, dynamics, rho, cap, target, kbar_max)
+        else:
+            try:
+                hit = _sphere_exit_detail(f, a, "reverse", target, rho, dynamics,
+                                          minimum=minimum)[1:]
+            except (NoCrossingError, LeftBoxError):
+                hit = None
+        if hit is not None:
+            return a, hit
     return None
-
-
-def _halvings(f, s, delta, seed_radius):
-    """(escape radius, schedule) for s and its ALPHA_SHRINKS halvings, each
-    radius computed as the scan reaches it, skipped unless > seed_radius."""
-    for _ in range(ALPHA_SHRINKS + 1):
-        rho = _escape_radius(f, delta, s.sup_alpha)
-        if rho > seed_radius:
-            yield rho, s
-        s = s.scaled(0.5)
 
 
 def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
@@ -549,20 +563,24 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     delta_hat (under the constant schedule at the same sup alpha, the fastest
     of the family the radius is uniform over), capped at epsilon; delta_source
     names it ("given", "override", "certified", "probe"), and B_epsilon(target)
-    must lie in the box whichever it is.  seed_radius must
-    be at most delta/2, and the schedule is halved up to ALPHA_SHRINKS times while
-    no seed escapes.  Success iff the forward run has a limit (its convergence
-    point or level crossing) within tol; the distance is from the limit, else
-    from the last state.  A run stopped in the certified ball B_r has the
-    target as its limit (the module docstring), so it reports 0.  A minimum
-    whose objective has a Hessian takes one eigh of it at the target
-    (``_Basin.spectrum``): lambda_min sizes B_r, lambda_max its L_r, and the seed
-    scan leads with +-v_max, along which an ascent step grows |x -
-    target| by 1/(1 - alpha lambda_max) and f(a) - f* ~ lambda_max r^2/2 > 0,
-    so the orbit's length does not grow with the condition number; the axes
-    follow, then the quasi-random directions.  A saddle target's limit is
-    the level crossing; it scans quasi-random directions before the axes,
-    which can lie on its stable manifold.
+    must lie in the box whichever it is.  seed_radius must be at most
+    delta/2.  A discrete minimum reach halves its schedule, before the scan,
+    only while the escape radius rho = delta (1 - aL)/(1 + aL), a = sup
+    alpha, is at most seed_radius, so that the seeds lie inside B_rho: as aL
+    < 1, rho > 0.6 delta >= seed_radius once aL < 1/4, so it halves twice at
+    most, and the scan tries each seed once, at that one scale; a flow or
+    saddle reach scans at rho = delta.  Success iff the forward run has a
+    limit (its convergence point or level crossing) within tol; the distance
+    is from the limit, else from the last state.  A run stopped in the
+    certified ball B_r has the target as its limit (the module docstring),
+    so it reports 0.  A minimum whose objective has a Hessian takes one eigh
+    of it at the target (``_Basin.spectrum``): lambda_min sizes B_r,
+    lambda_max its L_r, and the seed scan leads with +-v_max, along which an
+    ascent step grows |x - target| by 1/(1 - alpha lambda_max) and f(a) - f*
+    ~ lambda_max r^2/2 > 0, so the orbit's length does not grow with the
+    condition number; the axes follow, then the quasi-random directions.  A
+    saddle target's limit is the level crossing; it scans quasi-random
+    directions before the axes, which can lie on its stable manifold.
     """
     saddle = delta is not None
     name = "reach_general" if saddle else "reach_discrete"
@@ -595,29 +613,31 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
         if delta > 0.0 and seed_radius > 0.5 * delta:
             raise ValueError(f"seed_radius {seed_radius} must be at most half the {source} "
                              f"stability radius {delta}")
-    found = None
+    found, rho = None, float("nan")
     if delta > 0.0:
         level = f.value(target)
         gtol = b.gtol if b.gtol is not None else min(1e-8, 1e-3 * tol)
-        scales = (_halvings(f, dynamics, delta, seed_radius) if descent and not saddle
-                  else [(delta, dynamics)])
+        rho = _escape_radius(f, delta, dynamics.sup_alpha) if descent and not saddle else delta
+        while rho <= seed_radius:  # rho > 0.6 delta once alpha L < 1/4: twice at most
+            dynamics = dynamics.scaled(0.5)
+            rho = _escape_radius(f, delta, dynamics.sup_alpha)
         spectrum = basin and basin.spectrum
         lead = (spectrum[2], -spectrum[2]) if spectrum else ()
-        found = _first_escape(f, target, seed_radius, level, b.seed, not saddle, lead, scales,
-                              epsilon if saddle else delta, b.kbar_max)
+        found = _first_escape(f, target, seed_radius, level, b.seed, not saddle, lead, rho,
+                              dynamics, epsilon if saddle else delta, b.kbar_max)
     if found is None:
         a = x0 = rev = fwd = None
-        rho, dist, status = float("nan"), float("inf"), "no_escape"
+        dist, status = float("inf"), "no_escape"
     else:
-        a, rho, dyn, (x0, rev) = found
+        a, (x0, rev) = found
         event = basin.event if basin and basin.ball else None
         if saddle:
-            fwd = (_run_to_level(f, x0, dyn, level, gtol, b.max_iter)[0] if descent
-                   else integrate_minnorm(f, x0, level, dyn))
+            fwd = (_run_to_level(f, x0, dynamics, level, gtol, b.max_iter)[0] if descent
+                   else integrate_minnorm(f, x0, level, dynamics))
         elif descent:
-            fwd = run_gd(f, x0, dyn, gtol=gtol, max_iter=b.max_iter, event=event)
+            fwd = run_gd(f, x0, dynamics, gtol=gtol, max_iter=b.max_iter, event=event)
         else:
-            fwd = integrate(f, x0, "forward", dyn, event=event)
+            fwd = integrate(f, x0, "forward", dynamics, event=event)
         end = fwd.limit if fwd.limit is not None else fwd.final_x
         dist = norm(end - target)
         if fwd.provenance.get("stopped_on") == "certified_ball":
@@ -633,9 +653,9 @@ def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):
     """Construct x0 with |x0 - target| <= epsilon, x0 != target, from which
     gradient descent under the schedule s converges back to the target:
     escape the rho-sphere inside the stability radius delta (``_reach``) by
-    reverse orbit from an ascent seed on the seed_radius sphere (halving s
-    up to ALPHA_SHRINKS times while no seed escapes) and replay forward
-    under that schedule.  Success iff the forward limit lands within tol."""
+    reverse orbit from an ascent seed on the seed_radius sphere (s halved,
+    at most twice, only where rho would not clear seed_radius) and replay
+    forward under that schedule.  Success iff the forward limit lands within tol."""
     if not isinstance(s, StepSchedule):
         raise ValueError(f"reach_discrete needs a StepSchedule, got {type(s).__name__}")
     return _reach(f, target, epsilon, s, seed_radius, tol, budgets)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .landscape import require_integer
+
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
@@ -25,6 +27,7 @@ class Lcg64:
     """
 
     def __init__(self, seed=0):
+        require_integer(seed=seed)
         self.state = (int(seed) ^ _SEED_MIX) & _MASK64
         self._spare = None
 

@@ -94,6 +94,38 @@ def test_a_count_is_a_nonnegative_integer(field, good):
             run(bad)
     assert run(np.int64(good)) == run(good)
 
+def seed_runs():
+    """name -> a run of the library given that seed, as bytes."""
+    dw, hb = br.make_builtin("double_well"), br.make_builtin("himmelblau")
+    saddle = hb.critical_points[8].point
+    return {
+        "ReachBudgets": lambda n: (lambda rep: rep.x0.tobytes() + rep.forward_part.X.tobytes())(
+            br.reach_general(hb, saddle, 1.0, br.constant(0.0015), 1e-3, 1e-2,
+                             budgets=br.ReachBudgets(seed=n))),
+        "stability_probe": lambda n: repr(vars(br.stability_probe(
+            hb, [3.0, 2.0], 2.0, br.constant(0.0015), seed=n))).encode(),
+        # a 1-D probe draws no quasi-random direction, and checks its seed itself
+        "stability_probe_1d": lambda n: repr(vars(br.stability_probe(
+            dw, [1.0], 0.4, br.constant(0.021), seed=n))).encode(),
+        "Lcg64": lambda n: (lambda g: repr([g.next_uint() for _ in range(3)]).encode())(
+            br.Lcg64(n)),
+    }
+
+
+@pytest.mark.parametrize("name", ["ReachBudgets", "stability_probe", "stability_probe_1d",
+                                  "Lcg64"])
+def test_a_seed_is_an_integer(name):
+    # a float seed, even a whole one, is refused by name rather than run as
+    # its truncation; a seed may be negative, and a numpy integer runs bit
+    # for bit as the int it equals
+    run = seed_runs()[name]
+    for bad in (0.5, 2.0, -1.5):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad}$"):
+            run(bad)
+    for good in (3, -3):
+        assert run(np.int64(good)) == run(good)
+
+
 def test_hess_needs_a_hessian():
     f = dataclasses.replace(br.make_builtin("quad", (1.0,)), hessian=None)
     with pytest.raises(ValueError, match="^objective 'quad' has no Hessian$"):

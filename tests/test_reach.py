@@ -801,27 +801,73 @@ def test_seed_does_not_depend_on_the_eigenvector_sign(monkeypatch, himmelblau):
     assert flipped.forward_part.X.tobytes() == rep.forward_part.X.tobytes()
 
 
-def test_no_escape_scan_tries_each_direction_once_per_scale(monkeypatch, quad14):
+def test_no_escape_scan_tries_each_direction_once(monkeypatch, quad14):
     # quad:1,4's top eigenvector is the axis e_2: the scan leads with +-e_2
     # and skips that axis pair after it, so where no orbit escapes (kbar_max
-    # = 1) each scale tries its 2 dim + SCAN_RANDOM distinct seeds once
+    # = 1) it tries its 2 dim + SCAN_RANDOM distinct seeds once, all at the
+    # given schedule and one escape radius
     tried = []
     crossing = reach_mod._first_crossing_orbit
 
     def logged(f, a, s, rho, *rest):
-        tried.append((rho, a.tobytes()))
+        tried.append((s, rho, a.tobytes()))
         return crossing(f, a, s, rho, *rest)
 
     monkeypatch.setattr(reach_mod, "_first_crossing_orbit", logged)
-    rep = br.reach_discrete(quad14, [0.0, 0.0], 1.0, br.constant(0.5 / quad14.lipschitz_L),
-                            1e-3, 1e-4, br.ReachBudgets(kbar_max=1))
+    s = br.constant(0.5 / quad14.lipschitz_L)
+    rep = br.reach_discrete(quad14, [0.0, 0.0], 1.0, s, 1e-3, 1e-4, br.ReachBudgets(kbar_max=1))
     assert rep.status == "no_escape"
-    scales = [rho for rho, _ in itertools.groupby(tried, key=lambda t: t[0])]
-    assert len(scales) == len(set(scales)) == reach_mod.ALPHA_SHRINKS + 1
-    for rho in scales:
-        seeds = [a for r, a in tried if r == rho]
-        assert len(seeds) == len(set(seeds)) == 2 * 2 + reach_mod.SCAN_RANDOM
-        assert seeds[:2] == [np.array([0.0, 1e-3]).tobytes(), np.array([0.0, -1e-3]).tobytes()]
+    assert {(s, rho) for s, rho, _ in tried} == {(s, rep.escape_radius)}
+    seeds = [a for *_, a in tried]
+    assert len(seeds) == len(set(seeds)) == 2 * 2 + reach_mod.SCAN_RANDOM
+    assert seeds[:2] == [np.array([0.0, 1e-3]).tobytes(), np.array([0.0, -1e-3]).tobytes()]
+
+
+def test_no_escape_reports_the_escape_radius_it_scanned(monkeypatch, dw):
+    # at sup alpha = 0.95/L the escape radius falls below the seed radius,
+    # so the scan runs at the halved schedule, whose rho the report carries
+    scanned = set()
+    crossing = reach_mod._first_crossing_orbit
+
+    def logged(f, a, s, rho, *rest):
+        scanned.add((s, rho))
+        return crossing(f, a, s, rho, *rest)
+
+    monkeypatch.setattr(reach_mod, "_first_crossing_orbit", logged)
+    s = br.constant(0.95 / dw.lipschitz_L)
+    rep = br.reach_discrete(dw, [1.0], 0.4, s, 0.02, 1e-4, br.ReachBudgets(kbar_max=1))
+    assert rep.status == "no_escape" and rep.delta_source == "certified"
+    rho = reach_mod._escape_radius(dw, rep.delta_used, 0.5 * s.sup_alpha)
+    assert scanned == {(s.scaled(0.5), rho)} and rep.escape_radius == rho > 0.02
+    assert reach_mod._escape_radius(dw, rep.delta_used, s.sup_alpha) <= 0.02
+
+
+@pytest.mark.parametrize("name,args,target,epsilon", [
+    ("double_well", (), [1.0], 0.4),
+    ("himmelblau", (), [3.0, 2.0], 1.0),
+    ("quad", (1.0, 25.0), [0.0, 0.0], 1.0),
+])
+def test_step_scale_is_at_most_two_halvings(monkeypatch, name, args, target, epsilon):
+    # with aL < 1 and seed_radius <= delta/2 the escape radius clears the
+    # seeds once aL < 1/4, so even at sup alpha = 0.99/L and seed radius
+    # delta/2 the reach scans at the given schedule halved at most twice
+    f = br.make_builtin(name, args)
+    scanned = set()
+    crossing = reach_mod._first_crossing_orbit
+
+    def logged(f, a, s, rho, *rest):
+        scanned.add((s, rho))
+        return crossing(f, a, s, rho, *rest)
+
+    monkeypatch.setattr(reach_mod, "_first_crossing_orbit", logged)
+    s = br.constant(0.99 / f.lipschitz_L)
+    delta = reach_mod._Basin(f, np.array(target), epsilon, "target").certificate[1]
+    rep = br.reach_discrete(f, target, epsilon, s, 0.5 * delta, 1e-4)
+    assert rep.status == "success" and rep.delta_used == delta and len(scanned) == 1
+    (chosen, rho), = scanned
+    assert chosen in [s, s.scaled(0.5), s.scaled(0.25)]
+    assert rho == rep.escape_radius == reach_mod._escape_radius(f, delta, chosen.sup_alpha)
+    assert rho > 0.5 * delta
 
 
 @pytest.mark.parametrize("kind,ceiling", [("constant", 150), ("power", 300)])
@@ -1109,6 +1155,41 @@ def test_a_zero_radius_is_no_certificate(eps):
     for rep in (br.reach_discrete(f, target, eps, s, 1e-3, 1e-4),
                 br.reach_continuous(f, target, eps, FLOW, 1e-3, 1e-4)):
         assert rep.delta_source == "probe" and rep.delta_used > 0.0
+
+
+def hyperbola_valley(a):
+    """f(a, b) = (ab - 1)^2 / 2 on [-3, 3]^2, whose minima fill the curve ab
+    = 1, with (a, 1/a) cataloged as a local minimum: the Hessian there,
+    [[1/a^2, 1], [1, a^2]], has the exact eigenvalues 0 and a^2 + 1/a^2.
+    L = 28 bounds |hess f|_2 on the box, M = sqrt(216) the Frobenius norm
+    of the third derivative."""
+    val = lambda x: 0.5 * (x[0] * x[1] - 1.0) ** 2
+    grad = lambda x: (x[0] * x[1] - 1.0) * np.array([x[1], x[0]])
+
+    def hess(x):
+        off = 2.0 * x[0] * x[1] - 1.0
+        return np.array([[x[1] * x[1], off], [off, x[0] * x[0]]])
+
+    return br.ObjectiveFunction(
+        dim=2, f=val, grad=grad, lipschitz_L=28.0, box=np.array([[-3.0, 3.0], [-3.0, 3.0]]),
+        critical_points=(br.CriticalPoint(np.array([a, 1.0 / a]), "local_min", 0.0),),
+        hessian=hess, name="hyperbola_valley", hessian_lipschitz=math.sqrt(216.0))
+
+
+@pytest.mark.parametrize("a", [2.5, 1.25])
+def test_a_rounding_size_lambda_min_certifies_no_ball(a):
+    # eigh returns a lambda_min of rounding size for the exact 0 here
+    # (2.8e-17 at a = 2.5, 1.1e-16 at a = 1.25 on one LAPACK build), which
+    # would certify a ball of radius ~1e-18 and refuse every practical seed
+    # radius; below the rounding margin there is no ball, and the reach
+    # probes and succeeds
+    f = hyperbola_valley(a)
+    target = np.array([a, 1.0 / a])
+    basin = reach_mod._Basin(f, target, 0.4, "target")
+    assert abs(basin.spectrum[0]) < 1e-15 and basin.ball is None
+    rep = br.reach_discrete(f, target, 0.4, br.constant(0.5 / 28.0), 1e-3, 1e-4)
+    assert rep.delta_source == "probe" and rep.delta_used > 0.0
+    assert rep.status == "success" and rep.final_distance <= 1e-4
 
 
 HB_SADDLE = [cp.point for cp in br.make_builtin("himmelblau").critical_points
