@@ -1102,7 +1102,7 @@ def test_minimum_reaches_run_on_the_certified_radius_without_a_probe(monkeypatch
 @pytest.mark.parametrize("reach,dynamics,x0", [
     (br.reach_discrete, br.constant(0.1), [0.0, 0.0, 0.512]),
     (br.reach_continuous, br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6),
-     [0.0, 0.0, 0.999999995000001]),
+     [0.0, 0.0, 0.9999999950000001]),
 ], ids=["discrete", "continuous"])
 def test_a_reach_without_a_certified_radius_probes_as_before(monkeypatch, reach, dynamics, x0):
     # in 3-D without M there is neither B_r nor a capture level: the reach
@@ -1655,11 +1655,12 @@ def test_reach_continuous_double_well(dw):
 # attempted DOP853 steps of the forward flow from x0 and of the reverse flow
 # to the sphere (a minimum reach's, at REVERSE_RTOL), at most 12 gradient
 # points each, stay below these ceilings, with at most max_rejected rejected
-# in either run
+# in either run.  reverse_max is the 6 / 8 / 6 steps taken at REVERSE_RTOL =
+# 1e-4 plus one step of slack, below the 8 / 13 / 8 taken at 1e-7
 @pytest.mark.parametrize("name,params,target,eps,h,forward_max,reverse_max,max_rejected", [
-    ("double_well", (), [-1.0], 0.4, 1e-3, 40, 17, 2),
-    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, 1e-2, 60, 21, 2),
-    ("himmelblau", (), [3.0, 2.0], 1.0, 3e-4, 60, 23, 6),
+    ("double_well", (), [-1.0], 0.4, 1e-3, 40, 7, 2),
+    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, 1e-2, 60, 9, 2),
+    ("himmelblau", (), [3.0, 2.0], 1.0, 3e-4, 60, 7, 6),
 ], ids=["double_well", "quad", "himmelblau"])
 def test_flow_minima_step_ceilings(monkeypatch, name, params, target, eps, h, forward_max,
                                    reverse_max, max_rejected):
@@ -1715,12 +1716,16 @@ def test_prox_and_ascent_prox_sweep_is_pinned():
 
 
 def test_every_continuous_minimum_reach_starts_inside_its_radius():
-    # x0 is located on the inner side of the delta-sphere
+    # x0 is located on the inner side of the delta-sphere, in the band that
+    # _sphere_exit_detail documents whatever tolerance the reverse flow ran
+    # at: the crossing keeps |x0 - t| - delta (1 - 5e-9) >= 0 as computed,
+    # so the lower side holds exactly
     for (f, target, eps), seed_radius in itertools.product(builtin_minima(),
                                                            (5e-4, 1e-3, 2e-3)):
         rep = br.reach_continuous(f, target, eps, FLOW, seed_radius, 1e-4)
         assert rep.status == "success"
-        assert 0.0 < norm(rep.x0 - target) <= rep.delta_used
+        delta = rep.delta_used
+        assert delta * (1.0 - 5e-9) <= norm(rep.x0 - rep.target) <= delta * (1.0 - 1e-9)
 
 
 def test_every_discrete_reach_solves_its_orbit_as_reverse_orbit_does():
