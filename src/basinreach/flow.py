@@ -15,9 +15,10 @@ call over the nonzero pairs of its table row, precomputed at import: 14
 calls a step for its 12 gradients.  A crossing is a stop event: it tests the
 state a step reached and locates the crossing on that step's
 interpolant, whose three extra stages are the only gradients it costs.
-Every run steps at the relative tolerance RTOL, except a minimum reach's
-reverse flow to its sphere, which steps at REVERSE_RTOL; the comment at
-the constants says why.
+Every run steps at the relative tolerance RTOL from the first trial step
+min(h, H_STABLE / L), except a minimum reach's reverse flow to its sphere,
+which steps at REVERSE_RTOL from the cap H_STABLE / L itself; the comment
+at the constants says why.
 """
 
 import math
@@ -49,9 +50,12 @@ SEED_FLOOR_RTOL = 1e-12
 # located on the sphere by the dense output whatever the tolerance, so how
 # accurately the flow found it does not enter that result.  A saddle's
 # forward Clarke flow must retrace its reverse flow to the level near the
-# saddle, so a saddle reach, like every other run, keeps RTOL.  1e-4 is the
-# knee: on the benchmark's flow_minima, gradient points per reach are 183,
-# 152, 143 and 139 at 1e-7, 1e-5, 1e-4 and 1e-3
+# saddle, so a saddle reach, like every other run, keeps RTOL.  Nor does h:
+# a first trial step is only the controller's opening guess (Hairer,
+# Norsett & Wanner, II.4), and a step past REVERSE_RTOL is still rejected,
+# so this leg opens at the cap H_STABLE / L, not at min(h, cap).  1e-4 is
+# the knee: on the benchmark's flow_minima, opening at the cap, gradient
+# points per reach are 148, 121, 109 and 102 at 1e-7, 1e-5, 1e-4 and 1e-3
 REVERSE_RTOL = 1e-4
 # the PI step controller of Hairer's codes: h_new = h PI_SAFE err^-PI_ALPHA
 # err_old^PI_BETA with h_new / h in [PI_MIN, PI_MAX], the exponent in DOPRI5's
@@ -144,10 +148,11 @@ class NoCrossingError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowSettings:
-    """h is the adaptive flow's first trial step, capped at H_STABLE/L;
-    a run ends at time t_max, a forward run also once |grad f| < gtol;
-    each crossing is located to its own tolerance on the function it
-    locates.  h and gtol must be positive and finite, t_max positive."""
+    """h is the adaptive flow's first trial step, capped at H_STABLE/L
+    (a minimum reach's reverse flow to its sphere opens at the cap
+    whatever h is); a run ends at time t_max, a forward run also once
+    |grad f| < gtol; each crossing is located to its own tolerance on the
+    function it locates.  h and gtol must be positive and finite, t_max positive."""
 
     h: float
     t_max: float
@@ -178,14 +183,15 @@ def _dop853_step(lane, x, sh, g1):
 class _Flow:
     """The adaptive DOP853 runner on dx/dt = -grad f (forward) or +grad f
     (reverse) at the relative tolerance rtol: each ``march`` starts from
-    the step size min(settings.h, h_max), h_max = H_STABLE / L the cap on
-    every step; ``step`` retries a rejected step with a smaller one and
-    keeps its own step size, clamping the step that would pass t_max onto
-    it, and takes stage 13 only once the step is accepted; ``field`` hands
-    that stage back; ``cross`` locates an event on the last step's dense
-    output ``at``, ``locate`` a level crossing."""
+    the step size min(h0, h_max), h_max = H_STABLE / L the cap on every
+    step and h0 the caller's (inf to open at the cap), else settings.h;
+    ``step`` retries a rejected step with a smaller one and keeps its own
+    step size, clamping the step that would pass t_max onto it, and takes
+    stage 13 only once the step is accepted; ``field`` hands that stage
+    back; ``cross`` locates an event on the last step's dense output
+    ``at``, ``locate`` a level crossing."""
 
-    def __init__(self, f, direction, settings, rtol=RTOL):
+    def __init__(self, f, direction, settings, rtol=RTOL, h0=None):
         if direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
         self.f, self.lane, self.settings, self.rtol = f, f._lane, settings, rtol
@@ -195,7 +201,8 @@ class _Flow:
                            "settings": settings}
         L = f.lipschitz_L
         self.h_max = H_STABLE / L if L > 0.0 else math.inf
-        self.h0 = min(settings.h, self.h_max)
+        # with no cap (L = 0) there is none to open at, and h0 is settings.h
+        self.h0 = min(settings.h if h0 is None or L == 0.0 else h0, self.h_max)
         self.h, self.err_old, self.x_new, self.norm_new = self.h0, 1e-4, None, None
 
     def march(self, x0, event=None, value=None):
@@ -303,11 +310,13 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
     located on the dense output with | |b - center| - delta | <= 1e-8
     delta.  NoCrossingError when it stops inside (t_max, or a stationary
     point), LeftBoxError when it leaves the box first.  A minimum reach's
-    exit (``minimum``) flows at REVERSE_RTOL and takes b on the inner
-    side: the crossing of the sphere of radius delta (1 - 5e-9), located to
-    4e-9 delta, so delta (1 - 5e-9) <= |b - center| <= delta (1 - 1e-9)."""
+    exit (``minimum``) flows at REVERSE_RTOL from the first trial step
+    H_STABLE / L, not min(h, H_STABLE / L), and takes b on the inner side:
+    the crossing of the sphere of radius delta (1 - 5e-9), located to 4e-9
+    delta, so delta (1 - 5e-9) <= |b - center| <= delta (1 - 1e-9)."""
     lane = f._lane
-    flow = _Flow(f, direction, settings, REVERSE_RTOL if minimum else RTOL)
+    flow = (_Flow(f, direction, settings, REVERSE_RTOL, h0=math.inf) if minimum
+            else _Flow(f, direction, settings))
     radius, tol = (delta * (1.0 - 5e-9), 4e-9 * delta) if minimum else (delta, 1e-8 * delta)
     center = lane.point(center)
     past = lambda y: lane.norm(lane.sub(y, center)) - radius  # signed distance past the sphere

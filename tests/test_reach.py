@@ -11,7 +11,7 @@ import pytest
 import basinreach as br
 import basinreach.reach as reach_mod
 import basinreach.reverse as reverse_mod
-from basinreach.flow import _sphere_exit_detail
+from basinreach.flow import H_STABLE, _sphere_exit_detail
 from basinreach.landscape import norm, row_norms
 from basinreach.sampling import Lcg64, unit_directions
 from basinreach.serialize import reach_report_json
@@ -1102,13 +1102,14 @@ def test_minimum_reaches_run_on_the_certified_radius_without_a_probe(monkeypatch
 @pytest.mark.parametrize("reach,dynamics,x0", [
     (br.reach_discrete, br.constant(0.1), [0.0, 0.0, 0.512]),
     (br.reach_continuous, br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6),
-     [0.0, 0.0, 0.9999999950000001]),
+     [0.0, 0.0, 0.9999999950000109]),
 ], ids=["discrete", "continuous"])
 def test_a_reach_without_a_certified_radius_probes_as_before(monkeypatch, reach, dynamics, x0):
     # in 3-D without M there is neither B_r nor a capture level: the reach
     # probes, and its radius is pinned to the one it had when every minimum
     # reach probed; its start to the orbit's root, or to the inner side of
-    # that sphere, where the reverse flow at REVERSE_RTOL crosses it
+    # that sphere, where the reverse flow at REVERSE_RTOL, its first trial
+    # step at the cap H_STABLE / L, crosses it
     f = dataclasses.replace(br.make_builtin("quad", (1.0, 2.0, 5.0)), hessian_lipschitz=None)
     basin = reach_mod._Basin(f, np.zeros(3), 1.0, "target")
     assert (basin.ball, basin.certificate) == (None, (None, None))
@@ -1655,12 +1656,15 @@ def test_reach_continuous_double_well(dw):
 # attempted DOP853 steps of the forward flow from x0 and of the reverse flow
 # to the sphere (a minimum reach's, at REVERSE_RTOL), at most 12 gradient
 # points each, stay below these ceilings, with at most max_rejected rejected
-# in either run.  reverse_max is the 6 / 8 / 6 steps taken at REVERSE_RTOL =
-# 1e-4 plus one step of slack, below the 8 / 13 / 8 taken at 1e-7
+# in either run.  The reverse flow's first trial step is the cap H_STABLE /
+# L, and where that step passes it is the first accepted one (on quad the
+# cap 1.5 is rejected twice before 0.82 passes).  reverse_max is the 3 / 5 /
+# 4 steps taken from the cap at REVERSE_RTOL = 1e-4 plus one step of slack,
+# below the 6 / 8 / 6 taken from the first trial step min(h, cap)
 @pytest.mark.parametrize("name,params,target,eps,h,forward_max,reverse_max,max_rejected", [
-    ("double_well", (), [-1.0], 0.4, 1e-3, 40, 7, 2),
-    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, 1e-2, 60, 9, 2),
-    ("himmelblau", (), [3.0, 2.0], 1.0, 3e-4, 60, 7, 6),
+    ("double_well", (), [-1.0], 0.4, 1e-3, 40, 4, 2),
+    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, 1e-2, 60, 6, 2),
+    ("himmelblau", (), [3.0, 2.0], 1.0, 3e-4, 60, 5, 6),
 ], ids=["double_well", "quad", "himmelblau"])
 def test_flow_minima_step_ceilings(monkeypatch, name, params, target, eps, h, forward_max,
                                    reverse_max, max_rejected):
@@ -1673,6 +1677,8 @@ def test_flow_minima_step_ceilings(monkeypatch, name, params, target, eps, h, fo
                                      rep.delta_used, st, minimum=True)
     assert x0.tobytes() == rep.x0.tobytes()
     assert len(rev) - 1 <= len(calls) <= min(reverse_max, len(rev) - 1 + max_rejected)
+    cap = H_STABLE / f.lipschitz_L
+    assert calls[0][0][2] == cap and (rev.t[1] == cap) == (name != "quad")
     calls.clear()
     fwd = br.integrate(f, x0, "forward", st)
     assert len(fwd) - 1 <= len(calls) <= min(forward_max, len(fwd) - 1 + max_rejected)
@@ -1690,7 +1696,21 @@ def test_a_saddle_reach_keeps_the_full_reverse_accuracy(himmelblau):
                                            0.1, st, **kw)
     _, x0, rev = leg()
     assert x0.tobytes() == rep.x0.tobytes() and rev.X.tobytes() == rep.reverse_part.X.tobytes()
+    assert rev.t[1] == 3e-4  # a saddle's reverse flow still opens at min(h, cap)
     assert leg(minimum=True)[1].tobytes() != x0.tobytes()
+
+
+def test_h_does_not_enter_a_minimum_reachs_reverse_leg(himmelblau):
+    # the reverse flow to the sphere opens at the cap H_STABLE / L whatever
+    # h is, so x0 and the reverse part are the same bytes at two h; the
+    # forward run from x0 still opens at min(h, cap)
+    legs = []
+    for h in (3e-4, 1e-3):
+        rep = br.reach_continuous(himmelblau, [3.0, 2.0], 1.0,
+                                  br.FlowSettings(h=h, t_max=20.0, gtol=1e-6), 1e-3, 1e-4)
+        assert rep.status == "success"
+        legs.append((rep.x0.tobytes(), rep.reverse_part.X.tobytes()))
+    assert legs[0] == legs[1]
 
 
 # sha256 of prox and ascent_prox over a sweep of points and steps, recorded
