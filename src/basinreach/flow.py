@@ -150,9 +150,13 @@ class NoCrossingError(RuntimeError):
 class FlowSettings:
     """h is the adaptive flow's first trial step, capped at H_STABLE/L
     (a minimum reach's reverse flow to its sphere opens at the cap
-    whatever h is); a run ends at time t_max, a forward run also once
-    |grad f| < gtol; each crossing is located to its own tolerance on the
-    function it locates.  h and gtol must be positive and finite, t_max positive."""
+    whatever h is).  Every run, forward or reverse, ends by ``march``'s
+    stops: its event, the box, |grad f| < gtol or time t_max.  A reverse
+    run is the gradient flow of -f, so for a definable f one that stays in
+    the box converges to a critical point (Kurdyka 1998; Bolte et al.
+    2014), a maximum say, where gtol ends it.  Each crossing is located to
+    its own tolerance on the function it locates.  h and gtol must be
+    positive and finite, t_max positive."""
 
     h: float
     t_max: float
@@ -196,7 +200,7 @@ class _Flow:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
         self.f, self.lane, self.settings, self.rtol = f, f._lane, settings, rtol
         self.sign = -1.0 if direction == "forward" else 1.0
-        self.gtol = settings.gtol if direction == "forward" else 0.0
+        self.gtol = settings.gtol
         self.provenance = {"producer": "flow", "f": f, "direction": direction,
                            "settings": settings}
         L = f.lipschitz_L
@@ -279,11 +283,10 @@ class _Flow:
 
 def integrate(f, x0, direction, settings, event=None):
     """Adaptive DOP853 on dx/dt = -grad f (forward) or +grad f (reverse),
-    from the first trial step min(h, H_STABLE/L), the cap on every step.
-    Stops at t_max, at |grad| < gtol (forward only), or at box exit
-    (expected for reverse flows).  ``event`` is a :func:`march` stop event,
-    asked at each state the steps reach before those tests (its fx is
-    None); a minimum reach ends the forward flow with it on the first
+    from the first trial step min(h, H_STABLE/L), the cap on every step,
+    to the stops of ``FlowSettings``.  ``event`` is a :func:`march` stop
+    event, asked at each state the steps reach before those tests (its fx
+    is None); a minimum reach ends the forward flow with it on the first
     state in its certified ball."""
     flow = _Flow(f, direction, settings)
     return recorded(f, *flow.march(x0, event=event), flow.provenance)
@@ -338,7 +341,7 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
         if status == "budget_exhausted":
             raise NoCrossingError(
                 f"no crossing of the {delta}-sphere within t_max = {settings.t_max}")
-        raise NoCrossingError("forward flow reached a stationary point inside the sphere")
+        raise NoCrossingError("flow reached a stationary point inside the sphere")
     return steps[-1][0], b.copy(), recorded(f, steps, status, b, stop, flow.provenance)
 
 

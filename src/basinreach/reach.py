@@ -87,8 +87,9 @@ SCAN_RANDOM = 64
 PROBE_BISECTIONS = 6  # stability_probe's bisection steps on the radius
 DIVERGENCE_FACTOR = 1e3  # edge_of_stability: |x| > this * (1 + box diameter) diverged
 PROBE_SLACK = 1e-9  # stability_probe's relative rounding slack on its ball tests
-# _Basin.ball's rounding margin on lambda_min, per dimension and per |H|_2: 16 u
-SPECTRUM_RTOL = 16.0 * 2.0 ** -53
+# _Basin.ball's rounding margin on lambda_min, per dimension and per |H|_2:
+# twice the eigenvalue error 16 u, as mu_s = lambda_min / 2 must clear it
+SPECTRUM_RTOL = 32.0 * 2.0 ** -53
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +276,8 @@ class _Basin:
     a run it stopped: a GD run's length bound is its measured length plus
     the (L_s / mu_s) |x_m - x*| tail, a flow's is None.
 
-    The margin belongs to the proof: B_r needs the exact lambda_min > 0,
-    and eigh returns a float one.  The float Hessian H' = ``hess(target)``
+    The margin belongs to the proof: B_r needs an exact floor lambda_min -
+    M s > 0, and eigh returns a float lambda_min.  The float Hessian H' = ``hess(target)``
     differs from the exact H by Delta: each entry is a few roundings of
     terms within a small multiple of |H|_2 (true of the builtins' formulas
     at their minima), so within 8 u |H|_2 of the exact entry, u = 2^-53,
@@ -285,13 +286,30 @@ class _Basin:
     conquer) is backward stable: its eigenvalues are exact for H' + E,
     |E|_2 <= p(n) u |H'|_2 with p a modest function of n (Golub & Van Loan,
     Matrix Computations, 4th ed., sec. 8.3), taken as 8 n.  By Weyl's
-    inequality each computed eigenvalue is within |Delta|_2 + |E|_2 <= 16 n
-    u |H|_2 of the exact one, so ``ball`` asks lambda_min > SPECTRUM_RTOL n
-    max(|lambda_min|, |lambda_max|), 16 n u times the computed |H|_2, which
-    is the exact one to first order in u.  At a degenerate minimum, where
-    eigh can return a lambda_min of rounding size for an exact 0, there is
-    then no B_r, and the reach probes.  The radius and mu_s still come from
-    the computed lambda_min."""
+    inequality each computed eigenvalue is within eta = |Delta|_2 + |E|_2
+    <= 16 n u |H|_2 of the exact one, |H|_2 the computed max(|lambda_min|,
+    |lambda_max|) to first order in u.  The radius and mu_s come from the
+    computed lambda = lambda_min, and three float tests carry the proof:
+    - mu_s = lambda - M s > 0.  s <= lambda/(2M) keeps mu_s >= lambda/2, so
+      the roundings of s and of mu_s (a few u of lambda) leave it positive.
+      The exact floor lambda_min - M s differs from mu_s by up to eta, so
+      ``ball`` asks lambda > SPECTRUM_RTOL n |H|_2 = 2 eta: then the exact
+      floor is positive too.  At a degenerate minimum, where eigh can
+      return a lambda_min of rounding size for an exact 0, there is no B_r,
+      and the reach probes;
+    - the B_r stop's lane norm |x - x*| <= s.  The float norm of the float
+      difference is within (n + 2) u of the exact distance, so a stopped
+      state lies within s (1 + (n + 2) u), where the Hessian's floor drops
+      by at most (n + 2) u M s <= (n + 2) u lambda/2: the lambda/2 margin of
+      mu_s holds it, and the test needs none of its own;
+    - c - f* in delta_cert = sqrt(2 (c - f*)/L).  Its three roundings put
+      the radius within 2u of the exact one, and f <= f* + L d^2/2 then
+      reaches at most c + 4u (c - f*) at distance d = delta_cert.  In 2-D
+      each b_i keeps 1e-12 (1 + |f(y_i)|) below f on its arc, which holds
+      that excess and the float error of c itself.  In 1-D c is the smaller
+      float sphere value, with no allowance: there the margin is the slack
+      of the quadratic bound, which vanishes only where f'' = L along the
+      whole segment to the sphere."""
 
     def __init__(self, f, target, epsilon, what):
         self.center = start(f, target, "target")
@@ -299,8 +317,7 @@ class _Basin:
         if entry is None:
             raise ValueError(f"{what} must be a cataloged local minimum")
         require_positive_finite(epsilon=epsilon)
-        if not (np.all(target - epsilon >= f.box[:, 0] - 1e-12)
-                and np.all(target + epsilon <= f.box[:, 1] + 1e-12)):
+        if not (f.in_box(target - epsilon) and f.in_box(target + epsilon)):
             raise ValueError("B_epsilon(target) must fit inside the operating box")
         self.f, self.target, self.epsilon, self.f_star = f, target, epsilon, entry.f_value
 
@@ -483,7 +500,7 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     def usable(orbit):
         root = orbit.points[0]
         return (orbit.status == "complete" and outside(lane.point(root))
-                and norm(root - target) <= cap * (1.0 + 1e-9))
+                and norm(root - target) <= cap)
 
     if not s.p:
         orbit = reverse_orbit(f, a, s, kbar_max, stop=outside)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -80,9 +81,26 @@ def test_reverse_flow_exponential(quad1):
     assert abs(traj.final_x[0] - 0.5 * math.e) <= 1e-6
 
 
-def test_flow_from_critical_point(quad1):
-    traj = br.integrate(quad1, [0.0], "forward", settings(gtol=1e-9))
-    assert traj.terminal_status == "converged" and len(traj) == 1
+def test_flow_from_critical_point(quad1, dw):
+    # a reverse run stops at gtol as a forward run does: a start at a
+    # minimum or a maximum is its own limit, with no step taken
+    for f, direction in itertools.product((quad1, dw), flow.DIRECTIONS):
+        traj = br.integrate(f, [0.0], direction, settings(gtol=1e-9))
+        assert traj.terminal_status == "converged" and len(traj) == 1
+        assert traj.limit.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("name,x0,max_steps", [("double_well", [0.5], 60),
+                                               ("himmelblau", [0.0, -0.5], 87)])
+def test_reverse_flow_stops_at_the_maximum(name, x0, max_steps):
+    # a reverse run is the gradient flow of -f: with no time budget it ends
+    # at gtol, at the cataloged maximum (55 and 79 steps at gtol 1e-8)
+    f = br.make_builtin(name)
+    top = next(cp.point for cp in f.critical_points if cp.kind == "local_max")
+    traj = br.integrate(f, x0, "reverse", br.FlowSettings(h=1e-3, t_max=math.inf))
+    assert traj.terminal_status == "converged" and "stopped_on" not in traj.provenance
+    assert traj.gnorm[-1] < 1e-8 <= traj.gnorm[:-1].min()
+    assert norm(traj.limit - top) <= 1e-8 and len(traj) - 1 <= max_steps
 
 
 def test_reverse_flow_leaves_box(quad1):
@@ -451,6 +469,25 @@ def test_sphere_exit_stops_inside_the_sphere(quad1, direction, delta, st, exc, m
         flow._sphere_exit_detail(quad1, [0.5], direction, [0.0], delta, st)
 
 
+@pytest.mark.parametrize("minimum", [False, True], ids=["saddle-leg", "minimum-leg"])
+def test_sphere_exit_from_a_seed_below_gtol(quad14, minimum):
+    # |grad f| = 1e-9 < gtol at the seed: the reverse leg ends there, and
+    # the reach that asked for it skips the seed
+    st = settings(h=1e-2, t_max=20.0, gtol=1e-8)
+    with pytest.raises(br.NoCrossingError,
+                       match="^flow reached a stationary point inside the sphere$"):
+        flow._sphere_exit_detail(quad14, [1e-9, 0.0], "reverse", [0.0, 0.0], 0.5, st,
+                                 minimum=minimum)
+
+
+def test_a_flow_reach_skips_seeds_below_gtol(quad14):
+    # at gtol 1, every seed at radius 1e-3 (|grad f| <= 4e-3) is a
+    # stationary point of the reverse flow: no seed escapes
+    st = br.FlowSettings(h=1e-2, t_max=20.0, gtol=1.0)
+    rep = br.reach_continuous(quad14, [0.0, 0.0], 1.0, st, 1e-3, 1e-4)
+    assert rep.status == "no_escape" and rep.x0 is None
+
+
 def test_sphere_exit_postcondition_sweep(quad14):
     st = settings(t_max=10.0)
     rng = np.random.default_rng(31)
@@ -493,8 +530,13 @@ def test_path_length_discrete_telescoping(quad1):
     assert abs(br.path_length(traj) - 2.0) <= 1e-9
 
 
+def constant_run(quad1):
+    # five GD steps that stay on the minimum: a run of several states and no length
+    return br.run_gd(quad1, [0.0], br.constant(0.5), gtol=0.0, max_iter=5)
+
+
 def test_path_length_constant_trajectory(quad1):
-    traj = br.integrate(quad1, [0.0], "reverse", settings(t_max=0.05))
+    traj = constant_run(quad1)
     assert len(traj) > 1
     assert br.path_length(traj) == 0.0
     single = br.integrate(quad1, [0.0], "forward", settings(gtol=1e-9))
@@ -530,7 +572,7 @@ def test_length_bound_on_axis(quad14):
 
 
 def test_length_bound_zero_length(quad1):
-    traj = br.integrate(quad1, [0.0], "reverse", settings(t_max=0.05))
+    traj = constant_run(quad1)
     lhs, rhs, ok = length_bound(traj, quad1)
     assert ok and lhs == 0.0 and rhs == 0.0
 

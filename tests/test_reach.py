@@ -1193,6 +1193,23 @@ def test_a_rounding_size_lambda_min_certifies_no_ball(a):
     assert rep.status == "success" and rep.final_distance <= 1e-4
 
 
+@pytest.mark.parametrize("k,certified", [(1.5, False), (2.5, True)])
+def test_the_ball_asks_lambda_min_to_clear_twice_the_eigenvalue_error(k, certified):
+    # f = lambda x^2/2 + x^3/6 + y^2/2 (M = 1, |H|_2 = 1, eigh exact on its
+    # diagonal Hessian) at lambda = k eta, eta = 16 n u: the floor mu_s =
+    # lambda/2 of B_r must clear eta, by which lambda_min may miss the exact one
+    lam = k * 16.0 * 2 * 2.0 ** -53
+    f = br.ObjectiveFunction(
+        dim=2, f=lambda x: 0.5 * lam * x[0] ** 2 + x[0] ** 3 / 6.0 + 0.5 * x[1] ** 2,
+        grad=lambda x: np.array([lam * x[0] + 0.5 * x[0] ** 2, x[1]]), lipschitz_L=2.0,
+        box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+        critical_points=(br.CriticalPoint(np.zeros(2), "local_min", 0.0),),
+        hessian=lambda x: np.diag([lam + x[0], 1.0]), hessian_lipschitz=1.0)
+    basin = reach_mod._Basin(f, np.zeros(2), 0.5, "target")
+    assert basin.spectrum[:2] == (lam, 1.0)
+    assert basin.ball == ((lam / 2.0, lam / 2.0, 1.0 + lam / 2.0) if certified else None)
+
+
 HB_SADDLE = [cp.point for cp in br.make_builtin("himmelblau").critical_points
              if cp.kind == "saddle"][0]
 
@@ -1226,6 +1243,31 @@ def test_minimum_reach_needs_its_epsilon_ball_in_the_box(dw, reach, dynamics):
         with pytest.raises(ValueError, match=r"^B_epsilon\(target\) must fit inside the "
                                              r"operating"):
             reach(dw, [1.0], 1.0, dynamics, 1e-3, 1e-4, budgets)
+
+
+def test_the_epsilon_ball_fits_the_box_every_run_tests(himmelblau):
+    # B_epsilon is tested against the padded box of every run's box test
+    # (pad 6e-12 on himmelblau's [-5, 5]^2): target + epsilon = (5 + 3e-12, 4
+    # + 3e-12) fits, (5 + 8e-12, 4 + 8e-12) does not
+    target = np.array([3.0, 2.0])
+    assert reach_mod._Basin(himmelblau, target, 2.0 + 3e-12, "target").epsilon == 2.0 + 3e-12
+    with pytest.raises(ValueError, match=r"^B_epsilon\(target\) must fit inside the operating "
+                                         r"box$"):
+        reach_mod._Basin(himmelblau, target, 2.0 + 8e-12, "target")
+
+
+def test_a_discrete_root_past_the_cap_is_refused(dw):
+    # x0 lies in B_delta exactly: a root past the cap by 5e-10 of it, which a
+    # relative allowance of 1e-9 would take, is refused
+    s, target = br.constant(0.5 / dw.lipschitz_L), np.array([1.0])
+    a, rho = target + 1e-3, 0.1
+    x0 = reach_mod._first_crossing_orbit(dw, a, s, rho, 0.2, target, 2 ** 16)[0]
+    cap = norm(x0 - target)
+    assert rho < cap * (1.0 - 5e-10) < cap < 0.2
+    assert np.array_equal(reach_mod._first_crossing_orbit(dw, a, s, rho, cap, target,
+                                                          2 ** 16)[0], x0)
+    assert reach_mod._first_crossing_orbit(dw, a, s, rho, cap * (1.0 - 5e-10), target,
+                                           2 ** 16) is None
 
 
 def flat_valley():
@@ -1752,8 +1794,8 @@ def test_every_discrete_reach_solves_its_orbit_as_reverse_orbit_does():
     # minima and saddles alike: the reach's reverse part is a direct
     # reverse_orbit of its anchor, schedule and horizon, bit for bit, and
     # every step, recomputed with numpy, passes its forward-residual
-    # certificate; a minimum's x0 lies within delta_used, a saddle's replay
-    # crosses the level within tol
+    # certificate; a minimum's x0 lies within delta_used, the orbit search's
+    # cap, with no allowance, a saddle's replay crosses the level within tol
     hb = br.make_builtin("himmelblau")
     targets = [(f, target, eps, False) for f, target, eps in builtin_minima()]
     targets += [(hb, cp.point, 1.0, True) for cp in hb.critical_points if cp.kind == "saddle"]
