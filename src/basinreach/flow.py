@@ -16,9 +16,11 @@ calls a step for its 12 gradients.  A crossing is a stop event: it tests the
 state a step reached and locates the crossing on that step's
 interpolant, whose three extra stages are the only gradients it costs.
 Every run steps at the relative tolerance RTOL from the first trial step
-min(h, H_STABLE / L), except a minimum reach's reverse flow to its sphere,
-which steps at REVERSE_RTOL from the cap H_STABLE / L itself; the comment
-at the constants says why.
+min(h, H_STABLE / L), except a minimum reach's two legs, which read no h:
+its reverse flow to its sphere steps at REVERSE_RTOL from the cap H_STABLE
+/ L itself, and its forward flow from x0 at RTOL from FORWARD_OPENING times
+the step that reverse flow's controller proposed last; the comments at the
+constants say why.
 """
 
 import math
@@ -57,6 +59,17 @@ SEED_FLOOR_RTOL = 1e-12
 # the knee: on the benchmark's flow_minima, opening at the cap, gradient
 # points per reach are 148, 121, 109 and 102 at 1e-7, 1e-5, 1e-4 and 1e-3
 REVERSE_RTOL = 1e-4
+# the reach's forward flow from x0 opens where that reverse leg's controller
+# left off: the step it proposed after the step that crossed the sphere at
+# x0 is the step it measured there for REVERSE_RTOL.  An order-q pair's
+# error scales as h^q, so the step for a tolerance scales as tol^(1/q)
+# (Hairer, Norsett & Wanner, II.4): at RTOL, with q = 8 the order PI_ALPHA
+# is derived from, it is that step times FORWARD_OPENING = 10^-0.75, about
+# 0.178, below the cap H_STABLE / L, as that step is at most the cap.  So
+# neither leg reads h, and a reach on a certified radius writes the same
+# bytes at every h (the stability probe, run only where there is none,
+# reads h)
+FORWARD_OPENING = (RTOL / REVERSE_RTOL) ** (1.0 / 8.0)
 # the PI step controller of Hairer's codes: h_new = h PI_SAFE err^-PI_ALPHA
 # err_old^PI_BETA with h_new / h in [PI_MIN, PI_MAX], the exponent in DOPRI5's
 # form 1/q - 0.75 beta at the order q = 8
@@ -149,14 +162,16 @@ class NoCrossingError(RuntimeError):
 @dataclass(frozen=True)
 class FlowSettings:
     """h is the adaptive flow's first trial step, capped at H_STABLE/L
-    (a minimum reach's reverse flow to its sphere opens at the cap
-    whatever h is).  Every run, forward or reverse, ends by ``march``'s
-    stops: its event, the box, |grad f| < gtol or time t_max.  A reverse
-    run is the gradient flow of -f, so for a definable f one that stays in
-    the box converges to a critical point (Kurdyka 1998; Bolte et al.
-    2014), a maximum say, where gtol ends it.  Each crossing is located to
-    its own tolerance on the function it locates.  h and gtol must be
-    positive and finite, t_max positive."""
+    (neither leg of a minimum reach reads h: its reverse flow to its
+    sphere opens at the cap, and its forward flow from x0 where that
+    reverse flow's controller left off, as ``FORWARD_OPENING`` says).
+    Every run, forward or reverse, ends by ``march``'s stops: its event,
+    the box, |grad f| < gtol or time t_max.  A reverse run is the gradient
+    flow of -f, so for a definable f one that stays in the box converges
+    to a critical point (Kurdyka 1998; Bolte et al. 2014), a maximum say,
+    where gtol ends it.  Each crossing is located to its own tolerance on
+    the function it locates.  h and gtol must be positive and finite,
+    t_max positive."""
 
     h: float
     t_max: float
@@ -189,6 +204,8 @@ class _Flow:
     (reverse) at the relative tolerance rtol: each ``march`` starts from
     the step size min(h0, h_max), h_max = H_STABLE / L the cap on every
     step and h0 the caller's (inf to open at the cap), else settings.h;
+    ``h`` is the step the controller proposed after the last accepted
+    step;
     ``step`` retries a rejected step with a smaller one and keeps its own
     step size, clamping the step that would pass t_max onto it, and takes
     stage 13 only once the step is accepted; ``field`` hands that stage
@@ -287,7 +304,8 @@ def integrate(f, x0, direction, settings, event=None):
     to the stops of ``FlowSettings``.  ``event`` is a :func:`march` stop
     event, asked at each state the steps reach before those tests (its fx
     is None); a minimum reach ends the forward flow with it on the first
-    state in its certified ball."""
+    state in its certified ball, and passes settings whose h is its own
+    opening step (``FORWARD_OPENING``)."""
     flow = _Flow(f, direction, settings)
     return recorded(f, *flow.march(x0, event=event), flow.provenance)
 
@@ -312,10 +330,13 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
     delta-sphere around center, to its first crossing b of that sphere,
     located on the dense output with | |b - center| - delta | <= 1e-8
     delta.  NoCrossingError when it stops inside (t_max, or a stationary
-    point), LeftBoxError when it leaves the box first.  A minimum reach's
-    exit (``minimum``) flows at REVERSE_RTOL from the first trial step
-    H_STABLE / L, not min(h, H_STABLE / L), and takes b on the inner side:
-    the crossing of the sphere of radius delta (1 - 5e-9), located to 4e-9
+    point), LeftBoxError when it leaves the box first.  The trajectory's
+    provenance keeps, as h_next, the step the controller proposed after
+    the step that crossed: a minimum reach opens its forward flow from b
+    at h_next FORWARD_OPENING.  A minimum reach's exit (``minimum``) flows
+    at REVERSE_RTOL from the first trial step H_STABLE / L, not min(h,
+    H_STABLE / L), so it reads no h, and takes b on the inner side: the
+    crossing of the sphere of radius delta (1 - 5e-9), located to 4e-9
     delta, so delta (1 - 5e-9) <= |b - center| <= delta (1 - 1e-9)."""
     lane = f._lane
     flow = (_Flow(f, direction, settings, REVERSE_RTOL, h0=math.inf) if minimum
@@ -332,7 +353,8 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
         if not r >= 0.0:
             return None
         t_b, b = flow.cross(past, past(prev[1]), r, tol)
-        return "converged", np.array(b), t_b, b, {"stopped_on": "sphere_exit"}
+        stop = {"stopped_on": "sphere_exit", "h_next": flow.h}
+        return "converged", np.array(b), t_b, b, stop
 
     steps, status, b, stop = flow.march(x0, event=crossed)
     if stop is None:

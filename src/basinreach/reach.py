@@ -73,8 +73,8 @@ from itertools import chain
 import numpy as np
 
 from .descent import _Descent, classify_limit, run_gd
-from .flow import (SEED_FLOOR_RTOL, FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail,
-                   integrate, integrate_minnorm, path_length)
+from .flow import (FORWARD_OPENING, SEED_FLOOR_RTOL, FlowSettings, NoCrossingError, _Flow,
+                   _sphere_exit_detail, integrate, integrate_minnorm, path_length)
 from .landscape import (LeftBoxError, norm, require_count, require_integer,
                         require_nonnegative_finite, require_positive_finite, row_norms)
 from .reverse import reverse_orbit
@@ -653,8 +653,10 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
                    else integrate_minnorm(f, x0, level, dynamics))
         elif descent:
             fwd = run_gd(f, x0, dynamics, gtol=gtol, max_iter=b.max_iter, event=event)
-        else:
-            fwd = integrate(f, x0, "forward", dynamics, event=event)
+        else:  # opened where the reverse leg's controller left off, whatever h is
+            opening = rev.provenance["h_next"] * FORWARD_OPENING
+            fwd = integrate(f, x0, "forward", dataclasses.replace(dynamics, h=opening),
+                            event=event)
         end = fwd.limit if fwd.limit is not None else fwd.final_x
         dist = norm(end - target)
         if fwd.provenance.get("stopped_on") == "certified_ball":
@@ -680,9 +682,11 @@ def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):
 
 def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=None):
     """Continuous counterpart: reverse flow from the ascent seed, at the
-    looser REVERSE_RTOL of ``flow``, to its first crossing of the
-    delta-sphere, located on the dense output just inside it, so that x0
-    lies in B_delta with no overshoot margin; then forward flow."""
+    looser REVERSE_RTOL of ``flow`` from the cap H_STABLE / L, to its first
+    crossing of the delta-sphere, located on the dense output just inside
+    it, so that x0 lies in B_delta with no overshoot margin; then forward
+    flow from x0, opened at the step the reverse flow's controller proposed
+    last times ``flow.FORWARD_OPENING``.  Neither leg reads settings.h."""
     if not isinstance(settings, FlowSettings):
         raise ValueError(f"reach_continuous needs FlowSettings, got {type(settings).__name__}")
     return _reach(f, target, epsilon, settings, seed_radius, tol, budgets)

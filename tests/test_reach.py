@@ -11,7 +11,7 @@ import pytest
 import basinreach as br
 import basinreach.reach as reach_mod
 import basinreach.reverse as reverse_mod
-from basinreach.flow import H_STABLE, _sphere_exit_detail
+from basinreach.flow import FORWARD_OPENING, H_STABLE, _sphere_exit_detail
 from basinreach.landscape import norm, row_norms
 from basinreach.sampling import Lcg64, unit_directions
 from basinreach.serialize import reach_report_json
@@ -1531,8 +1531,9 @@ def test_replay_stops_in_the_certified_ball(name, params, index, eps, kind):
     ("himmelblau", (), [3.0, 2.0], 1.0, 3e-4),
 ], ids=["double_well", "quad", "himmelblau"])
 def test_forward_flow_stops_in_the_certified_ball(name, params, target, eps, h):
-    # the stopped flow is a prefix of the flow to gtol, whose later states
-    # stay in B_r and draw nearer the target; flows carry no length bound
+    # the stopped flow is a prefix of the flow to gtol opened at the same
+    # first trial step, whose later states stay in B_r and draw nearer the
+    # target; flows carry no length bound
     f = br.make_builtin(name, params)
     st = br.FlowSettings(h=h, t_max=20.0, gtol=1e-6)
     rep = br.reach_continuous(f, target, eps, st, 1e-3, 1e-4)
@@ -1543,7 +1544,8 @@ def test_forward_flow_stops_in_the_certified_ball(name, params, target, eps, h):
     assert stopped.limit.tolist() == target and rep.final_distance == 0.0
     r = row_norms(stopped.X - np.array(target))
     assert (r[:-1] > cert["s"]).all() and cert["distance_bound"] == r[-1] <= cert["s"]
-    full = br.integrate(f, rep.x0, "forward", st)
+    opening = rep.reverse_part.provenance["h_next"] * FORWARD_OPENING
+    full = br.integrate(f, rep.x0, "forward", dataclasses.replace(st, h=opening))
     m = len(stopped) - 1
     assert full.X[:m + 1].tobytes() == stopped.X.tobytes()
     r = row_norms(full.X[m:] - np.array(target))
@@ -1563,6 +1565,25 @@ def test_objective_without_hessian_lipschitz_replays_to_gtol(himmelblau):
     assert rep.status == "success" and "stopped_on" not in fwd.provenance
     full = br.run_gd(f, rep.x0, s, gtol=1e-8, max_iter=200_000)
     assert fwd.X.tobytes() == full.X.tobytes() and fwd.gnorm[-1] < 1e-8 <= fwd.gnorm[-2]
+    assert rep.final_distance == norm(fwd.limit - target)
+    assert "certificate" not in reach_report_json(rep)
+
+
+def test_flow_objective_without_hessian_lipschitz_runs_to_gtol(himmelblau):
+    # the continuous counterpart: with no M there is no B_r, so the forward
+    # flow runs to gtol from the opening step of a minimum reach's forward
+    # leg, bit for bit integrate from x0 at that first trial step
+    f = dataclasses.replace(himmelblau, name="user", hessian_lipschitz=None)
+    target = np.array([3.0, 2.0])
+    st = br.FlowSettings(h=3e-4, t_max=20.0, gtol=1e-6)
+    rep = br.reach_continuous(f, target, 1.0, st, 1e-3, 1e-4)
+    fwd = rep.forward_part
+    assert rep.status == "success" and "stopped_on" not in fwd.provenance
+    opening = rep.reverse_part.provenance["h_next"] * FORWARD_OPENING
+    assert opening != st.h
+    full = br.integrate(f, rep.x0, "forward", dataclasses.replace(st, h=opening))
+    assert fwd.X.tobytes() == full.X.tobytes() and fwd.t.tobytes() == full.t.tobytes()
+    assert fwd.terminal_status == "converged" and fwd.gnorm[-1] < 1e-6 <= fwd.gnorm[-2]
     assert rep.final_distance == norm(fwd.limit - target)
     assert "certificate" not in reach_report_json(rep)
 
@@ -1695,35 +1716,60 @@ def test_reach_continuous_double_well(dw):
 
 
 # the objectives of the benchmark's flow_minima workload at its step h:
-# attempted DOP853 steps of the forward flow from x0 and of the reverse flow
-# to the sphere (a minimum reach's, at REVERSE_RTOL), at most 12 gradient
-# points each, stay below these ceilings, with at most max_rejected rejected
-# in either run.  The reverse flow's first trial step is the cap H_STABLE /
-# L, and where that step passes it is the first accepted one (on quad the
-# cap 1.5 is rejected twice before 0.82 passes).  reverse_max is the 3 / 5 /
-# 4 steps taken from the cap at REVERSE_RTOL = 1e-4 plus one step of slack,
-# below the 6 / 8 / 6 taken from the first trial step min(h, cap)
+# attempted DOP853 steps of the reach's forward flow from x0 and of the
+# reverse flow to the sphere (a minimum reach's, at REVERSE_RTOL), at most
+# 12 gradient points each, stay below these ceilings, with at most
+# max_rejected rejected in either run.  The reverse flow's first trial step
+# is the cap H_STABLE / L, and where that step passes it is the first
+# accepted one (on quad the cap 1.5 is rejected twice before 0.82 passes).
+# reverse_max is the 3 / 5 / 4 steps taken from the cap at REVERSE_RTOL =
+# 1e-4 plus one step of slack, below the 6 / 8 / 6 taken from the first
+# trial step min(h, cap).  forward_max is the 3 / 0 / 3 steps the forward
+# flow takes from its opening step plus one, below the 5 / 0 / 5 taken
+# from min(h, cap); quad's certified ball holds x0, so it takes none
 @pytest.mark.parametrize("name,params,target,eps,h,forward_max,reverse_max,max_rejected", [
-    ("double_well", (), [-1.0], 0.4, 1e-3, 40, 4, 2),
-    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, 1e-2, 60, 6, 2),
-    ("himmelblau", (), [3.0, 2.0], 1.0, 3e-4, 60, 5, 6),
+    ("double_well", (), [-1.0], 0.4, 1e-3, 4, 4, 2),
+    ("quad", (1.0, 4.0), [0.0, 0.0], 1.0, 1e-2, 1, 6, 2),
+    ("himmelblau", (), [3.0, 2.0], 1.0, 3e-4, 4, 5, 6),
 ], ids=["double_well", "quad", "himmelblau"])
 def test_flow_minima_step_ceilings(monkeypatch, name, params, target, eps, h, forward_max,
                                    reverse_max, max_rejected):
     f = br.make_builtin(name, params)
     st = br.FlowSettings(h=h, t_max=20.0, gtol=1e-6)
+    calls = count_flow_steps(monkeypatch)
     rep = br.reach_continuous(f, target, eps, st, 1e-3, 1e-4)
     assert rep.status == "success"
-    calls = count_flow_steps(monkeypatch)
+    fwd = rep.forward_part
+    ahead = sum(args[2] < 0.0 for args, _ in calls)  # the forward leg's steps, down f
+    assert len(fwd) - 1 <= ahead <= min(forward_max, len(fwd) - 1 + max_rejected)
+    calls.clear()
     _, x0, rev = _sphere_exit_detail(f, rep.ascent_seed, "reverse", rep.target,
                                      rep.delta_used, st, minimum=True)
     assert x0.tobytes() == rep.x0.tobytes()
     assert len(rev) - 1 <= len(calls) <= min(reverse_max, len(rev) - 1 + max_rejected)
     cap = H_STABLE / f.lipschitz_L
     assert calls[0][0][2] == cap and (rev.t[1] == cap) == (name != "quad")
-    calls.clear()
-    fwd = br.integrate(f, x0, "forward", st)
-    assert len(fwd) - 1 <= len(calls) <= min(forward_max, len(fwd) - 1 + max_rejected)
+
+
+@pytest.mark.parametrize("name,i,eps,h", [
+    ("double_well", 0, 0.4, 1e-3), ("double_well", 1, 0.4, 1e-2),
+    ("himmelblau", 0, 1.0, 3e-4), ("himmelblau", 1, 1.0, 1e-3),
+], ids=["dw-0", "dw-1", "himmelblau-0", "himmelblau-1"])
+def test_the_forward_leg_opens_where_the_reverse_leg_left_off(monkeypatch, name, i, eps, h):
+    # the first forward step's length is the step the reverse leg's
+    # controller proposed after its last step, scaled from REVERSE_RTOL to
+    # RTOL, within the cap: below it, as the proposal is at most the cap
+    f = br.make_builtin(name)
+    target = [cp.point for cp in f.critical_points if cp.kind == "local_min"][i]
+    calls = count_flow_steps(monkeypatch)
+    rep = br.reach_continuous(f, target, eps, br.FlowSettings(h=h, t_max=20.0, gtol=1e-6),
+                              1e-3, 1e-4)
+    assert rep.status == "success"
+    ahead = [args[2] for args, _ in calls if args[2] < 0.0]
+    cap, h_next = H_STABLE / f.lipschitz_L, rep.reverse_part.provenance["h_next"]
+    assert 0.0 < h_next <= cap
+    assert -ahead[0] == min(cap, h_next * FORWARD_OPENING) < cap
+    assert -ahead[0] != h
 
 
 def test_a_saddle_reach_keeps_the_full_reverse_accuracy(himmelblau):
@@ -1742,17 +1788,25 @@ def test_a_saddle_reach_keeps_the_full_reverse_accuracy(himmelblau):
     assert leg(minimum=True)[1].tobytes() != x0.tobytes()
 
 
-def test_h_does_not_enter_a_minimum_reachs_reverse_leg(himmelblau):
-    # the reverse flow to the sphere opens at the cap H_STABLE / L whatever
-    # h is, so x0 and the reverse part are the same bytes at two h; the
-    # forward run from x0 still opens at min(h, cap)
-    legs = []
-    for h in (3e-4, 1e-3):
-        rep = br.reach_continuous(himmelblau, [3.0, 2.0], 1.0,
-                                  br.FlowSettings(h=h, t_max=20.0, gtol=1e-6), 1e-3, 1e-4)
-        assert rep.status == "success"
-        legs.append((rep.x0.tobytes(), rep.reverse_part.X.tobytes()))
-    assert legs[0] == legs[1]
+def test_h_does_not_enter_a_minimum_flow_reach():
+    # neither leg reads h: the reverse flow to the sphere opens at the cap
+    # H_STABLE / L and the forward flow from x0 where the reverse flow's
+    # controller left off, so at every builtin minimum x0, the reverse
+    # part, the forward part and the certificate are the same bytes at
+    # three h
+    objectives = list(builtin_minima())
+    quad3 = br.make_builtin("quad", (1.0, 2.0, 5.0))
+    objectives.append((quad3, quad3.critical_points[0].point, 1.0))
+    for f, target, eps in objectives:
+        outputs = set()
+        for h in (3e-4, 1e-3, 1e-2):
+            rep = br.reach_continuous(f, target, eps, br.FlowSettings(h=h, t_max=20.0, gtol=1e-6),
+                                      1e-3, 1e-4)
+            assert rep.status == "success"
+            rev, fwd = rep.reverse_part, rep.forward_part
+            outputs.add((rep.x0.tobytes(), rev.t.tobytes(), rev.X.tobytes(), fwd.t.tobytes(),
+                         fwd.X.tobytes(), repr(fwd.provenance.get("certificate"))))
+        assert len(outputs) == 1, (f.name, target)
 
 
 # sha256 of prox and ascent_prox over a sweep of points and steps, recorded
