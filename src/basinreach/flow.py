@@ -19,7 +19,8 @@ Every run steps at the relative tolerance RTOL from the first trial step
 min(h, H_STABLE / L), except a minimum reach's two legs, which read no h:
 its reverse flow to its sphere steps at REVERSE_RTOL from the cap H_STABLE
 / L itself, and its forward flow from x0 at RTOL from FORWARD_OPENING times
-the step that reverse flow's controller proposed last; the comments at the
+the step that reverse flow's controller proposed last, with the gradient
+that flow took at x0 as its first state's field; the comments at the
 constants say why.
 """
 
@@ -205,7 +206,9 @@ class _Flow:
     the step size min(h0, h_max), h_max = H_STABLE / L the cap on every
     step and h0 the caller's (inf to open at the cap), else settings.h;
     ``h`` is the step the controller proposed after the last accepted
-    step;
+    step; ``known`` is a (point, grad f there) pair that ``field`` reads
+    in place of a fresh gradient: a march's start, when its caller hands
+    in g0, or a sphere exit's located crossing;
     ``step`` retries a rejected step with a smaller one and keeps its own
     step size, clamping the step that would pass t_max onto it, and takes
     stage 13 only once the step is accepted; ``field`` hands that stage
@@ -226,14 +229,18 @@ class _Flow:
         self.h0 = min(settings.h if h0 is None or L == 0.0 else h0, self.h_max)
         self.h, self.err_old, self.x_new, self.norm_new = self.h0, 1e-4, None, None
 
-    def march(self, x0, event=None, value=None):
+    def march(self, x0, event=None, value=None, g0=None):
         x = start(self.f, x0)
         self.h, self.err_old, self.x_new = self.h0, 1e-4, None  # no state from an earlier run
+        self.known = (x, g0) if g0 is not None else (None, None)
         return march(self.f, x, self.field, self.step, None, self.gtol,
                      event=event, value=value, t_end=self.settings.t_max)
 
     def field(self, x):
-        return self.ks[12] if x is self.x_new else self.lane.grad(x)
+        if x is self.x_new:
+            return self.ks[12]
+        p, g = self.known
+        return g if x is p else self.lane.grad(x)
 
     def step(self, k, t, x, g):
         t_max, h, rejected, rtol = self.settings.t_max, self.h, False, self.rtol
@@ -298,16 +305,18 @@ class _Flow:
         return self.cross(lambda y: level - value(y), level - prev[3], level - fx, tol)[1]
 
 
-def integrate(f, x0, direction, settings, event=None):
+def integrate(f, x0, direction, settings, event=None, *, g0=None):
     """Adaptive DOP853 on dx/dt = -grad f (forward) or +grad f (reverse),
     from the first trial step min(h, H_STABLE/L), the cap on every step,
     to the stops of ``FlowSettings``.  ``event`` is a :func:`march` stop
     event, asked at each state the steps reach before those tests (its fx
-    is None); a minimum reach ends the forward flow with it on the first
-    state in its certified ball, and passes settings whose h is its own
-    opening step (``FORWARD_OPENING``)."""
+    is None).  ``g0``, grad f(x0) as f's lane takes it, when the caller
+    has it, is the first state's field in place of a fresh gradient.  A
+    minimum reach ends its forward flow with its certified ball's event,
+    opens it at ``FORWARD_OPENING`` times its reverse flow's last proposed
+    step and passes as g0 the gradient that flow took at x0."""
     flow = _Flow(f, direction, settings)
-    return recorded(f, *flow.march(x0, event=event), flow.provenance)
+    return recorded(f, *flow.march(x0, event=event, g0=g0), flow.provenance)
 
 
 def integrate_minnorm(f, x0, level, settings):
@@ -332,9 +341,11 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
     delta.  NoCrossingError when it stops inside (t_max, or a stationary
     point), LeftBoxError when it leaves the box first.  The trajectory's
     provenance keeps, as h_next, the step the controller proposed after
-    the step that crossed: a minimum reach opens its forward flow from b
-    at h_next FORWARD_OPENING.  A minimum reach's exit (``minimum``) flows
-    at REVERSE_RTOL from the first trial step H_STABLE / L, not min(h,
+    the step that crossed, and as g_exit grad f(b), a point of f's lane,
+    which the run takes once, for its last state: a minimum reach opens
+    its forward flow from b at h_next FORWARD_OPENING, with g_exit its
+    first state's field.  A minimum reach's exit (``minimum``) flows at
+    REVERSE_RTOL from the first trial step H_STABLE / L, not min(h,
     H_STABLE / L), so it reads no h, and takes b on the inner side: the
     crossing of the sphere of radius delta (1 - 5e-9), located to 4e-9
     delta, so delta (1 - 5e-9) <= |b - center| <= delta (1 - 1e-9)."""
@@ -353,7 +364,8 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
         if not r >= 0.0:
             return None
         t_b, b = flow.cross(past, past(prev[1]), r, tol)
-        stop = {"stopped_on": "sphere_exit", "h_next": flow.h}
+        flow.known = b, lane.grad(b)  # the field of the run's last state, b
+        stop = {"stopped_on": "sphere_exit", "h_next": flow.h, "g_exit": flow.known[1]}
         return "converged", np.array(b), t_b, b, stop
 
     steps, status, b, stop = flow.march(x0, event=crossed)

@@ -653,10 +653,11 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
                    else integrate_minnorm(f, x0, level, dynamics))
         elif descent:
             fwd = run_gd(f, x0, dynamics, gtol=gtol, max_iter=b.max_iter, event=event)
-        else:  # opened where the reverse leg's controller left off, whatever h is
+        else:  # opened where the reverse leg's controller left off, whatever h is,
+            # from the gradient that leg took at x0, its located crossing
             opening = rev.provenance["h_next"] * FORWARD_OPENING
             fwd = integrate(f, x0, "forward", dataclasses.replace(dynamics, h=opening),
-                            event=event)
+                            event=event, g0=rev.provenance["g_exit"])
         end = fwd.limit if fwd.limit is not None else fwd.final_x
         dist = norm(end - target)
         if fwd.provenance.get("stopped_on") == "certified_ball":
@@ -686,7 +687,8 @@ def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=Non
     crossing of the delta-sphere, located on the dense output just inside
     it, so that x0 lies in B_delta with no overshoot margin; then forward
     flow from x0, opened at the step the reverse flow's controller proposed
-    last times ``flow.FORWARD_OPENING``.  Neither leg reads settings.h."""
+    last times ``flow.FORWARD_OPENING``, from the gradient the reverse flow
+    took at x0, so x0 costs one gradient.  Neither leg reads settings.h."""
     if not isinstance(settings, FlowSettings):
         raise ValueError(f"reach_continuous needs FlowSettings, got {type(settings).__name__}")
     return _reach(f, target, epsilon, settings, seed_radius, tol, budgets)

@@ -21,10 +21,13 @@ so it changes little from one orbit step to the next: each solve hands
 the next its miss and l = |m - base|^2, and the next moves its own m by
 that miss scaled by l/l', the squared ratio of the two first steps'
 lengths, as a second-order term scales, before the box test.  Only the
-starting point moves.  Every solve stops at |T(y) - y| <=
-FIXED_POINT_RTOL (1 + |base|), 1e-11, for the reason given at the
+starting point moves.  Every solve stops on its first tested y with
+|T(y) - y| <= FIXED_POINT_RTOL (1 + min(|base|, |y|)), 0.999e-10, the
+1e-10 forward-residual certificate less the rounding margin proved at the
 constant, and returns the iterate it tested, so the certificate holds
-however y was reached.
+however y was reached.  Each test compares with the bound on |base|,
+computed once per solve; only an iterate that passes it takes |y|, the
+one the solve returns.
 
 The ndarray lane (dim > 2) runs the loop on lane ops and
 ``landscape.dot``.  On the float lane each solve is that loop written
@@ -44,12 +47,24 @@ from .landscape import (FLOAT_LANE_DIMS, LeftBoxError, dot, norm, require_count,
 from .schedule import constant, require_admissible
 from .trajectory import start
 
-# every ascent and proximal solve stops at FIXED_POINT_RTOL, ten times inside
-# the FORWARD_RESIDUAL_RTOL certificate its result is checked against; a
-# reach's result rests on the forward run from x0 alone (for a minimum the
-# B_r stop, for a saddle the level crossing observed within tol), and x0 is
-# the orbit's root at its measured distance, so no tighter solve enters it
-FIXED_POINT_RTOL = 1e-11
+# every ascent and proximal solve stops on its first tested y with |T(y) -
+# y| <= FIXED_POINT_RTOL (1 + min(|base|, |y|)); its result is checked
+# against FORWARD_RESIDUAL_RTOL (1 + |y|) as an ascent step (x_k = y) and
+# (1 + |base|) as the prox identity (x = base), so the min serves both.  The
+# margin 1e-13 (1 + min) covers rounding.  With p = fl(step g), the product
+# both sides share, and u = 2^-53, each coordinate of the tested r =
+# fl(fl(base + p) - y) and of v = fl(fl(y - p) - base), the returned residual
+# or any recomputation, lies within u (|y| + 2|r|) and u (|base| + 2|v|) of
+# +/-(base + p - y), so |v| <= |r| + u (|y| + |base|) + a few u |r| from the
+# norms, + u |p| for a gradient recomputed an ulp off.  As |y| + |base| <= 2
+# min + |y - base| and |p| is |y - base| up to |r|, that excess is at most
+# 2u min + 2u |y - base| and a few u |r|, under 1e-13 (1 + min) whenever the
+# step |y - base| is under 400, as in any box of diameter under 400 (every
+# builtin's, up to quad in 400 dimensions).  No tighter solve enters a
+# reach's result: that rests on the forward run from x0 alone (for a minimum
+# the B_r stop, for a saddle the level crossing observed within tol), and x0
+# is the orbit's root at its measured distance
+FIXED_POINT_RTOL = 0.999e-10
 FORWARD_RESIDUAL_RTOL = 1e-10
 PROX_SLACK_RTOL = 1e-9  # prox_certificates' slack, relative to 1 + |f(x)|
 _MAX_INNER_ITER = 200_000
@@ -97,13 +112,14 @@ def _picard(f, base, lam, sign, tol_scale, g=None, steps=(), miss=None):
     ``miss`` = (y' - m', l') scaled by l/l', l = |m - base|^2, and then
     takes :func:`_mix`'s box test.  Returns (y, grad(y), iters, |(y - step
     grad(y)) - base|, |y|, miss) at the first |T(y) - y| <= tol =
-    FIXED_POINT_RTOL * (1 + tol_scale), the fourth an ascent step's
-    forward residual |y - T(y)| up to rounding and the last this solve's
-    (y - m, l), None without an m or when l = 0.  As T contracts by q =
-    lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so y lies within |T(y)
-    - y|/(1 - q) <= tol/(1 - q) of the unique fixed point y*, however it
-    was reached, the shift included.  Raises LeftBoxError when T(y)
-    leaves the box; y itself never does.  The float lane's solve is this
+    FIXED_POINT_RTOL * (1 + min(tol_scale, |y|)), tol_scale = |base|, |y|
+    taken only once the bound on |base| holds; the fourth is an ascent
+    step's forward residual |y - T(y)| up to rounding and the last this
+    solve's (y - m, l), None without an m or when l = 0.  As T contracts
+    by q = lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so y lies within
+    |T(y) - y|/(1 - q) <= tol/(1 - q) of the unique fixed point y*,
+    however it was reached, the shift included.  Raises LeftBoxError when
+    T(y) leaves the box; y itself never does.  The float lane's solve is this
     loop written out per dimension (:func:`_picard1`,
     :func:`_picard2`)."""
     if f.dim <= FLOAT_LANE_DIMS:
@@ -125,8 +141,9 @@ def _picard(f, base, lam, sign, tol_scale, g=None, steps=(), miss=None):
             raise LeftBoxError(t, "fixed-point iterate left the operating box")
         r = sub(t, y)
         rr = sumsq(r)
-        if rr <= tol_sq:
-            return (y, g, it, norm(sub(axpy(y, -step, g), base)), norm(y),
+        if rr <= tol_sq and ((ynorm := norm(y)) >= tol_scale
+                             or rr <= (FIXED_POINT_RTOL * (1.0 + ynorm)) ** 2):
+            return (y, g, it, norm(sub(axpy(y, -step, g), base)), ynorm,
                     (sub(y, first), ell) if ell > 0.0 else None)
         if mixed and not rr <= q_sq * last[2]:
             hist = []  # the mixed iterate contracted less than a Picard step: restart
@@ -195,9 +212,10 @@ def _picard1(f, base, lam, sign, tol_scale, g, steps, miss):
             raise LeftBoxError((t0,), "fixed-point iterate left the operating box")
         r0 = t0 - y0
         rr = r0 * r0
-        if rr <= tol_sq:
+        if rr <= tol_sq and ((ynorm := sqrt(y0 * y0)) >= tol_scale
+                             or rr <= (FIXED_POINT_RTOL * (1.0 + ynorm)) ** 2):
             u0 = (y0 + -step * g0) - x0
-            return (y, g, it, sqrt(u0 * u0), sqrt(y0 * y0),
+            return (y, g, it, sqrt(u0 * u0), ynorm,
                     ((y0 - f0,), ell) if ell > 0.0 else None)
         if mixed and not rr <= q_sq * last_rr:
             n = 0  # the mixed iterate contracted less than a Picard step: restart
@@ -246,9 +264,10 @@ def _picard2(f, base, lam, sign, tol_scale, g, steps, miss):
             raise LeftBoxError((t0, t1), "fixed-point iterate left the operating box")
         r0, r1 = t0 - y0, t1 - y1
         rr = r0 * r0 + r1 * r1
-        if rr <= tol_sq:
+        if rr <= tol_sq and ((ynorm := sqrt(y0 * y0 + y1 * y1)) >= tol_scale
+                             or rr <= (FIXED_POINT_RTOL * (1.0 + ynorm)) ** 2):
             u0, u1 = (y0 + -step * g0) - x0, (y1 + -step * g1) - x1
-            return (y, g, it, sqrt(u0 * u0 + u1 * u1), sqrt(y0 * y0 + y1 * y1),
+            return (y, g, it, sqrt(u0 * u0 + u1 * u1), ynorm,
                     ((y0 - f0, y1 - f1), ell) if ell > 0.0 else None)
         if mixed and not rr <= q_sq * last_rr:
             n = 0  # the mixed iterate contracted less than a Picard step: restart
@@ -316,11 +335,12 @@ def _ascent_step(f, xnext, a, g=None, steps=(), xnorm=None, miss=None):
     xnext|, certified to 1e-10 * (1 + |y|), and the gradient the solve's
     last test took, which that residual reuses and the next solve from y
     starts with, as it does |y| and the solve's miss; the solve returns r
-    and |y|, r the tested residual y - T(y), 1e-11 (1 + |xnext|) up to
-    rounding.  ``g`` is grad(xnext) and ``xnorm`` |xnext| when known,
-    ``steps`` seed the solve's mixing history and ``miss``, the last
-    solve's, shifts its first mixed point (:func:`_picard`).  The caller
-    has checked the prox regime and that xnext lies in the box."""
+    and |y|, r the tested residual y - T(y), 0.999e-10 (1 + min(|xnext|,
+    |y|)) up to rounding, inside the certificate by the margin proved at
+    ``FIXED_POINT_RTOL``.  ``g`` is grad(xnext) and ``xnorm`` |xnext| when
+    known, ``steps`` seed the solve's mixing history and ``miss``, the
+    last solve's, shifts its first mixed point (:func:`_picard`).  The
+    caller has checked the prox regime and that xnext lies in the box."""
     y, gy, _, residual, ynorm, miss = _picard(f, xnext, a, +1.0,
                                               norm(xnext) if xnorm is None else xnorm, g,
                                               steps, miss)
@@ -360,9 +380,12 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     from the miss its predecessor returned (:func:`_picard`), which only
     moves where the iteration starts.  The orbit keeps the gradients.
 
-    Each solve stops at |T(y) - y| <= FIXED_POINT_RTOL (1 + |x_{k+1}|),
-    1e-11, and every step must pass its 1e-10 forward-residual
-    certificate, else ArithmeticError.
+    Each solve stops on its first y = x_k with |T(y) - y| <=
+    FIXED_POINT_RTOL (1 + min(|x_{k+1}|, |x_k|)), 0.999e-10, and every
+    step must pass its 1e-10 forward-residual certificate, else
+    ArithmeticError; the rounding margin between the two keeps every
+    residual recomputed from the points within 1e-10 (1 + min(|x_k|,
+    |x_{k+1}|)).
     """
     anchor = np.asarray(a, dtype=float)
     require_count(kbar=kbar)

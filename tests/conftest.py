@@ -269,17 +269,24 @@ def contraction_iteration_bound(lam, L):
 def picard_solve(f, base, lam, sign, rtol=FIXED_POINT_RTOL):
     """(T(y), iters) of plain Picard iteration on ndarrays for the fixed
     point of T(y) = base + sign lam grad(y), stopped as reverse._picard
-    stops: at |T(y) - y| <= rtol (1 + |base|), raising LeftBoxError when
-    T(y) leaves the box."""
-    tol_sq = (rtol * (1.0 + norm(base))) ** 2
+    stops: at the first tested y with |T(y) - y| <= rtol (1 + min(|base|,
+    |y|)), raising LeftBoxError when T(y) leaves the box."""
     y = base
     for it in itertools.count(1):
         t = base + sign * lam * f.gradient(y)
         if not f.in_box(t):
             raise LeftBoxError(t)
-        r, y = t - y, t
-        if sumsq(r) <= tol_sq:
+        if stops(sumsq(t - y), rtol, norm(base), y):
             return t, it
+        y = t
+
+
+def stops(rr, rtol, base_norm, y):
+    """Whether a solve stops on its tested y with |T(y) - y|^2 = rr: rr <=
+    (rtol (1 + min(|base|, |y|)))^2, |y| taken only once the bound on |base|
+    holds, as in reverse._picard."""
+    return rr <= (rtol * (1.0 + base_norm)) ** 2 and (
+        (ynorm := norm(y)) >= base_norm or rr <= (rtol * (1.0 + ynorm)) ** 2)
 
 
 def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None, miss=None):
@@ -295,7 +302,6 @@ def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None, miss=None):
     the shift) None when the history gives none and kept even when it
     lies outside the box, where the solve falls back to T's plain
     image."""
-    tol_sq = (FIXED_POINT_RTOL * (1.0 + norm(base))) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     y, g = base, f.gradient(base) if g is None else g
     hist, last, mixed, first, ell = list(seeds), None, False, None, 0.0
@@ -305,7 +311,7 @@ def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None, miss=None):
             raise LeftBoxError(t)
         r = t - y
         rr = sumsq(r)
-        if rr <= tol_sq:
+        if stops(rr, FIXED_POINT_RTOL, norm(base), y):
             return y, g, it, (y - first, ell) if ell > 0.0 else None
         if mixed and not rr <= q_sq * last[2]:
             hist = []

@@ -210,14 +210,16 @@ def test_reach_replays_to_the_configured_gtol(tmp_path):
 
 # sha256 of outputs that no minimum replay writes, recorded before minimum
 # replays stopped in B_r: both saddle modes' CSVs and the CI's probes; the
-# discrete saddle's re-recorded when every ascent solve came to stop at 1e-11
-# and again when each orbit solve came to start from the last one's miss
+# discrete saddle's re-recorded when every ascent solve came to stop at 1e-11,
+# again when each orbit solve came to start from the last one's miss, and
+# again when each came to stop on its first y with |T(y) - y| <= 0.999e-10 (1
+# + min(|x_{k+1}|, |y|)) (the same success and final distance, 9.22457e-4)
 SADDLE = ["reach", "--general", "--function", "himmelblau", "--target-index", "8",
           "--epsilon", "1.0", "--seed-radius", "1e-3", "--tol", "1e-2"]
 UNMOVED = {
     "saddle-discrete": (SADDLE + ["--schedule", "constant:0.0015"], {
-        "forward.csv": "a58c9c5db86d624213d4bb07223a2c3ef4ca8bab4ddea2743995f3e44f881f71",
-        "reverse.csv": "e37727dee3836ec9da617e03de54c9140f0475de04947cd239cdfd2405448dff"}),
+        "forward.csv": "cb5063dfc723a6b40744f68c343b19e10211719fb4618850580665e9cf6ffdbb",
+        "reverse.csv": "024440f71f1cec63a7e9f96bee375da12c074aa45092d5609020df5f46c64f42"}),
     "saddle-continuous": (SADDLE + ["--mode", "continuous", "--h", "3e-4", "--t-max", "50",
                                     "--gtol", "1e-6", "--delta", "0.1"], {
         "forward.csv": "09df40d7cab5169bc7df24aad3b0f7d799a4730f220435d62b49d95f25c3ebc6",

@@ -1634,16 +1634,18 @@ def test_the_stop_comes_as_early_as_the_proof_allows(name, params, target, eps, 
         assert rep.final_distance == 0.0 and fwd.limit.tobytes() == target.tobytes()
 
 
-# the replay of the reach below, from the x0 of its orbit solved at 1e-11,
-# each solve after the second started from the last one's rescaled miss
-NO_M_ROWS, NO_M_DISTANCE = 157, 3.417091303205506e-10
-NO_M_DIGEST = "360b579629bb517c1ea58c1054f4450fb93704bcaacb0380d55cec145c215a87"
+# the replay of the reach below, from the x0 of its orbit whose solves stop
+# on their first y with |T(y) - y| <= 0.999e-10 (1 + min(|x_{k+1}|, |y|)),
+# each solve after the second started from the last one's rescaled miss (at
+# 1e-11 (1 + |x_{k+1}|) the same 157 rows, distance 3.417091303205506e-10)
+NO_M_ROWS, NO_M_DISTANCE = 157, 3.43594837253419e-10
+NO_M_DIGEST = "d470207a85cbe5ff7ee2d15d0035b4c4b991c23eb186344ba658319808a347ce"
 
 
 def test_an_objective_without_m_reaches_as_before(himmelblau):
     # no certified ball, so the replay stops by tol and gtol as it did
     # before the ball stop came: the same 157 rows, its columns and limit
-    # pinned bit for bit (sha256) from the x0 of the orbit solved at 1e-11
+    # pinned bit for bit (sha256) from the x0 of its orbit
     f = dataclasses.replace(himmelblau, hessian_lipschitz=None)
     rep = br.reach_discrete(f, [3.0, 2.0], 1.0, br.constant(0.5 / f.lipschitz_L), 1e-3, 1e-4)
     fwd = rep.forward_part
@@ -1772,6 +1774,30 @@ def test_the_forward_leg_opens_where_the_reverse_leg_left_off(monkeypatch, name,
     assert -ahead[0] != h
 
 
+def test_a_minimum_flow_reach_takes_the_gradient_at_x0_once():
+    # the reverse leg takes grad f at the crossing it locates, x0, and the
+    # forward flow's first state reads that gradient: at every builtin
+    # minimum x0 is evaluated once, and the forward part is the start of a
+    # fresh forward flow from x0, opened at the same step, bit for bit
+    for f, target, eps in builtin_minima():
+        points = []
+
+        def grad(x, f=f):
+            points.append(np.array(x, dtype=float).tobytes())
+            return f.grad(x)
+
+        spy = dataclasses.replace(f, grad=grad)
+        st = br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6)
+        rep = br.reach_continuous(spy, target, eps, st, 1e-3, 1e-4)
+        assert rep.status == "success"
+        assert points.count(rep.x0.tobytes()) == 1, (f.name, target)
+        opening = rep.reverse_part.provenance["h_next"] * FORWARD_OPENING
+        full = br.integrate(f, rep.x0, "forward", dataclasses.replace(st, h=opening))
+        n = len(rep.forward_part)
+        for c in ("t", "X", "gnorm"):
+            assert getattr(full, c)[:n].tobytes() == getattr(rep.forward_part, c).tobytes()
+
+
 def test_a_saddle_reach_keeps_the_full_reverse_accuracy(himmelblau):
     # the forward Clarke flow retraces the reverse flow near the saddle, so
     # a saddle's reverse flow runs at RTOL: its x0 and reverse part are the
@@ -1810,8 +1836,9 @@ def test_h_does_not_enter_a_minimum_flow_reach():
 
 
 # sha256 of prox and ascent_prox over a sweep of points and steps, recorded
-# when every solve came to stop at FIXED_POINT_RTOL = 1e-11
-PROX_DIGEST = "827cf6c251ae8ade8a148ff2d402f1660a4e0ec941c1240a18fbbd36eae23a8e"
+# when every solve came to stop on its first y with |T(y) - y| <=
+# FIXED_POINT_RTOL (1 + min(|x|, |y|)), FIXED_POINT_RTOL = 0.999e-10
+PROX_DIGEST = "72d4646bfc0549f9f16034778d313bfd6faf48e0fd42bb259695d684ce6ae312"
 
 
 def test_prox_and_ascent_prox_sweep_is_pinned():

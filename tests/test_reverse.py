@@ -8,7 +8,7 @@ import pytest
 import basinreach as br
 import basinreach.reverse as reverse_mod
 from basinreach.landscape import norm, row_norms, sumsq
-from basinreach.reverse import FIXED_POINT_RTOL, _picard
+from basinreach.reverse import FIXED_POINT_RTOL, FORWARD_RESIDUAL_RTOL, _picard
 from basinreach.serialize import write_reverse_part_csv
 
 from conftest import (anderson_orbit, anderson_solve, contraction_iteration_bound, counting,
@@ -247,7 +247,8 @@ def test_a_shifted_point_outside_the_box_falls_back_to_t(name, params, anchor):
     # both tested iterates lie within tol/(1 - q) = 2 tol of the fixed point,
     # so within 4 tol of each other
     tol = FIXED_POINT_RTOL * (1.0 + norm(base))
-    assert norm(np.subtract(y, plain[0])) <= 4.0 * tol and residual <= 1.01 * tol
+    assert norm(np.subtract(y, plain[0])) <= 4.0 * tol
+    assert residual <= FORWARD_RESIDUAL_RTOL * (1.0 + min(norm(base), norm(y)))
     assert np.array(out[0]).tobytes() == (np.array(y) - m).tobytes() and out[1] == ell
 
 
@@ -322,7 +323,11 @@ def test_degenerate_seeds_fall_back_to_the_newest(name, params, points):
     assert mixes[0][0] == 2
     assert [np.array(v).tobytes() for v in both[:5]] == [np.array(v).tobytes() for v in newest[:5]]
     assert same_miss(both[5], newest[5])
-    assert norm(np.subtract(both[0], anderson_solve(f, base, a, 1.0)[0])) <= 1e-12
+    # the unseeded solve's y and this one both lie within tol/(1 - q) of the
+    # fixed point (_picard's contraction bound), so within 2 tol/(1 - q)
+    q, tol = a * f.lipschitz_L, FIXED_POINT_RTOL * (1.0 + norm(base))
+    unseeded = anderson_solve(f, base, a, 1.0)[0]
+    assert norm(np.subtract(both[0], unseeded)) <= 2.0 * tol / (1.0 - q)
 
 
 @pytest.mark.parametrize("name,params,x", [
@@ -454,23 +459,45 @@ def test_orbit_takes_two_norms_per_point(monkeypatch):
 
 def test_power_orbit_takes_under_two_gradients_per_point():
     # the secants of the last two orbit steps make each solve's first mixed
-    # iterate a quasi-Newton step, and the last solve's rescaled miss moves
-    # it to within third order: 172 gradients over 150 himmelblau steps
-    # (185 with the secants alone, 3.5 per point without them and the
-    # reused residual gradient), 217 over 150 double_well steps (293)
-    for name, anchor, ceiling in [("himmelblau", [3.001, 2.002], 1.2),
-                                  ("double_well", [1.0 + 1e-3], 1.5)]:
+    # iterate a quasi-Newton step, the last solve's rescaled miss moves it to
+    # within third order, and each solve stops on its first y within
+    # FIXED_POINT_RTOL (1 + min(|x_{k+1}|, |y|)) of T(y): 161 gradients over
+    # 150 himmelblau steps (172 stopping at 1e-11 (1 + |x_{k+1}|), 185 with
+    # the secants alone, 3.5 per point without them and the reused residual
+    # gradient), 193 over 150 double_well steps (217, 293)
+    for name, anchor, ceiling in [("himmelblau", [3.001, 2.002], 1.1),
+                                  ("double_well", [1.0 + 1e-3], 1.3)]:
         f, counts = counting(br.make_builtin(name))
         orbit = br.reverse_orbit(f, anchor, br.power(0.5 / f.lipschitz_L, 0.5), 150)
         assert orbit.status == "complete" and len(orbit.points) == 151
         assert counts["grad"] <= ceiling * 150
 
 
-@pytest.mark.parametrize("name,params", BUILTINS)
+def test_constant_orbit_takes_under_two_and_a_third_gradients_per_point():
+    # each solve stops on its first y within FIXED_POINT_RTOL (1 +
+    # min(|x_{k+1}|, |y|)) of T(y): 90 gradients over 40 himmelblau steps
+    # at 0.5/L (107 stopping at 1e-11 (1 + |x_{k+1}|))
+    f, counts = counting(br.make_builtin("himmelblau"))
+    orbit = br.reverse_orbit(f, [3.001, 2.002], br.constant(0.5 / f.lipschitz_L), 40)
+    assert orbit.status == "complete" and len(orbit.points) == 41
+    assert counts["grad"] <= 2.3 * 40
+
+
+def certified(x, y, r):
+    """Whether r passes the forward-residual certificate of the step
+    between x and y, FORWARD_RESIDUAL_RTOL (1 + min(|x|, |y|)): an ascent
+    step's bound 1 + |y| and the prox identity's 1 + |x| at once."""
+    return r <= FORWARD_RESIDUAL_RTOL * (1.0 + min(np.linalg.norm(x), np.linalg.norm(y)))
+
+
+@pytest.mark.parametrize("name,params", SWEEP_BUILTINS)
 @pytest.mark.parametrize("kind", ["constant", "power"])
 def test_every_orbit_residual_recomputed_with_numpy(name, params, kind):
     # the residual is the solve's tested one, not a fresh evaluation: recompute
-    # each with plain numpy from the stored points
+    # each with plain numpy from the stored points, for an orbit's steps and
+    # for prox and ascent_prox from points across the box, on both lanes;
+    # each solve stops within FIXED_POINT_RTOL (1 + min(|base|, |y|)), and
+    # the rounding margin to the certificate takes no slack factor
     f = br.make_builtin(name, params)
     a = 0.5 / f.lipschitz_L
     s = br.constant(a) if kind == "constant" else br.power(a, 0.5)
@@ -481,9 +508,32 @@ def test_every_orbit_residual_recomputed_with_numpy(name, params, kind):
     for i, (x, xnext) in enumerate(zip(orbit.points, orbit.points[1:])):
         g = np.asarray(f.grad(np.array(x)), dtype=float)
         r = float(np.linalg.norm(x - s.alpha(orbit.start_index + i) * g - xnext))
-        # the solve's tolerance 1e-11 (1 + |xnext|), up to a few roundings
-        bound = 1.01 * FIXED_POINT_RTOL * (1.0 + float(np.linalg.norm(xnext)))
-        assert r <= bound and orbit.forward_residuals[i] <= bound
+        assert certified(x, xnext, r) and certified(x, xnext, orbit.forward_residuals[i])
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        lam = (0.05 + 0.9 * rng.random()) / f.lipschitz_L
+        x = interior_points(f, 1, rng, span=0.8 * (1.0 - lam * f.lipschitz_L))[0]
+        y = br.prox(f, x, lam)
+        assert certified(x, y, float(np.linalg.norm(y - (x - lam * f.gradient(y)))))
+        y = br.ascent_prox(f, x, lam)
+        assert certified(x, y, float(np.linalg.norm((y - lam * f.gradient(y)) - x)))
+
+
+@pytest.mark.parametrize("params,x", [((1.0,), [8.0]), ((1.0, 1.0), [8.0, 0.0]),
+                                      ((1.0, 1.0, 1.0), [8.0, 0.0, 0.0])],
+                         ids=["picard1", "picard2", "picard-dim3"])
+def test_a_solve_toward_the_origin_stops_on_the_bound_at_y(monkeypatch, params, x):
+    # prox of |y|^2/2 from x at lam = 0.5, y* = x / 1.5, at a tolerance
+    # scaled up to FIXED_POINT_RTOL = 0.3: the first test (y = x, |r| = 4)
+    # fails 0.3 (1 + |x|) = 2.7; the second, y = T(x) = x/2, |r| = 2, passes
+    # that bound on |base| but not 0.3 (1 + |y|) = 1.5, so the solve goes
+    # on, and its third iterate, the secant step, is y* itself
+    f = br.make_builtin("quad", params)
+    monkeypatch.setattr(reverse_mod, "FIXED_POINT_RTOL", 0.3)
+    x = np.array(x)
+    y, g, iters, residual, ynorm, _ = _picard(f, f._lane.point(x), 0.5, -1.0, norm(x))
+    assert iters == 3 and ynorm == norm(y) < norm(x)
+    assert norm(np.subtract(y, x / 1.5)) <= 1e-12 and residual <= 1e-12
 
 
 def test_orbit_power_schedule_alignment(dw):
