@@ -43,9 +43,9 @@ class _Descent:
         self.f, self.lane, self.s, self.max_iter, self.gtol = f, f._lane, s, max_iter, gtol
         self.provenance = {"producer": "gd", "f": f, "schedule": s, "gtol": gtol}
 
-    def march(self, x0, event=None, value=None):
+    def march(self, x0, event=None, value=None, g0=None):
         return march(self.f, start(self.f, x0), self.lane.grad, self.step, self.max_iter,
-                     self.gtol, event=event, value=value)
+                     self.gtol, event=event, value=value, g0=g0)
 
     def step(self, k, t, x, g):
         a = self.s.alpha(k)
@@ -61,7 +61,7 @@ class _Descent:
         return self.lane.axpy(x_prev, theta, self.lane.sub(x, x_prev))
 
 
-def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, event=None):
+def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, event=None, *, g0=None):
     """Iterate x_{k+1} = x_k - alpha_k grad(x_k), recording every state.
 
     Requires sup alpha < 2/L, gtol in [0, inf) and max_iter a nonnegative
@@ -69,11 +69,14 @@ def run_gd(f, x0, s, gtol=1e-10, max_iter=10**6, event=None):
     (budget_exhausted) or box exit (left_box, not a fault).
     ``event`` is a :func:`march` stop event, asked at each state before
     those tests (its fx is None); a minimum reach ends the run with it on
-    the first state in its certified ball.
+    the first state in its certified ball.  ``g0``, grad f(x0) as f's
+    lane takes it, when the caller has it, is the first state's gradient
+    in place of a fresh one: a discrete reach passes the gradient its
+    reverse orbit took at its root x0.
     """
     runner = _Descent(f, s, max_iter, gtol)
     require_admissible(s, f, "stability", "run_gd")
-    return recorded(f, *runner.march(x0, event=event), runner.provenance)
+    return recorded(f, *runner.march(x0, event=event, g0=g0), runner.provenance)
 
 
 def classify_limit(f, x, tol=1e-6):

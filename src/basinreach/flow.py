@@ -16,11 +16,12 @@ calls a step for its 12 gradients.  A crossing is a stop event: it tests the
 state a step reached and locates the crossing on that step's
 interpolant, whose three extra stages are the only gradients it costs.
 Every run steps at the relative tolerance RTOL from the first trial step
-min(h, H_STABLE / L), except a minimum reach's two legs, which read no h:
-its reverse flow to its sphere steps at REVERSE_RTOL from the cap H_STABLE
-/ L itself, and its forward flow from x0 at RTOL from FORWARD_OPENING times
-the step that reverse flow's controller proposed last, with the gradient
-that flow took at x0 as its first state's field; the comments at the
+min(h, H_STABLE / L), except a reach's two legs.  A minimum reach's
+reverse flow to its sphere steps at REVERSE_RTOL from the cap H_STABLE / L
+itself.  Every flow reach's forward flow from x0 opens at the step its
+reverse flow's controller proposed last, rescaled to RTOL
+(FORWARD_OPENING for a minimum, 1 for a saddle), with the gradient that
+flow took at x0 as its first state's field; the comments at the
 constants say why.
 """
 
@@ -60,16 +61,18 @@ SEED_FLOOR_RTOL = 1e-12
 # the knee: on the benchmark's flow_minima, opening at the cap, gradient
 # points per reach are 148, 121, 109 and 102 at 1e-7, 1e-5, 1e-4 and 1e-3
 REVERSE_RTOL = 1e-4
-# the reach's forward flow from x0 opens where that reverse leg's controller
-# left off: the step it proposed after the step that crossed the sphere at
-# x0 is the step it measured there for REVERSE_RTOL.  An order-q pair's
-# error scales as h^q, so the step for a tolerance scales as tol^(1/q)
-# (Hairer, Norsett & Wanner, II.4): at RTOL, with q = 8 the order PI_ALPHA
-# is derived from, it is that step times FORWARD_OPENING = 10^-0.75, about
-# 0.178, below the cap H_STABLE / L, as that step is at most the cap.  So
-# neither leg reads h, and a reach on a certified radius writes the same
-# bytes at every h (the stability probe, run only where there is none,
-# reads h)
+# every flow reach's forward flow from x0 opens where its reverse leg's
+# controller left off: the step it proposed after the step that crossed the
+# sphere at x0 is the step it measured there for its tolerance rtol_reverse.
+# An order-q pair's error scales as h^q, so the step for a tolerance scales
+# as tol^(1/q) (Hairer, Norsett & Wanner, II.4): at RTOL, with q = 8 the
+# order PI_ALPHA is derived from, it is that step times (RTOL /
+# rtol_reverse)^(1/8), at most the cap H_STABLE / L, as that step is.  For
+# a minimum, rtol_reverse = REVERSE_RTOL, and the factor is FORWARD_OPENING
+# = 10^-0.75, about 0.178: neither leg reads h, and a reach on a certified
+# radius writes the same bytes at every h (the stability probe, run only
+# where there is none, reads h).  For a saddle both legs run at RTOL, the
+# factor is 1, and h is read only for the reverse leg's first trial step
 FORWARD_OPENING = (RTOL / REVERSE_RTOL) ** (1.0 / 8.0)
 # the PI step controller of Hairer's codes: h_new = h PI_SAFE err^-PI_ALPHA
 # err_old^PI_BETA with h_new / h in [PI_MIN, PI_MAX], the exponent in DOPRI5's
@@ -162,10 +165,12 @@ class NoCrossingError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowSettings:
-    """h is the adaptive flow's first trial step, capped at H_STABLE/L
-    (neither leg of a minimum reach reads h: its reverse flow to its
-    sphere opens at the cap, and its forward flow from x0 where that
-    reverse flow's controller left off, as ``FORWARD_OPENING`` says).
+    """h is the adaptive flow's first trial step, capped at H_STABLE/L.
+    A reach's forward flow from x0 does not read it, but opens where its
+    reverse flow's controller left off, as the comment at
+    ``FORWARD_OPENING`` says; so a saddle reach reads h only for its
+    reverse flow's first trial step, and a minimum reach, whose reverse
+    flow opens at the cap, reads it in neither leg.
     Every run, forward or reverse, ends by ``march``'s stops: its event,
     the box, |grad f| < gtol or time t_max.  A reverse run is the gradient
     flow of -f, so for a definable f one that stays in the box converges
@@ -206,14 +211,13 @@ class _Flow:
     the step size min(h0, h_max), h_max = H_STABLE / L the cap on every
     step and h0 the caller's (inf to open at the cap), else settings.h;
     ``h`` is the step the controller proposed after the last accepted
-    step; ``known`` is a (point, grad f there) pair that ``field`` reads
-    in place of a fresh gradient: a march's start, when its caller hands
-    in g0, or a sphere exit's located crossing;
-    ``step`` retries a rejected step with a smaller one and keeps its own
-    step size, clamping the step that would pass t_max onto it, and takes
-    stage 13 only once the step is accepted; ``field`` hands that stage
-    back; ``cross`` locates an event on the last step's dense output
-    ``at``, ``locate`` a level crossing."""
+    step; ``known`` is a sphere exit's located crossing and grad f there,
+    which ``field`` reads in place of a fresh gradient (a march's g0, its
+    start's gradient, goes to :func:`march`); ``step`` retries a rejected
+    step with a smaller one and keeps its own step size, clamping the step
+    that would pass t_max onto it, and takes stage 13 only once the step is
+    accepted; ``field`` hands that stage back; ``cross`` locates an event
+    on the last step's dense output ``at``, ``locate`` a level crossing."""
 
     def __init__(self, f, direction, settings, rtol=RTOL, h0=None):
         if direction not in DIRECTIONS:
@@ -232,9 +236,9 @@ class _Flow:
     def march(self, x0, event=None, value=None, g0=None):
         x = start(self.f, x0)
         self.h, self.err_old, self.x_new = self.h0, 1e-4, None  # no state from an earlier run
-        self.known = (x, g0) if g0 is not None else (None, None)
+        self.known = (None, None)
         return march(self.f, x, self.field, self.step, None, self.gtol,
-                     event=event, value=value, t_end=self.settings.t_max)
+                     event=event, value=value, t_end=self.settings.t_max, g0=g0)
 
     def field(self, x):
         if x is self.x_new:
@@ -314,12 +318,13 @@ def integrate(f, x0, direction, settings, event=None, *, g0=None):
     has it, is the first state's field in place of a fresh gradient.  A
     minimum reach ends its forward flow with its certified ball's event,
     opens it at ``FORWARD_OPENING`` times its reverse flow's last proposed
-    step and passes as g0 the gradient that flow took at x0."""
+    step and passes as g0 the gradient that flow took at x0, as a saddle
+    reach does for ``integrate_minnorm``."""
     flow = _Flow(f, direction, settings)
     return recorded(f, *flow.march(x0, event=event, g0=g0), flow.provenance)
 
 
-def integrate_minnorm(f, x0, level, settings):
+def integrate_minnorm(f, x0, level, settings, *, g0=None):
     """The minimum-norm Clarke flow of g = max{f, level}: forward DOP853
     flow on f until f(x) <= level, its limit the crossing located where f
     meets the level on the last step's dense output, with level -
@@ -328,10 +333,13 @@ def integrate_minnorm(f, x0, level, settings):
     subdifferential is grad f; on {f <= level} the constant piece is
     active, 0 is in the subdifferential and the flow stalls there.  A
     start at or below the level is its own limit; a run that ends above
-    the level (at gtol, t_max or the box) has none."""
+    the level (at gtol, t_max or the box) has none.  ``g0`` is
+    :func:`integrate`'s: a saddle reach passes the gradient its reverse
+    flow took at x0, and opens this flow where that flow's controller
+    left off."""
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level!r}")
-    return _to_level(f, level, _Flow(f, "forward", settings), x0)[0]
+    return _to_level(f, level, _Flow(f, "forward", settings), x0, g0)[0]
 
 
 def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False):
@@ -342,13 +350,15 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
     point), LeftBoxError when it leaves the box first.  The trajectory's
     provenance keeps, as h_next, the step the controller proposed after
     the step that crossed, and as g_exit grad f(b), a point of f's lane,
-    which the run takes once, for its last state: a minimum reach opens
-    its forward flow from b at h_next FORWARD_OPENING, with g_exit its
-    first state's field.  A minimum reach's exit (``minimum``) flows at
-    REVERSE_RTOL from the first trial step H_STABLE / L, not min(h,
-    H_STABLE / L), so it reads no h, and takes b on the inner side: the
-    crossing of the sphere of radius delta (1 - 5e-9), located to 4e-9
-    delta, so delta (1 - 5e-9) <= |b - center| <= delta (1 - 1e-9)."""
+    which the run takes once, for its last state: every flow reach opens
+    its forward flow from b at h_next (RTOL / rtol)^(1/8), rtol this run's
+    tolerance (h_next FORWARD_OPENING for a minimum, h_next for a saddle),
+    with g_exit its first state's field.  A minimum reach's exit
+    (``minimum``) flows at REVERSE_RTOL from the first trial step H_STABLE
+    / L, not min(h, H_STABLE / L), so it reads no h, and takes b on the
+    inner side: the crossing of the sphere of radius delta (1 - 5e-9),
+    located to 4e-9 delta, so delta (1 - 5e-9) <= |b - center| <= delta
+    (1 - 1e-9)."""
     lane = f._lane
     flow = (_Flow(f, direction, settings, REVERSE_RTOL, h0=math.inf) if minimum
             else _Flow(f, direction, settings))

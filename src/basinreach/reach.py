@@ -73,7 +73,7 @@ from itertools import chain
 import numpy as np
 
 from .descent import _Descent, classify_limit, run_gd
-from .flow import (FORWARD_OPENING, SEED_FLOOR_RTOL, FlowSettings, NoCrossingError, _Flow,
+from .flow import (REVERSE_RTOL, RTOL, SEED_FLOOR_RTOL, FlowSettings, NoCrossingError, _Flow,
                    _sphere_exit_detail, integrate, integrate_minnorm, path_length)
 from .landscape import (LeftBoxError, norm, require_count, require_integer,
                         require_nonnegative_finite, require_positive_finite, row_norms)
@@ -492,7 +492,8 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     follows an orbit that curves.  A box exit or a root past cap is an
     overshoot.  A guess outside the bracket falls back to bisection, or to
     doubling S while nothing has overshot; the search fails once the
-    bracket closes or kbar_max is passed.
+    bracket closes or kbar_max is passed.  Each rebuild starts from the
+    gradient at a that the first build took.
     """
     lane, center = f._lane, f._lane.point(target)
     outside = lambda x: lane.norm(lane.sub(x, center)) > rho  # x a point of f's lane
@@ -519,8 +520,10 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     # S(1) = alpha_0, so the first horizon is at least 1
     lo, hi = horizon(max(bound, s.alpha(0))) - 1, kbar_max + 1
     kbar, aim, last = lo + 1, math.log(math.sqrt(rho * cap) / r_a), (0.0, 0.0)
+    g_a = None  # grad f(a), taken by the first build
     while lo < kbar < hi:
-        orbit = reverse_orbit(f, a, s, kbar)
+        orbit = reverse_orbit(f, a, s, kbar, g0=g_a)
+        g_a = orbit.gradients[-1]
         r = norm(orbit.points[0] - target)
         if orbit.status == "complete" and r <= rho:
             lo = kbar
@@ -586,18 +589,23 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     alpha, is at most seed_radius, so that the seeds lie inside B_rho: as aL
     < 1, rho > 0.6 delta >= seed_radius once aL < 1/4, so it halves twice at
     most, and the scan tries each seed once, at that one scale; a flow or
-    saddle reach scans at rho = delta.  Success iff the forward run has a
-    limit (its convergence point or level crossing) within tol; the distance
-    is from the limit, else from the last state.  A run stopped in the
-    certified ball B_r has the target as its limit (the module docstring),
-    so it reports 0.  A minimum whose objective has a Hessian takes one eigh
-    of it at the target (``_Basin.spectrum``): lambda_min sizes B_r,
-    lambda_max its L_r, and the seed scan leads with +-v_max, along which an
-    ascent step grows |x - target| by 1/(1 - alpha lambda_max) and f(a) - f*
-    ~ lambda_max r^2/2 > 0, so the orbit's length does not grow with the
-    condition number; the axes follow, then the quasi-random directions.  A
-    saddle target's limit is the level crossing; it scans quasi-random
-    directions before the axes, which can lie on its stable manifold.
+    saddle reach scans at rho = delta.  The forward run starts in the state
+    the reverse leg ended in, so x0 costs one gradient: from the gradient
+    the orbit took at its root x0 or the reverse flow at its crossing x0,
+    and a flow at the step that flow's controller proposed last, rescaled
+    from its tolerance to RTOL (``flow.FORWARD_OPENING``).  Success iff the
+    forward run has a limit (its convergence point or level crossing)
+    within tol; the distance is from the limit, else from the last state.
+    A run stopped in the certified ball B_r has the target as its limit
+    (the module docstring), so it reports 0.  A minimum whose objective has
+    a Hessian takes one eigh of it at the target (``_Basin.spectrum``):
+    lambda_min sizes B_r, lambda_max its L_r, and the seed scan leads with
+    +-v_max, along which an ascent step grows |x - target| by 1/(1 - alpha
+    lambda_max) and f(a) - f* ~ lambda_max r^2/2 > 0, so the orbit's length
+    does not grow with the condition number; the axes follow, then the
+    quasi-random directions.  A saddle target's limit is the level
+    crossing; it scans quasi-random directions before the axes, which can
+    lie on its stable manifold.
     """
     saddle = delta is not None
     name = "reach_general" if saddle else "reach_discrete"
@@ -648,16 +656,20 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     else:
         a, (x0, rev) = found
         event = basin.event if basin and basin.ball else None
-        if saddle:
-            fwd = (_run_to_level(f, x0, dynamics, level, gtol, b.max_iter)[0] if descent
-                   else integrate_minnorm(f, x0, level, dynamics))
-        elif descent:
-            fwd = run_gd(f, x0, dynamics, gtol=gtol, max_iter=b.max_iter, event=event)
-        else:  # opened where the reverse leg's controller left off, whatever h is,
-            # from the gradient that leg took at x0, its located crossing
-            opening = rev.provenance["h_next"] * FORWARD_OPENING
-            fwd = integrate(f, x0, "forward", dataclasses.replace(dynamics, h=opening),
-                            event=event, g0=rev.provenance["g_exit"])
+        if descent:  # from the gradient the orbit took at its root x0
+            g0 = rev.gradients[0]
+            fwd = (_run_to_level(f, x0, dynamics, level, gtol, b.max_iter, g0=g0)[0] if saddle
+                   else run_gd(f, x0, dynamics, gtol=gtol, max_iter=b.max_iter, event=event,
+                               g0=g0))
+        else:  # from the gradient the reverse leg took at x0, its located crossing, and
+            # where that leg's controller left off, its step rescaled from the leg's
+            # tolerance to RTOL: by FORWARD_OPENING for a minimum, by 1 for a saddle
+            rtol_reverse = RTOL if saddle else REVERSE_RTOL
+            opened = dataclasses.replace(
+                dynamics, h=rev.provenance["h_next"] * (RTOL / rtol_reverse) ** (1.0 / 8.0))
+            g0 = rev.provenance["g_exit"]
+            fwd = (integrate_minnorm(f, x0, level, opened, g0=g0) if saddle
+                   else integrate(f, x0, "forward", opened, event=event, g0=g0))
         end = fwd.limit if fwd.limit is not None else fwd.final_x
         dist = norm(end - target)
         if fwd.provenance.get("stopped_on") == "certified_ball":
@@ -694,11 +706,11 @@ def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=Non
     return _reach(f, target, epsilon, settings, seed_radius, tol, budgets)
 
 
-def _run_to_level(f, x0, s, level, gtol, max_iter):
+def _run_to_level(f, x0, s, level, gtol, max_iter, *, g0=None):
     """GD until f(x_k) <= level; returns (trajectory, crossing or None),
     the crossing the secant of ``_Descent.locate`` on the step that reached
-    the level."""
-    return _to_level(f, level, _Descent(f, s, max_iter, gtol), x0)
+    the level; ``g0`` is ``run_gd``'s."""
+    return _to_level(f, level, _Descent(f, s, max_iter, gtol), x0, g0)
 
 
 def reach_general(f, target, epsilon, dynamics, seed_radius, tol=1e-2, delta=None,
@@ -711,10 +723,14 @@ def reach_general(f, target, epsilon, dynamics, seed_radius, tol=1e-2, delta=Non
     max{f, c}, c = f(target), under which the target is a local minimum
     of g: the forward flow on f, stalled where it meets the level set f =
     c, located on the dense output.  The reported distance is from that
-    crossing to the target.
+    crossing to the target.  Both legs step at ``flow.RTOL``, so the
+    forward flow opens at the step the reverse flow's controller proposed
+    last, unscaled, and settings.h is read only for the reverse flow's
+    first trial step.
     StepSchedule: reverse orbit through {f > f(target)} on f itself, forward
     replay, and linear interpolation to the first crossing of the level
-    f(target).  Under both the distance shrinks with seed_radius.
+    f(target).  Under both the forward run starts from the gradient the
+    reverse leg took at x0, and the distance shrinks with seed_radius.
     Axis directions are scanned last: they can lie on the stable manifold.
     No eigenvector leads the scan, as +-v_max does at a minimum: a
     saddle's top eigenvector is tangent to its stable manifold, from which

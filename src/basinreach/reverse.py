@@ -359,7 +359,7 @@ def ascent_prox(f, xnext, a):
     return np.array(_ascent_step(f, start(f, xnext, "xnext"), a)[0])
 
 
-def reverse_orbit(f, a, s, kbar, stop=None):
+def reverse_orbit(f, a, s, kbar, stop=None, *, g0=None):
     """Build x_kbar = a and x_k = ascent_prox(f, x_{k+1}, alpha_k) for
     k = kbar-1 down to 0.
 
@@ -370,15 +370,18 @@ def reverse_orbit(f, a, s, kbar, stop=None):
 
     With ``stop`` (constant, p = 0, only) the march ends at the first
     point x, a point of f's lane, with stop(x), or after kbar steps; the K
-    steps taken are indexed K-1 down to 0.  The anchor's gradient is taken
-    once, after the first stop test (or at the end, when no step is
+    steps taken are indexed K-1 down to 0.  The anchor's gradient is
+    ``g0``, grad f(a) as f's lane takes it, when the caller has it (a
+    horizon search hands each rebuild the one its last build took), else
+    taken once, after the first stop test (or at the end, when no step is
     taken); each later solve starts from the gradient and the norm its
     predecessor returned, and its mixing history from the last two steps,
     kept as they are, (x_{k+1}, x_k, grad(x_{k+1}), grad(x_k)) newest
-    first, so m solves cost one gradient plus their iterations less one
-    each, and 2m + 1 norms.  Each solve also starts its first mixed point
-    from the miss its predecessor returned (:func:`_picard`), which only
-    moves where the iteration starts.  The orbit keeps the gradients.
+    first, so m solves cost one gradient (none with g0) plus their
+    iterations less one each, and 2m + 1 norms.  Each solve also starts
+    its first mixed point from the miss its predecessor returned
+    (:func:`_picard`), which only moves where the iteration starts.  The
+    orbit keeps the gradients.
 
     Each solve stops on its first y = x_k with |T(y) - y| <=
     FIXED_POINT_RTOL (1 + min(|x_{k+1}|, |x_k|)), 0.999e-10, and every
@@ -396,8 +399,8 @@ def reverse_orbit(f, a, s, kbar, stop=None):
     # solve starts from a point its predecessor's Picard test kept in the box
     require_admissible(s, f, "prox", "reverse_orbit")
     lane = f._lane
-    g, xnorm, steps, miss = None, None, [], None
-    points, residuals, grads = [anchor.copy()], [], []
+    g, xnorm, steps, miss = g0, None, [], None
+    points, residuals, grads = [anchor.copy()], [], [] if g0 is None else [g0]
     status = "complete"
     for k in range(kbar - 1, -1, -1):
         if stop is not None and stop(x):

@@ -150,13 +150,15 @@ def start(f, x0, what="x0"):
 
 
 def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None,
-          t_end=math.inf):
+          t_end=math.inf, g0=None):
     """The single-run stepping loop; returns (steps, status, limit, stop)
     for :func:`recorded`.
 
     From the start x, a point of f's lane, each state is kept as (t, x,
     |v|) with v = field(x), or (t, x, |v|, f(x)) when ``value`` takes f
-    per state.  The next state is (t, x) = step(k, t, x, v).  The run
+    per state; ``g0``, when the caller has field(x) at the start (the
+    state its reverse leg ended in), is that state's v in place of a
+    fresh field(x).  The next state is (t, x) = step(k, t, x, v).  The run
     ends on the first of, tested at each state in this order:
 
     - ``event(prev, t, x, fx)`` returns (status, limit, t_end, x_end,
@@ -184,7 +186,7 @@ def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None
             status, limit, t, x_end, stop = hit
             if x_end is not x:
                 x, fx = x_end, None if value is None else value(x_end)
-        v = field(x)
+        v = field(x) if k or g0 is None else g0
         vn = norm(v)
         keep((t, x, vn) if value is None else (t, x, vn, fx))
         if hit is not None:
@@ -200,20 +202,21 @@ def march(f, x, field, step, n_steps, gtol=0.0, box=True, event=None, value=None
         k += 1
 
 
-def _to_level(f, level, runner, x0):
-    """(trajectory, crossing or None) of runner's march from x0 down to the
-    level set {f <= level}, which ends on its first state x with f(x) <=
-    level; the crossing, its limit, is runner.locate(level, prev, x, fx)
-    on the step that reached x, or the start itself, and names its stop
-    (stopped_on = "level_crossing").  A run that ends above the level (it
-    stalled at a critical point, or ran out of box or budget) has none."""
+def _to_level(f, level, runner, x0, g0=None):
+    """(trajectory, crossing or None) of runner's march from x0 (g0, when
+    given, the field there) down to the level set {f <= level}, which ends
+    on its first state x with f(x) <= level; the crossing, its limit, is
+    runner.locate(level, prev, x, fx) on the step that reached x, or the
+    start itself, and names its stop (stopped_on = "level_crossing").  A
+    run that ends above the level (it stalled at a critical point, or ran
+    out of box or budget) has none."""
     def crossed(prev, t, x, fx):
         if not fx <= level:
             return None
         crossing = x if prev is None else runner.locate(level, prev, x, fx)
         return "converged", np.array(crossing), t, x, {"stopped_on": "level_crossing"}
 
-    steps, status, limit, stop = runner.march(x0, event=crossed, value=f.value)
+    steps, status, limit, stop = runner.march(x0, event=crossed, value=f.value, g0=g0)
     crossing = None if stop is None else limit
     return recorded(f, steps, status, crossing, stop, runner.provenance), crossing
 

@@ -213,7 +213,11 @@ def test_reach_replays_to_the_configured_gtol(tmp_path):
 # discrete saddle's re-recorded when every ascent solve came to stop at 1e-11,
 # again when each orbit solve came to start from the last one's miss, and
 # again when each came to stop on its first y with |T(y) - y| <= 0.999e-10 (1
-# + min(|x_{k+1}|, |y|)) (the same success and final distance, 9.22457e-4)
+# + min(|x_{k+1}|, |y|)) (the same success and final distance, 9.22457e-4);
+# the continuous saddle's forward.csv re-recorded when its Clarke flow came to
+# open at the step its reverse flow's controller proposed last, not at min(h,
+# 6/L): 11 states where it took 14, the same reverse.csv, and the final
+# distance 9.284441528854945e-4 -> 9.284441519645128e-4
 SADDLE = ["reach", "--general", "--function", "himmelblau", "--target-index", "8",
           "--epsilon", "1.0", "--seed-radius", "1e-3", "--tol", "1e-2"]
 UNMOVED = {
@@ -222,7 +226,7 @@ UNMOVED = {
         "reverse.csv": "024440f71f1cec63a7e9f96bee375da12c074aa45092d5609020df5f46c64f42"}),
     "saddle-continuous": (SADDLE + ["--mode", "continuous", "--h", "3e-4", "--t-max", "50",
                                     "--gtol", "1e-6", "--delta", "0.1"], {
-        "forward.csv": "09df40d7cab5169bc7df24aad3b0f7d799a4730f220435d62b49d95f25c3ebc6",
+        "forward.csv": "5b3b2f2b6ba96d52f1bcb4292531c903509af7e18094b69b410151ee2b699a6a",
         "reverse.csv": "d3aa8ef878e01544b3ec1d42cbf30bef9128c5ae52039649914009a548928a0f"}),
     "dw-probe": (["probe", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
                   "--schedule", "constant:0.021"], {

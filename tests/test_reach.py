@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -1798,6 +1799,42 @@ def test_a_minimum_flow_reach_takes_the_gradient_at_x0_once():
             assert getattr(full, c)[:n].tobytes() == getattr(rep.forward_part, c).tobytes()
 
 
+def test_no_reach_takes_a_gradient_twice(himmelblau):
+    # each forward leg starts from the gradient its reverse leg took at x0
+    # (the orbit's at its root, or the reverse flow's at its located
+    # crossing), and each rebuild of a power schedule's orbit from the one
+    # its last build took at the anchor: over every builtin minimum under a
+    # constant and a power schedule and flow, and every himmelblau saddle in
+    # both modes, no point's gradient is taken twice, a batch's rows counted
+    # one by one
+    def spy(f):
+        seen = collections.Counter()
+
+        def grad(x):
+            seen.update(row.tobytes() for row in np.array(x, dtype=float).reshape(-1, f.dim))
+            return f.grad(x)
+        return dataclasses.replace(f, grad=grad), seen
+
+    flow = br.FlowSettings(h=1e-3, t_max=20.0, gtol=1e-6)
+    runs = [(reach, f, target, eps, dynamics, 1e-4, None)
+            for f, target, eps in builtin_minima()
+            for reach, dynamics in ((br.reach_discrete, br.constant(0.5 / f.lipschitz_L)),
+                                    (br.reach_discrete, br.power(0.5 / f.lipschitz_L, 0.5)),
+                                    (br.reach_continuous, flow))]
+    runs += [(br.reach_general, himmelblau, himmelblau.critical_points[i].point, 1.0,
+              dynamics, 1e-2, 0.1)
+             for i in HIMMELBLAU_SADDLES
+             for dynamics in (br.constant(0.0015),
+                              br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6))]
+    for reach, f, target, eps, dynamics, tol, delta in runs:
+        g, seen = spy(f)
+        extra = {} if delta is None else {"delta": delta}
+        rep = reach(g, target, eps, dynamics, 1e-3, tol=tol, **extra)
+        assert rep.status == "success", (f.name, target, dynamics)
+        twice = [np.frombuffer(point).tolist() for point, n in seen.items() if n > 1]
+        assert twice == [], (f.name, target, dynamics)
+
+
 def test_a_saddle_reach_keeps_the_full_reverse_accuracy(himmelblau):
     # the forward Clarke flow retraces the reverse flow near the saddle, so
     # a saddle's reverse flow runs at RTOL: its x0 and reverse part are the
@@ -1996,6 +2033,44 @@ def test_saddle_crossing_accuracy_does_not_follow_h(himmelblau, h):
         assert rep.status == "success", (i, delta, seed_radius)
         gap = level - himmelblau.value(rep.forward_part.limit)
         assert 0.0 <= gap <= 1e-12 * (1.0 + abs(level)), (i, delta, seed_radius, gap)
+
+
+def saddle_flow_legs(monkeypatch, himmelblau, i, st):
+    """(report, reverse steps, forward steps) of a continuous reach of
+    himmelblau's saddle i at delta 0.1: the signed length of each attempted
+    DOP853 step of either leg, up f (reverse) or down it (forward)."""
+    calls = count_flow_steps(monkeypatch)
+    rep = br.reach_general(himmelblau, himmelblau.critical_points[i].point, 1.0, st, 1e-3,
+                           tol=1e-2, delta=0.1)
+    assert rep.status == "success"
+    return (rep, [args[2] for args, _ in calls if args[2] > 0.0],
+            [args[2] for args, _ in calls if args[2] < 0.0])
+
+
+@pytest.mark.parametrize("i", HIMMELBLAU_SADDLES)
+def test_a_saddle_flow_reach_opens_its_forward_leg_where_its_reverse_leg_left_off(
+        monkeypatch, himmelblau, i):
+    # both legs step at RTOL, so the forward Clarke flow opens at the step
+    # the reverse flow's controller proposed after the step that crossed
+    # the sphere at x0, unscaled, within the cap; h is read only for the
+    # reverse flow's first trial step
+    st = br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6)
+    rep, back, ahead = saddle_flow_legs(monkeypatch, himmelblau, i, st)
+    cap, h_next = H_STABLE / himmelblau.lipschitz_L, rep.reverse_part.provenance["h_next"]
+    assert back[0] == min(st.h, cap)
+    assert -ahead[0] == min(cap, h_next) != min(st.h, cap)
+
+
+# attempted DOP853 steps of a continuous saddle reach's forward Clarke flow
+# from x0 at h 3e-4: 13 / 15 / 10 / 11 from the step its reverse flow's
+# controller proposed last, plus one, below the 15 / 18 / 13 / 13 taken from
+# the first trial step min(h, 6/L) = 3e-4, with at most 2 rejected
+@pytest.mark.parametrize("i,forward_max", [(5, 14), (6, 16), (7, 11), (8, 12)])
+def test_saddle_flow_forward_step_ceilings(monkeypatch, himmelblau, i, forward_max):
+    st = br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6)
+    rep, _, ahead = saddle_flow_legs(monkeypatch, himmelblau, i, st)
+    accepted = len(rep.forward_part) - 1
+    assert accepted <= len(ahead) <= min(forward_max, accepted + 2)
 
 
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])

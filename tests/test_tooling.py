@@ -56,8 +56,8 @@ def test_continuous_saddle_reach_runs_integrate_minnorm_through_reach(monkeypatc
     runs = []
     minnorm = reach_mod.integrate_minnorm
 
-    def counted(*args):
-        runs.append(minnorm(*args))
+    def counted(*args, **kwargs):
+        runs.append(minnorm(*args, **kwargs))
         return runs[-1]
     monkeypatch.setattr(reach_mod, "integrate_minnorm", counted)
     target = himmelblau.critical_points[8].point
