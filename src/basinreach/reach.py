@@ -37,7 +37,10 @@ M there is no B_r.  The capture set K = {x in B_epsilon : f(x) < c}, for
 add nothing), c a certified lower bound of f on the epsilon-sphere
 (``_capture_level``; in 2-D the floor of a circle grid, with f evaluated
 only where first-order minorants from a coarse pass leave a point in
-play, and grad f only where the point's value still does).  With alpha <
+play, and grad f only where the point's value still does; with M, the
+minorants' curvature and the gradient bound come from the spectrum of
+hess f(target) widened by M epsilon, which holds on all of B_epsilon,
+not from L).  With alpha <
 2/L the descent lemma gives f(x - t alpha g) <= f(x) < c for t in [0, 1],
 so a GD step from K never crosses the sphere; the exact flow is monotone
 in f.  In K, sum alpha_k (1 -
@@ -173,7 +176,7 @@ def _spectrum(f, target):
     return float(lam[0]), float(lam[-1]), (v if v[np.argmax(np.abs(v))] > 0.0 else -v)
 
 
-def _capture_level(f, target, epsilon):
+def _capture_level(f, target, epsilon, curvature=None):
     """c <= min f on the epsilon-sphere around target, or None.  1-D: the
     smaller sphere value; 2-D: each of N = CAPTURE_GRID circle points y_i
     lies within the chord d = 2 epsilon sin(pi/(2N)) of its arc, where f >=
@@ -186,41 +189,59 @@ def _capture_level(f, target, epsilon):
     from a coarse neighbour y_i on either side, y_j - y_i = epsilon u with
     u the tabled unit chord (``_CHORDS``), |u| = 2 sin(pi n/N) <= 2.  The
     chord lies in B_epsilon and so in the box, where grad f is L-Lipschitz,
-    so f(y_j) >= f_i + epsilon <g_i, u> - L epsilon^2 |u|^2/2, the
+    so f(y_j) >= f_i + epsilon <g_i, u> - L_c epsilon^2 |u|^2/2, the
     first-order minorant of Breiman & Cutler's global optimisation (1993,
-    Math. Program. 58:179-199), and |grad f(y_j)| <= |g_i| + L epsilon |u|,
-    the ceiling.  From each side, over the whole table at once, a fill point
-    gets its minorant less d times its ceiling, f_i + epsilon <g_i, u> - L
-    epsilon^2 |u|^2/2 - d (|g_i| + L epsilon |u|), and d times the ceiling.
-    A fill point is skipped where a lower bound of its b_j, less L d^2/2
-    and its own 1e-12 (1 + |f(y_j)|), is above c_1 + mu:
+    Math. Program. 58:179-199), and |grad f(y_j)| <= |g_i| + L_g epsilon
+    |u|, the ceiling, with L_c = L_g = L.  ``curvature`` = (lambda_min,
+    lambda_max, M), the extreme eigenvalues of the float hess f(target)
+    and the objective's ``hessian_lipschitz``, tightens both to the
+    target's own: on B_epsilon every Hessian lies within M epsilon of the
+    exact hess f(target) (Nesterov & Polyak 2006, Lemma 1), whose
+    eigenvalues lie within e = SPECTRUM_RTOL n |H|_2 of the computed ones,
+    |H|_2 = max(|lambda_min|, |lambda_max|): e is twice ``_Basin``'s bound
+    on the eigenvalue error, the margin ``_Basin.ball`` uses.  So every
+    Hessian on a chord is at least (lambda_min - e - M epsilon) I, and its
+    spectral norm at most |H|_2 + e + M epsilon: L_c = min(L, M epsilon +
+    e - lambda_min), negative where the chord is strongly convex, and L_g =
+    min(L, |H|_2 + e + M epsilon).  From each side, over the whole
+    table at once, a fill point gets its minorant less d times its
+    ceiling, f_i + epsilon <g_i, u> - L_c epsilon^2 |u|^2/2 - d (|g_i| +
+    L_g epsilon |u|), and d times the ceiling.  A fill point is skipped
+    where a lower bound of its b_j, less L d^2/2 and its own 1e-12 (1 +
+    |f(y_j)|), is above c_1 + mu:
     - with no evaluation, where on both sides its minorant less d times
       its ceiling is;
     - with its value alone, where f(y_j) less d times the smaller ceiling
       is;
     and the rest take a gradient and their b_j.  c is the least b of the
     points with a gradient, c_1 among them.  No call has an empty batch.
+    Each b_i keeps L, so the constants move only which points are taken.
 
     The margin is mu = 1e-12 (1 + |c_1| + 2 Phi), Phi = 1 + max |f_i| +
     (max |g_i| + 4 L epsilon) (4 epsilon + |target|_inf) over the coarse
     pass, which bounds every term of both tests and of a skipped b_j (as
-    |f(y_j)| <= |f_i| + 2 epsilon |g_i| + 2 L epsilon^2).  So mu holds the
-    term 1e-12 (1 + |f(y_j)|) <= 1e-12 Phi that the tests leave out.  A
-    float point target + epsilon * (unit point) lies within 2^-53
-    (|target|_inf + 3 epsilon) of its ideal point in each coordinate, and a
-    tabled chord u, the float difference of two unit points, within 1e-15
-    of its ideal chord, so the float chord y_j - y_i differs from epsilon u
-    by less than 2e-15 (|target|_inf + epsilon), which moves a minorant or
-    a ceiling by less than 3e-15 Phi; the float arithmetic of a test or of
-    b_j, a few dozen roundings, errs by less than 1e-14 Phi.  More than
-    1e-12 (1 + |c_1| + Phi/2) of mu is left, the allowance for rounding in
-    f and grad f themselves, between which the Lipschitz bounds hold.  So
-    a skipped point's float b_j is above c_1 >= c, and c is the least b_i
-    over the whole grid, bit for bit: each b_i comes from the same point,
-    value and gradient norm, by the same float expression, as in one pass
-    over the grid.  An objective that is not ``vectorized`` takes the same
-    points one row at a time, and so gives the same c from the same
-    counts."""
+    |f(y_j)| <= |f_i| + 2 epsilon |g_i| + 2 L epsilon^2): |L_c| and L_g
+    are at most L, as lambda_min - e is at most the exact lambda_min <=
+    L.  So mu holds the term 1e-12 (1 + |f(y_j)|) <= 1e-12 Phi that the
+    tests leave out.  A float point target + epsilon * (unit point) lies
+    within 2^-53 (|target|_inf + 3 epsilon) of its ideal point in each
+    coordinate, and a tabled chord u, the float difference of two unit
+    points, within 1e-15 of its ideal chord, so the float chord y_j - y_i
+    differs from epsilon u by less than 2e-15 (|target|_inf + epsilon),
+    which moves a minorant or a ceiling by less than 3e-15 Phi.  A float
+    point may lie that far outside B_epsilon, where the Hessian's bounds
+    widen by M times that distance; where L_c or L_g is below L, M epsilon
+    < 2L, so this moves a minorant or a ceiling by less than 1e-14 Phi,
+    and the roundings of L_c and L_g by a few u Phi.  The float arithmetic
+    of a test or of b_j, a few dozen roundings, errs by less than 1e-14
+    Phi.  More than 1e-12 (1 + |c_1| + Phi/2) of mu is left, the allowance
+    for rounding in f and grad f themselves, between which the Lipschitz
+    bounds hold.  So a skipped point's float b_j is above c_1 >= c, and c
+    is the least b_i over the whole grid, bit for bit: each b_i comes from
+    the same point, value and gradient norm, by the same float expression,
+    as in one pass over the grid.  An objective that is not ``vectorized``
+    takes the same points one row at a time, and so gives the same c from
+    the same counts."""
     L = f.lipschitz_L
     if not L > 0.0:
         return None
@@ -228,6 +249,12 @@ def _capture_level(f, target, epsilon):
         return float(f.values(target + np.array([[-epsilon], [epsilon]])).min())
     if f.dim != 2:
         return None
+    L_c = L_g = L
+    if curvature is not None:
+        lam, lam_max, M = curvature
+        top = max(abs(lam), abs(lam_max))
+        spread = SPECTRUM_RTOL * f.dim * top + M * epsilon
+        L_c, L_g = min(L, spread - lam), min(L, top + spread)
     d = 2.0 * epsilon * math.sin(math.pi / (2 * CAPTURE_GRID))
     half_ld2 = 0.5 * L * d * d
     rows = target + epsilon * _COARSE
@@ -240,9 +267,9 @@ def _capture_level(f, target, epsilon):
     level = c1 + 1e-12 * (1.0 + abs(c1) + 2.0 * phi) + half_ld2
     # d times each fill point's ceiling, and its minorant less that, from
     # its coarse neighbour on each side
-    dceil = (d * ac)[_SIDES, None] + (L * epsilon * d) * _CHORD_LEN
+    dceil = (d * ac)[_SIDES, None] + (L_g * epsilon * d) * _CHORD_LEN
     low = (fc[_SIDES, None] + (_CHORDS @ (epsilon * gc)[_SIDES, :, None])[..., 0]
-           - (0.5 * L * epsilon * epsilon) * _CHORD_SQ - dceil)
+           - (0.5 * L_c * epsilon * epsilon) * _CHORD_SQ - dceil)
     play = np.flatnonzero(np.maximum(*low) <= level)
     if not play.size:
         return c1
@@ -267,7 +294,11 @@ class _Basin:
     (``_spectrum``, None without a Hessian); ``ball``, (s, mu_s, L_s) of
     B_r, s = r, None without M or a Hessian or where lambda_min does not
     clear its rounding margin; and ``certificate``, (c, delta_cert), the
-    capture grid's only caller.
+    capture grid's only caller, which hands the grid (lambda_min,
+    lambda_max, M) wherever there is M and a Hessian: ``ball`` has read
+    the spectrum there already, so the grid takes no eigh of its own; it
+    widens that spectrum by SPECTRUM_RTOL n |H|_2 = 2 eta, the margin
+    ``ball`` asks lambda_min to clear (below).
 
     ``hit(t, x)`` ends a run on a state x in B_r as converged, the target
     its limit, naming the ball (stopped_on = "certified_ball", s, mu_s);
@@ -338,9 +369,14 @@ class _Basin:
 
     @cached_property
     def certificate(self):
-        # c only where B_r is not all of B_epsilon; a zero radius is none
+        # c only where B_r is not all of B_epsilon; a zero radius is none.
+        # The grid takes the target's curvature only with M, where ``ball``
+        # has read the spectrum already
         r = self.ball[0] if self.ball else 0.0
-        c = None if r >= self.epsilon else _capture_level(self.f, self.target, self.epsilon)
+        M = self.f.hessian_lipschitz
+        curvature = None if M is None or self.spectrum is None else (*self.spectrum[:2], M)
+        c = None if r >= self.epsilon else _capture_level(self.f, self.target, self.epsilon,
+                                                          curvature)
         if c is not None:
             r = max(r, math.sqrt(2.0 * max(c - self.f_star, 0.0) / self.f.lipschitz_L))
         return c, r or None

@@ -306,10 +306,10 @@ def test_probe_evaluation_counts(monkeypatch, dw, quad14, himmelblau):
         _, runs = probe_runs(f, [0.0, 0.0], 1.0, dynamics)
         assert len(runs) == 12 and calls == [] and counts == {"grad": 12, "value": 12}
     # a GD state costs one gradient and one value; the 1-D certificate takes
-    # the 2 sphere values, the 2-D one here 42 values and 28 gradients on its
-    # 256 grid points: both at the 16 coarse points, a value at the 26 fill
-    # points the minorants leave in play and a gradient at the 12 of them
-    # that their values leave in play
+    # the 2 sphere values, the 2-D one here 31 values and 28 gradients on its
+    # 256 grid points: both at the 16 coarse points, a value at the 15 fill
+    # points the minorants, from the target's own curvature, leave in play
+    # and a gradient at the 12 of them that their values leave in play
     f, counts = counting(WIDE_DW)
     _, runs = probe_runs(f, [1.0], 1.5, br.constant(0.5 / f.lipschitz_L), seed=0)
     states = sum(len(r.states) for r in runs)
@@ -317,7 +317,7 @@ def test_probe_evaluation_counts(monkeypatch, dw, quad14, himmelblau):
     f, counts = counting(himmelblau)
     _, runs = probe_runs(f, [3.0, 2.0], 1.0, br.constant(0.5 / f.lipschitz_L), seed=0)
     states = sum(len(r.states) for r in runs)
-    assert counts == {"grad": states + 28, "value": states + 42}
+    assert counts == {"grad": states + 28, "value": states + 31}
 
 
 @pytest.mark.parametrize("dynamics", [br.constant(0.2), br.FlowSettings(h=1e-2, t_max=20.0)],
@@ -477,31 +477,48 @@ TWO_PASS_POINTS = [0] * 5 + [64, 52, 52, 49, 67, 61, 49, 68, 61, 52, 49, 47, 44,
                              57, 85, 74, 66, 61, 66, 58, 51, 49, 64]
 
 
+def target_curvature(f, target):
+    """The (lambda_min, lambda_max, M) that ``_Basin`` hands the capture
+    grid, or None without a Hessian or M."""
+    if f.hessian is None or f.hessian_lipschitz is None:
+        return None
+    return (*reach_mod._spectrum(f, target)[:2], f.hessian_lipschitz)
+
+
 def test_two_pass_capture_level_is_the_full_grid_floor():
     # the coarse pass and the fill give the full grid's floor bit for bit on
     # every case, from no more gradients or values than the two-pass grid
-    # took; a himmelblau minimum at epsilon = 1 takes at most 28 gradients
-    # and 51 values of the 256 grid points
+    # took, and on the target's own curvature, where there is a Hessian and
+    # M, from no more than on L; a himmelblau minimum at epsilon = 1 takes
+    # at most 28 gradients and 37 values of the 256 grid points
     cases = capture_grid_cases()
     assert len(cases) == len(TWO_PASS_POINTS) == 32
     for (f, target, eps), before in zip(cases, TWO_PASS_POINTS):
-        counted, counts = counting(f)
-        c = reach_mod._capture_level(counted, target, eps)
-        assert c == capture_level_full_grid(f, target, eps), (f.name, target, eps)
-        assert counts["grad"] <= before and counts["value"] <= max(before, 2), (target, eps)
+        full = capture_level_full_grid(f, target, eps)
+        taken = []
+        for curvature in (None, target_curvature(f, target)):
+            counted, counts = counting(f)
+            assert reach_mod._capture_level(counted, target, eps, curvature) == full, (
+                f.name, target, eps, curvature)
+            taken.append(counts)
+        (grads, values), (local_grads, local_values) = ((c["grad"], c["value"]) for c in taken)
+        assert grads <= before and values <= max(before, 2), (target, eps)
+        assert local_grads <= grads and local_values <= values, (target, eps)
         if f.name == "himmelblau" and eps == 1.0:
-            assert 0 < counts["grad"] <= 28 and 0 < counts["value"] <= 51, counts
+            assert 0 < local_grads <= 28 and 0 < local_values <= 37, taken
 
 
 def test_capture_level_row_by_row_is_the_vectorized_level():
     # an objective that is not vectorized takes the same points one row at
-    # a time: the same c from the same counts
+    # a time: the same c from the same counts, on L and on the target's
+    # own curvature
     for f, target, eps in capture_grid_cases():
         rows = dataclasses.replace(f, vectorized=False)
-        (vf, vc), (rf, rc) = counting(f), counting(rows)
-        c = reach_mod._capture_level(vf, target, eps)
-        assert reach_mod._capture_level(rf, target, eps) == c
-        assert rc == vc, (f.name, target, eps)
+        for curvature in (None, target_curvature(f, target)):
+            (vf, vc), (rf, rc) = counting(f), counting(rows)
+            c = reach_mod._capture_level(vf, target, eps, curvature)
+            assert reach_mod._capture_level(rf, target, eps, curvature) == c
+            assert rc == vc, (f.name, target, eps, curvature)
 
 
 def grid_spy(f):
@@ -577,6 +594,62 @@ def test_two_pass_capture_level_evaluates_a_dip_between_coarse_points():
         assert p.tobytes() in seen["value"] and p.tobytes() in seen["grad"], j
         assert c < dip.value(p) < dip.values(Y[::S]).min() - 0.9 * a
         assert c == capture_level_full_grid(dip, np.zeros(2), 1.0)
+
+
+def test_capture_level_on_the_targets_curvature_evaluates_a_flat_floor():
+    # f = |x|^2/2 - beta s - kappa s t^2/2, s = <x, p> and t = <x, tau> for
+    # grid point p and its tangent tau, has hess f(0) = I, but along the
+    # circle near p its Hessian's tangential curvature is 1 - kappa s, about
+    # 0: the sphere floor is p, on a flat stretch between coarse points.
+    # D^3 f[h] = -kappa [[0, h_t], [h_t, h_s]] in the (p, tau) frame, whose
+    # Frobenius norm gives the honest M = sqrt(2) kappa, and |hess f(x)| <=
+    # 1 + M |x| the honest L = 1 + 4 kappa on the box.  So L_c = M - 1 and
+    # L_g = 1 + M, up to rounding margins and both below L, skip points the
+    # grid on L takes, and the grid still takes p's value and gradient; a
+    # minorant that assumed the curvature 1 of hess f(0) along every chord,
+    # without M epsilon, would skip p.  p is 4 steps from a coarse point,
+    # and midway between two
+    S, Y = reach_mod.CAPTURE_STRIDE, unit_grid()
+    beta, kappa = 1.3, 1.0
+    rng = np.random.default_rng(0)
+    for j in (6 * S + 4, 6 * S + S // 2):
+        p = Y[j]
+        tau = np.array([-p[1], p[0]])
+
+        def value(x, p=p, tau=tau):
+            s, t = float(x @ p), float(x @ tau)
+            return 0.5 * float(x @ x) - beta * s - 0.5 * kappa * s * t * t
+
+        def grad(x, p=p, tau=tau):
+            s, t = float(x @ p), float(x @ tau)
+            return x - (beta + 0.5 * kappa * t * t) * p - kappa * s * t * tau
+
+        def hess(x, p=p, tau=tau):
+            s, t = float(x @ p), float(x @ tau)
+            return np.eye(2) - kappa * (t * (np.outer(p, tau) + np.outer(tau, p))
+                                        + s * np.outer(tau, tau))
+
+        f = br.ObjectiveFunction(dim=2, f=value, grad=grad, hessian=hess,
+                                 lipschitz_L=1.0 + 4.0 * kappa,
+                                 box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
+                                 hessian_lipschitz=math.sqrt(2.0) * kappa, name="flat floor")
+        # the Hessian is grad f's derivative, and L and M are honest on
+        # sampled pairs in the box
+        for x, y in rng.uniform(-2.0, 2.0, (200, 2, 2)):
+            h = 1e-6 * (y - x) / norm(y - x)
+            assert norm(grad(x + h) - grad(x - h) - 2.0 * hess(x) @ h) <= 1e-12
+            assert norm(grad(x) - grad(y)) <= f.lipschitz_L * norm(x - y)
+            assert np.linalg.norm(hess(x) - hess(y), 2) <= f.hessian_lipschitz * norm(x - y)
+        curvature = target_curvature(f, np.zeros(2))
+        assert curvature[0] == curvature[1] == 1.0
+        assert int(np.argmin(f.values(Y))) == j
+        full = capture_level_full_grid(f, np.zeros(2), 1.0)
+        spied, seen = grid_spy(f)
+        assert reach_mod._capture_level(spied, np.zeros(2), 1.0, curvature) == full
+        assert p.tobytes() in seen["value"] and p.tobytes() in seen["grad"], j
+        counted, counts = counting(f)
+        assert reach_mod._capture_level(counted, np.zeros(2), 1.0) == full
+        assert len(seen["value"]) < counts["value"], j
 
 
 def test_capture_level_takes_the_gradient_where_b_is_least_not_f():

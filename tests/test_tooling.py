@@ -150,10 +150,11 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
 
     # the probe: one gradient per GD state, or 1 per flow start, 12 per
     # accepted DOP853 step and 11 per rejected one, beside what its capture
-    # certificate costs; on quad (M = 0) every start passes at once in B_r
+    # certificate costs, the grid on the target's own curvature; on quad
+    # (M = 0) every start passes at once in B_r
     target, eps = f.critical_points[0].point, 0.5
     snap = counts.snapshot()
-    reach_mod._capture_level(f, target, eps)
+    reach_mod._Basin(f, target, eps, "probe target").certificate
     certificate = counts.since(snap)[workloads.GRAD]
     for dynamics in (s, st):
         calls.clear()
