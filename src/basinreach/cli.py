@@ -53,9 +53,8 @@ FIELDS = {
     "tol": (1e-4, "number", "reach success tolerance"),
     "delta": (None, "number", "saddle reach (--general) escape radius (default epsilon/2)"),
     "gtol": (1e-10, "number", "gradient stopping tolerance"),
-    "h": (1e-3, "number", "flow integrator's first trial step, capped at 6/L (a saddle "
-                          "reach reads it only for its reverse flow's first trial step, a "
-                          "minimum reach only in its stability probe)"),
+    "h": (1e-3, "number", "flow integrator's first trial step, capped at 6/L (no flow "
+                          "reach reads it, a minimum reach only in its stability probe)"),
     "t_max": (50.0, "number", "flow time budget"),
     "max_iter": (1000000, "count", "discrete iteration budget"),
     "kbar_max": (65536, "count", "reverse-orbit horizon budget"),

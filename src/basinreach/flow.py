@@ -16,13 +16,13 @@ calls a step for its 12 gradients.  A crossing is a stop event: it tests the
 state a step reached and locates the crossing on that step's
 interpolant, whose three extra stages are the only gradients it costs.
 Every run steps at the relative tolerance RTOL from the first trial step
-min(h, H_STABLE / L), except a reach's two legs.  A minimum reach's
-reverse flow to its sphere steps at REVERSE_RTOL from the cap H_STABLE / L
-itself.  Every flow reach's forward flow from x0 opens at the step its
-reverse flow's controller proposed last, rescaled to RTOL
-(FORWARD_OPENING for a minimum, 1 for a saddle), with the gradient that
-flow took at x0 as its first state's field; the comments at the
-constants say why.
+min(h, H_STABLE / L), except a reach's two legs, so that no flow reach
+reads h.  Every sphere exit, a reach's reverse flow to its sphere, opens
+at the cap H_STABLE / L itself, a minimum's at REVERSE_RTOL.  Every flow
+reach's forward flow from x0 opens at the step its reverse flow's
+controller proposed last, rescaled to RTOL (FORWARD_OPENING for a
+minimum, 1 for a saddle), with the gradient that flow took at x0 as its
+first state's field; the comments at the constants say why.
 """
 
 import math
@@ -54,12 +54,13 @@ SEED_FLOOR_RTOL = 1e-12
 # located on the sphere by the dense output whatever the tolerance, so how
 # accurately the flow found it does not enter that result.  A saddle's
 # forward Clarke flow must retrace its reverse flow to the level near the
-# saddle, so a saddle reach, like every other run, keeps RTOL.  Nor does h:
-# a first trial step is only the controller's opening guess (Hairer,
-# Norsett & Wanner, II.4), and a step past REVERSE_RTOL is still rejected,
-# so this leg opens at the cap H_STABLE / L, not at min(h, cap).  1e-4 is
-# the knee: on the benchmark's flow_minima, opening at the cap, gradient
-# points per reach are 148, 121, 109 and 102 at 1e-7, 1e-5, 1e-4 and 1e-3
+# saddle, so a saddle reach, like every other run, keeps RTOL.  Nor does h
+# enter: a first trial step is only the controller's opening guess (Hairer,
+# Norsett & Wanner, II.4), and a step past the leg's tolerance is still
+# rejected, so every sphere exit, a saddle's too, opens at the cap H_STABLE
+# / L, not at min(h, cap).  1e-4 is the knee: on the benchmark's
+# flow_minima, opening at the cap, gradient points per reach are 148, 121,
+# 109 and 102 at 1e-7, 1e-5, 1e-4 and 1e-3
 REVERSE_RTOL = 1e-4
 # every flow reach's forward flow from x0 opens where its reverse leg's
 # controller left off: the step it proposed after the step that crossed the
@@ -69,10 +70,10 @@ REVERSE_RTOL = 1e-4
 # order PI_ALPHA is derived from, it is that step times (RTOL /
 # rtol_reverse)^(1/8), at most the cap H_STABLE / L, as that step is.  For
 # a minimum, rtol_reverse = REVERSE_RTOL, and the factor is FORWARD_OPENING
-# = 10^-0.75, about 0.178: neither leg reads h, and a reach on a certified
-# radius writes the same bytes at every h (the stability probe, run only
-# where there is none, reads h).  For a saddle both legs run at RTOL, the
-# factor is 1, and h is read only for the reverse leg's first trial step
+# = 10^-0.75, about 0.178.  For a saddle both legs run at RTOL and the
+# factor is 1.  So neither leg reads h, and every saddle reach, and every
+# minimum reach on a certified radius, writes the same bytes at every h
+# (the stability probe, run only where there is none, reads h)
 FORWARD_OPENING = (RTOL / REVERSE_RTOL) ** (1.0 / 8.0)
 # the PI step controller of Hairer's codes: h_new = h PI_SAFE err^-PI_ALPHA
 # err_old^PI_BETA with h_new / h in [PI_MIN, PI_MAX], the exponent in DOPRI5's
@@ -166,11 +167,10 @@ class NoCrossingError(RuntimeError):
 @dataclass(frozen=True)
 class FlowSettings:
     """h is the adaptive flow's first trial step, capped at H_STABLE/L.
-    A reach's forward flow from x0 does not read it, but opens where its
-    reverse flow's controller left off, as the comment at
-    ``FORWARD_OPENING`` says; so a saddle reach reads h only for its
-    reverse flow's first trial step, and a minimum reach, whose reverse
-    flow opens at the cap, reads it in neither leg.
+    No flow reach reads it: its reverse flow to the sphere opens at the
+    cap, and its forward flow from x0 where that flow's controller left
+    off, as the comment at ``FORWARD_OPENING`` says; only the continuous
+    stability probe and direct runs read it.
     Every run, forward or reverse, ends by ``march``'s stops: its event,
     the box, |grad f| < gtol or time t_max.  A reverse run is the gradient
     flow of -f, so for a definable f one that stays in the box converges
@@ -209,15 +209,16 @@ class _Flow:
     """The adaptive DOP853 runner on dx/dt = -grad f (forward) or +grad f
     (reverse) at the relative tolerance rtol: each ``march`` starts from
     the step size min(h0, h_max), h_max = H_STABLE / L the cap on every
-    step and h0 the caller's (inf to open at the cap), else settings.h;
-    ``h`` is the step the controller proposed after the last accepted
-    step; ``known`` is a sphere exit's located crossing and grad f there,
-    which ``field`` reads in place of a fresh gradient (a march's g0, its
-    start's gradient, goes to :func:`march`); ``step`` retries a rejected
-    step with a smaller one and keeps its own step size, clamping the step
-    that would pass t_max onto it, and takes stage 13 only once the step is
-    accepted; ``field`` hands that stage back; ``cross`` locates an event
-    on the last step's dense output ``at``, ``locate`` a level crossing."""
+    step and h0 the caller's (inf, as every sphere exit passes, to open at
+    the cap), else settings.h; ``h`` is the step the controller proposed
+    after the last accepted step; ``known`` is a sphere exit's located
+    crossing and grad f there, which ``field`` reads in place of a fresh
+    gradient (a march's g0, its start's gradient, goes to :func:`march`);
+    ``step`` retries a rejected step with a smaller one and keeps its own
+    step size, clamping the step that would pass t_max onto it, and takes
+    stage 13 only once the step is accepted; ``field`` hands that stage
+    back; ``cross`` locates an event on the last step's dense output
+    ``at``, ``locate`` a level crossing."""
 
     def __init__(self, f, direction, settings, rtol=RTOL, h0=None):
         if direction not in DIRECTIONS:
@@ -353,15 +354,14 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
     which the run takes once, for its last state: every flow reach opens
     its forward flow from b at h_next (RTOL / rtol)^(1/8), rtol this run's
     tolerance (h_next FORWARD_OPENING for a minimum, h_next for a saddle),
-    with g_exit its first state's field.  A minimum reach's exit
-    (``minimum``) flows at REVERSE_RTOL from the first trial step H_STABLE
-    / L, not min(h, H_STABLE / L), so it reads no h, and takes b on the
-    inner side: the crossing of the sphere of radius delta (1 - 5e-9),
-    located to 4e-9 delta, so delta (1 - 5e-9) <= |b - center| <= delta
-    (1 - 1e-9)."""
+    with g_exit its first state's field.  Every exit opens at the first
+    trial step H_STABLE / L, not min(h, H_STABLE / L), so it reads no h.
+    ``minimum`` picks the rest: a minimum reach's exit flows at
+    REVERSE_RTOL, not RTOL, and takes b on the inner side: the crossing of
+    the sphere of radius delta (1 - 5e-9), located to 4e-9 delta, so delta
+    (1 - 5e-9) <= |b - center| <= delta (1 - 1e-9)."""
     lane = f._lane
-    flow = (_Flow(f, direction, settings, REVERSE_RTOL, h0=math.inf) if minimum
-            else _Flow(f, direction, settings))
+    flow = _Flow(f, direction, settings, REVERSE_RTOL if minimum else RTOL, h0=math.inf)
     radius, tol = (delta * (1.0 - 5e-9), 4e-9 * delta) if minimum else (delta, 1e-8 * delta)
     center = lane.point(center)
     past = lambda y: lane.norm(lane.sub(y, center)) - radius  # signed distance past the sphere

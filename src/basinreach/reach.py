@@ -589,9 +589,10 @@ def _first_escape(f, target, seed_radius, level, seed, minimum, lead, rho, dynam
     direction equal to one of ``lead``, each tried once and drawn only when
     the scan reaches it.  Under a schedule a escapes by the reverse orbit
     whose root x0 lies outside B_rho and within cap; under flow settings by
-    the reverse flow to its crossing x0 of the rho-sphere, unless that flow
-    leaves the box or never crosses: for a minimum at REVERSE_RTOL with x0
-    inside the sphere (``_sphere_exit_detail``)."""
+    the reverse flow to its crossing x0 of the rho-sphere, opened at the
+    cap H_STABLE / L whatever settings.h, unless that flow leaves the box
+    or never crosses: for a minimum at REVERSE_RTOL with x0 inside the
+    sphere (``_sphere_exit_detail``)."""
     floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
     fresh = lambda d: not any(np.array_equal(d, v) for v in lead)
     for d in chain(lead, filter(fresh, directions(f.dim, SCAN_RANDOM, seed, minimum))):
@@ -759,10 +760,10 @@ def reach_general(f, target, epsilon, dynamics, seed_radius, tol=1e-2, delta=Non
     max{f, c}, c = f(target), under which the target is a local minimum
     of g: the forward flow on f, stalled where it meets the level set f =
     c, located on the dense output.  The reported distance is from that
-    crossing to the target.  Both legs step at ``flow.RTOL``, so the
-    forward flow opens at the step the reverse flow's controller proposed
-    last, unscaled, and settings.h is read only for the reverse flow's
-    first trial step.
+    crossing to the target.  The reverse flow opens at the cap H_STABLE /
+    L and both legs step at ``flow.RTOL``, so the forward flow opens at the
+    step the reverse flow's controller proposed last, unscaled, and
+    neither leg reads settings.h.
     StepSchedule: reverse orbit through {f > f(target)} on f itself, forward
     replay, and linear interpolation to the first crossing of the level
     f(target).  Under both the forward run starts from the gradient the

@@ -217,7 +217,11 @@ def test_reach_replays_to_the_configured_gtol(tmp_path):
 # the continuous saddle's forward.csv re-recorded when its Clarke flow came to
 # open at the step its reverse flow's controller proposed last, not at min(h,
 # 6/L): 11 states where it took 14, the same reverse.csv, and the final
-# distance 9.284441528854945e-4 -> 9.284441519645128e-4
+# distance 9.284441528854945e-4 -> 9.284441519645128e-4; both re-recorded when
+# its reverse flow came to open at the cap 6/L, not at min(h, 6/L): the bytes
+# the run wrote at --h 5e-2, past the cap, before: 9 reverse states where it
+# wrote 12, the same 11 forward states, and the final distance
+# 9.284441519645128e-4 -> 9.284441523272009e-4
 SADDLE = ["reach", "--general", "--function", "himmelblau", "--target-index", "8",
           "--epsilon", "1.0", "--seed-radius", "1e-3", "--tol", "1e-2"]
 UNMOVED = {
@@ -226,8 +230,8 @@ UNMOVED = {
         "reverse.csv": "024440f71f1cec63a7e9f96bee375da12c074aa45092d5609020df5f46c64f42"}),
     "saddle-continuous": (SADDLE + ["--mode", "continuous", "--h", "3e-4", "--t-max", "50",
                                     "--gtol", "1e-6", "--delta", "0.1"], {
-        "forward.csv": "5b3b2f2b6ba96d52f1bcb4292531c903509af7e18094b69b410151ee2b699a6a",
-        "reverse.csv": "d3aa8ef878e01544b3ec1d42cbf30bef9128c5ae52039649914009a548928a0f"}),
+        "forward.csv": "48d534db18f3c405d45ba36cbbf8d356b63b9ff6798c94ced60f40dd7c21a5ff",
+        "reverse.csv": "08c30b48b695ce9c40af039e0ff0d05b944f8878046c429636551b069994d649"}),
     "dw-probe": (["probe", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
                   "--schedule", "constant:0.021"], {
         "probe.json": "a8534633bbe07b69c0d3e6460e8f3c2b816ccddd237fc59a7e65679ab5a2845f"}),

@@ -142,7 +142,7 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
     calls.clear()
     snap = counts.snapshot()
     _, _, traj = flow_mod._sphere_exit_detail(f, anchor, "reverse", f.critical_points[0].point,
-                                              0.3, st)
+                                              1.0, st)
     assert len(calls) >= len(traj) - 1 > 10
     accepted = len(traj) - 1
     assert counts.since(snap)[workloads.GRAD] == (1 + 12 * accepted + 11 * (len(calls) - accepted)
