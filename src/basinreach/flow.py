@@ -15,18 +15,18 @@ call over the nonzero pairs of its table row, precomputed at import: 14
 calls a step for its 12 gradients.  A crossing is a stop event: it tests the
 state a step reached and locates the crossing on that step's
 interpolant, whose three extra stages are the only gradients it costs.
-Every run steps at the relative tolerance RTOL from the first trial step
-min(h, H_STABLE / L), except a reach's two legs, so that no flow reach
-reads h.  Every sphere exit, a reach's reverse flow to its sphere, opens
-at the cap H_STABLE / L itself, a minimum's at REVERSE_RTOL.  Every flow
-reach's forward flow from x0 opens at the step its reverse flow's
-controller proposed last, rescaled to RTOL (FORWARD_OPENING for a
-minimum, 1 for a saddle), with the gradient that flow took at x0 as its
-first state's field; the comments at the constants say why.
+Every run steps at the relative tolerance RTOL, a minimum's sphere exit
+at REVERSE_RTOL, and opens by one rule, at the first trial step
+min(settings.h, H_STABLE / L): a leg picks its opening only through the
+settings it hands in.  A sphere exit, a reach's reverse flow to its
+sphere, runs on settings whose h is the cap H_STABLE / L; a flow reach's
+forward flow from x0 on settings whose h is that exit's h_forward, with
+the gradient the exit took at x0 as its first state's field.  So no flow
+reach reads h; the comments at REVERSE_RTOL and at h_forward say why.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,24 +57,11 @@ SEED_FLOOR_RTOL = 1e-12
 # saddle, so a saddle reach, like every other run, keeps RTOL.  Nor does h
 # enter: a first trial step is only the controller's opening guess (Hairer,
 # Norsett & Wanner, II.4), and a step past the leg's tolerance is still
-# rejected, so every sphere exit, a saddle's too, opens at the cap H_STABLE
-# / L, not at min(h, cap).  1e-4 is the knee: on the benchmark's
+# rejected, so every sphere exit, a saddle's too, runs on settings whose h
+# is the cap H_STABLE / L.  1e-4 is the knee: on the benchmark's
 # flow_minima, opening at the cap, gradient points per reach are 148, 121,
 # 109 and 102 at 1e-7, 1e-5, 1e-4 and 1e-3
 REVERSE_RTOL = 1e-4
-# every flow reach's forward flow from x0 opens where its reverse leg's
-# controller left off: the step it proposed after the step that crossed the
-# sphere at x0 is the step it measured there for its tolerance rtol_reverse.
-# An order-q pair's error scales as h^q, so the step for a tolerance scales
-# as tol^(1/q) (Hairer, Norsett & Wanner, II.4): at RTOL, with q = 8 the
-# order PI_ALPHA is derived from, it is that step times (RTOL /
-# rtol_reverse)^(1/8), at most the cap H_STABLE / L, as that step is.  For
-# a minimum, rtol_reverse = REVERSE_RTOL, and the factor is FORWARD_OPENING
-# = 10^-0.75, about 0.178.  For a saddle both legs run at RTOL and the
-# factor is 1.  So neither leg reads h, and every saddle reach, and every
-# minimum reach on a certified radius, writes the same bytes at every h
-# (the stability probe, run only where there is none, reads h)
-FORWARD_OPENING = (RTOL / REVERSE_RTOL) ** (1.0 / 8.0)
 # the PI step controller of Hairer's codes: h_new = h PI_SAFE err^-PI_ALPHA
 # err_old^PI_BETA with h_new / h in [PI_MIN, PI_MAX], the exponent in DOPRI5's
 # form 1/q - 0.75 beta at the order q = 8
@@ -166,11 +153,11 @@ class NoCrossingError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowSettings:
-    """h is the adaptive flow's first trial step, capped at H_STABLE/L.
-    No flow reach reads it: its reverse flow to the sphere opens at the
-    cap, and its forward flow from x0 where that flow's controller left
-    off, as the comment at ``FORWARD_OPENING`` says; only the continuous
-    stability probe and direct runs read it.
+    """h is the adaptive flow's first trial step, capped at H_STABLE/L,
+    the only opening a run has.  No flow reach reads it: its legs run on
+    copies whose h is the cap and the reverse leg's h_forward
+    (``_sphere_exit_detail``); only the continuous stability probe and
+    direct runs read it.
     Every run, forward or reverse, ends by ``march``'s stops: its event,
     the box, |grad f| < gtol or time t_max.  A reverse run is the gradient
     flow of -f, so for a definable f one that stays in the box converges
@@ -208,35 +195,35 @@ def _dop853_step(lane, x, sh, g1):
 class _Flow:
     """The adaptive DOP853 runner on dx/dt = -grad f (forward) or +grad f
     (reverse) at the relative tolerance rtol: each ``march`` starts from
-    the step size min(h0, h_max), h_max = H_STABLE / L the cap on every
-    step and h0 the caller's (inf, as every sphere exit passes, to open at
-    the cap), else settings.h; ``h`` is the step the controller proposed
-    after the last accepted step; ``known`` is a sphere exit's located
-    crossing and grad f there, which ``field`` reads in place of a fresh
-    gradient (a march's g0, its start's gradient, goes to :func:`march`);
-    ``step`` retries a rejected step with a smaller one and keeps its own
-    step size, clamping the step that would pass t_max onto it, and takes
-    stage 13 only once the step is accepted; ``field`` hands that stage
-    back; ``cross`` locates an event on the last step's dense output
-    ``at``, ``locate`` a level crossing."""
+    the step size ``opening``, min(settings.h, h_max), h_max = H_STABLE /
+    L the cap on every step, and ``provenance`` names the direction,
+    settings and rtol, so a runner built from them repeats the run; ``h``
+    is the step the controller proposed after the last accepted step;
+    ``known`` is a sphere exit's located crossing and grad f there, which
+    ``field`` reads in place of a fresh gradient (a march's g0, its
+    start's gradient, goes to :func:`march`); ``step`` retries a rejected
+    step with a smaller one and keeps its own step size, clamping the step
+    that would pass t_max onto it, and takes stage 13 only once the step
+    is accepted; ``field`` hands that stage back; ``cross`` locates an
+    event on the last step's dense output ``at``, ``locate`` a level
+    crossing."""
 
-    def __init__(self, f, direction, settings, rtol=RTOL, h0=None):
+    def __init__(self, f, direction, settings, rtol=RTOL):
         if direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
         self.f, self.lane, self.settings, self.rtol = f, f._lane, settings, rtol
         self.sign = -1.0 if direction == "forward" else 1.0
         self.gtol = settings.gtol
         self.provenance = {"producer": "flow", "f": f, "direction": direction,
-                           "settings": settings}
+                           "settings": settings, "rtol": rtol}
         L = f.lipschitz_L
         self.h_max = H_STABLE / L if L > 0.0 else math.inf
-        # with no cap (L = 0) there is none to open at, and h0 is settings.h
-        self.h0 = min(settings.h if h0 is None or L == 0.0 else h0, self.h_max)
-        self.h, self.err_old, self.x_new, self.norm_new = self.h0, 1e-4, None, None
+        self.opening = min(settings.h, self.h_max)
+        self.h, self.err_old, self.x_new, self.norm_new = self.opening, 1e-4, None, None
 
     def march(self, x0, event=None, value=None, g0=None):
         x = start(self.f, x0)
-        self.h, self.err_old, self.x_new = self.h0, 1e-4, None  # no state from an earlier run
+        self.h, self.err_old, self.x_new = self.opening, 1e-4, None  # no state from an earlier run
         self.known = (None, None)
         return march(self.f, x, self.field, self.step, None, self.gtol,
                      event=event, value=value, t_end=self.settings.t_max, g0=g0)
@@ -318,9 +305,9 @@ def integrate(f, x0, direction, settings, event=None, *, g0=None):
     is None).  ``g0``, grad f(x0) as f's lane takes it, when the caller
     has it, is the first state's field in place of a fresh gradient.  A
     minimum reach ends its forward flow with its certified ball's event,
-    opens it at ``FORWARD_OPENING`` times its reverse flow's last proposed
-    step and passes as g0 the gradient that flow took at x0, as a saddle
-    reach does for ``integrate_minnorm``."""
+    runs it on settings whose h is its reverse flow's h_forward and passes
+    as g0 the gradient that flow took at x0, as a saddle reach does for
+    ``integrate_minnorm``."""
     flow = _Flow(f, direction, settings)
     return recorded(f, *flow.march(x0, event=event, g0=g0), flow.provenance)
 
@@ -336,8 +323,7 @@ def integrate_minnorm(f, x0, level, settings, *, g0=None):
     start at or below the level is its own limit; a run that ends above
     the level (at gtol, t_max or the box) has none.  ``g0`` is
     :func:`integrate`'s: a saddle reach passes the gradient its reverse
-    flow took at x0, and opens this flow where that flow's controller
-    left off."""
+    flow took at x0, and settings whose h is that flow's h_forward."""
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level!r}")
     return _to_level(f, level, _Flow(f, "forward", settings), x0, g0)[0]
@@ -348,21 +334,22 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
     delta-sphere around center, to its first crossing b of that sphere,
     located on the dense output with | |b - center| - delta | <= 1e-8
     delta.  NoCrossingError when it stops inside (t_max, or a stationary
-    point), LeftBoxError when it leaves the box first.  The trajectory's
-    provenance keeps, as h_next, the step the controller proposed after
-    the step that crossed, and as g_exit grad f(b), a point of f's lane,
-    which the run takes once, for its last state: every flow reach opens
-    its forward flow from b at h_next (RTOL / rtol)^(1/8), rtol this run's
-    tolerance (h_next FORWARD_OPENING for a minimum, h_next for a saddle),
-    with g_exit its first state's field.  Every exit opens at the first
-    trial step H_STABLE / L, not min(h, H_STABLE / L), so it reads no h.
-    ``minimum`` picks the rest: a minimum reach's exit flows at
+    point), LeftBoxError when it leaves the box first.  It runs on
+    settings whose h is the cap H_STABLE / L (as given when L = 0), so it
+    reads no h, and its provenance names them and its rtol, from which a
+    runner repeats it.  Its stop keeps h_forward, the forward leg's
+    opening from b, and g_exit, grad f(b) on f's lane, which the run takes
+    once, for its last state: every flow reach runs its forward leg on
+    settings whose h is h_forward, from the field g_exit.  ``minimum``
+    picks the tolerance and the location: a minimum reach's exit flows at
     REVERSE_RTOL, not RTOL, and takes b on the inner side: the crossing of
     the sphere of radius delta (1 - 5e-9), located to 4e-9 delta, so delta
     (1 - 5e-9) <= |b - center| <= delta (1 - 1e-9)."""
-    lane = f._lane
-    flow = _Flow(f, direction, settings, REVERSE_RTOL if minimum else RTOL, h0=math.inf)
-    radius, tol = (delta * (1.0 - 5e-9), 4e-9 * delta) if minimum else (delta, 1e-8 * delta)
+    lane, L = f._lane, f.lipschitz_L
+    rtol, radius, tol = ((REVERSE_RTOL, delta * (1.0 - 5e-9), 4e-9 * delta) if minimum
+                         else (RTOL, delta, 1e-8 * delta))
+    opened = replace(settings, h=H_STABLE / L) if L > 0.0 else settings
+    flow = _Flow(f, direction, opened, rtol)
     center = lane.point(center)
     past = lambda y: lane.norm(lane.sub(y, center)) - radius  # signed distance past the sphere
     x0 = start(f, x0)
@@ -375,7 +362,16 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
             return None
         t_b, b = flow.cross(past, past(prev[1]), r, tol)
         flow.known = b, lane.grad(b)  # the field of the run's last state, b
-        stop = {"stopped_on": "sphere_exit", "h_next": flow.h, "g_exit": flow.known[1]}
+        # the forward leg from b opens where this leg's controller left off:
+        # the step it proposed after the step that crossed is the step it
+        # measured at b for its tolerance rtol.  An order-q pair's error
+        # scales as h^q, so the step for a tolerance scales as tol^(1/q)
+        # (Hairer, Norsett & Wanner, II.4): at RTOL, with q = 8 the order
+        # PI_ALPHA is derived from, it is that step times (RTOL / rtol)^(1/8),
+        # 10^-0.75, about 0.178, for a minimum and exactly 1 for a saddle, so
+        # at most the cap, as that step is
+        stop = {"stopped_on": "sphere_exit", "g_exit": flow.known[1],
+                "h_forward": flow.h * (RTOL / rtol) ** (1.0 / 8.0)}
         return "converged", np.array(b), t_b, b, stop
 
     steps, status, b, stop = flow.march(x0, event=crossed)

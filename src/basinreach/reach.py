@@ -76,8 +76,8 @@ from itertools import chain
 import numpy as np
 
 from .descent import _Descent, classify_limit, run_gd
-from .flow import (REVERSE_RTOL, RTOL, SEED_FLOOR_RTOL, FlowSettings, NoCrossingError, _Flow,
-                   _sphere_exit_detail, integrate, integrate_minnorm, path_length)
+from .flow import (SEED_FLOOR_RTOL, FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail,
+                   integrate, integrate_minnorm, path_length)
 from .landscape import (LeftBoxError, norm, require_count, require_integer,
                         require_nonnegative_finite, require_positive_finite, row_norms)
 from .reverse import reverse_orbit
@@ -126,10 +126,12 @@ class ReachBudgets:
 
     gtol defaults to min(1e-8, 1e-3 * tol); delta_override reuses a
     radius found before, legitimate as the stability radius is uniform
-    over admissible schedules.  The counts must be nonnegative integers,
-    the seed an integer (a float is refused, not truncated), a given gtol
-    and a given delta_override nonnegative and finite: 0, a radius the
-    probe can return, is allowed.
+    over admissible schedules.  gtol, max_iter and kbar_max bound only a
+    reach under a StepSchedule: a flow reach ignores them, and its
+    FlowSettings' gtol and t_max end both its legs.  The counts must be
+    nonnegative integers, the seed an integer (a float is refused, not
+    truncated), a given gtol and a given delta_override nonnegative and
+    finite: 0, a radius the probe can return, is allowed.
     """
 
     max_iter: int = 200_000
@@ -589,10 +591,10 @@ def _first_escape(f, target, seed_radius, level, seed, minimum, lead, rho, dynam
     direction equal to one of ``lead``, each tried once and drawn only when
     the scan reaches it.  Under a schedule a escapes by the reverse orbit
     whose root x0 lies outside B_rho and within cap; under flow settings by
-    the reverse flow to its crossing x0 of the rho-sphere, opened at the
-    cap H_STABLE / L whatever settings.h, unless that flow leaves the box
-    or never crosses: for a minimum at REVERSE_RTOL with x0 inside the
-    sphere (``_sphere_exit_detail``)."""
+    the reverse flow to its crossing x0 of the rho-sphere, on settings whose
+    h is the cap H_STABLE / L, unless that flow leaves the box or never
+    crosses: for a minimum at REVERSE_RTOL with x0 inside the sphere
+    (``_sphere_exit_detail``)."""
     floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
     fresh = lambda d: not any(np.array_equal(d, v) for v in lead)
     for d in chain(lead, filter(fresh, directions(f.dim, SCAN_RANDOM, seed, minimum))):
@@ -619,18 +621,21 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
     minimum's is budgets.delta_override, else delta_cert, else the probed
     delta_hat (under the constant schedule at the same sup alpha, the fastest
     of the family the radius is uniform over), capped at epsilon; delta_source
-    names it ("given", "override", "certified", "probe"), and B_epsilon(target)
-    must lie in the box whichever it is.  seed_radius must be at most
-    delta/2.  A discrete minimum reach halves its schedule, before the scan,
-    only while the escape radius rho = delta (1 - aL)/(1 + aL), a = sup
-    alpha, is at most seed_radius, so that the seeds lie inside B_rho: as aL
-    < 1, rho > 0.6 delta >= seed_radius once aL < 1/4, so it halves twice at
-    most, and the scan tries each seed once, at that one scale; a flow or
-    saddle reach scans at rho = delta.  The forward run starts in the state
-    the reverse leg ended in, so x0 costs one gradient: from the gradient
-    the orbit took at its root x0 or the reverse flow at its crossing x0,
-    and a flow at the step that flow's controller proposed last, rescaled
-    from its tolerance to RTOL (``flow.FORWARD_OPENING``).  Success iff the
+    names it ("given", "override", "certified", "probe"), and a minimum's
+    B_epsilon(target) must lie in the box whichever it is.  For a saddle
+    epsilon only caps delta and |x0 - target| (to the crossing's 1e-8 delta
+    under flow settings), and B_epsilon(target) may leave the box.
+    seed_radius must be at most delta/2.  A discrete minimum reach halves
+    its schedule, before the scan, only while the escape radius rho =
+    delta (1 - aL)/(1 + aL), a = sup alpha, is at most seed_radius, so that
+    the seeds lie inside B_rho: as aL < 1, rho > 0.6 delta >= seed_radius
+    once aL < 1/4, so it halves twice at most, and the scan tries each seed
+    once, at that one scale; a flow or saddle reach scans at rho = delta.
+    The forward run starts in the state the reverse leg ended in, so x0
+    costs one gradient: from the gradient the orbit took at its root x0 or
+    the reverse flow at its crossing x0, and a flow on settings whose h is
+    that flow's h_forward (``flow._sphere_exit_detail``), with neither leg
+    bounded by budgets.gtol, max_iter or kbar_max.  Success iff the
     forward run has a limit (its convergence point or level crossing)
     within tol; the distance is from the limit, else from the last state.
     A run stopped in the certified ball B_r has the target as its limit
@@ -698,12 +703,9 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
             fwd = (_run_to_level(f, x0, dynamics, level, gtol, b.max_iter, g0=g0)[0] if saddle
                    else run_gd(f, x0, dynamics, gtol=gtol, max_iter=b.max_iter, event=event,
                                g0=g0))
-        else:  # from the gradient the reverse leg took at x0, its located crossing, and
-            # where that leg's controller left off, its step rescaled from the leg's
-            # tolerance to RTOL: by FORWARD_OPENING for a minimum, by 1 for a saddle
-            rtol_reverse = RTOL if saddle else REVERSE_RTOL
-            opened = dataclasses.replace(
-                dynamics, h=rev.provenance["h_next"] * (RTOL / rtol_reverse) ** (1.0 / 8.0))
+        else:  # from the gradient the reverse leg took at x0, its located crossing,
+            # at the opening that leg measured there (``_sphere_exit_detail``)
+            opened = dataclasses.replace(dynamics, h=rev.provenance["h_forward"])
             g0 = rev.provenance["g_exit"]
             fwd = (integrate_minnorm(f, x0, level, opened, g0=g0) if saddle
                    else integrate(f, x0, "forward", opened, event=event, g0=g0))
@@ -735,9 +737,10 @@ def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=Non
     looser REVERSE_RTOL of ``flow`` from the cap H_STABLE / L, to its first
     crossing of the delta-sphere, located on the dense output just inside
     it, so that x0 lies in B_delta with no overshoot margin; then forward
-    flow from x0, opened at the step the reverse flow's controller proposed
-    last times ``flow.FORWARD_OPENING``, from the gradient the reverse flow
-    took at x0, so x0 costs one gradient.  Neither leg reads settings.h."""
+    flow from x0, on settings whose h is the reverse flow's h_forward, from
+    the gradient the reverse flow took at x0, so x0 costs one gradient.
+    Neither leg reads settings.h, and budgets.gtol, max_iter and kbar_max
+    go unread: settings.gtol and t_max end both legs."""
     if not isinstance(settings, FlowSettings):
         raise ValueError(f"reach_continuous needs FlowSettings, got {type(settings).__name__}")
     return _reach(f, target, epsilon, settings, seed_radius, tol, budgets)
@@ -760,10 +763,10 @@ def reach_general(f, target, epsilon, dynamics, seed_radius, tol=1e-2, delta=Non
     max{f, c}, c = f(target), under which the target is a local minimum
     of g: the forward flow on f, stalled where it meets the level set f =
     c, located on the dense output.  The reported distance is from that
-    crossing to the target.  The reverse flow opens at the cap H_STABLE /
-    L and both legs step at ``flow.RTOL``, so the forward flow opens at the
-    step the reverse flow's controller proposed last, unscaled, and
-    neither leg reads settings.h.
+    crossing to the target.  Both legs step at ``flow.RTOL`` and open as
+    under ``reach_continuous``, the forward flow at the step the reverse
+    flow's controller proposed last, unscaled; neither reads settings.h,
+    budgets.gtol, max_iter or kbar_max.
     StepSchedule: reverse orbit through {f > f(target)} on f itself, forward
     replay, and linear interpolation to the first crossing of the level
     f(target).  Under both the forward run starts from the gradient the

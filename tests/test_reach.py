@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import pickle
 import re
@@ -12,7 +13,7 @@ import pytest
 import basinreach as br
 import basinreach.reach as reach_mod
 import basinreach.reverse as reverse_mod
-from basinreach.flow import FORWARD_OPENING, H_STABLE, _sphere_exit_detail
+from basinreach.flow import H_STABLE, REVERSE_RTOL, RTOL, _Flow, _sphere_exit_detail
 from basinreach.landscape import norm, row_norms
 from basinreach.sampling import Lcg64, unit_directions
 from basinreach.serialize import reach_report_json
@@ -1540,6 +1541,26 @@ def ball_radius(f, target, eps):
     return s, lam - M * s
 
 
+def reverse_leg_replay(rep):
+    """(states, runner) of a flow reach's reverse leg repeated from its own
+    record: the runner built from the provenance's f, direction, settings
+    and rtol, marched from the ascent seed to the state its step across
+    the sphere reached.  The states are march's (t, x, |grad f|); runner.h
+    is the step its controller proposed after that step."""
+    p, n, calls = rep.reverse_part.provenance, len(rep.reverse_part), itertools.count()
+    runner = _Flow(p["f"], p["direction"], p["settings"], p["rtol"])
+    stop = lambda prev, t, x, fx: ("converged", None, t, x, None) if next(calls) == n - 1 else None
+    return runner.march(rep.ascent_seed, event=stop)[0], runner
+
+
+def forward_opening(rep):
+    """The step a flow reach's reverse controller proposed after crossing
+    the sphere, rescaled from that leg's tolerance to RTOL: an order-8
+    pair's step for a tolerance scales as its 8th root."""
+    runner = reverse_leg_replay(rep)[1]
+    return runner.h * (RTOL / runner.rtol) ** (1.0 / 8.0)
+
+
 @pytest.mark.parametrize("kind", ["constant", "power"])
 @pytest.mark.parametrize("name,params,index,eps", BUILTIN_MINIMA)
 def test_replay_stops_in_the_certified_ball(name, params, index, eps, kind):
@@ -1618,7 +1639,8 @@ def test_forward_flow_stops_in_the_certified_ball(name, params, target, eps, h):
     assert stopped.limit.tolist() == target and rep.final_distance == 0.0
     r = row_norms(stopped.X - np.array(target))
     assert (r[:-1] > cert["s"]).all() and cert["distance_bound"] == r[-1] <= cert["s"]
-    opening = rep.reverse_part.provenance["h_next"] * FORWARD_OPENING
+    opening = forward_opening(rep)
+    assert rep.reverse_part.provenance["h_forward"] == opening
     full = br.integrate(f, rep.x0, "forward", dataclasses.replace(st, h=opening))
     m = len(stopped) - 1
     assert full.X[:m + 1].tobytes() == stopped.X.tobytes()
@@ -1653,8 +1675,8 @@ def test_flow_objective_without_hessian_lipschitz_runs_to_gtol(himmelblau):
     rep = br.reach_continuous(f, target, 1.0, st, 1e-3, 1e-4)
     fwd = rep.forward_part
     assert rep.status == "success" and "stopped_on" not in fwd.provenance
-    opening = rep.reverse_part.provenance["h_next"] * FORWARD_OPENING
-    assert opening != st.h
+    opening = forward_opening(rep)
+    assert rep.reverse_part.provenance["h_forward"] == opening != st.h
     full = br.integrate(f, rep.x0, "forward", dataclasses.replace(st, h=opening))
     assert fwd.X.tobytes() == full.X.tobytes() and fwd.t.tobytes() == full.t.tobytes()
     assert fwd.terminal_status == "converged" and fwd.gnorm[-1] < 1e-6 <= fwd.gnorm[-2]
@@ -1842,9 +1864,10 @@ def test_the_forward_leg_opens_where_the_reverse_leg_left_off(monkeypatch, name,
                               1e-3, 1e-4)
     assert rep.status == "success"
     ahead = [args[2] for args, _ in calls if args[2] < 0.0]
-    cap, h_next = H_STABLE / f.lipschitz_L, rep.reverse_part.provenance["h_next"]
-    assert 0.0 < h_next <= cap
-    assert -ahead[0] == min(cap, h_next * FORWARD_OPENING) < cap
+    cap, h_forward = H_STABLE / f.lipschitz_L, rep.reverse_part.provenance["h_forward"]
+    assert 0.0 < h_forward <= cap * (RTOL / REVERSE_RTOL) ** (1.0 / 8.0)
+    assert h_forward == forward_opening(rep)
+    assert -ahead[0] == min(cap, h_forward) < cap
     assert -ahead[0] != h
 
 
@@ -1865,7 +1888,8 @@ def test_a_minimum_flow_reach_takes_the_gradient_at_x0_once():
         rep = br.reach_continuous(spy, target, eps, st, 1e-3, 1e-4)
         assert rep.status == "success"
         assert points.count(rep.x0.tobytes()) == 1, (f.name, target)
-        opening = rep.reverse_part.provenance["h_next"] * FORWARD_OPENING
+        opening = rep.reverse_part.provenance["h_forward"]
+        assert opening == forward_opening(rep)
         full = br.integrate(f, rep.x0, "forward", dataclasses.replace(st, h=opening))
         n = len(rep.forward_part)
         for c in ("t", "X", "gnorm"):
@@ -1926,17 +1950,22 @@ def test_a_saddle_reach_keeps_the_full_reverse_accuracy(monkeypatch, himmelblau)
     assert leg(minimum=True)[1].tobytes() != x0.tobytes()
 
 
+def reach_bytes(rep):
+    """Every output of a flow reach as bytes: its report's JSON (x0 and the
+    certificate among it) and the t, X and gnorm columns of both legs."""
+    legs = (rep.reverse_part, rep.forward_part)
+    return (json.dumps(reach_report_json(rep), sort_keys=True),
+            *(getattr(leg, c).tobytes() for leg in legs for c in ("t", "X", "gnorm")))
+
+
 def flow_reach_outputs(reach, hs, t_max):
-    """The set of the (x0, reverse part, forward part, certificate) bytes
-    that ``reach`` of FlowSettings writes at each h in hs: one element iff
-    h does not enter them."""
+    """The set of the ``reach_bytes`` that ``reach`` of FlowSettings writes
+    at each h in hs: one element iff h does not enter them."""
     outputs = set()
     for h in hs:
         rep = reach(br.FlowSettings(h=h, t_max=t_max, gtol=1e-6))
         assert rep.status == "success"
-        rev, fwd = rep.reverse_part, rep.forward_part
-        outputs.add((rep.x0.tobytes(), rev.t.tobytes(), rev.X.tobytes(), fwd.t.tobytes(),
-                     fwd.X.tobytes(), repr(fwd.provenance.get("certificate"))))
+        outputs.add(reach_bytes(rep))
     return outputs
 
 
@@ -2154,9 +2183,69 @@ def test_a_saddle_flow_reach_opens_its_forward_leg_where_its_reverse_leg_left_of
     # within the cap; neither leg reads h
     st = br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6)
     rep, back, ahead = saddle_flow_legs(monkeypatch, himmelblau, i, st)
-    cap, h_next = H_STABLE / himmelblau.lipschitz_L, rep.reverse_part.provenance["h_next"]
-    assert back[0] == cap
-    assert -ahead[0] == min(cap, h_next) != st.h
+    cap, h_forward = H_STABLE / himmelblau.lipschitz_L, rep.reverse_part.provenance["h_forward"]
+    assert back[0] == cap and 0.0 < h_forward <= cap
+    assert h_forward == reverse_leg_replay(rep)[1].h  # RTOL / RTOL: exactly 1
+    assert -ahead[0] == min(cap, h_forward) != st.h
+
+
+@pytest.mark.parametrize("kind", ["minimum", "saddle"])
+def test_a_flow_run_rebuilt_from_its_provenance_repeats_it(himmelblau, kind):
+    # a reverse leg's record names the settings it ran on, their h the cap,
+    # and its rtol: a runner built from them alone repeats the leg bit for
+    # bit up to the crossing, and its controller's last proposal, rescaled
+    # to RTOL, is the recorded forward opening
+    st = br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6)
+    if kind == "minimum":
+        rep = br.reach_continuous(himmelblau, [3.0, 2.0], 0.5, st, 1e-3, 1e-4)
+    else:
+        rep = br.reach_general(himmelblau, himmelblau.critical_points[6].point, 1.0, st, 1e-3,
+                               tol=1e-2, delta=0.1)
+    assert rep.status == "success"
+    rev = rep.reverse_part
+    p = rev.provenance
+    assert p["settings"] == dataclasses.replace(st, h=H_STABLE / himmelblau.lipschitz_L)
+    assert p["rtol"] == (REVERSE_RTOL if kind == "minimum" else RTOL)
+    states, runner = reverse_leg_replay(rep)
+    t, X, gnorm = zip(*states)
+    n = len(rev) - 1  # the last recorded state is the located crossing
+    assert len(states) == n + 1
+    assert np.array(t[:n]).tobytes() == rev.t[:n].tobytes()
+    assert np.array(X[:n], dtype=float).tobytes() == rev.X[:n].tobytes()
+    assert np.array(gnorm[:n]).tobytes() == rev.gnorm[:n].tobytes()
+    assert t[n] >= rev.t[n] and norm(np.array(X[n]) - rep.target) >= rep.delta_used * (1 - 5e-9)
+    assert p["h_forward"] == runner.h * (RTOL / p["rtol"]) ** (1.0 / 8.0)
+
+
+@pytest.mark.parametrize("kind", ["minimum", "saddle"])
+def test_a_flow_reach_ignores_the_gradient_descent_budgets(himmelblau, kind):
+    # budgets.gtol, max_iter and kbar_max bound only a reach under a
+    # schedule: the flow settings' gtol and t_max end both legs of a flow
+    # reach, so budgets that would cut a discrete reach short leave
+    # every output byte of a flow reach as it was
+    st = br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6)
+    tight = br.ReachBudgets(gtol=1e-2, max_iter=1, kbar_max=1)
+    if kind == "minimum":
+        reach = lambda b: br.reach_continuous(himmelblau, [3.0, 2.0], 1.0, st, 1e-3, 1e-4, b)
+    else:
+        reach = lambda b: br.reach_general(himmelblau, himmelblau.critical_points[6].point, 1.0,
+                                           st, 1e-3, tol=1e-2, delta=0.1, budgets=b)
+    rep = reach(tight)
+    assert rep.status == "success" and rep.forward_part.gnorm[0] > 1e-2
+    assert len(rep.forward_part) > 2 and reach_bytes(rep) == reach_bytes(reach(None))
+
+
+def test_a_saddle_reach_needs_no_epsilon_ball_in_the_box(himmelblau):
+    # epsilon only caps a saddle's delta and |x0 - target|: at saddle 5,
+    # 1.93 from the box's edge, the 2.5-ball leaves the box and the reach
+    # still runs and succeeds, while a minimum refuses such a ball
+    s, target = br.constant(0.0015), himmelblau.critical_points[5].point
+    assert not himmelblau.in_box(target + np.array([-2.5, 0.0]))
+    rep = br.reach_general(himmelblau, target, 2.5, s, 1e-3, tol=1e-2, delta=0.5)
+    assert rep.status == "success" and rep.delta_used == 0.5
+    assert 0.5 < norm(rep.x0 - target) <= 2.5
+    with pytest.raises(ValueError, match="B_epsilon"):
+        br.reach_discrete(himmelblau, [3.0, 2.0], 2.5, s, 1e-3, 1e-4)
 
 
 # attempted DOP853 steps of a continuous saddle reach's forward Clarke flow
