@@ -221,7 +221,7 @@ class Lane(NamedTuple):
     dimension, as a loop over coordinates is slower.  The float lane's
     ``bounds`` are the padded box ``inside`` tests against, (lower, upper)
     lists of floats, for loops written out over local floats
-    (``reverse._picard1``); None on the ndarray lane."""
+    (``reverse._orbit1``); None on the ndarray lane."""
 
     point: object
     grad: object

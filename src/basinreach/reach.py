@@ -775,7 +775,11 @@ def reach_general(f, target, epsilon, dynamics, seed_radius, tol=1e-2, delta=Non
     No eigenvector leads the scan, as +-v_max does at a minimum: a
     saddle's top eigenvector is tangent to its stable manifold, from which
     the forward run creeps back to the saddle above the level it stops at.
+    A saddle reach runs on ``delta``: budgets.delta_override, a minimum's
+    radius, is refused (ValueError) rather than ignored.
     """
+    if budgets is not None and budgets.delta_override is not None:
+        raise ValueError("delta_override: a saddle reach runs on its delta; pass delta instead")
     return _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets,
                   float(0.5 * epsilon if delta is None else delta))
 

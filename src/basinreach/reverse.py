@@ -30,11 +30,15 @@ computed once per solve; only an iterate that passes it takes |y|, the
 one the solve returns.
 
 The ndarray lane (dim > 2) runs the loop on lane ops and
-``landscape.dot``.  On the float lane each solve is that loop written
-out over local Python floats, one function per dimension (``_picard1``,
-``_picard2``), the only code here that knows the lane's layout: the
-same IEEE operations in the same order, so points, residuals, gradients
-and counts are the loop's bit for bit, at a fraction of its calls.
+``landscape.dot``, one call per solve.  On the float lane a whole orbit
+runs in one frame, one function per dimension (``_orbit1``,
+``_orbit2``): the stop test, each alpha_k, each solve written out over
+local Python floats with its certificate, and the last two steps and the
+miss held as floats, the points made arrays once at the end; ``prox``
+and ``ascent_prox`` run it for one step.  It is the only code here that
+knows the lane's layout: the same IEEE operations in the same order, so
+points, residuals, gradients and counts are the loop's bit for bit, at a
+fraction of its calls.
 """
 
 from dataclasses import dataclass
@@ -119,12 +123,15 @@ def _picard(f, base, lam, sign, tol_scale, g=None, steps=(), miss=None):
     by q = lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so y lies within
     |T(y) - y|/(1 - q) <= tol/(1 - q) of the unique fixed point y*,
     however it was reached, the shift included.  Raises LeftBoxError when
-    T(y) leaves the box; y itself never does.  The float lane's solve is this
-    loop written out per dimension (:func:`_picard1`,
-    :func:`_picard2`)."""
+    T(y) leaves the box; y itself never does.  The float lane's solve is
+    one step of its orbit frame (:func:`_orbit1`, :func:`_orbit2`), this
+    loop written out per dimension, which also checks the certificate."""
     if f.dim <= FLOAT_LANE_DIMS:
-        return (_picard1 if f.dim == 1 else _picard2)(f, base, lam, sign, tol_scale, g, steps,
-                                                       miss)
+        xs, residuals, grads, left, iters, ynorm, miss = _ORBITS[f.dim](
+            f, base, g, tol_scale, (lam,), sign, None, steps, miss)
+        if left is not None:
+            raise LeftBoxError(left, "fixed-point iterate left the operating box")
+        return xs[-1], grads[-1], iters, residuals[-1], ynorm, miss
     tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
     q_sq = (lam * f.lipschitz_L) ** 2
     step = sign * lam
@@ -184,123 +191,184 @@ def _mix(lane, t, r, hist):
             if deep else lane.axpy(t, -b1 / a11 * w1, e1))
 
 
-def _picard1(f, base, lam, sign, tol_scale, g, steps, miss):
-    """:func:`_picard` on the 1-D float lane in one frame: the newest
-    step's secant, T(y), the residual, the restart test, the history (d,
-    e, w, a11), :func:`_mix`'s fit, the shift, the box test and the
-    returned norms and miss, over local floats, each the same IEEE
-    operation in the same order as the lane ops, ``dot`` and ``norm``
-    make.  Two 1-D secants are
-    collinear, so their Gram determinant is rounding and :func:`_mix`
-    takes the newest alone: the history holds only it, and the solve is
-    the secant method, its every iterate, gradient and count the loop's."""
-    tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
-    q_sq = (lam * f.lipschitz_L) ** 2
-    step = sign * lam
-    grad, ((l0,), (h0,)) = f._lane.grad, f._lane.bounds
-    (x0,) = y = base
-    (g0,) = g = grad(base) if g is None else g
-    y0, n, mixed, ell = x0, 0, False, 0.0
-    if steps:
+def _orbit1(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
+    """A reverse orbit on the 1-D float lane in one frame: from x, one
+    solve of T(y) = x + sign lam grad(y) per lam of ``alphas``, while
+    ``stop``, when given, is false at x, each solve's y the next x.  Each
+    solve is :func:`_picard`'s loop over local floats (the newest step's
+    secant, T(y), the residual, the restart test, the history (d, e, w,
+    a11), :func:`_mix`'s fit, the shift, the box test and the norms), each
+    the same IEEE operation in the same order as the lane ops, ``dot`` and
+    ``norm`` make, and must pass :func:`_ascent_step`'s 1e-10 certificate,
+    else ArithmeticError.  g and xnorm are grad(x) and |x| when known;
+    ``steps`` and ``miss`` seed the first solve as :func:`_picard`'s do,
+    and each later one takes the last step, as (x - y, grad(y) - grad(x)),
+    and miss its predecessor left in floats.  Two 1-D secants are
+    collinear, so their Gram determinant is rounding and :func:`_mix` takes
+    the newest alone: the history holds only it, and the solve is the
+    secant method.  Returns (points, residuals, gradients, the T(y) that
+    left the box or None, total iterations, |y|, miss) for the points from
+    x on, as tuples; a box exit ends the orbit."""
+    L, grad, ((l0,), (h0,)) = f.lipschitz_L, f._lane.grad, f._lane.bounds
+    g = grad(x) if g is None else g
+    (x0,), (g0,) = x, g
+    xnorm = sqrt(x0 * x0) if xnorm is None else xnorm
+    xs, residuals, grads, left, total, held = [x], [], [g], None, 0, bool(steps)
+    if held:
         (p0,), (z0,), (gp0,), (gz0,) = steps[0]
-        e0 = gz0 - gp0
-        d0, w, n = (p0 - z0) + step * e0, step, 1
-        a11 = d0 * d0
-    for it in range(1, _MAX_INNER_ITER + 1):
-        t0 = x0 + step * g0
-        if t0 < l0 or t0 > h0:
-            raise LeftBoxError((t0,), "fixed-point iterate left the operating box")
-        r0 = t0 - y0
-        rr = r0 * r0
-        if rr <= tol_sq and ((ynorm := sqrt(y0 * y0)) >= tol_scale
-                             or rr <= (FIXED_POINT_RTOL * (1.0 + ynorm)) ** 2):
-            u0 = (y0 + -step * g0) - x0
-            return (y, g, it, sqrt(u0 * u0), ynorm,
-                    ((y0 - f0,), ell) if ell > 0.0 else None)
-        if mixed and not rr <= q_sq * last_rr:
-            n = 0  # the mixed iterate contracted less than a Picard step: restart
-        elif it > 1:
-            d0, e0 = r0 - last_r0, t0 - last_t0
-            w, a11, n = 1.0, d0 * d0, 1
-        last_r0, last_t0, last_rr = r0, t0, rr
-        mixed = False
-        if n and a11 > 0.0:
-            m0 = t0 + -(d0 * r0) / a11 * w * e0
-            if it == 1:
-                v0 = m0 - x0
-                f0, ell = m0, v0 * v0
-                if miss is not None:
-                    (c0,), ell_p = miss
-                    m0 = m0 + ell / ell_p * c0
-            mixed = not (m0 < l0 or m0 > h0)
-        (y0,) = y = (m0,) if mixed else (t0,)
-        (g0,) = g = grad(y)
-    raise ArithmeticError("fixed-point iteration failed to contract")
+        sx0, se0 = p0 - z0, gz0 - gp0
+    (c0,), ell_p = ((0.0,), None) if miss is None else miss
+    for lam in alphas:
+        if stop is not None and stop(x):
+            break
+        tol_sq = (FIXED_POINT_RTOL * (1.0 + xnorm)) ** 2
+        q_sq = (lam * L) ** 2
+        step = sign * lam
+        y, y0, gx0, n, mixed, ell = x, x0, g0, 0, False, 0.0
+        if held:
+            e0 = se0
+            d0, w, n = sx0 + step * e0, step, 1
+            a11 = d0 * d0
+        for it in range(1, _MAX_INNER_ITER + 1):
+            t0 = x0 + step * g0
+            if t0 < l0 or t0 > h0:
+                left = (t0,)
+                break
+            r0 = t0 - y0
+            rr = r0 * r0
+            if rr <= tol_sq and ((ynorm := sqrt(y0 * y0)) >= xnorm
+                                 or rr <= (FIXED_POINT_RTOL * (1.0 + ynorm)) ** 2):
+                break
+            if mixed and not rr <= q_sq * last_rr:
+                n = 0  # the mixed iterate contracted less than a Picard step: restart
+            elif it > 1:
+                d0, e0 = r0 - last_r0, t0 - last_t0
+                w, a11, n = 1.0, d0 * d0, 1
+            last_r0, last_t0, last_rr = r0, t0, rr
+            mixed = False
+            if n and a11 > 0.0:
+                m0 = t0 + -(d0 * r0) / a11 * w * e0
+                if it == 1:
+                    v0 = m0 - x0
+                    f0, ell = m0, v0 * v0
+                    if ell_p is not None:
+                        m0 = m0 + ell / ell_p * c0
+                mixed = not (m0 < l0 or m0 > h0)
+            (y0,) = y = (m0,) if mixed else (t0,)
+            (g0,) = g = grad(y)
+        else:
+            raise ArithmeticError("fixed-point iteration failed to contract")
+        if left is not None:
+            break
+        u0 = (y0 + -step * g0) - x0
+        residual = sqrt(u0 * u0)
+        if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
+            raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
+        total += it
+        sx0, se0, held = x0 - y0, g0 - gx0, True
+        c0, ell_p = (y0 - f0, ell) if ell > 0.0 else (0.0, None)
+        x, x0, xnorm = y, y0, ynorm
+        xs.append(y)
+        residuals.append(residual)
+        grads.append(g)
+    return (xs, residuals, grads, left, total, xnorm,
+            None if ell_p is None else ((c0,), ell_p))
 
 
-def _picard2(f, base, lam, sign, tol_scale, g, steps, miss):
-    """:func:`_picard1` on the 2-D float lane, with the depth-2 history
-    (newest d, e, w, a11; older dd, ee, ww, a22) and :func:`_mix`'s normal
-    equations: ``steps`` enter the history oldest first, as the loop's own
-    secants do, and each sum over coordinates is ``dot``'s, index
-    order."""
-    tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
-    q_sq = (lam * f.lipschitz_L) ** 2
-    step = sign * lam
-    grad, ((l0, l1), (h0, h1)) = f._lane.grad, f._lane.bounds
-    x0, x1 = y = base
-    g0, g1 = g = grad(base) if g is None else g
-    y0, y1, n, mixed, ell = x0, x1, 0, False, 0.0
+def _orbit2(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
+    """:func:`_orbit1` on the 2-D float lane, with the last two steps,
+    newest (s) and older (o), and the depth-2 history (newest d, e, w, a11;
+    older dd, ee, ww, a22) and :func:`_mix`'s normal equations: the steps
+    enter each solve's history oldest first, as the loop's own secants do,
+    and each sum over coordinates is ``dot``'s, index order."""
+    L, grad, ((l0, l1), (h0, h1)) = f.lipschitz_L, f._lane.grad, f._lane.bounds
+    g = grad(x) if g is None else g
+    (x0, x1), (g0, g1) = x, g
+    xnorm = sqrt(x0 * x0 + x1 * x1) if xnorm is None else xnorm
+    xs, residuals, grads, left, total, held = [x], [], [g], None, 0, 0
     for (p0, p1), (z0, z1), (gp0, gp1), (gz0, gz1) in reversed(steps):
-        if n:
-            dd0, dd1, ee0, ee1, ww, a22 = d0, d1, e0, e1, w, a11
-        e0, e1 = gz0 - gp0, gz1 - gp1
-        d0, d1 = (p0 - z0) + step * e0, (p1 - z1) + step * e1
-        w, a11, n = step, d0 * d0 + d1 * d1, 2 if n else 1
-    for it in range(1, _MAX_INNER_ITER + 1):
-        t0 = x0 + step * g0
-        t1 = x1 + step * g1
-        if t0 < l0 or t0 > h0 or t1 < l1 or t1 > h1:
-            raise LeftBoxError((t0, t1), "fixed-point iterate left the operating box")
-        r0, r1 = t0 - y0, t1 - y1
-        rr = r0 * r0 + r1 * r1
-        if rr <= tol_sq and ((ynorm := sqrt(y0 * y0 + y1 * y1)) >= tol_scale
-                             or rr <= (FIXED_POINT_RTOL * (1.0 + ynorm)) ** 2):
-            u0, u1 = (y0 + -step * g0) - x0, (y1 + -step * g1) - x1
-            return (y, g, it, sqrt(u0 * u0 + u1 * u1), ynorm,
-                    ((y0 - f0, y1 - f1), ell) if ell > 0.0 else None)
-        if mixed and not rr <= q_sq * last_rr:
-            n = 0  # the mixed iterate contracted less than a Picard step: restart
-        elif it > 1:
-            if n:
-                dd0, dd1, ee0, ee1, ww, a22 = d0, d1, e0, e1, w, a11
-            d0, d1, e0, e1 = r0 - last_r0, r1 - last_r1, t0 - last_t0, t1 - last_t1
-            w, a11, n = 1.0, d0 * d0 + d1 * d1, 2 if n else 1
-        last_r0, last_r1, last_t0, last_t1, last_rr = r0, r1, t0, t1, rr
-        mixed = False
-        if n and a11 > 0.0:
-            b1, deep = d0 * r0 + d1 * r1, False
-            if n == 2:
-                a12, b2 = d0 * dd0 + d1 * dd1, dd0 * r0 + dd1 * r1
-                det = a11 * a22 - a12 * a12
-                deep = det > _GRAM_RTOL * a11 * a22
-            if deep:
-                c, cc = (a12 * b2 - a22 * b1) / det * w, (a12 * b1 - a11 * b2) / det * ww
-                m0, m1 = (t0 + c * e0) + cc * ee0, (t1 + c * e1) + cc * ee1
-            else:
-                c = -b1 / a11 * w
-                m0, m1 = t0 + c * e0, t1 + c * e1
-            if it == 1:
-                v0, v1 = m0 - x0, m1 - x1
-                f0, f1, ell = m0, m1, v0 * v0 + v1 * v1
-                if miss is not None:
-                    (c0, c1), ell_p = miss
-                    c = ell / ell_p
-                    m0, m1 = m0 + c * c0, m1 + c * c1
-            mixed = not (m0 < l0 or m0 > h0 or m1 < l1 or m1 > h1)
-        y0, y1 = y = (m0, m1) if mixed else (t0, t1)
-        g0, g1 = g = grad(y)
-    raise ArithmeticError("fixed-point iteration failed to contract")
+        if held:
+            ox0, ox1, oe0, oe1 = sx0, sx1, se0, se1
+        sx0, sx1, se0, se1, held = p0 - z0, p1 - z1, gz0 - gp0, gz1 - gp1, 2 if held else 1
+    (c0, c1), ell_p = ((0.0, 0.0), None) if miss is None else miss
+    for lam in alphas:
+        if stop is not None and stop(x):
+            break
+        tol_sq = (FIXED_POINT_RTOL * (1.0 + xnorm)) ** 2
+        q_sq = (lam * L) ** 2
+        step = sign * lam
+        y, y0, y1, gx0, gx1, n, mixed, ell = x, x0, x1, g0, g1, 0, False, 0.0
+        if held == 2:
+            ee0, ee1 = oe0, oe1
+            dd0, dd1 = ox0 + step * ee0, ox1 + step * ee1
+            ww, a22, n = step, dd0 * dd0 + dd1 * dd1, 1
+        if held:
+            e0, e1 = se0, se1
+            d0, d1 = sx0 + step * e0, sx1 + step * e1
+            w, a11, n = step, d0 * d0 + d1 * d1, n + 1
+        for it in range(1, _MAX_INNER_ITER + 1):
+            t0 = x0 + step * g0
+            t1 = x1 + step * g1
+            if t0 < l0 or t0 > h0 or t1 < l1 or t1 > h1:
+                left = (t0, t1)
+                break
+            r0, r1 = t0 - y0, t1 - y1
+            rr = r0 * r0 + r1 * r1
+            if rr <= tol_sq and ((ynorm := sqrt(y0 * y0 + y1 * y1)) >= xnorm
+                                 or rr <= (FIXED_POINT_RTOL * (1.0 + ynorm)) ** 2):
+                break
+            if mixed and not rr <= q_sq * last_rr:
+                n = 0  # the mixed iterate contracted less than a Picard step: restart
+            elif it > 1:
+                if n:
+                    dd0, dd1, ee0, ee1, ww, a22 = d0, d1, e0, e1, w, a11
+                d0, d1, e0, e1 = r0 - last_r0, r1 - last_r1, t0 - last_t0, t1 - last_t1
+                w, a11, n = 1.0, d0 * d0 + d1 * d1, 2 if n else 1
+            last_r0, last_r1, last_t0, last_t1, last_rr = r0, r1, t0, t1, rr
+            mixed = False
+            if n and a11 > 0.0:
+                b1, deep = d0 * r0 + d1 * r1, False
+                if n == 2:
+                    a12, b2 = d0 * dd0 + d1 * dd1, dd0 * r0 + dd1 * r1
+                    det = a11 * a22 - a12 * a12
+                    deep = det > _GRAM_RTOL * a11 * a22
+                if deep:
+                    c, cc = (a12 * b2 - a22 * b1) / det * w, (a12 * b1 - a11 * b2) / det * ww
+                    m0, m1 = (t0 + c * e0) + cc * ee0, (t1 + c * e1) + cc * ee1
+                else:
+                    c = -b1 / a11 * w
+                    m0, m1 = t0 + c * e0, t1 + c * e1
+                if it == 1:
+                    v0, v1 = m0 - x0, m1 - x1
+                    f0, f1, ell = m0, m1, v0 * v0 + v1 * v1
+                    if ell_p is not None:
+                        c = ell / ell_p
+                        m0, m1 = m0 + c * c0, m1 + c * c1
+                mixed = not (m0 < l0 or m0 > h0 or m1 < l1 or m1 > h1)
+            y0, y1 = y = (m0, m1) if mixed else (t0, t1)
+            g0, g1 = g = grad(y)
+        else:
+            raise ArithmeticError("fixed-point iteration failed to contract")
+        if left is not None:
+            break
+        u0, u1 = (y0 + -step * g0) - x0, (y1 + -step * g1) - x1
+        residual = sqrt(u0 * u0 + u1 * u1)
+        if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
+            raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
+        total += it
+        if held:
+            ox0, ox1, oe0, oe1 = sx0, sx1, se0, se1
+        sx0, sx1, se0, se1, held = x0 - y0, x1 - y1, g0 - gx0, g1 - gx1, 2 if held else 1
+        (c0, c1), ell_p = ((y0 - f0, y1 - f1), ell) if ell > 0.0 else ((0.0, 0.0), None)
+        x, x0, x1, xnorm = y, y0, y1, ynorm
+        xs.append(y)
+        residuals.append(residual)
+        grads.append(g)
+    return (xs, residuals, grads, left, total, xnorm,
+            None if ell_p is None else ((c0, c1), ell_p))
+
+
+_ORBITS = {1: _orbit1, 2: _orbit2}  # the float lane's orbit frame per dimension
 
 
 def prox(f, x, lam):
@@ -373,15 +441,16 @@ def reverse_orbit(f, a, s, kbar, stop=None, *, g0=None):
     steps taken are indexed K-1 down to 0.  The anchor's gradient is
     ``g0``, grad f(a) as f's lane takes it, when the caller has it (a
     horizon search hands each rebuild the one its last build took), else
-    taken once, after the first stop test (or at the end, when no step is
-    taken); each later solve starts from the gradient and the norm its
+    taken once; each later solve starts from the gradient and the norm its
     predecessor returned, and its mixing history from the last two steps,
-    kept as they are, (x_{k+1}, x_k, grad(x_{k+1}), grad(x_k)) newest
-    first, so m solves cost one gradient (none with g0) plus their
-    iterations less one each, and 2m + 1 norms.  Each solve also starts
-    its first mixed point from the miss its predecessor returned
-    (:func:`_picard`), which only moves where the iteration starts.  The
-    orbit keeps the gradients.
+    (x_{k+1}, x_k, grad(x_{k+1}), grad(x_k)) newest first, so m > 0 solves
+    cost one gradient (none with g0) plus their iterations less one each,
+    and 2m + 1 norms.  Each solve also starts its first mixed point from
+    the miss its predecessor returned (:func:`_picard`), which only moves
+    where the iteration starts.  The orbit keeps the gradients.  On the
+    float lane the whole build is one frame (:func:`_orbit1`,
+    :func:`_orbit2`), which holds the steps and the miss as floats; the
+    ndarray lane makes one :func:`_ascent_step` call per solve.
 
     Each solve stops on its first y = x_k with |T(y) - y| <=
     FIXED_POINT_RTOL (1 + min(|x_{k+1}|, |x_k|)), 0.999e-10, and every
@@ -398,35 +467,36 @@ def reverse_orbit(f, a, s, kbar, stop=None, *, g0=None):
     # checked once: every alpha_k is at most sup_alpha, and each later
     # solve starts from a point its predecessor's Picard test kept in the box
     require_admissible(s, f, "prox", "reverse_orbit")
-    lane = f._lane
-    g, xnorm, steps, miss = g0, None, [], None
-    points, residuals, grads = [anchor.copy()], [], [] if g0 is None else [g0]
-    status = "complete"
-    for k in range(kbar - 1, -1, -1):
-        if stop is not None and stop(x):
-            break
-        alpha = s.alpha(k)
+    if f.dim <= FLOAT_LANE_DIMS:
+        points, residuals, grads, left = _ORBITS[f.dim](
+            f, x, g0, None, map(s.alpha, range(kbar - 1, -1, -1)), 1.0, stop)[:4]
+        status = "complete" if left is None else "left_box"
+    else:
+        g, xnorm, steps, miss, status = g0, None, [], None, "complete"
+        points, residuals, grads = [x], [], [] if g0 is None else [g0]
+        for k in range(kbar - 1, -1, -1):
+            if stop is not None and stop(x):
+                break
+            alpha = s.alpha(k)
+            if g is None:
+                g = f._lane.grad(x)
+                grads.append(g)
+            try:
+                y, residual, gy, ynorm, miss = _ascent_step(f, x, alpha, g, steps, xnorm, miss)
+            except LeftBoxError:
+                status = "left_box"
+                break
+            steps = [(x, y, g, gy)] + steps[:_ANDERSON_DEPTH - 1]
+            x, g, xnorm = y, gy, ynorm
+            points.append(x)
+            residuals.append(residual)
+            grads.append(gy)
         if g is None:
-            g = lane.grad(x)
-            grads.append(g)
-        try:
-            y, residual, gy, ynorm, miss = _ascent_step(f, x, alpha, g, steps, xnorm, miss)
-        except LeftBoxError:
-            status = "left_box"
-            break
-        steps = [(x, y, g, gy)] + steps[:_ANDERSON_DEPTH - 1]
-        x, g, xnorm = y, gy, ynorm
-        points.append(np.array(x))
-        residuals.append(residual)
-        grads.append(gy)
-    if g is None:
-        grads.append(lane.grad(x))
-    points.reverse()
-    residuals.reverse()
+            grads.append(f._lane.grad(x))
     return ReverseOrbit(
-        points=tuple(points),
+        points=tuple(np.array(points[::-1])),
         anchor=anchor.copy(),
-        forward_residuals=tuple(residuals),
+        forward_residuals=tuple(residuals[::-1]),
         status=status,
         start_index=0 if stop is not None else kbar - len(residuals),
         gradients=tuple(grads[::-1]),

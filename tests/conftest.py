@@ -342,18 +342,22 @@ def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None, miss=None):
         g = f.gradient(y)
 
 
-def anderson_orbit(f, anchor, alphas):
+def anderson_orbit(f, anchor, alphas, iters=None):
     """(points, forward residuals) of reverse_orbit written on ndarrays,
     from the anchor back through the steps ``alphas`` (alpha_{K-1} first):
     each solve starts from the gradient the last one returned, its history
     from the secant pairs (x - y, grad(y) - grad(x)) of the last two orbit
     steps x -> y, converted to (dr, v, w) = ((x - y) + a dg, dg, a), and
-    its first mixed point shifted by the miss the last one returned."""
+    its first mixed point shifted by the miss the last one returned.
+    ``iters``, when given, gets each solve's count of tested iterates, and
+    a solve whose T(y) leaves the box raises LeftBoxError."""
     x = np.asarray(anchor, dtype=float)
     g, pairs, points, residuals, miss = f.gradient(x), [], [x], [], None
     for a in alphas:
         seeds = [(neg_dx + a * dg, dg, a) for neg_dx, dg in pairs]
-        y, gy, _, miss = anderson_solve(f, x, a, 1.0, g, seeds, miss=miss)
+        y, gy, it, miss = anderson_solve(f, x, a, 1.0, g, seeds, miss=miss)
+        if iters is not None:
+            iters.append(it)
         residuals.append(norm((y - a * gy) - x))
         pairs = [(x - y, gy - g)] + pairs[:1]
         x, g = y, gy

@@ -252,6 +252,16 @@ UNMOVED = {
         (1, "f078460ec87e4382a1e526661e6889a2470062b6505999f96f83670266d48cd1"),
         (2, "8ed5ac898335f6e8ecfd7bad32e9b766f0758deefe3f0154df1d76625421aea4"),
         (3, "0b8c8580da7f0e08b2e29250a75a13fb2c41f33ccc0fb7cf50d2ee463042723d"))},
+    # CI's power-schedule minimum reaches on the 2-D and the 1-D float lane,
+    # recorded before each float-lane orbit came to run in one frame
+    "hb-power": (["reach", "--function", "himmelblau", "--target-index", "0", "--epsilon", "1.0",
+                  "--schedule", "power:0.0015:0.5", "--seed-radius", "1e-3", "--tol", "1e-4"], {
+        "forward.csv": "9f517929427cb49f78bede42da855fdb74e08a83b46e25c66a550146c1a0ff04",
+        "reverse.csv": "e2859fb7361ba45688f385cd710abef785112f87a2fe5e0a9f22060b8eca4d25"}),
+    "dw-power": (["reach", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
+                  "--schedule", "power:0.021:0.5", "--seed-radius", "1e-3", "--tol", "1e-4"], {
+        "forward.csv": "0925c6056df7992a661057c88f2b773522c664fb4b1cbb353931a71f781c412c",
+        "reverse.csv": "20709980b2a9dbe6f834fb9d057e5a2184424dbc9d9ba96a2089e49a84937761"}),
 }
 
 

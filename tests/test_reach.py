@@ -19,8 +19,8 @@ from basinreach.sampling import Lcg64, unit_directions
 from basinreach.serialize import reach_report_json
 from basinreach.trajectory import record_trajectories, recorded
 
-from conftest import (capture_level_full_grid, count_flow_steps, counting, make_saddle_quad,
-                      same_states, two_wells)
+from conftest import (anderson_orbit, capture_level_full_grid, count_flow_steps, counting,
+                      make_saddle_quad, same_states, two_wells)
 
 
 FLOW = br.FlowSettings(h=1e-2, t_max=50.0, gtol=1e-6)
@@ -1041,24 +1041,34 @@ def test_reach_discrete_escape_bound(dw, himmelblau):
     ("quad", (1.0, 4.0), [0.0, 0.0], 1.0),
 ])
 def test_reach_discrete_first_crossing(monkeypatch, name, params, target, eps):
-    # constant schedule: x0 is the first backward crossing of the
-    # escape sphere, built with one ascent solve per orbit step
-    f = br.make_builtin(name, params)
-    calls = []
-    solve = reverse_mod._ascent_step
+    # constant schedule: x0 is the first backward crossing of the escape
+    # sphere, built with one ascent solve per orbit step: the reach builds
+    # one orbit, the ndarray reference's bit for bit over as many steps,
+    # and takes the gradients of those solves' tested iterates, no more
+    plain = br.make_builtin(name, params)
+    f, counts = counting(plain)
+    builds, build = [], reach_mod.reverse_orbit
 
-    def counted(*args):
-        calls.append(1)
-        return solve(*args)
+    def counted(*args, **kwargs):
+        before = counts["grad"]
+        orbit = build(*args, **kwargs)
+        builds.append((orbit, counts["grad"] - before))
+        return orbit
 
-    monkeypatch.setattr(reverse_mod, "_ascent_step", counted)
+    monkeypatch.setattr(reach_mod, "reverse_orbit", counted)
     rep = br.reach_discrete(f, target, eps, br.constant(0.5 / f.lipschitz_L), 1e-3, 1e-3)
     assert rep.status == "success"
     points = rep.reverse_part.points
     dist = [np.linalg.norm(p - rep.target) for p in points]
     assert all(d <= rep.escape_radius for d in dist[1:])
     assert rep.escape_radius < dist[0] <= min(rep.delta_used, eps)
-    assert len(calls) == len(points) - 1
+    [(orbit, grads)] = builds
+    s, iters = rep.forward_part.provenance["schedule"], []
+    alphas = [s.alpha(k) for k in range(len(points) - 2, -1, -1)]
+    ref, _ = anderson_orbit(plain, rep.ascent_seed, alphas, iters)
+    assert orbit is rep.reverse_part and len(iters) == len(points) - 1
+    assert [p.tobytes() for p in points] == [p.tobytes() for p in ref[::-1]]
+    assert grads == 1 + sum(it - 1 for it in iters)
 
 
 def test_reach_discrete_shrinking_seeds(dw):
@@ -1131,6 +1141,17 @@ def test_reach_budgets_allow_no_or_a_zero_delta_override(dw):
     rep = br.reach_discrete(dw, [1.0], 0.4, br.constant(0.021), 1e-3, 1e-4,
                             br.ReachBudgets(delta_override=0.0))
     assert rep.status == "no_escape" and rep.delta_used == 0.0 and rep.delta_source == "override"
+
+
+@pytest.mark.parametrize("dynamics", [br.constant(0.0015), FLOW], ids=["discrete", "continuous"])
+def test_a_saddle_reach_refuses_a_delta_override(himmelblau, dynamics):
+    # a saddle reach runs on its delta, so a minimum's override radius, even
+    # 0, is refused by name rather than ignored
+    saddle = himmelblau.critical_points[6].point
+    for override in (0.3, 0.0):
+        with pytest.raises(ValueError, match="^delta_override: a saddle reach runs on its delta"):
+            br.reach_general(himmelblau, saddle, 1.0, dynamics, 1e-3, 1e-2, delta=0.1,
+                             budgets=br.ReachBudgets(delta_override=override))
 
 
 def test_reach_discrete_preconditions(dw):

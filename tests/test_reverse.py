@@ -419,22 +419,20 @@ def test_orbit_certificates(name, params, kbar):
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_orbit_takes_one_gradient_per_tested_iterate(monkeypatch):
+def test_orbit_takes_one_gradient_per_tested_iterate():
     # a solve's first tested iterate is its base, whose gradient the last
     # solve's test took (the anchor's is taken once); the forward residual
-    # reuses the gradient of the last tested iterate
-    f, counts = counting(br.make_builtin("himmelblau"))
-    iters = []
-
-    def counted(*args):
-        out = _picard(*args)
-        iters.append(out[2])
-        return out
-
-    monkeypatch.setattr(reverse_mod, "_picard", counted)
-    orbit = br.reverse_orbit(f, [3.001, 2.002], br.constant(0.5 / f.lipschitz_L), 40)
+    # reuses the gradient of the last tested iterate.  Each solve's count
+    # of tested iterates is the ndarray reference's, whose points the orbit
+    # matches bit for bit
+    plain = br.make_builtin("himmelblau")
+    f, counts = counting(plain)
+    a, anchor, iters = 0.5 / f.lipschitz_L, [3.001, 2.002], []
+    orbit = br.reverse_orbit(f, anchor, br.constant(a), 40)
+    points, _ = anderson_orbit(plain, anchor, [a] * 40, iters)
     m = len(orbit.points) - 1
     assert m == 40 and len(iters) == m
+    assert [p.tobytes() for p in orbit.points] == [p.tobytes() for p in points[::-1]]
     assert counts == {"value": 0, "grad": 1 + sum(it - 1 for it in iters)}
     # seeded Anderson mixing from the shifted first point: 146 (160 unshifted);
     # unseeded: 216; plain Picard took 511
@@ -587,6 +585,82 @@ def test_orbit_matches_ndarray_picard(name, params, target):
     y = br.ascent_prox(f, anchor, s.alpha(0))
     assert y.shape == (f.dim,)
     assert y.tobytes() == anderson_solve(f, anchor, s.alpha(0), 1.0)[0].tobytes()
+
+
+# the float lane's orbit frames: _orbit1 on double_well, _orbit2 on himmelblau and
+# quad:1,5, each with its anchor, the stop radius of a constant-schedule march
+# and the horizon past which a power:0.9/L:0.5 orbit leaves the box
+FRAME_CASES = [("double_well", (), [1.001], 0.2, 100),
+               ("himmelblau", (), [3.001, 2.002], 0.5, 400),
+               ("quad", (1.0, 5.0), [1e-3, 2e-3], 0.5, 40)]
+FRAME_IDS = ["orbit1-double_well", "orbit2-himmelblau", "orbit2-quad"]
+
+
+def same_orbit(orbit, points, residuals):
+    """Whether an orbit's points (x_start first) and forward residuals are
+    the reference's (anchor first), bit for bit."""
+    return ([p.tobytes() for p in orbit.points] == [p.tobytes() for p in points[::-1]]
+            and orbit.forward_residuals == tuple(residuals[::-1]))
+
+
+@pytest.mark.parametrize("name,params,anchor,r,kbar", FRAME_CASES, ids=FRAME_IDS)
+def test_an_orbit_frame_stops_its_march_as_the_reference(name, params, anchor, r, kbar):
+    # a constant-schedule march stopped at its first point farther than r
+    # from the anchor: the reference's orbit over as many steps, bit for
+    # bit, with f's gradient at each point and one gradient per tested
+    # iterate beyond each solve's first, plus the anchor's
+    plain = br.make_builtin(name, params)
+    f, counts = counting(plain)
+    a, anchor, iters = 0.5 / f.lipschitz_L, np.array(anchor), []
+    stop = lambda x: norm(np.subtract(x, anchor)) > r
+    orbit = br.reverse_orbit(f, anchor, br.constant(a), 1000, stop=stop)
+    m = len(orbit.points) - 1
+    points, residuals = anderson_orbit(plain, anchor, [a] * m, iters)
+    assert orbit.status == "complete" and orbit.start_index == 0 and 5 < m < 1000
+    assert same_orbit(orbit, points, residuals)
+    assert stop(orbit.points[0]) and not any(map(stop, orbit.points[1:]))
+    assert ([np.array(g).tobytes() for g in orbit.gradients]
+            == [plain.gradient(p).tobytes() for p in orbit.points])
+    assert counts == {"value": 0, "grad": 1 + sum(it - 1 for it in iters)}
+
+
+@pytest.mark.parametrize("name,params,anchor,r,kbar", FRAME_CASES, ids=FRAME_IDS)
+def test_an_orbit_frame_ends_at_a_box_exit_as_the_reference(name, params, anchor, r, kbar):
+    # a power-schedule orbit whose next solve leaves the box: the partial
+    # orbit, x_start to the anchor with alpha indexed from start_index, is
+    # the reference's bit for bit, and the reference's next solve, at
+    # alpha_{start_index - 1}, leaves the box too
+    f = br.make_builtin(name, params)
+    s, anchor = br.power(0.9 / f.lipschitz_L, 0.5), np.array(anchor)
+    orbit = br.reverse_orbit(f, anchor, s, kbar)
+    k0 = orbit.start_index
+    assert orbit.status == "left_box" and 0 < k0 and len(orbit.points) == kbar - k0 + 1
+    assert all(f.in_box(p) for p in orbit.points)
+    alphas = [s.alpha(k) for k in range(kbar - 1, k0 - 2, -1)]
+    assert same_orbit(orbit, *anderson_orbit(f, anchor, alphas[:-1]))
+    with pytest.raises(br.LeftBoxError):
+        anderson_orbit(f, anchor, alphas)
+
+
+@pytest.mark.parametrize("name,params,anchor,r,kbar", FRAME_CASES, ids=FRAME_IDS)
+def test_an_orbit_frame_rebuilds_from_the_anchor_gradient_as_the_reference(name, params,
+                                                                           anchor, r, kbar):
+    # a horizon search's rebuild under a power schedule, handed the anchor's
+    # gradient its last build took: the reference's orbit, bit for bit, at
+    # one gradient per tested iterate beyond each solve's first, none at the
+    # anchor
+    plain = br.make_builtin(name, params)
+    f, counts = counting(plain)
+    s, anchor, iters = br.power(0.5 / f.lipschitz_L, 0.5), np.array(anchor), []
+    first = br.reverse_orbit(f, anchor, s, 8)
+    grads = counts["grad"]
+    orbit = br.reverse_orbit(f, anchor, s, 12, g0=first.gradients[-1])
+    points, residuals = anderson_orbit(plain, anchor, [s.alpha(k) for k in range(11, -1, -1)],
+                                       iters)
+    assert orbit.status == "complete" and len(orbit.points) == 13
+    assert orbit.gradients[-1] is first.gradients[-1]
+    assert same_orbit(orbit, points, residuals)
+    assert counts["grad"] - grads == sum(it - 1 for it in iters)
 
 
 @pytest.mark.parametrize("name,params,target", LANE_CASES,

@@ -17,9 +17,8 @@ import basinreach as br
 import basinreach.cli as cli
 import basinreach.flow as flow_mod
 import basinreach.reach as reach_mod
-import basinreach.reverse as reverse_mod
 
-from conftest import count_flow_steps
+from conftest import anderson_orbit, count_flow_steps
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -112,20 +111,16 @@ def test_benchmark_counts_every_gradient(monkeypatch, name, params, x0, anchor):
     assert len(traj) > 10 and counts.n[workloads.GRAD] == len(traj)
 
     # an orbit takes the anchor's gradient, then one per tested iterate
-    # beyond each solve's first, whose gradient the last solve returned
+    # beyond each solve's first, whose gradient the last solve returned;
+    # each solve's count of tested iterates is the ndarray reference's,
+    # whose points the orbit matches bit for bit
     iters = []
-
-    def counted(*args):
-        out = picard(*args)
-        iters.append(out[2])
-        return out
-
-    picard = reverse_mod._picard
-    monkeypatch.setattr(reverse_mod, "_picard", counted)
     snap = counts.snapshot()
     orbit = br.reverse_orbit(f, np.array(anchor), s, 12)
+    points, _ = anderson_orbit(br.make_builtin(name, params), anchor, [s.alpha(0)] * 12, iters)
     solves = len(orbit.points) - 1
     assert solves == 12 and len(iters) == solves
+    assert [p.tobytes() for p in orbit.points] == [p.tobytes() for p in points[::-1]]
     assert counts.since(snap)[workloads.GRAD] == 1 + sum(it - 1 for it in iters)
 
     # DOP853: one gradient at the start, 12 per accepted step, whose last
