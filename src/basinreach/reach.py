@@ -3,20 +3,15 @@ descent or gradient flow converges to a designated target, estimate
 stability radii empirically, and run the step-size sharpness-exclusion
 experiment.
 
-Every reach runs one driver, ``_reach``: pick an ascent seed a near the
+Every reach runs one driver, ``_reach``, toward its goal (``_Basin`` for
+a minimum, ``_Level`` for a saddle): pick an ascent seed a near the
 target with f(a) > f(target), escape backward from a to x0 on a sphere
 around the target, run forward from x0 and measure the distance from the
-forward limit to the target.  One dynamics argument picks the path, as
-in the probe: a StepSchedule means reverse orbit and ``run_gd``,
-FlowSettings reverse and forward DOP853 flow, and a saddle target's forward
-run stops at the level set f = f(target) (``_run_to_level``, or
-``integrate_minnorm``, the minimum-norm Clarke flow of max{f, f(target)}).
-A minimum reach runs on delta = min(delta_cert, epsilon), the radius the
-probe certifies, and probes only without one.  The escape radius of GD
-is rho = delta / (1 + 2aL/(1 - aL)), a = sup alpha: |grad f(x)| <= L |x -
-target| on the convex box, so one ascent step from B_rho lands in B_delta,
-and with a constant schedule x0 is the first orbit point outside B_rho;
-capture rests on the direct check |x0 - target| <= delta, not on that bound.
+forward limit to the target: reverse orbit and GD under a StepSchedule,
+reverse and forward DOP853 flow under FlowSettings, as in the probe.  A
+saddle's forward run stops at the level set f = f(target); a minimum
+reach runs on delta = min(delta_cert, epsilon) and probes only without
+delta_cert.
 
 The certificate of a minimum (``_Basin``, built once by each probe and
 each minimum reach) has two sets.  The certified ball B_r, r = min(epsilon,
@@ -288,26 +283,36 @@ def _capture_level(f, target, epsilon, curvature=None):
 
 class _Basin:
     """The certificate around a cataloged local minimum (the module
-    docstring), built once per probe and per minimum reach.  Building it
-    makes the checks both share, in this order: the target as a start, its
-    catalog entry (``what`` names the target in that message), epsilon, and
-    B_epsilon inside the box.  Each part is taken on first use, so an
-    unread one costs nothing: ``spectrum``, the one eigh of hess f(target)
-    (``_spectrum``, None without a Hessian); ``ball``, (s, mu_s, L_s) of
-    B_r, s = r, None without M or a Hessian or where lambda_min does not
-    clear its rounding margin; and ``certificate``, (c, delta_cert), the
-    capture grid's only caller, which hands the grid (lambda_min,
-    lambda_max, M) wherever there is M and a Hessian: ``ball`` has read
-    the spectrum there already, so the grid takes no eigh of its own; it
-    widens that spectrum by SPECTRUM_RTOL n |H|_2 = 2 eta, the margin
-    ``ball`` asks lambda_min to clear (below).
+    docstring), built once per probe and per minimum reach, and the goal of
+    a minimum reach.  Building it makes the checks both share, in this
+    order: the target as a start, its catalog entry (``what`` names the
+    target in that message), epsilon, and B_epsilon inside the box.  Each
+    part is taken on first use, so an unread one costs nothing:
+    ``spectrum``, the one eigh of hess f(target) (``_spectrum``, None
+    without a Hessian); ``ball``, (s, mu_s, L_s) of B_r, s = r, None
+    without M or a Hessian or where lambda_min does not clear its rounding
+    margin (below); ``certificate``, (c, delta_cert), which hands the
+    capture grid (lambda_min, lambda_max, M) wherever there is M and a
+    Hessian, where ``ball`` has read the spectrum already; and ``level``,
+    f(target).  ``hit(t, x)`` ends a run on a state x in B_r as converged,
+    the target its limit, naming the ball (stopped_on = "certified_ball",
+    s, mu_s); ``event`` is the reach's stop as a ``march`` event, at |x -
+    target| <= s by the lane's norm.
 
-    ``hit(t, x)`` ends a run on a state x in B_r as converged, the target
-    its limit, naming the ball (stopped_on = "certified_ball", s, mu_s);
-    ``event`` is the reach's stop as a ``march`` event, at |x - target| <=
-    s by the lane's norm; ``certify(traj, descent)`` adds the certificate to
-    a run it stopped: a GD run's length bound is its measured length plus
-    the (L_s / mu_s) |x_m - x*| tail, a flow's is None.
+    As a reach's goal (``_reach``): ``radius`` checks a schedule's
+    admissibility and gives delta, budgets.delta_override, else delta_cert,
+    else the probed delta_hat (under the constant schedule at the same sup
+    alpha, the fastest of the family the radius is uniform over), capped at
+    epsilon, and its source; seed_radius must be at most delta/2.
+    ``scan_radius`` gives rho, the cap delta and the dynamics: rho = delta
+    under flow settings, else ``_escape_radius``, the schedule halved
+    before the scan while rho <= seed_radius.  ``scan`` leads with +-v_max,
+    along which an ascent step grows |x - target| by 1/(1 - alpha
+    lambda_max) and f(a) - f* ~ lambda_max r^2/2 > 0, so the orbit's length
+    does not grow with the condition number; the axes follow, then the
+    quasi-random directions.  ``forward`` runs ``run_gd`` or forward
+    ``integrate``, with ``event`` where there is a ball, and adds the ball's
+    certificate (the module docstring) to a run it stopped.
 
     The margin belongs to the proof: B_r needs an exact floor lambda_min -
     M s > 0, and eigh returns a float lambda_min.  The float Hessian H' = ``hess(target)``
@@ -344,7 +349,9 @@ class _Basin:
       of the quadratic bound, which vanishes only where f'' = L along the
       whole segment to the sphere."""
 
-    def __init__(self, f, target, epsilon, what):
+    procedure, minimum = "reach_discrete", True
+
+    def __init__(self, f, target, epsilon, what="target"):
         self.center = start(f, target, "target")
         entry = f.catalog_entry(target, "local_min")
         if entry is None:
@@ -371,9 +378,7 @@ class _Basin:
 
     @cached_property
     def certificate(self):
-        # c only where B_r is not all of B_epsilon; a zero radius is none.
-        # The grid takes the target's curvature only with M, where ``ball``
-        # has read the spectrum already
+        # c only where B_r is not all of B_epsilon; a zero radius is none
         r = self.ball[0] if self.ball else 0.0
         M = self.f.hessian_lipschitz
         curvature = None if M is None or self.spectrum is None else (*self.spectrum[:2], M)
@@ -382,6 +387,10 @@ class _Basin:
         if c is not None:
             r = max(r, math.sqrt(2.0 * max(c - self.f_star, 0.0) / self.f.lipschitz_L))
         return c, r or None
+
+    @cached_property
+    def level(self):
+        return self.f.value(self.target)
 
     def hit(self, t, x):
         s, mu, _ = self.ball
@@ -392,14 +401,92 @@ class _Basin:
         lane = self.f._lane
         return self.hit(t, x) if lane.norm(lane.sub(x, self.center)) <= self.ball[0] else None
 
-    def certify(self, traj, descent):
+    def radius(self, seed_radius, dynamics, budgets):
+        descent = isinstance(dynamics, StepSchedule)
+        if descent:
+            require_admissible(dynamics, self.f, "prox", self.procedure)
+        delta, source = budgets.delta_override, "override"
+        if delta is None:
+            delta, source = self.certificate[1], "certified"
+        if delta is None:
+            probed = constant(dynamics.sup_alpha) if descent else dynamics
+            delta = stability_probe(self.f, self.target, self.epsilon, probed,
+                                    seed=budgets.seed).delta_hat
+            source = "probe"
+        delta = min(float(delta), self.epsilon)
+        if delta > 0.0 and seed_radius > 0.5 * delta:
+            raise ValueError(f"seed_radius {seed_radius} must be at most half the {source} "
+                             f"stability radius {delta}")
+        return delta, source
+
+    def scan_radius(self, delta, seed_radius, dynamics):
+        if not isinstance(dynamics, StepSchedule):
+            return delta, delta, dynamics
+        while (rho := _escape_radius(self.f, delta, dynamics.sup_alpha)) <= seed_radius:
+            # rho > 0.6 delta >= seed_radius once alpha L < 1/4: twice at most
+            dynamics = dynamics.scaled(0.5)
+        return rho, delta, dynamics
+
+    def scan(self, seed):
+        lead = (self.spectrum[2], -self.spectrum[2]) if self.spectrum else ()
+        fresh = lambda d: not any(np.array_equal(d, v) for v in lead)
+        return chain(lead, filter(fresh, directions(self.f.dim, SCAN_RANDOM, seed)))
+
+    def forward(self, x0, dynamics, g0, gtol, max_iter):
+        event = self.event if self.ball else None
+        descent = isinstance(dynamics, StepSchedule)
+        fwd = (run_gd(self.f, x0, dynamics, gtol=gtol, max_iter=max_iter, event=event, g0=g0)
+               if descent else integrate(self.f, x0, "forward", dynamics, event=event, g0=g0))
+        if fwd.provenance.get("stopped_on") != "certified_ball":
+            return fwd
         s, mu, L = self.ball
-        dist = norm(traj.final_x - self.target)
-        length = ((path_length(traj) if len(traj) > 1 else 0.0) + L / mu * dist
-                  if descent else None)
-        cert = {"name": "certified_ball", "s": s, "mu_s": mu, "distance_bound": dist,
-                "length_bound": length}
-        return dataclasses.replace(traj, provenance=dict(traj.provenance, certificate=cert))
+        dist = norm(fwd.final_x - self.target)
+        length = (path_length(fwd) if len(fwd) > 1 else 0.0) + L / mu * dist if descent else None
+        cert = dict(name="certified_ball", s=s, mu_s=mu, distance_bound=dist, length_bound=length)
+        return dataclasses.replace(fwd, provenance=dict(fwd.provenance, certificate=cert))
+
+
+class _Level:
+    """The goal of a saddle reach: the level set f = f(target), ``level``,
+    of a cataloged saddle, where the forward run stops (``_run_to_level``
+    or ``integrate_minnorm``, its limit the crossing).  Building it checks
+    the target as a start, its catalog entry and ``classify_limit``'s
+    verdict.  Its delta is the one given, with 0 < seed_radius < delta <=
+    epsilon (not delta/2 as at a minimum), and rho = delta; epsilon only
+    caps delta and |x0 - target| (to the crossing's 1e-8 delta under flow
+    settings), so B_epsilon(target) may leave the box.  The scan tries the
+    axes last, as they can lie on the stable manifold, and no eigenvector
+    leads: a saddle's top eigenvector is tangent to that manifold, from
+    which the forward run creeps back to the saddle above the level."""
+
+    procedure, minimum = "reach_general", False
+
+    def __init__(self, f, target, epsilon, delta):
+        start(f, target, "target")
+        if f.catalog_entry(target, "saddle") is None:
+            raise ValueError("target must be a cataloged saddle")
+        if (kind := classify_limit(f, target).kind) != "saddle":
+            raise ValueError(f"classify_limit disagrees with the catalog: {kind}")
+        self.f, self.target, self.epsilon, self.delta = f, target, epsilon, delta
+        self.level = f.value(target)
+
+    def radius(self, seed_radius, dynamics, budgets):
+        if not seed_radius < self.delta <= self.epsilon:
+            raise ValueError("need 0 < seed_radius < delta <= epsilon")
+        if isinstance(dynamics, StepSchedule):
+            require_admissible(dynamics, self.f, "prox", self.procedure)
+        return self.delta, "given"
+
+    def scan_radius(self, delta, seed_radius, dynamics):
+        return delta, self.epsilon, dynamics
+
+    def scan(self, seed):
+        return directions(self.f.dim, SCAN_RANDOM, seed, axis_first=False)
+
+    def forward(self, x0, dynamics, g0, gtol, max_iter):
+        if isinstance(dynamics, StepSchedule):
+            return _run_to_level(self.f, x0, dynamics, self.level, gtol, max_iter, g0=g0)[0]
+        return integrate_minnorm(self.f, x0, self.level, dynamics, g0=g0)
 
 
 def _descends(dynamics, what):
@@ -503,8 +590,9 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
 def _escape_radius(f, delta, alpha_bar):
     """delta / (1 + 2aL/(1 - aL)), a = alpha_bar: from x in B_rho an
     ascent step moves at most 2a/(1 - aL) |grad f(x)| <= 2aL rho/(1 - aL)
-    (``prox_certificates``), so the first crossing lands in B_delta;
-    capture still rests on the caller's direct distance check."""
+    (``prox_certificates``; |grad f(x)| <= L |x - target| on the convex
+    box), so the first crossing lands in B_delta; capture still rests on
+    the caller's direct distance check."""
     L = f.lipschitz_L
     return delta / (1.0 + 2.0 * alpha_bar * L / (1.0 - alpha_bar * L))
 
@@ -581,23 +669,17 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
     return None
 
 
-def _first_escape(f, target, seed_radius, level, seed, minimum, lead, rho, dynamics, cap,
-                  kbar_max):
-    """(a, (x0, reverse part)) of the first ascent seed a that escapes B_rho
-    under ``dynamics``, or None.  Seeds are a = target + seed_radius * d
-    with f(a) strictly above the target value (floor SEED_FLOOR_RTOL (1 +
-    |level|)), the directions ``lead`` first, then the axis directions and
-    the quasi-random ones, axes first for a ``minimum`` target, less any
-    direction equal to one of ``lead``, each tried once and drawn only when
-    the scan reaches it.  Under a schedule a escapes by the reverse orbit
-    whose root x0 lies outside B_rho and within cap; under flow settings by
-    the reverse flow to its crossing x0 of the rho-sphere, on settings whose
-    h is the cap H_STABLE / L, unless that flow leaves the box or never
-    crosses: for a minimum at REVERSE_RTOL with x0 inside the sphere
-    (``_sphere_exit_detail``)."""
+def _first_escape(goal, seed_radius, seed, rho, dynamics, cap, kbar_max):
+    """(a, (x0, reverse part)) of the first ascent seed a = target +
+    seed_radius * d, d in the goal's ``scan`` order with f(a) above its
+    level by SEED_FLOOR_RTOL (1 + |level|), that escapes B_rho under
+    ``dynamics``, or None: by the reverse orbit whose root x0 lies outside
+    B_rho and within cap, or by the reverse flow to its crossing x0 of the
+    rho-sphere (``_sphere_exit_detail``; at a minimum just inside it) that
+    neither leaves the box nor stops before it."""
+    f, target, level = goal.f, goal.target, goal.level
     floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
-    fresh = lambda d: not any(np.array_equal(d, v) for v in lead)
-    for d in chain(lead, filter(fresh, directions(f.dim, SCAN_RANDOM, seed, minimum))):
+    for d in goal.scan(seed):
         a = target + seed_radius * d
         if not (f.in_box(a) and f.value(a) > level + floor):
             continue
@@ -606,7 +688,7 @@ def _first_escape(f, target, seed_radius, level, seed, minimum, lead, rho, dynam
         else:
             try:
                 hit = _sphere_exit_detail(f, a, "reverse", target, rho, dynamics,
-                                          minimum=minimum)[1:]
+                                          minimum=goal.minimum)[1:]
             except (NoCrossingError, LeftBoxError):
                 hit = None
         if hit is not None:
@@ -614,108 +696,40 @@ def _first_escape(f, target, seed_radius, level, seed, minimum, lead, rho, dynam
     return None
 
 
-def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
-    """The one reach pipeline: checks, ascent seed, escape, forward run and
-    report, by gradient descent under a StepSchedule or DOP853 flow under
-    FlowSettings.  A saddle target passes its escape radius ``delta``; a
-    minimum's is budgets.delta_override, else delta_cert, else the probed
-    delta_hat (under the constant schedule at the same sup alpha, the fastest
-    of the family the radius is uniform over), capped at epsilon; delta_source
-    names it ("given", "override", "certified", "probe"), and a minimum's
-    B_epsilon(target) must lie in the box whichever it is.  For a saddle
-    epsilon only caps delta and |x0 - target| (to the crossing's 1e-8 delta
-    under flow settings), and B_epsilon(target) may leave the box.
-    seed_radius must be at most delta/2.  A discrete minimum reach halves
-    its schedule, before the scan, only while the escape radius rho =
-    delta (1 - aL)/(1 + aL), a = sup alpha, is at most seed_radius, so that
-    the seeds lie inside B_rho: as aL < 1, rho > 0.6 delta >= seed_radius
-    once aL < 1/4, so it halves twice at most, and the scan tries each seed
-    once, at that one scale; a flow or saddle reach scans at rho = delta.
-    The forward run starts in the state the reverse leg ended in, so x0
-    costs one gradient: from the gradient the orbit took at its root x0 or
-    the reverse flow at its crossing x0, and a flow on settings whose h is
-    that flow's h_forward (``flow._sphere_exit_detail``), with neither leg
-    bounded by budgets.gtol, max_iter or kbar_max.  Success iff the
-    forward run has a limit (its convergence point or level crossing)
-    within tol; the distance is from the limit, else from the last state.
-    A run stopped in the certified ball B_r has the target as its limit
-    (the module docstring), so it reports 0.  A minimum whose objective has
-    a Hessian takes one eigh of it at the target (``_Basin.spectrum``):
-    lambda_min sizes B_r, lambda_max its L_r, and the seed scan leads with
-    +-v_max, along which an ascent step grows |x - target| by 1/(1 - alpha
-    lambda_max) and f(a) - f* ~ lambda_max r^2/2 > 0, so the orbit's length
-    does not grow with the condition number; the axes follow, then the
-    quasi-random directions.  A saddle target's limit is the level
-    crossing; it scans quasi-random directions before the axes, which can
-    lie on its stable manifold.
-    """
-    saddle = delta is not None
-    name = "reach_general" if saddle else "reach_discrete"
-    descent = _descends(dynamics, name)
+def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, goal, *given):
+    """The one reach pipeline, by GD under a StepSchedule or DOP853 flow
+    under FlowSettings, toward goal(f, target, epsilon, *given), a
+    ``_Basin`` or a ``_Level``, whose docstrings state each kind's rules.
+    The forward leg starts in the state the reverse leg ended in.  Success
+    iff the forward run has a limit (its convergence point or level
+    crossing) within tol; the distance is from the limit, else from the
+    last state."""
+    descent = _descends(dynamics, goal.procedure)
     b = budgets or ReachBudgets()
-    target = np.asarray(target, dtype=float)
-    if saddle:
-        start(f, target, "target")
-        if f.catalog_entry(target, "saddle") is None:
-            raise ValueError("target must be a cataloged saddle")
-        if (kind := classify_limit(f, target).kind) != "saddle":
-            raise ValueError(f"classify_limit disagrees with the catalog: {kind}")
-    basin = None if saddle else _Basin(f, target, epsilon, "target")
+    goal = goal(f, np.asarray(target, dtype=float), epsilon, *given)
     require_positive_finite(epsilon=epsilon, seed_radius=seed_radius, tol=tol)
-    if saddle and not seed_radius < delta <= epsilon:
-        raise ValueError("need 0 < seed_radius < delta <= epsilon")
-    if descent:
-        require_admissible(dynamics, f, "prox", name)
-
-    source = "given"
-    if not saddle:
-        delta, source = b.delta_override, "override"
-        if delta is None:
-            delta, source = basin.certificate[1], "certified"
-        if delta is None:
-            probed = constant(dynamics.sup_alpha) if descent else dynamics
-            delta = stability_probe(f, target, epsilon, probed, seed=b.seed).delta_hat
-            source = "probe"
-        delta = min(float(delta), epsilon)
-        if delta > 0.0 and seed_radius > 0.5 * delta:
-            raise ValueError(f"seed_radius {seed_radius} must be at most half the {source} "
-                             f"stability radius {delta}")
+    delta, source = goal.radius(seed_radius, dynamics, b)
     found, rho = None, float("nan")
     if delta > 0.0:
-        level = f.value(target)
-        gtol = b.gtol if b.gtol is not None else min(1e-8, 1e-3 * tol)
-        rho = _escape_radius(f, delta, dynamics.sup_alpha) if descent and not saddle else delta
-        while rho <= seed_radius:  # rho > 0.6 delta once alpha L < 1/4: twice at most
-            dynamics = dynamics.scaled(0.5)
-            rho = _escape_radius(f, delta, dynamics.sup_alpha)
-        spectrum = basin and basin.spectrum
-        lead = (spectrum[2], -spectrum[2]) if spectrum else ()
-        found = _first_escape(f, target, seed_radius, level, b.seed, not saddle, lead, rho,
-                              dynamics, epsilon if saddle else delta, b.kbar_max)
+        rho, cap, dynamics = goal.scan_radius(delta, seed_radius, dynamics)
+        found = _first_escape(goal, seed_radius, b.seed, rho, dynamics, cap, b.kbar_max)
     if found is None:
         a = x0 = rev = fwd = None
         dist, status = float("inf"), "no_escape"
     else:
         a, (x0, rev) = found
-        event = basin.event if basin and basin.ball else None
         if descent:  # from the gradient the orbit took at its root x0
             g0 = rev.gradients[0]
-            fwd = (_run_to_level(f, x0, dynamics, level, gtol, b.max_iter, g0=g0)[0] if saddle
-                   else run_gd(f, x0, dynamics, gtol=gtol, max_iter=b.max_iter, event=event,
-                               g0=g0))
-        else:  # from the gradient the reverse leg took at x0, its located crossing,
-            # at the opening that leg measured there (``_sphere_exit_detail``)
-            opened = dataclasses.replace(dynamics, h=rev.provenance["h_forward"])
+        else:  # from the reverse flow's gradient and opening at its crossing x0
             g0 = rev.provenance["g_exit"]
-            fwd = (integrate_minnorm(f, x0, level, opened, g0=g0) if saddle
-                   else integrate(f, x0, "forward", opened, event=event, g0=g0))
+            dynamics = dataclasses.replace(dynamics, h=rev.provenance["h_forward"])
+        gtol = b.gtol if b.gtol is not None else min(1e-8, 1e-3 * tol)
+        fwd = goal.forward(x0, dynamics, g0, gtol, b.max_iter)
         end = fwd.limit if fwd.limit is not None else fwd.final_x
-        dist = norm(end - target)
-        if fwd.provenance.get("stopped_on") == "certified_ball":
-            fwd = basin.certify(fwd, descent)
+        dist = norm(end - goal.target)
         status = "success" if fwd.limit is not None and dist <= tol else "no_converge"
     return ReachReport(
-        target=target, x0=x0, reverse_part=rev, forward_part=fwd, final_distance=dist,
+        target=goal.target, x0=x0, reverse_part=rev, forward_part=fwd, final_distance=dist,
         delta_used=float(delta), delta_source=source, ascent_seed=a, status=status,
         seed_radius=float(seed_radius), escape_radius=rho)
 
@@ -723,27 +737,23 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, delta=None):
 def reach_discrete(f, target, epsilon, s, seed_radius, tol, budgets=None):
     """Construct x0 with |x0 - target| <= epsilon, x0 != target, from which
     gradient descent under the schedule s converges back to the target:
-    escape the rho-sphere inside the stability radius delta (``_reach``) by
-    reverse orbit from an ascent seed on the seed_radius sphere (s halved,
-    at most twice, only where rho would not clear seed_radius) and replay
+    escape the rho-sphere inside the stability radius delta (``_Basin``) by
+    reverse orbit from an ascent seed on the seed_radius sphere and replay
     forward under that schedule.  Success iff the forward limit lands within tol."""
     if not isinstance(s, StepSchedule):
         raise ValueError(f"reach_discrete needs a StepSchedule, got {type(s).__name__}")
-    return _reach(f, target, epsilon, s, seed_radius, tol, budgets)
+    return _reach(f, target, epsilon, s, seed_radius, tol, budgets, _Basin)
 
 
 def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=None):
-    """Continuous counterpart: reverse flow from the ascent seed, at the
-    looser REVERSE_RTOL of ``flow`` from the cap H_STABLE / L, to its first
-    crossing of the delta-sphere, located on the dense output just inside
-    it, so that x0 lies in B_delta with no overshoot margin; then forward
-    flow from x0, on settings whose h is the reverse flow's h_forward, from
-    the gradient the reverse flow took at x0, so x0 costs one gradient.
-    Neither leg reads settings.h, and budgets.gtol, max_iter and kbar_max
-    go unread: settings.gtol and t_max end both legs."""
+    """Continuous counterpart: reverse flow from the ascent seed to its
+    first crossing of the delta-sphere, located just inside it, so that x0
+    lies in B_delta (``_sphere_exit_detail``); then forward flow from x0 at
+    the opening, and from the gradient, the reverse flow measured there.
+    Neither leg reads settings.h or the GD budgets (``ReachBudgets``)."""
     if not isinstance(settings, FlowSettings):
         raise ValueError(f"reach_continuous needs FlowSettings, got {type(settings).__name__}")
-    return _reach(f, target, epsilon, settings, seed_radius, tol, budgets)
+    return _reach(f, target, epsilon, settings, seed_radius, tol, budgets, _Basin)
 
 
 def _run_to_level(f, x0, s, level, gtol, max_iter, *, g0=None):
@@ -755,32 +765,22 @@ def _run_to_level(f, x0, s, level, gtol, max_iter, *, g0=None):
 
 def reach_general(f, target, epsilon, dynamics, seed_radius, tol=1e-2, delta=None,
                   budgets=None):
-    """Reach a cataloged saddle (critical, neither local max nor min).
-
-    FlowSettings: reverse flow from the ascent seed to its crossing x0 of
-    the delta-sphere (delta = epsilon / 2 by default), then
-    ``integrate_minnorm`` from x0, the minimum-norm Clarke flow of g =
-    max{f, c}, c = f(target), under which the target is a local minimum
-    of g: the forward flow on f, stalled where it meets the level set f =
-    c, located on the dense output.  The reported distance is from that
-    crossing to the target.  Both legs step at ``flow.RTOL`` and open as
-    under ``reach_continuous``, the forward flow at the step the reverse
-    flow's controller proposed last, unscaled; neither reads settings.h,
-    budgets.gtol, max_iter or kbar_max.
-    StepSchedule: reverse orbit through {f > f(target)} on f itself, forward
-    replay, and linear interpolation to the first crossing of the level
-    f(target).  Under both the forward run starts from the gradient the
-    reverse leg took at x0, and the distance shrinks with seed_radius.
-    Axis directions are scanned last: they can lie on the stable manifold.
-    No eigenvector leads the scan, as +-v_max does at a minimum: a
-    saddle's top eigenvector is tangent to its stable manifold, from which
-    the forward run creeps back to the saddle above the level it stops at.
-    A saddle reach runs on ``delta``: budgets.delta_override, a minimum's
-    radius, is refused (ValueError) rather than ignored.
-    """
+    """Reach a cataloged saddle (critical, neither local max nor min) on
+    ``delta``, epsilon / 2 by default (``_Level``).  FlowSettings: reverse
+    flow from the ascent seed to its crossing x0 of the delta-sphere, then
+    ``integrate_minnorm``, the minimum-norm Clarke flow of max{f, c}, c =
+    f(target), a local minimum of which the target is: the forward flow on
+    f, stalled where it meets the level set f = c, located on the dense
+    output, opened at the reverse flow's last proposed step; neither leg
+    reads settings.h or the GD budgets (``ReachBudgets``).  StepSchedule:
+    reverse orbit through {f > c} on f itself, forward replay, and linear
+    interpolation to the first crossing of the level.  The distance is
+    from the crossing to the target and shrinks with seed_radius.
+    budgets.delta_override, a minimum's radius, is refused (ValueError)
+    rather than ignored."""
     if budgets is not None and budgets.delta_override is not None:
         raise ValueError("delta_override: a saddle reach runs on its delta; pass delta instead")
-    return _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets,
+    return _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, _Level,
                   float(0.5 * epsilon if delta is None else delta))
 
 

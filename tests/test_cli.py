@@ -222,14 +222,21 @@ def test_reach_replays_to_the_configured_gtol(tmp_path):
 # the run wrote at --h 5e-2, past the cap, before: 9 reverse states where it
 # wrote 12, the same 11 forward states, and the final distance
 # 9.284441519645128e-4 -> 9.284441523272009e-4
+# reach.json, whose delta_used, delta_source and certificate come from the
+# radius and the certificate of the reach's goal, is pinned beside the CSVs
+# of every reach, as are CI's constant-schedule and flow minimum reaches
+# (reach-out, flow-out), all recorded before a saddle's goal came to be an
+# object of its own beside the minimum's
 SADDLE = ["reach", "--general", "--function", "himmelblau", "--target-index", "8",
           "--epsilon", "1.0", "--seed-radius", "1e-3", "--tol", "1e-2"]
 UNMOVED = {
     "saddle-discrete": (SADDLE + ["--schedule", "constant:0.0015"], {
+        "reach.json": "e773a74b7dfe32c80a4409f89c1da1f509ba413dd732447cb69e3972a2116620",
         "forward.csv": "cb5063dfc723a6b40744f68c343b19e10211719fb4618850580665e9cf6ffdbb",
         "reverse.csv": "024440f71f1cec63a7e9f96bee375da12c074aa45092d5609020df5f46c64f42"}),
     "saddle-continuous": (SADDLE + ["--mode", "continuous", "--h", "3e-4", "--t-max", "50",
                                     "--gtol", "1e-6", "--delta", "0.1"], {
+        "reach.json": "e44665a1c682196ccbb06b1df81537f28d0d1a0600f3d649beb31703003dcb05",
         "forward.csv": "48d534db18f3c405d45ba36cbbf8d356b63b9ff6798c94ced60f40dd7c21a5ff",
         "reverse.csv": "08c30b48b695ce9c40af039e0ff0d05b944f8878046c429636551b069994d649"}),
     "dw-probe": (["probe", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
@@ -256,12 +263,25 @@ UNMOVED = {
     # recorded before each float-lane orbit came to run in one frame
     "hb-power": (["reach", "--function", "himmelblau", "--target-index", "0", "--epsilon", "1.0",
                   "--schedule", "power:0.0015:0.5", "--seed-radius", "1e-3", "--tol", "1e-4"], {
+        "reach.json": "84b77ce3c2d6597d9a23200503c64bfeb8abb07230af85fe65e4918d3950600a",
         "forward.csv": "9f517929427cb49f78bede42da855fdb74e08a83b46e25c66a550146c1a0ff04",
         "reverse.csv": "e2859fb7361ba45688f385cd710abef785112f87a2fe5e0a9f22060b8eca4d25"}),
     "dw-power": (["reach", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
                   "--schedule", "power:0.021:0.5", "--seed-radius", "1e-3", "--tol", "1e-4"], {
+        "reach.json": "c9725631e274ebdd3e5ee510bc948d0544ab7380130afacaec67fe40da4ef2cb",
         "forward.csv": "0925c6056df7992a661057c88f2b773522c664fb4b1cbb353931a71f781c412c",
         "reverse.csv": "20709980b2a9dbe6f834fb9d057e5a2184424dbc9d9ba96a2089e49a84937761"}),
+    "reach-out": (["reach", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
+                   "--schedule", "constant:0.021", "--seed-radius", "1e-3", "--tol", "1e-4"], {
+        "reach.json": "396b51ea58ceeb2e8b02aa028df6edd712766d1abf29943e9c772be055756932",
+        "forward.csv": "c673e78dd1f168dee345eec1cc124a954e2a112ea9f39df89a80fdc025dda519",
+        "reverse.csv": "5bad3f66bc562b59588e7f5100927e6d763f7012be70e6ec8a49cddfabcd0a5d"}),
+    "flow-out": (["reach", "--mode", "continuous", "--function", "double_well", "--target", "1",
+                  "--epsilon", "0.4", "--seed-radius", "1e-3", "--tol", "1e-4", "--h", "1e-3",
+                  "--t-max", "20", "--gtol", "1e-6"], {
+        "reach.json": "f4013564404903dad771c0b7eaaff68346c5f5eb90996ec257441902d5654ca1",
+        "forward.csv": "07a98372935a6c716f6871b76b348bbcd96cfa8c1a9cf32f65775fc814c2c168",
+        "reverse.csv": "140934a2039b6ca1513b111eca090a3c6ad880430766100115e9bc598f506aaf"}),
 }
 
 

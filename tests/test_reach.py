@@ -2333,21 +2333,24 @@ def test_flow_to_level_evaluation_counts(monkeypatch, himmelblau):
 
 
 def test_reach_general_preconditions(saddle_quad, dw):
-    with pytest.raises(ValueError):
-        br.reach_general(dw, [1.0], 0.4, br.constant(0.01), 1e-3)  # not a saddle
-    with pytest.raises(ValueError, match="StepSchedule .*FlowSettings"):
-        br.reach_general(saddle_quad, [0.0, 0.0], 1.0, None, 1e-3)  # no dynamics
     bogus = br.ObjectiveFunction(
         dim=2, f=saddle_quad.f, grad=saddle_quad.grad, hessian=saddle_quad.hessian,
         lipschitz_L=2.0, box=saddle_quad.box,
         critical_points=(br.CriticalPoint(np.array([0.5, 0.5]), "saddle", 0.0),))
-    with pytest.raises(ValueError):
-        # cataloged point is not critical: classification disagreement
-        br.reach_general(bogus, [0.5, 0.5], 1.0, br.constant(0.25), 1e-3)
-    for seed_radius, delta in ((0.5, 0.5), (1e-3, 1.5)):  # seed_radius >= delta, delta > epsilon
-        with pytest.raises(ValueError, match="^need 0 < seed_radius < delta <= epsilon$"):
-            br.reach_general(saddle_quad, [0.0, 0.0], 1.0, br.constant(0.25), seed_radius,
-                             delta=delta)
+    with pytest.raises(ValueError, match="StepSchedule .*FlowSettings"):
+        br.reach_general(saddle_quad, [0.0, 0.0], 1.0, None, 1e-3)  # no dynamics
+    for dynamics in (br.constant(0.01), FLOW):
+        with pytest.raises(ValueError, match="^target must be a cataloged saddle$"):
+            br.reach_general(dw, [1.0], 0.4, dynamics, 1e-3)
+        with pytest.raises(ValueError,
+                           match="^classify_limit disagrees with the catalog: non_stationary$"):
+            # cataloged point is not critical: classification disagreement
+            br.reach_general(bogus, [0.5, 0.5], 1.0, dynamics, 1e-3)
+        # seed_radius >= delta, delta > epsilon
+        for seed_radius, delta in ((0.5, 0.5), (1e-3, 1.5)):
+            with pytest.raises(ValueError, match="^need 0 < seed_radius < delta <= epsilon$"):
+                br.reach_general(saddle_quad, [0.0, 0.0], 1.0, dynamics, seed_radius,
+                                 delta=delta)
 
 
 # --- edge of stability ------------------------------------------------------------
