@@ -29,16 +29,16 @@ however y was reached.  Each test compares with the bound on |base|,
 computed once per solve; only an iterate that passes it takes |y|, the
 one the solve returns.
 
-The ndarray lane (dim > 2) runs the loop on lane ops and
-``landscape.dot``, one call per solve.  On the float lane a whole orbit
-runs in one frame, one function per dimension (``_orbit1``,
-``_orbit2``): the stop test, each alpha_k, each solve written out over
-local Python floats with its certificate, and the last two steps and the
-miss held as floats, the points made arrays once at the end; ``prox``
-and ``ascent_prox`` run it for one step.  It is the only code here that
-knows the lane's layout: the same IEEE operations in the same order, so
-points, residuals, gradients and counts are the loop's bit for bit, at a
-fraction of its calls.
+Every solve runs in an orbit frame chosen in one place (``_orbit``): a
+whole orbit in one call, the stop test, each alpha_k and each solve with
+its certificate, the last two steps and the miss held as locals;
+``prox`` and ``ascent_prox`` run it for one step.  The ndarray lane
+(dim > 2) has one frame, ``_orbitn``, on arrays and ``landscape.dot``;
+the float lane one per dimension, ``_orbit1`` and ``_orbit2``, written
+out over local Python floats with the points made arrays once at the
+end, the only code here that knows the lane's layout: the same IEEE
+operations in the same order, so points, residuals, gradients and counts
+are ``_orbitn``'s bit for bit, at a fraction of its calls.
 """
 
 from dataclasses import dataclass
@@ -46,8 +46,7 @@ from math import sqrt
 
 import numpy as np
 
-from .landscape import (FLOAT_LANE_DIMS, LeftBoxError, dot, norm, require_count, row_norms,
-                        sumsq)
+from .landscape import LeftBoxError, dot, norm, require_count, row_norms, sumsq
 from .schedule import constant, require_admissible
 from .trajectory import start
 
@@ -72,7 +71,7 @@ FIXED_POINT_RTOL = 0.999e-10
 FORWARD_RESIDUAL_RTOL = 1e-10
 PROX_SLACK_RTOL = 1e-9  # prox_certificates' slack, relative to 1 + |f(x)|
 _MAX_INNER_ITER = 200_000
-_ANDERSON_DEPTH = 2  # the residual differences _mix combines; its closed form needs <= 2
+_ANDERSON_DEPTH = 2  # the residual differences a solve's fit combines; its closed form needs <= 2
 _GRAM_RTOL = 1e-10  # depth 1 below this sin^2 of the angle between dr_1 and dr_2
 
 
@@ -103,112 +102,132 @@ class ReverseOrbit:
         return row_norms(np.array(self.gradients)).tolist()
 
 
-def _picard(f, base, lam, sign, tol_scale, g=None, steps=(), miss=None):
+def _picard(f, base, lam, sign, tol_scale=None, g=None, steps=(), miss=None):
     """Fixed point of T(y) = base + sign * lam * grad(y), base and y points
-    of f's lane: each iteration tests y by one T(y), then moves to
-    :func:`_mix`'s point and takes its gradient.  The first y is base, with
-    gradient ``g`` when known.  Each of ``steps`` (newest first, at most
-    two), an orbit step (x, z, grad(x), grad(z)) back from x to z, starts
-    the mixing history as T's secant from x to z, whose base cancels: dr
-    = (x - z) + step dg and dT = step dg, dg = grad(z) - grad(x) and step
-    = sign * lam (dT never formed: w = step, v = dg).  The first mixed
-    point m, the steps' quasi-Newton step, moves by the last solve's
-    ``miss`` = (y' - m', l') scaled by l/l', l = |m - base|^2, and then
-    takes :func:`_mix`'s box test.  Returns (y, grad(y), iters, |(y - step
-    grad(y)) - base|, |y|, miss) at the first |T(y) - y| <= tol =
-    FIXED_POINT_RTOL * (1 + min(tol_scale, |y|)), tol_scale = |base|, |y|
-    taken only once the bound on |base| holds; the fourth is an ascent
-    step's forward residual |y - T(y)| up to rounding and the last this
-    solve's (y - m, l), None without an m or when l = 0.  As T contracts
-    by q = lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so y lies within
-    |T(y) - y|/(1 - q) <= tol/(1 - q) of the unique fixed point y*,
+    of f's lane: f's orbit frame (:func:`_orbit`) run for one step.  Each
+    iteration tests y by one T(y), then moves to the mixed point and takes
+    its gradient.  The first y is base, with gradient ``g`` when known.
+    Each of ``steps`` (newest first, at most two), an orbit step (x, z,
+    grad(x), grad(z)) back from x to z, starts the mixing history as T's
+    secant from x to z, whose base cancels: dr = (x - z) + step dg and dT
+    = step dg, dg = grad(z) - grad(x) and step = sign * lam (dT never
+    formed: w = step, v = dg).  The first mixed point m, the steps'
+    quasi-Newton step, moves by the last solve's ``miss`` = (y' - m', l')
+    scaled by l/l', l = |m - base|^2, and then takes the box test.
+    Returns (y, grad(y), iters, |(y - step grad(y)) - base|, |y|, miss) at
+    the first |T(y) - y| <= tol = FIXED_POINT_RTOL * (1 + min(tol_scale,
+    |y|)), tol_scale = |base|, taken when None, |y| only once the bound on
+    |base| holds; the fourth is an ascent step's forward residual |y - T(y)|
+    up to rounding, certified to 1e-10 (1 + |y|) (else ArithmeticError), and
+    the last this solve's (y - m, l), None without an m or when l = 0.  As T
+    contracts by q = lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so y lies
+    within |T(y) - y|/(1 - q) <= tol/(1 - q) of the unique fixed point y*,
     however it was reached, the shift included.  Raises LeftBoxError when
-    T(y) leaves the box; y itself never does.  The float lane's solve is
-    one step of its orbit frame (:func:`_orbit1`, :func:`_orbit2`), this
-    loop written out per dimension, which also checks the certificate."""
-    if f.dim <= FLOAT_LANE_DIMS:
-        xs, residuals, grads, left, iters, ynorm, miss = _ORBITS[f.dim](
-            f, base, g, tol_scale, (lam,), sign, None, steps, miss)
-        if left is not None:
-            raise LeftBoxError(left, "fixed-point iterate left the operating box")
-        return xs[-1], grads[-1], iters, residuals[-1], ynorm, miss
-    tol_sq = (FIXED_POINT_RTOL * (1.0 + tol_scale)) ** 2
-    q_sq = (lam * f.lipschitz_L) ** 2
-    step = sign * lam
-    grad, axpy, sub, inside = f._lane.grad, f._lane.axpy, f._lane.sub, f._lane.inside
-    y, g = base, grad(base) if g is None else g
-    hist, last, mixed, ell = [], None, False, 0.0
-    for x, z, gx, gz in steps:
-        dg = sub(gz, gx)
-        dr = axpy(sub(x, z), step, dg)
-        hist.append((dr, dg, step, dot(dr, dr)))
-    for it in range(1, _MAX_INNER_ITER + 1):
-        t = axpy(base, step, g)
-        if not inside(t):
-            raise LeftBoxError(t, "fixed-point iterate left the operating box")
-        r = sub(t, y)
-        rr = sumsq(r)
-        if rr <= tol_sq and ((ynorm := norm(y)) >= tol_scale
-                             or rr <= (FIXED_POINT_RTOL * (1.0 + ynorm)) ** 2):
-            return (y, g, it, norm(sub(axpy(y, -step, g), base)), ynorm,
-                    (sub(y, first), ell) if ell > 0.0 else None)
-        if mixed and not rr <= q_sq * last[2]:
-            hist = []  # the mixed iterate contracted less than a Picard step: restart
-        elif last is not None:
-            d = sub(r, last[0])
-            hist = [(d, sub(t, last[1]), 1.0, dot(d, d))] + hist[:_ANDERSON_DEPTH - 1]
-        last, y = (r, t, rr), _mix(f._lane, t, r, hist)
-        if it == 1 and y is not t:
-            first, ell = y, sumsq(sub(y, base))
-            if miss is not None:
-                y = axpy(y, ell / miss[1], miss[0])
-        if y is not t and not inside(y):
+    T(y) leaves the box; y itself never does."""
+    xs, residuals, grads, left, iters, ynorm, miss = _orbit(
+        f, base, g, tol_scale, (lam,), sign, None, steps, miss)
+    if left is not None:
+        raise LeftBoxError(left, "fixed-point iterate left the operating box")
+    return xs[-1], grads[-1], iters, residuals[-1], ynorm, miss
+
+
+def _uncertified(sign, residual):
+    """The error of a solve whose forward residual fails its certificate."""
+    return ArithmeticError(f"{'ascent' if sign > 0 else 'proximal'} step failed its inverse "
+                           f"certificate: {residual:.3e}")
+
+
+def _orbitn(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
+    """A reverse orbit on the ndarray lane (dim > 2) in one frame: from x,
+    one solve of T(y) = x + sign lam grad(y) per lam of ``alphas``, while
+    ``stop``, when given, is false at x, each solve's y the next x.  Each
+    solve is :func:`_picard`'s: T(y), the residual, the restart test, the
+    depth-2 history of (dr, v, w, |dr|^2) as (d, e, w, a11), newest
+    first (w = 1 for the solve's own secants), the mixed point
+    t - c_1 w_1 e_1 - c_2 w_2 e_2 with c the least-squares fit of r by the
+    d_i (2x2 normal equations in closed form, the newest alone when their
+    Gram determinant is degenerate, as for collinear secants), the shift,
+    the box test and the norms, and it must pass the 1e-10
+    forward-residual certificate, else ArithmeticError.  g and xnorm are grad(x) and |x| when known; ``steps``
+    and ``miss`` seed the first solve as :func:`_picard`'s do, and each
+    later one takes the last two steps, as (x - y, grad(y) - grad(x)), and
+    the miss its predecessor left.  Returns (points, residuals, gradients,
+    the T(y) that left the box or None, total iterations, |y|, miss) for the
+    points from x on; a box exit ends the orbit."""
+    L, grad, inside = f.lipschitz_L, f._lane.grad, f._lane.inside
+    g = grad(x) if g is None else g
+    xnorm = norm(x) if xnorm is None else xnorm
+    xs, residuals, grads, left, total = [x], [], [g], None, 0
+    held = [(p - z, gz - gp) for p, z, gp, gz in steps]
+    c, ell_p = (None, None) if miss is None else miss
+    for lam in alphas:
+        if stop is not None and stop(x):
+            break
+        tol_sq = (FIXED_POINT_RTOL * (1.0 + xnorm)) ** 2
+        q_sq = (lam * L) ** 2
+        step = sign * lam
+        y, gx, mixed, ell = x, g, False, 0.0
+        hist = [(d := sx + step * e, e, step, dot(d, d)) for sx, e in held]
+        for it in range(1, _MAX_INNER_ITER + 1):
+            t = x + step * g
+            if not inside(t):
+                left = t
+                break
+            r = t - y
+            rr = dot(r, r)
+            if rr <= tol_sq and ((ynorm := norm(y)) >= xnorm
+                                 or rr <= (FIXED_POINT_RTOL * (1.0 + ynorm)) ** 2):
+                break
+            if mixed and not rr <= q_sq * last_rr:
+                hist = []  # the mixed iterate contracted less than a Picard step: restart
+            elif it > 1:
+                d = r - last_r
+                hist = [(d, t - last_t, 1.0, dot(d, d))] + hist[:_ANDERSON_DEPTH - 1]
+            last_r, last_t, last_rr = r, t, rr
             y = t
-        mixed = y is not t
-        g = grad(y)
-    raise ArithmeticError("fixed-point iteration failed to contract")
-
-
-def _mix(lane, t, r, hist):
-    """t - c_1 dT_1 - c_2 dT_2 over hist's (dr_i, v_i, w_i, |dr_i|^2), newest
-    first, with dT_i = w_i v_i (w = 1 for the solve's own secants) and c
-    the least-squares fit of r by the dr_i (2x2 normal equations in closed
-    form; the newest alone when their Gram determinant is degenerate, as
-    in 1-D or for collinear secants); t itself when there is no usable
-    history.  The caller shifts the solve's first such point and keeps it
-    only inside the box, t otherwise."""
-    if not hist or not hist[0][3] > 0.0:
-        return t
-    (d1, e1, w1, a11), *older = hist
-    b1, deep = dot(d1, r), False
-    if older:
-        ((d2, e2, w2, a22),) = older
-        a12, b2 = dot(d1, d2), dot(d2, r)
-        det = a11 * a22 - a12 * a12
-        deep = det > _GRAM_RTOL * a11 * a22
-    return (lane.axpy(lane.axpy(t, (a12 * b2 - a22 * b1) / det * w1, e1),
-                      (a12 * b1 - a11 * b2) / det * w2, e2)
-            if deep else lane.axpy(t, -b1 / a11 * w1, e1))
+            if hist and hist[0][3] > 0.0:
+                (d1, e1, w1, a11), *older = hist
+                b1, deep = dot(d1, r), False
+                if older:
+                    ((d2, e2, w2, a22),) = older
+                    a12, b2 = dot(d1, d2), dot(d2, r)
+                    det = a11 * a22 - a12 * a12
+                    deep = det > _GRAM_RTOL * a11 * a22
+                m = (t + (a12 * b2 - a22 * b1) / det * w1 * e1
+                     + (a12 * b1 - a11 * b2) / det * w2 * e2 if deep else t + -b1 / a11 * w1 * e1)
+                if it == 1:
+                    first, ell = m, sumsq(m - x)
+                    if ell_p is not None:
+                        m = m + ell / ell_p * c
+                if inside(m):
+                    y = m
+            mixed = y is not t
+            g = grad(y)
+        else:
+            raise ArithmeticError("fixed-point iteration failed to contract")
+        if left is not None:
+            break
+        residual = norm((y + -step * g) - x)
+        if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
+            raise _uncertified(sign, residual)
+        total += it
+        held = [(x - y, g - gx)] + held[:_ANDERSON_DEPTH - 1]
+        c, ell_p = (y - first, ell) if ell > 0.0 else (None, None)
+        x, xnorm = y, ynorm
+        xs.append(y)
+        residuals.append(residual)
+        grads.append(g)
+    return xs, residuals, grads, left, total, xnorm, None if ell_p is None else (c, ell_p)
 
 
 def _orbit1(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
-    """A reverse orbit on the 1-D float lane in one frame: from x, one
-    solve of T(y) = x + sign lam grad(y) per lam of ``alphas``, while
-    ``stop``, when given, is false at x, each solve's y the next x.  Each
-    solve is :func:`_picard`'s loop over local floats (the newest step's
-    secant, T(y), the residual, the restart test, the history (d, e, w,
-    a11), :func:`_mix`'s fit, the shift, the box test and the norms), each
-    the same IEEE operation in the same order as the lane ops, ``dot`` and
-    ``norm`` make, and must pass :func:`_ascent_step`'s 1e-10 certificate,
-    else ArithmeticError.  g and xnorm are grad(x) and |x| when known;
-    ``steps`` and ``miss`` seed the first solve as :func:`_picard`'s do,
-    and each later one takes the last step, as (x - y, grad(y) - grad(x)),
-    and miss its predecessor left in floats.  Two 1-D secants are
-    collinear, so their Gram determinant is rounding and :func:`_mix` takes
-    the newest alone: the history holds only it, and the solve is the
-    secant method.  Returns (points, residuals, gradients, the T(y) that
-    left the box or None, total iterations, |y|, miss) for the points from
-    x on, as tuples; a box exit ends the orbit."""
+    """:func:`_orbitn` on the 1-D float lane, written out over local
+    floats: the same IEEE operations in the same order as its numpy ops,
+    ``dot`` and ``norm``, the last step held as (x - y, grad(y) - grad(x))
+    in floats and the points returned as tuples.  Two 1-D secants are
+    collinear, so their Gram determinant is rounding and the fit takes the
+    newest alone: the history holds only it, and the solve is the secant
+    method."""
     L, grad, ((l0,), (h0,)) = f.lipschitz_L, f._lane.grad, f._lane.bounds
     g = grad(x) if g is None else g
     (x0,), (g0,) = x, g
@@ -263,7 +282,7 @@ def _orbit1(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
         u0 = (y0 + -step * g0) - x0
         residual = sqrt(u0 * u0)
         if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
-            raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
+            raise _uncertified(sign, residual)
         total += it
         sx0, se0, held = x0 - y0, g0 - gx0, True
         c0, ell_p = (y0 - f0, ell) if ell > 0.0 else (0.0, None)
@@ -278,7 +297,7 @@ def _orbit1(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
 def _orbit2(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
     """:func:`_orbit1` on the 2-D float lane, with the last two steps,
     newest (s) and older (o), and the depth-2 history (newest d, e, w, a11;
-    older dd, ee, ww, a22) and :func:`_mix`'s normal equations: the steps
+    older dd, ee, ww, a22) and the fit's normal equations: the steps
     enter each solve's history oldest first, as the loop's own secants do,
     and each sum over coordinates is ``dot``'s, index order."""
     L, grad, ((l0, l1), (h0, h1)) = f.lipschitz_L, f._lane.grad, f._lane.bounds
@@ -354,7 +373,7 @@ def _orbit2(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
         u0, u1 = (y0 + -step * g0) - x0, (y1 + -step * g1) - x1
         residual = sqrt(u0 * u0 + u1 * u1)
         if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
-            raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
+            raise _uncertified(sign, residual)
         total += it
         if held:
             ox0, ox1, oe0, oe1 = sx0, sx1, se0, se1
@@ -371,12 +390,17 @@ def _orbit2(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
 _ORBITS = {1: _orbit1, 2: _orbit2}  # the float lane's orbit frame per dimension
 
 
+def _orbit(f, *args):
+    """Run f's orbit frame on ``args``: :func:`_orbit1` or :func:`_orbit2`
+    on the float lane, :func:`_orbitn` on the ndarray lane."""
+    return _ORBITS.get(f.dim, _orbitn)(f, *args)
+
+
 def prox(f, x, lam):
     """argmin_y f(y) + |y - x|^2 / (2 lam) via the implicit equation
     y = x - lam * grad(y), for lam < 1/L and x a start (``start``)."""
     require_admissible(constant(lam), f, "prox", "prox")
-    x = start(f, x, "x")
-    return np.array(_picard(f, x, lam, -1.0, norm(x))[0])
+    return np.array(_picard(f, start(f, x, "x"), lam, -1.0)[0])
 
 
 def prox_certificates(f, x, lam, xplus):
@@ -397,26 +421,6 @@ def prox_certificates(f, x, lam, xplus):
     return dec_ok, step_ok
 
 
-def _ascent_step(f, xnext, a, g=None, steps=(), xnorm=None, miss=None):
-    """(y, r, grad(y), |y|, miss): the ascent preimage y of xnext, both
-    points of f's lane, its forward residual r = |(y - a grad(y)) -
-    xnext|, certified to 1e-10 * (1 + |y|), and the gradient the solve's
-    last test took, which that residual reuses and the next solve from y
-    starts with, as it does |y| and the solve's miss; the solve returns r
-    and |y|, r the tested residual y - T(y), 0.999e-10 (1 + min(|xnext|,
-    |y|)) up to rounding, inside the certificate by the margin proved at
-    ``FIXED_POINT_RTOL``.  ``g`` is grad(xnext) and ``xnorm`` |xnext| when
-    known, ``steps`` seed the solve's mixing history and ``miss``, the
-    last solve's, shifts its first mixed point (:func:`_picard`).  The
-    caller has checked the prox regime and that xnext lies in the box."""
-    y, gy, _, residual, ynorm, miss = _picard(f, xnext, a, +1.0,
-                                              norm(xnext) if xnorm is None else xnorm, g,
-                                              steps, miss)
-    if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
-        raise ArithmeticError(f"ascent step failed its inverse certificate: {residual:.3e}")
-    return y, residual, gy, ynorm, miss
-
-
 def ascent_prox(f, xnext, a):
     """argmax_y f(y) - |y - xnext|^2 / (2a): the exact preimage of an
     explicit gradient step, solved as the fixed point of
@@ -424,7 +428,7 @@ def ascent_prox(f, xnext, a):
     The returned point replays forward onto xnext to within 1e-10 * (1 +
     |result|)."""
     require_admissible(constant(a), f, "prox", "ascent_prox")
-    return np.array(_ascent_step(f, start(f, xnext, "xnext"), a)[0])
+    return np.array(_picard(f, start(f, xnext, "xnext"), a, 1.0)[0])
 
 
 def reverse_orbit(f, a, s, kbar, stop=None, *, g0=None):
@@ -447,10 +451,8 @@ def reverse_orbit(f, a, s, kbar, stop=None, *, g0=None):
     cost one gradient (none with g0) plus their iterations less one each,
     and 2m + 1 norms.  Each solve also starts its first mixed point from
     the miss its predecessor returned (:func:`_picard`), which only moves
-    where the iteration starts.  The orbit keeps the gradients.  On the
-    float lane the whole build is one frame (:func:`_orbit1`,
-    :func:`_orbit2`), which holds the steps and the miss as floats; the
-    ndarray lane makes one :func:`_ascent_step` call per solve.
+    where the iteration starts.  The orbit keeps the gradients.  The whole
+    build is one call of f's orbit frame (:func:`_orbit`).
 
     Each solve stops on its first y = x_k with |T(y) - y| <=
     FIXED_POINT_RTOL (1 + min(|x_{k+1}|, |x_k|)), 0.999e-10, and every
@@ -467,37 +469,13 @@ def reverse_orbit(f, a, s, kbar, stop=None, *, g0=None):
     # checked once: every alpha_k is at most sup_alpha, and each later
     # solve starts from a point its predecessor's Picard test kept in the box
     require_admissible(s, f, "prox", "reverse_orbit")
-    if f.dim <= FLOAT_LANE_DIMS:
-        points, residuals, grads, left = _ORBITS[f.dim](
-            f, x, g0, None, map(s.alpha, range(kbar - 1, -1, -1)), 1.0, stop)[:4]
-        status = "complete" if left is None else "left_box"
-    else:
-        g, xnorm, steps, miss, status = g0, None, [], None, "complete"
-        points, residuals, grads = [x], [], [] if g0 is None else [g0]
-        for k in range(kbar - 1, -1, -1):
-            if stop is not None and stop(x):
-                break
-            alpha = s.alpha(k)
-            if g is None:
-                g = f._lane.grad(x)
-                grads.append(g)
-            try:
-                y, residual, gy, ynorm, miss = _ascent_step(f, x, alpha, g, steps, xnorm, miss)
-            except LeftBoxError:
-                status = "left_box"
-                break
-            steps = [(x, y, g, gy)] + steps[:_ANDERSON_DEPTH - 1]
-            x, g, xnorm = y, gy, ynorm
-            points.append(x)
-            residuals.append(residual)
-            grads.append(gy)
-        if g is None:
-            grads.append(f._lane.grad(x))
+    points, residuals, grads, left = _orbit(
+        f, x, g0, None, map(s.alpha, range(kbar - 1, -1, -1)), 1.0, stop)[:4]
     return ReverseOrbit(
         points=tuple(np.array(points[::-1])),
         anchor=anchor.copy(),
         forward_residuals=tuple(residuals[::-1]),
-        status=status,
+        status="complete" if left is None else "left_box",
         start_index=0 if stop is not None else kbar - len(residuals),
         gradients=tuple(grads[::-1]),
     )

@@ -282,6 +282,15 @@ UNMOVED = {
         "reach.json": "f4013564404903dad771c0b7eaaff68346c5f5eb90996ec257441902d5654ca1",
         "forward.csv": "07a98372935a6c716f6871b76b348bbcd96cfa8c1a9cf32f65775fc814c2c168",
         "reverse.csv": "140934a2039b6ca1513b111eca090a3c6ad880430766100115e9bc598f506aaf"}),
+    # the ndarray lane (dim > 2): a 39-point power-schedule orbit and 500
+    # prox solves, recorded before its solves came to run in one frame
+    "q3-power": (["reach", "--function", "quad:1,2,5", "--target", "0,0,0", "--epsilon", "1.0",
+                  "--schedule", "power:0.1:0.5", "--seed-radius", "1e-3", "--tol", "1e-4"], {
+        "reach.json": "117109518b8d2d965a280e3f203a86f514f2740cdd6704febf2948a8c54a044a",
+        "forward.csv": "da11acb0bbad44b012f8b9cd2d563baaebe63db1676fab050fb4296bc40e4647",
+        "reverse.csv": "82e01372912ebab758577d48e520351f3c3310130d176008bb748a40e3328967"}),
+    "q3-check": (["check", "--function", "quad:1,2,5"], {
+        "check.json": "ce4a381ce99b91bc8f373f6432769e040b6fb8be744857cf7fb2cc3fcd5c29d2"}),
 }
 
 

@@ -337,7 +337,8 @@ def test_degenerate_seeds_fall_back_to_the_newest(name, params, points):
 ], ids=["picard-dim3", "picard1", "picard2"])
 def test_a_solve_out_of_iterations_raises(monkeypatch, name, params, x):
     # one iteration allowed and a first test that fails: each of the three
-    # loops (the lane loop, and the float lane's 1-D and 2-D ones) runs out
+    # orbit frames (the ndarray lane's, and the float lane's 1-D and 2-D
+    # ones) runs out
     f = br.make_builtin(name, params)
     monkeypatch.setattr(reverse_mod, "_MAX_INNER_ITER", 1)
     for solve in (br.prox, br.ascent_prox):
@@ -345,13 +346,31 @@ def test_a_solve_out_of_iterations_raises(monkeypatch, name, params, x):
             solve(f, x, 0.5 / f.lipschitz_L)
 
 
-def test_an_ascent_step_short_of_its_certificate_raises(monkeypatch, dw):
+# a builtin on each orbit frame with a start its first test passes at
+# FIXED_POINT_RTOL = 1: |T(x) - x| = lam |grad f(x)| is under 1 + |x|
+SHORT_CASES = [("double_well", (), [0.5]), ("himmelblau", (), [1.0, 1.0]),
+               ("quad", (1.0, 2.0, 5.0), [0.3, -0.2, 0.1])]
+
+
+def test_an_ascent_step_short_of_its_certificate_raises(monkeypatch):
     # a solve stopping at FIXED_POINT_RTOL = 1 stops on its first test, at
     # y = xnext, whose forward residual a |grad f(xnext)| is far above the
-    # 1e-10 (1 + |y|) certificate
+    # 1e-10 (1 + |y|) certificate, on each frame
     monkeypatch.setattr(reverse_mod, "FIXED_POINT_RTOL", 1.0)
-    with pytest.raises(ArithmeticError, match="^ascent step failed its inverse certificate: "):
-        br.ascent_prox(dw, [0.5], 0.5 / dw.lipschitz_L)
+    for name, params, x in SHORT_CASES:
+        f = br.make_builtin(name, params)
+        with pytest.raises(ArithmeticError, match="^ascent step failed its inverse certificate: "):
+            br.ascent_prox(f, x, 0.5 / f.lipschitz_L)
+
+
+def test_a_proximal_step_short_of_its_certificate_raises(monkeypatch):
+    # the same for prox, its error naming the proximal step, on each frame
+    monkeypatch.setattr(reverse_mod, "FIXED_POINT_RTOL", 1.0)
+    for name, params, x in SHORT_CASES:
+        f = br.make_builtin(name, params)
+        with pytest.raises(ArithmeticError,
+                           match="^proximal step failed its inverse certificate: "):
+            br.prox(f, x, 0.5 / f.lipschitz_L)
 
 
 # --- reverse_orbit -----------------------------------------------------------
@@ -587,13 +606,15 @@ def test_orbit_matches_ndarray_picard(name, params, target):
     assert y.tobytes() == anderson_solve(f, anchor, s.alpha(0), 1.0)[0].tobytes()
 
 
-# the float lane's orbit frames: _orbit1 on double_well, _orbit2 on himmelblau and
-# quad:1,5, each with its anchor, the stop radius of a constant-schedule march
-# and the horizon past which a power:0.9/L:0.5 orbit leaves the box
+# the orbit frames: _orbit1 on double_well, _orbit2 on himmelblau and quad:1,5,
+# _orbitn on quad:1,2,5, each with its anchor, the stop radius of a
+# constant-schedule march and the horizon past which a power:0.9/L:0.5 orbit
+# leaves the box
 FRAME_CASES = [("double_well", (), [1.001], 0.2, 100),
                ("himmelblau", (), [3.001, 2.002], 0.5, 400),
-               ("quad", (1.0, 5.0), [1e-3, 2e-3], 0.5, 40)]
-FRAME_IDS = ["orbit1-double_well", "orbit2-himmelblau", "orbit2-quad"]
+               ("quad", (1.0, 5.0), [1e-3, 2e-3], 0.5, 40),
+               ("quad", (1.0, 2.0, 5.0), [1e-3, 2e-3, 3e-3], 0.5, 40)]
+FRAME_IDS = ["orbit1-double_well", "orbit2-himmelblau", "orbit2-quad", "orbitn-quad"]
 
 
 def same_orbit(orbit, points, residuals):
