@@ -42,6 +42,7 @@ are ``_orbitn``'s bit for bit, at a fraction of its calls.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from math import sqrt
 
 import numpy as np
@@ -79,7 +80,8 @@ _GRAM_RTOL = 1e-10  # depth 1 below this sin^2 of the angle between dr_1 and dr_
 class ReverseOrbit:
     """Backward-constructed points x_start..x_kbar with x_kbar = anchor.
 
-    ``points[i]`` is x_{start_index + i}, so the orbit consumed the alpha
+    ``points`` is one read-only, C-contiguous (n, dim) float array whose
+    row ``points[i]`` is x_{start_index + i}, so the orbit consumed the alpha
     indices start_index to start_index + len(points) - 2.  ``status`` is
     'left_box' when the construction escaped the operating box early and
     the orbit is partial; that exit is a legitimate escape event for the
@@ -89,7 +91,7 @@ class ReverseOrbit:
     of f's lane (``landscape.Lane``).
     """
 
-    points: tuple
+    points: np.ndarray
     anchor: np.ndarray
     forward_residuals: tuple
     status: str = "complete"
@@ -99,7 +101,16 @@ class ReverseOrbit:
     @property
     def grad_norms(self):
         """|grad f| at each point, taken row-wise over the kept gradients."""
-        return row_norms(np.array(self.gradients)).tolist()
+        return row_norms(_stacked(self.gradients)).tolist()
+
+
+def _stacked(rows):
+    """rows, points of one lane, as one read-only (n, dim) float array,
+    stacked as ``trajectory.recorded`` stacks a run's points."""
+    A = (np.fromiter(chain.from_iterable(rows), float).reshape(len(rows), -1)
+         if type(rows[0]) is tuple else np.array(rows))
+    A.flags.writeable = False
+    return A
 
 
 def _picard(f, base, lam, sign, tol_scale=None, g=None, steps=(), miss=None):
@@ -472,7 +483,7 @@ def reverse_orbit(f, a, s, kbar, stop=None, *, g0=None):
     points, residuals, grads, left = _orbit(
         f, x, g0, None, map(s.alpha, range(kbar - 1, -1, -1)), 1.0, stop)[:4]
     return ReverseOrbit(
-        points=tuple(np.array(points[::-1])),
+        points=_stacked(points[::-1]),
         anchor=anchor.copy(),
         forward_residuals=tuple(residuals[::-1]),
         status="complete" if left is None else "left_box",

@@ -2,14 +2,18 @@
 
 Trajectory CSV columns: k,t,x_1..x_n,f,gnorm (header mandatory, one row
 per recorded state).  Reverse orbits use the same layout plus a direction
-flag column.  Floats are written with repr (shortest round-trip form).
-Every output file is created afresh: an existing file at the path is
-unlinked first, so a symlink there is replaced, not written through.
+flag column.  Floats are written with repr (shortest round-trip form),
+and in JSON every non-finite number is null.  Each file's text is built
+whole, a CSV's column by column, and written in one call, so a value that
+cannot be written leaves no half-written file.  Every output file is
+created afresh: an existing file at the path is unlinked first, so a
+symlink there is replaced, not written through.
 """
 
 import json
+import math
 import os
-from itertools import accumulate, count
+from itertools import accumulate, chain, count, repeat
 
 import numpy as np
 
@@ -17,14 +21,16 @@ from .schedule import format_schedule
 
 
 def _rows(k0, t, X, fv, gnorm, direction=None):
-    """The CSV rows of a sampled path: the header, then k, t, x_1..x_n, f,
-    gnorm (and ``direction``, when given) per point, k counting from k0."""
-    flag = [] if direction is None else [direction]
-    rows = [["k", "t"] + [f"x_{i + 1}" for i in range(X.shape[1])] + ["f", "gnorm"]
-            + (["direction"] if flag else [])]
-    for k, (tk, x, fk, gk) in enumerate(zip(t, X.tolist(), fv, gnorm), k0):
-        rows.append([str(k), repr(tk)] + [repr(c) for c in x] + [repr(fk), repr(gk)] + flag)
-    return rows
+    """The CSV text of a sampled path: the header, then k, t, x_1..x_n, f,
+    gnorm (and ``direction``, when given) per point, k counting from k0,
+    built column by column and joined once per row and once per file."""
+    header = ["k", "t", *(f"x_{i + 1}" for i in range(X.shape[1])), "f", "gnorm"]
+    columns = [map(str, range(k0, k0 + len(X))), map(repr, t),
+               *(map(repr, c) for c in X.T.tolist()), map(repr, fv), map(repr, gnorm)]
+    if direction is not None:
+        header.append("direction")
+        columns.append(repeat(direction))
+    return "\n".join(chain([",".join(header)], map(",".join, zip(*columns)))) + "\n"
 
 
 def _trajectory_rows(traj, direction=None):
@@ -42,10 +48,9 @@ def _create(path, **kwargs):
     return open(path, "w", **kwargs)
 
 
-def _write_rows(rows, path):
+def _write_rows(text, path):
     with _create(path, newline="") as fh:
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(text)
 
 
 def write_trajectory_csv(traj, path):
@@ -59,34 +64,33 @@ def write_reverse_part_csv(reverse_part, f, s, path):
     interpolation parameterization of the iterates, and its gnorm the norm
     of the gradient the orbit kept at each point."""
     if hasattr(reverse_part, "anchor"):
-        P, k0 = np.array(reverse_part.points), reverse_part.start_index
+        P, k0 = reverse_part.points, reverse_part.start_index
         t = accumulate(map(s.alpha, count(k0)), initial=0.0)
-        rows = _rows(k0, t, P, f.values(P).tolist(), reverse_part.grad_norms, "reverse")
+        text = _rows(k0, t, P, f.values(P).tolist(), reverse_part.grad_norms, "reverse")
     else:
-        rows = _trajectory_rows(reverse_part, "reverse")
-    _write_rows(rows, path)
+        text = _trajectory_rows(reverse_part, "reverse")
+    _write_rows(text, path)
 
 
 def _jsonable(v):
+    """v as plain JSON: numpy numbers as floats, each non-finite one null."""
     if isinstance(v, np.ndarray):
-        return [float(c) for c in v]
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    if isinstance(v, float) and not np.isfinite(v):
-        return None
+        return list(map(_jsonable, map(float, v)))
+    if isinstance(v, (float, np.floating, np.integer)):
+        v = float(v)
+        return v if math.isfinite(v) else None
     return v
 
 
 def trajectory_summary(traj):
-    last = traj.final_state
     return {
         "status": traj.terminal_status,
         "states": len(traj),
-        "final_x": _jsonable(last.x),
-        "final_f": last.f_value,
-        "final_gnorm": last.grad_norm,
-        "final_t": last.t,
-        "limit": _jsonable(traj.limit) if traj.limit is not None else None,
+        "final_x": _jsonable(traj.X[-1]),
+        "final_f": _jsonable(traj.f[-1]),
+        "final_gnorm": _jsonable(traj.gnorm[-1]),
+        "final_t": _jsonable(traj.t[-1]),
+        "limit": _jsonable(traj.limit),
     }
 
 
@@ -96,7 +100,7 @@ def reach_report_json(report, forward_csv_path=None, reverse_csv_path=None):
     certificate that stopped its forward run when one did."""
     out = {
         "target": _jsonable(report.target),
-        "x0": _jsonable(report.x0) if report.x0 is not None else None,
+        "x0": _jsonable(report.x0),
         "delta_used": _jsonable(report.delta_used),
         "delta_source": report.delta_source,
         "seed_radius": report.seed_radius,
@@ -114,6 +118,6 @@ def reach_report_json(report, forward_csv_path=None, reverse_csv_path=None):
 
 
 def write_json(obj, path):
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with _create(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

@@ -363,3 +363,23 @@ def anderson_orbit(f, anchor, alphas, iters=None):
         x, g = y, gy
         points.append(x)
     return points, residuals
+
+
+def reference_rows(k0, t, X, fv, gnorm, direction=None):
+    """The CSV rows of a sampled path as lists of strings, one per row, as
+    serialize built them row by row: the header, then k, t, x_1..x_n, f,
+    gnorm (and ``direction``, when given) per point, k counting from k0.
+    The reference the bulk writer's bytes are checked against."""
+    flag = [] if direction is None else [direction]
+    rows = [["k", "t"] + [f"x_{i + 1}" for i in range(X.shape[1])] + ["f", "gnorm"]
+            + (["direction"] if flag else [])]
+    for k, (tk, x, fk, gk) in enumerate(zip(t, X.tolist(), fv, gnorm), k0):
+        rows.append([str(k), repr(tk)] + [repr(c) for c in x] + [repr(fk), repr(gk)] + flag)
+    return rows
+
+
+def write_reference_rows(rows, path):
+    """Write ``reference_rows``' rows one write per row, as serialize did."""
+    with open(path, "w", newline="") as fh:
+        for row in rows:
+            fh.write(",".join(row) + "\n")

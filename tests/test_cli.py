@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import basinreach as br
 import basinreach.cli as cli
 from basinreach import serialize
 from basinreach.cli import main
@@ -18,6 +19,9 @@ from basinreach.descent import run_gd
 from basinreach.flow import NoCrossingError
 from basinreach.landscape import LeftBoxError
 from basinreach.schedule import parse_schedule
+from basinreach.trajectory import Trajectory
+
+from conftest import reference_rows, write_reference_rows
 
 
 def read(path):
@@ -291,6 +295,23 @@ UNMOVED = {
         "reverse.csv": "82e01372912ebab758577d48e520351f3c3310130d176008bb748a40e3328967"}),
     "q3-check": (["check", "--function", "quad:1,2,5"], {
         "check.json": "ce4a381ce99b91bc8f373f6432769e040b6fb8be744857cf7fb2cc3fcd5c29d2"}),
+    # a gd run's 642 rows and a flow run's, and the slowest saddles_cli
+    # reach (a 332-row forward.csv, a 314-row reverse.csv), recorded
+    # before the writers came to build each file's text in bulk
+    "run-gd": (["run", "--function", "himmelblau", "--x0", "1,1", "--schedule",
+                "constant:0.0015"], {
+        "trajectory.csv": "e5604e49db22c66fe716c7ba0e2bd0de1bf985993192bfddd865628cbce27e13",
+        "summary.json": "594c4cdb72933ee63f7bdd17bce254008d78b6bfaad8db28abeee9bbff62092d"}),
+    "run-flow": (["run", "--function", "double_well", "--x0", "0.5", "--procedure", "flow",
+                  "--h", "1e-3", "--t-max", "5"], {
+        "trajectory.csv": "5b03ad4a1ff1b32bb6ff01483d714cb5d488224ad9f77d69f89e650578bca02d",
+        "summary.json": "5b66c215264d25dabc1dcf08f8e084323f32990d39d46635780d853421327690"}),
+    "saddle-tail": (["reach", "--general", "--function", "himmelblau", "--target-index", "6",
+                     "--epsilon", "1.0", "--tol", "1e-2", "--seed-radius", "1e-3",
+                     "--schedule", "constant:0.0009"], {
+        "reach.json": "d71fa1cbb6088d05ca9805c9d17f829eb7b84c20cd07d9e0553ae4e2dd2ca115",
+        "forward.csv": "fd1a7e03f4cc89ff4ddfd006baef794419dbb6093fdd24d14381c6108c00ff2e",
+        "reverse.csv": "603b834e9d6c105ad7c6970def24eb655e08563dac4f0be4ad75732f6fbca115"}),
 }
 
 
@@ -657,13 +678,89 @@ def test_config_fields_defaulting_to_null_are_type_checked(tmp_path, capsys, fie
 @pytest.mark.parametrize("value,expected", [
     (np.array([0.5, -1.0]), [0.5, -1.0]), (np.float64(0.25), 0.25), (np.int64(3), 3.0),
     (math.inf, None), (math.nan, None), (0.5, 0.5), ("success", "success"),
-], ids=["array", "numpy-float", "numpy-int", "inf", "nan", "float", "str"])
+    (np.float64("nan"), None), (np.float64("-inf"), None),
+    (np.array([np.nan, 2.0, np.inf, -np.inf]), [None, 2.0, None, None]), (None, None),
+], ids=["array", "numpy-float", "numpy-int", "inf", "nan", "float", "str", "numpy-nan",
+        "numpy-inf", "array-nonfinite", "none"])
 def test_report_values_become_plain_json(value, expected):
-    # numpy values become Python floats, a non-finite float null
+    # numpy values become Python floats, and every non-finite number,
+    # scalar or array element, null
     out = serialize._jsonable(value)
     assert out == expected and type(out) is type(expected)
     if isinstance(out, list):
-        assert all(type(c) is float for c in out)
+        assert all(c is None or type(c) is float for c in out)
+
+
+def refuse_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def test_non_finite_final_state_writes_null(tmp_path):
+    # a run whose last state is not finite writes its summary as JSON:
+    # every non-finite number, of the point and of f, |g| and t, is null
+    traj = Trajectory(t=[0.0, math.inf], X=[[1.0, 2.0], [math.nan, -math.inf]],
+                      f=[5.0, math.nan], gnorm=[1.0, math.inf],
+                      terminal_status="budget_exhausted")
+    path = tmp_path / "summary.json"
+    serialize.write_json(serialize.trajectory_summary(traj), str(path))
+    summary = json.loads(path.read_text(), parse_constant=refuse_constant)
+    assert summary == {"status": "budget_exhausted", "states": 2, "final_x": [None, None],
+                       "final_f": None, "final_gnorm": None, "final_t": None, "limit": None}
+
+
+def test_unwritable_json_leaves_the_file_it_would_replace(tmp_path):
+    # the text is built before the file is touched
+    path = tmp_path / "out.json"
+    path.write_text("before\n")
+    with pytest.raises(TypeError):
+        serialize.write_json({"x": object()}, str(path))
+    assert path.read_text() == "before\n"
+
+
+# values whose repr the writers must keep: signed zero, the least
+# subnormal, exponent forms on either side of repr's switch, and non-finite
+SPECIAL = [-0.0, 5e-324, 1e16, 1e-5, 1.0, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 9])
+@pytest.mark.parametrize("k0", [0, 4])
+@pytest.mark.parametrize("direction", [None, "reverse"])
+def test_bulk_csv_text_is_the_row_writers(tmp_path, dim, n, k0, direction):
+    # the CSV text built column by column is the row-by-row writer's, byte
+    # for byte, on 1-, 2- and 3-D paths of one row and of several, from k =
+    # 0 and from a later k, with and without the direction flag
+    rng = np.random.default_rng(100 * dim + 10 * n + k0)
+    pool = SPECIAL + (rng.standard_normal(16) * 10.0 ** rng.integers(-20, 20, 16)).tolist()
+    V = rng.permutation(np.resize(np.array(pool), n * (dim + 3))).reshape(n, dim + 3)
+    t, X, fv, gnorm = V[:, 0].tolist(), V[:, 1:dim + 1], V[:, -2].tolist(), V[:, -1].tolist()
+    write_reference_rows(reference_rows(k0, t, X, fv, gnorm, direction), tmp_path / "ref.csv")
+    serialize._write_rows(serialize._rows(k0, t, X, fv, gnorm, direction),
+                          str(tmp_path / "bulk.csv"))
+    assert read(tmp_path / "bulk.csv") == read(tmp_path / "ref.csv")
+
+
+@pytest.mark.parametrize("params", [(1.0,), (1.0, 5.0), (1.0, 2.0, 5.0)],
+                         ids=["quad-1d", "quad-2d", "quad-3d"])
+def test_written_records_are_the_row_writers(tmp_path, params):
+    # a gd run's trajectory.csv and a partial (left_box) orbit's
+    # reverse.csv, counting from its start index, are the row-by-row
+    # writer's bytes on either lane
+    f = br.make_builtin("quad", params)
+    s = br.power(0.9 / f.lipschitz_L, 0.5)
+    orbit = br.reverse_orbit(f, np.full(f.dim, 1.0), s, 60)
+    assert orbit.status == "left_box" and orbit.start_index > 0
+    P, k0 = orbit.points, orbit.start_index
+    t = itertools.accumulate(map(s.alpha, itertools.count(k0)), initial=0.0)
+    write_reference_rows(reference_rows(k0, t, P, f.values(P).tolist(), orbit.grad_norms,
+                                        "reverse"), tmp_path / "ref.csv")
+    serialize.write_reverse_part_csv(orbit, f, s, str(tmp_path / "reverse.csv"))
+    assert read(tmp_path / "reverse.csv") == read(tmp_path / "ref.csv")
+    traj = run_gd(f, np.full(f.dim, 1.0), br.constant(0.5 / f.lipschitz_L), max_iter=30)
+    write_reference_rows(reference_rows(0, traj.t.tolist(), traj.X, traj.f.tolist(),
+                                        traj.gnorm.tolist()), tmp_path / "ref.csv")
+    serialize.write_trajectory_csv(traj, str(tmp_path / "trajectory.csv"))
+    assert read(tmp_path / "trajectory.csv") == read(tmp_path / "ref.csv")
 
 
 def test_unreadable_config_point_is_a_config_error(tmp_path, capsys):

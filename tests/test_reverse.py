@@ -599,7 +599,7 @@ def test_orbit_matches_ndarray_picard(name, params, target):
     orbit = br.reverse_orbit(f, anchor, s, 12)
     assert orbit.status == "complete" and len(orbit.points) == 13
     points, residuals = anderson_orbit(f, anchor, [s.alpha(k) for k in range(11, -1, -1)])
-    assert [p.tobytes() for p in orbit.points] == [p.tobytes() for p in points[::-1]]
+    assert orbit.points.tobytes() == np.array(points[::-1]).tobytes()
     assert orbit.forward_residuals == tuple(residuals[::-1])
     y = br.ascent_prox(f, anchor, s.alpha(0))
     assert y.shape == (f.dim,)
@@ -688,9 +688,10 @@ def test_an_orbit_frame_rebuilds_from_the_anchor_gradient_as_the_reference(name,
                          ids=["double_well", "himmelblau", "quad-2d", "quad-3d", "quad-4d"])
 def test_orbit_keeps_the_gradient_norms_of_its_points(name, params, target, tmp_path):
     # the orbit keeps the gradient the construction took at each point: its
-    # norms are those of the batch over the points, bit for bit, on a
-    # complete, a stopped and a one-point orbit; writing the orbit takes no
-    # gradient
+    # norms are those of the batch over the points, and of the kept
+    # gradients stacked, bit for bit, on a complete, a stopped and a
+    # one-point orbit, whose points are one read-only, C-contiguous (n,
+    # dim) float array on either lane; writing the orbit takes no gradient
     f, counts = counting(br.make_builtin(name, params))
     s = br.constant(0.5 / f.lipschitz_L)
     anchor = np.asarray(target) + 1e-4 * np.arange(1.0, f.dim + 1.0)
@@ -698,8 +699,11 @@ def test_orbit_keeps_the_gradient_norms_of_its_points(name, params, target, tmp_
               br.reverse_orbit(f, anchor, s, 100, stop=lambda x: norm(x - anchor) > 1e-3),
               br.reverse_orbit(f, anchor, s, 0)]
     for orbit in orbits:
-        P = np.array(orbit.points)
+        P = orbit.points
+        assert type(P) is np.ndarray and P.dtype == float and P.shape == (len(P), f.dim)
+        assert P.flags.c_contiguous and not P.flags.writeable
         assert orbit.grad_norms == row_norms(f.gradients(P)).tolist()
+        assert orbit.grad_norms == row_norms(np.array(orbit.gradients)).tolist()
     assert [len(orbits[0].points), len(orbits[2].points)] == [13, 1]
     assert len(orbits[1].points) > 1
     grads = counts["grad"]
