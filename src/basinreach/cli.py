@@ -4,8 +4,10 @@ Subcommands: bench, run, reach, probe, eos, check.  Configuration comes
 from ``--config file.json`` and/or inline flags (flags win); the resolved
 configuration is echoed verbatim into the output directory, and identical
 config + seed reproduce byte-identical CSV/JSON outputs.  Each field is
-declared once, in ``FIELDS``, and each subcommand takes one ``--flag`` per
-field it reads (``COMMAND_FIELDS``).
+declared once, in ``FIELDS``.  ``READS`` names the fields each subcommand
+reads in each of its modes; a subcommand takes one ``--flag`` per field
+that some mode of it reads, and a run refuses (exit 2) any other field
+that is not at its default, so no value is accepted and then dropped.
 
 Each subcommand but bench is a handler ``cmd_*(cfg, f)`` of the resolved
 config and objective that does no I/O: it returns ``(outputs, line, ok)``,
@@ -53,8 +55,8 @@ FIELDS = {
     "tol": (1e-4, "number", "reach success tolerance"),
     "delta": (None, "number", "saddle reach (--general) escape radius (default epsilon/2)"),
     "gtol": (1e-10, "number", "gradient stopping tolerance"),
-    "h": (1e-3, "number", "flow integrator's first trial step, capped at 6/L (no flow "
-                          "reach reads it, a minimum reach only in its stability probe)"),
+    "h": (1e-3, "number", "flow integrator's first trial step, capped at 6/L (a flow reach "
+                          "takes it, and reads it only in a minimum's stability probe)"),
     "t_max": (50.0, "number", "flow time budget"),
     "max_iter": (1000000, "count", "discrete iteration budget"),
     "kbar_max": (65536, "count", "reverse-orbit horizon budget"),
@@ -66,18 +68,32 @@ FIELDS = {
                                 "else ./basinreach_out"),
 }
 
-#: the fields each subcommand reads, each one a --flag; procedure (reach)
-#: and output_dir are read from a config file only
-COMMAND_FIELDS = {
-    "run": ("function", "procedure", "x0", "schedule", "gtol", "max_iter", "direction",
-            "h", "t_max"),
-    "reach": ("function", "mode", "target", "epsilon", "schedule", "seed_radius", "tol",
-              "delta", "gtol", "max_iter", "kbar_max", "seed", "h", "t_max"),
-    "probe": ("function", "mode", "target", "epsilon", "schedule", "gtol", "max_iter",
-              "n_samples", "seed", "h", "t_max"),
-    "eos": ("function", "alpha", "x0"),
-    "check": ("function", "n_checks", "seed"),
+#: the fields each run reads, by subcommand and mode (run's procedure, reach's
+#: and probe's mode, None for eos and check); a subcommand flags each field
+#: that some mode of it reads.  A run refuses any other field that is not at
+#: its default, procedure and output_dir aside: reach's procedure is set by
+#: --general, output_dir only by a config file.  A continuous reach keeps h,
+#: though a minimum reach reads it only when it probes and a saddle reach
+#: never: the saddles_cli benchmark and CI's flow-saddle checks pass it
+READS = {
+    ("run", "gd"): ("function", "procedure", "x0", "schedule", "gtol", "max_iter"),
+    ("run", "flow"): ("function", "procedure", "x0", "direction", "h", "t_max", "gtol"),
+    ("reach", "discrete"): ("function", "mode", "target", "epsilon", "schedule", "seed_radius",
+                            "tol", "delta", "gtol", "max_iter", "kbar_max", "seed"),
+    ("reach", "continuous"): ("function", "mode", "target", "epsilon", "seed_radius", "tol",
+                              "delta", "gtol", "seed", "h", "t_max"),
+    ("probe", "discrete"): ("function", "mode", "target", "epsilon", "schedule", "gtol",
+                            "max_iter", "n_samples", "seed"),
+    ("probe", "continuous"): ("function", "mode", "target", "epsilon", "gtol", "n_samples",
+                              "seed", "h", "t_max"),
+    ("eos", None): ("function", "alpha", "x0"),
+    ("check", None): ("function", "n_checks", "seed"),
 }
+
+#: the field naming each subcommand's mode, and the message for a mode it lacks
+MODES = {"run": ("procedure", "is not a run procedure"),
+         "reach": ("mode", "is not discrete or continuous"),
+         "probe": ("mode", "is not discrete or continuous")}
 
 CHOICES = {"procedure": ("gd", "flow"), "direction": ("forward", "reverse"),
            "mode": ("discrete", "continuous")}
@@ -150,7 +166,27 @@ def resolve_config(args):
         if kind in ("count", "int") and (type(val) is not int or kind == "count" and val < 0):
             what = "an integer" if kind == "int" else "a nonnegative integer"
             raise ConfigError(f"{key} must be {what}, got {json.dumps(val)}")
+    if getattr(args, "command", None) is not None:  # a Namespace with no subcommand
+        refuse_unread(cfg, args.command)                # resolves its fields alone
     return cfg
+
+
+def refuse_unread(cfg, command):
+    """The one rule on the fields a run does not read: each field outside
+    READS[command, mode] but procedure and output_dir must hold its FIELDS
+    default, whether a flag or a config file gave it (a ConfigError names
+    the field and the mode).  So a config.json written by a run, which
+    records every field, runs again as it is."""
+    field, unknown = MODES.get(command, (None, None))
+    mode = cfg[field] if field else None
+    if (command, mode) not in READS:
+        raise ConfigError(f"{field}: {mode!r} {unknown}")
+    reads = (*READS[command, mode], "procedure", "output_dir")
+    where = f"{command} --{field} {mode}" if field else command
+    for key, (default, _, _) in FIELDS.items():
+        if key not in reads and cfg[key] != default:
+            raise ConfigError(f"{key}: {where} does not read it; leave it at its default "
+                              f"{json.dumps(default)}")
 
 
 def resolve_point(cfg, key, f, in_box=True):
@@ -184,11 +220,7 @@ def flow_settings(cfg):
 def resolve_dynamics(cfg):
     """The reach and probe dynamics of cfg's mode: its schedule (gradient
     descent) for discrete, its flow settings for continuous."""
-    if cfg["mode"] == "discrete":
-        return parse_schedule(cfg["schedule"])
-    if cfg["mode"] == "continuous":
-        return flow_settings(cfg)
-    raise ConfigError(f"mode: {cfg['mode']!r} is not discrete or continuous")
+    return parse_schedule(cfg["schedule"]) if cfg["mode"] == "discrete" else flow_settings(cfg)
 
 
 def catalog_json(f):
@@ -227,11 +259,9 @@ def cmd_run(cfg, f):
     x0 = resolve_point(cfg, "x0", f)
     if cfg["procedure"] == "flow":
         traj = integrate(f, x0, cfg["direction"], flow_settings(cfg))
-    elif cfg["procedure"] == "gd":
+    else:
         s = parse_schedule(cfg["schedule"])
         traj = run_gd(f, x0, s, gtol=float(cfg["gtol"]), max_iter=cfg["max_iter"])
-    else:
-        raise ConfigError(f"procedure: {cfg['procedure']!r} is not a run procedure")
     outputs = {"trajectory.csv": partial(serialize.write_trajectory_csv, traj),
                "summary.json": partial(serialize.write_json,
                                        serialize.trajectory_summary(traj))}
@@ -246,8 +276,10 @@ def cmd_reach(cfg, f):
             raise ConfigError("delta: only a saddle reach (--general) takes delta")
     target = resolve_target(cfg, f)
     dynamics = resolve_dynamics(cfg)
-    budgets = ReachBudgets(max_iter=cfg["max_iter"], gtol=float(cfg["gtol"]),
-                           kbar_max=cfg["kbar_max"], seed=cfg["seed"])
+    # the GD budgets only under GD: a flow reach refuses them
+    budgets = ReachBudgets(seed=cfg["seed"]) if cfg["mode"] == "continuous" else ReachBudgets(
+        max_iter=cfg["max_iter"], gtol=float(cfg["gtol"]), kbar_max=cfg["kbar_max"],
+        seed=cfg["seed"])
     given = (f, target, float(cfg["epsilon"]), dynamics, float(cfg["seed_radius"]),
              float(cfg["tol"]))
     minimum = reach_continuous if cfg["mode"] == "continuous" else reach_discrete
@@ -275,10 +307,11 @@ def cmd_reach(cfg, f):
 
 def cmd_probe(cfg, f):
     cfg["procedure"] = "probe"
+    budgets = {} if cfg["mode"] == "continuous" else {  # a flow probe refuses them
+        "max_iter": cfg["max_iter"], "gtol": float(cfg["gtol"])}
     est = stability_probe(
         f, resolve_target(cfg, f), float(cfg["epsilon"]), resolve_dynamics(cfg),
-        n_samples=cfg["n_samples"], seed=cfg["seed"], max_iter=cfg["max_iter"],
-        gtol=float(cfg["gtol"]))
+        n_samples=cfg["n_samples"], seed=cfg["seed"], **budgets)
     # probe.json: the estimate's fields, each failing start as a list
     probe = dict(vars(est), failures=[[float(c) for c in p] for p in est.failures])
     return ({"probe.json": partial(serialize.write_json, probe)},
@@ -346,7 +379,8 @@ def build_parser():
         p.add_argument("--out", help="output directory (BASINREACH_OUT overrides the default)")
         if name == "reach":
             p.add_argument("--general", action="store_true", help="saddle-targeting general case")
-        for key in COMMAND_FIELDS[name]:
+        for key in dict.fromkeys(k for (command, _), keys in READS.items() if command == name
+                                 for k in keys):
             default, kind, doc = FIELDS[key]
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=KINDS[kind][2],
                            choices=CHOICES.get(key),

@@ -122,11 +122,12 @@ class ReachBudgets:
     gtol defaults to min(1e-8, 1e-3 * tol); delta_override reuses a
     radius found before, legitimate as the stability radius is uniform
     over admissible schedules.  gtol, max_iter and kbar_max bound only a
-    reach under a StepSchedule: a flow reach ignores them, and its
-    FlowSettings' gtol and t_max end both its legs.  The counts must be
-    nonnegative integers, the seed an integer (a float is refused, not
-    truncated), a given gtol and a given delta_override nonnegative and
-    finite: 0, a radius the probe can return, is allowed.
+    reach under a StepSchedule: a flow reach refuses them (ValueError) at
+    any value but their defaults, as its FlowSettings' gtol and t_max end
+    both its legs.  The counts must be nonnegative integers, the seed an
+    integer (a float is refused, not truncated), a given gtol and a given
+    delta_override nonnegative and finite: 0, a radius the probe can
+    return, is allowed.
     """
 
     max_iter: int = 200_000
@@ -489,6 +490,15 @@ class _Level:
         return integrate_minnorm(self.f, x0, self.level, dynamics, g0=g0)
 
 
+def _flow_takes_no(what, **given):
+    """Refuse (ValueError) the first gradient-descent budget of ``given``,
+    each (value, default), that a flow run is handed at another value than
+    its default: a flow reads none of them, its FlowSettings end it."""
+    for name, (value, default) in given.items():
+        if value != default:
+            raise ValueError(f"{name}: {what} takes no GD budget; its FlowSettings end it")
+
+
 def _descends(dynamics, what):
     """True for a StepSchedule (gradient descent), False for FlowSettings
     (DOP853 gradient flow); anything else is a ValueError."""
@@ -514,16 +524,17 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
 
     One runner marches every start: ``run_gd``'s ``_Descent`` under a
     StepSchedule or forward ``integrate``'s ``_Flow`` under FlowSettings
-    (whose gtol and budgets replace ``gtol`` and ``max_iter``, which
-    must still be nonnegative), bit for bit, with their stops.  A
-    start also stops at its first state outside the ball (a failure,
-    stopped_on = "left_ball"), in the certified ball B_r below (converged,
-    the target its limit, stopped_on = "certified_ball", with r as ``s``
-    and mu_r as ``mu_s``) or in the capture set K below (converged, no
-    limit, stopped_on = "capture_set"), each named by the event that
-    ended it; a stop where |grad f| < gtol is reported as the full run
-    would report it.  A run stops on its first state in K or B_r; a state
-    in both is reported as in B_r, the stronger claim.
+    (whose gtol and budgets replace ``gtol`` and ``max_iter``: these must
+    be nonnegative, and under FlowSettings at their defaults, or a
+    ValueError names the first that is not), bit for bit, with their
+    stops.  A start also stops at its first state outside the ball (a
+    failure, stopped_on = "left_ball"), in the certified ball B_r below
+    (converged, the target its limit, stopped_on = "certified_ball", with
+    r as ``s`` and mu_r as ``mu_s``) or in the capture set K below
+    (converged, no limit, stopped_on = "capture_set"), each named by the
+    event that ended it; a stop where |grad f| < gtol is reported as the
+    full run would report it.  A run stops on its first state in K or B_r;
+    a state in both is reported as in B_r, the stronger claim.
 
     B_r and K are the certificate of the module docstring (``_Basin``):
     a run that enters B_r converges to the target itself, one that enters
@@ -540,6 +551,8 @@ def stability_probe(f, target, epsilon, dynamics, n_samples=8, seed=0, max_iter=
     require_nonnegative_finite(gtol=gtol)
     require_count(max_iter=max_iter, n_samples=n_samples)
     require_integer(seed=seed)
+    if not descent:
+        _flow_takes_no("a flow probe", max_iter=(max_iter, 20_000), gtol=(gtol, 1e-8))
     target = np.asarray(target, dtype=float)
     basin = _Basin(f, target, epsilon, "probe target")
     if descent:
@@ -706,6 +719,9 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, goal, *given
     last state."""
     descent = _descends(dynamics, goal.procedure)
     b = budgets or ReachBudgets()
+    if not descent:
+        _flow_takes_no("a flow reach", **{k: (getattr(b, k), getattr(ReachBudgets, k))
+                                          for k in ("gtol", "max_iter", "kbar_max")})
     goal = goal(f, np.asarray(target, dtype=float), epsilon, *given)
     require_positive_finite(epsilon=epsilon, seed_radius=seed_radius, tol=tol)
     delta, source = goal.radius(seed_radius, dynamics, b)
@@ -750,7 +766,8 @@ def reach_continuous(f, target, epsilon, settings, seed_radius, tol, budgets=Non
     first crossing of the delta-sphere, located just inside it, so that x0
     lies in B_delta (``_sphere_exit_detail``); then forward flow from x0 at
     the opening, and from the gradient, the reverse flow measured there.
-    Neither leg reads settings.h or the GD budgets (``ReachBudgets``)."""
+    Neither leg reads settings.h, and GD budgets (``ReachBudgets``' gtol,
+    max_iter and kbar_max) are refused (ValueError)."""
     if not isinstance(settings, FlowSettings):
         raise ValueError(f"reach_continuous needs FlowSettings, got {type(settings).__name__}")
     return _reach(f, target, epsilon, settings, seed_radius, tol, budgets, _Basin)
@@ -772,7 +789,8 @@ def reach_general(f, target, epsilon, dynamics, seed_radius, tol=1e-2, delta=Non
     f(target), a local minimum of which the target is: the forward flow on
     f, stalled where it meets the level set f = c, located on the dense
     output, opened at the reverse flow's last proposed step; neither leg
-    reads settings.h or the GD budgets (``ReachBudgets``).  StepSchedule:
+    reads settings.h, and GD budgets are refused as by
+    ``reach_continuous``.  StepSchedule:
     reverse orbit through {f > c} on f itself, forward replay, and linear
     interpolation to the first crossing of the level.  The distance is
     from the crossing to the target and shrinks with seed_radius.

@@ -42,14 +42,13 @@ are ``_orbitn``'s bit for bit, at a fraction of its calls.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from math import sqrt
 
 import numpy as np
 
 from .landscape import LeftBoxError, dot, norm, require_count, row_norms, sumsq
 from .schedule import constant, require_admissible
-from .trajectory import start
+from .trajectory import stacked, start
 
 # every ascent and proximal solve stops on its first tested y with |T(y) -
 # y| <= FIXED_POINT_RTOL (1 + min(|base|, |y|)); its result is checked
@@ -101,16 +100,7 @@ class ReverseOrbit:
     @property
     def grad_norms(self):
         """|grad f| at each point, taken row-wise over the kept gradients."""
-        return row_norms(_stacked(self.gradients)).tolist()
-
-
-def _stacked(rows):
-    """rows, points of one lane, as one read-only (n, dim) float array,
-    stacked as ``trajectory.recorded`` stacks a run's points."""
-    A = (np.fromiter(chain.from_iterable(rows), float).reshape(len(rows), -1)
-         if type(rows[0]) is tuple else np.array(rows))
-    A.flags.writeable = False
-    return A
+        return row_norms(stacked(self.gradients)).tolist()
 
 
 def _picard(f, base, lam, sign, tol_scale=None, g=None, steps=(), miss=None):
@@ -483,7 +473,7 @@ def reverse_orbit(f, a, s, kbar, stop=None, *, g0=None):
     points, residuals, grads, left = _orbit(
         f, x, g0, None, map(s.alpha, range(kbar - 1, -1, -1)), 1.0, stop)[:4]
     return ReverseOrbit(
-        points=_stacked(points[::-1]),
+        points=stacked(points[::-1]),
         anchor=anchor.copy(),
         forward_residuals=tuple(residuals[::-1]),
         status="complete" if left is None else "left_box",

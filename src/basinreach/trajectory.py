@@ -221,14 +221,23 @@ def _to_level(f, level, runner, x0, g0=None):
     return recorded(f, steps, status, crossing, stop, runner.provenance), crossing
 
 
+def stacked(rows):
+    """rows, points of one lane (the float lane's tuples or ndarrays), as
+    one read-only (n, dim) float array: a run's points, an orbit's points
+    or its gradients."""
+    # on the float lane's tuples, several times faster than np.array(rows)
+    A = (np.fromiter(chain.from_iterable(rows), float).reshape(len(rows), -1)
+         if type(rows[0]) is tuple else np.array(rows))
+    A.flags.writeable = False
+    return A
+
+
 def recorded(f, steps, status, limit, stop, provenance):
     """Emit the Trajectory of a run kept as per-step tuples (t, x, |g|),
     or (t, x, |g|, f(x)) when the run took the values itself (otherwise f
     is evaluated once over the stacked points), its provenance merged
     with the entries of the stop that ended it, if any."""
     ts, xs, gns, *fs = zip(*steps)
-    # on the float lane's tuples, several times faster than np.array(xs)
-    X = (np.fromiter(chain.from_iterable(xs), float).reshape(len(xs), -1)
-         if type(xs[0]) is tuple else np.array(xs))
+    X = stacked(xs)
     return emit(Trajectory(np.array(ts), X, np.array(fs[0]) if fs else f.values(X),
                            np.array(gns), status, limit, dict(provenance, **(stop or {}))))

@@ -847,46 +847,168 @@ class RecordingConfig(dict):
         return super().get(key, default)
 
 
+# one short run per (command, mode) of cli.READS, and the saddle reaches
+# (--general), which read what their mode's minimum reach reads
+MODE_RUNS = {
+    ("run", "gd"): ["run", "--function", "quad:1", "--x0", "1", "--schedule", "constant:0.5",
+                    "--max-iter", "50"],
+    ("run", "flow"): ["run", "--procedure", "flow", "--function", "quad:1", "--x0", "1",
+                      "--h", "0.01", "--t-max", "0.5"],
+    ("reach", "discrete"): ["reach", "--function", "double_well", "--target", "1",
+                            "--schedule", "constant:0.021"],
+    ("reach", "continuous"): ["reach", "--function", "quad:1", "--target", "0", "--mode",
+                              "continuous", "--epsilon", "1.0", "--h", "0.01", "--t-max", "60",
+                              "--gtol", "1e-6", "--tol", "1e-5"],
+    ("probe", "discrete"): ["probe", "--function", "double_well", "--target", "1", "--epsilon",
+                            "0.5", "--schedule", "constant:0.05", "--n-samples", "2"],
+    ("probe", "continuous"): ["probe", "--function", "double_well", "--target-index", "2",
+                              "--mode", "continuous", "--h", "1e-3", "--t-max", "1e-4"],
+    ("eos", None): ["eos", "--function", "quad:1", "--alpha", "2.1", "--x0", "0.5"],
+    ("check", None): ["check", "--function", "double_well", "--n-checks", "5"],
+}
+GENERAL_RUNS = {
+    ("reach", "discrete"): ["reach", "--general", "--function", "himmelblau", "--target-index",
+                            "8", "--epsilon", "1.0", "--schedule", "constant:0.0015", "--tol",
+                            "1e-2"],
+    ("reach", "continuous"): ["reach", "--general", "--mode", "continuous", "--function",
+                              "himmelblau", "--target-index", "8", "--epsilon", "1.0",
+                              "--seed-radius", "1e-3", "--tol", "1e-2", "--h", "3e-4",
+                              "--t-max", "50", "--gtol", "1e-6", "--delta", "0.1"],
+}
+
+
+def flags(command):
+    """The fields the subcommand takes a --flag for."""
+    return set(vars(cli.build_parser().parse_args([command]))) & set(cli.FIELDS)
+
+
 def test_each_subcommand_flags_exactly_the_fields_it_reads(tmp_path, monkeypatch, capsys):
-    # every flag is read by a run of its subcommand, and the only fields read
-    # without a flag are output_dir (after --out and BASINREACH_OUT, neither
-    # given here) and reach's procedure (--general sets it)
+    # each run reads exactly the fields READS gives its (command, mode), and
+    # besides them only output_dir (after --out and BASINREACH_OUT, neither
+    # given here) and a reach's procedure (--general sets it); a subcommand
+    # flags the fields that some mode of it reads, and no other
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("BASINREACH_OUT", raising=False)
-    reads = {}
     resolve = cli.resolve_config
-
-    def recording(args):
-        return RecordingConfig(resolve(args), reads.setdefault(args.command, set()))
-    monkeypatch.setattr(cli, "resolve_config", recording)
-    runs = [
-        ["run", "--function", "quad:1", "--x0", "1", "--schedule", "constant:0.5",
-         "--max-iter", "50"],
-        ["run", "--procedure", "flow", "--function", "quad:1", "--x0", "1", "--h", "0.01",
-         "--t-max", "0.5"],
-        ["reach", "--function", "double_well", "--target", "1", "--schedule", "constant:0.021"],
-        ["reach", "--function", "quad:1", "--target", "0", "--mode", "continuous", "--epsilon",
-         "1.0", "--h", "0.01", "--t-max", "60", "--gtol", "1e-6", "--tol", "1e-5"],
-        ["reach", "--general", "--function", "himmelblau", "--target-index", "8", "--epsilon",
-         "1.0", "--schedule", "constant:0.0015", "--tol", "1e-2"],
-        ["probe", "--function", "double_well", "--target", "1", "--epsilon", "0.5",
-         "--schedule", "constant:0.05", "--n-samples", "2"],
-        ["probe", "--function", "double_well", "--target-index", "2", "--mode", "continuous",
-         "--h", "1e-3", "--t-max", "1e-4"],
-        ["eos", "--function", "quad:1", "--alpha", "2.1", "--x0", "0.5"],
-        ["check", "--function", "double_well", "--n-checks", "5"],
-    ]
-    for argv in runs:
+    assert set(MODE_RUNS) == set(cli.READS)
+    for key, argv in [*MODE_RUNS.items(), *GENERAL_RUNS.items()]:
+        reads = set()
+        monkeypatch.setattr(cli, "resolve_config",
+                            lambda args, reads=reads: RecordingConfig(resolve(args), reads))
         assert main(argv) == 0, argv
+        unflagged = {"output_dir"} | ({"procedure"} if key[0] == "reach" else set())
+        assert reads == set(cli.READS[key]) | unflagged, key
     capsys.readouterr()
-    fields = set(json.loads(read(os.path.join("basinreach_out", "config.json"))))
-    unflagged = {"run": set(), "reach": {"procedure"}, "probe": set(), "eos": set(),
-                 "check": set()}
-    assert set(reads) == set(unflagged)
-    for command, read_fields in reads.items():
-        flags = fields & set(vars(cli.build_parser().parse_args([command])))
-        assert flags - read_fields == set(), command
-        assert read_fields - flags == unflagged[command] | {"output_dir"}, command
+    for command in {command for command, _ in cli.READS}:
+        modes = [keys for (c, _), keys in cli.READS.items() if c == command]
+        assert flags(command) == set().union(*modes), command
+
+
+def unread(command, mode):
+    """The fields a (command, mode) run refuses at any value but its default."""
+    return [key for key in cli.FIELDS
+            if key not in (*cli.READS[command, mode], "procedure", "output_dir")]
+
+
+#: a value of each field other than its default, as a config file gives it
+OTHER = {"function": "quad:2", "schedule": "constant:0.01", "target": [0.5], "x0": [0.5],
+         "direction": "reverse", "mode": "continuous", "epsilon": 0.3, "seed_radius": 0.01,
+         "tol": 0.01, "delta": 0.1, "gtol": 1e-7, "h": 0.5, "t_max": 3.0, "max_iter": 7,
+         "kbar_max": 7, "n_samples": 3, "alpha": 0.5, "n_checks": 3, "seed": 3}
+UNREAD = [(command, mode, key) for command, mode in MODE_RUNS for key in unread(command, mode)]
+
+
+def refusal(command, mode, key):
+    """The one line a (command, mode) run prints when given the field key,
+    which it does not read, at a value other than its default."""
+    field = {"run": "procedure", "reach": "mode", "probe": "mode"}.get(command)
+    where = f"{command} --{field} {mode}" if field else command
+    default = json.dumps(cli.FIELDS[key][0])
+    return f"error: {key}: {where} does not read it; leave it at its default {default}\n"
+
+
+def test_fourteen_flags_are_unread_in_some_mode():
+    # the flags some mode of their subcommand reads and another does not:
+    # each was accepted and dropped in that other mode, and now refused
+    unread_flags = [(c, m, k) for c, m, k in UNREAD if k in flags(c)]
+    assert len(unread_flags) == 14
+    assert {(c, m): [k for c2, m2, k in unread_flags if (c2, m2) == (c, m)]
+            for c, m in MODE_RUNS} == {
+        ("run", "gd"): ["direction", "h", "t_max"], ("run", "flow"): ["schedule", "max_iter"],
+        ("reach", "discrete"): ["h", "t_max"],
+        ("reach", "continuous"): ["schedule", "max_iter", "kbar_max"],
+        ("probe", "discrete"): ["h", "t_max"], ("probe", "continuous"): ["schedule", "max_iter"],
+        ("eos", None): [], ("check", None): []}
+
+
+@pytest.mark.parametrize("command,mode,key", UNREAD,
+                         ids=[f"{c}-{m}-{k}" if m else f"{c}-{k}" for c, m, k in UNREAD])
+def test_a_field_its_mode_does_not_read_is_refused(tmp_path, capsys, command, mode, key):
+    # away from its default, from a config file or by its flag where the
+    # subcommand has one, the field ends the run with exit 2, one line naming
+    # it and the mode, and no directory; at its default the run goes ahead
+    argv = MODE_RUNS[command, mode] + ["--config", str(tmp_path / "cfg.json")]
+    default = cli.FIELDS[key][0]
+    flag, other = "--" + key.replace("_", "-"), OTHER[key]
+    text = ",".join(map(str, other)) if isinstance(other, list) else str(other)
+    given = [([], {key: other})]
+    if key in flags(command):
+        given.append(([flag, text], {}))
+    for extra, config in given:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(argv + extra + ["--out", str(tmp_path / "o")]) == 2, (extra, config)
+        assert capsys.readouterr().err == refusal(command, mode, key)
+        assert not (tmp_path / "o").exists()
+    (tmp_path / "cfg.json").write_text(json.dumps({key: default}))
+    extra = [flag, str(default)] if key in flags(command) and default is not None else []
+    assert main(argv + extra + ["--out", str(tmp_path / "d")]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,key,mode", [
+    (["run", "--function", "quad:1", "--x0", "1", "--schedule", "constant:0.5", "--direction",
+      "reverse", "--h", "9"], "direction", "gd"),
+    (["reach", "--function", "himmelblau", "--target", "3,2", "--epsilon", "0.5", "--mode",
+      "continuous", "--schedule", "power:0.001:0.7"], "schedule", "continuous"),
+    (["reach", "--function", "himmelblau", "--target", "3,2", "--epsilon", "0.5",
+      "--schedule", "constant:0.0015", "--h", "0.5", "--t-max", "1"], "h", "discrete"),
+    (["reach", "--mode", "continuous", "--function", "double_well", "--target", "1",
+      "--epsilon", "0.4", "--seed-radius", "1e-3", "--tol", "1e-4", "--h", "1e-3", "--t-max",
+      "20", "--gtol", "1e-6", "--max-iter", "1", "--kbar-max", "1"], "max_iter", "continuous"),
+    (["reach", "--function", "double_well", "--target", "1", "--h", "nan"], "h", "discrete"),
+    (["run", "--config", {"function": "quad:1", "x0": [1.0], "seed": 3}], "seed", "gd"),
+], ids=["gd-run-reverse-direction", "flow-reach-schedule", "gd-reach-flow-settings",
+        "flow-reach-gd-budgets", "gd-reach-nan-h", "run-config-seed"])
+def test_inputs_once_dropped_without_a_message_are_refused(tmp_path, capsys, argv, key, mode):
+    # each of these ran and wrote the outputs of the run without the
+    # unread input, and config.json recorded it as if it had been used (the
+    # NaN h as the non-JSON token NaN); now each exits 2 with one line
+    # naming the field and the mode, and writes no directory
+    if isinstance(argv[-1], dict):  # the contents of a config file
+        (tmp_path / "cfg.json").write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(tmp_path / "cfg.json")]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == refusal(argv[0], mode, key)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", [*MODE_RUNS, *(("general",) + key for key in GENERAL_RUNS)],
+                         ids=lambda key: "-".join(map(str, key)))
+def test_each_mode_runs_again_from_its_config(tmp_path, capsys, key):
+    # config.json records every field, those the run does not read at their
+    # defaults, so it runs again as it is and writes the same bytes
+    argv = (GENERAL_RUNS[key[1:]] if key[0] == "general" else MODE_RUNS[key])
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(argv + ["--out", str(first)]) == 0
+    assert main([argv[0], "--config", str(first / "config.json"), "--out", str(again)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(first)) == sorted(os.listdir(again))
+    for name in os.listdir(first):
+        if name != "config.json":
+            assert read(first / name) == read(again / name), name
+    configs = [json.loads(read(d / "config.json")) for d in (first, again)]
+    assert [dict(c, output_dir=None) for c in configs] == [dict(configs[0], output_dir=None)] * 2
 
 
 def test_reach_takes_no_n_samples_flag(capsys):

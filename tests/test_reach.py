@@ -2239,21 +2239,43 @@ def test_a_flow_run_rebuilt_from_its_provenance_repeats_it(himmelblau, kind):
 
 
 @pytest.mark.parametrize("kind", ["minimum", "saddle"])
-def test_a_flow_reach_ignores_the_gradient_descent_budgets(himmelblau, kind):
+def test_a_flow_reach_refuses_the_gradient_descent_budgets(himmelblau, kind):
     # budgets.gtol, max_iter and kbar_max bound only a reach under a
     # schedule: the flow settings' gtol and t_max end both legs of a flow
-    # reach, so budgets that would cut a discrete reach short leave
-    # every output byte of a flow reach as it was
+    # reach, so a flow reach refuses each of them at any value but its
+    # default, naming the first of gtol, max_iter and kbar_max that is set;
+    # the seed, which a flow reach reads, and the defaults run
     st = br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6)
-    tight = br.ReachBudgets(gtol=1e-2, max_iter=1, kbar_max=1)
     if kind == "minimum":
         reach = lambda b: br.reach_continuous(himmelblau, [3.0, 2.0], 1.0, st, 1e-3, 1e-4, b)
     else:
         reach = lambda b: br.reach_general(himmelblau, himmelblau.critical_points[6].point, 1.0,
                                            st, 1e-3, tol=1e-2, delta=0.1, budgets=b)
-    rep = reach(tight)
-    assert rep.status == "success" and rep.forward_part.gnorm[0] > 1e-2
-    assert len(rep.forward_part) > 2 and reach_bytes(rep) == reach_bytes(reach(None))
+    for given, named in (({"gtol": 1e-2, "max_iter": 1, "kbar_max": 1}, "gtol"),
+                         ({"max_iter": 1, "kbar_max": 1}, "max_iter"),
+                         ({"kbar_max": 1}, "kbar_max"), ({"gtol": 0.0}, "gtol"),
+                         ({"max_iter": 200_001}, "max_iter")):
+        with pytest.raises(ValueError, match=f"^{named}: a flow reach takes no GD budget"):
+            reach(br.ReachBudgets(**given))
+    rep = reach(br.ReachBudgets(max_iter=200_000, kbar_max=1 << 16, seed=0))
+    assert rep.status == "success" and reach_bytes(rep) == reach_bytes(reach(None))
+
+
+@pytest.mark.parametrize("given,named", [
+    ({"max_iter": 1}, "max_iter"), ({"gtol": 1e-2}, "gtol"),
+    ({"max_iter": 1, "gtol": 1e-2}, "max_iter"),
+], ids=["max_iter", "gtol", "both"])
+def test_a_flow_probe_refuses_the_gradient_descent_budgets(dw, given, named):
+    # the flow settings' gtol and t_max end every start of a flow probe, so
+    # it refuses max_iter and gtol at any value but their defaults, after
+    # their range checks; at the defaults it runs as without them
+    st = br.FlowSettings(h=1e-3, t_max=5.0, gtol=1e-6)
+    with pytest.raises(ValueError, match=f"^{named}: a flow probe takes no GD budget"):
+        br.stability_probe(dw, [1.0], 0.4, st, n_samples=2, **given)
+    with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
+        br.stability_probe(dw, [1.0], 0.4, st, max_iter=-1)
+    est = br.stability_probe(dw, [1.0], 0.4, st, n_samples=2, max_iter=20_000, gtol=1e-8)
+    assert vars(est) == vars(br.stability_probe(dw, [1.0], 0.4, st, n_samples=2))
 
 
 def test_a_saddle_reach_needs_no_epsilon_ball_in_the_box(himmelblau):
