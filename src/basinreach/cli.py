@@ -23,6 +23,7 @@ one process; the parser is built on the first call and reused.
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import cache, partial
@@ -57,7 +58,7 @@ FIELDS = {
     "gtol": (1e-10, "number", "gradient stopping tolerance"),
     "h": (1e-3, "number", "flow integrator's first trial step, capped at 6/L (a flow reach "
                           "takes it, and reads it only in a minimum's stability probe)"),
-    "t_max": (50.0, "number", "flow time budget"),
+    "t_max": (50.0, "time", "flow time budget, inf (null in a config file) for none"),
     "max_iter": (1000000, "count", "discrete iteration budget"),
     "kbar_max": (65536, "count", "reverse-orbit horizon budget"),
     "n_samples": (8, "count", "probe quasi-random starts per radius"),
@@ -116,12 +117,14 @@ def parse_point(text):
 
 
 #: kind -> (the test a config-file value must pass, its phrase in messages,
-#: the flag's type); counts and the seed must also be integers once merged
+#: the flag's type); counts and the seed must also be integers once merged,
+#: and a time budget of inf is null, as strict JSON has no infinity
 KINDS = {
     "str": (lambda v: isinstance(v, str), "a string", str),
     "number": (_number, "a number", float),
     "count": (_number, "a number", int),
     "int": (_number, "a number", int),
+    "time": (lambda v: v is None or _number(v), "a number or null", float),
     "point": (_numbers, "a list of numbers", parse_point),
     "target": (lambda v: type(v) is int or _numbers(v),
                "a catalog index (int) or a list of numbers", parse_point),
@@ -163,6 +166,8 @@ def resolve_config(args):
         cfg["procedure"] = "reach-general"
     for key, (_, kind, _) in FIELDS.items():
         val = cfg[key]
+        if kind == "time" and val == math.inf:
+            cfg[key] = None
         if kind in ("count", "int") and (type(val) is not int or kind == "count" and val < 0):
             what = "an integer" if kind == "int" else "a nonnegative integer"
             raise ConfigError(f"{key} must be {what}, got {json.dumps(val)}")
@@ -214,7 +219,17 @@ def resolve_target(cfg, f):
 
 
 def flow_settings(cfg):
-    return FlowSettings(h=float(cfg["h"]), t_max=float(cfg["t_max"]), gtol=float(cfg["gtol"]))
+    t_max = math.inf if cfg["t_max"] is None else float(cfg["t_max"])
+    return FlowSettings(h=float(cfg["h"]), t_max=t_max, gtol=float(cfg["gtol"]))
+
+
+def refuse_seed_in_1d(cfg, f, command):
+    """A 1-D reach or probe draws no quasi-random direction (its sphere is
+    the axis pair), so a seed away from its default would be dropped."""
+    default = FIELDS["seed"][0]
+    if f.dim == 1 and cfg["seed"] != default:
+        raise ConfigError(f"seed: {command} on a 1-D function draws no quasi-random "
+                          f"direction; leave it at its default {default}")
 
 
 def resolve_dynamics(cfg):
@@ -270,6 +285,7 @@ def cmd_run(cfg, f):
 
 
 def cmd_reach(cfg, f):
+    refuse_seed_in_1d(cfg, f, "reach")
     if cfg["procedure"] != "reach-general":
         cfg["procedure"] = "reach"
         if cfg["delta"] is not None:
@@ -306,6 +322,7 @@ def cmd_reach(cfg, f):
 
 
 def cmd_probe(cfg, f):
+    refuse_seed_in_1d(cfg, f, "probe")
     cfg["procedure"] = "probe"
     budgets = {} if cfg["mode"] == "continuous" else {  # a flow probe refuses them
         "max_iter": cfg["max_iter"], "gtol": float(cfg["gtol"])}

@@ -30,9 +30,10 @@ mu_r |x - x*|^2; DOP853 follows it to its accuracy.  Without a Hessian or
 M there is no B_r.  The capture set K = {x in B_epsilon : f(x) < c}, for
 1-D and 2-D objectives whose B_r is not all of B_epsilon (where K would
 add nothing), c a certified lower bound of f on the epsilon-sphere
-(``_capture_level``; in 2-D the floor of a circle grid, with f evaluated
-only where first-order minorants from a coarse pass leave a point in
-play, and grad f only where the point's value still does; with M, the
+(``_capture_level``; in 2-D the floor of a circle grid taken in levels
+of finer stride, with f evaluated only where first-order minorants from
+the nearest points with a gradient leave a point in play, and, in the
+last level, grad f only where the point's value still does; with M, the
 minorants' curvature and the gradient bound come from the spectrum of
 hess f(target) widened by M epsilon, which holds on all of B_epsilon,
 not from L).  With alpha <
@@ -145,23 +146,67 @@ class ReachBudgets:
 
 
 # points of the circle grid behind the 2-D capture certificate, and the
-# stride of its coarse pass
+# strides of its levels: every 32nd point (the coarse level), the rest of
+# every 8th (the middle level), then all the rest (the fill)
 CAPTURE_GRID = 256
-CAPTURE_STRIDE = 16
-# the unit circle grid: _COARSE[k] is grid point k CAPTURE_STRIDE and
-# _FILL[k (CAPTURE_STRIDE - 1) + s - 1] is grid point k CAPTURE_STRIDE + s,
-# 0 < s < CAPTURE_STRIDE, whose coarse neighbours _COARSE[_SIDES[:, k]] lie
-# n = s steps back (side 0) and n = CAPTURE_STRIDE - s steps on (side 1;
-# grid point 0 after the last arc).  _CHORDS[side, k, s - 1] is the unit
-# chord u from that neighbour to it, |u|^2 = _CHORD_SQ and |u| = _CHORD_LEN
+CAPTURE_STRIDES = (32, 8, 1)
 _THETA = 2.0 * np.pi * np.arange(CAPTURE_GRID) / CAPTURE_GRID
-_UNIT = np.stack([np.cos(_THETA), np.sin(_THETA)], axis=1).reshape(-1, CAPTURE_STRIDE, 2)
-_COARSE = np.ascontiguousarray(_UNIT[:, 0])
-_FILL = np.ascontiguousarray(_UNIT[:, 1:].reshape(-1, 2))
-_SIDES = np.add.outer(np.arange(2), np.arange(len(_COARSE))) % len(_COARSE)
-_CHORDS = _UNIT[:, 1:] - _COARSE[_SIDES][:, :, None]
-_CHORD_SQ = (_CHORDS * _CHORDS).sum(axis=-1)
-_CHORD_LEN = np.sqrt(_CHORD_SQ)
+_UNIT = np.stack([np.cos(_THETA), np.sin(_THETA)], axis=1)
+# the grid runs in arcs between coarse points, each with _ARC_POSTS posts
+# (points of stride 8, the coarse point first); a post or a gradient (x, y)
+# is the complex x + iy, and _POST_CONJ[k] the conjugate of post k's unit
+# point, so that g _POST_CONJ[k] is g in post k's frame: radial, tangential
+_ARCS = CAPTURE_GRID // CAPTURE_STRIDES[0]
+_ARC_POSTS = CAPTURE_STRIDES[0] // CAPTURE_STRIDES[1]
+_POST_CONJ = _UNIT[::CAPTURE_STRIDES[1]].copy().view(complex)[:, 0].conj()
+# the unit chord u from a grid point to the point n steps on (n < 0: back),
+# |n| <= 32, in the first point's frame, (cos(2 pi n/N) - 1, sin(2 pi
+# n/N)), as the conjugate complex number _CHORD_CONJ[n]; |u|^2 =
+# _CHORD_SQ[n] and |u| = _CHORD_LEN[n].  numpy's negative indices read n < 0
+_HALF = np.pi * np.r_[0:CAPTURE_STRIDES[0] + 1, -CAPTURE_STRIDES[0]:0] / CAPTURE_GRID
+_CHORD_CONJ = -2.0 * np.sin(_HALF) ** 2 - 1j * np.sin(2.0 * _HALF)
+_CHORD_LEN = 2.0 * np.abs(np.sin(_HALF))
+_CHORD_SQ = _CHORD_LEN * _CHORD_LEN
+
+
+def _ladder_level(stride, configs):
+    """The table of the level whose points lie ``stride`` apart, those of
+    earlier levels left out: (posts, steps, chord conjugates, grid
+    indices).  The level's point t of arc a is grid point grid[a T + t] =
+    a CAPTURE_STRIDES[0] + offset t.  Entry (side, configs a + k, t) of the
+    first three is for that point in arc a where the set bits of k <
+    configs name the middle posts with a gradient (bit m - 1 for post m of
+    the arc): the nearest post with a gradient behind the point (side 0)
+    or ahead of it (side 1; the next arc's coarse point after the last),
+    its grid steps to the point, and the chord from it."""
+    coarse, post = CAPTURE_STRIDES[:2]
+    before = CAPTURE_STRIDES[CAPTURE_STRIDES.index(stride) - 1]
+    offsets = np.arange(stride, coarse, stride)
+    offsets = offsets[offsets % before > 0]
+    # has[k, 0, m]: post m of an arc (m = _ARC_POSTS the next arc's coarse
+    # point) has a gradient under k, and src[side, k, t] the nearest such
+    # post on that side of point t
+    m = np.arange(_ARC_POSTS + 1)
+    k = np.arange(configs)[:, None]
+    has = ((m % _ARC_POSTS == 0) | ((k << 1) >> m & 1 == 1))[:, None]
+    at = m * post
+    src = np.stack([np.where(has & (at < offsets[:, None]), m, 0).max(axis=-1),
+                    np.where(has & (at > offsets[:, None]), m, _ARC_POSTS).min(axis=-1)])
+    arcs = np.arange(_ARCS)[:, None, None]
+    posts = ((arcs * _ARC_POSTS + src[:, None]) % len(_POST_CONJ)).reshape(2, -1, len(offsets))
+    steps = np.broadcast_to(offsets - post * src[:, None], (2, _ARCS) + src.shape[1:]).reshape(
+        posts.shape)
+    grid = (arcs[:, 0] * coarse + offsets).ravel()
+    return posts, steps, _CHORD_CONJ[steps], grid
+
+
+# the middle level reads only its coarse neighbours; the fill, by the
+# middle posts with a gradient, row _FILL_ROWS[a] + k for arc a
+_MIDDLE = _ladder_level(CAPTURE_STRIDES[1], 1)
+_FILL = _ladder_level(1, 1 << (_ARC_POSTS - 1))
+_FILL_ROWS = np.arange(_ARCS) << (_ARC_POSTS - 1)
+# the bit of each middle point in its arc's k
+_MIDDLE_BITS = np.tile(1 << np.arange(_ARC_POSTS - 1), _ARCS)
 
 
 def _spectrum(f, target):
@@ -182,64 +227,74 @@ def _capture_level(f, target, epsilon, curvature=None):
     the least b_i, the float one pass over the grid gives, from far fewer
     evaluations.
 
-    The coarse pass takes f and grad f at every CAPTURE_STRIDE-th grid
-    point, c_1 the least of their b_i.  A fill point y_j lies n grid steps
-    from a coarse neighbour y_i on either side, y_j - y_i = epsilon u with
-    u the tabled unit chord (``_CHORDS``), |u| = 2 sin(pi n/N) <= 2.  The
-    chord lies in B_epsilon and so in the box, where grad f is L-Lipschitz,
-    so f(y_j) >= f_i + epsilon <g_i, u> - L_c epsilon^2 |u|^2/2, the
-    first-order minorant of Breiman & Cutler's global optimisation (1993,
-    Math. Program. 58:179-199), and |grad f(y_j)| <= |g_i| + L_g epsilon
-    |u|, the ceiling, with L_c = L_g = L.  ``curvature`` = (lambda_min,
-    lambda_max, M), the extreme eigenvalues of the float hess f(target)
-    and the objective's ``hessian_lipschitz``, tightens both to the
-    target's own: on B_epsilon every Hessian lies within M epsilon of the
-    exact hess f(target) (Nesterov & Polyak 2006, Lemma 1), whose
-    eigenvalues lie within e = SPECTRUM_RTOL n |H|_2 of the computed ones,
-    |H|_2 = max(|lambda_min|, |lambda_max|): e is twice ``_Basin``'s bound
-    on the eigenvalue error, the margin ``_Basin.ball`` uses.  So every
-    Hessian on a chord is at least (lambda_min - e - M epsilon) I, and its
-    spectral norm at most |H|_2 + e + M epsilon: L_c = min(L, M epsilon +
-    e - lambda_min), negative where the chord is strongly convex, and L_g =
-    min(L, |H|_2 + e + M epsilon).  From each side, over the whole
-    table at once, a fill point gets its minorant less d times its
-    ceiling, f_i + epsilon <g_i, u> - L_c epsilon^2 |u|^2/2 - d (|g_i| +
-    L_g epsilon |u|), and d times the ceiling.  A fill point is skipped
-    where a lower bound of its b_j, less L d^2/2 and its own 1e-12 (1 +
-    |f(y_j)|), is above c_1 + mu:
+    The grid is taken in levels of stride CAPTURE_STRIDES = (32, 8, 1),
+    each without the points of the levels before it.  The coarse level
+    takes f and grad f at its 8 points.  A point y_j of a later level lies
+    n grid steps from the nearest point y_i with a gradient on either side
+    (a middle point where one has it, else the coarse point), y_j - y_i =
+    epsilon u with u the tabled unit chord over n steps (``_CHORD_CONJ``,
+    in y_i's frame), |u| = 2 sin(pi |n|/N) <= 2.  The chord lies in
+    B_epsilon and so in the box, where grad f is L-Lipschitz, so f(y_j) >=
+    f_i + epsilon <g_i, u> - L_c epsilon^2 |u|^2/2, the first-order
+    minorant of Breiman & Cutler's global optimisation (1993, Math.
+    Program. 58:179-199), and |grad f(y_j)| <= |g_i| + L_g epsilon |u|, the
+    ceiling, with L_c = L_g = L.  ``curvature`` = (lambda_min, lambda_max,
+    M), the extreme eigenvalues of the float hess f(target) and the
+    objective's ``hessian_lipschitz``, tightens both to the target's own:
+    on B_epsilon every Hessian lies within M epsilon of the exact hess
+    f(target) (Nesterov & Polyak 2006, Lemma 1), whose eigenvalues lie
+    within e = SPECTRUM_RTOL n |H|_2 of the computed ones, |H|_2 =
+    max(|lambda_min|, |lambda_max|): e is twice ``_Basin``'s bound on the
+    eigenvalue error, the margin ``_Basin.ball`` uses.  So every Hessian on
+    a chord is at least (lambda_min - e - M epsilon) I, and its spectral
+    norm at most |H|_2 + e + M epsilon: L_c = min(L, M epsilon + e -
+    lambda_min), negative where the chord is strongly convex, and L_g =
+    min(L, |H|_2 + e + M epsilon).  From each side, over the level's whole
+    table at once, a point gets its minorant less d times its ceiling, f_i
+    + epsilon <g_i, u> - L_c epsilon^2 |u|^2/2 - d (|g_i| + L_g epsilon
+    |u|), and d times the ceiling.  Each level tests against c_k, the least
+    b of the points with a gradient so far (c_1 that of the coarse level),
+    and skips a point where a lower bound of its b_j, less L d^2/2 and its
+    own 1e-12 (1 + |f(y_j)|), is above c_k + mu_k:
     - with no evaluation, where on both sides its minorant less d times
       its ceiling is;
-    - with its value alone, where f(y_j) less d times the smaller ceiling
-      is;
-    and the rest take a gradient and their b_j.  c is the least b of the
-    points with a gradient, c_1 among them.  No call has an empty batch.
-    Each b_i keeps L, so the constants move only which points are taken.
+    - in the fill, the last level, with its value alone, where f(y_j) less
+      d times the smaller ceiling is;
+    and the rest take a gradient and their b_j.  A middle point in play
+    takes its value and gradient together, a source for the fill.  c is the
+    least b of the points with a gradient, c_1 among them.  No call has an
+    empty batch.  Each b_i keeps L, so the constants move only which points
+    are taken.
 
-    The margin is mu = 1e-12 (1 + |c_1| + 2 Phi), Phi = 1 + max |f_i| +
+    The margin is mu_k = 1e-12 (1 + |c_k| + 2 Phi), Phi = 1 + max |f_i| +
     (max |g_i| + 4 L epsilon) (4 epsilon + |target|_inf) over the coarse
-    pass, which bounds every term of both tests and of a skipped b_j (as
-    |f(y_j)| <= |f_i| + 2 epsilon |g_i| + 2 L epsilon^2): |L_c| and L_g
-    are at most L, as lambda_min - e is at most the exact lambda_min <=
-    L.  So mu holds the term 1e-12 (1 + |f(y_j)|) <= 1e-12 Phi that the
-    tests leave out.  A float point target + epsilon * (unit point) lies
-    within 2^-53 (|target|_inf + 3 epsilon) of its ideal point in each
-    coordinate, and a tabled chord u, the float difference of two unit
-    points, within 1e-15 of its ideal chord, so the float chord y_j - y_i
+    level.  Every grid point lies within 2 epsilon of a coarse point y_i,
+    so |f| <= |f_i| + 2 epsilon |g_i| + 2 L epsilon^2 and |grad f| <= |g_i|
+    + 2 L epsilon there: Phi bounds every term of both tests, from a middle
+    source as from a coarse one, and of a skipped b_j, as |L_c| and L_g are
+    at most L (lambda_min - e is at most the exact lambda_min <= L).  So
+    mu_k holds the term 1e-12 (1 + |f(y_j)|) <= 1e-12 Phi that the tests
+    leave out.  A float point target + epsilon * (unit point) lies within
+    2^-53 (|target|_inf + 3 epsilon) of its ideal point in each
+    coordinate, and a tabled chord, from the sines of exact multiples of
+    pi/N, within 1e-16 of its ideal one, so the float chord y_j - y_i
     differs from epsilon u by less than 2e-15 (|target|_inf + epsilon),
-    which moves a minorant or a ceiling by less than 3e-15 Phi.  A float
-    point may lie that far outside B_epsilon, where the Hessian's bounds
-    widen by M times that distance; where L_c or L_g is below L, M epsilon
-    < 2L, so this moves a minorant or a ceiling by less than 1e-14 Phi,
-    and the roundings of L_c and L_g by a few u Phi.  The float arithmetic
-    of a test or of b_j, a few dozen roundings, errs by less than 1e-14
-    Phi.  More than 1e-12 (1 + |c_1| + Phi/2) of mu is left, the allowance
-    for rounding in f and grad f themselves, between which the Lipschitz
-    bounds hold.  So a skipped point's float b_j is above c_1 >= c, and c
-    is the least b_i over the whole grid, bit for bit: each b_i comes from
-    the same point, value and gradient norm, by the same float expression,
-    as in one pass over the grid.  An objective that is not ``vectorized``
-    takes the same points one row at a time, and so gives the same c from
-    the same counts."""
+    which moves a minorant or a ceiling by less than 3e-15 Phi; epsilon g_i
+    in y_i's frame, its product with the conjugate unit point, errs by less
+    than 1e-15 epsilon |g_i|, which moves a minorant by less than 2e-15 Phi
+    more.  A float point may lie that far outside B_epsilon, where the
+    Hessian's bounds widen by M times that distance; where L_c or L_g is
+    below L, M epsilon < 2L, so this moves a minorant or a ceiling by less
+    than 1e-14 Phi, and the roundings of L_c and L_g by a few u Phi.  The
+    float arithmetic of a test or of b_j, a few dozen roundings, errs by
+    less than 1e-14 Phi.  More than 1e-12 (1 + |c_k| + Phi/2) of mu_k is
+    left, the allowance for rounding in f and grad f themselves, between
+    which the Lipschitz bounds hold.  So a skipped point's float b_j is
+    above c_k >= c, and c is the least b_i over the whole grid, bit for
+    bit: each b_i comes from the same point, value and gradient norm, by
+    the same float expression, as in one pass over the grid.  An objective
+    that is not ``vectorized`` takes the same points one row at a time, and
+    so gives the same c from the same counts."""
     L = f.lipschitz_L
     if not L > 0.0:
         return None
@@ -255,31 +310,63 @@ def _capture_level(f, target, epsilon, curvature=None):
         L_c, L_g = min(L, spread - lam), min(L, top + spread)
     d = 2.0 * epsilon * math.sin(math.pi / (2 * CAPTURE_GRID))
     half_ld2 = 0.5 * L * d * d
-    rows = target + epsilon * _COARSE
+    points = target + epsilon * _UNIT
+    rows = points[::CAPTURE_STRIDES[0]]
     fc, gc = f.values(rows), f.gradients(rows)
     ac, afc = row_norms(gc), np.abs(fc)
-    c1 = float((fc - ac * d - half_ld2 - 1e-12 * (1.0 + afc)).min())
+    c = float((fc - ac * d - half_ld2 - 1e-12 * (1.0 + afc)).min())
     t0, t1 = target.tolist()
     phi = 1.0 + max(afc.tolist()) + (max(ac.tolist()) + 4.0 * L * epsilon) * (
         4.0 * epsilon + max(abs(t0), abs(t1)))
-    level = c1 + 1e-12 * (1.0 + abs(c1) + 2.0 * phi) + half_ld2
-    # d times each fill point's ceiling, and its minorant less that, from
-    # its coarse neighbour on each side
-    dceil = (d * ac)[_SIDES, None] + (L_g * epsilon * d) * _CHORD_LEN
-    low = (fc[_SIDES, None] + (_CHORDS @ (epsilon * gc)[_SIDES, :, None])[..., 0]
-           - (0.5 * L_c * epsilon * epsilon) * _CHORD_SQ - dceil)
-    play = np.flatnonzero(np.maximum(*low) <= level)
+    # each post with a gradient: d |g|, f less that, and epsilon g in its frame
+    dg, base, eg = np.empty(len(_POST_CONJ)), np.empty(len(_POST_CONJ)), np.empty(
+        len(_POST_CONJ), dtype=complex)
+    dg[::_ARC_POSTS] = d * ac
+    base[::_ARC_POSTS] = fc - dg[::_ARC_POSTS]
+    eg[::_ARC_POSTS] = epsilon * gc.view(complex)[:, 0] * _POST_CONJ[::_ARC_POSTS]
+    # d times the ceiling's growth, and that with the minorant's curvature,
+    # by step count
+    dgrow = (L_g * epsilon * d) * _CHORD_LEN
+    cut = (0.5 * L_c * epsilon * epsilon) * _CHORD_SQ + dgrow
+
+    def in_play(posts, steps, chords):
+        # the level's points whose minorant less d times the ceiling is at
+        # or below c + mu + L d^2/2 on some side, and that level
+        level = c + 1e-12 * (1.0 + abs(c) + 2.0 * phi) + half_ld2
+        low = base[posts] + (eg[posts] * chords).real - cut[steps]
+        return np.flatnonzero(np.maximum(low[0], low[1]) <= level), level
+
+    def floor(fy, gy):
+        ay = row_norms(gy)
+        return ay, min(c, float((fy - ay * d - half_ld2 - 1e-12 * (1.0 + np.abs(fy))).min()))
+
+    posts, steps, chords, grid = _MIDDLE
+    play, _ = in_play(posts, steps, chords)
+    rows_at = _FILL_ROWS
+    if play.size:
+        at = grid[play]
+        rows = points[at]
+        fy, gy = f.values(rows), f.gradients(rows)
+        ay, c = floor(fy, gy)
+        j = at // CAPTURE_STRIDES[1]
+        dg[j] = d * ay
+        base[j] = fy - dg[j]
+        eg[j] = epsilon * gy.view(complex)[:, 0] * _POST_CONJ[j]
+        bits = np.zeros(len(grid), dtype=np.intp)
+        bits[play] = _MIDDLE_BITS[play]
+        rows_at = rows_at + bits.reshape(_ARCS, -1).sum(axis=1)
+    posts, steps, chords, grid = _FILL
+    posts, steps = posts.take(rows_at, axis=1), steps.take(rows_at, axis=1)
+    play, level = in_play(posts, steps, chords.take(rows_at, axis=1))
     if not play.size:
-        return c1
-    dceil = np.minimum(*dceil).ravel()[play]
-    rows = target + epsilon * _FILL.take(play, axis=0)
+        return c
+    rows = points[grid[play]]
     fy = f.values(rows)
-    left = fy - dceil <= level
-    fy = fy[left]
-    if not fy.size:
-        return c1
-    b = fy - row_norms(f.gradients(rows[left])) * d - half_ld2 - 1e-12 * (1.0 + np.abs(fy))
-    return min(c1, float(b.min()))
+    ceil = dg[posts] + dgrow[steps]
+    left = fy - np.minimum(ceil[0], ceil[1]).ravel()[play] <= level
+    if not left.any():
+        return c
+    return floor(fy[left], f.gradients(rows[left]))[1]
 
 
 class _Basin:

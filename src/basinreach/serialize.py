@@ -118,6 +118,7 @@ def reach_report_json(report, forward_csv_path=None, reverse_csv_path=None):
 
 
 def write_json(obj, path):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # strict JSON: a non-finite float raises here, before the file is touched
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with _create(path) as fh:
         fh.write(text)

@@ -213,7 +213,7 @@ def capture_level_full_grid(f, target, epsilon):
     """reach._capture_level in one pass over the whole grid: the smaller
     sphere value in 1-D; in 2-D the least b_i = f(y_i) - |grad f(y_i)| d -
     L d^2/2 - 1e-12 (1 + |f(y_i)|) over all N = CAPTURE_GRID circle points,
-    d = 2 epsilon sin(pi/(2N)): the reference the two-pass level equals."""
+    d = 2 epsilon sin(pi/(2N)): the reference the ladder's level equals."""
     L = f.lipschitz_L
     if not L > 0.0:
         return None

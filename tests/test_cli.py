@@ -650,6 +650,8 @@ def test_every_number_flag_rejects_inf_and_nan(tmp_path, capsys, command, field,
     err = capsys.readouterr().err
     if (field, value) == ("t_max", "inf"):
         assert rc == 0 and err == ""
+        config = json.loads(read(out / "config.json"), parse_constant=refuse_constant)
+        assert config["t_max"] is None
         return
     assert rc == 2 and not out.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -709,12 +711,14 @@ def test_non_finite_final_state_writes_null(tmp_path):
 
 
 def test_unwritable_json_leaves_the_file_it_would_replace(tmp_path):
-    # the text is built before the file is touched
+    # the text is built before the file is touched; a non-finite float,
+    # which strict JSON cannot hold, is unwritable too
     path = tmp_path / "out.json"
     path.write_text("before\n")
-    with pytest.raises(TypeError):
-        serialize.write_json({"x": object()}, str(path))
-    assert path.read_text() == "before\n"
+    for obj, error in (({"x": object()}, TypeError), ({"t_max": math.inf}, ValueError)):
+        with pytest.raises(error):
+            serialize.write_json(obj, str(path))
+        assert path.read_text() == "before\n"
 
 
 # values whose repr the writers must keep: signed zero, the least
@@ -1009,6 +1013,51 @@ def test_each_mode_runs_again_from_its_config(tmp_path, capsys, key):
             assert read(first / name) == read(again / name), name
     configs = [json.loads(read(d / "config.json")) for d in (first, again)]
     assert [dict(c, output_dir=None) for c in configs] == [dict(configs[0], output_dir=None)] * 2
+
+
+# a run of each dynamics that reads t_max, to take --t-max inf
+TIMED_RUNS = {key: MODE_RUNS[key] for key in MODE_RUNS if "t_max" in cli.READS[key]}
+
+
+@pytest.mark.parametrize("key", TIMED_RUNS, ids=lambda key: "-".join(map(str, key)))
+def test_an_infinite_time_budget_is_written_as_null(tmp_path, capsys, key):
+    # strict JSON has no infinity: config.json records --t-max inf as null,
+    # every JSON file the run writes parses under a strict reader, and the
+    # run again from config.json, which reads null back as no time budget,
+    # writes the same bytes into the same directory
+    out = tmp_path / "o"
+    assert main(TIMED_RUNS[key] + ["--t-max", "inf", "--out", str(out)]) == 0
+    written = {name: read(out / name) for name in os.listdir(out)}
+    for name, text in written.items():
+        if name.endswith(".json"):
+            json.loads(text, parse_constant=refuse_constant)
+    assert json.loads(written["config.json"])["t_max"] is None
+    assert main([key[0], "--config", str(out / "config.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert {name: read(out / name) for name in os.listdir(out)} == written
+
+
+ONE_D_RUNS = {key: argv for key, argv in MODE_RUNS.items() if key[0] in ("reach", "probe")}
+
+
+@pytest.mark.parametrize("key", ONE_D_RUNS, ids=lambda key: "-".join(map(str, key)))
+def test_a_1d_reach_or_probe_refuses_a_seed(tmp_path, capsys, key):
+    # a 1-D reach or probe draws no quasi-random direction: a seed away from
+    # its default, by its flag or from a config file, ends the run with exit
+    # 2, one line naming seed and no directory; at the default it runs
+    argv = ONE_D_RUNS[key]
+    assert cli.parse_function(argv[argv.index("--function") + 1]).dim == 1
+    cfg = tmp_path / "cfg.json"
+    for extra, config in ((["--seed", "3"], {}), ([], {"seed": 3})):
+        cfg.write_text(json.dumps(config))
+        assert main(argv + ["--config", str(cfg)] + extra + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: seed: {key[0]} on a 1-D function draws no quasi-random direction; "
+            "leave it at its default 0\n")
+        assert not (tmp_path / "o").exists()
+    cfg.write_text(json.dumps({"seed": 0}))
+    assert main(argv + ["--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "d")]) == 0
+    capsys.readouterr()
 
 
 def test_reach_takes_no_n_samples_flag(capsys):

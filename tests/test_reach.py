@@ -307,10 +307,11 @@ def test_probe_evaluation_counts(monkeypatch, dw, quad14, himmelblau):
         _, runs = probe_runs(f, [0.0, 0.0], 1.0, dynamics)
         assert len(runs) == 12 and calls == [] and counts == {"grad": 12, "value": 12}
     # a GD state costs one gradient and one value; the 1-D certificate takes
-    # the 2 sphere values, the 2-D one here 31 values and 28 gradients on its
-    # 256 grid points: both at the 16 coarse points, a value at the 15 fill
-    # points the minorants, from the target's own curvature, leave in play
-    # and a gradient at the 12 of them that their values leave in play
+    # the 2 sphere values, the 2-D one here 22 values and 19 gradients on its
+    # 256 grid points: both at the 8 coarse points and at the 5 middle points
+    # the minorants, from the target's own curvature, leave in play, a value
+    # at the 9 fill points they leave in play and a gradient at the 6 of
+    # them that their values leave in play
     f, counts = counting(WIDE_DW)
     _, runs = probe_runs(f, [1.0], 1.5, br.constant(0.5 / f.lipschitz_L), seed=0)
     states = sum(len(r.states) for r in runs)
@@ -318,7 +319,7 @@ def test_probe_evaluation_counts(monkeypatch, dw, quad14, himmelblau):
     f, counts = counting(himmelblau)
     _, runs = probe_runs(f, [3.0, 2.0], 1.0, br.constant(0.5 / f.lipschitz_L), seed=0)
     states = sum(len(r.states) for r in runs)
-    assert counts == {"grad": states + 28, "value": states + 31}
+    assert counts == {"grad": states + 19, "value": states + 22}
 
 
 @pytest.mark.parametrize("dynamics", [br.constant(0.2), br.FlowSettings(h=1e-2, t_max=20.0)],
@@ -476,6 +477,24 @@ def capture_grid_cases():
 # cases take their 2 sphere values and no gradient
 TWO_PASS_POINTS = [0] * 5 + [64, 52, 52, 49, 67, 61, 49, 68, 61, 52, 49, 47, 44, 144, 114, 83, 67,
                              57, 85, 74, 66, 61, 66, 58, 51, 49, 64]
+# (gradients, values) on L, then (gradients, values) on the target's own
+# curvature, of each capture_grid_cases() case: COARSE_FILL_POINTS for the
+# grid of a coarse pass on every 16th point and one fill from its
+# minorants, LADDER_POINTS for the ladder of levels of stride (32, 8, 1)
+COARSE_FILL_POINTS = [(0, 2, 0, 2)] * 5 + [
+    (20, 56, 20, 48), (20, 52, 20, 48), (20, 52, 20, 48), (28, 42, 28, 31), (27, 51, 25, 37),
+    (27, 44, 26, 37), (26, 37, 26, 31), (26, 58, 19, 33), (25, 53, 21, 29), (26, 45, 25, 29),
+    (28, 42, 28, 31), (30, 43, 30, 32), (31, 44, 31, 37), (36, 97, 25, 32), (34, 72, 25, 35),
+    (31, 56, 25, 36), (27, 51, 25, 37), (26, 50, 25, 38), (29, 64, 29, 33), (28, 54, 28, 29),
+    (27, 46, 27, 31), (27, 44, 26, 37), (26, 55, 24, 29), (26, 48, 25, 27), (26, 40, 25, 27),
+    (26, 37, 26, 31), (20, 56, 20, 56)]
+LADDER_POINTS = [(0, 2, 0, 2)] * 5 + [
+    (20, 36, 16, 28), (20, 36, 16, 28), (20, 36, 16, 28), (26, 32, 19, 22), (30, 38, 20, 26),
+    (25, 31, 19, 24), (22, 28, 20, 20), (32, 41, 17, 23), (29, 35, 19, 19), (28, 36, 20, 20),
+    (26, 32, 19, 22), (24, 29, 20, 25), (23, 27, 21, 25), (44, 56, 19, 20), (39, 50, 18, 22),
+    (35, 43, 18, 23), (30, 38, 20, 26), (27, 36, 20, 26), (28, 37, 17, 17), (28, 34, 17, 18),
+    (26, 35, 20, 21), (25, 31, 19, 24), (25, 37, 19, 19), (25, 33, 18, 18), (24, 32, 19, 19),
+    (22, 28, 20, 20), (20, 36, 20, 36)]
 
 
 def target_curvature(f, target):
@@ -486,27 +505,37 @@ def target_curvature(f, target):
     return (*reach_mod._spectrum(f, target)[:2], f.hessian_lipschitz)
 
 
-def test_two_pass_capture_level_is_the_full_grid_floor():
-    # the coarse pass and the fill give the full grid's floor bit for bit on
-    # every case, from no more gradients or values than the two-pass grid
-    # took, and on the target's own curvature, where there is a Hessian and
-    # M, from no more than on L; a himmelblau minimum at epsilon = 1 takes
-    # at most 28 gradients and 37 values of the 256 grid points
+def test_ladder_capture_level_is_the_full_grid_floor():
+    # the ladder of levels gives the full grid's floor bit for bit on every
+    # case, from the tabled counts: no more gradients or values than the
+    # stride-8 two-pass grid took, and on the target's own curvature, where
+    # there is a Hessian and M, no more than on L.  Against the coarse pass
+    # and fill: on the target's curvature, the path every builtin reach
+    # takes, no more of either; on L, where a middle point takes its
+    # gradient with its value, no more of both together.  A himmelblau
+    # minimum at epsilon = 1 takes at most 20 gradients and 26 values of
+    # the 256 grid points
     cases = capture_grid_cases()
-    assert len(cases) == len(TWO_PASS_POINTS) == 32
-    for (f, target, eps), before in zip(cases, TWO_PASS_POINTS):
+    assert len(cases) == 32
+    assert len(TWO_PASS_POINTS) == len(COARSE_FILL_POINTS) == len(LADDER_POINTS) == len(cases)
+    for (f, target, eps), before, coarse_fill, ladder in zip(cases, TWO_PASS_POINTS,
+                                                             COARSE_FILL_POINTS, LADDER_POINTS):
         full = capture_level_full_grid(f, target, eps)
-        taken = []
+        taken = ()
         for curvature in (None, target_curvature(f, target)):
             counted, counts = counting(f)
             assert reach_mod._capture_level(counted, target, eps, curvature) == full, (
                 f.name, target, eps, curvature)
-            taken.append(counts)
-        (grads, values), (local_grads, local_values) = ((c["grad"], c["value"]) for c in taken)
+            taken += (counts["grad"], counts["value"])
+        assert taken == ladder, (f.name, target, eps, taken)
+        grads, values, local_grads, local_values = taken
         assert grads <= before and values <= max(before, 2), (target, eps)
         assert local_grads <= grads and local_values <= values, (target, eps)
+        was_grads, was_values, was_local_grads, was_local_values = coarse_fill
+        assert local_grads <= was_local_grads and local_values <= was_local_values, (target, eps)
+        assert grads + values <= was_grads + was_values, (target, eps)
         if f.name == "himmelblau" and eps == 1.0:
-            assert 0 < local_grads <= 28 and 0 < local_values <= 37, taken
+            assert 0 < local_grads <= 20 and 0 < local_values <= 26, taken
 
 
 def test_capture_level_row_by_row_is_the_vectorized_level():
@@ -541,38 +570,56 @@ def unit_grid():
 
 
 
-def test_capture_chords_run_from_the_coarse_neighbours_they_name():
-    # fill point j = k S + s has its side-0 neighbour s grid steps back and
-    # its side-1 neighbour S - s steps on, grid point 0 after the last arc;
-    # each tabled chord is the fill point less that neighbour, bit for bit,
-    # of length 2 sin(pi n/N) over its n steps, up to the 1e-15 the
-    # capture level's margin allows a chord
-    N, S, Y = reach_mod.CAPTURE_GRID, reach_mod.CAPTURE_STRIDE, unit_grid()
-    K = N // S
-    assert reach_mod._CHORDS.shape == (2, K, S - 1, 2)
-    assert reach_mod._SIDES[1, K - 1] == 0
-    for side, k, s in itertools.product((0, 1), range(K), range(1, S)):
-        j, i, n = k * S + s, (k + side) * S % N, S - s if side else s
-        assert np.array_equal(reach_mod._FILL[j - k - 1], Y[j])
-        assert np.array_equal(reach_mod._COARSE[reach_mod._SIDES[side, k]], Y[i])
-        assert np.array_equal(reach_mod._CHORDS[side, k, s - 1], Y[j] - Y[i]), (side, k, s)
-        assert reach_mod._CHORD_LEN[side, k, s - 1] == pytest.approx(
-            2.0 * math.sin(math.pi * n / N), rel=0.0, abs=1e-15)
-        assert reach_mod._CHORD_SQ[side, k, s - 1] == pytest.approx(
-            reach_mod._CHORD_LEN[side, k, s - 1] ** 2, rel=1e-15, abs=0.0)
+def test_capture_chords_run_from_the_nearest_posts_they_name():
+    # the coarse level (every 32nd grid point), the middle (the rest of
+    # every 8th) and the fill (the rest) split the grid.  For each point of
+    # the middle and the fill, and each set of middle posts with a gradient
+    # in its arc (k's bits; the middle reads only k = 0), each level's table
+    # names the nearest post (a point of stride 8) with a gradient behind
+    # the point (side 0) and ahead of it (side 1; grid point 0 after the
+    # last arc), its grid steps n to the point, and the chord from it in
+    # its frame: turned by the post's unit point, the chord is the point
+    # less the post, up to the 1e-15 the capture level's margin allows a
+    # chord, of length 2 sin(pi |n|/N)
+    N, Y = reach_mod.CAPTURE_GRID, unit_grid()
+    coarse, post, _ = reach_mod.CAPTURE_STRIDES
+    frames = Y.copy().view(complex)[:, 0]
+    tables = ((reach_mod._MIDDLE, 1), (reach_mod._FILL, 1 << (coarse // post - 1)))
+    assert sorted(np.r_[0:N:coarse, reach_mod._MIDDLE[3], reach_mod._FILL[3]]) == list(range(N))
+    for (posts, steps, chords, grid), configs in tables:
+        T = len(grid) // (N // coarse)
+        assert posts.shape == steps.shape == chords.shape == (2, N // coarse * configs, T)
+        for a, k, t in itertools.product(range(N // coarse), range(configs), range(T)):
+            j, row = grid[a * T + t], a * configs + k
+            has = [i for i in range(a * coarse, (a + 1) * coarse + 1, post)
+                   if i % coarse == 0 or k >> ((i - a * coarse) // post - 1) & 1]
+            for side, i in enumerate((max(i for i in has if i < j), min(i for i in has if i > j))):
+                n = steps[side, row, t]
+                assert (posts[side, row, t], n) == (i % N // post, j - i), (a, k, t, side)
+                assert abs(chords[side, row, t].conjugate() * frames[i % N]
+                           - complex(*(Y[j] - Y[i % N]))) <= 1e-15
+                assert reach_mod._CHORD_LEN[n] == pytest.approx(
+                    2.0 * math.sin(math.pi * abs(n) / N), rel=0.0, abs=1e-15)
+                assert reach_mod._CHORD_SQ[n] == pytest.approx(
+                    reach_mod._CHORD_LEN[n] ** 2, rel=1e-15, abs=0.0)
 
-def test_two_pass_capture_level_evaluates_a_dip_between_coarse_points():
+
+def test_capture_level_evaluates_a_dip_between_level_points():
     # |x|^2/2 less a Gaussian dip of depth a and width sig centred on grid
     # point j of the unit circle: the dip's Hessian has spectral norm at
-    # most a/sig^2, so L = 1 + a/sig^2 holds on the box.  The coarse pass
-    # misses the dip, which holds the sphere floor; the fill must take
-    # point j's value and gradient.  j is 4 steps from a coarse point,
-    # midway between two, and one step from one, where a narrower dip
-    # leaves the coarse point its value
-    S, a = reach_mod.CAPTURE_STRIDE, 0.01
-    Y = unit_grid()
-    for j, sig in ((100, 0.02), (6 * S + S // 2, 0.02), (6 * S + 1, 0.005)):
-        assert j % S and min(j % S, S - j % S) * 2.0 * np.pi / reach_mod.CAPTURE_GRID > 4.0 * sig
+    # most a/sig^2, so L = 1 + a/sig^2 holds on the box.  The levels before
+    # j's miss the dip, which holds the sphere floor; j's level must take
+    # its value and gradient.  j is a middle point midway between two coarse
+    # ones, a fill point midway between two middle ones, and a fill point
+    # one step from a coarse point and one from a middle point, where a
+    # narrower dip leaves that point its value
+    coarse, post, _ = reach_mod.CAPTURE_STRIDES
+    a, Y = 0.01, unit_grid()
+    for j, sig in ((6 * coarse + coarse // 2, 0.02), (6 * coarse + post + post // 2, 0.02),
+                   (6 * coarse + 1, 0.005), (6 * coarse + post + 1, 0.005)):
+        before = coarse if j % post == 0 else post  # the stride of the levels before j's
+        steps = min(j % before, before - j % before)
+        assert steps * 2.0 * np.pi / reach_mod.CAPTURE_GRID > 4.0 * sig
         p = Y[j]
 
         def bump(x, p=p, sig=sig):
@@ -593,7 +640,7 @@ def test_two_pass_capture_level_evaluates_a_dip_between_coarse_points():
         spied, seen = grid_spy(dip)
         c = reach_mod._capture_level(spied, np.zeros(2), 1.0)
         assert p.tobytes() in seen["value"] and p.tobytes() in seen["grad"], j
-        assert c < dip.value(p) < dip.values(Y[::S]).min() - 0.9 * a
+        assert c < dip.value(p) < dip.values(Y[::before]).min() - 0.9 * a
         assert c == capture_level_full_grid(dip, np.zeros(2), 1.0)
 
 
@@ -608,12 +655,14 @@ def test_capture_level_on_the_targets_curvature_evaluates_a_flat_floor():
     # L_g = 1 + M, up to rounding margins and both below L, skip points the
     # grid on L takes, and the grid still takes p's value and gradient; a
     # minorant that assumed the curvature 1 of hess f(0) along every chord,
-    # without M epsilon, would skip p.  p is 4 steps from a coarse point,
-    # and midway between two
-    S, Y = reach_mod.CAPTURE_STRIDE, unit_grid()
+    # without M epsilon, would skip p.  p is a middle point midway between
+    # two coarse ones, a fill point midway between two middle ones, and a
+    # fill point 4 steps from a coarse one
+    coarse, post, _ = reach_mod.CAPTURE_STRIDES
+    Y = unit_grid()
     beta, kappa = 1.3, 1.0
     rng = np.random.default_rng(0)
-    for j in (6 * S + 4, 6 * S + S // 2):
+    for j in (6 * coarse + coarse // 2, 6 * coarse + post + post // 2, 6 * coarse + 4):
         p = Y[j]
         tau = np.array([-p[1], p[0]])
 
@@ -657,13 +706,14 @@ def test_capture_level_takes_the_gradient_where_b_is_least_not_f():
     # the least b_i = f(y_i) - |grad f(y_i)| d - ... on the grid sits where
     # a steep narrow ripple's slope, not f, is large, on |x|^2/2 + t x_1:
     # - a sin(k x_2), with L = 1 + a k^2;
-    # - a <x - p, tau> exp(-|x - p|^2/(2 sig^2)) at grid point p midway
-    #   between coarse points, tau the tangent there, with L = 1 + 2 a/sig
-    #   (its Hessian's spectral norm is at most 1.5 a/sig).
-    # The fill may skip gradients elsewhere but must take that point's
-    S, Y = reach_mod.CAPTURE_STRIDE, unit_grid()
-    p = Y[6 * S + S // 2]
-    tau = np.array([-p[1], p[0]])
+    # - a <x - p, tau> exp(-|x - p|^2/(2 sig^2)) at grid point p, a middle
+    #   point midway between two coarse ones or a fill point midway between
+    #   two middle ones, tau the tangent there, with L = 1 + 2 a/sig (its
+    #   Hessian's spectral norm is at most 1.5 a/sig).
+    # The fill may skip gradients elsewhere but must take that point's.
+    coarse, post, _ = reach_mod.CAPTURE_STRIDES
+    Y = unit_grid()
+    spots = (3 * coarse + coarse // 2, 3 * coarse + post + post // 2)
 
     def ripple(a, k):
         def value(X):
@@ -679,7 +729,9 @@ def test_capture_level_takes_the_gradient_where_b_is_least_not_f():
                                     box=np.array([[-2.0, 2.0], [-2.0, 2.0]]), vectorized=True,
                                     name="ripple")
 
-    def spike(a, sig):
+    def spike(a, sig, p):
+        tau = np.array([-p[1], p[0]])
+
         def bend(x):
             z = x - p
             return float(z @ tau), math.exp(-float(z @ z) / (2.0 * sig * sig)), z
@@ -696,7 +748,9 @@ def test_capture_level_takes_the_gradient_where_b_is_least_not_f():
 
     d = 2.0 * math.sin(math.pi / (2 * reach_mod.CAPTURE_GRID))
     rng = np.random.default_rng(0)
-    for f, skips in ((ripple(0.05, 90.0), True), (spike(30.0, 0.01), False)):
+    cases = [(ripple(0.05, 90.0), Y[spots[0]], True)]
+    cases += [(spike(30.0, 0.01, Y[j]), Y[j], False) for j in spots]
+    for f, p, skips in cases:
         # L is honest on sampled pairs near the ripple
         for x, y in p + 0.03 * rng.standard_normal((200, 2, 2)):
             assert norm(f.gradient(x) - f.gradient(y)) <= f.lipschitz_L * norm(x - y)
@@ -712,13 +766,14 @@ def test_capture_level_takes_the_gradient_where_b_is_least_not_f():
 
 def test_capture_level_evaluates_a_dip_on_a_crest():
     # |x|^2/2 + beta <x, p> less a Gaussian dip of depth a and width sig at
-    # grid point p midway between coarse points: f rises along the circle
-    # from both coarse neighbours to p, so a linear extrapolation from
-    # either passes over the dip, which holds the sphere floor; only the
-    # minorant's curvature term L epsilon^2 |u|^2/2 leaves p in play
-    S, Y = reach_mod.CAPTURE_STRIDE, unit_grid()
+    # grid point p, the middle point midway between two coarse ones: f
+    # rises along the circle from both coarse neighbours to p, so a linear
+    # extrapolation from either passes over the dip, which holds the sphere
+    # floor; only the minorant's curvature term L epsilon^2 |u|^2/2 leaves
+    # p in play
+    coarse, Y = reach_mod.CAPTURE_STRIDES[0], unit_grid()
     a, sig, beta = 0.2, 0.07, 0.08
-    p = Y[6 * S + S // 2]
+    p = Y[6 * coarse + coarse // 2]
 
     def bump(x):
         return a * math.exp(-float((x - p) @ (x - p)) / (2.0 * sig * sig))
@@ -730,57 +785,76 @@ def test_capture_level_evaluates_a_dip_on_a_crest():
     spied, seen = grid_spy(crest)
     c = reach_mod._capture_level(spied, np.zeros(2), 1.0)
     assert p.tobytes() in seen["grad"]
-    assert c < crest.value(p) < crest.values(Y[::S]).min()
+    assert c < crest.value(p) < crest.values(Y[::coarse]).min()
     assert c == capture_level_full_grid(crest, np.zeros(2), 1.0)
+
+
+# (gradients, values) of the capture level at each himmelblau minimum,
+# moved by (shift, -shift), at epsilon 0.5 and 1, on L: the margin mu
+# grows with |target|_inf, so at 1e9 more points stay in play
+FAR_POINTS = {
+    1e6: [(28, 36), (26, 32), (35, 43), (30, 38), (26, 35), (26, 31), (24, 32), (22, 28)],
+    1e9: [(74, 78), (41, 44), (84, 100), (54, 57), (60, 62), (47, 50), (50, 55), (38, 38)]}
 
 
 @pytest.mark.parametrize("shift", [1e6, 1e9])
 def test_capture_level_far_from_the_origin(shift):
     # himmelblau moved by (shift, -shift): the float chords between grid
     # points differ from epsilon times the unit ones by about 1e-16 shift,
-    # which the margins hold; the level is still the full grid's
+    # which the margins hold; the level is still the full grid's, from the
+    # tabled counts
     hb = br.make_builtin("himmelblau")
     s = np.array([shift, -shift])
     far = br.ObjectiveFunction(dim=2, f=lambda X: hb.f(np.asarray(X) - s),
                                grad=lambda X: hb.grad(np.asarray(X) - s),
                                lipschitz_L=hb.lipschitz_L, box=hb.box + s[:, None],
                                vectorized=True, name="far")
+    taken = []
     for p in HB_MINIMA:
         for eps in (0.5, 1.0):
             counted, counts = counting(far)
             c = reach_mod._capture_level(counted, p + s, eps)
             assert c == capture_level_full_grid(far, p + s, eps), (p, eps)
-            assert counts["grad"] < counts["value"] < reach_mod.CAPTURE_GRID
+            taken.append((counts["grad"], counts["value"]))
+    assert taken == FAR_POINTS[shift]
 
 
 def test_capture_level_never_calls_an_empty_batch(himmelblau):
-    # a vectorized objective that refuses a batch of no rows: the fill leaves
-    # no point in play (a steep tilt), leaves values but no gradient in play
-    # (a gentler one), or takes both (himmelblau)
-    def refusing(f):
-        def wrap(fn):
+    # a vectorized objective that refuses a batch of no rows, and logs the
+    # rows of each call: the coarse level alone (a steep tilt); no middle
+    # point in play, and fill values but no gradient (a gentler one); middle
+    # points but no fill (a slope toward a middle point); middle points and
+    # fill values but no fill gradient (a gentler tilt still); every level
+    # (himmelblau)
+    def refusing(f, calls):
+        def wrap(fn, key):
             def call(x):
                 if np.ndim(x) == 2 and len(x) == 0:
                     raise ValueError("empty batch")
+                calls.append((key, len(x)))
                 return fn(x)
             return call
-        return dataclasses.replace(f, f=wrap(f.f), grad=wrap(f.grad))
+        return dataclasses.replace(f, f=wrap(f.f, "value"), grad=wrap(f.grad, "grad"))
 
-    def tilted(t):
+    def sloped(t, p):
         return br.ObjectiveFunction(
-            dim=2, f=lambda X: 0.5 * (np.asarray(X) ** 2).sum(axis=-1) + t * np.asarray(X)[..., 0],
-            grad=lambda X: np.asarray(X) + np.array([t, 0.0]), lipschitz_L=1.0,
-            box=np.array([[-2.0, 2.0], [-2.0, 2.0]]), vectorized=True, name="tilted")
+            dim=2, f=lambda X: 0.5 * (np.asarray(X) ** 2).sum(axis=-1) - t * (np.asarray(X) @ p),
+            grad=lambda X: np.asarray(X) - t * p, lipschitz_L=1.0,
+            box=np.array([[-2.0, 2.0], [-2.0, 2.0]]), vectorized=True, name="sloped")
 
-    taken = []
-    for f, target in ((tilted(10.0), np.zeros(2)), (tilted(2.0), np.zeros(2)),
-                      (himmelblau, HB_MINIMA[0])):
-        counted, counts = counting(refusing(f))
-        assert reach_mod._capture_level(counted, target, 1.0) == capture_level_full_grid(
-            f, target, 1.0)
-        taken.append((counts["value"], counts["grad"]))
-    S = reach_mod.CAPTURE_GRID // reach_mod.CAPTURE_STRIDE
-    assert taken[0] == (S, S) and taken[1][0] > taken[1][1] == S and taken[2][1] > S, taken
+    coarse, post, _ = reach_mod.CAPTURE_STRIDES
+    K = reach_mod.CAPTURE_GRID // coarse
+    west, middle = np.array([-1.0, 0.0]), unit_grid()[post]
+    for f, target, batches in (
+            (sloped(10.0, west), np.zeros(2), [K, K]),
+            (sloped(3.0, west), np.zeros(2), [K, K, 2]),
+            (sloped(5.0, middle), np.zeros(2), [K, K, 2, 2]),
+            (sloped(2.0, west), np.zeros(2), [K, K, 4, 4, 8]),
+            (himmelblau, HB_MINIMA[0], [K, K, 12, 12, 12, 6])):
+        calls = []
+        level = reach_mod._capture_level(refusing(f, calls), target, 1.0)
+        assert level == capture_level_full_grid(f, target, 1.0)
+        assert calls == list(zip(["value", "grad"] * 3, batches)), calls
 
 
 @pytest.mark.parametrize("name,params,target,eps", CERT_CASES)
