@@ -421,6 +421,8 @@ def make_builtin(name, params=()):
             hessian_lipschitz=0.0,
         )
     if name == "double_well":
+        if len(params) > 1:
+            raise ValueError(f"double_well takes at most one parameter (b), got {params}")
         b = params[0] if params else 1.5
         if b < 1.0:
             raise ValueError("double_well box half-width must be >= 1")

@@ -32,11 +32,11 @@ M there is no B_r.  The capture set K = {x in B_epsilon : f(x) < c}, for
 add nothing), c a certified lower bound of f on the epsilon-sphere
 (``_capture_level``; in 2-D the floor of a circle grid taken in levels
 of finer stride, with f evaluated only where first-order minorants from
-the nearest points with a gradient leave a point in play, and, in the
-last level, grad f only where the point's value still does; with M, the
-minorants' curvature and the gradient bound come from the spectrum of
-hess f(target) widened by M epsilon, which holds on all of B_epsilon,
-not from L).  With alpha <
+every point with a gradient of the earlier levels in its arc leave a
+point in play, and, in the last level, grad f only where the point's
+value still does; with M, the minorants' curvature and the gradient
+bound come from the spectrum of hess f(target) widened by M epsilon,
+which holds on all of B_epsilon, not from L).  With alpha <
 2/L the descent lemma gives f(x - t alpha g) <= f(x) < c for t in [0, 1],
 so a GD step from K never crosses the sphere; the exact flow is monotone
 in f.  In K, sum alpha_k (1 -
@@ -169,44 +169,26 @@ _CHORD_LEN = 2.0 * np.abs(np.sin(_HALF))
 _CHORD_SQ = _CHORD_LEN * _CHORD_LEN
 
 
-def _ladder_level(stride, configs):
+def _ladder_level(stride):
     """The table of the level whose points lie ``stride`` apart, those of
-    earlier levels left out: (posts, steps, chord conjugates, grid
-    indices).  The level's point t of arc a is grid point grid[a T + t] =
-    a CAPTURE_STRIDES[0] + offset t.  Entry (side, configs a + k, t) of the
-    first three is for that point in arc a where the set bits of k <
-    configs name the middle posts with a gradient (bit m - 1 for post m of
-    the arc): the nearest post with a gradient behind the point (side 0)
-    or ahead of it (side 1; the next arc's coarse point after the last),
-    its grid steps to the point, and the chord from it."""
+    earlier levels left out: (grid indices, posts, steps, chord
+    conjugates), the last three shaped (earlier points of an arc, level
+    points).  Column j is for grid point grid[j]; row p names the p-th
+    point of the earlier levels in its arc, all of them posts, in order
+    (the next arc's coarse point last, post 0 after the final arc): the
+    post, its grid steps to the point, and the chord from it."""
     coarse, post = CAPTURE_STRIDES[:2]
     before = CAPTURE_STRIDES[CAPTURE_STRIDES.index(stride) - 1]
     offsets = np.arange(stride, coarse, stride)
     offsets = offsets[offsets % before > 0]
-    # has[k, 0, m]: post m of an arc (m = _ARC_POSTS the next arc's coarse
-    # point) has a gradient under k, and src[side, k, t] the nearest such
-    # post on that side of point t
-    m = np.arange(_ARC_POSTS + 1)
-    k = np.arange(configs)[:, None]
-    has = ((m % _ARC_POSTS == 0) | ((k << 1) >> m & 1 == 1))[:, None]
-    at = m * post
-    src = np.stack([np.where(has & (at < offsets[:, None]), m, 0).max(axis=-1),
-                    np.where(has & (at > offsets[:, None]), m, _ARC_POSTS).min(axis=-1)])
-    arcs = np.arange(_ARCS)[:, None, None]
-    posts = ((arcs * _ARC_POSTS + src[:, None]) % len(_POST_CONJ)).reshape(2, -1, len(offsets))
-    steps = np.broadcast_to(offsets - post * src[:, None], (2, _ARCS) + src.shape[1:]).reshape(
-        posts.shape)
-    grid = (arcs[:, 0] * coarse + offsets).ravel()
-    return posts, steps, _CHORD_CONJ[steps], grid
+    src, arcs = np.arange(0, coarse + 1, before)[:, None], np.arange(0, CAPTURE_GRID, coarse)
+    posts = np.repeat((arcs + src) // post % len(_POST_CONJ), len(offsets), axis=1)
+    steps = np.tile(offsets - src, _ARCS)
+    return (arcs[:, None] + offsets).ravel(), posts, steps, _CHORD_CONJ[steps]
 
 
-# the middle level reads only its coarse neighbours; the fill, by the
-# middle posts with a gradient, row _FILL_ROWS[a] + k for arc a
-_MIDDLE = _ladder_level(CAPTURE_STRIDES[1], 1)
-_FILL = _ladder_level(1, 1 << (_ARC_POSTS - 1))
-_FILL_ROWS = np.arange(_ARCS) << (_ARC_POSTS - 1)
-# the bit of each middle point in its arc's k
-_MIDDLE_BITS = np.tile(1 << np.arange(_ARC_POSTS - 1), _ARCS)
+# the middle level and the fill
+_LEVELS = tuple(_ladder_level(stride) for stride in CAPTURE_STRIDES[1:])
 
 
 def _spectrum(f, target):
@@ -227,41 +209,43 @@ def _capture_level(f, target, epsilon, curvature=None):
     the least b_i, the float one pass over the grid gives, from far fewer
     evaluations.
 
-    The grid is taken in levels of stride CAPTURE_STRIDES = (32, 8, 1),
-    each without the points of the levels before it.  The coarse level
-    takes f and grad f at its 8 points.  A point y_j of a later level lies
-    n grid steps from the nearest point y_i with a gradient on either side
-    (a middle point where one has it, else the coarse point), y_j - y_i =
-    epsilon u with u the tabled unit chord over n steps (``_CHORD_CONJ``,
-    in y_i's frame), |u| = 2 sin(pi |n|/N) <= 2.  The chord lies in
-    B_epsilon and so in the box, where grad f is L-Lipschitz, so f(y_j) >=
-    f_i + epsilon <g_i, u> - L_c epsilon^2 |u|^2/2, the first-order
-    minorant of Breiman & Cutler's global optimisation (1993, Math.
-    Program. 58:179-199), and |grad f(y_j)| <= |g_i| + L_g epsilon |u|, the
-    ceiling, with L_c = L_g = L.  ``curvature`` = (lambda_min, lambda_max,
-    M), the extreme eigenvalues of the float hess f(target) and the
-    objective's ``hessian_lipschitz``, tightens both to the target's own:
-    on B_epsilon every Hessian lies within M epsilon of the exact hess
-    f(target) (Nesterov & Polyak 2006, Lemma 1), whose eigenvalues lie
-    within e = SPECTRUM_RTOL n |H|_2 of the computed ones, |H|_2 =
-    max(|lambda_min|, |lambda_max|): e is twice ``_Basin``'s bound on the
-    eigenvalue error, the margin ``_Basin.ball`` uses.  So every Hessian on
-    a chord is at least (lambda_min - e - M epsilon) I, and its spectral
-    norm at most |H|_2 + e + M epsilon: L_c = min(L, M epsilon + e -
-    lambda_min), negative where the chord is strongly convex, and L_g =
-    min(L, |H|_2 + e + M epsilon).  From each side, over the level's whole
-    table at once, a point gets its minorant less d times its ceiling, f_i
-    + epsilon <g_i, u> - L_c epsilon^2 |u|^2/2 - d (|g_i| + L_g epsilon
-    |u|), and d times the ceiling.  Each level tests against c_k, the least
-    b of the points with a gradient so far (c_1 that of the coarse level),
-    and skips a point where a lower bound of its b_j, less L d^2/2 and its
-    own 1e-12 (1 + |f(y_j)|), is above c_k + mu_k:
-    - with no evaluation, where on both sides its minorant less d times
-      its ceiling is;
+    The grid is taken in levels of stride CAPTURE_STRIDES = (32, 8, 1), each
+    without the points of the levels before it.  The coarse level takes f
+    and grad f at its 8 points.  A point y_j of a later level is bounded
+    from every point y_i of the earlier levels in its arc (its two coarse
+    ends, and in the fill the arc's three middle points too), n grid steps
+    away, y_j - y_i = epsilon u with u the tabled unit chord over n steps
+    (``_CHORD_CONJ``, in y_i's frame), |n| <= 32 and |u| = 2 sin(pi |n|/N)
+    <= 2 sin(pi/8) < 2.  The chord lies in B_epsilon and so in the box,
+    where grad f is L-Lipschitz, so f(y_j) >= f_i + epsilon <g_i, u> - L_c
+    epsilon^2 |u|^2/2, the first-order minorant of Breiman & Cutler's global
+    optimisation (1993, Math. Program. 58:179-199), and |grad f(y_j)| <=
+    |g_i| + L_g epsilon |u|, the ceiling, with L_c = L_g = L.  ``curvature``
+    = (lambda_min, lambda_max, M), the extreme eigenvalues of the float hess
+    f(target) and the objective's ``hessian_lipschitz``, tightens both to
+    the target's own: on B_epsilon every Hessian lies within M epsilon of
+    the exact hess f(target) (Nesterov & Polyak 2006, Lemma 1), whose
+    eigenvalues lie within e = SPECTRUM_RTOL n |H|_2 of the computed ones,
+    |H|_2 = max(|lambda_min|, |lambda_max|): e is twice ``_Basin``'s bound
+    on the eigenvalue error, the margin ``_Basin.ball`` uses.  So every
+    Hessian on a chord is at least (lambda_min - e - M epsilon) I, and its
+    spectral norm at most |H|_2 + e + M epsilon: L_c = min(L, M epsilon + e
+    - lambda_min), negative where the chord is strongly convex, and L_g =
+    min(L, |H|_2 + e + M epsilon).  From each y_i, over the level's whole
+    table at once, a point gets its minorant less d times its ceiling, f_i +
+    epsilon <g_i, u> - L_c epsilon^2 |u|^2/2 - d (|g_i| + L_g epsilon |u|),
+    and d times the ceiling.  A middle point without a gradient holds f_i -
+    d |g_i| = -inf, d |g_i| = +inf and epsilon g_i = 0, so it bounds
+    nothing; the coarse ends always do.  Each level tests against c_k, the
+    least b of the points with a gradient so far (c_1 that of the coarse
+    level), and skips a point where a lower bound of its b_j, less L d^2/2
+    and its own 1e-12 (1 + |f(y_j)|), is above c_k + mu_k:
+    - with no evaluation, where the greatest of its minorants less d times
+      the ceiling is;
     - in the fill, the last level, with its value alone, where f(y_j) less
-      d times the smaller ceiling is;
+      d times the least ceiling is;
     and the rest take a gradient and their b_j.  A middle point in play
-    takes its value and gradient together, a source for the fill.  c is the
+    takes its value and gradient together, a bound for the fill.  c is the
     least b of the points with a gradient, c_1 among them.  No call has an
     empty batch.  Each b_i keeps L, so the constants move only which points
     are taken.
@@ -270,9 +254,9 @@ def _capture_level(f, target, epsilon, curvature=None):
     (max |g_i| + 4 L epsilon) (4 epsilon + |target|_inf) over the coarse
     level.  Every grid point lies within 2 epsilon of a coarse point y_i,
     so |f| <= |f_i| + 2 epsilon |g_i| + 2 L epsilon^2 and |grad f| <= |g_i|
-    + 2 L epsilon there: Phi bounds every term of both tests, from a middle
-    source as from a coarse one, and of a skipped b_j, as |L_c| and L_g are
-    at most L (lambda_min - e is at most the exact lambda_min <= L).  So
+    + 2 L epsilon there: Phi bounds every term of both tests, from every
+    point of an arc, and of a skipped b_j, as |L_c| and L_g are at most L
+    (lambda_min - e is at most the exact lambda_min <= L).  So
     mu_k holds the term 1e-12 (1 + |f(y_j)|) <= 1e-12 Phi that the tests
     leave out.  A float point target + epsilon * (unit point) lies within
     2^-53 (|target|_inf + 3 epsilon) of its ideal point in each
@@ -318,9 +302,10 @@ def _capture_level(f, target, epsilon, curvature=None):
     t0, t1 = target.tolist()
     phi = 1.0 + max(afc.tolist()) + (max(ac.tolist()) + 4.0 * L * epsilon) * (
         4.0 * epsilon + max(abs(t0), abs(t1)))
-    # each post with a gradient: d |g|, f less that, and epsilon g in its frame
-    dg, base, eg = np.empty(len(_POST_CONJ)), np.empty(len(_POST_CONJ)), np.empty(
-        len(_POST_CONJ), dtype=complex)
+    # each post: d |g|, f less that, and epsilon g in its frame; a post
+    # without a gradient bounds nothing (+inf, -inf, 0)
+    dg, base = np.full(len(_POST_CONJ), np.inf), np.full(len(_POST_CONJ), -np.inf)
+    eg = np.zeros(len(_POST_CONJ), dtype=complex)
     dg[::_ARC_POSTS] = d * ac
     base[::_ARC_POSTS] = fc - dg[::_ARC_POSTS]
     eg[::_ARC_POSTS] = epsilon * gc.view(complex)[:, 0] * _POST_CONJ[::_ARC_POSTS]
@@ -330,19 +315,18 @@ def _capture_level(f, target, epsilon, curvature=None):
     cut = (0.5 * L_c * epsilon * epsilon) * _CHORD_SQ + dgrow
 
     def in_play(posts, steps, chords):
-        # the level's points whose minorant less d times the ceiling is at
-        # or below c + mu + L d^2/2 on some side, and that level
+        # the level's points whose minorants less d times the ceiling, from
+        # every post, are all at or below c + mu + L d^2/2, and that level
         level = c + 1e-12 * (1.0 + abs(c) + 2.0 * phi) + half_ld2
         low = base[posts] + (eg[posts] * chords).real - cut[steps]
-        return np.flatnonzero(np.maximum(low[0], low[1]) <= level), level
+        return np.flatnonzero(low.max(axis=0) <= level), level
 
     def floor(fy, gy):
         ay = row_norms(gy)
         return ay, min(c, float((fy - ay * d - half_ld2 - 1e-12 * (1.0 + np.abs(fy))).min()))
 
-    posts, steps, chords, grid = _MIDDLE
+    (grid, posts, steps, chords), fill = _LEVELS
     play, _ = in_play(posts, steps, chords)
-    rows_at = _FILL_ROWS
     if play.size:
         at = grid[play]
         rows = points[at]
@@ -352,18 +336,14 @@ def _capture_level(f, target, epsilon, curvature=None):
         dg[j] = d * ay
         base[j] = fy - dg[j]
         eg[j] = epsilon * gy.view(complex)[:, 0] * _POST_CONJ[j]
-        bits = np.zeros(len(grid), dtype=np.intp)
-        bits[play] = _MIDDLE_BITS[play]
-        rows_at = rows_at + bits.reshape(_ARCS, -1).sum(axis=1)
-    posts, steps, chords, grid = _FILL
-    posts, steps = posts.take(rows_at, axis=1), steps.take(rows_at, axis=1)
-    play, level = in_play(posts, steps, chords.take(rows_at, axis=1))
+    grid, posts, steps, chords = fill
+    play, level = in_play(posts, steps, chords)
     if not play.size:
         return c
     rows = points[grid[play]]
     fy = f.values(rows)
-    ceil = dg[posts] + dgrow[steps]
-    left = fy - np.minimum(ceil[0], ceil[1]).ravel()[play] <= level
+    posts, steps = posts.take(play, axis=1), steps.take(play, axis=1)
+    left = fy - (dg[posts] + dgrow[steps]).min(axis=0) <= level
     if not left.any():
         return c
     return floor(fy[left], f.gradients(rows[left]))[1]

@@ -1060,6 +1060,25 @@ def test_a_1d_reach_or_probe_refuses_a_seed(tmp_path, capsys, key):
     capsys.readouterr()
 
 
+def test_double_well_refuses_a_second_parameter(tmp_path, capsys):
+    # double_well reads one parameter, its box half-width b: a second one,
+    # by flag or from a config file, ends the run with exit 2, one line
+    # naming double_well and no directory; double_well:1.5 runs as
+    # double_well does
+    argv = ["probe", "--target", "1", "--epsilon", "0.5", "--schedule", "constant:0.05"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": "double_well:1.5,7"}))
+    for given in (["--function", "double_well:1.5,7"], ["--config", str(cfg)]):
+        assert main(argv + given + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: function: double_well takes at most one parameter (b), got (1.5, 7.0)\n")
+        assert not (tmp_path / "o").exists()
+    for name, function in (("b", "double_well:1.5"), ("default", "double_well")):
+        assert main(argv + ["--function", function, "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert read(tmp_path / "b" / "probe.json") == read(tmp_path / "default" / "probe.json")
+
+
 def test_reach_takes_no_n_samples_flag(capsys):
     # every CLI objective certifies a minimum reach's radius, so no CLI
     # reach probes; the probe keeps the flag

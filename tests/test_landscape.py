@@ -52,6 +52,17 @@ def test_builtin_errors():
         br.make_builtin("himmelblau", (1.0,))
 
 
+def test_double_well_refuses_more_than_one_parameter():
+    # double_well reads one parameter, its box half-width b: more are
+    # refused, not dropped
+    for params in ((1.5, 7.0), (2.0, 1.0, 1.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"double_well takes at most one parameter (b), got {params}")):
+            br.make_builtin("double_well", params)
+    assert br.make_builtin("double_well", (1.5,)).params == (1.5,)
+    assert br.make_builtin("double_well").params == (1.5,)
+
+
 @pytest.mark.parametrize("changes,message", [
     ({"dim": 0}, "^dim must be a positive integer$"),
     ({"lipschitz_L": -1.0}, "^lipschitz_L must be nonnegative and finite, got -1.0$"),

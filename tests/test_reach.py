@@ -570,38 +570,57 @@ def unit_grid():
 
 
 
-def test_capture_chords_run_from_the_nearest_posts_they_name():
+def test_capture_chords_run_from_every_earlier_point_of_the_arc():
     # the coarse level (every 32nd grid point), the middle (the rest of
     # every 8th) and the fill (the rest) split the grid.  For each point of
-    # the middle and the fill, and each set of middle posts with a gradient
-    # in its arc (k's bits; the middle reads only k = 0), each level's table
-    # names the nearest post (a point of stride 8) with a gradient behind
-    # the point (side 0) and ahead of it (side 1; grid point 0 after the
-    # last arc), its grid steps n to the point, and the chord from it in
-    # its frame: turned by the post's unit point, the chord is the point
-    # less the post, up to the 1e-15 the capture level's margin allows a
-    # chord, of length 2 sin(pi |n|/N)
+    # the middle and the fill, each level's table names every point of the
+    # earlier levels in its arc, in order: the middle its arc's two coarse
+    # ends, the fill those and the arc's three middle points, the next
+    # arc's coarse point last (grid point 0 after the last arc).  Each is
+    # named as a post (a point of stride 8), with its grid steps n to the
+    # point and the chord from it in its frame: turned by the post's unit
+    # point, the chord is the point less the post, up to the 1e-15 the
+    # capture level's margin allows a chord, of length 2 sin(pi |n|/N)
     N, Y = reach_mod.CAPTURE_GRID, unit_grid()
     coarse, post, _ = reach_mod.CAPTURE_STRIDES
     frames = Y.copy().view(complex)[:, 0]
-    tables = ((reach_mod._MIDDLE, 1), (reach_mod._FILL, 1 << (coarse // post - 1)))
-    assert sorted(np.r_[0:N:coarse, reach_mod._MIDDLE[3], reach_mod._FILL[3]]) == list(range(N))
-    for (posts, steps, chords, grid), configs in tables:
-        T = len(grid) // (N // coarse)
-        assert posts.shape == steps.shape == chords.shape == (2, N // coarse * configs, T)
-        for a, k, t in itertools.product(range(N // coarse), range(configs), range(T)):
-            j, row = grid[a * T + t], a * configs + k
-            has = [i for i in range(a * coarse, (a + 1) * coarse + 1, post)
-                   if i % coarse == 0 or k >> ((i - a * coarse) // post - 1) & 1]
-            for side, i in enumerate((max(i for i in has if i < j), min(i for i in has if i > j))):
-                n = steps[side, row, t]
-                assert (posts[side, row, t], n) == (i % N // post, j - i), (a, k, t, side)
-                assert abs(chords[side, row, t].conjugate() * frames[i % N]
-                           - complex(*(Y[j] - Y[i % N]))) <= 1e-15
+    (middle, *_), (fill, *_) = reach_mod._LEVELS
+    assert sorted(np.r_[0:N:coarse, middle, fill]) == list(range(N))
+    assert (middle % post == 0).all() and (fill % post > 0).all()
+    for (grid, posts, steps, chords), before in zip(reach_mod._LEVELS, (coarse, post)):
+        assert posts.shape == steps.shape == chords.shape == (coarse // before + 1, len(grid))
+        for col, j in enumerate(grid):
+            earlier = range(j // coarse * coarse, j // coarse * coarse + coarse + 1, before)
+            assert list(zip(posts[:, col], steps[:, col])) == [
+                (i % N // post, j - i) for i in earlier], j
+            for i, n, chord in zip(earlier, steps[:, col], chords[:, col]):
+                assert abs(chord.conjugate() * frames[i % N] - complex(*(Y[j] - Y[i % N]))) <= 1e-15
                 assert reach_mod._CHORD_LEN[n] == pytest.approx(
                     2.0 * math.sin(math.pi * abs(n) / N), rel=0.0, abs=1e-15)
                 assert reach_mod._CHORD_SQ[n] == pytest.approx(
                     reach_mod._CHORD_LEN[n] ** 2, rel=1e-15, abs=0.0)
+
+
+def test_capture_level_is_the_full_grid_floor_on_a_seeded_sweep():
+    # 120 seeded (target, epsilon) pairs across the box on himmelblau and 100
+    # on quad:1,25 renamed without M, most far from a minimum, where the
+    # middle level leaves varied posts without a gradient: c is the full
+    # grid's floor on each, on L and on the target's own curvature (for the
+    # quad, its constant Hessian's, with M = 0), so every post's bound is
+    # sound, those beyond the nearest post with a gradient included
+    hb = br.make_builtin("himmelblau")
+    bowl = dataclasses.replace(br.make_builtin("quad", (1.0, 25.0)), name="bowl",
+                               hessian_lipschitz=None)
+    rng = np.random.default_rng(0)
+    for f, M, pairs, top in ((hb, hb.hessian_lipschitz, 120, 2.5), (bowl, 0.0, 100, 5.0)):
+        low, high = f.box[:, 0], f.box[:, 1]
+        for _ in range(pairs):
+            eps = rng.uniform(0.05, top)
+            target = rng.uniform(low + eps, high - eps)
+            full = capture_level_full_grid(f, target, eps)
+            for curvature in (None, (*reach_mod._spectrum(f, target)[:2], M)):
+                assert reach_mod._capture_level(f, target, eps, curvature) == full, (
+                    f.name, target.tolist(), eps, curvature)
 
 
 def test_capture_level_evaluates_a_dip_between_level_points():
