@@ -5,7 +5,7 @@ reachability, path-length and sharpness-exclusion experiments around it.
 """
 
 from .descent import Classification, classify_limit, descent_certificate_violations, gd_step, run_gd
-from .flow import FlowSettings, NoCrossingError, integrate, integrate_minnorm, path_length
+from .flow import FlowSettings, integrate, integrate_minnorm, path_length
 from .landscape import (BUILTIN_NAMES, CriticalPoint, LeftBoxError, ObjectiveFunction,
                         make_builtin, min_norm_element, refine_critical_point)
 from .reach import (ReachBudgets, ReachReport, StabilityEstimate, edge_of_stability,
@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_NAMES", "Classification", "CriticalPoint", "FlowSettings", "Lcg64",
-    "LeftBoxError", "NoCrossingError", "ObjectiveFunction", "ReachBudgets", "ReachReport",
-    "ReverseOrbit", "StabilityEstimate", "State", "StepSchedule", "Trajectory",
+    "LeftBoxError", "ObjectiveFunction", "ReachBudgets", "ReachReport", "ReverseOrbit",
+    "StabilityEstimate", "State", "StepSchedule", "Trajectory",
     "admissible", "ascent_prox", "classify_limit", "constant",
     "descent_certificate_violations", "edge_of_stability", "gd_step", "integrate",
     "integrate_minnorm", "make_builtin", "min_norm_element", "parse_schedule",

@@ -16,9 +16,11 @@ it), its one stdout line and whether it succeeded.  ``main`` alone creates
 the output directory, writes each output and ``config.json``, prints and
 picks the exit code, and only once the handler has returned: a run that
 fails writes no directory.  Exit codes: 0 success, 1 procedure failure (a
-failure status, or a LeftBoxError, NoCrossingError or ArithmeticError
-inside it), 2 configuration error.  ``main`` can be called repeatedly in
-one process; the parser is built on the first call and reused.
+failure status, or a LeftBoxError or ArithmeticError inside it), 2
+configuration error (a field, a config file that cannot be read as a JSON
+object, or an output directory that cannot be made).  ``main`` can be
+called repeatedly in one process; the parser is built on the first call
+and reused.
 """
 
 import argparse
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import serialize
 from .descent import run_gd
-from .flow import FlowSettings, NoCrossingError, integrate
+from .flow import FlowSettings, integrate
 from .landscape import LeftBoxError, make_builtin, norm
 from .reach import (ReachBudgets, edge_of_stability, reach_continuous,
                     reach_discrete, reach_general, stability_probe)
@@ -99,6 +101,12 @@ MODES = {"run": ("procedure", "is not a run procedure"),
 CHOICES = {"procedure": ("gd", "flow"), "direction": ("forward", "reverse"),
            "mode": ("discrete", "continuous")}
 
+#: the procedures each subcommand but run records in its config.json: the
+#: first, or the second that reach --general sets; a config may hold one of
+#: them or the default gd
+PROCEDURES = {"reach": ("reach", "reach-general"), "probe": ("probe",), "eos": ("eos",),
+              "check": ("prox-check",)}
+
 
 class ConfigError(ValueError):
     pass
@@ -145,10 +153,12 @@ def resolve_config(args):
     cfg = {key: default for key, (default, _, _) in FIELDS.items()}
     if getattr(args, "config", None):
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise ConfigError(f"config: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config: must be a JSON object of fields, got {json.dumps(loaded)}")
         for key, val in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"config: unknown field {key!r}")
@@ -180,8 +190,10 @@ def refuse_unread(cfg, command):
     """The one rule on the fields a run does not read: each field outside
     READS[command, mode] but procedure and output_dir must hold its FIELDS
     default, whether a flag or a config file gave it (a ConfigError names
-    the field and the mode).  So a config.json written by a run, which
-    records every field, runs again as it is."""
+    the field and the mode).  A subcommand that records its own procedure
+    (``PROCEDURES``) takes it at its default or as one it records, and
+    records the first unless given another.  So a config.json written by a
+    run, which records every field, runs again as it is."""
     field, unknown = MODES.get(command, (None, None))
     mode = cfg[field] if field else None
     if (command, mode) not in READS:
@@ -192,6 +204,12 @@ def refuse_unread(cfg, command):
         if key not in reads and cfg[key] != default:
             raise ConfigError(f"{key}: {where} does not read it; leave it at its default "
                               f"{json.dumps(default)}")
+    own, gd = PROCEDURES.get(command), FIELDS["procedure"][0]
+    if own and cfg["procedure"] not in own:  # run's procedure is its mode, checked above
+        if cfg["procedure"] != gd:
+            raise ConfigError(f"procedure: {command} records {' or '.join(map(json.dumps, own))}"
+                              f" itself; leave it at its default {json.dumps(gd)}")
+        cfg["procedure"] = own[0]
 
 
 def resolve_point(cfg, key, f, in_box=True):
@@ -286,10 +304,8 @@ def cmd_run(cfg, f):
 
 def cmd_reach(cfg, f):
     refuse_seed_in_1d(cfg, f, "reach")
-    if cfg["procedure"] != "reach-general":
-        cfg["procedure"] = "reach"
-        if cfg["delta"] is not None:
-            raise ConfigError("delta: only a saddle reach (--general) takes delta")
+    if cfg["procedure"] == "reach" and cfg["delta"] is not None:
+        raise ConfigError("delta: only a saddle reach (--general) takes delta")
     target = resolve_target(cfg, f)
     dynamics = resolve_dynamics(cfg)
     # the GD budgets only under GD: a flow reach refuses them
@@ -323,7 +339,6 @@ def cmd_reach(cfg, f):
 
 def cmd_probe(cfg, f):
     refuse_seed_in_1d(cfg, f, "probe")
-    cfg["procedure"] = "probe"
     budgets = {} if cfg["mode"] == "continuous" else {  # a flow probe refuses them
         "max_iter": cfg["max_iter"], "gtol": float(cfg["gtol"])}
     est = stability_probe(
@@ -337,7 +352,6 @@ def cmd_probe(cfg, f):
 
 
 def cmd_eos(cfg, f):
-    cfg["procedure"] = "eos"
     if cfg["alpha"] is None:
         raise ConfigError("alpha: required for eos")
     x0 = np.ones(f.dim) if cfg["x0"] is None else resolve_point(cfg, "x0", f, in_box=False)
@@ -347,7 +361,6 @@ def cmd_eos(cfg, f):
 
 
 def cmd_check(cfg, f):
-    cfg["procedure"] = "prox-check"
     rng = Lcg64(cfg["seed"])
     lo, hi = f.box[:, 0], f.box[:, 1]
     span = 0.8  # sample the inner 80% so prox iterates stay inside the box
@@ -418,13 +431,15 @@ def main(argv=None):
     try:
         cfg = resolve_config(args)
         outputs, line, ok = args.handler(cfg, parse_function(cfg["function"]))
-    except (ValueError, LeftBoxError, NoCrossingError, ArithmeticError) as exc:
+        out = cfg["output_dir"] = (args.out or os.environ.get("BASINREACH_OUT")
+                                   or cfg["output_dir"] or "basinreach_out")
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file where the output directory or a parent of it goes
+        print(f"error: output_dir: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, LeftBoxError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
-    out = args.out or os.environ.get("BASINREACH_OUT") or cfg.get("output_dir") \
-        or "basinreach_out"
-    cfg["output_dir"] = out
-    os.makedirs(out, exist_ok=True)
     for name, write in outputs.items():
         write(os.path.join(out, name))
     serialize.write_json(cfg, os.path.join(out, "config.json"))

@@ -19,10 +19,13 @@ Every run steps at the relative tolerance RTOL, a minimum's sphere exit
 at REVERSE_RTOL, and opens by one rule, at the first trial step
 min(settings.h, H_STABLE / L): a leg picks its opening only through the
 settings it hands in.  A sphere exit, a reach's reverse flow to its
-sphere, runs on settings whose h is the cap H_STABLE / L; a flow reach's
-forward flow from x0 on settings whose h is that exit's h_forward, with
-the gradient the exit took at x0 as its first state's field.  So no flow
-reach reads h; the comments at REVERSE_RTOL and at h_forward say why.
+sphere, returns its recorded run however it ends, with the crossing, or
+None when it stopped inside the sphere (its status says how: the box,
+gtol or t_max).  It runs on settings whose h is the cap H_STABLE / L;
+a flow reach's forward flow from x0 on settings whose h is that exit's
+h_forward, with the gradient the exit took at x0 as its first state's
+field.  So no flow reach reads h; the comments at REVERSE_RTOL and at
+h_forward say why.
 """
 
 import math
@@ -30,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .landscape import LeftBoxError, require_positive_finite, row_norms, sumsq
+from .landscape import require_positive_finite, row_norms, sumsq
 # not called here: the benchmark's tracer wraps flow.min_norm_element by name
 from .landscape import min_norm_element  # noqa: F401
 from .trajectory import _to_level, march, recorded, start
@@ -144,11 +147,6 @@ _terms = lambda row: tuple((i, w) for i, w in enumerate(row) if w)
 *_STAGES, _POINT = map(_terms, _A)
 _DENSE_STAGES, _E5_TERMS, _E3_TERMS = tuple(map(_terms, _X)), _terms(_E5), _terms(_E3)
 _P_ROWS = tuple((i, p) for i, p in enumerate(_P) if any(p))
-
-
-class NoCrossingError(RuntimeError):
-    """The trajectory never crossed the target sphere within t_max:
-    delta too large, or the gradient floor too small, for the budget."""
 
 
 @dataclass(frozen=True)
@@ -330,17 +328,21 @@ def integrate_minnorm(f, x0, level, settings, *, g0=None):
 
 
 def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False):
-    """(t_exit, b, trajectory-so-far): the flow from x0, inside the
-    delta-sphere around center, to its first crossing b of that sphere,
-    located on the dense output with | |b - center| - delta | <= 1e-8
-    delta.  NoCrossingError when it stops inside (t_max, or a stationary
-    point), LeftBoxError when it leaves the box first.  It runs on
-    settings whose h is the cap H_STABLE / L (as given when L = 0), so it
-    reads no h, and its provenance names them and its rtol, from which a
-    runner repeats it.  Its stop keeps h_forward, the forward leg's
-    opening from b, and g_exit, grad f(b) on f's lane, which the run takes
-    once, for its last state: every flow reach runs its forward leg on
-    settings whose h is h_forward, from the field g_exit.  ``minimum``
+    """(t_end, b, trajectory): the flow from x0, inside the delta-sphere
+    around center, to its first crossing b of that sphere, located on the
+    dense output with | |b - center| - delta | <= 1e-8 delta, however the
+    run ends: b is None when it stopped first, and the recorded
+    trajectory's terminal_status says why (left_box, converged at gtol,
+    budget_exhausted at t_max), with no stopped_on in its provenance.  For
+    a definable f a reverse flow that stays in the box converges to a
+    critical point (``FlowSettings``), so such a stop is an outcome, not a
+    breakdown: a reach skips that seed.  It runs on settings whose h is
+    the cap H_STABLE / L (as given when L = 0), so it reads no h, and its
+    provenance names them and its rtol, from which a runner repeats it.
+    A crossing's stop keeps h_forward, the forward leg's opening from b,
+    and g_exit, grad f(b) on f's lane, which the run takes once, for its
+    last state: every flow reach runs its forward leg on settings whose h
+    is h_forward, from the field g_exit.  ``minimum``
     picks the tolerance and the location: a minimum reach's exit flows at
     REVERSE_RTOL, not RTOL, and takes b on the inner side: the crossing of
     the sphere of radius delta (1 - 5e-9), located to 4e-9 delta, so delta
@@ -374,15 +376,9 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
                 "h_forward": flow.h * (RTOL / rtol) ** (1.0 / 8.0)}
         return "converged", np.array(b), t_b, b, stop
 
-    steps, status, b, stop = flow.march(x0, event=crossed)
-    if stop is None:
-        if status == "left_box":
-            raise LeftBoxError(steps[-1][1], "flow left the operating box before crossing")
-        if status == "budget_exhausted":
-            raise NoCrossingError(
-                f"no crossing of the {delta}-sphere within t_max = {settings.t_max}")
-        raise NoCrossingError("flow reached a stationary point inside the sphere")
-    return steps[-1][0], b.copy(), recorded(f, steps, status, b, stop, flow.provenance)
+    steps, status, limit, stop = flow.march(x0, event=crossed)
+    b = None if stop is None else limit.copy()
+    return steps[-1][0], b, recorded(f, steps, status, limit, stop, flow.provenance)
 
 
 def path_length(traj):

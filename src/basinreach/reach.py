@@ -72,10 +72,10 @@ from itertools import chain
 import numpy as np
 
 from .descent import _Descent, classify_limit, run_gd
-from .flow import (SEED_FLOOR_RTOL, FlowSettings, NoCrossingError, _Flow, _sphere_exit_detail,
-                   integrate, integrate_minnorm, path_length)
-from .landscape import (LeftBoxError, norm, require_count, require_integer,
-                        require_nonnegative_finite, require_positive_finite, row_norms)
+from .flow import (SEED_FLOOR_RTOL, FlowSettings, _Flow, _sphere_exit_detail, integrate,
+                   integrate_minnorm, path_length)
+from .landscape import (norm, require_count, require_integer, require_nonnegative_finite,
+                        require_positive_finite, row_norms)
 from .reverse import reverse_orbit
 from .sampling import directions, unit_directions
 from .schedule import StepSchedule, constant, require_admissible
@@ -755,8 +755,9 @@ def _first_escape(goal, seed_radius, seed, rho, dynamics, cap, kbar_max):
     level by SEED_FLOOR_RTOL (1 + |level|), that escapes B_rho under
     ``dynamics``, or None: by the reverse orbit whose root x0 lies outside
     B_rho and within cap, or by the reverse flow to its crossing x0 of the
-    rho-sphere (``_sphere_exit_detail``; at a minimum just inside it) that
-    neither leaves the box nor stops before it."""
+    rho-sphere (``_sphere_exit_detail``; at a minimum just inside it).  A
+    flow that stops before it (the box, gtol or t_max; x0 is None) is
+    recorded like every run, and the scan goes on to the next seed."""
     f, target, level = goal.f, goal.target, goal.level
     floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
     for d in goal.scan(seed):
@@ -765,13 +766,10 @@ def _first_escape(goal, seed_radius, seed, rho, dynamics, cap, kbar_max):
             continue
         if isinstance(dynamics, StepSchedule):
             hit = _first_crossing_orbit(f, a, dynamics, rho, cap, target, kbar_max)
-        else:
-            try:
-                hit = _sphere_exit_detail(f, a, "reverse", target, rho, dynamics,
-                                          minimum=goal.minimum)[1:]
-            except (NoCrossingError, LeftBoxError):
-                hit = None
-        if hit is not None:
+        else:  # (x0, trajectory), x0 None where the flow stopped inside the sphere
+            hit = _sphere_exit_detail(f, a, "reverse", target, rho, dynamics,
+                                      minimum=goal.minimum)[1:]
+        if hit is not None and hit[0] is not None:
             return a, hit
     return None
 

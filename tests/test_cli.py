@@ -16,7 +16,6 @@ import basinreach.cli as cli
 from basinreach import serialize
 from basinreach.cli import main
 from basinreach.descent import run_gd
-from basinreach.flow import NoCrossingError
 from basinreach.landscape import LeftBoxError
 from basinreach.schedule import parse_schedule
 from basinreach.trajectory import Trajectory
@@ -777,9 +776,8 @@ def test_unreadable_config_point_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("exc", [
     LeftBoxError([7.0], "flow left the operating box before crossing"),
-    NoCrossingError("no crossing of the 0.4-sphere within t_max = 1"),
     ArithmeticError("sphere-crossing refinement did not converge"),
-], ids=["left-box", "no-crossing", "arithmetic"])
+], ids=["left-box", "arithmetic"])
 def test_procedure_breakdown_exits_1(tmp_path, capsys, monkeypatch, exc):
     def broken(*args, **kwargs):
         raise exc
@@ -789,6 +787,87 @@ def test_procedure_breakdown_exits_1(tmp_path, capsys, monkeypatch, exc):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {exc}\n"
+
+
+#: a config file for each subcommand that records its own procedure, and
+#: the procedures it records
+OWN_PROCEDURE = {
+    "reach": ({"function": "double_well", "target": [1.0]}, ("reach", "reach-general")),
+    "probe": ({"function": "double_well", "target": [1.0]}, ("probe",)),
+    "eos": ({"function": "quad:1", "alpha": 0.5}, ("eos",)),
+    "check": ({"function": "quad:1", "n_checks": 3}, ("prox-check",)),
+}
+
+
+@pytest.mark.parametrize("procedure", ["gd", "banana", "flow", "probe", "reach"])
+@pytest.mark.parametrize("command", OWN_PROCEDURE)
+def test_a_procedure_the_subcommand_does_not_record_is_refused(tmp_path, capsys, command,
+                                                               procedure):
+    # a subcommand other than run records its own procedure: a config may
+    # hold one it records or the default gd, and any other ends the run with
+    # exit 2, one line and no directory, where it was once overwritten
+    # without a word
+    fields, own = OWN_PROCEDURE[command]
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_text(json.dumps(dict(fields, procedure=procedure)))
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if procedure in ("gd", *own):
+        assert rc == 0 and err == ""
+        recorded = json.loads(read(out / "config.json"))["procedure"]
+        assert recorded == (own[0] if procedure == "gd" else procedure)
+        return
+    assert rc == 2 and not out.exists()
+    names = " or ".join(f'"{p}"' for p in own)
+    assert err == (f'error: procedure: {command} records {names} itself; '
+                   'leave it at its default "gd"\n')
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3", "null"])
+def test_a_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys, text):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_text(text)
+    assert main(["reach", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config: must be a JSON object of fields, got {text}\n"
+    assert not out.exists()
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_bytes(b'{"function": "quad:1", "x0": [1.0], "\xff": 1}')
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("where,sub", [
+    ("--out", ""), ("--out", "sub"), ("BASINREACH_OUT", ""), ("output_dir", "sub"),
+], ids=["out-file", "out-under-file", "env-file", "config-under-file"])
+def test_an_output_path_that_cannot_be_a_directory_is_a_config_error(
+        tmp_path, capsys, monkeypatch, where, sub):
+    # a file where the output directory, or a parent of it, would go: exit 2
+    # with one line naming output_dir and the path, the file as it was
+    monkeypatch.delenv("BASINREACH_OUT", raising=False)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = str(blocker / sub) if sub else str(blocker)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": "quad:1", "x0": [1.0]}
+                              | ({"output_dir": out} if where == "output_dir" else {})))
+    argv = ["run", "--config", str(cfg)]
+    if where == "--out":
+        argv += ["--out", out]
+    elif where == "BASINREACH_OUT":
+        monkeypatch.setenv("BASINREACH_OUT", out)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output_dir: [Errno ") and err.endswith(f": {out!r}\n")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "file"]
 
 
 def test_no_escape_reach_writes_only_its_report(tmp_path, capsys):

@@ -7,7 +7,8 @@ import pytest
 
 import basinreach as br
 import basinreach.flow as flow
-from basinreach.landscape import LeftBoxError, norm
+import basinreach.reach as reach
+from basinreach.landscape import norm
 
 from conftest import (count_flow_steps, counting, dop853_step, make_linear_1d, minnorm_euler,
                       rk4_flow, same_states)
@@ -454,30 +455,49 @@ def test_sphere_exit_boundary_start(quad1):
     assert abs(abs(b[0]) - 1.0) <= 1e-8
 
 
+def stops_inside(f, direction, delta, st, status):
+    """A leg that stops before its sphere returns no crossing and its run,
+    recorded, whose status says why it stopped and whose provenance names
+    no stop event."""
+    runs = []
+    with br.record_trajectories(runs):
+        t_end, b, traj = flow._sphere_exit_detail(f, [0.5], direction, [0.0], delta, st)
+    assert b is None and runs == [traj]
+    assert traj.terminal_status == status and "stopped_on" not in traj.provenance
+    assert t_end == traj.t[-1] and traj.initial_x.tolist() == [0.5]
+    assert traj.provenance["direction"] == direction
+    return traj
+
+
 def test_sphere_exit_no_crossing_forward(quad1):
-    with pytest.raises(br.NoCrossingError):
-        flow._sphere_exit_detail(quad1, [0.5], "forward", [0.0], 2.0,
-                                 settings(t_max=3.0, gtol=1e-8))
+    # the forward flow from 0.5 toward 0 runs out of time inside the 2-sphere
+    traj = stops_inside(quad1, "forward", 2.0, settings(t_max=3.0, gtol=1e-8),
+                        "budget_exhausted")
+    assert traj.t[-1] == 3.0 and traj.limit is None and 0.0 < traj.final_x[0] < 0.5
 
 
-@pytest.mark.parametrize("direction,delta,st,exc,message", [
-    ("forward", 2.0, settings(t_max=20.0, gtol=1e-3), br.NoCrossingError, "stationary point"),
-    ("reverse", 20.0, settings(t_max=5.0), LeftBoxError, "left the operating box"),
+@pytest.mark.parametrize("direction,delta,st,status", [
+    ("forward", 2.0, settings(t_max=20.0, gtol=1e-3), "converged"),
+    ("reverse", 20.0, settings(t_max=5.0), "left_box"),
 ], ids=["stationary", "left-box"])
-def test_sphere_exit_stops_inside_the_sphere(quad1, direction, delta, st, exc, message):
-    with pytest.raises(exc, match=message):
-        flow._sphere_exit_detail(quad1, [0.5], direction, [0.0], delta, st)
+def test_sphere_exit_stops_inside_the_sphere(quad1, direction, delta, st, status):
+    traj = stops_inside(quad1, direction, delta, st, status)
+    if status == "left_box":
+        assert traj.limit is None and not quad1.in_box(traj.final_x)
+    else:  # stopped at gtol, its limit its last state
+        assert traj.gnorm[-1] < 1e-3 and np.array_equal(traj.limit, traj.final_x)
 
 
 @pytest.mark.parametrize("minimum", [False, True], ids=["saddle-leg", "minimum-leg"])
 def test_sphere_exit_from_a_seed_below_gtol(quad14, minimum):
-    # |grad f| = 1e-9 < gtol at the seed: the reverse leg ends there, and
-    # the reach that asked for it skips the seed
+    # |grad f| = 1e-9 < gtol at the seed: the reverse leg ends there, on
+    # its one state, and the reach that asked for it skips the seed
     st = settings(h=1e-2, t_max=20.0, gtol=1e-8)
-    with pytest.raises(br.NoCrossingError,
-                       match="^flow reached a stationary point inside the sphere$"):
-        flow._sphere_exit_detail(quad14, [1e-9, 0.0], "reverse", [0.0, 0.0], 0.5, st,
-                                 minimum=minimum)
+    t_end, b, traj = flow._sphere_exit_detail(quad14, [1e-9, 0.0], "reverse", [0.0, 0.0],
+                                              0.5, st, minimum=minimum)
+    assert b is None and t_end == 0.0 and len(traj) == 1
+    assert traj.terminal_status == "converged" and "stopped_on" not in traj.provenance
+    assert traj.limit.tolist() == [1e-9, 0.0]
 
 
 def test_a_flow_reach_skips_seeds_below_gtol(quad14):
@@ -486,6 +506,29 @@ def test_a_flow_reach_skips_seeds_below_gtol(quad14):
     st = br.FlowSettings(h=1e-2, t_max=20.0, gtol=1.0)
     rep = br.reach_continuous(quad14, [0.0, 0.0], 1.0, st, 1e-3, 1e-4)
     assert rep.status == "no_escape" and rep.x0 is None
+
+
+def test_a_flow_reach_records_each_seed_it_skips(quad14, monkeypatch):
+    # the gtol-1 reach above: each seed's reverse leg stops at its start, and
+    # every one of them is recorded, as every run is, with no crossing
+    seeds = []
+
+    def exit_detail(f, x0, *args, **kwargs):
+        seeds.append(np.array(x0))
+        return flow._sphere_exit_detail(f, x0, *args, **kwargs)
+    monkeypatch.setattr(reach, "_sphere_exit_detail", exit_detail)
+    st = br.FlowSettings(h=1e-2, t_max=20.0, gtol=1.0)
+    runs = []
+    with br.record_trajectories(runs):
+        rep = br.reach_continuous(quad14, [0.0, 0.0], 1.0, st, 1e-3, 1e-4)
+    assert rep.status == "no_escape" and len(seeds) > 1
+    assert len(runs) == len(seeds)
+    for traj, a in zip(runs, seeds):
+        assert traj.provenance["producer"] == "flow"
+        assert traj.provenance["direction"] == "reverse"
+        assert traj.terminal_status == "converged" and "stopped_on" not in traj.provenance
+        assert len(traj) == 1 and np.array_equal(traj.initial_x, a)
+        assert abs(norm(a) - 1e-3) <= 1e-15
 
 
 def test_sphere_exit_postcondition_sweep(quad14):
