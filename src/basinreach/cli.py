@@ -15,15 +15,18 @@ its output files by name (each a function of the file's path that writes
 it), its one stdout line and whether it succeeded.  ``main`` alone creates
 the output directory, writes each output and ``config.json``, prints and
 picks the exit code, and only once the handler has returned: a run that
-fails writes no directory.  Exit codes: 0 success, 1 procedure failure (a
+fails writes no directory, and one with a directory at an output file's
+path writes nothing.  Exit codes: 0 success, 1 procedure failure (a
 failure status, or a LeftBoxError or ArithmeticError inside it), 2
 configuration error (a field, a config file that cannot be read as a JSON
-object, or an output directory that cannot be made).  ``main`` can be
+object, an output directory that cannot be made, or an output file whose
+path is a directory).  ``main`` can be
 called repeatedly in one process; the parser is built on the first call
 and reused.
 """
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -433,16 +436,20 @@ def main(argv=None):
         outputs, line, ok = args.handler(cfg, parse_function(cfg["function"]))
         out = cfg["output_dir"] = (args.out or os.environ.get("BASINREACH_OUT")
                                    or cfg["output_dir"] or "basinreach_out")
+        outputs["config.json"] = partial(serialize.write_json, cfg)
+        paths = [os.path.join(out, name) for name in outputs]
+        for path in paths:  # a directory (not a symlink, which is replaced) at an output
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         os.makedirs(out, exist_ok=True)
-    except OSError as exc:  # a file where the output directory or a parent of it goes
+        for write, path in zip(outputs.values(), paths):
+            write(path)
+    except OSError as exc:  # the output directory or an output file cannot be made
         print(f"error: output_dir: {exc}", file=sys.stderr)
         return 2
     except (ValueError, LeftBoxError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
-    for name, write in outputs.items():
-        write(os.path.join(out, name))
-    serialize.write_json(cfg, os.path.join(out, "config.json"))
     print(line)
     return 0 if ok else 1
 

@@ -4,14 +4,16 @@ stability radii empirically, and run the step-size sharpness-exclusion
 experiment.
 
 Every reach runs one driver, ``_reach``, toward its goal (``_Basin`` for
-a minimum, ``_Level`` for a saddle): pick an ascent seed a near the
-target with f(a) > f(target), escape backward from a to x0 on a sphere
-around the target, run forward from x0 and measure the distance from the
-forward limit to the target: reverse orbit and GD under a StepSchedule,
-reverse and forward DOP853 flow under FlowSettings, as in the probe.  A
-saddle's forward run stops at the level set f = f(target); a minimum
-reach runs on delta = min(delta_cert, epsilon) and probes only without
-delta_cert.
+a minimum, ``_Level`` for a saddle): take the goal's one escape plan
+(``plan``: the radius delta, the escape radius rho and the dynamics the
+escape runs on), pick an ascent seed a near the target with f(a) >
+f(target), escape backward from a to x0 on the rho-sphere around the
+target, run forward from x0 on the dynamics and gradient the escape hands
+over, and measure the distance from the forward limit to the target:
+reverse orbit and GD under a StepSchedule, reverse and forward DOP853
+flow under FlowSettings, as in the probe.  A saddle's forward run stops
+at the level set f = f(target); a minimum reach runs on delta =
+min(delta_cert, epsilon) and probes only without delta_cert.
 
 The certificate of a minimum (``_Basin``, built once by each probe and
 each minimum reach) has two sets.  The certified ball B_r, r = min(epsilon,
@@ -367,14 +369,15 @@ class _Basin:
     s, mu_s); ``event`` is the reach's stop as a ``march`` event, at |x -
     target| <= s by the lane's norm.
 
-    As a reach's goal (``_reach``): ``radius`` checks a schedule's
-    admissibility and gives delta, budgets.delta_override, else delta_cert,
-    else the probed delta_hat (under the constant schedule at the same sup
-    alpha, the fastest of the family the radius is uniform over), capped at
-    epsilon, and its source; seed_radius must be at most delta/2.
-    ``scan_radius`` gives rho, the cap delta and the dynamics: rho = delta
-    under flow settings, else ``_escape_radius``, the schedule halved
-    before the scan while rho <= seed_radius.  ``scan`` leads with +-v_max,
+    As a reach's goal (``_reach``): ``plan`` checks a schedule's
+    admissibility and gives the escape plan (delta, source, rho, cap,
+    dynamics): delta is budgets.delta_override, else delta_cert, else the
+    probed delta_hat (under the constant schedule at the same sup alpha,
+    the fastest of the family the radius is uniform over), capped at
+    epsilon, and its source; seed_radius must be at most delta/2.  rho =
+    delta under flow settings, else ``_escape_radius``, the schedule halved
+    before the scan while rho <= seed_radius; the cap is delta; at delta =
+    0, rho is nan and nothing is scanned.  ``scan`` leads with +-v_max,
     along which an ascent step grows |x - target| by 1/(1 - alpha
     lambda_max) and f(a) - f* ~ lambda_max r^2/2 > 0, so the orbit's length
     does not grow with the condition number; the axes follow, then the
@@ -469,7 +472,7 @@ class _Basin:
         lane = self.f._lane
         return self.hit(t, x) if lane.norm(lane.sub(x, self.center)) <= self.ball[0] else None
 
-    def radius(self, seed_radius, dynamics, budgets):
+    def plan(self, seed_radius, dynamics, budgets):
         descent = isinstance(dynamics, StepSchedule)
         if descent:
             require_admissible(dynamics, self.f, "prox", self.procedure)
@@ -485,15 +488,12 @@ class _Basin:
         if delta > 0.0 and seed_radius > 0.5 * delta:
             raise ValueError(f"seed_radius {seed_radius} must be at most half the {source} "
                              f"stability radius {delta}")
-        return delta, source
-
-    def scan_radius(self, delta, seed_radius, dynamics):
-        if not isinstance(dynamics, StepSchedule):
-            return delta, delta, dynamics
-        while (rho := _escape_radius(self.f, delta, dynamics.sup_alpha)) <= seed_radius:
+        rho = delta if delta > 0.0 else math.nan
+        while descent and delta > 0.0 and (
+                rho := _escape_radius(self.f, delta, dynamics.sup_alpha)) <= seed_radius:
             # rho > 0.6 delta >= seed_radius once alpha L < 1/4: twice at most
             dynamics = dynamics.scaled(0.5)
-        return rho, delta, dynamics
+        return delta, source, rho, delta, dynamics
 
     def scan(self, seed):
         lead = (self.spectrum[2], -self.spectrum[2]) if self.spectrum else ()
@@ -519,13 +519,15 @@ class _Level:
     of a cataloged saddle, where the forward run stops (``_run_to_level``
     or ``integrate_minnorm``, its limit the crossing).  Building it checks
     the target as a start, its catalog entry and ``classify_limit``'s
-    verdict.  Its delta is the one given, with 0 < seed_radius < delta <=
-    epsilon (not delta/2 as at a minimum), and rho = delta; epsilon only
-    caps delta and |x0 - target| (to the crossing's 1e-8 delta under flow
-    settings), so B_epsilon(target) may leave the box.  The scan tries the
-    axes last, as they can lie on the stable manifold, and no eigenvector
-    leads: a saddle's top eigenvector is tangent to that manifold, from
-    which the forward run creeps back to the saddle above the level."""
+    verdict.  Its ``plan`` checks a schedule's admissibility and gives
+    (delta, "given", rho, cap, dynamics): delta the one given, with 0 <
+    seed_radius < delta <= epsilon (not delta/2 as at a minimum), rho =
+    delta and the cap epsilon; epsilon only caps delta and |x0 - target|
+    (to the crossing's 1e-8 delta under flow settings), so B_epsilon(target)
+    may leave the box.  The scan tries the axes last, as they can lie on the
+    stable manifold, and no eigenvector leads: a saddle's top eigenvector
+    is tangent to that manifold, from which the forward run creeps back to
+    the saddle above the level."""
 
     procedure, minimum = "reach_general", False
 
@@ -538,15 +540,12 @@ class _Level:
         self.f, self.target, self.epsilon, self.delta = f, target, epsilon, delta
         self.level = f.value(target)
 
-    def radius(self, seed_radius, dynamics, budgets):
+    def plan(self, seed_radius, dynamics, budgets):
         if not seed_radius < self.delta <= self.epsilon:
             raise ValueError("need 0 < seed_radius < delta <= epsilon")
         if isinstance(dynamics, StepSchedule):
             require_admissible(dynamics, self.f, "prox", self.procedure)
-        return self.delta, "given"
-
-    def scan_radius(self, delta, seed_radius, dynamics):
-        return delta, self.epsilon, dynamics
+        return self.delta, "given", self.delta, self.epsilon, dynamics
 
     def scan(self, seed):
         return directions(self.f.dim, SCAN_RANDOM, seed, axis_first=False)
@@ -750,12 +749,15 @@ def _first_crossing_orbit(f, a, s, rho, cap, target, kbar_max):
 
 
 def _first_escape(goal, seed_radius, seed, rho, dynamics, cap, kbar_max):
-    """(a, (x0, reverse part)) of the first ascent seed a = target +
-    seed_radius * d, d in the goal's ``scan`` order with f(a) above its
-    level by SEED_FLOOR_RTOL (1 + |level|), that escapes B_rho under
-    ``dynamics``, or None: by the reverse orbit whose root x0 lies outside
-    B_rho and within cap, or by the reverse flow to its crossing x0 of the
-    rho-sphere (``_sphere_exit_detail``; at a minimum just inside it).  A
+    """(a, x0, reverse part, g0, forward dynamics) of the first ascent seed
+    a = target + seed_radius * d, d in the goal's ``scan`` order with f(a)
+    above its level by SEED_FLOOR_RTOL (1 + |level|), that escapes B_rho
+    under ``dynamics``, or None: by the reverse orbit whose root x0 lies
+    outside B_rho and within cap, g0 the gradient the orbit took at x0 and
+    the forward dynamics the schedule, or by the reverse flow to its
+    crossing x0 of the rho-sphere (``_sphere_exit_detail``; at a minimum
+    just inside it), g0 the reverse flow's gradient there and the forward
+    dynamics the settings opened at its last proposed step (h_forward).  A
     flow that stops before it (the box, gtol or t_max; x0 is None) is
     recorded like every run, and the scan goes on to the next seed."""
     f, target, level = goal.f, goal.target, goal.level
@@ -766,11 +768,14 @@ def _first_escape(goal, seed_radius, seed, rho, dynamics, cap, kbar_max):
             continue
         if isinstance(dynamics, StepSchedule):
             hit = _first_crossing_orbit(f, a, dynamics, rho, cap, target, kbar_max)
-        else:  # (x0, trajectory), x0 None where the flow stopped inside the sphere
-            hit = _sphere_exit_detail(f, a, "reverse", target, rho, dynamics,
-                                      minimum=goal.minimum)[1:]
-        if hit is not None and hit[0] is not None:
-            return a, hit
+            if hit is not None:
+                return a, *hit, hit[1].gradients[0], dynamics
+        else:  # x0 None where the flow stopped inside the sphere
+            _, x0, rev = _sphere_exit_detail(f, a, "reverse", target, rho, dynamics,
+                                             minimum=goal.minimum)
+            if x0 is not None:
+                return (a, x0, rev, rev.provenance["g_exit"],
+                        dataclasses.replace(dynamics, h=rev.provenance["h_forward"]))
     return None
 
 
@@ -778,7 +783,8 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, goal, *given
     """The one reach pipeline, by GD under a StepSchedule or DOP853 flow
     under FlowSettings, toward goal(f, target, epsilon, *given), a
     ``_Basin`` or a ``_Level``, whose docstrings state each kind's rules.
-    The forward leg starts in the state the reverse leg ended in.  Success
+    The forward leg starts in the state the reverse leg ended in, on the
+    dynamics and gradient ``_first_escape`` hands it.  Success
     iff the forward run has a limit (its convergence point or level
     crossing) within tol; the distance is from the limit, else from the
     last state."""
@@ -789,21 +795,14 @@ def _reach(f, target, epsilon, dynamics, seed_radius, tol, budgets, goal, *given
                                           for k in ("gtol", "max_iter", "kbar_max")})
     goal = goal(f, np.asarray(target, dtype=float), epsilon, *given)
     require_positive_finite(epsilon=epsilon, seed_radius=seed_radius, tol=tol)
-    delta, source = goal.radius(seed_radius, dynamics, b)
-    found, rho = None, float("nan")
-    if delta > 0.0:
-        rho, cap, dynamics = goal.scan_radius(delta, seed_radius, dynamics)
-        found = _first_escape(goal, seed_radius, b.seed, rho, dynamics, cap, b.kbar_max)
+    delta, source, rho, cap, dynamics = goal.plan(seed_radius, dynamics, b)
+    found = (_first_escape(goal, seed_radius, b.seed, rho, dynamics, cap, b.kbar_max)
+             if delta > 0.0 else None)
     if found is None:
         a = x0 = rev = fwd = None
         dist, status = float("inf"), "no_escape"
     else:
-        a, (x0, rev) = found
-        if descent:  # from the gradient the orbit took at its root x0
-            g0 = rev.gradients[0]
-        else:  # from the reverse flow's gradient and opening at its crossing x0
-            g0 = rev.provenance["g_exit"]
-            dynamics = dataclasses.replace(dynamics, h=rev.provenance["h_forward"])
+        a, x0, rev, g0, dynamics = found
         gtol = b.gtol if b.gtol is not None else min(1e-8, 1e-3 * tol)
         fwd = goal.forward(x0, dynamics, g0, gtol, b.max_iter)
         end = fwd.limit if fwd.limit is not None else fwd.final_x

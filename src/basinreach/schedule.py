@@ -71,12 +71,17 @@ def require_admissible(s, f, regime, what):
 
 def parse_schedule(text):
     """CLI grammar: 'constant:0.5' or 'power:1.0:0.5' (c then p);
-    'power:C:0' is 'constant:C'."""
-    parts = text.split(":")
-    if parts[0] == "constant" and len(parts) == 2:
-        return constant(float(parts[1]))
-    if parts[0] == "power" and len(parts) == 3:
-        return power(float(parts[1]), float(parts[2]))
+    'power:C:0' is 'constant:C'.  A C or P that is not a number is a bad
+    schedule, as a malformed shape is."""
+    kind, *numbers = text.split(":")
+    try:
+        numbers = [float(v) for v in numbers]
+    except ValueError:
+        numbers = ()
+    if kind == "constant" and len(numbers) == 1:
+        return constant(*numbers)
+    if kind == "power" and len(numbers) == 2:
+        return power(*numbers)
     raise ValueError(f"bad schedule {text!r}; use constant:C or power:C:P")
 
 

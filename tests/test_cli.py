@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import itertools
 import json
@@ -588,6 +589,8 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
      "procedure: 'reach' is not a run procedure"),
     (["reach", "--function", "quad:1", "--target", "20"],
      "target: [20.0] lies outside the operating box [[-10.0, 10.0]]"),
+    (["run", "--function", "quad:1", "--x0", "1", "--schedule", "constant:"],
+     "error: bad schedule 'constant:'; use constant:C or power:C:P"),
 ], ids=["nonfinite-param", "non-numeric-param", "x0-dimension", "target-dimension",
         "x0-outside-box", "config-object-for-number", "config-number-for-string", "config-bool-for-number",
         "negative-target-index", "config-negative-target-index", "probe-negative-max-iter",
@@ -601,7 +604,7 @@ def test_env_output_override(tmp_path, monkeypatch, capsys):
         "run-negative-gtol", "probe-nan-gtol", "probe-negative-gtol", "reach-no-target",
         "reach-ball-outside-box", "flow-reach-ball-outside-box",
         "eos-no-alpha", "run-infinite-x0", "run-config-reach-procedure",
-        "reach-target-outside-box"])
+        "reach-target-outside-box", "run-schedule-not-a-number"])
 def test_bad_input_is_a_config_error(tmp_path, capsys, argv, message):
     if isinstance(argv[-1], dict):  # the contents of a config file
         cfg = tmp_path / "cfg.json"
@@ -868,6 +871,20 @@ def test_an_output_path_that_cannot_be_a_directory_is_a_config_error(
     assert err.count("\n") == 1
     assert blocker.read_text() == "kept\n"
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "file"]
+
+
+@pytest.mark.parametrize("name", ["summary.json", "config.json"])
+def test_a_directory_at_an_output_path_is_a_config_error(tmp_path, capsys, name):
+    # a directory where an output file goes: exit 2 with one line naming
+    # output_dir and the path, refused before any file is written
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    (out / name / "kept").write_text("kept\n")
+    assert main(["run", "--function", "quad:1", "--x0", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output_dir: [Errno {errno.EISDIR}] Is a directory: {str(out / name)!r}\n"
+    assert os.listdir(out) == [name] and os.listdir(out / name) == ["kept"]
+    assert (out / name / "kept").read_text() == "kept\n"
 
 
 def test_no_escape_reach_writes_only_its_report(tmp_path, capsys):

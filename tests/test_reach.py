@@ -1227,13 +1227,29 @@ def test_reach_budgets_reject_a_nan_or_negative_delta_override(value):
         br.ReachBudgets(delta_override=value)
 
 
-def test_reach_budgets_allow_no_or_a_zero_delta_override(dw):
+def test_reach_budgets_allow_no_or_a_zero_delta_override(dw, monkeypatch):
     # the probe returns 0 when every radius fails, and a reach handed that
-    # radius ends in no_escape as its own probe would have it
+    # radius ends in no_escape as its own probe would have it, in either
+    # mode: the plan has no escape radius, and nothing escapes or is scanned
     assert br.ReachBudgets().delta_override is None
-    rep = br.reach_discrete(dw, [1.0], 0.4, br.constant(0.021), 1e-3, 1e-4,
-                            br.ReachBudgets(delta_override=0.0))
-    assert rep.status == "no_escape" and rep.delta_used == 0.0 and rep.delta_source == "override"
+    calls = collections.Counter()
+    for name in ("_escape_radius", "_first_crossing_orbit", "_sphere_exit_detail"):
+        def counted(*args, name=name, fn=getattr(reach_mod, name), **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(reach_mod, name, counted)
+    zero = br.ReachBudgets(delta_override=0.0)
+    for rep in (br.reach_discrete(dw, [1.0], 0.4, br.constant(0.021), 1e-3, 1e-4, zero),
+                br.reach_continuous(dw, [1.0], 0.4, FLOW, 1e-3, 1e-4, zero)):
+        assert rep.status == "no_escape" and rep.delta_used == 0.0
+        assert rep.delta_source == "override" and math.isnan(rep.escape_radius)
+        assert rep.x0 is None and rep.reverse_part is None and rep.forward_part is None
+    assert not calls
+    # the counters see every call: a positive override escapes in both modes
+    br.reach_discrete(dw, [1.0], 0.4, br.constant(0.021), 1e-3, 1e-4,
+                      br.ReachBudgets(delta_override=0.1))
+    br.reach_continuous(dw, [1.0], 0.4, FLOW, 1e-3, 1e-4, br.ReachBudgets(delta_override=0.1))
+    assert set(calls) == {"_escape_radius", "_first_crossing_orbit", "_sphere_exit_detail"}
 
 
 @pytest.mark.parametrize("dynamics", [br.constant(0.0015), FLOW], ids=["discrete", "continuous"])

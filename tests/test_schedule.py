@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,8 +77,11 @@ def test_parse_schedule_grammar():
     # p = 0 is the constant schedule, whichever way it is written
     assert br.parse_schedule("power:0.5:0") == br.parse_schedule("constant:0.5") == br.constant(0.5)
     assert [f.name for f in dataclasses.fields(br.StepSchedule)] == ["c", "p"]
-    for bad in ("constant", "power:1.0", "linear:0.1", "constant:0.5:0.5"):
-        with pytest.raises(ValueError):
+    # a C or P that is not a number gets the malformed shape's message
+    for bad in ("constant", "power:1.0", "linear:0.1", "constant:0.5:0.5", "constant:",
+                "constant:x", "power:0.1:x"):
+        message = f"bad schedule {bad!r}; use constant:C or power:C:P"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             br.parse_schedule(bad)
 
 
