@@ -143,10 +143,15 @@ KINDS = {
 
 
 def parse_function(text):
-    """name or name:p1,p2,... e.g. quad:1,4 or double_well:2."""
+    """name or name:p1,p2,... e.g. quad:1,4 or double_well:2.  A parameter
+    that is not a number is a bad function, as a malformed schedule is a
+    bad schedule; make_builtin names what else is wrong."""
     name, _, rest = text.partition(":")
     try:
         params = tuple(float(v) for v in rest.split(",")) if rest else ()
+    except ValueError:
+        raise ConfigError(f"function: bad function {text!r}; use NAME or NAME:P1,P2,...") from None
+    try:
         return make_builtin(name, params)
     except ValueError as exc:
         raise ConfigError(f"function: {exc}") from exc

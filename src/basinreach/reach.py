@@ -896,7 +896,7 @@ def edge_of_stability(f, alpha, x0):
         steps = march(f, lane.point(x0), lane.grad, _Descent(f, constant(alpha), 1000, 0.0).step,
                       1000, box=False)[0]
         n1 = norm(lane.sub(steps[-1][1], lane.point(star)))
-    n0 = norm(x0 - star)
+        n0 = norm(x0 - star)
     threshold = max(10.0 * n0, DIVERGENCE_FACTOR * (1.0 + f.box_diameter()))
     empirical = None
     if not np.isfinite(n1) or n1 > threshold:

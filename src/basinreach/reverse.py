@@ -15,19 +15,24 @@ the solve turns each into a secant of its own T to seed its mixing
 history, the multisecant view of Anderson mixing (Fang & Saad 2009): in
 2-D they span the plane, so the first mixed iterate m is a quasi-Newton
 step; in 1-D two secants are collinear, so only the newest acts and the
-solve is the secant method.  The miss y - m of a solve's answer y is
-second order in the step, set by how grad's Jacobian changes across it,
-so it changes little from one orbit step to the next: each solve hands
-the next its miss and l = |m - base|^2, and the next moves its own m by
-that miss scaled by l/l', the squared ratio of the two first steps'
-lengths, as a second-order term scales, before the box test.  Only the
-starting point moves.  Every solve stops on its first tested y with
-|T(y) - y| <= FIXED_POINT_RTOL (1 + min(|base|, |y|)), 0.999e-10, the
-1e-10 forward-residual certificate less the rounding margin proved at the
-constant, and returns the iterate it tested, so the certificate holds
-however y was reached.  Each test compares with the bound on |base|,
-computed once per solve; only an iterate that passes it takes |y|, the
-one the solve returns.
+solve is the secant method.  Where m misses, the next mix fits the
+solve's own secant from base alone, to m (to T(base) where m left the
+box): that secant and the orbit step seeded beside it are nearly
+collinear, so a 2x2 fit of both cuts the residual there by a median 28x
+over the solves of himmelblau's saddle 8 orbit at 0.4/L, the own secant
+alone by 910x; each later mix fits the solve's own two newest secants.
+The miss y - m of a solve's answer y is second order in the step, set by
+how grad's Jacobian changes across it, so it changes little from one
+orbit step to the next: each solve hands the next its miss and l = |m -
+base|^2, and the next moves its own m by that miss scaled by l/l', the
+squared ratio of the two first steps' lengths, as a second-order term
+scales, before the box test.  Only the starting point moves.  Every
+solve stops on its first tested y with |T(y) - y| <= FIXED_POINT_RTOL (1
++ min(|base|, |y|)), 0.999e-10, the 1e-10 forward-residual certificate
+less the rounding margin proved at the constant, and returns the iterate
+it tested, so the certificate holds however y was reached.  Each test
+compares with the bound on |base|, computed once per solve; only an
+iterate that passes it takes |y|, the one the solve returns.
 
 Every solve runs in an orbit frame chosen in one place (``_orbit``): a
 whole orbit in one call, the stop test, each alpha_k and each solve with
@@ -114,7 +119,9 @@ def _picard(f, base, lam, sign, tol_scale=None, g=None, steps=(), miss=None):
     = step dg, dg = grad(z) - grad(x) and step = sign * lam (dT never
     formed: w = step, v = dg).  The first mixed point m, the steps'
     quasi-Newton step, moves by the last solve's ``miss`` = (y' - m', l')
-    scaled by l/l', l = |m - base|^2, and then takes the box test.
+    scaled by l/l', l = |m - base|^2, and then takes the box test.  The
+    mix after the second tested iterate fits the solve's own secant from
+    base alone; every other mix fits the two newest secants.
     Returns (y, grad(y), iters, |(y - step grad(y)) - base|, |y|, miss) at
     the first |T(y) - y| <= tol = FIXED_POINT_RTOL * (1 + min(tol_scale,
     |y|)), tol_scale = |base|, taken when None, |y| only once the bound on
@@ -147,7 +154,9 @@ def _orbitn(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
     first (w = 1 for the solve's own secants), the mixed point
     t - c_1 w_1 e_1 - c_2 w_2 e_2 with c the least-squares fit of r by the
     d_i (2x2 normal equations in closed form, the newest alone when their
-    Gram determinant is degenerate, as for collinear secants), the shift,
+    Gram determinant is degenerate, as for collinear secants, and at the
+    second tested iterate, whose newest is the solve's own secant from
+    base, the older a seeded step), the shift,
     the box test and the norms, and it must pass the 1e-10
     forward-residual certificate, else ArithmeticError.  g and xnorm are grad(x) and |x| when known; ``steps``
     and ``miss`` seed the first solve as :func:`_picard`'s do, and each
@@ -189,7 +198,7 @@ def _orbitn(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
             if hist and hist[0][3] > 0.0:
                 (d1, e1, w1, a11), *older = hist
                 b1, deep = dot(d1, r), False
-                if older:
+                if older and it != 2:  # a first retry fits its own secant alone
                     ((d2, e2, w2, a22),) = older
                     a12, b2 = dot(d1, d2), dot(d2, r)
                     det = a11 * a22 - a12 * a12
@@ -298,9 +307,10 @@ def _orbit1(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
 def _orbit2(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
     """:func:`_orbit1` on the 2-D float lane, with the last two steps,
     newest (s) and older (o), and the depth-2 history (newest d, e, w, a11;
-    older dd, ee, ww, a22) and the fit's normal equations: the steps
-    enter each solve's history oldest first, as the loop's own secants do,
-    and each sum over coordinates is ``dot``'s, index order."""
+    older dd, ee, ww, a22) and the fit's normal equations, the older entry
+    left out of the fit at the second tested iterate: the steps enter each
+    solve's history oldest first, as the loop's own secants do, and each
+    sum over coordinates is ``dot``'s, index order."""
     L, grad, ((l0, l1), (h0, h1)) = f.lipschitz_L, f._lane.grad, f._lane.bounds
     g = grad(x) if g is None else g
     (x0, x1), (g0, g1) = x, g
@@ -348,7 +358,7 @@ def _orbit2(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
             mixed = False
             if n and a11 > 0.0:
                 b1, deep = d0 * r0 + d1 * r1, False
-                if n == 2:
+                if n == 2 and it != 2:  # a first retry fits its own secant alone
                     a12, b2 = d0 * dd0 + d1 * dd1, dd0 * r0 + dd1 * r1
                     det = a11 * a22 - a12 * a12
                     deep = det > _GRAM_RTOL * a11 * a22

@@ -294,14 +294,17 @@ def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None, miss=None):
     depth-2 Anderson mixing with the same arithmetic, seeding, shift,
     fallbacks, restart and return, for both lanes to match bit for bit.  A
     history entry is (dr, v, w) with dT = w v; ``seeds`` start the
-    history, newest first.  The first mixed point m, when there is one,
+    history, newest first.  The mix after the second tested iterate fits
+    the newest entry alone, the solve's own secant from base; every other
+    mix fits the two newest.  The first mixed point m, when there is one,
     moves by the last solve's ``miss`` = (y' - m', l') rescaled by l/l', l
     = |m - base|^2, and the returned miss is (y - m, l), None when there
     was no m or l = 0.  ``mixes``, when given, gets one (history length,
-    mixed point) pair per iterate after the first, the mixed point (after
-    the shift) None when the history gives none and kept even when it
-    lies outside the box, where the solve falls back to T's plain
-    image."""
+    mixed point, secants fit) triple per iterate after the first, the
+    mixed point (after the shift) None, and its fit 0, when the history
+    gives none, kept even when it lies outside the box, where the solve
+    falls back to T's plain image, and its fit 1 where the two entries'
+    Gram determinant is degenerate."""
     q_sq = (lam * f.lipschitz_L) ** 2
     y, g = base, f.gradient(base) if g is None else g
     hist, last, mixed, first, ell = list(seeds), None, False, None, 0.0
@@ -317,25 +320,25 @@ def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None, miss=None):
             hist = []
         elif last is not None:
             hist = [(r - last[0], t - last[1], 1.0)] + hist[:1]
-        last, y, mix = (r, t, rr), t, None
+        last, y, mix, fit = (r, t, rr), t, None, 0
         if hist and sumsq(hist[0][0]) > 0.0:
             (d1, e1, w1), a11 = hist[0], sumsq(hist[0][0])
             b1 = dot(d1, r)
-            y = t - b1 / a11 * w1 * e1
-            if len(hist) == 2:
+            y, fit = t - b1 / a11 * w1 * e1, 1
+            if len(hist) == 2 and it != 2:
                 d2, e2, w2 = hist[1]
                 a12, a22, b2 = dot(d1, d2), sumsq(d2), dot(d2, r)
                 det = a11 * a22 - a12 * a12
                 if det > _GRAM_RTOL * a11 * a22:
-                    y = (t - (a22 * b1 - a12 * b2) / det * w1 * e1
-                         - (a11 * b2 - a12 * b1) / det * w2 * e2)
+                    y, fit = (t - (a22 * b1 - a12 * b2) / det * w1 * e1
+                              - (a11 * b2 - a12 * b1) / det * w2 * e2), 2
             if it == 1:
                 first, ell = y, sumsq(y - base)
                 if miss is not None:
                     y = y + ell / miss[1] * miss[0]
             mix = y
         if mixes is not None:
-            mixes.append((len(hist), mix))
+            mixes.append((len(hist), mix, fit))
         mixed = y is not t and f.in_box(y)
         if not mixed:
             y = t

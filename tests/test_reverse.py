@@ -154,13 +154,13 @@ def test_solves_agree_with_plain_picard(name, params):
 
 def solve_as_reference(f, base, lam, sign, g, steps=(), miss=None):
     """(_picard's (y, g, iters, residual, |y|, miss), the points it took
-    gradients at, the reference's (history length, mixed point) per
-    iterate) for a solve from ``base`` with first gradient ``g``, both
-    arrays, ``steps`` (x, z, grad(x), grad(z)) of f's lane, newest first,
-    seeding the reference as their secants ((x - z) + step dg, dg, step),
-    and the last solve's ``miss`` (an array, its l), after checking that
-    the solve and conftest.anderson_solve take their gradients at the same
-    points and return the same y, gradient, count and miss, bit for
+    gradients at, the reference's (history length, mixed point, secants
+    fit) per iterate) for a solve from ``base`` with first gradient ``g``,
+    both arrays, ``steps`` (x, z, grad(x), grad(z)) of f's lane, newest
+    first, seeding the reference as their secants ((x - z) + step dg, dg,
+    step), and the last solve's ``miss`` (an array, its l), after checking
+    that the solve and conftest.anderson_solve take their gradients at the
+    same points and return the same y, gradient, count and miss, bit for
     bit."""
     points = []
     spy = dataclasses.replace(f, grad=lambda x: points.append(np.array(x)) or f.grad(x))
@@ -207,7 +207,7 @@ def test_mixing_restarts_when_a_mixed_iterate_does_not_contract():
         base = np.array(base)
         (y, g, iters, _, _, _), points, mixes = solve_as_reference(f, base, lam, 1.0,
                                                                    f.gradient(elsewhere))
-        assert [n for n, _ in mixes[:len(lengths)]] == lengths
+        assert [n for n, _, _ in mixes[:len(lengths)]] == lengths
         restart = lengths.index(0, 1)
         assert points[restart].tobytes() == (base + lam * f.gradient(points[restart - 1])).tobytes()
         # the tested y and the gradient its test took, the last one evaluated
@@ -252,6 +252,23 @@ def test_a_shifted_point_outside_the_box_falls_back_to_t(name, params, anchor):
     assert np.array(out[0]).tobytes() == (np.array(y) - m).tobytes() and out[1] == ell
 
 
+def test_a_retry_fits_its_own_secant_alone_then_its_own_two():
+    # a himmelblau solve 20 steps up an orbit at 0.5/L, seeded by its last
+    # two steps: the first mixed point, fit from both steps' secants, lies
+    # in the box and misses; the next mix fits the solve's own secant from
+    # base alone, not beside the newest step, and the one after fits the
+    # solve's own two secants
+    f = br.make_builtin("himmelblau")
+    lane, a = f._lane, 0.5 / f.lipschitz_L
+    orbit = br.reverse_orbit(f, [3.001, 2.002], br.constant(a), 20)
+    p, g = [lane.point(x) for x in orbit.points], orbit.gradients
+    steps = [(p[1], p[0], g[1], g[0]), (p[2], p[1], g[2], g[1])]
+    (_, _, iters, _, _, _), _, mixes = solve_as_reference(f, orbit.points[0], a, 1.0,
+                                                          np.array(g[0]), steps)
+    assert iters == 4 and f.in_box(mixes[0][1])
+    assert [(n, fit) for n, _, fit in mixes] == [(2, 2), (2, 1), (2, 2)]
+
+
 @pytest.mark.parametrize("name,params,base,elsewhere", [
     ("double_well", (), [1.2], [-0.75]),  # fixed point 1.2665, face 1.5
     ("himmelblau", (), [4.5, 2.0], None),  # fixed point (4.9985, 2.0787), face x = 5
@@ -265,12 +282,12 @@ def test_a_mixed_point_outside_the_box_falls_back_to_t(name, params, base, elsew
     base, lam = np.array(base), 0.5 / f.lipschitz_L
     g = f.gradient(base if elsewhere is None else elsewhere)
     _, points, mixes = solve_as_reference(f, base, lam, 1.0, g)
-    out = [i for i, (_, m) in enumerate(mixes) if m is not None and not f.in_box(m)]
+    out = [i for i, (_, m, _) in enumerate(mixes) if m is not None and not f.in_box(m)]
     assert out and all(f.in_box(p) for p in points)
     for i in out:
         before = g if i == 0 else f.gradient(points[i - 1])
         assert points[i].tobytes() == (base + lam * before).tobytes()
-    assert any(m is not None and f.in_box(m) for _, m in mixes[out[-1] + 1:])
+    assert any(m is not None and f.in_box(m) for _, m, _ in mixes[out[-1] + 1:])
 
 
 @pytest.mark.parametrize("name,params", SWEEP_BUILTINS,
@@ -453,8 +470,8 @@ def test_orbit_takes_one_gradient_per_tested_iterate():
     assert m == 40 and len(iters) == m
     assert [p.tobytes() for p in orbit.points] == [p.tobytes() for p in points[::-1]]
     assert counts == {"value": 0, "grad": 1 + sum(it - 1 for it in iters)}
-    # seeded Anderson mixing from the shifted first point: 146 (160 unshifted);
-    # unseeded: 216; plain Picard took 511
+    # seeded Anderson mixing from the shifted first point: 123 (154 unshifted);
+    # unseeded: 189; plain Picard took 374
     assert sum(iters) <= 4.5 * m
 
 
@@ -478,7 +495,7 @@ def test_power_orbit_takes_under_two_gradients_per_point():
     # the secants of the last two orbit steps make each solve's first mixed
     # iterate a quasi-Newton step, the last solve's rescaled miss moves it to
     # within third order, and each solve stops on its first y within
-    # FIXED_POINT_RTOL (1 + min(|x_{k+1}|, |y|)) of T(y): 161 gradients over
+    # FIXED_POINT_RTOL (1 + min(|x_{k+1}|, |y|)) of T(y): 160 gradients over
     # 150 himmelblau steps (172 stopping at 1e-11 (1 + |x_{k+1}|), 185 with
     # the secants alone, 3.5 per point without them and the reused residual
     # gradient), 193 over 150 double_well steps (217, 293)
@@ -492,12 +509,27 @@ def test_power_orbit_takes_under_two_gradients_per_point():
 
 def test_constant_orbit_takes_under_two_and_a_third_gradients_per_point():
     # each solve stops on its first y within FIXED_POINT_RTOL (1 +
-    # min(|x_{k+1}|, |y|)) of T(y): 90 gradients over 40 himmelblau steps
+    # min(|x_{k+1}|, |y|)) of T(y): 84 gradients over 40 himmelblau steps
     # at 0.5/L (107 stopping at 1e-11 (1 + |x_{k+1}|))
     f, counts = counting(br.make_builtin("himmelblau"))
     orbit = br.reverse_orbit(f, [3.001, 2.002], br.constant(0.5 / f.lipschitz_L), 40)
     assert orbit.status == "complete" and len(orbit.points) == 41
     assert counts["grad"] <= 2.3 * 40
+
+
+def test_a_saddle_orbit_takes_106_gradients():
+    # the reverse orbit of himmelblau's saddle 8 reach at 0.4/L from its
+    # first scanned seed, rebuilt with its stop at the escape radius: 55
+    # steps for 106 gradients (119 when each first retry fit its own secant
+    # beside the newest orbit step), its root the reach's x0
+    plain = br.make_builtin("himmelblau")
+    target, s = plain.critical_points[8].point, br.constant(0.4 / plain.lipschitz_L)
+    rep = br.reach_general(plain, target, 1.0, s, 1e-3)
+    f, counts = counting(plain)
+    orbit = br.reverse_orbit(f, rep.ascent_seed, s, 1000,
+                             stop=lambda x: norm(np.subtract(x, target)) > rep.escape_radius)
+    assert rep.status == "success" and orbit.points[0].tobytes() == rep.x0.tobytes()
+    assert len(orbit.points) == 56 and counts == {"value": 0, "grad": 106}
 
 
 def certified(x, y, r):
