@@ -189,8 +189,7 @@ def resolve_config(args):
         if kind in ("count", "int") and (type(val) is not int or kind == "count" and val < 0):
             what = "an integer" if kind == "int" else "a nonnegative integer"
             raise ConfigError(f"{key} must be {what}, got {json.dumps(val)}")
-    if getattr(args, "command", None) is not None:  # a Namespace with no subcommand
-        refuse_unread(cfg, args.command)                # resolves its fields alone
+    refuse_unread(cfg, args.command)
     return cfg
 
 

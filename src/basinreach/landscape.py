@@ -402,6 +402,10 @@ def make_builtin(name, params=()):
         lam = np.array(params)
         if np.any(lam <= 0.0):
             raise ValueError("quad eigenvalues must be positive (0 must be a minimum)")
+        # |grad f|^2 at a box corner, its largest; a float product overflows
+        # to inf where ** would raise OverflowError
+        if not math.isfinite(sum((10.0 * li) * (10.0 * li) for li in params)):
+            raise ValueError(f"quad eigenvalues overflow |grad f|^2 on the box, got {params}")
         n = lam.size
         box = np.array([[-10.0, 10.0]] * n)
         crit = (CriticalPoint(np.zeros(n), "local_min", 0.0),)
@@ -426,6 +430,8 @@ def make_builtin(name, params=()):
         b = params[0] if params else 1.5
         if b < 1.0:
             raise ValueError("double_well box half-width must be >= 1")
+        if not math.isfinite((gb := 4.0 * b * (b * b - 1.0)) * gb):  # |grad f(b)|^2
+            raise ValueError(f"double_well half-width overflows |grad f|^2 on the box, got {b}")
         box = np.array([[-b, b]])
         crit = (
             CriticalPoint(np.array([-1.0]), "local_min", 0.0),

@@ -9,13 +9,12 @@ linear map, Walker & Ni 2011), one gradient per tested iterate, under
 Picard's stop rule.  The solve returns the iterate y it tested, within
 |T(y) - y|/(1 - q) of the fixed point, with the gradient the test took
 there, so an ascent step's forward residual y - a grad(y) - x_{k+1} =
-y - T(y), which it also returns with |y|, costs no further gradient.
-``reverse_orbit`` hands each solve its last two steps as they are, and
-the solve turns each into a secant of its own T to seed its mixing
-history, the multisecant view of Anderson mixing (Fang & Saad 2009): in
-2-D they span the plane, so the first mixed iterate m is a quasi-Newton
-step; in 1-D two secants are collinear, so only the newest acts and the
-solve is the secant method.  Where m misses, the next mix fits the
+y - T(y), costs no further gradient.  Within an orbit each solve takes
+the last two steps as they are and turns each into a secant of its own
+T to seed its mixing history, the multisecant view of Anderson mixing
+(Fang & Saad 2009): in 2-D they span the plane, so the first mixed
+iterate m is a quasi-Newton step; in 1-D two secants are collinear, so
+only the newest acts and the solve is the secant method.  Where m misses, the next mix fits the
 solve's own secant from base alone, to m (to T(base) where m left the
 box): that secant and the orbit step seeded beside it are nearly
 collinear, so a 2x2 fit of both cuts the residual there by a median 28x
@@ -36,9 +35,10 @@ iterate that passes it takes |y|, the one the solve returns.
 
 Every solve runs in an orbit frame chosen in one place (``_orbit``): a
 whole orbit in one call, the stop test, each alpha_k and each solve with
-its certificate, the last two steps and the miss held as locals;
-``prox`` and ``ascent_prox`` run it for one step.  The ndarray lane
-(dim > 2) has one frame, ``_orbitn``, on arrays and ``landscape.dot``;
+its certificate, the last two steps and the miss held as locals, none
+of them at an orbit's first solve; ``prox`` and ``ascent_prox`` run it
+for one step, such a first solve.  The ndarray lane (dim > 2) has one
+frame, ``_orbitn``, on arrays and ``landscape.dot``;
 the float lane one per dimension, ``_orbit1`` and ``_orbit2``, written
 out over local Python floats with the points made arrays once at the
 end, the only code here that knows the lane's layout: the same IEEE
@@ -108,35 +108,33 @@ class ReverseOrbit:
         return row_norms(stacked(self.gradients)).tolist()
 
 
-def _picard(f, base, lam, sign, tol_scale=None, g=None, steps=(), miss=None):
+def _picard(f, base, lam, sign):
     """Fixed point of T(y) = base + sign * lam * grad(y), base and y points
-    of f's lane: f's orbit frame (:func:`_orbit`) run for one step.  Each
-    iteration tests y by one T(y), then moves to the mixed point and takes
-    its gradient.  The first y is base, with gradient ``g`` when known.
-    Each of ``steps`` (newest first, at most two), an orbit step (x, z,
-    grad(x), grad(z)) back from x to z, starts the mixing history as T's
-    secant from x to z, whose base cancels: dr = (x - z) + step dg and dT
-    = step dg, dg = grad(z) - grad(x) and step = sign * lam (dT never
-    formed: w = step, v = dg).  The first mixed point m, the steps'
-    quasi-Newton step, moves by the last solve's ``miss`` = (y' - m', l')
-    scaled by l/l', l = |m - base|^2, and then takes the box test.  The
-    mix after the second tested iterate fits the solve's own secant from
-    base alone; every other mix fits the two newest secants.
-    Returns (y, grad(y), iters, |(y - step grad(y)) - base|, |y|, miss) at
-    the first |T(y) - y| <= tol = FIXED_POINT_RTOL * (1 + min(tol_scale,
-    |y|)), tol_scale = |base|, taken when None, |y| only once the bound on
-    |base| holds; the fourth is an ascent step's forward residual |y - T(y)|
-    up to rounding, certified to 1e-10 (1 + |y|) (else ArithmeticError), and
-    the last this solve's (y - m, l), None without an m or when l = 0.  As T
-    contracts by q = lam * L, |y - y*| <= |y - T(y)| + q |y - y*|, so y lies
-    within |T(y) - y|/(1 - q) <= tol/(1 - q) of the unique fixed point y*,
-    however it was reached, the shift included.  Raises LeftBoxError when
-    T(y) leaves the box; y itself never does."""
-    xs, residuals, grads, left, iters, ynorm, miss = _orbit(
-        f, base, g, tol_scale, (lam,), sign, None, steps, miss)
+    of f's lane: f's orbit frame (:func:`_orbit`) run for one step, which
+    starts, as an orbit's first solve does, with no held step and no miss.
+    Each iteration tests y by one T(y), then moves to the mixed point and
+    takes its gradient.  The first y is base.  Within an orbit each of the
+    last two steps (newest first), a step back from x to z, starts the
+    mixing history as T's secant from x to z, whose base cancels: dr = (x
+    - z) + step dg and dT = step dg, dg = grad(z) - grad(x) and step = sign
+    * lam (dT never formed: w = step, v = dg).  The first mixed point m,
+    the steps' quasi-Newton step, moves by the last solve's miss (y' - m',
+    l') scaled by l/l', l = |m - base|^2, and then takes the box test; the
+    solve leaves the next its own (y - m, l), none without an m or when l =
+    0.  The mix after the second tested iterate fits the solve's own secant
+    from base alone; every other mix fits the two newest secants.  Returns
+    the first tested y with |T(y) - y| <= tol = FIXED_POINT_RTOL * (1 +
+    min(|base|, |y|)), |y| taken only once the bound on |base| holds; its
+    forward residual |(y - step grad(y)) - base|, an ascent step's |y -
+    T(y)| up to rounding, must pass the certificate 1e-10 (1 + |y|) (else
+    ArithmeticError).  As T contracts by q = lam * L, |y - y*| <= |y - T(y)|
+    + q |y - y*|, so y lies within |T(y) - y|/(1 - q) <= tol/(1 - q) of the
+    unique fixed point y*, however it was reached, the shift included.
+    Raises LeftBoxError when T(y) leaves the box; y itself never does."""
+    xs, _, _, left = _orbit(f, base, None, (lam,), sign)
     if left is not None:
         raise LeftBoxError(left, "fixed-point iterate left the operating box")
-    return xs[-1], grads[-1], iters, residuals[-1], ynorm, miss
+    return xs[-1]
 
 
 def _uncertified(sign, residual):
@@ -145,7 +143,7 @@ def _uncertified(sign, residual):
                            f"certificate: {residual:.3e}")
 
 
-def _orbitn(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
+def _orbitn(f, x, g, alphas, sign, stop=None):
     """A reverse orbit on the ndarray lane (dim > 2) in one frame: from x,
     one solve of T(y) = x + sign lam grad(y) per lam of ``alphas``, while
     ``stop``, when given, is false at x, each solve's y the next x.  Each
@@ -156,20 +154,17 @@ def _orbitn(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
     d_i (2x2 normal equations in closed form, the newest alone when their
     Gram determinant is degenerate, as for collinear secants, and at the
     second tested iterate, whose newest is the solve's own secant from
-    base, the older a seeded step), the shift,
-    the box test and the norms, and it must pass the 1e-10
-    forward-residual certificate, else ArithmeticError.  g and xnorm are grad(x) and |x| when known; ``steps``
-    and ``miss`` seed the first solve as :func:`_picard`'s do, and each
-    later one takes the last two steps, as (x - y, grad(y) - grad(x)), and
-    the miss its predecessor left.  Returns (points, residuals, gradients,
-    the T(y) that left the box or None, total iterations, |y|, miss) for the
-    points from x on; a box exit ends the orbit."""
+    base, the older a held step), the shift, the box test and the norms,
+    and it must pass the 1e-10 forward-residual certificate, else
+    ArithmeticError.  g is grad(x) when known.  The first solve holds no
+    step and no miss; each later one takes the last two steps, as (x - y,
+    grad(y) - grad(x)), and the miss its predecessor left.  Returns
+    (points, residuals, gradients, the T(y) that left the box or None) for
+    the points from x on; a box exit ends the orbit."""
     L, grad, inside = f.lipschitz_L, f._lane.grad, f._lane.inside
     g = grad(x) if g is None else g
-    xnorm = norm(x) if xnorm is None else xnorm
-    xs, residuals, grads, left, total = [x], [], [g], None, 0
-    held = [(p - z, gz - gp) for p, z, gp, gz in steps]
-    c, ell_p = (None, None) if miss is None else miss
+    xnorm = norm(x)
+    xs, residuals, grads, left, held, ell_p = [x], [], [g], None, [], None
     for lam in alphas:
         if stop is not None and stop(x):
             break
@@ -220,17 +215,16 @@ def _orbitn(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
         residual = norm((y + -step * g) - x)
         if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
             raise _uncertified(sign, residual)
-        total += it
         held = [(x - y, g - gx)] + held[:_ANDERSON_DEPTH - 1]
         c, ell_p = (y - first, ell) if ell > 0.0 else (None, None)
         x, xnorm = y, ynorm
         xs.append(y)
         residuals.append(residual)
         grads.append(g)
-    return xs, residuals, grads, left, total, xnorm, None if ell_p is None else (c, ell_p)
+    return xs, residuals, grads, left
 
 
-def _orbit1(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
+def _orbit1(f, x, g, alphas, sign, stop=None):
     """:func:`_orbitn` on the 1-D float lane, written out over local
     floats: the same IEEE operations in the same order as its numpy ops,
     ``dot`` and ``norm``, the last step held as (x - y, grad(y) - grad(x))
@@ -241,12 +235,8 @@ def _orbit1(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
     L, grad, ((l0,), (h0,)) = f.lipschitz_L, f._lane.grad, f._lane.bounds
     g = grad(x) if g is None else g
     (x0,), (g0,) = x, g
-    xnorm = sqrt(x0 * x0) if xnorm is None else xnorm
-    xs, residuals, grads, left, total, held = [x], [], [g], None, 0, bool(steps)
-    if held:
-        (p0,), (z0,), (gp0,), (gz0,) = steps[0]
-        sx0, se0 = p0 - z0, gz0 - gp0
-    (c0,), ell_p = ((0.0,), None) if miss is None else miss
+    xnorm = sqrt(x0 * x0)
+    xs, residuals, grads, left, held, ell_p = [x], [], [g], None, False, None
     for lam in alphas:
         if stop is not None and stop(x):
             break
@@ -293,18 +283,16 @@ def _orbit1(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
         residual = sqrt(u0 * u0)
         if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
             raise _uncertified(sign, residual)
-        total += it
         sx0, se0, held = x0 - y0, g0 - gx0, True
         c0, ell_p = (y0 - f0, ell) if ell > 0.0 else (0.0, None)
         x, x0, xnorm = y, y0, ynorm
         xs.append(y)
         residuals.append(residual)
         grads.append(g)
-    return (xs, residuals, grads, left, total, xnorm,
-            None if ell_p is None else ((c0,), ell_p))
+    return xs, residuals, grads, left
 
 
-def _orbit2(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
+def _orbit2(f, x, g, alphas, sign, stop=None):
     """:func:`_orbit1` on the 2-D float lane, with the last two steps,
     newest (s) and older (o), and the depth-2 history (newest d, e, w, a11;
     older dd, ee, ww, a22) and the fit's normal equations, the older entry
@@ -314,13 +302,8 @@ def _orbit2(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
     L, grad, ((l0, l1), (h0, h1)) = f.lipschitz_L, f._lane.grad, f._lane.bounds
     g = grad(x) if g is None else g
     (x0, x1), (g0, g1) = x, g
-    xnorm = sqrt(x0 * x0 + x1 * x1) if xnorm is None else xnorm
-    xs, residuals, grads, left, total, held = [x], [], [g], None, 0, 0
-    for (p0, p1), (z0, z1), (gp0, gp1), (gz0, gz1) in reversed(steps):
-        if held:
-            ox0, ox1, oe0, oe1 = sx0, sx1, se0, se1
-        sx0, sx1, se0, se1, held = p0 - z0, p1 - z1, gz0 - gp0, gz1 - gp1, 2 if held else 1
-    (c0, c1), ell_p = ((0.0, 0.0), None) if miss is None else miss
+    xnorm = sqrt(x0 * x0 + x1 * x1)
+    xs, residuals, grads, left, held, ell_p = [x], [], [g], None, 0, None
     for lam in alphas:
         if stop is not None and stop(x):
             break
@@ -385,7 +368,6 @@ def _orbit2(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
         residual = sqrt(u0 * u0 + u1 * u1)
         if residual > FORWARD_RESIDUAL_RTOL * (1.0 + ynorm):
             raise _uncertified(sign, residual)
-        total += it
         if held:
             ox0, ox1, oe0, oe1 = sx0, sx1, se0, se1
         sx0, sx1, se0, se1, held = x0 - y0, x1 - y1, g0 - gx0, g1 - gx1, 2 if held else 1
@@ -394,8 +376,7 @@ def _orbit2(f, x, g, xnorm, alphas, sign, stop=None, steps=(), miss=None):
         xs.append(y)
         residuals.append(residual)
         grads.append(g)
-    return (xs, residuals, grads, left, total, xnorm,
-            None if ell_p is None else ((c0, c1), ell_p))
+    return xs, residuals, grads, left
 
 
 _ORBITS = {1: _orbit1, 2: _orbit2}  # the float lane's orbit frame per dimension
@@ -411,7 +392,7 @@ def prox(f, x, lam):
     """argmin_y f(y) + |y - x|^2 / (2 lam) via the implicit equation
     y = x - lam * grad(y), for lam < 1/L and x a start (``start``)."""
     require_admissible(constant(lam), f, "prox", "prox")
-    return np.array(_picard(f, start(f, x, "x"), lam, -1.0)[0])
+    return np.array(_picard(f, start(f, x, "x"), lam, -1.0))
 
 
 def prox_certificates(f, x, lam, xplus):
@@ -439,7 +420,7 @@ def ascent_prox(f, xnext, a):
     The returned point replays forward onto xnext to within 1e-10 * (1 +
     |result|)."""
     require_admissible(constant(a), f, "prox", "ascent_prox")
-    return np.array(_picard(f, start(f, xnext, "xnext"), a, 1.0)[0])
+    return np.array(_picard(f, start(f, xnext, "xnext"), a, 1.0))
 
 
 def reverse_orbit(f, a, s, kbar, stop=None, *, g0=None):
@@ -461,7 +442,7 @@ def reverse_orbit(f, a, s, kbar, stop=None, *, g0=None):
     (x_{k+1}, x_k, grad(x_{k+1}), grad(x_k)) newest first, so m > 0 solves
     cost one gradient (none with g0) plus their iterations less one each,
     and 2m + 1 norms.  Each solve also starts its first mixed point from
-    the miss its predecessor returned (:func:`_picard`), which only moves
+    the miss its predecessor left (:func:`_picard`), which only moves
     where the iteration starts.  The orbit keeps the gradients.  The whole
     build is one call of f's orbit frame (:func:`_orbit`).
 
@@ -481,7 +462,7 @@ def reverse_orbit(f, a, s, kbar, stop=None, *, g0=None):
     # solve starts from a point its predecessor's Picard test kept in the box
     require_admissible(s, f, "prox", "reverse_orbit")
     points, residuals, grads, left = _orbit(
-        f, x, g0, None, map(s.alpha, range(kbar - 1, -1, -1)), 1.0, stop)[:4]
+        f, x, g0, map(s.alpha, range(kbar - 1, -1, -1)), 1.0, stop)
     return ReverseOrbit(
         points=stacked(points[::-1]),
         anchor=anchor.copy(),

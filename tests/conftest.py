@@ -345,20 +345,22 @@ def anderson_solve(f, base, lam, sign, g=None, seeds=(), mixes=None, miss=None):
         g = f.gradient(y)
 
 
-def anderson_orbit(f, anchor, alphas, iters=None):
+def anderson_orbit(f, anchor, alphas, iters=None, mixes=None, g0=None):
     """(points, forward residuals) of reverse_orbit written on ndarrays,
     from the anchor back through the steps ``alphas`` (alpha_{K-1} first):
-    each solve starts from the gradient the last one returned, its history
+    the first solve starts from the anchor's gradient, ``g0`` when given,
+    each later one from the gradient the last one returned, its history
     from the secant pairs (x - y, grad(y) - grad(x)) of the last two orbit
     steps x -> y, converted to (dr, v, w) = ((x - y) + a dg, dg, a), and
     its first mixed point shifted by the miss the last one returned.
-    ``iters``, when given, gets each solve's count of tested iterates, and
-    a solve whose T(y) leaves the box raises LeftBoxError."""
+    ``iters``, when given, gets each solve's count of tested iterates,
+    ``mixes`` each solve's records of ``anderson_solve`` in turn, and a
+    solve whose T(y) leaves the box raises LeftBoxError."""
     x = np.asarray(anchor, dtype=float)
-    g, pairs, points, residuals, miss = f.gradient(x), [], [x], [], None
+    g, pairs, points, residuals, miss = f.gradient(x) if g0 is None else g0, [], [x], [], None
     for a in alphas:
         seeds = [(neg_dx + a * dg, dg, a) for neg_dx, dg in pairs]
-        y, gy, it, miss = anderson_solve(f, x, a, 1.0, g, seeds, miss=miss)
+        y, gy, it, miss = anderson_solve(f, x, a, 1.0, g, seeds, mixes, miss)
         if iters is not None:
             iters.append(it)
         residuals.append(norm((y - a * gy) - x))

@@ -480,6 +480,38 @@ def test_eos_from_a_huge_start_warns_nothing(tmp_path, capsys, argv, verdict):
     assert out == f"eos: {verdict}\n" and err == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--function", "quad:1e300", "--n-checks", "5"],
+     "quad eigenvalues overflow |grad f|^2 on the box, got (1e+300,)"),
+    (["reach", "--function", "quad:1e200", "--target", "0", "--schedule", "constant:1e-201"],
+     "quad eigenvalues overflow |grad f|^2 on the box, got (1e+200,)"),
+    (["check", "--function", "double_well:1e60", "--n-checks", "5"],
+     "double_well half-width overflows |grad f|^2 on the box, got 1e+60"),
+], ids=["check-quad", "reach-quad", "check-double_well"])
+def test_a_builtin_whose_gradient_overflows_on_its_box_is_refused(tmp_path, capsys, argv,
+                                                                   message):
+    # |grad f|^2 at quad's box corners, sum (10 l_i)^2, or at double_well's
+    # faces, (4 b (b^2 - 1))^2, is inf: the check would count certificate
+    # failures and the reach write gnorm = inf, each after an overflow
+    # warning, so the function is refused before either runs
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: function: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("function", ["quad:1e150", "double_well:1e50"])
+def test_a_builtin_whose_gradient_stays_finite_on_its_box_is_accepted(tmp_path, capsys,
+                                                                      function):
+    # the largest squared gradients, 1e302 and 1.6e301, are finite
+    argv = ["check", "--function", function, "--n-checks", "5", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == "check: 5 samples, 0 identity failures, 0 certificate failures\n" and err == ""
+
+
 def test_check_cli(tmp_path):
     out = str(tmp_path / "check")
     rc = main(["check", "--function", "double_well", "--n-checks", "50", "--out", out])
@@ -702,7 +734,7 @@ def test_config_fields_defaulting_to_null_are_type_checked(tmp_path, capsys, fie
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     cfg.write_text(json.dumps({"function": "double_well", field: None}))
-    assert cli.resolve_config(argparse.Namespace(config=str(cfg)))[field] is None
+    assert cli.resolve_config(argparse.Namespace(config=str(cfg), command="reach"))[field] is None
 
 
 @pytest.mark.parametrize("value,expected", [

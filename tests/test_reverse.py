@@ -7,8 +7,8 @@ import pytest
 
 import basinreach as br
 import basinreach.reverse as reverse_mod
-from basinreach.landscape import norm, row_norms, sumsq
-from basinreach.reverse import FIXED_POINT_RTOL, FORWARD_RESIDUAL_RTOL, _picard
+from basinreach.landscape import norm, row_norms
+from basinreach.reverse import FIXED_POINT_RTOL, FORWARD_RESIDUAL_RTOL
 from basinreach.serialize import write_reverse_part_csv
 
 from conftest import (anderson_orbit, anderson_solve, contraction_iteration_bound, counting,
@@ -100,6 +100,18 @@ def test_round_trip(name, params):
         assert np.linalg.norm(again - x) <= 1e-10 * (1.0 + np.linalg.norm(x))
 
 
+def frame_solve(f, x, lam, sign):
+    """(y, its forward residual, grad(y), tested iterates) of f's orbit frame
+    run for one solve from x, an array, y and grad(y) as arrays, the first
+    three None when T(y) left the box.  No gradient is handed in, so the
+    frame takes one per tested iterate, counted here."""
+    f, counts = counting(f)
+    xs, residuals, grads, left = reverse_mod._orbit(f, f._lane.point(x), None, (lam,), sign)
+    if left is not None:
+        return None, None, None, counts["grad"]
+    return np.array(xs[-1]), residuals[-1], np.array(grads[-1]), counts["grad"]
+
+
 @pytest.mark.parametrize("name,params", BUILTINS)
 def test_iteration_count_bound(name, params):
     f = br.make_builtin(name, params)
@@ -108,8 +120,8 @@ def test_iteration_count_bound(name, params):
     for _ in range(50):
         x = interior_points(f, 1, rng)[0]
         lam = (0.1 + 0.8 * rng.random()) / L
-        iters = _picard(f, x, lam, -1.0, norm(x))[2]
-        assert iters <= contraction_iteration_bound(lam, L)
+        y, _, _, iters = frame_solve(f, x, lam, -1.0)
+        assert y is not None and iters <= contraction_iteration_bound(lam, L)
 
 
 SWEEP_BUILTINS = BUILTINS + [("quad", (1.0, 2.0, 5.0))]
@@ -132,59 +144,53 @@ def test_solves_agree_with_plain_picard(name, params):
         try:
             y_plain, _ = picard_solve(f, x, q / L, sign)
         except br.LeftBoxError:
+            assert frame_solve(f, x, q / L, sign)[0] is None
             with pytest.raises(br.LeftBoxError):
-                _picard(f, f._lane.point(x), q / L, sign, norm(x))
+                (br.ascent_prox if sign > 0 else br.prox)(f, x, q / L)
             with pytest.raises(br.LeftBoxError):
                 anderson_solve(f, x, q / L, sign)
             exits += 1
             continue
-        y, g, iters, residual, ynorm, miss = _picard(f, f._lane.point(x), q / L, sign, norm(x))
+        y, residual, g, iters = frame_solve(f, x, q / L, sign)
         y_ref, g_ref, iters_ref, miss_ref = anderson_solve(f, x, q / L, sign)
-        assert miss is miss_ref is None  # an unseeded first iterate is T's plain image
-        assert np.array(y).tobytes() == y_ref.tobytes() and iters == iters_ref
-        # the returned |(y - sign lam g) - x| and |y|, from the floats the solve holds
+        assert miss_ref is None  # an unseeded first iterate is T's plain image
+        assert y.tobytes() == y_ref.tobytes() and iters == iters_ref
+        # the returned |(y - sign lam g) - x|, from the floats the solve holds
         assert residual == norm((y_ref + (-sign * (q / L)) * g_ref) - x)
-        assert ynorm == norm(y_ref)
-        assert np.array(g).tobytes() == g_ref.tobytes() == f.gradient(y_ref).tobytes()
+        assert g.tobytes() == g_ref.tobytes() == f.gradient(y_ref).tobytes()
         tol = FIXED_POINT_RTOL * (1.0 + norm(x))
-        assert norm(np.array(y) - y_plain) <= (1.0 + q) / (1.0 - q) * tol
+        assert norm(y - y_plain) <= (1.0 + q) / (1.0 - q) * tol
         assert iters <= contraction_iteration_bound(q / L, L)
     assert 0 < exits < 120
 
 
-def solve_as_reference(f, base, lam, sign, g, steps=(), miss=None):
-    """(_picard's (y, g, iters, residual, |y|, miss), the points it took
-    gradients at, the reference's (history length, mixed point, secants
-    fit) per iterate) for a solve from ``base`` with first gradient ``g``,
-    both arrays, ``steps`` (x, z, grad(x), grad(z)) of f's lane, newest
-    first, seeding the reference as their secants ((x - z) + step dg, dg,
-    step), and the last solve's ``miss`` (an array, its l), after checking
-    that the solve and conftest.anderson_solve take their gradients at the
-    same points and return the same y, gradient, count and miss, bit for
-    bit."""
+def same_orbit(orbit, points, residuals):
+    """Whether an orbit's points (x_start first) and forward residuals are
+    the reference's (anchor first), bit for bit."""
+    return ([p.tobytes() for p in orbit.points] == [p.tobytes() for p in points[::-1]]
+            and orbit.forward_residuals == tuple(residuals[::-1]))
+
+
+def last_solve(f, anchor, a, k, g0=None):
+    """(reverse_orbit's orbit of k steps a from ``anchor``, the points its
+    last solve took gradients at, the reference's (history length, mixed
+    point, secants fit) per iterate of that solve, the solve's count of
+    tested iterates), after checking that the orbit takes its gradients at
+    the points conftest.anderson_orbit takes them at and builds the same
+    points and residuals, bit for bit.  That solve starts from the orbit's
+    own last two steps and miss; ``g0``, an array, is the anchor's
+    gradient, taken elsewhere when given."""
     points = []
     spy = dataclasses.replace(f, grad=lambda x: points.append(np.array(x)) or f.grad(x))
-    lane = spy._lane
-    out = _picard(spy, lane.point(base), lam, sign, norm(base), lane.point(g), steps,
-                  None if miss is None else (lane.point(miss[0]), miss[1]))
-    taken, mixes = points[:], []
+    orbit = br.reverse_orbit(spy, anchor, br.constant(a), k,
+                             g0=None if g0 is None else spy._lane.point(g0))
+    taken, mixes, iters = points[:], [], []
     points.clear()
-    step = sign * lam
-    seeds = [(np.subtract(x, z) + step * np.subtract(gz, gx), np.subtract(gz, gx), step)
-             for x, z, gx, gz in steps]
-    ref = anderson_solve(spy, base, lam, sign, g, seeds, mixes, miss)
+    reference = anderson_orbit(spy, anchor, [a] * k, iters, mixes, g0)
     assert [p.tobytes() for p in taken] == [p.tobytes() for p in points]
-    assert [np.array(v).tobytes() for v in out[:2]] == [v.tobytes() for v in ref[:2]]
-    assert out[2] == ref[2]
-    assert same_miss(out[5], ref[3])
-    return out, taken, mixes
-
-
-def same_miss(a, b):
-    """Whether two misses (y - m, l), or None, are equal bit for bit."""
-    if a is None or b is None:
-        return a is b
-    return np.array(a[0]).tobytes() == np.array(b[0]).tobytes() and a[1] == b[1]
+    assert same_orbit(orbit, *reference)
+    n = iters[-1] - 1  # one gradient and one record per tested iterate after the first
+    return orbit, taken[len(taken) - n:], mixes[len(mixes) - n:], iters[-1]
 
 
 RESTART_CASES = [  # (eigenvalues, base, where the first gradient is taken, history lengths)
@@ -195,76 +201,85 @@ RESTART_CASES = [  # (eigenvalues, base, where the first gradient is taken, hist
 
 
 def test_mixing_restarts_when_a_mixed_iterate_does_not_contract():
-    # a first gradient taken elsewhere than at base gives the history a
-    # residual difference that is no secant of T; the iterate mixed from it
-    # contracts by less than q, so the history is cleared and the next
-    # iterate is T's plain image.  On each lane (1-D, 2-D, ndarray) the
-    # solve takes the reference's gradient points, whose history lengths
-    # are listed; the fixed point is base_i / (1 - lam l_i)
+    # an orbit's one solve from base handed a first gradient taken
+    # elsewhere, as a horizon search's rebuild is handed the anchor's: the
+    # history gets a residual difference that is no secant of T; the
+    # iterate mixed from it contracts by less than q, so the history is
+    # cleared and the next iterate is T's plain image.  On each lane (1-D,
+    # 2-D, ndarray) the solve takes the reference's gradient points, whose
+    # history lengths are listed; the fixed point is base_i / (1 - lam l_i)
     lam = 0.125
     for params, base, elsewhere, lengths in RESTART_CASES:
         f = br.make_builtin("quad", params)
         base = np.array(base)
-        (y, g, iters, _, _, _), points, mixes = solve_as_reference(f, base, lam, 1.0,
-                                                                   f.gradient(elsewhere))
+        orbit, points, mixes, iters = last_solve(f, base, lam, 1, f.gradient(elsewhere))
+        y, g = orbit.points[0], orbit.gradients[0]
         assert [n for n, _, _ in mixes[:len(lengths)]] == lengths
         restart = lengths.index(0, 1)
         assert points[restart].tobytes() == (base + lam * f.gradient(points[restart - 1])).tobytes()
         # the tested y and the gradient its test took, the last one evaluated
-        assert np.array(y).tobytes() == points[-1].tobytes()
-        assert np.array(g).tobytes() == np.array(f._lane.grad(y)).tobytes()
+        assert y.tobytes() == points[-1].tobytes()
+        assert np.array(g).tobytes() == f.gradient(y).tobytes()
         q, tol = lam * f.lipschitz_L, FIXED_POINT_RTOL * (1.0 + norm(base))
-        assert norm(np.array(y) - base / (1.0 - lam * np.array(params))) <= tol / (1.0 - q)
+        assert norm(y - base / (1.0 - lam * np.array(params))) <= tol / (1.0 - q)
         assert iters == len(points) + 1
 
 
-@pytest.mark.parametrize("name,params,anchor", [
-    ("double_well", (), [1.0 + 1e-3]),
-    ("himmelblau", (), [3.001, 2.002]),
-    ("quad", (1.0, 2.0, 5.0), [1e-3, 2e-3, 3e-3]),
+def power_well():
+    """f(x) = |x|^2.5 / 2.5 on [-3, 3], L = 2.6 >= 1.5 sqrt(3): its
+    gradient's curvature falls as |x| grows, so on an orbit climbing out
+    a solve's miss grows more slowly than the square of its first step,
+    and the rescaled miss carries the first mixed point past the fixed
+    point."""
+    return br.ObjectiveFunction(
+        dim=1, f=lambda x: abs(x[0]) ** 2.5 / 2.5,
+        grad=lambda x: [math.copysign(abs(x[0]) ** 1.5, x[0])],
+        lipschitz_L=2.6, box=np.array([[-3.0, 3.0]]), name="power_well")
+
+
+@pytest.mark.parametrize("f,anchor,q,face", [
+    (power_well(), [1.0], 0.3, (0, 1.5337)),
+    (br.make_builtin("himmelblau"), [3.001, 2.002], 0.5, (0, 3.0017052)),
+    (br.make_builtin("quad", (1.0, 2.0, 5.0)), [1e-3, 2e-3, 3e-3], 0.5, (2, 0.0242)),
 ], ids=["picard1", "picard2", "picard-dim3"])
-def test_a_shifted_point_outside_the_box_falls_back_to_t(name, params, anchor):
-    # an orbit's next solve, seeded by its last two steps, with a last miss
-    # whose rescaled shift carries the first mixed point m past the box:
-    # the solve moves to T's plain image t instead, as for a mixed point
-    # outside the box, stops within its tolerance and returns its miss from
-    # m itself, not from the shifted point
-    f = br.make_builtin(name, params)
-    lane, a = f._lane, 0.5 / f.lipschitz_L
-    orbit = br.reverse_orbit(f, anchor, br.constant(a), 2)
-    p, g = [lane.point(x) for x in orbit.points], orbit.gradients
-    steps = [(p[1], p[0], g[1], g[0]), (p[2], p[1], g[2], g[1])]
-    base, g0 = orbit.points[0], np.array(g[0])
-    plain, _, mixes = solve_as_reference(f, base, a, 1.0, g0, steps)
-    m, width = mixes[0][1], f.box[:, 1] - f.box[:, 0]
-    assert m is not None and f.in_box(m)
-    ell = sumsq(m - base)
-    miss = (width, ell)  # l/l' = 1: the shift is the box's own width
-    (y, _, _, residual, _, out), points, mixes = solve_as_reference(f, base, a, 1.0, g0, steps,
-                                                                    miss)
-    assert not f.in_box(mixes[0][1]) and mixes[0][1].tobytes() == (m + width).tobytes()
-    assert points[0].tobytes() == (base + a * g0).tobytes()
-    # both tested iterates lie within tol/(1 - q) = 2 tol of the fixed point,
-    # so within 4 tol of each other
-    tol = FIXED_POINT_RTOL * (1.0 + norm(base))
-    assert norm(np.subtract(y, plain[0])) <= 4.0 * tol
-    assert residual <= FORWARD_RESIDUAL_RTOL * (1.0 + min(norm(base), norm(y)))
-    assert np.array(out[0]).tobytes() == (np.array(y) - m).tobytes() and out[1] == ell
+def test_a_shifted_point_outside_the_box_falls_back_to_t(f, anchor, q, face):
+    # an orbit's third solve, the first seeded by two steps and shifted by
+    # the last solve's rescaled miss: its shifted first mixed point lies
+    # past the fixed point, and the box's upper face in coordinate i is
+    # moved between the two, with the unshifted m still inside.  The solve
+    # moves to T's plain image t instead, as for a mixed point outside the
+    # box, and stops within its tolerance of the whole box's orbit point
+    i, upper = face
+    box = f.box.copy()
+    box[i, 1] = upper
+    cut, a = dataclasses.replace(f, box=box), q / f.lipschitz_L
+    orbit, points, mixes, _ = last_solve(cut, anchor, a, 3)
+    whole = br.reverse_orbit(f, anchor, br.constant(a), 3)
+    p, g = orbit.points, [np.array(v) for v in orbit.gradients]
+    # m, the reference's first mixed point of the same solve with no miss
+    seeds = [((p[j + 1] - p[j]) + a * (g[j] - g[j + 1]), g[j] - g[j + 1], a) for j in (1, 2)]
+    unshifted = []
+    anderson_solve(cut, p[1], a, 1.0, g[1], seeds, unshifted)
+    m, shifted = unshifted[0][1], mixes[0][1]
+    assert mixes[0][0] == 2 and f.in_box(shifted) and not cut.in_box(shifted) and cut.in_box(m)
+    assert points[0].tobytes() == (p[1] + a * g[1]).tobytes()
+    # both tested iterates lie within tol/(1 - q) of the fixed point, so
+    # within 2 tol/(1 - q) of each other
+    tol = FIXED_POINT_RTOL * (1.0 + norm(p[1]))
+    assert orbit.status == whole.status == "complete"
+    assert norm(p[0] - whole.points[0]) <= 2.0 * tol / (1.0 - q)
+    assert orbit.forward_residuals[0] <= FORWARD_RESIDUAL_RTOL * (1.0 + min(norm(p[1]),
+                                                                            norm(p[0])))
 
 
 def test_a_retry_fits_its_own_secant_alone_then_its_own_two():
-    # a himmelblau solve 20 steps up an orbit at 0.5/L, seeded by its last
-    # two steps: the first mixed point, fit from both steps' secants, lies
-    # in the box and misses; the next mix fits the solve's own secant from
-    # base alone, not beside the newest step, and the one after fits the
-    # solve's own two secants
+    # a himmelblau orbit's 30th solve at 0.5/L, seeded by its last two
+    # steps and shifted by the last solve's miss: its first mixed point,
+    # fit from both steps' secants, lies in the box and misses; the next
+    # mix fits the solve's own secant from base alone, not beside the
+    # newest step, and the one after fits the solve's own two secants
     f = br.make_builtin("himmelblau")
-    lane, a = f._lane, 0.5 / f.lipschitz_L
-    orbit = br.reverse_orbit(f, [3.001, 2.002], br.constant(a), 20)
-    p, g = [lane.point(x) for x in orbit.points], orbit.gradients
-    steps = [(p[1], p[0], g[1], g[0]), (p[2], p[1], g[2], g[1])]
-    (_, _, iters, _, _, _), _, mixes = solve_as_reference(f, orbit.points[0], a, 1.0,
-                                                          np.array(g[0]), steps)
+    _, _, mixes, iters = last_solve(f, [3.001, 2.002], 0.5 / f.lipschitz_L, 30)
     assert iters == 4 and f.in_box(mixes[0][1])
     assert [(n, fit) for n, _, fit in mixes] == [(2, 2), (2, 1), (2, 2)]
 
@@ -274,14 +289,14 @@ def test_a_retry_fits_its_own_secant_alone_then_its_own_two():
     ("himmelblau", (), [4.5, 2.0], None),  # fixed point (4.9985, 2.0787), face x = 5
 ])
 def test_a_mixed_point_outside_the_box_falls_back_to_t(name, params, base, elsewhere):
-    # an ascent solve near a box face whose mixed iterate lands past it:
-    # the solve moves to T's plain image t instead and goes on mixing.  In
-    # 1-D the overshoot comes from a first gradient taken elsewhere than at
-    # base, as in the restart test
+    # an orbit's one ascent solve near a box face whose mixed iterate lands
+    # past it: the solve moves to T's plain image t instead and goes on
+    # mixing.  In 1-D the overshoot comes from a first gradient taken
+    # elsewhere than at base, as in the restart test
     f = br.make_builtin(name, params)
     base, lam = np.array(base), 0.5 / f.lipschitz_L
     g = f.gradient(base if elsewhere is None else elsewhere)
-    _, points, mixes = solve_as_reference(f, base, lam, 1.0, g)
+    _, points, mixes, _ = last_solve(f, base, lam, 1, g)
     out = [i for i, (_, m, _) in enumerate(mixes) if m is not None and not f.in_box(m)]
     assert out and all(f.in_box(p) for p in points)
     for i in out:
@@ -298,14 +313,13 @@ def test_tested_iterate_lies_within_its_residual_bound(name, params):
     # q/(1 - q) 1e-15 (1 + |base|) of the fixed point
     f = br.make_builtin(name, params)
     rng = np.random.default_rng(37)
-    L, lane = f.lipschitz_L, f._lane
+    L = f.lipschitz_L
     cases = []
     for i in range(60):
         q, sign = 0.05 + 0.9 * rng.random(), (1.0, -1.0)[i % 2]
         x = interior_points(f, 1, rng, span=0.5 * (1.0 - q))[0]
-        y, g = _picard(f, lane.point(x), q / L, sign, norm(x))[:2]
-        r = norm(np.subtract(lane.axpy(lane.point(x), sign * q / L, g), y))
-        cases.append((x, np.array(y), r, q, sign))
+        y, _, g, _ = frame_solve(f, x, q / L, sign)
+        cases.append((x, y, norm((x + sign * q / L * g) - y), q, sign))
     s = br.power(0.9 / L, 0.5)
     cp = next(c for c in f.critical_points if c.kind == "local_min")
     orbit = br.reverse_orbit(f, cp.point + 1e-3, s, 40)
@@ -320,31 +334,28 @@ def test_tested_iterate_lies_within_its_residual_bound(name, params):
 
 
 @pytest.mark.parametrize("name,params,points", [
-    ("double_well", (), [[1.2], [1.25], [1.31]]),
-    ("quad", (1.0, 4.0), [[0.1, 0.0], [0.15, 0.0], [0.22, 0.0]]),  # collinear secants
+    ("double_well", (), [[1.02], [1.05], [1.1]]),
+    ("quad", (1.0, 4.0), [[0.1, 0.0], [0.15, 0.0], [0.22, 0.0]]),  # on an eigen-axis
     ("quad", (1.0, 2.0, 5.0), [[0.1, 0.0, 0.0], [0.15, 0.0, 0.0], [0.22, 0.0, 0.0]]),
 ])
 def test_degenerate_seeds_fall_back_to_the_newest(name, params, points):
-    # two secants in 1-D, or collinear ones, have a degenerate Gram
-    # determinant: the first iterate is mixed from both steps' secants, as
-    # the reference's history shows, uses the newest alone, and the solve
-    # matches the one seeded with the newest step alone bit for bit
+    # two secants in 1-D, or collinear ones from an orbit on an eigen-axis,
+    # have a degenerate Gram determinant: the third solve of an orbit from
+    # each of ``points`` mixes its first iterate from a history of both
+    # steps' secants and fits the newest alone, as the reference's records
+    # show, the orbit the reference's bit for bit
     f = br.make_builtin(name, params)
-    lane, a = f._lane, 0.5 / f.lipschitz_L
-    p = [lane.point(np.array(x)) for x in points]
-    g = [lane.grad(x) for x in p]
-    steps = [(p[1], p[2], g[1], g[2]), (p[0], p[1], g[0], g[1])]
-    base, g2 = np.array(points[2], dtype=float), np.array(g[2])
-    both, _, mixes = solve_as_reference(f, base, a, 1.0, g2, steps)
-    newest, _, _ = solve_as_reference(f, base, a, 1.0, g2, steps[:1])
-    assert mixes[0][0] == 2
-    assert [np.array(v).tobytes() for v in both[:5]] == [np.array(v).tobytes() for v in newest[:5]]
-    assert same_miss(both[5], newest[5])
-    # the unseeded solve's y and this one both lie within tol/(1 - q) of the
-    # fixed point (_picard's contraction bound), so within 2 tol/(1 - q)
-    q, tol = a * f.lipschitz_L, FIXED_POINT_RTOL * (1.0 + norm(base))
-    unseeded = anderson_solve(f, base, a, 1.0)[0]
-    assert norm(np.subtract(both[0], unseeded)) <= 2.0 * tol / (1.0 - q)
+    a = 0.5 / f.lipschitz_L
+    q = a * f.lipschitz_L
+    for anchor in points:
+        orbit, _, mixes, _ = last_solve(f, anchor, a, 3)
+        assert (mixes[0][0], mixes[0][2]) == (2, 1)
+        # the unseeded solve's y and this one both lie within tol/(1 - q) of
+        # the fixed point (the contraction bound), so within 2 tol/(1 - q)
+        base = orbit.points[1]
+        tol = FIXED_POINT_RTOL * (1.0 + norm(base))
+        unseeded = anderson_solve(f, base, a, 1.0)[0]
+        assert norm(orbit.points[0] - unseeded) <= 2.0 * tol / (1.0 - q)
 
 
 @pytest.mark.parametrize("name,params,x", [
@@ -580,9 +591,9 @@ def test_a_solve_toward_the_origin_stops_on_the_bound_at_y(monkeypatch, params, 
     f = br.make_builtin("quad", params)
     monkeypatch.setattr(reverse_mod, "FIXED_POINT_RTOL", 0.3)
     x = np.array(x)
-    y, g, iters, residual, ynorm, _ = _picard(f, f._lane.point(x), 0.5, -1.0, norm(x))
-    assert iters == 3 and ynorm == norm(y) < norm(x)
-    assert norm(np.subtract(y, x / 1.5)) <= 1e-12 and residual <= 1e-12
+    y, residual, _, iters = frame_solve(f, x, 0.5, -1.0)
+    assert iters == 3 and norm(y) < norm(x)
+    assert norm(y - x / 1.5) <= 1e-12 and residual <= 1e-12
 
 
 def test_orbit_power_schedule_alignment(dw):
@@ -647,13 +658,6 @@ FRAME_CASES = [("double_well", (), [1.001], 0.2, 100),
                ("quad", (1.0, 5.0), [1e-3, 2e-3], 0.5, 40),
                ("quad", (1.0, 2.0, 5.0), [1e-3, 2e-3, 3e-3], 0.5, 40)]
 FRAME_IDS = ["orbit1-double_well", "orbit2-himmelblau", "orbit2-quad", "orbitn-quad"]
-
-
-def same_orbit(orbit, points, residuals):
-    """Whether an orbit's points (x_start first) and forward residuals are
-    the reference's (anchor first), bit for bit."""
-    return ([p.tobytes() for p in orbit.points] == [p.tobytes() for p in points[::-1]]
-            and orbit.forward_residuals == tuple(residuals[::-1]))
 
 
 @pytest.mark.parametrize("name,params,anchor,r,kbar", FRAME_CASES, ids=FRAME_IDS)
