@@ -13,14 +13,14 @@ from .reach import (ReachBudgets, ReachReport, StabilityEstimate, edge_of_stabil
 from .reverse import ReverseOrbit, ascent_prox, prox, prox_certificates, reverse_orbit
 from .sampling import Lcg64
 from .schedule import StepSchedule, admissible, constant, parse_schedule, power
-from .trajectory import State, Trajectory, record_trajectories
+from .trajectory import Trajectory, record_trajectories
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_NAMES", "Classification", "CriticalPoint", "FlowSettings", "Lcg64",
     "LeftBoxError", "ObjectiveFunction", "ReachBudgets", "ReachReport", "ReverseOrbit",
-    "StabilityEstimate", "State", "StepSchedule", "Trajectory",
+    "StabilityEstimate", "StepSchedule", "Trajectory",
     "admissible", "ascent_prox", "classify_limit", "constant",
     "descent_certificate_violations", "edge_of_stability", "gd_step", "integrate",
     "integrate_minnorm", "make_builtin", "min_norm_element", "parse_schedule",

@@ -5,7 +5,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .landscape import LeftBoxError, require_count, require_nonnegative_finite, row_norms
+from .landscape import (LeftBoxError, require_count, require_nonnegative_finite,
+                        require_positive_finite, row_norms)
 from .sampling import unit_directions
 from .schedule import admissible, constant, require_admissible
 from .trajectory import finite_point, march, recorded, start
@@ -86,8 +87,10 @@ def classify_limit(f, x, tol=1e-6):
     with eigenvalues within tol of zero resolved by sampling f on a sphere
     of radius sqrt(tol).  Without a Hessian the sampling is the only
     evidence and the result is flagged low-confidence.  x is checked by
-    ``finite_point``, not ``start``: a limit may sit on the box edge.
+    ``finite_point``, not ``start``: a limit may sit on the box edge; tol
+    must be positive and finite.
     """
+    require_positive_finite(tol=tol)
     x = finite_point(f, x)
     if f.grad_norm(x) >= tol:
         return Classification("non_stationary", False)

@@ -401,8 +401,10 @@ def prox_certificates(f, x, lam, xplus):
     dec_ok : f(x) - f(x+) >= (lam/2) |grad(x+)|^2
     step_ok: |x+ - x| <= 2 lam / (1 - L lam) |grad(x)|
 
-    both with slack PROX_SLACK_RTOL * (1 + |f(x)|).
+    both with slack PROX_SLACK_RTOL * (1 + |f(x)|), for lam < 1/L, the
+    regime in which the step bound holds.
     """
+    require_admissible(constant(lam), f, "prox", "prox_certificates")
     x = np.asarray(x, dtype=float)
     xplus = np.asarray(xplus, dtype=float)
     fx = f.value(x)

@@ -11,7 +11,9 @@ stop event.  Every stop names itself: the event hands ``march`` the
 provenance entries that name it (stopped_on = ...), which ``recorded``
 merges, so no caller works out from the final state why a run ended.
 A runner's ``march`` checks its start with :func:`start`, and every
-run, a probe start included, ends in one :func:`recorded` Trajectory.
+run, a probe start included, ends in one :func:`recorded` Trajectory:
+read-only columns, from which its rows, ``states``, are built once when
+first read.
 
 Every run steps on points of its objective's lane (``landscape.Lane``):
 for dim <= 2 a point is a tuple of Python floats, stepped by unrolled
@@ -20,10 +22,10 @@ larger dims keep ndarrays.  Either way the points and |v| (``lane.norm``,
 ``landscape.norm``'s operations) are the same to the bit."""
 
 import math
-from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -47,9 +49,12 @@ class Trajectory:
     """Immutable run record, stored as read-only columns: row k of ``t``
     (n,), ``X`` (n, dim), ``f`` (n,) and ``gnorm`` (n,) is the state after
     k steps (time, point, objective value, gradient or speed norm).
-    ``states`` is a lazy sequence that builds a :class:`State` per row
-    only when one is read.  ``provenance`` carries the producing
-    operation and its inputs so certificates can be re-checked later."""
+    ``states`` is the same rows as a tuple of :class:`State`, built once,
+    on its first read, and kept: the trade is that this first read builds
+    every row, so a reader of a long run reads the columns.  Nothing in
+    the program or its CLI reads ``states``.  ``provenance`` carries the
+    producing operation and its inputs so certificates can be re-checked
+    later."""
 
     t: np.ndarray
     X: np.ndarray
@@ -70,9 +75,10 @@ class Trajectory:
     def __len__(self):
         return len(self.t)
 
-    @property
+    @cached_property
     def states(self):
-        return _States(self)
+        return tuple(map(State, range(len(self)), self.t.tolist(), self.X, self.f.tolist(),
+                         self.gnorm.tolist()))
 
     @property
     def initial_x(self):
@@ -81,26 +87,6 @@ class Trajectory:
     @property
     def final_x(self):
         return self.X[-1]
-
-    @property
-    def final_state(self):
-        return self.states[-1]
-
-
-class _States(Sequence):
-    """A trajectory's rows as State objects, built when read."""
-
-    def __init__(self, traj):
-        self.traj = traj
-
-    def __len__(self):
-        return len(self.traj)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        tr, k = self.traj, range(len(self.traj))[i]
-        return State(k, float(tr.t[k]), tr.X[k], float(tr.f[k]), float(tr.gnorm[k]))
 
 
 # Optional capture of every produced trajectory, used by the acceptance

@@ -126,6 +126,17 @@ def test_classify_rejects_a_bad_point(quad1, x, message):
         br.classify_limit(quad1, x)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
+def test_classify_rejects_a_bad_tol(quad1, himmelblau, tol):
+    # tol = 0 would call the exact minimum of quad:1 non-stationary, and
+    # tol = nan himmelblau's local maximum (entry 4) a minimum
+    peak = himmelblau.critical_points[4]
+    assert peak.kind == "local_max"
+    for f, x in ((quad1, [0.0]), (himmelblau, peak.point)):
+        with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol}$"):
+            br.classify_limit(f, x, tol=tol)
+
+
 def test_classify_takes_a_point_past_the_box(quad1):
     # limits may sit on the padded box edge, so no box check: a finite point
     # past the edge is classified, here by its gradient

@@ -74,7 +74,7 @@ def test_integrate_rejects_an_unknown_direction(quad1):
 def test_forward_flow_exponential(quad1):
     traj = br.integrate(quad1, [1.0], "forward", settings())
     assert abs(traj.final_x[0] - math.exp(-1.0)) <= 1e-6
-    assert traj.final_state.t == pytest.approx(1.0)
+    assert traj.states[-1].t == pytest.approx(1.0)
 
 
 def test_reverse_flow_exponential(quad1):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ def test_prox_rejects_large_lambda(quad1):
         br.ascent_prox(quad1, [1.0], 1.5)
     with pytest.raises(ValueError):
         br.prox(quad1, [1.0], -0.1)
+
+
+@pytest.mark.parametrize("lam,message", [
+    (1.0, "prox_certificates needs sup alpha < 1/L (prox regime): sup alpha = 1.0"),
+    (1.5, "prox_certificates needs sup alpha < 1/L (prox regime): sup alpha = 1.5"),
+    (-0.5, "must be positive and finite, got -0.5")])
+def test_prox_certificates_refuse_a_lam_outside_the_prox_regime(quad1, lam, message):
+    # at lam = 1/L the step bound 2 lam / (1 - L lam) divides by zero, and
+    # for lam above 1/L or below 0 no theorem backs the bound
+    with pytest.raises(ValueError, match=re.escape(message)):
+        br.prox_certificates(quad1, [1.5], lam, [0.5])
 
 
 def test_prox_certificates_worked_example(quad1):

@@ -339,10 +339,29 @@ def test_columns_are_read_only_and_states_lazy():
     states = traj.states
     assert len(states) == len(traj) == 21 and traj.X.shape == (21, 1)
     assert isinstance(states[1:3], tuple) and [st.k for st in states[1:3]] == [1, 2]
-    assert states[-1].k == 20 and traj.final_state.x.tobytes() == traj.X[-1].tobytes()
+    assert states[-1].k == 20 and states[-1].x.tobytes() == traj.X[-1].tobytes()
     assert [st.k for st in states] == list(range(21))
     with pytest.raises(IndexError):
         states[21]
+
+
+@pytest.mark.parametrize("f,x0", [(DW, [0.3]), (HB, [2.5, 1.5]), (Q3, [1.0, -2.0, 0.5])],
+                         ids=["float-lane-1-d", "float-lane-2-d", "ndarray-lane-3-d"])
+def test_states_are_built_once_from_the_columns(f, x0):
+    # the first read builds one tuple of rows, which every later read returns
+    traj = br.run_gd(f, x0, br.constant(0.5 / f.lipschitz_L), max_iter=30)
+    states = traj.states
+    assert type(states) is tuple and traj.states is states and len(states) == len(traj) > 1
+    # row k is (k, t[k], X[k], f[k], gnorm[k]) bit for bit, its numbers Python
+    # floats and its x a read-only row of X
+    for k, st in enumerate(states):
+        assert st.k == k and type(st.k) is int
+        for got, column in ((st.t, traj.t), (st.f_value, traj.f), (st.grad_norm, traj.gnorm)):
+            assert type(got) is float and np.float64(got).tobytes() == column[k].tobytes()
+        assert st.x.tobytes() == traj.X[k].tobytes() and np.shares_memory(st.x, traj.X)
+        assert not st.x.flags.writeable
+        with pytest.raises(ValueError):
+            st.x[0] = 1.0
 
 
 def test_run_gd_evaluates_each_state_once():
