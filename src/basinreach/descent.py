@@ -23,6 +23,7 @@ class Classification(NamedTuple):
 def gd_step(f, x, a):
     """x - a * grad(x).  Requires 0 < a < 2/L and x a start (``start``); a
     result outside the box raises LeftBoxError carrying the offending point."""
+    require_positive_finite(a=a)
     require_admissible(constant(a), f, "stability", "gd_step")
     lane = f._lane
     x = start(f, x, "x")

@@ -16,16 +16,20 @@ calls a step for its 12 gradients.  A crossing is a stop event: it tests the
 state a step reached and locates the crossing on that step's
 interpolant, whose three extra stages are the only gradients it costs.
 Every run steps at the relative tolerance RTOL, a minimum's sphere exit
-at REVERSE_RTOL, and opens by one rule, at the first trial step
-min(settings.h, H_STABLE / L): a leg picks its opening only through the
-settings it hands in.  A sphere exit, a reach's reverse flow to its
+at REVERSE_RTOL, under the I controller of Hairer's dop853.f (the comment
+at PI_ALPHA; it replaced a PI controller whose PI_BETA = 0.04 kept steps
+short outside steady state), and opens by one rule, at the first trial
+step min(settings.h, H_STABLE / L): a leg picks its opening only through
+the settings it hands in.  A sphere exit, a reach's reverse flow to its
 sphere, returns its recorded run however it ends, with the crossing, or
 None when it stopped inside the sphere (its status says how: the box,
-gtol or t_max).  It runs on settings whose h is the cap H_STABLE / L;
-a flow reach's forward flow from x0 on settings whose h is that exit's
-h_forward, with the gradient the exit took at x0 as its first state's
-field.  So no flow reach reads h; the comments at REVERSE_RTOL and at
-h_forward say why.
+gtol or t_max).  A minimum's runs on settings whose h is the cap H_STABLE
+/ L, a saddle's on settings whose h is h0, the step whose error on the
+saddle's linearization is the controller's steady state
+(``_sphere_exit_detail``); a flow reach's forward flow from x0 on
+settings whose h is that exit's h_forward, with the gradient the exit
+took at x0 as its first state's field.  So no flow reach reads h; the
+comments at REVERSE_RTOL and at h_forward say why.
 """
 
 import math
@@ -60,16 +64,20 @@ SEED_FLOOR_RTOL = 1e-12
 # saddle, so a saddle reach, like every other run, keeps RTOL.  Nor does h
 # enter: a first trial step is only the controller's opening guess (Hairer,
 # Norsett & Wanner, II.4), and a step past the leg's tolerance is still
-# rejected, so every sphere exit, a saddle's too, runs on settings whose h
-# is the cap H_STABLE / L.  1e-4 is the knee: on the benchmark's
+# rejected, so every sphere exit runs on settings whose h it picks itself:
+# the cap H_STABLE / L, or a saddle's h0.  1e-4 is the knee: on the benchmark's
 # flow_minima, opening at the cap, gradient points per reach are 148, 121,
 # 109 and 102 at 1e-7, 1e-5, 1e-4 and 1e-3
 REVERSE_RTOL = 1e-4
-# the PI step controller of Hairer's codes: h_new = h PI_SAFE err^-PI_ALPHA
-# err_old^PI_BETA with h_new / h in [PI_MIN, PI_MAX], the exponent in DOPRI5's
-# form 1/q - 0.75 beta at the order q = 8
-PI_BETA, PI_SAFE, PI_MIN, PI_MAX = 0.04, 0.9, 0.333, 6.0
-PI_ALPHA = 1.0 / 8.0 - 0.75 * PI_BETA
+# the I step controller of Hairer's dop853.f (Hairer, Norsett & Wanner, II.4):
+# h_new = h PI_SAFE err^-PI_ALPHA with h_new / h in [PI_MIN, PI_MAX] and
+# PI_ALPHA = 1/q at the order q = 8.  It replaced a PI controller, h PI_SAFE
+# err^-(1/8 - 0.75 beta) err_old^beta with beta = 0.04 and safety 0.9, whose
+# slow response kept accepted steps well under the error target outside
+# steady state.  Where h_new = h, err = PI_SAFE^8 of the tolerance, so
+# PI_SAFE = 0.9^(0.125/0.055), about 0.787, keeps the PI controller's steady
+# state 0.9^(1/0.055), about 0.147, and with it the accuracy of every flow
+PI_ALPHA, PI_SAFE, PI_MIN, PI_MAX = 1.0 / 8.0, 0.9 ** (0.125 / 0.055), 0.333, 6.0
 # DOP853, the explicit Runge-Kutta pair of order 8(5,3) with dense output of
 # order 7 (Prince & Dormand 1981, J. Comput. Appl. Math. 7:67-75; Hairer,
 # Norsett & Wanner, Solving ODEs I, II.10): the coefficients of Hairer's
@@ -117,6 +125,23 @@ _E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.49575894
        -0.022355307863886294)
 _BHH = {0: 0.2440944881889764, 8: 0.7338466882816118, 11: 0.022058823529411766}
 _E3 = tuple(b - _BHH.get(i, 0.0) for i, b in enumerate(_A[-1]))
+
+
+def _error_constant():
+    """K of err ~ K z^8, the leading term of a step's error estimate on y'
+    = y from y = 1 at step z: there stage i is a polynomial k_i(z) of
+    degree i - 1, e5 = z sum_i _E5_i k_i ~ c5 z^6 and e3 ~ c3 z^4, so err =
+    |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2) ~ 10 c5^2 / |c3| z^8, about
+    4.3e-7.  Each k_i is its coefficients in z, lowest first."""
+    one = np.eye(13)[0]
+    ks = [one]
+    for row in _A[:-1]:
+        ks.append(one + np.roll(np.dot(row, ks), 1))  # 1 + z sum_j a_ij k_j
+    c5, c3 = np.roll(np.dot(_E5, ks), 1)[6], np.roll(np.dot(_E3, ks), 1)[4]
+    return float(10.0 * c5 * c5 / abs(c3))
+
+
+ERR_K = _error_constant()
 # the dense output is x + sh sum_i w_i(theta) k_i over the 16 stages, w_i =
 # theta (p0 + (1 - theta) (p1 + theta (p2 + (1 - theta) (p3 + theta (p4 + (1 -
 # theta) (p5 + theta p6)))))) with p0 = b_i, p1 = [i = 1] - b_i, p2 = 2 b_i -
@@ -153,9 +178,9 @@ _P_ROWS = tuple((i, p) for i, p in enumerate(_P) if any(p))
 class FlowSettings:
     """h is the adaptive flow's first trial step, capped at H_STABLE/L,
     the only opening a run has.  No flow reach reads it: its legs run on
-    copies whose h is the cap and the reverse leg's h_forward
-    (``_sphere_exit_detail``); only the continuous stability probe and
-    direct runs read it.
+    copies whose h is the reverse leg's own opening (the cap, or a
+    saddle's h0) and its h_forward (``_sphere_exit_detail``); only the
+    continuous stability probe and direct runs read it.
     Every run, forward or reverse, ends by ``march``'s stops: its event,
     the box, |grad f| < gtol or time t_max.  A reverse run is the gradient
     flow of -f, so for a definable f one that stays in the box converges
@@ -217,11 +242,11 @@ class _Flow:
         L = f.lipschitz_L
         self.h_max = H_STABLE / L if L > 0.0 else math.inf
         self.opening = min(settings.h, self.h_max)
-        self.h, self.err_old, self.x_new, self.norm_new = self.opening, 1e-4, None, None
+        self.h, self.x_new, self.norm_new = self.opening, None, None
 
     def march(self, x0, event=None, value=None, g0=None):
         x = start(self.f, x0)
-        self.h, self.err_old, self.x_new = self.opening, 1e-4, None  # no state from an earlier run
+        self.h, self.x_new = self.opening, None  # no state from an earlier run
         self.known = (None, None)
         return march(self.f, x, self.field, self.step, None, self.gtol,
                      event=event, value=value, t_end=self.settings.t_max, g0=g0)
@@ -247,9 +272,8 @@ class _Flow:
             h, rejected = dt / min(1.0 / PI_MIN, err ** PI_ALPHA / PI_SAFE), True
             if not t + h > t:
                 raise ArithmeticError(f"DOP853 step size underflow at t = {t}")
-        fac = err ** PI_ALPHA / self.err_old ** PI_BETA / PI_SAFE
-        h = min(dt / max(1.0 / PI_MAX, min(1.0 / PI_MIN, fac)), self.h_max)
-        self.h, self.err_old = min(h, dt) if rejected else h, max(err, 1e-4)
+        h = dt / max(1.0 / PI_MAX, min(1.0 / PI_MIN, err ** PI_ALPHA / PI_SAFE))
+        self.h = min(h, dt) if rejected else min(h, self.h_max)
         ks.append(self.lane.grad(x_new))
         self.t, self.x, self.dt, self.x_new, self.ks = t, x, dt, x_new, ks
         self.norm_new = norm_new
@@ -327,7 +351,8 @@ def integrate_minnorm(f, x0, level, settings, *, g0=None):
     return _to_level(f, level, _Flow(f, "forward", settings), x0, g0)[0]
 
 
-def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False):
+def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False,
+                        spectral_radius=None):
     """(t_end, b, trajectory): the flow from x0, inside the delta-sphere
     around center, to its first crossing b of that sphere, located on the
     dense output with | |b - center| - delta | <= 1e-8 delta, however the
@@ -336,9 +361,18 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
     budget_exhausted at t_max), with no stopped_on in its provenance.  For
     a definable f a reverse flow that stays in the box converges to a
     critical point (``FlowSettings``), so such a stop is an outcome, not a
-    breakdown: a reach skips that seed.  It runs on settings whose h is
-    the cap H_STABLE / L (as given when L = 0), so it reads no h, and its
-    provenance names them and its rtol, from which a runner repeats it.
+    breakdown: a reach skips that seed.  It reads no h: it runs on
+    settings whose h is its opening, and its provenance names them and its
+    rtol, from which a runner repeats it.  The opening is the cap H_STABLE
+    / L (as given when L = 0), or, given ``spectral_radius`` Lambda = max
+    |eig hess f(center)| > 0 (a saddle reach's exit, center a critical
+    point), h0 = min(cap, PI_SAFE ((ATOL + rtol |x0|) / (ERR_K r))^(1/8) /
+    Lambda), r = |x0 - center|.  Near center the flow is close to its
+    linearization, on which a step of z = h Lambda has err about ERR_K z^8
+    r / (ATOL + rtol |x0|) along its fastest mode, so h0 is the step whose
+    err is the controller's steady state PI_SAFE^8: the first attempt
+    passes wherever the linearization holds, which one at the cap often
+    did not.
     A crossing's stop keeps h_forward, the forward leg's opening from b,
     and g_exit, grad f(b) on f's lane, which the run takes once, for its
     last state: every flow reach runs its forward leg on settings whose h
@@ -350,13 +384,16 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
     lane, L = f._lane, f.lipschitz_L
     rtol, radius, tol = ((REVERSE_RTOL, delta * (1.0 - 5e-9), 4e-9 * delta) if minimum
                          else (RTOL, delta, 1e-8 * delta))
-    opened = replace(settings, h=H_STABLE / L) if L > 0.0 else settings
-    flow = _Flow(f, direction, opened, rtol)
-    center = lane.point(center)
-    past = lambda y: lane.norm(lane.sub(y, center)) - radius  # signed distance past the sphere
-    x0 = start(f, x0)
-    if not past(x0) < 0.0:
+    x0, center = start(f, x0), lane.point(center)
+    r = lane.norm(lane.sub(x0, center))
+    if not r - radius < 0.0:
         raise ValueError("a sphere exit requires |x0 - center| < delta")
+    h = H_STABLE / L if L > 0.0 else settings.h
+    if spectral_radius and r > 0.0:
+        h = min(h, PI_SAFE * ((ATOL + rtol * lane.norm(x0)) / (ERR_K * r)) ** 0.125
+                / spectral_radius)
+    flow = _Flow(f, direction, replace(settings, h=h), rtol)
+    past = lambda y: lane.norm(lane.sub(y, center)) - radius  # signed distance past the sphere
 
     def crossed(prev, t, x, fx):
         r = past(x)
@@ -369,7 +406,7 @@ def _sphere_exit_detail(f, x0, direction, center, delta, settings, minimum=False
         # measured at b for its tolerance rtol.  An order-q pair's error
         # scales as h^q, so the step for a tolerance scales as tol^(1/q)
         # (Hairer, Norsett & Wanner, II.4): at RTOL, with q = 8 the order
-        # PI_ALPHA is derived from, it is that step times (RTOL / rtol)^(1/8),
+        # PI_ALPHA = 1/q is taken at, it is that step times (RTOL / rtol)^(1/8),
         # 10^-0.75, about 0.178, for a minimum and exactly 1 for a saddle, so
         # at most the cap, as that step is
         stop = {"stopped_on": "sphere_exit", "g_exit": flow.known[1],

@@ -527,7 +527,9 @@ class _Level:
     may leave the box.  The scan tries the axes last, as they can lie on the
     stable manifold, and no eigenvector leads: a saddle's top eigenvector
     is tangent to that manifold, from which the forward run creeps back to
-    the saddle above the level."""
+    the saddle above the level.  ``spectral_radius``, max |eig hess
+    f(target)| from one eigvalsh (None without a Hessian), taken on first
+    use, sets a flow reach's reverse opening h0 (``_sphere_exit_detail``)."""
 
     procedure, minimum = "reach_general", False
 
@@ -539,6 +541,12 @@ class _Level:
             raise ValueError(f"classify_limit disagrees with the catalog: {kind}")
         self.f, self.target, self.epsilon, self.delta = f, target, epsilon, delta
         self.level = f.value(target)
+
+    @cached_property
+    def spectral_radius(self):
+        if self.f.hessian is None:
+            return None
+        return float(np.abs(np.linalg.eigvalsh(self.f.hess(self.target))).max())
 
     def plan(self, seed_radius, dynamics, budgets):
         if not seed_radius < self.delta <= self.epsilon:
@@ -755,11 +763,13 @@ def _first_escape(goal, seed_radius, seed, rho, dynamics, cap, kbar_max):
     under ``dynamics``, or None: by the reverse orbit whose root x0 lies
     outside B_rho and within cap, g0 the gradient the orbit took at x0 and
     the forward dynamics the schedule, or by the reverse flow to its
-    crossing x0 of the rho-sphere (``_sphere_exit_detail``; at a minimum
-    just inside it), g0 the reverse flow's gradient there and the forward
-    dynamics the settings opened at its last proposed step (h_forward).  A
-    flow that stops before it (the box, gtol or t_max; x0 is None) is
-    recorded like every run, and the scan goes on to the next seed."""
+    crossing x0 of the rho-sphere (``_sphere_exit_detail``: at a minimum
+    just inside it, opened at the cap; at a saddle opened at the h0 of the
+    goal's ``spectral_radius``), g0 the reverse flow's gradient there and
+    the forward dynamics the settings opened at its last proposed step
+    (h_forward).  A flow that stops before it (the box, gtol or t_max; x0
+    is None) is recorded like every run, and the scan goes on to the next
+    seed."""
     f, target, level = goal.f, goal.target, goal.level
     floor = SEED_FLOOR_RTOL * (1.0 + abs(level))
     for d in goal.scan(seed):
@@ -771,8 +781,9 @@ def _first_escape(goal, seed_radius, seed, rho, dynamics, cap, kbar_max):
             if hit is not None:
                 return a, *hit, hit[1].gradients[0], dynamics
         else:  # x0 None where the flow stopped inside the sphere
-            _, x0, rev = _sphere_exit_detail(f, a, "reverse", target, rho, dynamics,
-                                             minimum=goal.minimum)
+            _, x0, rev = _sphere_exit_detail(
+                f, a, "reverse", target, rho, dynamics, minimum=goal.minimum,
+                spectral_radius=None if goal.minimum else goal.spectral_radius)
             if x0 is not None:
                 return (a, x0, rev, rev.provenance["g_exit"],
                         dataclasses.replace(dynamics, h=rev.provenance["h_forward"]))
@@ -852,9 +863,12 @@ def reach_general(f, target, epsilon, dynamics, seed_radius, tol=1e-2, delta=Non
     ``integrate_minnorm``, the minimum-norm Clarke flow of max{f, c}, c =
     f(target), a local minimum of which the target is: the forward flow on
     f, stalled where it meets the level set f = c, located on the dense
-    output, opened at the reverse flow's last proposed step; neither leg
-    reads settings.h, and GD budgets are refused as by
-    ``reach_continuous``.  StepSchedule:
+    output, opened at the reverse flow's last proposed step.  The reverse
+    flow opens at h0, the step whose error on the saddle's linearization
+    (``_Level.spectral_radius``) is the controller's steady state, so its
+    first attempt passes (``_sphere_exit_detail``).  Neither leg reads
+    settings.h, and GD budgets are refused as by ``reach_continuous``.
+    StepSchedule:
     reverse orbit through {f > c} on f itself, forward replay, and linear
     interpolation to the first crossing of the level.  The distance is
     from the crossing to the target and shrinks with seed_radius.

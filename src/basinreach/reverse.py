@@ -51,7 +51,8 @@ from math import sqrt
 
 import numpy as np
 
-from .landscape import LeftBoxError, dot, norm, require_count, row_norms, sumsq
+from .landscape import (LeftBoxError, dot, norm, require_count, require_positive_finite,
+                        row_norms, sumsq)
 from .schedule import constant, require_admissible
 from .trajectory import stacked, start
 
@@ -391,6 +392,7 @@ def _orbit(f, *args):
 def prox(f, x, lam):
     """argmin_y f(y) + |y - x|^2 / (2 lam) via the implicit equation
     y = x - lam * grad(y), for lam < 1/L and x a start (``start``)."""
+    require_positive_finite(lam=lam)
     require_admissible(constant(lam), f, "prox", "prox")
     return np.array(_picard(f, start(f, x, "x"), lam, -1.0))
 
@@ -404,6 +406,7 @@ def prox_certificates(f, x, lam, xplus):
     both with slack PROX_SLACK_RTOL * (1 + |f(x)|), for lam < 1/L, the
     regime in which the step bound holds.
     """
+    require_positive_finite(lam=lam)
     require_admissible(constant(lam), f, "prox", "prox_certificates")
     x = np.asarray(x, dtype=float)
     xplus = np.asarray(xplus, dtype=float)
@@ -421,6 +424,7 @@ def ascent_prox(f, xnext, a):
     y = xnext + a * grad(y) for a < 1/L and xnext a start (``start``).
     The returned point replays forward onto xnext to within 1e-10 * (1 +
     |result|)."""
+    require_positive_finite(a=a)
     require_admissible(constant(a), f, "prox", "ascent_prox")
     return np.array(_picard(f, start(f, xnext, "xnext"), a, 1.0))
 

@@ -7,8 +7,7 @@ import pytest
 
 import basinreach as br
 import basinreach.flow as flow
-from basinreach.flow import (ATOL, H_STABLE, PI_ALPHA, PI_BETA, PI_MAX, PI_MIN, PI_SAFE,
-                            RTOL)
+from basinreach.flow import ATOL, H_STABLE, PI_ALPHA, PI_MAX, PI_MIN, PI_SAFE, RTOL
 from basinreach.landscape import LeftBoxError, dot, norm, row_norms, sumsq
 from basinreach.reach import CAPTURE_GRID
 from basinreach.reverse import _GRAM_RTOL, FIXED_POINT_RTOL
@@ -147,14 +146,15 @@ def dop853_flow(f, x0, sign, h, t_max, gtol=0.0, stop=None):
     accepted step, until gtol, t_max, a box exit or ``stop(x)``.  No trial
     step, the first, min(h, H_STABLE / L), included, exceeds H_STABLE / L;
     a step is accepted when |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2) <= ATOL +
-    RTOL max(|x|, |x_new|); the next trial step follows the PI controller,
-    never growing right after a rejection, and the step that would pass
-    t_max is clamped onto it."""
+    RTOL max(|x|, |x_new|); the next trial step follows the I controller,
+    h PI_SAFE err^-PI_ALPHA within [PI_MIN, PI_MAX] h, never growing right
+    after a rejection, and the step that would pass t_max is clamped onto
+    it."""
     x = np.array(x0, dtype=float)
     field = lambda y: sign * f.gradient(y)
     g = field(x)
     states = [State(0, 0.0, x.copy(), f.value(x), norm(g))]
-    t, err_old, k, attempts = 0.0, 1e-4, 0, 0
+    t, k, attempts = 0.0, 0, 0
     L = f.lipschitz_L
     h_max = H_STABLE / L if L > 0.0 else math.inf
     h = min(h, h_max)
@@ -170,9 +170,8 @@ def dop853_flow(f, x0, sign, h, t_max, gtol=0.0, stop=None):
             if err <= 1.0:
                 break
             h, rejected = dt / min(1.0 / PI_MIN, err ** PI_ALPHA / PI_SAFE), True
-        fac = err ** PI_ALPHA / err_old ** PI_BETA / PI_SAFE
-        h = min(dt / max(1.0 / PI_MAX, min(1.0 / PI_MIN, fac)), h_max)
-        h, err_old = min(h, dt) if rejected else h, max(err, 1e-4)
+        h = min(dt / max(1.0 / PI_MAX, min(1.0 / PI_MIN, err ** PI_ALPHA / PI_SAFE)), h_max)
+        h = min(h, dt) if rejected else h
         t = t_max if dt == t_max - t else t + dt
         x, g, k = x_new, ks[12], k + 1
         states.append(State(k, t, x.copy(), f.value(x), norm(g)))

@@ -237,7 +237,13 @@ def test_reach_replays_to_the_configured_gtol(tmp_path):
 # radius and the certificate of the reach's goal, is pinned beside the CSVs
 # of every reach, as are CI's constant-schedule and flow minimum reaches
 # (reach-out, flow-out), all recorded before a saddle's goal came to be an
-# object of its own beside the minimum's
+# object of its own beside the minimum's.  saddle-continuous, flow-out and
+# run-flow re-recorded when every DOP853 run came to step under Hairer's I
+# controller, and a saddle's reverse flow to open at the step its
+# linearization passes, not at the cap 6/L: the saddle's 9 reverse and 11
+# forward states as before, its final distance 9.284441523272009e-4 ->
+# 9.284441369209292e-4; flow-out's x0 the same, over 5 reverse states where
+# it wrote 4; run-flow converged after 34 steps where it took 36
 SADDLE = ["reach", "--general", "--function", "himmelblau", "--target-index", "8",
           "--epsilon", "1.0", "--seed-radius", "1e-3", "--tol", "1e-2"]
 UNMOVED = {
@@ -247,9 +253,9 @@ UNMOVED = {
         "reverse.csv": "b876ff977e882c70ba05b896c17c5f337a98e24d11d110ef00f8bc7c22dd5bc2"}),
     "saddle-continuous": (SADDLE + ["--mode", "continuous", "--h", "3e-4", "--t-max", "50",
                                     "--gtol", "1e-6", "--delta", "0.1"], {
-        "reach.json": "e44665a1c682196ccbb06b1df81537f28d0d1a0600f3d649beb31703003dcb05",
-        "forward.csv": "48d534db18f3c405d45ba36cbbf8d356b63b9ff6798c94ced60f40dd7c21a5ff",
-        "reverse.csv": "08c30b48b695ce9c40af039e0ff0d05b944f8878046c429636551b069994d649"}),
+        "reach.json": "e3dee7b9713b7057a94e9c196a58ddc7ba24cf255831dfd57f4951fb14d22d7f",
+        "forward.csv": "d2f58d8949583a6206c71fc7b92ca4a8cffb5fe37fa70c8070fe3b87111f267e",
+        "reverse.csv": "654547691379812aeec6c3bf4734ad1e20143eb6c44ad7a819c8890d8aa33851"}),
     "dw-probe": (["probe", "--function", "double_well", "--target", "1", "--epsilon", "0.4",
                   "--schedule", "constant:0.021"], {
         "probe.json": "a8534633bbe07b69c0d3e6460e8f3c2b816ccddd237fc59a7e65679ab5a2845f"}),
@@ -290,9 +296,9 @@ UNMOVED = {
     "flow-out": (["reach", "--mode", "continuous", "--function", "double_well", "--target", "1",
                   "--epsilon", "0.4", "--seed-radius", "1e-3", "--tol", "1e-4", "--h", "1e-3",
                   "--t-max", "20", "--gtol", "1e-6"], {
-        "reach.json": "f4013564404903dad771c0b7eaaff68346c5f5eb90996ec257441902d5654ca1",
-        "forward.csv": "07a98372935a6c716f6871b76b348bbcd96cfa8c1a9cf32f65775fc814c2c168",
-        "reverse.csv": "140934a2039b6ca1513b111eca090a3c6ad880430766100115e9bc598f506aaf"}),
+        "reach.json": "e267db36e7e0013292b09597dc8ccd61e8ce895bc281dcd105d5b2716de9d187",
+        "forward.csv": "729b60ee6a0c986e6c3da050dddba6428d1ff1e24ffda146d67d4501c77ce4ef",
+        "reverse.csv": "1c9556d63e8dab9a284e0d0f05ef6294dbb86f54ed2ae79e26457447ecf56767"}),
     # the ndarray lane (dim > 2): a 39-point power-schedule orbit and 500
     # prox solves, recorded before its solves came to run in one frame
     "q3-power": (["reach", "--function", "quad:1,2,5", "--target", "0,0,0", "--epsilon", "1.0",
@@ -311,8 +317,8 @@ UNMOVED = {
         "summary.json": "594c4cdb72933ee63f7bdd17bce254008d78b6bfaad8db28abeee9bbff62092d"}),
     "run-flow": (["run", "--function", "double_well", "--x0", "0.5", "--procedure", "flow",
                   "--h", "1e-3", "--t-max", "5"], {
-        "trajectory.csv": "5b03ad4a1ff1b32bb6ff01483d714cb5d488224ad9f77d69f89e650578bca02d",
-        "summary.json": "5b66c215264d25dabc1dcf08f8e084323f32990d39d46635780d853421327690"}),
+        "trajectory.csv": "de204850045781a30a34f692cd9d7db97e25785e7fb7f6dd25c0d9238d976d76",
+        "summary.json": "aff2b58ce535d1f8779c451237d0cfb37f85fd85af4d8fa063ffb9cff7398148"}),
     "saddle-tail": (["reach", "--general", "--function", "himmelblau", "--target-index", "6",
                      "--epsilon", "1.0", "--tol", "1e-2", "--seed-radius", "1e-3",
                      "--schedule", "constant:0.0009"], {

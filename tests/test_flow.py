@@ -8,7 +8,7 @@ import pytest
 import basinreach as br
 import basinreach.flow as flow
 import basinreach.reach as reach
-from basinreach.landscape import norm
+from basinreach.landscape import norm, sumsq
 
 from conftest import (count_flow_steps, counting, dop853_step, make_linear_1d, minnorm_euler,
                       rk4_flow, same_states)
@@ -370,6 +370,36 @@ def test_local_errors_fall_at_their_orders(dim):
     assert step >= 2.0 ** 8 * halved[0] and halved[0] > 1e-13
     assert est5 >= 2.0 ** 5 * halved[1] and est3 >= 2.0 ** 3 * halved[2]
     assert dense >= 2.0 ** 7 * halved[3]
+
+
+def combined_err(e5, e3):
+    """A step's error estimate |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2), before
+    its scaling by the tolerance."""
+    e5sq = sumsq(e5)
+    return e5sq / math.sqrt(e5sq + 0.01 * sumsq(e3)) if e5sq else 0.0
+
+
+def test_the_error_constant_is_the_tableaus(quad1):
+    # ERR_K, derived at import from the stage polynomials on y' = y, is the
+    # leading constant of err ~ ERR_K z^8: one step of z = 0.05 along
+    # quad:1's reverse flow, y' = y, reads err / z^8 within 3% of it
+    lane, z = quad1._lane, 0.05
+    x = lane.point(np.array([1.0]))
+    _, _, e5, e3 = flow._dop853_step(lane, x, z, lane.grad(x))
+    assert 4.2e-7 < flow.ERR_K < 4.4e-7
+    assert combined_err(e5, e3) / z ** 8 == pytest.approx(flow.ERR_K, rel=0.03)
+
+
+def test_accepted_steps_sit_at_the_controllers_steady_state(monkeypatch, quad1):
+    # the I controller aims each step at err = PI_SAFE^8, about 0.147 of
+    # the tolerance: on quad:1's forward flow from 10 to t = 9 the median
+    # err of the accepted steps lies in [0.12, 0.17]
+    calls = count_flow_steps(monkeypatch)
+    flow.integrate(quad1, [10.0], "forward", settings(h=1.0, t_max=9.0))
+    errs = [combined_err(e5, e3) / (flow.ATOL + flow.RTOL * max(abs(x[0]), abs(x_new[0])))
+            for (_, x, _, _), (x_new, _, e5, e3) in calls]
+    assert flow.PI_SAFE ** 8 == pytest.approx(0.9 ** (1.0 / 0.055), rel=1e-12)
+    assert 0.12 <= np.median([e for e in errs if e <= 1.0]) <= 0.17
 
 
 # --- min-norm flow -------------------------------------------------------------

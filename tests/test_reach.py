@@ -13,7 +13,8 @@ import pytest
 import basinreach as br
 import basinreach.reach as reach_mod
 import basinreach.reverse as reverse_mod
-from basinreach.flow import H_STABLE, REVERSE_RTOL, RTOL, _Flow, _sphere_exit_detail
+from basinreach.flow import (ATOL, ERR_K, H_STABLE, PI_SAFE, REVERSE_RTOL, RTOL, _Flow,
+                             _sphere_exit_detail)
 from basinreach.landscape import norm, row_norms
 from basinreach.sampling import Lcg64, unit_directions
 from basinreach.serialize import reach_report_json
@@ -1307,14 +1308,16 @@ def test_minimum_reaches_run_on_the_certified_radius_without_a_probe(monkeypatch
 @pytest.mark.parametrize("reach,dynamics,x0", [
     (br.reach_discrete, br.constant(0.1), [0.0, 0.0, 0.512]),
     (br.reach_continuous, br.FlowSettings(h=1e-2, t_max=20.0, gtol=1e-6),
-     [0.0, 0.0, 0.9999999950000109]),
+     [0.0, 0.0, 0.9999999950000011]),
 ], ids=["discrete", "continuous"])
 def test_a_reach_without_a_certified_radius_probes_as_before(monkeypatch, reach, dynamics, x0):
     # in 3-D without M there is neither B_r nor a capture level: the reach
     # probes, and its radius is pinned to the one it had when every minimum
     # reach probed; its start to the orbit's root, or to the inner side of
     # that sphere, where the reverse flow at REVERSE_RTOL, its first trial
-    # step at the cap H_STABLE / L, crosses it
+    # step at the cap H_STABLE / L, crosses it (re-pinned from
+    # 0.9999999950000109 when the controller came to be Hairer's I
+    # controller, whose reverse steps locate it elsewhere in the same band)
     f = dataclasses.replace(br.make_builtin("quad", (1.0, 2.0, 5.0)), hessian_lipschitz=None)
     basin = reach_mod._Basin(f, np.zeros(3), 1.0, "target")
     assert (basin.ball, basin.certificate) == (None, (None, None))
@@ -2067,7 +2070,8 @@ def test_no_reach_takes_a_gradient_twice(himmelblau):
 def test_a_saddle_reach_keeps_the_full_reverse_accuracy(monkeypatch, himmelblau):
     # the forward Clarke flow retraces the reverse flow near the saddle, so
     # a saddle's reverse flow runs at RTOL: its x0 and reverse part are the
-    # direct sphere exit's, bit for bit, and a minimum reach's exit is not
+    # direct sphere exit's given the saddle's spectral radius, bit for bit,
+    # and a minimum reach's exit is not
     st = br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6)
     target = himmelblau.critical_points[8].point
     rep = br.reach_general(himmelblau, target, 1.0, st, 1e-3, tol=1e-2, delta=0.1)
@@ -2075,11 +2079,14 @@ def test_a_saddle_reach_keeps_the_full_reverse_accuracy(monkeypatch, himmelblau)
     leg = lambda **kw: _sphere_exit_detail(himmelblau, rep.ascent_seed, "reverse", target,
                                            0.1, st, **kw)
     calls = count_flow_steps(monkeypatch)
-    _, x0, rev = leg()
+    _, x0, rev = leg(spectral_radius=spectral_radius(himmelblau, target))
     assert x0.tobytes() == rep.x0.tobytes() and rev.X.tobytes() == rep.reverse_part.X.tobytes()
-    # every sphere exit's first trial step is the cap, not min(h, cap)
-    assert calls[0][0][2] == H_STABLE / himmelblau.lipschitz_L
+    # a saddle's exit opens at h0, below the cap, not at min(h, cap)
+    cap = H_STABLE / himmelblau.lipschitz_L
+    assert calls[0][0][2] == saddle_opening(himmelblau, rep.ascent_seed, target) < cap
+    calls.clear()
     assert leg(minimum=True)[1].tobytes() != x0.tobytes()
+    assert calls[0][0][2] == cap  # a minimum's exit opens at the cap
 
 
 def reach_bytes(rep):
@@ -2294,6 +2301,41 @@ def test_h_does_not_enter_a_saddle_flow_reach(himmelblau, i):
         assert len(flow_reach_outputs(reach, (3e-4, 1e-3, 1e-2, 5e-2), 50.0)) == 1, delta
 
 
+def spectral_radius(f, target):
+    """Lambda = max |eig hess f(target)|, the fastest rate of the flow's
+    linearization at the target."""
+    return float(np.abs(np.linalg.eigvalsh(f.hess(target))).max())
+
+
+def saddle_opening(f, a, target):
+    """h0 = min(H_STABLE / L, PI_SAFE ((ATOL + RTOL |a|) / (ERR_K r))^(1/8) /
+    Lambda), r = |a - target|: the first trial step of a saddle reach's
+    reverse leg from the ascent seed a, whose err on the saddle's
+    linearization is the controller's steady state PI_SAFE^8."""
+    h = PI_SAFE * ((ATOL + RTOL * norm(a)) / (ERR_K * norm(a - target))) ** 0.125
+    return min(H_STABLE / f.lipschitz_L, h / spectral_radius(f, target))
+
+
+@pytest.mark.parametrize("i", HIMMELBLAU_SADDLES)
+def test_a_saddle_reverse_flow_accepts_its_opening(monkeypatch, himmelblau, i):
+    # at h0 the first DOP853 attempt of a saddle reach's reverse leg passes,
+    # at every seed radius and escape radius: the second attempt, where
+    # there is one, steps from the first one's point.  The leg's record
+    # carries h0 as its settings' h
+    target = himmelblau.critical_points[i].point
+    st = br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6)
+    calls = count_flow_steps(monkeypatch)
+    for seed_radius, delta in itertools.product((5e-4, 1e-3, 2e-3), (0.1, 0.5)):
+        calls.clear()
+        rep = br.reach_general(himmelblau, target, 1.0, st, seed_radius, tol=1e-2, delta=delta)
+        assert rep.status == "success", (seed_radius, delta)
+        back = [(args, out) for args, out in calls if args[2] > 0.0]
+        h0 = saddle_opening(himmelblau, rep.ascent_seed, target)
+        assert back[0][0][2] == h0 == rep.reverse_part.provenance["settings"].h
+        assert len(back) == 1 or np.array_equal(back[1][0][1], back[0][1][0]), (
+            seed_radius, delta)
+
+
 def saddle_flow_legs(monkeypatch, himmelblau, i, st):
     """(report, reverse steps, forward steps) of a continuous reach of
     himmelblau's saddle i at delta 0.1: the signed length of each attempted
@@ -2309,24 +2351,26 @@ def saddle_flow_legs(monkeypatch, himmelblau, i, st):
 @pytest.mark.parametrize("i", HIMMELBLAU_SADDLES)
 def test_a_saddle_flow_reach_opens_its_forward_leg_where_its_reverse_leg_left_off(
         monkeypatch, himmelblau, i):
-    # the reverse flow opens at the cap and both legs step at RTOL, so the
+    # the reverse flow opens at h0 and both legs step at RTOL, so the
     # forward Clarke flow opens at the step the reverse flow's controller
     # proposed after the step that crossed the sphere at x0, unscaled,
     # within the cap; neither leg reads h
     st = br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6)
     rep, back, ahead = saddle_flow_legs(monkeypatch, himmelblau, i, st)
     cap, h_forward = H_STABLE / himmelblau.lipschitz_L, rep.reverse_part.provenance["h_forward"]
-    assert back[0] == cap and 0.0 < h_forward <= cap
+    assert back[0] == saddle_opening(himmelblau, rep.ascent_seed, rep.target) <= cap
+    assert 0.0 < h_forward <= cap
     assert h_forward == reverse_leg_replay(rep)[1].h  # RTOL / RTOL: exactly 1
     assert -ahead[0] == min(cap, h_forward) != st.h
 
 
 @pytest.mark.parametrize("kind", ["minimum", "saddle"])
 def test_a_flow_run_rebuilt_from_its_provenance_repeats_it(himmelblau, kind):
-    # a reverse leg's record names the settings it ran on, their h the cap,
-    # and its rtol: a runner built from them alone repeats the leg bit for
-    # bit up to the crossing, and its controller's last proposal, rescaled
-    # to RTOL, is the recorded forward opening
+    # a reverse leg's record names the settings it ran on, their h its
+    # opening (a minimum's the cap, a saddle's h0), and its rtol: a runner
+    # built from them alone repeats the leg bit for bit up to the crossing,
+    # and its controller's last proposal, rescaled to RTOL, is the recorded
+    # forward opening
     st = br.FlowSettings(h=3e-4, t_max=50.0, gtol=1e-6)
     if kind == "minimum":
         rep = br.reach_continuous(himmelblau, [3.0, 2.0], 0.5, st, 1e-3, 1e-4)
@@ -2336,7 +2380,9 @@ def test_a_flow_run_rebuilt_from_its_provenance_repeats_it(himmelblau, kind):
     assert rep.status == "success"
     rev = rep.reverse_part
     p = rev.provenance
-    assert p["settings"] == dataclasses.replace(st, h=H_STABLE / himmelblau.lipschitz_L)
+    opening = (H_STABLE / himmelblau.lipschitz_L if kind == "minimum"
+               else saddle_opening(himmelblau, rep.ascent_seed, rep.target))
+    assert p["settings"] == dataclasses.replace(st, h=opening)
     assert p["rtol"] == (REVERSE_RTOL if kind == "minimum" else RTOL)
     states, runner = reverse_leg_replay(rep)
     t, X, gnorm = zip(*states)

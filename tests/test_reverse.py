@@ -59,6 +59,20 @@ def test_prox_certificates_refuse_a_lam_outside_the_prox_regime(quad1, lam, mess
         br.prox_certificates(quad1, [1.5], lam, [0.5])
 
 
+@pytest.mark.parametrize("step", [-0.1, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("call,name", [
+    (lambda f, step: br.gd_step(f, [1.0], step), "a"),
+    (lambda f, step: br.ascent_prox(f, [1.0], step), "a"),
+    (lambda f, step: br.prox(f, [1.0], step), "lam"),
+    (lambda f, step: br.prox_certificates(f, [1.5], step, [0.5]), "lam"),
+], ids=["gd_step", "ascent_prox", "prox", "prox_certificates"])
+def test_a_step_refusal_names_the_argument_passed(quad1, call, name, step):
+    # a step that is not positive and finite is refused under the name the
+    # caller passed it by, not as the schedule's c
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {step}$"):
+        call(quad1, step)
+
+
 def test_prox_certificates_worked_example(quad1):
     xp = br.prox(quad1, [1.5], 0.5)
     dec_ok, step_ok = br.prox_certificates(quad1, [1.5], 0.5, xp)
